@@ -20,6 +20,8 @@ import (
 	"gcao/internal/core"
 	"gcao/internal/machine"
 	"gcao/internal/native"
+	"gcao/internal/plan"
+	"gcao/internal/runtime"
 	"gcao/internal/spmd"
 )
 
@@ -431,25 +433,17 @@ func BenchmarkParallelSimulation(b *testing.B) {
 	})
 }
 
-// BenchmarkNativeExecution measures the native goroutine backend on
-// the same hot point BenchmarkParallelSimulation uses — gravity,
-// procs=25, n=250 (short: 48) — one goroutine per logical processor
-// with placed communication realized as channel transfers. The engine
-// is built once and warmed outside the timer, so the loop measures
-// steady-state execution: recycled message buffers and per-processor
-// scratch in play, setup (memory image, plan, fabric) excluded.
-// Compare against BenchmarkParallelSimulation's sub-benchmarks to see
-// real execution against modeled simulation on identical placements.
-func BenchmarkNativeExecution(b *testing.B) {
-	n := 250
-	if testing.Short() {
-		n = 48
-	}
+// warmGravityEngine prepares the native hot point every native
+// benchmark below measures — gravity under comb — and runs it once, so
+// the timed loop sees recycled message buffers and sized scratch, with
+// setup (memory image, plan, lowering, fabric) excluded.
+func warmGravityEngine(b *testing.B, n, procs int) *native.Engine {
+	b.Helper()
 	pr, err := bench.ByName("gravity", "main")
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := pr.Compile(n, 25)
+	a, err := pr.Compile(n, procs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -457,13 +451,29 @@ func BenchmarkNativeExecution(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := native.NewEngine(res, 25)
+	eng, err := native.NewEngine(res, procs)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := eng.Run(); err != nil { // warm pools and scratch
+	if _, err := eng.Run(); err != nil {
 		b.Fatal(err)
 	}
+	return eng
+}
+
+// BenchmarkNativeExecution measures the native goroutine backend on
+// the same hot point BenchmarkParallelSimulation uses — gravity,
+// procs=25, n=250 (short: 48) — one goroutine per logical processor
+// with placed communication realized as channel transfers, in steady
+// state. Compare against BenchmarkParallelSimulation's sub-benchmarks
+// to see real execution against modeled simulation on identical
+// placements.
+func BenchmarkNativeExecution(b *testing.B) {
+	n := 250
+	if testing.Short() {
+		n = 48
+	}
+	eng := warmGravityEngine(b, n, 25)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var msgs, wire int64
@@ -486,30 +496,67 @@ func BenchmarkNativeExecution(b *testing.B) {
 // again; ci/native-alloc-budget.txt holds the ceiling `make
 // native-smoke` enforces with -benchmem.
 func BenchmarkNativeAlloc(b *testing.B) {
-	pr, err := bench.ByName("gravity", "main")
-	if err != nil {
-		b.Fatal(err)
-	}
-	a, err := pr.Compile(48, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := a.Place(core.Options{Version: core.VersionCombine})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := native.NewEngine(res, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := eng.Run(); err != nil {
-		b.Fatal(err)
-	}
+	eng := warmGravityEngine(b, 48, 16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Run(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkNativeScaling holds the problem fixed (gravity n=48) and
+// varies the processor count. Owner-computes localization makes the
+// compute work independent of P, so what grows with P is the message
+// count alone: ns/op flat or falling in P on a host with cores to
+// spare, and at most gently rising on a small one (EXPERIMENTS.md
+// records P=25 against P=4).
+func BenchmarkNativeScaling(b *testing.B) {
+	for _, procs := range []int{4, 16, 25} {
+		b.Run(fmt.Sprintf("P%d", procs), func(b *testing.B) {
+			eng := warmGravityEngine(b, 48, procs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var msgs int64
+			for i := 0; i < b.N; i++ {
+				out, err := eng.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				msgs = out.Stats.Messages
+			}
+			b.ReportMetric(float64(msgs), "messages")
+		})
+	}
+}
+
+// BenchmarkLower measures plan.Lower alone — the slot-resolved form,
+// purity analysis and per-processor bounds — on the six Fig. 10(a)
+// routines at P=25. It runs once per native.NewEngine; the simulator
+// path (plan.New) does not pay for it.
+func BenchmarkLower(b *testing.B) {
+	var plans []*plan.Plan
+	for _, pr := range bench.Programs() {
+		a, err := pr.Compile(pr.DefaultN, 25)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := a.Place(core.Options{Version: core.VersionCombine})
+		if err != nil {
+			b.Fatal(err)
+		}
+		plans = append(plans, plan.New(res, runtime.NewMemory(a.Unit, 25)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	nodes := 0
+	for i := 0; i < b.N; i++ {
+		for _, pl := range plans {
+			nodes += len(plan.Lower(pl).Body)
+		}
+	}
+	if nodes == 0 {
+		b.Fatal("lowering produced no nodes")
 	}
 }

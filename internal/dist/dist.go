@@ -92,7 +92,13 @@ func (g Grid) Rank() int { return len(g.Shape) }
 // Coords converts a linear processor id to grid coordinates
 // (row-major: the last dimension varies fastest).
 func (g Grid) Coords(pid int) []int {
-	c := make([]int, len(g.Shape))
+	return g.CoordsInto(pid, make([]int, len(g.Shape)))
+}
+
+// CoordsInto is Coords writing into the caller's buffer (len >= grid
+// rank), for paths that must not allocate.
+func (g Grid) CoordsInto(pid int, c []int) []int {
+	c = c[:len(g.Shape)]
 	for i := len(g.Shape) - 1; i >= 0; i-- {
 		c[i] = pid % g.Shape[i]
 		pid /= g.Shape[i]
@@ -174,13 +180,13 @@ func New(g Grid, lo, hi []int, kinds ...Kind) (Dist, error) {
 }
 
 // Rank returns the array dimensionality.
-func (d Dist) Rank() int { return len(d.Dims) }
+func (d *Dist) Rank() int { return len(d.Dims) }
 
 // Extent returns the declared number of elements in array dim i.
-func (d Dist) Extent(i int) int { return d.Hi[i] - d.Lo[i] + 1 }
+func (d *Dist) Extent(i int) int { return d.Hi[i] - d.Lo[i] + 1 }
 
 // blockSize returns the ceiling block size for dimension i.
-func (d Dist) blockSize(i int) int {
+func (d *Dist) blockSize(i int) int {
 	p := d.Grid.Shape[d.Dims[i].GridDim]
 	n := d.Extent(i)
 	return (n + p - 1) / p
@@ -188,7 +194,7 @@ func (d Dist) blockSize(i int) int {
 
 // OwnerDim returns the grid coordinate (in the dimension's grid dim)
 // owning array index x of dimension i. For Star dims it returns 0.
-func (d Dist) OwnerDim(i, x int) int {
+func (d *Dist) OwnerDim(i, x int) int {
 	dd := d.Dims[i]
 	switch dd.Kind {
 	case Star:
@@ -209,7 +215,7 @@ func (d Dist) OwnerDim(i, x int) int {
 }
 
 // Owner returns the linear processor id owning the element at idx.
-func (d Dist) Owner(idx []int) int {
+func (d *Dist) Owner(idx []int) int {
 	if len(idx) != d.Rank() {
 		panic("dist: Owner: rank mismatch")
 	}
@@ -228,7 +234,7 @@ func (d Dist) Owner(idx []int) int {
 // For Star dims the whole extent is returned. ok is false when the
 // processor owns nothing in that dimension (possible with uneven
 // blocks).
-func (d Dist) LocalRange(i, c int) (lo, hi int, ok bool) {
+func (d *Dist) LocalRange(i, c int) (lo, hi int, ok bool) {
 	dd := d.Dims[i]
 	switch dd.Kind {
 	case Star:
@@ -254,7 +260,7 @@ func (d Dist) LocalRange(i, c int) (lo, hi int, ok bool) {
 
 // LocalCount returns the number of elements of dimension i owned by
 // grid coordinate c.
-func (d Dist) LocalCount(i, c int) int {
+func (d *Dist) LocalCount(i, c int) int {
 	dd := d.Dims[i]
 	switch dd.Kind {
 	case Star:
@@ -278,7 +284,7 @@ func (d Dist) LocalCount(i, c int) int {
 }
 
 // DistributedDims returns the array dims that are actually partitioned.
-func (d Dist) DistributedDims() []int {
+func (d *Dist) DistributedDims() []int {
 	var out []int
 	for i, dd := range d.Dims {
 		if dd.Kind != Star {
@@ -294,7 +300,7 @@ func (d Dist) DistributedDims() []int {
 // can have their nearest-neighbour messages combined (identical
 // sender–receiver mapping), which is the Fig. 1 / Fig. 3 combining
 // condition.
-func (d Dist) SameLayout(o Dist) bool {
+func (d *Dist) SameLayout(o Dist) bool {
 	if d.Rank() != o.Rank() || d.Grid.Rank() != o.Grid.Rank() {
 		return false
 	}
@@ -316,7 +322,7 @@ func (d Dist) SameLayout(o Dist) bool {
 	return true
 }
 
-func (d Dist) String() string {
+func (d *Dist) String() string {
 	parts := make([]string, len(d.Dims))
 	for i, dd := range d.Dims {
 		parts[i] = dd.Kind.String()

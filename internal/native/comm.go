@@ -14,12 +14,13 @@ package native
 // transfers ownership of the payload slice to the receiver; once the
 // receiver has fully consumed the message it returns the slice through
 // the recycle channel, and the sender's next getBuf reuses it. At most
-// two buffers are ever in flight per pair (one queued in the capacity-1
-// data channel, one being consumed), so the recycle channel's capacity
-// of two never drops a buffer in practice; if a slice is ever too small
-// it is grown once and the grown slice recycles thereafter. Initial
-// capacities come from the plan's per-group payload bounds, so after
-// the first execution of each group the fabric allocates nothing.
+// three buffers are ever outstanding per pair (one being consumed, one
+// queued in the capacity-1 data channel, one being filled); if a slice
+// is ever too small it is replaced by a larger one. Initial capacities
+// come from the plan's per-group payload bounds, and after a completed
+// run the engine tops every used pair up to three buffers of the
+// largest size it needed (settlePools), so a repeat run allocates
+// nothing whatever its timing.
 //
 // Per group kind:
 //
@@ -59,8 +60,8 @@ import (
 	"fmt"
 	"math"
 
-	"gcao/internal/codegen"
 	"gcao/internal/core"
+	"gcao/internal/dist"
 	"gcao/internal/native/prof"
 	"gcao/internal/plan"
 	"gcao/internal/runtime"
@@ -213,15 +214,20 @@ func (pc *proc) bcastValue(v float64) (float64, error) {
 	return v, nil
 }
 
-// execComm executes the communication groups placed at one position,
-// in placement order — the exact COMM sequence the codegen listing
-// prints there.
-func (pc *proc) execComm(groups []*core.Group) error {
-	for _, g := range groups {
+// execComm executes the communication groups placed at one position
+// (nil: none), in placement order — the exact COMM sequence the codegen
+// listing prints there.
+func (pc *proc) execComm(c *plan.Comm) error {
+	if c == nil {
+		return nil
+	}
+	for i := range c.Ops {
+		op := &c.Ops[i]
+		g := op.Group
 		step := pc.nextStep
 		pc.nextStep++
 		pc.colls++
-		pc.ops[codegen.OpName(g)]++
+		pc.ops[op.Name]++
 		if pc.ring != nil {
 			pc.evStep, pc.evSite = step, int32(g.ID)
 			pc.evSend = prof.PhaseSend
@@ -234,9 +240,9 @@ func (pc *proc) execComm(groups []*core.Group) error {
 		var err error
 		switch g.Kind {
 		case core.KindShift:
-			err = pc.shiftExchange(g)
+			err = pc.shiftExchange(op)
 		case core.KindBcast, core.KindGeneral:
-			err = pc.bcastGather(g)
+			err = pc.bcastGather(op)
 		case core.KindReduce:
 			// Combine already performed at the SUM statement (the
 			// group's position is after it) — the group only marks the
@@ -265,33 +271,31 @@ func (pc *proc) execComm(groups []*core.Group) error {
 type entrySec struct {
 	am  *runtime.ArrayMem
 	sec section.Section
-	ad  int // array dim moved by the shift (unused for collectives)
+	ad  int // array dim moved by the shift (-1 for collectives)
 }
 
 // concretizeEntries resolves the group's entry sections under this
-// processor's loop environment into the per-proc scratch (valid until
-// the next call). The environment is replicated, so every processor
+// processor's loop variables into the per-proc scratch (valid until
+// the next call). The variables are replicated, so every processor
 // derives the identical list.
-func (pc *proc) concretizeEntries(g *core.Group, needDim bool) []entrySec {
-	out := pc.entbuf[:0]
-	for _, e := range g.Entries {
-		sec, ok := pc.eng.pl.ConcreteEntrySection(e, g.Pos, pc.ienv)
+func (pc *proc) concretizeEntries(op *plan.CommOp) []entrySec {
+	out, dims := pc.entbuf[:0], pc.dimbuf[:0]
+	for i := range op.Entries {
+		e := &op.Entries[i]
+		rank := e.Am.Arr.Rank()
+		if len(dims)+rank > cap(dims) {
+			// Earlier entries keep the descriptors they already hold.
+			dims = make([]section.Dim, 0, 2*(len(dims)+rank))
+		}
+		dims = dims[:len(dims)+rank]
+		sec, ok := e.Concrete(pc.fr, dims[len(dims)-rank:])
 		if !ok {
+			dims = dims[:len(dims)-rank]
 			continue
 		}
-		am := pc.eng.mem.View(e.Array)
-		if am.Dist == nil {
-			continue
-		}
-		ad := -1
-		if needDim {
-			if ad = am.ShiftArrayDim(g.Map.GridDim); ad < 0 {
-				continue
-			}
-		}
-		out = append(out, entrySec{am: am, sec: sec, ad: ad})
+		out = append(out, entrySec{am: e.Am, sec: sec, ad: e.ShiftDim})
 	}
-	pc.entbuf = out
+	pc.entbuf, pc.dimbuf = out, dims
 	return out
 }
 
@@ -302,8 +306,9 @@ func (pc *proc) concretizeEntries(g *core.Group, needDim bool) []entrySec {
 // payload carries only the elements the sender holds current plus a
 // packed validity bitmap trailer, reproducing the simulator's rule
 // that only valid elements travel.
-func (pc *proc) shiftExchange(g *core.Group) error {
-	ents := pc.concretizeEntries(g, true)
+func (pc *proc) shiftExchange(op *plan.CommOp) error {
+	ents := pc.concretizeEntries(op)
+	g := op.Group
 	gridDim, sign, width := g.Map.GridDim, g.Map.Sign, g.Map.Width
 	grid := pc.eng.pl.A.Unit.Grid
 	shape := grid.Shape[gridDim]
@@ -321,13 +326,12 @@ func (pc *proc) shiftExchange(g *core.Group) error {
 		dstCoords := pc.coordbuf[:len(pc.coords)]
 		copy(dstCoords, pc.coords)
 		dstCoords[gridDim] = c
-		bound := pc.eng.pl.Bound[g]
-		payload := pc.getBuf(dst, bound+bound/64+2)
+		payload := pc.getBuf(dst, op.Bound+op.Bound/64+2)
 		bits := pc.bitbuf[:0]
 		n := 0
 		for _, es := range ents {
 			es := es
-			pc.forEachStripElem(es, gridDim, sign, width, myCoord, dstCoords, func(off int) {
+			pc.forEachStripElem(es, sign, width, myCoord, dstCoords, func(off int) {
 				if n%64 == 0 {
 					bits = append(bits, 0)
 				}
@@ -370,7 +374,7 @@ func (pc *proc) shiftExchange(g *core.Group) error {
 		k, vpos := 0, 0
 		for _, es := range ents {
 			es := es
-			pc.forEachStripElem(es, gridDim, sign, width, c, pc.coords, func(off int) {
+			pc.forEachStripElem(es, sign, width, c, pc.coords, func(off int) {
 				if k < n && math.Float64bits(words[k/64])&(1<<uint(k%64)) != 0 {
 					es.am.Data[pc.p][off] = buf[vpos]
 					es.am.Valid[pc.p][off] = true
@@ -390,32 +394,42 @@ func (pc *proc) shiftExchange(g *core.Group) error {
 // forEachStripElem visits the offsets of one entry's strip elements in
 // section order: elements owned (along the moved dimension) by
 // srcCoord, inside the sender's boundary strip of the given width, and
-// within the receiver's extended local region. Sender and receiver
-// call this with the same arguments and visit the same list.
-func (pc *proc) forEachStripElem(es entrySec, gridDim, sign, width, srcCoord int, dstCoords []int, f func(off int)) {
-	am, ad := es.am, es.ad
-	es.sec.Elems(func(idx []int) bool {
-		x := idx[ad]
-		if am.Dist.OwnerDim(ad, x) != srcCoord {
-			return true
+// within the receiver's extended local region (its block widened by
+// the ghost margin in every other distributed dimension). Each of
+// those conditions is an index range, so the entry section is clipped
+// to their intersection and only the strip itself is enumerated; a
+// CYCLIC moved dimension, whose owned set is not a range, keeps its
+// ownership test per element. Sender and receiver call this with the
+// same arguments and visit the same list.
+func (pc *proc) forEachStripElem(es entrySec, sign, width, srcCoord int, dstCoords []int, f func(off int)) {
+	am, ad, d := es.am, es.ad, es.am.Dist
+	lo, hi := pc.boxlo[:len(d.Dims)], pc.boxhi[:len(d.Dims)]
+	for k, dd := range d.Dims {
+		lo[k], hi[k] = am.Arr.Lo[k], am.Arr.Hi[k]
+		if dd.Kind == dist.Star {
+			continue
 		}
-		lo, hi, ok := am.Dist.LocalRange(ad, srcCoord)
-		if !ok {
-			return true
+		c := dstCoords[dd.GridDim]
+		if k == ad {
+			c = srcCoord
 		}
-		inStrip := false
-		if sign > 0 {
-			inStrip = x >= lo && x < lo+width
-		} else {
-			inStrip = x <= hi && x > hi-width
+		l, h, ok := d.LocalRange(k, c)
+		switch {
+		case !ok:
+			return
+		case k != ad:
+			lo[k], hi[k] = l-width, h+width
+		case sign > 0:
+			lo[k], hi[k] = l, l+width-1
+		default:
+			lo[k], hi[k] = h-width+1, h
 		}
-		if !inStrip {
-			return true
+	}
+	cyclic := d.Dims[ad].Kind == dist.Cyclic
+	es.sec.ClipInto(lo, hi, pc.secbuf).ElemsInto(pc.idxbuf, func(idx []int) bool {
+		if !cyclic || d.OwnerDim(ad, idx[ad]) == srcCoord {
+			f(am.Offset(idx))
 		}
-		if !runtime.InExtendedRegion(am.Arr, dstCoords, idx, ad, width) {
-			return true
-		}
-		f(am.Offset(idx))
 		return true
 	})
 }
@@ -518,9 +532,9 @@ func (pc *proc) bcastDown(full []float64) ([]float64, error) {
 // section by popping each element from its owner's stream (the same
 // owner-order scan SumSection uses), the section descends the tree,
 // and every processor stores the elements it does not own.
-func (pc *proc) bcastGather(g *core.Group) error {
-	bound := pc.eng.pl.Bound[g]
-	for _, es := range pc.concretizeEntries(g, false) {
+func (pc *proc) bcastGather(op *plan.CommOp) error {
+	bound := op.Bound
+	for _, es := range pc.concretizeEntries(op) {
 		am := es.am
 		coords := pc.cbuf[:am.Dist.Grid.Rank()]
 
@@ -532,7 +546,7 @@ func (pc *proc) bcastGather(g *core.Group) error {
 			for i := range cnt {
 				cnt[i] = 0
 			}
-			es.sec.Elems(func(idx []int) bool {
+			es.sec.ElemsInto(pc.idxbuf, func(idx []int) bool {
 				o := am.OwnerInto(idx, coords)
 				cnt[o]++
 				if o == 0 {
@@ -541,7 +555,7 @@ func (pc *proc) bcastGather(g *core.Group) error {
 				return true
 			})
 		} else {
-			es.sec.Elems(func(idx []int) bool {
+			es.sec.ElemsInto(pc.idxbuf, func(idx []int) bool {
 				if am.OwnerInto(idx, coords) == pc.p {
 					mine = append(mine, am.Data[pc.p][am.Offset(idx)])
 				}
@@ -563,7 +577,7 @@ func (pc *proc) bcastGather(g *core.Group) error {
 			for i := range pos {
 				pos[i] = 0
 			}
-			es.sec.Elems(func(idx []int) bool {
+			es.sec.ElemsInto(pc.idxbuf, func(idx []int) bool {
 				o := am.OwnerInto(idx, coords)
 				full = append(full, streams[o][pos[o]])
 				pos[o]++
@@ -577,7 +591,7 @@ func (pc *proc) bcastGather(g *core.Group) error {
 		}
 
 		k := 0
-		es.sec.Elems(func(idx []int) bool {
+		es.sec.ElemsInto(pc.idxbuf, func(idx []int) bool {
 			o := am.OwnerInto(idx, coords)
 			if o != pc.p {
 				off := am.Offset(idx)
@@ -600,7 +614,7 @@ func (pc *proc) bcastGather(g *core.Group) error {
 // element from its owner's stream, so the floating-point accumulation
 // order is bit-identical to SumSection — and the total descends the
 // tree.
-func (pc *proc) collectiveSum(sc plan.SumCall) (float64, error) {
+func (pc *proc) collectiveSum(sc *plan.Sum) (float64, error) {
 	if pc.ring != nil {
 		// The combine runs at the SUM statement, before its global-sum
 		// marker group's position assigns a superstep index: record
@@ -609,9 +623,9 @@ func (pc *proc) collectiveSum(sc plan.SumCall) (float64, error) {
 		pc.evSend, pc.evRecv = prof.PhaseSum, prof.PhaseSum
 	}
 	am := sc.Am
-	sec, err := pc.eng.pl.ConcreteRefSection(sc.Ref, am, pc.ienv)
-	if err != nil {
-		return 0, err
+	sec := sc.Sec.Eval(pc.fr, pc.secbuf)
+	if pc.fr.Err != nil {
+		return 0, pc.evalErr()
 	}
 	coords := pc.cbuf[:am.Dist.Grid.Rank()]
 
@@ -621,7 +635,7 @@ func (pc *proc) collectiveSum(sc plan.SumCall) (float64, error) {
 		for i := range cnt {
 			cnt[i] = 0
 		}
-		sec.Elems(func(idx []int) bool {
+		sec.ElemsInto(pc.idxbuf, func(idx []int) bool {
 			o := am.OwnerInto(idx, coords)
 			cnt[o]++
 			if o == 0 {
@@ -630,7 +644,7 @@ func (pc *proc) collectiveSum(sc plan.SumCall) (float64, error) {
 			return true
 		})
 	} else {
-		sec.Elems(func(idx []int) bool {
+		sec.ElemsInto(pc.idxbuf, func(idx []int) bool {
 			if am.OwnerInto(idx, coords) == pc.p {
 				mine = append(mine, am.Data[pc.p][am.Offset(idx)])
 			}
@@ -654,7 +668,7 @@ func (pc *proc) collectiveSum(sc plan.SumCall) (float64, error) {
 		pos[i] = 0
 	}
 	total := 0.0
-	sec.Elems(func(idx []int) bool {
+	sec.ElemsInto(pc.idxbuf, func(idx []int) bool {
 		o := am.OwnerInto(idx, coords)
 		total += streams[o][pos[o]]
 		pos[o]++

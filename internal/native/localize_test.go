@@ -1,0 +1,495 @@
+package native_test
+
+import (
+	"errors"
+	"fmt"
+	goruntime "runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"gcao/internal/bench"
+	"gcao/internal/core"
+	"gcao/internal/machine"
+	"gcao/internal/native"
+	"gcao/internal/parser"
+	"gcao/internal/plan"
+	"gcao/internal/runtime"
+	"gcao/internal/sem"
+)
+
+func placeSrc(t *testing.T, src string, params map[string]int, procs int) *core.Result {
+	t.Helper()
+	r, err := parser.ParseRoutine(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	u, err := sem.Analyze(r, params, sem.Options{Procs: procs})
+	if err != nil {
+		t.Fatalf("sem: %v", err)
+	}
+	a, err := core.NewAnalysis(u)
+	if err != nil {
+		t.Fatalf("analysis: %v", err)
+	}
+	res, err := a.Place(core.Options{Version: core.VersionCombine})
+	if err != nil {
+		t.Fatalf("place: %v", err)
+	}
+	return res
+}
+
+// localized summarizes what lowering decided: how many loops root a
+// pure owner-computes nest, how many loops got per-processor bounds,
+// and how many statements inside pure nests kept their ownership guard.
+type localized struct{ nests, clamped, guarded int }
+
+func lower(res *core.Result, procs int) localized {
+	mem := runtime.NewMemory(res.Analysis.Unit, procs)
+	var out localized
+	var walk func(nodes []plan.Node, inNest bool)
+	walk = func(nodes []plan.Node, inNest bool) {
+		for _, n := range nodes {
+			switch n := n.(type) {
+			case *plan.Loop:
+				if n.Nest != nil {
+					out.nests++
+				}
+				if n.Clamp != nil {
+					out.clamped++
+				}
+				walk(n.Body, inNest || n.Nest != nil)
+			case *plan.If:
+				walk(n.Then, inNest)
+				walk(n.Else, inNest)
+			case *plan.Stmt:
+				if inNest && n.Guard {
+					out.guarded++
+				}
+			}
+		}
+	}
+	walk(plan.Lower(plan.New(res, mem)).Body, false)
+	return out
+}
+
+const stencil2D = `
+routine st(n)
+real a(n, n), b(n, n)
+!hpf$ distribute (block, block) :: a, b
+do i = 1, n
+do j = 1, n
+a(i, j) = i * 10 + j
+b(i, j) = 0
+enddo
+enddo
+do i = 2, n - 1
+do j = 2, n - 1
+b(i, j) = 0.25 * (a(i - 1, j) + a(i + 1, j) + a(i, j - 1) + a(i, j + 1))
+enddo
+enddo
+end
+`
+
+// TestNativeLocalizationEdgeCases runs, against the simulator (values,
+// validity planes and scalars), the shapes owner-computes localization
+// has to get right, and pins what lowering decided for each so a case
+// cannot pass by silently falling back to the guarded walk — or by
+// localizing a nest one of the purity rules forbids.
+func TestNativeLocalizationEdgeCases(t *testing.T) {
+	cases := []struct {
+		name   string
+		src    string
+		params map[string]int
+		procs  int
+		want   localized
+	}{
+		{"uneven-blocks", stencil2D, map[string]int{"n": 50}, 16, localized{2, 4, 0}},
+		{"more-procs-than-rows", stencil2D, map[string]int{"n": 3}, 25, localized{2, 4, 0}},
+		{"negative-step", `
+routine r(n)
+real a(n, n), b(n, n)
+!hpf$ distribute (block, block) :: a, b
+do i = n, 1, -1
+do j = 1, n
+a(i, j) = i - j
+b(i, j) = 1
+enddo
+enddo
+do i = n - 1, 2, -1
+do j = n - 1, 2, -1
+b(i, j) = a(i, j - 1) + a(i + 1, j)
+enddo
+enddo
+end
+`, map[string]int{"n": 13}, 9, localized{2, 4, 0}},
+		{"zero-trip", `
+routine r(n)
+real a(n, n)
+real x
+integer i
+!hpf$ distribute (block, block) :: a
+do i = 1, n
+do j = 1, n
+a(i, j) = 1
+enddo
+enddo
+do i = 5, 4
+do j = 1, n
+a(i, j) = 99
+enddo
+enddo
+do i = 1, n
+do j = 3, 2
+a(i, j) = 77
+enddo
+enddo
+x = i
+end
+`, map[string]int{"n": 8}, 4, localized{3, 6, 0}},
+		{"offset-lhs", `
+routine r(n)
+real a(n), b(n)
+!hpf$ distribute (block) :: a, b
+do i = 1, n
+a(i) = 0
+b(i) = i
+enddo
+do i = 1, n - 1
+a(i + 1) = b(i) * 2
+enddo
+end
+`, map[string]int{"n": 21}, 4, localized{2, 2, 0}},
+		{"two-offsets-one-body", `
+routine r(n)
+real a(n), b(n), c(n)
+!hpf$ distribute (block) :: a, b, c
+do i = 1, n
+a(i) = 0
+b(i) = 0
+c(i) = i
+enddo
+do i = 2, n - 1
+a(i) = c(i)
+b(i + 1) = c(i) + 1
+enddo
+end
+`, map[string]int{"n": 21}, 4, localized{2, 2, 2}},
+		{"loop-variable-after-loop", `
+routine r(n)
+real a(n), c(n, n)
+real x, y
+integer i, j
+!hpf$ distribute (block) :: a
+!hpf$ distribute (block, block) :: c
+do i = 1, n
+a(i) = i
+enddo
+x = i
+do i = 1, n
+do j = 1, n - 2
+c(i, j) = i + j
+enddo
+enddo
+y = i * 100 + j
+end
+`, map[string]int{"n": 6}, 9, localized{2, 3, 0}},
+		{"cyclic-block", `
+routine r(n)
+real a(n, n), b(n, n)
+!hpf$ distribute (cyclic, block) :: a, b
+do i = 1, n
+do j = 1, n
+a(i, j) = i + 2 * j
+b(i, j) = 0
+enddo
+enddo
+do i = 1, n
+do j = 2, n - 1
+b(i, j) = a(i, j - 1) + a(i, j + 1)
+enddo
+enddo
+end
+`, map[string]int{"n": 10}, 4, localized{2, 2, 3}},
+		{"star-dimension", `
+routine r(n)
+real g(n, n, n)
+!hpf$ distribute (*, block, block) :: g
+do j = 1, n
+do k = 1, n
+do i = 1, n
+g(i, j, k) = i + j * k
+enddo
+enddo
+enddo
+end
+`, map[string]int{"n": 7}, 4, localized{1, 2, 0}},
+
+		// One case per purity rule: the loop named in the comment must
+		// not root a pure nest.
+		{"reject-comm-inside", `
+routine r(n, steps)
+real a(n), b(n)
+!hpf$ distribute (block) :: a, b
+do i = 1, n
+a(i) = i
+b(i) = 0
+enddo
+do it = 1, steps
+do i = 2, n
+b(i) = a(i - 1)
+enddo
+do i = 1, n
+a(i) = b(i)
+enddo
+enddo
+end
+`, map[string]int{"n": 12, "steps": 2}, 4, localized{3, 3, 0}}, // "do it" is not a nest; its two inner loops are
+		{"reject-distributed-sum", `
+routine r(n)
+real a(n, n), b(n)
+!hpf$ distribute (block, block) :: a
+!hpf$ distribute (block) :: b
+do i = 1, n
+do j = 1, n
+a(i, j) = i + j
+enddo
+enddo
+do i = 1, n
+b(i) = sum(a(i, 1:n))
+enddo
+end
+`, map[string]int{"n": 8}, 4, localized{1, 2, 0}},
+		{"reject-replicated-store", `
+routine r(n)
+real a(n), q(n)
+!hpf$ distribute (block) :: a
+do i = 1, n
+q(i) = i * 2
+enddo
+do i = 1, n
+a(i) = q(i)
+enddo
+end
+`, map[string]int{"n": 8}, 4, localized{1, 1, 0}},
+		{"reject-branch", `
+routine r(n)
+real a(n)
+real x
+!hpf$ distribute (block) :: a
+x = 3
+do i = 1, n
+a(i) = 0
+if (x > i) then
+a(i) = 1
+endif
+enddo
+end
+`, map[string]int{"n": 8}, 4, localized{0, 0, 0}},
+		{"reject-scalar-assignment", `
+routine r(n)
+real a(n)
+real x
+!hpf$ distribute (block) :: a
+do i = 1, n
+x = i * 2
+a(i) = x
+enddo
+end
+`, map[string]int{"n": 8}, 4, localized{0, 0, 0}},
+		{"reject-stride", `
+routine r(n)
+real a(n)
+!hpf$ distribute (block) :: a
+do i = 1, n
+a(i) = 0
+enddo
+do i = 1, n, 2
+a(i) = i
+enddo
+end
+`, map[string]int{"n": 9}, 4, localized{1, 1, 0}},
+		{"reject-triangular-bounds", `
+routine r(n)
+real c(n, n)
+!hpf$ distribute (block, block) :: c
+do i = 1, n
+do j = i, n
+c(i, j) = i * j
+enddo
+enddo
+end
+`, map[string]int{"n": 9}, 4, localized{1, 1, 1}}, // only "do j" is a nest; c's first dimension stays guarded
+		{"reject-diagonal", `
+routine r(n)
+real c(n, n)
+!hpf$ distribute (block, block) :: c
+do i = 1, n
+do j = 1, n
+c(i, j) = 0
+enddo
+enddo
+do i = 1, n
+c(i, i) = 1
+enddo
+end
+`, map[string]int{"n": 9}, 4, localized{1, 2, 0}},
+		{"reject-misaligned-read-of-written", `
+routine r(n)
+real a(n), b(n)
+!hpf$ distribute (block) :: a, b
+do i = 1, n
+a(i) = i
+b(i) = 0
+enddo
+do i = 2, n
+a(i) = b(i) + 1
+b(i - 1) = a(i) * 2
+enddo
+end
+`, map[string]int{"n": 12}, 4, localized{1, 1, 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res := placeSrc(t, tc.src, tc.params, tc.procs)
+			if got := lower(res, tc.procs); got != tc.want {
+				t.Errorf("lowering decided %+v, want %+v", got, tc.want)
+			}
+			if err := native.VerifyAgainstSimulator(res, machine.SP2(), tc.procs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestNativeStaleReadDetected: validity tracking must survive
+// localization — a placement stripped of its communication still fails
+// with a stale read, at every P, without deadlocking the peers that
+// were not the ones to notice.
+func TestNativeStaleReadDetected(t *testing.T) {
+	stencil := `
+routine st(n, steps)
+real a(n, n), b(n, n)
+!hpf$ distribute (block, block) :: a, b
+do i = 1, n
+do j = 1, n
+a(i, j) = i * 10 + j
+b(i, j) = 0
+enddo
+enddo
+do it = 1, steps
+do i = 2, n - 1
+do j = 2, n - 1
+b(i, j) = 0.25 * (a(i - 1, j) + a(i + 1, j) + a(i, j - 1) + a(i, j + 1))
+enddo
+enddo
+do i = 2, n - 1
+do j = 2, n - 1
+a(i, j) = b(i, j)
+enddo
+enddo
+enddo
+end
+`
+	gravity, err := bench.ByName("gravity", "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustBeStale := func(t *testing.T, res *core.Result, p int) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			_, err := native.Run(res, p)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			var stale *runtime.StaleReadError
+			if !errors.As(err, &stale) {
+				t.Fatalf("run returned %v, want a *runtime.StaleReadError", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("run without communication deadlocked")
+		}
+	}
+	for _, p := range []int{4, 9, 16} {
+		t.Run(fmt.Sprintf("stencil-stripped/P%d", p), func(t *testing.T) {
+			res := placeSrc(t, stencil, map[string]int{"n": 14, "steps": 1}, p)
+			res.Groups = nil
+			mustBeStale(t, res, p)
+		})
+		t.Run(fmt.Sprintf("gravity-stripped/P%d", p), func(t *testing.T) {
+			res := place(t, gravity, 12, p, core.VersionCombine)
+			res.Groups = nil
+			mustBeStale(t, res, p)
+		})
+		// A placement that does communicate, on the wrong side of a
+		// localized nest: every group at the preheader of a compute nest
+		// moves to the nest's postexit, so the ghosts arrive after the
+		// nest that reads them.
+		t.Run(fmt.Sprintf("stencil-misplaced/P%d", p), func(t *testing.T) {
+			res := placeSrc(t, stencil, map[string]int{"n": 14, "steps": 2}, p)
+			moved := 0
+			for _, g := range res.Groups {
+				for _, l := range res.Analysis.G.Loops {
+					if l.PreHeader == g.Pos.Block && l.Depth == 2 {
+						g.Pos = core.Position{Block: l.PostExit, After: -1}
+						moved++
+					}
+				}
+			}
+			if moved == 0 {
+				t.Fatal("placement put no group at a compute nest's preheader")
+			}
+			mustBeStale(t, res, p)
+		})
+	}
+}
+
+// TestNativeOutOfRangeSubscriptIsError: a subscript outside the
+// declared bounds is an error value carrying the position and the
+// processor — from the entry check of a localized nest and from the
+// per-element check of a guarded walk alike — not a panic on a
+// processor goroutine; every goroutine of the failed run has exited
+// when Run returns, and the engine runs again afterwards (the second
+// Run executes the program afresh and reports the same error, instead
+// of hanging on messages the first left queued).
+func TestNativeOutOfRangeSubscriptIsError(t *testing.T) {
+	for _, tc := range []struct{ name, body string }{
+		{"localized-nest", "do i = 1, n\nb(i) = a(i + 5)\nenddo\n"},
+		{"guarded-walk", "do i = 1, n\nx = i\nb(i) = a(i + 5)\nenddo\n"},
+		{"left-hand-side", "do i = 1, n\nb(i + 5) = a(i)\nenddo\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := "routine r(n)\nreal a(n), b(n)\nreal x\n!hpf$ distribute (block) :: a, b\n" +
+				"do i = 1, n\na(i) = i\nb(i) = 0\nenddo\n" + tc.body + "end\n"
+			res := placeSrc(t, src, map[string]int{"n": 12}, 4)
+			eng, err := native.NewEngine(res, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := goruntime.NumGoroutine()
+			for run := 0; run < 2; run++ {
+				_, err := eng.Run()
+				if err == nil {
+					t.Fatal("out-of-range subscript not reported")
+				}
+				for _, want := range []string{"processor ", "subscript", "outside the declared 1:12"} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("run %d: error %q lacks %q", run, err, want)
+					}
+				}
+			}
+			// Run waits for its goroutines' deferred Done, which precedes
+			// their actual exit by a few instructions: give the count a
+			// moment to settle before calling it a leak.
+			deadline := time.Now().Add(5 * time.Second)
+			for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
+				goruntime.Gosched()
+			}
+			if after := goruntime.NumGoroutine(); after > before {
+				t.Errorf("%d goroutines before the failed runs, %d after", before, after)
+			}
+		})
+	}
+}

@@ -10,18 +10,24 @@
 // through per-pair free channels so the fabric allocates nothing in
 // steady state.
 //
+// The package is a driver over the lowered program of package plan
+// (plan.Lower): control flow, expression evaluation, subscripts and
+// per-processor loop bounds are the lowered form's; what lives here is
+// what a backend has to supply — moving data, combining SUMs, the
+// barriers around shared rows — and the engine around it.
+//
 // The backend is built to be bit-for-bit equivalent to the simulator
-// (spmd.Run): both execute the same plan.Plan, every floating-point
-// accumulation happens in the same order on the same values, and the
-// VerifyAgainstSimulator harness enforces the equivalence for every
-// paper benchmark × compiler version × processor count. The codegen
-// listing is the contract between the two: the operations a native run
-// performs are exactly the COMM pseudo-calls the listing prints, and
-// Stats.Ops counts them under the listing's vocabulary (exchange,
-// broadcast, gather, global-sum).
+// (spmd.Run): both start from the same plan.Plan, every floating-point
+// operation happens in the same order on the same values, and the
+// VerifyAgainstSimulator harness enforces the equivalence — values and
+// validity planes — for every paper benchmark × compiler version ×
+// processor count. The codegen listing is the contract between the
+// two: the operations a native run performs are exactly the COMM
+// pseudo-calls the listing prints, and Stats.Ops counts them under the
+// listing's vocabulary (exchange, broadcast, gather, global-sum).
 //
 // Determinism argument (see DESIGN.md §13): each processor's state —
-// its array rows, validity planes, scalar environment and loop frames
+// its array rows, validity planes and frame (loop variables, scalars)
 // — is written only by its own goroutine outside of barriers, and
 // evolves as a pure function of program order plus the messages it
 // receives. Message contents are pure functions of the senders' state
@@ -36,18 +42,17 @@ package native
 
 import (
 	"fmt"
-	"math"
 	goruntime "runtime"
 	"sync"
 	"time"
 
-	"gcao/internal/ast"
-	"gcao/internal/cfg"
 	"gcao/internal/core"
 	"gcao/internal/native/prof"
 	"gcao/internal/obs"
 	"gcao/internal/plan"
 	"gcao/internal/runtime"
+	"gcao/internal/section"
+	"gcao/internal/source"
 )
 
 // Stats summarizes one native run.
@@ -174,23 +179,24 @@ func RunProfiled(res *core.Result, procs int, rec *obs.Recorder) (*RunResult, er
 // ---------------------------------------------------------------------
 // Engine: a prepared native execution, reusable across runs
 
-// Engine is a prepared native execution: the plan, the memory image,
-// the channel fabric and every per-processor scratch, built once.
-// Run resets the memory image and replays the program, so repeated
-// runs measure steady-state execution — the recycled message buffers
-// and scratches survive between runs and the fabric allocates nothing
-// after the first. An Engine is not safe for concurrent Runs, and a
-// failed run poisons the engine (the error latch stays closed).
+// Engine is a prepared native execution: the lowered program, the
+// memory image, the channel fabric and every per-processor scratch,
+// built once. Run resets the memory image and replays the program, so
+// repeated runs measure steady-state execution — the recycled message
+// buffers and scratches survive between runs and the fabric allocates
+// nothing after the first. An Engine is not safe for concurrent Runs.
+// A failed run leaves the engine usable: the next Run starts from a
+// drained fabric and a fresh error latch.
 type Engine struct {
 	eng *engine
 	res *core.Result
 }
 
 // NewEngine prepares a native execution of the placement on procs
-// goroutines: builds the memory image and shared plan, connects the
-// channel fabric (tree and grid-neighbour pairs with their recycle
-// channels), and sizes every per-processor scratch from the plan's
-// bounds so the hot paths allocate nothing.
+// goroutines: builds the memory image, the shared plan and its lowered
+// program, connects the channel fabric (tree and grid-neighbour pairs
+// with their recycle channels), and sizes every per-processor scratch
+// so the hot paths allocate nothing.
 func NewEngine(res *core.Result, procs int) (*Engine, error) {
 	a := res.Analysis
 	if got := a.Unit.Grid.NumProcs(); got != procs {
@@ -200,25 +206,21 @@ func NewEngine(res *core.Result, procs int) (*Engine, error) {
 		return nil, fmt.Errorf("native: %d processors exceeds the oversubscription clamp of %d (256×GOMAXPROCS, min 1024)", procs, max)
 	}
 	mem := runtime.NewMemory(a.Unit, procs)
+	pl := plan.New(res, mem)
 	eng := &engine{
-		pl:    plan.New(res, mem),
-		mem:   mem,
-		procs: procs,
-		done:  make(chan struct{}),
+		pl:      pl,
+		prog:    plan.Lower(pl),
+		mem:     mem,
+		procs:   procs,
+		done:    make(chan struct{}),
+		scalars: map[string]float64{},
 	}
 	eng.connectFabric()
 
-	// Scratch sizing: the maximum array rank bounds subscript vectors,
-	// the grid rank bounds owner-coordinate vectors.
-	maxRank, gridRank := 1, a.Unit.Grid.Rank()
-	for _, arr := range a.Unit.Arrays {
-		if r := arr.Rank(); r > maxRank {
-			maxRank = r
-		}
-	}
-	if gridRank < 1 {
-		gridRank = 1
-	}
+	// Scratch sizing: the maximum array rank bounds index vectors and
+	// section descriptors, the grid rank bounds owner-coordinate
+	// vectors.
+	maxRank, gridRank := eng.prog.MaxRank, a.Unit.Grid.Rank()
 
 	eng.ps = make([]*proc, procs)
 	for p := 0; p < procs; p++ {
@@ -226,14 +228,14 @@ func NewEngine(res *core.Result, procs int) (*Engine, error) {
 			eng:      eng,
 			p:        p,
 			coords:   a.Unit.Grid.Coords(p),
-			ienv:     map[string]int{},
-			scalars:  map[string]float64{},
-			frames:   map[*cfg.Loop]*frame{},
-			sumMemo:  map[*ast.Call]float64{},
+			fr:       eng.prog.NewFrame(p),
 			ops:      map[string]int64{},
 			cbuf:     make([]int, gridRank),
 			coordbuf: make([]int, gridRank),
-			lhsidx:   make([]int, maxRank),
+			idxbuf:   make([]int, maxRank),
+			boxlo:    make([]int, maxRank),
+			boxhi:    make([]int, maxRank),
+			secbuf:   make([]section.Dim, maxRank),
 		}
 		if p == 0 {
 			// Gather-assembly scratch: only the tree root carves
@@ -241,10 +243,7 @@ func NewEngine(res *core.Result, procs int) (*Engine, error) {
 			pc.cnt = make([]int, procs)
 			pc.pos = make([]int, procs)
 			pc.streams = make([][]float64, procs)
-			pc.childbufs = make([][]float64, 0, len(eng.pl.Tree.Children[0]))
-		}
-		for name, v := range a.Unit.Params {
-			pc.scalars[name] = float64(v)
+			pc.childbufs = make([][]float64, 0, len(pl.Tree.Children[0]))
 		}
 		eng.ps[p] = pc
 	}
@@ -281,26 +280,19 @@ func (e *Engine) DisableProfiling() {
 // later calls reset the memory image and per-processor state first —
 // message buffers and scratches are recycled, so steady-state runs do
 // not allocate. The returned RunResult shares the engine's memory
-// image; it is valid until the next Run.
+// image and scalar map; it is valid until the next Run.
 func (e *Engine) Run() (*RunResult, error) {
 	eng := e.eng
-	if err := eng.err(); err != nil {
-		return nil, fmt.Errorf("native: engine poisoned by earlier failure: %w", err)
+	if eng.err() != nil {
+		eng.rearm()
 	}
 	if eng.ran {
 		eng.mem.Reset()
 	}
 	eng.ran = true
-	a := e.res.Analysis
 	for _, pc := range eng.ps {
-		clear(pc.ienv)
-		clear(pc.frames)
-		clear(pc.sumMemo)
+		pc.fr.Reset()
 		clear(pc.ops)
-		clear(pc.scalars)
-		for name, v := range a.Unit.Params {
-			pc.scalars[name] = float64(v)
-		}
 		pc.msgs, pc.bytes, pc.wire, pc.hops, pc.allocBytes = 0, 0, 0, 0, 0
 		pc.colls, pc.barriers = 0, 0
 		pc.nextStep = 0
@@ -327,6 +319,7 @@ func (e *Engine) Run() (*RunResult, error) {
 	if err := eng.err(); err != nil {
 		return nil, err
 	}
+	eng.settlePools()
 
 	st := Stats{
 		Procs:          eng.procs,
@@ -342,7 +335,8 @@ func (e *Engine) Run() (*RunResult, error) {
 		st.Hops += pc.hops
 		st.AllocBytes += pc.allocBytes
 	}
-	out := &RunResult{Mem: eng.mem, Scalars: eng.ps[0].scalars, Stats: st}
+	eng.prog.Scalars(eng.ps[0].fr, eng.scalars)
+	out := &RunResult{Mem: eng.mem, Scalars: eng.scalars, Stats: st}
 	if eng.ps[0].ring != nil {
 		rings := make([]*prof.Ring, eng.procs)
 		ends := make([]int64, eng.procs)
@@ -383,10 +377,14 @@ func (e *Engine) Profile() *prof.NativeProfile {
 
 type engine struct {
 	pl    *plan.Plan
+	prog  *plan.Program
 	mem   *runtime.Memory
 	procs int
 	ps    []*proc
 	ran   bool
+	// scalars is the replicated scalar state of the last run, refilled
+	// from processor 0's frame.
+	scalars map[string]float64
 
 	// profStart anchors profiler timestamps (set per Run); sites is
 	// the placement-site table indexed by group ID, built when
@@ -415,7 +413,8 @@ type engine struct {
 // binomial-tree edges (collectives, barriers, condition broadcasts)
 // and both directions between grid neighbours (shift exchanges).
 // Capacity 1 lets a sender run one message ahead; each pair's recycle
-// channel holds the at most two buffers the pair can have in flight.
+// channel holds the three buffers a pair can have outstanding (see
+// settlePools).
 func (eng *engine) connectFabric() {
 	eng.ch = make([][]chan []float64, eng.procs)
 	eng.free = make([][]chan []float64, eng.procs)
@@ -426,7 +425,7 @@ func (eng *engine) connectFabric() {
 	connect := func(dst, src int) {
 		if dst != src && eng.ch[dst][src] == nil {
 			eng.ch[dst][src] = make(chan []float64, 1)
-			eng.free[src][dst] = make(chan []float64, 2)
+			eng.free[src][dst] = make(chan []float64, poolSize)
 		}
 	}
 	for p := 1; p < eng.procs; p++ {
@@ -448,6 +447,43 @@ func (eng *engine) connectFabric() {
 	}
 }
 
+// poolSize is the most buffers one directed pair can have outstanding:
+// one the receiver is consuming, one queued in the capacity-1 data
+// channel, one the sender is filling. A receiver returns a message
+// before it takes the pair's next one, so a fourth is never needed.
+const poolSize = 3
+
+// settlePools brings every pair a completed run used to its steady
+// state: poolSize buffers, each as large as the largest the run needed
+// on that pair. How many buffers a run happens to allocate depends on
+// how far its senders ran ahead; after settling, a repeat of the run
+// finds a fitting buffer in the pool whatever the timing, so the
+// fabric allocates nothing. Called between runs only, when every
+// buffer is back in its pool; the bytes are charged to the sender.
+func (eng *engine) settlePools() {
+	var held [poolSize][]float64
+	for src, row := range eng.free {
+		for _, free := range row {
+			if len(free) == 0 { // unused pair (or no channel at all)
+				continue
+			}
+			n, need := 0, 0
+			for len(free) > 0 {
+				held[n] = <-free
+				need = max(need, cap(held[n]))
+				n++
+			}
+			for i := range held {
+				if i >= n || cap(held[i]) < need {
+					held[i] = make([]float64, 0, need)
+					eng.ps[src].allocBytes += int64(8 * need)
+				}
+				free <- held[i]
+			}
+		}
+	}
+}
+
 func (eng *engine) fail(err error) {
 	eng.errMu.Lock()
 	if eng.errVal == nil {
@@ -463,45 +499,64 @@ func (eng *engine) err() error {
 	return eng.errVal
 }
 
+// rearm makes the engine runnable again after a failed run: messages
+// the unwinding goroutines left in flight go back to their pairs' pools
+// and the error latch is replaced. Called between runs only, when no
+// processor goroutine exists.
+func (eng *engine) rearm() {
+	for dst, row := range eng.ch {
+		for src, ch := range row {
+			if ch == nil {
+				continue
+			}
+			select {
+			case buf := <-ch:
+				eng.ps[dst].putBuf(src, buf)
+			default:
+			}
+		}
+	}
+	eng.done = make(chan struct{})
+	eng.failOnce = sync.Once{}
+	eng.errVal = nil
+}
+
 // ---------------------------------------------------------------------
 // proc: one logical processor's goroutine state
 
-// frame is one loop's iteration state (replicated per processor).
-type frame struct {
-	lo, hi, step, cur int
-}
-
 type proc struct {
-	eng     *engine
-	p       int
-	coords  []int
-	ienv    map[string]int
-	scalars map[string]float64
-	frames  map[*cfg.Loop]*frame
-	// sumMemo caches SUM totals per call site within one statement
-	// execution, mirroring the simulator's per-statement memo.
-	sumMemo map[*ast.Call]float64
+	eng    *engine
+	p      int
+	coords []int
+	// fr holds the processor's replicated program state: loop
+	// variables, scalars, SUM totals and the first evaluation error.
+	fr *plan.Frame
+	// at is the source position of the construct being executed, for
+	// positioning errors.
+	at source.Pos
 
 	// Reusable scratch, sized once at engine setup so the hot paths
 	// allocate nothing: grid-coordinate vectors for owner computations
-	// (cbuf) and shift destinations (coordbuf), the LHS subscript
-	// vector, stack-disciplined subscript/argument scratch for
-	// expression evaluation, the concretized entry list, the packed
-	// contribution and assembled-section buffers, the shift validity
-	// bitmap, and — root only — the gather stream-carving scratch.
-	cbuf      []int
-	coordbuf  []int
-	lhsidx    []int
-	idxstack  []int
-	argstack  []float64
-	entbuf    []entrySec
-	minebuf   []float64
-	fullbuf   []float64
-	bitbuf    []uint64
-	cnt       []int       // root: per-proc element counts of one gather
-	pos       []int       // root: per-proc stream positions
-	streams   [][]float64 // root: per-proc operand streams
-	childbufs [][]float64 // root: child buffers held during assembly
+	// (cbuf) and shift destinations (coordbuf), an index vector and a
+	// clipping box for section scans, a section descriptor for SUM
+	// arguments (secbuf), the concretized entry list with its
+	// descriptors (entbuf, dimbuf), the packed contribution and
+	// assembled-section buffers, the shift validity bitmap, and — root
+	// only — the gather stream-carving scratch.
+	cbuf         []int
+	coordbuf     []int
+	idxbuf       []int
+	boxlo, boxhi []int
+	secbuf       []section.Dim
+	entbuf       []entrySec
+	dimbuf       []section.Dim
+	minebuf      []float64
+	fullbuf      []float64
+	bitbuf       []uint64
+	cnt          []int       // root: per-proc element counts of one gather
+	pos          []int       // root: per-proc stream positions
+	streams      [][]float64 // root: per-proc operand streams
+	childbufs    [][]float64 // root: child buffers held during assembly
 
 	msgs, bytes     int64
 	wire, hops      int64
@@ -532,165 +587,129 @@ func (pc *proc) nowNS() int64 {
 	return int64(time.Since(pc.eng.profStart))
 }
 
+// main runs the program on this processor. Whatever stops it — an
+// evaluation error, a protocol error, a panic under it — becomes the
+// engine's error, so the peers blocked on this processor unwind and
+// the caller gets a value, not a crash.
 func (pc *proc) main() {
-	if err := pc.run(); err != nil {
+	defer func() {
+		if r := recover(); r != nil {
+			pc.eng.fail(pc.errorAt(fmt.Errorf("panic: %v", r)))
+		}
+		if pc.ring != nil {
+			pc.endNS = pc.nowNS()
+		}
+	}()
+	if err := pc.exec(pc.eng.prog.Body); err != nil {
 		pc.eng.fail(err)
-	}
-	if pc.ring != nil {
-		pc.endNS = pc.nowNS()
 	}
 }
 
-func (pc *proc) run() error {
-	cur := pc.eng.pl.A.G.EntryBlock
-	var prev *cfg.Block
-	for cur != nil {
-		next, err := pc.execBlock(cur, prev)
+// errorAt positions an error at this processor and the construct it
+// was executing.
+func (pc *proc) errorAt(err error) error {
+	return fmt.Errorf("native: processor %d at %s: %w", pc.p, pc.at, err)
+}
+
+// evalErr returns the frame's pending evaluation error, positioned.
+func (pc *proc) evalErr() error {
+	return pc.errorAt(pc.fr.Err)
+}
+
+// exec drives the lowered program: the tree walk is identical on every
+// processor (control state is replicated), so all processors reach the
+// same communication operations in the same order.
+func (pc *proc) exec(nodes []plan.Node) error {
+	for _, n := range nodes {
+		var err error
+		switch n := n.(type) {
+		case *plan.Stmt:
+			err = pc.execStmt(n)
+		case *plan.Loop:
+			err = pc.execLoop(n)
+		case *plan.Comm:
+			err = pc.execComm(n)
+		case *plan.If:
+			err = pc.execIf(n)
+		}
 		if err != nil {
 			return err
 		}
-		prev, cur = cur, next
 	}
 	return nil
 }
 
-// execBlock mirrors the simulator shard's CFG walk exactly: the same
-// loop frame updates, the same zero-trip and post-exit edges, the same
-// communication positions.
-func (pc *proc) execBlock(b *cfg.Block, prev *cfg.Block) (*cfg.Block, error) {
-	pl := pc.eng.pl
-	switch b.Kind {
-	case cfg.Header:
-		loop := b.Loop
-		fr := pc.frames[loop]
-		if prev == loop.PreHeader {
-			fr.cur = fr.lo
-		} else {
-			fr.cur += fr.step
-		}
-		pc.ienv[loop.Var()] = fr.cur
-		cont := fr.cur <= fr.hi
-		if fr.step < 0 {
-			cont = fr.cur >= fr.hi
-		}
-		if !cont {
-			return b.Succs[1], nil // postexit
-		}
-		if err := pc.execComm(pl.Comm[b.ID][0]); err != nil {
-			return nil, err
-		}
-		return b.Succs[0], nil
-
-	case cfg.PreHeader:
-		loop := pl.LoopOf[b.ID]
-		if loop == nil {
-			panic("native: preheader without loop")
-		}
-		if err := pc.execComm(pl.Comm[b.ID][0]); err != nil {
-			return nil, err
-		}
-		lo, err1 := pc.evalInt(loop.Do.Lo)
-		hi, err2 := pc.evalInt(loop.Do.Hi)
-		if err1 != nil {
-			return nil, err1
-		}
-		if err2 != nil {
-			return nil, err2
-		}
-		step := 1
-		if loop.Do.Step != nil {
-			s, err := pc.evalInt(loop.Do.Step)
-			if err != nil {
-				return nil, err
-			}
-			if s == 0 {
-				return nil, fmt.Errorf("native: zero loop step at %s", loop.Do.Pos)
-			}
-			step = s
-		}
-		fr := pc.frames[loop]
-		if fr == nil {
-			fr = &frame{}
-			pc.frames[loop] = fr
-		}
-		fr.lo, fr.hi, fr.step = lo, hi, step
-		empty := lo > hi
-		if step < 0 {
-			empty = lo < hi
-		}
-		if empty {
-			return b.Succs[1], nil // zero-trip edge
-		}
-		return b.Succs[0], nil
-
-	default:
-		if err := pc.execComm(pl.Comm[b.ID][0]); err != nil {
-			return nil, err
-		}
-		for k, st := range b.Stmts {
-			if err := pc.execStmt(st); err != nil {
-				return nil, err
-			}
-			if err := pc.execComm(pl.Comm[b.ID][k+1]); err != nil {
-				return nil, err
-			}
-		}
-		if b.Branch != nil {
-			v, err := pc.evalCond(b)
-			if err != nil {
-				return nil, err
-			}
-			if v {
-				return b.Succs[0], nil
-			}
-			return b.Succs[1], nil
-		}
-		if len(b.Succs) == 0 {
-			return nil, nil
-		}
-		return b.Succs[0], nil
+// execLoop runs this processor's iterations of a loop. On the root of
+// a pure owner-computes nest the subscript ranges are verified once on
+// entry and the validity planes are settled once on exit, in place of
+// the per-element tests and per-element clearing of a guarded walk.
+func (pc *proc) execLoop(lp *plan.Loop) error {
+	if err := pc.execComm(lp.Pre); err != nil {
+		return err
 	}
+	fr := pc.fr
+	pc.at = lp.Src.Do.Pos
+	first, last, step, exit, run := lp.Begin(fr)
+	if run && lp.Nest != nil {
+		lp.Nest.Enter(fr)
+	}
+	if fr.Err != nil {
+		return pc.evalErr()
+	}
+	if !run {
+		return nil
+	}
+	for v := first; (step > 0 && v <= last) || (step < 0 && v >= last); v += step {
+		fr.Ints[lp.Slot] = v
+		if err := pc.execComm(lp.Head); err != nil {
+			return err
+		}
+		if err := pc.exec(lp.Body); err != nil {
+			return err
+		}
+	}
+	fr.Ints[lp.Slot] = exit
+	if lp.Nest != nil {
+		lp.Nest.Leave(fr)
+	}
+	return nil
 }
 
 // execStmt executes one assignment. Distributed SUMs in the RHS are
-// statement-level collectives: every processor participates before any
-// evaluation, exactly where the simulator's rendezvous sits.
-func (pc *proc) execStmt(st *cfg.Stmt) error {
-	si := pc.eng.pl.Info[st]
-	if si.HasSum {
-		clear(pc.sumMemo)
-		if err := pc.precomputeSums(si.DistSums); err != nil {
-			return err
-		}
+// statement-level collectives: every processor takes part before any
+// evaluation.
+func (pc *proc) execStmt(st *plan.Stmt) error {
+	fr := pc.fr
+	pc.at = st.Src.Assign.Pos
+	if err := pc.runSums(st.Sums); err != nil {
+		return err
 	}
-	as := st.Assign
 
-	if si.LHS == nil {
+	if st.LHS == nil {
 		// Scalar target: every processor computes the replicated value
 		// locally (determinism makes the copies identical).
-		v, err := pc.eval(as.RHS)
-		if err != nil {
-			return err
+		v := st.RHS(fr)
+		if fr.Err != nil {
+			return pc.evalErr()
 		}
-		pc.scalars[as.LHS.Name] = v
+		fr.Reals[st.Scalar], fr.Set[st.Scalar] = v, true
 		return nil
 	}
 
-	idx, err := pc.lhsIndex(as)
-	if err != nil {
-		return err
+	am := st.LHS.Am
+	off := st.LHS.Offset(fr)
+	if fr.Err != nil {
+		return pc.evalErr()
 	}
-	am := si.LHS
-	off := am.Offset(idx)
 
 	if am.Dist == nil {
 		// Replicated-array store: the single shared row 0 is written by
 		// processor 0 alone, inside a pair of barriers that separate
 		// the write from every other processor's reads in program
 		// order.
-		v, err := pc.eval(as.RHS)
-		if err != nil {
-			return err
+		v := st.RHS(fr)
+		if fr.Err != nil {
+			return pc.evalErr()
 		}
 		if err := pc.barrier(); err != nil {
 			return err
@@ -704,254 +723,69 @@ func (pc *proc) execStmt(st *cfg.Stmt) error {
 	// Owner-computes: the owner evaluates from its own rows and stores
 	// into its own row; every other processor kills its stale copy in
 	// its own validity plane (same program point, own row only — no
-	// cross-row writes anywhere).
-	owner := am.OwnerInto(idx, pc.cbuf[:am.Dist.Grid.Rank()])
-	if owner == pc.p {
-		v, err := pc.eval(as.RHS)
-		if err != nil {
-			return err
-		}
-		am.StoreOwner(off, owner, v)
-	} else {
+	// cross-row writes anywhere). An unguarded statement runs only on
+	// iterations this processor owns.
+	if st.Guard && st.LHS.Owner(fr) != pc.p {
 		am.Valid[pc.p][off] = false
+		return nil
 	}
+	v := st.RHS(fr)
+	if fr.Err != nil {
+		return pc.evalErr()
+	}
+	am.Data[pc.p][off], am.Valid[pc.p][off] = v, true
 	return nil
 }
 
-// lhsIndex evaluates the LHS subscripts into the per-proc scratch
-// (valid until the next statement).
-func (pc *proc) lhsIndex(as *ast.AssignStmt) ([]int, error) {
-	idx := pc.lhsidx[:len(as.LHS.Subs)]
-	for i, sub := range as.LHS.Subs {
-		if sub.Kind != ast.SubExpr {
-			return nil, fmt.Errorf("native: unscalarized section on LHS at %s", as.Pos)
-		}
-		x, err := pc.evalInt(sub.X)
-		if err != nil {
-			return nil, err
-		}
-		idx[i] = x
-	}
-	return idx, nil
-}
-
-// evalCond evaluates a branch condition. Conditions over scalar or
-// replicated data are evaluated locally (identical on every
-// processor); conditions reading distributed data run their SUM
-// collectives, then processor 0 evaluates its own view and the taken
-// edge descends the broadcast tree so control flow cannot diverge.
-func (pc *proc) evalCond(b *cfg.Block) (bool, error) {
-	clear(pc.sumMemo)
-	cond := b.Branch.Cond
-	if !pc.eng.pl.CondSync[b.ID] {
-		v, err := pc.eval(cond)
-		return v != 0, err
-	}
-	if err := pc.precomputeSums(pc.eng.pl.CondSums[b.ID]); err != nil {
-		return false, err
-	}
+// execIf takes a branch. Conditions over scalar or replicated data are
+// evaluated locally (identical on every processor); conditions reading
+// distributed data run their SUM collectives, then processor 0
+// evaluates its own view and the taken edge descends the broadcast
+// tree so control flow cannot diverge.
+func (pc *proc) execIf(n *plan.If) error {
+	fr := pc.fr
+	pc.at = n.Src.Branch.Pos
 	var v float64
-	if pc.p == 0 {
+	if !n.Sync {
+		v = n.Cond(fr)
+	} else {
+		if err := pc.runSums(n.Sums); err != nil {
+			return err
+		}
+		if pc.p == 0 {
+			v = n.Cond(fr)
+		}
+	}
+	if fr.Err != nil {
+		return pc.evalErr()
+	}
+	if n.Sync {
+		if pc.ring != nil {
+			// Condition agreement happens outside any placed group.
+			pc.evStep, pc.evSite = -1, -1
+			pc.evSend, pc.evRecv = prof.PhaseTreeWait, prof.PhaseTreeWait
+		}
 		var err error
-		if v, err = pc.eval(cond); err != nil {
-			return false, err
+		if v, err = pc.bcastValue(v); err != nil {
+			return err
 		}
 	}
-	if pc.ring != nil {
-		// Condition agreement happens outside any placed group.
-		pc.evStep, pc.evSite = -1, -1
-		pc.evSend, pc.evRecv = prof.PhaseTreeWait, prof.PhaseTreeWait
+	if v != 0 {
+		return pc.exec(n.Then)
 	}
-	v, err := pc.bcastValue(v)
-	return v != 0, err
+	return pc.exec(n.Else)
 }
 
-func (pc *proc) evalInt(e ast.Expr) (int, error) {
-	return pc.eng.pl.A.Unit.EvalIntEnv(e, pc.ienv)
-}
-
-// eval evaluates an expression from this processor's point of view,
-// mirroring the simulator's evalOn case for case so every
-// floating-point operation happens in the same order.
-func (pc *proc) eval(e ast.Expr) (float64, error) {
-	switch e := e.(type) {
-	case *ast.NumLit:
-		return e.Value, nil
-	case *ast.Ident:
-		if v, ok := pc.ienv[e.Name]; ok {
-			return float64(v), nil
-		}
-		if v, ok := pc.scalars[e.Name]; ok {
-			return v, nil
-		}
-		return 0, fmt.Errorf("native: unbound scalar %q", e.Name)
-	case *ast.UnaryExpr:
-		v, err := pc.eval(e.X)
-		return -v, err
-	case *ast.BinExpr:
-		x, err := pc.eval(e.X)
-		if err != nil {
-			return 0, err
-		}
-		y, err := pc.eval(e.Y)
-		if err != nil {
-			return 0, err
-		}
-		switch e.Op {
-		case ast.Add:
-			return x + y, nil
-		case ast.Sub_:
-			return x - y, nil
-		case ast.Mul:
-			return x * y, nil
-		case ast.Div:
-			return x / y, nil
-		case ast.Pow:
-			return math.Pow(x, y), nil
-		case ast.CmpLt:
-			return b2f(x < y), nil
-		case ast.CmpGt:
-			return b2f(x > y), nil
-		case ast.CmpLe:
-			return b2f(x <= y), nil
-		case ast.CmpGe:
-			return b2f(x >= y), nil
-		case ast.CmpEq:
-			return b2f(x == y), nil
-		case ast.CmpNe:
-			return b2f(x != y), nil
-		}
-		return 0, fmt.Errorf("native: bad operator %v", e.Op)
-	case *ast.Ref:
-		am := pc.eng.pl.RefArr[e]
-		if am == nil {
-			if v, ok := pc.ienv[e.Name]; ok {
-				return float64(v), nil
-			}
-			return pc.scalars[e.Name], nil
-		}
-		// Subscripts evaluate through the integer environment (no
-		// float recursion), so a stack-disciplined scratch keeps this
-		// per-element path allocation-free.
-		base := len(pc.idxstack)
-		for _, sub := range e.Subs {
-			if sub.Kind != ast.SubExpr {
-				pc.idxstack = pc.idxstack[:base]
-				return 0, fmt.Errorf("native: section read outside SUM at %s", e.Pos)
-			}
-			x, err := pc.evalInt(sub.X)
-			if err != nil {
-				pc.idxstack = pc.idxstack[:base]
-				return 0, err
-			}
-			pc.idxstack = append(pc.idxstack, x)
-		}
-		idx := pc.idxstack[base:]
-		v, err := am.ReadAt(pc.p, am.Offset(idx), idx)
-		pc.idxstack = pc.idxstack[:base]
-		return v, err
-	case *ast.Call:
-		if e.Func == "sum" {
-			return pc.evalSum(e)
-		}
-		return pc.evalIntrinsic(e)
-	}
-	return 0, fmt.Errorf("native: cannot evaluate %T", e)
-}
-
-// evalIntrinsic evaluates a non-SUM intrinsic call, staging arguments
-// on the per-proc value stack (calls nest, so the scratch is a stack,
-// not a buffer).
-func (pc *proc) evalIntrinsic(e *ast.Call) (float64, error) {
-	base := len(pc.argstack)
-	for _, a := range e.Args {
-		v, err := pc.eval(a)
-		if err != nil {
-			pc.argstack = pc.argstack[:base]
-			return 0, err
-		}
-		pc.argstack = append(pc.argstack, v)
-	}
-	args := pc.argstack[base:]
-	var v float64
-	var err error
-	switch e.Func {
-	case "sqrt":
-		v = math.Sqrt(args[0])
-	case "abs":
-		v = math.Abs(args[0])
-	case "exp":
-		v = math.Exp(args[0])
-	case "min":
-		v = math.Min(args[0], args[1])
-	case "max":
-		v = math.Max(args[0], args[1])
-	case "mod":
-		v = math.Mod(args[0], args[1])
-	default:
-		err = fmt.Errorf("native: unknown intrinsic %q", e.Func)
-	}
-	pc.argstack = pc.argstack[:base]
-	return v, err
-}
-
-// evalSum resolves a SUM call: distributed sums must already be in the
-// memo (precomputeSums runs the collective at the statement level —
-// finding one here means a processor would deadlock waiting for peers
-// that are not summing); replicated sums are computed locally from the
-// shared row in section order, matching the simulator's scan.
-func (pc *proc) evalSum(e *ast.Call) (float64, error) {
-	if v, ok := pc.sumMemo[e]; ok {
-		return v, nil
-	}
-	if len(e.Args) != 1 {
-		return 0, fmt.Errorf("native: sum wants 1 argument")
-	}
-	ref, ok := e.Args[0].(*ast.Ref)
-	if !ok {
-		return 0, fmt.Errorf("native: sum argument must be an array section")
-	}
-	am := pc.eng.pl.RefArr[ref]
-	if am == nil {
-		return 0, fmt.Errorf("native: sum over non-array %q", ref.Name)
-	}
-	if am.Dist != nil {
-		return 0, fmt.Errorf("native: distributed sum of %q reached evaluation without a collective", ref.Name)
-	}
-	sec, err := pc.eng.pl.ConcreteRefSection(ref, am, pc.ienv)
-	if err != nil {
-		return 0, err
-	}
-	total := 0.0
-	sec.Elems(func(idx []int) bool {
-		total += am.Data[0][am.Offset(idx)]
-		return true
-	})
-	pc.sumMemo[e] = total
-	return total, nil
-}
-
-// precomputeSums runs the collective combine for every distributed SUM
-// of a statement or condition — the plan precomputed the call list in
-// WalkCalls order (identical on all processors) — filling the memo
-// eval reads from.
-func (pc *proc) precomputeSums(calls []plan.SumCall) error {
-	for _, sc := range calls {
-		if _, ok := pc.sumMemo[sc.Call]; ok {
-			continue
-		}
-		total, err := pc.collectiveSum(sc)
+// runSums runs the collective combine of every distributed SUM of a
+// statement or condition, in the order lowering fixed (identical on
+// all processors), leaving the totals where the expression reads them.
+func (pc *proc) runSums(sums []plan.Sum) error {
+	for i := range sums {
+		total, err := pc.collectiveSum(&sums[i])
 		if err != nil {
 			return err
 		}
-		pc.sumMemo[sc.Call] = total
+		pc.fr.Sums[i] = total
 	}
 	return nil
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -28,8 +28,10 @@ func VerifyAgainstSimulator(res *core.Result, m machine.Machine, procs int) erro
 
 // Diff compares a native result against a simulator result bit for bit
 // (math.Float64bits equality, NaN pairs forgiven): every array's
-// canonical (owner-assembled) image, then the replicated scalars. It
-// returns an error naming the first difference.
+// canonical (owner-assembled) image, every processor's validity plane
+// of it (which copies are current is part of the state: it decides
+// what later exchanges carry and which reads are stale), then the
+// replicated scalars. It returns an error naming the first difference.
 func Diff(nat *RunResult, sim *spmd.RunResult) error {
 	for _, name := range nat.Mem.Unit.ArrayNames {
 		nv := nat.Mem.Canonical(name)
@@ -41,6 +43,15 @@ func Diff(nat *RunResult, sim *spmd.RunResult) error {
 			if !sameBits(nv[i], sv[i]) {
 				return fmt.Errorf("native: array %q differs at flat index %d: native %v vs simulator %v (bits %016x vs %016x)",
 					name, i, nv[i], sv[i], math.Float64bits(nv[i]), math.Float64bits(sv[i]))
+			}
+		}
+		nm, sm := nat.Mem.View(name), sim.Mem.View(name)
+		for p := range nm.Valid {
+			for off, ok := range nm.Valid[p] {
+				if ok != sm.Valid[p][off] {
+					return fmt.Errorf("native: array %q validity differs on processor %d at flat index %d: native %v vs simulator %v",
+						name, p, off, ok, sm.Valid[p][off])
+				}
 			}
 		}
 	}

@@ -1,0 +1,389 @@
+package plan
+
+import (
+	"gcao/internal/dist"
+)
+
+// Owner-computes localization (paper §4.8: each processor runs the
+// iterations whose left-hand side it owns).
+//
+// A loop nest is pure owner-computes when, apart from the stores
+// themselves, what a processor does in it cannot depend on, or be seen
+// by, any other processor before the nest ends:
+//
+//  1. nothing in it synchronizes or diverges: no communication group at
+//     any position inside, no distributed SUM, no replicated-array
+//     store, no branch, and every statement assigns a distributed array
+//     (a scalar assigned under shrunken bounds would differ between
+//     processors);
+//  2. its iteration space is a box known on entry: every loop steps by
+//     a constant ±1 between bounds that no loop of the nest changes,
+//     and every left-hand subscript is v+c for a distinct variable v of
+//     the nest or does not vary in the nest at all;
+//  3. no processor reads in it an element another processor writes in
+//     it: an array written in the nest is read only where the reading
+//     statement's own left-hand side puts the owner — same layout, same
+//     subscript in every distributed dimension.
+//
+// Inside such a nest a processor may skip any iteration whose element
+// it does not own: skipping changes no value it computes (3), no
+// decision it takes (1), and the one effect a skipped iteration has —
+// clearing the processor's own validity bit of the element — commutes
+// to the end of the nest, because by (3) nobody tests those bits in
+// between and by (1) no message carries them out. What the bits must
+// read after the nest does not depend on the order of the writes
+// either: every written element is valid on its owner and stale on
+// everybody else. So Leave clears, per statement, the box of written
+// elements minus the part the processor owns (2 makes it a box), and
+// the validity planes are exactly what the full walk leaves. Stale-read
+// detection is therefore unchanged, inside the nest and after it.
+//
+// Each loop whose variable subscripts a BLOCK dimension of every
+// statement below it gets per-processor bounds (Clamp): the hull of
+// those statements' owned ranges, shifted by the subscript constants. A
+// statement keeps its ownership Guard unless every distributed
+// dimension of its target is BLOCK and is subscripted by a loop whose
+// clamp is exactly the statement's own range, for every processor.
+// CYCLIC dimensions are never clamped and always guarded.
+
+// Nest is the per-nest data of a pure owner-computes loop nest,
+// attached to its outermost loop.
+type Nest struct {
+	loops []*Loop // preorder, root first
+	up    []int   // index in loops of the loop directly around, -1 for the root
+	stmts []*Stmt
+	// loopOf maps an integer slot to the index in loops of the nest
+	// loop whose variable it is, -1 for slots the nest does not vary.
+	loopOf []int
+}
+
+// loopRange is one nest loop's iteration range for one entry of the
+// nest: the full range, normalized to ascending, and the part the
+// frame's processor executes. live says the loop body runs at all
+// (neither the loop nor a nest loop around it is zero-trip), busy that
+// it runs on the frame's processor.
+type loopRange struct {
+	full, mine Range
+	live, busy bool
+}
+
+// localize finds the maximal pure nests among the nodes, top down.
+func (lw *lowerer) localize(nodes []Node) {
+	for _, n := range nodes {
+		switch n := n.(type) {
+		case *Loop:
+			if nest := lw.pureNest(n); nest != nil {
+				n.Nest = nest
+				nest.clamp(lw.pl.mem.P)
+			} else {
+				lw.localize(n.Body)
+			}
+		case *If:
+			lw.localize(n.Then)
+			lw.localize(n.Else)
+		}
+	}
+}
+
+// pureNest returns the nest rooted at root when it satisfies the three
+// purity rules, else nil.
+func (lw *lowerer) pureNest(root *Loop) *Nest {
+	nest := &Nest{loopOf: make([]int, len(lw.pr.Ints))}
+	for s := range nest.loopOf {
+		nest.loopOf[s] = -1
+	}
+	var collect func(lp *Loop, up int) bool
+	collect = func(lp *Loop, up int) bool {
+		if lp.Head != nil || (lp != root && lp.Pre != nil) || nest.loopOf[lp.Slot] >= 0 {
+			return false
+		}
+		if step, ok := lp.Step.constant(); !ok || (step != 1 && step != -1) {
+			return false
+		}
+		self := len(nest.loops)
+		nest.loopOf[lp.Slot] = self
+		nest.loops, nest.up = append(nest.loops, lp), append(nest.up, up)
+		for _, n := range lp.Body {
+			switch n := n.(type) {
+			case *Stmt:
+				nest.stmts = append(nest.stmts, n)
+			case *Loop:
+				if !collect(n, self) {
+					return false
+				}
+			default: // a communication position or a branch
+				return false
+			}
+		}
+		return true
+	}
+	if !collect(root, -1) {
+		return nil
+	}
+	for _, lp := range nest.loops {
+		if nest.varies(&lp.Lo) || nest.varies(&lp.Hi) {
+			return nil
+		}
+	}
+	written := map[string]bool{}
+	for _, st := range nest.stmts {
+		if st.LHS == nil || st.LHS.Am.Dist == nil || len(st.Sums) > 0 || !nest.boxed(st.LHS) {
+			return nil
+		}
+		written[st.LHS.Am.Name] = true
+	}
+	for _, st := range nest.stmts {
+		for _, r := range st.reads {
+			if written[r.Am.Name] && !ownerAligned(r, st.LHS) {
+				return nil
+			}
+		}
+	}
+	return nest
+}
+
+// varies reports whether an integer expression may change inside the
+// nest: it reads a variable of the nest, or cannot be inspected.
+func (n *Nest) varies(e *IntExpr) bool {
+	if e.Gen != nil {
+		return true
+	}
+	for _, t := range e.Terms {
+		if n.loopOf[t.Slot] >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// boxed reports whether a left-hand side sweeps a box over the nest:
+// each subscript is v+c for a nest variable v no other subscript uses,
+// or does not vary in the nest.
+func (n *Nest) boxed(lhs *ArrayRef) bool {
+	if len(lhs.Subs) != lhs.Am.Arr.Rank() {
+		return false
+	}
+	used := map[int]bool{}
+	for i := range lhs.Subs {
+		sub := &lhs.Subs[i]
+		if !n.varies(sub) {
+			continue
+		}
+		if sub.Gen != nil || len(sub.Terms) != 1 || sub.Terms[0].Coef != 1 || used[sub.Terms[0].Slot] {
+			return false
+		}
+		used[sub.Terms[0].Slot] = true
+	}
+	return true
+}
+
+// ownerAligned reports whether a read lands, in every iteration, on
+// the processor that owns the statement's left-hand element.
+func ownerAligned(r, lhs *ArrayRef) bool {
+	if !r.Am.Dist.SameLayout(*lhs.Am.Dist) || !r.affine() || len(r.Subs) != r.Am.Arr.Rank() {
+		return false
+	}
+	for i, dd := range r.Am.Dist.Dims {
+		if dd.Kind != dist.Star && !r.Subs[i].equal(&lhs.Subs[i].Affine) {
+			return false
+		}
+	}
+	return true
+}
+
+// clamp computes the per-processor loop bounds and decides, per
+// statement, whether they make the ownership guard redundant and
+// whether subscript ranges can be verified once on entry.
+func (n *Nest) clamp(procs int) {
+	// A constraint is what one BLOCK dimension of a statement's target
+	// asks of the loop whose variable subscripts it: per processor, the
+	// values of the variable for which the processor owns the
+	// statement's elements along that dimension.
+	type constraint struct {
+		loop  *Loop
+		owned []Range
+	}
+	cons := make([][]constraint, len(n.stmts))
+	for si, st := range n.stmts {
+		d := st.LHS.Am.Dist
+		for i, dd := range d.Dims {
+			sub := &st.LHS.Subs[i]
+			if dd.Kind != dist.Block || !n.varies(sub) {
+				continue
+			}
+			c := constraint{loop: n.loops[n.loopOf[sub.Terms[0].Slot]], owned: make([]Range, procs)}
+			coords := make([]int, d.Grid.Rank())
+			for p := range c.owned {
+				lo, hi, ok := d.LocalRange(i, d.Grid.CoordsInto(p, coords)[dd.GridDim])
+				if !ok {
+					lo, hi = 1, 0
+				}
+				c.owned[p] = Range{Lo: lo - sub.Const, Hi: hi - sub.Const}
+			}
+			cons[si] = append(cons[si], c)
+		}
+	}
+	// A loop is clamped to the hull of the constraints on its variable
+	// when every statement below it has one; exact records whether the
+	// hull is every one of those statements' own range.
+	exact := map[*Loop]bool{}
+	for _, lp := range n.loops {
+		var hull []Range
+		same := true
+		for si, st := range n.stmts {
+			if !st.inside(lp) {
+				continue
+			}
+			var own []Range
+			for _, c := range cons[si] {
+				if c.loop == lp {
+					own = c.owned
+				}
+			}
+			if own == nil {
+				hull = nil
+				break
+			}
+			if hull == nil {
+				hull = append([]Range(nil), own...)
+				continue
+			}
+			for p := range hull {
+				if hull[p] != own[p] {
+					same = false
+					hull[p] = Range{Lo: min(hull[p].Lo, own[p].Lo), Hi: max(hull[p].Hi, own[p].Hi)}
+				}
+			}
+		}
+		lp.Clamp = hull
+		exact[lp] = hull != nil && same
+	}
+	for si, st := range n.stmts {
+		covered := 0
+		for _, c := range cons[si] {
+			if exact[c.loop] {
+				covered++
+			}
+		}
+		st.Guard = covered != len(st.LHS.Am.Dist.DistributedDims())
+		// Every processor walks a left-hand side over the whole box
+		// (guarded or not), and an unguarded statement reads exactly
+		// over the processor's own box: both are verified on entry.
+		st.LHS.hoisted = true
+		if !st.Guard {
+			for _, r := range st.reads {
+				r.hoisted = r.affine()
+			}
+		}
+	}
+}
+
+// innermost returns the loop directly around a statement of a nest.
+func (st *Stmt) innermost() *Loop { return st.loops[len(st.loops)-1] }
+
+func (st *Stmt) inside(lp *Loop) bool {
+	for _, l := range st.loops {
+		if l == lp {
+			return true
+		}
+	}
+	return false
+}
+
+// span returns the range an affine form takes over the nest's box: the
+// full iteration ranges, or only the frame's processor's part of them.
+func (n *Nest) span(a *Affine, fr *Frame, mine bool) Range {
+	out := Range{Lo: a.Const, Hi: a.Const}
+	for _, t := range a.Terms {
+		r := Range{Lo: fr.Ints[t.Slot], Hi: fr.Ints[t.Slot]}
+		if l := n.loopOf[t.Slot]; l >= 0 {
+			r = fr.ranges[n.loops[l].Src.ID].full
+			if mine {
+				r = fr.ranges[n.loops[l].Src.ID].mine
+			}
+		}
+		if t.Coef < 0 {
+			r.Lo, r.Hi = r.Hi, r.Lo
+		}
+		out.Lo += t.Coef * r.Lo
+		out.Hi += t.Coef * r.Hi
+	}
+	return out
+}
+
+// Enter prepares one execution of the nest under fr, after the root's
+// Begin said it runs: it evaluates every loop's range and verifies,
+// once, the subscript ranges the nest's hoisted references rely on. An
+// out-of-range subscript is recorded in fr.Err, positioned at the
+// reference.
+func (n *Nest) Enter(fr *Frame) {
+	for l, lp := range n.loops {
+		lo, hi := lp.Lo.Eval(fr), lp.Hi.Eval(fr)
+		if lp.Step.Const < 0 {
+			lo, hi = hi, lo
+		}
+		r := loopRange{full: Range{Lo: lo, Hi: hi}, mine: Range{Lo: lo, Hi: hi}}
+		if lp.Clamp != nil {
+			r.mine = r.full.intersect(lp.Clamp[fr.P])
+		}
+		r.live, r.busy = r.full.Lo <= r.full.Hi, r.mine.Lo <= r.mine.Hi
+		if up := n.up[l]; up >= 0 {
+			around := fr.ranges[n.loops[up].Src.ID]
+			r.live, r.busy = r.live && around.live, r.busy && around.busy
+		}
+		fr.ranges[lp.Src.ID] = r
+	}
+	for _, st := range n.stmts {
+		r := fr.ranges[st.innermost().Src.ID]
+		if !r.live {
+			continue
+		}
+		n.verify(st.LHS, fr, false)
+		if st.Guard || !r.busy {
+			continue
+		}
+		for _, r := range st.reads {
+			if r.hoisted {
+				n.verify(r, fr, true)
+			}
+		}
+	}
+}
+
+func (n *Nest) verify(r *ArrayRef, fr *Frame, mine bool) {
+	arr := r.Am.Arr
+	for i := range r.Subs {
+		if s := n.span(&r.Subs[i].Affine, fr, mine); s.Lo < arr.Lo[i] || s.Hi > arr.Hi[i] {
+			fr.fail(r.rangeError(i, s.Lo, s.Hi))
+			return
+		}
+	}
+}
+
+// Leave completes one execution of the nest under fr: every loop
+// variable takes the value the full walk leaves in it, and the frame's
+// processor's validity plane loses every element the nest wrote that
+// the processor does not own.
+func (n *Nest) Leave(fr *Frame) {
+	for _, lp := range n.loops {
+		if r := fr.ranges[lp.Src.ID]; r.live {
+			fr.Bound[lp.Slot] = true
+			if lp.Step.Const > 0 {
+				fr.Ints[lp.Slot] = r.full.Hi + 1
+			} else {
+				fr.Ints[lp.Slot] = r.full.Lo - 1
+			}
+		}
+	}
+	for _, st := range n.stmts {
+		if !fr.ranges[st.innermost().Src.ID].live {
+			continue
+		}
+		lo, hi := fr.lo[:len(st.LHS.Subs)], fr.hi[:len(st.LHS.Subs)]
+		for i := range st.LHS.Subs {
+			s := n.span(&st.LHS.Subs[i].Affine, fr, false)
+			lo[i], hi[i] = s.Lo, s.Hi
+		}
+		st.LHS.Am.InvalidateBox(fr.P, lo, hi, fr.idx, fr.coords)
+	}
+}

@@ -1,0 +1,618 @@
+package plan
+
+import (
+	"fmt"
+	"math"
+	"sort"
+
+	"gcao/internal/ast"
+	"gcao/internal/cfg"
+	"gcao/internal/codegen"
+	"gcao/internal/core"
+	"gcao/internal/runtime"
+	"gcao/internal/source"
+)
+
+// Lower turns the plan's placed program into its slot-resolved form.
+// Lowering never rejects a program: whatever the AST-walking evaluator
+// reported when an expression was reached (an unbound name, a section
+// where an element is needed, a malformed SUM) the lowered expression
+// reports when it is evaluated.
+func Lower(pl *Plan) *Program {
+	u := pl.A.Unit
+	lw := &lowerer{
+		pl:       pl,
+		pr:       &Program{Plan: pl, MaxRank: 1},
+		intSlot:  map[string]int{},
+		realSlot: map[string]int{},
+	}
+	for _, l := range pl.A.G.Loops {
+		if _, ok := lw.intSlot[l.Var()]; !ok {
+			lw.intSlot[l.Var()] = len(lw.pr.Ints)
+			lw.pr.Ints = append(lw.pr.Ints, l.Var())
+		}
+	}
+	for name, sc := range u.Scalars {
+		if !sc.IsParam {
+			lw.pr.Reals = append(lw.pr.Reals, name)
+		}
+	}
+	sort.Strings(lw.pr.Reals)
+	for s, name := range lw.pr.Reals {
+		lw.realSlot[name] = s
+	}
+	for _, arr := range u.Arrays {
+		lw.pr.MaxRank = max(lw.pr.MaxRank, arr.Rank())
+	}
+	lw.pr.Body, _ = lw.seq(pl.A.G.EntryBlock)
+	lw.localize(lw.pr.Body)
+	return lw.pr
+}
+
+type lowerer struct {
+	pl       *Plan
+	pr       *Program
+	intSlot  map[string]int
+	realSlot map[string]int
+	// loops is the stack of loops around the point being lowered; a
+	// variable of one of them is certainly bound there.
+	loops []*Loop
+	// sums and reads collect the distributed SUMs and the array reads
+	// of the statement or condition being lowered.
+	sums    []Sum
+	sumSlot map[*ast.Call]int
+	reads   []*ArrayRef
+}
+
+func (lw *lowerer) enclosing(slot int) bool {
+	for _, lp := range lw.loops {
+		if lp.Slot == slot {
+			return true
+		}
+	}
+	return false
+}
+
+// ---------------------------------------------------------------------
+// Control flow: the structured CFG back to a tree
+
+// seq lowers the straight-line region starting at b and returns, with
+// the nodes, the block that closes the enclosing construct: the join a
+// branch arm falls into, the header a loop body returns to, nil at the
+// exit.
+func (lw *lowerer) seq(b *cfg.Block) ([]Node, *cfg.Block) {
+	var out []Node
+	for {
+		if b.Kind == cfg.PreHeader {
+			lp := lw.loop(b)
+			out = append(out, lp)
+			b = lp.Src.PostExit
+			continue
+		}
+		comm := lw.pl.Comm[b.ID]
+		out = appendComm(out, lw.comm(comm[0]))
+		for k, st := range b.Stmts {
+			out = append(out, lw.stmt(st))
+			out = appendComm(out, lw.comm(comm[k+1]))
+		}
+		if b.Branch != nil {
+			n := &If{Src: b, Sync: lw.pl.CondSync[b.ID]}
+			lw.beginExpr()
+			n.Cond = lw.real(b.Branch.Cond)
+			n.Sums = lw.sums
+			var join *cfg.Block
+			n.Then, join = lw.seq(b.Succs[0])
+			if b.Succs[1] != join { // an else arm, not the fall-through edge
+				n.Else, _ = lw.seq(b.Succs[1])
+			}
+			out = append(out, n)
+			b = join
+			continue
+		}
+		if len(b.Succs) == 0 {
+			return out, nil
+		}
+		next := b.Succs[0]
+		if next.Kind == cfg.Join || next.Kind == cfg.Header {
+			return out, next
+		}
+		b = next
+	}
+}
+
+func appendComm(out []Node, c *Comm) []Node {
+	if c != nil {
+		out = append(out, c)
+	}
+	return out
+}
+
+func (lw *lowerer) loop(pre *cfg.Block) *Loop {
+	src := lw.pl.LoopOf[pre.ID]
+	lp := &Loop{
+		Src:  src,
+		Slot: lw.intSlot[src.Var()],
+		Pre:  lw.comm(lw.pl.Comm[pre.ID][0]),
+		Lo:   lw.intExpr(src.Do.Lo),
+		Hi:   lw.intExpr(src.Do.Hi),
+		Step: IntExpr{Affine: Affine{Const: 1}},
+	}
+	if src.Do.Step != nil {
+		lp.Step = lw.intExpr(src.Do.Step)
+	}
+	lw.loops = append(lw.loops, lp)
+	lp.Head = lw.comm(lw.pl.Comm[src.Header.ID][0])
+	lp.Body, _ = lw.seq(src.Header.Succs[0])
+	lw.loops = lw.loops[:len(lw.loops)-1]
+	return lp
+}
+
+func (lw *lowerer) stmt(st *cfg.Stmt) *Stmt {
+	as := st.Assign
+	out := &Stmt{Src: st, Scalar: -1, Guard: true, loops: append([]*Loop(nil), lw.loops...)}
+	lw.beginExpr()
+	out.RHS = lw.real(as.RHS)
+	out.Sums, out.reads = lw.sums, lw.reads
+	if am := lw.pl.Info[st].LHS; am != nil {
+		out.LHS = lw.arrayRef(as.LHS, am)
+	} else {
+		out.Scalar = lw.realSlot[as.LHS.Name]
+	}
+	return out
+}
+
+func (lw *lowerer) beginExpr() {
+	lw.sums, lw.reads, lw.sumSlot = nil, nil, map[*ast.Call]int{}
+}
+
+// comm lowers the groups placed at one position; nil when there are
+// none.
+func (lw *lowerer) comm(groups []*core.Group) *Comm {
+	if len(groups) == 0 {
+		return nil
+	}
+	c := &Comm{Ops: make([]CommOp, len(groups))}
+	for i, g := range groups {
+		op := CommOp{Group: g, Name: codegen.OpName(g), Bound: lw.pl.Bound[g]}
+		if g.Kind != core.KindReduce {
+			for _, e := range g.Entries {
+				if es, ok := lw.entry(g, e); ok {
+					op.Entries = append(op.Entries, es)
+				}
+			}
+		}
+		c.Ops[i] = op
+	}
+	return c
+}
+
+// entry lowers one group entry's symbolic section. Entries that can
+// never move data are dropped: replicated arrays, arrays a shift's grid
+// dimension does not partition, and sections over a name no loop binds.
+func (lw *lowerer) entry(g *core.Group, e *core.Entry) (EntrySec, bool) {
+	am := lw.pl.mem.View(e.Array)
+	if am.Dist == nil {
+		return EntrySec{}, false
+	}
+	es := EntrySec{Am: am, ShiftDim: -1}
+	if g.Kind == core.KindShift {
+		if es.ShiftDim = am.ShiftArrayDim(g.Map.GridDim); es.ShiftDim < 0 {
+			return EntrySec{}, false
+		}
+	}
+	need := map[int]bool{}
+	form := func(c int, coef map[string]int) (Affine, bool) {
+		a := Affine{Const: c}
+		for name, k := range coef {
+			slot, ok := lw.intSlot[name]
+			if !ok {
+				return Affine{}, false
+			}
+			if !lw.enclosing(slot) {
+				need[slot] = true
+			}
+			a.Terms = append(a.Terms, Term{Slot: slot, Coef: k})
+		}
+		sortTerms(a.Terms)
+		return a, true
+	}
+	for _, d := range lw.pl.symSec[e].Dims {
+		lo, ok1 := form(d.Lo.Const, d.Lo.Coef)
+		hi, ok2 := form(d.Hi.Const, d.Hi.Coef)
+		if !ok1 || !ok2 {
+			return EntrySec{}, false
+		}
+		es.Lo, es.Hi, es.Step = append(es.Lo, lo), append(es.Hi, hi), append(es.Step, max(d.Step, 1))
+	}
+	for slot := range need {
+		es.need = append(es.need, slot)
+	}
+	sort.Ints(es.need)
+	return es, true
+}
+
+func sortTerms(ts []Term) {
+	sort.Slice(ts, func(i, j int) bool { return ts[i].Slot < ts[j].Slot })
+}
+
+// ---------------------------------------------------------------------
+// Integer expressions
+
+func failInt(err error) IntExpr {
+	return IntExpr{Gen: func(fr *Frame) int { fr.fail(err); return 0 }}
+}
+
+// intExpr lowers an integer expression (a subscript, a loop or section
+// bound), folding it to an affine form over enclosing loop variables
+// where the operators allow.
+func (lw *lowerer) intExpr(e ast.Expr) IntExpr {
+	switch e := e.(type) {
+	case *ast.NumLit:
+		if !e.IsInt {
+			return failInt(source.Errorf(e.Pos, "real literal %q where integer expected", e.Text))
+		}
+		return IntExpr{Affine: Affine{Const: int(e.Value)}}
+	case *ast.Ident:
+		return lw.intName(e)
+	case *ast.UnaryExpr:
+		return intScale(lw.intExpr(e.X), -1)
+	case *ast.BinExpr:
+		x, y := lw.intExpr(e.X), lw.intExpr(e.Y)
+		switch e.Op {
+		case ast.Add:
+			return intAdd(x, y, 1)
+		case ast.Sub_:
+			return intAdd(x, y, -1)
+		case ast.Mul:
+			if c, ok := x.constant(); ok {
+				return intScale(y, c)
+			}
+			if c, ok := y.constant(); ok {
+				return intScale(x, c)
+			}
+			return IntExpr{Gen: func(fr *Frame) int { return x.Eval(fr) * y.Eval(fr) }}
+		case ast.Div:
+			zero := source.Errorf(e.Pos, "division by zero")
+			return IntExpr{Gen: func(fr *Frame) int {
+				a, b := x.Eval(fr), y.Eval(fr)
+				if b == 0 {
+					fr.fail(zero)
+					return 0
+				}
+				return a / b
+			}}
+		case ast.Pow:
+			return IntExpr{Gen: func(fr *Frame) int {
+				return int(math.Pow(float64(x.Eval(fr)), float64(y.Eval(fr))))
+			}}
+		}
+		return failInt(source.Errorf(e.Pos, "operator %s in integer expression", e.Op))
+	case *ast.Call:
+		if e.Func == "mod" && len(e.Args) == 2 {
+			x, y := lw.intExpr(e.Args[0]), lw.intExpr(e.Args[1])
+			zero := source.Errorf(e.Pos, "mod by zero")
+			return IntExpr{Gen: func(fr *Frame) int {
+				a, b := x.Eval(fr), y.Eval(fr)
+				if b == 0 {
+					fr.fail(zero)
+					return 0
+				}
+				return a % b
+			}}
+		}
+	}
+	var pos source.Pos
+	if e != nil {
+		pos = e.ExprPos()
+	}
+	return failInt(source.Errorf(pos, "not an integer expression: %s", ast.ExprString(e)))
+}
+
+// intName resolves a name in integer context: the variable of an
+// enclosing loop, else — at run time — a variable some earlier loop
+// left bound, else a routine parameter.
+func (lw *lowerer) intName(e *ast.Ident) IntExpr {
+	slot, isVar := lw.intSlot[e.Name]
+	if isVar && lw.enclosing(slot) {
+		return IntExpr{Affine: Affine{Terms: []Term{{Slot: slot, Coef: 1}}}}
+	}
+	rest := failInt(source.Errorf(e.Pos, "%q is not an integer here", e.Name))
+	if v, ok := lw.pl.A.Unit.Params[e.Name]; ok {
+		rest = IntExpr{Affine: Affine{Const: v}}
+	}
+	if !isVar {
+		return rest
+	}
+	return IntExpr{Gen: func(fr *Frame) int {
+		if fr.Bound[slot] {
+			return fr.Ints[slot]
+		}
+		return rest.Eval(fr)
+	}}
+}
+
+func intScale(x IntExpr, c int) IntExpr {
+	if x.Gen != nil {
+		return IntExpr{Gen: func(fr *Frame) int { return c * x.Gen(fr) }}
+	}
+	out := IntExpr{Affine: Affine{Const: c * x.Const}}
+	if c != 0 {
+		for _, t := range x.Terms {
+			out.Terms = append(out.Terms, Term{Slot: t.Slot, Coef: c * t.Coef})
+		}
+	}
+	return out
+}
+
+// intAdd returns x + sign·y.
+func intAdd(x, y IntExpr, sign int) IntExpr {
+	if x.Gen != nil || y.Gen != nil {
+		return IntExpr{Gen: func(fr *Frame) int { return x.Eval(fr) + sign*y.Eval(fr) }}
+	}
+	coef := map[int]int{}
+	for _, t := range x.Terms {
+		coef[t.Slot] += t.Coef
+	}
+	for _, t := range y.Terms {
+		coef[t.Slot] += sign * t.Coef
+	}
+	out := IntExpr{Affine: Affine{Const: x.Const + sign*y.Const}}
+	for slot, c := range coef {
+		if c != 0 {
+			out.Terms = append(out.Terms, Term{Slot: slot, Coef: c})
+		}
+	}
+	sortTerms(out.Terms)
+	return out
+}
+
+// ---------------------------------------------------------------------
+// Array references
+
+// arrayRef binds an element reference to its view and folds the flat
+// offset where every subscript is affine.
+func (lw *lowerer) arrayRef(ref *ast.Ref, am *runtime.ArrayMem) *ArrayRef {
+	r := &ArrayRef{Am: am, Pos: ref.Pos, Subs: make([]IntExpr, len(ref.Subs))}
+	for i, sub := range ref.Subs {
+		if sub.Kind != ast.SubExpr {
+			r.Subs[i] = failInt(source.Errorf(ref.Pos, "section of %s where an element is needed", ref.Name))
+			continue
+		}
+		r.Subs[i] = lw.intExpr(sub.X)
+	}
+	if r.affine() {
+		off := IntExpr{}
+		for i := range r.Subs {
+			off = intAdd(off, intScale(r.Subs[i], am.Strides[i]), 1)
+			off.Const -= am.Arr.Lo[i] * am.Strides[i]
+		}
+		r.off = off.Affine
+	}
+	return r
+}
+
+func (r *ArrayRef) affine() bool {
+	for i := range r.Subs {
+		if r.Subs[i].Gen != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// secExpr lowers the section of a SUM argument: element subscripts are
+// points, absent triplet parts the declared bounds and stride 1, no
+// subscripts the whole array.
+func (lw *lowerer) secExpr(ref *ast.Ref, am *runtime.ArrayMem) SecExpr {
+	konst := func(c int) IntExpr { return IntExpr{Affine: Affine{Const: c}} }
+	part := func(e ast.Expr, dflt int) IntExpr {
+		if e == nil {
+			return konst(dflt)
+		}
+		return lw.intExpr(e)
+	}
+	arr := am.Arr
+	sec := SecExpr{Dims: make([]SecDim, arr.Rank())}
+	for i := range sec.Dims {
+		switch {
+		case len(ref.Subs) == 0:
+			sec.Dims[i] = SecDim{Lo: konst(arr.Lo[i]), Hi: konst(arr.Hi[i]), Step: konst(1)}
+		case ref.Subs[i].Kind == ast.SubExpr:
+			x := lw.intExpr(ref.Subs[i].X)
+			sec.Dims[i] = SecDim{Lo: x, Hi: x, Step: konst(1)}
+		default:
+			sub := ref.Subs[i]
+			sec.Dims[i] = SecDim{Lo: part(sub.Lo, arr.Lo[i]), Hi: part(sub.Hi, arr.Hi[i]), Step: part(sub.Step, 1)}
+		}
+	}
+	return sec
+}
+
+// ---------------------------------------------------------------------
+// Real expressions
+
+func failReal(err error) RealFn {
+	return func(fr *Frame) float64 { fr.fail(err); return 0 }
+}
+
+// real lowers a real expression to a closure tree with the source
+// expression's shape: operands evaluate left to right and every
+// floating-point operation of the source happens once, in place.
+func (lw *lowerer) real(e ast.Expr) RealFn {
+	switch e := e.(type) {
+	case *ast.NumLit:
+		v := e.Value
+		return func(*Frame) float64 { return v }
+	case *ast.Ident:
+		return lw.scalar(e.Name, e.Pos, true)
+	case *ast.UnaryExpr:
+		x := lw.real(e.X)
+		return func(fr *Frame) float64 { return -x(fr) }
+	case *ast.BinExpr:
+		return binary(e, lw.real(e.X), lw.real(e.Y))
+	case *ast.Ref:
+		if am := lw.pl.RefArr[e]; am != nil {
+			return lw.read(e, am)
+		}
+		return lw.scalar(e.Name, e.Pos, false)
+	case *ast.Call:
+		if e.Func == "sum" {
+			return lw.sum(e)
+		}
+		return lw.intrinsic(e)
+	}
+	return failReal(fmt.Errorf("cannot evaluate %T", e))
+}
+
+func binary(e *ast.BinExpr, x, y RealFn) RealFn {
+	switch e.Op {
+	case ast.Add:
+		return func(fr *Frame) float64 { return x(fr) + y(fr) }
+	case ast.Sub_:
+		return func(fr *Frame) float64 { return x(fr) - y(fr) }
+	case ast.Mul:
+		return func(fr *Frame) float64 { return x(fr) * y(fr) }
+	case ast.Div:
+		return func(fr *Frame) float64 { return x(fr) / y(fr) }
+	case ast.Pow:
+		return func(fr *Frame) float64 { return math.Pow(x(fr), y(fr)) }
+	case ast.CmpLt:
+		return func(fr *Frame) float64 { return b2f(x(fr) < y(fr)) }
+	case ast.CmpGt:
+		return func(fr *Frame) float64 { return b2f(x(fr) > y(fr)) }
+	case ast.CmpLe:
+		return func(fr *Frame) float64 { return b2f(x(fr) <= y(fr)) }
+	case ast.CmpGe:
+		return func(fr *Frame) float64 { return b2f(x(fr) >= y(fr)) }
+	case ast.CmpEq:
+		return func(fr *Frame) float64 { return b2f(x(fr) == y(fr)) }
+	case ast.CmpNe:
+		return func(fr *Frame) float64 { return b2f(x(fr) != y(fr)) }
+	}
+	return failReal(source.Errorf(e.Pos, "bad operator %v", e.Op))
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// scalar resolves a name in real context: the variable of an enclosing
+// loop, else — at run time — a variable an earlier loop left bound,
+// else a parameter or a real scalar. Reading a never-assigned scalar is
+// an error for a plain identifier (strict) and 0 for a subscriptless
+// reference.
+func (lw *lowerer) scalar(name string, pos source.Pos, strict bool) RealFn {
+	slot, isVar := lw.intSlot[name]
+	if isVar && lw.enclosing(slot) {
+		return func(fr *Frame) float64 { return float64(fr.Ints[slot]) }
+	}
+	var rest RealFn
+	if v, ok := lw.pl.A.Unit.Params[name]; ok {
+		c := float64(v)
+		rest = func(*Frame) float64 { return c }
+	} else if s, ok := lw.realSlot[name]; ok && strict {
+		unbound := source.Errorf(pos, "unbound scalar %q", name)
+		rest = func(fr *Frame) float64 {
+			if !fr.Set[s] {
+				fr.fail(unbound)
+			}
+			return fr.Reals[s]
+		}
+	} else if ok {
+		rest = func(fr *Frame) float64 { return fr.Reals[s] }
+	} else if strict {
+		rest = failReal(source.Errorf(pos, "unbound scalar %q", name))
+	} else {
+		rest = func(*Frame) float64 { return 0 }
+	}
+	if !isVar {
+		return rest
+	}
+	return func(fr *Frame) float64 {
+		if fr.Bound[slot] {
+			return float64(fr.Ints[slot])
+		}
+		return rest(fr)
+	}
+}
+
+// read lowers an array element read from the frame's processor's view:
+// a stale copy is an error, which is how a run proves its communication
+// placement sufficient.
+func (lw *lowerer) read(ref *ast.Ref, am *runtime.ArrayMem) RealFn {
+	r := lw.arrayRef(ref, am)
+	lw.reads = append(lw.reads, r)
+	if am.Dist == nil {
+		return func(fr *Frame) float64 { return am.Data[0][r.Offset(fr)] }
+	}
+	return func(fr *Frame) float64 {
+		off := r.Offset(fr)
+		if !am.Valid[fr.P][off] {
+			if fr.Err == nil {
+				fr.Err = &runtime.StaleReadError{Proc: fr.P, Array: am.Name, Index: r.Index(fr, make([]int, len(r.Subs)))}
+			}
+			return 0
+		}
+		return am.Data[fr.P][off]
+	}
+}
+
+var (
+	intrinsics1 = map[string]func(float64) float64{"sqrt": math.Sqrt, "abs": math.Abs, "exp": math.Exp}
+	intrinsics2 = map[string]func(float64, float64) float64{"min": math.Min, "max": math.Max, "mod": math.Mod}
+)
+
+func (lw *lowerer) intrinsic(e *ast.Call) RealFn {
+	f1, f2 := intrinsics1[e.Func], intrinsics2[e.Func]
+	switch {
+	case f1 != nil && len(e.Args) == 1:
+		x := lw.real(e.Args[0])
+		return func(fr *Frame) float64 { return f1(x(fr)) }
+	case f2 != nil && len(e.Args) == 2:
+		x, y := lw.real(e.Args[0]), lw.real(e.Args[1])
+		return func(fr *Frame) float64 { return f2(x(fr), y(fr)) }
+	case f1 != nil || f2 != nil:
+		return failReal(source.Errorf(e.Pos, "%s called with %d argument(s)", e.Func, len(e.Args)))
+	}
+	return failReal(source.Errorf(e.Pos, "unknown intrinsic %q", e.Func))
+}
+
+// sum lowers a SUM call. Over a distributed array it is a collective:
+// the call is appended to the statement's Sums (once per call site) and
+// the expression reads the total the backend left in Frame.Sums. Over a
+// replicated array it scans the shared row in section order.
+func (lw *lowerer) sum(e *ast.Call) RealFn {
+	if len(e.Args) != 1 {
+		return failReal(source.Errorf(e.Pos, "sum wants 1 argument"))
+	}
+	ref, ok := e.Args[0].(*ast.Ref)
+	if !ok {
+		return failReal(source.Errorf(e.Pos, "sum argument must be an array section"))
+	}
+	am := lw.pl.RefArr[ref]
+	if am == nil {
+		return failReal(source.Errorf(e.Pos, "sum over non-array %q", ref.Name))
+	}
+	if am.Dist != nil {
+		slot, seen := lw.sumSlot[e]
+		if !seen {
+			slot = len(lw.sums)
+			lw.sumSlot[e] = slot
+			lw.sums = append(lw.sums, Sum{Am: am, Sec: lw.secExpr(ref, am), Bound: am.Arr.Size()})
+			lw.pr.maxSums = max(lw.pr.maxSums, len(lw.sums))
+		}
+		return func(fr *Frame) float64 { return fr.Sums[slot] }
+	}
+	sec := lw.secExpr(ref, am)
+	return func(fr *Frame) float64 {
+		total := 0.0
+		sec.Eval(fr, fr.dims).ElemsInto(fr.idx, func(idx []int) bool {
+			total += am.Data[0][am.Offset(idx)]
+			return true
+		})
+		return total
+	}
+}

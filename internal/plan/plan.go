@@ -1,13 +1,20 @@
 // Package plan precomputes the execution recipe shared by every
 // backend that runs a placed program: the BSP simulator (package spmd)
-// and the native goroutine backend (package native) both walk the same
-// CFG, execute the same communication groups at the same positions,
-// and resolve the same array references. Building that index once here
-// keeps the backends' group/CFG walking logically identical — the
-// bit-for-bit equivalence argument between them starts with "both
-// executed the same Plan".
+// and the native goroutine backend (package native) execute the same
+// communication groups at the same positions and resolve the same
+// array references. Building that index once here keeps the backends'
+// group and control-flow handling logically identical — the bit-for-bit
+// equivalence argument between them starts with "both executed the
+// same Plan".
 //
-// A Plan is immutable after New and safe for concurrent readers.
+// Lower turns a Plan into a Program: the slot-resolved, structured form
+// of the placed program that a backend executes without touching the
+// AST, with per-processor loop bounds for owner-computes nests (see
+// program.go, lower.go, localize.go). The native backend runs it; the
+// simulator still walks the AST against the Plan.
+//
+// A Plan is immutable after New, a Program after Lower; both are safe
+// for concurrent readers.
 package plan
 
 import (
@@ -33,21 +40,6 @@ type StmtInfo struct {
 	// HasSum marks statements whose RHS contains any SUM, so
 	// per-statement reduction memos are reset before evaluation.
 	HasSum bool
-	// DistSums lists the RHS's distributed SUM calls in WalkCalls
-	// order — the statement-level collectives every processor must run
-	// before evaluation, precomputed so backends never re-walk the
-	// expression tree per execution.
-	DistSums []SumCall
-}
-
-// SumCall is one distributed SUM collective: the call site, the summed
-// reference, its resolved memory view, and a conservative element-count
-// bound for sizing gather buffers once at setup.
-type SumCall struct {
-	Call  *ast.Call
-	Ref   *ast.Ref
-	Am    *runtime.ArrayMem
-	Bound int
 }
 
 // Plan is the immutable per-run precomputation: communication groups
@@ -67,10 +59,8 @@ type Plan struct {
 	RefArr map[*ast.Ref]*runtime.ArrayMem
 	// CondSync[b.ID] marks branch conditions that read distributed
 	// data and therefore need cross-processor agreement on the taken
-	// edge; CondSums[b.ID] lists the condition's distributed SUM
-	// collectives in WalkCalls order.
+	// edge.
 	CondSync []bool
-	CondSums [][]SumCall
 	LoopOf   []*cfg.Loop // by preheader block ID
 	// Tree is the binomial collective schedule for the run's processor
 	// count: broadcasts, gathers, reductions and barriers follow its
@@ -85,12 +75,13 @@ type Plan struct {
 	// symSec caches each placed entry's expanded symbolic section at
 	// its group's level (see New); ConcreteEntrySection reads it.
 	symSec map[*core.Entry]asd.SymSection
+	mem    *runtime.Memory
 }
 
 // New builds the plan for one placement over one memory image.
 func New(res *core.Result, mem *runtime.Memory) *Plan {
 	a := res.Analysis
-	pl := &Plan{A: a, Res: res}
+	pl := &Plan{A: a, Res: res, mem: mem}
 	n := len(a.G.Blocks)
 	pl.Comm = make([][][]*core.Group, n)
 	for _, b := range a.G.Blocks {
@@ -117,17 +108,14 @@ func New(res *core.Result, mem *runtime.Memory) *Plan {
 		si.HasSum = ExprHasSum(st.Assign.RHS)
 		si.Sync = (si.LHS != nil && si.LHS.Dist == nil) ||
 			ExprHasDistributedSum(a, st.Assign.RHS)
-		si.DistSums = pl.distSums(st.Assign.RHS, mem)
 		pl.Info[st] = si
 		resolve(st.Assign.RHS)
 	}
 	pl.CondSync = make([]bool, n)
-	pl.CondSums = make([][]SumCall, n)
 	pl.LoopOf = make([]*cfg.Loop, n)
 	for _, b := range a.G.Blocks {
 		if b.Branch != nil {
 			pl.CondSync[b.ID] = ExprReadsDistributed(a, b.Branch.Cond)
-			pl.CondSums[b.ID] = pl.distSums(b.Branch.Cond, mem)
 			resolve(b.Branch.Cond)
 		}
 	}
@@ -155,26 +143,6 @@ func New(res *core.Result, mem *runtime.Memory) *Plan {
 		pl.Bound[g] = total
 	}
 	return pl
-}
-
-// distSums collects the distributed SUM calls of an expression in
-// WalkCalls order, with their references, memory views and gather
-// bounds resolved once.
-func (pl *Plan) distSums(e ast.Expr, mem *runtime.Memory) []SumCall {
-	var out []SumCall
-	WalkCalls(e, func(c *ast.Call) {
-		if c.Func != "sum" || len(c.Args) != 1 {
-			return
-		}
-		ref, ok := c.Args[0].(*ast.Ref)
-		if !ok {
-			return
-		}
-		if arr := pl.A.Unit.Arrays[ref.Name]; arr != nil && arr.Dist != nil {
-			out = append(out, SumCall{Call: c, Ref: ref, Am: mem.View(ref.Name), Bound: arr.Size()})
-		}
-	})
-	return out
 }
 
 // entryBound bounds one entry's concretized element count: the

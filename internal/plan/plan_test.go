@@ -144,3 +144,75 @@ func TestBuildTree(t *testing.T) {
 		}
 	}
 }
+
+// TestLowerFig10a lowers the six Fig. 10(a) routines and checks the
+// form every backend will execute: each placed group appears exactly
+// once, at a communication position; every statement under a loop sits
+// in a pure owner-computes nest, unguarded, below clamped loops (the
+// paper's layouts are all-BLOCK, so localization must not leave one
+// statement to the guarded walk); and no nest swallows a loop that
+// carries communication.
+func TestLowerFig10a(t *testing.T) {
+	for _, pr := range bench.Programs() {
+		t.Run(pr.Bench+"/"+pr.Routine, func(t *testing.T) {
+			a, err := pr.Compile(12, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := a.Place(core.Options{Version: core.VersionCombine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog := plan.Lower(plan.New(res, runtime.NewMemory(a.Unit, 9)))
+
+			groups, nests, stmts := 0, 0, 0
+			var walk func(nodes []plan.Node, nest, clamped int)
+			comm := func(c *plan.Comm, nest int) {
+				if c == nil {
+					return
+				}
+				groups += len(c.Ops)
+				if nest > 0 {
+					t.Errorf("communication position inside a pure nest")
+				}
+			}
+			walk = func(nodes []plan.Node, nest, clamped int) {
+				for _, n := range nodes {
+					switch n := n.(type) {
+					case *plan.Comm:
+						comm(n, nest)
+					case *plan.Loop:
+						comm(n.Pre, nest)
+						in := nest
+						if n.Nest != nil {
+							nests++
+							in++
+						}
+						comm(n.Head, in)
+						c := clamped
+						if n.Clamp != nil {
+							c++
+						}
+						walk(n.Body, in, c)
+					case *plan.Stmt:
+						if n.LHS == nil || n.LHS.Am.Dist == nil {
+							continue
+						}
+						stmts++
+						if nest != 1 || n.Guard || clamped != 2 {
+							t.Errorf("%s: in %d nests under %d clamped loops, guard %v; want 1, 2, false",
+								n.Src, nest, clamped, n.Guard)
+						}
+					}
+				}
+			}
+			walk(prog.Body, 0, 0)
+			if groups != len(res.Groups) {
+				t.Errorf("lowered form holds %d groups, placement has %d", groups, len(res.Groups))
+			}
+			if nests == 0 || stmts == 0 {
+				t.Errorf("%d nests over %d array statements", nests, stmts)
+			}
+		})
+	}
+}

@@ -1,0 +1,398 @@
+package plan
+
+import (
+	"fmt"
+
+	"gcao/internal/cfg"
+	"gcao/internal/core"
+	"gcao/internal/runtime"
+	"gcao/internal/section"
+	"gcao/internal/source"
+)
+
+// Program is the lowered, slot-resolved form of a placed program: the
+// structured control flow as a tree of nodes, every name resolved to a
+// frame slot, every array reference bound to its memory view, every
+// communication position and SUM collective an explicit operation. It
+// is immutable after Lower and shared by all executors; everything an
+// execution mutates lives in a Frame.
+//
+// A backend is a driver over this form: it walks Body, calls the
+// evaluation methods below for integer and real expressions, and
+// supplies what differs between backends — how a communication group
+// moves data, how a distributed SUM is combined, what a store costs.
+type Program struct {
+	Plan *Plan
+	Body []Node
+	// Ints and Reals name the frame slots: one integer slot per loop
+	// variable name, one real slot per declared non-parameter scalar.
+	Ints, Reals []string
+	// MaxRank is the largest array rank of the unit (at least 1): the
+	// size of an index vector or section descriptor that fits any array.
+	MaxRank int
+
+	maxSums int
+}
+
+// Node is one element of the lowered control-flow tree: *Comm, *Stmt,
+// *Loop or *If.
+type Node interface{ node() }
+
+func (*Comm) node() {}
+func (*Stmt) node() {}
+func (*Loop) node() {}
+func (*If) node()   {}
+
+// Comm is one communication position: the groups placed there, in
+// placement order.
+type Comm struct {
+	Ops []CommOp
+}
+
+// CommOp is one placed communication group, with its entries' sections
+// lowered to slot form.
+type CommOp struct {
+	Group *core.Group
+	// Name is the operation under the codegen listing's vocabulary.
+	Name string
+	// Bound is the plan's payload bound for the group (Plan.Bound).
+	Bound int
+	// Entries are the group's entries over distributed arrays (for
+	// shifts, only those distributed along the shifted grid dimension);
+	// empty for global-sum markers, which move no data themselves.
+	Entries []EntrySec
+}
+
+// EntrySec is one group entry's communicated section, symbolic in the
+// loop variables around the group's position.
+type EntrySec struct {
+	Am     *runtime.ArrayMem
+	Lo, Hi []Affine
+	Step   []int
+	// ShiftDim is the array dimension a shift group moves this entry
+	// along, -1 for other kinds.
+	ShiftDim int
+	// need lists loop-variable slots the section reads from outside
+	// their loops: the entry is skipped while any of them is unbound.
+	need []int
+}
+
+// Concrete evaluates the section under fr, clipped to the declared
+// bounds, into dst (len >= rank). ok is false while a variable the
+// section depends on has never been bound.
+func (e *EntrySec) Concrete(fr *Frame, dst []section.Dim) (sec section.Section, ok bool) {
+	for _, s := range e.need {
+		if !fr.Bound[s] {
+			return section.Section{}, false
+		}
+	}
+	dst = dst[:len(e.Lo)]
+	for i := range dst {
+		dst[i] = section.Dim{Lo: e.Lo[i].Eval(fr), Hi: e.Hi[i].Eval(fr), Step: e.Step[i]}
+	}
+	return section.Section{Dims: dst}.ClipInto(e.Am.Arr.Lo, e.Am.Arr.Hi, dst), true
+}
+
+// Stmt is one assignment. A backend runs Sums (the statement-level
+// collectives, results into Frame.Sums in order), then evaluates and
+// stores: into Frame.Reals[Scalar] when LHS is nil, else into the
+// array element — on the owner only; Guard tells whether ownership
+// still has to be tested per execution or the enclosing loop bounds
+// already restrict the executing processor to elements it owns.
+type Stmt struct {
+	Src    *cfg.Stmt
+	Sums   []Sum
+	RHS    RealFn
+	LHS    *ArrayRef
+	Scalar int
+	Guard  bool
+
+	reads []*ArrayRef // array reads of the RHS, outside SUM arguments
+	loops []*Loop     // enclosing loops, outermost first
+}
+
+// Sum is one distributed SUM collective of a statement or condition.
+type Sum struct {
+	Am  *runtime.ArrayMem
+	Sec SecExpr
+	// Bound is the plan's element-count bound for gather buffers.
+	Bound int
+}
+
+// If is a two-way branch. A Sync condition reads distributed data: the
+// backend runs Sums, evaluates Cond on processor 0's view and makes
+// every processor take that edge.
+type If struct {
+	Src        *cfg.Block
+	Sums       []Sum
+	Cond       RealFn
+	Sync       bool
+	Then, Else []Node
+}
+
+// Loop is a DO loop: Pre holds the groups placed at its preheader
+// (executed once, before the bounds are evaluated), Head those at its
+// header (once per iteration, before the body).
+type Loop struct {
+	Src          *cfg.Loop
+	Slot         int
+	Pre, Head    *Comm
+	Lo, Hi, Step IntExpr
+	Body         []Node
+	// Clamp, on loops of a pure owner-computes nest whose variable
+	// subscripts a BLOCK dimension of every statement below, is indexed
+	// by processor: the values of the variable for which that processor
+	// owns any of those statements' elements (Lo > Hi: none).
+	Clamp []Range
+	// Nest is set on the root of a pure owner-computes nest.
+	Nest *Nest
+}
+
+// Range is an inclusive integer interval, empty when Lo > Hi.
+type Range struct{ Lo, Hi int }
+
+func (r Range) intersect(o Range) Range {
+	return Range{Lo: max(r.Lo, o.Lo), Hi: min(r.Hi, o.Hi)}
+}
+
+// Begin evaluates the loop's bounds under fr and returns the
+// iterations fr.P executes — first, first+step, ... up to last — and
+// the value the variable holds after the loop (what walking the full
+// range leaves, whatever the clamp). run is false for a zero-trip
+// loop, which leaves the variable untouched.
+func (lp *Loop) Begin(fr *Frame) (first, last, step, exit int, run bool) {
+	lo, hi, step := lp.Lo.Eval(fr), lp.Hi.Eval(fr), lp.Step.Eval(fr)
+	if fr.Err != nil {
+		return 0, 0, 0, 0, false
+	}
+	if step == 0 {
+		fr.fail(fmt.Errorf("zero loop step at %s", lp.Src.Do.Pos))
+		return 0, 0, 0, 0, false
+	}
+	if (step > 0 && lo > hi) || (step < 0 && lo < hi) {
+		return 0, 0, step, 0, false
+	}
+	fr.Bound[lp.Slot] = true
+	exit = lo + ((hi-lo)/step+1)*step
+	if lp.Clamp != nil { // step is ±1
+		c := lp.Clamp[fr.P]
+		if step > 0 {
+			lo, hi = max(lo, c.Lo), min(hi, c.Hi)
+		} else {
+			lo, hi = min(lo, c.Hi), max(hi, c.Lo)
+		}
+	}
+	return lo, hi, step, exit, true
+}
+
+// ---------------------------------------------------------------------
+// Frame: one executor's mutable state
+
+// Frame is the mutable state of one executor of a Program: the slot
+// values, the first evaluation error, and evaluation scratch. P is the
+// processor whose view array reads take and whose clamps loops use.
+type Frame struct {
+	P int
+	// Ints holds loop-variable values; Bound marks the slots a loop has
+	// set at least once (a variable keeps its exit value after its
+	// loop, and reads as unbound before).
+	Ints  []int
+	Bound []bool
+	// Reals holds scalar values; Set marks the assigned ones.
+	Reals []float64
+	Set   []bool
+	// Sums holds the totals of the executing statement's (or
+	// condition's) distributed SUMs, in Stmt.Sums order.
+	Sums []float64
+	// Err is the first error an evaluation hit. Evaluation methods
+	// return a zero in its place and keep going; the caller checks Err
+	// before using a value.
+	Err error
+
+	ranges []loopRange // by cfg.Loop.ID, filled by Nest.Enter
+	dims   []section.Dim
+	idx    []int
+	lo, hi []int
+	coords []int
+}
+
+// NewFrame allocates the state for one executor taking processor p's
+// view.
+func (pr *Program) NewFrame(p int) *Frame {
+	return &Frame{
+		P:      p,
+		Ints:   make([]int, len(pr.Ints)),
+		Bound:  make([]bool, len(pr.Ints)),
+		Reals:  make([]float64, len(pr.Reals)),
+		Set:    make([]bool, len(pr.Reals)),
+		Sums:   make([]float64, pr.maxSums),
+		ranges: make([]loopRange, len(pr.Plan.A.G.Loops)),
+		dims:   make([]section.Dim, pr.MaxRank),
+		idx:    make([]int, pr.MaxRank),
+		lo:     make([]int, pr.MaxRank),
+		hi:     make([]int, pr.MaxRank),
+		coords: make([]int, pr.Plan.A.Unit.Grid.Rank()),
+	}
+}
+
+// Reset returns the frame to its initial state for another run.
+func (fr *Frame) Reset() {
+	clear(fr.Ints)
+	clear(fr.Bound)
+	clear(fr.Reals)
+	clear(fr.Set)
+	fr.Err = nil
+}
+
+func (fr *Frame) fail(err error) {
+	if fr.Err == nil {
+		fr.Err = err
+	}
+}
+
+// Scalars writes the replicated scalar state into dst, replacing its
+// contents: the routine parameters and every scalar assigned so far.
+func (pr *Program) Scalars(fr *Frame, dst map[string]float64) {
+	clear(dst)
+	for name, v := range pr.Plan.A.Unit.Params {
+		dst[name] = float64(v)
+	}
+	for s, name := range pr.Reals {
+		if fr.Set[s] {
+			dst[name] = fr.Reals[s]
+		}
+	}
+}
+
+// ---------------------------------------------------------------------
+// Expressions
+
+// RealFn evaluates a real expression under a frame, performing the
+// floating-point operations of the source expression in source order.
+type RealFn func(fr *Frame) float64
+
+// Affine is the integer form Const + Σ Coef·Ints[Slot].
+type Affine struct {
+	Const int
+	Terms []Term
+}
+
+// Term is one variable term of an Affine.
+type Term struct{ Slot, Coef int }
+
+// Eval evaluates the form under fr.
+func (a *Affine) Eval(fr *Frame) int {
+	v := a.Const
+	for _, t := range a.Terms {
+		v += t.Coef * fr.Ints[t.Slot]
+	}
+	return v
+}
+
+func (a *Affine) equal(b *Affine) bool {
+	if a.Const != b.Const || len(a.Terms) != len(b.Terms) {
+		return false
+	}
+	for i, t := range a.Terms { // both sorted by slot
+		if t != b.Terms[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// IntExpr is an integer expression: an Affine where lowering could
+// fold it to one, else a general evaluator (Gen != nil) for division,
+// mod, products of variables and names only resolvable at run time.
+type IntExpr struct {
+	Affine
+	Gen func(fr *Frame) int
+}
+
+// Eval evaluates the expression under fr.
+func (e *IntExpr) Eval(fr *Frame) int {
+	if e.Gen != nil {
+		return e.Gen(fr)
+	}
+	return e.Affine.Eval(fr)
+}
+
+// constant reports the value of an expression without variable parts.
+func (e *IntExpr) constant() (int, bool) {
+	return e.Const, e.Gen == nil && len(e.Terms) == 0
+}
+
+// SecExpr is the section of a sectioned reference (a SUM argument),
+// one triplet of integer expressions per dimension.
+type SecExpr struct {
+	Dims []SecDim
+}
+
+// SecDim is one triplet of a SecExpr.
+type SecDim struct{ Lo, Hi, Step IntExpr }
+
+// Eval evaluates the section under fr into dst (len >= rank).
+func (s *SecExpr) Eval(fr *Frame, dst []section.Dim) section.Section {
+	dst = dst[:len(s.Dims)]
+	for i := range s.Dims {
+		d := &s.Dims[i]
+		dst[i] = section.Dim{Lo: d.Lo.Eval(fr), Hi: d.Hi.Eval(fr), Step: d.Step.Eval(fr)}
+	}
+	return section.Section{Dims: dst}
+}
+
+// ArrayRef is an element reference bound to its memory view.
+type ArrayRef struct {
+	Am   *runtime.ArrayMem
+	Pos  source.Pos
+	Subs []IntExpr
+	// off is the flat offset folded to one affine form; it replaces the
+	// per-dimension evaluation and bounds test once hoisted says the
+	// enclosing nest verified the subscript ranges on entry.
+	off     Affine
+	hoisted bool
+}
+
+// Offset evaluates the subscripts under fr and returns the element's
+// flat offset. A subscript outside the declared bounds records an
+// error in fr and yields offset 0.
+func (r *ArrayRef) Offset(fr *Frame) int {
+	if r.hoisted {
+		return r.off.Eval(fr)
+	}
+	arr := r.Am.Arr
+	off := 0
+	for i := range r.Subs {
+		x := r.Subs[i].Eval(fr)
+		if x < arr.Lo[i] || x > arr.Hi[i] {
+			fr.fail(r.rangeError(i, x, x))
+			return 0
+		}
+		off += (x - arr.Lo[i]) * r.Am.Strides[i]
+	}
+	return off
+}
+
+// Index evaluates the subscripts under fr into idx (len >= rank).
+func (r *ArrayRef) Index(fr *Frame, idx []int) []int {
+	idx = idx[:len(r.Subs)]
+	for i := range r.Subs {
+		idx[i] = r.Subs[i].Eval(fr)
+	}
+	return idx
+}
+
+// Owner returns the processor owning the referenced element.
+func (r *ArrayRef) Owner(fr *Frame) int {
+	return r.Am.OwnerInto(r.Index(fr, fr.idx), fr.coords[:r.Am.Dist.Grid.Rank()])
+}
+
+func (r *ArrayRef) rangeError(dim, lo, hi int) error {
+	arr := r.Am.Arr
+	sub := fmt.Sprint(lo)
+	if hi != lo {
+		sub = fmt.Sprintf("%d:%d", lo, hi)
+	}
+	return source.Errorf(r.Pos, "%s: subscript %s of dimension %d outside the declared %d:%d",
+		r.Am.Name, sub, dim+1, arr.Lo[dim], arr.Hi[dim])
+}

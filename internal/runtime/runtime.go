@@ -368,6 +368,79 @@ func (am *ArrayMem) InvalidateRange(off, owner, lo, hi int) {
 	}
 }
 
+// InvalidateBox clears processor p's validity for every element of the
+// box [lo, hi] (inclusive, within the declared bounds) that p does not
+// own: the state p's plane is left in once every element of the box
+// has been written by its owner, whatever the order of the writes.
+// Whole row segments are cleared at once wherever ownership is constant
+// along the last dimension. idx (len >= array rank) and coords (len >=
+// grid rank) are caller scratch.
+func (am *ArrayMem) InvalidateBox(p int, lo, hi, idx, coords []int) {
+	if am.Dist == nil {
+		return
+	}
+	for k := range lo {
+		if lo[k] > hi[k] {
+			return
+		}
+	}
+	d := am.Dist
+	coords = d.Grid.CoordsInto(p, coords)
+	valid := am.Valid[p]
+	last := len(lo) - 1
+	lastKind, lastCoord := d.Dims[last].Kind, 0
+	if lastKind != dist.Star {
+		lastCoord = coords[d.Dims[last].GridDim]
+	}
+	idx = idx[:len(lo)]
+	copy(idx, lo)
+	for {
+		owned := true
+		base := -am.Arr.Lo[last]
+		for k := 0; k < last; k++ {
+			base += (idx[k] - am.Arr.Lo[k]) * am.Strides[k]
+			if dd := d.Dims[k]; owned && dd.Kind != dist.Star {
+				owned = d.OwnerDim(k, idx[k]) == coords[dd.GridDim]
+			}
+		}
+		row := valid[base+lo[last] : base+hi[last]+1]
+		switch {
+		case !owned:
+			clear(row)
+		case lastKind == dist.Block:
+			l, h, ok := d.LocalRange(last, lastCoord)
+			if !ok {
+				clear(row)
+				break
+			}
+			if l > lo[last] {
+				clear(row[:min(l, hi[last]+1)-lo[last]])
+			}
+			if h < hi[last] {
+				clear(row[max(h+1, lo[last])-lo[last]:])
+			}
+		case lastKind == dist.Cyclic:
+			for x := lo[last]; x <= hi[last]; x++ {
+				if d.OwnerDim(last, x) != lastCoord {
+					row[x-lo[last]] = false
+				}
+			}
+		}
+		k := last - 1
+		for k >= 0 {
+			idx[k]++
+			if idx[k] <= hi[k] {
+				break
+			}
+			idx[k] = lo[k]
+			k--
+		}
+		if k < 0 {
+			return
+		}
+	}
+}
+
 func (m *Memory) forEachIndex(arr *sem.Array, f func(idx []int)) {
 	idx := make([]int, arr.Rank())
 	copy(idx, arr.Lo)
@@ -544,7 +617,7 @@ func (m *Memory) ShiftRange(name string, sec section.Section, gridDim, sign, wid
 			if !am.Valid[src][off] {
 				continue
 			}
-			if !m.inExtendedRegion(arr, coordsOf[dst], idx, ad, margin) {
+			if !inExtendedRegion(arr, coordsOf[dst], idx, ad, margin) {
 				continue
 			}
 			// The strip is sent unconditionally — a compiled
@@ -561,17 +634,9 @@ func (m *Memory) ShiftRange(name string, sec section.Section, gridDim, sign, wid
 
 // inExtendedRegion reports whether an element lies within a
 // processor's local block extended by the ghost margin in every
-// distributed dimension other than ad.
-func (m *Memory) inExtendedRegion(arr *sem.Array, coords []int, idx []int, ad, margin int) bool {
-	return InExtendedRegion(arr, coords, idx, ad, margin)
-}
-
-// InExtendedRegion reports whether an element lies within a
-// processor's local block extended by the ghost margin in every
 // distributed dimension other than ad — the receiver-side filter of a
-// ghost exchange, shared by the simulator's ShiftRange and the native
-// backend's pack/unpack (both sides must agree on the element list).
-func InExtendedRegion(arr *sem.Array, coords []int, idx []int, ad, margin int) bool {
+// ghost exchange.
+func inExtendedRegion(arr *sem.Array, coords []int, idx []int, ad, margin int) bool {
 	for k := range arr.Lo {
 		if k == ad || arr.Dist.Dims[k].Kind == 0 {
 			continue

@@ -224,3 +224,60 @@ func TestLedgerAccounting(t *testing.T) {
 		t.Error("component clocks must advance")
 	}
 }
+
+// TestInvalidateBoxMatchesElementwise: clearing a box row-wise leaves a
+// processor's plane exactly as clearing, element by element, every
+// element of the box the processor does not own — for BLOCK, CYCLIC
+// and collapsed dimensions, uneven blocks, processors that own nothing,
+// and boxes that miss the processor's block entirely.
+func TestInvalidateBoxMatchesElementwise(t *testing.T) {
+	for _, tc := range []struct {
+		decl, distribute string
+		n, procs         int
+	}{
+		{"a(n, n)", "(block, block)", 7, 4},
+		{"a(n, n)", "(block, block)", 3, 25},
+		{"a(n, n)", "(cyclic, block)", 9, 4},
+		{"a(n, n)", "(block, cyclic)", 9, 6},
+		{"a(n, n, n)", "(*, block, block)", 5, 4},
+		{"a(n, n)", "(block, *)", 6, 4},
+		{"a(0:n)", "(block)", 10, 4},
+	} {
+		src := "routine m(n)\nreal " + tc.decl + "\n!hpf$ distribute " + tc.distribute + " :: a\nend\n"
+		m := NewMemory(unit(t, src, map[string]int{"n": tc.n}, tc.procs), tc.procs)
+		am := m.View("a")
+		rank := am.Arr.Rank()
+		idx, coords := make([]int, rank), make([]int, am.Dist.Grid.Rank())
+		boxes := [][2][]int{{am.Arr.Lo, am.Arr.Hi}}
+		for _, inset := range []int{1, 2} {
+			lo, hi := make([]int, rank), make([]int, rank)
+			for k := range lo {
+				lo[k], hi[k] = min(am.Arr.Lo[k]+inset, am.Arr.Hi[k]), max(am.Arr.Hi[k]-inset, am.Arr.Lo[k])
+			}
+			boxes = append(boxes, [2][]int{lo, hi})
+		}
+		point := append([]int(nil), am.Arr.Hi...)
+		boxes = append(boxes, [2][]int{point, point})
+		for _, box := range boxes {
+			for p := 0; p < tc.procs; p++ {
+				want := make([]bool, len(am.Valid[p]))
+				for i := range want {
+					want[i], am.Valid[p][i] = true, true
+				}
+				section.Whole(box[0], box[1]).Elems(func(ix []int) bool {
+					if am.OwnerInto(ix, coords) != p {
+						want[am.Offset(ix)] = false
+					}
+					return true
+				})
+				am.InvalidateBox(p, box[0], box[1], idx, coords)
+				for off := range want {
+					if am.Valid[p][off] != want[off] {
+						t.Fatalf("%s %s n=%d P=%d box %v:%v: processor %d offset %d valid=%v, want %v",
+							tc.decl, tc.distribute, tc.n, tc.procs, box[0], box[1], p, off, am.Valid[p][off], want[off])
+					}
+				}
+			}
+		}
+	}
+}

@@ -302,6 +302,21 @@ func (s Section) Clip(lo, hi []int) Section {
 	return s.Intersect(box)
 }
 
+// ClipInto is Clip with the result's dimensions written into dst
+// (len >= rank) instead of allocated; the rank is kept even when the
+// result is empty.
+func (s Section) ClipInto(lo, hi []int, dst []Dim) Section {
+	if len(lo) != len(s.Dims) || len(hi) != len(s.Dims) {
+		panic("section: ClipInto: rank mismatch")
+	}
+	dst = dst[:len(s.Dims)]
+	for i, d := range s.Dims {
+		c, _ := dimIntersect(normDim(d), normDim(Dim{Lo: lo[i], Hi: hi[i], Step: 1}))
+		dst[i] = normDim(c)
+	}
+	return Section{Dims: dst}
+}
+
 // String renders the section in Fortran triplet notation.
 func (s Section) String() string {
 	if len(s.Dims) == 0 {
@@ -334,12 +349,19 @@ func (s Section) String() string {
 // row-major order, calling f for each. f must not retain the slice.
 // Enumeration stops early if f returns false.
 func (s Section) Elems(f func(idx []int) bool) {
+	s.ElemsInto(make([]int, len(s.Dims)), f)
+}
+
+// ElemsInto is Elems with the index vector kept in the caller's buffer
+// (len >= rank), so repeated enumerations allocate nothing. Strides
+// below 1 count as 1 and Hi need not lie on the lattice, as in
+// Normalize.
+func (s Section) ElemsInto(idx []int, f func(idx []int) bool) {
 	if s.IsEmpty() {
 		return
 	}
-	sn := s.Normalize()
-	idx := make([]int, len(sn.Dims))
-	for i, d := range sn.Dims {
+	idx = idx[:len(s.Dims)]
+	for i, d := range s.Dims {
 		idx[i] = d.Lo
 	}
 	for {
@@ -349,11 +371,12 @@ func (s Section) Elems(f func(idx []int) bool) {
 		// Advance the last dimension fastest.
 		k := len(idx) - 1
 		for k >= 0 {
-			idx[k] += sn.Dims[k].Step
-			if idx[k] <= sn.Dims[k].Hi {
+			d := &s.Dims[k]
+			idx[k] += max(d.Step, 1)
+			if idx[k] <= d.Hi {
 				break
 			}
-			idx[k] = sn.Dims[k].Lo
+			idx[k] = d.Lo
 			k--
 		}
 		if k < 0 {

@@ -230,3 +230,44 @@ func TestWholeAndPoint(t *testing.T) {
 		t.Error("whole should not contain out-of-range point")
 	}
 }
+
+// TestIntoVariantsMatch: the scratch-buffer variants enumerate and clip
+// exactly as the allocating ones, in the same order, for strided and
+// unnormalized sections, and allocate nothing.
+func TestIntoVariantsMatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	randDim := func() Dim {
+		return Dim{Lo: rng.Intn(8), Hi: rng.Intn(14), Step: rng.Intn(4)} // Step 0 and off-lattice Hi included
+	}
+	idx, dims := make([]int, 2), make([]Dim, 2)
+	for trial := 0; trial < 500; trial++ {
+		s := New(randDim(), randDim())
+		lo := []int{rng.Intn(6), rng.Intn(6)}
+		hi := []int{lo[0] + rng.Intn(8) - 1, lo[1] + rng.Intn(8) - 1}
+		want := [][2]int{}
+		s.Clip(lo, hi).Elems(func(ix []int) bool {
+			want = append(want, [2]int{ix[0], ix[1]})
+			return true
+		})
+		got := [][2]int{}
+		s.ClipInto(lo, hi, dims).ElemsInto(idx, func(ix []int) bool {
+			got = append(got, [2]int{ix[0], ix[1]})
+			return true
+		})
+		if len(got) != len(want) {
+			t.Fatalf("%v clipped to %v:%v: %d elements, want %d", s, lo, hi, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%v clipped to %v:%v: element %d is %v, want %v", s, lo, hi, i, got[i], want[i])
+			}
+		}
+	}
+	s := New(Dim{1, 20, 3}, Dim{2, 9, 1})
+	n := 0
+	if a := testing.AllocsPerRun(10, func() {
+		s.ClipInto([]int{3, 3}, []int{15, 7}, dims).ElemsInto(idx, func([]int) bool { n++; return true })
+	}); a > 2 { // the two box literals
+		t.Errorf("ClipInto+ElemsInto allocated %v times per run", a)
+	}
+}
