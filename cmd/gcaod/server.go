@@ -356,13 +356,19 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.log.Info("http.compile",
 		obs.F("req", id), obs.F("status", status),
 		obs.F("dur_us", time.Since(t0).Microseconds()))
+	// The flight record is retained before the response is written: a
+	// client may follow its X-Request-Id to /debug/flightrecorder/{id}
+	// the moment it has the body.
 	code := http.StatusOK
 	if err != nil {
-		code = s.writeError(w, id, err)
+		code = httpStatus(err)
+	}
+	s.flightRecord(tr, "/compile", code, err, resp, t0)
+	if err != nil {
+		s.writeError(w, id, err)
 	} else {
 		writeJSON(w, http.StatusOK, resp)
 	}
-	s.flightRecord(tr, "/compile", code, err, resp, t0)
 }
 
 // record absorbs one request's recorder into the registry, retains its
@@ -429,13 +435,12 @@ func httpStatus(err error) int {
 // carries the request id); queue overflows carry a Retry-After derived
 // from the scheduler's drain estimate so well-behaved clients back off
 // proportionally to the actual backlog.
-func (s *server) writeError(w http.ResponseWriter, id string, err error) int {
+func (s *server) writeError(w http.ResponseWriter, id string, err error) {
 	code := httpStatus(err)
 	if code == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
 	}
 	writeJSON(w, code, map[string]string{"req_id": id, "error": err.Error()})
-	return code
 }
 
 // writeErrMsg writes a plain error body carrying the middleware's
