@@ -7,7 +7,7 @@ BENCH_BASELINE ?= BENCH_baseline.json
 # run compare against a real prior revision.
 GAP_HISTORY ?= ci/bench-history.jsonl
 
-.PHONY: all build test vet fmt-check race check benchgate gapreport attr-smoke obs-smoke native-smoke nativeprof-smoke
+.PHONY: all build test vet fmt-check race check bench-build benchgate gapreport attr-smoke obs-smoke native-smoke nativeprof-smoke
 
 all: build
 
@@ -30,7 +30,19 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-check: build vet fmt-check test
+check: build vet fmt-check test bench-build
+
+# bench-build covers what ./... cannot see: the nested benchmark/ module
+# imports internal/plan, internal/spmd and internal/runtime, so it has to
+# keep compiling (and passing its quick tests) when those change. It also
+# holds the import boundary of the one-evaluator design: the execution
+# backends run the lowered program and never the AST — only the analytic
+# estimator (spmd/estimate.go) reads it.
+bench-build:
+	$(GO) vet -C benchmark .
+	$(GO) test -C benchmark -short .
+	@bad="$$(grep -l '"gcao/internal/ast"' internal/native/*.go internal/spmd/*.go | grep -v -e '_test\.go$$' -e '^internal/spmd/estimate\.go$$')"; \
+	if [ -n "$$bad" ]; then echo "bench-build: execution backend imports gcao/internal/ast:"; echo "$$bad"; exit 1; fi
 
 # benchgate compares the analytic benchmark sweep against the baseline,
 # writing one first if none exists (so a fresh checkout self-gates).

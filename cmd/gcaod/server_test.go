@@ -299,6 +299,42 @@ func TestCompileRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestSimulateOutOfRangeSubscriptIs4xx: a program whose simulation
+// reads past an array's declared bounds is the client's mistake — a 4xx
+// carrying the request id and the position — and the daemon serves the
+// next request as if nothing had happened.
+func TestSimulateOutOfRangeSubscriptIs4xx(t *testing.T) {
+	_, ts := testServer(t)
+	const src = "routine r(n)\nreal a(n), b(n)\n!hpf$ distribute (block) :: a, b\n" +
+		"do i = 1, n\na(i) = i\nenddo\ndo i = 1, n\nb(i) = a(i + 5)\nenddo\nend\n"
+	for _, procs := range []int{4, 9} { // single shard, and sharded where cores allow
+		resp, _ := postCompile(t, ts, map[string]any{
+			"source": src, "params": map[string]int{"n": 18}, "procs": procs, "simulate": true,
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("procs=%d: status = %d, want 400", procs, resp.StatusCode)
+		}
+		var body map[string]string
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		if body["req_id"] == "" || body["req_id"] != resp.Header.Get("X-Request-Id") {
+			t.Errorf("procs=%d: req_id %q, header %q", procs, body["req_id"], resp.Header.Get("X-Request-Id"))
+		}
+		for _, want := range []string{"8:8: a: subscript", "outside the declared 1:18"} {
+			if !strings.Contains(body["error"], want) {
+				t.Errorf("procs=%d: error %q lacks %q", procs, body["error"], want)
+			}
+		}
+	}
+	resp, out := postCompile(t, ts, map[string]any{
+		"source": stencilSrc, "params": map[string]int{"n": 8, "steps": 1}, "procs": 4, "simulate": true,
+	})
+	if resp.StatusCode != http.StatusOK || out.Simulate == nil {
+		t.Fatalf("request after the failed ones: status %d, simulate %v", resp.StatusCode, out.Simulate)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	_, ts := testServer(t)
 	resp, err := http.Get(ts.URL + "/healthz")

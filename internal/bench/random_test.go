@@ -11,6 +11,7 @@ import (
 	"gcao/internal/core"
 	"gcao/internal/machine"
 	"gcao/internal/parser"
+	"gcao/internal/refeval"
 	"gcao/internal/sem"
 	"gcao/internal/spmd"
 )
@@ -172,6 +173,16 @@ func TestRandomProgramsEndToEnd(t *testing.T) {
 		seq, err := spmd.Run(seqRes, m, 1)
 		if err != nil {
 			t.Fatalf("seed %d: sequential run: %v\n%s", seed, err, src)
+		}
+		// The single-processor run every version is compared with below
+		// is itself the lowered program: hold it against the independent
+		// reference evaluator, bit for bit.
+		ref, err := refeval.Run(seqA)
+		if err != nil {
+			t.Fatalf("seed %d: reference: %v\n%s", seed, err, src)
+		}
+		if err := ref.Check(seq.Mem, seq.Scalars); err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, src)
 		}
 
 		a, err := compileAt(4)

@@ -14,6 +14,7 @@ import (
 	"gcao/internal/native"
 	"gcao/internal/parser"
 	"gcao/internal/plan"
+	"gcao/internal/refeval"
 	"gcao/internal/runtime"
 	"gcao/internal/sem"
 )
@@ -357,6 +358,19 @@ end
 			}
 			if err := native.VerifyAgainstSimulator(res, machine.SP2(), tc.procs); err != nil {
 				t.Fatal(err)
+			}
+			// Both backends run the same lowered form: agreement between
+			// them says nothing about lowering itself, the reference does.
+			ref, err := refeval.Run(res.Analysis)
+			if err != nil {
+				t.Fatalf("reference: %v", err)
+			}
+			nat, err := native.Run(res, tc.procs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Check(nat.Mem, nat.Scalars); err != nil {
+				t.Error(err)
 			}
 		})
 	}

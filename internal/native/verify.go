@@ -10,10 +10,13 @@ import (
 )
 
 // VerifyAgainstSimulator runs the placement on both backends — the BSP
-// simulator (the reference, per ROADMAP) and the native goroutine
-// engine — and compares the final distributed memory and scalar state
-// bit for bit. The machine model only prices the simulator's ledger;
-// it cannot influence values.
+// simulator and the native goroutine engine — and compares the final
+// distributed memory and scalar state bit for bit. Both run the same
+// lowered program, so this checks the two drivers (data movement,
+// collectives, validity) against each other, not lowering itself: the
+// independent reference for that is package refeval, which the tests
+// hold both backends against. The machine model only prices the
+// simulator's ledger; it cannot influence values.
 func VerifyAgainstSimulator(res *core.Result, m machine.Machine, procs int) error {
 	sim, err := spmd.Run(res, m, procs)
 	if err != nil {

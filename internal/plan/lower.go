@@ -14,10 +14,10 @@ import (
 )
 
 // Lower turns the plan's placed program into its slot-resolved form.
-// Lowering never rejects a program: whatever the AST-walking evaluator
-// reported when an expression was reached (an unbound name, a section
-// where an element is needed, a malformed SUM) the lowered expression
-// reports when it is evaluated.
+// Lowering never rejects a program: what is wrong with an expression
+// (an unbound name, a section where an element is needed, a malformed
+// SUM) the lowered expression reports when, and only if, it is
+// evaluated.
 func Lower(pl *Plan) *Program {
 	u := pl.A.Unit
 	lw := &lowerer{
@@ -96,10 +96,13 @@ func (lw *lowerer) seq(b *cfg.Block) ([]Node, *cfg.Block) {
 			out = appendComm(out, lw.comm(comm[k+1]))
 		}
 		if b.Branch != nil {
-			n := &If{Src: b, Sync: lw.pl.CondSync[b.ID]}
+			n := &If{Src: b}
 			lw.beginExpr()
 			n.Cond = lw.real(b.Branch.Cond)
-			n.Sums = lw.sums
+			n.Sums, n.Sync = lw.sums, len(lw.sums) > 0
+			for _, r := range lw.reads {
+				n.Sync = n.Sync || r.Am.Dist != nil
+			}
 			var join *cfg.Block
 			n.Then, join = lw.seq(b.Succs[0])
 			if b.Succs[1] != join { // an else arm, not the fall-through edge
@@ -128,7 +131,7 @@ func appendComm(out []Node, c *Comm) []Node {
 }
 
 func (lw *lowerer) loop(pre *cfg.Block) *Loop {
-	src := lw.pl.LoopOf[pre.ID]
+	src := pre.Succs[0].Loop // a preheader's first edge enters its loop's header
 	lp := &Loop{
 		Src:  src,
 		Slot: lw.intSlot[src.Var()],
@@ -149,16 +152,25 @@ func (lw *lowerer) loop(pre *cfg.Block) *Loop {
 
 func (lw *lowerer) stmt(st *cfg.Stmt) *Stmt {
 	as := st.Assign
-	out := &Stmt{Src: st, Scalar: -1, Guard: true, loops: append([]*Loop(nil), lw.loops...)}
+	out := &Stmt{Src: st, Flops: CountFlops(as.RHS), Scalar: -1, Guard: true, loops: append([]*Loop(nil), lw.loops...)}
 	lw.beginExpr()
 	out.RHS = lw.real(as.RHS)
 	out.Sums, out.reads = lw.sums, lw.reads
-	if am := lw.pl.Info[st].LHS; am != nil {
+	if am := lw.array(as.LHS.Name); am != nil {
 		out.LHS = lw.arrayRef(as.LHS, am)
 	} else {
 		out.Scalar = lw.realSlot[as.LHS.Name]
 	}
 	return out
+}
+
+// array returns the memory view of a declared array, nil for any other
+// name.
+func (lw *lowerer) array(name string) *runtime.ArrayMem {
+	if lw.pl.A.Unit.Arrays[name] == nil {
+		return nil
+	}
+	return lw.pl.mem.View(name)
 }
 
 func (lw *lowerer) beginExpr() {
@@ -451,7 +463,7 @@ func (lw *lowerer) real(e ast.Expr) RealFn {
 	case *ast.BinExpr:
 		return binary(e, lw.real(e.X), lw.real(e.Y))
 	case *ast.Ref:
-		if am := lw.pl.RefArr[e]; am != nil {
+		if am := lw.array(e.Name); am != nil {
 			return lw.read(e, am)
 		}
 		return lw.scalar(e.Name, e.Pos, false)
@@ -583,7 +595,8 @@ func (lw *lowerer) intrinsic(e *ast.Call) RealFn {
 // sum lowers a SUM call. Over a distributed array it is a collective:
 // the call is appended to the statement's Sums (once per call site) and
 // the expression reads the total the backend left in Frame.Sums. Over a
-// replicated array it scans the shared row in section order.
+// replicated array it scans the shared row in section order and adds the
+// element count to Frame.SumFlops.
 func (lw *lowerer) sum(e *ast.Call) RealFn {
 	if len(e.Args) != 1 {
 		return failReal(source.Errorf(e.Pos, "sum wants 1 argument"))
@@ -592,7 +605,7 @@ func (lw *lowerer) sum(e *ast.Call) RealFn {
 	if !ok {
 		return failReal(source.Errorf(e.Pos, "sum argument must be an array section"))
 	}
-	am := lw.pl.RefArr[ref]
+	am := lw.array(ref.Name)
 	if am == nil {
 		return failReal(source.Errorf(e.Pos, "sum over non-array %q", ref.Name))
 	}
@@ -611,6 +624,7 @@ func (lw *lowerer) sum(e *ast.Call) RealFn {
 		total := 0.0
 		sec.Eval(fr, fr.dims).ElemsInto(fr.idx, func(idx []int) bool {
 			total += am.Data[0][am.Offset(idx)]
+			fr.SumFlops++
 			return true
 		})
 		return total

@@ -1,17 +1,20 @@
-// Package plan precomputes the execution recipe shared by every
-// backend that runs a placed program: the BSP simulator (package spmd)
-// and the native goroutine backend (package native) execute the same
-// communication groups at the same positions and resolve the same
-// array references. Building that index once here keeps the backends'
-// group and control-flow handling logically identical — the bit-for-bit
-// equivalence argument between them starts with "both executed the
-// same Plan".
+// Package plan holds the one executable form of a placed program and
+// the only evaluator of it. New indexes a placement over a memory image
+// (communication groups by position, payload bounds, the collective
+// tree); Lower turns that Plan into a Program: the slot-resolved,
+// structured form in which every name is a frame slot, every array
+// reference is bound to its memory view, every communication position
+// and SUM collective is an explicit operation, and owner-computes nests
+// carry per-processor loop bounds (see program.go, lower.go,
+// localize.go).
 //
-// Lower turns a Plan into a Program: the slot-resolved, structured form
-// of the placed program that a backend executes without touching the
-// AST, with per-processor loop bounds for owner-computes nests (see
-// program.go, lower.go, localize.go). The native backend runs it; the
-// simulator still walks the AST against the Plan.
+// Both backends — the BSP simulator (package spmd) and the native
+// goroutine backend (package native) — are drivers over that Program.
+// How a placed statement is evaluated (name resolution, subscript
+// folding, bounds checks, floating-point operation order, SUM call
+// sites, loop-exit values) is decided here and nowhere else; a backend
+// knows only what it adds: the simulator its rendezvous and ledger
+// charges, the native backend its message fabric.
 //
 // A Plan is immutable after New, a Program after Lower; both are safe
 // for concurrent readers.
@@ -20,32 +23,13 @@ package plan
 import (
 	"gcao/internal/asd"
 	"gcao/internal/ast"
-	"gcao/internal/cfg"
 	"gcao/internal/core"
 	"gcao/internal/runtime"
-	"gcao/internal/section"
 )
 
-// StmtInfo is the precomputed execution recipe of one statement.
-type StmtInfo struct {
-	// Flops counts the statement's floating-point operations (see
-	// CountFlops).
-	Flops int
-	// LHS is the resolved LHS array view, nil for scalar targets.
-	LHS *runtime.ArrayMem
-	// Sync marks statements that need cross-processor agreement before
-	// the store: a replicated-array store (single shared row) or a SUM
-	// over a distributed array (reads owner rows across processors).
-	Sync bool
-	// HasSum marks statements whose RHS contains any SUM, so
-	// per-statement reduction memos are reset before evaluation.
-	HasSum bool
-}
-
-// Plan is the immutable per-run precomputation: communication groups
-// indexed by block and statement position (instead of a map keyed by
-// core.Position), per-statement recipes, resolved array views per AST
-// reference, and the rendezvous requirements of branch conditions.
+// Plan is the immutable per-run index of one placement over one memory
+// image: what Lower reads and what the backends need beside the lowered
+// form.
 type Plan struct {
 	A   *core.Analysis
 	Res *core.Result
@@ -53,15 +37,6 @@ type Plan struct {
 	// block b (index 0 is the block-top position After=-1), in
 	// Res.Groups order.
 	Comm [][][]*core.Group
-	Info map[*cfg.Stmt]*StmtInfo
-	// RefArr resolves array references to their memory views; scalar
-	// references are absent.
-	RefArr map[*ast.Ref]*runtime.ArrayMem
-	// CondSync[b.ID] marks branch conditions that read distributed
-	// data and therefore need cross-processor agreement on the taken
-	// edge.
-	CondSync []bool
-	LoopOf   []*cfg.Loop // by preheader block ID
 	// Tree is the binomial collective schedule for the run's processor
 	// count: broadcasts, gathers, reductions and barriers follow its
 	// parent/child edges for a log-P critical path.
@@ -72,8 +47,8 @@ type Plan struct {
 	// The bound uses the symbolic section's constant element count when
 	// it has one and degrades to the full declared array size otherwise.
 	Bound map[*core.Group]int
-	// symSec caches each placed entry's expanded symbolic section at
-	// its group's level (see New); ConcreteEntrySection reads it.
+	// symSec holds each placed entry's expanded symbolic section at its
+	// group's level, for Lower.
 	symSec map[*core.Entry]asd.SymSection
 	mem    *runtime.Memory
 }
@@ -82,47 +57,13 @@ type Plan struct {
 func New(res *core.Result, mem *runtime.Memory) *Plan {
 	a := res.Analysis
 	pl := &Plan{A: a, Res: res, mem: mem}
-	n := len(a.G.Blocks)
-	pl.Comm = make([][][]*core.Group, n)
+	pl.Comm = make([][][]*core.Group, len(a.G.Blocks))
 	for _, b := range a.G.Blocks {
 		pl.Comm[b.ID] = make([][]*core.Group, len(b.Stmts)+1)
 	}
 	for _, g := range res.Groups {
 		b := g.Pos.Block
 		pl.Comm[b.ID][g.Pos.After+1] = append(pl.Comm[b.ID][g.Pos.After+1], g)
-	}
-	pl.Info = make(map[*cfg.Stmt]*StmtInfo, len(a.G.Stmts))
-	pl.RefArr = map[*ast.Ref]*runtime.ArrayMem{}
-	resolve := func(e ast.Expr) {
-		WalkRefs(e, func(r *ast.Ref) {
-			if a.Unit.Arrays[r.Name] != nil {
-				pl.RefArr[r] = mem.View(r.Name)
-			}
-		})
-	}
-	for _, st := range a.G.Stmts {
-		si := &StmtInfo{Flops: CountFlops(st.Assign.RHS)}
-		if arr := a.Unit.Arrays[st.Assign.LHS.Name]; arr != nil {
-			si.LHS = mem.View(st.Assign.LHS.Name)
-		}
-		si.HasSum = ExprHasSum(st.Assign.RHS)
-		si.Sync = (si.LHS != nil && si.LHS.Dist == nil) ||
-			ExprHasDistributedSum(a, st.Assign.RHS)
-		pl.Info[st] = si
-		resolve(st.Assign.RHS)
-	}
-	pl.CondSync = make([]bool, n)
-	pl.LoopOf = make([]*cfg.Loop, n)
-	for _, b := range a.G.Blocks {
-		if b.Branch != nil {
-			pl.CondSync[b.ID] = ExprReadsDistributed(a, b.Branch.Cond)
-			resolve(b.Branch.Cond)
-		}
-	}
-	for _, l := range a.G.Loops {
-		if l.PreHeader != nil {
-			pl.LoopOf[l.PreHeader.ID] = l
-		}
 	}
 	pl.Tree = BuildTree(mem.P)
 	pl.Bound = make(map[*core.Group]int, len(res.Groups))
@@ -134,8 +75,7 @@ func New(res *core.Result, mem *runtime.Memory) *Plan {
 			// dependence forms and is by far the most allocation-heavy
 			// step of entry concretization; it depends only on the
 			// entry and its group's placement level, so it is done
-			// exactly once here and the executors concretize from the
-			// cache.
+			// exactly once here.
 			sym := res.CommSection(e, g.Pos.Level())
 			pl.symSec[e] = sym
 			total += pl.entryBound(sym, a.Unit.Arrays[e.Array].Size())
@@ -251,88 +191,6 @@ func (t *Tree) Depth() int {
 	return max
 }
 
-// WalkRefs visits every array/scalar reference of an expression,
-// including references nested in subscript and section bounds.
-func WalkRefs(e ast.Expr, f func(*ast.Ref)) {
-	switch e := e.(type) {
-	case *ast.UnaryExpr:
-		WalkRefs(e.X, f)
-	case *ast.BinExpr:
-		WalkRefs(e.X, f)
-		WalkRefs(e.Y, f)
-	case *ast.Call:
-		for _, a := range e.Args {
-			WalkRefs(a, f)
-		}
-	case *ast.Ref:
-		f(e)
-		for _, sub := range e.Subs {
-			for _, x := range []ast.Expr{sub.X, sub.Lo, sub.Hi, sub.Step} {
-				if x != nil {
-					WalkRefs(x, f)
-				}
-			}
-		}
-	}
-}
-
-// WalkCalls visits every intrinsic call of an expression in evaluation
-// order (a call before its arguments).
-func WalkCalls(e ast.Expr, f func(*ast.Call)) {
-	switch e := e.(type) {
-	case *ast.UnaryExpr:
-		WalkCalls(e.X, f)
-	case *ast.BinExpr:
-		WalkCalls(e.X, f)
-		WalkCalls(e.Y, f)
-	case *ast.Call:
-		f(e)
-		for _, a := range e.Args {
-			WalkCalls(a, f)
-		}
-	}
-}
-
-// ExprHasSum reports whether the expression contains any SUM call.
-func ExprHasSum(e ast.Expr) bool {
-	found := false
-	WalkCalls(e, func(c *ast.Call) {
-		if c.Func == "sum" {
-			found = true
-		}
-	})
-	return found
-}
-
-// ExprHasDistributedSum reports whether the expression sums a
-// distributed array (the case that needs a cross-processor combine).
-func ExprHasDistributedSum(a *core.Analysis, e ast.Expr) bool {
-	found := false
-	WalkCalls(e, func(c *ast.Call) {
-		if c.Func != "sum" || len(c.Args) != 1 {
-			return
-		}
-		if ref, ok := c.Args[0].(*ast.Ref); ok {
-			if arr := a.Unit.Arrays[ref.Name]; arr != nil && arr.Dist != nil {
-				found = true
-			}
-		}
-	})
-	return found
-}
-
-// ExprReadsDistributed reports whether the expression references any
-// distributed array.
-func ExprReadsDistributed(a *core.Analysis, e ast.Expr) bool {
-	found := false
-	WalkRefs(e, func(r *ast.Ref) {
-		if arr := a.Unit.Arrays[r.Name]; arr != nil && arr.Dist != nil {
-			found = true
-		}
-	})
-	return found
-}
-
 // CountFlops counts the floating-point operations of an expression,
 // excluding integer subscript arithmetic (which compiled code strength-
 // reduces away).
@@ -351,66 +209,4 @@ func CountFlops(e ast.Expr) int {
 	default:
 		return 0 // literals, scalars, array refs (subscripts excluded)
 	}
-}
-
-// ConcreteRefSection resolves a (possibly sectioned) reference to a
-// concrete section under a loop environment.
-func (pl *Plan) ConcreteRefSection(ref *ast.Ref, am *runtime.ArrayMem, ienv map[string]int) (sec section.Section, err error) {
-	arr := am.Arr
-	dims := make([]section.Dim, arr.Rank())
-	if len(ref.Subs) == 0 {
-		for i := range dims {
-			dims[i] = section.Dim{Lo: arr.Lo[i], Hi: arr.Hi[i], Step: 1}
-		}
-		return section.Section{Dims: dims}, nil
-	}
-	for i, sub := range ref.Subs {
-		if sub.Kind == ast.SubExpr {
-			x, err := pl.A.Unit.EvalIntEnv(sub.X, ienv)
-			if err != nil {
-				return section.Section{}, err
-			}
-			dims[i] = section.Dim{Lo: x, Hi: x, Step: 1}
-			continue
-		}
-		lo, hi, step := arr.Lo[i], arr.Hi[i], 1
-		if sub.Lo != nil {
-			if lo, err = pl.A.Unit.EvalIntEnv(sub.Lo, ienv); err != nil {
-				return section.Section{}, err
-			}
-		}
-		if sub.Hi != nil {
-			if hi, err = pl.A.Unit.EvalIntEnv(sub.Hi, ienv); err != nil {
-				return section.Section{}, err
-			}
-		}
-		if sub.Step != nil {
-			if step, err = pl.A.Unit.EvalIntEnv(sub.Step, ienv); err != nil {
-				return section.Section{}, err
-			}
-		}
-		dims[i] = section.Dim{Lo: lo, Hi: hi, Step: step}
-	}
-	return section.Section{Dims: dims}, nil
-}
-
-// ConcreteEntrySection concretizes one group entry's communicated
-// section under a loop environment, clipped to the declared array
-// bounds (vectorized subscript ranges like i-1 over i=2..n already
-// stay inside, but defensive clipping keeps hulls in range).
-func (pl *Plan) ConcreteEntrySection(e *core.Entry, pos core.Position, ienv map[string]int) (section.Section, bool) {
-	// The symbolic section was expanded once at plan time (see New);
-	// Concrete only reads the environment (lin.Form.Eval is pure), so
-	// the caller's loop environment is passed through without the
-	// per-call copy this hot path used to allocate.
-	sym, ok := pl.symSec[e]
-	if !ok {
-		sym = pl.Res.CommSection(e, pos.Level())
-	}
-	sec, ok := sym.Concrete(ienv)
-	if !ok {
-		return section.Section{}, false
-	}
-	arr := pl.A.Unit.Arrays[e.Array]
-	return sec.Clip(arr.Lo, arr.Hi), true
 }

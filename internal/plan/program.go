@@ -98,9 +98,12 @@ func (e *EntrySec) Concrete(fr *Frame, dst []section.Dim) (sec section.Section, 
 // stores: into Frame.Reals[Scalar] when LHS is nil, else into the
 // array element — on the owner only; Guard tells whether ownership
 // still has to be tested per execution or the enclosing loop bounds
-// already restrict the executing processor to elements it owns.
+// already restrict the executing processor to elements it owns. Flops
+// is the right-hand side's CountFlops, what one evaluation costs beside
+// its SUM shares.
 type Stmt struct {
 	Src    *cfg.Stmt
+	Flops  int
 	Sums   []Sum
 	RHS    RealFn
 	LHS    *ArrayRef
@@ -204,6 +207,10 @@ type Frame struct {
 	// Sums holds the totals of the executing statement's (or
 	// condition's) distributed SUMs, in Stmt.Sums order.
 	Sums []float64
+	// SumFlops counts the elements added up by SUMs over replicated
+	// arrays, which evaluate inline. Only a driver that charges flops
+	// reads it, and resets it around each evaluation.
+	SumFlops int
 	// Err is the first error an evaluation hit. Evaluation methods
 	// return a zero in its place and keep going; the caller checks Err
 	// before using a value.

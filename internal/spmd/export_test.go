@@ -1,0 +1,44 @@
+package spmd
+
+// UnitPrograms hands the unit tests' programs to the external test
+// package, which checks them against the reference evaluator.
+var UnitPrograms = []struct {
+	Name, Src string
+	Params    map[string]int
+	Procs     int
+}{
+	{"stencil", stencilSrc, map[string]int{"n": 10, "steps": 2}, 4},
+	{"reduce", reduceSrc, map[string]int{"n": 8}, 4},
+	{"branch", branchSrc, map[string]int{"n": 8}, 4},
+	{"zero-trip", zeroTripSrc, map[string]int{"n": 8}, 4},
+	{"negative-step", negStepSrc, map[string]int{"n": 9}, 2},
+	{"replicated-intrinsics", replicatedSrc, map[string]int{"n": 8}, 4},
+	{"variable-after-strided-loop", afterLoopSrc, map[string]int{"n": 9}, 4},
+	{"mini-gravity", miniGravitySrc, map[string]int{"nx": 6, "ny": 13, "nz": 13, "steps": 3}, 16},
+}
+
+// afterLoopSrc reads loop variables after strided loops whose last
+// iteration stops short of the bound, and after a zero-trip loop.
+const afterLoopSrc = `
+routine la(n)
+real a(n)
+real x, y, z
+integer i, j
+!hpf$ distribute (block) :: a
+do i = 1, n
+a(i) = 0
+enddo
+do i = 1, n, 3
+a(i) = i
+enddo
+x = i
+do j = n, 2, -4
+a(j) = j + x
+enddo
+y = j
+do i = 5, 4
+a(i) = 99
+enddo
+z = i
+end
+`

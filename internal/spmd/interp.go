@@ -1,14 +1,18 @@
 // Package spmd executes compiled programs on the simulated
 // distributed-memory machine. It provides two engines:
 //
-//   - Run, a functional bulk-synchronous interpreter that executes the
-//     scalarized program elementwise over per-processor memories with
-//     validity tracking. It proves a communication placement correct
+//   - Run, a functional bulk-synchronous simulator: a driver over the
+//     lowered program of package plan (the same form the native backend
+//     runs) that executes it elementwise over per-processor memories
+//     with validity tracking. It proves a communication placement correct
 //     (a stale read aborts the run) and produces exact per-processor
-//     time and message statistics under the machine cost model. The
-//     per-processor loops are sharded over a pool of worker goroutines
-//     on contiguous processor ranges (see parallel.go); results are
-//     bit-identical to a single-shard run regardless of worker count.
+//     time and message statistics under the machine cost model. What the
+//     driver adds to the lowered form is what makes it a simulator: the
+//     rendezvous of its worker shards, evaluation of replicated work on
+//     every processor of a shard's range, and the ledger charges. The
+//     processors are sharded over a pool of worker goroutines on
+//     contiguous ranges (see parallel.go); results are bit-identical to
+//     a single-shard run regardless of worker count.
 //
 //   - Estimate, an analytic walker that computes the same per-processor
 //     CPU/network time split without touching data, so the paper's
@@ -24,18 +28,11 @@ import (
 	"fmt"
 	"math"
 
-	"gcao/internal/ast"
-	"gcao/internal/cfg"
 	"gcao/internal/obs"
 	"gcao/internal/plan"
 	"gcao/internal/runtime"
 	"gcao/internal/section"
-)
-
-// Local aliases keep the evaluator readable.
-type (
-	sectionT    = section.Section
-	sectionDimT = section.Dim
+	"gcao/internal/source"
 )
 
 // RunResult is the outcome of a functional simulation.
@@ -45,196 +42,243 @@ type RunResult struct {
 	Scalars map[string]float64
 }
 
+// differ reports whether two replicated values disagree (NaN agrees
+// with NaN).
+func differ(a, b float64) bool {
+	return a != b && !(math.IsNaN(a) && math.IsNaN(b))
+}
+
 // ---------------------------------------------------------------------
 // shard: one worker's view of the run
 
-// frame is one loop's iteration state (replicated per shard).
-type frame struct {
-	lo, hi, step, cur int
-}
-
-// sumEntry memoizes one SUM call's value within a single statement
-// execution: the total is processor-independent, only the flop share
-// differs, so each shard computes the section scan once per statement
-// instead of once per processor.
-type sumEntry struct {
-	total  float64
-	counts []int // per-processor owned element counts; nil if replicated
-	n      int   // element count for replicated sums
-}
-
 // shard executes the full control flow for the contiguous processor
-// range [lo, hi). All integer bookkeeping (loop frames, scalar
-// environment) is replicated per shard; memory and ledger writes stay
+// range [lo, hi). The control state (loop variables, scalars) is
+// replicated per shard in one frame; memory and ledger writes stay
 // inside the range except at phaser rendezvous points.
 type shard struct {
-	eng     *engine
-	idx     int
-	lo, hi  int
-	ienv    map[string]int
-	scalars map[string]float64
-	frames  map[*cfg.Loop]*frame
-	led     *runtime.LedgerView
+	eng    *engine
+	idx    int
+	lo, hi int
+	// fr is the shard's program state. fr.P, the processor whose view an
+	// evaluation takes, moves over the range.
+	fr *plan.Frame
+	// at is the source position of the construct being executed, for
+	// positioning errors.
+	at source.Pos
+	// nest is set while the shard runs a pure owner-computes nest, one
+	// processor of its range at a time.
+	nest bool
+	led  *runtime.LedgerView
 	// prof is the shard's scratch pair matrix, merged into the master
 	// profile at each superstep rendezvous (nil when unprofiled).
-	prof    *obs.CommProfile
-	sumMemo map[*ast.Call]sumEntry
-	coords  []int // grid-coordinate scratch for owner computations
+	prof *obs.CommProfile
+	// sumCounts[i] is, per processor, how many elements of the executing
+	// statement's i-th distributed SUM the processor owns: its share of
+	// the reduction's flops.
+	sumCounts [][]int
+	dims      []section.Dim // SUM section scratch
 }
 
-func (sh *shard) run() error {
-	cur := sh.eng.pl.A.G.EntryBlock
-	var prev *cfg.Block
-	for cur != nil {
-		next, err := sh.execBlock(cur, prev)
+// evalErr returns the frame's pending evaluation error, positioned.
+func (sh *shard) evalErr() error {
+	return fmt.Errorf("spmd: processor %d at %s: %w", sh.fr.P, sh.at, sh.fr.Err)
+}
+
+// exec drives the lowered program. Every shard takes the same walk, so
+// all of them reach the same rendezvous in the same order.
+func (sh *shard) exec(nodes []plan.Node) error {
+	for _, n := range nodes {
+		var err error
+		switch n := n.(type) {
+		case *plan.Stmt:
+			err = sh.execStmt(n)
+		case *plan.Loop:
+			err = sh.execLoop(n)
+		case *plan.Comm:
+			err = sh.execComm(n)
+		case *plan.If:
+			err = sh.execIf(n)
+		}
 		if err != nil {
 			return err
 		}
-		prev, cur = cur, next
 	}
 	return nil
 }
 
-func (sh *shard) execBlock(b *cfg.Block, prev *cfg.Block) (*cfg.Block, error) {
-	pl := sh.eng.pl
-	switch b.Kind {
-	case cfg.Header:
-		loop := b.Loop
-		fr := sh.frames[loop]
-		if prev == loop.PreHeader {
-			fr.cur = fr.lo
-		} else {
-			fr.cur += fr.step
-		}
-		sh.ienv[loop.Var()] = fr.cur
-		cont := fr.cur <= fr.hi
-		if fr.step < 0 {
-			cont = fr.cur >= fr.hi
-		}
-		if !cont {
-			return b.Succs[1], nil // postexit
-		}
-		// Communication placed at the loop header executes once per
-		// iteration, after the φ point.
-		if err := sh.execComm(pl.Comm[b.ID][0]); err != nil {
-			return nil, err
-		}
-		return b.Succs[0], nil
-
-	case cfg.PreHeader:
-		loop := pl.LoopOf[b.ID]
-		if loop == nil {
-			panic("spmd: preheader without loop")
-		}
-		if err := sh.execComm(pl.Comm[b.ID][0]); err != nil {
-			return nil, err
-		}
-		lo, err1 := sh.evalInt(loop.Do.Lo)
-		hi, err2 := sh.evalInt(loop.Do.Hi)
-		if err1 != nil {
-			return nil, err1
-		}
-		if err2 != nil {
-			return nil, err2
-		}
-		step := 1
-		if loop.Do.Step != nil {
-			s, err := sh.evalInt(loop.Do.Step)
-			if err != nil {
-				return nil, err
-			}
-			if s == 0 {
-				return nil, fmt.Errorf("spmd: zero loop step at %s", loop.Do.Pos)
-			}
-			step = s
-		}
-		sh.frames[loop] = &frame{lo: lo, hi: hi, step: step}
-		empty := lo > hi
-		if step < 0 {
-			empty = lo < hi
-		}
-		if empty {
-			return b.Succs[1], nil // zero-trip edge
-		}
-		return b.Succs[0], nil
-
-	default:
-		if err := sh.execComm(pl.Comm[b.ID][0]); err != nil {
-			return nil, err
-		}
-		for k, st := range b.Stmts {
-			if err := sh.execStmt(st); err != nil {
-				return nil, err
-			}
-			if err := sh.execComm(pl.Comm[b.ID][k+1]); err != nil {
-				return nil, err
-			}
-		}
-		if b.Branch != nil {
-			v, err := sh.evalCond(b)
-			if err != nil {
-				return nil, err
-			}
-			// Every processor evaluates the replicated condition.
-			for p := sh.lo; p < sh.hi; p++ {
-				sh.led.Compute(p, 1)
-			}
-			if v {
-				return b.Succs[0], nil
-			}
-			return b.Succs[1], nil
-		}
-		if len(b.Succs) == 0 {
-			return nil, nil
-		}
-		return b.Succs[0], nil
+// execLoop runs a loop. Nothing in a pure owner-computes nest
+// synchronizes or is seen by another processor before the nest ends, so
+// the shard runs such a nest whole for one processor of its range after
+// the other — each under its own loop bounds, as the native backend's
+// processors do — instead of testing ownership per element for all of
+// them at once.
+func (sh *shard) execLoop(lp *plan.Loop) error {
+	if err := sh.execComm(lp.Pre); err != nil {
+		return err
 	}
+	if lp.Nest == nil {
+		return sh.iterate(lp)
+	}
+	sh.nest = true
+	for p := sh.lo; p < sh.hi; p++ {
+		sh.fr.P = p
+		if err := sh.iterate(lp); err != nil {
+			return err
+		}
+	}
+	sh.nest = false
+	return nil
+}
+
+// iterate runs the iterations of a loop that fall to fr.P (all of them
+// outside a nest). On the root of a nest the subscript ranges are
+// verified once on entry and the processor's validity plane is settled
+// once on exit.
+func (sh *shard) iterate(lp *plan.Loop) error {
+	fr := sh.fr
+	sh.at = lp.Src.Do.Pos
+	first, last, step, exit, run := lp.Begin(fr)
+	if run && lp.Nest != nil {
+		lp.Nest.Enter(fr)
+	}
+	if fr.Err != nil {
+		return sh.evalErr()
+	}
+	if !run {
+		return nil
+	}
+	for v := first; (step > 0 && v <= last) || (step < 0 && v >= last); v += step {
+		fr.Ints[lp.Slot] = v
+		// Communication placed at the loop header executes once per
+		// iteration, before the body.
+		if err := sh.execComm(lp.Head); err != nil {
+			return err
+		}
+		if err := sh.exec(lp.Body); err != nil {
+			return err
+		}
+	}
+	fr.Ints[lp.Slot] = exit
+	if lp.Nest != nil {
+		lp.Nest.Leave(fr)
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------
 // statement execution
 
-func (sh *shard) execStmt(st *cfg.Stmt) error {
-	si := sh.eng.pl.Info[st]
-	if si.HasSum {
-		clear(sh.sumMemo)
+// eval evaluates a statement's right-hand side from processor p's view
+// and returns the value with what the evaluation costs p: the
+// statement's own flops, one per element p owns of each distributed SUM
+// (its partial sum), and one per element of every SUM evaluated inline.
+// The caller checks the frame's error.
+func (sh *shard) eval(p int, st *plan.Stmt) (v float64, flops int) {
+	fr := sh.fr
+	fr.P, fr.SumFlops = p, 0
+	v = st.RHS(fr)
+	flops = st.Flops + fr.SumFlops
+	for i := range st.Sums {
+		flops += sh.sumCounts[i][p]
 	}
-	if si.Sync {
-		return sh.execSyncStmt(st, si)
-	}
-	as := st.Assign
+	return v, flops
+}
 
-	if si.LHS == nil {
+// evalRange evaluates a replicated statement on each processor of the
+// shard's range, verifying intra-shard agreement and charging each
+// processor.
+func (sh *shard) evalRange(st *plan.Stmt) (float64, error) {
+	var v0 float64
+	for p := sh.lo; p < sh.hi; p++ {
+		v, flops := sh.eval(p, st)
+		if sh.fr.Err != nil {
+			return 0, sh.evalErr()
+		}
+		if p == sh.lo {
+			v0 = v
+		} else if differ(v, v0) {
+			return 0, fmt.Errorf("spmd: replicated computation diverged: %g vs %g", v0, v)
+		}
+		sh.led.Compute(p, flops)
+	}
+	return v0, nil
+}
+
+// runSums computes the distributed SUMs of a statement or condition
+// from the owners' values — once for the shard's whole range, the total
+// does not depend on the processor — leaving the totals where the
+// expression reads them. Only called while every shard is quiescent.
+func (sh *shard) runSums(sums []plan.Sum) {
+	for i := range sums {
+		sec := sums[i].Sec.Eval(sh.fr, sh.dims)
+		if sh.fr.Err != nil {
+			return
+		}
+		sh.fr.Sums[i], sh.sumCounts[i] = sh.eng.mem.SumSection(sums[i].Am.Name, sec)
+	}
+}
+
+func (sh *shard) execStmt(st *plan.Stmt) error {
+	fr := sh.fr
+	sh.at = st.Src.Assign.Pos
+	if sh.nest {
+		return sh.execOwn(st)
+	}
+	if len(st.Sums) > 0 || (st.LHS != nil && st.LHS.Am.Dist == nil) {
+		return sh.execSyncStmt(st)
+	}
+
+	if st.LHS == nil {
 		// Scalar target: every processor computes the replicated value;
 		// this shard evaluates its range (the value is processor-
 		// independent, cross-shard agreement is checked at the next
 		// rendezvous).
-		v, err := sh.evalRange(as.RHS, si.Flops)
+		v, err := sh.evalRange(st)
 		if err != nil {
 			return err
 		}
-		sh.scalars[as.LHS.Name] = v
+		fr.Reals[st.Scalar], fr.Set[st.Scalar] = v, true
 		return nil
 	}
 
-	// Owner-computes on a distributed array (replicated-array stores
-	// are sync statements).
-	idx, err := sh.lhsIndex(as)
-	if err != nil {
-		return err
+	// Owner-computes on a distributed array: the owner, if it is in the
+	// range, evaluates and stores; every other processor of the range
+	// loses its copy.
+	am := st.LHS.Am
+	off := st.LHS.Offset(fr)
+	if fr.Err != nil {
+		return sh.evalErr()
 	}
-	am := si.LHS
-	off := am.Offset(idx)
-	owner := sh.ownerOf(am, idx)
+	owner := st.LHS.Owner(fr)
 	if owner >= sh.lo && owner < sh.hi {
-		v, extra, err := sh.evalOn(owner, as.RHS)
-		if err != nil {
-			return err
+		v, flops := sh.eval(owner, st)
+		if fr.Err != nil {
+			return sh.evalErr()
 		}
 		am.StoreOwner(off, owner, v)
-		sh.led.Compute(owner, si.Flops+extra)
+		sh.led.Compute(owner, flops)
 	}
 	am.InvalidateRange(off, owner, sh.lo, sh.hi)
+	return nil
+}
+
+// execOwn executes a statement of a pure nest for processor fr.P
+// alone. An unguarded statement runs only on iterations the processor
+// owns; the nest's exit settles the validity of everything it skipped.
+func (sh *shard) execOwn(st *plan.Stmt) error {
+	fr := sh.fr
+	p, am := fr.P, st.LHS.Am
+	off := st.LHS.Offset(fr)
+	if st.Guard && st.LHS.Owner(fr) != p {
+		am.Valid[p][off] = false
+		return nil
+	}
+	v, flops := sh.eval(p, st)
+	if fr.Err != nil {
+		return sh.evalErr()
+	}
+	am.StoreOwner(off, p, v)
+	sh.led.Compute(p, flops)
 	return nil
 }
 
@@ -242,60 +286,51 @@ func (sh *shard) execStmt(st *cfg.Stmt) error {
 // its RHS sums a distributed array (reading owner rows across shard
 // ranges, so all shards must quiesce first) or its LHS is a
 // replicated array (single shared row, written once by the leader).
-func (sh *shard) execSyncStmt(st *cfg.Stmt, si *plan.StmtInfo) error {
-	eng := sh.eng
-	as := st.Assign
+func (sh *shard) execSyncStmt(st *plan.Stmt) error {
+	eng, fr := sh.eng, sh.fr
 
 	// Rendezvous 1: quiesce. After this point no shard mutates memory
 	// until rendezvous 2, so cross-range owner reads are safe.
-	if err := eng.ph.await(token{kind: tkStmtA, a: st.ID}, nil); err != nil {
+	if err := eng.ph.await(token{kind: tkStmtA, a: st.Src.ID}, nil); err != nil {
 		return err
 	}
 
-	var idx []int
-	var off, owner int
-	var serr error
-	eng.syncHas[sh.idx] = false
-	if si.LHS != nil {
-		idx, serr = sh.lhsIndex(as)
-		if serr == nil && si.LHS.Dist != nil {
-			off = si.LHS.Offset(idx)
-			owner = sh.ownerOf(si.LHS, idx)
-		} else if serr == nil {
-			off = si.LHS.Offset(idx)
-		}
+	var (
+		off, owner int
+		v          float64
+		has        bool
+		serr       error
+	)
+	if st.LHS != nil {
+		off = st.LHS.Offset(fr)
 	}
-	if serr == nil {
-		switch {
-		case si.LHS != nil && si.LHS.Dist != nil:
-			// Owner-computes: only the owner's shard evaluates.
-			if owner >= sh.lo && owner < sh.hi {
-				v, extra, err := sh.evalOn(owner, as.RHS)
-				if err != nil {
-					serr = err
-				} else {
-					eng.syncVals[sh.idx] = v
-					eng.syncHas[sh.idx] = true
-					sh.led.Compute(owner, si.Flops+extra)
-				}
-			}
-		default:
-			// Scalar or replicated-array target: the value is
-			// replicated; this shard evaluates and charges its range.
-			v, err := sh.evalRange(as.RHS, si.Flops)
-			if err != nil {
-				serr = err
+	switch {
+	case fr.Err != nil:
+		serr = sh.evalErr()
+	case st.LHS != nil && st.LHS.Am.Dist != nil:
+		// Owner-computes: only the owner's shard evaluates.
+		if owner = st.LHS.Owner(fr); owner >= sh.lo && owner < sh.hi {
+			sh.runSums(st.Sums)
+			var flops int
+			v, flops = sh.eval(owner, st)
+			if has = fr.Err == nil; has {
+				sh.led.Compute(owner, flops)
 			} else {
-				eng.syncVals[sh.idx] = v
-				eng.syncHas[sh.idx] = true
+				serr = sh.evalErr()
 			}
 		}
+	default:
+		// Scalar or replicated-array target: the value is replicated;
+		// this shard evaluates and charges its range.
+		sh.runSums(st.Sums)
+		v, serr = sh.evalRange(st)
+		has = serr == nil
 	}
-	eng.shardErrs[sh.idx] = serr
+	eng.syncVals[sh.idx], eng.syncHas[sh.idx], eng.shardErrs[sh.idx] = v, has, serr
 
 	// Rendezvous 2: the leader validates agreement and performs the
 	// single shared write.
-	err := eng.ph.await(token{kind: tkStmtB, a: st.ID}, func() error {
+	err := eng.ph.await(token{kind: tkStmtB, a: st.Src.ID}, func() error {
 		if err := eng.firstShardError(); err != nil {
 			return err
 		}
@@ -305,264 +340,68 @@ func (sh *shard) execSyncStmt(st *cfg.Stmt, si *plan.StmtInfo) error {
 			if !has {
 				continue
 			}
-			v := eng.syncVals[i]
-			if !have {
+			if v := eng.syncVals[i]; !have {
 				v0, have = v, true
-			} else if v != v0 && !(math.IsNaN(v) && math.IsNaN(v0)) {
+			} else if differ(v, v0) {
 				return fmt.Errorf("spmd: replicated computation diverged: %g vs %g", v0, v)
 			}
 		}
-		if si.LHS != nil && !have {
-			return fmt.Errorf("spmd: no shard computed %s", as.LHS.Name)
-		}
 		eng.syncResult = v0
-		if si.LHS != nil && si.LHS.Dist != nil {
-			si.LHS.StoreOwner(off, owner, v0)
-		} else if si.LHS != nil {
-			si.LHS.StoreOwner(off, 0, v0)
+		if st.LHS != nil {
+			if !have {
+				return fmt.Errorf("spmd: no shard computed %s", st.LHS.Am.Name)
+			}
+			st.LHS.Am.StoreOwner(off, owner, v0)
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	if si.LHS == nil {
-		sh.scalars[as.LHS.Name] = eng.syncResult
-	} else if si.LHS.Dist != nil {
-		si.LHS.InvalidateRange(off, owner, sh.lo, sh.hi)
+	if st.LHS == nil {
+		fr.Reals[st.Scalar], fr.Set[st.Scalar] = eng.syncResult, true
+	} else {
+		st.LHS.Am.InvalidateRange(off, owner, sh.lo, sh.hi)
 	}
 	return nil
 }
 
-// evalRange evaluates a replicated expression on each processor of
-// the shard's range, verifying intra-shard agreement and charging the
-// per-processor flops (base + reduction share) to the shard ledger.
-func (sh *shard) evalRange(e ast.Expr, flops int) (float64, error) {
-	var v0 float64
-	for p := sh.lo; p < sh.hi; p++ {
-		v, extra, err := sh.evalOn(p, e)
-		if err != nil {
-			return 0, err
+// execIf takes a branch. Scalar-only conditions are evaluated locally
+// (every shard computes the identical value); conditions reading
+// distributed data rendezvous so the leader can evaluate processor 0's
+// view while all shards are quiescent. Every processor is charged the
+// evaluation of the replicated condition.
+func (sh *shard) execIf(n *plan.If) error {
+	eng, fr := sh.eng, sh.fr
+	sh.at = n.Src.Branch.Pos
+	fr.P = 0
+	var taken bool
+	if !n.Sync {
+		taken = n.Cond(fr) != 0
+		if fr.Err != nil {
+			return sh.evalErr()
 		}
-		if p == sh.lo {
-			v0 = v
-		} else if v != v0 && !(math.IsNaN(v) && math.IsNaN(v0)) {
-			return 0, fmt.Errorf("spmd: replicated computation diverged: %g vs %g", v0, v)
-		}
-		sh.led.Compute(p, flops+extra)
-	}
-	return v0, nil
-}
-
-func (sh *shard) lhsIndex(as *ast.AssignStmt) ([]int, error) {
-	idx := make([]int, len(as.LHS.Subs))
-	for i, sub := range as.LHS.Subs {
-		if sub.Kind != ast.SubExpr {
-			return nil, fmt.Errorf("spmd: unscalarized section on LHS at %s", as.Pos)
-		}
-		x, err := sh.evalInt(sub.X)
-		if err != nil {
-			return nil, err
-		}
-		idx[i] = x
-	}
-	return idx, nil
-}
-
-// ownerOf computes an element's owner through the shard's reusable
-// coordinate buffer.
-func (sh *shard) ownerOf(am *runtime.ArrayMem, idx []int) int {
-	r := am.Dist.Grid.Rank()
-	if cap(sh.coords) < r {
-		sh.coords = make([]int, r)
-	}
-	return am.OwnerInto(idx, sh.coords[:r])
-}
-
-// evalOn evaluates an expression from one processor's point of view.
-// extra counts the processor's share of reduction flops.
-func (sh *shard) evalOn(p int, e ast.Expr) (val float64, extra int, err error) {
-	switch e := e.(type) {
-	case *ast.NumLit:
-		return e.Value, 0, nil
-	case *ast.Ident:
-		if v, ok := sh.ienv[e.Name]; ok {
-			return float64(v), 0, nil
-		}
-		if v, ok := sh.scalars[e.Name]; ok {
-			return v, 0, nil
-		}
-		return 0, 0, fmt.Errorf("spmd: unbound scalar %q", e.Name)
-	case *ast.UnaryExpr:
-		v, ex, err := sh.evalOn(p, e.X)
-		return -v, ex, err
-	case *ast.BinExpr:
-		x, ex1, err := sh.evalOn(p, e.X)
-		if err != nil {
-			return 0, 0, err
-		}
-		y, ex2, err := sh.evalOn(p, e.Y)
-		if err != nil {
-			return 0, 0, err
-		}
-		switch e.Op {
-		case ast.Add:
-			return x + y, ex1 + ex2, nil
-		case ast.Sub_:
-			return x - y, ex1 + ex2, nil
-		case ast.Mul:
-			return x * y, ex1 + ex2, nil
-		case ast.Div:
-			return x / y, ex1 + ex2, nil
-		case ast.Pow:
-			return math.Pow(x, y), ex1 + ex2, nil
-		case ast.CmpLt:
-			return b2f(x < y), ex1 + ex2, nil
-		case ast.CmpGt:
-			return b2f(x > y), ex1 + ex2, nil
-		case ast.CmpLe:
-			return b2f(x <= y), ex1 + ex2, nil
-		case ast.CmpGe:
-			return b2f(x >= y), ex1 + ex2, nil
-		case ast.CmpEq:
-			return b2f(x == y), ex1 + ex2, nil
-		case ast.CmpNe:
-			return b2f(x != y), ex1 + ex2, nil
-		}
-		return 0, 0, fmt.Errorf("spmd: bad operator %v", e.Op)
-	case *ast.Ref:
-		am := sh.eng.pl.RefArr[e]
-		if am == nil {
-			if v, ok := sh.ienv[e.Name]; ok {
-				return float64(v), 0, nil
+	} else {
+		err := eng.ph.await(token{kind: tkCond, a: n.Src.ID}, func() error {
+			sh.runSums(n.Sums)
+			eng.condVal = n.Cond(fr) != 0
+			if fr.Err != nil {
+				return sh.evalErr()
 			}
-			return sh.scalars[e.Name], 0, nil
-		}
-		idx := make([]int, len(e.Subs))
-		for i, sub := range e.Subs {
-			if sub.Kind != ast.SubExpr {
-				return 0, 0, fmt.Errorf("spmd: section read outside SUM at %s", e.Pos)
-			}
-			x, err := sh.evalInt(sub.X)
-			if err != nil {
-				return 0, 0, err
-			}
-			idx[i] = x
-		}
-		v, err := am.ReadAt(p, am.Offset(idx), idx)
-		return v, 0, err
-	case *ast.Call:
-		if e.Func == "sum" {
-			return sh.evalSum(p, e)
-		}
-		args := make([]float64, len(e.Args))
-		var extra int
-		for i, a := range e.Args {
-			v, ex, err := sh.evalOn(p, a)
-			if err != nil {
-				return 0, 0, err
-			}
-			args[i] = v
-			extra += ex
-		}
-		switch e.Func {
-		case "sqrt":
-			return math.Sqrt(args[0]), extra, nil
-		case "abs":
-			return math.Abs(args[0]), extra, nil
-		case "exp":
-			return math.Exp(args[0]), extra, nil
-		case "min":
-			return math.Min(args[0], args[1]), extra, nil
-		case "max":
-			return math.Max(args[0], args[1]), extra, nil
-		case "mod":
-			return math.Mod(args[0], args[1]), extra, nil
-		}
-		return 0, 0, fmt.Errorf("spmd: unknown intrinsic %q", e.Func)
-	}
-	return 0, 0, fmt.Errorf("spmd: cannot evaluate %T", e)
-}
-
-// evalSum evaluates SUM over an array section: partial sums are
-// computed by the owners (charged to extra on processor p as its
-// share) and the combine is charged by the reduction group. The total
-// is processor-independent, so the section scan is memoized per
-// statement execution and reused across the shard's processors.
-func (sh *shard) evalSum(p int, e *ast.Call) (float64, int, error) {
-	if len(e.Args) != 1 {
-		return 0, 0, fmt.Errorf("spmd: sum wants 1 argument")
-	}
-	ref, ok := e.Args[0].(*ast.Ref)
-	if !ok {
-		return 0, 0, fmt.Errorf("spmd: sum argument must be an array section")
-	}
-	if m, ok := sh.sumMemo[e]; ok {
-		if m.counts != nil {
-			return m.total, m.counts[p], nil
-		}
-		return m.total, m.n, nil
-	}
-	am := sh.eng.pl.RefArr[ref]
-	if am == nil {
-		return 0, 0, fmt.Errorf("spmd: sum over non-array %q", ref.Name)
-	}
-	sec, err := sh.eng.pl.ConcreteRefSection(ref, am, sh.ienv)
-	if err != nil {
-		return 0, 0, err
-	}
-	if am.Dist == nil {
-		total := 0.0
-		n := 0
-		sec.Elems(func(idx []int) bool {
-			v, _ := am.ReadAt(0, am.Offset(idx), idx)
-			total += v
-			n++
-			return true
+			return nil
 		})
-		sh.sumMemo[e] = sumEntry{total: total, n: n}
-		return total, n, nil
-	}
-	total, counts := sh.eng.mem.SumSection(ref.Name, sec)
-	sh.sumMemo[e] = sumEntry{total: total, counts: counts}
-	return total, counts[p], nil
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// evalCond evaluates a branch condition. Scalar-only conditions are
-// evaluated locally (every shard computes the identical value);
-// conditions reading distributed data rendezvous so the leader can
-// evaluate processor 0's view while all shards are quiescent.
-func (sh *shard) evalCond(b *cfg.Block) (bool, error) {
-	eng := sh.eng
-	clear(sh.sumMemo)
-	if !eng.pl.CondSync[b.ID] {
-		v, _, err := sh.evalOn(0, b.Branch.Cond)
-		return v != 0, err
-	}
-	err := eng.ph.await(token{kind: tkCond, a: b.ID}, func() error {
-		clear(sh.sumMemo)
-		v, _, err := sh.evalOn(0, b.Branch.Cond)
 		if err != nil {
 			return err
 		}
-		eng.condVal = v != 0
-		return nil
-	})
-	if err != nil {
-		return false, err
+		taken = eng.condVal
 	}
-	return eng.condVal, nil
-}
-
-func (sh *shard) evalInt(e ast.Expr) (int, error) {
-	return sh.eng.pl.A.Unit.EvalIntEnv(e, sh.ienv)
+	for p := sh.lo; p < sh.hi; p++ {
+		sh.led.Compute(p, 1)
+	}
+	if taken {
+		return sh.exec(n.Then)
+	}
+	return sh.exec(n.Else)
 }
 
 // VerifyAgainstSequential compares the canonical memory of a parallel
@@ -574,13 +413,13 @@ func VerifyAgainstSequential(par, seq *RunResult) error {
 		pv := par.Mem.Canonical(name)
 		sv := seq.Mem.Canonical(name)
 		for i := range pv {
-			if pv[i] != sv[i] && !(math.IsNaN(pv[i]) && math.IsNaN(sv[i])) {
+			if differ(pv[i], sv[i]) {
 				return fmt.Errorf("spmd: array %q differs at flat index %d: parallel %g vs sequential %g", name, i, pv[i], sv[i])
 			}
 		}
 	}
 	for k, v := range seq.Scalars {
-		if pv, ok := par.Scalars[k]; ok && pv != v && !(math.IsNaN(pv) && math.IsNaN(v)) {
+		if pv, ok := par.Scalars[k]; ok && differ(pv, v) {
 			return fmt.Errorf("spmd: scalar %q differs: parallel %g vs sequential %g", k, pv, v)
 		}
 	}

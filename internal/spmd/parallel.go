@@ -2,9 +2,9 @@ package spmd
 
 // The sharded execution engine. A run is executed by S worker shards
 // over contiguous processor ranges; each shard redundantly walks the
-// full control-flow graph with replicated integer bookkeeping and
-// performs the per-processor work (evaluation, owner-computes stores,
-// validity kills, ghost deliveries) only for its own range. Shards
+// whole lowered program with its own frame of replicated control state
+// and performs the per-processor work (evaluation, owner-computes
+// stores, validity kills, ghost deliveries) only for its own range. Shards
 // meet at a phaser rendezvous exactly where the BSP model requires
 // agreement: communication groups (superstep barriers), statements
 // that read owner rows across ranges (distributed SUM), shared-row
@@ -18,19 +18,17 @@ package spmd
 
 import (
 	"fmt"
-	"math"
 	goruntime "runtime"
 	"sort"
 	"sync"
 
-	"gcao/internal/ast"
-	"gcao/internal/cfg"
 	"gcao/internal/core"
 	"gcao/internal/machine"
 	"gcao/internal/obs"
 	"gcao/internal/obs/attr"
 	"gcao/internal/plan"
 	"gcao/internal/runtime"
+	"gcao/internal/section"
 )
 
 // DefaultParallelThreshold is the processor count below which Run
@@ -90,8 +88,9 @@ func RunParallelObs(res *core.Result, m machine.Machine, procs, workers int, rec
 	defer endRun()
 
 	mem := runtime.NewMemory(a.Unit, procs)
+	prog := plan.Lower(plan.New(res, mem))
 	eng := &engine{
-		pl:           plan.New(res, mem),
+		prog:         prog,
 		mem:          mem,
 		led:          runtime.NewLedger(procs, m),
 		ph:           newPhaser(workers),
@@ -114,19 +113,16 @@ func RunParallelObs(res *core.Result, m machine.Machine, procs, workers int, rec
 	for i := range eng.shards {
 		lo := i * procs / workers
 		hi := (i + 1) * procs / workers
+		fr := prog.NewFrame(lo)
 		sh := &shard{
-			eng:     eng,
-			idx:     i,
-			lo:      lo,
-			hi:      hi,
-			ienv:    map[string]int{},
-			scalars: map[string]float64{},
-			frames:  map[*cfg.Loop]*frame{},
-			led:     eng.led.View(lo, hi),
-			sumMemo: map[*ast.Call]sumEntry{},
-		}
-		for name, v := range a.Unit.Params {
-			sh.scalars[name] = float64(v)
+			eng:       eng,
+			idx:       i,
+			lo:        lo,
+			hi:        hi,
+			fr:        fr,
+			led:       eng.led.View(lo, hi),
+			sumCounts: make([][]int, len(fr.Sums)),
+			dims:      make([]section.Dim, prog.MaxRank),
 		}
 		if rec != nil {
 			sh.prof = obs.NewCommProfile(procs)
@@ -150,18 +146,27 @@ func RunParallelObs(res *core.Result, m machine.Machine, procs, workers int, rec
 	if eng.prof != nil {
 		eng.finishProfile(rec)
 	}
-	return &RunResult{Ledger: eng.led, Mem: eng.mem, Scalars: eng.shards[0].scalars}, nil
+	scalars := map[string]float64{}
+	prog.Scalars(eng.shards[0].fr, scalars)
+	return &RunResult{Ledger: eng.led, Mem: eng.mem, Scalars: scalars}, nil
 }
 
-// main runs one shard to completion: the CFG walk, then the final
+// main runs one shard to completion: the program walk, then the final
 // rendezvous that folds the shard state into the master ledger and
-// profile (mirroring the sequential engine's trailing barrier).
+// profile. Whatever stops the shard — an evaluation error, a panic under
+// it — becomes the phaser's sticky error, so the peers parked at a
+// rendezvous unwind and the caller gets a value, not a crash.
 func (sh *shard) main() {
-	if err := sh.run(); err != nil {
-		sh.eng.ph.fail(err)
+	eng := sh.eng
+	defer func() {
+		if r := recover(); r != nil {
+			eng.ph.fail(fmt.Errorf("spmd: processor range [%d,%d) at %s: panic: %v", sh.lo, sh.hi, sh.at, r))
+		}
+	}()
+	if err := sh.exec(eng.prog.Body); err != nil {
+		eng.ph.fail(err)
 		return
 	}
-	eng := sh.eng
 	eng.ph.await(token{kind: tkDone}, func() error {
 		eng.absorbLedgers()
 		if err := eng.checkScalarAgreement(); err != nil {
@@ -177,7 +182,7 @@ func (sh *shard) main() {
 // engine: shared run state and rendezvous scratch
 
 type engine struct {
-	pl     *plan.Plan
+	prog   *plan.Program
 	mem    *runtime.Memory
 	led    *runtime.Ledger
 	ph     *phaser
@@ -207,8 +212,7 @@ type engine struct {
 	shardErrs    []error
 	pairsByShard []map[[2]int]int
 	bcastBytes   []int
-	secs         []sectionT
-	secOK        []bool
+	ents         []entrySec
 	msgs0        int
 	bytes0       int
 }
@@ -239,15 +243,15 @@ func (eng *engine) masterBarrier() {
 	eng.led.Barrier()
 }
 
-// checkScalarAgreement verifies that the shards' replicated scalar
-// environments have not diverged — the cross-shard completion of the
-// per-range agreement check in evalRange.
+// checkScalarAgreement verifies that the shards' replicated scalars
+// have not diverged — the cross-shard completion of the per-range
+// agreement check in evalRange.
 func (eng *engine) checkScalarAgreement() error {
-	s0 := eng.shards[0].scalars
+	f0 := eng.shards[0].fr
 	for _, sh := range eng.shards[1:] {
-		for k, v0 := range s0 {
-			if v := sh.scalars[k]; v != v0 && !(math.IsNaN(v) && math.IsNaN(v0)) {
-				return fmt.Errorf("spmd: replicated scalar %q diverged across shards: %g vs %g", k, v0, v)
+		for s, v0 := range f0.Reals {
+			if v := sh.fr.Reals[s]; f0.Set[s] && differ(v, v0) {
+				return fmt.Errorf("spmd: replicated scalar %q diverged across shards: %g vs %g", eng.prog.Reals[s], v0, v)
 			}
 		}
 	}
@@ -343,13 +347,14 @@ func (eng *engine) finishProfile(rec *obs.Recorder) {
 	eng.prof.IdleSec = append([]float64(nil), eng.idle...)
 	rec.SetProfile(eng.prof)
 	rec.SetAttribution(eng.attrRun)
-	prefix := "spmd." + eng.pl.Res.Version.String() + "."
+	version := eng.prog.Plan.Res.Version.String()
+	prefix := "spmd." + version + "."
 	rec.Add(prefix+"supersteps", int64(len(eng.prof.Steps)))
 	rec.Add(prefix+"messages", int64(eng.led.DynMessages))
 	rec.Add(prefix+"bytes", int64(eng.led.BytesMoved))
 	rec.Add(prefix+"barriers", int64(eng.led.Barriers))
 	rec.Event(obs.LevelInfo, "simulate.done",
-		obs.F("version", eng.pl.Res.Version.String()),
+		obs.F("version", version),
 		obs.F("procs", eng.led.P),
 		obs.F("messages", eng.led.DynMessages),
 		obs.F("bytes", eng.led.BytesMoved),
@@ -367,13 +372,14 @@ func (eng *engine) finishProfile(rec *obs.Recorder) {
 // merges the per-shard pair maps and charges the master ledger in
 // sorted pair order, so the charge order — and with it every float
 // accumulation — is reproducible run-to-run.
-func (sh *shard) execComm(groups []*core.Group) error {
-	if len(groups) == 0 {
+func (sh *shard) execComm(c *plan.Comm) error {
+	if c == nil {
 		return nil
 	}
 	eng := sh.eng
-	for _, g := range groups {
-		g := g
+	for i := range c.Ops {
+		op := &c.Ops[i]
+		g := op.Group
 		err := eng.ph.await(token{kind: tkCommA, a: g.ID}, func() error {
 			eng.absorbLedgers()
 			if err := eng.checkScalarAgreement(); err != nil {
@@ -381,10 +387,14 @@ func (sh *shard) execComm(groups []*core.Group) error {
 			}
 			eng.masterBarrier()
 			eng.msgs0, eng.bytes0 = eng.led.DynMessages, eng.led.BytesMoved
-			eng.secs = make([]sectionT, len(g.Entries))
-			eng.secOK = make([]bool, len(g.Entries))
-			for i, e := range g.Entries {
-				eng.secs[i], eng.secOK[i] = eng.pl.ConcreteEntrySection(e, g.Pos, sh.ienv)
+			// The entries lowering kept are the ones that can move data;
+			// one over a variable no loop has bound yet moves none.
+			eng.ents = eng.ents[:0]
+			for i := range op.Entries {
+				e := &op.Entries[i]
+				if sec, ok := e.Concrete(sh.fr, make([]section.Dim, len(e.Lo))); ok {
+					eng.ents = append(eng.ents, entrySec{array: e.Am.Name, sec: sec})
+				}
 			}
 			if g.Kind == core.KindReduce {
 				// Functionally the SUM statement computes the value; the
@@ -403,11 +413,8 @@ func (sh *shard) execComm(groups []*core.Group) error {
 			// member strips are packed together. This shard delivers
 			// the strips whose receivers lie in its range.
 			pairs := map[[2]int]int{}
-			for i, e := range g.Entries {
-				if !eng.secOK[i] {
-					continue
-				}
-				for pair, b := range eng.mem.ShiftRange(e.Array, eng.secs[i], g.Map.GridDim, g.Map.Sign, g.Map.Width, sh.lo, sh.hi) {
+			for _, e := range eng.ents {
+				for pair, b := range eng.mem.ShiftRange(e.array, e.sec, g.Map.GridDim, g.Map.Sign, g.Map.Width, sh.lo, sh.hi) {
 					pairs[pair] += b
 				}
 			}
@@ -426,11 +433,8 @@ func (sh *shard) execComm(groups []*core.Group) error {
 			}
 		case core.KindBcast, core.KindGeneral:
 			bytes := 0
-			for i, e := range g.Entries {
-				if !eng.secOK[i] {
-					continue
-				}
-				bytes += eng.mem.BroadcastRange(e.Array, eng.secs[i], sh.lo, sh.hi)
+			for _, e := range eng.ents {
+				bytes += eng.mem.BroadcastRange(e.array, e.sec, sh.lo, sh.hi)
 			}
 			eng.bcastBytes[sh.idx] = bytes
 		}
@@ -467,6 +471,13 @@ func (sh *shard) execComm(groups []*core.Group) error {
 		}
 	}
 	return nil
+}
+
+// entrySec is one group entry's section, concretized by the
+// rendezvous-A leader for every shard to deliver from.
+type entrySec struct {
+	array string
+	sec   section.Section
 }
 
 // sortedPairs returns the keys of a pair-byte map in (src, dst)

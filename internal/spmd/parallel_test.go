@@ -1,9 +1,13 @@
 package spmd
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	goruntime "runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"gcao/internal/core"
 	"gcao/internal/machine"
@@ -213,5 +217,54 @@ func TestAutoWorkers(t *testing.T) {
 	}
 	if w := autoWorkers(1); w != 1 {
 		t.Errorf("procs=1: %d workers, want 1", w)
+	}
+}
+
+// TestSimulateOutOfRangeSubscriptIsError: a subscript outside the
+// declared bounds is an error value naming the array and the source
+// position — from the entry check of a localized nest, the per-element
+// check of a guarded walk and a left-hand side alike — not a panic that
+// takes the caller down. Where the runtime itself still panics (a SUM
+// section scan past the bounds, here in the middle of a statement
+// rendezvous) the shard turns the panic into the run's error. Either
+// way every shard goroutine has exited when the run returns, whatever
+// rendezvous its peers were parked at.
+func TestSimulateOutOfRangeSubscriptIsError(t *testing.T) {
+	const outside = "outside the declared 1:12"
+	for _, tc := range []struct {
+		name, body string
+		want       []string
+	}{
+		{"localized-nest", "do i = 1, n\nb(i) = a(i + 5)\nenddo\n", []string{"spmd: processor ", "10:8: a: subscript", outside}},
+		{"guarded-walk", "do i = 1, n\nx = i\nb(i) = a(i + 5)\nenddo\n", []string{"spmd: processor ", "11:8: a: subscript", outside}},
+		{"left-hand-side", "do i = 1, n\nx = i\nb(i + 5) = a(i)\nenddo\n", []string{"spmd: processor ", "11:1: b: subscript", outside}},
+		{"sum-section", "x = sum(a(1:n + 5))\n", []string{"spmd: processor range [", " at 9:1: panic: ", "a[13] out of bounds"}},
+	} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/j%d", tc.name, workers), func(t *testing.T) {
+				src := "routine r(n)\nreal a(n), b(n)\nreal x\n!hpf$ distribute (block) :: a, b\n" +
+					"do i = 1, n\na(i) = i\nb(i) = 0\nenddo\n" + tc.body + "end\n"
+				res := placed(t, compile(t, src, map[string]int{"n": 12}, 4), core.VersionCombine)
+				before := goruntime.NumGoroutine()
+				_, err := RunParallelObs(res, machine.SP2(), 4, workers, nil)
+				if err == nil {
+					t.Fatal("out-of-range subscript not reported")
+				}
+				for _, want := range tc.want {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("error %q lacks %q", err, want)
+					}
+				}
+				// The run waits for its goroutines' deferred Done, which
+				// precedes their actual exit by a few instructions.
+				deadline := time.Now().Add(5 * time.Second)
+				for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
+					goruntime.Gosched()
+				}
+				if after := goruntime.NumGoroutine(); after > before {
+					t.Errorf("%d goroutines before the failed run, %d after", before, after)
+				}
+			})
+		}
 	}
 }
