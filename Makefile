@@ -7,7 +7,7 @@ BENCH_BASELINE ?= BENCH_baseline.json
 # run compare against a real prior revision.
 GAP_HISTORY ?= ci/bench-history.jsonl
 
-.PHONY: all build test vet fmt-check race check bench-build benchgate gapreport attr-smoke obs-smoke native-smoke nativeprof-smoke
+.PHONY: all build test vet fmt-check race check bench-build benchgate gapreport attr-smoke obs-smoke native-smoke nativeprof-smoke compile-smoke
 
 all: build
 
@@ -30,7 +30,7 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-check: build vet fmt-check test bench-build
+check: build vet fmt-check test bench-build compile-smoke
 
 # bench-build covers what ./... cannot see: the nested benchmark/ module
 # imports internal/plan, internal/spmd and internal/runtime, so it has to
@@ -176,3 +176,27 @@ nativeprof-smoke:
 	[ "$$allocs" -le "$$budget" ] || { echo "nativeprof-smoke: $$allocs allocs/op exceeds budget $$budget with the profiler compiled in"; exit 1; }; \
 	echo "nativeprof-smoke: $$allocs allocs/op within budget $$budget (profiling off)"
 	@echo "nativeprof-smoke: ok (trace at out/nativeprof-trace.json)"
+
+# compile-smoke proves the compile path end to end and holds its cost:
+# the Fig. 10(a) table must come out of commstat with hydflo/flux at its
+# 52/30/6 call sites, the placement golden file, the section-table and
+# shared-analysis tests must pass (the last under the race detector —
+# an Analysis is shared lock-free), and a full compile of hydflo/flux
+# (parse through the three placements, BenchmarkFig10aHydfloFlux) must
+# stay within the allocation budget in ci/compile-alloc-budget.txt:
+# 1.25x the measured allocs/op, where the revision before the per-level
+# section tables spent 399 416 — a pair test that starts re-expanding
+# sections again is a regression long before it shows in milliseconds.
+compile-smoke:
+	@mkdir -p out
+	$(GO) run ./cmd/commstat | tee out/compile-smoke.txt
+	@grep -Eq '^hydflo +flux +NNC +\| +52 +30 +6 \|' out/compile-smoke.txt || { echo "compile-smoke: hydflo/flux is not 52/30/6 call sites"; exit 1; }
+	$(GO) test ./internal/core -run 'TestPlacementGolden|TestSectionTableMatchesExpansion|TestPlaceNilRecorderAllocs|TestNilTallyCostsNothing' -count=1
+	$(GO) test -race ./internal/core -run 'TestSharedAnalysisConcurrentPlace' -count=1
+	$(GO) test -short -run XXX -bench 'BenchmarkFig10aHydfloFlux$$' -benchtime 20x -benchmem . | tee out/compile-alloc.txt
+	@budget=$$(cat ci/compile-alloc-budget.txt); \
+	allocs=$$(awk '/^BenchmarkFig10aHydfloFlux/ {for (i=1; i<NF; i++) if ($$(i+1) == "allocs/op") print $$i}' out/compile-alloc.txt); \
+	[ -n "$$allocs" ] || { echo "compile-smoke: no allocs/op in benchmark output"; exit 1; }; \
+	[ "$$allocs" -le "$$budget" ] || { echo "compile-smoke: $$allocs allocs/op exceeds budget $$budget (ci/compile-alloc-budget.txt)"; exit 1; }; \
+	echo "compile-smoke: $$allocs allocs/op within budget $$budget"
+	@echo "compile-smoke: ok"

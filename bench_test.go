@@ -22,6 +22,7 @@ import (
 	"gcao/internal/native"
 	"gcao/internal/plan"
 	"gcao/internal/runtime"
+	"gcao/internal/sem"
 	"gcao/internal/spmd"
 )
 
@@ -316,6 +317,53 @@ func BenchmarkCompile(b *testing.B) {
 		if _, err := pr.Compile(64, 25); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// hydfloFluxUnit parses and checks hydflo/flux — the routine that
+// dominates the Fig. 10(a) suite's compile time — at its default size
+// on 25 processors.
+func hydfloFluxUnit(b *testing.B) *sem.Unit {
+	pr, err := bench.ByName("hydflo", "flux")
+	if err != nil {
+		b.Fatal(err)
+	}
+	u, err := pr.Unit(pr.DefaultN, 25)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return u
+}
+
+// BenchmarkAnalysis measures core.NewAnalysis alone — scalarize through
+// Earliest/Latest plus the per-level section tables — on hydflo/flux.
+func BenchmarkAnalysis(b *testing.B) {
+	u := hydfloFluxUnit(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.NewAnalysis(u); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlace measures one placement per version over a prebuilt
+// hydflo/flux analysis: the layer the section tables exist for.
+func BenchmarkPlace(b *testing.B) {
+	a, err := core.NewAnalysis(hydfloFluxUnit(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, v := range []core.Version{core.VersionOrig, core.VersionRedund, core.VersionCombine} {
+		b.Run(v.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := a.Place(core.Options{Version: v}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -27,6 +27,7 @@ package gcao
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"gcao/internal/core"
 	"gcao/internal/core/bound"
@@ -190,6 +191,11 @@ type Compilation struct {
 	// placement tier so placements of cached analyses are themselves
 	// cacheable.
 	fingerprint string
+
+	// lowerBound memoizes LowerBound: a pure function of the immutable
+	// analysis that the daemon asks for on every estimated request.
+	lowerBoundOnce sync.Once
+	lowerBound     CommLowerBound
 }
 
 // Compile parses, semantically analyzes, scalarizes and
@@ -331,9 +337,12 @@ type CommLowerBound = bound.Bound
 // LowerBound computes the compilation's communication lower bound.
 // The bound is placement-independent: it holds for every strategy,
 // every option set, and the exhaustive optimal search alike, so
-// actual-traffic/bound is a placement's optimality-gap ratio.
+// actual-traffic/bound is a placement's optimality-gap ratio. It is
+// computed once per compilation; the result's Terms are shared, not to
+// be written to.
 func (c *Compilation) LowerBound() CommLowerBound {
-	return bound.Compute(c.Analysis)
+	c.lowerBoundOnce.Do(func() { c.lowerBound = bound.Compute(c.Analysis) })
+	return c.lowerBound
 }
 
 // OptimalityGap relates a placement's traffic to the compilation's
@@ -357,7 +366,7 @@ func (p *Placed) OptimalityGap(m Machine) (OptimalityGap, error) {
 	if err != nil {
 		return OptimalityGap{}, err
 	}
-	b := bound.Compute(p.Compilation.Analysis)
+	b := p.Compilation.LowerBound()
 	return OptimalityGap{
 		BoundBytes:   b.TotalBytes,
 		ActualBytes:  cost.Bytes,

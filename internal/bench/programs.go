@@ -35,9 +35,9 @@ type Program struct {
 	Procs map[string]int
 }
 
-// Compile runs the front end and communication analysis for problem
+// Unit runs the front end — parse and semantic analysis — for problem
 // size n on p processors.
-func (pr *Program) Compile(n, p int) (*core.Analysis, error) {
+func (pr *Program) Unit(n, p int) (*sem.Unit, error) {
 	r, err := parser.ParseRoutine(pr.Source)
 	if err != nil {
 		return nil, fmt.Errorf("bench %s/%s: %w", pr.Bench, pr.Routine, err)
@@ -45,6 +45,16 @@ func (pr *Program) Compile(n, p int) (*core.Analysis, error) {
 	u, err := sem.Analyze(r, pr.Params(n), sem.Options{Procs: p})
 	if err != nil {
 		return nil, fmt.Errorf("bench %s/%s: %w", pr.Bench, pr.Routine, err)
+	}
+	return u, nil
+}
+
+// Compile runs the front end and communication analysis for problem
+// size n on p processors.
+func (pr *Program) Compile(n, p int) (*core.Analysis, error) {
+	u, err := pr.Unit(n, p)
+	if err != nil {
+		return nil, err
 	}
 	a, err := core.NewAnalysis(u)
 	if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"gcao/internal/asd"
 	"gcao/internal/ast"
@@ -20,6 +19,13 @@ import (
 // context, and the classified communication entries with their
 // earliest/latest/candidate positions. One Analysis can be placed
 // under several strategies (Place) without re-analysis.
+//
+// An Analysis is immutable once NewAnalysisObs returns: the loop bounds
+// and every entry's per-level section and byte tables are filled
+// eagerly during construction, and Place, the estimator, the bound and
+// plan lowering only read them. It carries no lock; any number of
+// goroutines may use one Analysis at once (the serving layer caches and
+// shares analyses across requests).
 type Analysis struct {
 	Unit *sem.Unit
 	Scal *scalarize.Result
@@ -38,12 +44,17 @@ type Analysis struct {
 	// later coalesced into axis exchanges.
 	Entries []*Entry
 
-	// loopBoundMu guards loopBoundCache: one analysis may be placed,
-	// estimated and simulated concurrently (the serving layer caches
-	// and shares analyses across requests), and the bound memoization
-	// is the only lazily written state.
-	loopBoundMu    sync.Mutex
-	loopBoundCache map[*cfg.Loop][4]int // lo, hi, step, ok(1/0)
+	// loopBound holds the compile-time bounds of every loop, indexed by
+	// cfg.Loop.ID.
+	loopBound []loopBound
+}
+
+// loopBound is one loop's bounds evaluated under the routine
+// parameters, normalized to a positive step; ok is false when a bound
+// is not a compile-time constant.
+type loopBound struct {
+	lo, hi, step int
+	ok           bool
 }
 
 // NewAnalysis runs the front half of the compiler on an analyzed
@@ -87,14 +98,17 @@ func NewAnalysisObs(u *sem.Unit, rec *obs.Recorder) (*Analysis, error) {
 	depA := dep.New(u)
 	end()
 	a := &Analysis{
-		Unit:           u,
-		Scal:           scal,
-		G:              g,
-		Dom:            t,
-		SSA:            info,
-		Dep:            depA,
-		Obs:            rec,
-		loopBoundCache: map[*cfg.Loop][4]int{},
+		Unit:      u,
+		Scal:      scal,
+		G:         g,
+		Dom:       t,
+		SSA:       info,
+		Dep:       depA,
+		Obs:       rec,
+		loopBound: make([]loopBound, len(g.Loops)),
+	}
+	for _, l := range g.Loops {
+		a.loopBound[l.ID] = evalLoopBound(u, l)
 	}
 	end = rec.Start("entries")
 	err = a.buildEntries()
@@ -116,6 +130,11 @@ func NewAnalysisObs(u *sem.Unit, rec *obs.Recorder) (*Analysis, error) {
 		}
 	}
 	end()
+	end = rec.Start("level-tables")
+	for _, e := range a.Entries {
+		a.buildLevelTable(e)
+	}
+	end()
 	rec.Add("analysis.entries", int64(len(a.Entries)))
 	rec.Add("analysis.comm_entries", int64(len(a.CommEntries())))
 	rec.Add("analysis.coalesced", int64(len(a.Entries)-len(a.CommEntries())))
@@ -126,51 +145,38 @@ func NewAnalysisObs(u *sem.Unit, rec *obs.Recorder) (*Analysis, error) {
 	return a, nil
 }
 
-// loopBounds evaluates a loop's bounds at compile time.
-func (a *Analysis) loopBounds(l *cfg.Loop) (lo, hi, step int, ok bool) {
-	a.loopBoundMu.Lock()
-	defer a.loopBoundMu.Unlock()
-	if v, hit := a.loopBoundCache[l]; hit {
-		return v[0], v[1], v[2], v[3] == 1
-	}
-	store := func(lo, hi, step int, ok bool) (int, int, int, bool) {
-		f := 0
-		if ok {
-			f = 1
-		}
-		a.loopBoundCache[l] = [4]int{lo, hi, step, f}
-		return lo, hi, step, ok
-	}
-	lov, err1 := a.Unit.EvalInt(l.Do.Lo)
-	hiv, err2 := a.Unit.EvalInt(l.Do.Hi)
+// evalLoopBound evaluates a loop's bounds at compile time.
+func evalLoopBound(u *sem.Unit, l *cfg.Loop) loopBound {
+	lo, err1 := u.EvalInt(l.Do.Lo)
+	hi, err2 := u.EvalInt(l.Do.Hi)
 	if err1 != nil || err2 != nil {
-		return store(0, 0, 1, false)
+		return loopBound{step: 1}
 	}
-	stepv := 1
+	step := 1
 	if l.Do.Step != nil {
-		s, err := a.Unit.EvalInt(l.Do.Step)
+		s, err := u.EvalInt(l.Do.Step)
 		if err != nil || s == 0 {
-			return store(0, 0, 1, false)
+			return loopBound{step: 1}
 		}
-		stepv = s
+		step = s
 	}
-	if stepv < 0 {
-		lov, hiv, stepv = hiv, lov, -stepv
+	if step < 0 {
+		lo, hi, step = hi, lo, -step
 	}
-	return store(lov, hiv, stepv, true)
+	return loopBound{lo: lo, hi: hi, step: step, ok: true}
 }
 
 // LoopTrip returns the compile-time trip count of a loop, when its
 // bounds are constant under the routine parameters.
 func (a *Analysis) LoopTrip(l *cfg.Loop) (int, bool) {
-	lo, hi, step, ok := a.loopBounds(l)
-	if !ok {
+	b := a.loopBound[l.ID]
+	if !b.ok {
 		return 0, false
 	}
-	if lo > hi {
+	if b.lo > b.hi {
 		return 0, true
 	}
-	return (hi-lo)/step + 1, true
+	return (b.hi-b.lo)/b.step + 1, true
 }
 
 // ---------------------------------------------------------------------

@@ -98,9 +98,12 @@ type Entry struct {
 	// communication before diagonal coalescing.
 	Offsets []int
 	// dims holds the symbolic per-array-dimension section of the
-	// reference with all loop variables symbolic; SectionAt expands it
-	// for a placement level.
+	// reference with all loop variables symbolic.
 	dims []asd.SymDim
+	// levels[l] describes the entry placed at loop level l, for every
+	// l in 0..len(Use().Stmt.Loops). Built once by buildLevelTable and
+	// never written again.
+	levels []levelInfo
 
 	// CommLevel is the paper's CommLevel(u) (§4.2).
 	CommLevel int
@@ -141,52 +144,102 @@ func (e *Entry) String() string {
 // Use returns the entry's primary use.
 func (e *Entry) Use() *ssa.Use { return e.Uses[0] }
 
+// levelInfo is what placement asks about an entry at one loop level.
+// Levels that expand no loop variable share their sections' Dims.
+type levelInfo struct {
+	// sec is the section communicated (SectionAt).
+	sec asd.SymSection
+	// bytes is the per-processor message volume (BytesAt).
+	bytes   int
+	bytesOK bool
+	// grid is sec projected onto the processor grid dimensions, for
+	// the cross-array NNC test of combineVerdict.
+	grid   asd.SymSection
+	gridOK bool
+}
+
 // SectionAt returns the section communicated when the entry is placed
 // at the given loop level: subscripts over loop variables of loops
 // deeper than level are expanded ("message vectorization") using the
-// loop bounds; shallower loop variables remain symbolic.
+// loop bounds; shallower loop variables remain symbolic. Levels outside
+// 0..nest depth read as the nearest one. The result is shared: callers
+// must not write to its Dims.
 func (e *Entry) SectionAt(a *Analysis, level int) asd.SymSection {
-	out := asd.SymSection{Dims: make([]asd.SymDim, len(e.dims))}
-	copy(out.Dims, e.dims)
-	u := e.Use()
-	for li := len(u.Stmt.Loops) - 1; li >= level; li-- {
-		loop := u.Stmt.Loops[li]
-		lo, hi, step, ok := a.loopBounds(loop)
-		if !ok {
-			continue // symbolic bounds: leave per-iteration (conservative)
-		}
-		for di := range out.Dims {
-			out.Dims[di] = expandDim(out.Dims[di], loop.Var(), lo, hi, step)
-		}
-	}
-	return out
+	return e.at(level).sec
 }
 
-// expandDim expands one loop variable out of a symbolic dimension.
+func (e *Entry) at(level int) *levelInfo {
+	return &e.levels[max(0, min(level, len(e.levels)-1))]
+}
+
+// buildLevelTable fills the entry's per-level table from the innermost
+// level outward: level l is level l+1 with loop l's variable expanded
+// over its bounds.
+func (a *Analysis) buildLevelTable(e *Entry) {
+	loops := e.Use().Stmt.Loops
+	e.levels = make([]levelInfo, len(loops)+1)
+	dims := e.dims
+	for level := len(loops); level >= 0; level-- {
+		li := &e.levels[level]
+		if level < len(loops) {
+			var changed bool
+			if dims, changed = a.expandLoop(dims, loops[level]); !changed {
+				*li = e.levels[level+1]
+				continue
+			}
+		}
+		li.sec = asd.SymSection{Dims: dims}
+		li.bytes, li.bytesOK = e.BytesForSection(a, li.sec)
+		if e.Kind == KindShift {
+			li.grid, li.gridOK = a.gridSection(e, li.sec)
+		}
+	}
+}
+
+// expandLoop expands one loop's variable out of every dimension that
+// mentions it, into a fresh slice; dims is returned as is when no
+// dimension does or the loop's bounds are symbolic (the section then
+// stays per-iteration, which is conservative).
+func (a *Analysis) expandLoop(dims []asd.SymDim, loop *cfg.Loop) ([]asd.SymDim, bool) {
+	b := a.loopBound[loop.ID]
+	if !b.ok {
+		return dims, false
+	}
+	v := loop.Var()
+	var out []asd.SymDim
+	for di, d := range dims {
+		if d.Lo.CoefOf(v) == 0 && d.Hi.CoefOf(v) == 0 {
+			continue
+		}
+		if out == nil {
+			out = append([]asd.SymDim(nil), dims...)
+		}
+		out[di] = expandDim(d, v, b.lo, b.hi, b.step)
+	}
+	if out == nil {
+		return dims, false
+	}
+	return out, true
+}
+
+// expandDim expands one loop variable out of a symbolic dimension that
+// mentions it.
 func expandDim(d asd.SymDim, v string, vlo, vhi, vstep int) asd.SymDim {
 	cLo := d.Lo.CoefOf(v)
 	cHi := d.Hi.CoefOf(v)
-	if cLo == 0 && cHi == 0 {
-		return d
-	}
 	if vstep < 1 {
 		vstep = 1
 	}
-	sub := func(f lin.Form, c int, val int) lin.Form {
-		// f with v -> val: f - c*v + c*val
-		return f.Add(lin.Var(v).Scale(-c)).AddConst(c * val)
+	// A positive coefficient reaches its extreme where the variable
+	// does, a negative one at the opposite end.
+	loAt, hiAt := vlo, vhi
+	if cLo < 0 {
+		loAt = vhi
 	}
-	var lo, hi lin.Form
-	if cLo >= 0 {
-		lo = sub(d.Lo, cLo, vlo)
-	} else {
-		lo = sub(d.Lo, cLo, vhi)
+	if cHi < 0 {
+		hiAt = vlo
 	}
-	if cHi >= 0 {
-		hi = sub(d.Hi, cHi, vhi)
-	} else {
-		hi = sub(d.Hi, cHi, vlo)
-	}
+	lo, hi := d.Lo.Subst(v, loAt), d.Hi.Subst(v, hiAt)
 	step := d.Step
 	if d.Lo.Equal(d.Hi) && cLo == cHi {
 		// A point dimension indexed by the loop: stride follows the
@@ -215,7 +268,8 @@ func abs(x int) int {
 // the caller then applies the paper's rule of thumb (NNC and
 // reductions are assumed combinable).
 func (e *Entry) BytesAt(a *Analysis, level int) (int, bool) {
-	return e.BytesForSection(a, e.SectionAt(a, level))
+	li := e.at(level)
+	return li.bytes, li.bytesOK
 }
 
 // BytesForSection estimates the per-processor message volume for an

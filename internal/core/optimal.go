@@ -2,8 +2,7 @@ package core
 
 import (
 	"fmt"
-
-	"gcao/internal/cfg"
+	"slices"
 )
 
 // The general placement-selection problem — pick one candidate
@@ -140,7 +139,12 @@ func (a *Analysis) PlaceOptimal(opts Options, maxCombos int) (*Result, error) {
 	for i, e := range live {
 		byPos[cands[i][best[i]]] = append(byPos[cands[i][best[i]]], e)
 	}
-	for _, p := range a.sortedPosList(byPos) {
+	order := make([]Position, 0, len(byPos))
+	for p := range byPos {
+		order = append(order, p)
+	}
+	slices.SortFunc(order, comparePos)
+	for _, p := range order {
 		for _, members := range a.partition(byPos[p], p, opts) {
 			var att []*Entry
 			for _, m := range members {
@@ -200,6 +204,3 @@ func (a *Analysis) partition(es []*Entry, p Position, opts Options) [][]*Entry {
 	}
 	return groups
 }
-
-// loopOf is a small helper for tests.
-func (a *Analysis) LoopOfBlock(b *cfg.Block) *cfg.Loop { return b.Loop }

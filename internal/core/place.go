@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"gcao/internal/asd"
@@ -163,12 +165,32 @@ func (a *Analysis) recorder(opts Options) *obs.Recorder {
 	return a.Obs
 }
 
+// tally accumulates one placement's counters by name, without the
+// "place.<version>." prefix; Place adds them to the recorder in one go
+// when the placement is done. A nil tally — nobody is listening —
+// counts nothing and builds no names.
+type tally map[string]int64
+
+func (t tally) add(name string, n int64) {
+	if t != nil {
+		t[name] += n
+	}
+}
+
+func (t tally) reject(reason string) {
+	if t != nil {
+		t["combine.rejected."+reason]++
+	}
+}
+
 // Place runs the selected placement strategy over the analysis.
 func (a *Analysis) Place(opts Options) (*Result, error) {
 	rec := a.recorder(opts)
-	prefix := "place." + opts.Version.String() + "."
-	endPlace := rec.Start("place:" + opts.Version.String())
-	defer endPlace()
+	var counts tally
+	if rec != nil {
+		counts = tally{}
+		defer rec.Start("place:" + opts.Version.String())()
+	}
 	res := &Result{
 		Analysis:   a,
 		Version:    opts.Version,
@@ -183,9 +205,7 @@ func (a *Analysis) Place(opts Options) (*Result, error) {
 	case VersionRedund:
 		a.placeEarliestRedundant(entries, res)
 	case VersionCombine:
-		if err := a.placeGlobal(entries, res, opts, rec, prefix); err != nil {
-			return nil, err
-		}
+		a.placeGlobal(entries, res, opts, rec, counts)
 	default:
 		return nil, fmt.Errorf("core: unknown version %v", opts.Version)
 	}
@@ -193,9 +213,16 @@ func (a *Analysis) Place(opts Options) (*Result, error) {
 	if opts.PartialRedundancy {
 		a.reducePartial(res, opts)
 	}
-	rec.Add(prefix+"entries", int64(len(entries)))
-	rec.Add(prefix+"redundant", int64(len(res.Redundant)))
-	rec.Add(prefix+"groups", int64(len(res.Groups)))
+	if rec == nil {
+		return res, nil
+	}
+	counts.add("entries", int64(len(entries)))
+	counts.add("redundant", int64(len(res.Redundant)))
+	counts.add("groups", int64(len(res.Groups)))
+	prefix := "place." + opts.Version.String() + "."
+	for name, n := range counts {
+		rec.Add(prefix+name, n)
+	}
 	a.recordDecisions(rec, res)
 	rec.Event(obs.LevelInfo, "place.done",
 		obs.F("version", opts.Version.String()),
@@ -429,10 +456,13 @@ func (a *Analysis) placeEarliestRedundant(entries []*Entry, res *Result) {
 		}
 		live = append(live, e)
 	}
-	// Attach eliminated entries to their subsumer's group.
+	// Attach eliminated entries to their subsumer's group, in placement
+	// order.
 	attached := map[*Entry][]*Entry{}
-	for e, by := range res.Redundant {
-		attached[by] = append(attached[by], e)
+	for _, e := range order {
+		if by := res.Redundant[e]; by != nil {
+			attached[by] = append(attached[by], e)
+		}
 	}
 	for _, e := range live {
 		res.addGroup(e.Earliest, []*Entry{e}, attached[e])
@@ -442,55 +472,162 @@ func (a *Analysis) placeEarliestRedundant(entries []*Entry, res *Result) {
 // ---------------------------------------------------------------------
 // "comb": the paper's global algorithm (§4.5–4.7, Fig. 9e–g).
 
-type posKey = Position
+// commSets holds CommSet(S) for every candidate position S (Fig. 9e)
+// in dense form. Positions are numbered in (block ID, slot) order — the
+// order every pass below visits them in — and entries by ID, so
+// membership is one flag, and the positions an entry still has are a
+// walk of its own candidate list rather than a scan of every set.
+type commSets struct {
+	n      int              // len(Analysis.Entries): the row length of member
+	pos    []Position       // position index → position, ascending
+	index  map[Position]int // the inverse of pos
+	listed [][]*Entry       // listed[p]: the entries with pos[p] among their candidates, by ID
+	cands  [][]int          // cands[e.ID]: position indices of e's candidates, ascending
+	member []bool           // member[p*n+e.ID]: e is still in CommSet(pos[p])
+	size   []int            // size[p]: entries still in CommSet(pos[p])
+	left   []int            // left[e.ID]: sets e is still in
+}
 
-func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec *obs.Recorder, prefix string) error {
-	// CommSet(S): entries with S among their candidates (Fig. 9e).
-	commSet := map[posKey]map[*Entry]bool{}
+// comparePos orders positions by block ID, then slot.
+func comparePos(p, q Position) int {
+	return cmp.Or(cmp.Compare(p.Block.ID, q.Block.ID), cmp.Compare(p.After, q.After))
+}
+
+func (a *Analysis) newCommSets(entries []*Entry) *commSets {
+	cs := &commSets{n: len(a.Entries), index: map[Position]int{}}
 	for _, e := range entries {
-		for _, p := range e.Candidates {
-			if commSet[p] == nil {
-				commSet[p] = map[*Entry]bool{}
+		for _, at := range e.Candidates {
+			if _, seen := cs.index[at]; !seen {
+				cs.index[at] = 0
+				cs.pos = append(cs.pos, at)
 			}
-			commSet[p][e] = true
 		}
 	}
-	rec.Add(prefix+"candidate_positions", int64(len(commSet)))
+	slices.SortFunc(cs.pos, comparePos)
+	for p, at := range cs.pos {
+		cs.index[at] = p
+	}
+	cs.listed = make([][]*Entry, len(cs.pos))
+	cs.cands = make([][]int, cs.n)
+	cs.member = make([]bool, len(cs.pos)*cs.n)
+	cs.size = make([]int, len(cs.pos))
+	cs.left = make([]int, cs.n)
+	for _, e := range entries {
+		cs.cands[e.ID] = make([]int, 0, len(e.Candidates))
+		for _, at := range e.Candidates {
+			p := cs.index[at]
+			if cs.has(p, e) {
+				continue
+			}
+			cs.listed[p] = append(cs.listed[p], e)
+			cs.cands[e.ID] = append(cs.cands[e.ID], p)
+			cs.member[p*cs.n+e.ID] = true
+			cs.size[p]++
+			cs.left[e.ID]++
+		}
+		slices.Sort(cs.cands[e.ID])
+	}
+	return cs
+}
+
+func (cs *commSets) has(p int, e *Entry) bool { return cs.member[p*cs.n+e.ID] }
+
+func (cs *commSets) remove(p int, e *Entry) {
+	cs.member[p*cs.n+e.ID] = false
+	cs.size[p]--
+	cs.left[e.ID]--
+}
+
+// clear empties CommSet(pos[p]).
+func (cs *commSets) clear(p int) {
+	for _, e := range cs.listed[p] {
+		if cs.has(p, e) {
+			cs.remove(p, e)
+		}
+	}
+}
+
+// members returns a snapshot of CommSet(pos[p]), by ID.
+func (cs *commSets) members(p int) []*Entry {
+	out := make([]*Entry, 0, cs.size[p])
+	for _, e := range cs.listed[p] {
+		if cs.has(p, e) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// subset reports CommSet(pos[p]) ⊆ CommSet(pos[q]).
+func (cs *commSets) subset(p, q int) bool {
+	if cs.size[p] > cs.size[q] {
+		return false
+	}
+	for _, e := range cs.listed[p] {
+		if cs.has(p, e) && !cs.has(q, e) {
+			return false
+		}
+	}
+	return true
+}
+
+// positionsOf appends the positions whose sets still hold e to buf,
+// ascending.
+func (cs *commSets) positionsOf(e *Entry, buf []int) []int {
+	for _, p := range cs.cands[e.ID] {
+		if cs.has(p, e) {
+			buf = append(buf, p)
+		}
+	}
+	return buf
+}
+
+// intersectSorted returns the common elements of two ascending lists.
+func intersectSorted(x, y []int) []int {
+	var out []int
+	for i, j := 0, 0; i < len(x) && j < len(y); {
+		switch {
+		case x[i] < y[j]:
+			i++
+		case x[i] > y[j]:
+			j++
+		default:
+			out = append(out, x[i])
+			i, j = i+1, j+1
+		}
+	}
+	return out
+}
+
+func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec *obs.Recorder, counts tally) {
+	cs := a.newCommSets(entries)
+	counts.add("candidate_positions", int64(len(cs.pos)))
 
 	// Subset elimination (§4.5): CommSet(S1) ⊆ CommSet(S2) empties S1;
 	// for equal sets keep the later position (the final step pushes
 	// communication as late as possible anyway).
 	if !opts.DisableSubsetElim {
 		endSubset := rec.Start("subset-elim")
-		positions := a.sortedPositions(commSet)
-		for _, p := range positions {
-			if len(commSet[p]) == 0 {
-				continue
-			}
-			for _, q := range positions {
-				if p == q || len(commSet[p]) == 0 {
+		for p := range cs.pos {
+			for q := range cs.pos {
+				if cs.size[p] == 0 {
+					break
+				}
+				if p == q || cs.size[q] == 0 || !cs.subset(p, q) {
 					continue
 				}
-				if len(commSet[q]) == 0 {
-					continue
-				}
-				if isSubset(commSet[p], commSet[q]) {
-					if setEqual(commSet[p], commSet[q]) {
-						// Empty the dominating (earlier) one.
-						if a.posDominates(p, q) {
-							opts.tracef("subset-elim: CommSet(%v) == CommSet(%v): drop %v", p, q, p)
-							commSet[p] = nil
-						} else {
-							opts.tracef("subset-elim: CommSet(%v) == CommSet(%v): drop %v", p, q, q)
-							commSet[q] = nil
-						}
-						rec.Add(prefix+"subset.dropped_positions", 1)
-						continue
+				drop := p
+				if cs.size[p] == cs.size[q] {
+					// Empty the dominating (earlier) one.
+					if !a.posDominates(cs.pos[p], cs.pos[q]) {
+						drop = q
 					}
-					opts.tracef("subset-elim: CommSet(%v) subset of CommSet(%v): drop %v", p, q, p)
-					commSet[p] = nil
-					rec.Add(prefix+"subset.dropped_positions", 1)
+					opts.tracef("subset-elim: CommSet(%v) == CommSet(%v): drop %v", cs.pos[p], cs.pos[q], cs.pos[drop])
+				} else {
+					opts.tracef("subset-elim: CommSet(%v) subset of CommSet(%v): drop %v", cs.pos[p], cs.pos[q], cs.pos[p])
 				}
+				cs.clear(drop)
+				counts.add("subset.dropped_positions", 1)
 			}
 		}
 		endSubset()
@@ -501,45 +638,44 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 	// to fixpoint. An entry with no remaining position is eliminated
 	// entirely and attached to its subsumer.
 	endRedund := rec.Start("redundancy-elim")
-	subsumer := map[*Entry]*Entry{}
+	subsumer := make([]*Entry, cs.n)
 	for changed := true; changed; {
 		changed = false
-		for _, p := range a.sortedPositions(commSet) {
-			set := commSet[p]
-			if len(set) < 2 {
+		for p, at := range cs.pos {
+			if cs.size[p] < 2 {
 				continue
 			}
-			es := sortedEntries(set)
+			level := at.Level()
+			es := cs.members(p)
 			for _, c1 := range es {
-				if subsumer[c1] != nil {
+				if subsumer[c1.ID] != nil {
 					continue
 				}
 				for _, c2 := range es {
-					if c1 == c2 || subsumer[c2] != nil {
+					if c1 == c2 || subsumer[c2.ID] != nil || c1.Array != c2.Array {
 						continue
 					}
-					level := p.Level()
 					if !c2.ASDAt(a, level).Subsumes(c1.ASDAt(a, level)) {
 						continue
 					}
 					// Disable c1 here and everywhere dominated by p.
 					removed := false
-					for q, qset := range commSet {
-						if qset[c1] && (q == p || a.posDominates(p, q)) {
-							delete(qset, c1)
+					for _, q := range cs.cands[c1.ID] {
+						if cs.has(q, c1) && (q == p || a.posDominates(at, cs.pos[q])) {
+							cs.remove(q, c1)
 							removed = true
 						}
 					}
 					if removed {
 						changed = true
-						rec.Add(prefix+"redundancy.disabled_positions", 1)
+						counts.add("redundancy.disabled_positions", 1)
 					}
-					if len(positionsOf(commSet, c1)) == 0 {
-						opts.tracef("redundancy: %v fully subsumed by %v at %v", c1, c2, p)
-						subsumer[c1] = c2
+					if cs.left[c1.ID] == 0 {
+						opts.tracef("redundancy: %v fully subsumed by %v at %v", c1, c2, at)
+						subsumer[c1.ID] = c2
 						res.Redundant[c1] = c2
-						res.subsumedAt[c1] = p
-						rec.Add(prefix+"redundancy.eliminated", 1)
+						res.subsumedAt[c1] = at
+						counts.add("redundancy.eliminated", 1)
 					}
 					break
 				}
@@ -553,15 +689,14 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 	// candidates.
 	live := make([]*Entry, 0, len(entries))
 	for _, e := range entries {
-		if subsumer[e] == nil {
+		if subsumer[e.ID] == nil {
 			live = append(live, e)
 		}
 	}
 	order := append([]*Entry(nil), live...)
 	if !opts.NaiveGreedyOrder {
 		sort.SliceStable(order, func(i, j int) bool {
-			ni := len(positionsOf(commSet, order[i]))
-			nj := len(positionsOf(commSet, order[j]))
+			ni, nj := cs.left[order[i].ID], cs.left[order[j].ID]
 			if ni != nj {
 				return ni < nj
 			}
@@ -569,96 +704,98 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 		})
 	}
 	endGreedy := rec.Start("greedy-choose")
-	pinned := map[*Entry]Position{}
-	for _, c := range order {
-		rec.Add(prefix+"greedy.iterations", 1)
-		stmtSet := positionsOf(commSet, c)
+	pinned := make([]int, cs.n)
+	var stmtSet []int
+	// An entry meets the same partner at every position of a level, and
+	// canCombine depends on the level only: asked[level*n+partner]
+	// holds the round (index into order, plus one) that last asked, and
+	// answer what it was told.
+	levels := 0
+	for _, at := range cs.pos {
+		levels = max(levels, at.Level()+1)
+	}
+	asked := make([]int, levels*cs.n)
+	answer := make([]bool, levels*cs.n)
+	for round, c := range order {
+		counts.add("greedy.iterations", 1)
+		stmtSet = cs.positionsOf(c, stmtSet[:0])
 		if len(stmtSet) == 0 {
 			// Defensive: should not happen for live entries.
-			stmtSet = []Position{c.Latest}
+			stmtSet = append(stmtSet, cs.index[c.Latest])
 		}
-		rec.Add(prefix+"greedy.positions_considered", int64(len(stmtSet)))
+		counts.add("greedy.positions_considered", int64(len(stmtSet)))
 		best := stmtSet[0]
 		bestCount := -1
 		for _, s := range stmtSet {
+			level := cs.pos[s].Level()
 			count := 0
-			for e2 := range commSet[s] {
-				if e2 != c && a.canCombine(c, e2, s.Level(), opts) {
+			for _, e2 := range cs.listed[s] {
+				if e2 == c || !cs.has(s, e2) {
+					continue
+				}
+				k := level*cs.n + e2.ID
+				if asked[k] != round+1 {
+					asked[k], answer[k] = round+1, a.canCombine(c, e2, level, opts)
+				}
+				if answer[k] {
 					count++
 				}
 			}
 			// Ties prefer the later (most dominated) position to
 			// reduce buffer/cache pressure, as §4.7 prescribes.
-			if count > bestCount || (count == bestCount && a.posDominates(best, s)) {
+			if count > bestCount || (count == bestCount && a.posDominates(cs.pos[best], cs.pos[s])) {
 				best, bestCount = s, count
 			}
 		}
-		opts.tracef("greedy: pin %v at %v (combinable partners %d of %d positions)", c, best, bestCount, len(stmtSet))
-		pinned[c] = best
-		for q, qset := range commSet {
-			if q != best {
-				delete(qset, c)
+		opts.tracef("greedy: pin %v at %v (combinable partners %d of %d positions)", c, cs.pos[best], bestCount, len(stmtSet))
+		pinned[c.ID] = best
+		for _, q := range stmtSet {
+			if q != best && cs.has(q, c) {
+				cs.remove(q, c)
 			}
 		}
 	}
 	endGreedy()
 
-	// Partition each position's entries into combine groups.
-	byPos := map[Position][]*Entry{}
+	// Partition each position's entries into combine groups; live is in
+	// ID order, so every position's list is too.
+	byPos := make([][]*Entry, len(cs.pos))
 	for _, e := range live {
-		byPos[pinned[e]] = append(byPos[pinned[e]], e)
+		byPos[pinned[e.ID]] = append(byPos[pinned[e.ID]], e)
 	}
 	// Subsumption can chain (e1 ⊆ e2 ⊆ e3 with e2 itself eliminated);
 	// every eliminated entry attaches to its live root so the final
 	// group position honours the whole chain's candidate sets.
-	root := func(e *Entry) *Entry {
-		for subsumer[e] != nil {
-			e = subsumer[e]
+	attached := make([][]*Entry, cs.n)
+	for _, e := range entries {
+		root := e
+		for subsumer[root.ID] != nil {
+			root = subsumer[root.ID]
 		}
-		return e
-	}
-	attached := map[*Entry][]*Entry{}
-	for e := range subsumer {
-		attached[root(e)] = append(attached[root(e)], e)
+		if root != e {
+			attached[root.ID] = append(attached[root.ID], e)
+		}
 	}
 	// entryCommon is the candidate-position set of an entry intersected
 	// with those of the redundant entries riding on it; a group must
 	// keep the intersection of its members' sets non-empty so the
 	// final "latest common position" exists.
-	entryCommon := func(e *Entry) map[Position]bool {
-		set := map[Position]bool{}
-		for _, p := range e.Candidates {
-			set[p] = true
-		}
-		for _, r := range attached[e] {
-			rset := map[Position]bool{}
-			for _, p := range r.Candidates {
-				rset[p] = true
-			}
-			for p := range set {
-				if !rset[p] {
-					delete(set, p)
-				}
-			}
+	entryCommon := func(e *Entry) []int {
+		set := cs.cands[e.ID]
+		for _, r := range attached[e.ID] {
+			set = intersectSorted(set, cs.cands[r.ID])
 		}
 		return set
 	}
-	intersect := func(a, b map[Position]bool) map[Position]bool {
-		out := map[Position]bool{}
-		for p := range a {
-			if b[p] {
-				out[p] = true
-			}
-		}
-		return out
-	}
 
 	endCombine := rec.Start("combine")
-	for _, p := range a.sortedPosList(byPos) {
-		es := byPos[p]
-		sort.SliceStable(es, func(i, j int) bool { return es[i].ID < es[j].ID })
+	for p, es := range byPos {
+		if len(es) == 0 {
+			continue
+		}
+		level := cs.pos[p].Level()
 		var groups [][]*Entry
-		var commons []map[Position]bool
+		var commons [][]int
 		for _, e := range es {
 			ec := entryCommon(e)
 			placedInGroup := false
@@ -666,10 +803,10 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 				for gi := range groups {
 					ok := true
 					for _, m := range groups[gi] {
-						pairOK, reason := a.combineVerdict(e, m, p.Level(), opts)
+						pairOK, reason := a.combineVerdict(e, m, level, opts)
 						if !pairOK {
 							opts.tracef("combine: %v does not join group of %v (%s)", e, m, reason)
-							rec.Add(prefix+"combine.rejected."+reason, 1)
+							counts.reject(reason)
 							ok = false
 							break
 						}
@@ -677,19 +814,19 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 					if !ok {
 						continue
 					}
-					if !a.groupFits(groups[gi], e, p.Level(), opts) {
-						rec.Add(prefix+"combine.rejected."+reasonThreshold, 1)
+					if !a.groupFits(groups[gi], e, level, opts) {
+						counts.reject(reasonThreshold)
 						continue // combined size beyond the threshold
 					}
-					merged := intersect(commons[gi], ec)
+					merged := intersectSorted(commons[gi], ec)
 					if len(merged) == 0 {
-						rec.Add(prefix+"combine.rejected."+reasonNoCommonPos, 1)
+						counts.reject(reasonNoCommonPos)
 						continue // no shared placement point
 					}
 					groups[gi] = append(groups[gi], e)
 					commons[gi] = merged
 					placedInGroup = true
-					rec.Add(prefix+"combine.merges", 1)
+					counts.add("combine.merges", 1)
 					break
 				}
 			}
@@ -701,34 +838,20 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 		for gi, members := range groups {
 			// Final position: the latest candidate position common to
 			// every member and every attached redundant entry.
-			pos := a.latestOf(commons[gi], members[0].Latest)
+			pos := members[0].Latest // defensive; the grouping keeps sets non-empty
+			for i, q := range commons[gi] {
+				if i == 0 || a.posDominates(pos, cs.pos[q]) {
+					pos = cs.pos[q]
+				}
+			}
 			var att []*Entry
 			for _, m := range members {
-				att = append(att, attached[m]...)
+				att = append(att, attached[m.ID]...)
 			}
 			res.addGroup(pos, members, att)
 		}
 	}
 	endCombine()
-	return nil
-}
-
-// latestOf picks the most dominated position of a non-empty set, or
-// the fallback when the set is empty (defensive; the grouping keeps
-// sets non-empty).
-func (a *Analysis) latestOf(set map[Position]bool, fallback Position) Position {
-	var best Position
-	first := true
-	for p := range set {
-		if first || a.posDominates(best, p) {
-			best = p
-			first = false
-		}
-	}
-	if first {
-		return fallback
-	}
-	return best
 }
 
 // Rejection reasons recorded by the combining counters: kind or
@@ -791,47 +914,32 @@ func (a *Analysis) combineVerdict(e1, e2 *Entry, level int, opts Options) (bool,
 		// footprints coincide (Fig. 1). Footprints may differ by a
 		// bounded hull (sections of stencil operands are offset by a
 		// point or two), matching the paper's single-descriptor rule.
-		g1, ok1 := a.gridSection(e1, level)
-		g2, ok2 := a.gridSection(e2, level)
-		if !ok1 || !ok2 {
+		l1, l2 := e1.at(level), e2.at(level)
+		if !l1.gridOK || !l2.gridOK {
 			return false, reasonMapping
 		}
-		hull, blowup, ok := g1.Hull(g2)
-		if !ok {
-			return false, reasonHull
-		}
-		n1, ok1 := g1.NumElems()
-		n2, ok2 := g2.NumElems()
-		nh, okh := hull.NumElems()
-		if ok1 && ok2 && okh {
-			// The shared descriptor covers the hull for both arrays:
-			// bound the padding on each.
-			if float64(2*nh) <= opts.maxBlowup()*float64(n1+n2) {
-				return true, ""
-			}
-			return false, reasonHull
-		}
-		_ = blowup
-		if g1.Equal(g2) {
-			return true, ""
-		}
-		return false, reasonHull
+		return sharesDescriptor(l1.grid, l2.grid, opts, reasonHull)
 	}
-	// Other kinds share one descriptor across arrays: the hull must
-	// cover both without excessive padding on either.
-	hull, _, ok := s1.Hull(s2)
+	return sharesDescriptor(s1, s2, opts, reasonUnknownSize)
+}
+
+// sharesDescriptor reports whether one descriptor can stand for both
+// sections across arrays: their hull must cover both without excessive
+// padding on either. Sections of unknown size must be provably
+// identical, else the pair is rejected for the given reason.
+func sharesDescriptor(x, y asd.SymSection, opts Options, unknown string) (bool, string) {
+	hull, _, ok := x.Hull(y)
 	if !ok {
 		return false, reasonHull
 	}
-	n1, ok1 := s1.NumElems()
-	n2, ok2 := s2.NumElems()
+	n1, ok1 := x.NumElems()
+	n2, ok2 := y.NumElems()
 	nh, okh := hull.NumElems()
 	if !ok1 || !ok2 || !okh {
-		// Unknown sizes: require provably identical sections.
-		if s1.Equal(s2) {
+		if x.Equal(y) {
 			return true, ""
 		}
-		return false, reasonUnknownSize
+		return false, unknown
 	}
 	if float64(2*nh) <= opts.maxBlowup()*float64(n1+n2) {
 		return true, ""
@@ -841,12 +949,11 @@ func (a *Analysis) combineVerdict(e1, e2 *Entry, level int, opts Options) (bool,
 
 // gridSection projects an entry's section onto the processor grid
 // dimensions of its array's distribution.
-func (a *Analysis) gridSection(e *Entry, level int) (asd.SymSection, bool) {
+func (a *Analysis) gridSection(e *Entry, sec asd.SymSection) (asd.SymSection, bool) {
 	arr := a.Unit.Arrays[e.Array]
 	if arr == nil || arr.Dist == nil {
 		return asd.SymSection{}, false
 	}
-	sec := e.SectionAt(a, level)
 	out := asd.SymSection{Dims: make([]asd.SymDim, a.Unit.Grid.Rank())}
 	found := make([]bool, a.Unit.Grid.Rank())
 	for k := range arr.Lo {
@@ -863,84 +970,6 @@ func (a *Analysis) gridSection(e *Entry, level int) (asd.SymSection, bool) {
 		}
 	}
 	return out, true
-}
-
-// ---------------------------------------------------------------------
-// small helpers
-
-func (a *Analysis) sortedPositions(m map[posKey]map[*Entry]bool) []Position {
-	out := make([]Position, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Block != out[j].Block {
-			return out[i].Block.ID < out[j].Block.ID
-		}
-		return out[i].After < out[j].After
-	})
-	return out
-}
-
-func (a *Analysis) sortedPosList(m map[Position][]*Entry) []Position {
-	out := make([]Position, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Block != out[j].Block {
-			return out[i].Block.ID < out[j].Block.ID
-		}
-		return out[i].After < out[j].After
-	})
-	return out
-}
-
-func sortedEntries(set map[*Entry]bool) []*Entry {
-	out := make([]*Entry, 0, len(set))
-	for e := range set {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-func positionsOf(commSet map[posKey]map[*Entry]bool, e *Entry) []Position {
-	var out []Position
-	for p, set := range commSet {
-		if set[e] {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Block != out[j].Block {
-			return out[i].Block.ID < out[j].Block.ID
-		}
-		return out[i].After < out[j].After
-	})
-	return out
-}
-
-func isSubset(a, b map[*Entry]bool) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	for e := range a {
-		if !b[e] {
-			return false
-		}
-	}
-	return true
-}
-
-func setEqual(a, b map[*Entry]bool) bool {
-	return len(a) == len(b) && isSubset(a, b)
-}
-
-// CanCombineForTest exposes the combining predicate for tests and
-// diagnostic tools.
-func (a *Analysis) CanCombineForTest(e1, e2 *Entry, level int, opts Options) bool {
-	return a.canCombine(e1, e2, level, opts)
 }
 
 // groupFits bounds the total packed size of a combined message by the

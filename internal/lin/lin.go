@@ -13,7 +13,9 @@ import (
 
 // Form is an affine form c0 + Σ Coef[v]·v. A nil Coef map means the
 // form is the constant Const. Zero-coefficient entries are never
-// stored.
+// stored. A Form is an immutable value: results may share their Coef
+// map with an operand, so nothing outside this package's constructors
+// may write to one.
 type Form struct {
 	Const int
 	Coef  map[string]int
@@ -52,6 +54,9 @@ func (f *Form) set(name string, c int) {
 
 // Add returns f + g.
 func (f Form) Add(g Form) Form {
+	if len(g.Coef) == 0 {
+		return f.AddConst(g.Const)
+	}
 	out := f.clone()
 	out.Const += g.Const
 	for k, v := range g.Coef {
@@ -62,6 +67,9 @@ func (f Form) Add(g Form) Form {
 
 // Sub returns f - g.
 func (f Form) Sub(g Form) Form {
+	if len(g.Coef) == 0 {
+		return f.AddConst(-g.Const)
+	}
 	out := f.clone()
 	out.Const -= g.Const
 	for k, v := range g.Coef {
@@ -84,8 +92,24 @@ func (f Form) Scale(c int) Form {
 
 // AddConst returns f + c.
 func (f Form) AddConst(c int) Form {
-	out := f.clone()
-	out.Const += c
+	return Form{Const: f.Const + c, Coef: f.Coef}
+}
+
+// Subst returns f with the variable name bound to the value val.
+func (f Form) Subst(name string, val int) Form {
+	c := f.Coef[name]
+	if c == 0 {
+		return f
+	}
+	out := Form{Const: f.Const + c*val}
+	if len(f.Coef) > 1 {
+		out.Coef = make(map[string]int, len(f.Coef)-1)
+		for k, v := range f.Coef {
+			if k != name {
+				out.Coef[k] = v
+			}
+		}
+	}
 	return out
 }
 
@@ -125,14 +149,23 @@ func (f Form) SingleVar() (name string, coef, konst int, ok bool) {
 
 // Equal reports structural equality (same polynomial).
 func (f Form) Equal(g Form) bool {
-	d := f.Sub(g)
-	c, ok := d.IsConst()
-	return ok && c == 0
+	d, ok := f.ConstDiff(g)
+	return ok && d == 0
 }
 
-// ConstDiff returns f - g when the difference is a constant.
+// ConstDiff returns f - g when the difference is a constant: the two
+// forms have the same variable terms (zero coefficients are never
+// stored, so equal lengths and one-way agreement suffice).
 func (f Form) ConstDiff(g Form) (int, bool) {
-	return f.Sub(g).IsConst()
+	if len(f.Coef) != len(g.Coef) {
+		return 0, false
+	}
+	for k, v := range f.Coef {
+		if g.Coef[k] != v {
+			return 0, false
+		}
+	}
+	return f.Const - g.Const, true
 }
 
 // Eval evaluates the form under an environment; missing variables

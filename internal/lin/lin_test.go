@@ -92,6 +92,40 @@ func TestEqualQuick(t *testing.T) {
 	}
 }
 
+// Property: ConstDiff and Equal agree with the difference computed by
+// Sub, also when a term cancels on one side only.
+func TestConstDiffMatchesSub(t *testing.T) {
+	mk := func(ci, cj, c int8) Form {
+		return Var("i").Scale(int(ci)).Add(Var("j").Scale(int(cj))).AddConst(int(c))
+	}
+	f := func(ai, aj, ac, bi, bj, bc int8) bool {
+		a, b := mk(ai%3, aj%3, ac), mk(bi%3, bj%3, bc)
+		want, wantOK := a.Sub(b).IsConst()
+		got, gotOK := a.ConstDiff(b)
+		return gotOK == wantOK && (!gotOK || got == want) && a.Equal(b) == (wantOK && want == 0)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: Subst binds one variable and agrees with Eval.
+func TestSubst(t *testing.T) {
+	f := func(ci, cj, c, vi, vj int8) bool {
+		a := Var("i").Scale(int(ci)).Add(Var("j").Scale(int(cj))).AddConst(int(c))
+		s := a.Subst("i", int(vi))
+		want, _ := a.Eval(map[string]int{"i": int(vi), "j": int(vj)})
+		got, ok := s.Eval(map[string]int{"j": int(vj)})
+		return ok && got == want && s.CoefOf("i") == 0 && s.CoefOf("j") == int(cj)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	if c, ok := Var("i").AddConst(2).Subst("i", 5).IsConst(); !ok || c != 7 {
+		t.Errorf("i+2 at i=5 = %d, %v", c, ok)
+	}
+}
+
 func TestDependsOnly(t *testing.T) {
 	f := Var("i").Add(Var("j"))
 	if !f.DependsOnly(map[string]bool{"i": true, "j": true}) {

@@ -228,7 +228,7 @@ func (lw *lowerer) entry(g *core.Group, e *core.Entry) (EntrySec, bool) {
 		sortTerms(a.Terms)
 		return a, true
 	}
-	for _, d := range lw.pl.symSec[e].Dims {
+	for _, d := range lw.pl.Res.CommSection(e, g.Pos.Level()).Dims {
 		lo, ok1 := form(d.Lo.Const, d.Lo.Coef)
 		hi, ok2 := form(d.Hi.Const, d.Hi.Coef)
 		if !ok1 || !ok2 {

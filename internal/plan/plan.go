@@ -47,10 +47,7 @@ type Plan struct {
 	// The bound uses the symbolic section's constant element count when
 	// it has one and degrades to the full declared array size otherwise.
 	Bound map[*core.Group]int
-	// symSec holds each placed entry's expanded symbolic section at its
-	// group's level, for Lower.
-	symSec map[*core.Entry]asd.SymSection
-	mem    *runtime.Memory
+	mem   *runtime.Memory
 }
 
 // New builds the plan for one placement over one memory image.
@@ -67,18 +64,10 @@ func New(res *core.Result, mem *runtime.Memory) *Plan {
 	}
 	pl.Tree = BuildTree(mem.P)
 	pl.Bound = make(map[*core.Group]int, len(res.Groups))
-	pl.symSec = map[*core.Entry]asd.SymSection{}
 	for _, g := range res.Groups {
 		total := 0
 		for _, e := range g.Entries {
-			// Expanding the symbolic section (SectionAt) walks the
-			// dependence forms and is by far the most allocation-heavy
-			// step of entry concretization; it depends only on the
-			// entry and its group's placement level, so it is done
-			// exactly once here.
-			sym := res.CommSection(e, g.Pos.Level())
-			pl.symSec[e] = sym
-			total += pl.entryBound(sym, a.Unit.Arrays[e.Array].Size())
+			total += pl.entryBound(res.CommSection(e, g.Pos.Level()), a.Unit.Arrays[e.Array].Size())
 		}
 		pl.Bound[g] = total
 	}
