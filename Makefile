@@ -7,7 +7,7 @@ BENCH_BASELINE ?= BENCH_baseline.json
 # run compare against a real prior revision.
 GAP_HISTORY ?= ci/bench-history.jsonl
 
-.PHONY: all build test vet fmt-check race check bench-build benchgate gapreport attr-smoke obs-smoke native-smoke nativeprof-smoke compile-smoke
+.PHONY: all build test vet fmt-check race check bench-build benchgate gapreport attr-smoke obs-smoke native-smoke nativeprof-smoke compile-smoke sim-smoke
 
 all: build
 
@@ -30,7 +30,7 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-check: build vet fmt-check test bench-build compile-smoke
+check: build vet fmt-check test bench-build compile-smoke sim-smoke
 
 # bench-build covers what ./... cannot see: the nested benchmark/ module
 # imports internal/plan, internal/spmd and internal/runtime, so it has to
@@ -200,3 +200,30 @@ compile-smoke:
 	[ "$$allocs" -le "$$budget" ] || { echo "compile-smoke: $$allocs allocs/op exceeds budget $$budget (ci/compile-alloc-budget.txt)"; exit 1; }; \
 	echo "compile-smoke: $$allocs allocs/op within budget $$budget"
 	@echo "compile-smoke: ok"
+
+# sim-smoke holds what the BSP simulator charges and what it costs: the
+# ledger golden file (messages, bytes, barriers and every clock bit, at
+# 1, 3 and GOMAXPROCS shards) must pass unchanged, the per-receiver
+# strip delivery must leave exactly what the per-element section scan
+# it replaced left (rows, validity planes, per-pair bytes), the sharded
+# run must match the sequential one under the race detector — shards
+# deliver into disjoint receiver rows without locks — and one
+# single-shard run of hydflo/flux (BenchmarkSimVerify/j1: n=16, 4 steps,
+# P=16, memory image and lowered program rebuilt per run) must stay
+# within the allocation budget in ci/sim-alloc-budget.txt: 1.25x the
+# measured allocs/op, where the revision that scanned whole sections
+# into per-call pair maps spent 10 300 — a bulk memory operation that
+# allocates per call again is a regression long before it shows in
+# milliseconds.
+sim-smoke:
+	@mkdir -p out
+	$(GO) test ./internal/spmd -run 'TestLedgerGolden' -count=1
+	$(GO) test ./internal/runtime -run 'TestStripMatchesElementScan|TestOwnerRunsMatchElementScan|TestBulkOperationsDoNotAllocate' -count=1
+	$(GO) test -race ./internal/spmd -run 'TestParallelMatchesSequential' -count=1
+	$(GO) test -short -run XXX -bench 'BenchmarkSimVerify/j1$$' -benchtime 5x -benchmem . | tee out/sim-alloc.txt
+	@budget=$$(cat ci/sim-alloc-budget.txt); \
+	allocs=$$(awk '/^BenchmarkSimVerify\/j1/ {for (i=1; i<NF; i++) if ($$(i+1) == "allocs/op") print $$i}' out/sim-alloc.txt); \
+	[ -n "$$allocs" ] || { echo "sim-smoke: no allocs/op in benchmark output"; exit 1; }; \
+	[ "$$allocs" -le "$$budget" ] || { echo "sim-smoke: $$allocs allocs/op exceeds budget $$budget (ci/sim-alloc-budget.txt)"; exit 1; }; \
+	echo "sim-smoke: $$allocs allocs/op within budget $$budget"
+	@echo "sim-smoke: ok"

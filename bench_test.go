@@ -20,6 +20,7 @@ import (
 	"gcao/internal/core"
 	"gcao/internal/machine"
 	"gcao/internal/native"
+	"gcao/internal/parser"
 	"gcao/internal/plan"
 	"gcao/internal/runtime"
 	"gcao/internal/sem"
@@ -479,6 +480,53 @@ func BenchmarkParallelSimulation(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSimVerify is the repository benchmark's sim-verify op under
+// `go test`: one sharded simulator run of hydflo/flux (n=16, 4 steps,
+// P=16, comb), memory image and lowered program rebuilt per run as the
+// API does — at one shard per core and on a single shard. Large
+// combined strips make the per-receiver strip delivery and the ledger
+// what this measures. ci/sim-alloc-budget.txt holds the allocs/op
+// ceiling `make sim-smoke` enforces on the single-shard run (the count
+// does not depend on the host there): bulk memory operations that start
+// allocating per call again show up as thousands of allocations long
+// before they show in milliseconds.
+func BenchmarkSimVerify(b *testing.B) {
+	pr, err := bench.ByName("hydflo", "flux")
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := parser.ParseRoutine(pr.Source)
+	if err != nil {
+		b.Fatal(err)
+	}
+	u, err := sem.Analyze(r, map[string]int{"n": 16, "steps": 4}, sem.Options{Procs: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := core.NewAnalysis(u)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := a.Place(core.Options{Version: core.VersionCombine})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := machine.SP2()
+	for _, run := range []struct {
+		name    string
+		workers int
+	}{{"jmax", goruntime.GOMAXPROCS(0)}, {"j1", 1}} {
+		b.Run(run.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := spmd.RunParallel(res, m, 16, run.workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // warmGravityEngine prepares the native hot point every native

@@ -305,25 +305,30 @@ func TestCompileRejectsBadRequests(t *testing.T) {
 // next request as if nothing had happened.
 func TestSimulateOutOfRangeSubscriptIs4xx(t *testing.T) {
 	_, ts := testServer(t)
-	const src = "routine r(n)\nreal a(n), b(n)\n!hpf$ distribute (block) :: a, b\n" +
-		"do i = 1, n\na(i) = i\nenddo\ndo i = 1, n\nb(i) = a(i + 5)\nenddo\nend\n"
-	for _, procs := range []int{4, 9} { // single shard, and sharded where cores allow
-		resp, _ := postCompile(t, ts, map[string]any{
-			"source": src, "params": map[string]int{"n": 18}, "procs": procs, "simulate": true,
-		})
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("procs=%d: status = %d, want 400", procs, resp.StatusCode)
-		}
-		var body map[string]string
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatal(err)
-		}
-		if body["req_id"] == "" || body["req_id"] != resp.Header.Get("X-Request-Id") {
-			t.Errorf("procs=%d: req_id %q, header %q", procs, body["req_id"], resp.Header.Get("X-Request-Id"))
-		}
-		for _, want := range []string{"8:8: a: subscript", "outside the declared 1:18"} {
-			if !strings.Contains(body["error"], want) {
-				t.Errorf("procs=%d: error %q lacks %q", procs, body["error"], want)
+	const head = "routine r(n)\nreal a(n), b(n)\nreal x\n!hpf$ distribute (block) :: a, b\n" +
+		"do i = 1, n\na(i) = i\nenddo\n"
+	for _, tc := range []struct{ body, at string }{
+		{"do i = 1, n\nb(i) = a(i + 5)\nenddo\n", "9:8: a: subscript"},
+		{"x = sum(a(1:n + 5))\n", "8:5: a: subscript 1:23"}, // a SUM section past the bounds, at the call
+	} {
+		for _, procs := range []int{4, 9} { // single shard, and sharded where cores allow
+			resp, _ := postCompile(t, ts, map[string]any{
+				"source": head + tc.body + "end\n", "params": map[string]int{"n": 18}, "procs": procs, "simulate": true,
+			})
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("procs=%d: status = %d, want 400", procs, resp.StatusCode)
+			}
+			var body map[string]string
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Fatal(err)
+			}
+			if body["req_id"] == "" || body["req_id"] != resp.Header.Get("X-Request-Id") {
+				t.Errorf("procs=%d: req_id %q, header %q", procs, body["req_id"], resp.Header.Get("X-Request-Id"))
+			}
+			for _, want := range []string{tc.at, "outside the declared 1:18"} {
+				if !strings.Contains(body["error"], want) {
+					t.Errorf("procs=%d: error %q lacks %q", procs, body["error"], want)
+				}
 			}
 		}
 	}

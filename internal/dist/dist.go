@@ -121,6 +121,19 @@ func (g Grid) PID(coords []int) int {
 	return id
 }
 
+// Neighbor returns the processor delta steps from pid along grid
+// dimension dim; ok is false past the edge of the (non-periodic) grid.
+func (g Grid) Neighbor(pid, dim, delta int) (int, bool) {
+	stride := 1
+	for i := dim + 1; i < len(g.Shape); i++ {
+		stride *= g.Shape[i]
+	}
+	if c := pid/stride%g.Shape[dim] + delta; c < 0 || c >= g.Shape[dim] {
+		return 0, false
+	}
+	return pid + delta*stride, true
+}
+
 func (g Grid) String() string {
 	parts := make([]string, len(g.Shape))
 	for i, s := range g.Shape {

@@ -61,7 +61,6 @@ import (
 	"math"
 
 	"gcao/internal/core"
-	"gcao/internal/dist"
 	"gcao/internal/native/prof"
 	"gcao/internal/plan"
 	"gcao/internal/runtime"
@@ -267,80 +266,42 @@ func (pc *proc) execComm(c *plan.Comm) error {
 	return nil
 }
 
-// entrySec is one concretized group entry.
-type entrySec struct {
-	am  *runtime.ArrayMem
-	sec section.Section
-	ad  int // array dim moved by the shift (-1 for collectives)
-}
-
-// concretizeEntries resolves the group's entry sections under this
-// processor's loop variables into the per-proc scratch (valid until
-// the next call). The variables are replicated, so every processor
-// derives the identical list.
-func (pc *proc) concretizeEntries(op *plan.CommOp) []entrySec {
-	out, dims := pc.entbuf[:0], pc.dimbuf[:0]
-	for i := range op.Entries {
-		e := &op.Entries[i]
-		rank := e.Am.Arr.Rank()
-		if len(dims)+rank > cap(dims) {
-			// Earlier entries keep the descriptors they already hold.
-			dims = make([]section.Dim, 0, 2*(len(dims)+rank))
-		}
-		dims = dims[:len(dims)+rank]
-		sec, ok := e.Concrete(pc.fr, dims[len(dims)-rank:])
-		if !ok {
-			dims = dims[:len(dims)-rank]
-			continue
-		}
-		out = append(out, entrySec{am: e.Am, sec: sec, ad: e.ShiftDim})
-	}
-	pc.entbuf, pc.dimbuf = out, dims
-	return out
-}
-
 // shiftExchange performs one ghost-strip exchange. Data moves from
 // grid coordinate c to c-sign along g.Map.GridDim: this processor
 // sends its strip to the neighbour at coordinate c-sign (if any) and
 // receives the neighbour strip from coordinate c+sign (if any). The
 // payload carries only the elements the sender holds current plus a
 // packed validity bitmap trailer, reproducing the simulator's rule
-// that only valid elements travel.
+// that only valid elements travel. Both legs enumerate a strip through
+// ArrayMem.StripRuns with the same arguments — the strip's sender —
+// and so visit the same list.
 func (pc *proc) shiftExchange(op *plan.CommOp) error {
-	ents := pc.concretizeEntries(op)
+	ents := op.Concretize(pc.fr, &pc.entbuf)
 	g := op.Group
 	gridDim, sign, width := g.Map.GridDim, g.Map.Sign, g.Map.Width
 	grid := pc.eng.pl.A.Unit.Grid
-	shape := grid.Shape[gridDim]
-	myCoord := pc.coords[gridDim]
-	stride := 1
-	for i := gridDim + 1; i < grid.Rank(); i++ {
-		stride *= grid.Shape[i]
-	}
 
 	// Send leg: pack the valid strip elements and the validity bitmap
 	// for the receiving neighbour. Wire format:
 	// [values...][bitmap words][element count].
-	if c := myCoord - sign; c >= 0 && c < shape {
-		dst := pc.p - sign*stride
-		dstCoords := pc.coordbuf[:len(pc.coords)]
-		copy(dstCoords, pc.coords)
-		dstCoords[gridDim] = c
+	if dst, ok := grid.Neighbor(pc.p, gridDim, -sign); ok {
 		payload := pc.getBuf(dst, op.Bound+op.Bound/64+2)
 		bits := pc.bitbuf[:0]
 		n := 0
 		for _, es := range ents {
-			es := es
-			pc.forEachStripElem(es, sign, width, myCoord, dstCoords, func(off int) {
-				if n%64 == 0 {
-					bits = append(bits, 0)
+			data, valid := es.Am.Data[pc.p], es.Am.Valid[pc.p]
+			es.Am.StripRuns(es.Sec, pc.p, es.ShiftDim, sign, width, pc.fr.Scratch, func(off, m int) {
+				for i := off; i < off+m; i++ {
+					if n%64 == 0 {
+						bits = append(bits, 0)
+					}
+					if valid[i] {
+						bits[n/64] |= 1 << (n % 64)
+						payload = append(payload, data[i])
+						pc.bytes += 8
+					}
+					n++
 				}
-				if es.am.Valid[pc.p][off] {
-					bits[n/64] |= 1 << (n % 64)
-					payload = append(payload, es.am.Data[pc.p][off])
-					pc.bytes += 8
-				}
-				n++
 			})
 		}
 		pc.bitbuf = bits
@@ -355,8 +316,7 @@ func (pc *proc) shiftExchange(op *plan.CommOp) error {
 
 	// Receive leg: unpack the neighbour's strip into our own rows,
 	// consulting the bitmap trailer, then recycle the buffer.
-	if c := myCoord + sign; c >= 0 && c < shape {
-		src := pc.p + sign*stride
+	if src, ok := grid.Neighbor(pc.p, gridDim, sign); ok {
 		buf, err := pc.recv(src)
 		if err != nil {
 			return err
@@ -373,14 +333,15 @@ func (pc *proc) shiftExchange(op *plan.CommOp) error {
 		words := buf[nv : len(buf)-1]
 		k, vpos := 0, 0
 		for _, es := range ents {
-			es := es
-			pc.forEachStripElem(es, sign, width, c, pc.coords, func(off int) {
-				if k < n && math.Float64bits(words[k/64])&(1<<uint(k%64)) != 0 {
-					es.am.Data[pc.p][off] = buf[vpos]
-					es.am.Valid[pc.p][off] = true
-					vpos++
+			data, valid := es.Am.Data[pc.p], es.Am.Valid[pc.p]
+			es.Am.StripRuns(es.Sec, src, es.ShiftDim, sign, width, pc.fr.Scratch, func(off, m int) {
+				for i := off; i < off+m; i++ {
+					if k < n && math.Float64bits(words[k/64])&(1<<uint(k%64)) != 0 {
+						data[i], valid[i] = buf[vpos], true
+						vpos++
+					}
+					k++
 				}
-				k++
 			})
 		}
 		if k != n || vpos != nv {
@@ -389,49 +350,6 @@ func (pc *proc) shiftExchange(op *plan.CommOp) error {
 		pc.putBuf(src, buf)
 	}
 	return nil
-}
-
-// forEachStripElem visits the offsets of one entry's strip elements in
-// section order: elements owned (along the moved dimension) by
-// srcCoord, inside the sender's boundary strip of the given width, and
-// within the receiver's extended local region (its block widened by
-// the ghost margin in every other distributed dimension). Each of
-// those conditions is an index range, so the entry section is clipped
-// to their intersection and only the strip itself is enumerated; a
-// CYCLIC moved dimension, whose owned set is not a range, keeps its
-// ownership test per element. Sender and receiver call this with the
-// same arguments and visit the same list.
-func (pc *proc) forEachStripElem(es entrySec, sign, width, srcCoord int, dstCoords []int, f func(off int)) {
-	am, ad, d := es.am, es.ad, es.am.Dist
-	lo, hi := pc.boxlo[:len(d.Dims)], pc.boxhi[:len(d.Dims)]
-	for k, dd := range d.Dims {
-		lo[k], hi[k] = am.Arr.Lo[k], am.Arr.Hi[k]
-		if dd.Kind == dist.Star {
-			continue
-		}
-		c := dstCoords[dd.GridDim]
-		if k == ad {
-			c = srcCoord
-		}
-		l, h, ok := d.LocalRange(k, c)
-		switch {
-		case !ok:
-			return
-		case k != ad:
-			lo[k], hi[k] = l-width, h+width
-		case sign > 0:
-			lo[k], hi[k] = l, l+width-1
-		default:
-			lo[k], hi[k] = h-width+1, h
-		}
-	}
-	cyclic := d.Dims[ad].Kind == dist.Cyclic
-	es.sec.ClipInto(lo, hi, pc.secbuf).ElemsInto(pc.idxbuf, func(idx []int) bool {
-		if !cyclic || d.OwnerDim(ad, idx[ad]) == srcCoord {
-			f(am.Offset(idx))
-		}
-		return true
-	})
 }
 
 // gatherUp moves this processor's contribution (already packed into
@@ -526,46 +444,37 @@ func (pc *proc) bcastDown(full []float64) ([]float64, error) {
 	return full, nil
 }
 
+// packOwned packs this processor's elements of a section, in section
+// order, into pc.minebuf; the root also counts every processor's
+// contribution into pc.cnt, for stream reconstruction.
+func (pc *proc) packOwned(am *runtime.ArrayMem, sec section.Section) {
+	mine, cnt := pc.minebuf[:0], pc.cnt
+	clear(cnt)
+	am.OwnerRuns(sec, pc.fr.Scratch, func(o, off, n int) {
+		if o == pc.p {
+			mine = append(mine, am.Data[o][off:off+n]...)
+		}
+		if pc.p == 0 {
+			cnt[o] += n
+		}
+	})
+	if pc.p != 0 {
+		pc.bytes += 8 * int64(len(mine))
+	}
+	pc.minebuf = mine
+}
+
 // bcastGather performs one broadcast/gather group over the binomial
 // tree: per entry, owners pack their section elements in section
 // order, operands ascend the tree, the root reassembles the full
-// section by popping each element from its owner's stream (the same
+// section by popping each run from its owner's stream (the same
 // owner-order scan SumSection uses), the section descends the tree,
 // and every processor stores the elements it does not own.
 func (pc *proc) bcastGather(op *plan.CommOp) error {
-	bound := op.Bound
-	for _, es := range pc.concretizeEntries(op) {
-		am := es.am
-		coords := pc.cbuf[:am.Dist.Grid.Rank()]
-
-		// Pack owned elements in section order; the root also counts
-		// every processor's contribution for stream reconstruction.
-		mine := pc.minebuf[:0]
-		cnt := pc.cnt
-		if pc.p == 0 {
-			for i := range cnt {
-				cnt[i] = 0
-			}
-			es.sec.ElemsInto(pc.idxbuf, func(idx []int) bool {
-				o := am.OwnerInto(idx, coords)
-				cnt[o]++
-				if o == 0 {
-					mine = append(mine, am.Data[0][am.Offset(idx)])
-				}
-				return true
-			})
-		} else {
-			es.sec.ElemsInto(pc.idxbuf, func(idx []int) bool {
-				if am.OwnerInto(idx, coords) == pc.p {
-					mine = append(mine, am.Data[pc.p][am.Offset(idx)])
-				}
-				return true
-			})
-			pc.bytes += 8 * int64(len(mine))
-		}
-		pc.minebuf = mine
-
-		streams, err := pc.gatherUp(cnt, bound)
+	for _, es := range op.Concretize(pc.fr, &pc.entbuf) {
+		am := es.Am
+		pc.packOwned(am, es.Sec)
+		streams, err := pc.gatherUp(pc.cnt, op.Bound)
 		if err != nil {
 			return err
 		}
@@ -574,14 +483,10 @@ func (pc *proc) bcastGather(op *plan.CommOp) error {
 		if pc.p == 0 {
 			full = pc.fullbuf[:0]
 			pos := pc.pos
-			for i := range pos {
-				pos[i] = 0
-			}
-			es.sec.ElemsInto(pc.idxbuf, func(idx []int) bool {
-				o := am.OwnerInto(idx, coords)
-				full = append(full, streams[o][pos[o]])
-				pos[o]++
-				return true
+			clear(pos)
+			am.OwnerRuns(es.Sec, pc.fr.Scratch, func(o, _, n int) {
+				full = append(full, streams[o][pos[o]:pos[o]+n]...)
+				pos[o] += n
 			})
 			pc.fullbuf = full
 			pc.releaseGather()
@@ -591,15 +496,14 @@ func (pc *proc) bcastGather(op *plan.CommOp) error {
 		}
 
 		k := 0
-		es.sec.ElemsInto(pc.idxbuf, func(idx []int) bool {
-			o := am.OwnerInto(idx, coords)
+		am.OwnerRuns(es.Sec, pc.fr.Scratch, func(o, off, n int) {
 			if o != pc.p {
-				off := am.Offset(idx)
-				am.Data[pc.p][off] = full[k]
-				am.Valid[pc.p][off] = true
+				copy(am.Data[pc.p][off:off+n], full[k:k+n])
+				for i := off; i < off+n; i++ {
+					am.Valid[pc.p][i] = true
+				}
 			}
-			k++
-			return true
+			k += n
 		})
 		if pc.p != 0 {
 			pc.putBuf(pc.eng.pl.Tree.Parent[pc.p], full)
@@ -611,7 +515,7 @@ func (pc *proc) bcastGather(op *plan.CommOp) error {
 // collectiveSum combines a distributed SUM: owners stream their
 // section elements up the binomial tree as raw operands, the root
 // replays the simulator's global section-order scan — popping each
-// element from its owner's stream, so the floating-point accumulation
+// run from its owner's stream, so the floating-point accumulation
 // order is bit-identical to SumSection — and the total descends the
 // tree.
 func (pc *proc) collectiveSum(sc *plan.Sum) (float64, error) {
@@ -622,57 +526,27 @@ func (pc *proc) collectiveSum(sc *plan.Sum) (float64, error) {
 		pc.evStep, pc.evSite = prof.PendingStep, -1
 		pc.evSend, pc.evRecv = prof.PhaseSum, prof.PhaseSum
 	}
-	am := sc.Am
-	sec := sc.Sec.Eval(pc.fr, pc.secbuf)
+	sec := sc.Section(pc.fr)
 	if pc.fr.Err != nil {
 		return 0, pc.evalErr()
 	}
-	coords := pc.cbuf[:am.Dist.Grid.Rank()]
-
-	mine := pc.minebuf[:0]
-	cnt := pc.cnt
-	if pc.p == 0 {
-		for i := range cnt {
-			cnt[i] = 0
-		}
-		sec.ElemsInto(pc.idxbuf, func(idx []int) bool {
-			o := am.OwnerInto(idx, coords)
-			cnt[o]++
-			if o == 0 {
-				mine = append(mine, am.Data[0][am.Offset(idx)])
-			}
-			return true
-		})
-	} else {
-		sec.ElemsInto(pc.idxbuf, func(idx []int) bool {
-			if am.OwnerInto(idx, coords) == pc.p {
-				mine = append(mine, am.Data[pc.p][am.Offset(idx)])
-			}
-			return true
-		})
-		pc.bytes += 8 * int64(len(mine))
-	}
-	pc.minebuf = mine
-
-	streams, err := pc.gatherUp(cnt, sc.Bound)
+	pc.packOwned(sc.Am, sec)
+	streams, err := pc.gatherUp(pc.cnt, sc.Bound)
 	if err != nil {
 		return 0, err
 	}
-
 	if pc.p != 0 {
 		return pc.bcastValue(0)
 	}
 
 	pos := pc.pos
-	for i := range pos {
-		pos[i] = 0
-	}
+	clear(pos)
 	total := 0.0
-	sec.ElemsInto(pc.idxbuf, func(idx []int) bool {
-		o := am.OwnerInto(idx, coords)
-		total += streams[o][pos[o]]
-		pos[o]++
-		return true
+	sc.Am.OwnerRuns(sec, pc.fr.Scratch, func(o, _, n int) {
+		for _, v := range streams[o][pos[o] : pos[o]+n] {
+			total += v
+		}
+		pos[o] += n
 	})
 	pc.releaseGather()
 	return pc.bcastValue(total)

@@ -462,8 +462,10 @@ end
 
 // TestNativeOutOfRangeSubscriptIsError: a subscript outside the
 // declared bounds is an error value carrying the position and the
-// processor — from the entry check of a localized nest and from the
-// per-element check of a guarded walk alike — not a panic on a
+// processor — from the entry check of a localized nest, the
+// per-element check of a guarded walk and a SUM section past the bounds
+// (every processor fails the collective before sending) alike — not a
+// panic on a
 // processor goroutine; every goroutine of the failed run has exited
 // when Run returns, and the engine runs again afterwards (the second
 // Run executes the program afresh and reports the same error, instead
@@ -473,6 +475,7 @@ func TestNativeOutOfRangeSubscriptIsError(t *testing.T) {
 		{"localized-nest", "do i = 1, n\nb(i) = a(i + 5)\nenddo\n"},
 		{"guarded-walk", "do i = 1, n\nx = i\nb(i) = a(i + 5)\nenddo\n"},
 		{"left-hand-side", "do i = 1, n\nb(i + 5) = a(i)\nenddo\n"},
+		{"sum-section", "x = sum(a(1:n + 5))\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := "routine r(n)\nreal a(n), b(n)\nreal x\n!hpf$ distribute (block) :: a, b\n" +

@@ -51,7 +51,6 @@ import (
 	"gcao/internal/obs"
 	"gcao/internal/plan"
 	"gcao/internal/runtime"
-	"gcao/internal/section"
 	"gcao/internal/source"
 )
 
@@ -217,25 +216,13 @@ func NewEngine(res *core.Result, procs int) (*Engine, error) {
 	}
 	eng.connectFabric()
 
-	// Scratch sizing: the maximum array rank bounds index vectors and
-	// section descriptors, the grid rank bounds owner-coordinate
-	// vectors.
-	maxRank, gridRank := eng.prog.MaxRank, a.Unit.Grid.Rank()
-
 	eng.ps = make([]*proc, procs)
 	for p := 0; p < procs; p++ {
 		pc := &proc{
-			eng:      eng,
-			p:        p,
-			coords:   a.Unit.Grid.Coords(p),
-			fr:       eng.prog.NewFrame(p),
-			ops:      map[string]int64{},
-			cbuf:     make([]int, gridRank),
-			coordbuf: make([]int, gridRank),
-			idxbuf:   make([]int, maxRank),
-			boxlo:    make([]int, maxRank),
-			boxhi:    make([]int, maxRank),
-			secbuf:   make([]section.Dim, maxRank),
+			eng: eng,
+			p:   p,
+			fr:  eng.prog.NewFrame(p),
+			ops: map[string]int64{},
 		}
 		if p == 0 {
 			// Gather-assembly scratch: only the tree root carves
@@ -525,9 +512,8 @@ func (eng *engine) rearm() {
 // proc: one logical processor's goroutine state
 
 type proc struct {
-	eng    *engine
-	p      int
-	coords []int
+	eng *engine
+	p   int
 	// fr holds the processor's replicated program state: loop
 	// variables, scalars, SUM totals and the first evaluation error.
 	fr *plan.Frame
@@ -536,27 +522,19 @@ type proc struct {
 	at source.Pos
 
 	// Reusable scratch, sized once at engine setup so the hot paths
-	// allocate nothing: grid-coordinate vectors for owner computations
-	// (cbuf) and shift destinations (coordbuf), an index vector and a
-	// clipping box for section scans, a section descriptor for SUM
-	// arguments (secbuf), the concretized entry list with its
-	// descriptors (entbuf, dimbuf), the packed contribution and
-	// assembled-section buffers, the shift validity bitmap, and — root
-	// only — the gather stream-carving scratch.
-	cbuf         []int
-	coordbuf     []int
-	idxbuf       []int
-	boxlo, boxhi []int
-	secbuf       []section.Dim
-	entbuf       []entrySec
-	dimbuf       []section.Dim
-	minebuf      []float64
-	fullbuf      []float64
-	bitbuf       []uint64
-	cnt          []int       // root: per-proc element counts of one gather
-	pos          []int       // root: per-proc stream positions
-	streams      [][]float64 // root: per-proc operand streams
-	childbufs    [][]float64 // root: child buffers held during assembly
+	// allocate nothing: the concretized entry list with its descriptors
+	// (entbuf), the packed contribution and assembled-section buffers,
+	// the shift validity bitmap, and — root only — the gather
+	// stream-carving scratch. The bulk memory operations use the
+	// frame's Scratch.
+	entbuf    plan.EntryBuf
+	minebuf   []float64
+	fullbuf   []float64
+	bitbuf    []uint64
+	cnt       []int       // root: per-proc element counts of one gather
+	pos       []int       // root: per-proc stream positions
+	streams   [][]float64 // root: per-proc operand streams
+	childbufs [][]float64 // root: child buffers held during assembly
 
 	msgs, bytes     int64
 	wire, hops      int64

@@ -212,12 +212,8 @@ func (n *Nest) clamp(procs int) {
 				continue
 			}
 			c := constraint{loop: n.loops[n.loopOf[sub.Terms[0].Slot]], owned: make([]Range, procs)}
-			coords := make([]int, d.Grid.Rank())
 			for p := range c.owned {
-				lo, hi, ok := d.LocalRange(i, d.Grid.CoordsInto(p, coords)[dd.GridDim])
-				if !ok {
-					lo, hi = 1, 0
-				}
+				lo, hi := st.LHS.Am.OwnedBox(p, i)
 				c.owned[p] = Range{Lo: lo - sub.Const, Hi: hi - sub.Const}
 			}
 			cons[si] = append(cons[si], c)
@@ -354,7 +350,7 @@ func (n *Nest) verify(r *ArrayRef, fr *Frame, mine bool) {
 	arr := r.Am.Arr
 	for i := range r.Subs {
 		if s := n.span(&r.Subs[i].Affine, fr, mine); s.Lo < arr.Lo[i] || s.Hi > arr.Hi[i] {
-			fr.fail(r.rangeError(i, s.Lo, s.Hi))
+			fr.fail(rangeError(r.Pos, r.Am, i, s.Lo, s.Hi))
 			return
 		}
 	}
@@ -384,6 +380,6 @@ func (n *Nest) Leave(fr *Frame) {
 			s := n.span(&st.LHS.Subs[i].Affine, fr, false)
 			lo[i], hi[i] = s.Lo, s.Hi
 		}
-		st.LHS.Am.InvalidateBox(fr.P, lo, hi, fr.idx, fr.coords)
+		st.LHS.Am.InvalidateBox(fr.P, lo, hi, fr.Scratch)
 	}
 }

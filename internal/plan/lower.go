@@ -614,18 +614,23 @@ func (lw *lowerer) sum(e *ast.Call) RealFn {
 		if !seen {
 			slot = len(lw.sums)
 			lw.sumSlot[e] = slot
-			lw.sums = append(lw.sums, Sum{Am: am, Sec: lw.secExpr(ref, am), Bound: am.Arr.Size()})
+			lw.sums = append(lw.sums, Sum{Am: am, Pos: e.Pos, Sec: lw.secExpr(ref, am), Bound: am.Arr.Size()})
 			lw.pr.maxSums = max(lw.pr.maxSums, len(lw.sums))
 		}
 		return func(fr *Frame) float64 { return fr.Sums[slot] }
 	}
-	sec := lw.secExpr(ref, am)
+	sum := Sum{Am: am, Pos: e.Pos, Sec: lw.secExpr(ref, am)}
 	return func(fr *Frame) float64 {
+		sec := sum.Section(fr)
+		if fr.Err != nil {
+			return 0
+		}
 		total := 0.0
-		sec.Eval(fr, fr.dims).ElemsInto(fr.idx, func(idx []int) bool {
-			total += am.Data[0][am.Offset(idx)]
-			fr.SumFlops++
-			return true
+		am.OwnerRuns(sec, fr.Scratch, func(_, off, n int) {
+			for _, v := range am.Data[0][off : off+n] {
+				total += v
+			}
+			fr.SumFlops += n
 		})
 		return total
 	}

@@ -93,6 +93,46 @@ func (e *EntrySec) Concrete(fr *Frame, dst []section.Dim) (sec section.Section, 
 	return section.Section{Dims: dst}.ClipInto(e.Am.Arr.Lo, e.Am.Arr.Hi, dst), true
 }
 
+// Entry is one group entry concretized under a frame.
+type Entry struct {
+	Am       *runtime.ArrayMem
+	Sec      section.Section
+	ShiftDim int
+}
+
+// EntryBuf is the storage of one concretized entry list, reused from
+// one communication operation to the next by the executor that owns it.
+type EntryBuf struct {
+	ents []Entry
+	dims []section.Dim
+}
+
+// Concretize resolves the group's entry sections under fr into buf
+// (valid until the next call with the same buf). The entries lowering
+// kept are the ones that can move data; one over a variable no loop has
+// bound yet moves none. Loop variables are replicated, so every
+// executor derives the identical list.
+func (op *CommOp) Concretize(fr *Frame, buf *EntryBuf) []Entry {
+	out, dims := buf.ents[:0], buf.dims[:0]
+	for i := range op.Entries {
+		e := &op.Entries[i]
+		rank := len(e.Lo)
+		if len(dims)+rank > cap(dims) {
+			// Earlier entries keep the descriptors they already hold.
+			dims = make([]section.Dim, 0, 2*(len(dims)+rank))
+		}
+		dims = dims[:len(dims)+rank]
+		sec, ok := e.Concrete(fr, dims[len(dims)-rank:])
+		if !ok {
+			dims = dims[:len(dims)-rank]
+			continue
+		}
+		out = append(out, Entry{Am: e.Am, Sec: sec, ShiftDim: e.ShiftDim})
+	}
+	buf.ents, buf.dims = out, dims
+	return out
+}
+
 // Stmt is one assignment. A backend runs Sums (the statement-level
 // collectives, results into Frame.Sums in order), then evaluates and
 // stores: into Frame.Reals[Scalar] when LHS is nil, else into the
@@ -114,12 +154,34 @@ type Stmt struct {
 	loops []*Loop     // enclosing loops, outermost first
 }
 
-// Sum is one distributed SUM collective of a statement or condition.
+// Sum is one SUM call over an array section: a collective of its
+// statement or condition when the array is distributed.
 type Sum struct {
 	Am  *runtime.ArrayMem
+	Pos source.Pos
 	Sec SecExpr
 	// Bound is the plan's element-count bound for gather buffers.
 	Bound int
+}
+
+// Section evaluates the summed section under fr, into the frame's
+// scratch (valid until the next evaluation under fr). A section that
+// reaches outside the declared bounds records an error in fr,
+// positioned at the call; the caller checks fr.Err before walking it.
+func (s *Sum) Section(fr *Frame) section.Section {
+	sec := s.Sec.Eval(fr, fr.dims)
+	if fr.Err != nil || sec.IsEmpty() {
+		return sec
+	}
+	arr := s.Am.Arr
+	for i, d := range sec.Dims {
+		step := max(d.Step, 1)
+		if last := d.Lo + (d.Hi-d.Lo)/step*step; d.Lo < arr.Lo[i] || last > arr.Hi[i] {
+			fr.fail(rangeError(s.Pos, s.Am, i, d.Lo, last))
+			break
+		}
+	}
+	return sec
 }
 
 // If is a two-way branch. A Sync condition reads distributed data: the
@@ -216,6 +278,11 @@ type Frame struct {
 	// before using a value.
 	Err error
 
+	// Scratch is the executor's scratch for the bulk memory operations
+	// of package runtime: the lowered form uses it between statements
+	// (Nest.Leave, inline SUMs), the driver for its communication.
+	Scratch *runtime.Scratch
+
 	ranges []loopRange // by cfg.Loop.ID, filled by Nest.Enter
 	dims   []section.Dim
 	idx    []int
@@ -227,18 +294,19 @@ type Frame struct {
 // view.
 func (pr *Program) NewFrame(p int) *Frame {
 	return &Frame{
-		P:      p,
-		Ints:   make([]int, len(pr.Ints)),
-		Bound:  make([]bool, len(pr.Ints)),
-		Reals:  make([]float64, len(pr.Reals)),
-		Set:    make([]bool, len(pr.Reals)),
-		Sums:   make([]float64, pr.maxSums),
-		ranges: make([]loopRange, len(pr.Plan.A.G.Loops)),
-		dims:   make([]section.Dim, pr.MaxRank),
-		idx:    make([]int, pr.MaxRank),
-		lo:     make([]int, pr.MaxRank),
-		hi:     make([]int, pr.MaxRank),
-		coords: make([]int, pr.Plan.A.Unit.Grid.Rank()),
+		P:       p,
+		Ints:    make([]int, len(pr.Ints)),
+		Bound:   make([]bool, len(pr.Ints)),
+		Reals:   make([]float64, len(pr.Reals)),
+		Set:     make([]bool, len(pr.Reals)),
+		Sums:    make([]float64, pr.maxSums),
+		Scratch: runtime.NewScratch(pr.MaxRank),
+		ranges:  make([]loopRange, len(pr.Plan.A.G.Loops)),
+		dims:    make([]section.Dim, pr.MaxRank),
+		idx:     make([]int, pr.MaxRank),
+		lo:      make([]int, pr.MaxRank),
+		hi:      make([]int, pr.MaxRank),
+		coords:  make([]int, pr.Plan.A.Unit.Grid.Rank()),
 	}
 }
 
@@ -372,7 +440,7 @@ func (r *ArrayRef) Offset(fr *Frame) int {
 	for i := range r.Subs {
 		x := r.Subs[i].Eval(fr)
 		if x < arr.Lo[i] || x > arr.Hi[i] {
-			fr.fail(r.rangeError(i, x, x))
+			fr.fail(rangeError(r.Pos, r.Am, i, x, x))
 			return 0
 		}
 		off += (x - arr.Lo[i]) * r.Am.Strides[i]
@@ -394,12 +462,13 @@ func (r *ArrayRef) Owner(fr *Frame) int {
 	return r.Am.OwnerInto(r.Index(fr, fr.idx), fr.coords[:r.Am.Dist.Grid.Rank()])
 }
 
-func (r *ArrayRef) rangeError(dim, lo, hi int) error {
-	arr := r.Am.Arr
+// rangeError is the positioned error of a subscript, or a range of
+// them, outside the declared bounds of a dimension.
+func rangeError(pos source.Pos, am *runtime.ArrayMem, dim, lo, hi int) error {
 	sub := fmt.Sprint(lo)
 	if hi != lo {
 		sub = fmt.Sprintf("%d:%d", lo, hi)
 	}
-	return source.Errorf(r.Pos, "%s: subscript %s of dimension %d outside the declared %d:%d",
-		r.Am.Name, sub, dim+1, arr.Lo[dim], arr.Hi[dim])
+	return source.Errorf(pos, "%s: subscript %s of dimension %d outside the declared %d:%d",
+		am.Name, sub, dim+1, am.Arr.Lo[dim], am.Arr.Hi[dim])
 }

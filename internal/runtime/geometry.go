@@ -1,0 +1,197 @@
+package runtime
+
+import (
+	"gcao/internal/dist"
+	"gcao/internal/section"
+)
+
+// The geometry of ownership. Every bulk memory operation — ghost
+// exchange, broadcast, SUM, invalidation, reset — moves or marks a set
+// of elements that is a box, or a box cut where the owner changes, so
+// none of them asks who owns an element: they read three tables built
+// once per array (initGeometry) and walk rows.
+//
+//   - the owned box of processor p (OwnedBox): per dimension its BLOCK
+//     interval, the declared bounds of a collapsed dimension, the
+//     covering range Lo+c:Hi of a CYCLIC one;
+//   - the strip box of a shift (StripRuns): what one sender passes to
+//     its one receiver, the sender's box cut down to the boundary strip
+//     along the moved dimension and widened by the ghost margin in the
+//     others;
+//   - the run visitor (walk): a section inside the declared bounds, in
+//     section order, as runs of consecutive flat offsets — a row at a
+//     time where the last dimension has step 1 — and, for the operations
+//     that read owner rows (OwnerRuns), cut where the owner changes.
+//
+// A CYCLIC dimension's owned set is a lattice, not a range. On the
+// moved dimension of a shift the strip section is intersected with that
+// lattice; under the owner cut a CYCLIC last dimension degenerates to
+// runs of one element. No other dimension pays for it.
+
+// Scratch is the index and section scratch of one caller of the bulk
+// operations, so that none of them allocates. A Memory owns one (for
+// Reset), and so does every plan frame: one per simulator shard, one
+// per native processor.
+type Scratch struct {
+	lo, hi, idx []int
+	dims        []section.Dim
+}
+
+// NewScratch returns scratch for arrays of up to the given rank.
+func NewScratch(rank int) *Scratch {
+	ints := make([]int, 3*rank)
+	return &Scratch{
+		lo:   ints[:rank],
+		hi:   ints[rank : 2*rank],
+		idx:  ints[2*rank:],
+		dims: make([]section.Dim, rank),
+	}
+}
+
+// initGeometry builds the ownership tables of the array on p processors.
+func (am *ArrayMem) initGeometry(p int) {
+	arr, d := am.Arr, am.Dist
+	rank := arr.Rank()
+	total := 0
+	for k := 0; k < rank; k++ {
+		total += arr.Hi[k] - arr.Lo[k] + 1
+	}
+	ints := make([]int, total+arr.Hi[rank-1]-arr.Lo[rank-1]+1)
+	am.own = make([][]int, rank)
+	for k := range am.own {
+		n := arr.Hi[k] - arr.Lo[k] + 1
+		am.own[k], ints = ints[:n:n], ints[n:]
+	}
+	am.runEnd = ints
+	if d != nil {
+		for k, dd := range d.Dims {
+			if dd.Kind == dist.Star {
+				continue
+			}
+			stride := 1
+			for g := dd.GridDim + 1; g < d.Grid.Rank(); g++ {
+				stride *= d.Grid.Shape[g]
+			}
+			for i := range am.own[k] {
+				am.own[k][i] = d.OwnerDim(k, arr.Lo[k]+i) * stride
+			}
+		}
+		am.box = make([]int, 2*p*rank)
+		coords := make([]int, d.Grid.Rank())
+		for q := 0; q < p; q++ {
+			d.Grid.CoordsInto(q, coords)
+			for k, dd := range d.Dims {
+				lo, hi, ok := d.LocalRange(k, coords[dd.GridDim])
+				if !ok {
+					lo, hi = 1, 0
+				}
+				am.box[2*(q*rank+k)], am.box[2*(q*rank+k)+1] = lo, hi
+			}
+		}
+	}
+	own := am.own[rank-1]
+	for i := len(own) - 1; i >= 0; i-- {
+		am.runEnd[i] = i
+		if i+1 < len(own) && own[i+1] == own[i] {
+			am.runEnd[i] = am.runEnd[i+1]
+		}
+	}
+}
+
+// OwnedBox returns the inclusive bounds of processor p's owned box in
+// dimension k: its block of a BLOCK dimension, the declared bounds of a
+// collapsed one, the covering range of a CYCLIC one (whose members are
+// every Grid.Shape-th index from lo). lo > hi when p owns nothing.
+func (am *ArrayMem) OwnedBox(p, k int) (lo, hi int) {
+	i := 2 * (p*len(am.Strides) + k)
+	return am.box[i], am.box[i+1]
+}
+
+// StripRuns visits, in section order, the elements of sec that a shift
+// by sign along array dimension ad moves from processor src to its
+// neighbour: those src owns along ad within width of its sign-side
+// block boundary, inside the receiver's block widened by width (the
+// ghost margin) in every other dimension — the two processors differ in
+// the moved grid coordinate only, so that block is src's own. Sender,
+// receiver and simulator all enumerate a strip through this one
+// definition.
+func (am *ArrayMem) StripRuns(sec section.Section, src, ad, sign, width int, sc *Scratch, f func(off, n int)) {
+	arr := am.Arr
+	lo, hi := sc.lo[:len(am.Strides)], sc.hi[:len(am.Strides)]
+	for k := range lo {
+		l, h := am.OwnedBox(src, k)
+		if l > h {
+			return
+		}
+		switch {
+		case k != ad:
+			lo[k], hi[k] = max(l-width, arr.Lo[k]), min(h+width, arr.Hi[k])
+		case sign > 0:
+			lo[k], hi[k] = l, min(l+width-1, h)
+		default:
+			lo[k], hi[k] = max(h-width+1, l), h
+		}
+	}
+	strip := sec.ClipInto(lo, hi, sc.dims)
+	if dd := am.Dist.Dims[ad]; dd.Kind == dist.Cyclic {
+		l, h := am.OwnedBox(src, ad)
+		strip.Dims[ad] = strip.Dims[ad].Intersect(section.Dim{Lo: l, Hi: h, Step: am.Dist.Grid.Shape[dd.GridDim]})
+	}
+	am.walk(strip, sc.idx, false, func(_, off, n int) { f(off, n) })
+}
+
+// OwnerRuns visits sec, which must lie within the declared bounds, in
+// section order as runs of n consecutive offsets from off that one
+// processor owns (processor 0 for a replicated array).
+func (am *ArrayMem) OwnerRuns(sec section.Section, sc *Scratch, f func(owner, off, n int)) {
+	am.walk(sec, sc.idx, true, f)
+}
+
+// walk is the run visitor: one run per row of the section where the
+// last dimension has step 1, one per element where it is strided. With
+// cut a run also ends where the owner changes and owner is the run's
+// owner; without it owner is meaningless.
+func (am *ArrayMem) walk(sec section.Section, idx []int, cut bool, f func(owner, off, n int)) {
+	if sec.IsEmpty() {
+		return
+	}
+	last := len(sec.Dims) - 1
+	outer, row := sec.Dims[:last], sec.Dims[last]
+	idx = idx[:last]
+	for k, d := range outer {
+		idx[k] = d.Lo
+	}
+	lo, hi, step := row.Lo-am.Arr.Lo[last], row.Hi-am.Arr.Lo[last], max(row.Step, 1)
+	own, end := am.own[last], am.runEnd
+	for {
+		base, owner := 0, 0
+		for k, x := range idx {
+			i := x - am.Arr.Lo[k]
+			base += i * am.Strides[k]
+			owner += am.own[k][i]
+		}
+		for i := lo; i <= hi; {
+			o, n := owner, 1
+			switch {
+			case cut && step == 1:
+				o, n = owner+own[i], min(end[i], hi)-i+1
+			case cut:
+				o = owner + own[i]
+			case step == 1:
+				n = hi - i + 1
+			}
+			f(o, base+i, n)
+			i += n * step
+		}
+		k := last - 1
+		for ; k >= 0; k-- {
+			if idx[k] += max(outer[k].Step, 1); idx[k] <= outer[k].Hi {
+				break
+			}
+			idx[k] = outer[k].Lo
+		}
+		if k < 0 {
+			return
+		}
+	}
+}

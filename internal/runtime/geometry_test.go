@@ -1,0 +1,457 @@
+package runtime
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"strings"
+	"testing"
+
+	"gcao/internal/dist"
+	"gcao/internal/section"
+	"gcao/internal/sem"
+)
+
+// ---------------------------------------------------------------------
+// Oracles: the per-element scans the bulk operations replaced, kept
+// verbatim (every element of the section visited, OwnerDim and
+// LocalRange asked per element, pair bytes in a map) as the reference
+// the run-based operations are compared against.
+
+func oracleShiftRange(m *Memory, name string, sec section.Section, gridDim, sign, width, dstLo, dstHi int) map[[2]int]int {
+	am := m.View(name)
+	arr := am.Arr
+	if am.Dist == nil {
+		return nil
+	}
+	ad := am.ShiftArrayDim(gridDim)
+	if ad < 0 {
+		return nil
+	}
+	grid := am.Dist.Grid
+	shape := grid.Shape[gridDim]
+	elemBytes := arr.ElemBytes()
+	margin := width // overlap allowance in the other dimensions
+	gridStride := 1
+	for i := gridDim + 1; i < grid.Rank(); i++ {
+		gridStride *= grid.Shape[i]
+	}
+	coordsOf := make([][]int, m.P)
+	for p := 0; p < m.P; p++ {
+		coordsOf[p] = grid.Coords(p)
+	}
+	pairs := map[[2]int]int{}
+	sec.Elems(func(idx []int) bool {
+		x := idx[ad]
+		srcCoord := am.Dist.OwnerDim(ad, x)
+		lo, hi, ok := am.Dist.LocalRange(ad, srcCoord)
+		if !ok {
+			return true
+		}
+		inStrip := false
+		if sign > 0 {
+			inStrip = x >= lo && x < lo+width
+		} else {
+			inStrip = x <= hi && x > hi-width
+		}
+		if !inStrip {
+			return true
+		}
+		dstCoord := srcCoord - sign
+		if dstCoord < 0 || dstCoord >= shape {
+			return true // non-periodic boundary
+		}
+		off := am.Offset(idx)
+		for src := 0; src < m.P; src++ {
+			if coordsOf[src][gridDim] != srcCoord {
+				continue
+			}
+			dst := src - sign*gridStride
+			if dst < dstLo || dst >= dstHi {
+				continue
+			}
+			if !am.Valid[src][off] {
+				continue
+			}
+			if !oracleInExtendedRegion(arr, coordsOf[dst], idx, ad, margin) {
+				continue
+			}
+			am.Data[dst][off] = am.Data[src][off]
+			am.Valid[dst][off] = true
+			pairs[[2]int{src, dst}] += elemBytes
+		}
+		return true
+	})
+	return pairs
+}
+
+func oracleInExtendedRegion(arr *sem.Array, coords []int, idx []int, ad, margin int) bool {
+	for k := range arr.Lo {
+		if k == ad || arr.Dist.Dims[k].Kind == 0 {
+			continue
+		}
+		g := arr.Dist.Dims[k].GridDim
+		lo, hi, ok := arr.Dist.LocalRange(k, coords[g])
+		if !ok {
+			return false
+		}
+		if idx[k] < lo-margin || idx[k] > hi+margin {
+			return false
+		}
+	}
+	return true
+}
+
+func oracleBroadcastRange(m *Memory, name string, sec section.Section, dstLo, dstHi int) int {
+	am := m.View(name)
+	if am.Dist == nil {
+		return 0
+	}
+	elemBytes := am.Arr.ElemBytes()
+	coords := make([]int, am.Dist.Grid.Rank())
+	bytes := 0
+	sec.Elems(func(idx []int) bool {
+		off := am.Offset(idx)
+		o := am.OwnerInto(idx, coords)
+		v := am.Data[o][off]
+		for p := dstLo; p < dstHi; p++ {
+			if p != o {
+				am.Data[p][off] = v
+				am.Valid[p][off] = true
+			}
+		}
+		bytes += elemBytes
+		return true
+	})
+	return bytes
+}
+
+func oracleSumSection(m *Memory, name string, sec section.Section) (float64, []int) {
+	am := m.View(name)
+	counts := make([]int, m.P)
+	total := 0.0
+	coords := make([]int, 8)
+	sec.Elems(func(idx []int) bool {
+		o := 0
+		if am.Dist != nil {
+			o = am.OwnerInto(idx, coords[:am.Dist.Grid.Rank()])
+		}
+		total += am.Data[o][am.Offset(idx)]
+		counts[o]++
+		return true
+	})
+	return total, counts
+}
+
+// oracleValidity is the ownership pattern a fresh memory starts from,
+// one OwnerInto per element.
+func oracleValidity(am *ArrayMem) [][]bool {
+	want := make([][]bool, len(am.Valid))
+	for p := range want {
+		want[p] = make([]bool, len(am.Valid[p]))
+	}
+	coords := make([]int, 8)
+	section.Whole(am.Arr.Lo, am.Arr.Hi).Elems(func(idx []int) bool {
+		o := 0
+		if am.Dist != nil {
+			o = am.OwnerInto(idx, coords[:am.Dist.Grid.Rank()])
+		}
+		want[o][am.Offset(idx)] = true
+		return true
+	})
+	return want
+}
+
+// ---------------------------------------------------------------------
+// The matrix the oracles are compared over.
+
+type layout struct {
+	decl, kinds string
+	grid        []int
+}
+
+func (l layout) String() string { return fmt.Sprintf("%s %s on %v", l.decl, l.kinds, l.grid) }
+
+// layouts crosses five grids with BLOCK, CYCLIC and collapsed kinds in
+// every dimension. The extents (7, 9 and a collapsed 3) are divisible
+// by none of the grid extents, so blocks are uneven and some processors
+// own nothing: 9 elements over 4 fill three blocks of 3, 7 over 5 four
+// blocks of 2. Lower bounds differ from 1 in two dimensions.
+func layouts() []layout {
+	var out []layout
+	for _, grid := range [][]int{{1, 4}, {4, 1}, {2, 2}, {4, 4}, {3, 5}} {
+		for _, k1 := range []string{"block", "cyclic"} {
+			for _, k2 := range []string{"block", "cyclic"} {
+				out = append(out,
+					layout{"a(0:6, 9)", "(" + k1 + ", " + k2 + ")", grid},
+					layout{"a(3, 7, -1:7)", "(*, " + k1 + ", " + k2 + ")", grid},
+					layout{"a(7, 3, 9)", "(" + k1 + ", *, " + k2 + ")", grid},
+					layout{"a(7, 9, 3)", "(" + k1 + ", " + k2 + ", *)", grid})
+			}
+		}
+	}
+	return out
+}
+
+// twin builds two identical memories of one layout — one for the
+// operation under test, one for its oracle — with every element written
+// to a distinct value (valid on its owner only).
+func twin(t *testing.T, l layout) (got, want *Memory) {
+	t.Helper()
+	shape := strings.Trim(fmt.Sprint(l.grid), "[]")
+	src := "routine m(n)\nreal " + l.decl + "\n!hpf$ processors p(" + strings.ReplaceAll(shape, " ", ", ") + ")\n" +
+		"!hpf$ distribute a" + l.kinds + "\nend\n"
+	procs := l.grid[0] * l.grid[1]
+	u := unit(t, src, map[string]int{"n": 1}, procs)
+	got, want = NewMemory(u, procs), NewMemory(u, procs)
+	v := 1.0
+	section.Whole(got.View("a").Arr.Lo, got.View("a").Arr.Hi).Elems(func(idx []int) bool {
+		got.Write("a", idx, v)
+		want.Write("a", idx, v)
+		v += 0.5
+		return true
+	})
+	return got, want
+}
+
+// sections returns, for an array, the whole of it, a strided section
+// and an inset box that a strip only partly meets.
+func sections(am *ArrayMem) []section.Section {
+	whole := section.Whole(am.Arr.Lo, am.Arr.Hi)
+	strided, inset := make([]section.Dim, am.Arr.Rank()), make([]section.Dim, am.Arr.Rank())
+	for k, d := range whole.Dims {
+		strided[k] = section.Dim{Lo: d.Lo + k%2, Hi: d.Hi, Step: 2 + k%2}
+		inset[k] = section.Dim{Lo: min(d.Lo+2, d.Hi), Hi: max(d.Hi-1, d.Lo), Step: 1}
+	}
+	return []section.Section{whole, section.New(strided...), section.New(inset...)}
+}
+
+// splits returns every division of [0, p) into 1 to 4 contiguous,
+// non-empty ranges, as the ascending cut points with p last.
+func splits(p int) [][]int {
+	var out [][]int
+	var rec func(from int, cuts []int)
+	rec = func(from int, cuts []int) {
+		out = append(out, append(slices.Clone(cuts), p))
+		if len(cuts) == 3 {
+			return
+		}
+		for c := from + 1; c < p; c++ {
+			rec(c, append(cuts, c))
+		}
+	}
+	rec(0, nil)
+	return out
+}
+
+type planes struct {
+	data  [][]float64
+	valid [][]bool
+}
+
+func snapshot(am *ArrayMem) planes {
+	var s planes
+	for p := range am.Data {
+		s.data = append(s.data, slices.Clone(am.Data[p]))
+		s.valid = append(s.valid, slices.Clone(am.Valid[p]))
+	}
+	return s
+}
+
+func (s planes) restore(am *ArrayMem) {
+	for p := range am.Data {
+		copy(am.Data[p], s.data[p])
+		copy(am.Valid[p], s.valid[p])
+	}
+}
+
+func samePlanes(t *testing.T, what string, got, want *ArrayMem) {
+	t.Helper()
+	for p := range want.Data {
+		for off := range want.Data[p] {
+			if got.Valid[p][off] != want.Valid[p][off] || math.Float64bits(got.Data[p][off]) != math.Float64bits(want.Data[p][off]) {
+				t.Fatalf("%s: processor %d offset %d holds %v (valid %v), the element scan %v (valid %v)",
+					what, p, off, got.Data[p][off], got.Valid[p][off], want.Data[p][off], want.Valid[p][off])
+			}
+		}
+	}
+}
+
+// sameBytes compares the dense per-receiver byte counts of one shift
+// with the element scan's pair map: every pair is (neighbour of dst,
+// dst), and a receiver that was sent nothing is in no pair.
+func sameBytes(t *testing.T, what string, grid dist.Grid, gridDim, sign int, got []int, want map[[2]int]int) {
+	t.Helper()
+	pairs := 0
+	for dst, b := range got {
+		if b == 0 {
+			continue
+		}
+		pairs++
+		src, ok := grid.Neighbor(dst, gridDim, sign)
+		if !ok || want[[2]int{src, dst}] != b {
+			t.Fatalf("%s: %d bytes into processor %d from %d, the element scan's pairs are %v", what, b, dst, src, want)
+		}
+	}
+	if pairs != len(want) {
+		t.Fatalf("%s: %d receivers were sent something, the element scan has %d pairs: %v vs %v", what, pairs, len(want), got, want)
+	}
+}
+
+// TestStripMatchesElementScan: the per-receiver strip delivery leaves
+// the same rows, validity planes and per-pair bytes as the per-element
+// scan of the whole section it replaced — for every layout of the
+// matrix, both directions, strips narrower and wider than a block,
+// whole, strided and inset sections, on planes earlier exchanges along
+// both grid dimensions have already seeded with ghosts (the first phase
+// of the two-phase corner delivery), and whatever way the
+// receivers are divided among shards: every division into up to four
+// ranges where the grid has four processors; on the 15- and 16-processor
+// grids every division for one case in 24, and the whole, halves,
+// quarters and an uneven four for all of them.
+func TestStripMatchesElementScan(t *testing.T) {
+	n := 0
+	for _, l := range layouts() {
+		got, want := twin(t, l)
+		am, ref := got.View("a"), want.View("a")
+		procs := got.P
+		all := splits(procs)
+		some := [][]int{{procs}, {procs / 2, procs}, {procs / 4, procs / 2, 3 * procs / 4, procs}, {1, 2, procs - 1, procs}}
+		sc, bytes := NewScratch(am.Arr.Rank()), make([]int, procs)
+		fresh := snapshot(am)
+		for _, sec := range sections(am) {
+			for _, sign := range []int{1, -1} {
+				for _, width := range []int{1, 2, 4} {
+					for gridDim := 0; gridDim < 2; gridDim++ {
+						what := fmt.Sprintf("%v section %v shift dim %d sign %+d width %d", l, sec, gridDim, sign, width)
+						fresh.restore(am)
+						fresh.restore(ref)
+						// Seed ghosts along the other grid dimension, then along
+						// the moved one: a sender then holds copies of the block
+						// past its own, which a strip wider than the block must
+						// not forward.
+						var pairs map[[2]int]int
+						for _, seedDim := range []int{1 - gridDim, gridDim} {
+							clear(bytes)
+							am.ShiftRange(ref.whole, seedDim, sign, width, 0, procs, sc, bytes)
+							pairs = oracleShiftRange(want, "a", ref.whole, seedDim, sign, width, 0, procs)
+							samePlanes(t, what+" (seeding phase)", am, ref)
+							sameBytes(t, what+" (seeding phase)", am.Dist.Grid, seedDim, sign, bytes, pairs)
+						}
+
+						seeded := snapshot(am)
+						pairs = oracleShiftRange(want, "a", sec, gridDim, sign, width, 0, procs)
+						cuts := some
+						if n++; procs <= 4 || n%24 == 0 {
+							cuts = all
+						}
+						for _, cut := range cuts {
+							seeded.restore(am)
+							clear(bytes)
+							lo := 0
+							for _, hi := range cut {
+								am.ShiftRange(sec, gridDim, sign, width, lo, hi, sc, bytes)
+								lo = hi
+							}
+							samePlanes(t, fmt.Sprintf("%s ranges %v", what, cut), am, ref)
+							sameBytes(t, fmt.Sprintf("%s ranges %v", what, cut), am.Dist.Grid, gridDim, sign, bytes, pairs)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOwnerRunsMatchElementScan: broadcast, SUM and the initial
+// validity walk owner runs and leave what their per-element scans left:
+// the same planes and payload bytes whatever ranges the receivers are
+// divided into, a bit-equal total (the accumulation order is the
+// section's) with equal per-owner counts, and the ownership pattern —
+// on construction and again after Reset.
+func TestOwnerRunsMatchElementScan(t *testing.T) {
+	for _, l := range layouts() {
+		got, want := twin(t, l)
+		am, ref := got.View("a"), want.View("a")
+		procs := got.P
+		sc, counts := NewScratch(am.Arr.Rank()), make([]int, procs)
+		fresh := snapshot(am)
+		for _, sec := range sections(am) {
+			what := fmt.Sprintf("%v section %v", l, sec)
+			total := am.SumSection(sec, sc, counts)
+			wantTotal, wantCounts := oracleSumSection(want, "a", sec)
+			if math.Float64bits(total) != math.Float64bits(wantTotal) || !slices.Equal(counts, wantCounts) {
+				t.Fatalf("%s: SumSection = %v %v, the element scan %v %v", what, total, counts, wantTotal, wantCounts)
+			}
+
+			fresh.restore(ref)
+			wantBytes := oracleBroadcastRange(want, "a", sec, 0, procs)
+			for _, cut := range [][]int{{procs}, {1, procs}, {procs / 4, procs / 2, 3 * procs / 4, procs}} {
+				fresh.restore(am)
+				lo := 0
+				for _, hi := range cut {
+					if b := am.BroadcastRange(sec, lo, hi, sc); b != wantBytes {
+						t.Fatalf("%s: BroadcastRange [%d,%d) = %d bytes, the element scan %d", what, lo, hi, b, wantBytes)
+					}
+					lo = hi
+				}
+				samePlanes(t, fmt.Sprintf("%s broadcast ranges %v", what, cut), am, ref)
+			}
+		}
+
+		pattern := oracleValidity(am)
+		for round := 0; round < 2; round++ { // as built (dirtied by the broadcasts above), then after Reset
+			got.Reset()
+			for p := range pattern {
+				if !slices.Equal(am.Valid[p], pattern[p]) {
+					t.Fatalf("%v: processor %d's validity after Reset is not the ownership pattern", l, p)
+				}
+				for _, v := range am.Data[p] {
+					if v != 0 {
+						t.Fatalf("%v: Reset left a value on processor %d", l, p)
+					}
+				}
+			}
+			am.Valid[0][0] = !am.Valid[0][0]
+		}
+		if built := NewMemory(got.Unit, procs).View("a"); !slices.EqualFunc(built.Valid, pattern, slices.Equal[[]bool]) {
+			t.Fatalf("%v: a new memory's validity is not the ownership pattern", l)
+		}
+	}
+
+	// A replicated array has one row, owned by processor 0.
+	u := unit(t, memSrc, map[string]int{"n": 8}, 4)
+	m := NewMemory(u, 4)
+	for j := 1; j <= 8; j++ {
+		m.Write("r", []int{j}, float64(j)/3)
+	}
+	counts := make([]int, 4)
+	sec := section.New(section.Dim{Lo: 2, Hi: 8, Step: 3})
+	total := m.View("r").SumSection(sec, NewScratch(1), counts)
+	if wantTotal, wantCounts := oracleSumSection(m, "r", sec); total != wantTotal || !slices.Equal(counts, wantCounts) {
+		t.Fatalf("replicated SumSection = %v %v, the element scan %v %v", total, counts, wantTotal, wantCounts)
+	}
+}
+
+// TestBulkOperationsDoNotAllocate: a warm call of each bulk operation
+// allocates nothing — its scratch is the caller's, the geometry is the
+// array's — and neither does Reset, so the warm native path and a
+// simulator superstep stay off the allocator.
+func TestBulkOperationsDoNotAllocate(t *testing.T) {
+	got, _ := twin(t, layout{"a(3, 7, -1:7)", "(*, block, cyclic)", []int{2, 2}})
+	am := got.View("a")
+	sc, ints := NewScratch(3), make([]int, 4)
+	sec := sections(am)[2]
+	lo, hi := []int{1, 2, 0}, []int{3, 6, 6}
+	for name, f := range map[string]func(){
+		"Reset":          got.Reset,
+		"ShiftRange":     func() { am.ShiftRange(sec, 1, -1, 2, 0, 4, sc, ints) },
+		"BroadcastRange": func() { am.BroadcastRange(sec, 0, 4, sc) },
+		"SumSection":     func() { am.SumSection(sec, sc, ints) },
+		"InvalidateBox":  func() { am.InvalidateBox(2, lo, hi, sc) },
+	} {
+		if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", name, allocs)
+		}
+	}
+}

@@ -200,14 +200,15 @@ type Memory struct {
 	P    int
 
 	views map[string]*ArrayMem
+	sc    *Scratch // Reset's
 }
 
 // ArrayMem is the resolved per-array view of a Memory: the data and
-// validity planes, strides and distribution of one array, with no
-// string-keyed lookups on the access path. The interpreter's inner
-// loops run on these views; per-processor rows are independent
-// allocations, so shards working on disjoint processor ranges never
-// share cache lines.
+// validity planes, strides, distribution and ownership geometry of one
+// array, with no string-keyed lookups on the access path. The
+// interpreter's inner loops and the bulk operations run on these views;
+// per-processor rows are independent allocations, so shards working on
+// disjoint processor ranges never share cache lines.
 type ArrayMem struct {
 	Name    string
 	Arr     *sem.Array
@@ -217,6 +218,18 @@ type ArrayMem struct {
 	// element at flat offset off (row 0 only for replicated arrays).
 	Data  [][]float64
 	Valid [][]bool
+
+	// The ownership tables (see geometry.go). own[k][x-Lo[k]] is what
+	// index x of dimension k contributes to the owner's linear id — the
+	// owning grid coordinate times its grid stride, 0 on a collapsed
+	// dimension — so an element's owner is the sum over its subscripts.
+	// runEnd[i], along the last dimension, is the last position of the
+	// run of equal ownership that holds position i. box holds every
+	// processor's owned box (nil for replicated arrays).
+	own    [][]int
+	runEnd []int
+	box    []int
+	whole  section.Section
 }
 
 // NewMemory allocates memories for all arrays of the unit.
@@ -226,6 +239,7 @@ func NewMemory(u *sem.Unit, p int) *Memory {
 		P:     p,
 		views: map[string]*ArrayMem{},
 	}
+	maxRank := 1
 	for name, arr := range u.Arrays {
 		size := arr.Size()
 		strides := make([]int, arr.Rank())
@@ -245,32 +259,36 @@ func NewMemory(u *sem.Unit, p int) *Memory {
 			Strides: strides,
 			Data:    make([][]float64, copies),
 			Valid:   make([][]bool, copies),
+			whole:   section.Whole(arr.Lo, arr.Hi),
 		}
 		for c := 0; c < copies; c++ {
 			am.Data[c] = make([]float64, size)
 			am.Valid[c] = make([]bool, size)
 		}
+		am.initGeometry(p)
 		m.views[name] = am
-		m.initValidity(am)
+		maxRank = max(maxRank, arr.Rank())
 	}
+	m.sc = NewScratch(maxRank)
+	m.initValidity()
 	return m
 }
 
-// initValidity marks the owned (or replicated) elements of one array
-// valid; everything starts at value zero.
-func (m *Memory) initValidity(am *ArrayMem) {
-	arr := am.Arr
-	if arr.Dist == nil {
-		for i := range am.Valid[0] {
-			am.Valid[0][i] = true
-		}
-		return
+// initValidity marks the owned (or replicated) elements of every array
+// valid, a row segment of the owner's box at a time; everything starts
+// at value zero.
+func (m *Memory) initValidity() {
+	for _, am := range m.views {
+		am.OwnerRuns(am.whole, m.sc, func(o, off, n int) {
+			setValid(am.Valid[o][off : off+n])
+		})
 	}
-	coords := make([]int, arr.Dist.Grid.Rank())
-	m.forEachIndex(arr, func(idx []int) {
-		o := am.OwnerInto(idx, coords)
-		am.Valid[o][am.Offset(idx)] = true
-	})
+}
+
+func setValid(row []bool) {
+	for i := range row {
+		row[i] = true
+	}
 }
 
 // Reset restores the memory image to its just-constructed state —
@@ -282,8 +300,8 @@ func (m *Memory) Reset() {
 			clear(am.Data[c])
 			clear(am.Valid[c])
 		}
-		m.initValidity(am)
 	}
+	m.initValidity()
 }
 
 // View returns the resolved per-array view, panicking on unknown
@@ -371,89 +389,60 @@ func (am *ArrayMem) InvalidateRange(off, owner, lo, hi int) {
 // InvalidateBox clears processor p's validity for every element of the
 // box [lo, hi] (inclusive, within the declared bounds) that p does not
 // own: the state p's plane is left in once every element of the box
-// has been written by its owner, whatever the order of the writes.
-// Whole row segments are cleared at once wherever ownership is constant
-// along the last dimension. idx (len >= array rank) and coords (len >=
-// grid rank) are caller scratch.
-func (am *ArrayMem) InvalidateBox(p int, lo, hi, idx, coords []int) {
+// has been written by its owner, whatever the order of the writes. The
+// owned box is read once; a row outside it is cleared whole, a row
+// inside it on both sides of p's interval of the last dimension.
+func (am *ArrayMem) InvalidateBox(p int, lo, hi []int, sc *Scratch) {
 	if am.Dist == nil {
 		return
 	}
+	rank := len(lo)
+	ownLo, ownHi := sc.lo[:rank], sc.hi[:rank]
 	for k := range lo {
 		if lo[k] > hi[k] {
 			return
 		}
+		ownLo[k], ownHi[k] = am.OwnedBox(p, k)
 	}
-	d := am.Dist
-	coords = d.Grid.CoordsInto(p, coords)
+	// owns: p owns index x along dimension k. Inside the covering range
+	// of a CYCLIC dimension that is decided per index — against the
+	// range's first index, which is p's.
+	owns := func(k, x int) bool {
+		if x < ownLo[k] || x > ownHi[k] {
+			return false
+		}
+		t := am.own[k]
+		return am.Dist.Dims[k].Kind != dist.Cyclic || t[x-am.Arr.Lo[k]] == t[ownLo[k]-am.Arr.Lo[k]]
+	}
+	last := rank - 1
 	valid := am.Valid[p]
-	last := len(lo) - 1
-	lastKind, lastCoord := d.Dims[last].Kind, 0
-	if lastKind != dist.Star {
-		lastCoord = coords[d.Dims[last].GridDim]
-	}
-	idx = idx[:len(lo)]
+	idx := sc.idx[:last]
 	copy(idx, lo)
 	for {
-		owned := true
+		mine := true
 		base := -am.Arr.Lo[last]
-		for k := 0; k < last; k++ {
-			base += (idx[k] - am.Arr.Lo[k]) * am.Strides[k]
-			if dd := d.Dims[k]; owned && dd.Kind != dist.Star {
-				owned = d.OwnerDim(k, idx[k]) == coords[dd.GridDim]
-			}
+		for k, x := range idx {
+			base += (x - am.Arr.Lo[k]) * am.Strides[k]
+			mine = mine && owns(k, x)
 		}
 		row := valid[base+lo[last] : base+hi[last]+1]
 		switch {
-		case !owned:
+		case !mine:
 			clear(row)
-		case lastKind == dist.Block:
-			l, h, ok := d.LocalRange(last, lastCoord)
-			if !ok {
-				clear(row)
-				break
+		case am.Dist.Dims[last].Kind == dist.Cyclic:
+			for i := range row {
+				row[i] = row[i] && owns(last, lo[last]+i)
 			}
-			if l > lo[last] {
-				clear(row[:min(l, hi[last]+1)-lo[last]])
-			}
-			if h < hi[last] {
-				clear(row[max(h+1, lo[last])-lo[last]:])
-			}
-		case lastKind == dist.Cyclic:
-			for x := lo[last]; x <= hi[last]; x++ {
-				if d.OwnerDim(last, x) != lastCoord {
-					row[x-lo[last]] = false
-				}
-			}
+		default:
+			clear(row[:min(max(ownLo[last]-lo[last], 0), len(row))])
+			clear(row[min(max(ownHi[last]+1-lo[last], 0), len(row)):])
 		}
 		k := last - 1
-		for k >= 0 {
-			idx[k]++
-			if idx[k] <= hi[k] {
+		for ; k >= 0; k-- {
+			if idx[k]++; idx[k] <= hi[k] {
 				break
 			}
 			idx[k] = lo[k]
-			k--
-		}
-		if k < 0 {
-			return
-		}
-	}
-}
-
-func (m *Memory) forEachIndex(arr *sem.Array, f func(idx []int)) {
-	idx := make([]int, arr.Rank())
-	copy(idx, arr.Lo)
-	for {
-		f(idx)
-		k := arr.Rank() - 1
-		for k >= 0 {
-			idx[k]++
-			if idx[k] <= arr.Hi[k] {
-				break
-			}
-			idx[k] = arr.Lo[k]
-			k--
 		}
 		if k < 0 {
 			return
@@ -507,11 +496,10 @@ func (m *Memory) Write(name string, idx []int, v float64) {
 // Canonical assembles the owner values of an array into one flat
 // row-major slice, for comparison against a sequential reference run.
 func (m *Memory) Canonical(name string) []float64 {
-	arr := m.Unit.Arrays[name]
 	am := m.View(name)
-	out := make([]float64, arr.Size())
-	m.forEachIndex(arr, func(idx []int) {
-		out[am.Offset(idx)] = m.ReadOwner(name, idx)
+	out := make([]float64, am.Arr.Size())
+	am.OwnerRuns(am.whole, NewScratch(am.Arr.Rank()), func(o, off, n int) {
+		copy(out[off:off+n], am.Data[o][off:off+n])
 	})
 	return out
 }
@@ -534,181 +522,87 @@ func (am *ArrayMem) ShiftArrayDim(gridDim int) int {
 	return -1
 }
 
-// Shift performs a ghost exchange for one array section along one
-// grid dimension: every processor sends the strip of width elements at
-// its sign-side block boundary — including ghost copies it received in
-// earlier exchanges, which is how diagonal data reaches its corner in
-// the classic two-phase augmented exchange — to the neighbouring
-// processor opposite the data movement. The strip spans the
-// receiver's local region plus a ghost margin in the other dimensions
-// (Zima-style overlap regions). It returns per-(src,dst) byte counts
-// which the caller charges as one message per pair (that is the whole
-// point of combining).
-func (m *Memory) Shift(name string, sec section.Section, gridDim, sign, width int) map[[2]int]int {
-	return m.ShiftRange(name, sec, gridDim, sign, width, 0, m.P)
-}
-
-// ShiftRange is Shift restricted to deliveries whose receiving
-// processor lies in [dstLo, dstHi). For a given element the sending
-// grid row and the receiving grid row are distinct, and each receiver
-// belongs to exactly one range, so shards running ShiftRange over
-// disjoint ranges concurrently never write the same processor row and
-// never read a row another shard writes; the per-pair byte maps they
-// return are disjoint and merge into exactly the full-Shift map.
-func (m *Memory) ShiftRange(name string, sec section.Section, gridDim, sign, width, dstLo, dstHi int) map[[2]int]int {
-	am := m.View(name)
-	arr := am.Arr
-	if am.Dist == nil {
-		return nil
-	}
+// ShiftRange performs a ghost exchange for one array section along one
+// grid dimension, restricted to the receiving processors [dstLo,
+// dstHi): each of them takes, from its neighbour on the sign side, the
+// strip of width elements at that neighbour's block boundary —
+// including ghost copies the neighbour received in earlier exchanges,
+// which is how diagonal data reaches its corner in the classic
+// two-phase augmented exchange. The strip spans the receiver's local
+// region plus a ghost margin in the other dimensions (Zima-style
+// overlap regions); only elements the sender holds valid travel, and
+// the bytes of every one that does are added to bytes[receiver] — the
+// strip is sent unconditionally, a compiled exchange does not know
+// what the receiver already holds. The caller charges one message per
+// receiver with a non-zero count (that is the whole point of
+// combining): the sender is a function of the receiver, so ascending
+// receivers are the (sender, receiver) pairs in sorted order.
+//
+// What a processor receives is owned, along the moved dimension, by its
+// neighbour, and what it sends by itself: no row is both read and
+// written at the same element, so shards running ShiftRange over
+// disjoint receiver ranges concurrently neither race nor depend on
+// each other's order.
+func (am *ArrayMem) ShiftRange(sec section.Section, gridDim, sign, width, dstLo, dstHi int, sc *Scratch, bytes []int) {
 	ad := am.ShiftArrayDim(gridDim)
 	if ad < 0 {
-		return nil
+		return
 	}
-	grid := am.Dist.Grid
-	shape := grid.Shape[gridDim]
-	elemBytes := arr.ElemBytes()
-	margin := width // overlap allowance in the other dimensions
-	// Changing only the gridDim coordinate moves the linear pid by a
-	// fixed stride, so neighbours are computed without coordinate
-	// round-trips; coordinates themselves are resolved once per call.
-	gridStride := 1
-	for i := gridDim + 1; i < grid.Rank(); i++ {
-		gridStride *= grid.Shape[i]
-	}
-	coordsOf := make([][]int, m.P)
-	for p := 0; p < m.P; p++ {
-		coordsOf[p] = grid.Coords(p)
-	}
-	pairs := map[[2]int]int{}
-	sec.Elems(func(idx []int) bool {
-		x := idx[ad]
-		srcCoord := am.Dist.OwnerDim(ad, x)
-		lo, hi, ok := am.Dist.LocalRange(ad, srcCoord)
+	for dst := dstLo; dst < dstHi; dst++ {
+		src, ok := am.Dist.Grid.Neighbor(dst, gridDim, sign)
 		if !ok {
-			return true
+			continue // non-periodic boundary
 		}
-		inStrip := false
-		if sign > 0 {
-			inStrip = x >= lo && x < lo+width
-		} else {
-			inStrip = x <= hi && x > hi-width
-		}
-		if !inStrip {
-			return true
-		}
-		dstCoord := srcCoord - sign
-		if dstCoord < 0 || dstCoord >= shape {
-			return true // non-periodic boundary
-		}
-		// The element travels between every (src,dst) pair that agrees
-		// on the other grid coordinates, provided src holds a current
-		// copy (its own or a previously delivered ghost) and dst's
-		// extended local region covers the element.
-		off := am.Offset(idx)
-		for src := 0; src < m.P; src++ {
-			if coordsOf[src][gridDim] != srcCoord {
-				continue
+		from, held, to, valid := am.Data[src], am.Valid[src], am.Data[dst], am.Valid[dst]
+		moved := 0
+		am.StripRuns(sec, src, ad, sign, width, sc, func(off, n int) {
+			for i := off; i < off+n; i++ {
+				if held[i] {
+					to[i], valid[i] = from[i], true
+					moved++
+				}
 			}
-			dst := src - sign*gridStride
-			if dst < dstLo || dst >= dstHi {
-				continue
-			}
-			if !am.Valid[src][off] {
-				continue
-			}
-			if !inExtendedRegion(arr, coordsOf[dst], idx, ad, margin) {
-				continue
-			}
-			// The strip is sent unconditionally — a compiled
-			// exchange does not know what the receiver already
-			// holds — so bytes are charged even for re-deliveries.
-			am.Data[dst][off] = am.Data[src][off]
-			am.Valid[dst][off] = true
-			pairs[[2]int{src, dst}] += elemBytes
-		}
-		return true
-	})
-	return pairs
-}
-
-// inExtendedRegion reports whether an element lies within a
-// processor's local block extended by the ghost margin in every
-// distributed dimension other than ad — the receiver-side filter of a
-// ghost exchange.
-func inExtendedRegion(arr *sem.Array, coords []int, idx []int, ad, margin int) bool {
-	for k := range arr.Lo {
-		if k == ad || arr.Dist.Dims[k].Kind == 0 {
-			continue
-		}
-		g := arr.Dist.Dims[k].GridDim
-		lo, hi, ok := arr.Dist.LocalRange(k, coords[g])
-		if !ok {
-			return false
-		}
-		if idx[k] < lo-margin || idx[k] > hi+margin {
-			return false
-		}
+		})
+		bytes[dst] += moved * am.Arr.ElemBytes()
 	}
-	return true
 }
 
-// Broadcast delivers a section from its owners to every processor.
-func (m *Memory) Broadcast(name string, sec section.Section) int {
-	return m.BroadcastRange(name, sec, 0, m.P)
-}
-
-// BroadcastRange delivers a section from its owners to the processors
-// in [dstLo, dstHi). The returned byte count is that of the full
-// section payload regardless of the range, so concurrent shards each
-// observe the same (chargeable) figure. An element's owner row is
-// never written by any range (owners skip themselves), so disjoint
-// ranges broadcast concurrently without data races.
-func (m *Memory) BroadcastRange(name string, sec section.Section, dstLo, dstHi int) int {
-	am := m.View(name)
+// BroadcastRange delivers a section (within the declared bounds) from
+// its owners to the processors in [dstLo, dstHi). The returned byte
+// count is that of the full section payload regardless of the range,
+// so concurrent shards each observe the same (chargeable) figure. An
+// element's owner row is never written by any range (owners skip
+// themselves), so disjoint ranges broadcast concurrently without data
+// races.
+func (am *ArrayMem) BroadcastRange(sec section.Section, dstLo, dstHi int, sc *Scratch) int {
 	if am.Dist == nil {
 		return 0
 	}
-	elemBytes := am.Arr.ElemBytes()
-	coords := make([]int, am.Dist.Grid.Rank())
-	bytes := 0
-	sec.Elems(func(idx []int) bool {
-		off := am.Offset(idx)
-		o := am.OwnerInto(idx, coords)
-		v := am.Data[o][off]
+	elems := 0
+	am.OwnerRuns(sec, sc, func(o, off, n int) {
 		for p := dstLo; p < dstHi; p++ {
 			if p != o {
-				am.Data[p][off] = v
-				am.Valid[p][off] = true
+				copy(am.Data[p][off:off+n], am.Data[o][off:off+n])
+				setValid(am.Valid[p][off : off+n])
 			}
 		}
-		bytes += elemBytes
-		return true
+		elems += n
 	})
-	return bytes
+	return elems * am.Arr.ElemBytes()
 }
 
-// SumSection computes the global sum of a section from owner values
-// and returns the per-processor owned element counts for CPU
-// accounting.
-func (m *Memory) SumSection(name string, sec section.Section) (float64, []int) {
-	am := m.View(name)
-	counts := make([]int, m.P)
+// SumSection computes the global sum of a section (within the declared
+// bounds) from owner values, accumulating in section order, and leaves
+// in counts (len = processor count) how many of the elements each
+// processor owns, for CPU accounting.
+func (am *ArrayMem) SumSection(sec section.Section, sc *Scratch, counts []int) float64 {
+	clear(counts)
 	total := 0.0
-	if am.Dist == nil {
-		sec.Elems(func(idx []int) bool {
-			total += am.Data[0][am.Offset(idx)]
-			counts[0]++
-			return true
-		})
-		return total, counts
-	}
-	coords := make([]int, am.Dist.Grid.Rank())
-	sec.Elems(func(idx []int) bool {
-		o := am.OwnerInto(idx, coords)
-		total += am.Data[o][am.Offset(idx)]
-		counts[o]++
-		return true
+	am.OwnerRuns(sec, sc, func(o, off, n int) {
+		for _, v := range am.Data[o][off : off+n] {
+			total += v
+		}
+		counts[o] += n
 	})
-	return total, counts
+	return total
 }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"gcao/internal/machine"
@@ -69,7 +70,7 @@ func TestWriteInvalidates(t *testing.T) {
 
 	// Deliver a ghost copy everywhere via Broadcast, then overwrite:
 	// the ghosts must go stale.
-	m.Broadcast("a", section.Point(4, 4))
+	m.View("a").BroadcastRange(section.Point(4, 4), 0, 4, NewScratch(2))
 	for p := 0; p < 4; p++ {
 		if _, err := m.Read(p, "a", idx); err != nil {
 			t.Fatalf("post-broadcast read by %d: %v", p, err)
@@ -106,10 +107,8 @@ func TestShiftDeliversStrip(t *testing.T) {
 	// Use a(i-1, j): data moves toward higher coords: sign -1 on grid
 	// dim 0 (rows). Proc rows 1 need row 4 from proc rows 0.
 	sec := section.Whole([]int{1, 1}, []int{8, 8})
-	pairs := m.Shift("a", sec, 0, -1, 1)
-	if len(pairs) == 0 {
-		t.Fatal("no transfers")
-	}
+	bytes := make([]int, 4)
+	m.View("a").ShiftRange(sec, 0, -1, 1, 0, 4, NewScratch(2), bytes)
 	// Reader (1,0) = pid 2 owns rows 5..8, cols 1..4 and reads row 4.
 	pid := u.Grid.PID([]int{1, 0})
 	for j := 1; j <= 4; j++ {
@@ -122,11 +121,10 @@ func TestShiftDeliversStrip(t *testing.T) {
 	if _, err := m.Read(pid, "a", []int{3, 1}); err == nil {
 		t.Error("row 3 should not be delivered with width 1")
 	}
-	// Bytes accounted per pair: row strip of 4 elements = 32 bytes.
-	for pair, b := range pairs {
-		if b != 32 {
-			t.Errorf("pair %v moved %d bytes, want 32", pair, b)
-		}
+	// Bytes accounted per receiver: row strip of 4 elements = 32 bytes
+	// into each processor of grid row 1, nothing into row 0.
+	if want := []int{0, 0, 32, 32}; !slices.Equal(bytes, want) {
+		t.Errorf("bytes per receiver = %v, want %v", bytes, want)
 	}
 }
 
@@ -144,8 +142,9 @@ func TestShiftForwardsGhosts(t *testing.T) {
 	sec := section.Whole([]int{1, 1}, []int{8, 8})
 	// Reading a(i-1, j-1) on proc (1,1): needs corner a[4 4] owned by
 	// (0,0). Exchange dim 1 then dim 0.
-	m.Shift("a", sec, 1, -1, 1)
-	m.Shift("a", sec, 0, -1, 1)
+	am, sc, bytes := m.View("a"), NewScratch(2), make([]int, 4)
+	am.ShiftRange(sec, 1, -1, 1, 0, 4, sc, bytes)
+	am.ShiftRange(sec, 0, -1, 1, 0, 4, sc, bytes)
 	pid := u.Grid.PID([]int{1, 1}) // owns rows 5..8, cols 5..8
 	v, err := m.Read(pid, "a", []int{4, 4})
 	if err != nil || v != 44 {
@@ -162,7 +161,8 @@ func TestBroadcastAndSum(t *testing.T) {
 		total += float64(j)
 	}
 	sec := section.New(section.Dim{Lo: 1, Hi: 1, Step: 1}, section.Dim{Lo: 1, Hi: 8, Step: 1})
-	got, counts := m.SumSection("a", sec)
+	am, sc, counts := m.View("a"), NewScratch(2), make([]int, 4)
+	got := am.SumSection(sec, sc, counts)
 	if got != total {
 		t.Errorf("SumSection = %v, want %v", got, total)
 	}
@@ -173,7 +173,7 @@ func TestBroadcastAndSum(t *testing.T) {
 	if sum != 8 {
 		t.Errorf("owned counts sum = %d, want 8", sum)
 	}
-	bytes := m.Broadcast("a", sec)
+	bytes := am.BroadcastRange(sec, 0, 4, sc)
 	if bytes != 8*8 {
 		t.Errorf("broadcast bytes = %d", bytes)
 	}
@@ -228,8 +228,10 @@ func TestLedgerAccounting(t *testing.T) {
 // TestInvalidateBoxMatchesElementwise: clearing a box row-wise leaves a
 // processor's plane exactly as clearing, element by element, every
 // element of the box the processor does not own — for BLOCK, CYCLIC
-// and collapsed dimensions, uneven blocks, processors that own nothing,
-// and boxes that miss the processor's block entirely.
+// and collapsed dimensions, uneven blocks, processors that own nothing
+// (a BLOCK extent that fills fewer blocks than the grid has, a CYCLIC
+// extent shorter than the grid), and boxes that miss the processor's
+// block entirely.
 func TestInvalidateBoxMatchesElementwise(t *testing.T) {
 	for _, tc := range []struct {
 		decl, distribute string
@@ -239,6 +241,9 @@ func TestInvalidateBoxMatchesElementwise(t *testing.T) {
 		{"a(n, n)", "(block, block)", 3, 25},
 		{"a(n, n)", "(cyclic, block)", 9, 4},
 		{"a(n, n)", "(block, cyclic)", 9, 6},
+		{"a(n, n)", "(cyclic, cyclic)", 7, 6},
+		{"a(n)", "(cyclic)", 3, 4},
+		{"a(n)", "(block)", 9, 4},
 		{"a(n, n, n)", "(*, block, block)", 5, 4},
 		{"a(n, n)", "(block, *)", 6, 4},
 		{"a(0:n)", "(block)", 10, 4},
@@ -247,7 +252,7 @@ func TestInvalidateBoxMatchesElementwise(t *testing.T) {
 		m := NewMemory(unit(t, src, map[string]int{"n": tc.n}, tc.procs), tc.procs)
 		am := m.View("a")
 		rank := am.Arr.Rank()
-		idx, coords := make([]int, rank), make([]int, am.Dist.Grid.Rank())
+		sc, coords := NewScratch(rank), make([]int, am.Dist.Grid.Rank())
 		boxes := [][2][]int{{am.Arr.Lo, am.Arr.Hi}}
 		for _, inset := range []int{1, 2} {
 			lo, hi := make([]int, rank), make([]int, rank)
@@ -270,7 +275,7 @@ func TestInvalidateBoxMatchesElementwise(t *testing.T) {
 					}
 					return true
 				})
-				am.InvalidateBox(p, box[0], box[1], idx, coords)
+				am.InvalidateBox(p, box[0], box[1], sc)
 				for off := range want {
 					if am.Valid[p][off] != want[off] {
 						t.Fatalf("%s %s n=%d P=%d box %v:%v: processor %d offset %d valid=%v, want %v",

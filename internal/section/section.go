@@ -311,10 +311,16 @@ func (s Section) ClipInto(lo, hi []int, dst []Dim) Section {
 	}
 	dst = dst[:len(s.Dims)]
 	for i, d := range s.Dims {
-		c, _ := dimIntersect(normDim(d), normDim(Dim{Lo: lo[i], Hi: hi[i], Step: 1}))
-		dst[i] = normDim(c)
+		dst[i] = d.Intersect(Dim{Lo: lo[i], Hi: hi[i], Step: 1})
 	}
 	return Section{Dims: dst}
+}
+
+// Intersect returns the exact intersection of two dimensions, strides
+// included, in canonical form.
+func (d Dim) Intersect(o Dim) Dim {
+	c, _ := dimIntersect(normDim(d), normDim(o))
+	return normDim(c)
 }
 
 // String renders the section in Fortran triplet notation.

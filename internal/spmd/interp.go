@@ -31,7 +31,6 @@ import (
 	"gcao/internal/obs"
 	"gcao/internal/plan"
 	"gcao/internal/runtime"
-	"gcao/internal/section"
 	"gcao/internal/source"
 )
 
@@ -76,7 +75,6 @@ type shard struct {
 	// statement's i-th distributed SUM the processor owns: its share of
 	// the reduction's flops.
 	sumCounts [][]int
-	dims      []section.Dim // SUM section scratch
 }
 
 // evalErr returns the frame's pending evaluation error, positioned.
@@ -210,11 +208,11 @@ func (sh *shard) evalRange(st *plan.Stmt) (float64, error) {
 // expression reads them. Only called while every shard is quiescent.
 func (sh *shard) runSums(sums []plan.Sum) {
 	for i := range sums {
-		sec := sums[i].Sec.Eval(sh.fr, sh.dims)
+		sec := sums[i].Section(sh.fr)
 		if sh.fr.Err != nil {
 			return
 		}
-		sh.fr.Sums[i], sh.sumCounts[i] = sh.eng.mem.SumSection(sums[i].Am.Name, sec)
+		sh.fr.Sums[i] = sums[i].Am.SumSection(sec, sh.fr.Scratch, sh.sumCounts[i])
 	}
 }
 

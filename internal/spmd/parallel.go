@@ -11,7 +11,7 @@ package spmd
 // writes (replicated arrays), and branch conditions over distributed
 // data. The last shard to arrive runs the leader action — absorbing
 // the range-scoped ledger views into the master ledger, charging
-// message costs in sorted pair order, merging the shards' scratch
+// message costs in receiver order, merging the shards' scratch
 // communication profiles — so every master-side mutation has a single
 // writer and a deterministic order, making results bit-identical to a
 // single-shard run regardless of worker count.
@@ -28,7 +28,6 @@ import (
 	"gcao/internal/obs/attr"
 	"gcao/internal/plan"
 	"gcao/internal/runtime"
-	"gcao/internal/section"
 )
 
 // DefaultParallelThreshold is the processor count below which Run
@@ -90,15 +89,15 @@ func RunParallelObs(res *core.Result, m machine.Machine, procs, workers int, rec
 	mem := runtime.NewMemory(a.Unit, procs)
 	prog := plan.Lower(plan.New(res, mem))
 	eng := &engine{
-		prog:         prog,
-		mem:          mem,
-		led:          runtime.NewLedger(procs, m),
-		ph:           newPhaser(workers),
-		syncVals:     make([]float64, workers),
-		syncHas:      make([]bool, workers),
-		shardErrs:    make([]error, workers),
-		pairsByShard: make([]map[[2]int]int, workers),
-		bcastBytes:   make([]int, workers),
+		prog:       prog,
+		mem:        mem,
+		led:        runtime.NewLedger(procs, m),
+		ph:         newPhaser(workers),
+		syncVals:   make([]float64, workers),
+		syncHas:    make([]bool, workers),
+		shardErrs:  make([]error, workers),
+		recvBytes:  make([]int, procs),
+		bcastBytes: make([]int, workers),
 	}
 	if rec != nil {
 		eng.prof = obs.NewCommProfile(procs)
@@ -122,7 +121,9 @@ func RunParallelObs(res *core.Result, m machine.Machine, procs, workers int, rec
 			fr:        fr,
 			led:       eng.led.View(lo, hi),
 			sumCounts: make([][]int, len(fr.Sums)),
-			dims:      make([]section.Dim, prog.MaxRank),
+		}
+		for i := range sh.sumCounts {
+			sh.sumCounts[i] = make([]int, procs)
 		}
 		if rec != nil {
 			sh.prof = obs.NewCommProfile(procs)
@@ -205,16 +206,19 @@ type engine struct {
 	// phaser, or by exactly one shard at its own index during a
 	// parallel phase; it is read only on the far side of the next
 	// rendezvous, whose mutex publishes the writes.
-	condVal      bool
-	syncVals     []float64
-	syncHas      []bool
-	syncResult   float64
-	shardErrs    []error
-	pairsByShard []map[[2]int]int
-	bcastBytes   []int
-	ents         []entrySec
-	msgs0        int
-	bytes0       int
+	condVal    bool
+	syncVals   []float64
+	syncHas    []bool
+	syncResult float64
+	shardErrs  []error
+	// recvBytes[dst] is what the executing shift group delivered to
+	// processor dst, written by the shard whose range holds dst.
+	recvBytes  []int
+	bcastBytes []int
+	entBuf     plan.EntryBuf
+	ents       []plan.Entry
+	msgs0      int
+	bytes0     int
 }
 
 // absorbLedgers folds every shard's range-scoped CPU clocks into the
@@ -367,11 +371,12 @@ func (eng *engine) finishProfile(rec *obs.Recorder) {
 // execComm executes the communication groups placed at one position.
 // Each group is one superstep: rendezvous A quiesces the shards,
 // absorbs the shard clocks, runs the barrier and concretizes the
-// entry sections once; the shards then deliver the elements whose
-// receivers fall in their own ranges concurrently; rendezvous B
-// merges the per-shard pair maps and charges the master ledger in
-// sorted pair order, so the charge order — and with it every float
-// accumulation — is reproducible run-to-run.
+// entry sections once; the shards then deliver the strips of the
+// receivers in their own ranges concurrently; rendezvous B charges the
+// master ledger one message per receiver that was sent anything, in
+// receiver order. A shift's sender is its receiver's neighbour, so that
+// is the (sender, receiver) pairs in sorted order: the charge order —
+// and with it every float accumulation — is reproducible run-to-run.
 func (sh *shard) execComm(c *plan.Comm) error {
 	if c == nil {
 		return nil
@@ -387,15 +392,7 @@ func (sh *shard) execComm(c *plan.Comm) error {
 			}
 			eng.masterBarrier()
 			eng.msgs0, eng.bytes0 = eng.led.DynMessages, eng.led.BytesMoved
-			// The entries lowering kept are the ones that can move data;
-			// one over a variable no loop has bound yet moves none.
-			eng.ents = eng.ents[:0]
-			for i := range op.Entries {
-				e := &op.Entries[i]
-				if sec, ok := e.Concrete(sh.fr, make([]section.Dim, len(e.Lo))); ok {
-					eng.ents = append(eng.ents, entrySec{array: e.Am.Name, sec: sec})
-				}
-			}
+			eng.ents = op.Concretize(sh.fr, &eng.entBuf)
 			if g.Kind == core.KindReduce {
 				// Functionally the SUM statement computes the value; the
 				// group charges one combined message of k partials.
@@ -412,29 +409,28 @@ func (sh *shard) execComm(c *plan.Comm) error {
 			// One message per (src,dst) pair for the whole group: the
 			// member strips are packed together. This shard delivers
 			// the strips whose receivers lie in its range.
-			pairs := map[[2]int]int{}
+			clear(eng.recvBytes[sh.lo:sh.hi])
 			for _, e := range eng.ents {
-				for pair, b := range eng.mem.ShiftRange(e.array, e.sec, g.Map.GridDim, g.Map.Sign, g.Map.Width, sh.lo, sh.hi) {
-					pairs[pair] += b
+				e.Am.ShiftRange(e.Sec, g.Map.GridDim, g.Map.Sign, g.Map.Width, sh.lo, sh.hi, sh.fr.Scratch, eng.recvBytes)
+			}
+			for dst := sh.lo; dst < sh.hi; dst++ {
+				b := int64(eng.recvBytes[dst])
+				if b == 0 {
+					continue
 				}
-			}
-			eng.pairsByShard[sh.idx] = pairs
-			for _, pair := range sortedPairs(pairs) {
-				sh.prof.AddPair(pair[0], pair[1], int64(pairs[pair]))
-			}
-			if eng.attrScr != nil {
-				// Shard-local h-relation accumulation: only deliveries
-				// whose receivers fall in this shard's range are here,
-				// so each delivery is counted exactly once run-wide.
-				scr := eng.attrScr[sh.idx]
-				for pair, b := range pairs {
-					scr.AddPair(pair[0], pair[1], int64(b))
+				src := eng.sender(g, dst)
+				sh.prof.AddPair(src, dst, b)
+				if eng.attrScr != nil {
+					// Shard-local h-relation accumulation: only deliveries
+					// whose receivers fall in this shard's range are here,
+					// so each delivery is counted exactly once run-wide.
+					eng.attrScr[sh.idx].AddPair(src, dst, b)
 				}
 			}
 		case core.KindBcast, core.KindGeneral:
 			bytes := 0
 			for _, e := range eng.ents {
-				bytes += eng.mem.BroadcastRange(e.array, e.sec, sh.lo, sh.hi)
+				bytes += e.Am.BroadcastRange(e.Sec, sh.lo, sh.hi, sh.fr.Scratch)
 			}
 			eng.bcastBytes[sh.idx] = bytes
 		}
@@ -442,15 +438,11 @@ func (sh *shard) execComm(c *plan.Comm) error {
 		err = eng.ph.await(token{kind: tkCommB, a: g.ID}, func() error {
 			switch g.Kind {
 			case core.KindShift:
-				merged := map[[2]int]int{}
-				for s := range eng.pairsByShard {
-					for pair, b := range eng.pairsByShard[s] {
-						merged[pair] += b
+				for dst, b := range eng.recvBytes {
+					if b == 0 {
+						continue
 					}
-					eng.pairsByShard[s] = nil
-				}
-				for _, pair := range sortedPairs(merged) {
-					eng.led.Message(pair[0], pair[1], merged[pair])
+					eng.led.Message(eng.sender(g, dst), dst, b)
 				}
 			case core.KindBcast, core.KindGeneral:
 				// Every shard observed the same full-section payload.
@@ -473,27 +465,13 @@ func (sh *shard) execComm(c *plan.Comm) error {
 	return nil
 }
 
-// entrySec is one group entry's section, concretized by the
-// rendezvous-A leader for every shard to deliver from.
-type entrySec struct {
-	array string
-	sec   section.Section
-}
-
-// sortedPairs returns the keys of a pair-byte map in (src, dst)
-// order: the deterministic charge order for ledgers and profiles.
-func sortedPairs(m map[[2]int]int) [][2]int {
-	out := make([][2]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
+// sender returns the processor that the executing shift group's
+// receiver dst takes its strips from: its neighbour on the grid the
+// group's arrays are distributed over (combining requires them to share
+// it). Only asked about receivers that were sent something.
+func (eng *engine) sender(g *core.Group, dst int) int {
+	src, _ := eng.ents[0].Am.Dist.Grid.Neighbor(dst, g.Map.GridDim, g.Map.Sign)
+	return src
 }
 
 // ---------------------------------------------------------------------

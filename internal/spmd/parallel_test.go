@@ -223,12 +223,11 @@ func TestAutoWorkers(t *testing.T) {
 // TestSimulateOutOfRangeSubscriptIsError: a subscript outside the
 // declared bounds is an error value naming the array and the source
 // position — from the entry check of a localized nest, the per-element
-// check of a guarded walk and a left-hand side alike — not a panic that
-// takes the caller down. Where the runtime itself still panics (a SUM
-// section scan past the bounds, here in the middle of a statement
-// rendezvous) the shard turns the panic into the run's error. Either
-// way every shard goroutine has exited when the run returns, whatever
-// rendezvous its peers were parked at.
+// check of a guarded walk, a left-hand side and a SUM section past the
+// bounds (positioned at the call, here in the middle of a statement
+// rendezvous) alike — not a panic that takes the caller down. Every
+// shard goroutine has exited when the run returns, whatever rendezvous
+// its peers were parked at.
 func TestSimulateOutOfRangeSubscriptIsError(t *testing.T) {
 	const outside = "outside the declared 1:12"
 	for _, tc := range []struct {
@@ -238,11 +237,13 @@ func TestSimulateOutOfRangeSubscriptIsError(t *testing.T) {
 		{"localized-nest", "do i = 1, n\nb(i) = a(i + 5)\nenddo\n", []string{"spmd: processor ", "10:8: a: subscript", outside}},
 		{"guarded-walk", "do i = 1, n\nx = i\nb(i) = a(i + 5)\nenddo\n", []string{"spmd: processor ", "11:8: a: subscript", outside}},
 		{"left-hand-side", "do i = 1, n\nx = i\nb(i + 5) = a(i)\nenddo\n", []string{"spmd: processor ", "11:1: b: subscript", outside}},
-		{"sum-section", "x = sum(a(1:n + 5))\n", []string{"spmd: processor range [", " at 9:1: panic: ", "a[13] out of bounds"}},
+		{"sum-section", "x = sum(a(1:n + 5))\n", []string{"spmd: processor ", " at 9:1: 9:5: a: subscript 1:17", outside}},
+		{"sum-replicated", "x = sum(c(1:n + 5))\n", []string{"spmd: processor ", " at 9:1: 9:5: c: subscript 1:17", outside}},
+		{"sum-condition", "if (sum(a(0:n)) > 0) then\nx = 1\nendif\n", []string{"spmd: processor ", "9:5: a: subscript 0:12", outside}},
 	} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/j%d", tc.name, workers), func(t *testing.T) {
-				src := "routine r(n)\nreal a(n), b(n)\nreal x\n!hpf$ distribute (block) :: a, b\n" +
+				src := "routine r(n)\nreal a(n), b(n), c(n)\nreal x\n!hpf$ distribute (block) :: a, b\n" +
 					"do i = 1, n\na(i) = i\nb(i) = 0\nenddo\n" + tc.body + "end\n"
 				res := placed(t, compile(t, src, map[string]int{"n": 12}, 4), core.VersionCombine)
 				before := goruntime.NumGoroutine()
