@@ -627,10 +627,12 @@ func BenchmarkNativeScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkLower measures plan.Lower alone — the slot-resolved form,
-// purity analysis and per-processor bounds — on the six Fig. 10(a)
-// routines at P=25. It runs once per native.NewEngine; the simulator
-// path (plan.New) does not pay for it.
+// BenchmarkLower measures plan.Lower alone — the slot-resolved form
+// with its row ops, purity analysis, per-processor bounds and row-loop
+// marking — on the six Fig. 10(a) routines at P=25. Both backends pay
+// for it: once per native.NewEngine, and once per simulator run
+// (spmd.Run lowers per run, as does every gcaod exec request), which is
+// why what lowering allocates is budgeted in ci/sim-alloc-budget.txt.
 func BenchmarkLower(b *testing.B) {
 	var plans []*plan.Plan
 	for _, pr := range bench.Programs() {

@@ -3,6 +3,7 @@ package native_test
 import (
 	"errors"
 	"fmt"
+	"regexp"
 	goruntime "runtime"
 	"strings"
 	"testing"
@@ -370,6 +371,115 @@ end
 				t.Fatal(err)
 			}
 			if err := ref.Check(nat.Mem, nat.Scalars); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	// An operand that fails inside a row loop: the row is handed to the
+	// tree, which reports the operand at its statement, not at the loop.
+	t.Run("unbound-scalar-in-nest", func(t *testing.T) {
+		res := placeSrc(t, unboundInNest, map[string]int{"n": 8}, 4)
+		if got := lower(res, 4); got != (localized{1, 2, 0}) {
+			t.Errorf("lowering decided %+v", got)
+		}
+		if rows := rowLoops(res, 4); rows != 1 {
+			t.Errorf("%d row loops, want 1", rows)
+		}
+		_, err := native.Run(res, 4)
+		if want := regexp.MustCompile(`^native: processor \d at 9:1: 9:21: unbound scalar "x"$`); err == nil || !want.MatchString(err.Error()) {
+			t.Errorf("run returned %v, want %v", err, want)
+		}
+	})
+}
+
+// unboundInNest reads a scalar nothing assigns, in the second statement
+// of a row loop's body.
+const unboundInNest = `
+routine r(n)
+real a(n, n), b(n, n)
+real x
+!hpf$ distribute (block, block) :: a, b
+do i = 1, n
+do j = 1, n
+a(i, j) = 1
+b(i, j) = a(i, j) + x
+enddo
+enddo
+end
+`
+
+// rowLoops counts the loops lowering marked as row loops.
+func rowLoops(res *core.Result, procs int) (loops int) {
+	var walk func(nodes []plan.Node)
+	walk = func(nodes []plan.Node) {
+		for _, n := range nodes {
+			switch n := n.(type) {
+			case *plan.Loop:
+				if n.Row != nil {
+					loops++
+				}
+				walk(n.Body)
+			case *plan.If:
+				walk(n.Then)
+				walk(n.Else)
+			}
+		}
+	}
+	walk(plan.Lower(plan.New(res, runtime.NewMemory(res.Analysis.Unit, procs))).Body)
+	return loops
+}
+
+// TestRowQualificationNegatives: the loops a row kernel must not take —
+// each case's second nest breaks one clause of the qualification rule
+// (plan/row.go) and has to stay on the closure tree, where it still
+// matches the reference evaluator; the first nest of each program
+// qualifies, so the count also says the rule is not simply off.
+func TestRowQualificationNegatives(t *testing.T) {
+	const head = "routine r(n)\nreal a(n, n), b(n, n), q(n)\n"
+	const init = "do i = 1, n\nq(i) = i\nenddo\ndo i = 1, n\ndo j = 1, n\na(i, j) = i + j\nb(i, j) = i - j\nenddo\nenddo\n"
+	for _, tc := range []struct {
+		name, dist, nest string
+		wantErr          string
+	}{
+		{"recurrence-along-star", "(block, *)", "a(i, j) = a(i, j - 1) + 1", ""},
+		{"two-stores-two-offsets", "(block, *)", "a(i, j) = b(i, j)\na(i, j - 1) = 2", ""},
+		{"cyclic-last-dimension", "(block, cyclic)", "a(i, j) = b(i, j) * 2", ""},
+		{"sum-in-rhs", "(block, block)", "a(i, j) = b(i, j) + sum(q(1:n))", ""},
+		{"mod-subscript", "(block, block)", "a(i, j) = q(mod(j, 3) + 1)", ""},
+		{"division-subscript", "(block, block)", "a(i, j) = q(j / 2 + 1)", ""},
+		// The front end refuses an unknown intrinsic; a known one with
+		// the wrong argument count is the malformed call lowering sees.
+		{"malformed-call", "(block, block)", "a(i, j) = sqrt(b(i, j), 2)", "sqrt called with 2 argument(s)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := head + "!hpf$ distribute " + tc.dist + " :: a, b\n" + init +
+				"do i = 2, n\ndo j = 2, n\n" + tc.nest + "\nenddo\nenddo\nend\n"
+			res := placeSrc(t, src, map[string]int{"n": 9}, 4)
+			wantRows := 1
+			if tc.name == "cyclic-last-dimension" {
+				wantRows = 0 // the initialisation is guarded too
+			}
+			if rows := rowLoops(res, 4); rows != wantRows {
+				t.Errorf("%d row loops, want %d", rows, wantRows)
+			}
+			if got := lower(res, 4); got.nests != 2 {
+				t.Errorf("%d pure nests, want both: the case must fail the row rule, not purity", got.nests)
+			}
+			ref, refErr := refeval.Run(res.Analysis)
+			nat, err := native.Run(res, 4)
+			if tc.wantErr != "" {
+				if refErr == nil || err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("reference returned %v, run returned %v, want both to fail with %q", refErr, err, tc.wantErr)
+				}
+				return
+			}
+			if refErr != nil || err != nil {
+				t.Fatalf("reference: %v, run: %v", refErr, err)
+			}
+			if err := ref.Check(nat.Mem, nat.Scalars); err != nil {
+				t.Error(err)
+			}
+			if err := native.VerifyAgainstSimulator(res, machine.SP2(), 4); err != nil {
 				t.Error(err)
 			}
 		})

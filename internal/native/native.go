@@ -620,7 +620,9 @@ func (pc *proc) exec(nodes []plan.Node) error {
 // execLoop runs this processor's iterations of a loop. On the root of
 // a pure owner-computes nest the subscript ranges are verified once on
 // entry and the validity planes are settled once on exit, in place of
-// the per-element tests and per-element clearing of a guarded walk.
+// the per-element tests and per-element clearing of a guarded walk. A
+// row loop runs a row at a time; a row that cannot (a stale element, a
+// failing operand) is walked, and reported, on the tree.
 func (pc *proc) execLoop(lp *plan.Loop) error {
 	if err := pc.execComm(lp.Pre); err != nil {
 		return err
@@ -637,13 +639,15 @@ func (pc *proc) execLoop(lp *plan.Loop) error {
 	if !run {
 		return nil
 	}
-	for v := first; (step > 0 && v <= last) || (step < 0 && v >= last); v += step {
-		fr.Ints[lp.Slot] = v
-		if err := pc.execComm(lp.Head); err != nil {
-			return err
-		}
-		if err := pc.exec(lp.Body); err != nil {
-			return err
+	if lp.Row == nil || !lp.RunRow(fr, first, last) {
+		for v := first; (step > 0 && v <= last) || (step < 0 && v >= last); v += step {
+			fr.Ints[lp.Slot] = v
+			if err := pc.execComm(lp.Head); err != nil {
+				return err
+			}
+			if err := pc.exec(lp.Body); err != nil {
+				return err
+			}
 		}
 	}
 	fr.Ints[lp.Slot] = exit

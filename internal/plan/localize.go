@@ -75,6 +75,9 @@ func (lw *lowerer) localize(nodes []Node) {
 			if nest := lw.pureNest(n); nest != nil {
 				n.Nest = nest
 				nest.clamp(lw.pl.mem.P)
+				for _, lp := range nest.loops {
+					lp.Row = lw.rowBody(lp)
+				}
 			} else {
 				lw.localize(n.Body)
 			}

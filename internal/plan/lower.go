@@ -62,6 +62,12 @@ type lowerer struct {
 	sums    []Sum
 	sumSlot map[*ast.Call]int
 	reads   []*ArrayRef
+	// row collects the row form (see row.go) of the statement being
+	// lowered, over the loop variable in rowSlot, while rowOK says every
+	// operand so far has one.
+	row     []rowOp
+	rowSlot int
+	rowOK   bool
 }
 
 func (lw *lowerer) enclosing(slot int) bool {
@@ -154,8 +160,15 @@ func (lw *lowerer) stmt(st *cfg.Stmt) *Stmt {
 	as := st.Assign
 	out := &Stmt{Src: st, Flops: CountFlops(as.RHS), Scalar: -1, Guard: true, loops: append([]*Loop(nil), lw.loops...)}
 	lw.beginExpr()
+	if n := len(lw.loops); n > 0 {
+		// An expression of F operations has at most F+1 operands.
+		lw.row, lw.rowSlot, lw.rowOK = make([]rowOp, 0, 2*out.Flops+1), lw.loops[n-1].Slot, true
+	}
 	out.RHS = lw.real(as.RHS)
 	out.Sums, out.reads = lw.sums, lw.reads
+	if lw.rowOK {
+		out.row, lw.rowOK = lw.row, false
+	}
 	if am := lw.array(as.LHS.Name); am != nil {
 		out.LHS = lw.arrayRef(as.LHS, am)
 	} else {
@@ -175,6 +188,7 @@ func (lw *lowerer) array(name string) *runtime.ArrayMem {
 
 func (lw *lowerer) beginExpr() {
 	lw.sums, lw.reads, lw.sumSlot = nil, nil, map[*ast.Call]int{}
+	lw.row, lw.rowOK = nil, false
 }
 
 // comm lowers the groups placed at one position; nil when there are
@@ -449,19 +463,27 @@ func failReal(err error) RealFn {
 
 // real lowers a real expression to a closure tree with the source
 // expression's shape: operands evaluate left to right and every
-// floating-point operation of the source happens once, in place.
+// floating-point operation of the source happens once, in place. The
+// same pass emits the expression's row form, in postfix order.
 func (lw *lowerer) real(e ast.Expr) RealFn {
 	switch e := e.(type) {
 	case *ast.NumLit:
 		v := e.Value
+		lw.push(rowOp{kind: opConst, c: v})
 		return func(*Frame) float64 { return v }
 	case *ast.Ident:
 		return lw.scalar(e.Name, e.Pos, true)
 	case *ast.UnaryExpr:
 		x := lw.real(e.X)
-		return func(fr *Frame) float64 { return -x(fr) }
+		fn := func(fr *Frame) float64 { return -x(fr) }
+		lw.emit(rowOp{kind: opFn1, f1: func(x float64) float64 { return -x }}, 1, fn)
+		return fn
 	case *ast.BinExpr:
-		return binary(e, lw.real(e.X), lw.real(e.Y))
+		fn := binary(e, lw.real(e.X), lw.real(e.Y))
+		op, ok := binOps[e.Op]
+		lw.rowOK = lw.rowOK && ok
+		lw.emit(op, 2, fn)
+		return fn
 	case *ast.Ref:
 		if am := lw.array(e.Name); am != nil {
 			return lw.read(e, am)
@@ -473,6 +495,7 @@ func (lw *lowerer) real(e ast.Expr) RealFn {
 		}
 		return lw.intrinsic(e)
 	}
+	lw.rowOK = false
 	return failReal(fmt.Errorf("cannot evaluate %T", e))
 }
 
@@ -486,22 +509,24 @@ func binary(e *ast.BinExpr, x, y RealFn) RealFn {
 		return func(fr *Frame) float64 { return x(fr) * y(fr) }
 	case ast.Div:
 		return func(fr *Frame) float64 { return x(fr) / y(fr) }
-	case ast.Pow:
-		return func(fr *Frame) float64 { return math.Pow(x(fr), y(fr)) }
-	case ast.CmpLt:
-		return func(fr *Frame) float64 { return b2f(x(fr) < y(fr)) }
-	case ast.CmpGt:
-		return func(fr *Frame) float64 { return b2f(x(fr) > y(fr)) }
-	case ast.CmpLe:
-		return func(fr *Frame) float64 { return b2f(x(fr) <= y(fr)) }
-	case ast.CmpGe:
-		return func(fr *Frame) float64 { return b2f(x(fr) >= y(fr)) }
-	case ast.CmpEq:
-		return func(fr *Frame) float64 { return b2f(x(fr) == y(fr)) }
-	case ast.CmpNe:
-		return func(fr *Frame) float64 { return b2f(x(fr) != y(fr)) }
+	}
+	if f := binOps[e.Op].f2; f != nil {
+		return func(fr *Frame) float64 { return f(x(fr), y(fr)) }
 	}
 	return failReal(source.Errorf(e.Pos, "bad operator %v", e.Op))
+}
+
+// binOps gives each binary operator its row op: a kind with element
+// loops of its own, or the function both levels call (true is 1).
+var binOps = map[ast.BinOp]rowOp{
+	ast.Add: {kind: opAdd}, ast.Sub_: {kind: opSub}, ast.Mul: {kind: opMul}, ast.Div: {kind: opDiv},
+	ast.Pow:   {kind: opFn2, f2: math.Pow},
+	ast.CmpLt: {kind: opFn2, f2: func(x, y float64) float64 { return b2f(x < y) }},
+	ast.CmpGt: {kind: opFn2, f2: func(x, y float64) float64 { return b2f(x > y) }},
+	ast.CmpLe: {kind: opFn2, f2: func(x, y float64) float64 { return b2f(x <= y) }},
+	ast.CmpGe: {kind: opFn2, f2: func(x, y float64) float64 { return b2f(x >= y) }},
+	ast.CmpEq: {kind: opFn2, f2: func(x, y float64) float64 { return b2f(x == y) }},
+	ast.CmpNe: {kind: opFn2, f2: func(x, y float64) float64 { return b2f(x != y) }},
 }
 
 func b2f(b bool) float64 {
@@ -519,7 +544,13 @@ func b2f(b bool) float64 {
 func (lw *lowerer) scalar(name string, pos source.Pos, strict bool) RealFn {
 	slot, isVar := lw.intSlot[name]
 	if isVar && lw.enclosing(slot) {
-		return func(fr *Frame) float64 { return float64(fr.Ints[slot]) }
+		fn := func(fr *Frame) float64 { return float64(fr.Ints[slot]) }
+		if slot == lw.rowSlot {
+			lw.push(rowOp{kind: opVar})
+		} else {
+			lw.push(rowOp{kind: opLeaf, leaf: fn})
+		}
+		return fn
 	}
 	var rest RealFn
 	if v, ok := lw.pl.A.Unit.Params[name]; ok {
@@ -540,15 +571,17 @@ func (lw *lowerer) scalar(name string, pos source.Pos, strict bool) RealFn {
 	} else {
 		rest = func(*Frame) float64 { return 0 }
 	}
-	if !isVar {
-		return rest
-	}
-	return func(fr *Frame) float64 {
-		if fr.Bound[slot] {
-			return float64(fr.Ints[slot])
+	fn := rest
+	if isVar {
+		fn = func(fr *Frame) float64 {
+			if fr.Bound[slot] {
+				return float64(fr.Ints[slot])
+			}
+			return rest(fr)
 		}
-		return rest(fr)
 	}
+	lw.push(rowOp{kind: opLeaf, leaf: fn})
+	return fn
 }
 
 // read lowers an array element read from the frame's processor's view:
@@ -557,6 +590,8 @@ func (lw *lowerer) scalar(name string, pos source.Pos, strict bool) RealFn {
 func (lw *lowerer) read(ref *ast.Ref, am *runtime.ArrayMem) RealFn {
 	r := lw.arrayRef(ref, am)
 	lw.reads = append(lw.reads, r)
+	lw.rowOK = lw.rowOK && r.affine()
+	lw.push(rowOp{kind: opRead, ref: r, stride: r.off.coef(lw.rowSlot)})
 	if am.Dist == nil {
 		return func(fr *Frame) float64 { return am.Data[0][r.Offset(fr)] }
 	}
@@ -582,11 +617,17 @@ func (lw *lowerer) intrinsic(e *ast.Call) RealFn {
 	switch {
 	case f1 != nil && len(e.Args) == 1:
 		x := lw.real(e.Args[0])
-		return func(fr *Frame) float64 { return f1(x(fr)) }
+		fn := func(fr *Frame) float64 { return f1(x(fr)) }
+		lw.emit(rowOp{kind: opFn1, f1: f1}, 1, fn)
+		return fn
 	case f2 != nil && len(e.Args) == 2:
 		x, y := lw.real(e.Args[0]), lw.real(e.Args[1])
-		return func(fr *Frame) float64 { return f2(x(fr), y(fr)) }
-	case f1 != nil || f2 != nil:
+		fn := func(fr *Frame) float64 { return f2(x(fr), y(fr)) }
+		lw.emit(rowOp{kind: opFn2, f2: f2}, 2, fn)
+		return fn
+	}
+	lw.rowOK = false
+	if f1 != nil || f2 != nil {
 		return failReal(source.Errorf(e.Pos, "%s called with %d argument(s)", e.Func, len(e.Args)))
 	}
 	return failReal(source.Errorf(e.Pos, "unknown intrinsic %q", e.Func))
@@ -598,6 +639,7 @@ func (lw *lowerer) intrinsic(e *ast.Call) RealFn {
 // replicated array it scans the shared row in section order and adds the
 // element count to Frame.SumFlops.
 func (lw *lowerer) sum(e *ast.Call) RealFn {
+	lw.rowOK = false
 	if len(e.Args) != 1 {
 		return failReal(source.Errorf(e.Pos, "sum wants 1 argument"))
 	}

@@ -32,6 +32,9 @@ type Program struct {
 	MaxRank int
 
 	maxSums int
+	// What one frame needs to run any row loop: operand stack entries,
+	// ops of one body and scratch floats.
+	rowDepth, rowOps, rowFloats int
 }
 
 // Node is one element of the lowered control-flow tree: *Comm, *Stmt,
@@ -152,6 +155,11 @@ type Stmt struct {
 
 	reads []*ArrayRef // array reads of the RHS, outside SUM arguments
 	loops []*Loop     // enclosing loops, outermost first
+	// row is the right-hand side as postfix row ops over the innermost
+	// enclosing loop (nil when some operand has no row form), rowStride
+	// the left-hand side's flat offset step along a row loop.
+	row       []rowOp
+	rowStride int
 }
 
 // Sum is one SUM call over an array section: a collective of its
@@ -211,6 +219,10 @@ type Loop struct {
 	Clamp []Range
 	// Nest is set on the root of a pure owner-computes nest.
 	Nest *Nest
+	// Row, on a row loop — an innermost loop of a pure nest whose
+	// iterations may run a statement at a time (see row.go) — lists the
+	// body's statements: the driver tries RunRow before walking Body.
+	Row []*Stmt
 }
 
 // Range is an inclusive integer interval, empty when Lo > Hi.
@@ -288,6 +300,11 @@ type Frame struct {
 	idx    []int
 	lo, hi []int
 	coords []int
+
+	// RunRow's operand stack, proved operands and scratch rows.
+	rowStack  []rowVal
+	rowArgs   []rowArg
+	rowFloats []float64
 }
 
 // NewFrame allocates the state for one executor taking processor p's
@@ -307,6 +324,10 @@ func (pr *Program) NewFrame(p int) *Frame {
 		lo:      make([]int, pr.MaxRank),
 		hi:      make([]int, pr.MaxRank),
 		coords:  make([]int, pr.Plan.A.Unit.Grid.Rank()),
+
+		rowStack:  make([]rowVal, pr.rowDepth),
+		rowArgs:   make([]rowArg, pr.rowOps),
+		rowFloats: make([]float64, pr.rowFloats),
 	}
 }
 

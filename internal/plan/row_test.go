@@ -1,0 +1,743 @@
+package plan_test
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"strings"
+	"testing"
+
+	"gcao/internal/bench"
+	"gcao/internal/core"
+	"gcao/internal/parser"
+	"gcao/internal/plan"
+	"gcao/internal/refeval"
+	"gcao/internal/runtime"
+	"gcao/internal/section"
+	"gcao/internal/sem"
+)
+
+func placeSrc(t testing.TB, src string, params map[string]int, procs int) *core.Result {
+	t.Helper()
+	r, err := parser.ParseRoutine(src)
+	if err != nil {
+		t.Fatalf("parse: %v\n%s", err, src)
+	}
+	u, err := sem.Analyze(r, params, sem.Options{Procs: procs})
+	if err != nil {
+		t.Fatalf("sem: %v\n%s", err, src)
+	}
+	a, err := core.NewAnalysis(u)
+	if err != nil {
+		t.Fatalf("analysis: %v\n%s", err, src)
+	}
+	res, err := a.Place(core.Options{Version: core.VersionCombine})
+	if err != nil {
+		t.Fatalf("place: %v\n%s", err, src)
+	}
+	return res
+}
+
+// walker is a sequential driver over a lowered program, one processor
+// after the other, for holding RunRow against the element walk: it
+// executes what the backends execute (the same Begin/Enter/RunRow/Leave
+// protocol, the same stores) and replaces their communication by the
+// simplest sufficient one — at every communication position every
+// processor receives every owner's elements. Run once on a program as
+// lowered and once after plan.ClearRows, it must leave the same memory
+// image, validity planes included.
+type walker struct {
+	t    testing.TB
+	prog *plan.Program
+	mem  *runtime.Memory
+	fr   *plan.Frame
+	// deliver is false to run as under a placement stripped of its
+	// communication.
+	deliver bool
+	nest    bool
+	counts  []int
+
+	// What ran where: statement instances on the row path and on the
+	// tree, rows RunRow ran and rows it declined.
+	rowInst, treeInst, rows, declined int
+}
+
+func newWalker(t testing.TB, res *core.Result, procs int) *walker {
+	mem := runtime.NewMemory(res.Analysis.Unit, procs)
+	prog := plan.Lower(plan.New(res, mem))
+	return &walker{t: t, prog: prog, mem: mem, fr: prog.NewFrame(0), deliver: true, counts: make([]int, procs)}
+}
+
+func (w *walker) run() error { return w.exec(w.prog.Body) }
+
+func (w *walker) exec(nodes []plan.Node) error {
+	for _, n := range nodes {
+		var err error
+		switch n := n.(type) {
+		case *plan.Comm:
+			w.comm(n)
+		case *plan.Stmt:
+			if w.nest {
+				err = w.own(n)
+			} else {
+				err = w.stmt(n)
+			}
+		case *plan.Loop:
+			err = w.loop(n)
+		case *plan.If:
+			err = w.branch(n)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (w *walker) comm(c *plan.Comm) {
+	if c == nil || !w.deliver {
+		return
+	}
+	for _, name := range w.mem.Unit.ArrayNames {
+		am := w.mem.View(name)
+		if am.Dist == nil {
+			continue
+		}
+		am.OwnerRuns(section.Whole(am.Arr.Lo, am.Arr.Hi), w.fr.Scratch, func(o, off, n int) {
+			for p := 0; p < w.mem.P; p++ {
+				copy(am.Data[p][off:off+n], am.Data[o][off:off+n])
+				for i := off; i < off+n; i++ {
+					am.Valid[p][i] = true
+				}
+			}
+		})
+	}
+}
+
+func (w *walker) loop(lp *plan.Loop) error {
+	w.comm(lp.Pre)
+	if w.nest || lp.Nest == nil {
+		return w.iterate(lp)
+	}
+	w.nest = true
+	for p := 0; p < w.mem.P; p++ {
+		w.fr.P = p
+		if err := w.iterate(lp); err != nil {
+			return err
+		}
+	}
+	w.nest = false
+	w.fr.P = 0
+	return nil
+}
+
+func (w *walker) iterate(lp *plan.Loop) error {
+	fr := w.fr
+	first, last, step, exit, run := lp.Begin(fr)
+	if run && lp.Nest != nil {
+		lp.Nest.Enter(fr)
+	}
+	if fr.Err != nil || !run {
+		return fr.Err
+	}
+	if lp.Row == nil || !w.runRow(lp, first, last) {
+		for v := first; (step > 0 && v <= last) || (step < 0 && v >= last); v += step {
+			fr.Ints[lp.Slot] = v
+			w.comm(lp.Head)
+			if err := w.exec(lp.Body); err != nil {
+				return err
+			}
+		}
+	}
+	fr.Ints[lp.Slot] = exit
+	if lp.Nest != nil {
+		lp.Nest.Leave(fr)
+	}
+	return nil
+}
+
+// runRow is RunRow, counted, with its contract on a declined row
+// checked: nothing stored, no error left behind.
+func (w *walker) runRow(lp *plan.Loop, first, last int) bool {
+	before := w.planeHash(w.fr.P)
+	if !lp.RunRow(w.fr, first, last) {
+		w.declined++
+		if w.fr.Err != nil {
+			w.t.Errorf("declined row left error %v in the frame", w.fr.Err)
+		}
+		if w.planeHash(w.fr.P) != before {
+			w.t.Errorf("declined row changed processor %d's memory", w.fr.P)
+		}
+		return false
+	}
+	w.rows++
+	w.rowInst += (max(last-first, first-last) + 1) * len(lp.Row)
+	return true
+}
+
+// planeHash hashes processor p's data and validity planes; only the
+// runs that expect declined rows (no delivery) pay for it.
+func (w *walker) planeHash(p int) uint64 {
+	if w.deliver {
+		return 0
+	}
+	h := fnv.New64a()
+	for _, name := range w.mem.Unit.ArrayNames {
+		if am := w.mem.View(name); am.Dist != nil {
+			for i, v := range am.Data[p] {
+				fmt.Fprint(h, math.Float64bits(v), am.Valid[p][i])
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// own executes a statement of a pure nest for the frame's processor.
+func (w *walker) own(st *plan.Stmt) error {
+	fr := w.fr
+	p, am := fr.P, st.LHS.Am
+	off := st.LHS.Offset(fr)
+	if st.Guard && st.LHS.Owner(fr) != p {
+		am.Valid[p][off] = false
+		return nil
+	}
+	v := st.RHS(fr)
+	if fr.Err != nil {
+		return fr.Err
+	}
+	am.StoreOwner(off, p, v)
+	w.treeInst++
+	return nil
+}
+
+// stmt executes a statement outside the nests: on the owner of its
+// target, from processor 0's view for a replicated target.
+func (w *walker) stmt(st *plan.Stmt) error {
+	fr := w.fr
+	fr.P = 0
+	w.sums(st.Sums)
+	owner, off := 0, 0
+	if st.LHS != nil {
+		if off = st.LHS.Offset(fr); st.LHS.Am.Dist != nil {
+			owner = st.LHS.Owner(fr)
+		}
+	}
+	if fr.Err != nil {
+		return fr.Err
+	}
+	fr.P = owner
+	v := st.RHS(fr)
+	fr.P = 0
+	if fr.Err != nil {
+		return fr.Err
+	}
+	w.treeInst++
+	if st.LHS == nil {
+		fr.Reals[st.Scalar], fr.Set[st.Scalar] = v, true
+		return nil
+	}
+	st.LHS.Am.StoreOwner(off, owner, v)
+	st.LHS.Am.InvalidateRange(off, owner, 0, w.mem.P)
+	return nil
+}
+
+func (w *walker) sums(sums []plan.Sum) {
+	for i := range sums {
+		if sec := sums[i].Section(w.fr); w.fr.Err == nil {
+			w.fr.Sums[i] = sums[i].Am.SumSection(sec, w.fr.Scratch, w.counts)
+		}
+	}
+}
+
+func (w *walker) branch(n *plan.If) error {
+	fr := w.fr
+	fr.P = 0
+	w.sums(n.Sums)
+	v := n.Cond(fr)
+	if fr.Err != nil {
+		return fr.Err
+	}
+	if v != 0 {
+		return w.exec(n.Then)
+	}
+	return w.exec(n.Else)
+}
+
+// sameImage compares two walkers' final states bit for bit: every
+// processor's data and validity plane of every array, and the scalars.
+func sameImage(t *testing.T, row, elem *walker) {
+	t.Helper()
+	for _, name := range row.mem.Unit.ArrayNames {
+		a, b := row.mem.View(name), elem.mem.View(name)
+		for p := range a.Data {
+			for off, v := range a.Data[p] {
+				if math.Float64bits(v) != math.Float64bits(b.Data[p][off]) {
+					t.Fatalf("%s: processor %d, offset %d: row path %v, element walk %v", name, p, off, v, b.Data[p][off])
+				}
+				if a.Valid[p][off] != b.Valid[p][off] {
+					t.Fatalf("%s: processor %d, offset %d: row path valid=%v, element walk valid=%v", name, p, off, a.Valid[p][off], b.Valid[p][off])
+				}
+			}
+		}
+	}
+	sa, sb := map[string]float64{}, map[string]float64{}
+	row.prog.Scalars(row.fr, sa)
+	elem.prog.Scalars(elem.fr, sb)
+	for name, v := range sa {
+		if math.Float64bits(v) != math.Float64bits(sb[name]) {
+			t.Fatalf("scalar %s: row path %v, element walk %v", name, v, sb[name])
+		}
+	}
+}
+
+// rowAgainstElements runs one placed program both ways and compares;
+// it returns the row-path walker for its counts.
+func rowAgainstElements(t *testing.T, res *core.Result, procs int) *walker {
+	t.Helper()
+	row, elem := newWalker(t, res, procs), newWalker(t, res, procs)
+	plan.ClearRows(elem.prog)
+	if err := row.run(); err != nil {
+		t.Fatalf("row path: %v", err)
+	}
+	if err := elem.run(); err != nil {
+		t.Fatalf("element walk: %v", err)
+	}
+	if elem.rows != 0 || row.declined != 0 {
+		t.Fatalf("element walk ran %d rows, row path declined %d", elem.rows, row.declined)
+	}
+	sameImage(t, row, elem)
+	return row
+}
+
+// inPlaceSrc updates g in place from a stencil of itself, two nests per
+// step with an exchange between them.
+const inPlaceSrc = `
+routine r(n, steps)
+real g(n, n), w(n, n)
+real c
+!hpf$ distribute (block, block) :: g, w
+c = 0.25
+do i = 1, n
+do j = 1, n
+g(i, j) = i + j
+w(i, j) = 0
+enddo
+enddo
+do it = 1, steps
+do i = 2, n - 1
+do j = 2, n - 1
+w(i, j) = g(i - 1, j) + g(i + 1, j) + g(i, j - 1) + g(i, j + 1) - 4 * g(i, j)
+enddo
+enddo
+do i = 2, n - 1
+do j = 2, n - 1
+g(i, j) = g(i, j) + c * (w(i, j) + w(i, j))
+enddo
+enddo
+enddo
+end
+`
+
+var rowShapes = []struct {
+	name, src string
+	rows      int // row loops lowering must find at P=4
+}{
+	{"negative-step", `
+routine r(n)
+real a(n, n), b(n, n)
+!hpf$ distribute (block, block) :: a, b
+do i = n, 1, -1
+do j = n, 1, -1
+a(i, j) = i - 0.5 * j
+b(i, j) = 1
+enddo
+enddo
+do i = n - 1, 2, -1
+do j = n - 1, 2, -1
+b(i, j) = a(i, j - 1) + a(i + 1, j)
+enddo
+enddo
+end
+`, 2},
+	{"star-innermost", `
+routine r(n)
+real g(n, n, n), h(n, n, n)
+!hpf$ distribute (*, block, block) :: g, h
+do j = 1, n
+do k = 1, n
+do i = 1, n
+g(i, j, k) = 1.0 + mod(i + 2 * j + 3 * k, 7) * 0.125
+h(i, j, k) = -g(i, j, k)
+enddo
+enddo
+enddo
+do j = 1, n
+do k = 1, n
+do i = n - 1, 2, -1
+h(i, j, k) = g(i - 1, j, k) - g(i + 1, j, k)
+enddo
+enddo
+enddo
+end
+`, 2},
+	{"stride-0-reads", `
+routine r(n)
+real a(n, n), b(n, n), col(n), q(n)
+real x
+!hpf$ distribute (block, block) :: a, b
+!hpf$ distribute (block) :: col
+x = 3
+do i = 1, n
+q(i) = i * i
+enddo
+do i = 1, n
+col(i) = 2 * i
+enddo
+do i = 1, n
+do j = 1, n
+a(i, j) = q(i) + q(n + 1 - j) * x
+enddo
+enddo
+do i = 1, n
+do j = 1, n
+b(i, j) = a(i, 1) + i / x + sqrt(abs(a(i, j))) ** 2
+enddo
+enddo
+end
+`, 3},
+	{"second-reads-first", `
+routine r(n)
+real a(n, n), b(n, n), c(n, n)
+!hpf$ distribute (block, block) :: a, b, c
+do i = 1, n
+do j = 1, n
+b(i, j) = i + 10 * j
+a(i, j) = b(i, j) * 2
+c(i, j) = a(i, j) + b(i, j)
+a(i, j) = max(c(i, j), 25) - min(a(i, j), 7)
+enddo
+enddo
+end
+`, 1},
+	{"in-place", inPlaceSrc, 3},
+}
+
+// TestRowMatchesElementWalk: running a row loop through RunRow and
+// walking it element by element on the closure tree leave the same
+// memory image — values and validity planes, on every processor — for
+// the six Fig. 10(a) routines, random programs, and the row shapes that
+// need care: negative steps, a strided row over a collapsed dimension,
+// operands that do not move along the row, a statement reading what the
+// one before it stored, an update in place. Extents do not divide the
+// grids, and at P=25 some blocks are empty.
+func TestRowMatchesElementWalk(t *testing.T) {
+	procs := []int{1, 4, 9, 16, 25}
+	for _, pr := range bench.Programs() {
+		for _, p := range procs {
+			for _, n := range []int{11, 3} {
+				if n == 3 && p != 25 {
+					continue
+				}
+				t.Run(fmt.Sprintf("%s-%s/P%d/n%d", pr.Bench, pr.Routine, p, n), func(t *testing.T) {
+					a, err := pr.Compile(n, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := a.Place(core.Options{Version: core.VersionCombine})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if w := rowAgainstElements(t, res, p); n > 3 && w.rows == 0 {
+						t.Error("no row ran")
+					}
+				})
+			}
+		}
+	}
+	for _, tc := range rowShapes {
+		for _, p := range procs {
+			t.Run(fmt.Sprintf("%s/P%d", tc.name, p), func(t *testing.T) {
+				res := placeSrc(t, tc.src, map[string]int{"n": 7, "steps": 2}, p)
+				w := rowAgainstElements(t, res, p)
+				if got := countRows(w.prog); p == 4 && got.loops != tc.rows {
+					t.Errorf("%d row loops, want %d", got.loops, tc.rows)
+				}
+				ref, err := refeval.Run(res.Analysis)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scalars := map[string]float64{}
+				w.prog.Scalars(w.fr, scalars)
+				if err := ref.Check(w.mem, scalars); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	}
+	seeds := int64(200)
+	if testing.Short() {
+		seeds = 20
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		src := bench.RandomProgram(seed)
+		for _, p := range procs {
+			t.Run(fmt.Sprintf("random-%d/P%d", seed, p), func(t *testing.T) {
+				res := placeSrc(t, src, map[string]int{"n": 5 + int(seed%4), "steps": 2}, p)
+				rowAgainstElements(t, res, p)
+			})
+		}
+	}
+}
+
+// TestRowDeclinesWhole: under a placement whose data never arrives, or
+// with an operand that fails, RunRow stores nothing of the row and
+// leaves no error (the walker checks both on every declined row), and
+// the tree walk that follows reports the stale element or the operand.
+func TestRowDeclinesWhole(t *testing.T) {
+	for _, tc := range []struct{ name, src, want string }{
+		{"stale", inPlaceSrc, "read stale g"},
+		{"unbound-scalar", `
+routine r(n)
+real a(n, n), b(n, n)
+real x
+!hpf$ distribute (block, block) :: a, b
+do i = 1, n
+do j = 1, n
+a(i, j) = 1
+b(i, j) = a(i, j) + x
+enddo
+enddo
+end
+`, `unbound scalar "x"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWalker(t, placeSrc(t, tc.src, map[string]int{"n": 7, "steps": 1}, 4), 4)
+			w.deliver = false
+			err := w.run()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run returned %v, want an error with %q", err, tc.want)
+			}
+			if w.declined != 1 {
+				t.Errorf("%d rows declined, want the one the error came from", w.declined)
+			}
+		})
+	}
+}
+
+// rowCount is what lowering decided about row loops: how many there
+// are, and how many of the statements inside pure nests they hold.
+type rowCount struct{ loops, rowStmts, nestStmts int }
+
+func countRows(prog *plan.Program) rowCount {
+	var out rowCount
+	var walk func(nodes []plan.Node, nest bool)
+	walk = func(nodes []plan.Node, nest bool) {
+		for _, n := range nodes {
+			switch n := n.(type) {
+			case *plan.Loop:
+				if n.Row != nil {
+					out.loops++
+					out.rowStmts += len(n.Row)
+				}
+				walk(n.Body, nest || n.Nest != nil)
+			case *plan.If:
+				walk(n.Then, nest)
+				walk(n.Else, nest)
+			case *plan.Stmt:
+				if nest {
+					out.nestStmts++
+				}
+			}
+		}
+	}
+	walk(prog.Body, false)
+	return out
+}
+
+// TestRowCoverageFig10a pins how much of the paper's routines lowering
+// puts in row loops, so that a change which silently drops statements
+// to the tree fails here and not in a benchmark. Gravity's three
+// plane-initialisation stores share a loop body with the loop over the
+// collapsed dimension and stay on the tree.
+func TestRowCoverageFig10a(t *testing.T) {
+	want := map[string]rowCount{
+		"shallow/main":    {4, 23, 23},
+		"gravity/main":    {7, 7, 10},
+		"trimesh/normdot": {8, 24, 24},
+		"trimesh/gauss":   {6, 16, 16},
+		"hydflo/flux":     {11, 20, 20},
+		"hydflo/hydro":    {4, 10, 10},
+	}
+	for _, pr := range bench.Programs() {
+		for _, p := range []int{16, 25} {
+			a, err := pr.Compile(12, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := a.Place(core.Options{Version: core.VersionCombine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog := plan.Lower(plan.New(res, runtime.NewMemory(a.Unit, p)))
+			name := pr.Bench + "/" + pr.Routine
+			if got := countRows(prog); got != want[name] {
+				t.Errorf("%s at P=%d: %+v, want %+v", name, p, got, want[name])
+			}
+		}
+	}
+}
+
+// TestRowShare reports, for the programs of the repository benchmark at
+// their benchmark sizes, the share of dynamic statement instances that
+// ran on the row path (EXPERIMENTS.md records it) and holds what the
+// benchmark relies on: no row falls back, and the row path carries
+// nearly all the work.
+func TestRowShare(t *testing.T) {
+	if testing.Short() {
+		t.Skip("walks gravity n=48 twice")
+	}
+	for _, tc := range []struct {
+		bench, routine string
+		params         map[string]int
+		procs          int
+		atLeast        float64
+	}{
+		{"gravity", "main", map[string]int{"nx": 48, "ny": 48, "nz": 48, "steps": 1}, 16, 0.98},
+		{"shallow", "main", map[string]int{"n": 16, "steps": 40}, 16, 0.99},
+		{"hydflo", "flux", map[string]int{"n": 16, "steps": 4}, 16, 0.99},
+		{"shallow", "main", map[string]int{"n": 32, "steps": 2}, 4, 0.99},
+	} {
+		pr, err := bench.ByName(tc.bench, tc.routine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := newWalker(t, placeSrc(t, pr.Source, tc.params, tc.procs), tc.procs)
+		if err := w.run(); err != nil {
+			t.Fatal(err)
+		}
+		share := float64(w.rowInst) / float64(w.rowInst+w.treeInst)
+		t.Logf("%s/%s %v P=%d: %d of %d statement instances on the row path (%.2f%%), %d rows, %d fell back",
+			tc.bench, tc.routine, tc.params, tc.procs, w.rowInst, w.rowInst+w.treeInst, 100*share, w.rows, w.declined)
+		if w.declined != 0 || share < tc.atLeast {
+			t.Errorf("%s/%s: share %.4f (want >= %v), %d rows fell back", tc.bench, tc.routine, share, tc.atLeast, w.declined)
+		}
+	}
+}
+
+// The two kernels BenchmarkRowKernel times, at P=1 so that one nest
+// entry sweeps rows of exactly len elements: gravity's five-point
+// stencil over a collapsed first dimension, and hydflo/flux's 27-op
+// difference chain over seven arrays.
+const (
+	stencilKernel = `
+routine k(len)
+real g(3, 10, len + 2), w1(10, len + 2)
+!hpf$ distribute (*, block, block) :: g
+!hpf$ distribute (block, block) :: w1
+do i = 1, 3
+do j = 1, 10
+do k = 1, len + 2
+g(i, j, k) = 1.0 + (i + 2 * j + 3 * k) * 0.125
+enddo
+enddo
+enddo
+do i = 2, 2
+do j = 2, 9
+do k = 2, len + 1
+w1(j, k) = g(i, j - 1, k) + g(i, j + 1, k) + g(i, j, k - 1) + g(i, j, k + 1) - 4 * g(i, j, k)
+enddo
+enddo
+enddo
+end
+`
+	fluxKernel = `
+routine k(len)
+real qa(3, 10, len + 2), qb(3, 10, len + 2), qc(3, 10, len + 2), qd(3, 10, len + 2)
+real qe(3, 10, len + 2), qf(3, 10, len + 2), qg(3, 10, len + 2), fx(3, 10, len + 2)
+!hpf$ distribute (*, block, block) :: qa, qb, qc, qd, qe, qf, qg, fx
+do i = 1, 3
+do j = 1, 10
+do k = 1, len + 2
+qa(i, j, k) = 1 + (i + j + k) * 0.2
+qb(i, j, k) = 1 + (i + 2 * j + k) * 0.15
+qc(i, j, k) = 1 + (i + j + 2 * k) * 0.1
+qd(i, j, k) = 1 + (2 * i + j + k) * 0.25
+qe(i, j, k) = 1 + (i + 3 * j + k) * 0.05
+qf(i, j, k) = 1 + (3 * i + j + k) * 0.12
+qg(i, j, k) = 1 + (i + j + 3 * k) * 0.08
+enddo
+enddo
+enddo
+do i = 2, 2
+do j = 2, 9
+do k = 2, len + 1
+fx(i, j, k) = qa(i, j - 1, k) - qa(i, j + 1, k) + qb(i, j - 1, k) - qb(i, j + 1, k) + qc(i, j - 1, k) - qc(i, j + 1, k) + qd(i, j - 1, k) - qd(i, j + 1, k) + qe(i, j - 1, k) - qe(i, j + 1, k) + qf(i, j - 1, k) - qf(i, j + 1, k) + qg(i, j - 1, k) - qg(i, j + 1, k)
+enddo
+enddo
+enddo
+end
+`
+)
+
+// kernelNest runs the kernel program once (so that its arrays hold
+// values) and returns the walker with the kernel's nest: the last
+// top-level loop, eight rows of length len per entry.
+func kernelNest(t testing.TB, src string, length int, rows bool) (*walker, *plan.Loop) {
+	w := newWalker(t, placeSrc(t, src, map[string]int{"len": length}, 1), 1)
+	if !rows {
+		plan.ClearRows(w.prog)
+	}
+	if err := w.run(); err != nil {
+		t.Fatal(err)
+	}
+	nest := w.prog.Body[len(w.prog.Body)-1].(*plan.Loop)
+	if nest.Nest == nil {
+		t.Fatal("the kernel is not a pure nest")
+	}
+	w.nest = true
+	return w, nest
+}
+
+// BenchmarkRowKernel is the per-layer number behind the row kernels:
+// ns per element of one statement, closure tree against row ops, at row
+// lengths from the benchmark's (4 for shallow and flux at n=16, 12 for
+// gravity at n=48) to the paper's (250). Driver overhead — Begin, the
+// nest's Enter and Leave — is in both.
+func BenchmarkRowKernel(b *testing.B) {
+	for _, k := range []struct{ name, src string }{{"stencil", stencilKernel}, {"flux27", fluxKernel}} {
+		for _, length := range []int{4, 12, 48, 250} {
+			for _, mode := range []string{"tree", "row"} {
+				b.Run(fmt.Sprintf("%s/len%d/%s", k.name, length, mode), func(b *testing.B) {
+					w, nest := kernelNest(b, k.src, length, mode == "row")
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := w.iterate(nest); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*8*length), "ns/elem")
+				})
+			}
+		}
+	}
+}
+
+// TestRunRowDoesNotAllocate: the row scratch is sized with the frame,
+// so a row costs no allocation, first or warm.
+func TestRunRowDoesNotAllocate(t *testing.T) {
+	for _, src := range []string{stencilKernel, fluxKernel} {
+		w, nest := kernelNest(t, src, 12, true)
+		rows := w.rows
+		if allocs := testing.AllocsPerRun(10, func() {
+			if err := w.iterate(nest); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("one nest entry allocates %v times", allocs)
+		}
+		if w.rows == rows {
+			t.Error("no row ran")
+		}
+	}
+}

@@ -17,6 +17,10 @@ var UnitPrograms = []struct {
 	{"mini-gravity", miniGravitySrc, map[string]int{"nx": 6, "ny": 13, "nz": 13, "steps": 3}, 16},
 }
 
+// StencilSrc is the unit tests' two-nest stencil, for the external test
+// package.
+const StencilSrc = stencilSrc
+
 // afterLoopSrc reads loop variables after strided loops whose last
 // iteration stops short of the bound, and after a zero-trip loop.
 const afterLoopSrc = `

@@ -131,7 +131,10 @@ func (sh *shard) execLoop(lp *plan.Loop) error {
 // iterate runs the iterations of a loop that fall to fr.P (all of them
 // outside a nest). On the root of a nest the subscript ranges are
 // verified once on entry and the processor's validity plane is settled
-// once on exit.
+// once on exit. A row loop runs a row at a time, charged as the walk
+// charges it — per iteration, per statement — so every clock adds up in
+// the same order; a row that cannot run (a stale element, a failing
+// operand) is walked, and reported, on the tree.
 func (sh *shard) iterate(lp *plan.Loop) error {
 	fr := sh.fr
 	sh.at = lp.Src.Do.Pos
@@ -145,7 +148,14 @@ func (sh *shard) iterate(lp *plan.Loop) error {
 	if !run {
 		return nil
 	}
+	rowed := lp.Row != nil && lp.RunRow(fr, first, last)
 	for v := first; (step > 0 && v <= last) || (step < 0 && v >= last); v += step {
+		if rowed {
+			for _, st := range lp.Row {
+				sh.led.Compute(fr.P, st.Flops)
+			}
+			continue
+		}
 		fr.Ints[lp.Slot] = v
 		// Communication placed at the loop header executes once per
 		// iteration, before the body.

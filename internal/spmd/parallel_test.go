@@ -196,20 +196,6 @@ func TestParallelReduction(t *testing.T) {
 	}
 }
 
-// TestParallelStaleReadDetected: validity tracking must survive
-// sharding — a stripped placement still fails, on every shard count,
-// without deadlocking the phaser.
-func TestParallelStaleReadDetected(t *testing.T) {
-	a := compile(t, stencilSrc, map[string]int{"n": 14, "steps": 1}, 9)
-	res := placed(t, a, core.VersionCombine)
-	res.Groups = nil
-	for _, workers := range []int{1, 3, 9} {
-		if _, err := RunParallelObs(res, machine.SP2(), 9, workers, nil); err == nil {
-			t.Errorf("j=%d: run without communication must fail with a stale read", workers)
-		}
-	}
-}
-
 // TestAutoWorkers pins the sequential-path threshold.
 func TestAutoWorkers(t *testing.T) {
 	if w := autoWorkers(DefaultParallelThreshold - 1); w != 1 {
@@ -266,6 +252,21 @@ func TestSimulateOutOfRangeSubscriptIsError(t *testing.T) {
 					t.Errorf("%d goroutines before the failed run, %d after", before, after)
 				}
 			})
+		}
+	}
+}
+
+// TestSimulateUnboundScalarInNest: an operand that fails inside a row
+// loop is reported by the tree walk the row falls back to — at its
+// statement, not at the loop — on any shard count.
+func TestSimulateUnboundScalarInNest(t *testing.T) {
+	src := "routine r(n)\nreal a(n, n), b(n, n)\nreal x\n!hpf$ distribute (block, block) :: a, b\n" +
+		"do i = 1, n\ndo j = 1, n\na(i, j) = 1\nb(i, j) = a(i, j) + x\nenddo\nenddo\nend\n"
+	res := placed(t, compile(t, src, map[string]int{"n": 8}, 4), core.VersionCombine)
+	for _, workers := range []int{1, 4} {
+		_, err := RunParallelObs(res, machine.SP2(), 4, workers, nil)
+		if want := `spmd: processor 0 at 8:1: 8:21: unbound scalar "x"`; err == nil || err.Error() != want {
+			t.Errorf("j=%d: run returned %v, want %s", workers, err, want)
 		}
 	}
 }
