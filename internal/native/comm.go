@@ -205,11 +205,7 @@ func (pc *proc) bcastValue(v float64) (float64, error) {
 			return 0, err
 		}
 	}
-	if pc.p != 0 {
-		pc.bytes += 8 * int64(len(t.Children[pc.p]))
-	} else {
-		pc.bytes += 8 * int64(len(t.Children[pc.p]))
-	}
+	pc.bytes += 8 * int64(len(t.Children[pc.p]))
 	return v, nil
 }
 
@@ -226,7 +222,7 @@ func (pc *proc) execComm(c *plan.Comm) error {
 		step := pc.nextStep
 		pc.nextStep++
 		pc.colls++
-		pc.ops[op.Name]++
+		pc.ops[g.Kind]++
 		if pc.ring != nil {
 			pc.evStep, pc.evSite = step, int32(g.ID)
 			pc.evSend = prof.PhaseSend

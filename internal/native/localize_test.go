@@ -486,6 +486,45 @@ func TestRowQualificationNegatives(t *testing.T) {
 	}
 }
 
+// TestNativeStaleReadInLastBatchOfBox: a box kernel that cannot prove a
+// row after it has run others hands that row to the element walk, which
+// reports the element, processor and statement position it reported
+// before there were kernels. Rows of 100 elements run two to a batch; at
+// P=2 processor 0 owns rows 1-6 and reads the row its neighbour owns from
+// the last row of its last batch (processor 1 reads nothing it does not
+// own).
+func TestNativeStaleReadInLastBatchOfBox(t *testing.T) {
+	res := placeSrc(t, `
+routine r(n)
+real a(n, 100), b(n, 100)
+!hpf$ distribute (block, *) :: a, b
+do i = 1, n
+do j = 1, 100
+a(i, j) = i + j
+b(i, j) = i - j
+enddo
+enddo
+do i = 1, n - 1
+do j = 1, 100
+b(i, j) = b(i, j) + a(i + 1, j)
+enddo
+enddo
+end
+`, map[string]int{"n": 12}, 2)
+	res.Groups = nil
+	_, err := native.Run(res, 2)
+	var stale *runtime.StaleReadError
+	if !errors.As(err, &stale) {
+		t.Fatalf("run returned %v, want a *runtime.StaleReadError", err)
+	}
+	if stale.Proc != 0 || stale.Array != "a" || fmt.Sprint(stale.Index) != "[7 1]" {
+		t.Errorf("stale read %+v, want processor 0, a[7 1]", *stale)
+	}
+	if at := "native: processor 0 at 13:1: "; !strings.HasPrefix(err.Error(), at) {
+		t.Errorf("error %q is not positioned %q", err, at)
+	}
+}
+
 // TestNativeStaleReadDetected: validity tracking must survive
 // localization — a placement stripped of its communication still fails
 // with a stale read, at every P, without deadlocking the peers that

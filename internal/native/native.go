@@ -213,6 +213,7 @@ func NewEngine(res *core.Result, procs int) (*Engine, error) {
 		procs:   procs,
 		done:    make(chan struct{}),
 		scalars: map[string]float64{},
+		ops:     map[string]int64{},
 	}
 	eng.connectFabric()
 
@@ -222,7 +223,6 @@ func NewEngine(res *core.Result, procs int) (*Engine, error) {
 			eng: eng,
 			p:   p,
 			fr:  eng.prog.NewFrame(p),
-			ops: map[string]int64{},
 		}
 		if p == 0 {
 			// Gather-assembly scratch: only the tree root carves
@@ -279,7 +279,7 @@ func (e *Engine) Run() (*RunResult, error) {
 	eng.ran = true
 	for _, pc := range eng.ps {
 		pc.fr.Reset()
-		clear(pc.ops)
+		pc.ops = [len(pc.ops)]int64{}
 		pc.msgs, pc.bytes, pc.wire, pc.hops, pc.allocBytes = 0, 0, 0, 0, 0
 		pc.colls, pc.barriers = 0, 0
 		pc.nextStep = 0
@@ -312,8 +312,14 @@ func (e *Engine) Run() (*RunResult, error) {
 		Procs:          eng.procs,
 		Collectives:    eng.ps[0].colls,
 		Barriers:       eng.ps[0].barriers,
-		Ops:            eng.ps[0].ops,
+		Ops:            eng.ops,
 		ElapsedSeconds: time.Since(start).Seconds(),
+	}
+	clear(eng.ops)
+	for k, n := range eng.ps[0].ops {
+		if n > 0 {
+			eng.ops[eng.prog.OpNames[k]] += n
+		}
 	}
 	for _, pc := range eng.ps {
 		st.Messages += pc.msgs
@@ -369,9 +375,10 @@ type engine struct {
 	procs int
 	ps    []*proc
 	ran   bool
-	// scalars is the replicated scalar state of the last run, refilled
-	// from processor 0's frame.
+	// scalars is the replicated scalar state of the last run, ops its
+	// operation counts by name: refilled from processor 0's.
 	scalars map[string]float64
+	ops     map[string]int64
 
 	// profStart anchors profiler timestamps (set per Run); sites is
 	// the placement-site table indexed by group ID, built when
@@ -540,7 +547,7 @@ type proc struct {
 	wire, hops      int64
 	allocBytes      int64
 	colls, barriers int64
-	ops             map[string]int64
+	ops             [core.KindGeneral + 1]int64 // executed groups by kind
 
 	// Profiler state. ring is nil when profiling is off — every
 	// recording site guards on that, so the disabled path costs one
@@ -621,8 +628,9 @@ func (pc *proc) exec(nodes []plan.Node) error {
 // a pure owner-computes nest the subscript ranges are verified once on
 // entry and the validity planes are settled once on exit, in place of
 // the per-element tests and per-element clearing of a guarded walk. A
-// row loop runs a row at a time; a row that cannot (a stale element, a
-// failing operand) is walked, and reported, on the tree.
+// loop that heads a box runs it whole, a batch of rows at a time; a row
+// that cannot (a stale element, a failing operand) is walked, and
+// reported, on the tree.
 func (pc *proc) execLoop(lp *plan.Loop) error {
 	if err := pc.execComm(lp.Pre); err != nil {
 		return err
@@ -639,20 +647,36 @@ func (pc *proc) execLoop(lp *plan.Loop) error {
 	if !run {
 		return nil
 	}
-	if lp.Row == nil || !lp.RunRow(fr, first, last) {
-		for v := first; (step > 0 && v <= last) || (step < 0 && v >= last); v += step {
-			fr.Ints[lp.Slot] = v
-			if err := pc.execComm(lp.Head); err != nil {
-				return err
-			}
-			if err := pc.exec(lp.Body); err != nil {
-				return err
-			}
+	switch out, _ := lp.RunBox(fr); out {
+	case plan.NotApplicable:
+		if err := pc.walk(lp, first, last, step); err != nil {
+			return err
 		}
+	case plan.Stuck:
+		first, last, step, _, _ = lp.Box.Begin(fr)
+		if err := pc.walk(lp.Box, first, last, step); err != nil {
+			return err
+		}
+		return pc.errorAt(plan.ErrDeclinedRowRan)
 	}
 	fr.Ints[lp.Slot] = exit
 	if lp.Nest != nil {
 		lp.Nest.Leave(fr)
+	}
+	return nil
+}
+
+// walk runs the iterations first, first+step, ... last of a loop on the
+// closure tree.
+func (pc *proc) walk(lp *plan.Loop, first, last, step int) error {
+	for v := first; (step > 0 && v <= last) || (step < 0 && v >= last); v += step {
+		pc.fr.Ints[lp.Slot] = v
+		if err := pc.execComm(lp.Head); err != nil {
+			return err
+		}
+		if err := pc.exec(lp.Body); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -75,8 +75,10 @@ func (lw *lowerer) localize(nodes []Node) {
 			if nest := lw.pureNest(n); nest != nil {
 				n.Nest = nest
 				nest.clamp(lw.pl.mem.P)
-				for _, lp := range nest.loops {
-					lp.Row = lw.rowBody(lp)
+				for l, lp := range nest.loops {
+					if lp.Row = lw.rowBody(lp); lp.Row != nil {
+						lw.boxChain(nest, l)
+					}
 				}
 			} else {
 				lw.localize(n.Body)
@@ -143,6 +145,40 @@ func (lw *lowerer) pureNest(root *Loop) *Nest {
 		}
 	}
 	return nest
+}
+
+// boxChain marks the box the row loop at index l of the nest's loops
+// ends: the longest run of loops upwards from it in which each has the
+// next as its whole body and every statement's left-hand flat offset
+// moves with every variable. The left-hand subscripts being v+c for
+// distinct variables (boxed), the map from iteration point to written
+// element is then injective on the box, and rowBody's rule — every
+// reference to a written array lands on the point's own target — makes
+// the points independent as it makes the iterations of a row.
+func (lw *lowerer) boxChain(nest *Nest, l int) {
+	row := nest.loops[l]
+	head, depth := row, len(row.Row[0].loops)-1
+climb:
+	for up := nest.up[l]; up >= 0 && len(nest.loops[up].Body) == 1; up = nest.up[up] {
+		lp := nest.loops[up]
+		for _, st := range row.Row {
+			if st.LHS.off.coef(lp.Slot) == 0 {
+				break climb
+			}
+		}
+		depth--
+		head.outer, lp.boxVars, head = lp, head.boxVars|depthBit(depth), lp
+	}
+	row.Box, head.Box = row, row
+	lw.pr.boxLevels = max(lw.pr.boxLevels, len(row.Row[0].loops)-1-depth)
+	// Of the chain's variables only those a leaf reads matter to RunBox.
+	read := uint64(0)
+	for _, st := range row.Row {
+		for i := range st.row {
+			read |= st.row[i].vars
+		}
+	}
+	head.boxVars &= read
 }
 
 // varies reports whether an integer expression may change inside the
@@ -359,19 +395,24 @@ func (n *Nest) verify(r *ArrayRef, fr *Frame, mine bool) {
 	}
 }
 
+// exit leaves in the variable of a live nest loop what walking its full
+// range leaves.
+func (lp *Loop) exit(fr *Frame) {
+	full := fr.ranges[lp.Src.ID].full
+	fr.Bound[lp.Slot], fr.Ints[lp.Slot] = true, full.Hi+1
+	if lp.Step.Const < 0 {
+		fr.Ints[lp.Slot] = full.Lo - 1
+	}
+}
+
 // Leave completes one execution of the nest under fr: every loop
 // variable takes the value the full walk leaves in it, and the frame's
 // processor's validity plane loses every element the nest wrote that
 // the processor does not own.
 func (n *Nest) Leave(fr *Frame) {
 	for _, lp := range n.loops {
-		if r := fr.ranges[lp.Src.ID]; r.live {
-			fr.Bound[lp.Slot] = true
-			if lp.Step.Const > 0 {
-				fr.Ints[lp.Slot] = r.full.Hi + 1
-			} else {
-				fr.Ints[lp.Slot] = r.full.Lo - 1
-			}
+		if fr.ranges[lp.Src.ID].live {
+			lp.exit(fr)
 		}
 	}
 	for _, st := range n.stmts {

@@ -63,20 +63,22 @@ type lowerer struct {
 	sumSlot map[*ast.Call]int
 	reads   []*ArrayRef
 	// row collects the row form (see row.go) of the statement being
-	// lowered, over the loop variable in rowSlot, while rowOK says every
-	// operand so far has one.
-	row     []rowOp
-	rowSlot int
-	rowOK   bool
+	// lowered, over the variable of the innermost loop around it, while
+	// rowOK says every operand so far has one.
+	row   []rowOp
+	rowOK bool
 }
 
-func (lw *lowerer) enclosing(slot int) bool {
-	for _, lp := range lw.loops {
-		if lp.Slot == slot {
-			return true
+// depth returns the position, outermost first, of the innermost loop
+// around the point being lowered whose variable is in slot, -1 when
+// there is none.
+func (lw *lowerer) depth(slot int) int {
+	for d := len(lw.loops) - 1; d >= 0; d-- {
+		if lw.loops[d].Slot == slot {
+			return d
 		}
 	}
-	return false
+	return -1
 }
 
 // ---------------------------------------------------------------------
@@ -160,9 +162,9 @@ func (lw *lowerer) stmt(st *cfg.Stmt) *Stmt {
 	as := st.Assign
 	out := &Stmt{Src: st, Flops: CountFlops(as.RHS), Scalar: -1, Guard: true, loops: append([]*Loop(nil), lw.loops...)}
 	lw.beginExpr()
-	if n := len(lw.loops); n > 0 {
+	if len(lw.loops) > 0 {
 		// An expression of F operations has at most F+1 operands.
-		lw.row, lw.rowSlot, lw.rowOK = make([]rowOp, 0, 2*out.Flops+1), lw.loops[n-1].Slot, true
+		lw.row, lw.rowOK = make([]rowOp, 0, 2*out.Flops+1), true
 	}
 	out.RHS = lw.real(as.RHS)
 	out.Sums, out.reads = lw.sums, lw.reads
@@ -200,6 +202,7 @@ func (lw *lowerer) comm(groups []*core.Group) *Comm {
 	c := &Comm{Ops: make([]CommOp, len(groups))}
 	for i, g := range groups {
 		op := CommOp{Group: g, Name: codegen.OpName(g), Bound: lw.pl.Bound[g]}
+		lw.pr.OpNames[g.Kind] = op.Name
 		if g.Kind != core.KindReduce {
 			for _, e := range g.Entries {
 				if es, ok := lw.entry(g, e); ok {
@@ -234,7 +237,7 @@ func (lw *lowerer) entry(g *core.Group, e *core.Entry) (EntrySec, bool) {
 			if !ok {
 				return Affine{}, false
 			}
-			if !lw.enclosing(slot) {
+			if lw.depth(slot) < 0 {
 				need[slot] = true
 			}
 			a.Terms = append(a.Terms, Term{Slot: slot, Coef: k})
@@ -339,7 +342,7 @@ func (lw *lowerer) intExpr(e ast.Expr) IntExpr {
 // left bound, else a routine parameter.
 func (lw *lowerer) intName(e *ast.Ident) IntExpr {
 	slot, isVar := lw.intSlot[e.Name]
-	if isVar && lw.enclosing(slot) {
+	if isVar && lw.depth(slot) >= 0 {
 		return IntExpr{Affine: Affine{Terms: []Term{{Slot: slot, Coef: 1}}}}
 	}
 	rest := failInt(source.Errorf(e.Pos, "%q is not an integer here", e.Name))
@@ -413,6 +416,9 @@ func (lw *lowerer) arrayRef(ref *ast.Ref, am *runtime.ArrayMem) *ArrayRef {
 			off.Const -= am.Arr.Lo[i] * am.Strides[i]
 		}
 		r.off = off.Affine
+		if n := len(lw.loops); n > 0 {
+			r.stride = r.off.coef(lw.loops[n-1].Slot)
+		}
 	}
 	return r
 }
@@ -543,12 +549,12 @@ func b2f(b bool) float64 {
 // reference.
 func (lw *lowerer) scalar(name string, pos source.Pos, strict bool) RealFn {
 	slot, isVar := lw.intSlot[name]
-	if isVar && lw.enclosing(slot) {
+	if d := lw.depth(slot); isVar && d >= 0 {
 		fn := func(fr *Frame) float64 { return float64(fr.Ints[slot]) }
-		if slot == lw.rowSlot {
+		if d == len(lw.loops)-1 {
 			lw.push(rowOp{kind: opVar})
 		} else {
-			lw.push(rowOp{kind: opLeaf, leaf: fn})
+			lw.push(rowOp{kind: opLeaf, leaf: fn, vars: depthBit(d)})
 		}
 		return fn
 	}
@@ -591,7 +597,7 @@ func (lw *lowerer) read(ref *ast.Ref, am *runtime.ArrayMem) RealFn {
 	r := lw.arrayRef(ref, am)
 	lw.reads = append(lw.reads, r)
 	lw.rowOK = lw.rowOK && r.affine()
-	lw.push(rowOp{kind: opRead, ref: r, stride: r.off.coef(lw.rowSlot)})
+	lw.push(rowOp{kind: opRead, ref: r})
 	if am.Dist == nil {
 		return func(fr *Frame) float64 { return am.Data[0][r.Offset(fr)] }
 	}

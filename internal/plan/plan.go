@@ -6,7 +6,10 @@
 // reference is bound to its memory view, every communication position
 // and SUM collective is an explicit operation, and owner-computes nests
 // carry per-processor loop bounds (see program.go, lower.go,
-// localize.go).
+// localize.go). Under that closure tree the statements of such a nest
+// carry a second, flat form — postfix row ops — which RunBox executes
+// over the box of a perfect chain of loops, a batch of rows at a time
+// (row.go); the tree stays the semantics and the fallback.
 //
 // Both backends — the BSP simulator (package spmd) and the native
 // goroutine backend (package native) — are drivers over that Program.

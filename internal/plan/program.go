@@ -30,11 +30,16 @@ type Program struct {
 	// MaxRank is the largest array rank of the unit (at least 1): the
 	// size of an index vector or section descriptor that fits any array.
 	MaxRank int
+	// OpNames[k] is CommOp.Name of the program's groups of kind k, empty
+	// when it holds none: what a backend that counts operations per kind
+	// reports them under.
+	OpNames [core.KindGeneral + 1]string
 
 	maxSums int
-	// What one frame needs to run any row loop: operand stack entries,
-	// ops of one body and scratch floats.
-	rowDepth, rowOps, rowFloats int
+	// What one frame needs to run any box: operand stack entries and
+	// scratch floats of one statement, array references and leaf operands
+	// of one row loop's body, outer loops of one chain.
+	rowDepth, rowFloats, rowRefs, rowLeaves, boxLevels int
 }
 
 // Node is one element of the lowered control-flow tree: *Comm, *Stmt,
@@ -156,10 +161,8 @@ type Stmt struct {
 	reads []*ArrayRef // array reads of the RHS, outside SUM arguments
 	loops []*Loop     // enclosing loops, outermost first
 	// row is the right-hand side as postfix row ops over the innermost
-	// enclosing loop (nil when some operand has no row form), rowStride
-	// the left-hand side's flat offset step along a row loop.
-	row       []rowOp
-	rowStride int
+	// enclosing loop (nil when some operand has no row form).
+	row []rowOp
 }
 
 // Sum is one SUM call over an array section: a collective of its
@@ -219,10 +222,22 @@ type Loop struct {
 	Clamp []Range
 	// Nest is set on the root of a pure owner-computes nest.
 	Nest *Nest
-	// Row, on a row loop — an innermost loop of a pure nest whose
-	// iterations may run a statement at a time (see row.go) — lists the
-	// body's statements: the driver tries RunRow before walking Body.
+	// Row, on a row loop — a loop of a pure nest whose iterations may run
+	// a statement at a time (see row.go) — lists the body's statements.
 	Row []*Stmt
+	// Box, on a row loop and on the outermost loop of a box chain — a
+	// perfect chain of loops down to a row loop whose whole iteration box
+	// may run a statement at a time — is that row loop (the loop itself on
+	// a row loop): the driver tries RunBox before walking Body.
+	Box *Loop
+	// outer is the chain loop directly around (nil on the outermost);
+	// boxVars, on the outermost, the depthBits of the chain's loops around
+	// the row loop whose variables a leaf of the body reads; refs and
+	// leaves count the array references (reads and targets) and leaf
+	// operands of Row.
+	outer        *Loop
+	boxVars      uint64
+	refs, leaves int
 }
 
 // Range is an inclusive integer interval, empty when Lo > Hi.
@@ -301,10 +316,16 @@ type Frame struct {
 	lo, hi []int
 	coords []int
 
-	// RunRow's operand stack, proved operands and scratch rows.
+	// RunBox's operand stack and scratch rows; per array reference of the
+	// body, the offset at the current row and what a step of each level
+	// adds to it; per row of a batch, the offsets and the leaf values
+	// prove left for runBatch.
 	rowStack  []rowVal
-	rowArgs   []rowArg
 	rowFloats []float64
+	boxCur    []int
+	boxStep   []int
+	boxOff    []int
+	boxLeaf   []float64
 }
 
 // NewFrame allocates the state for one executor taking processor p's
@@ -326,8 +347,11 @@ func (pr *Program) NewFrame(p int) *Frame {
 		coords:  make([]int, pr.Plan.A.Unit.Grid.Rank()),
 
 		rowStack:  make([]rowVal, pr.rowDepth),
-		rowArgs:   make([]rowArg, pr.rowOps),
 		rowFloats: make([]float64, pr.rowFloats),
+		boxCur:    make([]int, pr.rowRefs),
+		boxStep:   make([]int, pr.rowRefs*pr.boxLevels),
+		boxOff:    make([]int, pr.rowRefs*batchRows),
+		boxLeaf:   make([]float64, pr.rowLeaves*batchRows),
 	}
 }
 
@@ -444,8 +468,10 @@ type ArrayRef struct {
 	Subs []IntExpr
 	// off is the flat offset folded to one affine form; it replaces the
 	// per-dimension evaluation and bounds test once hoisted says the
-	// enclosing nest verified the subscript ranges on entry.
+	// enclosing nest verified the subscript ranges on entry. stride is
+	// its step per unit of the innermost enclosing loop's variable.
 	off     Affine
+	stride  int
 	hoisted bool
 }
 

@@ -1,22 +1,29 @@
 package plan
 
-// Row kernels: the lower level of a Program (DESIGN.md §17). Beside its
-// closure tree every assignment under a loop carries the same
+import (
+	"errors"
+	"slices"
+)
+
+// Row and box kernels: the lower level of a Program (DESIGN.md §17).
+// Beside its closure tree every assignment under a loop carries the same
 // expression as a flat postfix array of row ops over the innermost loop
 // around it; localize marks that loop a row loop (Loop.Row) when
 // executing its body a statement at a time over a whole row of
-// iterations changes no value, and RunRow is that execution. The tree
-// stays the semantics: a row RunRow declines is walked on it.
+// iterations changes no value, and the perfect chain of loops around it
+// over which the same holds a box (Loop.Box). RunBox is that execution,
+// a batch of rows at a time. The tree stays the semantics: a row RunBox
+// cannot prove is walked on it.
 
 // rowOp is one postfix operation of a statement's row form.
 type rowOp struct {
-	kind   uint8
-	stride int                            // opRead: flat offset step per unit of the row variable
-	c      float64                        // opConst
-	ref    *ArrayRef                      // opRead
-	leaf   RealFn                         // opLeaf
-	f1     func(float64) float64          // opFn1
-	f2     func(float64, float64) float64 // opFn2
+	kind uint8
+	vars uint64                         // opLeaf: depthBit of every enclosing loop whose variable it reads
+	c    float64                        // opConst
+	ref  *ArrayRef                      // opRead
+	leaf RealFn                         // opLeaf
+	f1   func(float64) float64          // opFn1
+	f2   func(float64, float64) float64 // opFn2
 }
 
 const (
@@ -24,7 +31,7 @@ const (
 	opConst uint8 = iota // a literal
 	opLeaf               // a subexpression over scalars and outer loop variables
 	opVar                // the row variable as a real
-	opRead               // an array element, base + stride·t
+	opRead               // an array element, base + ref.stride·t
 	opAdd
 	opSub
 	opMul
@@ -43,12 +50,10 @@ type rowVal struct {
 	tmp bool
 }
 
-// rowArg is what RunRow's proving pass leaves for the executing pass:
-// a constant operand's value, an opRead's base offset.
-type rowArg struct {
-	off int
-	c   float64
-}
+// depthBit is the bit of rowOp.vars for the loop at a nesting depth.
+// Loops deeper than the word share its last bit: a leaf may then count
+// as varying over a box it is constant over, which costs time only.
+func depthBit(d int) uint64 { return 1 << min(d, 63) }
 
 // push appends an operand to the row form of the statement being
 // lowered.
@@ -68,13 +73,15 @@ func (lw *lowerer) emit(op rowOp, arity int, fn RealFn) {
 		return
 	}
 	n := len(lw.row) - arity
+	vars := uint64(0)
 	for _, x := range lw.row[n:] {
 		if x.kind > opLeaf {
 			lw.row = append(lw.row, op)
 			return
 		}
+		vars |= x.vars
 	}
-	lw.row = append(lw.row[:n], rowOp{kind: opLeaf, leaf: fn})
+	lw.row = append(lw.row[:n], rowOp{kind: opLeaf, leaf: fn, vars: vars})
 }
 
 // coef returns the coefficient of an integer slot in the form.
@@ -96,7 +103,7 @@ func (a *Affine) coef(slot int) int {
 func (lw *lowerer) rowBody(lp *Loop) []*Stmt {
 	for _, n := range lp.Body {
 		st, ok := n.(*Stmt)
-		if !ok || st.Guard || st.row == nil || st.LHS.off.coef(lp.Slot) == 0 {
+		if !ok || st.Guard || st.row == nil || st.LHS.stride == 0 {
 			return nil
 		}
 		for _, r := range st.reads {
@@ -109,7 +116,7 @@ func (lw *lowerer) rowBody(lp *Loop) []*Stmt {
 	for i, n := range lp.Body {
 		body[i] = n.(*Stmt)
 	}
-	ops := 0
+	refs, leaves := 0, 0
 	for _, st := range body {
 		for _, w := range body {
 			if st.LHS.Am == w.LHS.Am && !st.LHS.off.equal(&w.LHS.off) {
@@ -121,111 +128,268 @@ func (lw *lowerer) rowBody(lp *Loop) []*Stmt {
 				}
 			}
 		}
-		st.rowStride = st.LHS.off.coef(lp.Slot)
 		// The left-hand subscript the loop variable drives is v+c and in
 		// range over the whole loop, so a row is no longer than that
-		// dimension; and n ops hold at most (n+1)/2 operands at once.
-		extent := 0
+		// dimension, and a batch of several rows no longer than batchElems;
+		// n ops hold at most (n+1)/2 operands at once.
+		extent := batchElems
 		for i := range st.LHS.Subs {
 			if st.LHS.Subs[i].coef(lp.Slot) != 0 {
-				extent = st.LHS.Am.Arr.Hi[i] - st.LHS.Am.Arr.Lo[i] + 1
+				extent = max(extent, st.LHS.Am.Arr.Hi[i]-st.LHS.Am.Arr.Lo[i]+1)
 			}
 		}
 		depth := (len(st.row) + 1) / 2
-		ops += len(st.row)
 		lw.pr.rowDepth = max(lw.pr.rowDepth, depth)
 		lw.pr.rowFloats = max(lw.pr.rowFloats, depth*extent)
+		refs += len(st.reads) + 1 // and the target
+		for i := range st.row {
+			if st.row[i].kind == opLeaf {
+				leaves++
+			}
+		}
 	}
-	lw.pr.rowOps = max(lw.pr.rowOps, ops)
+	lp.refs, lp.leaves = refs, leaves
+	lw.pr.rowRefs, lw.pr.rowLeaves = max(lw.pr.rowRefs, refs), max(lw.pr.rowLeaves, leaves)
 	return body
 }
 
-// RunRow executes the iterations first..last (what Begin returned) of a
-// row loop for the frame's processor, a statement at a time over the
-// whole row: every floating-point operation of the source happens once
-// per element, in source order, one operation per pass. Before anything
-// executes it evaluates every row-invariant operand and proves every
-// element the row reads of a distributed array valid. It reports false,
-// with nothing stored and no error left in the frame, when an element is
-// stale or an operand failed: the caller then walks the loop on the
-// closure tree, which reports that element or operand. The loop
-// variable is left for the caller to set.
-func (lp *Loop) RunRow(fr *Frame, first, last int) bool {
-	lo, n := first, last-first+1
-	if lp.Step.Const < 0 {
-		lo, n = last, first-last+1
+// Outcome is what RunBox did with one execution of a loop.
+type Outcome uint8
+
+const (
+	// NotApplicable: the loop heads no box, or a loop of its chain is empty
+	// or not live for the frame's processor. Nothing was touched; the
+	// driver runs the loop itself.
+	NotApplicable Outcome = iota
+	// Done: every iteration of the box ran; the chain's inner variables
+	// hold what walking them leaves, the loop's own is the driver's to set.
+	Done
+	// Stuck: a row could not be proven — it reads a stale element, or an
+	// operand failed. Every row before it in walk order ran once, nothing
+	// of it is stored, no error is left and the chain's outer variables are
+	// on it: the driver walks the row loop Box on the closure tree, which
+	// reports that element or operand.
+	Stuck
+)
+
+// ErrDeclinedRowRan is the internal error of a driver whose closure tree
+// ran, without complaint, the row a Stuck box handed it.
+var ErrDeclinedRowRan = errors.New("internal error: the closure tree ran a row its kernel declined")
+
+// A batch is the rows of a box that are proven and then executed
+// together: batchElems elements' worth, batchRows at most, one when a
+// row is longer — so an operation's set-up is paid once per batchElems
+// elements whatever the row length, and a batch's scratch stays cached.
+const (
+	batchElems = 256
+	batchRows  = 64
+)
+
+// batchOf returns how many rows of n elements make a batch.
+func batchOf(n int) int { return min(max(batchElems/n, 1), batchRows) }
+
+// RunBox executes, for the frame's processor, the whole box of the
+// chain lp heads (one row when lp is a row loop itself), over the ranges
+// Nest.Enter left in the frame: a statement at a time over a batch of
+// rows, so every floating-point operation of the source happens once per
+// element, in source order, one operation per pass. Each batch is proven
+// before any of it executes: every operand that does not move along a
+// row is evaluated, and every element the batch reads of a distributed
+// array is tested valid. points is the number of iteration points a Done
+// box ran each statement of Box.Row at.
+func (lp *Loop) RunBox(fr *Frame) (out Outcome, points int) {
+	row := lp.Box
+	if row == nil || !fr.ranges[row.Src.ID].busy {
+		return NotApplicable, 0
 	}
-	if n <= 0 {
-		return true
+	// The first row in walk order: the chain's outer variables are the
+	// odometer over the rows, its loops — upwards from the row loop — the
+	// levels.
+	levels, rows := 0, 1
+	for l := row; l != lp; levels++ {
+		l = l.outer
+		mine := fr.ranges[l.Src.ID].mine
+		fr.Ints[l.Slot] = mine.Lo
+		if l.Step.Const < 0 {
+			fr.Ints[l.Slot] = mine.Hi
+		}
+		rows *= mine.Hi - mine.Lo + 1
 	}
-	p := fr.P
-	fr.Ints[lp.Slot] = lo
-	args := fr.rowArgs
-	k := 0
-	for _, st := range lp.Row {
-		for i := range st.row {
-			switch op := &st.row[i]; op.kind {
-			case opConst:
-				args[k].c = op.c
-			case opLeaf:
-				args[k].c = op.leaf(fr)
-			case opRead:
-				off := op.ref.off.Eval(fr)
-				args[k].off = off
-				if am := op.ref.Am; am.Dist != nil && !rowValid(am.Valid[p], off, op.stride, n) {
-					fr.Err = nil
-					return false
+	mine := fr.ranges[row.Src.ID].mine
+	lo, n := mine.Lo, mine.Hi-mine.Lo+1
+	fr.Ints[row.Slot] = lo
+
+	// Once per box: every reference's offset at the first row with what a
+	// step of each level adds to it — the level's own coefficient less the
+	// way back of the levels inside it, which start over — and the leaves
+	// nothing in the chain moves.
+	cur, step := fr.boxCur[:row.refs], fr.boxStep
+	ri := 0
+	track := func(ref *ArrayRef) {
+		cur[ri] = ref.off.Eval(fr)
+		back := 0
+		for l, j := row.outer, levels-1; j >= 0; l, j = l.outer, j-1 {
+			mine := fr.ranges[l.Src.ID].mine
+			c := ref.off.coef(l.Slot) * l.Step.Const
+			step[ri*levels+j] = c - back
+			back += c * (mine.Hi - mine.Lo)
+		}
+		ri++
+	}
+	for _, st := range row.Row {
+		for _, r := range st.reads {
+			track(r)
+		}
+		track(st.LHS)
+	}
+	row.leafValues(fr, 0)
+
+	b := batchOf(n)
+	for done := 0; done < rows; done += b {
+		b = min(b, rows-done)
+		for r := 0; r < b; r++ {
+			if done+r > 0 {
+				// The innermost level with a value left steps, those inside
+				// it start over.
+				l, j := row.outer, levels-1
+				for ; ; l, j = l.outer, j-1 {
+					mine := fr.ranges[l.Src.ID].mine
+					if v := fr.Ints[l.Slot] + l.Step.Const; v >= mine.Lo && v <= mine.Hi {
+						fr.Ints[l.Slot] = v
+						break
+					}
+					fr.Ints[l.Slot] += l.Step.Const * (mine.Lo - mine.Hi)
+				}
+				for ri := range cur {
+					cur[ri] += step[ri*levels+j]
 				}
 			}
-			k++
+			if !row.prove(fr, lp.boxVars, r, n) {
+				fr.Err = nil
+				if r > 0 {
+					row.runBatch(fr, lp.boxVars, r, n, lo)
+				}
+				return Stuck, 0
+			}
+		}
+		row.runBatch(fr, lp.boxVars, b, n, lo)
+	}
+	for l := row; l != lp; l = l.outer {
+		l.exit(fr)
+	}
+	return Done, rows * n
+}
+
+// leafValues evaluates the body's leaves under the frame's variables,
+// for row r of a batch.
+func (lp *Loop) leafValues(fr *Frame, r int) {
+	leaves, li := fr.boxLeaf[r*lp.leaves:], 0
+	for _, st := range lp.Row {
+		for i := range st.row {
+			if op := &st.row[i]; op.kind == opLeaf {
+				leaves[li] = op.leaf(fr)
+				li++
+			}
 		}
 	}
-	if fr.Err != nil {
-		fr.Err = nil
-		return false
-	}
+}
 
-	k = 0
+// prove prepares row r of a batch of the row loop, the row the frame's
+// variables and current offsets are on: it keeps the offsets for
+// runBatch, evaluates the leaves again when some read a variable of the
+// chain (vars), and tests every element the row reads of a distributed
+// array. It reports false when one is stale or a leaf of the box failed.
+func (lp *Loop) prove(fr *Frame, vars uint64, r, n int) bool {
+	offs := fr.boxOff[r*lp.refs : (r+1)*lp.refs]
+	copy(offs, fr.boxCur)
+	if vars != 0 {
+		lp.leafValues(fr, r)
+	}
+	ri := 0
+	for _, st := range lp.Row {
+		for _, ref := range st.reads {
+			if am := ref.Am; am.Dist != nil && !rowValid(am.Valid[fr.P], offs[ri], ref.stride, n) {
+				return false
+			}
+			ri++
+		}
+		ri++
+	}
+	return fr.Err == nil
+}
+
+// runBatch executes the body of the row loop over the b rows of n
+// elements prove prepared, a statement at a time. An operand is a
+// constant, a scratch row of b·n values or — for a unit-stride read of a
+// single row — a view of the array's data.
+func (lp *Loop) runBatch(fr *Frame, vars uint64, b, n, lo int) {
+	p, m := fr.P, b*n
+	ri, li := 0, 0
 	for _, st := range lp.Row {
 		// Scratch rows are taken and released in stack order: nt counts
 		// the ones in use.
 		stack, sp, nt := fr.rowStack, 0, 0
 		for i := range st.row {
-			op, arg := &st.row[i], &args[k]
-			k++
+			op := &st.row[i]
 			switch op.kind {
-			case opConst, opLeaf:
-				stack[sp] = rowVal{c: arg.c}
+			case opConst:
+				stack[sp] = rowVal{c: op.c}
+				sp++
+			case opLeaf:
+				stack[sp] = rowVal{c: fr.boxLeaf[li]}
+				if b > 1 && op.vars&vars != 0 { // differs from row to row
+					t := fr.rowTemp(nt, m)
+					nt++
+					for r := 0; r < b; r++ {
+						for i, v := r*n, fr.boxLeaf[r*lp.leaves+li]; i < (r+1)*n; i++ {
+							t[i] = v
+						}
+					}
+					stack[sp] = rowVal{v: t, tmp: true}
+				}
+				li++
 				sp++
 			case opVar:
-				t := fr.rowTemp(nt, n)
+				t := fr.rowTemp(nt, m)
 				nt++
-				for i := range t {
-					t[i] = float64(lo + i)
+				for r := 0; r < m; r += n {
+					for i := 0; i < n; i++ {
+						t[r+i] = float64(lo + i)
+					}
 				}
 				stack[sp] = rowVal{v: t, tmp: true}
 				sp++
 			case opRead:
-				data := op.ref.Am.Data[0]
+				data, stride := op.ref.Am.Data[0], op.ref.stride
 				if op.ref.Am.Dist != nil {
 					data = op.ref.Am.Data[p]
 				}
-				if op.stride == 1 {
-					stack[sp] = rowVal{v: data[arg.off : arg.off+n : arg.off+n]}
+				if off := fr.boxOff[ri]; b == 1 && stride == 1 {
+					stack[sp] = rowVal{v: data[off : off+n : off+n]}
 				} else {
-					t := fr.rowTemp(nt, n)
+					t := fr.rowTemp(nt, m)
 					nt++
-					for i := range t {
-						t[i] = data[arg.off+i*op.stride]
+					for r := 0; r < b; r++ {
+						off, dst := fr.boxOff[r*lp.refs+ri], t[r*n:(r+1)*n]
+						if stride == 1 {
+							for i, v := range data[off : off+n] {
+								dst[i] = v
+							}
+							continue
+						}
+						for i := range dst {
+							dst[i] = data[off+i*stride]
+						}
 					}
 					stack[sp] = rowVal{v: t, tmp: true}
 				}
+				ri++
 				sp++
 			case opFn1:
 				x := &stack[sp-1]
 				dst := x.v
 				if !x.tmp {
-					dst = fr.rowTemp(nt, n)
+					dst = fr.rowTemp(nt, m)
 					nt++
 				}
 				for i, a := range x.v {
@@ -242,7 +406,7 @@ func (lp *Loop) RunRow(fr *Frame, first, last int) bool {
 				case y.tmp:
 					dst = y.v
 				case !x.tmp:
-					dst = fr.rowTemp(nt, n)
+					dst = fr.rowTemp(nt, m)
 					nt++
 				}
 				op.apply(dst, x, y)
@@ -251,24 +415,30 @@ func (lp *Loop) RunRow(fr *Frame, first, last int) bool {
 		}
 
 		// Stored after the statement's last operation, so a right-hand
-		// side may read the row it replaces.
+		// side may read the rows it replaces.
 		res, am := &stack[0], st.LHS.Am
-		off := st.LHS.off.Eval(fr)
-		data, valid := am.Data[p], am.Valid[p]
-		for i := 0; i < n; i++ {
-			v := res.c
-			if res.v != nil {
-				v = res.v[i]
+		data, valid, stride := am.Data[p], am.Valid[p], st.LHS.stride
+		for r := 0; r < b; r++ {
+			off := fr.boxOff[r*lp.refs+ri]
+			for i := r * n; i < (r+1)*n; i++ {
+				v := res.c
+				if res.v != nil {
+					v = res.v[i]
+				}
+				data[off], valid[off] = v, true
+				off += stride
 			}
-			data[off+i*st.rowStride], valid[off+i*st.rowStride] = v, true
 		}
+		ri++
 	}
-	return true
 }
 
 // rowValid reports whether the elements off, off+stride, ... a row of n
 // reads are all valid.
 func rowValid(valid []bool, off, stride, n int) bool {
+	if stride == 1 {
+		return !slices.Contains(valid[off:off+n], false)
+	}
 	if stride == 0 {
 		n = 1
 	}

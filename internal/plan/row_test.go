@@ -2,8 +2,8 @@ package plan_test
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,8 +39,8 @@ func placeSrc(t testing.TB, src string, params map[string]int, procs int) *core.
 }
 
 // walker is a sequential driver over a lowered program, one processor
-// after the other, for holding RunRow against the element walk: it
-// executes what the backends execute (the same Begin/Enter/RunRow/Leave
+// after the other, for holding RunBox against the element walk: it
+// executes what the backends execute (the same Begin/Enter/RunBox/Leave
 // protocol, the same stores) and replaces their communication by the
 // simplest sufficient one — at every communication position every
 // processor receives every owner's elements. Run once on a program as
@@ -52,14 +52,38 @@ type walker struct {
 	mem  *runtime.Memory
 	fr   *plan.Frame
 	// deliver is false to run as under a placement stripped of its
-	// communication.
-	deliver bool
-	nest    bool
-	counts  []int
+	// communication; quiet is true to count nothing (a benchmark times the
+	// kernels, not the counters).
+	deliver, quiet bool
+	nest           bool
+	counts         []int
 
-	// What ran where: statement instances on the row path and on the
-	// tree, rows RunRow ran and rows it declined.
-	rowInst, treeInst, rows, declined int
+	// What ran where: statement instances in the kernels (of those,
+	// batched: in batches of more than one row) and on the tree; rows and
+	// chain boxes the kernels ran, executions they stopped in, and the
+	// rows of every batch.
+	rowInst, batched, treeInst, rows, boxes, declined int
+	batches                                           []int
+
+	// stuck is where the kernels stopped (at most once: the run ends
+	// there); a walker given it as watch records its own image when it
+	// begins the same row.
+	stuck, watch *stuckAt
+}
+
+// stuckAt is the state of a run at the row a box kernel could not
+// prove: the row loop, the processor, the loop variables and a copy of
+// the memory image.
+type stuckAt struct {
+	row   *plan.Loop
+	p     int
+	ints  []int
+	image map[string]planes
+}
+
+type planes struct {
+	data  [][]float64
+	valid [][]bool
 }
 
 func newWalker(t testing.TB, res *core.Result, procs int) *walker {
@@ -140,14 +164,20 @@ func (w *walker) iterate(lp *plan.Loop) error {
 	if fr.Err != nil || !run {
 		return fr.Err
 	}
-	if lp.Row == nil || !w.runRow(lp, first, last) {
-		for v := first; (step > 0 && v <= last) || (step < 0 && v >= last); v += step {
-			fr.Ints[lp.Slot] = v
-			w.comm(lp.Head)
-			if err := w.exec(lp.Body); err != nil {
-				return err
-			}
+	if at := w.watch; at != nil && at.image == nil && lp.Src == at.row.Src && fr.P == at.p && sameBut(fr.Ints, at.ints, lp.Slot) {
+		at.image = w.snapshot()
+	}
+	switch w.runBox(lp) {
+	case plan.NotApplicable:
+		if err := w.walk(lp, first, last, step); err != nil {
+			return err
 		}
+	case plan.Stuck:
+		first, last, step, _, _ = lp.Box.Begin(fr)
+		if err := w.walk(lp.Box, first, last, step); err != nil {
+			return err
+		}
+		return plan.ErrDeclinedRowRan
 	}
 	fr.Ints[lp.Slot] = exit
 	if lp.Nest != nil {
@@ -156,40 +186,74 @@ func (w *walker) iterate(lp *plan.Loop) error {
 	return nil
 }
 
-// runRow is RunRow, counted, with its contract on a declined row
-// checked: nothing stored, no error left behind.
-func (w *walker) runRow(lp *plan.Loop, first, last int) bool {
-	before := w.planeHash(w.fr.P)
-	if !lp.RunRow(w.fr, first, last) {
+func (w *walker) walk(lp *plan.Loop, first, last, step int) error {
+	for v := first; (step > 0 && v <= last) || (step < 0 && v >= last); v += step {
+		w.fr.Ints[lp.Slot] = v
+		w.comm(lp.Head)
+		if err := w.exec(lp.Body); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runBox is RunBox, counted, with what it must leave behind when it
+// stops recorded for the caller to compare: no error, and the state.
+func (w *walker) runBox(lp *plan.Loop) plan.Outcome {
+	out, points := lp.RunBox(w.fr)
+	switch {
+	case w.quiet:
+	case out == plan.Done:
+		rows, n := lp.BoxShape(w.fr)
+		if points != rows*n {
+			w.t.Errorf("a box of %d rows of %d ran %d points", rows, n, points)
+		}
+		w.rows += rows
+		if lp.Box != lp {
+			w.boxes++
+		}
+		w.rowInst += points * len(lp.Box.Row)
+		for b := plan.BatchRows(n); rows > 0; rows -= b {
+			b = min(b, rows)
+			w.batches = append(w.batches, b)
+			if b > 1 {
+				w.batched += b * n * len(lp.Box.Row)
+			}
+		}
+	case out == plan.Stuck:
 		w.declined++
 		if w.fr.Err != nil {
-			w.t.Errorf("declined row left error %v in the frame", w.fr.Err)
+			w.t.Errorf("a stuck box left error %v in the frame", w.fr.Err)
 		}
-		if w.planeHash(w.fr.P) != before {
-			w.t.Errorf("declined row changed processor %d's memory", w.fr.P)
-		}
-		return false
+		w.stuck = &stuckAt{row: lp.Box, p: w.fr.P, ints: slices.Clone(w.fr.Ints), image: w.snapshot()}
 	}
-	w.rows++
-	w.rowInst += (max(last-first, first-last) + 1) * len(lp.Row)
+	return out
+}
+
+// sameBut reports whether two slot vectors agree everywhere but at one
+// slot.
+func sameBut(a, b []int, but int) bool {
+	for s := range a {
+		if s != but && a[s] != b[s] {
+			return false
+		}
+	}
 	return true
 }
 
-// planeHash hashes processor p's data and validity planes; only the
-// runs that expect declined rows (no delivery) pay for it.
-func (w *walker) planeHash(p int) uint64 {
-	if w.deliver {
-		return 0
-	}
-	h := fnv.New64a()
+// snapshot copies every processor's data and validity planes.
+func (w *walker) snapshot() map[string]planes {
+	out := map[string]planes{}
 	for _, name := range w.mem.Unit.ArrayNames {
-		if am := w.mem.View(name); am.Dist != nil {
-			for i, v := range am.Data[p] {
-				fmt.Fprint(h, math.Float64bits(v), am.Valid[p][i])
-			}
+		am := w.mem.View(name)
+		var pl planes
+		for p := range am.Data {
+			pl.data = append(pl.data, slices.Clone(am.Data[p]))
+			pl.valid = append(pl.valid, slices.Clone(am.Valid[p]))
 		}
+		out[name] = pl
 	}
-	return h.Sum64()
+	return out
 }
 
 // own executes a statement of a pure nest for the frame's processor.
@@ -267,25 +331,30 @@ func (w *walker) branch(n *plan.If) error {
 // processor's data and validity plane of every array, and the scalars.
 func sameImage(t *testing.T, row, elem *walker) {
 	t.Helper()
-	for _, name := range row.mem.Unit.ArrayNames {
-		a, b := row.mem.View(name), elem.mem.View(name)
-		for p := range a.Data {
-			for off, v := range a.Data[p] {
-				if math.Float64bits(v) != math.Float64bits(b.Data[p][off]) {
-					t.Fatalf("%s: processor %d, offset %d: row path %v, element walk %v", name, p, off, v, b.Data[p][off])
-				}
-				if a.Valid[p][off] != b.Valid[p][off] {
-					t.Fatalf("%s: processor %d, offset %d: row path valid=%v, element walk valid=%v", name, p, off, a.Valid[p][off], b.Valid[p][off])
-				}
-			}
-		}
-	}
+	samePlanes(t, row.snapshot(), elem.snapshot())
 	sa, sb := map[string]float64{}, map[string]float64{}
 	row.prog.Scalars(row.fr, sa)
 	elem.prog.Scalars(elem.fr, sb)
 	for name, v := range sa {
 		if math.Float64bits(v) != math.Float64bits(sb[name]) {
-			t.Fatalf("scalar %s: row path %v, element walk %v", name, v, sb[name])
+			t.Fatalf("scalar %s: kernels %v, element walk %v", name, v, sb[name])
+		}
+	}
+}
+
+func samePlanes(t *testing.T, row, elem map[string]planes) {
+	t.Helper()
+	for name, a := range row {
+		b := elem[name]
+		for p := range a.data {
+			for off, v := range a.data[p] {
+				if math.Float64bits(v) != math.Float64bits(b.data[p][off]) {
+					t.Fatalf("%s: processor %d, offset %d: kernels %v, element walk %v", name, p, off, v, b.data[p][off])
+				}
+				if a.valid[p][off] != b.valid[p][off] {
+					t.Fatalf("%s: processor %d, offset %d: kernels valid=%v, element walk valid=%v", name, p, off, a.valid[p][off], b.valid[p][off])
+				}
+			}
 		}
 	}
 }
@@ -339,8 +408,8 @@ end
 `
 
 var rowShapes = []struct {
-	name, src string
-	rows      int // row loops lowering must find at P=4
+	name, src    string
+	rows, chains int // row loops and box chains lowering must find at P=4
 }{
 	{"negative-step", `
 routine r(n)
@@ -358,7 +427,7 @@ b(i, j) = a(i, j - 1) + a(i + 1, j)
 enddo
 enddo
 end
-`, 2},
+`, 2, 2},
 	{"star-innermost", `
 routine r(n)
 real g(n, n, n), h(n, n, n)
@@ -379,7 +448,7 @@ enddo
 enddo
 enddo
 end
-`, 2},
+`, 2, 2},
 	{"stride-0-reads", `
 routine r(n)
 real a(n, n), b(n, n), col(n), q(n)
@@ -404,7 +473,7 @@ b(i, j) = a(i, 1) + i / x + sqrt(abs(a(i, j))) ** 2
 enddo
 enddo
 end
-`, 3},
+`, 3, 2},
 	{"second-reads-first", `
 routine r(n)
 real a(n, n), b(n, n), c(n, n)
@@ -418,8 +487,119 @@ a(i, j) = max(c(i, j), 25) - min(a(i, j), 7)
 enddo
 enddo
 end
-`, 1},
-	{"in-place", inPlaceSrc, 3},
+`, 1, 1},
+	{"in-place", inPlaceSrc, 3, 3},
+	// Chains: three deep with a leaf over both outer variables and a
+	// descending middle loop; a box of 200 rows of 3-4 elements at P=4 (400
+	// of 7 at P=1), several batches and a partial last one; rows of 300
+	// elements, one to a batch.
+	{"chain-3-deep", `
+routine r(n)
+real g(n, n, n), h(n, n, n)
+!hpf$ distribute (block, block, *) :: g, h
+do i = 1, n
+do j = n, 1, -1
+do k = 1, n
+g(i, j, k) = 10.0 + i * 0.01 + j * 0.02 + k * 0.03
+h(i, j, k) = g(i, j, k) * (i - j)
+enddo
+enddo
+enddo
+do i = 2, n - 1
+do j = n - 1, 2, -1
+do k = 1, n
+h(i, j, k) = h(i, j, k) + g(i - 1, j, k) - g(i, j + 1, k)
+enddo
+enddo
+enddo
+end
+`, 2, 2},
+	{"many-batches", `
+routine r(n)
+real a(20, 20, n), b(20, 20, n)
+!hpf$ distribute (block, *, block) :: a, b
+do i = 1, 20
+do j = 1, 20
+do k = 1, n
+a(i, j, k) = i + 0.5 * j - 0.25 * k
+b(i, j, k) = 1
+enddo
+enddo
+enddo
+do i = 2, 19
+do j = 20, 1, -1
+do k = 2, n - 1
+b(i, j, k) = b(i, j, k) + a(i + 1, j, k) * a(i, j, k - 1)
+enddo
+enddo
+enddo
+end
+`, 2, 2},
+	{"long-rows", `
+routine r(n)
+real a(n, 300), b(n, 300)
+!hpf$ distribute (block, *) :: a, b
+do i = 1, n
+do j = 1, 300
+a(i, j) = i + mod(j, 11)
+b(i, j) = a(i, j) / 3
+enddo
+enddo
+do i = 1, n - 1
+do j = 2, 299
+b(i, j) = a(i + 1, j - 1) - a(i, j + 1) + j
+enddo
+enddo
+end
+`, 2, 2},
+	// What must not be a chain, or a row loop at all: a target that does
+	// not move with the outer loop (a reduction over j into w(k): taken a
+	// statement at a time over the box, the last j would win), a statement
+	// between two levels, a guarded statement.
+	{"target-fixed-in-outer-loop", `
+routine r(n)
+real a(n, n), w(n)
+!hpf$ distribute (*, block) :: a
+!hpf$ distribute (block) :: w
+do j = 1, n
+do k = 1, n
+a(j, k) = j + 2 * k
+enddo
+enddo
+do k = 1, n
+w(k) = 0
+enddo
+do j = 1, n
+do k = 1, n
+w(k) = w(k) + a(j, k) * j
+enddo
+enddo
+end
+`, 3, 1},
+	{"statement-between-levels", `
+routine r(n)
+real a(n, n), b(n, n)
+!hpf$ distribute (block, block) :: a, b
+do i = 1, n
+b(i, 1) = i
+do j = 2, n
+a(i, j) = i * j
+b(i, j) = a(i, j) - 1
+enddo
+enddo
+end
+`, 1, 0},
+	{"guarded", `
+routine r(n)
+real a(n, n)
+!hpf$ distribute (block, cyclic) :: a
+do i = 1, n
+do j = 1, n
+a(i, j) = i - j
+enddo
+enddo
+end
+`, 0, 0},
 }
 
 // TestRowMatchesElementWalk: running a row loop through RunRow and
@@ -459,8 +639,14 @@ func TestRowMatchesElementWalk(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/P%d", tc.name, p), func(t *testing.T) {
 				res := placeSrc(t, tc.src, map[string]int{"n": 7, "steps": 2}, p)
 				w := rowAgainstElements(t, res, p)
-				if got := countRows(w.prog); p == 4 && got.loops != tc.rows {
-					t.Errorf("%d row loops, want %d", got.loops, tc.rows)
+				if got := countRows(w.prog); p == 4 && (got.loops != tc.rows || got.chains != tc.chains) {
+					t.Errorf("%d row loops, %d chains, want %d, %d", got.loops, got.chains, tc.rows, tc.chains)
+				}
+				if n := len(w.batches); p == 4 && tc.name == "many-batches" && (n < 4 || w.batches[n-1] >= w.batches[n-2]) {
+					t.Errorf("batches of %v rows, want several full ones and a partial last", w.batches)
+				}
+				if tc.name == "long-rows" && slices.Max(w.batches) != 1 {
+					t.Errorf("batches of %v rows, want one row each", w.batches)
 				}
 				ref, err := refeval.Run(res.Analysis)
 				if err != nil {
@@ -489,13 +675,44 @@ func TestRowMatchesElementWalk(t *testing.T) {
 	}
 }
 
+// staleLastRowSrc updates b in place from the row below. Processor 0 of
+// two owns rows 1-6 of n=12 and the update runs them two to a batch; the
+// row its neighbour owns is read from the last row of the last batch.
+const staleLastRowSrc = `
+routine r(n)
+real a(n, 100), b(n, 100)
+!hpf$ distribute (block, *) :: a, b
+do i = 1, n
+do j = 1, 100
+a(i, j) = i + j
+b(i, j) = i - j
+enddo
+enddo
+do i = 1, n - 1
+do j = 1, 100
+b(i, j) = b(i, j) + a(i + 1, j)
+enddo
+enddo
+end
+`
+
 // TestRowDeclinesWhole: under a placement whose data never arrives, or
-// with an operand that fails, RunRow stores nothing of the row and
-// leaves no error (the walker checks both on every declined row), and
-// the tree walk that follows reports the stale element or the operand.
+// with an operand that fails, RunBox stops at the first row in walk
+// order it cannot prove — the first of a box, the last of the last batch
+// of another — with no error left, the chain's outer variable on that
+// row and the memory image the element walk has when it begins the same
+// row: every earlier row stored once (the update is in place), nothing
+// of the row itself. The tree walk that follows reports the stale
+// element or the operand, and ends on the element walk's error and
+// image.
 func TestRowDeclinesWhole(t *testing.T) {
-	for _, tc := range []struct{ name, src, want string }{
-		{"stale", inPlaceSrc, "read stale g"},
+	for _, tc := range []struct {
+		name, src    string
+		n, procs, at int // the value of i at the row that cannot run
+		want         string
+	}{
+		{"stale", inPlaceSrc, 7, 4, 2, "read stale g"},
+		{"stale-last-row", staleLastRowSrc, 12, 2, 6, "read stale a"},
 		{"unbound-scalar", `
 routine r(n)
 real a(n, n), b(n, n)
@@ -508,25 +725,42 @@ b(i, j) = a(i, j) + x
 enddo
 enddo
 end
-`, `unbound scalar "x"`},
+`, 7, 4, 1, `unbound scalar "x"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w := newWalker(t, placeSrc(t, tc.src, map[string]int{"n": 7, "steps": 1}, 4), 4)
+			res := placeSrc(t, tc.src, map[string]int{"n": tc.n, "steps": 1}, tc.procs)
+			w := newWalker(t, res, tc.procs)
 			w.deliver = false
 			err := w.run()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("run returned %v, want an error with %q", err, tc.want)
 			}
 			if w.declined != 1 {
-				t.Errorf("%d rows declined, want the one the error came from", w.declined)
+				t.Fatalf("the kernels stopped %d times, want once, at the row the error came from", w.declined)
 			}
+			if got := w.stuck.ints[slices.Index(w.prog.Ints, "i")]; got != tc.at {
+				t.Errorf("stopped at i=%d, want %d", got, tc.at)
+			}
+
+			elem := newWalker(t, res, tc.procs)
+			plan.ClearRows(elem.prog)
+			elem.deliver, elem.watch = false, &stuckAt{row: w.stuck.row, p: w.stuck.p, ints: w.stuck.ints}
+			if elemErr := elem.run(); elemErr == nil || elemErr.Error() != err.Error() {
+				t.Fatalf("the kernels' run returned %v, the element walk %v", err, elemErr)
+			}
+			if elem.watch.image == nil {
+				t.Fatal("the element walk never began the row the kernels stopped at")
+			}
+			samePlanes(t, w.stuck.image, elem.watch.image)
+			sameImage(t, w, elem)
 		})
 	}
 }
 
 // rowCount is what lowering decided about row loops: how many there
-// are, and how many of the statements inside pure nests they hold.
-type rowCount struct{ loops, rowStmts, nestStmts int }
+// are, how many of them end a box chain, and how many of the statements
+// inside pure nests they hold.
+type rowCount struct{ loops, chains, rowStmts, nestStmts int }
 
 func countRows(prog *plan.Program) rowCount {
 	var out rowCount
@@ -538,6 +772,9 @@ func countRows(prog *plan.Program) rowCount {
 				if n.Row != nil {
 					out.loops++
 					out.rowStmts += len(n.Row)
+				}
+				if n.Box != nil && n.Box != n {
+					out.chains++
 				}
 				walk(n.Body, nest || n.Nest != nil)
 			case *plan.If:
@@ -555,18 +792,20 @@ func countRows(prog *plan.Program) rowCount {
 }
 
 // TestRowCoverageFig10a pins how much of the paper's routines lowering
-// puts in row loops, so that a change which silently drops statements
-// to the tree fails here and not in a benchmark. Gravity's three
+// puts in row loops and how many of those end a box chain, so that a
+// change which silently drops statements to the tree, or rows out of
+// their boxes, fails here and not in a benchmark. Gravity's three
 // plane-initialisation stores share a loop body with the loop over the
-// collapsed dimension and stay on the tree.
+// collapsed dimension: they stay on the tree, and that loop a row loop
+// without a chain.
 func TestRowCoverageFig10a(t *testing.T) {
 	want := map[string]rowCount{
-		"shallow/main":    {4, 23, 23},
-		"gravity/main":    {7, 7, 10},
-		"trimesh/normdot": {8, 24, 24},
-		"trimesh/gauss":   {6, 16, 16},
-		"hydflo/flux":     {11, 20, 20},
-		"hydflo/hydro":    {4, 10, 10},
+		"shallow/main":    {4, 4, 23, 23},
+		"gravity/main":    {7, 6, 7, 10},
+		"trimesh/normdot": {8, 8, 24, 24},
+		"trimesh/gauss":   {6, 6, 16, 16},
+		"hydflo/flux":     {11, 11, 20, 20},
+		"hydflo/hydro":    {4, 4, 10, 10},
 	}
 	for _, pr := range bench.Programs() {
 		for _, p := range []int{16, 25} {
@@ -589,23 +828,24 @@ func TestRowCoverageFig10a(t *testing.T) {
 
 // TestRowShare reports, for the programs of the repository benchmark at
 // their benchmark sizes, the share of dynamic statement instances that
-// ran on the row path (EXPERIMENTS.md records it) and holds what the
-// benchmark relies on: no row falls back, and the row path carries
-// nearly all the work.
+// ran in the kernels and — the property batching depends on — in batches
+// of more than one row, with the boxes run and the rows per batch
+// (EXPERIMENTS.md records them), and holds what the benchmark relies on:
+// no box stops, and the kernels carry nearly all the work.
 func TestRowShare(t *testing.T) {
 	if testing.Short() {
 		t.Skip("walks gravity n=48 twice")
 	}
 	for _, tc := range []struct {
-		bench, routine string
-		params         map[string]int
-		procs          int
-		atLeast        float64
+		bench, routine   string
+		params           map[string]int
+		procs            int
+		atLeast, batched float64
 	}{
-		{"gravity", "main", map[string]int{"nx": 48, "ny": 48, "nz": 48, "steps": 1}, 16, 0.98},
-		{"shallow", "main", map[string]int{"n": 16, "steps": 40}, 16, 0.99},
-		{"hydflo", "flux", map[string]int{"n": 16, "steps": 4}, 16, 0.99},
-		{"shallow", "main", map[string]int{"n": 32, "steps": 2}, 4, 0.99},
+		{"gravity", "main", map[string]int{"nx": 48, "ny": 48, "nz": 48, "steps": 1}, 16, 0.98, 0.80},
+		{"shallow", "main", map[string]int{"n": 16, "steps": 40}, 16, 0.99, 0.99},
+		{"hydflo", "flux", map[string]int{"n": 16, "steps": 4}, 16, 0.99, 0.99},
+		{"shallow", "main", map[string]int{"n": 32, "steps": 2}, 4, 0.99, 0.99},
 	} {
 		pr, err := bench.ByName(tc.bench, tc.routine)
 		if err != nil {
@@ -615,34 +855,38 @@ func TestRowShare(t *testing.T) {
 		if err := w.run(); err != nil {
 			t.Fatal(err)
 		}
-		share := float64(w.rowInst) / float64(w.rowInst+w.treeInst)
-		t.Logf("%s/%s %v P=%d: %d of %d statement instances on the row path (%.2f%%), %d rows, %d fell back",
-			tc.bench, tc.routine, tc.params, tc.procs, w.rowInst, w.rowInst+w.treeInst, 100*share, w.rows, w.declined)
-		if w.declined != 0 || share < tc.atLeast {
-			t.Errorf("%s/%s: share %.4f (want >= %v), %d rows fell back", tc.bench, tc.routine, share, tc.atLeast, w.declined)
+		all := float64(w.rowInst + w.treeInst)
+		share, batched := float64(w.rowInst)/all, float64(w.batched)/all
+		slices.Sort(w.batches)
+		t.Logf("%s/%s %v P=%d: %d of %d statement instances in the kernels (%.2f%%), %d in batches of several rows (%.2f%%); %d boxes and %d rows run, %d stopped; %d batches of %d / %d / %d rows (min / median / max)",
+			tc.bench, tc.routine, tc.params, tc.procs, w.rowInst, w.rowInst+w.treeInst, 100*share, w.batched, 100*batched,
+			w.boxes, w.rows, w.declined, len(w.batches), w.batches[0], w.batches[len(w.batches)/2], w.batches[len(w.batches)-1])
+		if w.declined != 0 || share < tc.atLeast || batched < tc.batched {
+			t.Errorf("%s/%s: share %.4f (want >= %v), batched %.4f (want >= %v), %d boxes stopped",
+				tc.bench, tc.routine, share, tc.atLeast, batched, tc.batched, w.declined)
 		}
 	}
 }
 
 // The two kernels BenchmarkRowKernel times, at P=1 so that one nest
-// entry sweeps rows of exactly len elements: gravity's five-point
-// stencil over a collapsed first dimension, and hydflo/flux's 27-op
-// difference chain over seven arrays.
+// entry sweeps a box of exactly rows × len elements: gravity's
+// five-point stencil over a collapsed first dimension, and hydflo/flux's
+// 27-op difference chain over seven arrays.
 const (
 	stencilKernel = `
-routine k(len)
-real g(3, 10, len + 2), w1(10, len + 2)
+routine k(len, rows)
+real g(3, rows + 2, len + 2), w1(rows + 2, len + 2)
 !hpf$ distribute (*, block, block) :: g
 !hpf$ distribute (block, block) :: w1
 do i = 1, 3
-do j = 1, 10
+do j = 1, rows + 2
 do k = 1, len + 2
 g(i, j, k) = 1.0 + (i + 2 * j + 3 * k) * 0.125
 enddo
 enddo
 enddo
 do i = 2, 2
-do j = 2, 9
+do j = 2, rows + 1
 do k = 2, len + 1
 w1(j, k) = g(i, j - 1, k) + g(i, j + 1, k) + g(i, j, k - 1) + g(i, j, k + 1) - 4 * g(i, j, k)
 enddo
@@ -651,12 +895,12 @@ enddo
 end
 `
 	fluxKernel = `
-routine k(len)
-real qa(3, 10, len + 2), qb(3, 10, len + 2), qc(3, 10, len + 2), qd(3, 10, len + 2)
-real qe(3, 10, len + 2), qf(3, 10, len + 2), qg(3, 10, len + 2), fx(3, 10, len + 2)
+routine k(len, rows)
+real qa(3, rows + 2, len + 2), qb(3, rows + 2, len + 2), qc(3, rows + 2, len + 2), qd(3, rows + 2, len + 2)
+real qe(3, rows + 2, len + 2), qf(3, rows + 2, len + 2), qg(3, rows + 2, len + 2), fx(3, rows + 2, len + 2)
 !hpf$ distribute (*, block, block) :: qa, qb, qc, qd, qe, qf, qg, fx
 do i = 1, 3
-do j = 1, 10
+do j = 1, rows + 2
 do k = 1, len + 2
 qa(i, j, k) = 1 + (i + j + k) * 0.2
 qb(i, j, k) = 1 + (i + 2 * j + k) * 0.15
@@ -669,7 +913,7 @@ enddo
 enddo
 enddo
 do i = 2, 2
-do j = 2, 9
+do j = 2, rows + 1
 do k = 2, len + 1
 fx(i, j, k) = qa(i, j - 1, k) - qa(i, j + 1, k) + qb(i, j - 1, k) - qb(i, j + 1, k) + qc(i, j - 1, k) - qc(i, j + 1, k) + qd(i, j - 1, k) - qd(i, j + 1, k) + qe(i, j - 1, k) - qe(i, j + 1, k) + qf(i, j - 1, k) - qf(i, j + 1, k) + qg(i, j - 1, k) - qg(i, j + 1, k)
 enddo
@@ -681,11 +925,16 @@ end
 
 // kernelNest runs the kernel program once (so that its arrays hold
 // values) and returns the walker with the kernel's nest: the last
-// top-level loop, eight rows of length len per entry.
-func kernelNest(t testing.TB, src string, length int, rows bool) (*walker, *plan.Loop) {
-	w := newWalker(t, placeSrc(t, src, map[string]int{"len": length}, 1), 1)
-	if !rows {
+// top-level loop, a box of rows × length elements per entry. mode says
+// how the walker is to run it: "tree" on the closure tree, "row" a row at
+// a time, "box" as lowered.
+func kernelNest(t testing.TB, src string, length, rows int, mode string) (*walker, *plan.Loop) {
+	w := newWalker(t, placeSrc(t, src, map[string]int{"len": length, "rows": rows}, 1), 1)
+	switch mode {
+	case "tree":
 		plan.ClearRows(w.prog)
+	case "row":
+		plan.ClearChains(w.prog)
 	}
 	if err := w.run(); err != nil {
 		t.Fatal(err)
@@ -698,46 +947,57 @@ func kernelNest(t testing.TB, src string, length int, rows bool) (*walker, *plan
 	return w, nest
 }
 
-// BenchmarkRowKernel is the per-layer number behind the row kernels:
-// ns per element of one statement, closure tree against row ops, at row
-// lengths from the benchmark's (4 for shallow and flux at n=16, 12 for
-// gravity at n=48) to the paper's (250). Driver overhead — Begin, the
-// nest's Enter and Leave — is in both.
+// BenchmarkRowKernel is the per-layer number behind the kernels: ns per
+// element of one statement — on the closure tree, a row at a time, and
+// the box in batches — at row lengths from the benchmark's (4 for shallow
+// and flux at n=16, 12 for gravity at n=48) to the paper's (250) and
+// boxes of 1 to 64 rows. Driver overhead — Begin, the nest's Enter and
+// Leave — is in all three.
 func BenchmarkRowKernel(b *testing.B) {
 	for _, k := range []struct{ name, src string }{{"stencil", stencilKernel}, {"flux27", fluxKernel}} {
 		for _, length := range []int{4, 12, 48, 250} {
-			for _, mode := range []string{"tree", "row"} {
-				b.Run(fmt.Sprintf("%s/len%d/%s", k.name, length, mode), func(b *testing.B) {
-					w, nest := kernelNest(b, k.src, length, mode == "row")
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := w.iterate(nest); err != nil {
-							b.Fatal(err)
+			for _, rows := range []int{1, 4, 16, 64} {
+				for _, mode := range []string{"tree", "row", "box"} {
+					b.Run(fmt.Sprintf("%s/len%d/rows%d/%s", k.name, length, rows, mode), func(b *testing.B) {
+						w, nest := kernelNest(b, k.src, length, rows, mode)
+						w.quiet = true
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							if err := w.iterate(nest); err != nil {
+								b.Fatal(err)
+							}
 						}
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*8*length), "ns/elem")
-				})
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*length), "ns/elem")
+					})
+				}
 			}
 		}
 	}
 }
 
-// TestRunRowDoesNotAllocate: the row scratch is sized with the frame,
-// so a row costs no allocation, first or warm.
+// TestRunRowDoesNotAllocate: the scratch of a box — operand rows, the
+// offsets and leaf values of a batch — is sized with the frame, so a box
+// costs no allocation, first or warm, whether it is one long row, one
+// batch or several.
 func TestRunRowDoesNotAllocate(t *testing.T) {
 	for _, src := range []string{stencilKernel, fluxKernel} {
-		w, nest := kernelNest(t, src, 12, true)
-		rows := w.rows
-		if allocs := testing.AllocsPerRun(10, func() {
-			if err := w.iterate(nest); err != nil {
-				t.Fatal(err)
+		for _, shape := range [][2]int{{12, 8}, {300, 3}, {5, 70}} {
+			for _, mode := range []string{"row", "box"} {
+				w, nest := kernelNest(t, src, shape[0], shape[1], mode)
+				rows := w.rows
+				if allocs := testing.AllocsPerRun(10, func() {
+					w.batches = w.batches[:0]
+					if err := w.iterate(nest); err != nil {
+						t.Fatal(err)
+					}
+				}); allocs != 0 {
+					t.Errorf("%s: one nest entry of %d rows of %d allocates %v times", mode, shape[1], shape[0], allocs)
+				}
+				if w.rows == rows {
+					t.Error("no row ran")
+				}
 			}
-		}); allocs != 0 {
-			t.Errorf("one nest entry allocates %v times", allocs)
-		}
-		if w.rows == rows {
-			t.Error("no row ran")
 		}
 	}
 }

@@ -390,63 +390,72 @@ func (am *ArrayMem) InvalidateRange(off, owner, lo, hi int) {
 // box [lo, hi] (inclusive, within the declared bounds) that p does not
 // own: the state p's plane is left in once every element of the box
 // has been written by its owner, whatever the order of the writes. The
-// owned box is read once; a row outside it is cleared whole, a row
-// inside it on both sides of p's interval of the last dimension.
+// box less p's owned box is at most two slabs per dimension: one
+// dimension after the other is narrowed to the owned interval, the part
+// of the box below it and the part above it cleared whole. Within the
+// covering range of a CYCLIC dimension every index that is not p's — not
+// owned as the range's first is — is one more slab.
 func (am *ArrayMem) InvalidateBox(p int, lo, hi []int, sc *Scratch) {
 	if am.Dist == nil {
 		return
 	}
 	rank := len(lo)
-	ownLo, ownHi := sc.lo[:rank], sc.hi[:rank]
-	for k := range lo {
-		if lo[k] > hi[k] {
+	blo, bhi, valid := sc.lo[:rank], sc.hi[:rank], am.Valid[p]
+	copy(blo, lo)
+	copy(bhi, hi)
+	for k := range blo {
+		if blo[k] > bhi[k] {
 			return
 		}
-		ownLo[k], ownHi[k] = am.OwnedBox(p, k)
 	}
-	// owns: p owns index x along dimension k. Inside the covering range
-	// of a CYCLIC dimension that is decided per index — against the
-	// range's first index, which is p's.
-	owns := func(k, x int) bool {
-		if x < ownLo[k] || x > ownHi[k] {
-			return false
+	for k := range blo {
+		slab := func(from, to int) {
+			if blo[k], bhi[k] = from, to; from <= to {
+				n := bhi[rank-1] - blo[rank-1] + 1
+				am.rows(blo, bhi, sc.idx, func(base int) { clear(valid[base : base+n]) })
+			}
 		}
-		t := am.own[k]
-		return am.Dist.Dims[k].Kind != dist.Cyclic || t[x-am.Arr.Lo[k]] == t[ownLo[k]-am.Arr.Lo[k]]
+		l, h := blo[k], bhi[k]
+		ownLo, ownHi := am.OwnedBox(p, k)
+		slab(l, min(ownLo-1, h))
+		slab(max(ownHi+1, ownLo, l), h)
+		l, h = max(l, ownLo), min(h, ownHi)
+		if t, first := am.own[k], am.Arr.Lo[k]; am.Dist.Dims[k].Kind == dist.Cyclic {
+			for x := l; x <= h; x++ {
+				if t[x-first] != t[ownLo-first] {
+					slab(x, x)
+				}
+			}
+		}
+		if blo[k], bhi[k] = l, h; l > h {
+			return
+		}
 	}
-	last := rank - 1
-	valid := am.Valid[p]
-	idx := sc.idx[:last]
+}
+
+// rows visits the rows of the non-empty box [lo, hi] in order: base is
+// the flat offset of a row's first element, stepped by the strides from
+// one row to the next; idx is scratch.
+func (am *ArrayMem) rows(lo, hi, idx []int, f func(base int)) {
+	last := len(lo) - 1
+	idx = idx[:last]
 	copy(idx, lo)
+	base := 0
+	for k, x := range lo {
+		base += (x - am.Arr.Lo[k]) * am.Strides[k]
+	}
 	for {
-		mine := true
-		base := -am.Arr.Lo[last]
-		for k, x := range idx {
-			base += (x - am.Arr.Lo[k]) * am.Strides[k]
-			mine = mine && owns(k, x)
-		}
-		row := valid[base+lo[last] : base+hi[last]+1]
-		switch {
-		case !mine:
-			clear(row)
-		case am.Dist.Dims[last].Kind == dist.Cyclic:
-			for i := range row {
-				row[i] = row[i] && owns(last, lo[last]+i)
-			}
-		default:
-			clear(row[:min(max(ownLo[last]-lo[last], 0), len(row))])
-			clear(row[min(max(ownHi[last]+1-lo[last], 0), len(row)):])
-		}
+		f(base)
 		k := last - 1
-		for ; k >= 0; k-- {
-			if idx[k]++; idx[k] <= hi[k] {
-				break
-			}
+		for ; k >= 0 && idx[k] == hi[k]; k-- {
+			base -= (hi[k] - lo[k]) * am.Strides[k]
 			idx[k] = lo[k]
 		}
 		if k < 0 {
 			return
 		}
+		idx[k]++
+		base += am.Strides[k]
 	}
 }
 

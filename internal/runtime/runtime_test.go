@@ -225,13 +225,14 @@ func TestLedgerAccounting(t *testing.T) {
 	}
 }
 
-// TestInvalidateBoxMatchesElementwise: clearing a box row-wise leaves a
+// TestInvalidateBoxMatchesElementwise: clearing a box by slabs leaves a
 // processor's plane exactly as clearing, element by element, every
 // element of the box the processor does not own — for BLOCK, CYCLIC
 // and collapsed dimensions, uneven blocks, processors that own nothing
 // (a BLOCK extent that fills fewer blocks than the grid has, a CYCLIC
-// extent shorter than the grid), and boxes that miss the processor's
-// block entirely.
+// extent shorter than the grid), and every box inside the declared
+// bounds: the ones that miss the processor's block, straddle it on
+// either side in any dimension, lie inside it and contain it.
 func TestInvalidateBoxMatchesElementwise(t *testing.T) {
 	for _, tc := range []struct {
 		decl, distribute string
@@ -240,11 +241,14 @@ func TestInvalidateBoxMatchesElementwise(t *testing.T) {
 		{"a(n, n)", "(block, block)", 7, 4},
 		{"a(n, n)", "(block, block)", 3, 25},
 		{"a(n, n)", "(cyclic, block)", 9, 4},
+		{"a(n, n)", "(cyclic, block)", 7, 6},
 		{"a(n, n)", "(block, cyclic)", 9, 6},
 		{"a(n, n)", "(cyclic, cyclic)", 7, 6},
 		{"a(n)", "(cyclic)", 3, 4},
 		{"a(n)", "(block)", 9, 4},
 		{"a(n, n, n)", "(*, block, block)", 5, 4},
+		{"a(n, n, n)", "(*, block, block)", 4, 25},
+		{"a(n, n, n)", "(block, *, cyclic)", 5, 6},
 		{"a(n, n)", "(block, *)", 6, 4},
 		{"a(0:n)", "(block)", 10, 4},
 	} {
@@ -253,16 +257,19 @@ func TestInvalidateBoxMatchesElementwise(t *testing.T) {
 		am := m.View("a")
 		rank := am.Arr.Rank()
 		sc, coords := NewScratch(rank), make([]int, am.Dist.Grid.Rank())
-		boxes := [][2][]int{{am.Arr.Lo, am.Arr.Hi}}
-		for _, inset := range []int{1, 2} {
-			lo, hi := make([]int, rank), make([]int, rank)
-			for k := range lo {
-				lo[k], hi[k] = min(am.Arr.Lo[k]+inset, am.Arr.Hi[k]), max(am.Arr.Hi[k]-inset, am.Arr.Lo[k])
+		// Every box: the product over the dimensions of every interval.
+		boxes := [][2][]int{{nil, nil}}
+		for k := 0; k < rank; k++ {
+			var next [][2][]int
+			for _, box := range boxes {
+				for lo := am.Arr.Lo[k]; lo <= am.Arr.Hi[k]; lo++ {
+					for hi := lo; hi <= am.Arr.Hi[k]; hi++ {
+						next = append(next, [2][]int{append(slices.Clone(box[0]), lo), append(slices.Clone(box[1]), hi)})
+					}
+				}
 			}
-			boxes = append(boxes, [2][]int{lo, hi})
+			boxes = next
 		}
-		point := append([]int(nil), am.Arr.Hi...)
-		boxes = append(boxes, [2][]int{point, point})
 		for _, box := range boxes {
 			for p := 0; p < tc.procs; p++ {
 				want := make([]bool, len(am.Valid[p]))
@@ -276,11 +283,9 @@ func TestInvalidateBoxMatchesElementwise(t *testing.T) {
 					return true
 				})
 				am.InvalidateBox(p, box[0], box[1], sc)
-				for off := range want {
-					if am.Valid[p][off] != want[off] {
-						t.Fatalf("%s %s n=%d P=%d box %v:%v: processor %d offset %d valid=%v, want %v",
-							tc.decl, tc.distribute, tc.n, tc.procs, box[0], box[1], p, off, am.Valid[p][off], want[off])
-					}
+				if !slices.Equal(am.Valid[p], want) {
+					t.Fatalf("%s %s n=%d P=%d box %v:%v: processor %d's plane is\n%v, want\n%v",
+						tc.decl, tc.distribute, tc.n, tc.procs, box[0], box[1], p, am.Valid[p], want)
 				}
 			}
 		}

@@ -131,10 +131,11 @@ func (sh *shard) execLoop(lp *plan.Loop) error {
 // iterate runs the iterations of a loop that fall to fr.P (all of them
 // outside a nest). On the root of a nest the subscript ranges are
 // verified once on entry and the processor's validity plane is settled
-// once on exit. A row loop runs a row at a time, charged as the walk
-// charges it — per iteration, per statement — so every clock adds up in
-// the same order; a row that cannot run (a stale element, a failing
-// operand) is walked, and reported, on the tree.
+// once on exit. A loop that heads a box runs it whole, a batch of rows at
+// a time, and is then charged as the walk charges it — per iteration
+// point, per statement — so every clock adds up in the same order; a row
+// that cannot run (a stale element, a failing operand) is walked, and
+// reported, on the tree.
 func (sh *shard) iterate(lp *plan.Loop) error {
 	fr := sh.fr
 	sh.at = lp.Src.Do.Pos
@@ -148,15 +149,37 @@ func (sh *shard) iterate(lp *plan.Loop) error {
 	if !run {
 		return nil
 	}
-	rowed := lp.Row != nil && lp.RunRow(fr, first, last)
-	for v := first; (step > 0 && v <= last) || (step < 0 && v >= last); v += step {
-		if rowed {
-			for _, st := range lp.Row {
+	switch out, points := lp.RunBox(fr); out {
+	case plan.NotApplicable:
+		if err := sh.walk(lp, first, last, step); err != nil {
+			return err
+		}
+	case plan.Done:
+		for ; points > 0; points-- {
+			for _, st := range lp.Box.Row {
 				sh.led.Compute(fr.P, st.Flops)
 			}
-			continue
 		}
-		fr.Ints[lp.Slot] = v
+	case plan.Stuck:
+		first, last, step, _, _ = lp.Box.Begin(fr)
+		if err := sh.walk(lp.Box, first, last, step); err != nil {
+			return err
+		}
+		fr.Err = plan.ErrDeclinedRowRan
+		return sh.evalErr()
+	}
+	fr.Ints[lp.Slot] = exit
+	if lp.Nest != nil {
+		lp.Nest.Leave(fr)
+	}
+	return nil
+}
+
+// walk runs the iterations first, first+step, ... last of a loop on the
+// closure tree.
+func (sh *shard) walk(lp *plan.Loop, first, last, step int) error {
+	for v := first; (step > 0 && v <= last) || (step < 0 && v >= last); v += step {
+		sh.fr.Ints[lp.Slot] = v
 		// Communication placed at the loop header executes once per
 		// iteration, before the body.
 		if err := sh.execComm(lp.Head); err != nil {
@@ -165,10 +188,6 @@ func (sh *shard) iterate(lp *plan.Loop) error {
 		if err := sh.exec(lp.Body); err != nil {
 			return err
 		}
-	}
-	fr.Ints[lp.Slot] = exit
-	if lp.Nest != nil {
-		lp.Nest.Leave(fr)
 	}
 	return nil
 }

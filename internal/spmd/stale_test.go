@@ -86,3 +86,43 @@ func TestParallelStaleReadDetected(t *testing.T) {
 		})
 	}
 }
+
+// staleLastRowSrc updates b in place from the row below, rows of 100
+// elements, two to a batch: at P=2 processor 0 owns rows 1-6, and the
+// row its neighbour owns is read from the last row of its last batch.
+const staleLastRowSrc = `
+routine r(n)
+real a(n, 100), b(n, 100)
+!hpf$ distribute (block, *) :: a, b
+do i = 1, n
+do j = 1, 100
+a(i, j) = i + j
+b(i, j) = i - j
+enddo
+enddo
+do i = 1, n - 1
+do j = 1, 100
+b(i, j) = b(i, j) + a(i + 1, j)
+enddo
+enddo
+end
+`
+
+// TestStaleReadInLastBatchOfBox: a box kernel that cannot prove a row
+// after it has run others hands that row to the element walk, which
+// reports the element, processor and statement position it reported
+// before there were kernels.
+func TestStaleReadInLastBatchOfBox(t *testing.T) {
+	res := stripped(t, staleLastRowSrc, map[string]int{"n": 12}, 2)
+	_, err := spmd.RunParallelObs(res, machine.SP2(), 2, 1, nil)
+	var stale *runtime.StaleReadError
+	if !errors.As(err, &stale) {
+		t.Fatalf("run returned %v, want a *runtime.StaleReadError", err)
+	}
+	if want := (runtime.StaleReadError{Proc: 0, Array: "a", Index: []int{7, 1}}); !reflect.DeepEqual(*stale, want) {
+		t.Errorf("stale read %+v, want %+v", *stale, want)
+	}
+	if at := "spmd: processor 0 at 13:1: "; !strings.HasPrefix(err.Error(), at) {
+		t.Errorf("error %q is not positioned %q", err, at)
+	}
+}
