@@ -128,7 +128,7 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Items[res.Index] = item
 		s.record(st.id, t0, st.rec, cresp, res.Err)
-		s.flightRecord(st.tr, "/compile/batch", item.Status, res.Err, cresp, t0)
+		s.flightRecord(st.tr, "/compile/batch", item.Status, res.Err, cresp, st.rec, t0)
 	}
 	s.log.Info("http.batch",
 		obs.F("req", batchID), obs.F("items", len(results)),

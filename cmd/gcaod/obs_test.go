@@ -440,6 +440,128 @@ func TestFlightRecorderRetainsErrors(t *testing.T) {
 	}
 }
 
+// postForError posts body to /compile and, when the answer is not a
+// 200, decodes its error document.
+func postForError(t *testing.T, ts *httptest.Server, body []byte) (*http.Response, map[string]string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/compile", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc map[string]string
+	if resp.StatusCode != http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp, doc
+}
+
+// TestPanicOnWorkerIs500: a panic on a pool worker — an invariant
+// tripping somewhere in analysis, placement or lowering — costs that
+// request a 500 carrying its req_id, leaves the stack in its flight
+// record, and leaves the daemon and the worker serving: the next
+// request on the same (single) worker is a 200.
+func TestPanicOnWorkerIs500(t *testing.T) {
+	s := newServer(serverConfig{workers: 1, logW: io.Discard})
+	ts := httptest.NewServer(s.handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(s.close)
+	body, _ := json.Marshal(map[string]any{
+		"source": stencilSrc, "params": map[string]int{"n": 12, "steps": 2}, "procs": 4,
+	})
+	post := func() (*http.Response, map[string]string) { return postForError(t, ts, body) }
+
+	s.testHook = func() { panic("dist: block size of an undistributed dimension") }
+	resp, doc := post()
+	id := resp.Header.Get("X-Request-Id")
+	if resp.StatusCode != http.StatusInternalServerError || id == "" || doc["req_id"] != id {
+		t.Fatalf("panicking request: status %d, header id %q, body %v", resp.StatusCode, id, doc)
+	}
+	if !strings.Contains(doc["error"], "dist: block size") || strings.Contains(doc["error"], "goroutine") {
+		t.Errorf("error body = %q, want the panic text without the stack", doc["error"])
+	}
+	var rec reqtrace.Record
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+id, &rec); code != http.StatusOK {
+		t.Fatalf("flight record of the panicking request: status %d", code)
+	}
+	if rec.Status != http.StatusInternalServerError ||
+		!strings.Contains(rec.Error, "dist: block size") || !strings.Contains(rec.Error, "TestPanicOnWorkerIs500") {
+		t.Errorf("flight record = status %d, error %q, want the panic text and its stack", rec.Status, rec.Error)
+	}
+
+	s.testHook = nil
+	if resp, _ := post(); resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the panic: status %d, want 200", resp.StatusCode)
+	}
+	if st := s.pool.Stats(); st.Failed != 1 || st.Completed != 1 || st.Active != 0 {
+		t.Errorf("pool stats = %+v", st)
+	}
+}
+
+// poisonLog is a log sink that panics on a line naming the armed event,
+// which raises the panic where the pipeline logs that event: inside the
+// cached computation ("analysis.done" in the compile tier's, "place.done"
+// in the placement tier's — for strategy "all", on placeAll's own
+// goroutines), not in front of the cache as testHook does.
+type poisonLog struct{ event atomic.Pointer[string] }
+
+func (w *poisonLog) Write(p []byte) (int, error) {
+	if ev := w.event.Load(); ev != nil && bytes.Contains(p, []byte(*ev)) {
+		panic("obs: poisoned " + *ev)
+	}
+	return len(p), nil
+}
+
+// TestPanicInsideCacheDoesNotWedge: a panic inside a cached computation
+// must not leave its in-flight entry behind. The poisoned request is a
+// 500 with the stack in its flight record, and the identical request
+// after it — the input no longer panicking — compiles, instead of
+// parking the (single) worker on the dead flight until its deadline.
+// With strategy "all" the panic is on a goroutine the pool's recover
+// does not cover, and must not end the process either.
+func TestPanicInsideCacheDoesNotWedge(t *testing.T) {
+	for _, tc := range []struct{ strategy, event string }{
+		{"comb", "analysis.done"},
+		{"comb", "place.done"},
+		{"all", "place.done"},
+	} {
+		t.Run(tc.strategy+"/"+tc.event, func(t *testing.T) {
+			log := &poisonLog{}
+			s := newServer(serverConfig{workers: 1, reqTimeout: 30 * time.Second, logW: log})
+			ts := httptest.NewServer(s.handler())
+			t.Cleanup(ts.Close)
+			t.Cleanup(s.close)
+			body, _ := json.Marshal(map[string]any{
+				"source": stencilSrc, "params": map[string]int{"n": 12, "steps": 2}, "procs": 4,
+				"strategy": tc.strategy,
+			})
+			log.event.Store(&tc.event)
+			resp, doc := postForError(t, ts, body)
+			id := resp.Header.Get("X-Request-Id")
+			if resp.StatusCode != http.StatusInternalServerError || doc["req_id"] != id ||
+				!strings.Contains(doc["error"], "obs: poisoned") || strings.Contains(doc["error"], "goroutine") {
+				t.Fatalf("poisoned request: status %d, body %v", resp.StatusCode, doc)
+			}
+			var rec reqtrace.Record
+			if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+id, &rec); code != http.StatusOK {
+				t.Fatalf("flight record of the poisoned request: status %d", code)
+			}
+			if !strings.Contains(rec.Error, "(*poisonLog).Write") {
+				t.Errorf("flight record error %q, want the stack down to the panic site", rec.Error)
+			}
+			log.event.Store(nil)
+			if resp, _ := postForError(t, ts, body); resp.StatusCode != http.StatusOK {
+				t.Fatalf("the same request after the panic: status %d, want 200", resp.StatusCode)
+			}
+			if st := s.pool.Stats(); st.Failed != 1 || st.Completed != 1 || st.Active != 0 {
+				t.Errorf("pool stats = %+v", st)
+			}
+		})
+	}
+}
+
 // TestBatchItemsInFlightRecorder checks batch items are individually
 // retained, joined to the batch by attribute and trace id.
 func TestBatchItemsInFlightRecorder(t *testing.T) {

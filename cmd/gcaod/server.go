@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"gcao"
+	"gcao/internal/native"
 	"gcao/internal/obs"
 	"gcao/internal/obs/reqtrace"
 	"gcao/internal/sched"
@@ -224,7 +225,7 @@ type compileResponse struct {
 	Cache    *cacheDoc      `json:"cache,omitempty"`
 	Estimate *estimateDoc   `json:"estimate,omitempty"`
 	Simulate *simulateDoc   `json:"simulate,omitempty"`
-	Native   *nativeDoc     `json:"native,omitempty"`
+	Native   *nativeReport  `json:"native,omitempty"`
 	// Versions holds the per-strategy reports of a strategy:"all"
 	// request, in orig, nored, comb order.
 	Versions []versionDoc   `json:"versions,omitempty"`
@@ -261,72 +262,63 @@ type simulateDoc struct {
 	Barriers    int   `json:"barriers"`
 }
 
-// nativeDoc reports a native-backend execution: measured wall clock,
-// the traffic the goroutine fleet actually moved, and — since every
-// daemon-served native run is profiled — the runtime profile's
-// headline numbers: compute skew, total blocked time, and the machine
+// nativeReport is the `native` object of a response: the run's Stats
+// record as it is (its JSON tags are the wire names) and — since every
+// daemon-served native run is profiled — the headline read from the
+// run's profile: compute skew, total blocked time, and the machine
 // constants fitted against the simulator's cost attribution (absent
-// when the fit was degenerate).
-type nativeDoc struct {
-	Procs          int              `json:"procs"`
-	Seconds        float64          `json:"seconds"`
-	Messages       int64            `json:"messages"`
-	BytesMoved     int64            `json:"bytes_moved"`
-	WireBytes      int64            `json:"wire_bytes"`
-	Hops           int64            `json:"collective_hops"`
-	AllocBytes     int64            `json:"alloc_bytes"`
-	Ops            map[string]int64 `json:"ops,omitempty"`
-	SkewRatio      float64          `json:"skew_ratio,omitempty"`
-	BlockedSeconds float64          `json:"blocked_seconds,omitempty"`
-	FittedL        float64          `json:"fitted_l_seconds,omitempty"`
-	FittedG        float64          `json:"fitted_g_seconds_per_byte,omitempty"`
-	CalibR2        float64          `json:"calib_r2,omitempty"`
+// when the fit measured nothing).
+type nativeReport struct {
+	native.Stats
+	SkewRatio      float64 `json:"skew_ratio,omitempty"`
+	BlockedSeconds float64 `json:"blocked_seconds,omitempty"`
+	FittedL        float64 `json:"fitted_l_seconds,omitempty"`
+	FittedG        float64 `json:"fitted_g_seconds_per_byte,omitempty"`
+	CalibR2        float64 `json:"calib_r2,omitempty"`
 }
 
-// execNative runs the placed program on the profiled native backend,
-// calibrates the measured timings against the attribution record the
-// preceding simulate phase left on the recorder, and feeds both the
-// response document and the registry. The profile itself stays on the
-// recorder for the metrics document, the Chrome trace, and the
-// /debug/nativeprof retention ring.
-func (s *server) execNative(placed *gcao.Placed, version string, procs int, rec *obs.Recorder, m gcao.Machine) (*nativeDoc, error) {
+// execute is the execution tail of a request, after placement: run the
+// placed program on the BSP simulator and, for backend:"native", on the
+// profiled native engine as well — calibrating the measured timings
+// against the attribution record the simulation just left on the
+// recorder — and fill the response and the registry from the results.
+// The profile itself stays on the recorder for the metrics document,
+// the Chrome trace, and the /debug/nativeprof retention ring.
+func (s *server) execute(resp *compileResponse, req compileRequest, placed *gcao.Placed, m gcao.Machine, rec *obs.Recorder, root *reqtrace.Span) error {
+	if !req.Simulate {
+		return nil
+	}
+	root.Phase("simulate")
+	procs := placed.Result.Analysis.Unit.Grid.NumProcs()
+	run, err := placed.SimulateObs(m, procs, rec)
+	if err != nil {
+		return badRequestError{fmt.Errorf("simulate: %w", err)}
+	}
+	resp.Simulate = &simulateDoc{
+		DynMessages: run.Ledger.DynMessages,
+		BytesMoved:  int64(run.Ledger.BytesMoved),
+		Barriers:    run.Ledger.Barriers,
+	}
+	if req.Backend != "native" {
+		return nil
+	}
+	root.Phase("native.exec")
 	nat, err := placed.RunNativeProfiled(procs, rec)
 	if err != nil {
-		return nil, badRequestError{fmt.Errorf("native: %w", err)}
+		return badRequestError{fmt.Errorf("native: %w", err)}
 	}
-	doc := &nativeDoc{
-		Procs:      nat.Stats.Procs,
-		Seconds:    nat.Stats.ElapsedSeconds,
-		Messages:   nat.Stats.Messages,
-		BytesMoved: nat.Stats.Bytes,
-		WireBytes:  nat.Stats.WireBytes,
-		Hops:       nat.Stats.Hops,
-		AllocBytes: nat.Stats.AllocBytes,
-		Ops:        nat.Stats.Ops,
-	}
-	sample := obs.NativeExecSample{
-		Seconds:    nat.Stats.ElapsedSeconds,
-		Messages:   nat.Stats.Messages,
-		WireBytes:  nat.Stats.WireBytes,
-		Hops:       nat.Stats.Hops,
-		AllocBytes: nat.Stats.AllocBytes,
-	}
+	resp.Native = &nativeReport{Stats: nat.Stats}
 	if np := nat.Profile; np != nil {
-		doc.SkewRatio = np.SkewRatio
-		doc.BlockedSeconds = np.BlockedSeconds
-		sample.SkewRatio = np.SkewRatio
-		sample.BlockedSeconds = np.BlockedSeconds
-		if run := rec.Attribution(); run != nil {
-			c := np.Calibrate(obs.ModelSteps(run, gcao.AttrCostModelFor(m)))
-			if !c.Degenerate && c.Mismatched == 0 {
-				doc.FittedL, doc.FittedG, doc.CalibR2 = c.FittedL, c.FittedG, c.R2
-				sample.FittedL, sample.FittedG = c.FittedL, c.FittedG
-				sample.Calibrated = true
-			}
+		resp.Native.SkewRatio, resp.Native.BlockedSeconds = np.SkewRatio, np.BlockedSeconds
+		if attrRun := rec.Attribution(); attrRun != nil {
+			np.Calibrate(obs.ModelSteps(attrRun, gcao.AttrCostModelFor(m)))
+		}
+		if c := np.Fit(); c != nil {
+			resp.Native.FittedL, resp.Native.FittedG, resp.Native.CalibR2 = c.FittedL, c.FittedG, c.R2
 		}
 	}
-	s.reg.ObserveNativeExec(version, sample)
-	return doc, nil
+	s.reg.ObserveNativeExec(placed.Result.Version.String(), nat.Stats, nat.Profile)
+	return nil
 }
 
 func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
@@ -363,7 +355,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		code = httpStatus(err)
 	}
-	s.flightRecord(tr, "/compile", code, err, resp, t0)
+	s.flightRecord(tr, "/compile", code, err, resp, rec, t0)
 	if err != nil {
 		s.writeError(w, id, err)
 	} else {
@@ -412,6 +404,12 @@ func (e payloadTooLargeError) Error() string { return e.err.Error() }
 func (e payloadTooLargeError) Unwrap() error { return e.err }
 
 func httpStatus(err error) int {
+	// A contained panic is the server's fault whatever wrapped it on the
+	// way up (placeAll reports a strategy's failure as a bad request).
+	var pe *sched.PanicError
+	if errors.As(err, &pe) {
+		return http.StatusInternalServerError
+	}
 	var big payloadTooLargeError
 	if errors.As(err, &big) {
 		return http.StatusRequestEntityTooLarge
@@ -551,37 +549,21 @@ func (s *server) compile(id string, rec *obs.Recorder, req compileRequest, root 
 		s.reg.SetOptimalityGap(c.Analysis.Unit.Routine.Name, strategy.String(),
 			c.LowerBound().TotalBytes, cost.Bytes)
 	}
-	if req.Simulate {
-		root.Phase("simulate")
-		procs := c.Analysis.Unit.Grid.NumProcs()
-		run, err := placed.SimulateObs(m, procs, rec)
-		if err != nil {
-			return nil, badRequestError{fmt.Errorf("simulate: %w", err)}
-		}
-		resp.Simulate = &simulateDoc{
-			DynMessages: run.Ledger.DynMessages,
-			BytesMoved:  int64(run.Ledger.BytesMoved),
-			Barriers:    run.Ledger.Barriers,
-		}
-		if req.Backend == "native" {
-			root.Phase("native.exec")
-			resp.Native, err = s.execNative(placed, strategy.String(), procs, rec, m)
-			if err != nil {
-				return nil, err
-			}
-		}
+	if err := s.execute(resp, req, placed, m, rec, root); err != nil {
+		return nil, err
 	}
 	resp.Metrics = rec.Doc()
 	return resp, nil
 }
 
 // placeAll places the three strategies of one cached compilation
-// concurrently: the placements are independent (the analysis's
-// loop-bound memoization is mutex-guarded, the recorder is
+// concurrently: the placements are independent (the Analysis is
+// immutable once built and shared lock-free, the recorder is
 // thread-safe) so the request pays for the slowest placement instead
 // of the sum. Plain goroutines, not pool.Submit — this already runs
 // on a pool worker, and re-submitting from inside a worker can
-// deadlock a full queue.
+// deadlock a full queue — so each contains its own panic, as the pool
+// does for its workers.
 func (s *server) placeAll(id string, rec *obs.Recorder, req compileRequest, c *gcao.Compilation, compOut gcao.CacheOutcome, m gcao.Machine, root *reqtrace.Span) (*compileResponse, error) {
 	root.Phase("place")
 	strategies := []gcao.Strategy{gcao.Vectorize, gcao.EarliestRedundancy, gcao.Combine}
@@ -596,6 +578,11 @@ func (s *server) placeAll(id string, rec *obs.Recorder, req compileRequest, c *g
 		wg.Add(1)
 		go func(i int, strat gcao.Strategy) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					outs[i].err = sched.Recovered(r)
+				}
+			}()
 			p, o, err := s.cache.Place(c, strat, gcao.PlacementOptions{}, rec)
 			outs[i] = placeOut{placed: p, out: o, err: err}
 		}(i, strat)
@@ -643,25 +630,8 @@ func (s *server) placeAll(id string, rec *obs.Recorder, req compileRequest, c *g
 	last := resp.Versions[len(resp.Versions)-1]
 	resp.Messages = last.Messages
 	resp.Counts = last.Counts
-	if req.Simulate {
-		root.Phase("simulate")
-		procs := c.Analysis.Unit.Grid.NumProcs()
-		run, err := outs[len(outs)-1].placed.SimulateObs(m, procs, rec)
-		if err != nil {
-			return nil, badRequestError{fmt.Errorf("simulate: %w", err)}
-		}
-		resp.Simulate = &simulateDoc{
-			DynMessages: run.Ledger.DynMessages,
-			BytesMoved:  int64(run.Ledger.BytesMoved),
-			Barriers:    run.Ledger.Barriers,
-		}
-		if req.Backend == "native" {
-			root.Phase("native.exec")
-			resp.Native, err = s.execNative(outs[len(outs)-1].placed, gcao.Combine.String(), procs, rec, m)
-			if err != nil {
-				return nil, err
-			}
-		}
+	if err := s.execute(resp, req, outs[len(outs)-1].placed, m, rec, root); err != nil {
+		return nil, err
 	}
 	resp.Metrics = rec.Doc()
 	return resp, nil

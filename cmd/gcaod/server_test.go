@@ -122,7 +122,7 @@ func TestCompileNativeBackend(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile status = %d", resp.StatusCode)
 	}
-	if out.Native == nil || out.Native.Procs != 4 || out.Native.Messages <= 0 || out.Native.Seconds <= 0 {
+	if out.Native == nil || out.Native.Procs != 4 || out.Native.Messages <= 0 || out.Native.ElapsedSeconds <= 0 {
 		t.Fatalf("native doc missing or implausible: %+v", out.Native)
 	}
 	if out.Native.Ops["exchange"] <= 0 {

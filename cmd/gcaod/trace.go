@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 
 	"gcao/internal/obs"
 	"gcao/internal/obs/reqtrace"
+	"gcao/internal/sched"
 )
 
 // routeLabel maps a request path onto the daemon's bounded route
@@ -106,7 +108,7 @@ func reqID(r *http.Request) string {
 // flightRecord closes the request's span tree and retains it in the
 // flight recorder, keyed by the id the response's X-Request-Id header
 // carried.
-func (s *server) flightRecord(tr *reqtrace.Trace, route string, status int, err error, resp *compileResponse, t0 time.Time) {
+func (s *server) flightRecord(tr *reqtrace.Trace, route string, status int, err error, resp *compileResponse, reqRec *obs.Recorder, t0 time.Time) {
 	tr.Root().End()
 	doc := tr.Doc()
 	rec := reqtrace.Record{
@@ -121,16 +123,21 @@ func (s *server) flightRecord(tr *reqtrace.Trace, route string, status int, err 
 	}
 	if err != nil {
 		rec.Error = err.Error()
+		// A contained panic answers the client with its text only; the
+		// stack is for whoever follows the request id here.
+		var pe *sched.PanicError
+		if errors.As(err, &pe) {
+			rec.Error += "\n" + string(pe.Stack)
+		}
 	}
 	if resp != nil {
 		rec.Strategy = resp.Strategy
 		if resp.Cache != nil {
 			rec.Cache = resp.Cache.Compile
 		}
-		if resp.Native != nil {
-			rec.NativeSkew = resp.Native.SkewRatio
-			rec.NativeBlockedSec = resp.Native.BlockedSeconds
-		}
+	}
+	if np := reqRec.NativeProfile(); np != nil {
+		rec.NativeSkew, rec.NativeBlockedSec = np.SkewRatio, np.BlockedSeconds
 	}
 	s.flight.Add(rec)
 }

@@ -13,28 +13,15 @@
 // functional instance's top-k communication blame table (placement
 // sites ranked by their critical-path cost under the machine's BSP
 // model).
-//
-// Regression gating: -out BENCH_<rev>.json writes a machine-readable
-// result (per-benchmark, per-compiler-version normalized times and
-// message/byte counts); -compare <baseline.json> re-runs the sweep and
-// exits nonzero if any metric regressed past -tolerance. `make
-// benchgate` wires the two together. -history <file> additionally
-// appends the sweep to an append-only JSONL store that `gcaoreport`
-// renders as the optimality-gap dashboard.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"runtime"
-	"runtime/debug"
 	"strings"
-	"time"
 
 	"gcao/internal/bench"
-	"gcao/internal/bench/history"
 	"gcao/internal/core"
 	"gcao/internal/machine"
 	"gcao/internal/native"
@@ -50,27 +37,11 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write counters, decision logs and the simulator profile as JSON")
 	explain := flag.Bool("explain", false, "print the functional placements' decision logs")
 	blame := flag.Int("blame", 0, "with -functional: print each instance's top-k communication blame table (0: off)")
-	out := flag.String("out", "", "write the benchmark sweep as machine-readable JSON and exit")
-	compare := flag.String("compare", "", "re-run the sweep and compare against a baseline JSON; exit 1 on regression")
-	tolerance := flag.Float64("tolerance", 0.05, "relative slack for -compare (0.05 = 5% worse allowed)")
-	rev := flag.String("rev", "", "revision label for -out/-history (default: git rev-parse --short HEAD, else VCS revision from build info, else \"dev\")")
-	historyOut := flag.String("history", "", "append the sweep to this JSONL bench-history store (see cmd/gcaoreport)")
-	cacheDemoFlag := flag.Bool("cache-demo", false, "measure cold vs warm compile+place latency through the compilation cache and exit")
-	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker pool width for the sweep; 1 forces the sequential path (output is identical either way)")
-	backend := flag.String("backend", "sim", "execution backend for -functional and gate-mode measurement: sim or native")
+	backend := flag.String("backend", "sim", "execution backend for -functional: sim or native")
 	flag.Parse()
 
 	if *backend != "sim" && *backend != "native" {
 		fatal(fmt.Errorf("unknown -backend %q (want sim or native)", *backend))
-	}
-
-	if *cacheDemoFlag {
-		cacheDemo()
-		return
-	}
-	if *out != "" || *compare != "" || *historyOut != "" {
-		gate(*out, *compare, *historyOut, *tolerance, *rev, *jobs, *backend == "native")
-		return
 	}
 
 	var rec *obs.Recorder
@@ -78,26 +49,22 @@ func main() {
 		rec = obs.New()
 	}
 
-	var specs []bench.Chart
+	end := rec.Start("charts")
 	for _, spec := range bench.ChartSpecs() {
 		if *fig != "all" && !strings.EqualFold(*fig, spec.ID) {
 			continue
 		}
-		specs = append(specs, spec)
-	}
-	end := rec.Start("charts")
-	charts, err := bench.RunCharts(specs, *jobs)
-	end()
-	if err != nil {
-		fatal(err)
-	}
-	for _, c := range charts {
+		c, err := bench.RunChart(spec)
+		if err != nil {
+			fatal(err)
+		}
 		bench.WriteChart(os.Stdout, c)
 		for i, n := range c.Sizes {
 			fmt.Printf("  n=%-5d network-cost ratio comb/orig = %.2f (paper reports ~1/2 to 1/3)\n", n, c.CommRatio[i])
 		}
 		fmt.Println()
 	}
+	end()
 
 	if *functional {
 		fmt.Println("functional verification (small instances, P=4):")
@@ -168,117 +135,6 @@ func main() {
 		}
 	}
 	writeObs(rec, *traceOut, *metricsOut)
-}
-
-// gate is the regression-gate mode: collect the deterministic analytic
-// sweep, optionally write it, optionally compare it against a
-// baseline, optionally append it to a JSONL history store.
-func gate(out, compare, historyOut string, tolerance float64, rev string, jobs int, nativeBackend bool) {
-	if rev == "" {
-		rev = detectRevision()
-	}
-	res, err := bench.CollectBenchResultParallel(rev, runtime.Version(), jobs)
-	if err != nil {
-		fatal(err)
-	}
-	if nativeBackend {
-		res.Native, err = bench.CollectNativeResult()
-		if err != nil {
-			fatal(err)
-		}
-		for _, e := range res.Native {
-			fmt.Printf("runbench: native %-22s %.4fs (%.2fx vs orig, %d messages, %d wire bytes, %d allocs)\n",
-				e.Key(), e.NativeSeconds, e.SpeedupVsOrig, e.Messages, e.WireBytes, e.Allocs)
-		}
-		// Measured vs modeled: one line per calibrated entry comparing
-		// the run's fitted BSP constants to the SP2 model it was checked
-		// against — the Fig. 5 replay sanity check. A site straying past
-		// 2x its modeled cost earns a warning: the paper's constants do
-		// not describe this host.
-		m := machine.SP2()
-		modelL := m.SendOverhead + m.RecvOverhead + m.Latency
-		for _, e := range res.Native {
-			if e.FittedG == 0 && e.FittedL == 0 {
-				continue
-			}
-			fmt.Printf("runbench: calib  %-22s fitted L=%.3gs g=%.3gs/B (model %s: L=%.3gs g=%.3gs/B)  skew %.2fx  blocked %.0f%%\n",
-				e.Key(), e.FittedL, e.FittedG, m.Name, modelL, m.PerByte, e.SkewRatio, e.BlockedFrac*100)
-			if e.WorstResidualRatio > 2 || (e.WorstResidualRatio > 0 && e.WorstResidualRatio < 0.5) {
-				fmt.Printf("runbench: warning: %s site %s measured %.2fx its modeled cost\n",
-					e.Key(), e.WorstResidualSite, e.WorstResidualRatio)
-			}
-		}
-	}
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteBenchResult(f, res); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("runbench: wrote %d entries (rev %s) to %s\n", len(res.Entries), res.Rev, out)
-	}
-	if historyOut != "" {
-		recTime := time.Now().UnixNano()
-		record, err := history.Append(historyOut, res.Rev, recTime, res)
-		if err != nil {
-			fatal(fmt.Errorf("appending history: %w", err))
-		}
-		fmt.Printf("runbench: appended seq %d (rev %s) to %s\n", record.Seq, record.Rev, historyOut)
-	}
-	if compare != "" {
-		f, err := os.Open(compare)
-		if err != nil {
-			fatal(err)
-		}
-		baseline, err := bench.ReadBenchResult(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		regs := bench.CompareBenchResults(baseline, res, tolerance)
-		if len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "runbench: %d regression(s) vs %s (rev %s, tolerance %.0f%%):\n",
-				len(regs), compare, baseline.Rev, tolerance*100)
-			for _, r := range regs {
-				fmt.Fprintln(os.Stderr, "  "+r.String())
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("runbench: %d entries within %.0f%% of %s (rev %s)\n",
-			len(res.Entries), tolerance*100, compare, baseline.Rev)
-	}
-}
-
-// detectRevision labels the sweep with the working tree's revision:
-// `git rev-parse --short HEAD` when run inside a checkout (the usual
-// case — `go run` binaries carry no VCS stamp), else the revision
-// stamped into the binary.
-func detectRevision() string {
-	cmd := exec.Command("git", "rev-parse", "--short", "HEAD")
-	cmd.Stderr = nil
-	if out, err := cmd.Output(); err == nil {
-		if rev := strings.TrimSpace(string(out)); rev != "" {
-			return rev
-		}
-	}
-	return buildRevision()
-}
-
-// buildRevision pulls the VCS revision stamped into the binary, if any.
-func buildRevision() string {
-	if info, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range info.Settings {
-			if s.Key == "vcs.revision" && len(s.Value) >= 12 {
-				return s.Value[:12]
-			}
-		}
-	}
-	return "dev"
 }
 
 func writeObs(rec *obs.Recorder, traceOut, metricsOut string) {

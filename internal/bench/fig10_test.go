@@ -1,9 +1,14 @@
 package bench
 
 import (
+	"encoding/json"
+	"flag"
+	"math"
+	"os"
 	"testing"
 
 	"gcao/internal/core"
+	"gcao/internal/core/bound"
 )
 
 // measuredCounts is this implementation's Fig. 10(a) table at the
@@ -139,6 +144,99 @@ func TestChartsShape(t *testing.T) {
 				prevGain = gain
 			}
 		})
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/fig10_charts_golden.json from this revision's charts")
+
+const chartsGoldenPath = "testdata/fig10_charts_golden.json"
+
+// chartPointGolden is one (chart, n) of Fig. 10(b)–(f) as the golden
+// file pins it: the point's communication lower bound and, per compiler
+// version, the estimator's per-processor messages and bytes and the
+// normalized bar segments.
+type chartPointGolden struct {
+	Chart      string          `json:"chart"`
+	N          int             `json:"n"`
+	BoundBytes float64         `json:"bound_bytes"`
+	Versions   []versionGolden `json:"versions"`
+}
+
+type versionGolden struct {
+	Version  string  `json:"version"`
+	Messages float64 `json:"messages"`
+	Bytes    float64 `json:"bytes"`
+	NormCPU  float64 `json:"norm_cpu"`
+	NormNet  float64 `json:"norm_net"`
+}
+
+// TestChartsGolden holds the Fig. 10(b)–(f) numbers across revisions:
+// every chart × size × version must reproduce the checked-in messages,
+// bytes and lower bound exactly and the normalized times to 1e-9
+// relative (FMA contraction differs across architectures). The file was
+// first written by the `runbench -out` sweep this test replaced.
+func TestChartsGolden(t *testing.T) {
+	var got []chartPointGolden
+	for _, spec := range ChartSpecs() {
+		c, err := RunChart(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := ByName(spec.Bench, spec.Routines[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pt := range c.Points {
+			a, err := pr.Compile(pt.N, spec.Procs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := chartPointGolden{Chart: spec.ID, N: pt.N, BoundBytes: bound.Compute(a).TotalBytes}
+			for _, b := range pt.Bars {
+				g.Versions = append(g.Versions, versionGolden{
+					Version: b.Version.String(), Messages: b.Raw.Messages, Bytes: b.Raw.Bytes,
+					NormCPU: b.CPU, NormNet: b.Net,
+				})
+			}
+			got = append(got, g)
+		}
+	}
+	if *update {
+		raw, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(chartsGoldenPath, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(chartsGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (generate with -update)", err)
+	}
+	var want []chartPointGolden
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d chart points, golden has %d", len(got), len(want))
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b)) }
+	for i, w := range want {
+		g := got[i]
+		if g.Chart != w.Chart || g.N != w.N || g.BoundBytes != w.BoundBytes || len(g.Versions) != len(w.Versions) {
+			t.Errorf("point %d = %s n=%d bound %v (%d versions), want %s n=%d bound %v (%d versions)",
+				i, g.Chart, g.N, g.BoundBytes, len(g.Versions), w.Chart, w.N, w.BoundBytes, len(w.Versions))
+			continue
+		}
+		for j, wv := range w.Versions {
+			gv := g.Versions[j]
+			if gv.Version != wv.Version || gv.Messages != wv.Messages || gv.Bytes != wv.Bytes ||
+				!near(gv.NormCPU, wv.NormCPU) || !near(gv.NormNet, wv.NormNet) {
+				t.Errorf("%s n=%d: %+v, want %+v", w.Chart, w.N, gv, wv)
+			}
+		}
 	}
 }
 

@@ -76,11 +76,13 @@ type lruEntry struct {
 }
 
 // flight is one in-progress computation; waiters block on done and
-// then read val/err, which are written exactly once before the close.
+// then read val/err — or panicked, when fn did not return — which are
+// written exactly once before the close.
 type flight struct {
-	done chan struct{}
-	val  any
-	err  error
+	done     chan struct{}
+	val      any
+	err      error
+	panicked any
 }
 
 // New builds a cache bounded to maxEntries entries and roughly
@@ -129,9 +131,10 @@ func (c *Cache) shard(key string) *shard {
 // Concurrent Do calls for the same key are deduplicated: exactly one
 // caller (the leader) runs fn while the rest wait for its result.
 // Errors are delivered to every waiter of the flight and are never
-// cached, so a later call retries. size estimates the resident cost of
-// a freshly computed value for the byte bound (nil, or a non-positive
-// estimate, charges one byte).
+// cached, so a later call retries; a panic in fn likewise panics in
+// every caller of the flight and leaves nothing behind. size estimates
+// the resident cost of a freshly computed value for the byte bound
+// (nil, or a non-positive estimate, charges one byte).
 func (c *Cache) Do(key string, size func(any) int64, fn func() (any, error)) (any, Outcome, error) {
 	sh := c.shard(key)
 	sh.mu.Lock()
@@ -146,6 +149,9 @@ func (c *Cache) Do(key string, size func(any) int64, fn func() (any, error)) (an
 		sh.mu.Unlock()
 		c.waits.Add(1)
 		<-fl.done
+		if fl.panicked != nil {
+			panic(fl.panicked)
+		}
 		return fl.val, Wait, fl.err
 	}
 	fl := &flight{done: make(chan struct{})}
@@ -153,17 +159,26 @@ func (c *Cache) Do(key string, size func(any) int64, fn func() (any, error)) (an
 	sh.mu.Unlock()
 
 	c.misses.Add(1)
-	v, err := fn()
-	fl.val, fl.err = v, err
-
-	sh.mu.Lock()
-	delete(sh.inflight, key)
-	if err == nil {
-		c.insertLocked(sh, key, v, size)
-	}
-	sh.mu.Unlock()
-	close(fl.done)
-	return v, Miss, err
+	// The flight is settled on every way out of fn, a panic included: left
+	// registered, it would block its waiters and every later call for the
+	// key forever. A panic is cached no more than an error is, and reaches
+	// every caller of the flight — the leader's own, re-raised above the
+	// frames that raised it, and the same value in each waiter.
+	defer func() {
+		fl.panicked = recover()
+		sh.mu.Lock()
+		delete(sh.inflight, key)
+		if fl.panicked == nil && fl.err == nil {
+			c.insertLocked(sh, key, fl.val, size)
+		}
+		sh.mu.Unlock()
+		close(fl.done)
+		if fl.panicked != nil {
+			panic(fl.panicked)
+		}
+	}()
+	fl.val, fl.err = fn()
+	return fl.val, Miss, fl.err
 }
 
 // insertLocked adds a computed value at the front of the shard's

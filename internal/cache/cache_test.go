@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -169,6 +170,41 @@ func TestSingleflightExactlyOnce(t *testing.T) {
 	}
 	if st.Hits+st.InflightWaits != goroutines-1 {
 		t.Fatalf("hits (%d) + waits (%d) != %d", st.Hits, st.InflightWaits, goroutines-1)
+	}
+}
+
+// TestPanicSettlesFlight: a computation that panics takes its flight
+// with it. The leader and every waiter already coalesced on the key see
+// the panic instead of blocking forever, nothing is cached, and the next
+// call for the key computes afresh.
+func TestPanicSettlesFlight(t *testing.T) {
+	c := New(8, 0, 1)
+	const waiters = 4
+	caught := make(chan any, waiters+1)
+	do := func(fn func() (any, error)) {
+		defer func() { caught <- recover() }()
+		c.Do("poison", nil, fn)
+	}
+	go do(func() (any, error) {
+		for c.Stats().InflightWaits < waiters {
+			runtime.Gosched()
+		}
+		panic("section: rank mismatch")
+	})
+	for c.Stats().Misses < 1 {
+		runtime.Gosched()
+	}
+	for i := 0; i < waiters; i++ {
+		go do(func() (any, error) { return nil, errors.New("a waiter computed") })
+	}
+	for i := 0; i < waiters+1; i++ {
+		if r := <-caught; r != "section: rank mismatch" {
+			t.Fatalf("caller %d recovered %v, want the computation's panic", i, r)
+		}
+	}
+	v, out, err := c.Do("poison", nil, func() (any, error) { return "ok", nil })
+	if err != nil || v != "ok" || out != Miss {
+		t.Fatalf("Do after a panicked flight = %v, %v, %v; want a fresh computation", v, out, err)
 	}
 }
 

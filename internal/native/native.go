@@ -54,39 +54,10 @@ import (
 	"gcao/internal/source"
 )
 
-// Stats summarizes one native run.
-type Stats struct {
-	// Procs is the logical processor (goroutine) count.
-	Procs int
-	// Messages counts payload-bearing channel transfers (each message
-	// once, at the sender); Bytes counts the delivered element payload
-	// (8 bytes per float64), excluding protocol framing.
-	Messages int64
-	Bytes    int64
-	// WireBytes counts every float64 word actually sent per hop —
-	// payload, validity bitmaps and framing included — so it is the
-	// bytes-on-the-wire figure the optimality-gap dashboard can compare
-	// against the modeled ledger.
-	WireBytes int64
-	// Hops counts the tree messages collectives moved (gather ascents,
-	// broadcast descents, value broadcasts); the critical path of one
-	// collective is ceil(log2 P) of them.
-	Hops int64
-	// AllocBytes counts payload-buffer bytes the message fabric
-	// allocated because no recycled buffer fit; zero in steady state.
-	AllocBytes int64
-	// Collectives counts executed communication groups; Barriers the
-	// full synchronization barriers (replicated-array stores).
-	Collectives int64
-	Barriers    int64
-	// Ops counts the executed communication operations under the
-	// codegen listing's vocabulary (exchange, broadcast, gather,
-	// global-sum).
-	Ops map[string]int64
-	// ElapsedSeconds is the wall clock of the run proper (first
-	// goroutine launch through final barrier).
-	ElapsedSeconds float64
-}
+// Stats summarizes one native run. The record is declared in package
+// prof, the leaf both this package and obs import, so every sink — the
+// registry, gcaod's response — takes it as it is.
+type Stats = prof.RunStats
 
 // RunResult is the outcome of a native execution: the distributed
 // memory image (owner rows hold the canonical values), the replicated

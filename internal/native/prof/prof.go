@@ -224,6 +224,43 @@ type ProcStat struct {
 	StragglerSteps int `json:"straggler_steps"`
 }
 
+// RunStats is the one record of what a native run moved and how long
+// it took; native.Stats is this type. The JSON names are the wire names
+// of gcaod's /compile response. What a profiled run measured beyond it
+// — skew, blocked time, the fitted machine constants — stays on the
+// run's NativeProfile and its Calibration and is read from there.
+type RunStats struct {
+	// Procs is the logical processor (goroutine) count.
+	Procs int `json:"procs"`
+	// Messages counts payload-bearing channel transfers (each message
+	// once, at the sender); Bytes counts the delivered element payload
+	// (8 bytes per float64), excluding protocol framing.
+	Messages int64 `json:"messages"`
+	Bytes    int64 `json:"bytes_moved"`
+	// WireBytes counts every float64 word actually sent per hop —
+	// payload, validity bitmaps and framing included — so it is the
+	// bytes-on-the-wire figure to compare against the modeled ledger.
+	WireBytes int64 `json:"wire_bytes"`
+	// Hops counts the tree messages collectives moved (gather ascents,
+	// broadcast descents, value broadcasts); the critical path of one
+	// collective is ceil(log2 P) of them.
+	Hops int64 `json:"collective_hops"`
+	// AllocBytes counts payload-buffer bytes the message fabric
+	// allocated because no recycled buffer fit; zero in steady state.
+	AllocBytes int64 `json:"alloc_bytes"`
+	// Collectives counts executed communication groups; Barriers the
+	// full synchronization barriers (replicated-array stores).
+	Collectives int64 `json:"collectives"`
+	Barriers    int64 `json:"barriers"`
+	// Ops counts the executed communication operations under the
+	// codegen listing's vocabulary (exchange, broadcast, gather,
+	// global-sum).
+	Ops map[string]int64 `json:"ops,omitempty"`
+	// ElapsedSeconds is the wall clock of the run proper (first
+	// goroutine launch through final barrier).
+	ElapsedSeconds float64 `json:"seconds"`
+}
+
 // NativeProfile is the folded result of one profiled native run.
 type NativeProfile struct {
 	Procs       int     `json:"procs"`
@@ -534,6 +571,17 @@ func (p *NativeProfile) Calibrate(model []ModelStep) *Calibration {
 	})
 	p.Calib = c
 	return c
+}
+
+// Fit returns the profile's calibration when it measured the machine:
+// attached, with spread in h, and every joined step's site agreeing
+// with the model's. Nil otherwise (and on a nil profile) — a fit that
+// measured nothing must not be reported as L and g.
+func (p *NativeProfile) Fit() *Calibration {
+	if p == nil || p.Calib == nil || p.Calib.Degenerate || p.Calib.Mismatched > 0 {
+		return nil
+	}
+	return p.Calib
 }
 
 // WorstResidual returns the residual whose measured/modeled ratio is

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"gcao/internal/native/prof"
 	"gcao/internal/obs/attr"
 )
 
@@ -19,151 +20,174 @@ import (
 // Recorder, so Absorb must only ever see a recorder once — counter
 // values are merged as deltas.
 //
-// The exported metric families, all prefixed gcao_:
-//
-//	gcao_requests_total{status}         counter, one per absorbed recorder
-//	gcao_pipeline_counter_total{name}   every recorder counter, aggregated
-//	gcao_pipeline_gauge{name}           last written value of each gauge
-//	gcao_phase_seconds{phase}           histogram of pipeline span latency
-//	gcao_placed_messages{version}       histogram of placed groups per compile
-//	gcao_comm_bytes{version}            histogram of bytes moved per compile
-//	gcao_superstep_hrelation_bytes{version}  histogram of per-superstep h-relations
-//	gcao_site_comm_bytes_total{site}    counter of simulated bytes per placement site
-//	gcao_comm_lower_bound_bytes{benchmark}  gauge, the routine's communication lower bound
-//	gcao_optimality_gap_ratio{benchmark,version}  gauge, traffic over the lower bound
-//	gcao_build_info{version}            constant 1, the build identity
-//	gcao_http_requests_total{route,code}  counter of served HTTP requests
-//	gcao_http_request_seconds{route}    histogram of HTTP request latency
-//	gcao_queue_wait_seconds             histogram of scheduler queue wait
-//
-// plus, when a ServerStats callback is registered, scrape-time gauges
-// (gcao_http_inflight, gcao_queue_depth, gcao_queue_capacity,
-// gcao_jobs_active, gcao_pool_workers, gcao_job_avg_service_seconds)
-// and the gcao_sched_jobs_total{outcome} counter family.
-//
-// Label values are rendered in sorted order, so the exposition is
-// byte-deterministic given deterministic inputs.
+// What it exports is the families table below, in that order; label
+// values are rendered sorted, so the exposition is byte-deterministic
+// given deterministic inputs.
 type Registry struct {
-	mu         sync.Mutex
-	requests   map[string]int64
-	counters   map[string]int64
-	gauges     map[string]float64
-	phase      map[string]*Histogram
-	placed     map[string]*Histogram
-	bytes      map[string]*Histogram
-	hrel       map[string]*Histogram
-	siteBytes  map[string]int64
-	cacheStats func() []CacheTierStats
+	mu sync.Mutex
+	// The samples of every regular family by label value, indexed like
+	// the families table: vals for a counter or gauge family, hists for
+	// a histogram family.
+	vals  [numFamilies]map[string]float64
+	hists [numFamilies]map[string]*Histogram
 
-	// Optimality-gap state: the per-benchmark communication lower
-	// bound and, per (benchmark, version), the latest observed traffic
-	// against it. Gauges, not counters — each compile overwrites.
-	gapBound  map[string]float64
+	// Optimality gap: per (benchmark, version) the latest observed
+	// traffic; the ratio is derived at scrape time against the bound in
+	// famLowerBound. Gauges, not counters — each compile overwrites.
 	gapActual map[string]map[string]float64 // benchmark -> version -> bytes
-
-	// Native-backend execution: wall-clock per run, message and
-	// bytes-on-wire totals, collective tree hops and fabric buffer
-	// allocations, by compiler version (see internal/native). Profiled
-	// runs additionally feed the skew/blocked-time gauges and the
-	// measured machine constants fitted against the BSP cost model
-	// (see internal/native/prof).
-	nativeSecs    map[string]*Histogram
-	nativeMsgs    map[string]int64
-	nativeWire    map[string]int64
-	nativeHops    map[string]int64
-	nativeAlloc   map[string]int64
-	nativeSkew    map[string]float64
-	nativeBlocked map[string]float64
-	nativeFitL    map[string]float64
-	nativeFitG    map[string]float64
-
-	// Serving-layer state (see serve.go): RED metrics per route,
-	// scheduler queue-wait ledger, build identity, and the live
-	// gauges callback.
-	httpReq     map[string]map[string]int64 // route -> code -> count
-	httpLat     map[string]*Histogram       // route -> latency histogram
-	queueWait   *Histogram
-	buildInfo   string
+	httpReq   map[string]map[string]int64   // route -> code -> count
+	buildInfo string
+	// Scrape-time callbacks of the serving layer (see serve.go).
+	cacheStats  func() []CacheTierStats
 	serverStats func() ServerStats
+}
+
+// familyID indexes the families table and the Registry's samples.
+type familyID int
+
+// The exported families, in exposition order.
+const (
+	famBuildInfo familyID = iota
+	famRequests
+	famHTTPRequests
+	famHTTPSeconds
+	famQueueWait
+	famPipelineCounter
+	famPipelineGauge
+	famPhaseSeconds
+	famPlacedMessages
+	famCommBytes
+	famHRelation
+	famSiteBytes
+	famNativeSeconds
+	famNativeMessages
+	famNativeWire
+	famNativeHops
+	famNativeAlloc
+	famNativeSkew
+	famNativeBlocked
+	famNativeFitL
+	famNativeFitG
+	famLowerBound
+	famGapRatio
+	famCache
+	famServer
+	numFamilies
+)
+
+// family is one row of the exposition. A regular family — one label,
+// samples in Registry.vals or .hists — is all data: typ "counter" or "gauge",
+// or buckets for a histogram. An irregular one (two labels, a constant,
+// a scrape-time callback) renders itself through write.
+type family struct {
+	name, typ, help, label string
+	buckets                []float64
+	write                  func(*strings.Builder, *registrySnapshot)
+}
+
+// families declares every exported metric family once; storage,
+// snapshot and exposition are loops over it, so a new regular metric is
+// an index above, a row here and its observe call.
+var families = [numFamilies]family{
+	famBuildInfo: {write: writeBuildInfo},
+	famRequests: {name: "gcao_requests_total", typ: "counter", label: "status",
+		help: "Compile requests absorbed into the registry, by status."},
+	famHTTPRequests: {write: writeHTTPRequests},
+	famHTTPSeconds: {name: "gcao_http_request_seconds", label: "route", buckets: LatencyBuckets,
+		help: "HTTP request latency in seconds, by route."},
+	famQueueWait: {name: "gcao_queue_wait_seconds", label: "pool", buckets: LatencyBuckets,
+		help: "Scheduler admission-queue wait in seconds, all jobs."},
+	famPipelineCounter: {name: "gcao_pipeline_counter_total", typ: "counter", label: "name",
+		help: "Aggregated pipeline recorder counters, by dotted counter name."},
+	famPipelineGauge: {name: "gcao_pipeline_gauge", typ: "gauge", label: "name",
+		help: "Last written value of each pipeline recorder gauge, by name."},
+	famPhaseSeconds: {name: "gcao_phase_seconds", label: "phase", buckets: LatencyBuckets,
+		help: "Pipeline phase latency in seconds, by phase (span) name."},
+	famPlacedMessages: {name: "gcao_placed_messages", label: "version", buckets: CountBuckets,
+		help: "Placed communication groups per compile, by compiler version."},
+	famCommBytes: {name: "gcao_comm_bytes", label: "version", buckets: BytesBuckets,
+		help: "Bytes moved per compile (simulated or estimated), by compiler version."},
+	famHRelation: {name: "gcao_superstep_hrelation_bytes", label: "version", buckets: BytesBuckets,
+		help: "Per-superstep h-relation size in bytes (max in/out per processor), by compiler version."},
+	famSiteBytes: {name: "gcao_site_comm_bytes_total", typ: "counter", label: "site",
+		help: "Simulated communication bytes attributed to each placement site."},
+	famNativeSeconds: {name: "gcao_native_exec_seconds", label: "version", buckets: LatencyBuckets,
+		help: "Native goroutine-backend wall clock per run in seconds, by compiler version."},
+	famNativeMessages: {name: "gcao_native_messages_total", typ: "counter", label: "version",
+		help: "Point-to-point messages moved by the native backend, by compiler version."},
+	famNativeWire: {name: "gcao_native_wire_bytes_total", typ: "counter", label: "version",
+		help: "Raw bytes the native backend put on the wire (payload, validity bitmaps and framing), by compiler version."},
+	famNativeHops: {name: "gcao_native_collective_hops_total", typ: "counter", label: "version",
+		help: "Binomial-tree hops moved by native collectives (gather ascents, broadcast descents), by compiler version."},
+	famNativeAlloc: {name: "gcao_native_alloc_bytes_total", typ: "counter", label: "version",
+		help: "Payload-buffer bytes the native message fabric allocated because no recycled buffer fit, by compiler version."},
+	famNativeSkew: {name: "gcao_native_skew_ratio", typ: "gauge", label: "version",
+		help: "Compute skew of the last profiled native run (max/mean compute per superstep; 1.0 is perfectly balanced), by compiler version."},
+	famNativeBlocked: {name: "gcao_native_blocked_seconds_total", typ: "counter", label: "version",
+		help: "Seconds native processors spent blocked in sends, receive waits, barrier trees and SUM collectives, by compiler version."},
+	famNativeFitL: {name: "gcao_native_fitted_l_seconds", typ: "gauge", label: "version",
+		help: "Per-superstep latency constant L fitted by least squares from the last calibrated native run, by compiler version."},
+	famNativeFitG: {name: "gcao_native_fitted_g_seconds_per_byte", typ: "gauge", label: "version",
+		help: "Inverse-bandwidth constant g fitted by least squares from the last calibrated native run, by compiler version."},
+	famLowerBound: {name: "gcao_comm_lower_bound_bytes", typ: "gauge", label: "benchmark",
+		help: "Placement-independent communication lower bound of the last compile, by routine."},
+	famGapRatio: {write: writeGapRatio},
+	famCache:    {write: writeCacheFamilies},
+	famServer:   {write: writeServerFamilies},
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		requests:      map[string]int64{},
-		counters:      map[string]int64{},
-		gauges:        map[string]float64{},
-		phase:         map[string]*Histogram{},
-		placed:        map[string]*Histogram{},
-		bytes:         map[string]*Histogram{},
-		hrel:          map[string]*Histogram{},
-		siteBytes:     map[string]int64{},
-		gapBound:      map[string]float64{},
-		gapActual:     map[string]map[string]float64{},
-		httpReq:       map[string]map[string]int64{},
-		httpLat:       map[string]*Histogram{},
-		queueWait:     NewHistogram(LatencyBuckets),
-		nativeSecs:    map[string]*Histogram{},
-		nativeMsgs:    map[string]int64{},
-		nativeWire:    map[string]int64{},
-		nativeHops:    map[string]int64{},
-		nativeAlloc:   map[string]int64{},
-		nativeSkew:    map[string]float64{},
-		nativeBlocked: map[string]float64{},
-		nativeFitL:    map[string]float64{},
-		nativeFitG:    map[string]float64{},
+	g := &Registry{
+		gapActual: map[string]map[string]float64{},
+		httpReq:   map[string]map[string]int64{},
 	}
+	for id, f := range families {
+		switch {
+		case f.buckets != nil:
+			g.hists[id] = map[string]*Histogram{}
+		case f.write == nil:
+			g.vals[id] = map[string]float64{}
+		}
+	}
+	return g
 }
 
-// NativeExecSample is one native-backend run's traffic summary as the
-// registry records it: wall clock, point-to-point messages, raw bytes
-// on the wire (payload plus validity bitmaps and framing), collective
-// tree hops, and payload-buffer bytes the message fabric had to
-// allocate (zero once the recycled pools are warm).
-type NativeExecSample struct {
-	Seconds    float64
-	Messages   int64
-	WireBytes  int64
-	Hops       int64
-	AllocBytes int64
-
-	// Profiler-derived fields, present when the run was profiled:
-	// compute skew (max/mean compute per superstep, 1.0 = perfectly
-	// balanced), total seconds processors spent blocked in
-	// communication, and — when the run was also calibrated against the
-	// simulator's cost attribution — the measured machine constants.
-	// Calibrated gates the fitted pair: an unprofiled or uncalibrated
-	// run must not export stale zeros as "measured L and g".
-	SkewRatio      float64
-	BlockedSeconds float64
-	FittedL        float64
-	FittedG        float64
-	Calibrated     bool
+// hist returns (allocating on demand) the labeled histogram of a
+// family. Callers hold g.mu.
+func (g *Registry) hist(id familyID, label string) *Histogram {
+	h := g.hists[id][label]
+	if h == nil {
+		h = NewHistogram(families[id].buckets)
+		g.hists[id][label] = h
+	}
+	return h
 }
 
-// ObserveNativeExec records one native-backend run, labeled by
-// compiler version.
-func (g *Registry) ObserveNativeExec(version string, s NativeExecSample) {
+// ObserveNativeExec records one native-backend run, labeled by compiler
+// version: the run's counts and wall clock and, when it was profiled
+// (np non-nil), its compute skew and blocked time, and the fitted
+// machine constants when the profile was calibrated. An unprofiled or
+// uncalibrated run leaves those families alone — it must not export
+// zeros as measurements.
+func (g *Registry) ObserveNativeExec(version string, st prof.RunStats, np *prof.NativeProfile) {
 	if g == nil {
 		return
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.histLocked(g.nativeSecs, version, LatencyBuckets).Observe(s.Seconds)
-	g.nativeMsgs[version] += s.Messages
-	g.nativeWire[version] += s.WireBytes
-	g.nativeHops[version] += s.Hops
-	g.nativeAlloc[version] += s.AllocBytes
-	// The fold pins SkewRatio >= 1 on every profiled run, so a positive
-	// skew is the "this run was profiled" marker; unprofiled runs must
-	// not materialize the profiler families at zero.
-	if s.SkewRatio > 0 {
-		g.nativeSkew[version] = s.SkewRatio
-		g.nativeBlocked[version] += s.BlockedSeconds
+	g.hist(famNativeSeconds, version).Observe(st.ElapsedSeconds)
+	g.vals[famNativeMessages][version] += float64(st.Messages)
+	g.vals[famNativeWire][version] += float64(st.WireBytes)
+	g.vals[famNativeHops][version] += float64(st.Hops)
+	g.vals[famNativeAlloc][version] += float64(st.AllocBytes)
+	if np != nil {
+		g.vals[famNativeSkew][version] = np.SkewRatio
+		g.vals[famNativeBlocked][version] += np.BlockedSeconds
 	}
-	if s.Calibrated {
-		g.nativeFitL[version] = s.FittedL
-		g.nativeFitG[version] = s.FittedG
+	if c := np.Fit(); c != nil {
+		g.vals[famNativeFitL][version] = c.FittedL
+		g.vals[famNativeFitG][version] = c.FittedG
 	}
 }
 
@@ -190,24 +214,24 @@ func (g *Registry) NativeLive() (NativeLiveStats, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	var st NativeLiveStats
-	for _, h := range g.nativeSecs {
+	for _, h := range g.hists[famNativeSeconds] {
 		st.Runs += int64(h.Count())
 	}
-	for _, skew := range g.nativeSkew {
+	for _, skew := range g.vals[famNativeSkew] {
 		if skew > st.SkewRatio {
 			st.SkewRatio = skew
 		}
 	}
-	for _, sec := range g.nativeBlocked {
+	for _, sec := range g.vals[famNativeBlocked] {
 		st.BlockedSeconds += sec
 	}
-	if len(g.nativeFitG) > 0 {
+	if fitG := g.vals[famNativeFitG]; len(fitG) > 0 {
 		ver := "comb"
-		if _, ok := g.nativeFitG[ver]; !ok {
-			ver = sortedKeys(g.nativeFitG)[0]
+		if _, ok := fitG[ver]; !ok {
+			ver = sortedKeys(fitG)[0]
 		}
-		st.FittedL = g.nativeFitL[ver]
-		st.FittedG = g.nativeFitG[ver]
+		st.FittedL = g.vals[famNativeFitL][ver]
+		st.FittedG = fitG[ver]
 		st.Calibrated = true
 	}
 	return st, st.Runs > 0
@@ -241,28 +265,30 @@ func (g *Registry) Absorb(rec *Recorder, status string) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.requests[status]++
+	g.vals[famRequests][status]++
+	ctr, gau := g.vals[famPipelineCounter], g.vals[famPipelineGauge]
 	for k, v := range counters {
-		g.counters[k] += v
+		ctr[k] += float64(v)
 	}
 	for k, v := range gauges {
-		g.gauges[k] = v
+		gau[k] = v
 	}
 	for _, s := range spans {
-		g.histLocked(g.phase, s.Name, LatencyBuckets).Observe(float64(s.DurUS) / 1e6)
+		g.hist(famPhaseSeconds, s.Name).Observe(float64(s.DurUS) / 1e6)
 	}
 	for _, v := range versions {
 		if n, ok := counters["place."+v+".groups"]; ok {
-			g.histLocked(g.placed, v, CountBuckets).Observe(float64(n))
+			g.hist(famPlacedMessages, v).Observe(float64(n))
 		}
 		if b, ok := counters["spmd."+v+".bytes"]; ok {
-			g.histLocked(g.bytes, v, BytesBuckets).Observe(float64(b))
+			g.hist(famCommBytes, v).Observe(float64(b))
 		}
 	}
 	if attrRun != nil {
+		site := g.vals[famSiteBytes]
 		for _, s := range attrRun.Steps {
-			g.histLocked(g.hrel, attrRun.Version, BytesBuckets).Observe(float64(s.H()))
-			g.siteBytes[s.Site] += s.Bytes
+			g.hist(famHRelation, attrRun.Version).Observe(float64(s.H()))
+			site[s.Site] += float64(s.Bytes)
 		}
 	}
 }
@@ -276,7 +302,7 @@ func (g *Registry) ObserveBytes(version string, bytes float64) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.histLocked(g.bytes, version, BytesBuckets).Observe(bytes)
+	g.hist(famCommBytes, version).Observe(bytes)
 }
 
 // SetOptimalityGap records a compile's communication lower bound and
@@ -292,7 +318,7 @@ func (g *Registry) SetOptimalityGap(benchmark, version string, boundBytes, actua
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.gapBound[benchmark] = boundBytes
+	g.vals[famLowerBound][benchmark] = boundBytes
 	byVer := g.gapActual[benchmark]
 	if byVer == nil {
 		byVer = map[string]float64{}
@@ -314,7 +340,7 @@ func (g *Registry) AggregateGap() (ratio float64, points int) {
 	defer g.mu.Unlock()
 	var actual, bound float64
 	for bench, byVer := range g.gapActual {
-		b := g.gapBound[bench]
+		b := g.vals[famLowerBound][bench]
 		if b <= 0 {
 			continue
 		}
@@ -328,17 +354,6 @@ func (g *Registry) AggregateGap() (ratio float64, points int) {
 		return 0, 0
 	}
 	return actual / bound, points
-}
-
-// histLocked returns (allocating on demand) the labeled histogram of a
-// family. Callers hold g.mu.
-func (g *Registry) histLocked(family map[string]*Histogram, label string, buckets []float64) *Histogram {
-	h := family[label]
-	if h == nil {
-		h = NewHistogram(buckets)
-		family[label] = h
-	}
-	return h
 }
 
 // CacheTierStats is one compilation-cache tier's scrape-time snapshot,
@@ -374,11 +389,11 @@ func (g *Registry) Requests() int64 {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	var n int64
-	for _, v := range g.requests {
+	var n float64
+	for _, v := range g.vals[famRequests] {
 		n += v
 	}
-	return n
+	return int64(n)
 }
 
 // Counter returns an aggregated counter's value.
@@ -388,93 +403,47 @@ func (g *Registry) Counter(name string) int64 {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.counters[name]
+	return int64(g.vals[famPipelineCounter][name])
 }
 
 // registrySnapshot is the copied registry state rendering reads
 // outside the lock.
 type registrySnapshot struct {
-	req           map[string]int64
-	ctr           map[string]int64
-	gau           map[string]float64
-	phase         map[string]*Histogram
-	placed        map[string]*Histogram
-	bytes         map[string]*Histogram
-	hrel          map[string]*Histogram
-	siteBytes     map[string]int64
-	gapBound      map[string]float64
-	gapRatio      map[string]map[string]float64
-	httpReq       map[string]map[string]int64
-	httpLat       map[string]*Histogram
-	queueWait     *Histogram
-	buildInfo     string
-	nativeSecs    map[string]*Histogram
-	nativeMsgs    map[string]int64
-	nativeWire    map[string]int64
-	nativeHops    map[string]int64
-	nativeAlloc   map[string]int64
-	nativeSkew    map[string]float64
-	nativeBlocked map[string]float64
-	nativeFitL    map[string]float64
-	nativeFitG    map[string]float64
+	vals        [numFamilies]map[string]float64
+	hists       [numFamilies]map[string]*Histogram
+	gapActual   map[string]map[string]float64
+	httpReq     map[string]map[string]int64
+	buildInfo   string
+	cacheStats  func() []CacheTierStats
+	serverStats func() ServerStats
 }
 
 // snapshot copies the registry state so rendering happens outside the
 // lock.
-func (g *Registry) snapshot() registrySnapshot {
+func (g *Registry) snapshot() *registrySnapshot {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	cloneHists := func(m map[string]*Histogram) map[string]*Histogram {
-		out := make(map[string]*Histogram, len(m))
-		for k, h := range m {
-			out[k] = h.clone()
-		}
-		return out
+	snap := &registrySnapshot{
+		gapActual:   make(map[string]map[string]float64, len(g.gapActual)),
+		httpReq:     make(map[string]map[string]int64, len(g.httpReq)),
+		buildInfo:   g.buildInfo,
+		cacheStats:  g.cacheStats,
+		serverStats: g.serverStats,
 	}
-	httpReq := make(map[string]map[string]int64, len(g.httpReq))
+	for id := range families {
+		snap.vals[id] = copyMap(g.vals[id])
+		snap.hists[id] = make(map[string]*Histogram, len(g.hists[id]))
+		for k, h := range g.hists[id] {
+			snap.hists[id][k] = h.clone()
+		}
+	}
 	for route, codes := range g.httpReq {
-		httpReq[route] = copyMap(codes)
+		snap.httpReq[route] = copyMap(codes)
 	}
-	// Gap ratios are derived at snapshot time from the stored bound and
-	// actual bytes, so the exposition always reflects one consistent
-	// (bound, actual) pair.
-	gapRatio := make(map[string]map[string]float64, len(g.gapActual))
 	for bench, byVer := range g.gapActual {
-		b := g.gapBound[bench]
-		if b <= 0 {
-			continue
-		}
-		out := make(map[string]float64, len(byVer))
-		for ver, a := range byVer {
-			out[ver] = a / b
-		}
-		gapRatio[bench] = out
+		snap.gapActual[bench] = copyMap(byVer)
 	}
-	return registrySnapshot{
-		req:           copyMap(g.requests),
-		ctr:           copyMap(g.counters),
-		gau:           copyMap(g.gauges),
-		phase:         cloneHists(g.phase),
-		placed:        cloneHists(g.placed),
-		bytes:         cloneHists(g.bytes),
-		hrel:          cloneHists(g.hrel),
-		siteBytes:     copyMap(g.siteBytes),
-		gapBound:      copyMap(g.gapBound),
-		gapRatio:      gapRatio,
-		httpReq:       httpReq,
-		httpLat:       cloneHists(g.httpLat),
-		queueWait:     g.queueWait.clone(),
-		buildInfo:     g.buildInfo,
-		nativeSecs:    cloneHists(g.nativeSecs),
-		nativeMsgs:    copyMap(g.nativeMsgs),
-		nativeWire:    copyMap(g.nativeWire),
-		nativeHops:    copyMap(g.nativeHops),
-		nativeAlloc:   copyMap(g.nativeAlloc),
-		nativeSkew:    copyMap(g.nativeSkew),
-		nativeBlocked: copyMap(g.nativeBlocked),
-		nativeFitL:    copyMap(g.nativeFitL),
-		nativeFitG:    copyMap(g.nativeFitG),
-	}
+	return snap
 }
 
 func copyMap[V int64 | float64](m map[string]V) map[string]V {
@@ -488,156 +457,113 @@ func copyMap[V int64 | float64](m map[string]V) map[string]V {
 // WritePrometheus renders the registry in the Prometheus text
 // exposition format (version 0.0.4): # HELP and # TYPE headers per
 // family, samples with sorted label values, histograms as cumulative
-// _bucket series ending at le="+Inf" plus _sum and _count.
+// _bucket series ending at le="+Inf" plus _sum and _count. A family
+// with no samples is omitted.
 func (g *Registry) WritePrometheus(w io.Writer) error {
 	if g == nil {
 		return nil
 	}
 	snap := g.snapshot()
-	g.mu.Lock()
-	statsFn := g.cacheStats
-	srvFn := g.serverStats
-	g.mu.Unlock()
 	var b strings.Builder
-	if snap.buildInfo != "" {
-		fmt.Fprintf(&b, "# HELP gcao_build_info Build identity; constant 1 labeled by version.\n# TYPE gcao_build_info gauge\n")
-		fmt.Fprintf(&b, "gcao_build_info{version=%s} 1\n", quoteLabel(snap.buildInfo))
-	}
-	writeScalarFamily(&b, "gcao_requests_total", "counter",
-		"Compile requests absorbed into the registry, by status.", "status", snap.req)
-	writeHTTPFamilies(&b, snap.httpReq, snap.httpLat)
-	if snap.queueWait.Count() > 0 {
-		writeHistFamily(&b, "gcao_queue_wait_seconds",
-			"Scheduler admission-queue wait in seconds, all jobs.", "pool",
-			map[string]*Histogram{"compile": snap.queueWait})
-	}
-	writeScalarFamily(&b, "gcao_pipeline_counter_total", "counter",
-		"Aggregated pipeline recorder counters, by dotted counter name.", "name", snap.ctr)
-	writeScalarFamily(&b, "gcao_pipeline_gauge", "gauge",
-		"Last written value of each pipeline recorder gauge, by name.", "name", snap.gau)
-	writeHistFamily(&b, "gcao_phase_seconds",
-		"Pipeline phase latency in seconds, by phase (span) name.", "phase", snap.phase)
-	writeHistFamily(&b, "gcao_placed_messages",
-		"Placed communication groups per compile, by compiler version.", "version", snap.placed)
-	writeHistFamily(&b, "gcao_comm_bytes",
-		"Bytes moved per compile (simulated or estimated), by compiler version.", "version", snap.bytes)
-	writeHistFamily(&b, "gcao_superstep_hrelation_bytes",
-		"Per-superstep h-relation size in bytes (max in/out per processor), by compiler version.", "version", snap.hrel)
-	writeScalarFamily(&b, "gcao_site_comm_bytes_total", "counter",
-		"Simulated communication bytes attributed to each placement site.", "site", snap.siteBytes)
-	writeHistFamily(&b, "gcao_native_exec_seconds",
-		"Native goroutine-backend wall clock per run in seconds, by compiler version.", "version", snap.nativeSecs)
-	writeScalarFamily(&b, "gcao_native_messages_total", "counter",
-		"Point-to-point messages moved by the native backend, by compiler version.", "version", snap.nativeMsgs)
-	writeScalarFamily(&b, "gcao_native_wire_bytes_total", "counter",
-		"Raw bytes the native backend put on the wire (payload, validity bitmaps and framing), by compiler version.", "version", snap.nativeWire)
-	writeScalarFamily(&b, "gcao_native_collective_hops_total", "counter",
-		"Binomial-tree hops moved by native collectives (gather ascents, broadcast descents), by compiler version.", "version", snap.nativeHops)
-	writeScalarFamily(&b, "gcao_native_alloc_bytes_total", "counter",
-		"Payload-buffer bytes the native message fabric allocated because no recycled buffer fit, by compiler version.", "version", snap.nativeAlloc)
-	writeScalarFamily(&b, "gcao_native_skew_ratio", "gauge",
-		"Compute skew of the last profiled native run (max/mean compute per superstep; 1.0 is perfectly balanced), by compiler version.", "version", snap.nativeSkew)
-	writeScalarFamily(&b, "gcao_native_blocked_seconds_total", "counter",
-		"Seconds native processors spent blocked in sends, receive waits, barrier trees and SUM collectives, by compiler version.", "version", snap.nativeBlocked)
-	writeScalarFamily(&b, "gcao_native_fitted_l_seconds", "gauge",
-		"Per-superstep latency constant L fitted by least squares from the last calibrated native run, by compiler version.", "version", snap.nativeFitL)
-	writeScalarFamily(&b, "gcao_native_fitted_g_seconds_per_byte", "gauge",
-		"Inverse-bandwidth constant g fitted by least squares from the last calibrated native run, by compiler version.", "version", snap.nativeFitG)
-	writeScalarFamily(&b, "gcao_comm_lower_bound_bytes", "gauge",
-		"Placement-independent communication lower bound of the last compile, by routine.", "benchmark", snap.gapBound)
-	writeTwoLabelFamily(&b, "gcao_optimality_gap_ratio", "gauge",
-		"Latest traffic over the communication lower bound, by routine and compiler version.",
-		"benchmark", "version", snap.gapRatio)
-	if statsFn != nil {
-		writeCacheFamilies(&b, statsFn())
-	}
-	if srvFn != nil {
-		writeServerFamilies(&b, srvFn())
+	for id, f := range families {
+		switch {
+		case f.write != nil:
+			f.write(&b, snap)
+		case f.buckets != nil:
+			writeHistFamily(&b, f, snap.hists[id])
+		default:
+			writeScalarFamily(&b, f, snap.vals[id])
+		}
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }
 
-// writeCacheFamilies renders the compilation-cache tiers as the
-// gcao_cache_* families, labeled by tier.
-func writeCacheFamilies(b *strings.Builder, tiers []CacheTierStats) {
-	if len(tiers) == 0 {
+func writeBuildInfo(b *strings.Builder, snap *registrySnapshot) {
+	if snap.buildInfo == "" {
 		return
 	}
-	hits := map[string]int64{}
-	misses := map[string]int64{}
-	waits := map[string]int64{}
-	evictions := map[string]int64{}
-	entries := map[string]int64{}
-	bytes := map[string]int64{}
-	for _, t := range tiers {
-		hits[t.Tier] = t.Hits
-		misses[t.Tier] = t.Misses
-		waits[t.Tier] = t.InflightWaits
-		evictions[t.Tier] = t.Evictions
-		entries[t.Tier] = int64(t.Entries)
-		bytes[t.Tier] = t.Bytes
-	}
-	writeScalarFamily(b, "gcao_cache_hits_total", "counter",
-		"Compilation cache lookups served from a resident entry, by tier.", "tier", hits)
-	writeScalarFamily(b, "gcao_cache_misses_total", "counter",
-		"Compilation cache lookups that computed the value, by tier.", "tier", misses)
-	writeScalarFamily(b, "gcao_cache_inflight_waits_total", "counter",
-		"Lookups coalesced onto a concurrent identical computation (singleflight), by tier.", "tier", waits)
-	writeScalarFamily(b, "gcao_cache_evictions_total", "counter",
-		"Entries evicted to respect the entry or byte bound, by tier.", "tier", evictions)
-	writeScalarFamily(b, "gcao_cache_entries", "gauge",
-		"Entries resident in the compilation cache, by tier.", "tier", entries)
-	writeScalarFamily(b, "gcao_cache_bytes", "gauge",
-		"Estimated bytes resident in the compilation cache, by tier.", "tier", bytes)
+	fmt.Fprintf(b, "# HELP gcao_build_info Build identity; constant 1 labeled by version.\n# TYPE gcao_build_info gauge\n")
+	fmt.Fprintf(b, "gcao_build_info{version=%s} 1\n", quoteLabel(snap.buildInfo))
 }
 
-func writeScalarFamily[V int64 | float64](b *strings.Builder, name, typ, help, label string, samples map[string]V) {
+// writeGapRatio renders the two-label optimality-gap family, both
+// labels in sorted order (benchmark, then version). The ratio is derived
+// here from the snapshot's bound and actual bytes, copied under one
+// lock, so a sample always reflects one consistent (bound, actual) pair.
+func writeGapRatio(b *strings.Builder, snap *registrySnapshot) {
+	const name = "gcao_optimality_gap_ratio"
+	header := false
+	for _, bench := range sortedKeys(snap.gapActual) {
+		bound := snap.vals[famLowerBound][bench]
+		if bound <= 0 {
+			continue
+		}
+		if !header {
+			header = true
+			fmt.Fprintf(b, "# HELP %s Latest traffic over the communication lower bound, by routine and compiler version.\n# TYPE %s gauge\n", name, name)
+		}
+		for _, ver := range sortedKeys(snap.gapActual[bench]) {
+			fmt.Fprintf(b, "%s{benchmark=%s,version=%s} %s\n",
+				name, quoteLabel(bench), quoteLabel(ver), formatValue(snap.gapActual[bench][ver]/bound))
+		}
+	}
+}
+
+// writeCacheFamilies renders the serving layer's cache tiers as the
+// gcao_cache_* families, labeled by tier and sampled through the
+// registered callback at scrape time.
+func writeCacheFamilies(b *strings.Builder, snap *registrySnapshot) {
+	if snap.cacheStats == nil {
+		return
+	}
+	tiers := snap.cacheStats()
+	column := func(name, typ, help string, value func(CacheTierStats) int64) {
+		samples := make(map[string]int64, len(tiers))
+		for _, t := range tiers {
+			samples[t.Tier] = value(t)
+		}
+		writeScalarFamily(b, family{name: name, typ: typ, help: help, label: "tier"}, samples)
+	}
+	column("gcao_cache_hits_total", "counter", "Compilation cache lookups served from a resident entry, by tier.",
+		func(t CacheTierStats) int64 { return t.Hits })
+	column("gcao_cache_misses_total", "counter", "Compilation cache lookups that computed the value, by tier.",
+		func(t CacheTierStats) int64 { return t.Misses })
+	column("gcao_cache_inflight_waits_total", "counter", "Lookups coalesced onto a concurrent identical computation (singleflight), by tier.",
+		func(t CacheTierStats) int64 { return t.InflightWaits })
+	column("gcao_cache_evictions_total", "counter", "Entries evicted to respect the entry or byte bound, by tier.",
+		func(t CacheTierStats) int64 { return t.Evictions })
+	column("gcao_cache_entries", "gauge", "Entries resident in the compilation cache, by tier.",
+		func(t CacheTierStats) int64 { return int64(t.Entries) })
+	column("gcao_cache_bytes", "gauge", "Estimated bytes resident in the compilation cache, by tier.",
+		func(t CacheTierStats) int64 { return t.Bytes })
+}
+
+func writeScalarFamily[V int64 | float64](b *strings.Builder, f family, samples map[string]V) {
 	if len(samples) == 0 {
 		return
 	}
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
 	for _, k := range sortedKeys(samples) {
-		fmt.Fprintf(b, "%s{%s=%s} %s\n", name, label, quoteLabel(k), formatValue(float64(samples[k])))
+		fmt.Fprintf(b, "%s{%s=%s} %s\n", f.name, f.label, quoteLabel(k), formatValue(float64(samples[k])))
 	}
 }
 
-// writeTwoLabelFamily renders a family whose samples carry two labels,
-// both in sorted order (outer, then inner), so the exposition stays
-// byte-deterministic.
-func writeTwoLabelFamily(b *strings.Builder, name, typ, help, outer, inner string, samples map[string]map[string]float64) {
-	n := 0
-	for _, m := range samples {
-		n += len(m)
-	}
-	if n == 0 {
-		return
-	}
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	for _, k1 := range sortedKeys(samples) {
-		for _, k2 := range sortedKeys(samples[k1]) {
-			fmt.Fprintf(b, "%s{%s=%s,%s=%s} %s\n",
-				name, outer, quoteLabel(k1), inner, quoteLabel(k2), formatValue(samples[k1][k2]))
-		}
-	}
-}
-
-func writeHistFamily(b *strings.Builder, name, help, label string, hists map[string]*Histogram) {
+func writeHistFamily(b *strings.Builder, f family, hists map[string]*Histogram) {
 	if len(hists) == 0 {
 		return
 	}
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", f.name, f.help, f.name)
 	for _, k := range sortedKeys(hists) {
 		h := hists[k]
 		cum := h.Cumulative()
-		bounds := h.Bounds()
 		lv := quoteLabel(k)
-		for i, bound := range bounds {
-			fmt.Fprintf(b, "%s_bucket{%s=%s,le=\"%s\"} %d\n", name, label, lv, formatValue(bound), cum[i])
+		for i, bound := range h.Bounds() {
+			fmt.Fprintf(b, "%s_bucket{%s=%s,le=\"%s\"} %d\n", f.name, f.label, lv, formatValue(bound), cum[i])
 		}
-		fmt.Fprintf(b, "%s_bucket{%s=%s,le=\"+Inf\"} %d\n", name, label, lv, cum[len(cum)-1])
-		fmt.Fprintf(b, "%s_sum{%s=%s} %s\n", name, label, lv, formatValue(h.Sum()))
-		fmt.Fprintf(b, "%s_count{%s=%s} %d\n", name, label, lv, h.Count())
+		fmt.Fprintf(b, "%s_bucket{%s=%s,le=\"+Inf\"} %d\n", f.name, f.label, lv, cum[len(cum)-1])
+		fmt.Fprintf(b, "%s_sum{%s=%s} %s\n", f.name, f.label, lv, formatValue(h.Sum()))
+		fmt.Fprintf(b, "%s_count{%s=%s} %d\n", f.name, f.label, lv, h.Count())
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gcao/internal/native/prof"
 )
 
 func TestHistogramBuckets(t *testing.T) {
@@ -118,9 +120,9 @@ func TestRegistryObserveBytes(t *testing.T) {
 
 func TestRegistryObserveNativeExec(t *testing.T) {
 	reg := NewRegistry()
-	reg.ObserveNativeExec("comb", NativeExecSample{Seconds: 0.012, Messages: 96, WireBytes: 4096, Hops: 12, AllocBytes: 0})
-	reg.ObserveNativeExec("comb", NativeExecSample{Seconds: 0.014, Messages: 96, WireBytes: 4096, Hops: 12, AllocBytes: 512})
-	reg.ObserveNativeExec("orig", NativeExecSample{Seconds: 0.020, Messages: 480, WireBytes: 20480, Hops: 60, AllocBytes: 2048})
+	reg.ObserveNativeExec("comb", prof.RunStats{ElapsedSeconds: 0.012, Messages: 96, WireBytes: 4096, Hops: 12, AllocBytes: 0}, nil)
+	reg.ObserveNativeExec("comb", prof.RunStats{ElapsedSeconds: 0.014, Messages: 96, WireBytes: 4096, Hops: 12, AllocBytes: 512}, nil)
+	reg.ObserveNativeExec("orig", prof.RunStats{ElapsedSeconds: 0.020, Messages: 480, WireBytes: 20480, Hops: 60, AllocBytes: 2048}, nil)
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -161,16 +163,14 @@ func TestRegistryObserveNativeExec(t *testing.T) {
 
 func TestRegistryObserveNativeProfiled(t *testing.T) {
 	reg := NewRegistry()
-	reg.ObserveNativeExec("comb", NativeExecSample{
-		Seconds: 0.012, Messages: 96, WireBytes: 4096,
-		SkewRatio: 1.25, BlockedSeconds: 0.004,
-		FittedL: 42e-6, FittedG: 0.9e-9, Calibrated: true,
-	})
-	reg.ObserveNativeExec("comb", NativeExecSample{
-		Seconds: 0.013, Messages: 96, WireBytes: 4096,
-		SkewRatio: 1.5, BlockedSeconds: 0.006,
-		FittedL: 40e-6, FittedG: 1.1e-9, Calibrated: true,
-	})
+	reg.ObserveNativeExec("comb",
+		prof.RunStats{ElapsedSeconds: 0.012, Messages: 96, WireBytes: 4096},
+		&prof.NativeProfile{SkewRatio: 1.25, BlockedSeconds: 0.004,
+			Calib: &prof.Calibration{FittedL: 42e-6, FittedG: 0.9e-9}})
+	reg.ObserveNativeExec("comb",
+		prof.RunStats{ElapsedSeconds: 0.013, Messages: 96, WireBytes: 4096},
+		&prof.NativeProfile{SkewRatio: 1.5, BlockedSeconds: 0.006,
+			Calib: &prof.Calibration{FittedL: 40e-6, FittedG: 1.1e-9}})
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -191,6 +191,45 @@ func TestRegistryObserveNativeProfiled(t *testing.T) {
 	}
 	if !strings.Contains(text, `gcao_native_fitted_g_seconds_per_byte{version="comb"} 1.1e-09`) {
 		t.Fatalf("fitted g gauge missing or stale:\n%s", text)
+	}
+}
+
+// TestRegistryObserveNativeUnusableFit: a calibration that measured
+// nothing — no spread in h, or steps whose site disagrees with the
+// model's — is never exported as L and g, whatever numbers it carries.
+// The run's own measurements still are, and a version's earlier good fit
+// stays.
+func TestRegistryObserveNativeUnusableFit(t *testing.T) {
+	reg := NewRegistry()
+	run := prof.RunStats{ElapsedSeconds: 0.012, Messages: 96, WireBytes: 4096}
+	reg.ObserveNativeExec("nored", run, &prof.NativeProfile{SkewRatio: 1.25,
+		Calib: &prof.Calibration{Degenerate: true, FittedL: 7, FittedG: 7}})
+	reg.ObserveNativeExec("orig", run, &prof.NativeProfile{SkewRatio: 1.5,
+		Calib: &prof.Calibration{Mismatched: 2, FittedL: 7, FittedG: 7}})
+	reg.ObserveNativeExec("comb", run, &prof.NativeProfile{SkewRatio: 2,
+		Calib: &prof.Calibration{FittedL: 40e-6, FittedG: 1.1e-9}})
+	reg.ObserveNativeExec("comb", run, &prof.NativeProfile{SkewRatio: 3,
+		Calib: &prof.Calibration{Degenerate: true, FittedL: 7, FittedG: 7}})
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	for _, want := range []string{
+		`gcao_native_skew_ratio{version="nored"} 1.25`,
+		`gcao_native_skew_ratio{version="orig"} 1.5`,
+		`gcao_native_skew_ratio{version="comb"} 3`,
+		`gcao_native_fitted_l_seconds{version="comb"} 4e-05`,
+		`gcao_native_fitted_g_seconds_per_byte{version="comb"} 1.1e-09`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("missing %s", want)
+		}
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "gcao_native_fitted_") && !strings.Contains(line, `version="comb"`) {
+			t.Errorf("unusable fit exported: %s", line)
+		}
 	}
 }
 

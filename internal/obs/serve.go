@@ -27,8 +27,12 @@ func (g *Registry) ObserveHTTP(route string, code int, seconds float64) {
 		g.httpReq[route] = codes
 	}
 	codes[strconv.Itoa(code)]++
-	g.histLocked(g.httpLat, route, LatencyBuckets).Observe(seconds)
+	g.hist(famHTTPSeconds, route).Observe(seconds)
 }
+
+// queueWaitPool is the one label value of gcao_queue_wait_seconds: the
+// daemon has a single scheduler pool.
+const queueWaitPool = "compile"
 
 // ObserveQueueWait records one job's scheduler admission-queue wait
 // into the gcao_queue_wait_seconds histogram.
@@ -38,7 +42,7 @@ func (g *Registry) ObserveQueueWait(seconds float64) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.queueWait.Observe(seconds)
+	g.hist(famQueueWait, queueWaitPool).Observe(seconds)
 }
 
 // SetBuildInfo sets the version label of the constant
@@ -98,9 +102,10 @@ func (g *Registry) HTTPRouteStats() []RouteStat {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]RouteStat, 0, len(g.httpLat))
-	for _, route := range sortedKeys(g.httpLat) {
-		h := g.httpLat[route]
+	lat := g.hists[famHTTPSeconds]
+	out := make([]RouteStat, 0, len(lat))
+	for _, route := range sortedKeys(lat) {
+		h := lat[route]
 		out = append(out, RouteStat{
 			Route: route,
 			Count: h.Count(),
@@ -135,30 +140,33 @@ func (g *Registry) QueueWaitQuantile(q float64) float64 {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.queueWait.Quantile(q)
+	return g.hists[famQueueWait][queueWaitPool].Quantile(q)
 }
 
-// writeHTTPFamilies renders the RED families: the two-label request
-// counter (route-major, code-minor order — deterministic) and the
-// per-route latency histogram.
-func writeHTTPFamilies(b *strings.Builder, req map[string]map[string]int64, lat map[string]*Histogram) {
-	if len(req) > 0 {
-		fmt.Fprintf(b, "# HELP gcao_http_requests_total HTTP requests served, by route and status code.\n# TYPE gcao_http_requests_total counter\n")
-		for _, route := range sortedKeys(req) {
-			codes := req[route]
-			for _, code := range sortedKeys(codes) {
-				fmt.Fprintf(b, "gcao_http_requests_total{code=%s,route=%s} %d\n",
-					quoteLabel(code), quoteLabel(route), codes[code])
-			}
+// writeHTTPRequests renders the two-label request counter (route-major,
+// code-minor order — deterministic).
+func writeHTTPRequests(b *strings.Builder, snap *registrySnapshot) {
+	if len(snap.httpReq) == 0 {
+		return
+	}
+	fmt.Fprintf(b, "# HELP gcao_http_requests_total HTTP requests served, by route and status code.\n# TYPE gcao_http_requests_total counter\n")
+	for _, route := range sortedKeys(snap.httpReq) {
+		codes := snap.httpReq[route]
+		for _, code := range sortedKeys(codes) {
+			fmt.Fprintf(b, "gcao_http_requests_total{code=%s,route=%s} %d\n",
+				quoteLabel(code), quoteLabel(route), codes[code])
 		}
 	}
-	writeHistFamily(b, "gcao_http_request_seconds",
-		"HTTP request latency in seconds, by route.", "route", lat)
 }
 
 // writeServerFamilies renders the scrape-time serving gauges and the
-// per-outcome scheduler job counter.
-func writeServerFamilies(b *strings.Builder, st ServerStats) {
+// per-outcome scheduler job counter, sampled through the registered
+// callback.
+func writeServerFamilies(b *strings.Builder, snap *registrySnapshot) {
+	if snap.serverStats == nil {
+		return
+	}
+	st := snap.serverStats()
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", name, help, name, name, formatValue(v))
 	}
@@ -168,12 +176,6 @@ func writeServerFamilies(b *strings.Builder, st ServerStats) {
 	gauge("gcao_jobs_active", "Jobs currently running on scheduler workers.", float64(st.ActiveJobs))
 	gauge("gcao_pool_workers", "Scheduler worker goroutines.", float64(st.Workers))
 	gauge("gcao_job_avg_service_seconds", "EWMA of per-job service time in seconds.", st.AvgServiceSeconds)
-	if len(st.JobOutcomes) > 0 {
-		outcomes := make(map[string]int64, len(st.JobOutcomes))
-		for k, v := range st.JobOutcomes {
-			outcomes[k] = v
-		}
-		writeScalarFamily(b, "gcao_sched_jobs_total", "counter",
-			"Scheduler jobs by final outcome.", "outcome", outcomes)
-	}
+	writeScalarFamily(b, family{name: "gcao_sched_jobs_total", typ: "counter", label: "outcome",
+		help: "Scheduler jobs by final outcome."}, st.JobOutcomes)
 }

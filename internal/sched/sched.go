@@ -13,7 +13,9 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,6 +28,24 @@ var ErrQueueFull = errors.New("sched: admission queue full")
 // ErrClosed is returned for jobs still queued when the pool shuts
 // down, and for submissions after Close.
 var ErrClosed = errors.New("sched: pool closed")
+
+// PanicError is the error of a job whose task panicked on a pool
+// worker: the panic value's text, and the worker goroutine's stack at
+// the point of the panic for whoever debugs it. The worker survives.
+type PanicError struct {
+	Value string
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return "sched: task panicked: " + e.Value }
+
+// Recovered wraps what a deferred recover() returned, with the stack of
+// the goroutine it is called on. The pool calls it for its workers; a
+// task that starts goroutines of its own calls it for those, which no
+// recover on the worker can reach.
+func Recovered(r any) *PanicError {
+	return &PanicError{Value: fmt.Sprint(r), Stack: debug.Stack()}
+}
 
 // Task is one unit of work; the context carries the request deadline.
 type Task func(ctx context.Context) (any, error)
@@ -121,7 +141,7 @@ func (p *Pool) run(j *job) {
 	}
 	p.active.Add(1)
 	start := time.Now()
-	v, err := j.fn(j.ctx)
+	v, err := j.call()
 	p.observeService(time.Since(start))
 	p.active.Add(-1)
 	if err != nil {
@@ -130,6 +150,19 @@ func (p *Pool) run(j *job) {
 		p.completed.Add(1)
 	}
 	j.out <- result{v, err}
+}
+
+// call runs the job's task and contains a panic into a *PanicError:
+// analysis, placement and lowering keep invariant panics, and a request
+// that trips one must fail alone instead of taking the process and
+// every other request down with it.
+func (j *job) call() (v any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			v, err = nil, Recovered(r)
+		}
+	}()
+	return j.fn(j.ctx)
 }
 
 // observeService folds one job's run time into the service-time EWMA.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -368,4 +369,42 @@ func TestAvgServiceEWMA(t *testing.T) {
 		t.Fatalf("drain estimate = %v, want %v", got, want)
 	}
 	p.queued.Store(0)
+}
+
+// TestPanickingTaskIsContained: a task that panics on a worker fails
+// alone — its caller gets a *PanicError with the panic text and the
+// stack, it counts as failed, active returns to zero, and the same
+// (single) worker goes on to serve every other job, through Submit and
+// through Batch.
+func TestPanickingTaskIsContained(t *testing.T) {
+	p := New(1, 8)
+	defer p.Close()
+	ok := func(context.Context) (any, error) { return "ok", nil }
+	boom := func(context.Context) (any, error) { panic("section: rank mismatch") }
+
+	_, err := p.Submit(context.Background(), boom)
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Submit of a panicking task = %v, want a *PanicError", err)
+	}
+	if pe.Value != "section: rank mismatch" || !strings.Contains(err.Error(), pe.Value) {
+		t.Errorf("panic text lost: value %q, error %q", pe.Value, err)
+	}
+	if !strings.Contains(string(pe.Stack), "TestPanickingTaskIsContained") {
+		t.Errorf("stack does not reach the panicking task:\n%s", pe.Stack)
+	}
+	if v, err := p.Submit(context.Background(), ok); err != nil || v != "ok" {
+		t.Fatalf("Submit after a panic = %v, %v: the worker did not survive", v, err)
+	}
+
+	results := p.Batch(context.Background(), []BatchTask{{Run: ok}, {Run: boom}, {Run: ok}, {Run: boom}, {Run: ok}})
+	for i, r := range results {
+		if panics := i%2 == 1; panics != errors.As(r.Err, &pe) || (!panics && r.Value != "ok") {
+			t.Errorf("batch item %d = %v, %v", i, r.Value, r.Err)
+		}
+	}
+	st := p.Stats()
+	if st.Submitted != 7 || st.Completed != 4 || st.Failed != 3 || st.Active != 0 || st.Queued != 0 {
+		t.Fatalf("stats after contained panics = %+v", st)
+	}
 }
