@@ -104,11 +104,12 @@ obs-smoke:
 # the shallow benchmark, run it as real goroutines, verify bit-for-bit
 # against the BSP simulator from the command line, then run the
 # exhaustive native-vs-simulator matrix and the oversubscription
-# regression test. Finally it measures the steady-state allocation
-# benchmark (gravity, P=16, engine reuse) and fails if allocs/op
-# exceeds the checked-in budget in ci/native-alloc-budget.txt — the
-# recycled message fabric is the point of the backend, so a hot path
-# that starts allocating again is a regression.
+# regression test. Finally it measures the two steady-state allocation
+# benchmarks (gravity and shallow × 40 steps, P=16, engine reuse) and
+# fails if the allocs/op of either exceeds the checked-in budget in
+# ci/native-alloc-budget.txt — a warm run packs into the pairs' rings and
+# replays its schedules, so a hot path that starts allocating again is a
+# regression.
 native-smoke:
 	@mkdir -p out
 	$(GO) run ./cmd/runbench -functional -backend native -fig b | tee out/native-smoke.txt
@@ -116,7 +117,7 @@ native-smoke:
 	@n=$$(grep -c 'native ok, bit-identical to simulator' out/native-smoke.txt); \
 	[ "$$n" -ge 6 ] || { echo "native-smoke: only $$n of 6 benchmarks verified"; exit 1; }
 	$(GO) test ./internal/native -run 'TestNativeMatchesSimulator|TestNativeOversubscription' -count=1
-	@GO="$(GO)" sh ci/alloc-budget.sh BenchmarkNativeAlloc ci/native-alloc-budget.txt native-smoke
+	@GO="$(GO)" sh ci/alloc-budget.sh 'BenchmarkNative(Alloc|Comm)$$' ci/native-alloc-budget.txt native-smoke
 	@echo "native-smoke: ok"
 
 # nativeprof-smoke proves the native runtime profiler end to end:

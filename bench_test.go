@@ -493,26 +493,7 @@ func BenchmarkParallelSimulation(b *testing.B) {
 // allocating per call again show up as thousands of allocations long
 // before they show in milliseconds.
 func BenchmarkSimVerify(b *testing.B) {
-	pr, err := bench.ByName("hydflo", "flux")
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := parser.ParseRoutine(pr.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
-	u, err := sem.Analyze(r, map[string]int{"n": 16, "steps": 4}, sem.Options{Procs: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	a, err := core.NewAnalysis(u)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := a.Place(core.Options{Version: core.VersionCombine})
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := placeComb(b, "hydflo", "flux", map[string]int{"n": 16, "steps": 4}, 16)
 	m := machine.SP2()
 	for _, run := range []struct {
 		name    string
@@ -529,17 +510,24 @@ func BenchmarkSimVerify(b *testing.B) {
 	}
 }
 
-// warmGravityEngine prepares the native hot point every native
-// benchmark below measures — gravity under comb — and runs it once, so
-// the timed loop sees recycled message buffers and sized scratch, with
-// setup (memory image, plan, lowering, fabric) excluded.
-func warmGravityEngine(b *testing.B, n, procs int) *native.Engine {
+// placeComb compiles one benchmark routine under the given parameter
+// binding — the repository benchmark's workloads use bindings the
+// Program's own Params(n) does not produce — and places it under comb.
+func placeComb(b *testing.B, benchName, routine string, params map[string]int, procs int) *core.Result {
 	b.Helper()
-	pr, err := bench.ByName("gravity", "main")
+	pr, err := bench.ByName(benchName, routine)
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := pr.Compile(n, procs)
+	r, err := parser.ParseRoutine(pr.Source)
+	if err != nil {
+		b.Fatal(err)
+	}
+	u, err := sem.Analyze(r, params, sem.Options{Procs: procs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := core.NewAnalysis(u)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -547,7 +535,16 @@ func warmGravityEngine(b *testing.B, n, procs int) *native.Engine {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := native.NewEngine(res, procs)
+	return res
+}
+
+// warmEngine prepares a native engine for one benchmark's main routine
+// under comb and runs it once, so the timed loop sees grown message
+// buffers and sized scratch, with setup (memory image, plan, lowering,
+// fabric) excluded.
+func warmEngine(b *testing.B, benchName string, params map[string]int, procs int) *native.Engine {
+	b.Helper()
+	eng, err := native.NewEngine(placeComb(b, benchName, "main", params, procs), procs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -555,6 +552,13 @@ func warmGravityEngine(b *testing.B, n, procs int) *native.Engine {
 		b.Fatal(err)
 	}
 	return eng
+}
+
+// warmGravityEngine is the native hot point most native benchmarks
+// below measure: gravity n³, one step.
+func warmGravityEngine(b *testing.B, n, procs int) *native.Engine {
+	b.Helper()
+	return warmEngine(b, "gravity", map[string]int{"nx": n, "ny": n, "nz": n, "steps": 1}, procs)
 }
 
 // BenchmarkNativeExecution measures the native goroutine backend on
@@ -593,6 +597,23 @@ func BenchmarkNativeExecution(b *testing.B) {
 // native-smoke` enforces with -benchmem.
 func BenchmarkNativeAlloc(b *testing.B) {
 	eng := warmGravityEngine(b, 48, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNativeComm is the repository benchmark's native-comm op
+// under `go test`: shallow n=16, 40 steps, P=16 under comb on a warm
+// engine — blocks of 4 × 4 and 3,840 messages, so the fabric, the
+// exchange geometry and the nest entries set the time, not the kernels.
+// `make native-smoke` holds its allocs/op to the same
+// ci/native-alloc-budget.txt as BenchmarkNativeAlloc.
+func BenchmarkNativeComm(b *testing.B) {
+	eng := warmEngine(b, "shallow", map[string]int{"n": 16, "steps": 40}, 16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,35 +1,57 @@
 package native
 
-// The channel protocol. Every transfer is a blocking operation on a
-// capacity-1 channel guarded by the engine's done latch, so the
-// backend never spins: at any GOMAXPROCS (including 1) the Go
-// scheduler parks blocked processors and progress is guaranteed as
-// long as both endpoints of each pair agree on the per-pair message
-// sequence — which the replicated CFG walk guarantees, since every
-// processor executes the same communication groups at the same program
-// points in the same order.
+// The channel protocol. Every transfer is a plain blocking operation on
+// the pair's capacity-1 channel — ch <- buf, <-ch — followed by one load
+// of the engine's failed flag. Nothing polls and nothing selects: at any
+// GOMAXPROCS (including 1) the Go scheduler parks blocked processors, and
+// progress is guaranteed as long as both endpoints of each pair agree on
+// the per-pair message sequence — which the replicated CFG walk
+// guarantees, since every processor executes the same communication
+// groups at the same program points in the same order.
 //
-// Buffer lifecycle (zero allocation in steady state). Alongside every
-// data channel src→dst rides a recycle channel dst→src. A send
-// transfers ownership of the payload slice to the receiver; once the
-// receiver has fully consumed the message it returns the slice through
-// the recycle channel, and the sender's next getBuf reuses it. At most
-// three buffers are ever outstanding per pair (one being consumed, one
-// queued in the capacity-1 data channel, one being filled); if a slice
-// is ever too small it is replaced by a larger one. Initial capacities
-// come from the plan's per-group payload bounds, and after a completed
-// run the engine tops every used pair up to three buffers of the
-// largest size it needed (settlePools), so a repeat run allocates
-// nothing whatever its timing.
+// Buffer lifecycle (zero allocation in steady state). The payloads of a
+// directed pair live in a ring of three slices its sender owns (link):
+// message k is packed into slot k mod 3, counting from 0 in every run,
+// and a slot is replaced only when it is too small. Initial capacities
+// come from the plan's per-group payload bounds, and since a repeat of a
+// run sends the same sequence through the same slots it allocates
+// nothing, whatever the timing. No buffer is ever handed back: the
+// channel's own ordering is the hand-over. The receiver is done with
+// message k before it receives k+1 (it keeps no reference past its next
+// receive from the pair); that receive happens before the send of k+2
+// completes (capacity 1); the sender fills k+3, the slot's next tenant,
+// only after that send.
+//
+// Failure protocol. engine.fail — the single way a run stops early, and
+// what a context's cancellation would call — records the first error,
+// sets the flag and starts the reaper, which sweeps the pairs until the
+// last processor has left: a non-blocking receive completes a parked
+// send, a non-blocking nil send wakes a parked receive. Every processor
+// is either computing towards its next channel operation, after which it
+// reads the flag, or parked in one, which the next sweep completes and
+// after which it reads the flag; either way it returns the error without
+// touching what it received (which may be the reaper's nil, or a message
+// out of sequence) and without another channel operation, so the run
+// ends, Run waits for the reaper, and the reaper's last sweep leaves the
+// channels empty. The data channels are never closed (a close races with
+// a concurrent send) and no operation selects on a shared done channel
+// (a two-case select locks the pair's channel and the one channel all P
+// goroutines share, on every message of every successful run). For the
+// rings a failure changes one step of the argument: the reaper may take
+// k+1 in the receiver's place, while the receiver still reads k — but
+// the send of k+2 that lets complete is followed by the flag load, and
+// the sender never fills k+3.
 //
 // Per group kind:
 //
-//   - exchange (KindShift): each processor derives the element list of
-//     the ghost strip from its own loop environment — sender and
-//     receiver compute identical lists because the concretized entry
-//     sections and the region filters are pure functions of shared
-//     state — and one message per neighbour pair carries the packed
-//     strip (combining realized literally). Validity travels as a
+//   - exchange (KindShift): each processor derives the run lists of
+//     the strips it sends and receives from its own loop environment —
+//     sender and receiver compute identical lists because the
+//     concretized entry sections and the strip geometry are pure
+//     functions of shared state — keeps them as the exchange's schedule
+//     while the slots the sections read do not move, and one message per
+//     neighbour pair carries the packed strip (combining realized
+//     literally). Validity travels as a
 //     packed bitmap trailer (one bit per strip element) instead of a
 //     flag word per element, so only the elements the sender holds
 //     current occupy payload words: the wire format is
@@ -67,86 +89,71 @@ import (
 	"gcao/internal/section"
 )
 
-// send transfers ownership of a payload to dst, counting the message
-// and its wire words at the sender. A nil channel for the pair is a
-// protocol bug, not a user error. The sender must not touch buf again
-// until it comes back through the pair's recycle channel.
+// send passes a payload (or a nil barrier token) to dst, counting the
+// message and its wire words at the sender. A missing pair is a protocol
+// bug, not a user error. The sender writes buf again only as the slot's
+// next tenant (see link).
 func (pc *proc) send(dst int, buf []float64) error {
-	ch := pc.eng.ch[dst][pc.p]
-	if ch == nil {
+	l := pc.eng.link[dst][pc.p]
+	if l == nil {
 		return fmt.Errorf("native: no channel %d→%d (protocol bug)", pc.p, dst)
 	}
 	var t0 int64
 	if pc.ring != nil {
 		t0 = pc.nowNS()
 	}
-	select {
-	case ch <- buf:
-		pc.msgs++
-		pc.wire += int64(8 * len(buf))
-		if pc.ring != nil {
-			pc.ring.Record(prof.Event{
-				Start: t0, Dur: pc.nowNS() - t0,
-				Step: pc.evStep, Site: pc.evSite, Phase: pc.evSend,
-			})
-		}
-		return nil
-	case <-pc.eng.done:
+	l.ch <- buf
+	if pc.eng.failed.Load() {
 		return pc.eng.err()
 	}
+	pc.msgs++
+	pc.wire += int64(8 * len(buf))
+	if pc.ring != nil {
+		pc.ring.Record(prof.Event{
+			Start: t0, Dur: pc.nowNS() - t0,
+			Step: pc.evStep, Site: pc.evSite, Phase: pc.evSend,
+		})
+	}
+	return nil
 }
 
+// recv takes the pair's next message from src. The payload is the
+// receiver's to read until its next receive from src.
 func (pc *proc) recv(src int) ([]float64, error) {
-	ch := pc.eng.ch[pc.p][src]
-	if ch == nil {
+	l := pc.eng.link[pc.p][src]
+	if l == nil {
 		return nil, fmt.Errorf("native: no channel %d→%d (protocol bug)", src, pc.p)
 	}
 	var t0 int64
 	if pc.ring != nil {
 		t0 = pc.nowNS()
 	}
-	select {
-	case buf := <-ch:
-		if pc.ring != nil {
-			pc.ring.Record(prof.Event{
-				Start: t0, Dur: pc.nowNS() - t0,
-				Step: pc.evStep, Site: pc.evSite, Phase: pc.evRecv,
-			})
-		}
-		return buf, nil
-	case <-pc.eng.done:
+	buf := <-l.ch
+	if pc.eng.failed.Load() {
 		return nil, pc.eng.err()
 	}
+	if pc.ring != nil {
+		pc.ring.Record(prof.Event{
+			Start: t0, Dur: pc.nowNS() - t0,
+			Step: pc.evStep, Site: pc.evSite, Phase: pc.evRecv,
+		})
+	}
+	return buf, nil
 }
 
-// getBuf returns an empty payload slice for a message to dst: the
-// pair's recycled buffer when one is available, a fresh allocation
-// (counted in Stats.AllocBytes) only when the pool is empty or the
-// recycled slice is too small for need.
+// getBuf returns an empty payload slice of capacity need or more for the
+// processor's next message to dst: the pair's next slot, replaced by a
+// fresh allocation (counted in Stats.AllocBytes) only when it is too
+// small. need is an upper bound, so packing never outgrows the slot.
 func (pc *proc) getBuf(dst, need int) []float64 {
-	var buf []float64
-	select {
-	case buf = <-pc.eng.free[pc.p][dst]:
-	default:
-	}
-	if cap(buf) < need {
-		buf = make([]float64, 0, need)
+	l := pc.eng.link[dst][pc.p]
+	slot := &l.slot[l.next%len(l.slot)]
+	l.next++
+	if cap(*slot) < need {
+		*slot = make([]float64, 0, need)
 		pc.allocBytes += int64(8 * need)
-		return buf
 	}
-	return buf[:0]
-}
-
-// putBuf returns a fully consumed message from src to the pair's
-// recycle channel. The caller must hold no live reference into buf.
-func (pc *proc) putBuf(src int, buf []float64) {
-	if buf == nil {
-		return
-	}
-	select {
-	case pc.eng.free[src][pc.p] <- buf:
-	default:
-	}
+	return (*slot)[:0]
 }
 
 // barrier is a full synchronization over the binomial tree: completion
@@ -195,7 +202,6 @@ func (pc *proc) bcastValue(v float64) (float64, error) {
 			return 0, err
 		}
 		v = buf[0]
-		pc.putBuf(t.Parent[pc.p], buf)
 	}
 	for _, c := range t.Children[pc.p] {
 		b := pc.getBuf(c, 1)
@@ -262,45 +268,103 @@ func (pc *proc) execComm(c *plan.Comm) error {
 	return nil
 }
 
+// schedule is the geometry of one exchange on one processor: the runs
+// of its own rows that the strip it sends is packed from and the strip it
+// receives is unpacked into, in wire order. ArrayMem.StripRuns — the one
+// definition of a strip — enumerated them when the slots the entry
+// sections read held what key records. A strip is a function of (section,
+// receiver), so a time loop replays the lists; an exchange over a moving
+// section (gravity's planes) rebuilds them in place.
+type schedule struct {
+	key        []int
+	send, recv []stripRun
+	// ghost holds the received strips as sections, dims their descriptors:
+	// what an unpack adds to the processor's ghost hulls.
+	ghost []plan.Entry
+	dims  []section.Dim
+}
+
+// stripRun is one run of a strip: the processor's own elements and
+// validity flags at the run's offsets.
+type stripRun struct {
+	data  []float64
+	valid []bool
+}
+
+// schedule returns the exchange's current run lists, rebuilt if a slot
+// its sections read moved. dst and src are the neighbours the processor
+// sends to and receives from, -1 for none.
+func (pc *proc) schedule(op *plan.CommOp, dst, src int) *schedule {
+	sch := &pc.sched[op.Group.ID]
+	built := sch.key != nil
+	if !built {
+		sch.key = make([]int, len(op.Slots))
+	}
+	if pc.fr.Unchanged(op.Slots, sch.key) && built {
+		return sch
+	}
+	g := op.Group
+	sch.send, sch.recv, sch.ghost, sch.dims = sch.send[:0], sch.recv[:0], sch.ghost[:0], sch.dims[:0]
+	for _, es := range op.Concretize(pc.fr, &pc.entbuf) {
+		data, valid := es.Am.Data[pc.p], es.Am.Valid[pc.p]
+		if dst >= 0 {
+			es.Am.StripRuns(es.Sec, pc.p, es.ShiftDim, g.Map.Sign, g.Map.Width, pc.fr.Scratch, func(off, n int) {
+				sch.send = append(sch.send, stripRun{data[off : off+n], valid[off : off+n]})
+			})
+		}
+		if src >= 0 {
+			strip := es.Am.StripRuns(es.Sec, src, es.ShiftDim, g.Map.Sign, g.Map.Width, pc.fr.Scratch, func(off, n int) {
+				sch.recv = append(sch.recv, stripRun{data[off : off+n], valid[off : off+n]})
+			})
+			sch.dims = append(sch.dims, strip.Dims...)
+			sch.ghost = append(sch.ghost, plan.Entry{Am: es.Am, Sec: section.Section{Dims: sch.dims[len(sch.dims)-len(strip.Dims):]}})
+		}
+	}
+	return sch
+}
+
 // shiftExchange performs one ghost-strip exchange. Data moves from
 // grid coordinate c to c-sign along g.Map.GridDim: this processor
 // sends its strip to the neighbour at coordinate c-sign (if any) and
 // receives the neighbour strip from coordinate c+sign (if any). The
 // payload carries only the elements the sender holds current plus a
 // packed validity bitmap trailer, reproducing the simulator's rule
-// that only valid elements travel. Both legs enumerate a strip through
-// ArrayMem.StripRuns with the same arguments — the strip's sender —
-// and so visit the same list.
+// that only valid elements travel. Both legs read the exchange's
+// schedule, whose lists were enumerated with the same arguments — the
+// strip's sender — on both processors, and so visit the same elements.
 func (pc *proc) shiftExchange(op *plan.CommOp) error {
-	ents := op.Concretize(pc.fr, &pc.entbuf)
 	g := op.Group
-	gridDim, sign, width := g.Map.GridDim, g.Map.Sign, g.Map.Width
 	grid := pc.eng.pl.A.Unit.Grid
+	dst, src := -1, -1
+	if q, ok := grid.Neighbor(pc.p, g.Map.GridDim, -g.Map.Sign); ok {
+		dst = q
+	}
+	if q, ok := grid.Neighbor(pc.p, g.Map.GridDim, g.Map.Sign); ok {
+		src = q
+	}
+	sch := pc.schedule(op, dst, src)
 
 	// Send leg: pack the valid strip elements and the validity bitmap
 	// for the receiving neighbour. Wire format:
 	// [values...][bitmap words][element count].
-	if dst, ok := grid.Neighbor(pc.p, gridDim, -sign); ok {
+	if dst >= 0 {
 		payload := pc.getBuf(dst, op.Bound+op.Bound/64+2)
 		bits := pc.bitbuf[:0]
 		n := 0
-		for _, es := range ents {
-			data, valid := es.Am.Data[pc.p], es.Am.Valid[pc.p]
-			es.Am.StripRuns(es.Sec, pc.p, es.ShiftDim, sign, width, pc.fr.Scratch, func(off, m int) {
-				for i := off; i < off+m; i++ {
-					if n%64 == 0 {
-						bits = append(bits, 0)
-					}
-					if valid[i] {
-						bits[n/64] |= 1 << (n % 64)
-						payload = append(payload, data[i])
-						pc.bytes += 8
-					}
-					n++
+		for _, r := range sch.send {
+			for i, ok := range r.valid {
+				if n%64 == 0 {
+					bits = append(bits, 0)
 				}
-			})
+				if ok {
+					bits[n/64] |= 1 << (n % 64)
+					payload = append(payload, r.data[i])
+				}
+				n++
+			}
 		}
 		pc.bitbuf = bits
+		pc.bytes += int64(8 * len(payload))
 		for _, w := range bits {
 			payload = append(payload, math.Float64frombits(w))
 		}
@@ -311,8 +375,8 @@ func (pc *proc) shiftExchange(op *plan.CommOp) error {
 	}
 
 	// Receive leg: unpack the neighbour's strip into our own rows,
-	// consulting the bitmap trailer, then recycle the buffer.
-	if src, ok := grid.Neighbor(pc.p, gridDim, sign); ok {
+	// consulting the bitmap trailer.
+	if src >= 0 {
 		buf, err := pc.recv(src)
 		if err != nil {
 			return err
@@ -327,23 +391,22 @@ func (pc *proc) shiftExchange(op *plan.CommOp) error {
 			return fmt.Errorf("native: exchange %d→%d protocol mismatch: %d words cannot hold %d elements", src, pc.p, len(buf), n)
 		}
 		words := buf[nv : len(buf)-1]
+		for _, e := range sch.ghost {
+			e.Am.Delivered(pc.p, e.Sec)
+		}
 		k, vpos := 0, 0
-		for _, es := range ents {
-			data, valid := es.Am.Data[pc.p], es.Am.Valid[pc.p]
-			es.Am.StripRuns(es.Sec, src, es.ShiftDim, sign, width, pc.fr.Scratch, func(off, m int) {
-				for i := off; i < off+m; i++ {
-					if k < n && math.Float64bits(words[k/64])&(1<<uint(k%64)) != 0 {
-						data[i], valid[i] = buf[vpos], true
-						vpos++
-					}
-					k++
+		for _, r := range sch.recv {
+			for i := range r.valid {
+				if k < n && math.Float64bits(words[k/64])&(1<<uint(k%64)) != 0 {
+					r.data[i], r.valid[i] = buf[vpos], true
+					vpos++
 				}
-			})
+				k++
+			}
 		}
 		if k != n || vpos != nv {
 			return fmt.Errorf("native: exchange %d→%d protocol mismatch: %d/%d elements packed, %d/%d expected", src, pc.p, n, nv, k, vpos)
 		}
-		pc.putBuf(src, buf)
 	}
 	return nil
 }
@@ -356,12 +419,12 @@ func (pc *proc) shiftExchange(op *plan.CommOp) error {
 // the root sees every operand bit-exact. At the root, gatherUp carves
 // the child buffers into per-processor streams using cnt (the
 // element count each processor contributed, from the caller's own
-// section scan) and returns them; the caller must call releaseGather
-// once the streams are consumed. Non-roots return nil.
+// section scan) and returns them: they alias the children's messages,
+// which are the root's to read until its next receive from each child —
+// the next collective. Non-roots return nil.
 //
-// bound is a per-processor payload bound used to size the up-edge
-// buffer once; exceeding it grows the buffer one time, after which the
-// grown slice recycles.
+// bound is an upper bound of a whole subtree's payload, what the up-edge
+// slot is sized to.
 func (pc *proc) gatherUp(cnt []int, bound int) ([][]float64, error) {
 	t := pc.eng.pl.Tree
 	if pc.p != 0 {
@@ -373,22 +436,19 @@ func (pc *proc) gatherUp(cnt []int, bound int) ([][]float64, error) {
 				return nil, err
 			}
 			out = append(out, b...)
-			pc.putBuf(c, b)
 		}
 		pc.hops++
 		return nil, pc.send(t.Parent[pc.p], out)
 	}
-	// Root: keep the child buffers and index per-processor streams into
-	// them. streams[q] aliases a child buffer until releaseGather.
+	// Root: index per-processor streams into the child buffers. streams[q]
+	// aliases a child's message until the root's next receive from it.
 	streams := pc.streams
 	streams[0] = pc.minebuf
-	pc.childbufs = pc.childbufs[:0]
 	for _, c := range t.Children[0] {
 		b, err := pc.recv(c)
 		if err != nil {
 			return nil, err
 		}
-		pc.childbufs = append(pc.childbufs, b)
 		off := 0
 		for _, q := range t.Subtree(c) {
 			if off+cnt[q] > len(b) {
@@ -404,22 +464,12 @@ func (pc *proc) gatherUp(cnt []int, bound int) ([][]float64, error) {
 	return streams, nil
 }
 
-// releaseGather recycles the child buffers a root-side gatherUp left
-// in flight. No stream returned by gatherUp may be read afterwards.
-func (pc *proc) releaseGather() {
-	t := pc.eng.pl.Tree
-	for i, c := range t.Children[0] {
-		pc.putBuf(c, pc.childbufs[i])
-	}
-	pc.childbufs = pc.childbufs[:0]
-}
-
 // bcastDown broadcasts the root's assembled buffer down the tree: each
-// hop forwards a private copy to every child (ownership of a sent
-// buffer transfers to the receiver, so forwarding shares nothing),
-// then returns the received buffer for local consumption. The root
-// passes its own assembled slice; non-roots pass nil and receive.
-// Non-roots must putBuf the returned slice to their parent when done.
+// hop forwards a private copy to every child (packed into that pair's
+// own slot, so forwarding shares nothing), then returns the received
+// buffer for local consumption, the processor's to read until its next
+// receive from its parent. The root passes its own assembled slice;
+// non-roots pass nil and receive.
 func (pc *proc) bcastDown(full []float64) ([]float64, error) {
 	t := pc.eng.pl.Tree
 	if pc.p != 0 {
@@ -485,13 +535,13 @@ func (pc *proc) bcastGather(op *plan.CommOp) error {
 				pos[o] += n
 			})
 			pc.fullbuf = full
-			pc.releaseGather()
 		}
 		if full, err = pc.bcastDown(full); err != nil {
 			return err
 		}
 
 		k := 0
+		am.Delivered(pc.p, es.Sec)
 		am.OwnerRuns(es.Sec, pc.fr.Scratch, func(o, off, n int) {
 			if o != pc.p {
 				copy(am.Data[pc.p][off:off+n], full[k:k+n])
@@ -501,9 +551,6 @@ func (pc *proc) bcastGather(op *plan.CommOp) error {
 			}
 			k += n
 		})
-		if pc.p != 0 {
-			pc.putBuf(pc.eng.pl.Tree.Parent[pc.p], full)
-		}
 	}
 	return nil
 }
@@ -544,6 +591,5 @@ func (pc *proc) collectiveSum(sc *plan.Sum) (float64, error) {
 		}
 		pos[o] += n
 	})
-	pc.releaseGather()
 	return pc.bcastValue(total)
 }

@@ -659,3 +659,135 @@ func TestNativeOutOfRangeSubscriptIsError(t *testing.T) {
 		})
 	}
 }
+
+// oneFails is a program in which exactly one processor fails while its
+// peers are parked in the fabric. Processor 3 (of 4) alone has work in the
+// w nest, so the others run ahead; it alone owns a(n) and so alone
+// evaluates r(n + 1) in the guarded walk that follows. The peers need it
+// for everything after: the exchange of a (written by that walk, so
+// placed after it), then of c, then of d in the other direction, then a
+// SUM — processor 2 parks in its second send to 3, processor 1 in the
+// receive from 2 of the exchange after that, processor 0 in the SUM's
+// gather.
+const oneFails = `
+routine f(n, m)
+real a(n), c(n), d(n), e(n), w(n)
+real r(n)
+real x, s
+!hpf$ distribute (block) :: a, c, d, e, w
+do i = 1, n
+a(i) = i
+c(i) = 0
+d(i) = 0
+e(i) = 0
+w(i) = 0
+enddo
+do i = n, n
+do k = 1, m
+w(i) = w(i) + k
+enddo
+enddo
+do i = 1, n
+x = i
+a(i) = r(i + 1)
+enddo
+do i = 2, n
+c(i) = a(i - 1)
+enddo
+do i = 2, n
+d(i) = c(i - 1)
+enddo
+do i = 1, n - 1
+e(i) = d(i + 1)
+enddo
+s = sum(e(1:n))
+end
+`
+
+// TestNativeOneProcessorFails: one processor's error stops a run whose
+// other processors are parked in channel operations only it could have
+// completed — Run returns the positioned error within a bound, every
+// goroutine it started is gone when the count has settled (the reaper
+// included), and the engine runs again from a drained fabric to the same
+// error; at GOMAXPROCS=1 as well, where the reaper must yield to those it
+// releases.
+func TestNativeOneProcessorFails(t *testing.T) {
+	res := placeSrc(t, oneFails, map[string]int{"n": 12, "m": 20000}, 4)
+	for _, maxprocs := range []int{goruntime.GOMAXPROCS(0), 1} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", maxprocs), func(t *testing.T) {
+			defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(maxprocs))
+			eng, err := native.NewEngine(res, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := goruntime.NumGoroutine()
+			var first string
+			for run := 0; run < 20; run++ {
+				ran := make(chan error, 1)
+				go func() {
+					_, err := eng.Run()
+					ran <- err
+				}()
+				select {
+				case err = <-ran:
+				case <-time.After(30 * time.Second):
+					t.Fatalf("run %d: Run has not returned 30 s after one processor failed", run)
+				}
+				if err == nil {
+					t.Fatal("out-of-range subscript not reported")
+				}
+				if run == 0 {
+					first = err.Error()
+					for _, want := range []string{"native: processor 3 at ", "r: subscript 13 of dimension 1 outside the declared 1:12"} {
+						if !strings.Contains(first, want) {
+							t.Errorf("error %q lacks %q", first, want)
+						}
+					}
+				} else if err.Error() != first {
+					t.Fatalf("run %d on the same engine reports %q, the first run %q", run, err, first)
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
+				goruntime.Gosched()
+			}
+			if after := goruntime.NumGoroutine(); after > before {
+				t.Errorf("%d goroutines before the failed runs, %d after", before, after)
+			}
+		})
+	}
+}
+
+// TestNativeSectionOverEnclosingLoop: an exchange inside the plane loop
+// whose section is row i - 1 moves different strips in every iteration;
+// its schedule is rebuilt each time and the run stays bit-identical to the
+// simulator (values and validity planes), where one replayed from the
+// first iteration would deliver row 1 over and over.
+func TestNativeSectionOverEnclosingLoop(t *testing.T) {
+	res := placeSrc(t, `
+routine w(n)
+real a(n, n)
+!hpf$ distribute (*, block) :: a
+do i = 1, n
+do j = 1, n
+a(i, j) = i + 2 * j
+enddo
+enddo
+do i = 2, n
+do j = 2, n - 1
+a(i, j) = a(i - 1, j - 1) + a(i - 1, j + 1)
+enddo
+enddo
+end
+`, map[string]int{"n": 12}, 4)
+	if err := native.VerifyAgainstSimulator(res, machine.SP2(), 4); err != nil {
+		t.Fatal(err)
+	}
+	out, err := native.Run(res, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Stats.Ops["exchange"] < 11 {
+		t.Fatalf("%d exchanges executed, want one or more per plane: the exchange was hoisted out of the loop", out.Stats.Ops["exchange"])
+	}
+}

@@ -6,8 +6,8 @@
 // realized as actual channel transfers: ghost-strip exchanges as
 // neighbour sends with packed validity bitmaps, broadcasts, gathers
 // and distributed SUMs as binomial-tree collectives rooted at
-// processor 0 (log-P critical path), with every payload slice recycled
-// through per-pair free channels so the fabric allocates nothing in
+// processor 0 (log-P critical path), with every payload packed into a
+// ring of slices its sender owns so the fabric allocates nothing in
 // steady state.
 //
 // The package is a driver over the lowered program of package plan
@@ -44,6 +44,7 @@ import (
 	"fmt"
 	goruntime "runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gcao/internal/core"
@@ -74,11 +75,12 @@ type RunResult struct {
 // MaxProcs returns the largest logical processor count Run accepts
 // under the oversubscription policy: up to 256 goroutines per
 // available core (and never fewer than 1024 total) run multiplexed on
-// the Go scheduler — every native operation blocks on a channel or a
-// barrier, never spins, so progress is guaranteed at any GOMAXPROCS,
-// including P=64 on a single core. Beyond the clamp a run is refused:
-// that many parked goroutines signals a misconfigured grid, not a
-// bigger machine.
+// the Go scheduler — every native operation is a blocking channel
+// operation, never a poll, so progress is guaranteed at any GOMAXPROCS,
+// including P=64 on a single core; the one loop that does not block, the
+// reaper of a failed run, yields after every sweep and ends with the run
+// (see comm.go). Beyond the clamp a run is refused: that many parked
+// goroutines signals a misconfigured grid, not a bigger machine.
 func MaxProcs() int {
 	n := goruntime.GOMAXPROCS(0) * 256
 	if n < 1024 {
@@ -96,34 +98,26 @@ func Run(res *core.Result, procs int) (*RunResult, error) {
 // "native:<version>" phase span and its message/byte/collective
 // counters are added under the native.<version>. prefix.
 func RunObs(res *core.Result, procs int, rec *obs.Recorder) (*RunResult, error) {
-	eng, err := NewEngine(res, procs)
-	if err != nil {
-		return nil, err
+	out, err := runOnce(res, procs, rec, false)
+	if err != nil || rec == nil {
+		return out, err
 	}
-	endRun := rec.Start("native:" + res.Version.String())
-	defer endRun()
-	out, err := eng.Run()
-	if err != nil {
-		return nil, err
-	}
-	if rec != nil {
-		st := out.Stats
-		prefix := "native." + res.Version.String() + "."
-		rec.Add(prefix+"messages", st.Messages)
-		rec.Add(prefix+"bytes", st.Bytes)
-		rec.Add(prefix+"wire_bytes", st.WireBytes)
-		rec.Add(prefix+"collective_hops", st.Hops)
-		rec.Add(prefix+"alloc_bytes", st.AllocBytes)
-		rec.Add(prefix+"collectives", st.Collectives)
-		rec.Add(prefix+"barriers", st.Barriers)
-		rec.Event(obs.LevelInfo, "native.done",
-			obs.F("version", res.Version.String()),
-			obs.F("procs", procs),
-			obs.F("messages", st.Messages),
-			obs.F("bytes", st.Bytes),
-			obs.F("wire_bytes", st.WireBytes),
-			obs.F("seconds", st.ElapsedSeconds))
-	}
+	st := out.Stats
+	prefix := "native." + res.Version.String() + "."
+	rec.Add(prefix+"messages", st.Messages)
+	rec.Add(prefix+"bytes", st.Bytes)
+	rec.Add(prefix+"wire_bytes", st.WireBytes)
+	rec.Add(prefix+"collective_hops", st.Hops)
+	rec.Add(prefix+"alloc_bytes", st.AllocBytes)
+	rec.Add(prefix+"collectives", st.Collectives)
+	rec.Add(prefix+"barriers", st.Barriers)
+	rec.Event(obs.LevelInfo, "native.done",
+		obs.F("version", res.Version.String()),
+		obs.F("procs", procs),
+		obs.F("messages", st.Messages),
+		obs.F("bytes", st.Bytes),
+		obs.F("wire_bytes", st.WireBytes),
+		obs.F("seconds", st.ElapsedSeconds))
 	return out, nil
 }
 
@@ -131,19 +125,25 @@ func RunObs(res *core.Result, procs int, rec *obs.Recorder) (*RunResult, error) 
 // profiler enabled, installs the folded profile on the recorder (when
 // one is given) and returns the result with RunResult.Profile set.
 func RunProfiled(res *core.Result, procs int, rec *obs.Recorder) (*RunResult, error) {
+	out, err := runOnce(res, procs, rec, true)
+	if err == nil {
+		rec.SetNativeProfile(out.Profile)
+	}
+	return out, err
+}
+
+// runOnce builds an engine for the placement and runs it once inside a
+// "native:<version>" span of rec, profiled or not.
+func runOnce(res *core.Result, procs int, rec *obs.Recorder, profiled bool) (*RunResult, error) {
 	eng, err := NewEngine(res, procs)
 	if err != nil {
 		return nil, err
 	}
-	eng.EnableProfiling(0)
-	endRun := rec.Start("native:" + res.Version.String())
-	defer endRun()
-	out, err := eng.Run()
-	if err != nil {
-		return nil, err
+	if profiled {
+		eng.EnableProfiling(0)
 	}
-	rec.SetNativeProfile(out.Profile)
-	return out, nil
+	defer rec.Start("native:" + res.Version.String())()
+	return eng.Run()
 }
 
 // ---------------------------------------------------------------------
@@ -152,11 +152,11 @@ func RunProfiled(res *core.Result, procs int, rec *obs.Recorder) (*RunResult, er
 // Engine is a prepared native execution: the lowered program, the
 // memory image, the channel fabric and every per-processor scratch,
 // built once. Run resets the memory image and replays the program, so
-// repeated runs measure steady-state execution — the recycled message
-// buffers and scratches survive between runs and the fabric allocates
+// repeated runs measure steady-state execution — the pairs' message
+// buffers and the scratches survive between runs and the fabric allocates
 // nothing after the first. An Engine is not safe for concurrent Runs.
-// A failed run leaves the engine usable: the next Run starts from a
-// drained fabric and a fresh error latch.
+// A failed run leaves the engine usable: it ends with every goroutine
+// gone and the channels drained, and the next Run clears the error.
 type Engine struct {
 	eng *engine
 	res *core.Result
@@ -164,9 +164,9 @@ type Engine struct {
 
 // NewEngine prepares a native execution of the placement on procs
 // goroutines: builds the memory image, the shared plan and its lowered
-// program, connects the channel fabric (tree and grid-neighbour pairs
-// with their recycle channels), and sizes every per-processor scratch
-// so the hot paths allocate nothing.
+// program, connects the channel fabric (tree and grid-neighbour pairs),
+// and sizes every per-processor scratch so the hot paths allocate
+// nothing.
 func NewEngine(res *core.Result, procs int) (*Engine, error) {
 	a := res.Analysis
 	if got := a.Unit.Grid.NumProcs(); got != procs {
@@ -182,7 +182,6 @@ func NewEngine(res *core.Result, procs int) (*Engine, error) {
 		prog:    plan.Lower(pl),
 		mem:     mem,
 		procs:   procs,
-		done:    make(chan struct{}),
 		scalars: map[string]float64{},
 		ops:     map[string]int64{},
 	}
@@ -191,9 +190,10 @@ func NewEngine(res *core.Result, procs int) (*Engine, error) {
 	eng.ps = make([]*proc, procs)
 	for p := 0; p < procs; p++ {
 		pc := &proc{
-			eng: eng,
-			p:   p,
-			fr:  eng.prog.NewFrame(p),
+			eng:   eng,
+			p:     p,
+			fr:    eng.prog.NewFrame(p),
+			sched: make([]schedule, len(res.Groups)),
 		}
 		if p == 0 {
 			// Gather-assembly scratch: only the tree root carves
@@ -201,7 +201,6 @@ func NewEngine(res *core.Result, procs int) (*Engine, error) {
 			pc.cnt = make([]int, procs)
 			pc.pos = make([]int, procs)
 			pc.streams = make([][]float64, procs)
-			pc.childbufs = make([][]float64, 0, len(pl.Tree.Children[0]))
 		}
 		eng.ps[p] = pc
 	}
@@ -236,18 +235,20 @@ func (e *Engine) DisableProfiling() {
 
 // Run executes the prepared program once. The first call initializes,
 // later calls reset the memory image and per-processor state first —
-// message buffers and scratches are recycled, so steady-state runs do
+// message buffers and scratches are reused, so steady-state runs do
 // not allocate. The returned RunResult shares the engine's memory
 // image and scalar map; it is valid until the next Run.
 func (e *Engine) Run() (*RunResult, error) {
 	eng := e.eng
-	if eng.err() != nil {
-		eng.rearm()
-	}
+	eng.errVal = nil
+	eng.failed.Store(false)
 	if eng.ran {
 		eng.mem.Reset()
 	}
 	eng.ran = true
+	for _, l := range eng.links {
+		l.next = 0
+	}
 	for _, pc := range eng.ps {
 		pc.fr.Reset()
 		pc.ops = [len(pc.ops)]int64{}
@@ -264,20 +265,19 @@ func (e *Engine) Run() (*RunResult, error) {
 
 	start := time.Now()
 	eng.profStart = start
-	var wg sync.WaitGroup
+	eng.running.Store(int32(eng.procs))
 	for _, pc := range eng.ps[1:] {
-		wg.Add(1)
+		eng.wg.Add(1)
 		go func(pc *proc) {
-			defer wg.Done()
+			defer eng.wg.Done()
 			pc.main()
 		}(pc)
 	}
 	eng.ps[0].main()
-	wg.Wait()
+	eng.wg.Wait() // the processors and, after a failure, the reaper
 	if err := eng.err(); err != nil {
 		return nil, err
 	}
-	eng.settlePools()
 
 	st := Stats{
 		Procs:          eng.procs,
@@ -302,38 +302,33 @@ func (e *Engine) Run() (*RunResult, error) {
 	eng.prog.Scalars(eng.ps[0].fr, eng.scalars)
 	out := &RunResult{Mem: eng.mem, Scalars: eng.scalars, Stats: st}
 	if eng.ps[0].ring != nil {
-		rings := make([]*prof.Ring, eng.procs)
-		ends := make([]int64, eng.procs)
-		for p, pc := range eng.ps {
-			rings[p] = pc.ring
-			ends[p] = pc.endNS
-		}
-		out.Profile = prof.Fold(eng.sites, rings, ends, int64(st.ElapsedSeconds*1e9))
+		out.Profile = eng.fold(int64(st.ElapsedSeconds * 1e9))
 	}
 	return out, nil
 }
 
 // Profile returns the last Run's folded profile (nil when profiling is
-// disabled or no profiled Run completed). The profile is rebuilt per
-// Run; a retained pointer stays valid but stale.
+// disabled or no profiled Run completed), folded again on demand — with
+// the last processor's finish mark for wall time — so callers holding
+// only the engine can read it. A retained pointer stays valid but stale.
 func (e *Engine) Profile() *prof.NativeProfile {
-	// Folding happens in Run; re-fold on demand so callers holding
-	// only the engine can still read the last run's profile.
-	eng := e.eng
-	if eng.ps[0].ring == nil || !eng.ran {
+	if e.eng.ps[0].ring == nil || !e.eng.ran {
 		return nil
 	}
+	return e.eng.fold(0)
+}
+
+// fold folds the processors' event rings and finish marks into a
+// profile over wallNS nanoseconds, or up to the last finish mark if that
+// is later.
+func (eng *engine) fold(wallNS int64) *prof.NativeProfile {
 	rings := make([]*prof.Ring, eng.procs)
 	ends := make([]int64, eng.procs)
-	var wall int64
 	for p, pc := range eng.ps {
-		rings[p] = pc.ring
-		ends[p] = pc.endNS
-		if pc.endNS > wall {
-			wall = pc.endNS
-		}
+		rings[p], ends[p] = pc.ring, pc.endNS
+		wallNS = max(wallNS, pc.endNS)
 	}
-	return prof.Fold(eng.sites, rings, ends, wall)
+	return prof.Fold(eng.sites, rings, ends, wallNS)
 }
 
 // ---------------------------------------------------------------------
@@ -357,40 +352,48 @@ type engine struct {
 	profStart time.Time
 	sites     []string
 
-	// ch[dst][src] carries messages src→dst; free[src][dst] carries
-	// consumed buffers back from dst to src for reuse. Both are
-	// allocated only for pairs the protocol uses (binomial-tree edges
-	// and grid neighbours), so the fabric stays O(P·rank) instead of
-	// O(P²).
-	ch   [][]chan []float64
-	free [][]chan []float64
+	// link[dst][src] is the directed pair src→dst, allocated only for
+	// pairs the protocol uses (binomial-tree edges and grid neighbours),
+	// so the fabric stays O(P·rank) instead of O(P²); links lists them.
+	link  [][]*link
+	links []*link
 
-	// done is closed once on the first failure; every channel
-	// operation selects on it, so an error unwinds all goroutines
-	// without deadlock.
-	done     chan struct{}
-	failOnce sync.Once
-	errMu    sync.Mutex
-	errVal   error
+	// The failure protocol (see fail): the first error, the flag every
+	// channel operation is followed by a load of, the count of processors
+	// that have not left the run, and what Run waits for.
+	errMu   sync.Mutex
+	errVal  error
+	failed  atomic.Bool
+	running atomic.Int32
+	wg      sync.WaitGroup
 }
 
-// connectFabric allocates the channel pairs the protocol can use: the
+// link is one directed pair: the channel that carries its messages and
+// the ring of payload slices they are packed into, owned by the sender.
+// Message k is packed into slot k mod 3, counted from 0 in every run, so
+// a repeat run finds every slot as large as it needs whatever the timing
+// was. Capacity 1 lets the sender run one message ahead and is what makes
+// three slots enough (comm.go gives the argument); a nil barrier token
+// takes no slot, it only puts more channel operations between two tenants
+// of one.
+type link struct {
+	ch   chan []float64
+	slot [3][]float64
+	next int
+}
+
+// connectFabric allocates the pairs the protocol can use: the
 // binomial-tree edges (collectives, barriers, condition broadcasts)
 // and both directions between grid neighbours (shift exchanges).
-// Capacity 1 lets a sender run one message ahead; each pair's recycle
-// channel holds the three buffers a pair can have outstanding (see
-// settlePools).
 func (eng *engine) connectFabric() {
-	eng.ch = make([][]chan []float64, eng.procs)
-	eng.free = make([][]chan []float64, eng.procs)
-	for d := range eng.ch {
-		eng.ch[d] = make([]chan []float64, eng.procs)
-		eng.free[d] = make([]chan []float64, eng.procs)
+	eng.link = make([][]*link, eng.procs)
+	for d := range eng.link {
+		eng.link[d] = make([]*link, eng.procs)
 	}
 	connect := func(dst, src int) {
-		if dst != src && eng.ch[dst][src] == nil {
-			eng.ch[dst][src] = make(chan []float64, 1)
-			eng.free[src][dst] = make(chan []float64, poolSize)
+		if dst != src && eng.link[dst][src] == nil {
+			eng.link[dst][src] = &link{ch: make(chan []float64, 1)}
+			eng.links = append(eng.links, eng.link[dst][src])
 		}
 	}
 	for p := 1; p < eng.procs; p++ {
@@ -412,50 +415,23 @@ func (eng *engine) connectFabric() {
 	}
 }
 
-// poolSize is the most buffers one directed pair can have outstanding:
-// one the receiver is consuming, one queued in the capacity-1 data
-// channel, one the sender is filling. A receiver returns a message
-// before it takes the pair's next one, so a fourth is never needed.
-const poolSize = 3
-
-// settlePools brings every pair a completed run used to its steady
-// state: poolSize buffers, each as large as the largest the run needed
-// on that pair. How many buffers a run happens to allocate depends on
-// how far its senders ran ahead; after settling, a repeat of the run
-// finds a fitting buffer in the pool whatever the timing, so the
-// fabric allocates nothing. Called between runs only, when every
-// buffer is back in its pool; the bytes are charged to the sender.
-func (eng *engine) settlePools() {
-	var held [poolSize][]float64
-	for src, row := range eng.free {
-		for _, free := range row {
-			if len(free) == 0 { // unused pair (or no channel at all)
-				continue
-			}
-			n, need := 0, 0
-			for len(free) > 0 {
-				held[n] = <-free
-				need = max(need, cap(held[n]))
-				n++
-			}
-			for i := range held {
-				if i >= n || cap(held[i]) < need {
-					held[i] = make([]float64, 0, need)
-					eng.ps[src].allocBytes += int64(8 * need)
-				}
-				free <- held[i]
-			}
-		}
-	}
-}
-
+// fail is the one way a run stops early: it records the first error,
+// sets the flag and starts the reaper. Every send and receive is a plain
+// channel operation followed by a load of the flag, so a processor
+// that is running finds out at its next one; the reaper is for those that
+// are parked.
 func (eng *engine) fail(err error) {
 	eng.errMu.Lock()
-	if eng.errVal == nil {
+	first := eng.errVal == nil
+	if first {
 		eng.errVal = err
 	}
 	eng.errMu.Unlock()
-	eng.failOnce.Do(func() { close(eng.done) })
+	if first {
+		eng.failed.Store(true)
+		eng.wg.Add(1)
+		go eng.reap()
+	}
 }
 
 func (eng *engine) err() error {
@@ -464,26 +440,34 @@ func (eng *engine) err() error {
 	return eng.errVal
 }
 
-// rearm makes the engine runnable again after a failed run: messages
-// the unwinding goroutines left in flight go back to their pairs' pools
-// and the error latch is replaced. Called between runs only, when no
-// processor goroutine exists.
-func (eng *engine) rearm() {
-	for dst, row := range eng.ch {
-		for src, ch := range row {
-			if ch == nil {
-				continue
-			}
+// reap sweeps the pairs until the last processor has left the run: a
+// non-blocking receive lets a sender parked on a full channel complete, a
+// non-blocking send of nil wakes a receiver parked on an empty one, and
+// whoever a sweep releases reads the flag before it touches what it got
+// (comm.go gives the termination argument). The last sweep, with nobody
+// left to send, only receives, and leaves the channels drained for the
+// next Run.
+func (eng *engine) reap() {
+	defer eng.wg.Done()
+	for {
+		left := eng.running.Load() == 0
+		for _, l := range eng.links {
 			select {
-			case buf := <-ch:
-				eng.ps[dst].putBuf(src, buf)
+			case <-l.ch:
 			default:
 			}
+			if !left {
+				select {
+				case l.ch <- nil:
+				default:
+				}
+			}
 		}
+		if left {
+			return
+		}
+		goruntime.Gosched()
 	}
-	eng.done = make(chan struct{})
-	eng.failOnce = sync.Once{}
-	eng.errVal = nil
 }
 
 // ---------------------------------------------------------------------
@@ -505,14 +489,14 @@ type proc struct {
 	// the shift validity bitmap, and — root only — the gather
 	// stream-carving scratch. The bulk memory operations use the
 	// frame's Scratch.
-	entbuf    plan.EntryBuf
-	minebuf   []float64
-	fullbuf   []float64
-	bitbuf    []uint64
-	cnt       []int       // root: per-proc element counts of one gather
-	pos       []int       // root: per-proc stream positions
-	streams   [][]float64 // root: per-proc operand streams
-	childbufs [][]float64 // root: child buffers held during assembly
+	entbuf  plan.EntryBuf
+	sched   []schedule // by group ID: the exchanges' run lists
+	minebuf []float64
+	fullbuf []float64
+	bitbuf  []uint64
+	cnt     []int       // root: per-proc element counts of one gather
+	pos     []int       // root: per-proc stream positions
+	streams [][]float64 // root: per-proc operand streams
 
 	msgs, bytes     int64
 	wire, hops      int64
@@ -555,6 +539,7 @@ func (pc *proc) main() {
 		if pc.ring != nil {
 			pc.endNS = pc.nowNS()
 		}
+		pc.eng.running.Add(-1)
 	}()
 	if err := pc.exec(pc.eng.prog.Body); err != nil {
 		pc.eng.fail(err)

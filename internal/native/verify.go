@@ -6,6 +6,7 @@ import (
 
 	"gcao/internal/core"
 	"gcao/internal/machine"
+	"gcao/internal/runtime"
 	"gcao/internal/spmd"
 )
 
@@ -34,8 +35,15 @@ func VerifyAgainstSimulator(res *core.Result, m machine.Machine, procs int) erro
 // canonical (owner-assembled) image, every processor's validity plane
 // of it (which copies are current is part of the state: it decides
 // what later exchanges carry and which reads are stale), then the
-// replicated scalars. It returns an error naming the first difference.
+// replicated scalars. It returns an error naming the first difference,
+// or the first valid copy either image holds outside the ghost hull that
+// invalidation relies on.
 func Diff(nat *RunResult, sim *spmd.RunResult) error {
+	for _, mem := range []*runtime.Memory{nat.Mem, sim.Mem} {
+		if err := mem.CheckHulls(); err != nil {
+			return err
+		}
+	}
 	for _, name := range nat.Mem.Unit.ArrayNames {
 		nv := nat.Mem.Canonical(name)
 		sv := sim.Mem.Canonical(name)

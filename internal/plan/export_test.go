@@ -1,5 +1,7 @@
 package plan
 
+import "slices"
+
 // ClearRows removes the row-loop and box marks from a lowered program,
 // so that a driver walks every loop on the closure tree: the element
 // walk the kernels are held against. ClearChains removes only the marks
@@ -41,4 +43,12 @@ func (lp *Loop) BoxShape(fr *Frame) (rows, n int) {
 	}
 	r := fr.ranges[lp.Box.Src.ID].mine
 	return rows, r.Hi - r.Lo + 1
+}
+
+// Verified reports whether Enter would return at once under fr: the
+// frame's last entry of the nest that verified was made by the same
+// processor with the same values in the slots the nest reads.
+func (n *Nest) Verified(fr *Frame) bool {
+	key := fr.memo[n.memo : n.memo+1+len(n.slots)]
+	return key[0] == fr.P+1 && fr.Unchanged(n.slots, slices.Clone(key[1:]))
 }

@@ -55,6 +55,12 @@ type Nest struct {
 	// loopOf maps an integer slot to the index in loops of the nest
 	// loop whose variable it is, -1 for slots the nest does not vary.
 	loopOf []int
+	// slots lists the slots Enter reads that the nest does not vary: the
+	// variables from around it in loop bounds and verified subscripts. At
+	// memo a frame's memo keeps the nest's entry key: the processor of the
+	// last entry that verified, plus one, then Frame.Unchanged's record of slots.
+	slots []int
+	memo  int
 }
 
 // loopRange is one nest loop's iteration range for one entry of the
@@ -75,6 +81,7 @@ func (lw *lowerer) localize(nodes []Node) {
 			if nest := lw.pureNest(n); nest != nil {
 				n.Nest = nest
 				nest.clamp(lw.pl.mem.P)
+				nest.entryKey(lw.pr)
 				for l, lp := range nest.loops {
 					if lp.Row = lw.rowBody(lp); lp.Row != nil {
 						lw.boxChain(nest, l)
@@ -313,6 +320,26 @@ func (n *Nest) clamp(procs int) {
 	}
 }
 
+// entryKey collects the slots Enter's outcome depends on beside the
+// frame's processor and reserves the nest's part of the frames' memos.
+func (n *Nest) entryKey(pr *Program) {
+	for _, lp := range n.loops {
+		n.slots = addSlots(addSlots(n.slots, &lp.Lo.Affine, n.loopOf), &lp.Hi.Affine, n.loopOf)
+	}
+	verified := func(r *ArrayRef) {
+		for i := 0; r.hoisted && i < len(r.Subs); i++ {
+			n.slots = addSlots(n.slots, &r.Subs[i].Affine, n.loopOf)
+		}
+	}
+	for _, st := range n.stmts {
+		verified(st.LHS)
+		for _, r := range st.reads {
+			verified(r)
+		}
+	}
+	n.memo, pr.memoLen = pr.memoLen, pr.memoLen+1+len(n.slots)
+}
+
 // innermost returns the loop directly around a statement of a nest.
 func (st *Stmt) innermost() *Loop { return st.loops[len(st.loops)-1] }
 
@@ -350,8 +377,15 @@ func (n *Nest) span(a *Affine, fr *Frame, mine bool) Range {
 // Begin said it runs: it evaluates every loop's range and verifies,
 // once, the subscript ranges the nest's hoisted references rely on. An
 // out-of-range subscript is recorded in fr.Err, positioned at the
-// reference.
+// reference. Ranges and verdict are a function of the frame's processor
+// and n.slots, and the ranges are written here only: an entry under the
+// key of the frame's last entry that verified returns at once.
 func (n *Nest) Enter(fr *Frame) {
+	key := fr.memo[n.memo : n.memo+1+len(n.slots)]
+	if fr.Unchanged(n.slots, key[1:]) && key[0] == fr.P+1 {
+		return
+	}
+	key[0] = 0
 	for l, lp := range n.loops {
 		lo, hi := lp.Lo.Eval(fr), lp.Hi.Eval(fr)
 		if lp.Step.Const < 0 {
@@ -382,6 +416,9 @@ func (n *Nest) Enter(fr *Frame) {
 				n.verify(r, fr, true)
 			}
 		}
+	}
+	if fr.Err == nil {
+		key[0] = fr.P + 1
 	}
 }
 

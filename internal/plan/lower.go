@@ -207,6 +207,9 @@ func (lw *lowerer) comm(groups []*core.Group) *Comm {
 			for _, e := range g.Entries {
 				if es, ok := lw.entry(g, e); ok {
 					op.Entries = append(op.Entries, es)
+					for i := range es.Lo {
+						op.Slots = addSlots(addSlots(op.Slots, &es.Lo[i], nil), &es.Hi[i], nil)
+					}
 				}
 			}
 		}

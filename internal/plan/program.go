@@ -2,6 +2,8 @@ package plan
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"gcao/internal/cfg"
 	"gcao/internal/core"
@@ -36,6 +38,8 @@ type Program struct {
 	OpNames [core.KindGeneral + 1]string
 
 	maxSums int
+	// memoLen is the length of a frame's memo: every nest's entry key.
+	memoLen int
 	// What one frame needs to run any box: operand stack entries and
 	// scratch floats of one statement, array references and leaf operands
 	// of one row loop's body, outer loops of one chain.
@@ -69,6 +73,9 @@ type CommOp struct {
 	// shifts, only those distributed along the shifted grid dimension);
 	// empty for global-sum markers, which move no data themselves.
 	Entries []EntrySec
+	// Slots lists the integer slots the entries' sections read: Concretize
+	// returns what it returned while Frame.Unchanged says they have not moved.
+	Slots []int
 }
 
 // EntrySec is one group entry's communicated section, symbolic in the
@@ -311,6 +318,7 @@ type Frame struct {
 	Scratch *runtime.Scratch
 
 	ranges []loopRange // by cfg.Loop.ID, filled by Nest.Enter
+	memo   []int       // Nest.Enter's keys, by Nest.memo
 	dims   []section.Dim
 	idx    []int
 	lo, hi []int
@@ -340,6 +348,7 @@ func (pr *Program) NewFrame(p int) *Frame {
 		Sums:    make([]float64, pr.maxSums),
 		Scratch: runtime.NewScratch(pr.MaxRank),
 		ranges:  make([]loopRange, len(pr.Plan.A.G.Loops)),
+		memo:    make([]int, pr.memoLen),
 		dims:    make([]section.Dim, pr.MaxRank),
 		idx:     make([]int, pr.MaxRank),
 		lo:      make([]int, pr.MaxRank),
@@ -368,6 +377,34 @@ func (fr *Frame) fail(err error) {
 	if fr.Err == nil {
 		fr.Err = err
 	}
+}
+
+// Unchanged reports whether the integer slots hold what key (a word a
+// slot: its value, math.MinInt while no loop has bound it) recorded at the
+// previous call with that key, and records what they hold now.
+func (fr *Frame) Unchanged(slots, key []int) bool {
+	same := true
+	for i, s := range slots {
+		v := fr.Ints[s]
+		if !fr.Bound[s] {
+			v = math.MinInt
+		}
+		if key[i] != v {
+			key[i], same = v, false
+		}
+	}
+	return same
+}
+
+// addSlots appends to dst the slots of a's terms that dst does not hold
+// yet, but for those a nest varies (loopOf[slot] >= 0; nil: none).
+func addSlots(dst []int, a *Affine, loopOf []int) []int {
+	for _, t := range a.Terms {
+		if (loopOf == nil || loopOf[t.Slot] < 0) && !slices.Contains(dst, t.Slot) {
+			dst = append(dst, t.Slot)
+		}
+	}
+	return dst
 }
 
 // Scalars writes the replicated scalar state into dst, replacing its

@@ -127,14 +127,7 @@ func (w *walker) comm(c *plan.Comm) {
 		if am.Dist == nil {
 			continue
 		}
-		am.OwnerRuns(section.Whole(am.Arr.Lo, am.Arr.Hi), w.fr.Scratch, func(o, off, n int) {
-			for p := 0; p < w.mem.P; p++ {
-				copy(am.Data[p][off:off+n], am.Data[o][off:off+n])
-				for i := off; i < off+n; i++ {
-					am.Valid[p][i] = true
-				}
-			}
-		})
+		am.BroadcastRange(section.Whole(am.Arr.Lo, am.Arr.Hi), 0, w.mem.P, w.fr.Scratch)
 	}
 }
 

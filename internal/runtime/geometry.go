@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"math"
+
 	"gcao/internal/dist"
 	"gcao/internal/section"
 )
@@ -9,7 +11,8 @@ import (
 // exchange, broadcast, SUM, invalidation, reset — moves or marks a set
 // of elements that is a box, or a box cut where the owner changes, so
 // none of them asks who owns an element: they read three tables built
-// once per array (initGeometry) and walk rows.
+// once per array (initGeometry) and a fourth kept as data moves, and walk
+// rows.
 //
 //   - the owned box of processor p (OwnedBox): per dimension its BLOCK
 //     interval, the declared bounds of a collapsed dimension, the
@@ -21,7 +24,14 @@ import (
 //   - the run visitor (walk): a section inside the declared bounds, in
 //     section order, as runs of consecutive flat offsets — a row at a
 //     time where the last dimension has step 1 — and, for the operations
-//     that read owner rows (OwnerRuns), cut where the owner changes.
+//     that read owner rows (OwnerRuns), cut where the owner changes;
+//   - the ghost hull of processor p (Delivered): a box outside which p
+//     holds no valid element it does not own. Whatever makes such an
+//     element valid — ShiftRange, BroadcastRange, the native backend's
+//     exchange and gather unpack — grows the hull over what it delivers;
+//     an InvalidateBox that covers the hull, and Reset, empty it. In
+//     between the hull only over-approximates, so clearing a box is
+//     clearing its part inside the hull: O(halo), not O(box).
 //
 // A CYCLIC dimension's owned set is a lattice, not a range. On the
 // moved dimension of a shift the strip section is intersected with that
@@ -76,7 +86,9 @@ func (am *ArrayMem) initGeometry(p int) {
 				am.own[k][i] = d.OwnerDim(k, arr.Lo[k]+i) * stride
 			}
 		}
-		am.box = make([]int, 2*p*rank)
+		am.box = make([]int, 4*p*rank)
+		am.box, am.hull = am.box[:2*p*rank], am.box[2*p*rank:]
+		am.emptyHulls()
 		coords := make([]int, d.Grid.Rank())
 		for q := 0; q < p; q++ {
 			d.Grid.CoordsInto(q, coords)
@@ -107,6 +119,32 @@ func (am *ArrayMem) OwnedBox(p, k int) (lo, hi int) {
 	return am.box[i], am.box[i+1]
 }
 
+// ghost returns processor p's ghost hull: lower bounds, upper bounds
+// (the hulls' lower bounds fill the first half of am.hull).
+func (am *ArrayMem) ghost(p int) (lo, hi []int) {
+	rank, half := len(am.Strides), len(am.hull)/2
+	return am.hull[p*rank : (p+1)*rank], am.hull[half+p*rank : half+(p+1)*rank]
+}
+
+// emptyHulls gives every hull bounds no box meets and any delivery replaces.
+func (am *ArrayMem) emptyHulls() {
+	for i, half := 0, len(am.hull)/2; i < half; i++ {
+		am.hull[i], am.hull[half+i] = math.MaxInt, math.MinInt
+	}
+}
+
+// Delivered grows processor p's ghost hull over sec: the caller marks
+// elements of sec that p does not own valid in p's plane.
+func (am *ArrayMem) Delivered(p int, sec section.Section) {
+	if am.Dist == nil || sec.IsEmpty() {
+		return
+	}
+	lo, hi := am.ghost(p)
+	for k, d := range sec.Dims {
+		lo[k], hi[k] = min(lo[k], d.Lo), max(hi[k], d.Hi)
+	}
+}
+
 // StripRuns visits, in section order, the elements of sec that a shift
 // by sign along array dimension ad moves from processor src to its
 // neighbour: those src owns along ad within width of its sign-side
@@ -114,14 +152,15 @@ func (am *ArrayMem) OwnedBox(p, k int) (lo, hi int) {
 // ghost margin) in every other dimension — the two processors differ in
 // the moved grid coordinate only, so that block is src's own. Sender,
 // receiver and simulator all enumerate a strip through this one
-// definition.
-func (am *ArrayMem) StripRuns(sec section.Section, src, ad, sign, width int, sc *Scratch, f func(off, n int)) {
+// definition. It returns the strip as a section in sc (valid until sc is
+// used again), for the receiver's Delivered.
+func (am *ArrayMem) StripRuns(sec section.Section, src, ad, sign, width int, sc *Scratch, f func(off, n int)) section.Section {
 	arr := am.Arr
 	lo, hi := sc.lo[:len(am.Strides)], sc.hi[:len(am.Strides)]
 	for k := range lo {
 		l, h := am.OwnedBox(src, k)
 		if l > h {
-			return
+			return section.Section{}
 		}
 		switch {
 		case k != ad:
@@ -138,6 +177,7 @@ func (am *ArrayMem) StripRuns(sec section.Section, src, ad, sign, width int, sc 
 		strip.Dims[ad] = strip.Dims[ad].Intersect(section.Dim{Lo: l, Hi: h, Step: am.Dist.Grid.Shape[dd.GridDim]})
 	}
 	am.walk(strip, sc.idx, false, func(_, off, n int) { f(off, n) })
+	return strip
 }
 
 // OwnerRuns visits sec, which must lie within the declared bounds, in

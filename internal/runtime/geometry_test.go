@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -452,6 +453,71 @@ func TestBulkOperationsDoNotAllocate(t *testing.T) {
 	} {
 		if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
 			t.Errorf("%s: %v allocations per call, want 0", name, allocs)
+		}
+	}
+}
+
+// TestGhostHullUnderRandomOperations drives seeded random sequences of
+// the operations that deliver, invalidate and reset — ShiftRange and
+// BroadcastRange over random receiver ranges, InvalidateBox on random
+// boxes, now and then a Reset — on every layout of the matrix, next to a
+// twin on which each operation is done element by element with no hull
+// at all (the oracles above; a box cleared by asking every element's
+// owner; a reset that rewrites both planes from the ownership pattern).
+// After every step the planes agree bit for bit, so the hull never kept
+// an invalidation from clearing a copy, and the hull invariant holds: no
+// valid copy outside its processor's hull.
+func TestGhostHullUnderRandomOperations(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, l := range layouts() {
+		got, want := twin(t, l)
+		am, ref := got.View("a"), want.View("a")
+		procs, rank := got.P, am.Arr.Rank()
+		sc, bytes, coords := NewScratch(rank), make([]int, procs), make([]int, 2)
+		pattern := oracleValidity(ref)
+		secs := sections(am)
+		var trace []string
+		for step := 0; step < 60; step++ {
+			lo := rng.Intn(procs)
+			hi := lo + 1 + rng.Intn(procs-lo)
+			sec := secs[rng.Intn(len(secs))]
+			switch op := rng.Intn(10); {
+			case op < 4:
+				gridDim, sign, width := rng.Intn(2), 1-2*rng.Intn(2), 1+rng.Intn(3)
+				trace = append(trace, fmt.Sprintf("shift %v dim %d sign %+d width %d into [%d,%d)", sec, gridDim, sign, width, lo, hi))
+				am.ShiftRange(sec, gridDim, sign, width, lo, hi, sc, bytes)
+				oracleShiftRange(want, "a", sec, gridDim, sign, width, lo, hi)
+			case op < 5:
+				trace = append(trace, fmt.Sprintf("broadcast %v into [%d,%d)", sec, lo, hi))
+				am.BroadcastRange(sec, lo, hi, sc)
+				oracleBroadcastRange(want, "a", sec, lo, hi)
+			case op < 9:
+				blo, bhi := make([]int, rank), make([]int, rank)
+				for k := range blo {
+					blo[k] = am.Arr.Lo[k] + rng.Intn(am.Arr.Hi[k]-am.Arr.Lo[k]+1)
+					bhi[k] = blo[k] + rng.Intn(am.Arr.Hi[k]-blo[k]+1)
+				}
+				trace = append(trace, fmt.Sprintf("invalidate %v:%v on %d", blo, bhi, lo))
+				am.InvalidateBox(lo, blo, bhi, sc)
+				section.Whole(blo, bhi).Elems(func(ix []int) bool {
+					if ref.OwnerInto(ix, coords) != lo {
+						ref.Valid[lo][ref.Offset(ix)] = false
+					}
+					return true
+				})
+			default:
+				trace = append(trace, "reset")
+				got.Reset()
+				for p := range pattern {
+					clear(ref.Data[p])
+					copy(ref.Valid[p], pattern[p])
+				}
+			}
+			what := fmt.Sprintf("%v after %s", l, strings.Join(trace, "; "))
+			samePlanes(t, what, am, ref)
+			if err := got.CheckHulls(); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
 		}
 	}
 }

@@ -11,6 +11,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 
 	"gcao/internal/dist"
 	"gcao/internal/machine"
@@ -224,12 +225,12 @@ type ArrayMem struct {
 	// owning grid coordinate times its grid stride, 0 on a collapsed
 	// dimension — so an element's owner is the sum over its subscripts.
 	// runEnd[i], along the last dimension, is the last position of the
-	// run of equal ownership that holds position i. box holds every
-	// processor's owned box (nil for replicated arrays).
-	own    [][]int
-	runEnd []int
-	box    []int
-	whole  section.Section
+	// run of equal ownership that holds position i. box and hull hold every
+	// processor's owned box and ghost hull (nil for replicated arrays).
+	own       [][]int
+	runEnd    []int
+	box, hull []int
+	whole     section.Section
 }
 
 // NewMemory allocates memories for all arrays of the unit.
@@ -292,14 +293,15 @@ func setValid(row []bool) {
 }
 
 // Reset restores the memory image to its just-constructed state —
-// every value zero, validity back to the ownership pattern — reusing
-// the existing rows so repeated native runs do not allocate.
+// every value zero, validity back to the ownership pattern, no ghosts —
+// reusing the existing rows so repeated native runs do not allocate.
 func (m *Memory) Reset() {
 	for _, am := range m.views {
 		for c := range am.Data {
 			clear(am.Data[c])
 			clear(am.Valid[c])
 		}
+		am.emptyHulls()
 	}
 	m.initValidity()
 }
@@ -389,24 +391,29 @@ func (am *ArrayMem) InvalidateRange(off, owner, lo, hi int) {
 // InvalidateBox clears processor p's validity for every element of the
 // box [lo, hi] (inclusive, within the declared bounds) that p does not
 // own: the state p's plane is left in once every element of the box
-// has been written by its owner, whatever the order of the writes. The
-// box less p's owned box is at most two slabs per dimension: one
-// dimension after the other is narrowed to the owned interval, the part
-// of the box below it and the part above it cleared whole. Within the
-// covering range of a CYCLIC dimension every index that is not p's — not
-// owned as the range's first is — is one more slab.
+// has been written by its owner, whatever the order of the writes. Only
+// the part of the box inside p's ghost hull can hold such an element, and
+// a box that covers the hull leaves none anywhere. That part less p's
+// owned box is at most two slabs per dimension: one dimension after the
+// other is narrowed to the owned interval, the part of the box below it
+// and the part above it cleared whole. Within the covering range of a
+// CYCLIC dimension every index that is not p's — not owned as the range's
+// first is — is one more slab.
 func (am *ArrayMem) InvalidateBox(p int, lo, hi []int, sc *Scratch) {
 	if am.Dist == nil {
 		return
 	}
-	rank := len(lo)
+	rank, covers := len(lo), true
 	blo, bhi, valid := sc.lo[:rank], sc.hi[:rank], am.Valid[p]
-	copy(blo, lo)
-	copy(bhi, hi)
+	glo, ghi := am.ghost(p)
 	for k := range blo {
-		if blo[k] > bhi[k] {
+		if blo[k], bhi[k] = max(lo[k], glo[k]), min(hi[k], ghi[k]); blo[k] > bhi[k] {
 			return
 		}
+		covers = covers && lo[k] <= glo[k] && ghi[k] <= hi[k]
+	}
+	for k := 0; covers && k < rank; k++ {
+		glo[k], ghi[k] = math.MaxInt, math.MinInt
 	}
 	for k := range blo {
 		slab := func(from, to int) {
@@ -513,6 +520,29 @@ func (m *Memory) Canonical(name string) []float64 {
 	return out
 }
 
+// CheckHulls holds the ghost hulls against the planes, for tests and
+// verifiers: it returns an error naming the first valid element outside
+// the hull of a processor that does not own it.
+func (m *Memory) CheckHulls() error {
+	for _, am := range m.views {
+		for p := 0; am.Dist != nil && p < m.P; p++ {
+			lo, hi := am.ghost(p)
+			for off, valid := range am.Valid[p] {
+				owner, outside := 0, false
+				for k, stride := range am.Strides {
+					i := off / stride % len(am.own[k])
+					owner += am.own[k][i]
+					outside = outside || i+am.Arr.Lo[k] < lo[k] || i+am.Arr.Lo[k] > hi[k]
+				}
+				if valid && outside && owner != p {
+					return fmt.Errorf("runtime: processor %d holds %s valid at flat offset %d, outside its ghost hull %v:%v", p, am.Name, off, lo, hi)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // ---------------------------------------------------------------------
 // Communication operations
 
@@ -564,14 +594,14 @@ func (am *ArrayMem) ShiftRange(sec section.Section, gridDim, sign, width, dstLo,
 		}
 		from, held, to, valid := am.Data[src], am.Valid[src], am.Data[dst], am.Valid[dst]
 		moved := 0
-		am.StripRuns(sec, src, ad, sign, width, sc, func(off, n int) {
+		am.Delivered(dst, am.StripRuns(sec, src, ad, sign, width, sc, func(off, n int) {
 			for i := off; i < off+n; i++ {
 				if held[i] {
 					to[i], valid[i] = from[i], true
 					moved++
 				}
 			}
-		})
+		}))
 		bytes[dst] += moved * am.Arr.ElemBytes()
 	}
 }
@@ -588,6 +618,9 @@ func (am *ArrayMem) BroadcastRange(sec section.Section, dstLo, dstHi int, sc *Sc
 		return 0
 	}
 	elems := 0
+	for p := dstLo; p < dstHi; p++ {
+		am.Delivered(p, sec)
+	}
 	am.OwnerRuns(sec, sc, func(o, off, n int) {
 		for p := dstLo; p < dstHi; p++ {
 			if p != o {

@@ -225,14 +225,18 @@ func TestLedgerAccounting(t *testing.T) {
 	}
 }
 
-// TestInvalidateBoxMatchesElementwise: clearing a box by slabs leaves a
-// processor's plane exactly as clearing, element by element, every
-// element of the box the processor does not own — for BLOCK, CYCLIC
-// and collapsed dimensions, uneven blocks, processors that own nothing
-// (a BLOCK extent that fills fewer blocks than the grid has, a CYCLIC
-// extent shorter than the grid), and every box inside the declared
-// bounds: the ones that miss the processor's block, straddle it on
-// either side in any dimension, lie inside it and contain it.
+// TestInvalidateBoxMatchesElementwise: clearing a box by slabs, inside
+// the ghost hull only, leaves a processor's plane exactly as clearing,
+// element by element, every element of the box the processor does not
+// own — for BLOCK, CYCLIC and collapsed dimensions, uneven blocks,
+// processors that own nothing (a BLOCK extent that fills fewer blocks
+// than the grid has, a CYCLIC extent shorter than the grid), and every
+// box inside the declared bounds: the ones that miss the processor's
+// block, straddle it on either side in any dimension, lie inside it and
+// contain it. The copies a box clears were delivered through the API —
+// in turn the whole array (a hull every box lies in), a strided and an
+// inset section on top of what the boxes before left (hulls a box covers,
+// cuts or misses) — and the hulls are held against the planes throughout.
 func TestInvalidateBoxMatchesElementwise(t *testing.T) {
 	for _, tc := range []struct {
 		decl, distribute string
@@ -270,12 +274,11 @@ func TestInvalidateBoxMatchesElementwise(t *testing.T) {
 			}
 			boxes = next
 		}
-		for _, box := range boxes {
+		delivered := sections(am)
+		for b, box := range boxes {
 			for p := 0; p < tc.procs; p++ {
-				want := make([]bool, len(am.Valid[p]))
-				for i := range want {
-					want[i], am.Valid[p][i] = true, true
-				}
+				am.BroadcastRange(delivered[b%len(delivered)], p, p+1, sc)
+				want := slices.Clone(am.Valid[p])
 				section.Whole(box[0], box[1]).Elems(func(ix []int) bool {
 					if am.OwnerInto(ix, coords) != p {
 						want[am.Offset(ix)] = false
@@ -287,6 +290,9 @@ func TestInvalidateBoxMatchesElementwise(t *testing.T) {
 					t.Fatalf("%s %s n=%d P=%d box %v:%v: processor %d's plane is\n%v, want\n%v",
 						tc.decl, tc.distribute, tc.n, tc.procs, box[0], box[1], p, am.Valid[p], want)
 				}
+			}
+			if err := m.CheckHulls(); err != nil {
+				t.Fatalf("%s %s n=%d P=%d after box %v:%v: %v", tc.decl, tc.distribute, tc.n, tc.procs, box[0], box[1], err)
 			}
 		}
 	}

@@ -1,5 +1,11 @@
 package spmd
 
+import (
+	"gcao/internal/core"
+	"gcao/internal/machine"
+	"gcao/internal/runtime"
+)
+
 // UnitPrograms hands the unit tests' programs to the external test
 // package, which checks them against the reference evaluator.
 var UnitPrograms = []struct {
@@ -15,6 +21,13 @@ var UnitPrograms = []struct {
 	{"replicated-intrinsics", replicatedSrc, map[string]int{"n": 8}, 4},
 	{"variable-after-strided-loop", afterLoopSrc, map[string]int{"n": 9}, 4},
 	{"mini-gravity", miniGravitySrc, map[string]int{"nx": 6, "ny": 13, "nz": 13, "steps": 3}, 16},
+}
+
+// RunOn is a single-shard Run over the caller's fresh memory image, which
+// a failed run leaves as it was when it stopped.
+func RunOn(mem *runtime.Memory, res *core.Result, m machine.Machine) error {
+	_, err := runOn(mem, res, m, 1, nil)
+	return err
 }
 
 // StencilSrc is the unit tests' two-nest stencil, for the external test

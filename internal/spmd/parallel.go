@@ -83,10 +83,13 @@ func RunParallelObs(res *core.Result, m machine.Machine, procs, workers int, rec
 	if workers > procs {
 		workers = procs
 	}
-	endRun := rec.Start("simulate:" + res.Version.String())
-	defer endRun()
+	defer rec.Start("simulate:" + res.Version.String())()
+	return runOn(runtime.NewMemory(a.Unit, procs), res, m, workers, rec)
+}
 
-	mem := runtime.NewMemory(a.Unit, procs)
+// runOn runs the placement over a fresh memory image on workers shards.
+func runOn(mem *runtime.Memory, res *core.Result, m machine.Machine, workers int, rec *obs.Recorder) (*RunResult, error) {
+	procs := mem.P
 	prog := plan.Lower(plan.New(res, mem))
 	eng := &engine{
 		prog:       prog,

@@ -39,6 +39,20 @@ func stripped(t *testing.T, src string, params map[string]int, procs int) *core.
 	return res
 }
 
+// runChecked runs the placement on one shard and, whether the run failed
+// or not, checks the ghost hulls against the planes it left: no valid copy
+// outside its processor's hull, so that invalidation — which looks inside
+// the hull only — cannot have left one to hide a stale read.
+func runChecked(t *testing.T, res *core.Result, procs int) error {
+	t.Helper()
+	mem := runtime.NewMemory(res.Analysis.Unit, procs)
+	err := spmd.RunOn(mem, res, machine.SP2())
+	if herr := mem.CheckHulls(); herr != nil {
+		t.Error(herr)
+	}
+	return err
+}
+
 // TestParallelStaleReadDetected: validity tracking must survive
 // sharding — a stripped placement still fails with a stale read, on
 // every shard count, without deadlocking the phaser. On one shard the
@@ -72,7 +86,7 @@ func TestParallelStaleReadDetected(t *testing.T) {
 			runtime.StaleReadError{Proc: 0, Array: "g", Index: []int{2, 2, 7}}, "spmd: processor 0 at 23:1: "},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := spmd.RunParallelObs(tc.res, machine.SP2(), 4, 1, nil)
+			err := runChecked(t, tc.res, 4)
 			var stale *runtime.StaleReadError
 			if !errors.As(err, &stale) {
 				t.Fatalf("run returned %v, want a *runtime.StaleReadError", err)
@@ -114,7 +128,7 @@ end
 // before there were kernels.
 func TestStaleReadInLastBatchOfBox(t *testing.T) {
 	res := stripped(t, staleLastRowSrc, map[string]int{"n": 12}, 2)
-	_, err := spmd.RunParallelObs(res, machine.SP2(), 2, 1, nil)
+	err := runChecked(t, res, 2)
 	var stale *runtime.StaleReadError
 	if !errors.As(err, &stale) {
 		t.Fatalf("run returned %v, want a *runtime.StaleReadError", err)
@@ -124,5 +138,63 @@ func TestStaleReadInLastBatchOfBox(t *testing.T) {
 	}
 	if at := "spmd: processor 0 at 13:1: "; !strings.HasPrefix(err.Error(), at) {
 		t.Errorf("error %q is not positioned %q", err, at)
+	}
+}
+
+// rewriteSrc reads a's ghosts, rewrites a, and reads the ghosts again:
+// the copies the first exchanges delivered are stale by then.
+const rewriteSrc = `
+routine w(n)
+real a(n, n), b(n, n)
+!hpf$ distribute (block, block) :: a, b
+do i = 1, n
+do j = 1, n
+a(i, j) = i * 10 + j
+b(i, j) = 0
+enddo
+enddo
+do i = 2, n - 1
+do j = 2, n - 1
+b(i, j) = 0.25 * (a(i - 1, j) + a(i + 1, j) + a(i, j - 1) + a(i, j + 1))
+enddo
+enddo
+do i = 2, n - 1
+do j = 2, n - 1
+a(i, j) = b(i, j)
+enddo
+enddo
+do i = 2, n - 1
+do j = 2, n - 1
+b(i, j) = a(i - 1, j) + a(i + 1, j) + a(i, j - 1) + a(i, j + 1)
+enddo
+enddo
+end
+`
+
+// TestStaleReadAfterDeliveryAndRewrite: with any one group of the
+// placement dropped the run fails with a stale read — also when the
+// dropped exchange is one of the second round, whose elements the
+// processor does hold, delivered by the first round and since rewritten
+// by their owners: the nest that rewrote them cleared them, inside the
+// ghost hull those deliveries had grown. The whole placement runs clean.
+func TestStaleReadAfterDeliveryAndRewrite(t *testing.T) {
+	res := stripped(t, rewriteSrc, map[string]int{"n": 12}, 4)
+	full, err := res.Analysis.Place(core.Options{Version: core.VersionCombine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Groups) < 8 {
+		t.Fatalf("%d groups placed, want two rounds of four exchanges", len(full.Groups))
+	}
+	if err := runChecked(t, full, 4); err != nil {
+		t.Fatalf("the whole placement: %v", err)
+	}
+	for drop := range full.Groups {
+		res.Groups = append(append([]*core.Group(nil), full.Groups[:drop]...), full.Groups[drop+1:]...)
+		err := runChecked(t, res, 4)
+		var stale *runtime.StaleReadError
+		if !errors.As(err, &stale) {
+			t.Errorf("without %v the run returned %v, want a *runtime.StaleReadError", full.Groups[drop], err)
+		}
 	}
 }
