@@ -30,12 +30,19 @@ check: build vet fmt-check test bench-build compile-smoke sim-smoke
 # keep compiling (and passing its quick tests) when those change. It also
 # holds the import boundary of the one-evaluator design: the execution
 # backends run the lowered program and never the AST — only the analytic
-# estimator (spmd/estimate.go) reads it.
+# estimator (spmd/estimate.go) reads it. Two greps of the same kind hold
+# what the serving path must not pay per request: a stop-the-world read of
+# the allocation counter (spans read runtime/metrics) and a retention ring
+# that evicts by shifting itself down (internal/obs/ring overwrites).
 bench-build:
 	$(GO) vet -C benchmark .
 	$(GO) test -C benchmark -short .
 	@bad="$$(grep -l '"gcao/internal/ast"' internal/native/*.go internal/spmd/*.go | grep -v -e '_test\.go$$' -e '^internal/spmd/estimate\.go$$')"; \
 	if [ -n "$$bad" ]; then echo "bench-build: execution backend imports gcao/internal/ast:"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -rn ReadMemStats --include='*.go' . | grep -v -e '_test\.go:' -e '^\./benchmark/')"; \
+	if [ -n "$$bad" ]; then echo "bench-build: ReadMemStats stops the world; read runtime/metrics:"; echo "$$bad"; exit 1; fi
+	@bad="$$(grep -rnE 'copy\(([A-Za-z_.]+), *\1\[1:\]\)' --include='*.go' internal/obs)"; \
+	if [ -n "$$bad" ]; then echo "bench-build: shifting eviction in internal/obs (use internal/obs/ring):"; echo "$$bad"; exit 1; fi
 
 # attr-smoke proves the cost-attribution path end to end: compile and
 # simulate one benchmark with -blame and a Chrome trace, assert the

@@ -170,7 +170,9 @@ func compilationSize(v any) int64 {
 	return n
 }
 
-// placedSize estimates the resident cost of a cached placement.
+// placedSize estimates the resident cost of a cached placement. The
+// engines idle in its pools are not charged: the garbage collector, not
+// the cache, decides how long they stay.
 func placedSize(v any) int64 {
 	res := v.(*Placed).Result
 	n := int64(1 << 10)

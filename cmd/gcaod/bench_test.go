@@ -1,0 +1,97 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"gcao/internal/bench"
+	"gcao/internal/obs"
+)
+
+// benchServer is a daemon configured as the repository benchmark runs it
+// (benchmark/serve.go: -cache-entries 256 -flight 8192 -log-level error).
+func benchServer(tb testing.TB) *server {
+	s := newServer(serverConfig{
+		reqTimeout:   30 * time.Second,
+		cacheEntries: 256,
+		flightSize:   8192,
+		logW:         io.Discard,
+		logLevel:     obs.LevelError,
+	})
+	tb.Cleanup(s.close)
+	return s
+}
+
+// shallowBody is a serve-mix request body: shallow at problem size n on
+// procs processors, comb, estimated, optionally executed.
+func shallowBody(tb testing.TB, n, procs int, simulate bool, backend string) []byte {
+	pr, err := bench.ByName("shallow", "main")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body, err := json.Marshal(compileRequest{
+		Source: pr.Source, Params: pr.Params(n), Procs: procs,
+		Strategy: "comb", Estimate: true, Simulate: simulate, Backend: backend,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// serve answers one POST /compile in-process and returns the response
+// body, or the error a status other than 200 is.
+func serve(h http.Handler, body []byte) ([]byte, error) {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/compile", bytes.NewReader(body)))
+	if w.Code != http.StatusOK {
+		return nil, fmt.Errorf("status %d: %s", w.Code, w.Body)
+	}
+	return w.Body.Bytes(), nil
+}
+
+func mustServe(tb testing.TB, h http.Handler, body []byte) []byte {
+	out, err := serve(h, body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// BenchmarkHandleCompile is the per-layer view of the repository
+// benchmark's serve-mix workload: one request of each of its four classes
+// through the handler, no socket and no client. EXPERIMENTS.md reconciles
+// the four numbers, weighted 70/20/5/5, against serve-mix cpu_ms_per_op.
+func BenchmarkHandleCompile(b *testing.B) {
+	for _, class := range []struct {
+		name string
+		body func(i int) []byte
+	}{
+		{"warm", func(int) []byte { return shallowBody(b, 64, 16, false, "") }},
+		{"cold", func(i int) []byte { return shallowBody(b, 128+i*1237%4096, 16, false, "") }},
+		{"exec-sim", func(int) []byte { return shallowBody(b, 32, 4, true, "") }},
+		{"exec-native", func(int) []byte { return shallowBody(b, 32, 4, true, "native") }},
+	} {
+		b.Run(class.name, func(b *testing.B) {
+			h := benchServer(b).handler()
+			bodies := make([][]byte, b.N)
+			for i := range bodies {
+				bodies[i] = class.body(i)
+			}
+			if class.name != "cold" {
+				mustServe(b, h, bodies[0])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, body := range bodies {
+				mustServe(b, h, body)
+			}
+		})
+	}
+}

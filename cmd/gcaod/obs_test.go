@@ -605,6 +605,15 @@ func TestLiveSSE(t *testing.T) {
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
+	// One /compile completes before the stream opens: the last snapshot
+	// must show the route, and four 5 ms snapshots can all precede the
+	// first completion of the concurrent traffic below.
+	if resp, _ := postCompile(t, ts, map[string]any{
+		"source": stencilSrc, "params": map[string]int{"n": 8, "steps": 1}, "procs": 4,
+	}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile status = %d", resp.StatusCode)
+	}
+
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {

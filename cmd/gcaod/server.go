@@ -283,7 +283,9 @@ type nativeReport struct {
 // against the attribution record the simulation just left on the
 // recorder — and fill the response and the registry from the results.
 // The profile itself stays on the recorder for the metrics document,
-// the Chrome trace, and the /debug/nativeprof retention ring.
+// the Chrome trace, and the /debug/nativeprof retention ring. Each run
+// takes an engine from the cached placement's pools; the response holds
+// copies of what it reports, so the engines go back when execute returns.
 func (s *server) execute(resp *compileResponse, req compileRequest, placed *gcao.Placed, m gcao.Machine, rec *obs.Recorder, root *reqtrace.Span) error {
 	if !req.Simulate {
 		return nil
@@ -294,6 +296,7 @@ func (s *server) execute(resp *compileResponse, req compileRequest, placed *gcao
 	if err != nil {
 		return badRequestError{fmt.Errorf("simulate: %w", err)}
 	}
+	defer run.Release()
 	resp.Simulate = &simulateDoc{
 		DynMessages: run.Ledger.DynMessages,
 		BytesMoved:  int64(run.Ledger.BytesMoved),
@@ -307,6 +310,7 @@ func (s *server) execute(resp *compileResponse, req compileRequest, placed *gcao
 	if err != nil {
 		return badRequestError{fmt.Errorf("native: %w", err)}
 	}
+	defer nat.Release()
 	resp.Native = &nativeReport{Stats: nat.Stats}
 	if np := nat.Profile; np != nil {
 		resp.Native.SkewRatio, resp.Native.BlockedSeconds = np.SkewRatio, np.BlockedSeconds

@@ -375,10 +375,19 @@ func (p *Placed) OptimalityGap(m Machine) (OptimalityGap, error) {
 	}, nil
 }
 
-// Placed is a routine with chosen communication placements.
+// Placed is a routine with chosen communication placements. It holds
+// the placement's prepared execution engines — memory image, lowered
+// program, frames, channel fabric — in one pool per backend: every run
+// method takes an idle engine there or builds one, and the result's
+// Release puts it back, so a caller that runs in a loop pays for a reset
+// and a run. The garbage collector reclaims idle engines (an image can be
+// tens of megabytes), and the pools go with the Placed. A Placed must not
+// be copied.
 type Placed struct {
 	Compilation *Compilation
 	Result      *core.Result
+
+	sim, nat sync.Pool
 }
 
 // Messages returns the number of placed communication operations —
@@ -391,9 +400,11 @@ func (p *Placed) MessageCounts() map[core.CommKind]int { return p.Result.Counts(
 // Simulate executes the program on the functional bulk-synchronous
 // simulator with the given machine model and processor count (which
 // must match the compilation's grid). The run fails if any processor
-// reads remote data the placement failed to deliver.
+// reads remote data the placement failed to deliver. The result's Mem and
+// Scalars are valid until its Release, which a caller done with them
+// calls to let the next run reuse the engine.
 func (p *Placed) Simulate(m Machine, procs int) (*spmd.RunResult, error) {
-	return spmd.Run(p.Result, m, procs)
+	return p.SimulateObs(m, procs, p.Result.Analysis.Obs)
 }
 
 // SimulateObs is Simulate with an explicit recorder for the run's
@@ -401,7 +412,7 @@ func (p *Placed) Simulate(m Machine, procs int) (*spmd.RunResult, error) {
 // the cached analysis carries no recorder of its own, so Simulate
 // would run unprofiled.
 func (p *Placed) SimulateObs(m Machine, procs int, rec *Recorder) (*spmd.RunResult, error) {
-	return spmd.RunObs(p.Result, m, procs, rec)
+	return spmd.RunPooled(&p.sim, p.Result, m, procs, rec)
 }
 
 // Estimate computes the analytic per-processor cost under the machine
@@ -415,23 +426,24 @@ func (p *Placed) Estimate(m Machine) (spmd.Cost, error) {
 // with the placed communication groups realized as channel transfers.
 // The processor count must match the compilation's grid. Results are
 // bit-identical to Simulate by construction; VerifyNative enforces it.
+// The result's Mem and Scalars are valid until its Release, as Simulate's.
 func (p *Placed) RunNative(procs int) (*native.RunResult, error) {
-	return native.Run(p.Result, procs)
+	return p.RunNativeObs(procs, nil)
 }
 
 // RunNativeObs is RunNative with an explicit recorder capturing the
 // run's phase span and message counters.
 func (p *Placed) RunNativeObs(procs int, rec *Recorder) (*native.RunResult, error) {
-	return native.RunObs(p.Result, procs, rec)
+	return native.RunPooled(&p.nat, p.Result, procs, rec, false)
 }
 
 // RunNativeProfiled is RunNativeObs with the runtime profiler armed:
-// every processor records its communication events into a preallocated
-// ring, and the result (and the recorder) carry the folded
+// every processor records its communication events into a ring its
+// engine keeps, and the result (and the recorder) carry the folded
 // NativeProfile — per-superstep timelines, wait accounting, compute
 // skew — ready for Calibrate against a simulator attribution record.
 func (p *Placed) RunNativeProfiled(procs int, rec *Recorder) (*native.RunResult, error) {
-	return native.RunProfiled(p.Result, procs, rec)
+	return native.RunPooled(&p.nat, p.Result, procs, rec, true)
 }
 
 // VerifyNative runs the placement on both backends — the BSP simulator
@@ -455,6 +467,7 @@ func (p *Placed) Verify(source string, cfg Config, m Machine, procs int) error {
 	if err != nil {
 		return err
 	}
+	defer run.Release()
 	seqCfg := cfg
 	seqCfg.Procs = 1
 	seqC, err := Compile(source, seqCfg)

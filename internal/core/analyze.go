@@ -135,6 +135,9 @@ func NewAnalysisObs(u *sem.Unit, rec *obs.Recorder) (*Analysis, error) {
 		a.buildLevelTable(e)
 	}
 	end()
+	// Every dependence query has been asked: drop the tables dep.New
+	// remembered them in, so nothing on a shared Analysis is ever written.
+	a.Dep = &dep.Analysis{Unit: u}
 	rec.Add("analysis.entries", int64(len(a.Entries)))
 	rec.Add("analysis.comm_entries", int64(len(a.CommEntries())))
 	rec.Add("analysis.coalesced", int64(len(a.Entries)-len(a.CommEntries())))

@@ -10,6 +10,7 @@ import (
 	"gcao/internal/bench"
 	"gcao/internal/core"
 	"gcao/internal/core/bound"
+	"gcao/internal/dep"
 	"gcao/internal/machine"
 	"gcao/internal/plan"
 	"gcao/internal/runtime"
@@ -116,6 +117,11 @@ func TestSharedAnalysisConcurrentPlace(t *testing.T) {
 	a, err := pr.Compile(pr.DefaultN, 16)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// What construction remembered of its dependence queries is dropped:
+	// a query on the shared analysis would otherwise write to it.
+	if !reflect.DeepEqual(a.Dep, &dep.Analysis{Unit: a.Unit}) {
+		t.Error("the analysis kept the dependence tables of its construction")
 	}
 	mem := runtime.NewMemory(a.Unit, 16)
 	want, err := useAnalysis(a, mem)

@@ -57,13 +57,63 @@ func (s DirSet) String() string {
 	return "?"
 }
 
-// Analysis holds per-routine context for dependence queries.
+// Analysis holds per-routine context for dependence queries. One built
+// by New also remembers what it derived — a subscript's form per
+// reference, a direction vector per (def, use) pair — and so has a single
+// user at a time; the literal &Analysis{Unit: u} answers the same queries
+// from scratch, writes nothing, and may be shared.
 type Analysis struct {
-	Unit *sem.Unit
+	Unit  *sem.Unit
+	forms map[*ast.Ref][]subForm
+	pairs map[pairKey][]DirSet // nil dirs: not feasible
 }
 
-// New builds a dependence analysis for a routine.
-func New(u *sem.Unit) *Analysis { return &Analysis{Unit: u} }
+// subForm is SubForm's result for one subscript of a reference; ok is
+// also false for a section subscript.
+type subForm struct {
+	f  lin.Form
+	ok bool
+}
+
+type pairKey struct {
+	d *ssa.RegularDef
+	u *ssa.Use
+}
+
+// New builds a remembering dependence analysis for a routine.
+func New(u *sem.Unit) *Analysis {
+	return &Analysis{Unit: u, forms: map[*ast.Ref][]subForm{}, pairs: map[pairKey][]DirSet{}}
+}
+
+// refForms returns the form of every subscript of a reference.
+func (a *Analysis) refForms(r *ast.Ref) []subForm {
+	fs, ok := a.forms[r]
+	if !ok {
+		fs = make([]subForm, len(r.Subs))
+		for k, sub := range r.Subs {
+			if sub.Kind != ast.SubRange {
+				fs[k].f, fs[k].ok = a.SubForm(sub.X)
+			}
+		}
+		if a.forms != nil {
+			a.forms[r] = fs
+		}
+	}
+	return fs
+}
+
+// pairDirections is Directions for a regular def and a use; what
+// Directions returns for a feasible pair is never nil.
+func (a *Analysis) pairDirections(d *ssa.RegularDef, u *ssa.Use) ([]DirSet, bool) {
+	dirs, ok := a.pairs[pairKey{d, u}]
+	if !ok {
+		dirs, _ = a.Directions(d.Stmt, d.LHS, u.Stmt, u.Ref)
+		if a.pairs != nil {
+			a.pairs[pairKey{d, u}] = dirs
+		}
+	}
+	return dirs, dirs != nil
+}
 
 // SubForm extracts the affine form of an element subscript expression,
 // folding routine parameters and literals to constants and keeping
@@ -150,15 +200,11 @@ func (a *Analysis) Directions(dstmt *cfg.Stmt, dref *ast.Ref, ustmt *cfg.Stmt, u
 	}
 	fixed := make([]constraint, len(common))
 
-	for k := range dref.Subs {
-		dsub, usub := dref.Subs[k], uref.Subs[k]
-		if dsub.Kind == ast.SubRange || usub.Kind == ast.SubRange {
-			continue // section subscript (reduction use): unconstrained
-		}
-		df, okd := a.SubForm(dsub.X)
-		uf, oku := a.SubForm(usub.X)
-		if !okd || !oku {
-			continue // non-affine: unconstrained
+	dfs, ufs := a.refForms(dref), a.refForms(uref)
+	for k := range dfs {
+		df, uf := dfs[k].f, ufs[k].f
+		if !dfs[k].ok || !ufs[k].ok {
+			continue // section subscript (reduction use) or non-affine: unconstrained
 		}
 		dc, dConst := df.IsConst()
 		uc, uConst := uf.IsConst()
@@ -322,7 +368,7 @@ func (a *Analysis) IsArrayDep(d ssa.Def, u *ssa.Use, level int) bool {
 	case *ssa.EntryDef:
 		return true
 	case *ssa.RegularDef:
-		dirs, feasible := a.Directions(d.Stmt, d.LHS, u.Stmt, u.Ref)
+		dirs, feasible := a.pairDirections(d, u)
 		if !feasible {
 			return false
 		}

@@ -299,3 +299,57 @@ func TestDirSetString(t *testing.T) {
 		}
 	}
 }
+
+// TestRememberedAnswersMatchFresh: an analysis built by New answers every
+// (def, use, level) query — the first time and from its tables — as the
+// table-less literal does, infeasible pairs included, and the literal
+// writes nothing (it is what a shared core.Analysis keeps).
+func TestRememberedAnswersMatchFresh(t *testing.T) {
+	c := build(t, `
+routine f(n)
+real a(n, n), b(n, n)
+do it = 1, 3
+do i = 2, n
+do j = 1, n, 2
+a(i, j) = b(i - 1, j) + a(i, j + 1)
+b(i, j) = a(i - 1, j) + a(2, 3)
+enddo
+do j = 2, n, 2
+b(i, j) = a(i, j - 1) + sum(a(i, 1:n))
+enddo
+enddo
+a(1, 1) = b(n, 2)
+enddo
+end
+`, map[string]int{"n": 8})
+	fresh := &Analysis{Unit: c.a.Unit}
+	queries, infeasible := 0, 0
+	for pass := 0; pass < 2; pass++ {
+		for _, d := range c.info.Defs {
+			for _, u := range c.info.Uses {
+				if u.Var != d.Var {
+					continue
+				}
+				for level := 0; level <= 4; level++ {
+					want := fresh.IsArrayDep(d, u, level)
+					if got := c.a.IsArrayDep(d, u, level); got != want {
+						t.Errorf("pass %d: IsArrayDep(%s, %s, %d) = %v remembered, %v fresh", pass, d, u, level, got, want)
+					}
+					queries++
+				}
+				if c.a.DepLevel(d, u) != fresh.DepLevel(d, u) {
+					t.Errorf("pass %d: DepLevel(%s, %s) differs", pass, d, u)
+				}
+				if _, ok := fresh.Directions(d.Stmt, d.LHS, u.Stmt, u.Ref); !ok {
+					infeasible++
+				}
+			}
+		}
+	}
+	if queries == 0 || infeasible == 0 || len(c.a.pairs) == 0 || len(c.a.forms) == 0 {
+		t.Fatalf("%d queries, %d infeasible pairs, %d pairs and %d references remembered: the test exercises nothing", queries, infeasible, len(c.a.pairs), len(c.a.forms))
+	}
+	if fresh.pairs != nil || fresh.forms != nil {
+		t.Error("the table-less analysis grew tables")
+	}
+}

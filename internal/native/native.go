@@ -42,6 +42,7 @@ package native
 
 import (
 	"fmt"
+	"maps"
 	goruntime "runtime"
 	"sync"
 	"sync/atomic"
@@ -62,7 +63,10 @@ type Stats = prof.RunStats
 
 // RunResult is the outcome of a native execution: the distributed
 // memory image (owner rows hold the canonical values), the replicated
-// scalar state, and the run statistics.
+// scalar state, and the run statistics. Mem, Scalars and Stats.Ops belong
+// to the engine that ran it: they are valid until that engine's next Run,
+// which for a result of RunPooled — whose Stats.Ops is the result's own —
+// means until Release.
 type RunResult struct {
 	Mem     *runtime.Memory
 	Scalars map[string]float64
@@ -70,6 +74,17 @@ type RunResult struct {
 	// Profile is the folded runtime profile when the engine ran with
 	// profiling enabled (see Engine.EnableProfiling), nil otherwise.
 	Profile *prof.NativeProfile
+	eng     *Engine
+}
+
+// Release hands the engine of a RunPooled result, and with it Mem and
+// Scalars, back to the pool it came from. It is a no-op on any other
+// result and on a second call; a result never released keeps its engine.
+func (r *RunResult) Release() {
+	if r.eng != nil && r.eng.home != nil {
+		r.eng.home.Put(r.eng)
+	}
+	r.eng = nil
 }
 
 // MaxProcs returns the largest logical processor count Run accepts
@@ -98,52 +113,68 @@ func Run(res *core.Result, procs int) (*RunResult, error) {
 // "native:<version>" phase span and its message/byte/collective
 // counters are added under the native.<version>. prefix.
 func RunObs(res *core.Result, procs int, rec *obs.Recorder) (*RunResult, error) {
-	out, err := runOnce(res, procs, rec, false)
-	if err != nil || rec == nil {
-		return out, err
-	}
-	st := out.Stats
-	prefix := "native." + res.Version.String() + "."
-	rec.Add(prefix+"messages", st.Messages)
-	rec.Add(prefix+"bytes", st.Bytes)
-	rec.Add(prefix+"wire_bytes", st.WireBytes)
-	rec.Add(prefix+"collective_hops", st.Hops)
-	rec.Add(prefix+"alloc_bytes", st.AllocBytes)
-	rec.Add(prefix+"collectives", st.Collectives)
-	rec.Add(prefix+"barriers", st.Barriers)
-	rec.Event(obs.LevelInfo, "native.done",
-		obs.F("version", res.Version.String()),
-		obs.F("procs", procs),
-		obs.F("messages", st.Messages),
-		obs.F("bytes", st.Bytes),
-		obs.F("wire_bytes", st.WireBytes),
-		obs.F("seconds", st.ElapsedSeconds))
-	return out, nil
+	return RunPooled(nil, res, procs, rec, false)
 }
 
 // RunProfiled executes the placement natively with the runtime
 // profiler enabled, installs the folded profile on the recorder (when
 // one is given) and returns the result with RunResult.Profile set.
 func RunProfiled(res *core.Result, procs int, rec *obs.Recorder) (*RunResult, error) {
-	out, err := runOnce(res, procs, rec, true)
-	if err == nil {
-		rec.SetNativeProfile(out.Profile)
-	}
-	return out, err
+	return RunPooled(nil, res, procs, rec, true)
 }
 
-// runOnce builds an engine for the placement and runs it once inside a
-// "native:<version>" span of rec, profiled or not.
-func runOnce(res *core.Result, procs int, rec *obs.Recorder, profiled bool) (*RunResult, error) {
-	eng, err := NewEngine(res, procs)
-	if err != nil {
-		return nil, err
+// RunPooled is RunObs or, profiled, RunProfiled on an idle engine from
+// pool — which holds the engines of this placement on this processor
+// count and nothing else — or, when there is none (or no pool), on a new
+// one whose home the pool becomes: the result's Release, or the failure
+// of a run, puts the engine there.
+func RunPooled(pool *sync.Pool, res *core.Result, procs int, rec *obs.Recorder, profiled bool) (*RunResult, error) {
+	defer rec.Start("native:" + res.Version.String())()
+	var eng *Engine
+	if pool != nil {
+		eng, _ = pool.Get().(*Engine)
+	}
+	if eng == nil || eng.eng.procs != procs {
+		var err error
+		if eng, err = NewEngine(res, procs); err != nil {
+			return nil, err
+		}
+		eng.home = pool
 	}
 	if profiled {
 		eng.EnableProfiling(0)
+	} else {
+		eng.DisableProfiling()
 	}
-	defer rec.Start("native:" + res.Version.String())()
-	return eng.Run()
+	out, err := eng.Run()
+	if err != nil {
+		if pool != nil {
+			pool.Put(eng)
+		}
+		return nil, err
+	}
+	st := &out.Stats
+	st.Ops = maps.Clone(st.Ops) // the engine's next run clears its own
+	if profiled {
+		rec.SetNativeProfile(out.Profile)
+	} else if rec != nil {
+		prefix := "native." + res.Version.String() + "."
+		rec.Add(prefix+"messages", st.Messages)
+		rec.Add(prefix+"bytes", st.Bytes)
+		rec.Add(prefix+"wire_bytes", st.WireBytes)
+		rec.Add(prefix+"collective_hops", st.Hops)
+		rec.Add(prefix+"alloc_bytes", st.AllocBytes)
+		rec.Add(prefix+"collectives", st.Collectives)
+		rec.Add(prefix+"barriers", st.Barriers)
+		rec.Event(obs.LevelInfo, "native.done",
+			obs.F("version", res.Version.String()),
+			obs.F("procs", procs),
+			obs.F("messages", st.Messages),
+			obs.F("bytes", st.Bytes),
+			obs.F("wire_bytes", st.WireBytes),
+			obs.F("seconds", st.ElapsedSeconds))
+	}
+	return out, nil
 }
 
 // ---------------------------------------------------------------------
@@ -154,12 +185,15 @@ func runOnce(res *core.Result, procs int, rec *obs.Recorder, profiled bool) (*Ru
 // built once. Run resets the memory image and replays the program, so
 // repeated runs measure steady-state execution — the pairs' message
 // buffers and the scratches survive between runs and the fabric allocates
-// nothing after the first. An Engine is not safe for concurrent Runs.
-// A failed run leaves the engine usable: it ends with every goroutine
-// gone and the channels drained, and the next Run clears the error.
+// nothing after the first. An Engine is not safe for concurrent Runs,
+// and what a Run returns of it — memory image, scalars, operation counts —
+// is overwritten by the next. A failed run leaves the engine usable: it
+// ends with every goroutine gone and the channels drained, and the next
+// Run clears the error.
 type Engine struct {
-	eng *engine
-	res *core.Result
+	eng  *engine
+	res  *core.Result
+	home *sync.Pool // where Release puts the engine; nil: nowhere
 }
 
 // NewEngine prepares a native execution of the placement on procs
@@ -207,22 +241,30 @@ func NewEngine(res *core.Result, procs int) (*Engine, error) {
 	return &Engine{eng: eng, res: res}, nil
 }
 
-// EnableProfiling arms the runtime profiler: every processor gets a
-// preallocated event ring of at least eventsPerProc entries (<= 0
-// selects prof.DefaultRingSize) and subsequent Runs fold the rings
-// into RunResult.Profile. The rings are allocated here, once — the
-// warm path records into them without allocating. Superstep indices in
-// the profile follow group execution order, matching the simulator's
-// attr.Step indices; the site table is the placement's stable SiteIDs.
+// EnableProfiling arms the runtime profiler: every processor records
+// into an event ring that grows to at least eventsPerProc entries (<= 0
+// selects prof.DefaultRingSize) and subsequent Runs fold the rings into
+// RunResult.Profile. A ring is built when its processor first needs one
+// and kept, as large as the runs made it, while the profiler is
+// disarmed — a warm profiled run records without allocating. Superstep
+// indices in the profile follow group execution order, matching the
+// simulator's attr.Step indices; the site table is the placement's
+// stable SiteIDs.
 func (e *Engine) EnableProfiling(eventsPerProc int) {
 	eng := e.eng
-	eng.sites = make([]string, len(e.res.Groups))
-	for _, g := range e.res.Groups {
-		eng.sites[g.ID] = g.SiteID
+	if eng.sites == nil {
+		eng.sites = make([]string, len(e.res.Groups))
+		for _, g := range e.res.Groups {
+			eng.sites[g.ID] = g.SiteID
+		}
 	}
 	for _, pc := range eng.ps {
-		pc.ring = prof.NewRing(eventsPerProc)
+		if pc.kept == nil || eng.ringSize != eventsPerProc {
+			pc.kept = prof.NewRing(eventsPerProc)
+		}
+		pc.ring = pc.kept
 	}
+	eng.ringSize = eventsPerProc
 }
 
 // DisableProfiling disarms the profiler; later Runs record nothing and
@@ -237,7 +279,7 @@ func (e *Engine) DisableProfiling() {
 // later calls reset the memory image and per-processor state first —
 // message buffers and scratches are reused, so steady-state runs do
 // not allocate. The returned RunResult shares the engine's memory
-// image and scalar map; it is valid until the next Run.
+// image, scalar map and operation counts; it is valid until the next Run.
 func (e *Engine) Run() (*RunResult, error) {
 	eng := e.eng
 	eng.errVal = nil
@@ -300,7 +342,7 @@ func (e *Engine) Run() (*RunResult, error) {
 		st.AllocBytes += pc.allocBytes
 	}
 	eng.prog.Scalars(eng.ps[0].fr, eng.scalars)
-	out := &RunResult{Mem: eng.mem, Scalars: eng.scalars, Stats: st}
+	out := &RunResult{Mem: eng.mem, Scalars: eng.scalars, Stats: st, eng: e}
 	if eng.ps[0].ring != nil {
 		out.Profile = eng.fold(int64(st.ElapsedSeconds * 1e9))
 	}
@@ -348,9 +390,11 @@ type engine struct {
 
 	// profStart anchors profiler timestamps (set per Run); sites is
 	// the placement-site table indexed by group ID, built when
-	// profiling is enabled.
+	// profiling is first enabled, ringSize what the kept rings were
+	// asked to hold.
 	profStart time.Time
 	sites     []string
+	ringSize  int
 
 	// link[dst][src] is the directed pair src→dst, allocated only for
 	// pairs the protocol uses (binomial-tree edges and grid neighbours),
@@ -514,8 +558,9 @@ type proc struct {
 	// position assigns a step index, so they record with
 	// prof.PendingStep and the marker patches them (this goroutine's
 	// own ring — single writer). endNS is the goroutine's finish
-	// mark, nanoseconds since run start.
-	ring           *prof.Ring
+	// mark, nanoseconds since run start. kept is the processor's ring
+	// whether armed or not.
+	ring, kept     *prof.Ring
 	nextStep       int32
 	evStep, evSite int32
 	evSend, evRecv prof.Phase

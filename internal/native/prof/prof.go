@@ -1,9 +1,9 @@
 // Package prof is the native runtime profiler: fixed-size phase events
-// recorded by each engine goroutine into a preallocated per-processor
-// ring, folded after the run into a NativeProfile — per-superstep
-// per-processor timelines, blocked-vs-compute accounting, skew and
-// straggler ranking — and calibrated against the analytic L+g·h model
-// by a least-squares fit of the measured (L, g) machine constants.
+// recorded by each engine goroutine into a per-processor ring, folded
+// after the run into a NativeProfile — per-superstep per-processor
+// timelines, blocked-vs-compute accounting, skew and straggler ranking —
+// and calibrated against the analytic L+g·h model by a least-squares fit
+// of the measured (L, g) machine constants.
 //
 // The package is stdlib-only (time is not even needed: events carry
 // nanoseconds the engine stamped) so every layer of the observability
@@ -82,24 +82,28 @@ type Event struct {
 	Phase Phase `json:"phase"`
 }
 
-// Ring is a preallocated fixed-capacity event buffer for one
-// processor. Record never allocates and never blocks: past the
-// capacity it wraps, keeping the newest events and counting the
-// drops. A Ring is single-writer (its processor's goroutine); readers
-// must wait for the run to finish.
+// Ring is the event buffer of one processor. It starts small and
+// doubles — positions preserved, before it would wrap — up to the
+// capacity it was built for, so a run pays for the events it records;
+// at that capacity Record neither allocates nor blocks: it wraps,
+// keeping the newest events and counting the drops. A Ring is
+// single-writer (its processor's goroutine); readers must wait for the
+// run to finish.
 type Ring struct {
 	buf  []Event
 	mask uint64
+	max  int    // the capacity buf grows to
 	n    uint64 // total events recorded since Reset
 }
 
 // DefaultRingSize is the per-processor event capacity when the caller
-// does not choose one: 64Ki events × 24 bytes ≈ 1.5 MiB per processor,
-// enough for every paper benchmark's full run without wrapping.
+// does not choose one: 64Ki events × 32 bytes = 2 MiB per processor if a
+// run fills it, enough for every paper benchmark's full run without
+// wrapping.
 const DefaultRingSize = 1 << 16
 
-// NewRing builds a ring with at least the requested capacity, rounded
-// up to a power of two; n <= 0 selects DefaultRingSize.
+// NewRing builds a ring that grows to at least the requested capacity,
+// rounded up to a power of two; n <= 0 selects DefaultRingSize.
 func NewRing(n int) *Ring {
 	if n <= 0 {
 		n = DefaultRingSize
@@ -108,16 +112,22 @@ func NewRing(n int) *Ring {
 	for c < n {
 		c <<= 1
 	}
-	return &Ring{buf: make([]Event, c), mask: uint64(c - 1)}
+	first := min(c, 1<<10)
+	return &Ring{buf: make([]Event, first), mask: uint64(first - 1), max: c}
 }
 
 // Record appends one event, overwriting the oldest when full.
 func (r *Ring) Record(ev Event) {
+	if r.n == uint64(len(r.buf)) && len(r.buf) < r.max {
+		r.buf = append(r.buf, make([]Event, len(r.buf))...)
+		r.mask = uint64(len(r.buf) - 1)
+	}
 	r.buf[r.n&r.mask] = ev
 	r.n++
 }
 
-// Reset forgets every recorded event (the buffer is retained).
+// Reset forgets every recorded event (the buffer, as far as it has
+// grown, is retained).
 func (r *Ring) Reset() { r.n = 0 }
 
 // PendingStep is the sentinel a recorder stamps on events whose

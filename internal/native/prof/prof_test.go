@@ -29,11 +29,54 @@ func TestRingWraparoundKeepsNewest(t *testing.T) {
 }
 
 func TestNewRingRoundsUpAndDefaults(t *testing.T) {
-	if got := len(NewRing(0).buf); got != DefaultRingSize {
+	if got := NewRing(0).max; got != DefaultRingSize {
 		t.Fatalf("default capacity = %d, want %d", got, DefaultRingSize)
 	}
-	if got := len(NewRing(5).buf); got != 8 {
+	if got := NewRing(5).max; got != 8 {
 		t.Fatalf("capacity for 5 = %d, want 8", got)
+	}
+	if got := len(NewRing(0).buf); got != 1<<10 {
+		t.Fatalf("a default ring starts at %d events, want 1Ki", got)
+	}
+}
+
+// TestRingGrowth: a ring doubles, order and Snapshot preserved, up to
+// the capacity it was built for and drops only there; Reset keeps what it
+// grew to, so a second pass of the same length allocates nothing.
+func TestRingGrowth(t *testing.T) {
+	const capacity = 1 << 12
+	r := NewRing(capacity)
+	fill := func(n int) {
+		for i := 0; i < n; i++ {
+			r.Record(Event{Start: int64(i), Step: PendingStep})
+		}
+	}
+	fill(3000)
+	if r.Len() != 3000 || r.Dropped() != 0 || len(r.buf) != capacity {
+		t.Fatalf("after 3000 events: len=%d dropped=%d buf=%d", r.Len(), r.Dropped(), len(r.buf))
+	}
+	for i, ev := range r.Snapshot() {
+		if ev.Start != int64(i) {
+			t.Fatalf("snapshot[%d].Start = %d after growth", i, ev.Start)
+		}
+	}
+	r.PatchPending(7, 1)
+	if ev := r.Snapshot()[0]; ev.Step != 7 {
+		t.Fatalf("PatchPending stopped at a growth boundary: first event has step %d", ev.Step)
+	}
+	fill(capacity - 3000 + 5)
+	if r.Len() != capacity || r.Dropped() != 5 || len(r.buf) != capacity {
+		t.Fatalf("at the cap: len=%d dropped=%d buf=%d", r.Len(), r.Dropped(), len(r.buf))
+	}
+	if ev := r.Snapshot()[0]; ev.Start != 5 {
+		t.Fatalf("oldest survivor = %d, want 5", ev.Start)
+	}
+	r.Reset()
+	if len(r.buf) != capacity {
+		t.Fatalf("Reset shrank the buffer to %d", len(r.buf))
+	}
+	if n := testing.AllocsPerRun(5, func() { r.Reset(); fill(3000) }); n != 0 {
+		t.Fatalf("a warm pass allocated %v times", n)
 	}
 }
 

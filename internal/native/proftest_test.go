@@ -3,6 +3,7 @@ package native_test
 import (
 	"fmt"
 	"math"
+	goruntime "runtime"
 	"sync"
 	"testing"
 
@@ -301,5 +302,39 @@ func TestNativeProfilingOffCostsNothing(t *testing.T) {
 	}
 	if out.Profile != nil {
 		t.Fatal("disabled profiler still produced a profile")
+	}
+}
+
+// TestNativeProfilerRingsStayWithEngine: disarming keeps every processor's
+// ring, as large as the runs made it, so arming again allocates nothing
+// and a warm profiled run allocates what folding copies out — less than
+// one minimal ring a processor, let alone the 2 MiB a processor that a
+// ring allocated at its full capacity up front is.
+func TestNativeProfilerRingsStayWithEngine(t *testing.T) {
+	pr, err := bench.ByName("shallow", "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := place(t, pr, 12, 4, core.VersionCombine)
+	eng, err := native.NewEngine(res, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.EnableProfiling(0)
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(10, func() { eng.DisableProfiling(); eng.EnableProfiling(0) }); n != 0 {
+		t.Errorf("disarming and arming a profiled engine allocates %v objects", n)
+	}
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	out, err := eng.Run()
+	goruntime.ReadMemStats(&after)
+	if err != nil || out.Profile == nil || out.Profile.Truncated {
+		t.Fatalf("warm profiled run: profile %+v, error %v", out.Profile, err)
+	}
+	if got, ring := after.TotalAlloc-before.TotalAlloc, uint64(4*1024*32); got >= ring {
+		t.Errorf("a warm profiled run allocated %d bytes, four minimal rings are %d", got, ring)
 	}
 }

@@ -12,7 +12,7 @@
 package obs
 
 import (
-	"runtime"
+	"runtime/metrics"
 	"sync"
 	"time"
 
@@ -27,8 +27,10 @@ type Span struct {
 	// creation.
 	StartUS int64 `json:"start_us"`
 	DurUS   int64 `json:"dur_us"`
-	// AllocBytes is the heap allocated during the span (cumulative
-	// allocation delta, not live bytes).
+	// AllocBytes is the heap the whole process allocated while the span
+	// was open (cumulative allocation delta, not live bytes). It lags by
+	// what sits in the per-P allocation caches: small objects are counted
+	// when their span of memory is swapped out, large ones at once.
 	AllocBytes int64 `json:"alloc_bytes"`
 	// Depth is the nesting depth at which the span was opened.
 	Depth int `json:"depth"`
@@ -103,23 +105,27 @@ func (r *Recorder) Start(name string) SpanEnd {
 	if r == nil {
 		return func() {}
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	startAlloc := ms.TotalAlloc
+	// runtime/metrics reads the counter without stopping the world, which
+	// filling a runtime.MemStats does: twice a span, fifteen spans a request.
+	st := &struct {
+		heap [1]metrics.Sample
+		done bool
+	}{heap: [1]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}}
+	metrics.Read(st.heap[:])
+	startAlloc := st.heap[0].Value.Uint64()
 	start := time.Now()
 	r.mu.Lock()
 	depth := r.depth
 	r.depth++
 	r.mu.Unlock()
-	done := false
 	return func() {
-		if done {
+		if st.done {
 			return
 		}
-		done = true
+		st.done = true
 		dur := time.Since(start)
-		runtime.ReadMemStats(&ms)
-		alloc := int64(ms.TotalAlloc - startAlloc)
+		metrics.Read(st.heap[:])
+		alloc := int64(st.heap[0].Value.Uint64() - startAlloc)
 		r.mu.Lock()
 		r.depth--
 		r.spans = append(r.spans, Span{
@@ -129,9 +135,12 @@ func (r *Recorder) Start(name string) SpanEnd {
 			AllocBytes: alloc,
 			Depth:      depth,
 		})
+		debug := r.log.Enabled(LevelDebug)
 		r.mu.Unlock()
-		r.Event(LevelDebug, "phase.done",
-			F("phase", name), F("dur_us", dur.Microseconds()), F("alloc_bytes", alloc))
+		if debug {
+			r.Event(LevelDebug, "phase.done",
+				F("phase", name), F("dur_us", dur.Microseconds()), F("alloc_bytes", alloc))
+		}
 	}
 }
 

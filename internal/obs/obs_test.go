@@ -176,3 +176,22 @@ func TestDecisionFormat(t *testing.T) {
 		t.Fatalf("coalesced format %q", s)
 	}
 }
+
+var spanSink []byte
+
+// TestSpanAllocAccounting pins what a span costs and what it reports: two
+// small objects (the closure and its state, no 5.8 KB MemStats), and a
+// large allocation counted at once although nothing stopped the world.
+func TestSpanAllocAccounting(t *testing.T) {
+	r := New()
+	if n := testing.AllocsPerRun(200, func() { r.Start("phase")() }); n > 2 {
+		t.Errorf("Start + end allocate %v objects, want <= 2", n)
+	}
+	end := r.Start("big")
+	spanSink = make([]byte, 1<<20)
+	end()
+	spans := r.Spans()
+	if got := spans[len(spans)-1].AllocBytes; got < 1<<20 {
+		t.Errorf("span around a 1 MiB allocation reports %d bytes", got)
+	}
+}

@@ -3,6 +3,8 @@ package reqtrace
 import (
 	"sync"
 	"time"
+
+	"gcao/internal/obs/ring"
 )
 
 // Record is one completed request as retained by the flight recorder:
@@ -51,12 +53,10 @@ func (r Record) Summary() Record {
 // keeps the interesting traces around even while healthy traffic
 // churns the ring.
 type FlightRecorder struct {
-	mu      sync.Mutex
-	cap     int
-	recs    []Record // oldest first
-	slowCap int
-	slow    []Record // oldest first
-	thresh  time.Duration
+	mu     sync.Mutex
+	recs   ring.Ring[Record]
+	slow   ring.Ring[Record]
+	thresh time.Duration
 
 	added    int64
 	retained int64
@@ -68,7 +68,7 @@ type FlightRecorder struct {
 // retention still works); thresh <= 0 disables the slow mark (errors
 // are still retained).
 func NewFlightRecorder(n, nSlow int, thresh time.Duration) *FlightRecorder {
-	return &FlightRecorder{cap: n, slowCap: nSlow, thresh: thresh}
+	return &FlightRecorder{recs: ring.New[Record](n), slow: ring.New[Record](nSlow), thresh: thresh}
 }
 
 // Threshold returns the slow-request latency threshold.
@@ -92,20 +92,10 @@ func (f *FlightRecorder) Add(rec Record) {
 	if f.thresh > 0 && time.Duration(rec.WallUS)*time.Microsecond >= f.thresh {
 		rec.Slow = true
 	}
-	if f.cap > 0 {
-		f.recs = append(f.recs, rec)
-		if len(f.recs) > f.cap {
-			copy(f.recs, f.recs[1:])
-			f.recs = f.recs[:f.cap]
-		}
-	}
-	if f.slowCap > 0 && (rec.Slow || rec.Status >= 400) {
+	f.recs.Add(rec)
+	if f.slow.Cap() > 0 && (rec.Slow || rec.Status >= 400) {
 		f.retained++
-		f.slow = append(f.slow, rec)
-		if len(f.slow) > f.slowCap {
-			copy(f.slow, f.slow[1:])
-			f.slow = f.slow[:f.slowCap]
-		}
+		f.slow.Add(rec)
 	}
 }
 
@@ -118,14 +108,11 @@ func (f *FlightRecorder) Get(id string) (Record, bool) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for i := len(f.recs) - 1; i >= 0; i-- {
-		if f.recs[i].ID == id {
-			return f.recs[i], true
-		}
-	}
-	for i := len(f.slow) - 1; i >= 0; i-- {
-		if f.slow[i].ID == id {
-			return f.slow[i], true
+	for _, recs := range []*ring.Ring[Record]{&f.recs, &f.slow} {
+		for i := 0; i < recs.Len(); i++ {
+			if rec := recs.Newest(i); rec.ID == id {
+				return *rec, true
+			}
 		}
 	}
 	return Record{}, false
@@ -139,7 +126,7 @@ func (f *FlightRecorder) Recent(limit int) []Record {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return summarize(f.recs, limit)
+	return summarize(&f.recs, limit)
 }
 
 // Slow returns up to limit summaries from the slow/errored store,
@@ -150,17 +137,17 @@ func (f *FlightRecorder) Slow(limit int) []Record {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return summarize(f.slow, limit)
+	return summarize(&f.slow, limit)
 }
 
-func summarize(recs []Record, limit int) []Record {
-	n := len(recs)
+func summarize(recs *ring.Ring[Record], limit int) []Record {
+	n := recs.Len()
 	if limit > 0 && limit < n {
 		n = limit
 	}
-	out := make([]Record, 0, n)
-	for i := len(recs) - 1; i >= len(recs)-n; i-- {
-		out = append(out, recs[i].Summary())
+	out := make([]Record, n)
+	for i := range out {
+		out[i] = recs.Newest(i).Summary()
 	}
 	return out
 }
@@ -184,11 +171,11 @@ func (f *FlightRecorder) Stats() FlightStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return FlightStats{
-		Capacity:     f.cap,
-		SlowCapacity: f.slowCap,
+		Capacity:     f.recs.Cap(),
+		SlowCapacity: f.slow.Cap(),
 		ThresholdUS:  f.thresh.Microseconds(),
-		Recent:       len(f.recs),
-		SlowRetained: len(f.slow),
+		Recent:       f.recs.Len(),
+		SlowRetained: f.slow.Len(),
 		Added:        f.added,
 		Retained:     f.retained,
 	}

@@ -132,3 +132,57 @@ func TestFlightConcurrent(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
+
+// TestFlightNewestFirstAcrossWraps pins what the listings promise after
+// the ring has wrapped several times: newest first, limit <= 0 meaning
+// everything retained, and Get resolving the newest of two records that
+// share an id.
+func TestFlightNewestFirstAcrossWraps(t *testing.T) {
+	f := NewFlightRecorder(4, 1, 0)
+	for i := 0; i < 11; i++ {
+		r := rec(fmt.Sprintf("r%d", i%9), int64(i), 200) // r0 and r1 come twice
+		f.Add(r)
+	}
+	for _, limit := range []int{-1, 0, 1, 3, 4, 9} {
+		got := f.Recent(limit)
+		want := 4
+		if limit > 0 && limit < 4 {
+			want = limit
+		}
+		if len(got) != want {
+			t.Fatalf("Recent(%d) returned %d records, want %d", limit, len(got), want)
+		}
+		for i, r := range got {
+			if r.WallUS != int64(10-i) {
+				t.Fatalf("Recent(%d)[%d] is the request of wall %d, want %d", limit, i, r.WallUS, 10-i)
+			}
+		}
+	}
+	if got, ok := f.Get("r1"); !ok || got.WallUS != 10 {
+		t.Fatalf("Get(r1) = wall %d ok=%v, want the newer record (wall 10)", got.WallUS, ok)
+	}
+	if _, ok := f.Get("r5"); ok {
+		t.Fatal("a record the ring evicted still resolves")
+	}
+	// Capacity 1, the slow store: only the newest errored record stays.
+	f.Add(rec("e1", 1, 500))
+	f.Add(rec("e2", 1, 500))
+	if slow := f.Slow(0); len(slow) != 1 || slow[0].ID != "e2" {
+		t.Fatalf("slow store of capacity 1 = %+v", slow)
+	}
+}
+
+// BenchmarkFlightAdd is one Add into a full ring at the capacity the
+// repository benchmark runs gcaod with (-flight 8192): O(1), where
+// shifting the ring down cost a 1.2 MB memmove under the lock.
+func BenchmarkFlightAdd(b *testing.B) {
+	f := NewFlightRecorder(8192, 8192, time.Second)
+	r := rec("r", 10, 200)
+	for i := 0; i < 8192; i++ {
+		f.Add(r)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Add(r)
+	}
+}

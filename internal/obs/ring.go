@@ -5,6 +5,7 @@ import (
 
 	"gcao/internal/native/prof"
 	"gcao/internal/obs/attr"
+	"gcao/internal/obs/ring"
 )
 
 // RequestRecord is the retained observability residue of one served
@@ -33,30 +34,23 @@ type RequestRecord struct {
 // adding beyond the capacity evicts the oldest record.
 type DecisionRing struct {
 	mu   sync.Mutex
-	cap  int
-	recs []RequestRecord // oldest first
+	recs ring.Ring[RequestRecord]
 }
 
 // NewDecisionRing builds a ring holding at most n records (n <= 0
 // disables retention).
 func NewDecisionRing(n int) *DecisionRing {
-	return &DecisionRing{cap: n}
+	return &DecisionRing{recs: ring.New[RequestRecord](n)}
 }
 
 // Add retains one record, evicting the oldest when full.
 func (r *DecisionRing) Add(rec RequestRecord) {
-	if r == nil || r.cap <= 0 {
+	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.recs = append(r.recs, rec)
-	if len(r.recs) > r.cap {
-		// Shift rather than reslice so the backing array does not pin
-		// evicted records' decision logs.
-		copy(r.recs, r.recs[1:])
-		r.recs = r.recs[:r.cap]
-	}
+	r.recs.Add(rec)
 }
 
 // Get returns the record with the given id, newest match first.
@@ -66,9 +60,9 @@ func (r *DecisionRing) Get(id string) (RequestRecord, bool) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := len(r.recs) - 1; i >= 0; i-- {
-		if r.recs[i].ID == id {
-			return r.recs[i], true
+	for i := 0; i < r.recs.Len(); i++ {
+		if rec := r.recs.Newest(i); rec.ID == id {
+			return *rec, true
 		}
 	}
 	return RequestRecord{}, false
@@ -87,13 +81,13 @@ func (r *DecisionRing) RecentIDs(limit int) []string {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := len(r.recs)
+	n := r.recs.Len()
 	if limit > 0 && limit < n {
 		n = limit
 	}
-	out := make([]string, 0, n)
-	for i := len(r.recs) - 1; i >= len(r.recs)-n; i-- {
-		out = append(out, r.recs[i].ID)
+	out := make([]string, n)
+	for i := range out {
+		out[i] = r.recs.Newest(i).ID
 	}
 	return out
 }
@@ -105,5 +99,5 @@ func (r *DecisionRing) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.recs)
+	return r.recs.Len()
 }

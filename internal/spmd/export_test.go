@@ -1,10 +1,6 @@
 package spmd
 
-import (
-	"gcao/internal/core"
-	"gcao/internal/machine"
-	"gcao/internal/runtime"
-)
+import "gcao/internal/runtime"
 
 // UnitPrograms hands the unit tests' programs to the external test
 // package, which checks them against the reference evaluator.
@@ -23,12 +19,9 @@ var UnitPrograms = []struct {
 	{"mini-gravity", miniGravitySrc, map[string]int{"nx": 6, "ny": 13, "nz": 13, "steps": 3}, 16},
 }
 
-// RunOn is a single-shard Run over the caller's fresh memory image, which
-// a failed run leaves as it was when it stopped.
-func RunOn(mem *runtime.Memory, res *core.Result, m machine.Machine) error {
-	_, err := runOn(mem, res, m, 1, nil)
-	return err
-}
+// Memory returns the engine's memory image, which a failed run leaves as
+// it was when it stopped.
+func (eng *Engine) Memory() *runtime.Memory { return eng.mem }
 
 // StencilSrc is the unit tests' two-nest stencil, for the external test
 // package.

@@ -34,11 +34,24 @@ import (
 	"gcao/internal/source"
 )
 
-// RunResult is the outcome of a functional simulation.
+// RunResult is the outcome of a functional simulation. Mem and Scalars
+// belong to the engine that ran it: they are valid until that engine's
+// next Run, which for a result of RunPooled means until Release.
 type RunResult struct {
 	Ledger  *runtime.Ledger
 	Mem     *runtime.Memory
 	Scalars map[string]float64
+	eng     *Engine
+}
+
+// Release hands the engine of a RunPooled result, and with it Mem and
+// Scalars, back to the pool it came from. It is a no-op on any other
+// result and on a second call; a result never released keeps its engine.
+func (r *RunResult) Release() {
+	if r.eng != nil && r.eng.home != nil {
+		r.eng.home.Put(r.eng)
+	}
+	r.eng = nil
 }
 
 // differ reports whether two replicated values disagree (NaN agrees
@@ -55,7 +68,7 @@ func differ(a, b float64) bool {
 // replicated per shard in one frame; memory and ledger writes stay
 // inside the range except at phaser rendezvous points.
 type shard struct {
-	eng    *engine
+	eng    *Engine
 	idx    int
 	lo, hi int
 	// fr is the shard's program state. fr.P, the processor whose view an

@@ -71,8 +71,41 @@ func autoWorkers(procs int) int {
 }
 
 // RunParallelObs is the full-control entry point: explicit shard
-// count and explicit recorder.
+// count and explicit recorder. It builds an engine and runs it once.
 func RunParallelObs(res *core.Result, m machine.Machine, procs, workers int, rec *obs.Recorder) (*RunResult, error) {
+	defer rec.Start("simulate:" + res.Version.String())()
+	eng, err := NewEngine(res, procs, workers)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Run(m, rec)
+}
+
+// RunPooled is RunObs on an idle engine from pool — which holds the
+// engines of this placement on this processor count and nothing else —
+// or, when there is none, on a new one whose home the pool becomes: the
+// result's Release, or the failure of a run, puts the engine there.
+func RunPooled(pool *sync.Pool, res *core.Result, m machine.Machine, procs int, rec *obs.Recorder) (*RunResult, error) {
+	defer rec.Start("simulate:" + res.Version.String())()
+	eng, _ := pool.Get().(*Engine)
+	if eng == nil || eng.mem.P != procs {
+		var err error
+		if eng, err = NewEngine(res, procs, autoWorkers(procs)); err != nil {
+			return nil, err
+		}
+		eng.home = pool
+	}
+	out, err := eng.Run(m, rec)
+	if err != nil {
+		pool.Put(eng)
+	}
+	return out, err
+}
+
+// NewEngine prepares a simulation of the placement on procs processors
+// and workers shards (workers < 1 selects GOMAXPROCS): everything that
+// does not depend on the run.
+func NewEngine(res *core.Result, procs, workers int) (*Engine, error) {
 	a := res.Analysis
 	if got := a.Unit.Grid.NumProcs(); got != procs {
 		return nil, fmt.Errorf("spmd: unit compiled for %d processors, run requested %d", got, procs)
@@ -80,58 +113,61 @@ func RunParallelObs(res *core.Result, m machine.Machine, procs, workers int, rec
 	if workers < 1 {
 		workers = goruntime.GOMAXPROCS(0)
 	}
-	if workers > procs {
-		workers = procs
-	}
-	defer rec.Start("simulate:" + res.Version.String())()
-	return runOn(runtime.NewMemory(a.Unit, procs), res, m, workers, rec)
-}
-
-// runOn runs the placement over a fresh memory image on workers shards.
-func runOn(mem *runtime.Memory, res *core.Result, m machine.Machine, workers int, rec *obs.Recorder) (*RunResult, error) {
-	procs := mem.P
-	prog := plan.Lower(plan.New(res, mem))
-	eng := &engine{
-		prog:       prog,
+	workers = min(workers, procs)
+	mem := runtime.NewMemory(a.Unit, procs)
+	eng := &Engine{
+		prog:       plan.Lower(plan.New(res, mem)),
 		mem:        mem,
-		led:        runtime.NewLedger(procs, m),
-		ph:         newPhaser(workers),
+		scalars:    map[string]float64{},
+		shards:     make([]*shard, workers),
 		syncVals:   make([]float64, workers),
 		syncHas:    make([]bool, workers),
 		shardErrs:  make([]error, workers),
 		recvBytes:  make([]int, procs),
 		bcastBytes: make([]int, workers),
 	}
+	for i := range eng.shards {
+		lo := i * procs / workers
+		sh := &shard{eng: eng, idx: i, lo: lo, hi: (i + 1) * procs / workers, fr: eng.prog.NewFrame(lo)}
+		sh.sumCounts = make([][]int, len(sh.fr.Sums))
+		for i := range sh.sumCounts {
+			sh.sumCounts[i] = make([]int, procs)
+		}
+		eng.shards[i] = sh
+	}
+	return eng, nil
+}
+
+// Run executes the prepared program once under the machine model,
+// profiled when rec is non-nil. From the second run on it first resets
+// the memory image, the frames and the rendezvous scratch; every run
+// gets a new ledger and phaser. The result shares the engine's memory
+// image and scalar map: it is valid until the engine's next Run.
+func (eng *Engine) Run(m machine.Machine, rec *obs.Recorder) (*RunResult, error) {
+	if eng.ran {
+		eng.mem.Reset()
+		clear(eng.shardErrs)
+	}
+	eng.ran = true
+	procs := eng.mem.P
+	eng.led, eng.ph = runtime.NewLedger(procs, m), newPhaser(len(eng.shards))
+	eng.prof, eng.idle, eng.attrRun, eng.attrScr = nil, nil, nil, nil
 	if rec != nil {
 		eng.prof = obs.NewCommProfile(procs)
 		eng.idle = make([]float64, procs)
-		eng.attrRun = &attr.Run{Version: res.Version.String(), Procs: procs}
-		eng.attrScr = make([]*attr.Scratch, workers)
+		eng.attrRun = &attr.Run{Version: eng.prog.Plan.Res.Version.String(), Procs: procs}
+		eng.attrScr = make([]*attr.Scratch, len(eng.shards))
 		for i := range eng.attrScr {
 			eng.attrScr[i] = attr.NewScratch(procs)
 		}
 	}
-	eng.shards = make([]*shard, workers)
-	for i := range eng.shards {
-		lo := i * procs / workers
-		hi := (i + 1) * procs / workers
-		fr := prog.NewFrame(lo)
-		sh := &shard{
-			eng:       eng,
-			idx:       i,
-			lo:        lo,
-			hi:        hi,
-			fr:        fr,
-			led:       eng.led.View(lo, hi),
-			sumCounts: make([][]int, len(fr.Sums)),
-		}
-		for i := range sh.sumCounts {
-			sh.sumCounts[i] = make([]int, procs)
-		}
+	for _, sh := range eng.shards {
+		sh.fr.Reset()
+		sh.fr.P, sh.nest, sh.prof = sh.lo, false, nil
+		sh.led = eng.led.View(sh.lo, sh.hi)
 		if rec != nil {
 			sh.prof = obs.NewCommProfile(procs)
 		}
-		eng.shards[i] = sh
 	}
 
 	var wg sync.WaitGroup
@@ -150,9 +186,8 @@ func runOn(mem *runtime.Memory, res *core.Result, m machine.Machine, workers int
 	if eng.prof != nil {
 		eng.finishProfile(rec)
 	}
-	scalars := map[string]float64{}
-	prog.Scalars(eng.shards[0].fr, scalars)
-	return &RunResult{Ledger: eng.led, Mem: eng.mem, Scalars: scalars}, nil
+	eng.prog.Scalars(eng.shards[0].fr, eng.scalars)
+	return &RunResult{Ledger: eng.led, Mem: eng.mem, Scalars: eng.scalars, eng: eng}, nil
 }
 
 // main runs one shard to completion: the program walk, then the final
@@ -183,14 +218,24 @@ func (sh *shard) main() {
 }
 
 // ---------------------------------------------------------------------
-// engine: shared run state and rendezvous scratch
+// Engine: a prepared simulation, reusable across runs
 
-type engine struct {
-	prog   *plan.Program
-	mem    *runtime.Memory
-	led    *runtime.Ledger
-	ph     *phaser
-	shards []*shard
+// Engine is a prepared simulation of one placement, in the image of
+// native.Engine: the memory image, the lowered program, the shards with
+// their frames and the rendezvous scratch are built once; the ledger,
+// the phaser and — with a recorder — the profile and attribution
+// records are a run's own. An Engine is not safe for concurrent Runs. A
+// failed run leaves it usable.
+type Engine struct {
+	prog    *plan.Program
+	mem     *runtime.Memory
+	shards  []*shard
+	scalars map[string]float64
+	ran     bool
+	home    *sync.Pool // where Release puts the engine; nil: nowhere
+
+	led *runtime.Ledger
+	ph  *phaser
 
 	// prof and idle are the master communication profile of this run,
 	// built only when a recorder is attached (both nil otherwise).
@@ -226,7 +271,7 @@ type engine struct {
 
 // absorbLedgers folds every shard's range-scoped CPU clocks into the
 // master ledger (an idempotent snapshot copy).
-func (eng *engine) absorbLedgers() {
+func (eng *Engine) absorbLedgers() {
 	for _, sh := range eng.shards {
 		eng.led.Absorb(sh.led)
 	}
@@ -235,7 +280,7 @@ func (eng *engine) absorbLedgers() {
 // masterBarrier synchronizes the master ledger clocks, first crediting
 // each processor's wait below the slowest clock to the profile's idle
 // account (the ledger itself charges that slack to Net).
-func (eng *engine) masterBarrier() {
+func (eng *Engine) masterBarrier() {
 	if eng.idle != nil {
 		maxT := 0.0
 		for p := 0; p < eng.led.P; p++ {
@@ -253,7 +298,7 @@ func (eng *engine) masterBarrier() {
 // checkScalarAgreement verifies that the shards' replicated scalars
 // have not diverged — the cross-shard completion of the per-range
 // agreement check in evalRange.
-func (eng *engine) checkScalarAgreement() error {
+func (eng *Engine) checkScalarAgreement() error {
 	f0 := eng.shards[0].fr
 	for _, sh := range eng.shards[1:] {
 		for s, v0 := range f0.Reals {
@@ -269,7 +314,7 @@ func (eng *engine) checkScalarAgreement() error {
 // master profile and resets the scratch. Pairs are integer sums over
 // disjoint receiver ranges, so the merged matrix is bit-identical to
 // the single-shard one.
-func (eng *engine) mergeProfiles() {
+func (eng *Engine) mergeProfiles() {
 	if eng.prof == nil {
 		return
 	}
@@ -292,7 +337,7 @@ func (eng *engine) mergeProfiles() {
 // bit-identical for any worker count; collectives charge the same
 // full-section payload on every processor, so the ledger byte delta
 // is the h-relation directly.
-func (eng *engine) addAttrStep(g *core.Group) {
+func (eng *Engine) addAttrStep(g *core.Group) {
 	st := attr.Step{
 		Index:    len(eng.attrRun.Steps),
 		Site:     g.SiteID,
@@ -330,7 +375,7 @@ func (eng *engine) addAttrStep(g *core.Group) {
 // so failure reporting is deterministic (the lowest shard owns the
 // lowest processors, matching the sequential engine's first-failing-
 // processor order).
-func (eng *engine) firstShardError() error {
+func (eng *Engine) firstShardError() error {
 	for _, err := range eng.shardErrs {
 		if err != nil {
 			return err
@@ -342,7 +387,7 @@ func (eng *engine) firstShardError() error {
 // finishProfile fills the per-processor time split, installs the
 // profile, and bumps the run counters. The version-prefixed counters
 // let several runs (orig vs comb) share one recorder.
-func (eng *engine) finishProfile(rec *obs.Recorder) {
+func (eng *Engine) finishProfile(rec *obs.Recorder) {
 	compute := make([]float64, eng.led.P)
 	comm := make([]float64, eng.led.P)
 	for p := 0; p < eng.led.P; p++ {
@@ -472,7 +517,7 @@ func (sh *shard) execComm(c *plan.Comm) error {
 // receiver dst takes its strips from: its neighbour on the grid the
 // group's arrays are distributed over (combining requires them to share
 // it). Only asked about receivers that were sent something.
-func (eng *engine) sender(g *core.Group, dst int) int {
+func (eng *Engine) sender(g *core.Group, dst int) int {
 	src, _ := eng.ents[0].Am.Dist.Grid.Neighbor(dst, g.Map.GridDim, g.Map.Sign)
 	return src
 }

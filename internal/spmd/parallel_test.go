@@ -13,6 +13,7 @@ import (
 	"gcao/internal/core"
 	"gcao/internal/machine"
 	"gcao/internal/obs"
+	"gcao/internal/plan"
 )
 
 // miniGravitySrc is a condensed gravity sweep: a 3-d (*,BLOCK,BLOCK)
@@ -214,7 +215,7 @@ func TestAutoWorkers(t *testing.T) {
 // bounds (positioned at the call, here in the middle of a statement
 // rendezvous) alike — not a panic that takes the caller down. Every
 // shard goroutine has exited when the run returns, whatever rendezvous
-// its peers were parked at.
+// its peers were parked at, and the engine runs again afterwards.
 func TestSimulateOutOfRangeSubscriptIsError(t *testing.T) {
 	const outside = "outside the declared 1:12"
 	for _, tc := range []struct {
@@ -233,14 +234,29 @@ func TestSimulateOutOfRangeSubscriptIsError(t *testing.T) {
 				src := "routine r(n)\nreal a(n), b(n), c(n)\nreal x\n!hpf$ distribute (block) :: a, b\n" +
 					"do i = 1, n\na(i) = i\nb(i) = 0\nenddo\n" + tc.body + "end\n"
 				res := placed(t, compile(t, src, map[string]int{"n": 12}, 4), core.VersionCombine)
-				before := goruntime.NumGoroutine()
-				_, err := RunParallelObs(res, machine.SP2(), 4, workers, nil)
-				if err == nil {
-					t.Fatal("out-of-range subscript not reported")
+				eng, err := NewEngine(res, 4, workers)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, want := range tc.want {
-					if !strings.Contains(err.Error(), want) {
-						t.Errorf("error %q lacks %q", err, want)
+				before := goruntime.NumGoroutine()
+				// Twice on one engine: a failed run — shards stopped in a
+				// nest, at a rendezvous, anywhere — leaves it fit to run
+				// again, to the same error (on one shard, the very same).
+				var first string
+				for run := 0; run < 2; run++ {
+					_, err := eng.Run(machine.SP2(), nil)
+					if err == nil {
+						t.Fatal("out-of-range subscript not reported")
+					}
+					for _, want := range tc.want {
+						if !strings.Contains(err.Error(), want) {
+							t.Errorf("run %d: error %q lacks %q", run, err, want)
+						}
+					}
+					if run == 0 {
+						first = err.Error()
+					} else if workers == 1 && err.Error() != first {
+						t.Errorf("run 1 on the same engine reports %q, run 0 %q", err, first)
 					}
 				}
 				// The run waits for its goroutines' deferred Done, which
@@ -270,5 +286,47 @@ func TestSimulateUnboundScalarInNest(t *testing.T) {
 		if want := regexp.MustCompile(`^spmd: processor ` + proc + ` at 8:1: 8:21: unbound scalar "x"$`); err == nil || !want.MatchString(err.Error()) {
 			t.Errorf("j=%d: run returned %v, want %s", workers, err, want)
 		}
+	}
+}
+
+// TestEngineRunsAfterPanic: a panic under a shard in the middle of a run —
+// memory written, peers parked at a rendezvous — is a positioned error, and
+// the engine's next run, the program whole again, leaves bit for bit what a
+// new engine's leaves.
+func TestEngineRunsAfterPanic(t *testing.T) {
+	const procs = 16
+	m := machine.SP2()
+	res := placed(t, compile(t, miniGravitySrc, map[string]int{"nx": 6, "ny": 13, "nz": 13, "steps": 2}, procs), core.VersionCombine)
+	for _, workers := range []int{1, 4} {
+		recF := obs.New()
+		fresh, err := RunParallelObs(res, m, procs, workers, recF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngine(res, procs, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole := eng.prog.Body
+		// A statement with no source behind it: executing it dereferences nil.
+		eng.prog.Body = append(append(append([]plan.Node(nil), whole[:len(whole)-1]...), &plan.Stmt{}), whole[len(whole)-1])
+		before := goruntime.NumGoroutine()
+		if _, err := eng.Run(m, obs.New()); err == nil || !strings.Contains(err.Error(), "panic: ") || !strings.Contains(err.Error(), "spmd: processor range [") {
+			t.Fatalf("j=%d: run over a panicking statement returned %v", workers, err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
+			goruntime.Gosched()
+		}
+		if after := goruntime.NumGoroutine(); after > before {
+			t.Errorf("j=%d: %d goroutines before the failed run, %d after", workers, before, after)
+		}
+		eng.prog.Body = whole
+		rec := obs.New()
+		out, err := eng.Run(m, rec)
+		if err != nil {
+			t.Fatalf("j=%d: run after the panic: %v", workers, err)
+		}
+		requireBitIdentical(t, res, workers, fresh, out, recF.CommProfile(), rec.CommProfile())
 	}
 }

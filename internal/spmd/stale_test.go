@@ -39,15 +39,24 @@ func stripped(t *testing.T, src string, params map[string]int, procs int) *core.
 	return res
 }
 
-// runChecked runs the placement on one shard and, whether the run failed
-// or not, checks the ghost hulls against the planes it left: no valid copy
-// outside its processor's hull, so that invalidation — which looks inside
-// the hull only — cannot have left one to hide a stale read.
+// runChecked runs the placement on one shard, twice on one engine — a
+// failed run must leave its engine fit to run again, to the same positioned
+// error — and, whether the runs failed or not, checks the ghost hulls
+// against the planes the last left: no valid copy outside its processor's
+// hull, so that invalidation — which looks inside the hull only — cannot
+// have left one to hide a stale read.
 func runChecked(t *testing.T, res *core.Result, procs int) error {
 	t.Helper()
-	mem := runtime.NewMemory(res.Analysis.Unit, procs)
-	err := spmd.RunOn(mem, res, machine.SP2())
-	if herr := mem.CheckHulls(); herr != nil {
+	eng, err := spmd.NewEngine(res, procs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, first := eng.Run(machine.SP2(), nil)
+	_, err = eng.Run(machine.SP2(), nil)
+	if (first == nil) != (err == nil) || err != nil && first.Error() != err.Error() {
+		t.Errorf("the second run on one engine returned %v, the first %v", err, first)
+	}
+	if herr := eng.Memory().CheckHulls(); herr != nil {
 		t.Error(herr)
 	}
 	return err
