@@ -153,18 +153,27 @@ nativeprof-smoke:
 # the Fig. 10(a) table must come out of commstat with hydflo/flux at its
 # 52/30/6 call sites, the placement golden file, the section-table and
 # shared-analysis tests must pass (the last under the race detector —
-# an Analysis is shared lock-free), and a full compile of hydflo/flux
-# (parse through the three placements, BenchmarkFig10aHydfloFlux) must
-# stay within the allocation budget in ci/compile-alloc-budget.txt:
-# 1.25x the measured allocs/op, where the revision before the per-level
-# section tables spent 399 416 — a pair test that starts re-expanding
-# sections again is a regression long before it shows in milliseconds.
+# an Analysis is shared lock-free), a compilation instantiated from a
+# cached skeleton must equal the one compiled from the text (the
+# differential test), eight goroutines must share one skeleton under the
+# race detector — it is never written once published — a known source at
+# a new size must stay within its allocation pins (through the library
+# and through gcaod's handler) with no front-end or structural span, and
+# a full compile of hydflo/flux (parse through the three placements,
+# BenchmarkFig10aHydfloFlux) must stay within the allocation budget in
+# ci/compile-alloc-budget.txt: 1.25x the measured allocs/op, where the
+# revision before the per-level section tables spent 399 416 — a pair
+# test that starts re-expanding sections again is a regression long
+# before it shows in milliseconds.
 compile-smoke:
 	@mkdir -p out
 	$(GO) run ./cmd/commstat | tee out/compile-smoke.txt
 	@grep -Eq '^hydflo +flux +NNC +\| +52 +30 +6 \|' out/compile-smoke.txt || { echo "compile-smoke: hydflo/flux is not 52/30/6 call sites"; exit 1; }
 	$(GO) test ./internal/core -run 'TestPlacementGolden|TestSectionTableMatchesExpansion|TestPlaceNilRecorderAllocs|TestNilTallyCostsNothing' -count=1
 	$(GO) test -race ./internal/core -run 'TestSharedAnalysisConcurrentPlace' -count=1
+	$(GO) test . -run 'TestSkeletonMatchesMonolithic|TestSkeletonHitPin' -count=1
+	$(GO) test ./cmd/gcaod -run 'TestColdKnownSourceAllocs' -count=1
+	$(GO) test -race . -run 'TestSkeletonSharedConcurrently' -count=1
 	@GO="$(GO)" sh ci/alloc-budget.sh 'BenchmarkFig10aHydfloFlux$$' ci/compile-alloc-budget.txt compile-smoke
 	@echo "compile-smoke: ok"
 

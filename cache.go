@@ -3,17 +3,20 @@ package gcao
 import (
 	"strconv"
 
+	"gcao/internal/ast"
 	"gcao/internal/cache"
+	"gcao/internal/core"
 )
 
 // CacheTierStats re-exports one cache tier's snapshot: occupancy,
 // bounds, and hit/miss/dedup/eviction counters.
 type CacheTierStats = cache.Stats
 
-// CacheStats is the two-tier snapshot of a compilation cache.
+// CacheStats is the three-tier snapshot of a compilation cache.
 type CacheStats struct {
-	Compile CacheTierStats `json:"compile"`
-	Place   CacheTierStats `json:"place"`
+	Compile  CacheTierStats `json:"compile"`
+	Place    CacheTierStats `json:"place"`
+	Skeleton CacheTierStats `json:"skeleton"`
 }
 
 // CacheOutcome reports how a cached operation was satisfied: a miss
@@ -40,26 +43,38 @@ type CacheOptions struct {
 	Shards int
 }
 
-// Cache is a content-addressed compilation cache: analysis results and
-// placement outcomes are stored in two separate tiers, keyed by
-// canonical SHA-256 fingerprints of everything that determines the
-// output (source text, entry routine, parameter binding, processor
-// count; plus strategy and placement options for the placement tier).
-// Identical concurrent requests are deduplicated so N callers trigger
-// exactly one compile — the paper's redundancy-elimination discipline
-// applied to the compiler itself.
-//
-// A cached *Compilation is shared by every request that hits it, which
-// is safe: after analysis, placement and simulation only read the
-// analysis. Callers pass a per-request Recorder to Place (and
-// Placed.SimulateObs) for telemetry, since the cached analysis has no
-// recorder of its own.
-type Cache struct {
-	compile *cache.Cache
-	place   *cache.Cache
+// CompileOutcome reports how the tiers a cached compile went through
+// satisfied it. Only a compile-tier miss consults the skeleton tier, so
+// Skeleton means something only beside Compile == CacheMiss.
+type CompileOutcome struct {
+	Compile  CacheOutcome
+	Skeleton CacheOutcome
 }
 
-// NewCache builds an empty two-tier compilation cache.
+// Cache is a content-addressed compilation cache of three tiers, each
+// keyed by a canonical SHA-256 fingerprint of everything that determines
+// its value: the skeleton tier by (source text, entry routine) — the
+// parsed and inlined routine and the structural analysis every parameter
+// binding shares; the compile tier by those and (parameter binding,
+// processor count) — the analysis under one binding; the place tier by
+// the compilation's fingerprint plus strategy and placement options.
+// Identical concurrent requests are deduplicated so N callers trigger
+// exactly one compile — the paper's redundancy-elimination discipline
+// applied to the compiler itself — and a known source at a new size pays
+// only for the steps that read the size.
+//
+// A cached *Compilation is shared by every request that hits it, and a
+// skeleton by every compilation built from it, which is safe: after
+// analysis, placement and simulation only read both. Callers pass a
+// per-request Recorder to Place (and Placed.SimulateObs) for telemetry,
+// since the cached analysis has no recorder of its own.
+type Cache struct {
+	compile  *cache.Cache
+	place    *cache.Cache
+	skeleton *cache.Cache
+}
+
+// NewCache builds an empty compilation cache.
 func NewCache(opt CacheOptions) *Cache {
 	if opt.MaxEntries <= 0 {
 		opt.MaxEntries = 1024
@@ -70,43 +85,34 @@ func NewCache(opt CacheOptions) *Cache {
 	if opt.Shards <= 0 {
 		opt.Shards = 16
 	}
-	return &Cache{
-		compile: cache.New(opt.MaxEntries, opt.MaxBytes, opt.Shards),
-		place:   cache.New(opt.MaxEntries, opt.MaxBytes, opt.Shards),
-	}
+	tier := func() *cache.Cache { return cache.New(opt.MaxEntries, opt.MaxBytes, opt.Shards) }
+	return &Cache{compile: tier(), place: tier(), skeleton: tier()}
 }
 
 // Compile is the cached variant of the package-level Compile. On a
 // miss the routine is compiled with cfg (whose Recorder receives the
 // pipeline telemetry) and the analysis is cached under the content
-// fingerprint of (source, params, procs); hits and deduplicated calls
-// return the shared analysis without recompiling. The outcome is also
-// counted on cfg.Obs as cache.compile.<hit|miss|dedup>.
-func (c *Cache) Compile(source string, cfg Config) (*Compilation, CacheOutcome, error) {
-	return c.compileKeyed(source, "", cfg)
+// fingerprint of (source, params, procs) — from the parsed routine and,
+// unless the source has array statements, the skeleton an earlier binding
+// of the source left in the skeleton tier. Hits and deduplicated calls
+// return the shared analysis without recompiling. The outcomes are also
+// counted on cfg.Obs as cache.{compile,skeleton}.<hit|miss|dedup>.
+func (c *Cache) Compile(source string, cfg Config) (*Compilation, CompileOutcome, error) {
+	return c.CompileProgram(source, "", cfg)
 }
 
 // CompileProgram is the cached variant of the package-level
 // CompileProgram; the entry routine name participates in the
-// fingerprint, so the same program text compiled from two different
-// main routines occupies two distinct entries.
-func (c *Cache) CompileProgram(source, main string, cfg Config) (*Compilation, CacheOutcome, error) {
-	return c.compileKeyed(source, main, cfg)
-}
-
-func (c *Cache) compileKeyed(source, main string, cfg Config) (*Compilation, CacheOutcome, error) {
+// fingerprints, so the same program text compiled from two different
+// main routines occupies two distinct entries of either tier.
+func (c *Cache) CompileProgram(source, main string, cfg Config) (*Compilation, CompileOutcome, error) {
 	fp := cache.Fingerprint("gcao-compile-v1",
 		source, main, cache.CanonParams(cfg.Params), strconv.Itoa(cfg.Procs))
-	v, out, err := c.compile.Do(fp, compilationSize, func() (any, error) {
-		var (
-			comp *Compilation
-			err  error
-		)
-		if main == "" {
-			comp, err = Compile(source, cfg)
-		} else {
-			comp, err = CompileProgram(source, main, cfg)
-		}
+	var out CompileOutcome
+	v, compOut, err := c.compile.Do(fp, compilationSize, func() (any, error) {
+		comp, skOut, err := c.fromSkeleton(source, main, cfg)
+		out.Skeleton = skOut
+		cfg.Obs.Add("cache.skeleton."+skOut.String(), 1)
 		if err != nil {
 			return nil, err
 		}
@@ -117,11 +123,59 @@ func (c *Cache) compileKeyed(source, main string, cfg Config) (*Compilation, Cac
 		comp.fingerprint = fp
 		return comp, nil
 	})
-	cfg.Obs.Add("cache.compile."+out.String(), 1)
+	out.Compile = compOut
+	cfg.Obs.Add("cache.compile."+compOut.String(), 1)
 	if err != nil {
 		return nil, out, err
 	}
 	return v.(*Compilation), out, nil
+}
+
+// front is what the skeleton tier holds for a (source, main): the routine
+// as parsed and inlined, and its skeleton when that serves every binding
+// (nil when the source has array statements, whose scalarization reads the
+// sizes: each binding then builds its own from the routine).
+type front struct {
+	routine  *ast.Routine
+	shared   *core.Skeleton
+	srcBytes int // len(source), what skeletonSize scales the routine by
+}
+
+// fromSkeleton compiles a compile-tier miss through the skeleton tier. The
+// call that finds the tier empty compiles the source in full, as the
+// package-level CompileProgram does, and leaves routine and skeleton
+// behind; every other binding runs sem and the instantiate half only. An
+// error is the building binding's own: it is not cached, so the tier is as
+// the call found it, and a binding that waited on the failed build takes
+// its turn at building instead of the other binding's error.
+func (c *Cache) fromSkeleton(source, main string, cfg Config) (*Compilation, CacheOutcome, error) {
+	cfg.Obs.SetLog(cfg.Log, cfg.ReqID)
+	key := cache.Fingerprint("gcao-skeleton-v1", source, main)
+	var built *Compilation
+	build := func() (any, error) {
+		r, err := parseRoutine(source, main, cfg.Obs)
+		if err != nil {
+			return nil, err
+		}
+		if built, err = compileRoutine(r, nil, cfg); err != nil {
+			return nil, err
+		}
+		k := &front{routine: r, srcBytes: len(source)}
+		if sk := built.Analysis.Skeleton; sk.SizeFree() {
+			k.shared = sk
+		}
+		return k, nil
+	}
+	v, out, err := c.skeleton.Do(key, skeletonSize, build)
+	for err != nil && out == CacheDedup {
+		v, out, err = c.skeleton.Do(key, skeletonSize, build)
+	}
+	if err != nil || built != nil {
+		return built, out, err
+	}
+	k := v.(*front)
+	comp, err := compileRoutine(k.routine, k.shared, cfg)
+	return comp, out, err
 }
 
 // Place is the cached variant of Compilation.PlaceOptions for
@@ -149,25 +203,46 @@ func (c *Cache) Place(comp *Compilation, s Strategy, opt PlacementOptions, rec *
 	return v.(*Placed), out, nil
 }
 
-// Stats snapshots both tiers.
+// Stats snapshots the three tiers.
 func (c *Cache) Stats() CacheStats {
-	return CacheStats{Compile: c.compile.Stats(), Place: c.place.Stats()}
+	return CacheStats{Compile: c.compile.Stats(), Place: c.place.Stats(), Skeleton: c.skeleton.Stats()}
 }
 
 // compilationSize estimates the resident cost of a cached analysis for
-// the byte bound. The analysis holds the scalarized body, CFG, SSA and
+// the byte bound: what this binding alone keeps alive — the unit and the
 // per-entry descriptors (candidate lists and the per-level section
-// tables); the estimate charges a fixed overhead plus a per-statement
-// and per-entry share. The constants are fitted to the live-heap growth
-// of the six Fig. 10(a) compilations (88–295 KB each, of which the
-// section tables are 0.7–1.1 KB per entry);
-// TestCompilationSizeTracksHeap keeps them within 2× of it.
+// tables) — plus the skeleton when no other binding can share it. The
+// constants of the three estimates are fitted to the live-heap growth of
+// the six Fig. 10(a) routines compiled at eight sizes through one Cache
+// (20–95 KB a binding, 85–240 KB a source);
+// TestCompilationSizeTracksHeap keeps each within 2× of it.
 func compilationSize(v any) int64 {
 	a := v.(*Compilation).Analysis
-	n := int64(24 << 10)
-	n += int64(len(a.G.Stmts)) * 512
-	n += int64(len(a.Entries)) * (5 << 10)
+	n := int64(4<<10) + int64(len(a.Entries))*1536
+	if !a.SizeFree() {
+		n += structureSize(a.Skeleton)
+	}
 	return n
+}
+
+// skeletonSize estimates the resident cost of a skeleton-tier value: the
+// parsed routine (whose names are slices of the source text, so that
+// stays too) and the shared skeleton, charged once however many
+// compilations hold them.
+func skeletonSize(v any) int64 {
+	k := v.(*front)
+	n := int64(k.srcBytes) * 25
+	if k.shared != nil {
+		n += structureSize(k.shared)
+	}
+	return n
+}
+
+// structureSize is what a skeleton keeps alive beside the routine:
+// scalarized body, CFG, dominators, SSA and the structural subscript forms.
+func structureSize(sk *core.Skeleton) int64 {
+	return int64(len(sk.G.Blocks))*288 +
+		int64(len(sk.SSA.Uses)+len(sk.SSA.Defs)+len(sk.SSA.Phis))*448
 }
 
 // placedSize estimates the resident cost of a cached placement. The

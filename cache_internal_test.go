@@ -19,39 +19,76 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestCompilationSizeTracksHeap holds the cache's admission estimate
-// against what a cached compilation really keeps alive: the heap growth
-// of compiling the six Fig. 10(a) routines, each retained, must be
-// within 2× of compilationSize, per routine and over the suite. Entries
-// carry per-level section tables, so the per-entry share is not a
-// guess to leave unmeasured.
+// within2x reports whether an estimate and a measurement are within a
+// factor of two of each other.
+func within2x(est, real int64) bool { return est <= 2*real && real <= 2*est }
+
+// TestCompilationSizeTracksHeap holds the cache's admission estimates
+// against what the cached values really keep alive, for each of the six
+// Fig. 10(a) routines. One-shot: the heap growth of a package-level
+// Compile, retained, is within 2× of skeletonSize + compilationSize (it
+// shares nothing). Cached: of eight sizes compiled through one Cache, each
+// binding after the first grows the heap by compilationSize within 2× —
+// it holds the routine and the skeleton by pointer — and the first by
+// that plus skeletonSize within 2×. Entries carry per-level section
+// tables and a skeleton the whole SSA form, so neither share is a guess
+// to leave unmeasured.
 func TestCompilationSizeTracksHeap(t *testing.T) {
 	const copies = 8
 	var sumReal, sumEst int64
 	for _, pr := range bench.Programs() {
-		cfg := Config{Params: pr.Params(pr.DefaultN), Procs: 25}
+		name := pr.Bench + "/" + pr.Routine
 		kept := make([]*Compilation, copies)
 		before := liveHeap()
 		for i := range kept {
-			c, err := Compile(pr.Source, cfg)
+			c, err := Compile(pr.Source, Config{Params: pr.Params(pr.DefaultN), Procs: 25})
 			if err != nil {
 				t.Fatal(err)
 			}
 			kept[i] = c
 		}
 		real := int64(liveHeap()-before) / copies
-		est := compilationSize(kept[0])
+		a := kept[0].Analysis
+		estSkel := skeletonSize(&front{routine: a.Unit.Routine, shared: a.Skeleton, srcBytes: len(pr.Source)})
+		est := estSkel + compilationSize(kept[0])
 		runtime.KeepAlive(kept)
-		t.Logf("%s/%s: %d stmts, %d entries: heap %d B, estimate %d B (%.2fx)",
-			pr.Bench, pr.Routine, len(kept[0].Analysis.G.Stmts), len(kept[0].Analysis.Entries),
-			real, est, float64(est)/float64(real))
-		if est > 2*real || real > 2*est {
-			t.Errorf("%s/%s: compilationSize %d B is off by more than 2x from the %d B the compilation keeps alive",
-				pr.Bench, pr.Routine, est, real)
+		t.Logf("%s: %d blocks, %d entries: one-shot heap %d B, estimate %d B (%.2fx)",
+			name, len(a.G.Blocks), len(a.Entries), real, est, float64(est)/float64(real))
+		if !within2x(est, real) {
+			t.Errorf("%s: skeletonSize + compilationSize = %d B is off by more than 2x from the %d B a one-shot compilation keeps alive", name, est, real)
 		}
 		sumReal, sumEst = sumReal+real, sumEst+est
+
+		c := NewCache(CacheOptions{})
+		kept = make([]*Compilation, copies)
+		compile := func(i int) {
+			comp, _, err := c.Compile(pr.Source, Config{Params: pr.Params(pr.DefaultN + i), Procs: 25})
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept[i] = comp
+		}
+		before = liveHeap()
+		compile(0)
+		first := liveHeap()
+		for i := 1; i < copies; i++ {
+			compile(i)
+		}
+		binding := int64(liveHeap()-first) / (copies - 1)
+		skel := int64(first-before) - binding
+		estBinding := compilationSize(kept[copies-1])
+		runtime.KeepAlive(kept)
+		runtime.KeepAlive(c)
+		t.Logf("%s: cached: a binding %d B, estimate %d B (%.2fx); the skeleton %d B, estimate %d B (%.2fx)",
+			name, binding, estBinding, float64(estBinding)/float64(binding), skel, estSkel, float64(estSkel)/float64(skel))
+		if !within2x(estBinding, binding) {
+			t.Errorf("%s: compilationSize %d B is off by more than 2x from the %d B one more binding keeps alive", name, estBinding, binding)
+		}
+		if !within2x(estSkel, skel) {
+			t.Errorf("%s: skeletonSize %d B is off by more than 2x from the %d B the shared routine and skeleton keep alive", name, estSkel, skel)
+		}
 	}
-	if sumEst > 2*sumReal || sumReal > 2*sumEst {
+	if !within2x(sumEst, sumReal) {
 		t.Errorf("suite: estimate %d B vs heap %d B", sumEst, sumReal)
 	}
 }

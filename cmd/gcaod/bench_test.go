@@ -31,12 +31,18 @@ func benchServer(tb testing.TB) *server {
 // shallowBody is a serve-mix request body: shallow at problem size n on
 // procs processors, comb, estimated, optionally executed.
 func shallowBody(tb testing.TB, n, procs int, simulate bool, backend string) []byte {
+	return shallowSourceBody(tb, "", n, procs, simulate, backend)
+}
+
+// shallowSourceBody is shallowBody with a suffix appended to the source
+// text: a trailing comment makes the same program a source never seen.
+func shallowSourceBody(tb testing.TB, suffix string, n, procs int, simulate bool, backend string) []byte {
 	pr, err := bench.ByName("shallow", "main")
 	if err != nil {
 		tb.Fatal(err)
 	}
 	body, err := json.Marshal(compileRequest{
-		Source: pr.Source, Params: pr.Params(n), Procs: procs,
+		Source: pr.Source + suffix, Params: pr.Params(n), Procs: procs,
 		Strategy: "comb", Estimate: true, Simulate: simulate, Backend: backend,
 	})
 	if err != nil {
@@ -66,15 +72,22 @@ func mustServe(tb testing.TB, h http.Handler, body []byte) []byte {
 
 // BenchmarkHandleCompile is the per-layer view of the repository
 // benchmark's serve-mix workload: one request of each of its four classes
-// through the handler, no socket and no client. EXPERIMENTS.md reconciles
-// the four numbers, weighted 70/20/5/5, against serve-mix cpu_ms_per_op.
+// through the handler, no socket and no client — and, beside the cold
+// class (a known source at a never-seen size, which the skeleton tier
+// serves), cold-source: the same program as a text never seen, so source,
+// skeleton and compile keys all miss. EXPERIMENTS.md reconciles the
+// numbers, weighted 70/20/5/5, against serve-mix cpu_ms_per_op.
 func BenchmarkHandleCompile(b *testing.B) {
+	coldN := func(i int) int { return 128 + i*1237%4096 }
 	for _, class := range []struct {
 		name string
 		body func(i int) []byte
 	}{
 		{"warm", func(int) []byte { return shallowBody(b, 64, 16, false, "") }},
-		{"cold", func(i int) []byte { return shallowBody(b, 128+i*1237%4096, 16, false, "") }},
+		{"cold", func(i int) []byte { return shallowBody(b, coldN(i), 16, false, "") }},
+		{"cold-source", func(i int) []byte {
+			return shallowSourceBody(b, fmt.Sprintf("! %d\n", i), coldN(i), 16, false, "")
+		}},
 		{"exec-sim", func(int) []byte { return shallowBody(b, 32, 4, true, "") }},
 		{"exec-native", func(int) []byte { return shallowBody(b, 32, 4, true, "native") }},
 	} {
@@ -84,7 +97,13 @@ func BenchmarkHandleCompile(b *testing.B) {
 			for i := range bodies {
 				bodies[i] = class.body(i)
 			}
-			if class.name != "cold" {
+			// Prime what the class finds warm: its own request, or — cold —
+			// the source at a size no iteration asks for.
+			switch class.name {
+			case "cold":
+				mustServe(b, h, shallowBody(b, 64, 16, false, ""))
+			case "cold-source":
+			default:
 				mustServe(b, h, bodies[0])
 			}
 			b.ReportAllocs()
@@ -93,5 +112,29 @@ func BenchmarkHandleCompile(b *testing.B) {
 				mustServe(b, h, body)
 			}
 		})
+	}
+}
+
+// TestColdKnownSourceAllocs pins the serve-mix cold class through the
+// handler: shallow at a never-seen size on a daemon that knows the source
+// (compile-tier miss, skeleton hit, placement, estimate, reply) took 6,499
+// allocations when every new size re-parsed and re-analysed the text and
+// 2,078 when the pin was set.
+func TestColdKnownSourceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector moves stack allocations to the heap")
+	}
+	h := benchServer(t).handler()
+	mustServe(t, h, shallowBody(t, 64, 16, false, ""))
+	n := 128
+	allocs := testing.AllocsPerRun(40, func() {
+		n++
+		mustServe(t, h, shallowBody(t, n, 16, false, ""))
+	})
+	// shallowBody itself marshals the request: 30 allocations of the count.
+	const budget = 2600
+	t.Logf("cold request, known source: %.0f allocs", allocs)
+	if allocs > budget {
+		t.Errorf("a cold request for a known source allocates %.0f times, budget %d", allocs, budget)
 	}
 }

@@ -502,8 +502,8 @@ func TestPanicOnWorkerIs500(t *testing.T) {
 
 // poisonLog is a log sink that panics on a line naming the armed event,
 // which raises the panic where the pipeline logs that event: inside the
-// cached computation ("analysis.done" in the compile tier's, "place.done"
-// in the placement tier's — for strategy "all", on placeAll's own
+// cached computation ("analysis.done" in the compile and skeleton tiers',
+// "place.done" in the placement tier's — for strategy "all", on placeAll's own
 // goroutines), not in front of the cache as testHook does.
 type poisonLog struct{ event atomic.Pointer[string] }
 
@@ -551,9 +551,17 @@ func TestPanicInsideCacheDoesNotWedge(t *testing.T) {
 			if !strings.Contains(rec.Error, "(*poisonLog).Write") {
 				t.Errorf("flight record error %q, want the stack down to the panic site", rec.Error)
 			}
+			// "analysis.done" is logged inside the skeleton tier's build too:
+			// that flight is settled and nothing of it is cached.
+			if st := s.cache.Stats().Skeleton; tc.event == "analysis.done" && (st.Entries != 0 || st.Misses != 1) {
+				t.Errorf("skeleton tier after a panic inside its build: %+v", st)
+			}
 			log.event.Store(nil)
 			if resp, _ := postForError(t, ts, body); resp.StatusCode != http.StatusOK {
 				t.Fatalf("the same request after the panic: status %d, want 200", resp.StatusCode)
+			}
+			if st := s.cache.Stats().Skeleton; st.Entries != 1 {
+				t.Errorf("skeleton tier after the request that compiled: %+v", st)
 			}
 			if st := s.pool.Stats(); st.Failed != 1 || st.Completed != 1 || st.Active != 0 {
 				t.Errorf("pool stats = %+v", st)

@@ -149,7 +149,7 @@ func (s *server) cacheTierStats() []obs.CacheTierStats {
 			Evictions:     t.Evictions,
 		}
 	}
-	return []obs.CacheTierStats{tier("compile", st.Compile), tier("place", st.Place)}
+	return []obs.CacheTierStats{tier("compile", st.Compile), tier("place", st.Place), tier("skeleton", st.Skeleton)}
 }
 
 // close releases the worker pool; queued jobs fail with ErrClosed.
@@ -243,10 +243,13 @@ type versionDoc struct {
 }
 
 // cacheDoc reports how each tier satisfied the request: "hit", "miss"
-// or "dedup" (coalesced onto a concurrent identical request).
+// or "dedup" (coalesced onto a concurrent identical request). Skeleton is
+// present when the compile tier missed — a known source at a new size is
+// compile "miss", skeleton "hit".
 type cacheDoc struct {
-	Compile string `json:"compile"`
-	Place   string `json:"place"`
+	Compile  string `json:"compile"`
+	Place    string `json:"place"`
+	Skeleton string `json:"skeleton,omitempty"`
 }
 
 type estimateDoc struct {
@@ -504,35 +507,34 @@ func (s *server) compile(id string, rec *obs.Recorder, req compileRequest, root 
 		Log:    s.log,
 		ReqID:  id,
 	}
-	var (
-		c       *gcao.Compilation
-		compOut gcao.CacheOutcome
-	)
-	if req.Main != "" {
-		c, compOut, err = s.cache.CompileProgram(req.Source, req.Main, cfg)
-	} else {
-		c, compOut, err = s.cache.Compile(req.Source, cfg)
-	}
+	c, compOut, err := s.cache.CompileProgram(req.Source, req.Main, cfg)
 	if err != nil {
 		return nil, badRequestError{err}
 	}
-	ph.SetAttr("cache", compOut.String())
+	cached := &cacheDoc{Compile: compOut.Compile.String()}
+	ph.SetAttr("cache", cached.Compile)
+	if compOut.Compile == gcao.CacheMiss {
+		// Only a compile-tier miss went through the skeleton tier.
+		cached.Skeleton = compOut.Skeleton.String()
+		ph.SetAttr("skeleton", cached.Skeleton)
+	}
 	if all {
-		return s.placeAll(id, rec, req, c, compOut, m, root)
+		return s.placeAll(id, rec, req, c, cached, m, root)
 	}
 	pp := root.Phase("place")
 	placed, placeOut, err := s.cache.Place(c, strategy, gcao.PlacementOptions{}, rec)
 	if err != nil {
 		return nil, badRequestError{err}
 	}
-	pp.SetAttr("cache", placeOut.String())
+	cached.Place = placeOut.String()
+	pp.SetAttr("cache", cached.Place)
 	resp := &compileResponse{
 		ReqID:    id,
 		Strategy: strategy.String(),
 		Machine:  m.Name,
 		Messages: placed.Messages(),
 		Counts:   map[string]int{},
-		Cache:    &cacheDoc{Compile: compOut.String(), Place: placeOut.String()},
+		Cache:    cached,
 	}
 	for kind, n := range placed.MessageCounts() {
 		resp.Counts[kind.String()] = n
@@ -568,7 +570,7 @@ func (s *server) compile(id string, rec *obs.Recorder, req compileRequest, root 
 // on a pool worker, and re-submitting from inside a worker can
 // deadlock a full queue — so each contains its own panic, as the pool
 // does for its workers.
-func (s *server) placeAll(id string, rec *obs.Recorder, req compileRequest, c *gcao.Compilation, compOut gcao.CacheOutcome, m gcao.Machine, root *reqtrace.Span) (*compileResponse, error) {
+func (s *server) placeAll(id string, rec *obs.Recorder, req compileRequest, c *gcao.Compilation, cached *cacheDoc, m gcao.Machine, root *reqtrace.Span) (*compileResponse, error) {
 	root.Phase("place")
 	strategies := []gcao.Strategy{gcao.Vectorize, gcao.EarliestRedundancy, gcao.Combine}
 	type placeOut struct {
@@ -601,7 +603,7 @@ func (s *server) placeAll(id string, rec *obs.Recorder, req compileRequest, c *g
 		ReqID:    id,
 		Strategy: "all",
 		Machine:  m.Name,
-		Cache:    &cacheDoc{Compile: compOut.String()},
+		Cache:    cached,
 	}
 	lb := c.LowerBound()
 	for i, strat := range strategies {

@@ -6,12 +6,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"gcao/internal/obs"
+	"gcao/internal/obs/reqtrace"
 )
 
 const stencilSrc = `
@@ -861,5 +863,113 @@ func TestOptimalityGapMetrics(t *testing.T) {
 	}
 	if doc.GapRatio < 1 {
 		t.Errorf("aggregate gap = %v, want >= 1 (actual traffic at or above the bound)", doc.GapRatio)
+	}
+}
+
+// TestKnownSourceNewSize: the second size of a source the daemon has
+// compiled is a compile-tier miss served from the skeleton tier — no
+// front-end or structural span on the request, the same answer a daemon
+// that never saw the source gives — and every surface that shows the
+// tiers shows the third: the reply's cache object (only when the compile
+// tier missed), the request's counters, the compile phase of the flight
+// record, /debug/cache and the gcao_cache_* families.
+func TestKnownSourceNewSize(t *testing.T) {
+	_, ts := testServer(t)
+	body := func(n int) map[string]any {
+		return map[string]any{
+			"source": stencilSrc, "params": map[string]int{"n": n, "steps": 2},
+			"procs": 4, "estimate": true,
+		}
+	}
+	_, first := postCompile(t, ts, body(12))
+	if first.Cache == nil || first.Cache.Compile != "miss" || first.Cache.Skeleton != "miss" {
+		t.Fatalf("first size: cache doc %+v, want compile and skeleton misses", first.Cache)
+	}
+	resp, second := postCompile(t, ts, body(16))
+	if second.Cache == nil || second.Cache.Compile != "miss" || second.Cache.Place != "miss" || second.Cache.Skeleton != "hit" {
+		t.Fatalf("second size: cache doc %+v, want a compile miss on a skeleton hit", second.Cache)
+	}
+	ran := map[string]bool{}
+	for _, sp := range second.Metrics.Spans {
+		ran[sp.Name] = true
+	}
+	for _, name := range []string{"parse", "scalarize", "cfg", "dom", "ssa"} {
+		if ran[name] {
+			t.Errorf("the second size of a known source ran %s", name)
+		}
+	}
+	if !ran["sem"] || !ran["entries"] || !ran["level-tables"] {
+		t.Errorf("spans %v: sem and the instantiate half must run", ran)
+	}
+	if second.Metrics.Counters["cache.skeleton.hit"] != 1 {
+		t.Errorf("request counters %v", second.Metrics.Counters)
+	}
+	var rec reqtrace.Record
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+resp.Header.Get("X-Request-Id"), &rec); code != http.StatusOK {
+		t.Fatalf("flight record: status %d", code)
+	}
+	found := false
+	for _, ph := range rec.Trace.Root.Children {
+		if ph.Name == "compile" {
+			found = ph.Attrs["cache"] == "miss" && ph.Attrs["skeleton"] == "hit"
+		}
+	}
+	if !found {
+		t.Errorf("flight record %+v: no compile phase with cache=miss skeleton=hit", rec.Trace.Root.Children)
+	}
+
+	// A daemon that never saw the source answers the same.
+	_, fresh := postCompile(t, func() *httptest.Server { _, ts := testServer(t); return ts }(), body(16))
+	if fresh.Cache.Skeleton != "miss" || fresh.Messages != second.Messages ||
+		!reflect.DeepEqual(fresh.Counts, second.Counts) || !reflect.DeepEqual(fresh.Estimate, second.Estimate) {
+		t.Errorf("from the skeleton: %d messages %v %+v; from the text: %d messages %v %+v",
+			second.Messages, second.Counts, second.Estimate, fresh.Messages, fresh.Counts, fresh.Estimate)
+	}
+
+	// A compile-tier hit never reaches the skeleton tier, and says nothing
+	// about it.
+	raw, _ := json.Marshal(body(16))
+	hResp, err := http.Post(ts.URL+"/compile", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hResp.Body.Close()
+	var warm struct {
+		Cache map[string]string `json:"cache"`
+	}
+	if err := json.NewDecoder(hResp.Body).Decode(&warm); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(warm.Cache, map[string]string{"compile": "hit", "place": "hit"}) {
+		t.Errorf("warm reply's cache object: %v", warm.Cache)
+	}
+
+	var dbg struct {
+		Cache map[string]struct {
+			Hits    int64 `json:"hits"`
+			Misses  int64 `json:"misses"`
+			Entries int   `json:"entries"`
+		} `json:"cache"`
+	}
+	getJSON(t, ts.URL+"/debug/cache", &dbg)
+	if sk := dbg.Cache["skeleton"]; len(dbg.Cache) != 3 || sk.Hits != 1 || sk.Misses != 1 || sk.Entries != 1 || dbg.Cache["compile"].Misses != 2 {
+		t.Errorf("/debug/cache = %+v, want compile, place and a skeleton tier with one entry hit once", dbg.Cache)
+	}
+	mResp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mResp.Body.Close()
+	metrics, _ := io.ReadAll(mResp.Body)
+	for _, want := range []string{
+		`gcao_cache_hits_total{tier="skeleton"} 1`,
+		`gcao_cache_misses_total{tier="skeleton"} 1`,
+		`gcao_cache_entries{tier="skeleton"} 1`,
+		`gcao_pipeline_counter_total{name="cache.skeleton.hit"} 1`,
+		`gcao_pipeline_counter_total{name="cache.skeleton.miss"} 1`,
+	} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
 	}
 }

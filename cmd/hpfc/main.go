@@ -151,13 +151,7 @@ func main() {
 		fatal(fmt.Errorf("unknown -version %q (want orig, nored, comb)", *version))
 	}
 
-	var c *gcao.Compilation
-	cfg := gcao.Config{Params: params, Procs: *procs, Obs: rec}
-	if *mainName != "" {
-		c, err = gcao.CompileProgram(src, *mainName, cfg)
-	} else {
-		c, err = gcao.Compile(src, cfg)
-	}
+	c, err := gcao.CompileProgram(src, *mainName, gcao.Config{Params: params, Procs: *procs, Obs: rec})
 	if err != nil {
 		fatal(err)
 	}

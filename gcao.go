@@ -29,6 +29,7 @@ import (
 	"io"
 	"sync"
 
+	"gcao/internal/ast"
 	"gcao/internal/core"
 	"gcao/internal/core/bound"
 	"gcao/internal/inline"
@@ -201,52 +202,59 @@ type Compilation struct {
 // Compile parses, semantically analyzes, scalarizes and
 // communication-analyzes a mini-HPF routine.
 func Compile(source string, cfg Config) (*Compilation, error) {
-	cfg.Obs.SetLog(cfg.Log, cfg.ReqID)
-	end := cfg.Obs.Start("parse")
-	r, err := parser.ParseRoutine(source)
-	end()
-	if err != nil {
-		return nil, err
-	}
-	end = cfg.Obs.Start("sem")
-	u, err := sem.Analyze(r, cfg.Params, sem.Options{Procs: cfg.Procs})
-	end()
-	if err != nil {
-		return nil, err
-	}
-	a, err := core.NewAnalysisObs(u, cfg.Obs)
-	if err != nil {
-		return nil, err
-	}
-	return &Compilation{Analysis: a}, nil
+	return CompileProgram(source, "", cfg)
 }
 
 // CompileProgram compiles a multi-routine program: every CALL
 // reachable from the named main routine is inlined first (package
 // inline), so the global communication analysis — and therefore
 // redundancy elimination and message combining — works across
-// procedure boundaries, the §7 interprocedural direction.
+// procedure boundaries, the §7 interprocedural direction. An empty main
+// is Compile: the source holds one routine.
 func CompileProgram(source, main string, cfg Config) (*Compilation, error) {
 	cfg.Obs.SetLog(cfg.Log, cfg.ReqID)
-	end := cfg.Obs.Start("parse")
+	r, err := parseRoutine(source, main, cfg.Obs)
+	if err != nil {
+		return nil, err
+	}
+	return compileRoutine(r, nil, cfg)
+}
+
+// parseRoutine is the part of a compilation that reads the source text
+// alone: the one routine it holds or, when main names one, that routine
+// with every call reachable from it inlined.
+func parseRoutine(source, main string, rec *Recorder) (*ast.Routine, error) {
+	end := rec.Start("parse")
+	if main == "" {
+		r, err := parser.ParseRoutine(source)
+		end()
+		return r, err
+	}
 	prog, err := parser.Parse(source)
 	end()
 	if err != nil {
 		return nil, err
 	}
-	end = cfg.Obs.Start("inline")
-	flat, err := inline.Flatten(prog, main)
+	defer rec.Start("inline")()
+	return inline.Flatten(prog, main)
+}
+
+// compileRoutine is the one routine-to-compilation function: sem binds the
+// parameters, and the routine's skeleton — sk when the caller holds one
+// that serves this binding, else built here — is instantiated under them.
+func compileRoutine(r *ast.Routine, sk *core.Skeleton, cfg Config) (*Compilation, error) {
+	end := cfg.Obs.Start("sem")
+	u, err := sem.Analyze(r, cfg.Params, sem.Options{Procs: cfg.Procs})
 	end()
 	if err != nil {
 		return nil, err
 	}
-	end = cfg.Obs.Start("sem")
-	u, err := sem.Analyze(flat, cfg.Params, sem.Options{Procs: cfg.Procs})
-	end()
-	if err != nil {
-		return nil, err
+	var a *core.Analysis
+	if sk != nil {
+		a, err = sk.Analyze(u, cfg.Obs)
+	} else {
+		a, err = core.NewAnalysisObs(u, cfg.Obs)
 	}
-	a, err := core.NewAnalysisObs(u, cfg.Obs)
 	if err != nil {
 		return nil, err
 	}

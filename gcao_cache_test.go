@@ -62,19 +62,19 @@ func TestCacheCompileHitAndPlaceTiers(t *testing.T) {
 	cfgObs := cfg
 	cfgObs.Obs = rec
 
-	comp1, out, err := c.Compile(benchSource(t), cfgObs)
-	if err != nil || out != gcao.CacheMiss {
-		t.Fatalf("first compile: outcome %v, err %v", out, err)
+	comp1, cout, err := c.Compile(benchSource(t), cfgObs)
+	if err != nil || cout.Compile != gcao.CacheMiss || cout.Skeleton != gcao.CacheMiss {
+		t.Fatalf("first compile: outcome %v, err %v", cout, err)
 	}
-	comp2, out, err := c.Compile(benchSource(t), cfg)
-	if err != nil || out != gcao.CacheHit {
-		t.Fatalf("second compile: outcome %v, err %v", out, err)
+	comp2, cout, err := c.Compile(benchSource(t), cfg)
+	if err != nil || cout.Compile != gcao.CacheHit {
+		t.Fatalf("second compile: outcome %v, err %v", cout, err)
 	}
 	if comp1 != comp2 {
 		t.Fatal("cache hit returned a different compilation")
 	}
-	// The outcome flows into the request recorder's counters.
-	if rec.Counter("cache.compile.miss") != 1 {
+	// The outcomes flow into the request recorder's counters.
+	if rec.Counter("cache.compile.miss") != 1 || rec.Counter("cache.skeleton.miss") != 1 {
 		t.Fatalf("recorder counters = %v", rec.Counters())
 	}
 
@@ -102,6 +102,9 @@ func TestCacheCompileHitAndPlaceTiers(t *testing.T) {
 	if st.Compile.Misses != 1 || st.Compile.Hits != 1 {
 		t.Fatalf("compile tier stats = %+v", st.Compile)
 	}
+	if st.Skeleton.Misses != 1 || st.Skeleton.Hits != 0 {
+		t.Fatalf("skeleton tier stats = %+v: only a compile-tier miss consults it", st.Skeleton)
+	}
 	if st.Place.Misses != 3 || st.Place.Hits != 1 {
 		t.Fatalf("place tier stats = %+v", st.Place)
 	}
@@ -113,19 +116,19 @@ func TestCacheParamsCanonical(t *testing.T) {
 	c := gcao.NewCache(gcao.CacheOptions{})
 	src := benchSource(t)
 	_, out, err := c.Compile(src, gcao.Config{Params: map[string]int{"n": 12, "steps": 2}, Procs: 4})
-	if err != nil || out != gcao.CacheMiss {
+	if err != nil || out.Compile != gcao.CacheMiss {
 		t.Fatalf("first: %v, %v", out, err)
 	}
 	_, out, err = c.Compile(src, gcao.Config{Params: map[string]int{"steps": 2, "n": 12}, Procs: 4})
-	if err != nil || out != gcao.CacheHit {
+	if err != nil || out.Compile != gcao.CacheHit {
 		t.Fatalf("reordered params: %v, %v", out, err)
 	}
 	_, out, err = c.Compile(src, gcao.Config{Params: map[string]int{"n": 16, "steps": 2}, Procs: 4})
-	if err != nil || out != gcao.CacheMiss {
+	if err != nil || out.Compile != gcao.CacheMiss || out.Skeleton != gcao.CacheHit {
 		t.Fatalf("different n: %v, %v", out, err)
 	}
 	_, out, err = c.Compile(src, gcao.Config{Params: map[string]int{"n": 12, "steps": 2}, Procs: 16})
-	if err != nil || out != gcao.CacheMiss {
+	if err != nil || out.Compile != gcao.CacheMiss || out.Skeleton != gcao.CacheHit {
 		t.Fatalf("different procs: %v, %v", out, err)
 	}
 }
@@ -139,11 +142,11 @@ func TestCacheCompileProgramDistinctMains(t *testing.T) {
 	cfgOnce := gcao.Config{Params: map[string]int{"n": 12}, Procs: 4}
 
 	compIter, out, err := c.CompileProgram(twoMainSrc, "iterate", cfgIter)
-	if err != nil || out != gcao.CacheMiss {
+	if err != nil || out.Compile != gcao.CacheMiss {
 		t.Fatalf("iterate: outcome %v, err %v", out, err)
 	}
 	compOnce, out, err := c.CompileProgram(twoMainSrc, "once", cfgOnce)
-	if err != nil || out != gcao.CacheMiss {
+	if err != nil || out.Compile != gcao.CacheMiss || out.Skeleton != gcao.CacheMiss {
 		t.Fatalf("once compiled as %v (fingerprint collision with iterate?), err %v", out, err)
 	}
 	if compIter == compOnce {
@@ -156,7 +159,7 @@ func TestCacheCompileProgramDistinctMains(t *testing.T) {
 	if ni <= no {
 		t.Fatalf("flattened programs do not differ: iterate %d stmts, once %d", ni, no)
 	}
-	if _, out, _ = c.CompileProgram(twoMainSrc, "iterate", cfgIter); out != gcao.CacheHit {
+	if _, out, _ = c.CompileProgram(twoMainSrc, "iterate", cfgIter); out.Compile != gcao.CacheHit {
 		t.Fatalf("repeat iterate: outcome %v", out)
 	}
 	st := c.Stats()
@@ -271,7 +274,7 @@ func TestWarmCacheSpeedup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out == gcao.CacheMiss {
+		if out.Compile == gcao.CacheMiss {
 			return -1 // priming run, not a warm measurement
 		}
 		if _, _, err := c.Place(comp, gcao.Combine, gcao.PlacementOptions{}, nil); err != nil {
@@ -326,6 +329,31 @@ func BenchmarkCompileShallowCold(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileShallowKnownSource is the cold pipeline on a source the
+// cache has compiled at another size: every iteration a never-seen n, so
+// the compile tier misses and the skeleton tier hits.
+func BenchmarkCompileShallowKnownSource(b *testing.B) {
+	pr, err := bench.ByName("shallow", "main")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := gcao.NewCache(gcao.CacheOptions{})
+	if _, _, err := c.Compile(pr.Source, gcao.Config{Params: pr.Params(64), Procs: 4}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		comp, out, err := c.Compile(pr.Source, gcao.Config{Params: pr.Params(65 + i), Procs: 4})
+		if err != nil || out.Compile != gcao.CacheMiss || out.Skeleton != gcao.CacheHit {
+			b.Fatalf("outcome %v, err %v", out, err)
+		}
+		if _, _, err := c.Place(comp, gcao.Combine, gcao.PlacementOptions{}, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCompileShallowWarm(b *testing.B) {
 	pr, err := bench.ByName("shallow", "main")
 	if err != nil {
@@ -340,7 +368,7 @@ func BenchmarkCompileShallowWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		comp, out, err := c.Compile(pr.Source, cfg)
-		if err != nil || out != gcao.CacheHit {
+		if err != nil || out.Compile != gcao.CacheHit {
 			b.Fatalf("outcome %v, err %v", out, err)
 		}
 		if _, _, err := c.Place(comp, gcao.Combine, gcao.PlacementOptions{}, nil); err != nil {

@@ -203,10 +203,13 @@ type Expr interface {
 	ExprPos() source.Pos
 }
 
-// NumLit is a numeric literal.
+// NumLit is a numeric literal. An integer literal (IsInt) carries its
+// exact value in Int — what integer consumers (bounds, subscripts) read —
+// and the nearest float64 in Value; a real literal only Value.
 type NumLit struct {
 	Text  string
 	Value float64
+	Int   int
 	IsInt bool
 	Pos   source.Pos
 }

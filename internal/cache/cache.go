@@ -7,9 +7,10 @@
 // compiler itself: never repeat an analysis or placement an earlier
 // request already paid for.
 //
-// The cache stores opaque values; gcao layers two tiers on top of it
-// (analysis results and placement outcomes) with separate instances,
-// so a placement-option change invalidates only the placement tier.
+// The cache stores opaque values; gcao layers three tiers on top of it
+// (a source's skeleton, analysis results and placement outcomes) with
+// separate instances, so a new problem size misses only the tiers whose
+// key reads it and a placement-option change only the placement tier.
 package cache
 
 import (

@@ -14,24 +14,40 @@ import (
 	"gcao/internal/ssa"
 )
 
-// Analysis holds the full communication analysis of one routine: the
-// scalarized body, augmented CFG, dominator tree, SSA form, dependence
-// context, and the classified communication entries with their
-// earliest/latest/candidate positions. One Analysis can be placed
-// under several strategies (Place) without re-analysis.
+// Skeleton is the part of a routine's analysis that its text fixes: the
+// scalarized body, augmented CFG, dominator tree, SSA form (§4.1) and the
+// forms of the subscripts that mention no parameter. Nothing in it holds an
+// evaluated bound, so when the scalarizer expanded no array statement
+// (SizeFree) one Skeleton serves every binding of the routine's parameters.
 //
-// An Analysis is immutable once NewAnalysisObs returns: the loop bounds
-// and every entry's per-level section and byte tables are filled
-// eagerly during construction, and Place, the estimator, the bound and
-// plan lowering only read them. It carries no lock; any number of
-// goroutines may use one Analysis at once (the serving layer caches and
-// shares analyses across requests).
-type Analysis struct {
-	Unit *sem.Unit
+// A Skeleton is never written after NewSkeleton returns: Analyze, Place,
+// the estimator, the bound, plan lowering and both execution backends only
+// read it, from any number of goroutines and bindings at once.
+type Skeleton struct {
 	Scal *scalarize.Result
 	G    *cfg.Graph
 	Dom  *dom.Tree
 	SSA  *ssa.Info
+	// Forms is the structural half of the subscript-form table; each
+	// Analysis derives the parameter-reading rest under its own binding.
+	Forms dep.Forms
+}
+
+// Analysis holds the full communication analysis of one routine under one
+// parameter binding: its Skeleton, the dependence context, and the
+// classified communication entries with their earliest/latest/candidate
+// positions. One Analysis can be placed under several strategies (Place)
+// without re-analysis.
+//
+// An Analysis is immutable once Skeleton.Analyze returns: the loop bounds
+// and every entry's per-level section and byte tables are filled
+// eagerly during construction, and Place, the estimator, the bound and
+// plan lowering only read them. It carries no lock; any number of
+// goroutines may use one Analysis at once (the serving layer caches and
+// shares analyses across requests, and skeletons across analyses).
+type Analysis struct {
+	*Skeleton
+	Unit *sem.Unit
 	Dep  *dep.Analysis
 
 	// Obs, when non-nil, receives phase spans, counters and the
@@ -66,8 +82,21 @@ func NewAnalysis(u *sem.Unit) (*Analysis, error) {
 }
 
 // NewAnalysisObs is NewAnalysis with each pipeline phase recorded as a
-// span on the recorder (nil-safe).
+// span on the recorder (nil-safe): the routine's skeleton, instantiated
+// under the unit's binding.
 func NewAnalysisObs(u *sem.Unit, rec *obs.Recorder) (*Analysis, error) {
+	s, err := NewSkeleton(u, rec)
+	if err != nil {
+		return nil, err
+	}
+	return s.Analyze(u, rec)
+}
+
+// NewSkeleton runs the steps that read the program text only:
+// scalarization, CFG construction, dominators, SSA, parameter-free
+// subscript forms. Of u it reads the routine, the array names and ranks,
+// and — only for the array statements it expands — the bounds.
+func NewSkeleton(u *sem.Unit, rec *obs.Recorder) (*Skeleton, error) {
 	end := rec.Start("scalarize")
 	scal, err := scalarize.Scalarize(u)
 	end()
@@ -95,23 +124,37 @@ func NewAnalysisObs(u *sem.Unit, rec *obs.Recorder) (*Analysis, error) {
 		return nil, err
 	}
 	end = rec.Start("dep")
-	depA := dep.New(u)
+	forms := dep.NewForms(u.Routine.Params, info)
 	end()
+	return &Skeleton{Scal: scal, G: g, Dom: t, SSA: info, Forms: forms}, nil
+}
+
+// SizeFree reports whether the skeleton is the same for every binding of
+// the routine's parameters: the scalarizer bakes evaluated bounds and
+// offsets into the loops it creates for array-section statements, and
+// evaluates nothing otherwise.
+func (s *Skeleton) SizeFree() bool { return s.Scal.StmtsExpanded == 0 }
+
+// Analyze instantiates the skeleton under u's parameter binding — the
+// steps that read sizes: loop bounds, dependence levels, classification,
+// the earliest/latest/candidate computation and the per-level section
+// tables of every entry. u must be an analysis of the routine the skeleton
+// was built from (any binding when the skeleton is SizeFree, else the one
+// NewSkeleton saw).
+func (s *Skeleton) Analyze(u *sem.Unit, rec *obs.Recorder) (*Analysis, error) {
 	a := &Analysis{
+		Skeleton:  s,
 		Unit:      u,
-		Scal:      scal,
-		G:         g,
-		Dom:       t,
-		SSA:       info,
-		Dep:       depA,
+		Dep:       dep.New(u),
 		Obs:       rec,
-		loopBound: make([]loopBound, len(g.Loops)),
+		loopBound: make([]loopBound, len(s.G.Loops)),
 	}
-	for _, l := range g.Loops {
+	a.Dep.Forms = s.Forms
+	for _, l := range s.G.Loops {
 		a.loopBound[l.ID] = evalLoopBound(u, l)
 	}
-	end = rec.Start("entries")
-	err = a.buildEntries()
+	end := rec.Start("entries")
+	err := a.buildEntries()
 	if err == nil {
 		a.coalesceDiagonals()
 	}
@@ -137,7 +180,7 @@ func NewAnalysisObs(u *sem.Unit, rec *obs.Recorder) (*Analysis, error) {
 	end()
 	// Every dependence query has been asked: drop the tables dep.New
 	// remembered them in, so nothing on a shared Analysis is ever written.
-	a.Dep = &dep.Analysis{Unit: u}
+	a.Dep = &dep.Analysis{Unit: u, Forms: s.Forms}
 	rec.Add("analysis.entries", int64(len(a.Entries)))
 	rec.Add("analysis.comm_entries", int64(len(a.CommEntries())))
 	rec.Add("analysis.coalesced", int64(len(a.Entries)-len(a.CommEntries())))

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"gcao/internal/core"
@@ -224,5 +225,37 @@ func TestSyntaxSensitivity(t *testing.T) {
 				t.Fatalf("earliest placement: want %d distinct points, got %d", tc.earliestCount, got)
 			}
 		})
+	}
+}
+
+// TestHugeLoopBound: a loop bound beyond int64 used to parse through
+// float64 and wrap to MinInt64 — the loop compiled as zero-trip. It is a
+// positioned error now, and the largest bound that fits is exact.
+func TestHugeLoopBound(t *testing.T) {
+	const src = `
+routine f()
+real a(8)
+do i = 2, %s
+a(1) = i
+enddo
+end
+`
+	if _, err := parser.ParseRoutine(fmt.Sprintf(src, "12345678901234567890")); err == nil || err.Error() != `4:11: bad number "12345678901234567890"` {
+		t.Fatalf("a 20-digit loop bound: %v, want a positioned bad number", err)
+	}
+	r, err := parser.ParseRoutine(fmt.Sprintf(src, "9007199254740993"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := sem.Analyze(r, nil, sem.Options{Procs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := core.NewAnalysis(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trip, ok := a.LoopTrip(a.G.Loops[0]); !ok || trip != 9007199254740992 {
+		t.Errorf("LoopTrip = %d, %t, want 2..9007199254740993 exactly", trip, ok)
 	}
 }

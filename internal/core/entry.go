@@ -449,6 +449,7 @@ func (a *Analysis) classifyUse(u *ssa.Use, arr *sem.Array) (*Entry, error) {
 	// dimension against the LHS subscript aligned to the same grid dim.
 	offsets := make([]int, a.Unit.Grid.Rank())
 	general := false
+	ufs, lfs := a.Dep.RefForms(u.Ref), a.Dep.RefForms(lhs)
 	for k := range arr.Lo {
 		g := a.gridDimOfArrayDim(arr, k)
 		if g < 0 {
@@ -465,17 +466,12 @@ func (a *Analysis) classifyUse(u *ssa.Use, arr *sem.Array) (*Entry, error) {
 			general = true
 			break
 		}
-		if u.Ref.Subs[k].Kind == ast.SubRange || lhs.Subs[ldim].Kind == ast.SubRange {
+		// A section subscript has no form, as a non-affine one.
+		if !ufs[k].OK || !lfs[ldim].OK {
 			general = true
 			break
 		}
-		uf, ok1 := a.Dep.SubForm(u.Ref.Subs[k].X)
-		lf, ok2 := a.Dep.SubForm(lhs.Subs[ldim].X)
-		if !ok1 || !ok2 {
-			general = true
-			break
-		}
-		c, ok := uf.ConstDiff(lf)
+		c, ok := ufs[k].Form.ConstDiff(lfs[ldim].Form)
 		if !ok {
 			general = true
 			break
@@ -569,15 +565,15 @@ func (a *Analysis) refSection(r *ast.Ref, arr *sem.Array) ([]asd.SymDim, error) 
 		return dims, nil
 	}
 	dims := make([]asd.SymDim, len(r.Subs))
+	forms := a.Dep.RefForms(r)
 	for i, sub := range r.Subs {
 		if sub.Kind == ast.SubExpr {
-			f, ok := a.Dep.SubForm(sub.X)
-			if !ok {
+			if !forms[i].OK {
 				// Non-affine subscript: conservatively the whole dim.
 				dims[i] = asd.ConstDim(arr.Lo[i], arr.Hi[i], 1)
 				continue
 			}
-			dims[i] = asd.Point(f)
+			dims[i] = asd.Point(forms[i].Form)
 			continue
 		}
 		lo, hi, step := arr.Lo[i], arr.Hi[i], 1
@@ -608,15 +604,16 @@ func (a *Analysis) refSection(r *ast.Ref, arr *sem.Array) ([]asd.SymDim, error) 
 // subsSignature canonicalizes subscripts for mapping signatures.
 func subsSignature(a *Analysis, r *ast.Ref) string {
 	var parts []string
-	for _, sub := range r.Subs {
+	forms := a.Dep.RefForms(r)
+	for i, sub := range r.Subs {
 		if sub.Kind == ast.SubRange {
 			parts = append(parts, ":")
 			continue
 		}
-		if f, ok := a.Dep.SubForm(sub.X); ok {
+		if forms[i].OK {
 			// Canonicalize loop variables positionally so that
 			// different nests with the same shape compare equal.
-			parts = append(parts, canonForm(f, r))
+			parts = append(parts, canonForm(forms[i].Form, r))
 		} else {
 			parts = append(parts, ast.ExprString(sub.X))
 		}

@@ -9,6 +9,8 @@
 package dep
 
 import (
+	"slices"
+
 	"gcao/internal/ast"
 	"gcao/internal/cfg"
 	"gcao/internal/lin"
@@ -57,22 +59,70 @@ func (s DirSet) String() string {
 	return "?"
 }
 
-// Analysis holds per-routine context for dependence queries. One built
-// by New also remembers what it derived — a subscript's form per
-// reference, a direction vector per (def, use) pair — and so has a single
-// user at a time; the literal &Analysis{Unit: u} answers the same queries
-// from scratch, writes nothing, and may be shared.
+// Analysis holds per-routine context for dependence queries under one
+// binding of the routine's parameters. One built by New also remembers what
+// it derived — a subscript's form per reference that Forms does not hold, a
+// direction vector per (def, use) pair — and so has a single user at a time;
+// the literal &Analysis{Unit: u, Forms: f} answers the same queries from
+// scratch, writes nothing, and may be shared.
 type Analysis struct {
-	Unit  *sem.Unit
-	forms map[*ast.Ref][]subForm
+	Unit *sem.Unit
+	// Forms, when non-nil, holds the subscript forms the program text
+	// fixes; the analysis derives only those that read a parameter.
+	Forms Forms
+	forms map[*ast.Ref][]SubscriptForm
 	pairs map[pairKey][]DirSet // nil dirs: not feasible
 }
 
-// subForm is SubForm's result for one subscript of a reference; ok is
-// also false for a section subscript.
-type subForm struct {
-	f  lin.Form
-	ok bool
+// SubscriptForm is subForm's result for one subscript of a reference; OK
+// is also false for a section subscript.
+type SubscriptForm struct {
+	Form lin.Form
+	OK   bool
+}
+
+// Forms is the structural half of the per-reference subscript table: the
+// forms of every reference none of whose subscripts mentions a routine
+// parameter (i, j - 1, 2 * k + 1), which no binding changes. It is filled
+// by NewForms and never written afterwards, so every binding of one
+// routine — and every goroutine — may read the same one.
+type Forms map[*ast.Ref][]SubscriptForm
+
+// NewForms derives the parameter-free subscript forms of every reference
+// dependence testing and classification ask about: the SSA uses and the
+// left-hand sides of the regular defs. params names the routine's
+// parameters.
+func NewForms(params []string, info *ssa.Info) Forms {
+	f := make(Forms, len(info.Uses)+len(info.Defs))
+	add := func(r *ast.Ref) {
+		for _, sub := range r.Subs {
+			if readsParam(sub.X, params) {
+				return
+			}
+		}
+		f[r] = refForms(r, nil)
+	}
+	for _, u := range info.Uses {
+		add(u.Ref)
+	}
+	for _, d := range info.Defs {
+		add(d.LHS)
+	}
+	return f
+}
+
+// readsParam reports whether subForm would read a parameter's value in e;
+// it descends exactly where subForm does.
+func readsParam(e ast.Expr, params []string) bool {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return slices.Contains(params, e.Name)
+	case *ast.UnaryExpr:
+		return readsParam(e.X, params)
+	case *ast.BinExpr:
+		return readsParam(e.X, params) || readsParam(e.Y, params)
+	}
+	return false
 }
 
 type pairKey struct {
@@ -82,19 +132,31 @@ type pairKey struct {
 
 // New builds a remembering dependence analysis for a routine.
 func New(u *sem.Unit) *Analysis {
-	return &Analysis{Unit: u, forms: map[*ast.Ref][]subForm{}, pairs: map[pairKey][]DirSet{}}
+	return &Analysis{Unit: u, forms: map[*ast.Ref][]SubscriptForm{}, pairs: map[pairKey][]DirSet{}}
 }
 
-// refForms returns the form of every subscript of a reference.
-func (a *Analysis) refForms(r *ast.Ref) []subForm {
+// refForms is the one place a reference's subscripts become forms.
+func refForms(r *ast.Ref, params map[string]int) []SubscriptForm {
+	fs := make([]SubscriptForm, len(r.Subs))
+	for k, sub := range r.Subs {
+		if sub.Kind != ast.SubRange {
+			fs[k].Form, fs[k].OK = subForm(sub.X, params)
+		}
+	}
+	return fs
+}
+
+// RefForms returns the form of every subscript of a reference: from the
+// structural table when no subscript reads a parameter, else derived under
+// this binding (and remembered, when the analysis remembers). The result is
+// shared: callers must not write to it.
+func (a *Analysis) RefForms(r *ast.Ref) []SubscriptForm {
+	if fs, ok := a.Forms[r]; ok {
+		return fs
+	}
 	fs, ok := a.forms[r]
 	if !ok {
-		fs = make([]subForm, len(r.Subs))
-		for k, sub := range r.Subs {
-			if sub.Kind != ast.SubRange {
-				fs[k].f, fs[k].ok = a.SubForm(sub.X)
-			}
-		}
+		fs = refForms(r, a.Unit.Params)
 		if a.forms != nil {
 			a.forms[r] = fs
 		}
@@ -115,12 +177,13 @@ func (a *Analysis) pairDirections(d *ssa.RegularDef, u *ssa.Use) ([]DirSet, bool
 	return dirs, dirs != nil
 }
 
-// SubForm extracts the affine form of an element subscript expression,
-// folding routine parameters and literals to constants and keeping
-// loop variables symbolic. ok is false when the expression is not
-// affine (division, products of variables, intrinsic calls, array
-// refs).
-func (a *Analysis) SubForm(e ast.Expr) (lin.Form, bool) {
+// subForm extracts the affine form of an element subscript expression,
+// folding routine parameters (under the binding params) and literals to
+// constants and keeping loop variables symbolic. ok is false when the
+// expression is not affine (division, products of variables, intrinsic
+// calls, array refs). An expression that names no parameter has the same
+// form under every binding, nil included.
+func subForm(e ast.Expr, params map[string]int) (lin.Form, bool) {
 	switch e := e.(type) {
 	case nil:
 		return lin.Form{}, false
@@ -128,21 +191,21 @@ func (a *Analysis) SubForm(e ast.Expr) (lin.Form, bool) {
 		if !e.IsInt {
 			return lin.Form{}, false
 		}
-		return lin.ConstForm(int(e.Value)), true
+		return lin.ConstForm(e.Int), true
 	case *ast.Ident:
-		if v, ok := a.Unit.Params[e.Name]; ok {
+		if v, ok := params[e.Name]; ok {
 			return lin.ConstForm(v), true
 		}
 		return lin.Var(e.Name), true
 	case *ast.UnaryExpr:
-		f, ok := a.SubForm(e.X)
+		f, ok := subForm(e.X, params)
 		if !ok {
 			return lin.Form{}, false
 		}
 		return f.Scale(-1), true
 	case *ast.BinExpr:
-		x, okx := a.SubForm(e.X)
-		y, oky := a.SubForm(e.Y)
+		x, okx := subForm(e.X, params)
+		y, oky := subForm(e.Y, params)
 		if !okx || !oky {
 			return lin.Form{}, false
 		}
@@ -200,10 +263,10 @@ func (a *Analysis) Directions(dstmt *cfg.Stmt, dref *ast.Ref, ustmt *cfg.Stmt, u
 	}
 	fixed := make([]constraint, len(common))
 
-	dfs, ufs := a.refForms(dref), a.refForms(uref)
+	dfs, ufs := a.RefForms(dref), a.RefForms(uref)
 	for k := range dfs {
-		df, uf := dfs[k].f, ufs[k].f
-		if !dfs[k].ok || !ufs[k].ok {
+		df, uf := dfs[k].Form, ufs[k].Form
+		if !dfs[k].OK || !ufs[k].OK {
 			continue // section subscript (reduction use) or non-affine: unconstrained
 		}
 		dc, dConst := df.IsConst()

@@ -1,10 +1,13 @@
 package dep
 
 import (
+	"reflect"
 	"testing"
 
+	"gcao/internal/ast"
 	"gcao/internal/cfg"
 	"gcao/internal/dom"
+	"gcao/internal/lin"
 	"gcao/internal/parser"
 	"gcao/internal/sem"
 	"gcao/internal/ssa"
@@ -80,9 +83,9 @@ enddo
 end
 `, map[string]int{"n": 8})
 	st := c.g.Stmts[0]
-	f, ok := c.a.SubForm(st.Assign.LHS.Subs[0].X)
+	f, ok := subForm(st.Assign.LHS.Subs[0].X, c.a.Unit.Params)
 	if !ok || f.CoefOf("i") != 1 || f.Const != 0 {
-		t.Errorf("SubForm(i) = %v, %v", f, ok)
+		t.Errorf("subForm(i) = %v, %v", f, ok)
 	}
 }
 
@@ -351,5 +354,67 @@ end
 	}
 	if fresh.pairs != nil || fresh.forms != nil {
 		t.Error("the table-less analysis grew tables")
+	}
+}
+
+// TestStructuralFormsMatchSubForm: the table NewForms fills from the text
+// holds exactly the references no subscript of which reads a parameter,
+// and under any binding an analysis on top of it gives every subscript of
+// every reference the form subForm derives afresh — the parameter-reading
+// ones folded under its own binding, remembered in its own table, the
+// shared one never growing.
+func TestStructuralFormsMatchSubForm(t *testing.T) {
+	const src = `
+routine f(n, m)
+real a(n, n), b(n, n)
+do i = 2, n - 1
+do j = 1, m
+a(i, j) = b(i - 1, 2 * j + 1) + b(n, j) + b(n - i + 1, m) + b(i * j, j / 2) + b(-i + 3, 7)
+b(i, n) = a(i, j) + sum(a(i, 1:n)) + a(i, j + n - n)
+enddo
+enddo
+end
+`
+	first := build(t, src, map[string]int{"n": 8, "m": 4})
+	forms := NewForms(first.a.Unit.Routine.Params, first.info)
+	structural := map[string]bool{}
+	for r := range forms {
+		structural[ast.ExprString(r)] = true
+	}
+	want := map[string]bool{"a(i,j)": true, "b((i - 1),((2 * j) + 1))": true, "b((i * j),(j / 2))": true, "b(((-i) + 3),7)": true, "a(i,1:n)": true}
+	if !reflect.DeepEqual(structural, want) {
+		t.Errorf("structural references %v, want %v", structural, want)
+	}
+	size := len(forms)
+	for _, params := range []map[string]int{{"n": 8, "m": 4}, {"n": 31, "m": 2}} {
+		u, err := sem.Analyze(first.a.Unit.Routine, params, sem.Options{Procs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := New(u)
+		a.Forms = forms
+		refs := 0
+		check := func(r *ast.Ref) {
+			refs++
+			got := a.RefForms(r)
+			for k, sub := range r.Subs {
+				f, ok := subForm(sub.X, u.Params)
+				if sub.Kind == ast.SubRange {
+					f, ok = lin.Form{}, false
+				}
+				if got[k].OK != ok || (ok && !got[k].Form.Equal(f)) {
+					t.Errorf("n=%d: %s subscript %d: table %v %t, subForm %v %t", params["n"], ast.ExprString(r), k, got[k].Form, got[k].OK, f, ok)
+				}
+			}
+		}
+		for _, use := range first.info.Uses {
+			check(use.Ref)
+		}
+		for _, d := range first.info.Defs {
+			check(d.LHS)
+		}
+		if len(a.forms) != refs-size || len(forms) != size {
+			t.Errorf("n=%d: %d references, %d structural, %d derived under the binding", params["n"], refs, len(forms), len(a.forms))
+		}
 	}
 }

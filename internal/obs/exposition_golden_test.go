@@ -87,6 +87,7 @@ func TestExpositionGolden(t *testing.T) {
 		return []CacheTierStats{
 			{Tier: "compile", Entries: 12, Bytes: 1_000_000, Hits: 70, Misses: 30, InflightWaits: 2, Evictions: 1},
 			{Tier: "place", Entries: 30, Bytes: 65536, Hits: 210, Misses: 90},
+			{Tier: "skeleton", Entries: 4, Bytes: 500_000, Hits: 26, Misses: 4, InflightWaits: 1},
 		}
 	})
 	reg.SetServerStatsFunc(func() ServerStats {

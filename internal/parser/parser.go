@@ -33,6 +33,8 @@ package parser
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"gcao/internal/ast"
 	"gcao/internal/source"
@@ -735,18 +737,18 @@ func (p *parser) factor() (ast.Expr, error) {
 	switch t.Kind {
 	case source.Number:
 		p.next()
-		var v float64
-		isInt := true
-		for _, c := range t.Text {
-			if c == '.' || c == 'e' {
-				isInt = false
-				break
-			}
+		lit := &ast.NumLit{Text: t.Text, IsInt: !strings.ContainsAny(t.Text, ".e"), Pos: t.Pos}
+		var err error
+		if lit.IsInt {
+			lit.Int, err = strconv.Atoi(t.Text)
+			lit.Value = float64(lit.Int)
+		} else {
+			lit.Value, err = strconv.ParseFloat(t.Text, 64)
 		}
-		if _, err := fmt.Sscanf(t.Text, "%g", &v); err != nil {
+		if err != nil {
 			return nil, source.Errorf(t.Pos, "bad number %q", t.Text)
 		}
-		return &ast.NumLit{Text: t.Text, Value: v, IsInt: isInt, Pos: t.Pos}, nil
+		return lit, nil
 	case source.Minus:
 		p.next()
 		x, err := p.factor()

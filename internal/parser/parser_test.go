@@ -240,3 +240,45 @@ func TestEndRoutineForm(t *testing.T) {
 		t.Errorf("'end routine name' form: %v", err)
 	}
 }
+
+// TestNumericLiterals: an integer literal is exact or a positioned error,
+// never the float64 nearest to it (which wrapped a 20-digit loop bound to
+// MinInt64 and made its loop zero-trip); a real literal out of range is an
+// error and one too small to represent is zero.
+func TestNumericLiterals(t *testing.T) {
+	lit := func(text string) (*ast.NumLit, error) {
+		r, err := ParseRoutine("routine f()\nx = " + text + "\nend\n")
+		if err != nil {
+			return nil, err
+		}
+		return r.Body[0].(*ast.AssignStmt).RHS.(*ast.NumLit), nil
+	}
+	for _, tc := range []struct {
+		text  string
+		isInt bool
+		i     int
+		v     float64
+	}{
+		{"9007199254740993", true, 9007199254740993, 9007199254740992},
+		{"9223372036854775807", true, 9223372036854775807, 9223372036854775807},
+		{"00012", true, 12, 12},
+		{"1e-400", false, 0, 0},
+		{"2.5d-3", false, 0, 2.5e-3},
+		{"1e3", false, 0, 1000},
+	} {
+		n, err := lit(tc.text)
+		if err != nil {
+			t.Errorf("%s: %v", tc.text, err)
+			continue
+		}
+		if n.IsInt != tc.isInt || n.Int != tc.i || n.Value != tc.v {
+			t.Errorf("%s = %+v, want IsInt %t Int %d Value %g", tc.text, *n, tc.isInt, tc.i, tc.v)
+		}
+	}
+	for _, text := range []string{"12345678901234567890", "9223372036854775808", "1e400"} {
+		_, err := lit(text)
+		if err == nil || err.Error() != `2:5: bad number "`+text+`"` {
+			t.Errorf("%s: error %v, want a positioned bad number", text, err)
+		}
+	}
+}

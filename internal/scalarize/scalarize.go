@@ -13,6 +13,7 @@ package scalarize
 
 import (
 	"fmt"
+	"strconv"
 
 	"gcao/internal/ast"
 	"gcao/internal/sem"
@@ -264,7 +265,7 @@ func (s *scalarizer) assign(st *ast.AssignStmt) ([]ast.Stmt, error) {
 	// llo). In normalized form the variable runs 0..count-1 and indexes
 	// are lo + v*step on both sides.
 	num := func(v int, pos source.Pos) ast.Expr {
-		return &ast.NumLit{Text: fmt.Sprint(v), Value: float64(v), IsInt: true, Pos: pos}
+		return &ast.NumLit{Text: strconv.Itoa(v), Value: float64(v), Int: v, IsInt: true, Pos: pos}
 	}
 	mkIdx := func(v string, base, coef int, pos source.Pos) ast.Expr {
 		ve := ast.Expr(&ast.Ident{Name: v, Pos: pos})

@@ -388,7 +388,7 @@ func (u *Unit) evalIntEnv(e ast.Expr, env map[string]int) (int, error) {
 		if !e.IsInt {
 			return 0, source.Errorf(e.Pos, "sem: real literal %q where integer expected", e.Text)
 		}
-		return int(e.Value), nil
+		return e.Int, nil
 	case *ast.Ident:
 		if env != nil {
 			if v, ok := env[e.Name]; ok {

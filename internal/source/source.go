@@ -196,11 +196,13 @@ func (s *Scanner) Next() Token {
 			}
 			continue
 		case isIdentStart(c):
-			var b strings.Builder
+			from := s.off
 			for s.off < len(s.src) && isIdentCont(s.peek()) {
-				b.WriteByte(s.advance())
+				s.advance()
 			}
-			return Token{Kind: Ident, Text: strings.ToLower(b.String()), Pos: start}
+			// ToLower returns its argument when it is lower case already:
+			// such a token's text is a slice of the source, not a copy.
+			return Token{Kind: Ident, Text: strings.ToLower(s.src[from:s.off]), Pos: start}
 		case unicode.IsDigit(rune(c)):
 			return s.scanNumber(start)
 		case c == '(':
@@ -267,44 +269,45 @@ func (s *Scanner) Next() Token {
 }
 
 func (s *Scanner) scanNumber(start Pos) Token {
-	var b strings.Builder
-	for s.off < len(s.src) && unicode.IsDigit(rune(s.peek())) {
-		b.WriteByte(s.advance())
+	from := s.off
+	digits := func() {
+		for s.off < len(s.src) && unicode.IsDigit(rune(s.peek())) {
+			s.advance()
+		}
 	}
+	digits()
 	// Fractional part; careful not to eat "1:2" or "1..2".
 	if s.peek() == '.' && unicode.IsDigit(rune(s.peek2())) {
-		b.WriteByte(s.advance())
-		for s.off < len(s.src) && unicode.IsDigit(rune(s.peek())) {
-			b.WriteByte(s.advance())
-		}
+		s.advance()
+		digits()
 	}
 	// Exponent.
 	if c := s.peek(); c == 'e' || c == 'E' || c == 'd' || c == 'D' {
 		save := *s
-		text := b.String()
-		b2 := strings.Builder{}
-		b2.WriteString(text)
-		b2.WriteByte('e')
 		s.advance()
 		if s.peek() == '+' || s.peek() == '-' {
-			b2.WriteByte(s.advance())
+			s.advance()
 		}
 		if unicode.IsDigit(rune(s.peek())) {
-			for s.off < len(s.src) && unicode.IsDigit(rune(s.peek())) {
-				b2.WriteByte(s.advance())
+			digits()
+			text := s.src[from:s.off]
+			if c != 'e' { // canonical exponent letter
+				text = s.src[from:save.off] + "e" + s.src[save.off+1:s.off]
 			}
-			return Token{Kind: Number, Text: b2.String(), Pos: start}
+			return Token{Kind: Number, Text: text, Pos: start}
 		}
 		*s = save // not an exponent after all (e.g. "2elements")
 	}
-	return Token{Kind: Number, Text: b.String(), Pos: start}
+	return Token{Kind: Number, Text: s.src[from:s.off], Pos: start}
 }
 
 // ScanAll tokenizes the whole input, returning the token stream ending
 // in EOF, or the first error.
 func ScanAll(src string) ([]Token, error) {
 	sc := NewScanner(src)
-	var out []Token
+	// The suite's densest routine has a token per 1.7 bytes; sized for
+	// that, the slice never grows.
+	out := make([]Token, 0, len(src)*5/8+1)
 	for {
 		t := sc.Next()
 		out = append(out, t)
