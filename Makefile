@@ -111,19 +111,25 @@ obs-smoke:
 # the shallow benchmark, run it as real goroutines, verify bit-for-bit
 # against the BSP simulator from the command line, then run the
 # exhaustive native-vs-simulator matrix and the oversubscription
-# regression test. Finally it measures the two steady-state allocation
-# benchmarks (gravity and shallow × 40 steps, P=16, engine reuse) and
-# fails if the allocs/op of either exceeds the checked-in budget in
-# ci/native-alloc-budget.txt — a warm run packs into the pairs' rings and
-# replays its schedules, so a hot path that starts allocating again is a
-# regression.
+# regression test, then what a warm plane rests on: a translated exchange
+# schedule against one rebuilt from scratch (the rule in runtime, the
+# schedules of the six Fig. 10(a) routines in native, the pinned replay
+# shares), Reset against a new memory after random operations, and the
+# lowered mod against math.Mod bit for bit. Finally it measures the two
+# steady-state allocation benchmarks (gravity and shallow × 40 steps,
+# P=16, engine reuse) and fails if the allocs/op of either exceeds the
+# checked-in budget in ci/native-alloc-budget.txt — a warm run packs into
+# the pairs' rings and replays or translates its schedules, so a hot path
+# that starts allocating again is a regression.
 native-smoke:
 	@mkdir -p out
 	$(GO) run ./cmd/runbench -functional -backend native -fig b | tee out/native-smoke.txt
 	@grep -q 'native ok, bit-identical to simulator' out/native-smoke.txt || { echo "native-smoke: no native verification line"; exit 1; }
 	@n=$$(grep -c 'native ok, bit-identical to simulator' out/native-smoke.txt); \
 	[ "$$n" -ge 6 ] || { echo "native-smoke: only $$n of 6 benchmarks verified"; exit 1; }
-	$(GO) test ./internal/native -run 'TestNativeMatchesSimulator|TestNativeOversubscription' -count=1
+	$(GO) test ./internal/native -run 'TestNativeMatchesSimulator|TestNativeOversubscription|TestTranslatedScheduleMatchesRebuilt|TestScheduleKeyHoldsBoundBits|TestReusedEngineMatchesFresh|TestNativeLocalizationEdgeCases/mod' -count=1
+	$(GO) test ./internal/runtime -run 'TestStripShiftMatchesRebuild|TestGhostHullUnderRandomOperations|TestBulkOperationsDoNotAllocate' -count=1
+	$(GO) test ./internal/plan -run 'TestModMatchesMathMod|TestScheduleReplayShare' -count=1
 	@GO="$(GO)" sh ci/alloc-budget.sh 'BenchmarkNative(Alloc|Comm)$$' ci/native-alloc-budget.txt native-smoke
 	@echo "native-smoke: ok"
 

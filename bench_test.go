@@ -652,8 +652,9 @@ func BenchmarkNativeScaling(b *testing.B) {
 // with its row ops, purity analysis, per-processor bounds and row-loop
 // marking — on the six Fig. 10(a) routines at P=25. Both backends pay
 // for it: once per native.NewEngine, and once per simulator run
-// (spmd.Run lowers per run, as does every gcaod exec request), which is
-// why what lowering allocates is budgeted in ci/sim-alloc-budget.txt.
+// (spmd.Run lowers per run; a gcaod exec request runs on a pooled engine
+// that lowered when it was built), which is why what lowering allocates
+// is budgeted in ci/sim-alloc-budget.txt.
 func BenchmarkLower(b *testing.B) {
 	var plans []*plan.Plan
 	for _, pr := range bench.Programs() {

@@ -49,9 +49,9 @@ package native
 //     sender and receiver compute identical lists because the
 //     concretized entry sections and the strip geometry are pure
 //     functions of shared state — keeps them as the exchange's schedule
-//     while the slots the sections read do not move, and one message per
-//     neighbour pair carries the packed strip (combining realized
-//     literally). Validity travels as a
+//     while the slots the sections read hold or only move the strips, and
+//     one message per neighbour pair carries the packed strip (combining
+//     realized literally). Validity travels as a
 //     packed bitmap trailer (one bit per strip element) instead of a
 //     flag word per element, so only the elements the sender holds
 //     current occupy payload words: the wire format is
@@ -81,6 +81,7 @@ package native
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"gcao/internal/core"
 	"gcao/internal/native/prof"
@@ -268,59 +269,119 @@ func (pc *proc) execComm(c *plan.Comm) error {
 	return nil
 }
 
-// schedule is the geometry of one exchange on one processor: the runs
-// of its own rows that the strip it sends is packed from and the strip it
-// receives is unpacked into, in wire order. ArrayMem.StripRuns — the one
-// definition of a strip — enumerated them when the slots the entry
+// schedule is the geometry of one exchange on one processor: per entry
+// the runs of its own plane that the strip it sends is packed from and the
+// strip it receives is unpacked into, in wire order. ArrayMem.StripRuns —
+// the one definition of a strip — enumerated them when the slots the entry
 // sections read held what key records. A strip is a function of (section,
-// receiver), so a time loop replays the lists; an exchange over a moving
-// section (gravity's planes) rebuilds them in place.
+// receiver), so a time loop replays the lists; where the slots that moved
+// only shift every section rigidly (gravity's planes) the new strip is the
+// old one shifted, and translate moves the lists with it; else build.
 type schedule struct {
 	key        []int
+	ents       []schedEntry
 	send, recv []stripRun
-	// ghost holds the received strips as sections, dims their descriptors:
-	// what an unpack adds to the processor's ghost hulls.
-	ghost []plan.Entry
-	dims  []section.Dim
+	dims       []section.Dim // backs the entries' at and ghost
 }
 
-// stripRun is one run of a strip: the processor's own elements and
-// validity flags at the run's offsets.
-type stripRun struct {
-	data  []float64
-	valid []bool
+// schedEntry is one entry of a schedule: its runs are send[:nsend] and
+// recv[:nrecv] less the entries before it, off what translations have
+// added to their offsets since they were enumerated; at is its section,
+// unclipped, where the runs are now, ghost the strip received as a
+// section: what an unpack adds to the processor's ghost hull.
+type schedEntry struct {
+	am                *runtime.ArrayMem
+	nsend, nrecv, off int
+	at, ghost         []section.Dim
 }
 
-// schedule returns the exchange's current run lists, rebuilt if a slot
-// its sections read moved. dst and src are the neighbours the processor
-// sends to and receives from, -1 for none.
+// stripRun is one run of a strip: n consecutive flat offsets from off.
+type stripRun struct{ off, n int }
+
+// schedule returns the exchange's current run lists — replayed, translated
+// or rebuilt — for the neighbours dst and src the processor sends to and
+// receives from, -1 for none.
 func (pc *proc) schedule(op *plan.CommOp, dst, src int) *schedule {
 	sch := &pc.sched[op.Group.ID]
 	built := sch.key != nil
 	if !built {
-		sch.key = make([]int, len(op.Slots))
+		sch.key, sch.dims = make([]int, len(op.Slots)), make([]section.Dim, 2*len(pc.to)*len(op.Entries))
 	}
 	if pc.fr.Unchanged(op.Slots, sch.key) && built {
 		return sch
 	}
-	g := op.Group
-	sch.send, sch.recv, sch.ghost, sch.dims = sch.send[:0], sch.recv[:0], sch.ghost[:0], sch.dims[:0]
-	for _, es := range op.Concretize(pc.fr, &pc.entbuf) {
-		data, valid := es.Am.Data[pc.p], es.Am.Valid[pc.p]
-		if dst >= 0 {
-			es.Am.StripRuns(es.Sec, pc.p, es.ShiftDim, g.Map.Sign, g.Map.Width, pc.fr.Scratch, func(off, n int) {
-				sch.send = append(sch.send, stripRun{data[off : off+n], valid[off : off+n]})
-			})
-		}
-		if src >= 0 {
-			strip := es.Am.StripRuns(es.Sec, src, es.ShiftDim, g.Map.Sign, g.Map.Width, pc.fr.Scratch, func(off, n int) {
-				sch.recv = append(sch.recv, stripRun{data[off : off+n], valid[off : off+n]})
-			})
-			sch.dims = append(sch.dims, strip.Dims...)
-			sch.ghost = append(sch.ghost, plan.Entry{Am: es.Am, Sec: section.Section{Dims: sch.dims[len(sch.dims)-len(strip.Dims):]}})
-		}
+	if !built || !pc.translate(sch, op, dst, src) {
+		pc.build(sch, op, dst, src)
 	}
 	return sch
+}
+
+// build enumerates the schedule's lists from scratch.
+func (pc *proc) build(sch *schedule, op *plan.CommOp, dst, src int) {
+	g, dims := op.Group, sch.dims
+	sch.ents, sch.send, sch.recv = sch.ents[:0], sch.send[:0], sch.recv[:0]
+	for i := range op.Entries {
+		es := &op.Entries[i]
+		at := dims[:copy(dims, pc.bounds(es))]
+		sec, ok := es.Concrete(pc.fr, pc.to)
+		if !ok {
+			continue
+		}
+		if dst >= 0 {
+			es.Am.StripRuns(sec, pc.p, es.ShiftDim, g.Map.Sign, g.Map.Width, pc.fr.Scratch, func(off, n int) {
+				sch.send = append(sch.send, stripRun{off, n})
+			})
+		}
+		var strip section.Section
+		if src >= 0 {
+			strip = es.Am.StripRuns(sec, src, es.ShiftDim, g.Map.Sign, g.Map.Width, pc.fr.Scratch, func(off, n int) {
+				sch.recv = append(sch.recv, stripRun{off, n})
+			})
+		}
+		ghost := dims[len(at) : len(at)+copy(dims[len(at):], strip.Dims)]
+		sch.ents = append(sch.ents, schedEntry{am: es.Am, nsend: len(sch.send), nrecv: len(sch.recv), at: at, ghost: ghost})
+		dims = dims[2*len(at):]
+	}
+}
+
+// bounds evaluates the entry's section under the frame, unclipped, into pc.to.
+func (pc *proc) bounds(es *plan.EntrySec) []section.Dim {
+	to := pc.to[:len(es.Lo)]
+	for k := range to {
+		to[k] = section.Dim{Lo: es.Lo[k].Eval(pc.fr), Hi: es.Hi[k].Eval(pc.fr), Step: es.Step[k]}
+	}
+	return to
+}
+
+// translate moves the schedule to where the entry sections are now and
+// reports whether it could: no entry was or is left out for a slot no loop
+// has bound, and each moved its strips rigidly, the sent and the received
+// (StripShift). A false return may leave it half moved: build starts over.
+func (pc *proc) translate(sch *schedule, op *plan.CommOp, dst, src int) bool {
+	if len(sch.ents) != len(op.Entries) || slices.Contains(sch.key, math.MinInt) {
+		return false
+	}
+	g := op.Group
+	for i := range sch.ents {
+		e, to := &sch.ents[i], pc.bounds(&op.Entries[i])
+		doff, ok := 0, true
+		if dst >= 0 {
+			doff, ok = e.am.StripShift(e.at, to, pc.p, op.Entries[i].ShiftDim, g.Map.Sign, g.Map.Width, pc.fr.Scratch)
+		}
+		if ok && src >= 0 {
+			doff, ok = e.am.StripShift(e.at, to, src, op.Entries[i].ShiftDim, g.Map.Sign, g.Map.Width, pc.fr.Scratch)
+		}
+		if !ok {
+			return false
+		}
+		e.off += doff
+		for k := range e.ghost {
+			d := to[k].Lo - e.at[k].Lo
+			e.ghost[k].Lo, e.ghost[k].Hi = e.ghost[k].Lo+d, e.ghost[k].Hi+d
+		}
+		copy(e.at, to)
+	}
+	return true
 }
 
 // shiftExchange performs one ghost-strip exchange. Data moves from
@@ -351,17 +412,23 @@ func (pc *proc) shiftExchange(op *plan.CommOp) error {
 		payload := pc.getBuf(dst, op.Bound+op.Bound/64+2)
 		bits := pc.bitbuf[:0]
 		n := 0
-		for _, r := range sch.send {
-			for i, ok := range r.valid {
-				if n%64 == 0 {
-					bits = append(bits, 0)
+		from := 0
+		for _, e := range sch.ents {
+			data, valid := e.am.Data[pc.p], e.am.Valid[pc.p]
+			for _, r := range sch.send[from:e.nsend] {
+				at := r.off + e.off
+				for i, ok := range valid[at : at+r.n] {
+					if n%64 == 0 {
+						bits = append(bits, 0)
+					}
+					if ok {
+						bits[n/64] |= 1 << (n % 64)
+						payload = append(payload, data[at+i])
+					}
+					n++
 				}
-				if ok {
-					bits[n/64] |= 1 << (n % 64)
-					payload = append(payload, r.data[i])
-				}
-				n++
 			}
+			from = e.nsend
 		}
 		pc.bitbuf = bits
 		pc.bytes += int64(8 * len(payload))
@@ -391,18 +458,20 @@ func (pc *proc) shiftExchange(op *plan.CommOp) error {
 			return fmt.Errorf("native: exchange %d→%d protocol mismatch: %d words cannot hold %d elements", src, pc.p, len(buf), n)
 		}
 		words := buf[nv : len(buf)-1]
-		for _, e := range sch.ghost {
-			e.Am.Delivered(pc.p, e.Sec)
-		}
-		k, vpos := 0, 0
-		for _, r := range sch.recv {
-			for i := range r.valid {
-				if k < n && math.Float64bits(words[k/64])&(1<<uint(k%64)) != 0 {
-					r.data[i], r.valid[i] = buf[vpos], true
-					vpos++
+		k, vpos, from := 0, 0, 0
+		for _, e := range sch.ents {
+			e.am.Delivered(pc.p, section.Section{Dims: e.ghost})
+			data, valid := e.am.Data[pc.p], e.am.Valid[pc.p]
+			for _, r := range sch.recv[from:e.nrecv] {
+				for i := r.off + e.off; i < r.off+e.off+r.n; i++ {
+					if k < n && math.Float64bits(words[k/64])&(1<<uint(k%64)) != 0 {
+						data[i], valid[i] = buf[vpos], true
+						vpos++
+					}
+					k++
 				}
-				k++
 			}
+			from = e.nrecv
 		}
 		if k != n || vpos != nv {
 			return fmt.Errorf("native: exchange %d→%d protocol mismatch: %d/%d elements packed, %d/%d expected", src, pc.p, n, nv, k, vpos)

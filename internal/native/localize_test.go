@@ -336,6 +336,23 @@ c(i, i) = 1
 enddo
 end
 `, map[string]int{"n": 9}, 4, localized{1, 2, 0}},
+		// mod on both of its paths, in a row kernel and on the tree: integral
+		// operands of either sign (the exact one, zero remainders of a
+		// negative x among them), fractional ones and a zero divisor.
+		{"mod-negative-and-fractional", `
+routine r(n)
+real a(n, n), b(n, n)
+real s
+!hpf$ distribute (block, block) :: a, b
+do i = 1, n
+do j = 1, n
+a(i, j) = mod(i - 2 * j, 3) + mod(6 - 3 * i, 0 - 3) * 0.5
+b(i, j) = mod(i * 0.75 - j, 0 - 1.25) + mod(0 - 7.5, j) + mod(j - i, i - 3)
+enddo
+enddo
+s = mod(0 - 9, 4) + mod(0 - 8, 4) + mod(0 - 2.5, 0.75)
+end
+`, map[string]int{"n": 9}, 4, localized{1, 2, 0}},
 		{"reject-misaligned-read-of-written", `
 routine r(n)
 real a(n), b(n)

@@ -53,6 +53,7 @@ import (
 	"gcao/internal/obs"
 	"gcao/internal/plan"
 	"gcao/internal/runtime"
+	"gcao/internal/section"
 	"gcao/internal/source"
 )
 
@@ -228,6 +229,7 @@ func NewEngine(res *core.Result, procs int) (*Engine, error) {
 			p:     p,
 			fr:    eng.prog.NewFrame(p),
 			sched: make([]schedule, len(res.Groups)),
+			to:    make([]section.Dim, eng.prog.MaxRank),
 		}
 		if p == 0 {
 			// Gather-assembly scratch: only the tree root carves
@@ -534,7 +536,8 @@ type proc struct {
 	// stream-carving scratch. The bulk memory operations use the
 	// frame's Scratch.
 	entbuf  plan.EntryBuf
-	sched   []schedule // by group ID: the exchanges' run lists
+	sched   []schedule    // by group ID: the exchanges' run lists
+	to      []section.Dim // an entry's section while schedule places it
 	minebuf []float64
 	fullbuf []float64
 	bitbuf  []uint64

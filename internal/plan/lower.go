@@ -381,20 +381,23 @@ func intAdd(x, y IntExpr, sign int) IntExpr {
 	if x.Gen != nil || y.Gen != nil {
 		return IntExpr{Gen: func(fr *Frame) int { return x.Eval(fr) + sign*y.Eval(fr) }}
 	}
-	coef := map[int]int{}
-	for _, t := range x.Terms {
-		coef[t.Slot] += t.Coef
-	}
-	for _, t := range y.Terms {
-		coef[t.Slot] += sign * t.Coef
-	}
 	out := IntExpr{Affine: Affine{Const: x.Const + sign*y.Const}}
-	for slot, c := range coef {
-		if c != 0 {
-			out.Terms = append(out.Terms, Term{Slot: slot, Coef: c})
+	xs, ys := x.Terms, y.Terms // both sorted by slot: merge
+	out.Terms = make([]Term, 0, len(xs)+len(ys))
+	for len(xs) > 0 || len(ys) > 0 {
+		var t Term
+		switch {
+		case len(ys) == 0 || (len(xs) > 0 && xs[0].Slot < ys[0].Slot):
+			t, xs = xs[0], xs[1:]
+		case len(xs) == 0 || ys[0].Slot < xs[0].Slot:
+			t, ys = Term{Slot: ys[0].Slot, Coef: sign * ys[0].Coef}, ys[1:]
+		default:
+			t, xs, ys = Term{Slot: xs[0].Slot, Coef: xs[0].Coef + sign*ys[0].Coef}, xs[1:], ys[1:]
+		}
+		if t.Coef != 0 {
+			out.Terms = append(out.Terms, t)
 		}
 	}
-	sortTerms(out.Terms)
 	return out
 }
 
@@ -618,8 +621,23 @@ func (lw *lowerer) read(ref *ast.Ref, am *runtime.ArrayMem) RealFn {
 
 var (
 	intrinsics1 = map[string]func(float64) float64{"sqrt": math.Sqrt, "abs": math.Abs, "exp": math.Exp}
-	intrinsics2 = map[string]func(float64, float64) float64{"min": math.Min, "max": math.Max, "mod": math.Mod}
+	intrinsics2 = map[string]func(float64, float64) float64{"min": math.Min, "max": math.Max, "mod": mod}
 )
+
+// mod is math.Mod, bit for bit. Integral operands below 2⁵³ — what the
+// benchmarks' initialisation loops pass — are exact as int64, where the
+// remainder is one instruction and, like math.Mod's, takes the sign of x;
+// a zero remainder copies it. Everything else (a fraction, y = 0, NaN,
+// ±Inf, a magnitude of 2⁵³ or more) is math.Mod's.
+func mod(x, y float64) float64 {
+	if xi, yi := int64(x), int64(y); math.Abs(x) < 1<<53 && math.Abs(y) < 1<<53 && float64(xi) == x && float64(yi) == y && yi != 0 {
+		if r := xi % yi; r != 0 {
+			return float64(r)
+		}
+		return math.Copysign(0, x)
+	}
+	return math.Mod(x, y)
+}
 
 func (lw *lowerer) intrinsic(e *ast.Call) RealFn {
 	f1, f2 := intrinsics1[e.Func], intrinsics2[e.Func]

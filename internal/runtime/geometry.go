@@ -32,6 +32,11 @@ import (
 //     an InvalidateBox that covers the hull, and Reset, empty it. In
 //     between the hull only over-approximates, so clearing a box is
 //     clearing its part inside the hull: O(halo), not O(box).
+//   - the touched box of processor p: the owned box grown over whatever
+//     was Delivered since the memory was built or Reset — the block with
+//     its overlap region, outside which p's plane is as built. (The hull
+//     cannot say so: an invalidation empties it and leaves the values.)
+//     Reset clears this box and nothing else.
 //
 // A CYCLIC dimension's owned set is a lattice, not a range. On the
 // moved dimension of a shift the strip section is intersected with that
@@ -86,9 +91,8 @@ func (am *ArrayMem) initGeometry(p int) {
 				am.own[k][i] = d.OwnerDim(k, arr.Lo[k]+i) * stride
 			}
 		}
-		am.box = make([]int, 4*p*rank)
-		am.box, am.hull = am.box[:2*p*rank], am.box[2*p*rank:]
-		am.emptyHulls()
+		am.box = make([]int, 6*p*rank)
+		am.box, am.touched, am.hull = am.box[:2*p*rank], am.box[2*p*rank:4*p*rank], am.box[4*p*rank:]
 		coords := make([]int, d.Grid.Rank())
 		for q := 0; q < p; q++ {
 			d.Grid.CoordsInto(q, coords)
@@ -100,6 +104,7 @@ func (am *ArrayMem) initGeometry(p int) {
 				am.box[2*(q*rank+k)], am.box[2*(q*rank+k)+1] = lo, hi
 			}
 		}
+		am.emptyHulls()
 	}
 	own := am.own[rank-1]
 	for i := len(own) - 1; i >= 0; i-- {
@@ -126,22 +131,28 @@ func (am *ArrayMem) ghost(p int) (lo, hi []int) {
 	return am.hull[p*rank : (p+1)*rank], am.hull[half+p*rank : half+(p+1)*rank]
 }
 
-// emptyHulls gives every hull bounds no box meets and any delivery replaces.
+// emptyHulls gives every hull bounds no box meets and any delivery
+// replaces, and shrinks every touched box (laid out as box) to its owned box.
 func (am *ArrayMem) emptyHulls() {
 	for i, half := 0, len(am.hull)/2; i < half; i++ {
 		am.hull[i], am.hull[half+i] = math.MaxInt, math.MinInt
 	}
+	copy(am.touched, am.box)
 }
 
-// Delivered grows processor p's ghost hull over sec: the caller marks
-// elements of sec that p does not own valid in p's plane.
+// Delivered grows processor p's ghost hull and touched box over sec: the
+// caller marks elements of sec that p does not own valid in p's plane.
 func (am *ArrayMem) Delivered(p int, sec section.Section) {
 	if am.Dist == nil || sec.IsEmpty() {
 		return
 	}
 	lo, hi := am.ghost(p)
+	t := am.touched[2*p*len(lo):]
 	for k, d := range sec.Dims {
 		lo[k], hi[k] = min(lo[k], d.Lo), max(hi[k], d.Hi)
+		if d.Lo < t[2*k] || d.Hi > t[2*k+1] { // seldom: the store dirties a line other processors' boxes share
+			t[2*k], t[2*k+1] = min(t[2*k], d.Lo), max(t[2*k+1], d.Hi)
+		}
 	}
 }
 
@@ -155,12 +166,27 @@ func (am *ArrayMem) Delivered(p int, sec section.Section) {
 // definition. It returns the strip as a section in sc (valid until sc is
 // used again), for the receiver's Delivered.
 func (am *ArrayMem) StripRuns(sec section.Section, src, ad, sign, width int, sc *Scratch, f func(off, n int)) section.Section {
-	arr := am.Arr
 	lo, hi := sc.lo[:len(am.Strides)], sc.hi[:len(am.Strides)]
+	if !am.stripBox(src, ad, sign, width, lo, hi) {
+		return section.Section{}
+	}
+	strip := sec.ClipInto(lo, hi, sc.dims)
+	if dd := am.Dist.Dims[ad]; dd.Kind == dist.Cyclic {
+		l, h := am.OwnedBox(src, ad)
+		strip.Dims[ad] = strip.Dims[ad].Intersect(section.Dim{Lo: l, Hi: h, Step: am.Dist.Grid.Shape[dd.GridDim]})
+	}
+	am.walk(strip, sc.idx, false, func(_, off, n int) { f(off, n) })
+	return strip
+}
+
+// stripBox fills lo and hi with the strip box of StripRuns' arguments,
+// false when src owns nothing.
+func (am *ArrayMem) stripBox(src, ad, sign, width int, lo, hi []int) bool {
+	arr := am.Arr
 	for k := range lo {
 		l, h := am.OwnedBox(src, k)
 		if l > h {
-			return section.Section{}
+			return false
 		}
 		switch {
 		case k != ad:
@@ -171,13 +197,35 @@ func (am *ArrayMem) StripRuns(sec section.Section, src, ad, sign, width int, sc 
 			lo[k], hi[k] = max(h-width+1, l), h
 		}
 	}
-	strip := sec.ClipInto(lo, hi, sc.dims)
-	if dd := am.Dist.Dims[ad]; dd.Kind == dist.Cyclic {
-		l, h := am.OwnedBox(src, ad)
-		strip.Dims[ad] = strip.Dims[ad].Intersect(section.Dim{Lo: l, Hi: h, Step: am.Dist.Grid.Shape[dd.GridDim]})
+	return true
+}
+
+// StripShift reports whether the strip (StripRuns' other arguments as
+// given) of the section with bounds to is that of the one with bounds from
+// — neither clipped yet, steps equal — moved rigidly, and by how many flat
+// offsets: every dimension moved Lo and Hi by one δ, and where δ ≠ 0 it
+// lies inside the strip box (so inside the declared bounds) before and
+// after, where nothing clips it, and is not a CYCLIC moved dimension, whose
+// strip a lattice that stays behind cuts. Then the new strip's runs are the
+// old one's Σ δ·Strides further, and its section the old one moved by δ.
+func (am *ArrayMem) StripShift(from, to []section.Dim, src, ad, sign, width int, sc *Scratch) (doff int, ok bool) {
+	lo, hi := sc.lo[:len(am.Strides)], sc.hi[:len(am.Strides)]
+	if !am.stripBox(src, ad, sign, width, lo, hi) {
+		return 0, false
 	}
-	am.walk(strip, sc.idx, false, func(_, off, n int) { f(off, n) })
-	return strip
+	for k, f := range from {
+		d := to[k].Lo - f.Lo
+		switch {
+		case to[k].Hi-f.Hi != d:
+			return 0, false
+		case d == 0:
+			continue
+		case min(f.Lo, to[k].Lo) < lo[k] || max(f.Hi, to[k].Hi) > hi[k] || (k == ad && am.Dist.Dims[k].Kind == dist.Cyclic):
+			return 0, false
+		}
+		doff += d * am.Strides[k]
+	}
+	return doff, true
 }
 
 // OwnerRuns visits sec, which must lie within the declared bounds, in

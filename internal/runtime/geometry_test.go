@@ -196,11 +196,12 @@ func layouts() []layout {
 
 // twin builds two identical memories of one layout — one for the
 // operation under test, one for its oracle — with every element written
-// to a distinct value (valid on its owner only).
+// to a distinct value (valid on its owner only). Beside a they hold a
+// replicated r(5), left as built.
 func twin(t *testing.T, l layout) (got, want *Memory) {
 	t.Helper()
 	shape := strings.Trim(fmt.Sprint(l.grid), "[]")
-	src := "routine m(n)\nreal " + l.decl + "\n!hpf$ processors p(" + strings.ReplaceAll(shape, " ", ", ") + ")\n" +
+	src := "routine m(n)\nreal " + l.decl + ", r(5)\n!hpf$ processors p(" + strings.ReplaceAll(shape, " ", ", ") + ")\n" +
 		"!hpf$ distribute a" + l.kinds + "\nend\n"
 	procs := l.grid[0] * l.grid[1]
 	u := unit(t, src, map[string]int{"n": 1}, procs)
@@ -364,6 +365,114 @@ func TestStripMatchesElementScan(t *testing.T) {
 	}
 }
 
+// stripOf enumerates the strip src passes of the section with the given
+// unclipped bounds from scratch, as a caller of StripRuns does: clipped to
+// the declared bounds, then walked. It returns the runs and the strip.
+func stripOf(am *ArrayMem, dims []section.Dim, src, ad, sign, width int, sc *Scratch) (runs [][2]int, strip []section.Dim) {
+	sec := section.Section{Dims: dims}.ClipInto(am.Arr.Lo, am.Arr.Hi, make([]section.Dim, len(dims)))
+	s := am.StripRuns(sec, src, ad, sign, width, sc, func(off, n int) { runs = append(runs, [2]int{off, n}) })
+	return runs, slices.Clone(s.Dims)
+}
+
+// TestStripShiftMatchesRebuild: wherever StripShift says a moved section's
+// strip is the old strip translated, it is — run for run at the offset it
+// returned, and as a section — against StripRuns from scratch on the moved
+// section; for every layout of the matrix, every sender, both grid
+// dimensions and directions, widths 1 and 2, over a seeded corpus of
+// sections (planes, rows, boxes, strided, reaching and crossing the
+// declared bounds) moved by up to two in either direction along one or two
+// dimensions, now and then not rigidly. The corpus must hold translations
+// along BLOCK, CYCLIC and collapsed dimensions, and the moves the rule has
+// to decline — a clipped extent, a CYCLIC moved dimension, a block left
+// for its neighbour's, Lo and Hi apart — are declined.
+func TestStripShiftMatchesRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	moved := map[dist.Kind]int{} // translations, by the kind of a dimension that moved
+	for _, l := range layouts() {
+		got, _ := twin(t, l)
+		am := got.View("a")
+		rank, sc := am.Arr.Rank(), NewScratch(am.Arr.Rank())
+		for n := 0; n < 150; n++ {
+			from, to := make([]section.Dim, rank), make([]section.Dim, rank)
+			delta := make([]int, rank)
+			for k := range from {
+				ext := am.Arr.Hi[k] - am.Arr.Lo[k] + 1
+				lo := am.Arr.Lo[k] - 1 + rng.Intn(ext+1)
+				from[k] = section.Dim{Lo: lo, Hi: lo + rng.Intn(2)*rng.Intn(ext+1), Step: 1 + rng.Intn(4)/3*rng.Intn(3)}
+				to[k] = from[k]
+			}
+			for m := 1 + rng.Intn(2); m > 0; m-- {
+				k := rng.Intn(rank)
+				delta[k] = rng.Intn(5) - 2
+				to[k].Lo, to[k].Hi = from[k].Lo+delta[k], from[k].Hi+delta[k]
+				if rng.Intn(12) == 0 {
+					to[k].Hi++
+				}
+			}
+			for src := 0; src < got.P; src++ {
+				for gridDim := 0; gridDim < 2; gridDim++ {
+					ad, sign, width := am.ShiftArrayDim(gridDim), 1-2*rng.Intn(2), 1+rng.Intn(2)
+					doff, ok := am.StripShift(from, to, src, ad, sign, width, sc)
+					if !ok {
+						continue
+					}
+					what := fmt.Sprintf("%v: %v to %v from processor %d along dimension %d sign %+d width %d", l, from, to, src, ad, sign, width)
+					was, wasStrip := stripOf(am, from, src, ad, sign, width, sc)
+					now, nowStrip := stripOf(am, to, src, ad, sign, width, sc)
+					for i := range was {
+						was[i][0] += doff
+					}
+					if !slices.Equal(was, now) {
+						t.Fatalf("%s: translated by %d the runs are %v, rebuilt %v", what, doff, was, now)
+					}
+					for k, d := range wasStrip {
+						if len(now) > 0 && (nowStrip[k] != section.Dim{Lo: d.Lo + delta[k], Hi: d.Hi + delta[k], Step: d.Step}) {
+							t.Fatalf("%s: the strip %v moved by %v is not the rebuilt %v", what, wasStrip, delta, nowStrip)
+						}
+						if delta[k] != 0 && len(now) > 0 {
+							moved[am.Dist.Dims[k].Kind]++
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, kind := range []dist.Kind{dist.Star, dist.Block, dist.Cyclic} {
+		if moved[kind] == 0 {
+			t.Errorf("the corpus holds no translated strip along a dimension of kind %v", kind)
+		}
+	}
+	t.Logf("non-empty strips translated along collapsed / BLOCK / CYCLIC dimensions: %d / %d / %d", moved[dist.Star], moved[dist.Block], moved[dist.Cyclic])
+
+	// a(3, 7, -1:7) as (*, BLOCK, CYCLIC) on 2 × 2: processor 0 holds rows
+	// 1-4 of dimension 2 and every other index from -1 of dimension 3.
+	got, _ := twin(t, layout{"a(3, 7, -1:7)", "(*, block, cyclic)", []int{2, 2}})
+	am, sc := got.View("a"), NewScratch(3)
+	plane := func(i, jlo, jhi, klo, khi int) []section.Dim {
+		return []section.Dim{{Lo: i, Hi: i, Step: 1}, {Lo: jlo, Hi: jhi, Step: 1}, {Lo: klo, Hi: khi, Step: 1}}
+	}
+	for _, tc := range []struct {
+		name     string
+		from, to []section.Dim
+		ad       int
+		want     bool
+	}{
+		{"the next plane", plane(1, 1, 7, -1, 7), plane(2, 1, 7, -1, 7), 1, true},
+		{"the next plane, sent along the CYCLIC dimension", plane(1, 1, 7, -1, 7), plane(2, 1, 7, -1, 7), 2, true},
+		{"a row moved inside the block and its margin", plane(1, 2, 2, -1, 7), plane(1, 5, 5, -1, 7), 2, true},
+		{"a CYCLIC dimension that is not the moved one", plane(1, 1, 7, 0, 3), plane(1, 1, 7, 1, 4), 1, true},
+		{"a plane past the declared bounds", plane(3, 1, 7, -1, 7), plane(4, 1, 7, -1, 7), 1, false},
+		{"an extent the declared bounds clip", plane(1, 1, 7, -2, 3), plane(1, 1, 7, -1, 4), 1, false},
+		{"the CYCLIC moved dimension", plane(1, 1, 7, 0, 3), plane(1, 1, 7, 1, 4), 2, false},
+		{"a row moved into the neighbour's block", plane(1, 2, 2, -1, 7), plane(1, 6, 6, -1, 7), 2, false},
+		{"Lo and Hi apart", plane(1, 2, 3, -1, 7), plane(1, 3, 5, -1, 7), 2, false},
+	} {
+		if _, ok := am.StripShift(tc.from, tc.to, 0, tc.ad, -1, 1, sc); ok != tc.want {
+			t.Errorf("%s (%v to %v, sent along dimension %d): translated %v, want %v", tc.name, tc.from, tc.to, tc.ad+1, ok, tc.want)
+		}
+	}
+}
+
 // TestOwnerRunsMatchElementScan: broadcast, SUM and the initial
 // validity walk owner runs and leave what their per-element scans left:
 // the same planes and payload bytes whatever ranges the receivers are
@@ -436,20 +545,24 @@ func TestOwnerRunsMatchElementScan(t *testing.T) {
 
 // TestBulkOperationsDoNotAllocate: a warm call of each bulk operation
 // allocates nothing — its scratch is the caller's, the geometry is the
-// array's — and neither does Reset, so the warm native path and a
-// simulator superstep stay off the allocator.
+// array's — and neither does Reset, over whatever the operations before
+// it touched, nor StripShift, so the warm native path and a simulator
+// superstep stay off the allocator.
 func TestBulkOperationsDoNotAllocate(t *testing.T) {
 	got, _ := twin(t, layout{"a(3, 7, -1:7)", "(*, block, cyclic)", []int{2, 2}})
 	am := got.View("a")
 	sc, ints := NewScratch(3), make([]int, 4)
 	sec := sections(am)[2]
 	lo, hi := []int{1, 2, 0}, []int{3, 6, 6}
+	next := slices.Clone(sec.Dims) // the inset box, one plane down
+	next[0].Lo, next[0].Hi = next[0].Lo-1, next[0].Hi-1
 	for name, f := range map[string]func(){
 		"Reset":          got.Reset,
 		"ShiftRange":     func() { am.ShiftRange(sec, 1, -1, 2, 0, 4, sc, ints) },
 		"BroadcastRange": func() { am.BroadcastRange(sec, 0, 4, sc) },
 		"SumSection":     func() { am.SumSection(sec, sc, ints) },
 		"InvalidateBox":  func() { am.InvalidateBox(2, lo, hi, sc) },
+		"StripShift":     func() { am.StripShift(sec.Dims, next, 1, 1, -1, 2, sc) },
 	} {
 		if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
 			t.Errorf("%s: %v allocations per call, want 0", name, allocs)
@@ -458,15 +571,19 @@ func TestBulkOperationsDoNotAllocate(t *testing.T) {
 }
 
 // TestGhostHullUnderRandomOperations drives seeded random sequences of
-// the operations that deliver, invalidate and reset — ShiftRange and
-// BroadcastRange over random receiver ranges, InvalidateBox on random
-// boxes, now and then a Reset — on every layout of the matrix, next to a
-// twin on which each operation is done element by element with no hull
-// at all (the oracles above; a box cleared by asking every element's
-// owner; a reset that rewrites both planes from the ownership pattern).
-// After every step the planes agree bit for bit, so the hull never kept
-// an invalidation from clearing a copy, and the hull invariant holds: no
-// valid copy outside its processor's hull.
+// the operations that deliver, store, invalidate and reset — ShiftRange
+// and BroadcastRange over random receiver ranges, owner stores into a and
+// the replicated r, InvalidateBox on random boxes, now and then a Reset —
+// on every layout of the matrix, next to a twin on which each operation
+// is done element by element with no hull at all (the oracles above; a
+// box cleared by asking every element's owner; a reset that rewrites both
+// planes from the ownership pattern). After every step the planes agree
+// bit for bit, so the hull never kept an invalidation from clearing a
+// copy, and the hull invariant holds: no valid copy outside its
+// processor's hull. And after every Reset, and one more when the sequence
+// ends, every plane of both arrays is a new memory's: nothing the
+// operations left — a stale value under an emptied hull least of all —
+// lies outside the touched boxes Reset clears.
 func TestGhostHullUnderRandomOperations(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, l := range layouts() {
@@ -476,12 +593,31 @@ func TestGhostHullUnderRandomOperations(t *testing.T) {
 		sc, bytes, coords := NewScratch(rank), make([]int, procs), make([]int, 2)
 		pattern := oracleValidity(ref)
 		secs := sections(am)
+		built := NewMemory(got.Unit, procs)
 		var trace []string
-		for step := 0; step < 60; step++ {
+		for step := 0; step <= 60; step++ {
 			lo := rng.Intn(procs)
 			hi := lo + 1 + rng.Intn(procs-lo)
 			sec := secs[rng.Intn(len(secs))]
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(11); {
+			case step == 60 || op == 9:
+				trace = append(trace, "reset")
+				got.Reset()
+				for p := range pattern {
+					clear(ref.Data[p])
+					copy(ref.Valid[p], pattern[p])
+				}
+				samePlanes(t, fmt.Sprintf("%v: a new memory and a after %s", l, strings.Join(trace, "; ")), am, built.View("a"))
+				samePlanes(t, fmt.Sprintf("%v: a new memory and r after %s", l, strings.Join(trace, "; ")), got.View("r"), built.View("r"))
+			case op == 10:
+				ix := make([]int, rank)
+				for k := range ix {
+					ix[k] = am.Arr.Lo[k] + rng.Intn(am.Arr.Hi[k]-am.Arr.Lo[k]+1)
+				}
+				trace = append(trace, fmt.Sprintf("store %v and r(%d)", ix, 1+step%5))
+				got.Write("a", ix, float64(step))
+				want.Write("a", ix, float64(step))
+				got.Write("r", []int{1 + step%5}, float64(step))
 			case op < 4:
 				gridDim, sign, width := rng.Intn(2), 1-2*rng.Intn(2), 1+rng.Intn(3)
 				trace = append(trace, fmt.Sprintf("shift %v dim %d sign %+d width %d into [%d,%d)", sec, gridDim, sign, width, lo, hi))
@@ -505,13 +641,6 @@ func TestGhostHullUnderRandomOperations(t *testing.T) {
 					}
 					return true
 				})
-			default:
-				trace = append(trace, "reset")
-				got.Reset()
-				for p := range pattern {
-					clear(ref.Data[p])
-					copy(ref.Valid[p], pattern[p])
-				}
 			}
 			what := fmt.Sprintf("%v after %s", l, strings.Join(trace, "; "))
 			samePlanes(t, what, am, ref)

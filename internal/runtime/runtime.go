@@ -225,12 +225,12 @@ type ArrayMem struct {
 	// owning grid coordinate times its grid stride, 0 on a collapsed
 	// dimension — so an element's owner is the sum over its subscripts.
 	// runEnd[i], along the last dimension, is the last position of the
-	// run of equal ownership that holds position i. box and hull hold every
-	// processor's owned box and ghost hull (nil for replicated arrays).
-	own       [][]int
-	runEnd    []int
-	box, hull []int
-	whole     section.Section
+	// run of equal ownership that holds position i. box, hull, touched: every
+	// processor's owned box, ghost hull, touched box (nil for replicated arrays).
+	own                [][]int
+	runEnd             []int
+	box, hull, touched []int
+	whole              section.Section
 }
 
 // NewMemory allocates memories for all arrays of the unit.
@@ -294,12 +294,24 @@ func setValid(row []bool) {
 
 // Reset restores the memory image to its just-constructed state —
 // every value zero, validity back to the ownership pattern, no ghosts —
-// reusing the existing rows so repeated native runs do not allocate.
+// reusing the existing rows so repeated native runs do not allocate. A
+// processor's plane differs from a new one's inside its touched box only,
+// so that is what is cleared: the blocks and their halos, not P arrays.
 func (m *Memory) Reset() {
 	for _, am := range m.views {
-		for c := range am.Data {
-			clear(am.Data[c])
-			clear(am.Valid[c])
+		for p := range am.Data {
+			data, valid, box := am.Data[p], am.Valid[p], am.whole
+			if am.Dist != nil {
+				box.Dims = m.sc.dims[:len(am.Strides)]
+				for k, d := range am.whole.Dims {
+					t := am.touched[2*(p*len(box.Dims)+k):]
+					box.Dims[k] = section.Dim{Lo: max(t[0], d.Lo), Hi: min(t[1], d.Hi), Step: 1}
+				}
+			}
+			am.walk(box, m.sc.idx, false, func(_, off, n int) {
+				clear(data[off : off+n])
+				clear(valid[off : off+n])
+			})
 		}
 		am.emptyHulls()
 	}
