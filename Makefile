@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check race check bench-build attr-smoke obs-smoke native-smoke nativeprof-smoke compile-smoke sim-smoke
+.PHONY: all build test vet fmt-check race check bench-build attr-smoke obs-smoke native-smoke nativeprof-smoke compile-smoke sim-smoke size
 
 all: build
 
@@ -23,7 +23,14 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-check: build vet fmt-check test bench-build compile-smoke sim-smoke
+check: build vet fmt-check test bench-build compile-smoke sim-smoke size
+
+# size prints the non-test Go lines of the algorithm, the execution
+# layers, the observability layer, the command-line front ends and the
+# whole tree outside benchmark/ — the table ROADMAP's "Size:" paragraph
+# is kept from. A report, not a gate.
+size:
+	@sh ci/size.sh
 
 # bench-build covers what ./... cannot see: the nested benchmark/ module
 # imports internal/plan, internal/spmd and internal/runtime, so it has to
@@ -52,7 +59,7 @@ bench-build:
 # CheckPromText.
 attr-smoke:
 	@mkdir -p out
-	$(GO) run ./cmd/commprof -bench shallow -procs 4 -version comb \
+	$(GO) run ./cmd/hpfc profile -bench shallow -procs 4 -version comb \
 		-blame 5 -trace-out out/attr-trace.json | tee out/attr-blame.txt
 	@grep -q 'communication blame: top' out/attr-blame.txt || { echo "attr-smoke: no blame table"; exit 1; }
 	@grep -Eq 'critical path: [1-9][0-9]* of' out/attr-blame.txt || { echo "attr-smoke: empty critical path"; exit 1; }
@@ -65,8 +72,9 @@ attr-smoke:
 
 # obs-smoke proves the request-tracing path end to end against a live
 # daemon: compile once, take the response's X-Request-Id, resolve it at
-# /debug/flightrecorder/{id} to a span tree with the expected phases,
-# pull one /debug/live snapshot through gcaotop (rendered and raw JSON,
+# /debug/flightrecorder/{id} to a span tree with the expected phases
+# and, by ?facet=decisions, to its placement decision log, find it in
+# the ?has=decisions listing, pull one /debug/live snapshot through gcaotop (rendered and raw JSON,
 # the JSON lands in out/ for CI artifacts), and assert /metrics carries
 # the RED and build-info families.
 obs-smoke:
@@ -93,6 +101,10 @@ obs-smoke:
 	grep -q '"compile"' out/obs-flight.json || { echo "obs-smoke: flight record lacks a compile phase"; exit 1; }; \
 	grep -q '"queue.wait"' out/obs-flight.json || { echo "obs-smoke: flight record lacks queue wait"; exit 1; }; \
 	grep -q '"trace"' out/obs-flight.json || { echo "obs-smoke: flight record lacks the span tree"; exit 1; }; \
+	grep -q '"decisions"' out/obs-flight.json || { echo "obs-smoke: flight record does not name its decisions facet"; exit 1; }; \
+	curl -fsS "http://127.0.0.1:8377/debug/flightrecorder/$$rid?facet=decisions" > out/obs-decisions.json; \
+	grep -q '"outcome"' out/obs-decisions.json || { echo "obs-smoke: decisions facet holds no decision"; exit 1; }; \
+	curl -fsS "http://127.0.0.1:8377/debug/flightrecorder?has=decisions" | grep -q "\"id\": \"$$rid\"" || { echo "obs-smoke: ?has=decisions does not list the request"; exit 1; }; \
 	./out/gcaotop -addr http://127.0.0.1:8377 -once | tee out/obs-top.txt; \
 	grep -q 'req/s' out/obs-top.txt || { echo "obs-smoke: gcaotop rendered nothing"; exit 1; }; \
 	./out/gcaotop -addr http://127.0.0.1:8377 -once -json > out/obs-live.json; \
@@ -103,7 +115,7 @@ obs-smoke:
 	grep -q 'gcao_queue_wait_seconds_count{pool="compile"}' out/obs-metrics.txt || { echo "obs-smoke: no queue wait histogram"; exit 1; }; \
 	kill $$daemon 2>/dev/null || true; \
 	wait $$daemon 2>/dev/null || true
-	$(GO) test ./cmd/gcaod -run 'TestFlightRecorderResolvesCompile|TestLiveSSE|TestTraceparentRoundTrip' -count=1
+	$(GO) test ./cmd/gcaod -run 'TestFlightRecorderResolvesCompile|TestSlowRecordKeepsFacets|TestDebugRouteTable|TestLiveSSE|TestTraceparentRoundTrip' -count=1
 	$(GO) test ./cmd/gcaotop -count=1
 	@echo "obs-smoke: ok (live snapshot at out/obs-live.json)"
 
@@ -123,7 +135,7 @@ obs-smoke:
 # that starts allocating again is a regression.
 native-smoke:
 	@mkdir -p out
-	$(GO) run ./cmd/runbench -functional -backend native -fig b | tee out/native-smoke.txt
+	$(GO) run ./cmd/hpfc verify -backend native | tee out/native-smoke.txt
 	@grep -q 'native ok, bit-identical to simulator' out/native-smoke.txt || { echo "native-smoke: no native verification line"; exit 1; }
 	@n=$$(grep -c 'native ok, bit-identical to simulator' out/native-smoke.txt); \
 	[ "$$n" -ge 6 ] || { echo "native-smoke: only $$n of 6 benchmarks verified"; exit 1; }
@@ -134,7 +146,7 @@ native-smoke:
 	@echo "native-smoke: ok"
 
 # nativeprof-smoke proves the native runtime profiler end to end:
-# profile a real gravity run at P=16 through commprof, assert the
+# profile a real gravity run at P=16 through hpfc profile, assert the
 # per-processor phase heatmap and skew line rendered, assert the
 # least-squares calibration against the simulator's attribution record
 # fitted a finite positive g, assert the Chrome trace carries the
@@ -145,7 +157,7 @@ native-smoke:
 # same binary is native-smoke's.
 nativeprof-smoke:
 	@mkdir -p out
-	$(GO) run ./cmd/commprof -bench gravity -n 12 -procs 16 -version comb \
+	$(GO) run ./cmd/hpfc profile -bench gravity -n 12 -procs 16 -version comb \
 		-native -trace-out out/nativeprof-trace.json | tee out/nativeprof.txt
 	@grep -q '== native run: 16 procs' out/nativeprof.txt || { echo "nativeprof-smoke: no native run section"; exit 1; }
 	@grep -Eq 'skew [0-9]+\.[0-9]+x' out/nativeprof.txt || { echo "nativeprof-smoke: no skew line"; exit 1; }
@@ -156,8 +168,8 @@ nativeprof-smoke:
 	@echo "nativeprof-smoke: ok (trace at out/nativeprof-trace.json)"
 
 # compile-smoke proves the compile path end to end and holds its cost:
-# the Fig. 10(a) table must come out of commstat with hydflo/flux at its
-# 52/30/6 call sites, the placement golden file, the section-table and
+# the Fig. 10(a) table must come out of hpfc fig10a with hydflo/flux at
+# its 52/30/6 call sites, the placement golden file, the section-table and
 # shared-analysis tests must pass (the last under the race detector —
 # an Analysis is shared lock-free), a compilation instantiated from a
 # cached skeleton must equal the one compiled from the text (the
@@ -173,7 +185,7 @@ nativeprof-smoke:
 # before it shows in milliseconds.
 compile-smoke:
 	@mkdir -p out
-	$(GO) run ./cmd/commstat | tee out/compile-smoke.txt
+	$(GO) run ./cmd/hpfc fig10a | tee out/compile-smoke.txt
 	@grep -Eq '^hydflo +flux +NNC +\| +52 +30 +6 \|' out/compile-smoke.txt || { echo "compile-smoke: hydflo/flux is not 52/30/6 call sites"; exit 1; }
 	$(GO) test ./internal/core -run 'TestPlacementGolden|TestSectionTableMatchesExpansion|TestPlaceNilRecorderAllocs|TestNilTallyCostsNothing' -count=1
 	$(GO) test -race ./internal/core -run 'TestSharedAnalysisConcurrentPlace' -count=1

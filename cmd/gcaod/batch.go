@@ -48,7 +48,7 @@ type batchResponse struct {
 func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 	// The middleware's request id doubles as the batch id; items mint
 	// their own ids below so every compilation remains individually
-	// addressable in the decision ring and flight recorder.
+	// addressable in the flight recorder.
 	batchID := reqID(r)
 	t0 := time.Now()
 	req, err := decodeJSONBody[batchRequest](r, s.cfg.maxBody)
@@ -127,8 +127,7 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 			allQueueFull = false
 		}
 		resp.Items[res.Index] = item
-		s.record(st.id, t0, st.rec, cresp, res.Err)
-		s.flightRecord(st.tr, "/compile/batch", item.Status, res.Err, cresp, st.rec, t0)
+		s.retain(st.tr, "/compile/batch", res.Err, cresp, st.rec, t0)
 	}
 	s.log.Info("http.batch",
 		obs.F("req", batchID), obs.F("items", len(results)),

@@ -2,14 +2,13 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"gcao"
 	"gcao/internal/obs"
+	"gcao/internal/obs/reqtrace"
 )
 
 // getJSON fetches a URL and decodes its body into out, returning the
@@ -29,10 +28,26 @@ func getJSON(t *testing.T, url string, out any) int {
 	return resp.StatusCode
 }
 
+// flightList is the GET /debug/flightrecorder document.
+type flightList struct {
+	Recent []reqtrace.Record    `json:"recent"`
+	Slow   []reqtrace.Record    `json:"slow"`
+	Stats  reqtrace.FlightStats `json:"stats"`
+}
+
+// ids returns the listed recent request ids, newest first.
+func (l flightList) ids() []string {
+	out := make([]string, len(l.Recent))
+	for i, r := range l.Recent {
+		out[i] = r.ID
+	}
+	return out
+}
+
 // TestCritPathEndpoint: a simulated compile leaves an attribution
-// record behind; /debug/critpath lists it and /debug/critpath/{id}
-// serves the analyzed blame report, with ?g/?L overriding the BSP
-// cost model.
+// record behind; /debug/flightrecorder?has=critpath lists it and
+// /debug/flightrecorder/{id}?facet=critpath serves the analyzed blame
+// report, with ?g/?L overriding the BSP cost model.
 func TestCritPathEndpoint(t *testing.T) {
 	_, ts := testServer(t)
 	// One plain compile (no attribution) and one simulated compile.
@@ -54,24 +69,25 @@ func TestCritPathEndpoint(t *testing.T) {
 		t.Fatalf("simulated compile status = %d", respSim.StatusCode)
 	}
 
-	// The critpath list contains only the simulated request; the
-	// decisions list contains both.
-	var list struct {
-		IDs      []string `json:"ids"`
-		Retained int      `json:"retained"`
-	}
-	if code := getJSON(t, ts.URL+"/debug/critpath", &list); code != http.StatusOK {
+	// The critpath list contains only the simulated request, and counts
+	// one record — the ring holds both.
+	var list flightList
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder?has=critpath", &list); code != http.StatusOK {
 		t.Fatalf("critpath list status = %d", code)
 	}
-	if len(list.IDs) != 1 || list.IDs[0] != outSim.ReqID || list.Retained != 2 {
+	if ids := list.ids(); len(ids) != 1 || ids[0] != outSim.ReqID || list.Stats.Recent != 1 || list.Stats.Added != 2 {
 		t.Fatalf("critpath list = %+v (sim req %s)", list, outSim.ReqID)
 	}
+	if got := strings.Join(list.Recent[0].Facets, " "); got != "decisions critpath" {
+		t.Fatalf("simulated request's summary names facets %q", got)
+	}
 
+	simURL := ts.URL + "/debug/flightrecorder/" + outSim.ReqID + "?facet=critpath"
 	var detail struct {
 		ReqID  string           `json:"req_id"`
 		Report *gcao.AttrReport `json:"report"`
 	}
-	if code := getJSON(t, ts.URL+"/debug/critpath/"+outSim.ReqID, &detail); code != http.StatusOK {
+	if code := getJSON(t, simURL, &detail); code != http.StatusOK {
 		t.Fatalf("critpath detail status = %d", code)
 	}
 	rep := detail.Report
@@ -93,8 +109,7 @@ func TestCritPathEndpoint(t *testing.T) {
 	var cheap struct {
 		Report *gcao.AttrReport `json:"report"`
 	}
-	url := fmt.Sprintf("%s/debug/critpath/%s?g=0&L=1", ts.URL, outSim.ReqID)
-	if code := getJSON(t, url, &cheap); code != http.StatusOK {
+	if code := getJSON(t, simURL+"&g=0&L=1", &cheap); code != http.StatusOK {
 		t.Fatalf("override status = %d", code)
 	}
 	if cheap.Report.Model.GSecPerByte != 0 || cheap.Report.Model.LSec != 1 {
@@ -104,61 +119,62 @@ func TestCritPathEndpoint(t *testing.T) {
 		t.Fatalf("with g=0, L=1: critical = %g, path length %d", got, len(cheap.Report.CriticalPath))
 	}
 
-	// Error paths: bad model knob, non-simulated request, unknown id.
-	if code := getJSON(t, ts.URL+"/debug/critpath/"+outSim.ReqID+"?g=banana", nil); code != http.StatusBadRequest {
+	// Error paths: bad model knob, non-simulated request, unknown id,
+	// unknown facet (on the record and on the listing).
+	if code := getJSON(t, simURL+"&g=banana", nil); code != http.StatusBadRequest {
 		t.Fatalf("bad g status = %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/debug/critpath/"+outSim.ReqID+"?L=-1", nil); code != http.StatusBadRequest {
+	if code := getJSON(t, simURL+"&L=-1", nil); code != http.StatusBadRequest {
 		t.Fatalf("negative L status = %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/debug/critpath/"+outPlain.ReqID, nil); code != http.StatusNotFound {
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+outPlain.ReqID+"?facet=critpath", nil); code != http.StatusNotFound {
 		t.Fatalf("non-simulated request status = %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/debug/critpath/nope", nil); code != http.StatusNotFound {
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder/nope?facet=critpath", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown id status = %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/debug/critpath?limit=frog", nil); code != http.StatusBadRequest {
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+outSim.ReqID+"?facet=spans", nil); code != http.StatusBadRequest {
+		t.Fatalf("unknown facet status = %d", code)
+	}
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder?has=spans", nil); code != http.StatusBadRequest {
+		t.Fatalf("unknown has status = %d", code)
+	}
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder?has=critpath&limit=frog", nil); code != http.StatusBadRequest {
 		t.Fatalf("bad limit status = %d", code)
 	}
 }
 
-// TestDecisionListLimit pins the ?limit=N paging of /debug/decisions:
-// default bounded, explicit limit honored, limit=0 returns everything
-// retained, garbage is a 400.
+// TestDecisionListLimit pins the ?limit=N paging of the
+// /debug/flightrecorder?has=decisions listing: default bounded, explicit
+// limit honored, limit=0 returns everything retained, the stats count
+// every record carrying the facet whatever the limit, garbage is a 400.
 func TestDecisionListLimit(t *testing.T) {
-	s, _ := testServer(t)
-	// Bypass HTTP for seeding: fill the ring directly past the default
-	// page size would be overkill; three records suffice to see paging.
-	ids := []string{"r1", "r2", "r3"}
-	for _, id := range ids {
-		s.ring.Add(obs.RequestRecord{ID: id, Status: "ok"})
+	s, ts := testServer(t)
+	// Seed the store directly; three records suffice to see paging, and
+	// one without a decision log to see the filter.
+	for _, id := range []string{"r1", "r2", "plain", "r3"} {
+		rec := reqtrace.Record{ID: id, Status: http.StatusOK}
+		if id != "plain" {
+			rec.Data = &reqtrace.Facets{Decisions: []obs.Decision{{Entry: 1}}}
+		}
+		s.flight.Add(rec)
 	}
-	ts := httptest.NewServer(s.handler())
-	defer ts.Close()
-
-	var list struct {
-		IDs      []string `json:"ids"`
-		Retained int      `json:"retained"`
+	for _, tc := range []struct {
+		query, want string
+	}{
+		{"", "r3 r2 r1"},
+		{"&limit=2", "r3 r2"},
+		{"&limit=0", "r3 r2 r1"},
+	} {
+		var list flightList
+		if code := getJSON(t, ts.URL+"/debug/flightrecorder?has=decisions"+tc.query, &list); code != http.StatusOK {
+			t.Fatalf("list %q status = %d", tc.query, code)
+		}
+		if got := strings.Join(list.ids(), " "); got != tc.want || list.Stats.Recent != 3 || list.Stats.Added != 4 {
+			t.Fatalf("list %q = %s, stats %+v; want %s of 3", tc.query, got, list.Stats, tc.want)
+		}
 	}
-	if code := getJSON(t, ts.URL+"/debug/decisions", &list); code != http.StatusOK {
-		t.Fatalf("default list status = %d", code)
-	}
-	if len(list.IDs) != 3 || list.IDs[0] != "r3" || list.Retained != 3 {
-		t.Fatalf("default list = %+v", list)
-	}
-	if code := getJSON(t, ts.URL+"/debug/decisions?limit=2", &list); code != http.StatusOK {
-		t.Fatalf("limit=2 status = %d", code)
-	}
-	if len(list.IDs) != 2 || list.IDs[0] != "r3" || list.IDs[1] != "r2" || list.Retained != 3 {
-		t.Fatalf("limit=2 list = %+v", list)
-	}
-	if code := getJSON(t, ts.URL+"/debug/decisions?limit=0", &list); code != http.StatusOK {
-		t.Fatalf("limit=0 status = %d", code)
-	}
-	if len(list.IDs) != 3 {
-		t.Fatalf("limit=0 list = %+v", list)
-	}
-	if code := getJSON(t, ts.URL+"/debug/decisions?limit=two", nil); code != http.StatusBadRequest {
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder?has=decisions&limit=two", nil); code != http.StatusBadRequest {
 		t.Fatalf("bad limit status = %d", code)
 	}
 }

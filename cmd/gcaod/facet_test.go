@@ -1,0 +1,119 @@
+package main
+
+import (
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"gcao/internal/obs/reqtrace"
+)
+
+// nativeBody is a request that is born with every facet: it places
+// (decisions), simulates (critpath) and runs natively (nativeprof).
+func nativeBody(n int) map[string]any {
+	return map[string]any{
+		"source": stencilSrc, "params": map[string]int{"n": n, "steps": 2}, "procs": 4,
+		"strategy": "comb", "simulate": true, "backend": "native",
+	}
+}
+
+// topKeys fetches a URL and returns its status and, of a 200, the sorted
+// top-level keys of the JSON object it served.
+func topKeys(t *testing.T, url string) (int, string) {
+	t.Helper()
+	var doc map[string]json.RawMessage
+	code := getJSON(t, url, &doc)
+	keys := make([]string, 0, len(doc))
+	for k := range doc {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return code, strings.Join(keys, " ")
+}
+
+// TestDebugRouteTable maps every removed debug route onto the query that
+// replaced it: the query serves the document the route served (the
+// payloads themselves are asserted by TestDecisionDebugEndpoint,
+// TestCritPathEndpoint and TestNativeProfEndpoint), the route is gone,
+// and what it is counted under is the bounded label "other".
+func TestDebugRouteTable(t *testing.T) {
+	_, ts := testServer(t)
+	resp, out := postCompile(t, ts, nativeBody(12))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile status = %d", resp.StatusCode)
+	}
+	byID := "/debug/flightrecorder/" + out.ReqID
+	for _, tc := range []struct{ old, query, keys string }{
+		{"/debug/decisions/" + out.ReqID, byID + "?facet=decisions", "counters decisions req_id"},
+		{"/debug/critpath/" + out.ReqID + "?g=0&L=1", byID + "?facet=critpath&g=0&L=1", "report req_id"},
+		{"/debug/nativeprof/" + out.ReqID, byID + "?facet=nativeprof", "profile req_id"},
+		{"/debug/decisions", "/debug/flightrecorder?has=decisions", "recent slow stats"},
+		{"/debug/critpath", "/debug/flightrecorder?has=critpath", "recent slow stats"},
+		{"/debug/nativeprof?limit=1", "/debug/flightrecorder?has=nativeprof&limit=1", "recent slow stats"},
+	} {
+		if code, keys := topKeys(t, ts.URL+tc.query); code != http.StatusOK || keys != tc.keys {
+			t.Errorf("%s: status %d, keys %q, want 200 and %q", tc.query, code, keys, tc.keys)
+		}
+		if code, _ := topKeys(t, ts.URL+tc.old); code != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404 (the route is removed)", tc.old, code)
+		}
+		if got := routeLabel(strings.SplitN(tc.old, "?", 2)[0]); got != "other" {
+			t.Errorf("routeLabel(%s) = %q", tc.old, got)
+		}
+	}
+	// No facet: the summary, naming the facets, and the span tree.
+	var rec reqtrace.Record
+	if code := getJSON(t, ts.URL+byID, &rec); code != http.StatusOK {
+		t.Fatalf("%s: status %d", byID, code)
+	}
+	if got := strings.Join(rec.Facets, " "); got != "decisions critpath nativeprof" || rec.Trace == nil {
+		t.Errorf("record names facets %q, span tree %v", got, rec.Trace != nil)
+	}
+	if _, keys := topKeys(t, ts.URL+byID); strings.Contains(keys, "native_") || strings.Contains(keys, "data") {
+		t.Errorf("record keys %q restate a facet", keys)
+	}
+}
+
+// TestSlowRecordKeepsFacets: a request the slow store holds serves every
+// facet it was born with, however many newer requests have gone through
+// the ring since. Before the flight record carried the facets the
+// decision log, attribution record and profile lived in a second ring
+// with its own eviction, and a slow request's id resolved to a span tree
+// and three 404s.
+func TestSlowRecordKeepsFacets(t *testing.T) {
+	s := newServer(serverConfig{slowThreshold: time.Nanosecond, logW: io.Discard})
+	// Every request is slow; the ring holds two, the slow store the lot.
+	s.flight = reqtrace.NewFlightRecorder(2, 64, s.cfg.slowThreshold)
+	ts := httptest.NewServer(s.handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(s.close)
+	_, out := postCompile(t, ts, nativeBody(12))
+	for n := 8; n < 12; n++ {
+		if resp, _ := postCompile(t, ts, map[string]any{
+			"source": stencilSrc, "params": map[string]int{"n": n, "steps": 1}, "procs": 4,
+		}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("compile status = %d", resp.StatusCode)
+		}
+	}
+	var list flightList
+	getJSON(t, ts.URL+"/debug/flightrecorder", &list)
+	if ids := strings.Join(list.ids(), " "); strings.Contains(ids, out.ReqID) || len(list.Recent) != 2 {
+		t.Fatalf("the ring still lists %s among %s", out.ReqID, ids)
+	}
+	byID := ts.URL + "/debug/flightrecorder/" + out.ReqID
+	for _, q := range []string{"", "?facet=decisions", "?facet=critpath", "?facet=nativeprof"} {
+		if code := getJSON(t, byID+q, nil); code != http.StatusOK {
+			t.Errorf("%s%s: status %d, want 200 from the slow store", out.ReqID, q, code)
+		}
+	}
+	getJSON(t, ts.URL+"/debug/flightrecorder?has=nativeprof", &list)
+	if len(list.Recent) != 0 || len(list.Slow) != 1 || list.Slow[0].ID != out.ReqID ||
+		list.Stats.Recent != 0 || list.Stats.SlowRetained != 1 {
+		t.Errorf("?has=nativeprof = %+v", list)
+	}
+}

@@ -42,10 +42,6 @@ type liveDoc struct {
 	// compiled; GapPoints counts those pairs (0 until one is measured).
 	GapRatio  float64 `json:"gap_ratio"`
 	GapPoints int     `json:"gap_points"`
-	// Native summarizes the profiled native-backend runs this daemon
-	// has executed (absent until one happens): run count, worst compute
-	// skew, accumulated blocked time, fitted machine constants.
-	Native *obs.NativeLiveStats `json:"native,omitempty"`
 }
 
 // liveSnapshot assembles one liveDoc. prevTotal is the previous
@@ -72,9 +68,6 @@ func (s *server) liveSnapshot(prevTotal int64, dt time.Duration) (liveDoc, int64
 		Flight:         s.flight.Stats(),
 	}
 	doc.GapRatio, doc.GapPoints = s.reg.AggregateGap()
-	if nat, ok := s.reg.NativeLive(); ok {
-		doc.Native = &nat
-	}
 	if lookups := cache.Compile.Hits + cache.Compile.Misses; lookups > 0 {
 		doc.CacheHitRate = float64(cache.Compile.Hits) / float64(lookups)
 	}

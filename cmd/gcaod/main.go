@@ -10,12 +10,11 @@
 //	GET  /metrics                    Prometheus text exposition of the global registry
 //	GET  /healthz                    liveness + version + uptime + request count
 //	GET  /debug/cache                compilation-cache, scheduler and flight-recorder counters
-//	GET  /debug/decisions            ids of the retained per-request decision logs
-//	GET  /debug/decisions/{id}       one request's full placement decision log
-//	GET  /debug/critpath             ids of the retained simulator attribution records
-//	GET  /debug/critpath/{id}        one request's blame ranking and critical path
-//	GET  /debug/flightrecorder       recent and slow/errored request summaries
-//	GET  /debug/flightrecorder/{id}  one request's phase summary and span tree
+//	GET  /debug/flightrecorder       recent and slow/errored request summaries; ?has=<facet> filters
+//	GET  /debug/flightrecorder/{id}  one request's phase summary and span tree, or with
+//	                                 ?facet=decisions|critpath|nativeprof its placement decision
+//	                                 log, its blame ranking and critical path (?g= ?L= override
+//	                                 the cost model), or its native runtime profile
 //	GET  /debug/live                 server-sent-event stream of live ops snapshots
 //	GET  /debug/pprof/...            net/http/pprof
 //
@@ -53,13 +52,12 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request compile timeout")
-	ringSize := flag.Int("ring", 256, "retained per-request decision logs")
 	logLevel := flag.String("log-level", "info", "structured log threshold: debug, info, warn, error")
 	cacheEntries := flag.Int("cache-entries", 1024, "max entries per compilation-cache tier")
 	cacheBytes := flag.Int64("cache-bytes", 256<<20, "max estimated bytes per compilation-cache tier")
 	workers := flag.Int("workers", 0, "compile worker goroutines (0: GOMAXPROCS)")
 	queueDepth := flag.Int("queue-depth", 64, "compile admission queue depth; overflow is a 429")
-	flightSize := flag.Int("flight", 256, "flight-recorder ring size (and slow-store size)")
+	flightSize := flag.Int("flight", 256, "finished requests retained by the flight recorder (and by its slow/errored store)")
 	slowThreshold := flag.Duration("slow-threshold", 500*time.Millisecond, "wall time at or above which a request's trace is retained as slow")
 	showVersion := flag.Bool("version", false, "print build version and exit")
 	flag.Parse()
@@ -76,7 +74,6 @@ func main() {
 	}
 	s := newServer(serverConfig{
 		reqTimeout:    *timeout,
-		ringSize:      *ringSize,
 		cacheEntries:  *cacheEntries,
 		cacheBytes:    *cacheBytes,
 		workers:       *workers,

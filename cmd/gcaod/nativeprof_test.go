@@ -11,9 +11,10 @@ import (
 
 // TestNativeProfEndpoint: a backend:"native" compile is profiled end
 // to end — the response carries the skew/blocked/calibration headline,
-// /debug/nativeprof lists the request, /debug/nativeprof/{id} serves
-// the retained profile, and the profiler metric families reach
-// /metrics. A plain request has no profile and 404s.
+// /debug/flightrecorder?has=nativeprof lists the request,
+// /debug/flightrecorder/{id}?facet=nativeprof serves the retained
+// profile, and the profiler metric families reach /metrics. A plain
+// request has no profile and 404s.
 func TestNativeProfEndpoint(t *testing.T) {
 	_, ts := testServer(t)
 	respPlain, outPlain := postCompile(t, ts, map[string]any{
@@ -48,15 +49,13 @@ func TestNativeProfEndpoint(t *testing.T) {
 		t.Fatal("metrics doc lost the native profile")
 	}
 
-	// The list endpoint names only the profiled request.
-	var list struct {
-		IDs      []string `json:"ids"`
-		Retained int      `json:"retained"`
-	}
-	if code := getJSON(t, ts.URL+"/debug/nativeprof", &list); code != http.StatusOK {
+	// The list endpoint names only the profiled request, and counts it
+	// alone.
+	var list flightList
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder?has=nativeprof", &list); code != http.StatusOK {
 		t.Fatalf("nativeprof list status = %d", code)
 	}
-	if len(list.IDs) != 1 || list.IDs[0] != outNat.ReqID || list.Retained != 2 {
+	if ids := list.ids(); len(ids) != 1 || ids[0] != outNat.ReqID || list.Stats.Recent != 1 || list.Stats.Added != 2 {
 		t.Fatalf("nativeprof list = %+v (native req %s)", list, outNat.ReqID)
 	}
 
@@ -64,7 +63,7 @@ func TestNativeProfEndpoint(t *testing.T) {
 		ReqID   string              `json:"req_id"`
 		Profile *prof.NativeProfile `json:"profile"`
 	}
-	if code := getJSON(t, ts.URL+"/debug/nativeprof/"+outNat.ReqID, &detail); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+outNat.ReqID+"?facet=nativeprof", &detail); code != http.StatusOK {
 		t.Fatalf("nativeprof detail status = %d", code)
 	}
 	np := detail.Profile
@@ -96,13 +95,13 @@ func TestNativeProfEndpoint(t *testing.T) {
 	}
 
 	// Error paths: unprofiled request, unknown id, bad limit.
-	if code := getJSON(t, ts.URL+"/debug/nativeprof/"+outPlain.ReqID, nil); code != http.StatusNotFound {
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+outPlain.ReqID+"?facet=nativeprof", nil); code != http.StatusNotFound {
 		t.Fatalf("unprofiled request status = %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/debug/nativeprof/nope", nil); code != http.StatusNotFound {
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder/nope?facet=nativeprof", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown id status = %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/debug/nativeprof?limit=frog", nil); code != http.StatusBadRequest {
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder?has=nativeprof&limit=frog", nil); code != http.StatusBadRequest {
 		t.Fatalf("bad limit status = %d", code)
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 	"gcao"
 	"gcao/internal/bench"
+	"gcao/internal/native/prof"
 	"gcao/internal/obs"
-	"gcao/internal/obs/reqtrace"
 )
 
 // TestNativeResponseWire pins the `native` object of a backend:"native"
@@ -100,15 +100,16 @@ func TestNativeResponseWire(t *testing.T) {
 			t.Errorf("native.ops[%s] = %v, want %d", k, ops[k], n)
 		}
 	}
-	// The flight record's headline is the same profile's, not a copy of
-	// the response's copy.
-	var flight reqtrace.Record
-	if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+resp.Header.Get("X-Request-Id"), &flight); code != http.StatusOK {
+	// The flight record's nativeprof facet is the same profile, not a
+	// copy of the response's copy.
+	var retained struct {
+		Profile *prof.NativeProfile `json:"profile"`
+	}
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+resp.Header.Get("X-Request-Id")+"?facet=nativeprof", &retained); code != http.StatusOK {
 		t.Fatalf("flight record: status %d", code)
 	}
-	if flight.NativeSkew != np.SkewRatio || flight.NativeBlockedSec != np.BlockedSeconds {
-		t.Errorf("flight record skew %v blocked %v, profile %v %v",
-			flight.NativeSkew, flight.NativeBlockedSec, np.SkewRatio, np.BlockedSeconds)
+	if rp := retained.Profile; rp == nil || rp.SkewRatio != np.SkewRatio || rp.BlockedSeconds != np.BlockedSeconds {
+		t.Errorf("flight record profile %+v, response's skew %v blocked %v", rp, np.SkewRatio, np.BlockedSeconds)
 	}
 	// The object may grow only by counts the run's Stats record already
 	// holds.

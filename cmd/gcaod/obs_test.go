@@ -82,7 +82,7 @@ func TestRequestIDEverywhere(t *testing.T) {
 	checkErr("400", r400, http.StatusBadRequest)
 
 	// 400: bad query parameter on a debug route.
-	r400q, err := http.Get(ts.URL + "/debug/decisions?limit=x")
+	r400q, err := http.Get(ts.URL + "/debug/flightrecorder?limit=x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,6 @@ func TestRequestIDEverywhere(t *testing.T) {
 func TestRequestIDOnTimeoutAnd429(t *testing.T) {
 	s := newServer(serverConfig{
 		reqTimeout: time.Nanosecond,
-		ringSize:   8,
 		logW:       io.Discard,
 		logLevel:   obs.LevelError,
 	})
@@ -263,7 +262,6 @@ func TestFlightRecorderResolvesCompile(t *testing.T) {
 	var hook atomic.Pointer[barrier]
 	s := newServer(serverConfig{
 		reqTimeout: 30 * time.Second,
-		ringSize:   32,
 		workers:    2,
 		queueDepth: 8,
 		logW:       io.Discard,
@@ -604,7 +602,6 @@ func TestBatchItemsInFlightRecorder(t *testing.T) {
 func TestLiveSSE(t *testing.T) {
 	s := newServer(serverConfig{
 		reqTimeout:   30 * time.Second,
-		ringSize:     8,
 		liveInterval: 5 * time.Millisecond,
 		logW:         io.Discard,
 		logLevel:     obs.LevelError,
@@ -796,8 +793,9 @@ func TestRouteLabelBounded(t *testing.T) {
 	cases := map[string]string{
 		"/compile":                     "/compile",
 		"/compile/batch":               "/compile/batch",
-		"/debug/decisions/r000001":     "/debug/decisions/{id}",
-		"/debug/critpath/r000002":      "/debug/critpath/{id}",
+		"/debug/flightrecorder":        "/debug/flightrecorder",
+		"/debug/decisions/r000001":     "other",
+		"/debug/critpath":              "other",
 		"/debug/flightrecorder/r00003": "/debug/flightrecorder/{id}",
 		"/debug/pprof/heap":            "/debug/pprof",
 		"/debug/live":                  "/debug/live",

@@ -27,8 +27,6 @@ type serverConfig struct {
 	// reqTimeout bounds one /compile request (and each /compile/batch
 	// item) end to end.
 	reqTimeout time.Duration
-	// ringSize bounds the retained per-request decision logs.
-	ringSize int
 	// maxBody bounds a request body in bytes; a larger body is a 413.
 	maxBody int64
 	// cacheEntries and cacheBytes size each tier of the
@@ -40,8 +38,8 @@ type serverConfig struct {
 	workers    int
 	queueDepth int
 	// flightSize bounds the flight recorder's main ring and its
-	// slow/errored store; slowThreshold marks requests at or above it
-	// for longer retention.
+	// slow/errored store — the one place a finished request is retained;
+	// slowThreshold marks requests at or above it for longer retention.
 	flightSize    int
 	slowThreshold time.Duration
 	// liveInterval paces /debug/live snapshots (tests shorten it).
@@ -56,15 +54,14 @@ type serverConfig struct {
 
 // server is the gcaod daemon state: one process-global metrics
 // registry every request is absorbed into, the content-addressed
-// compilation cache, the bounded compile scheduler, a bounded ring of
-// recent request decision logs, the structured event log, and a
+// compilation cache, the bounded compile scheduler, the flight recorder
+// that retains finished requests, the structured event log, and a
 // request sequence for ids.
 type server struct {
 	cfg    serverConfig
 	reg    *gcao.Registry
 	cache  *gcao.Cache
 	pool   *sched.Pool
-	ring   *obs.DecisionRing
 	flight *reqtrace.FlightRecorder
 	log    *gcao.Logger
 	start  time.Time
@@ -80,9 +77,6 @@ type server struct {
 func newServer(cfg serverConfig) *server {
 	if cfg.reqTimeout <= 0 {
 		cfg.reqTimeout = 30 * time.Second
-	}
-	if cfg.ringSize <= 0 {
-		cfg.ringSize = 256
 	}
 	if cfg.maxBody <= 0 {
 		cfg.maxBody = 4 << 20
@@ -120,7 +114,6 @@ func newServer(cfg serverConfig) *server {
 		reg:    gcao.NewRegistry(),
 		cache:  gcao.NewCache(gcao.CacheOptions{MaxEntries: cfg.cacheEntries, MaxBytes: cfg.cacheBytes}),
 		pool:   sched.New(cfg.workers, cfg.queueDepth),
-		ring:   obs.NewDecisionRing(cfg.ringSize),
 		flight: reqtrace.NewFlightRecorder(cfg.flightSize, cfg.flightSize, cfg.slowThreshold),
 		log:    log,
 		start:  time.Now(),
@@ -167,12 +160,6 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /debug/cache", s.handleCacheStats)
-	mux.HandleFunc("GET /debug/decisions", s.handleDecisionList)
-	mux.HandleFunc("GET /debug/decisions/{id}", s.handleDecisions)
-	mux.HandleFunc("GET /debug/critpath", s.handleCritPathList)
-	mux.HandleFunc("GET /debug/critpath/{id}", s.handleCritPath)
-	mux.HandleFunc("GET /debug/nativeprof", s.handleNativeProfList)
-	mux.HandleFunc("GET /debug/nativeprof/{id}", s.handleNativeProf)
 	mux.HandleFunc("GET /debug/flightrecorder", s.handleFlightList)
 	mux.HandleFunc("GET /debug/flightrecorder/{id}", s.handleFlight)
 	mux.HandleFunc("GET /debug/live", s.handleLive)
@@ -286,7 +273,7 @@ type nativeReport struct {
 // against the attribution record the simulation just left on the
 // recorder — and fill the response and the registry from the results.
 // The profile itself stays on the recorder for the metrics document,
-// the Chrome trace, and the /debug/nativeprof retention ring. Each run
+// the Chrome trace, and the flight record's nativeprof facet. Each run
 // takes an engine from the cached placement's pools; the response holds
 // copies of what it reports, so the engines go back when execute returns.
 func (s *server) execute(resp *compileResponse, req compileRequest, placed *gcao.Placed, m gcao.Machine, rec *obs.Recorder, root *reqtrace.Span) error {
@@ -351,50 +338,18 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	root.Phase("finalize")
-	status := s.record(id, t0, rec, resp, err)
+	// The request is retained before the response is written: a client
+	// may follow its X-Request-Id to /debug/flightrecorder/{id} the
+	// moment it has the body.
+	status := s.retain(tr, "/compile", err, resp, rec, t0)
 	s.log.Info("http.compile",
 		obs.F("req", id), obs.F("status", status),
 		obs.F("dur_us", time.Since(t0).Microseconds()))
-	// The flight record is retained before the response is written: a
-	// client may follow its X-Request-Id to /debug/flightrecorder/{id}
-	// the moment it has the body.
-	code := http.StatusOK
-	if err != nil {
-		code = httpStatus(err)
-	}
-	s.flightRecord(tr, "/compile", code, err, resp, rec, t0)
 	if err != nil {
 		s.writeError(w, id, err)
 	} else {
 		writeJSON(w, http.StatusOK, resp)
 	}
-}
-
-// record absorbs one request's recorder into the registry, retains its
-// decision log in the ring, and returns the status label.
-func (s *server) record(id string, t0 time.Time, rec *obs.Recorder, resp *compileResponse, err error) string {
-	status := "ok"
-	if err != nil {
-		status = "error"
-	}
-	s.reg.Absorb(rec, status)
-	record := obs.RequestRecord{
-		ID:         id,
-		UnixNS:     t0.UnixNano(),
-		Status:     status,
-		Decision:   rec.Decisions(),
-		Counters:   rec.Counters(),
-		Attr:       rec.Attribution(),
-		NativeProf: rec.NativeProfile(),
-	}
-	if resp != nil {
-		record.Strategy = resp.Strategy
-	}
-	if err != nil {
-		record.Error = err.Error()
-	}
-	s.ring.Add(record)
-	return status
 }
 
 // badRequestError marks client-side failures (malformed body, unknown
@@ -533,33 +488,43 @@ func (s *server) compile(id string, rec *obs.Recorder, req compileRequest, root 
 		Strategy: strategy.String(),
 		Machine:  m.Name,
 		Messages: placed.Messages(),
-		Counts:   map[string]int{},
+		Counts:   countsOf(placed),
 		Cache:    cached,
-	}
-	for kind, n := range placed.MessageCounts() {
-		resp.Counts[kind.String()] = n
 	}
 	if req.Estimate {
 		root.Phase("estimate")
-		cost, err := placed.Estimate(m)
-		if err != nil {
-			return nil, badRequestError{fmt.Errorf("estimate: %w", err)}
+		if resp.Estimate, err = s.estimate(c, placed, m); err != nil {
+			return nil, err
 		}
-		resp.Estimate = &estimateDoc{
-			CPUSeconds: cost.CPU, NetSeconds: cost.Net,
-			Messages: cost.Messages, Bytes: cost.Bytes,
-		}
-		// Estimate-only requests still feed the bytes-moved histogram
-		// and the optimality-gap gauges.
-		s.reg.ObserveBytes(strategy.String(), cost.Bytes)
-		s.reg.SetOptimalityGap(c.Analysis.Unit.Routine.Name, strategy.String(),
-			c.LowerBound().TotalBytes, cost.Bytes)
 	}
 	if err := s.execute(resp, req, placed, m, rec, root); err != nil {
 		return nil, err
 	}
 	resp.Metrics = rec.Doc()
 	return resp, nil
+}
+
+// countsOf reports a placement's message counts by communication kind.
+func countsOf(placed *gcao.Placed) map[string]int {
+	counts := map[string]int{}
+	for kind, n := range placed.MessageCounts() {
+		counts[kind.String()] = n
+	}
+	return counts
+}
+
+// estimate asks the analytic cost model for one placement's verdict and
+// feeds it to the bytes-moved histogram and the optimality-gap gauges,
+// which an estimate-only request reaches no other way.
+func (s *server) estimate(c *gcao.Compilation, placed *gcao.Placed, m gcao.Machine) (*estimateDoc, error) {
+	version := placed.Result.Version.String()
+	cost, err := placed.Estimate(m)
+	if err != nil {
+		return nil, badRequestError{fmt.Errorf("estimate %s: %w", version, err)}
+	}
+	s.reg.ObserveBytes(version, cost.Bytes)
+	s.reg.SetOptimalityGap(c.Analysis.Unit.Routine.Name, version, c.LowerBound().TotalBytes, cost.Bytes)
+	return &estimateDoc{CPUSeconds: cost.CPU, NetSeconds: cost.Net, Messages: cost.Messages, Bytes: cost.Bytes}, nil
 }
 
 // placeAll places the three strategies of one cached compilation
@@ -605,29 +570,18 @@ func (s *server) placeAll(id string, rec *obs.Recorder, req compileRequest, c *g
 		Machine:  m.Name,
 		Cache:    cached,
 	}
-	lb := c.LowerBound()
 	for i, strat := range strategies {
 		doc := versionDoc{
 			Strategy: strat.String(),
 			Messages: outs[i].placed.Messages(),
-			Counts:   map[string]int{},
+			Counts:   countsOf(outs[i].placed),
 			Place:    outs[i].out.String(),
 		}
-		for kind, n := range outs[i].placed.MessageCounts() {
-			doc.Counts[kind.String()] = n
-		}
 		if req.Estimate {
-			cost, err := outs[i].placed.Estimate(m)
-			if err != nil {
-				return nil, badRequestError{fmt.Errorf("estimate %s: %w", strat, err)}
+			var err error
+			if doc.Estimate, err = s.estimate(c, outs[i].placed, m); err != nil {
+				return nil, err
 			}
-			doc.Estimate = &estimateDoc{
-				CPUSeconds: cost.CPU, NetSeconds: cost.Net,
-				Messages: cost.Messages, Bytes: cost.Bytes,
-			}
-			s.reg.ObserveBytes(strat.String(), cost.Bytes)
-			s.reg.SetOptimalityGap(c.Analysis.Unit.Routine.Name, strat.String(),
-				lb.TotalBytes, cost.Bytes)
 		}
 		resp.Versions = append(resp.Versions, doc)
 	}
@@ -670,9 +624,9 @@ func (s *server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// defaultListLimit bounds /debug/decisions and /debug/critpath
-// listings when the client does not pass ?limit=N: enough to page
-// through recent traffic without dumping the whole ring.
+// defaultListLimit bounds the /debug/flightrecorder listing when the
+// client does not pass ?limit=N: enough to page through recent traffic
+// without dumping the whole ring.
 const defaultListLimit = 50
 
 // listLimit parses ?limit=N (default defaultListLimit; limit=0 or a
@@ -687,136 +641,6 @@ func listLimit(r *http.Request) (int, error) {
 		return 0, fmt.Errorf("bad limit %q: %v", q, err)
 	}
 	return n, nil
-}
-
-func (s *server) handleDecisionList(w http.ResponseWriter, r *http.Request) {
-	limit, err := listLimit(r)
-	if err != nil {
-		s.writeErrMsg(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ids":      s.ring.RecentIDs(limit),
-		"retained": s.ring.Len(),
-	})
-}
-
-func (s *server) handleDecisions(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rec, ok := s.ring.Get(id)
-	if !ok {
-		s.writeErrMsg(w, r, http.StatusNotFound, "no retained request "+id)
-		return
-	}
-	writeJSON(w, http.StatusOK, rec)
-}
-
-// handleCritPathList lists the retained requests that carry a
-// simulator attribution record (only simulated requests do).
-func (s *server) handleCritPathList(w http.ResponseWriter, r *http.Request) {
-	limit, err := listLimit(r)
-	if err != nil {
-		s.writeErrMsg(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	var ids []string
-	for _, id := range s.ring.RecentIDs(0) {
-		if limit > 0 && len(ids) >= limit {
-			break
-		}
-		if rec, ok := s.ring.Get(id); ok && rec.Attr != nil {
-			ids = append(ids, id)
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ids":      ids,
-		"retained": s.ring.Len(),
-	})
-}
-
-// handleCritPath serves the analyzed attribution report of one
-// retained request: the per-site blame ranking and the communication
-// critical path. ?g= and ?L= override the BSP cost model knobs
-// (seconds per byte and seconds per superstep).
-func (s *server) handleCritPath(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rec, ok := s.ring.Get(id)
-	if !ok {
-		s.writeErrMsg(w, r, http.StatusNotFound, "no retained request "+id)
-		return
-	}
-	if rec.Attr == nil {
-		s.writeErrMsg(w, r, http.StatusNotFound,
-			"request "+id+" has no attribution record (simulate was not requested)")
-		return
-	}
-	model := gcao.DefaultAttrCostModel()
-	if q := r.URL.Query().Get("g"); q != "" {
-		v, err := strconv.ParseFloat(q, 64)
-		if err != nil || v < 0 {
-			s.writeErrMsg(w, r, http.StatusBadRequest, "bad g "+q)
-			return
-		}
-		model.GSecPerByte = v
-	}
-	if q := r.URL.Query().Get("L"); q != "" {
-		v, err := strconv.ParseFloat(q, 64)
-		if err != nil || v < 0 {
-			s.writeErrMsg(w, r, http.StatusBadRequest, "bad L "+q)
-			return
-		}
-		model.LSec = v
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"req_id": id,
-		"report": gcao.AnalyzeAttribution(rec.Attr, model),
-	})
-}
-
-// handleNativeProfList lists the retained requests that carry a native
-// runtime profile (only backend:"native" requests do).
-func (s *server) handleNativeProfList(w http.ResponseWriter, r *http.Request) {
-	limit, err := listLimit(r)
-	if err != nil {
-		s.writeErrMsg(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	var ids []string
-	for _, id := range s.ring.RecentIDs(0) {
-		if limit > 0 && len(ids) >= limit {
-			break
-		}
-		if rec, ok := s.ring.Get(id); ok && rec.NativeProf != nil {
-			ids = append(ids, id)
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ids":      ids,
-		"retained": s.ring.Len(),
-	})
-}
-
-// handleNativeProf serves one retained request's native runtime
-// profile: per-superstep per-processor timelines, the wait accounting,
-// compute skew and straggler ranking, and — when the request also
-// simulated — the measured-vs-modeled calibration, refit on demand
-// against the attribution record retained alongside it.
-func (s *server) handleNativeProf(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rec, ok := s.ring.Get(id)
-	if !ok {
-		s.writeErrMsg(w, r, http.StatusNotFound, "no retained request "+id)
-		return
-	}
-	if rec.NativeProf == nil {
-		s.writeErrMsg(w, r, http.StatusNotFound,
-			"request "+id+" has no native profile (backend native was not requested)")
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"req_id":  id,
-		"profile": rec.NativeProf,
-	})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -45,7 +45,6 @@ func testServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
 	s := newServer(serverConfig{
 		reqTimeout: 30 * time.Second,
-		ringSize:   8,
 		logW:       io.Discard,
 		logLevel:   obs.LevelDebug,
 	})
@@ -219,43 +218,37 @@ func TestDecisionDebugEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile status = %d", resp.StatusCode)
 	}
-	dResp, err := http.Get(ts.URL + "/debug/decisions/" + out.ReqID)
-	if err != nil {
-		t.Fatal(err)
+	var rec struct {
+		ReqID     string           `json:"req_id"`
+		Decisions []obs.Decision   `json:"decisions"`
+		Counters  map[string]int64 `json:"counters"`
 	}
-	defer dResp.Body.Close()
-	if dResp.StatusCode != http.StatusOK {
-		t.Fatalf("decisions status = %d", dResp.StatusCode)
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+out.ReqID+"?facet=decisions", &rec); code != http.StatusOK {
+		t.Fatalf("decisions status = %d", code)
 	}
-	var rec obs.RequestRecord
-	if err := json.NewDecoder(dResp.Body).Decode(&rec); err != nil {
-		t.Fatal(err)
+	if rec.ReqID != out.ReqID || len(rec.Decisions) == 0 || len(rec.Counters) == 0 {
+		t.Fatalf("retained decision log wrong: %+v", rec)
 	}
-	if rec.ID != out.ReqID || len(rec.Decision) == 0 || rec.Status != "ok" {
-		t.Fatalf("retained record wrong: %+v", rec)
+	// The list endpoint knows the id and that the request succeeded; an
+	// unknown id is a 404, and so is the decision log of a request whose
+	// placement came from the cache.
+	var list flightList
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder?has=decisions", &list); code != http.StatusOK {
+		t.Fatalf("decision list status = %d", code)
 	}
-	// The list endpoint knows the id; an unknown id is a 404.
-	lResp, err := http.Get(ts.URL + "/debug/decisions")
-	if err != nil {
-		t.Fatal(err)
+	if ids := list.ids(); len(ids) != 1 || ids[0] != out.ReqID || list.Recent[0].Status != http.StatusOK {
+		t.Fatalf("decision list = %+v", list.Recent)
 	}
-	defer lResp.Body.Close()
-	var list struct {
-		IDs []string `json:"ids"`
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder/nope?facet=decisions", nil); code != http.StatusNotFound {
+		t.Fatalf("unknown id status = %d", code)
 	}
-	if err := json.NewDecoder(lResp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list.IDs) != 1 || list.IDs[0] != out.ReqID {
-		t.Fatalf("decision list = %v", list.IDs)
-	}
-	nResp, err := http.Get(ts.URL + "/debug/decisions/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nResp.Body.Close()
-	if nResp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown id status = %d", nResp.StatusCode)
+	_, again := postCompile(t, ts, map[string]any{
+		"source": stencilSrc,
+		"params": map[string]int{"n": 12, "steps": 2},
+		"procs":  4,
+	})
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+again.ReqID+"?facet=decisions", nil); code != http.StatusNotFound {
+		t.Fatalf("cached placement's decision log status = %d", code)
 	}
 }
 
@@ -445,7 +438,6 @@ func TestCompileCacheHit(t *testing.T) {
 func TestPayloadTooLarge413(t *testing.T) {
 	s := newServer(serverConfig{
 		reqTimeout: 30 * time.Second,
-		ringSize:   8,
 		maxBody:    512,
 		logW:       io.Discard,
 		logLevel:   obs.LevelError,
@@ -487,7 +479,6 @@ func blockingServer(t *testing.T) (*server, *httptest.Server, func()) {
 	t.Helper()
 	s := newServer(serverConfig{
 		reqTimeout: 30 * time.Second,
-		ringSize:   8,
 		workers:    1,
 		queueDepth: 1,
 		logW:       io.Discard,
@@ -593,7 +584,6 @@ func postBatch(t *testing.T, ts *httptest.Server, items []map[string]any) (*http
 func TestCompileBatch(t *testing.T) {
 	s := newServer(serverConfig{
 		reqTimeout: 30 * time.Second,
-		ringSize:   32,
 		workers:    2,
 		queueDepth: 8,
 		logW:       io.Discard,
@@ -649,20 +639,13 @@ func TestCompileBatch(t *testing.T) {
 	if got := s.pool.Stats().Completed; got != 8 {
 		t.Fatalf("pool completed = %d, want 8", got)
 	}
-	// Every item's decision log is retained individually.
-	lResp, err := http.Get(ts.URL + "/debug/decisions")
-	if err != nil {
-		t.Fatal(err)
+	// Every item is retained individually.
+	var list flightList
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder", &list); code != http.StatusOK {
+		t.Fatalf("flight list status = %d", code)
 	}
-	defer lResp.Body.Close()
-	var list struct {
-		IDs []string `json:"ids"`
-	}
-	if err := json.NewDecoder(lResp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list.IDs) != 8 {
-		t.Fatalf("retained %d decision logs, want 8", len(list.IDs))
+	if len(list.Recent) != 8 {
+		t.Fatalf("retained %d batch items, want 8", len(list.Recent))
 	}
 }
 
@@ -713,7 +696,6 @@ func TestBatchRejectsBadRequests(t *testing.T) {
 func TestHealthzVersion(t *testing.T) {
 	s := newServer(serverConfig{
 		reqTimeout: time.Second,
-		ringSize:   8,
 		version:    "abc123def456",
 		logW:       io.Discard,
 		logLevel:   obs.LevelError,
@@ -747,7 +729,6 @@ func TestHealthzVersion(t *testing.T) {
 func TestCompileTimeout(t *testing.T) {
 	s := newServer(serverConfig{
 		reqTimeout: 1 * time.Nanosecond,
-		ringSize:   8,
 		logW:       io.Discard,
 		logLevel:   obs.LevelError,
 	})

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
+	"gcao"
 	"gcao/internal/obs"
 	"gcao/internal/obs/reqtrace"
 	"gcao/internal/sched"
@@ -20,17 +22,10 @@ import (
 func routeLabel(path string) string {
 	switch path {
 	case "/compile", "/compile/batch", "/metrics", "/healthz",
-		"/debug/cache", "/debug/decisions", "/debug/critpath",
-		"/debug/nativeprof", "/debug/flightrecorder", "/debug/live":
+		"/debug/cache", "/debug/flightrecorder", "/debug/live":
 		return path
 	}
 	switch {
-	case strings.HasPrefix(path, "/debug/decisions/"):
-		return "/debug/decisions/{id}"
-	case strings.HasPrefix(path, "/debug/critpath/"):
-		return "/debug/critpath/{id}"
-	case strings.HasPrefix(path, "/debug/nativeprof/"):
-		return "/debug/nativeprof/{id}"
 	case strings.HasPrefix(path, "/debug/flightrecorder/"):
 		return "/debug/flightrecorder/{id}"
 	case strings.HasPrefix(path, "/debug/pprof"):
@@ -105,21 +100,41 @@ func reqID(r *http.Request) string {
 	return reqtrace.FromContext(r.Context()).ReqID()
 }
 
-// flightRecord closes the request's span tree and retains it in the
-// flight recorder, keyed by the id the response's X-Request-Id header
-// carried.
-func (s *server) flightRecord(tr *reqtrace.Trace, route string, status int, err error, resp *compileResponse, reqRec *obs.Recorder, t0 time.Time) {
+// retain is where a finished request goes, from /compile and from each
+// /compile/batch item alike: its recorder is absorbed into the registry,
+// its span tree is closed, and one record — summary, span tree and the
+// facets the recorder held — is added to the flight recorder under the
+// id the response's X-Request-Id header carried. It returns the status
+// label the registry counted the request under.
+func (s *server) retain(tr *reqtrace.Trace, route string, err error, resp *compileResponse, reqRec *obs.Recorder, t0 time.Time) string {
+	status, code := "ok", http.StatusOK
+	if err != nil {
+		status, code = "error", httpStatus(err)
+	}
+	s.reg.Absorb(reqRec, status)
+	// A response already holds its recorder's snapshot; only a failed
+	// request (whose worker may still be writing) is copied here.
+	var held obs.MetricsDoc
+	if resp != nil {
+		held = resp.Metrics
+	} else {
+		held = reqRec.Doc()
+	}
 	tr.Root().End()
 	doc := tr.Doc()
 	rec := reqtrace.Record{
 		ID:      tr.ReqID(),
 		TraceID: doc.TraceID,
 		Route:   route,
-		Status:  status,
+		Status:  code,
 		UnixNS:  t0.UnixNano(),
 		WallUS:  doc.Root.DurUS,
 		Phases:  reqtrace.PhaseTotals(doc.Root),
 		Trace:   &doc,
+		Data: &reqtrace.Facets{
+			Decisions: held.Decisions, Counters: held.Counters,
+			Attr: held.Attr, NativeProf: held.NativeProf,
+		},
 	}
 	if err != nil {
 		rec.Error = err.Error()
@@ -136,10 +151,8 @@ func (s *server) flightRecord(tr *reqtrace.Trace, route string, status int, err 
 			rec.Cache = resp.Cache.Compile
 		}
 	}
-	if np := reqRec.NativeProfile(); np != nil {
-		rec.NativeSkew, rec.NativeBlockedSec = np.SkewRatio, np.BlockedSeconds
-	}
 	s.flight.Add(rec)
+	return status
 }
 
 // retryAfter derives the 429 backoff hint from the scheduler's own
@@ -160,30 +173,87 @@ func (s *server) retryAfter() int {
 
 // handleFlightList serves the flight recorder's ring and slow-store
 // summaries (no span trees; fetch /debug/flightrecorder/{id} for one).
+// ?has=<facet> keeps the requests that carry that facet, and the stats
+// then count those.
 func (s *server) handleFlightList(w http.ResponseWriter, r *http.Request) {
 	limit, err := listLimit(r)
 	if err != nil {
 		s.writeErrMsg(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"recent": s.flight.Recent(limit),
-		"slow":   s.flight.Slow(limit),
-		"stats":  s.flight.Stats(),
-	})
+	has := r.URL.Query().Get("has")
+	if has != "" && !reqtrace.KnownFacet(has) {
+		s.writeErrMsg(w, r, http.StatusBadRequest, "unknown facet "+has)
+		return
+	}
+	recent, slow, stats := s.flight.List(limit, has)
+	writeJSON(w, http.StatusOK, map[string]any{"recent": recent, "slow": slow, "stats": stats})
 }
 
-// handleFlight serves one retained request's full record — phase
-// summary plus span tree — looked up by the X-Request-Id the original
-// response carried.
+// facetAbsent says, per facet, what a record that does not carry it lacks
+// and why.
+var facetAbsent = map[string]string{
+	reqtrace.FacetDecisions:  "decision log (no placement ran: it was cached, or the request failed first)",
+	reqtrace.FacetCritPath:   "attribution record (simulate was not requested)",
+	reqtrace.FacetNativeProf: "native profile (backend native was not requested)",
+}
+
+// handleFlight serves one retained request, looked up by the
+// X-Request-Id the original response carried: its summary and span tree,
+// or with ?facet= one of the facets its summary names —
+//
+//	decisions   the placement decision log and the final counters
+//	critpath    the blame ranking and communication critical path analyzed
+//	            from the simulator's attribution record; ?g= and ?L=
+//	            override the BSP cost model (seconds per byte, per superstep)
+//	nativeprof  the native backend's runtime profile: per-superstep
+//	            per-processor timelines, wait accounting, skew, calibration
 func (s *server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	facet := r.URL.Query().Get("facet")
+	if facet != "" && !reqtrace.KnownFacet(facet) {
+		s.writeErrMsg(w, r, http.StatusBadRequest, "unknown facet "+facet)
+		return
+	}
 	rec, ok := s.flight.Get(id)
 	if !ok {
 		s.writeErrMsg(w, r, http.StatusNotFound, "no retained flight record "+id)
 		return
 	}
-	writeJSON(w, http.StatusOK, rec)
+	if facet != "" && !rec.Has(facet) {
+		s.writeErrMsg(w, r, http.StatusNotFound, "request "+id+" has no "+facetAbsent[facet])
+		return
+	}
+	switch facet {
+	case "":
+		writeJSON(w, http.StatusOK, rec)
+	case reqtrace.FacetDecisions:
+		writeJSON(w, http.StatusOK, map[string]any{
+			"req_id": id, "decisions": rec.Data.Decisions, "counters": rec.Data.Counters,
+		})
+	case reqtrace.FacetCritPath:
+		model := gcao.DefaultAttrCostModel()
+		for _, knob := range []struct {
+			name string
+			v    *float64
+		}{{"g", &model.GSecPerByte}, {"L", &model.LSec}} {
+			q := r.URL.Query().Get(knob.name)
+			if q == "" {
+				continue
+			}
+			v, err := strconv.ParseFloat(q, 64)
+			if err != nil || v < 0 {
+				s.writeErrMsg(w, r, http.StatusBadRequest, "bad "+knob.name+" "+q)
+				return
+			}
+			*knob.v = v
+		}
+		writeJSON(w, http.StatusOK, map[string]any{
+			"req_id": id, "report": gcao.AnalyzeAttribution(rec.Data.Attr, model),
+		})
+	case reqtrace.FacetNativeProf:
+		writeJSON(w, http.StatusOK, map[string]any{"req_id": id, "profile": rec.Data.NativeProf})
+	}
 }
 
 // serverStats adapts the live serving-layer occupancy for the

@@ -2,7 +2,11 @@
 // daemon's /debug/live server-sent-event stream and renders each
 // snapshot as a compact dashboard — request rate, per-route latency
 // quantiles, cache hit rate, scheduler queue occupancy and sheds,
-// flight-recorder retention — the way top renders a process table.
+// flight-recorder retention — the way top renders a process table. The
+// question it alone answers is "what is the request rate right now":
+// req/s over the last interval exists nowhere but in the stream's
+// successive snapshots; every other line restates /metrics or
+// /debug/cache for an eye rather than a scraper.
 //
 // Usage:
 //

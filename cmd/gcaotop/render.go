@@ -43,14 +43,6 @@ type snapshot struct {
 	} `json:"flight"`
 	GapRatio  float64 `json:"gap_ratio"`
 	GapPoints int     `json:"gap_points"`
-	Native    *struct {
-		Runs           int64   `json:"runs"`
-		SkewRatio      float64 `json:"skew_ratio"`
-		BlockedSeconds float64 `json:"blocked_seconds"`
-		FittedL        float64 `json:"fitted_l_seconds"`
-		FittedG        float64 `json:"fitted_g_seconds_per_byte"`
-		Calibrated     bool    `json:"calibrated"`
-	} `json:"native"`
 }
 
 func parseSnapshot(data []byte) (snapshot, error) {
@@ -77,18 +69,6 @@ func render(s snapshot) string {
 	if s.GapPoints > 0 {
 		fmt.Fprintf(&b, "gap    %.2fx the communication lower bound over %d benchmark×version pair(s)\n",
 			s.GapRatio, s.GapPoints)
-	}
-	// The native line always renders: an explicit "–" tells the operator
-	// no native run has been observed, rather than silently omitting it.
-	if s.Native == nil {
-		fmt.Fprintf(&b, "native –\n")
-	} else {
-		fmt.Fprintf(&b, "native %d run(s)  skew %.2fx  blocked %.3fs",
-			s.Native.Runs, s.Native.SkewRatio, s.Native.BlockedSeconds)
-		if s.Native.Calibrated {
-			fmt.Fprintf(&b, "  fitted L %.3gs g %.3gs/B", s.Native.FittedL, s.Native.FittedG)
-		}
-		fmt.Fprintf(&b, "\n")
 	}
 	if len(s.Codes) > 0 {
 		codes := make([]string, 0, len(s.Codes))

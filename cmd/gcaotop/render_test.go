@@ -46,41 +46,10 @@ func TestRenderSnapshot(t *testing.T) {
 		"/metrics",
 		"gap    3.21x",
 		"6 benchmark×version pair(s)",
-		"native –",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestRenderNativeLine(t *testing.T) {
-	snap, err := parseSnapshot([]byte(`{
-	  "native": {"runs": 3, "skew_ratio": 1.42, "blocked_seconds": 0.125,
-	    "fitted_l_seconds": 4.2e-05, "fitted_g_seconds_per_byte": 1.1e-09,
-	    "calibrated": true}
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := render(snap)
-	for _, want := range []string{
-		"native 3 run(s)",
-		"skew 1.42x",
-		"blocked 0.125s",
-		"fitted L 4.2e-05s g 1.1e-09s/B",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "native –") {
-		t.Errorf("placeholder shown alongside real native stats:\n%s", out)
-	}
-	// Uncalibrated profile: stats render, fitted constants do not.
-	snap.Native.Calibrated = false
-	if out := render(snap); strings.Contains(out, "fitted") {
-		t.Errorf("fitted constants shown without calibration:\n%s", out)
 	}
 }
 

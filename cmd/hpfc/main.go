@@ -1,28 +1,39 @@
-// hpfc is the compiler driver: it parses a mini-HPF routine, runs the
-// global communication analysis, and reports the chosen communication
-// placement under one of the three strategies — the human-readable
-// trace the paper's prototype emitted for hand compilation (Fig. 6).
+// hpfc is the command-line front end of the reproduction: the compiler
+// driver, and one subcommand per artefact of the paper's evaluation.
 //
-// Usage:
+//	hpfc [flags] file.hpf   compile one routine and report its placement (Fig. 6)
+//	hpfc fig10a             static communication call sites per routine (Fig. 10a)
+//	hpfc charts             normalized running-time bars (Fig. 10b–f)
+//	hpfc verify             execute small instances and check them against a sequential run
+//	hpfc fig5               network and buffer-copy bandwidth curves (Fig. 5)
+//	hpfc profile            one simulated (and native) run's communication profile
+//
+// The compiler driver parses a mini-HPF routine, runs the global
+// communication analysis, and reports the chosen communication
+// placement under one of the three strategies — the human-readable
+// trace the paper's prototype emitted for hand compilation:
 //
 //	hpfc -version comb -procs 16 -param n=256 -param steps=10 file.hpf
 //
 // The positional argument is a source file; when no such file exists
 // it is resolved as a built-in benchmark name ("shallow",
 // "examples/shallow", "trimesh/gauss"), with parameters defaulted
-// from the benchmark's standard binding.
+// from the benchmark's standard binding. With -dump the scalarized
+// program, CFG, and per-entry analysis (earliest / latest / candidate
+// positions) are printed too; -annotate emits the annotated SPMD listing.
 //
-// With -dump the scalarized program, CFG, and per-entry analysis
-// (earliest / latest / candidate positions) are printed too. With
-// -explain every communication entry's placement decision is printed
-// (the machine-readable Fig. 6 annotation); -trace-out and
-// -metrics-out export the pipeline observability data as a Chrome
-// trace_event file and a metrics/decision-log JSON document.
+// The driver and every subcommand that compiles take the same
+// observability flags: -explain prints every communication entry's
+// placement decision (the machine-readable Fig. 6 annotation);
+// -trace-out and -metrics-out export the run's spans as a Chrome
+// trace_event file and its counters, decision log and profiles as a
+// JSON document. `hpfc <subcommand> -h` lists a subcommand's flags.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -35,6 +46,108 @@ import (
 	"gcao/internal/core"
 	"gcao/internal/obs"
 )
+
+// subcommands maps the first argument onto what it runs; anything else
+// is the compiler driver's.
+var subcommands = map[string]func(fs *flag.FlagSet, args []string){
+	"fig10a":  fig10a,
+	"charts":  charts,
+	"verify":  verify,
+	"fig5":    fig5,
+	"profile": profile,
+}
+
+func main() {
+	if len(os.Args) > 1 {
+		if run, ok := subcommands[os.Args[1]]; ok {
+			run(flag.NewFlagSet("hpfc "+os.Args[1], flag.ExitOnError), os.Args[2:])
+			return
+		}
+	}
+	compile(flag.NewFlagSet("hpfc", flag.ExitOnError), os.Args[1:])
+}
+
+// obsFlags are the observability flags the driver and the compiling
+// subcommands share.
+type obsFlags struct {
+	traceOut, metricsOut string
+	explain              bool
+}
+
+func (o *obsFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.traceOut, "trace-out", "", "write phase spans (and simulator/native lanes) as a Chrome trace_event JSON file")
+	fs.StringVar(&o.metricsOut, "metrics-out", "", "write counters, gauges, the placement decision log and run profiles as JSON")
+	fs.BoolVar(&o.explain, "explain", false, "print the per-entry placement decision log")
+}
+
+// recorder returns a recorder when any of the flags asks for what one
+// collects, nil (a no-op everywhere) otherwise.
+func (o *obsFlags) recorder() *obs.Recorder {
+	if o.traceOut == "" && o.metricsOut == "" && !o.explain {
+		return nil
+	}
+	return obs.New()
+}
+
+// finish prints the decision log under -explain — each line prefixed
+// with its compiler version when the run placed several — and writes the
+// -trace-out and -metrics-out files.
+func (o *obsFlags) finish(rec *obs.Recorder, perVersion bool) {
+	if o.explain {
+		fmt.Println("== placement decisions ==")
+		for _, d := range rec.Decisions() {
+			if perVersion {
+				fmt.Printf("%-6s ", d.Version)
+			}
+			fmt.Println(d.Format())
+		}
+	}
+	writeObs(o.traceOut, rec.WriteTrace)
+	writeObs(o.metricsOut, rec.WriteMetrics)
+}
+
+// writeObs exports one view of the recorder to path ("": not asked for).
+func writeObs(path string, write func(w io.Writer) error) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if err := write(f); err != nil {
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		fatal(err)
+	}
+}
+
+// versionByName resolves a -version flag, as the library's strategy and
+// as the core version benchmark programs are placed with.
+func versionByName(name string) (gcao.Strategy, core.Version) {
+	switch name {
+	case "orig":
+		return gcao.Vectorize, core.VersionOrig
+	case "nored":
+		return gcao.EarliestRedundancy, core.VersionRedund
+	case "comb":
+		return gcao.Combine, core.VersionCombine
+	}
+	fatal(fmt.Errorf("unknown -version %q (want orig, nored, comb)", name))
+	panic("unreachable")
+}
+
+// functionalN is the size of a benchmark's functional instance: the
+// simulator executes elementwise, so verify and profile default to an
+// instance small enough to run in a moment that still exercises every
+// communication pattern of its routine.
+func functionalN(pr *bench.Program) int {
+	if pr.Bench == "shallow" || pr.Bench == "trimesh" {
+		return 8
+	}
+	return 6
+}
 
 type paramList map[string]int
 
@@ -66,6 +179,20 @@ func (p paramList) Set(s string) error {
 	return nil
 }
 
+// program resolves a benchmark routine by name; an empty routine is the
+// benchmark's first.
+func program(benchName, routine string) (*bench.Program, error) {
+	if routine != "" {
+		return bench.ByName(benchName, routine)
+	}
+	for _, p := range bench.Programs() {
+		if p.Bench == benchName {
+			return p, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown benchmark %q", benchName)
+}
+
 // loadSource resolves the positional argument: an on-disk source file,
 // or a built-in benchmark name such as "shallow", "examples/shallow"
 // or "trimesh/gauss". For a benchmark, missing parameters are filled
@@ -75,30 +202,10 @@ func loadSource(arg string, params paramList) (string, error) {
 	if src, err := os.ReadFile(arg); err == nil {
 		return string(src), nil
 	}
-	parts := strings.Split(strings.Trim(arg, "/"), "/")
-	if parts[0] == "examples" {
-		parts = parts[1:]
-	}
-	if len(parts) == 0 || parts[0] == "" {
-		return "", fmt.Errorf("no source file or benchmark %q", arg)
-	}
-	var pr *bench.Program
-	if len(parts) >= 2 {
-		p, err := bench.ByName(parts[0], parts[1])
-		if err != nil {
-			return "", err
-		}
-		pr = p
-	} else {
-		for _, p := range bench.Programs() {
-			if p.Bench == parts[0] {
-				pr = p
-				break
-			}
-		}
-		if pr == nil {
-			return "", fmt.Errorf("no source file or benchmark %q", arg)
-		}
+	parts := strings.Split(strings.TrimPrefix(strings.Trim(arg, "/"), "examples/"), "/")
+	pr, err := program(parts[0], strings.Join(parts[1:], "/"))
+	if err != nil {
+		return "", fmt.Errorf("%q is neither a source file nor a benchmark: %w", arg, err)
 	}
 	n := pr.DefaultN
 	if v, ok := params["n"]; ok {
@@ -112,44 +219,33 @@ func loadSource(arg string, params paramList) (string, error) {
 	return pr.Source, nil
 }
 
-func main() {
+// compile is the compiler driver: `hpfc [flags] file.hpf`.
+func compile(fs *flag.FlagSet, args []string) {
 	params := paramList{}
-	version := flag.String("version", "comb", "placement strategy: orig, nored, comb")
-	procs := flag.Int("procs", 4, "processor count (overridden by a PROCESSORS directive)")
-	dump := flag.Bool("dump", false, "dump scalarized program and per-entry analysis")
-	annotate := flag.Bool("annotate", false, "emit the annotated SPMD listing (the paper's Fig. 6 trace dump)")
-	mainName := flag.String("main", "", "main routine of a multi-routine file; calls are inlined (interprocedural analysis)")
-	traceOut := flag.String("trace-out", "", "write pipeline phase spans as a Chrome trace_event JSON file")
-	metricsOut := flag.String("metrics-out", "", "write counters, gauges and the placement decision log as JSON")
-	explain := flag.Bool("explain", false, "print the per-entry placement decision log")
-	flag.Var(params, "param", "routine parameter binding name=value (repeatable)")
-	flag.Parse()
+	var o obsFlags
+	o.register(fs)
+	version := fs.String("version", "comb", "placement strategy: orig, nored, comb")
+	procs := fs.Int("procs", 4, "processor count (overridden by a PROCESSORS directive)")
+	dump := fs.Bool("dump", false, "dump scalarized program and per-entry analysis")
+	annotate := fs.Bool("annotate", false, "emit the annotated SPMD listing (the paper's Fig. 6 trace dump)")
+	mainName := fs.String("main", "", "main routine of a multi-routine file; calls are inlined (interprocedural analysis)")
+	fs.Var(params, "param", "routine parameter binding name=value (repeatable)")
+	fs.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: hpfc [flags] file.hpf\n       hpfc fig10a|charts|verify|fig5|profile [flags]")
+		fs.PrintDefaults()
+	}
+	fs.Parse(args)
 
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: hpfc [flags] file.hpf")
-		flag.Usage()
+	if fs.NArg() != 1 {
+		fs.Usage()
 		os.Exit(2)
 	}
-	var rec *obs.Recorder
-	if *traceOut != "" || *metricsOut != "" || *explain {
-		rec = obs.New()
-	}
-	src, err := loadSource(flag.Arg(0), params)
+	rec := o.recorder()
+	src, err := loadSource(fs.Arg(0), params)
 	if err != nil {
 		fatal(err)
 	}
-
-	var strat gcao.Strategy
-	switch *version {
-	case "orig":
-		strat = gcao.Vectorize
-	case "nored":
-		strat = gcao.EarliestRedundancy
-	case "comb":
-		strat = gcao.Combine
-	default:
-		fatal(fmt.Errorf("unknown -version %q (want orig, nored, comb)", *version))
-	}
+	strat, _ := versionByName(*version)
 
 	c, err := gcao.CompileProgram(src, *mainName, gcao.Config{Params: params, Procs: *procs, Obs: rec})
 	if err != nil {
@@ -184,13 +280,7 @@ func main() {
 	} else {
 		report(a, placed, strat)
 	}
-	if *explain {
-		fmt.Println("== placement decisions ==")
-		for _, d := range rec.Decisions() {
-			fmt.Println(d.Format())
-		}
-	}
-	writeObs(rec, *traceOut, *metricsOut)
+	o.finish(rec, false)
 }
 
 func report(a *core.Analysis, placed *gcao.Placed, strat gcao.Strategy) {
@@ -221,38 +311,6 @@ func report(a *core.Analysis, placed *gcao.Placed, strat gcao.Strategy) {
 			fmt.Printf("  (+%d redundant eliminated)", len(g.Attached))
 		}
 		fmt.Println()
-	}
-}
-
-// writeObs exports the recorder to the requested files (shared by the
-// cmd tools).
-func writeObs(rec *obs.Recorder, traceOut, metricsOut string) {
-	if rec == nil {
-		return
-	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rec.WriteTrace(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rec.WriteMetrics(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
 	}
 }
 

@@ -1,39 +1,12 @@
-// commprof runs one benchmark routine on the functional simulator
-// under a placement strategy and prints its communication profile: the
-// sender→receiver byte matrix as an ASCII heatmap, the per-superstep
-// timeline (one barrier-fenced communication group per row), and the
-// per-processor compute/communication/idle time split.
-//
-// Usage:
-//
-//	commprof -bench shallow -procs 4 -version comb
-//	commprof -bench trimesh -routine gauss -n 12 -procs 8 -machine NOW
-//
-// -metrics-out exports the full profile (plus placement counters and
-// the decision log) as JSON; -explain prints the decision log.
-// -blame k prints the top-k communication blame table — placement
-// sites ranked by the cost they contribute to the communication
-// critical path under a BSP cost model (-g/-L override the
-// machine-derived per-byte and per-superstep knobs) — and -trace-out
-// gains a superstep lane (tid 2) carrying the per-step h-relations.
-//
-// -native additionally executes the placement on the profiled native
-// goroutine backend and prints the measured side: a per-processor
-// phase heatmap (where each processor's wall time actually went),
-// the straggler ranking, and the measured-vs-modeled calibration —
-// machine constants (L, g) fitted by least squares from the run's own
-// supersteps against the -machine model. With -trace-out the trace
-// gains one lane per native processor (pid 2).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"math"
-	"os"
 	"strings"
 
-	"gcao/internal/bench"
+	"gcao"
 	"gcao/internal/core"
 	"gcao/internal/machine"
 	"gcao/internal/native"
@@ -47,64 +20,65 @@ import (
 // to a heatmap cell (light → heavy).
 var shades = []string{".", "▁", "▂", "▃", "▄", "▅", "▆", "▇", "█"}
 
-func main() {
-	benchName := flag.String("bench", "shallow", "benchmark name (shallow, gravity, trimesh, hydflo)")
-	routine := flag.String("routine", "", "routine name (default: the benchmark's first routine)")
-	n := flag.Int("n", 0, "problem size (0: a small functional-simulation default)")
-	procs := flag.Int("procs", 4, "processor count")
-	version := flag.String("version", "comb", "placement strategy: orig, nored, comb")
-	machineName := flag.String("machine", "SP2", "machine cost model: SP2 or NOW")
-	traceOut := flag.String("trace-out", "", "write pipeline phase spans as a Chrome trace_event JSON file")
-	metricsOut := flag.String("metrics-out", "", "write counters, decision log and the communication profile as JSON")
-	explain := flag.Bool("explain", false, "print the placement decision log")
-	blame := flag.Int("blame", 0, "print the top-k communication blame table and critical path (0: off)")
-	nativeRun := flag.Bool("native", false, "execute on the profiled native backend and print the measured per-processor profile and (L, g) calibration")
-	gFlag := flag.Float64("g", 0, "BSP per-byte cost override for -blame, seconds/byte (0: derive from -machine)")
-	lFlag := flag.Float64("L", 0, "BSP per-superstep latency override for -blame, seconds (0: derive from -machine)")
-	flag.Parse()
+// profile runs one benchmark routine on the functional simulator under a
+// placement strategy and prints its communication profile: the
+// sender→receiver byte matrix as an ASCII heatmap, the per-superstep
+// timeline (one barrier-fenced communication group per row), and the
+// per-processor compute/communication/idle time split.
+//
+//	hpfc profile -bench shallow -procs 4 -version comb
+//	hpfc profile -bench trimesh -routine gauss -n 12 -procs 8 -machine NOW
+//
+// -blame k prints the top-k communication blame table — placement
+// sites ranked by the cost they contribute to the communication
+// critical path under a BSP cost model (-g/-L override the
+// machine-derived per-byte and per-superstep knobs) — and -trace-out
+// gains a superstep lane (tid 2) carrying the per-step h-relations.
+//
+// -native additionally executes the placement on the profiled native
+// goroutine backend and prints the measured side: a per-processor
+// phase heatmap (where each processor's wall time actually went),
+// the straggler ranking, and the measured-vs-modeled calibration —
+// machine constants (L, g) fitted by least squares from the run's own
+// supersteps against the -machine model. With -trace-out the trace
+// gains one lane per native processor (pid 2).
+func profile(fs *flag.FlagSet, args []string) {
+	var o obsFlags
+	o.register(fs)
+	benchName := fs.String("bench", "shallow", "benchmark name (shallow, gravity, trimesh, hydflo)")
+	routine := fs.String("routine", "", "routine name (default: the benchmark's first routine)")
+	n := fs.Int("n", 0, "problem size (0: the benchmark's small functional instance)")
+	procs := fs.Int("procs", 4, "processor count")
+	version := fs.String("version", "comb", "placement strategy: orig, nored, comb")
+	machineName := fs.String("machine", "SP2", "machine cost model: SP2 or NOW")
+	blame := fs.Int("blame", 0, "print the top-k communication blame table and critical path (0: off)")
+	nativeRun := fs.Bool("native", false, "execute on the profiled native backend and print the measured per-processor profile and (L, g) calibration")
+	gFlag := fs.Float64("g", 0, "BSP per-byte cost override for -blame, seconds/byte (0: derive from -machine)")
+	lFlag := fs.Float64("L", 0, "BSP per-superstep latency override for -blame, seconds (0: derive from -machine)")
+	fs.Parse(args)
 
-	var v core.Version
-	switch *version {
-	case "orig":
-		v = core.VersionOrig
-	case "nored":
-		v = core.VersionRedund
-	case "comb":
-		v = core.VersionCombine
-	default:
-		fatal(fmt.Errorf("unknown -version %q (want orig, nored, comb)", *version))
-	}
+	_, v := versionByName(*version)
 	m, err := machine.ByName(*machineName)
 	if err != nil {
 		fatal(err)
 	}
-	var pr *bench.Program
-	if *routine != "" {
-		pr, err = bench.ByName(*benchName, *routine)
-	} else {
-		for _, p := range bench.Programs() {
-			if p.Bench == *benchName {
-				pr = p
-				break
-			}
-		}
-		if pr == nil {
-			err = fmt.Errorf("unknown benchmark %q", *benchName)
-		}
+	model := gcao.AttrCostModelFor(m)
+	if *gFlag > 0 {
+		model.GSecPerByte = *gFlag
 	}
+	if *lFlag > 0 {
+		model.LSec = *lFlag
+	}
+	pr, err := program(*benchName, *routine)
 	if err != nil {
 		fatal(err)
 	}
 	size := *n
 	if size == 0 {
-		// The simulator executes elementwise; default to a small instance
-		// that still exercises every communication pattern.
-		size = 6
-		if pr.Bench == "shallow" || pr.Bench == "trimesh" {
-			size = 8
-		}
+		size = functionalN(pr)
 	}
 
+	// The profile is read off the recorder, so there always is one.
 	rec := obs.New()
 	a, err := pr.Compile(size, *procs)
 	if err != nil {
@@ -124,7 +98,7 @@ func main() {
 		fatal(fmt.Errorf("simulator produced no communication profile"))
 	}
 
-	fmt.Printf("commprof: %s/%s n=%d P=%d version=%s machine=%s\n",
+	fmt.Printf("hpfc profile: %s/%s n=%d P=%d version=%s machine=%s\n",
 		pr.Bench, pr.Routine, size, *procs, v, *machineName)
 	fmt.Printf("%d supersteps, %d dynamic messages, %d bytes moved, %d barriers\n\n",
 		len(prof.Steps), prof.TotalMessages(), prof.TotalBytes(), run.Ledger.Barriers)
@@ -133,23 +107,16 @@ func main() {
 	writeTimeline(prof)
 	writeProcSplit(prof)
 	if *blame > 0 {
-		writeBlame(rec, m, *blame, *gFlag, *lFlag)
+		writeBlame(rec, model, *blame)
 	}
 	if *nativeRun {
 		out, err := native.RunProfiled(res, *procs, rec)
 		if err != nil {
 			fatal(err)
 		}
-		writeNativeProfile(out.Profile, rec, m, *gFlag, *lFlag)
+		writeNativeProfile(out.Profile, rec, model, m.Name)
 	}
-
-	if *explain {
-		fmt.Println("== placement decisions ==")
-		for _, d := range rec.Decisions() {
-			fmt.Println(d.Format())
-		}
-	}
-	writeObs(rec, *traceOut, *metricsOut)
+	o.finish(rec, false)
 }
 
 // writeMatrix renders the sender→receiver byte matrix as a heatmap,
@@ -211,20 +178,13 @@ func writeTimeline(prof *obs.CommProfile) {
 	fmt.Println()
 }
 
-// writeBlame analyzes the run's cost-attribution record under the
-// machine-derived BSP cost model (unless overridden by -g/-L) and
-// prints the top-k bottleneck-site table plus the critical path.
-func writeBlame(rec *obs.Recorder, m machine.Machine, k int, g, l float64) {
+// writeBlame analyzes the run's cost-attribution record under the BSP
+// cost model and prints the top-k bottleneck-site table plus the
+// critical path.
+func writeBlame(rec *obs.Recorder, model attr.CostModel, k int) {
 	run := rec.Attribution()
 	if run == nil {
 		fatal(fmt.Errorf("simulator produced no attribution record"))
-	}
-	model := attr.CostModel{GSecPerByte: m.PerByte, LSec: m.SendOverhead + m.RecvOverhead + m.Latency}
-	if g > 0 {
-		model.GSecPerByte = g
-	}
-	if l > 0 {
-		model.LSec = l
 	}
 	rep := attr.Analyze(run, model)
 	fmt.Print(rep.FormatBlame(k))
@@ -239,8 +199,8 @@ func writeBlame(rec *obs.Recorder, m machine.Machine, k int, g, l float64) {
 // row per native processor shading where its wall time went across the
 // profiler's phases, the straggler ranking, and the least-squares
 // (L, g) calibration against the simulator's attribution record under
-// the -machine (or -g/-L) cost model.
-func writeNativeProfile(np *nprof.NativeProfile, rec *obs.Recorder, m machine.Machine, g, l float64) {
+// the cost model of the machine named.
+func writeNativeProfile(np *nprof.NativeProfile, rec *obs.Recorder, model attr.CostModel, machineName string) {
 	if np == nil {
 		fatal(fmt.Errorf("native backend produced no profile"))
 	}
@@ -285,13 +245,6 @@ func writeNativeProfile(np *nprof.NativeProfile, rec *obs.Recorder, m machine.Ma
 		fmt.Println()
 		return
 	}
-	model := attr.CostModel{GSecPerByte: m.PerByte, LSec: m.SendOverhead + m.RecvOverhead + m.Latency}
-	if g > 0 {
-		model.GSecPerByte = g
-	}
-	if l > 0 {
-		model.LSec = l
-	}
 	c := np.Calibrate(obs.ModelSteps(run, model))
 	if c.Degenerate {
 		fmt.Printf("  calibration degenerate (%d points, no h spread)\n\n", c.Points)
@@ -299,7 +252,7 @@ func writeNativeProfile(np *nprof.NativeProfile, rec *obs.Recorder, m machine.Ma
 	}
 	fmt.Printf("measured vs modeled (%d supersteps, R²=%.3f):\n", c.Points, c.R2)
 	fmt.Printf("  fitted  L=%.4gs  g=%.4gs/B\n", c.FittedL, c.FittedG)
-	fmt.Printf("  model   L=%.4gs  g=%.4gs/B (%s)\n", model.LSec, model.GSecPerByte, m.Name)
+	fmt.Printf("  model   L=%.4gs  g=%.4gs/B (%s)\n", model.LSec, model.GSecPerByte, machineName)
 	fmt.Println("  worst per-site residuals (measured/modeled):")
 	for i, r := range c.Residuals {
 		if i == 5 {
@@ -310,7 +263,7 @@ func writeNativeProfile(np *nprof.NativeProfile, rec *obs.Recorder, m machine.Ma
 	}
 	if w := c.WorstResidual(); w != nil && (w.Ratio > 2 || w.Ratio < 0.5) && !math.IsInf(w.Ratio, 0) {
 		fmt.Printf("  warning: site %s measured %.2fx its modeled cost — the %s constants do not describe this host\n",
-			w.Site, w.Ratio, m.Name)
+			w.Site, w.Ratio, machineName)
 	}
 	fmt.Println()
 }
@@ -326,36 +279,4 @@ func writeProcSplit(prof *obs.CommProfile) {
 		fmt.Printf("  p%-4d %12.6f %12.6f %12.6f\n", p, prof.ComputeSec[p], prof.CommSec[p], prof.IdleSec[p])
 	}
 	fmt.Println()
-}
-
-func writeObs(rec *obs.Recorder, traceOut, metricsOut string) {
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rec.WriteTrace(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rec.WriteMetrics(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "commprof:", err)
-	os.Exit(1)
 }

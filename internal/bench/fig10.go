@@ -120,11 +120,20 @@ func Fig10aTable() ([]CountRow, error) {
 	return out, nil
 }
 
-// WriteFig10a renders the table like the paper's Fig. 10(a).
+// WriteFig10a renders the table like the paper's Fig. 10(a), each row
+// beside the counts the paper published for it ("-" where it has none).
 func WriteFig10a(w io.Writer, rows []CountRow) {
-	fmt.Fprintf(w, "%-9s %-9s %-5s %6s %6s %6s\n", "Benchmark", "Routine", "Comm", "orig", "nored", "comb")
+	fmt.Fprintf(w, "%-9s %-9s %-5s | %6s %6s %6s | %6s %6s %6s\n",
+		"Benchmark", "Routine", "Comm", "orig", "nored", "comb", "paper", "paper", "paper")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-9s %-9s %-5s %6d %6d %6d\n", r.Bench, r.Routine, r.CommType, r.Orig, r.NoRed, r.Comb)
+		po, pn, pc := "-", "-", "-"
+		for _, p := range PaperCounts {
+			if p.Bench == r.Bench && p.Routine == r.Routine && p.CommType == r.CommType {
+				po, pn, pc = fmt.Sprint(p.Orig), fmt.Sprint(p.NoRed), fmt.Sprint(p.Comb)
+			}
+		}
+		fmt.Fprintf(w, "%-9s %-9s %-5s | %6d %6d %6d | %6s %6s %6s\n",
+			r.Bench, r.Routine, r.CommType, r.Orig, r.NoRed, r.Comb, po, pn, pc)
 	}
 }
 

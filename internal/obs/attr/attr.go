@@ -331,7 +331,7 @@ func (r *Report) TopSites(k int) []SiteStat {
 
 // FormatBlame renders the top-k bottleneck table plus the critical-
 // path summary line as fixed-width text — the `-blame` output of
-// commprof and runbench.
+// hpfc profile and hpfc verify.
 func (r *Report) FormatBlame(k int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== communication blame: top %d of %d sites (version=%s, g=%.3g s/B, L=%.3g s) ==\n",

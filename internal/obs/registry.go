@@ -191,52 +191,6 @@ func (g *Registry) ObserveNativeExec(version string, st prof.RunStats, np *prof.
 	}
 }
 
-// NativeLiveStats is the profiled-native headline the ops view
-// (/debug/live, gcaotop) shows: how many native runs the daemon has
-// executed, the worst compute skew any version showed, accumulated
-// blocked time, and the fitted machine constants of the preferred
-// (comb, else lexicographically first calibrated) version.
-type NativeLiveStats struct {
-	Runs           int64   `json:"runs"`
-	SkewRatio      float64 `json:"skew_ratio,omitempty"`
-	BlockedSeconds float64 `json:"blocked_seconds,omitempty"`
-	FittedL        float64 `json:"fitted_l_seconds,omitempty"`
-	FittedG        float64 `json:"fitted_g_seconds_per_byte,omitempty"`
-	Calibrated     bool    `json:"calibrated,omitempty"`
-}
-
-// NativeLive summarizes the native-backend state for the live view;
-// ok is false until the daemon has observed at least one native run.
-func (g *Registry) NativeLive() (NativeLiveStats, bool) {
-	if g == nil {
-		return NativeLiveStats{}, false
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var st NativeLiveStats
-	for _, h := range g.hists[famNativeSeconds] {
-		st.Runs += int64(h.Count())
-	}
-	for _, skew := range g.vals[famNativeSkew] {
-		if skew > st.SkewRatio {
-			st.SkewRatio = skew
-		}
-	}
-	for _, sec := range g.vals[famNativeBlocked] {
-		st.BlockedSeconds += sec
-	}
-	if fitG := g.vals[famNativeFitG]; len(fitG) > 0 {
-		ver := "comb"
-		if _, ok := fitG[ver]; !ok {
-			ver = sortedKeys(fitG)[0]
-		}
-		st.FittedL = g.vals[famNativeFitL][ver]
-		st.FittedG = fitG[ver]
-		st.Calibrated = true
-	}
-	return st, st.Runs > 0
-}
-
 // versions are the compiler versions whose per-compile counters Absorb
 // turns into histogram observations.
 var versions = []string{"orig", "nored", "comb"}

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -248,42 +247,6 @@ func TestCheckPromTextRejectsGarbage(t *testing.T) {
 	good := "# HELP m things\n# TYPE m counter\nm{l=\"a\"} 1\nm{l=\"b\"} 2\n"
 	if err := CheckPromText([]byte(good)); err != nil {
 		t.Errorf("CheckPromText rejected valid text: %v", err)
-	}
-}
-
-func TestDecisionRingBoundsAndLookup(t *testing.T) {
-	ring := NewDecisionRing(3)
-	for i := 0; i < 5; i++ {
-		ring.Add(RequestRecord{
-			ID:       fmt.Sprintf("r%d", i),
-			Status:   "ok",
-			Decision: []Decision{{Entry: i, SubsumedBy: -1, Group: -1}},
-		})
-	}
-	if ring.Len() != 3 {
-		t.Fatalf("len = %d", ring.Len())
-	}
-	if _, ok := ring.Get("r0"); ok {
-		t.Fatal("evicted record still retrievable")
-	}
-	rec, ok := ring.Get("r4")
-	if !ok || len(rec.Decision) != 1 || rec.Decision[0].Entry != 4 {
-		t.Fatalf("get r4 = %+v ok=%v", rec, ok)
-	}
-	ids := ring.IDs()
-	if len(ids) != 3 || ids[0] != "r4" || ids[2] != "r2" {
-		t.Fatalf("ids = %v", ids)
-	}
-	// Nil and zero-capacity rings are inert.
-	var nilRing *DecisionRing
-	nilRing.Add(RequestRecord{ID: "x"})
-	if nilRing.Len() != 0 || nilRing.IDs() != nil {
-		t.Fatal("nil ring retained state")
-	}
-	zero := NewDecisionRing(0)
-	zero.Add(RequestRecord{ID: "x"})
-	if zero.Len() != 0 {
-		t.Fatal("zero-capacity ring retained a record")
 	}
 }
 

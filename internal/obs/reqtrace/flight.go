@@ -1,15 +1,62 @@
 package reqtrace
 
 import (
+	"slices"
 	"sync"
 	"time"
 
+	"gcao/internal/native/prof"
+	"gcao/internal/obs"
+	"gcao/internal/obs/attr"
 	"gcao/internal/obs/ring"
 )
 
+// Facets is what a request's recorder held when the request finished:
+// the placement decision log with the final counters, the simulator's
+// cost-attribution record and the native backend's runtime profile.
+// A Record holds it by pointer, so the recent ring and the slow/errored
+// store share one copy.
+type Facets struct {
+	Decisions  []obs.Decision
+	Counters   map[string]int64
+	Attr       *attr.Run
+	NativeProf *prof.NativeProfile
+}
+
+// The facet names of GET /debug/flightrecorder/{id}?facet= and ?has=.
+const (
+	FacetDecisions  = "decisions"  // a placement ran and logged its decisions
+	FacetCritPath   = "critpath"   // the request was simulated
+	FacetNativeProf = "nativeprof" // the request ran on the native backend
+)
+
+// KnownFacet reports whether name is one of the facet names.
+func KnownFacet(name string) bool {
+	return name == FacetDecisions || name == FacetCritPath || name == FacetNativeProf
+}
+
+// names lists the facets f carries, in the order above.
+func (f *Facets) names() []string {
+	if f == nil {
+		return nil
+	}
+	var out []string
+	if len(f.Decisions) > 0 {
+		out = append(out, FacetDecisions)
+	}
+	if f.Attr != nil {
+		out = append(out, FacetCritPath)
+	}
+	if f.NativeProf != nil {
+		out = append(out, FacetNativeProf)
+	}
+	return out
+}
+
 // Record is one completed request as retained by the flight recorder:
 // an identity block joinable against client logs (request id, trace
-// id), the outcome, a phase-duration summary, and the full span tree.
+// id), the outcome, a phase-duration summary, the names of the facets
+// it carries, the full span tree and the facets themselves.
 type Record struct {
 	ID      string `json:"id"`
 	TraceID string `json:"trace_id"`
@@ -29,29 +76,24 @@ type Record struct {
 	// Slow marks records that crossed the recorder's latency
 	// threshold (they are retained longer).
 	Slow bool `json:"slow,omitempty"`
-	// NativeSkew and NativeBlockedSec are the runtime profiler's
-	// headline numbers when the request executed on the profiled
-	// native backend (zero otherwise): compute skew max/mean and total
-	// seconds blocked in communication.
-	NativeSkew       float64 `json:"native_skew,omitempty"`
-	NativeBlockedSec float64 `json:"native_blocked_sec,omitempty"`
-	// Trace is the full span tree. List endpoints serve Summary()
-	// instead, which drops it.
+	// Facets names what Data holds; Add fills it in.
+	Facets []string `json:"facets,omitempty"`
+	// Trace is the full span tree. Listings drop it.
 	Trace *TraceDoc `json:"trace,omitempty"`
+	// Data is never served with the record: one facet at a time is, by
+	// name.
+	Data *Facets `json:"-"`
 }
 
-// Summary returns the record without its span tree, for listings.
-func (r Record) Summary() Record {
-	r.Trace = nil
-	return r
-}
+// Has reports whether the record carries the named facet.
+func (r *Record) Has(facet string) bool { return slices.Contains(r.Facets, facet) }
 
 // FlightRecorder is an always-on bounded ring of completed-request
 // records plus a second, longer-lived store for requests that were
 // slow (wall time at or above the threshold) or errored (status >=
 // 400). The main ring answers "what just happened"; the slow store
-// keeps the interesting traces around even while healthy traffic
-// churns the ring.
+// keeps the interesting requests around — span tree, facets and all —
+// while healthy traffic churns the ring.
 type FlightRecorder struct {
 	mu     sync.Mutex
 	recs   ring.Ring[Record]
@@ -71,14 +113,6 @@ func NewFlightRecorder(n, nSlow int, thresh time.Duration) *FlightRecorder {
 	return &FlightRecorder{recs: ring.New[Record](n), slow: ring.New[Record](nSlow), thresh: thresh}
 }
 
-// Threshold returns the slow-request latency threshold.
-func (f *FlightRecorder) Threshold() time.Duration {
-	if f == nil {
-		return 0
-	}
-	return f.thresh
-}
-
 // Add retains one completed request. The record lands in the main
 // ring always, and additionally in the slow store when it was slow or
 // errored.
@@ -86,6 +120,7 @@ func (f *FlightRecorder) Add(rec Record) {
 	if f == nil {
 		return
 	}
+	rec.Facets = rec.Data.names()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.added++
@@ -100,8 +135,9 @@ func (f *FlightRecorder) Add(rec Record) {
 }
 
 // Get returns the record with the given id, preferring the newest
-// match; the slow store is consulted after the main ring, so a trace
-// evicted from the ring but retained as slow/errored still resolves.
+// match; the slow store is consulted after the main ring, so a request
+// evicted from the ring but retained as slow/errored still resolves,
+// with every facet it was born with.
 func (f *FlightRecorder) Get(id string) (Record, bool) {
 	if f == nil {
 		return Record{}, false
@@ -118,38 +154,47 @@ func (f *FlightRecorder) Get(id string) (Record, bool) {
 	return Record{}, false
 }
 
-// Recent returns up to limit summaries from the main ring, newest
-// first; limit <= 0 returns all of them.
-func (f *FlightRecorder) Recent(limit int) []Record {
+// List returns up to limit summaries (no span tree, no facet data) of
+// each store, newest first, and the recorder's stats, all of one
+// instant; limit <= 0 returns every summary. A non-empty has keeps only
+// the records that carry that facet, and the stats' Recent and
+// SlowRetained then count those records, not the stores' occupancy.
+func (f *FlightRecorder) List(limit int, has string) (recent, slow []Record, st FlightStats) {
 	if f == nil {
-		return nil
+		return nil, nil, FlightStats{}
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return summarize(&f.recs, limit)
+	st = f.statsLocked()
+	recent, st.Recent = summarize(&f.recs, limit, has)
+	slow, st.SlowRetained = summarize(&f.slow, limit, has)
+	return recent, slow, st
 }
 
-// Slow returns up to limit summaries from the slow/errored store,
-// newest first.
-func (f *FlightRecorder) Slow(limit int) []Record {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return summarize(&f.slow, limit)
-}
-
-func summarize(recs *ring.Ring[Record], limit int) []Record {
+// summarize walks one store once, newest first: the summaries of the
+// first limit matching records and the number of all that match.
+func summarize(recs *ring.Ring[Record], limit int, has string) ([]Record, int) {
 	n := recs.Len()
-	if limit > 0 && limit < n {
-		n = limit
+	if limit <= 0 || limit > n {
+		limit = n
 	}
-	out := make([]Record, n)
-	for i := range out {
-		out[i] = recs.Newest(i).Summary()
+	out := make([]Record, 0, limit)
+	matched := 0
+	for i := 0; i < n; i++ {
+		rec := recs.Newest(i)
+		if has != "" && !rec.Has(has) {
+			continue
+		}
+		matched++
+		if len(out) < limit {
+			sum := *rec
+			sum.Trace, sum.Data = nil, nil
+			out = append(out, sum)
+		} else if has == "" {
+			return out, n // nothing is filtered: the rest match too
+		}
 	}
-	return out
+	return out, matched
 }
 
 // Stats reports the recorder's occupancy and lifetime totals.
@@ -170,6 +215,10 @@ func (f *FlightRecorder) Stats() FlightStats {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.statsLocked()
+}
+
+func (f *FlightRecorder) statsLocked() FlightStats {
 	return FlightStats{
 		Capacity:     f.recs.Cap(),
 		SlowCapacity: f.slow.Cap(),

@@ -166,14 +166,6 @@ func (t *Trace) Root() *Span {
 	return t.root
 }
 
-// Start returns the trace's epoch (the root span's start time).
-func (t *Trace) Start() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.start
-}
-
 // nowUS is the trace-relative clock all spans share.
 func (t *Trace) nowUS() int64 { return time.Since(t.start).Microseconds() }
 
@@ -207,16 +199,6 @@ func (s *Span) Phase(name string) *Span {
 	c := s.childLocked(name, now)
 	s.phase = c
 	return c
-}
-
-// ClosePhase ends the currently open phase without opening another.
-func (s *Span) ClosePhase() {
-	if s == nil {
-		return
-	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	s.closePhaseLocked(s.tr.nowUS())
 }
 
 func (s *Span) closePhaseLocked(nowUS int64) {
@@ -259,18 +241,6 @@ func (s *Span) SetAttr(key, val string) {
 		}
 	}
 	s.attrs = append(s.attrs, attrKV{key, val})
-}
-
-// AddEvent records an instantaneous marker as a zero-duration child.
-func (s *Span) AddEvent(name string) {
-	if s == nil {
-		return
-	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	now := s.tr.nowUS()
-	c := s.childLocked(name, now)
-	c.ended = true
 }
 
 // SpanDoc is the exported form of one span: microseconds relative to

@@ -175,8 +175,6 @@ func TestNilSafety(t *testing.T) {
 	var s *Span
 	s.End()
 	s.SetAttr("a", "b")
-	s.AddEvent("e")
-	s.ClosePhase()
 	if s.Child("c") != nil || s.Phase("p") != nil {
 		t.Fatal("nil span spawned children")
 	}
