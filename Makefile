@@ -127,7 +127,10 @@ obs-smoke:
 # schedule against one rebuilt from scratch (the rule in runtime, the
 # schedules of the six Fig. 10(a) routines in native, the pinned replay
 # shares), Reset against a new memory after random operations, and the
-# lowered mod against math.Mod bit for bit. Finally it measures the two
+# lowered mod against math.Mod bit for bit, and one lowered program under
+# two engines of each backend at once, under the race detector: a Program
+# is shared by every engine of its placement and written by none. Finally
+# it measures the two
 # steady-state allocation benchmarks (gravity and shallow × 40 steps,
 # P=16, engine reuse) and fails if the allocs/op of either exceeds the
 # checked-in budget in ci/native-alloc-budget.txt — a warm run packs into
@@ -142,6 +145,7 @@ native-smoke:
 	$(GO) test ./internal/native -run 'TestNativeMatchesSimulator|TestNativeOversubscription|TestTranslatedScheduleMatchesRebuilt|TestScheduleKeyHoldsBoundBits|TestReusedEngineMatchesFresh|TestNativeLocalizationEdgeCases/mod' -count=1
 	$(GO) test ./internal/runtime -run 'TestStripShiftMatchesRebuild|TestGhostHullUnderRandomOperations|TestBulkOperationsDoNotAllocate' -count=1
 	$(GO) test ./internal/plan -run 'TestModMatchesMathMod|TestScheduleReplayShare' -count=1
+	$(GO) test -race ./internal/native -run 'TestSharedProgramConcurrentEngines' -count=1
 	@GO="$(GO)" sh ci/alloc-budget.sh 'BenchmarkNative(Alloc|Comm)$$' ci/native-alloc-budget.txt native-smoke
 	@echo "native-smoke: ok"
 
@@ -169,7 +173,7 @@ nativeprof-smoke:
 
 # compile-smoke proves the compile path end to end and holds its cost:
 # the Fig. 10(a) table must come out of hpfc fig10a with hydflo/flux at
-# its 52/30/6 call sites, the placement golden file, the section-table and
+# its 52/30/6 call sites (TestFig10aHydfloFlux), the placement golden file, the section-table and
 # shared-analysis tests must pass (the last under the race detector —
 # an Analysis is shared lock-free), a compilation instantiated from a
 # cached skeleton must equal the one compiled from the text (the
@@ -184,9 +188,7 @@ nativeprof-smoke:
 # test that starts re-expanding sections again is a regression long
 # before it shows in milliseconds.
 compile-smoke:
-	@mkdir -p out
-	$(GO) run ./cmd/hpfc fig10a | tee out/compile-smoke.txt
-	@grep -Eq '^hydflo +flux +NNC +\| +52 +30 +6 \|' out/compile-smoke.txt || { echo "compile-smoke: hydflo/flux is not 52/30/6 call sites"; exit 1; }
+	$(GO) test ./cmd/hpfc -run 'TestFig10aHydfloFlux' -count=1
 	$(GO) test ./internal/core -run 'TestPlacementGolden|TestSectionTableMatchesExpansion|TestPlaceNilRecorderAllocs|TestNilTallyCostsNothing' -count=1
 	$(GO) test -race ./internal/core -run 'TestSharedAnalysisConcurrentPlace' -count=1
 	$(GO) test . -run 'TestSkeletonMatchesMonolithic|TestSkeletonHitPin' -count=1
@@ -201,9 +203,11 @@ compile-smoke:
 # strip delivery must leave exactly what the per-element section scan
 # it replaced left (rows, validity planes, per-pair bytes), the sharded
 # run must match the sequential one under the race detector — shards
-# deliver into disjoint receiver rows without locks — and one
-# single-shard run of hydflo/flux (BenchmarkSimVerify/j1: n=16, 4 steps,
-# P=16, memory image and lowered program rebuilt per run) must stay
+# deliver into disjoint receiver rows without locks — as must two
+# simulator engines (and two native ones) running one lowered program at
+# once, and one single-shard run of hydflo/flux (BenchmarkSimVerify/j1:
+# n=16, 4 steps, P=16, memory image and lowered program rebuilt per run,
+# as spmd.Run on a bare placement result does) must stay
 # within the allocation budget in ci/sim-alloc-budget.txt: 1.25x the
 # measured allocs/op, where the revision that scanned whole sections
 # into per-call pair maps spent 10 300 — a bulk memory operation that
@@ -214,5 +218,6 @@ sim-smoke:
 	$(GO) test ./internal/spmd -run 'TestLedgerGolden' -count=1
 	$(GO) test ./internal/runtime -run 'TestStripMatchesElementScan|TestOwnerRunsMatchElementScan|TestBulkOperationsDoNotAllocate' -count=1
 	$(GO) test -race ./internal/spmd -run 'TestParallelMatchesSequential' -count=1
+	$(GO) test -race ./internal/native -run 'TestSharedProgramConcurrentEngines' -count=1
 	@GO="$(GO)" sh ci/alloc-budget.sh 'BenchmarkSimVerify/j1$$' ci/sim-alloc-budget.txt sim-smoke
 	@echo "sim-smoke: ok"

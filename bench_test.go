@@ -22,7 +22,6 @@ import (
 	"gcao/internal/native"
 	"gcao/internal/parser"
 	"gcao/internal/plan"
-	"gcao/internal/runtime"
 	"gcao/internal/sem"
 	"gcao/internal/spmd"
 )
@@ -648,15 +647,15 @@ func BenchmarkNativeScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkLower measures plan.Lower alone — the slot-resolved form
-// with its row ops, purity analysis, per-processor bounds and row-loop
-// marking — on the six Fig. 10(a) routines at P=25. Both backends pay
-// for it: once per native.NewEngine, and once per simulator run
-// (spmd.Run lowers per run; a gcaod exec request runs on a pooled engine
-// that lowered when it was built), which is why what lowering allocates
-// is budgeted in ci/sim-alloc-budget.txt.
+// BenchmarkLower measures plan.Lower alone — the array layout, the
+// placement's index and the slot-resolved form with its row ops, purity
+// analysis, per-processor bounds and row-loop marking; no memory image —
+// on the six Fig. 10(a) routines at P=25. A gcao.Placed pays for it once,
+// whatever it runs on; native.NewEngine and spmd.Run on a bare placement
+// result lower for themselves (so spmd.Run pays per run), which is why
+// what lowering allocates is budgeted in ci/sim-alloc-budget.txt.
 func BenchmarkLower(b *testing.B) {
-	var plans []*plan.Plan
+	var placed []*core.Result
 	for _, pr := range bench.Programs() {
 		a, err := pr.Compile(pr.DefaultN, 25)
 		if err != nil {
@@ -666,14 +665,14 @@ func BenchmarkLower(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		plans = append(plans, plan.New(res, runtime.NewMemory(a.Unit, 25)))
+		placed = append(placed, res)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	nodes := 0
 	for i := 0; i < b.N; i++ {
-		for _, pl := range plans {
-			nodes += len(plan.Lower(pl).Body)
+		for _, res := range placed {
+			nodes += len(plan.Lower(res).Body)
 		}
 	}
 	if nodes == 0 {

@@ -245,13 +245,22 @@ func structureSize(sk *core.Skeleton) int64 {
 		int64(len(sk.SSA.Uses)+len(sk.SSA.Defs)+len(sk.SSA.Phis))*448
 }
 
-// placedSize estimates the resident cost of a cached placement. The
-// engines idle in its pools are not charged: the garbage collector, not
-// the cache, decides how long they stay.
+// placedSize estimates the resident cost of a cached placement, with the
+// program its first execution lowers it to and keeps: a constant per
+// group and per statement (with its share of loops and nests), and per
+// array dimension the layout's ownership table by extent and owned boxes
+// by processor. Fitted as compilationSize's constants were (40–135 KB a
+// program); TestPlacedSizeTracksHeap keeps it within 2× of the live heap.
+// The engines idle in the pools are not charged: the garbage collector,
+// not the cache, decides how long they stay.
 func placedSize(v any) int64 {
 	res := v.(*Placed).Result
-	n := int64(1 << 10)
-	n += int64(len(res.Groups)) * 512
-	n += int64(len(res.PosOf)) * 128
+	a, procs := res.Analysis, int64(res.Analysis.Unit.Grid.NumProcs())
+	n := int64(1<<10) + int64(len(res.Groups))*768 + int64(len(res.PosOf))*128 + int64(len(a.G.Stmts))*3000
+	for _, arr := range a.Unit.Arrays {
+		for k := range arr.Lo {
+			n += int64(arr.Hi[k]-arr.Lo[k]+1)*8 + procs*16
+		}
+	}
 	return n
 }

@@ -93,6 +93,40 @@ func TestCompilationSizeTracksHeap(t *testing.T) {
 	}
 }
 
+// TestPlacedSizeTracksHeap holds the placement tier's admission estimate
+// against what a cached placement keeps alive once it has executed: the
+// placement and the program lowered from it (the pooled engines are the
+// collector's). For the six Fig. 10(a) routines under orig and comb at
+// P = 4 and 25, and at four times the size, where the layout's ownership
+// tables grow and the statements do not.
+func TestPlacedSizeTracksHeap(t *testing.T) {
+	const copies = 8
+	for _, pr := range bench.Programs() {
+		for _, tc := range []struct{ n, procs int }{{pr.DefaultN, 4}, {pr.DefaultN, 25}, {4 * pr.DefaultN, 16}} {
+			c, err := Compile(pr.Source, Config{Params: pr.Params(tc.n), Procs: tc.procs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []Strategy{Vectorize, Combine} {
+				kept := make([]*Placed, copies)
+				before := liveHeap()
+				for i := range kept {
+					if kept[i], err = c.Place(s); err != nil {
+						t.Fatal(err)
+					}
+					kept[i].Program()
+				}
+				real, est := int64(liveHeap()-before)/copies, placedSize(kept[0])
+				runtime.KeepAlive(kept)
+				t.Logf("%s/%s n=%d P=%d %v: heap %d B, estimate %d B (%.2fx)", pr.Bench, pr.Routine, tc.n, tc.procs, s, real, est, float64(est)/float64(real))
+				if !within2x(est, real) {
+					t.Errorf("%s/%s n=%d P=%d %v: placedSize %d B is off by more than 2x from the %d B a lowered placement keeps alive", pr.Bench, pr.Routine, tc.n, tc.procs, s, est, real)
+				}
+			}
+		}
+	}
+}
+
 // TestLowerBoundComputedOnce: the daemon asks a cached compilation for
 // its lower bound on every estimated request, from whichever worker
 // serves it; every caller gets the one memoized answer, and it is what

@@ -42,7 +42,6 @@ import (
 	"gcao"
 	"gcao/internal/ast"
 	"gcao/internal/bench"
-	"gcao/internal/codegen"
 	"gcao/internal/core"
 	"gcao/internal/obs"
 )
@@ -273,8 +272,8 @@ func compile(fs *flag.FlagSet, args []string) {
 		fatal(err)
 	}
 	if *annotate {
-		end := rec.Start("codegen")
-		listing := codegen.Emit(placed.Result)
+		end := rec.Start("listing")
+		listing := placed.Program().Listing()
 		end()
 		fmt.Print(listing)
 	} else {

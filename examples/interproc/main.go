@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"gcao"
-	"gcao/internal/codegen"
 )
 
 const src = `
@@ -64,7 +63,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nannotated listing (note each exchange carries both a and b):")
-	fmt.Print(codegen.Emit(placed.Result))
+	fmt.Print(placed.Program().Listing())
 
 	// Verify against an independently compiled sequential run.
 	run, err := placed.Simulate(gcao.SP2(), 4)

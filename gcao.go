@@ -38,6 +38,7 @@ import (
 	"gcao/internal/obs"
 	"gcao/internal/obs/attr"
 	"gcao/internal/parser"
+	"gcao/internal/plan"
 	"gcao/internal/sem"
 	"gcao/internal/spmd"
 )
@@ -383,19 +384,28 @@ func (p *Placed) OptimalityGap(m Machine) (OptimalityGap, error) {
 	}, nil
 }
 
-// Placed is a routine with chosen communication placements. It holds
-// the placement's prepared execution engines — memory image, lowered
-// program, frames, channel fabric — in one pool per backend: every run
-// method takes an idle engine there or builds one, and the result's
+// Placed is a routine with chosen communication placements. Its first
+// execution lowers it, once, to the program every engine of either
+// backend runs and the listing prints; prepared engines — memory image,
+// frames, channel fabric — idle in one pool per backend: every run method
+// takes one there or builds one around the program, and the result's
 // Release puts it back, so a caller that runs in a loop pays for a reset
 // and a run. The garbage collector reclaims idle engines (an image can be
-// tens of megabytes), and the pools go with the Placed. A Placed must not
-// be copied.
+// tens of megabytes); program and pools go with the Placed, which must
+// not be copied.
 type Placed struct {
 	Compilation *Compilation
 	Result      *core.Result
 
+	lower    sync.Once
+	prog     *plan.Program
 	sim, nat sync.Pool
+}
+
+// Program returns the lowered placement: built by the first caller, immutable.
+func (p *Placed) Program() *plan.Program {
+	p.lower.Do(func() { p.prog = plan.Lower(p.Result) })
+	return p.prog
 }
 
 // Messages returns the number of placed communication operations —
@@ -420,7 +430,7 @@ func (p *Placed) Simulate(m Machine, procs int) (*spmd.RunResult, error) {
 // the cached analysis carries no recorder of its own, so Simulate
 // would run unprofiled.
 func (p *Placed) SimulateObs(m Machine, procs int, rec *Recorder) (*spmd.RunResult, error) {
-	return spmd.RunPooled(&p.sim, p.Result, m, procs, rec)
+	return spmd.RunPooled(&p.sim, p.Program(), m, procs, rec)
 }
 
 // Estimate computes the analytic per-processor cost under the machine
@@ -442,7 +452,7 @@ func (p *Placed) RunNative(procs int) (*native.RunResult, error) {
 // RunNativeObs is RunNative with an explicit recorder capturing the
 // run's phase span and message counters.
 func (p *Placed) RunNativeObs(procs int, rec *Recorder) (*native.RunResult, error) {
-	return native.RunPooled(&p.nat, p.Result, procs, rec, false)
+	return native.RunPooled(&p.nat, p.Program(), procs, rec, false)
 }
 
 // RunNativeProfiled is RunNativeObs with the runtime profiler armed:
@@ -451,7 +461,7 @@ func (p *Placed) RunNativeObs(procs int, rec *Recorder) (*native.RunResult, erro
 // NativeProfile — per-superstep timelines, wait accounting, compute
 // skew — ready for Calibrate against a simulator attribution record.
 func (p *Placed) RunNativeProfiled(procs int, rec *Recorder) (*native.RunResult, error) {
-	return native.RunPooled(&p.nat, p.Result, procs, rec, true)
+	return native.RunPooled(&p.nat, p.Program(), procs, rec, true)
 }
 
 // VerifyNative runs the placement on both backends — the BSP simulator

@@ -169,7 +169,7 @@ func (pc *proc) barrier() error {
 		pc.evStep, pc.evSite = -1, -1
 		pc.evSend, pc.evRecv = prof.PhaseTreeWait, prof.PhaseTreeWait
 	}
-	t := pc.eng.pl.Tree
+	t := pc.eng.prog.Plan.Tree
 	for _, c := range t.Children[pc.p] {
 		if _, err := pc.recv(c); err != nil {
 			return err
@@ -196,7 +196,7 @@ func (pc *proc) barrier() error {
 // copied, never recomputed). Used for condition agreement and SUM
 // totals.
 func (pc *proc) bcastValue(v float64) (float64, error) {
-	t := pc.eng.pl.Tree
+	t := pc.eng.prog.Plan.Tree
 	if pc.p != 0 {
 		buf, err := pc.recv(t.Parent[pc.p])
 		if err != nil {
@@ -216,10 +216,10 @@ func (pc *proc) bcastValue(v float64) (float64, error) {
 	return v, nil
 }
 
-// execComm executes the communication groups placed at one position
-// (nil: none), in placement order — the exact COMM sequence the codegen
+// Comm executes the communication groups placed at one position
+// (nil: none), in placement order — the exact COMM sequence the program's
 // listing prints there.
-func (pc *proc) execComm(c *plan.Comm) error {
+func (pc *proc) Comm(c *plan.Comm) error {
 	if c == nil {
 		return nil
 	}
@@ -271,7 +271,7 @@ func (pc *proc) execComm(c *plan.Comm) error {
 
 // schedule is the geometry of one exchange on one processor: per entry
 // the runs of its own plane that the strip it sends is packed from and the
-// strip it receives is unpacked into, in wire order. ArrayMem.StripRuns —
+// strip it receives is unpacked into, in wire order. ArrayLayout.StripRuns —
 // the one definition of a strip — enumerated them when the slots the entry
 // sections read held what key records. A strip is a function of (section,
 // receiver), so a time loop replays the lists; where the slots that moved
@@ -322,35 +322,26 @@ func (pc *proc) build(sch *schedule, op *plan.CommOp, dst, src int) {
 	sch.ents, sch.send, sch.recv = sch.ents[:0], sch.send[:0], sch.recv[:0]
 	for i := range op.Entries {
 		es := &op.Entries[i]
-		at := dims[:copy(dims, pc.bounds(es))]
+		at := dims[:copy(dims, es.Bounds(pc.fr, pc.to))]
 		sec, ok := es.Concrete(pc.fr, pc.to)
 		if !ok {
 			continue
 		}
 		if dst >= 0 {
-			es.Am.StripRuns(sec, pc.p, es.ShiftDim, g.Map.Sign, g.Map.Width, pc.fr.Scratch, func(off, n int) {
+			es.Lay.StripRuns(sec, pc.p, es.ShiftDim, g.Map.Sign, g.Map.Width, pc.fr.Scratch, func(off, n int) {
 				sch.send = append(sch.send, stripRun{off, n})
 			})
 		}
 		var strip section.Section
 		if src >= 0 {
-			strip = es.Am.StripRuns(sec, src, es.ShiftDim, g.Map.Sign, g.Map.Width, pc.fr.Scratch, func(off, n int) {
+			strip = es.Lay.StripRuns(sec, src, es.ShiftDim, g.Map.Sign, g.Map.Width, pc.fr.Scratch, func(off, n int) {
 				sch.recv = append(sch.recv, stripRun{off, n})
 			})
 		}
 		ghost := dims[len(at) : len(at)+copy(dims[len(at):], strip.Dims)]
-		sch.ents = append(sch.ents, schedEntry{am: es.Am, nsend: len(sch.send), nrecv: len(sch.recv), at: at, ghost: ghost})
+		sch.ents = append(sch.ents, schedEntry{am: pc.fr.View(es.Lay), nsend: len(sch.send), nrecv: len(sch.recv), at: at, ghost: ghost})
 		dims = dims[2*len(at):]
 	}
-}
-
-// bounds evaluates the entry's section under the frame, unclipped, into pc.to.
-func (pc *proc) bounds(es *plan.EntrySec) []section.Dim {
-	to := pc.to[:len(es.Lo)]
-	for k := range to {
-		to[k] = section.Dim{Lo: es.Lo[k].Eval(pc.fr), Hi: es.Hi[k].Eval(pc.fr), Step: es.Step[k]}
-	}
-	return to
 }
 
 // translate moves the schedule to where the entry sections are now and
@@ -363,7 +354,7 @@ func (pc *proc) translate(sch *schedule, op *plan.CommOp, dst, src int) bool {
 	}
 	g := op.Group
 	for i := range sch.ents {
-		e, to := &sch.ents[i], pc.bounds(&op.Entries[i])
+		e, to := &sch.ents[i], op.Entries[i].Bounds(pc.fr, pc.to)
 		doff, ok := 0, true
 		if dst >= 0 {
 			doff, ok = e.am.StripShift(e.at, to, pc.p, op.Entries[i].ShiftDim, g.Map.Sign, g.Map.Width, pc.fr.Scratch)
@@ -395,7 +386,7 @@ func (pc *proc) translate(sch *schedule, op *plan.CommOp, dst, src int) bool {
 // strip's sender — on both processors, and so visit the same elements.
 func (pc *proc) shiftExchange(op *plan.CommOp) error {
 	g := op.Group
-	grid := pc.eng.pl.A.Unit.Grid
+	grid := pc.eng.prog.Plan.A.Unit.Grid
 	dst, src := -1, -1
 	if q, ok := grid.Neighbor(pc.p, g.Map.GridDim, -g.Map.Sign); ok {
 		dst = q
@@ -495,7 +486,7 @@ func (pc *proc) shiftExchange(op *plan.CommOp) error {
 // bound is an upper bound of a whole subtree's payload, what the up-edge
 // slot is sized to.
 func (pc *proc) gatherUp(cnt []int, bound int) ([][]float64, error) {
-	t := pc.eng.pl.Tree
+	t := pc.eng.prog.Plan.Tree
 	if pc.p != 0 {
 		out := pc.getBuf(t.Parent[pc.p], bound)
 		out = append(out, pc.minebuf...)
@@ -540,7 +531,7 @@ func (pc *proc) gatherUp(cnt []int, bound int) ([][]float64, error) {
 // receive from its parent. The root passes its own assembled slice;
 // non-roots pass nil and receive.
 func (pc *proc) bcastDown(full []float64) ([]float64, error) {
-	t := pc.eng.pl.Tree
+	t := pc.eng.prog.Plan.Tree
 	if pc.p != 0 {
 		var err error
 		if full, err = pc.recv(t.Parent[pc.p]); err != nil {
@@ -642,7 +633,8 @@ func (pc *proc) collectiveSum(sc *plan.Sum) (float64, error) {
 	if pc.fr.Err != nil {
 		return 0, pc.evalErr()
 	}
-	pc.packOwned(sc.Am, sec)
+	am := pc.fr.View(sc.Lay)
+	pc.packOwned(am, sec)
 	streams, err := pc.gatherUp(pc.cnt, sc.Bound)
 	if err != nil {
 		return 0, err
@@ -654,7 +646,7 @@ func (pc *proc) collectiveSum(sc *plan.Sum) (float64, error) {
 	pos := pc.pos
 	clear(pos)
 	total := 0.0
-	sc.Am.OwnerRuns(sec, pc.fr.Scratch, func(o, _, n int) {
+	am.OwnerRuns(sec, pc.fr.Scratch, func(o, _, n int) {
 		for _, v := range streams[o][pos[o] : pos[o]+n] {
 			total += v
 		}

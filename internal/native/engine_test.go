@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	goruntime "runtime"
+	"sync"
 	"testing"
 
 	"gcao/internal/bench"
@@ -12,6 +13,7 @@ import (
 	"gcao/internal/machine"
 	"gcao/internal/native"
 	"gcao/internal/obs"
+	"gcao/internal/plan"
 	"gcao/internal/runtime"
 	"gcao/internal/spmd"
 )
@@ -173,5 +175,79 @@ func requireReuseMatchesFresh(t *testing.T, res *core.Result, p int) {
 				t.Errorf("reused native engine against reused simulator engine: %v", err)
 			}
 		}
+	}
+}
+
+// TestSharedProgramConcurrentEngines: one lowered Program under two
+// simulator engines and two native engines at once — each goroutine with a
+// pool of its own, so each builds an engine around the program and, from
+// its second run on, resets and reuses it. Every run leaves the image a
+// run on a fresh lowering leaves, rows and validity planes bit for bit,
+// so they all agree with each other; under -race this is what holds that
+// nothing reachable from a Program is written once Lower has returned.
+func TestSharedProgramConcurrentEngines(t *testing.T) {
+	for _, tc := range []struct {
+		bench, routine string
+		n, procs       int
+	}{{"shallow", "main", 12, 4}, {"gravity", "main", 8, 4}, {"hydflo", "flux", 8, 9}} {
+		pr, err := bench.ByName(tc.bench, tc.routine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := pr.Compile(tc.n, tc.procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Place(core.Options{Version: core.VersionCombine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := spmd.Run(res, machine.SP2(), tc.procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nat, err := native.Run(res, tc.procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := native.Diff(nat, sim); err != nil {
+			t.Fatal(err)
+		}
+		prog := plan.Lower(res)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var pool sync.Pool
+				for run := 0; run < 3; run++ {
+					what := fmt.Sprintf("%s/%s engine %d run %d", tc.bench, tc.routine, w, run)
+					if w%2 == 0 {
+						out, err := spmd.RunPooled(&pool, prog, machine.SP2(), tc.procs, nil)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						requireSameImage(t, what+" (simulator)", out.Mem, sim.Mem, out.Scalars, sim.Scalars)
+						if out.Ledger.DynMessages != sim.Ledger.DynMessages || out.Ledger.BytesMoved != sim.Ledger.BytesMoved {
+							t.Errorf("%s: ledger %d messages %d bytes, fresh run %d / %d", what, out.Ledger.DynMessages, out.Ledger.BytesMoved, sim.Ledger.DynMessages, sim.Ledger.BytesMoved)
+						}
+						out.Release()
+					} else {
+						out, err := native.RunPooled(&pool, prog, tc.procs, nil, run == 1)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						requireSameImage(t, what+" (native)", out.Mem, nat.Mem, out.Scalars, nat.Scalars)
+						if out.Stats.Messages != nat.Stats.Messages {
+							t.Errorf("%s: %d messages, fresh run %d", what, out.Stats.Messages, nat.Stats.Messages)
+						}
+						out.Release()
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
 	}
 }

@@ -47,7 +47,6 @@ func placeSrc(t *testing.T, src string, params map[string]int, procs int) *core.
 type localized struct{ nests, clamped, guarded int }
 
 func lower(res *core.Result, procs int) localized {
-	mem := runtime.NewMemory(res.Analysis.Unit, procs)
 	var out localized
 	var walk func(nodes []plan.Node, inNest bool)
 	walk = func(nodes []plan.Node, inNest bool) {
@@ -71,7 +70,7 @@ func lower(res *core.Result, procs int) localized {
 			}
 		}
 	}
-	walk(plan.Lower(plan.New(res, mem)).Body, false)
+	walk(plan.Lower(res).Body, false)
 	return out
 }
 
@@ -442,7 +441,7 @@ func rowLoops(res *core.Result, procs int) (loops int) {
 			}
 		}
 	}
-	walk(plan.Lower(plan.New(res, runtime.NewMemory(res.Analysis.Unit, procs))).Body)
+	walk(plan.Lower(res).Body)
 	return loops
 }
 

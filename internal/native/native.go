@@ -17,13 +17,13 @@
 // barriers around shared rows — and the engine around it.
 //
 // The backend is built to be bit-for-bit equivalent to the simulator
-// (spmd.Run): both start from the same plan.Plan, every floating-point
+// (spmd.Run): both run the same plan.Program, every floating-point
 // operation happens in the same order on the same values, and the
 // VerifyAgainstSimulator harness enforces the equivalence — values and
 // validity planes — for every paper benchmark × compiler version ×
-// processor count. The codegen listing is the contract between the
+// processor count. The program's Listing is the contract between the
 // two: the operations a native run performs are exactly the COMM
-// pseudo-calls the listing prints, and Stats.Ops counts them under the
+// pseudo-calls it prints, and Stats.Ops counts them under the
 // listing's vocabulary (exchange, broadcast, gather, global-sum).
 //
 // Determinism argument (see DESIGN.md §13): each processor's state —
@@ -114,30 +114,31 @@ func Run(res *core.Result, procs int) (*RunResult, error) {
 // "native:<version>" phase span and its message/byte/collective
 // counters are added under the native.<version>. prefix.
 func RunObs(res *core.Result, procs int, rec *obs.Recorder) (*RunResult, error) {
-	return RunPooled(nil, res, procs, rec, false)
+	return RunPooled(nil, plan.Lower(res), procs, rec, false)
 }
 
 // RunProfiled executes the placement natively with the runtime
 // profiler enabled, installs the folded profile on the recorder (when
 // one is given) and returns the result with RunResult.Profile set.
 func RunProfiled(res *core.Result, procs int, rec *obs.Recorder) (*RunResult, error) {
-	return RunPooled(nil, res, procs, rec, true)
+	return RunPooled(nil, plan.Lower(res), procs, rec, true)
 }
 
-// RunPooled is RunObs or, profiled, RunProfiled on an idle engine from
-// pool — which holds the engines of this placement on this processor
-// count and nothing else — or, when there is none (or no pool), on a new
+// RunPooled is RunObs or, profiled, RunProfiled of a placement's lowered
+// program on an idle engine from pool — which holds engines of this
+// program and nothing else — or, when there is none (or no pool), on a new
 // one whose home the pool becomes: the result's Release, or the failure
 // of a run, puts the engine there.
-func RunPooled(pool *sync.Pool, res *core.Result, procs int, rec *obs.Recorder, profiled bool) (*RunResult, error) {
+func RunPooled(pool *sync.Pool, prog *plan.Program, procs int, rec *obs.Recorder, profiled bool) (*RunResult, error) {
+	res := prog.Plan.Res
 	defer rec.Start("native:" + res.Version.String())()
 	var eng *Engine
 	if pool != nil {
 		eng, _ = pool.Get().(*Engine)
 	}
-	if eng == nil || eng.eng.procs != procs {
+	if eng == nil || eng.procs != procs {
 		var err error
-		if eng, err = NewEngine(res, procs); err != nil {
+		if eng, err = newEngine(prog, procs); err != nil {
 			return nil, err
 		}
 		eng.home = pool
@@ -178,44 +179,72 @@ func RunPooled(pool *sync.Pool, res *core.Result, procs int, rec *obs.Recorder, 
 	return out, nil
 }
 
-// ---------------------------------------------------------------------
-// Engine: a prepared native execution, reusable across runs
-
-// Engine is a prepared native execution: the lowered program, the
-// memory image, the channel fabric and every per-processor scratch,
-// built once. Run resets the memory image and replays the program, so
-// repeated runs measure steady-state execution — the pairs' message
-// buffers and the scratches survive between runs and the fabric allocates
-// nothing after the first. An Engine is not safe for concurrent Runs,
-// and what a Run returns of it — memory image, scalars, operation counts —
-// is overwritten by the next. A failed run leaves the engine usable: it
-// ends with every goroutine gone and the channels drained, and the next
-// Run clears the error.
+// Engine is a prepared native execution: the memory image, the channel
+// fabric and every per-processor scratch, built once around a lowered
+// program that may be shared with other engines. Run resets the memory
+// image and replays the program, so repeated runs measure steady-state
+// execution — the pairs' message buffers and the scratches survive
+// between runs and the fabric allocates nothing after the first. An
+// Engine is not safe for concurrent Runs, and what a Run returns of it —
+// memory image, scalars, operation counts — is overwritten by the next. A
+// failed run leaves the engine usable: it ends with every goroutine gone
+// and the channels drained, and the next Run clears the error.
 type Engine struct {
-	eng  *engine
-	res  *core.Result
-	home *sync.Pool // where Release puts the engine; nil: nowhere
+	prog  *plan.Program
+	mem   *runtime.Memory
+	procs int
+	ps    []*proc
+	ran   bool
+	home  *sync.Pool // where Release puts the engine; nil: nowhere
+	// scalars is the replicated scalar state of the last run, ops its
+	// operation counts by name: refilled from processor 0's.
+	scalars map[string]float64
+	ops     map[string]int64
+
+	// profStart anchors profiler timestamps (set per Run); sites is
+	// the placement-site table indexed by group ID, built when
+	// profiling is first enabled, ringSize what the kept rings were
+	// asked to hold.
+	profStart time.Time
+	sites     []string
+	ringSize  int
+
+	// link[dst][src] is the directed pair src→dst, allocated only for
+	// pairs the protocol uses (binomial-tree edges and grid neighbours),
+	// so the fabric stays O(P·rank) instead of O(P²); links lists them.
+	link  [][]*link
+	links []*link
+
+	// The failure protocol (see fail): the first error, the flag every
+	// channel operation is followed by a load of, the count of processors
+	// that have not left the run, and what Run waits for.
+	errMu   sync.Mutex
+	errVal  error
+	failed  atomic.Bool
+	running atomic.Int32
+	wg      sync.WaitGroup
 }
 
 // NewEngine prepares a native execution of the placement on procs
-// goroutines: builds the memory image, the shared plan and its lowered
-// program, connects the channel fabric (tree and grid-neighbour pairs),
-// and sizes every per-processor scratch so the hot paths allocate
-// nothing.
+// goroutines, on a lowering of its own.
 func NewEngine(res *core.Result, procs int) (*Engine, error) {
-	a := res.Analysis
-	if got := a.Unit.Grid.NumProcs(); got != procs {
+	return newEngine(plan.Lower(res), procs)
+}
+
+// newEngine builds what an engine owns around a program it shares with
+// every other engine of the placement: a memory image under its layout,
+// the channel fabric (tree and grid-neighbour pairs), and every processor's
+// frame and scratch, sized so the hot paths allocate nothing.
+func newEngine(prog *plan.Program, procs int) (*Engine, error) {
+	if got := prog.Plan.Layout.P; got != procs {
 		return nil, fmt.Errorf("native: unit compiled for %d processors, run requested %d", got, procs)
 	}
 	if max := MaxProcs(); procs > max {
 		return nil, fmt.Errorf("native: %d processors exceeds the oversubscription clamp of %d (256×GOMAXPROCS, min 1024)", procs, max)
 	}
-	mem := runtime.NewMemory(a.Unit, procs)
-	pl := plan.New(res, mem)
-	eng := &engine{
-		pl:      pl,
-		prog:    plan.Lower(pl),
-		mem:     mem,
+	eng := &Engine{
+		prog:    prog,
+		mem:     prog.Plan.Layout.NewMemory(),
 		procs:   procs,
 		scalars: map[string]float64{},
 		ops:     map[string]int64{},
@@ -224,12 +253,16 @@ func NewEngine(res *core.Result, procs int) (*Engine, error) {
 
 	eng.ps = make([]*proc, procs)
 	for p := 0; p < procs; p++ {
+		fr, err := prog.NewFrame(p, eng.mem)
+		if err != nil {
+			return nil, err
+		}
 		pc := &proc{
 			eng:   eng,
 			p:     p,
-			fr:    eng.prog.NewFrame(p),
-			sched: make([]schedule, len(res.Groups)),
-			to:    make([]section.Dim, eng.prog.MaxRank),
+			fr:    fr,
+			sched: make([]schedule, len(prog.Plan.Res.Groups)),
+			to:    make([]section.Dim, prog.Plan.Layout.MaxRank),
 		}
 		if p == 0 {
 			// Gather-assembly scratch: only the tree root carves
@@ -240,7 +273,7 @@ func NewEngine(res *core.Result, procs int) (*Engine, error) {
 		}
 		eng.ps[p] = pc
 	}
-	return &Engine{eng: eng, res: res}, nil
+	return eng, nil
 }
 
 // EnableProfiling arms the runtime profiler: every processor records
@@ -252,11 +285,11 @@ func NewEngine(res *core.Result, procs int) (*Engine, error) {
 // indices in the profile follow group execution order, matching the
 // simulator's attr.Step indices; the site table is the placement's
 // stable SiteIDs.
-func (e *Engine) EnableProfiling(eventsPerProc int) {
-	eng := e.eng
+func (eng *Engine) EnableProfiling(eventsPerProc int) {
 	if eng.sites == nil {
-		eng.sites = make([]string, len(e.res.Groups))
-		for _, g := range e.res.Groups {
+		groups := eng.prog.Plan.Res.Groups
+		eng.sites = make([]string, len(groups))
+		for _, g := range groups {
 			eng.sites[g.ID] = g.SiteID
 		}
 	}
@@ -271,8 +304,8 @@ func (e *Engine) EnableProfiling(eventsPerProc int) {
 
 // DisableProfiling disarms the profiler; later Runs record nothing and
 // pay nothing (the nil-ring check is the only residue on hot paths).
-func (e *Engine) DisableProfiling() {
-	for _, pc := range e.eng.ps {
+func (eng *Engine) DisableProfiling() {
+	for _, pc := range eng.ps {
 		pc.ring = nil
 	}
 }
@@ -282,8 +315,7 @@ func (e *Engine) DisableProfiling() {
 // message buffers and scratches are reused, so steady-state runs do
 // not allocate. The returned RunResult shares the engine's memory
 // image, scalar map and operation counts; it is valid until the next Run.
-func (e *Engine) Run() (*RunResult, error) {
-	eng := e.eng
+func (eng *Engine) Run() (*RunResult, error) {
 	eng.errVal = nil
 	eng.failed.Store(false)
 	if eng.ran {
@@ -294,7 +326,9 @@ func (e *Engine) Run() (*RunResult, error) {
 		l.next = 0
 	}
 	for _, pc := range eng.ps {
-		pc.fr.Reset()
+		if err := pc.fr.Reset(eng.mem); err != nil {
+			return nil, err
+		}
 		pc.ops = [len(pc.ops)]int64{}
 		pc.msgs, pc.bytes, pc.wire, pc.hops, pc.allocBytes = 0, 0, 0, 0, 0
 		pc.colls, pc.barriers = 0, 0
@@ -333,7 +367,7 @@ func (e *Engine) Run() (*RunResult, error) {
 	clear(eng.ops)
 	for k, n := range eng.ps[0].ops {
 		if n > 0 {
-			eng.ops[eng.prog.OpNames[k]] += n
+			eng.ops[plan.OpName(core.CommKind(k))] += n
 		}
 	}
 	for _, pc := range eng.ps {
@@ -344,7 +378,7 @@ func (e *Engine) Run() (*RunResult, error) {
 		st.AllocBytes += pc.allocBytes
 	}
 	eng.prog.Scalars(eng.ps[0].fr, eng.scalars)
-	out := &RunResult{Mem: eng.mem, Scalars: eng.scalars, Stats: st, eng: e}
+	out := &RunResult{Mem: eng.mem, Scalars: eng.scalars, Stats: st, eng: eng}
 	if eng.ps[0].ring != nil {
 		out.Profile = eng.fold(int64(st.ElapsedSeconds * 1e9))
 	}
@@ -355,17 +389,17 @@ func (e *Engine) Run() (*RunResult, error) {
 // disabled or no profiled Run completed), folded again on demand — with
 // the last processor's finish mark for wall time — so callers holding
 // only the engine can read it. A retained pointer stays valid but stale.
-func (e *Engine) Profile() *prof.NativeProfile {
-	if e.eng.ps[0].ring == nil || !e.eng.ran {
+func (eng *Engine) Profile() *prof.NativeProfile {
+	if eng.ps[0].ring == nil || !eng.ran {
 		return nil
 	}
-	return e.eng.fold(0)
+	return eng.fold(0)
 }
 
 // fold folds the processors' event rings and finish marks into a
 // profile over wallNS nanoseconds, or up to the last finish mark if that
 // is later.
-func (eng *engine) fold(wallNS int64) *prof.NativeProfile {
+func (eng *Engine) fold(wallNS int64) *prof.NativeProfile {
 	rings := make([]*prof.Ring, eng.procs)
 	ends := make([]int64, eng.procs)
 	for p, pc := range eng.ps {
@@ -373,45 +407,6 @@ func (eng *engine) fold(wallNS int64) *prof.NativeProfile {
 		wallNS = max(wallNS, pc.endNS)
 	}
 	return prof.Fold(eng.sites, rings, ends, wallNS)
-}
-
-// ---------------------------------------------------------------------
-// engine: shared immutable state plus the error latch
-
-type engine struct {
-	pl    *plan.Plan
-	prog  *plan.Program
-	mem   *runtime.Memory
-	procs int
-	ps    []*proc
-	ran   bool
-	// scalars is the replicated scalar state of the last run, ops its
-	// operation counts by name: refilled from processor 0's.
-	scalars map[string]float64
-	ops     map[string]int64
-
-	// profStart anchors profiler timestamps (set per Run); sites is
-	// the placement-site table indexed by group ID, built when
-	// profiling is first enabled, ringSize what the kept rings were
-	// asked to hold.
-	profStart time.Time
-	sites     []string
-	ringSize  int
-
-	// link[dst][src] is the directed pair src→dst, allocated only for
-	// pairs the protocol uses (binomial-tree edges and grid neighbours),
-	// so the fabric stays O(P·rank) instead of O(P²); links lists them.
-	link  [][]*link
-	links []*link
-
-	// The failure protocol (see fail): the first error, the flag every
-	// channel operation is followed by a load of, the count of processors
-	// that have not left the run, and what Run waits for.
-	errMu   sync.Mutex
-	errVal  error
-	failed  atomic.Bool
-	running atomic.Int32
-	wg      sync.WaitGroup
 }
 
 // link is one directed pair: the channel that carries its messages and
@@ -431,7 +426,7 @@ type link struct {
 // connectFabric allocates the pairs the protocol can use: the
 // binomial-tree edges (collectives, barriers, condition broadcasts)
 // and both directions between grid neighbours (shift exchanges).
-func (eng *engine) connectFabric() {
+func (eng *Engine) connectFabric() {
 	eng.link = make([][]*link, eng.procs)
 	for d := range eng.link {
 		eng.link[d] = make([]*link, eng.procs)
@@ -443,13 +438,13 @@ func (eng *engine) connectFabric() {
 		}
 	}
 	for p := 1; p < eng.procs; p++ {
-		parent := eng.pl.Tree.Parent[p]
+		parent := eng.prog.Plan.Tree.Parent[p]
 		connect(p, parent)
 		connect(parent, p)
 	}
-	shape := eng.pl.A.Unit.Grid.Shape
+	shape := eng.prog.Plan.A.Unit.Grid.Shape
 	for p := 0; p < eng.procs; p++ {
-		coords := eng.pl.A.Unit.Grid.Coords(p)
+		coords := eng.prog.Plan.A.Unit.Grid.Coords(p)
 		stride := 1
 		for d := len(shape) - 1; d >= 0; d-- {
 			if coords[d]+1 < shape[d] {
@@ -466,7 +461,7 @@ func (eng *engine) connectFabric() {
 // channel operation followed by a load of the flag, so a processor
 // that is running finds out at its next one; the reaper is for those that
 // are parked.
-func (eng *engine) fail(err error) {
+func (eng *Engine) fail(err error) {
 	eng.errMu.Lock()
 	first := eng.errVal == nil
 	if first {
@@ -480,7 +475,7 @@ func (eng *engine) fail(err error) {
 	}
 }
 
-func (eng *engine) err() error {
+func (eng *Engine) err() error {
 	eng.errMu.Lock()
 	defer eng.errMu.Unlock()
 	return eng.errVal
@@ -493,7 +488,7 @@ func (eng *engine) err() error {
 // (comm.go gives the termination argument). The last sweep, with nobody
 // left to send, only receives, and leaves the channels drained for the
 // next Run.
-func (eng *engine) reap() {
+func (eng *Engine) reap() {
 	defer eng.wg.Done()
 	for {
 		left := eng.running.Load() == 0
@@ -520,7 +515,7 @@ func (eng *engine) reap() {
 // proc: one logical processor's goroutine state
 
 type proc struct {
-	eng *engine
+	eng *Engine
 	p   int
 	// fr holds the processor's replicated program state: loop
 	// variables, scalars, SUM totals and the first evaluation error.
@@ -589,7 +584,7 @@ func (pc *proc) main() {
 		}
 		pc.eng.running.Add(-1)
 	}()
-	if err := pc.exec(pc.eng.prog.Body); err != nil {
+	if err := plan.Exec(pc.eng.prog.Body, pc); err != nil {
 		pc.eng.fail(err)
 	}
 }
@@ -605,90 +600,32 @@ func (pc *proc) evalErr() error {
 	return pc.errorAt(pc.fr.Err)
 }
 
-// exec drives the lowered program: the tree walk is identical on every
-// processor (control state is replicated), so all processors reach the
-// same communication operations in the same order.
-func (pc *proc) exec(nodes []plan.Node) error {
-	for _, n := range nodes {
-		var err error
-		switch n := n.(type) {
-		case *plan.Stmt:
-			err = pc.execStmt(n)
-		case *plan.Loop:
-			err = pc.execLoop(n)
-		case *plan.Comm:
-			err = pc.execComm(n)
-		case *plan.If:
-			err = pc.execIf(n)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// execLoop runs this processor's iterations of a loop. On the root of
-// a pure owner-computes nest the subscript ranges are verified once on
-// entry and the validity planes are settled once on exit, in place of
-// the per-element tests and per-element clearing of a guarded walk. A
-// loop that heads a box runs it whole, a batch of rows at a time; a row
-// that cannot (a stale element, a failing operand) is walked, and
-// reported, on the tree.
-func (pc *proc) execLoop(lp *plan.Loop) error {
-	if err := pc.execComm(lp.Pre); err != nil {
+// Loop runs this processor's iterations of a loop, in the order of
+// steps plan.Loop.Run fixes for both backends: on the root of a pure
+// owner-computes nest the subscript ranges are verified once on entry and
+// the validity planes settled once on exit, in place of the per-element
+// tests and per-element clearing of a guarded walk.
+func (pc *proc) Loop(lp *plan.Loop) error {
+	if err := pc.Comm(lp.Pre); err != nil {
 		return err
 	}
-	fr := pc.fr
 	pc.at = lp.Src.Do.Pos
-	first, last, step, exit, run := lp.Begin(fr)
-	if run && lp.Nest != nil {
-		lp.Nest.Enter(fr)
+	if err := lp.Run(pc.fr, pc); err != nil {
+		return err
 	}
-	if fr.Err != nil {
+	if pc.fr.Err != nil {
 		return pc.evalErr()
 	}
-	if !run {
-		return nil
-	}
-	switch out, _ := lp.RunBox(fr); out {
-	case plan.NotApplicable:
-		if err := pc.walk(lp, first, last, step); err != nil {
-			return err
-		}
-	case plan.Stuck:
-		first, last, step, _, _ = lp.Box.Begin(fr)
-		if err := pc.walk(lp.Box, first, last, step); err != nil {
-			return err
-		}
-		return pc.errorAt(plan.ErrDeclinedRowRan)
-	}
-	fr.Ints[lp.Slot] = exit
-	if lp.Nest != nil {
-		lp.Nest.Leave(fr)
-	}
 	return nil
 }
 
-// walk runs the iterations first, first+step, ... last of a loop on the
-// closure tree.
-func (pc *proc) walk(lp *plan.Loop, first, last, step int) error {
-	for v := first; (step > 0 && v <= last) || (step < 0 && v >= last); v += step {
-		pc.fr.Ints[lp.Slot] = v
-		if err := pc.execComm(lp.Head); err != nil {
-			return err
-		}
-		if err := pc.exec(lp.Body); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Charge is the simulator's: a native run pays a box in time alone.
+func (pc *proc) Charge(*plan.Loop, int) {}
 
-// execStmt executes one assignment. Distributed SUMs in the RHS are
+// Stmt executes one assignment. Distributed SUMs in the RHS are
 // statement-level collectives: every processor takes part before any
 // evaluation.
-func (pc *proc) execStmt(st *plan.Stmt) error {
+func (pc *proc) Stmt(st *plan.Stmt) error {
 	fr := pc.fr
 	pc.at = st.Src.Assign.Pos
 	if err := pc.runSums(st.Sums); err != nil {
@@ -706,7 +643,7 @@ func (pc *proc) execStmt(st *plan.Stmt) error {
 		return nil
 	}
 
-	am := st.LHS.Am
+	am := fr.View(st.LHS.Lay)
 	off := st.LHS.Offset(fr)
 	if fr.Err != nil {
 		return pc.evalErr()
@@ -747,12 +684,12 @@ func (pc *proc) execStmt(st *plan.Stmt) error {
 	return nil
 }
 
-// execIf takes a branch. Conditions over scalar or replicated data are
+// If takes a branch. Conditions over scalar or replicated data are
 // evaluated locally (identical on every processor); conditions reading
 // distributed data run their SUM collectives, then processor 0
 // evaluates its own view and the taken edge descends the broadcast
 // tree so control flow cannot diverge.
-func (pc *proc) execIf(n *plan.If) error {
+func (pc *proc) If(n *plan.If) error {
 	fr := pc.fr
 	pc.at = n.Src.Branch.Pos
 	var v float64
@@ -781,9 +718,9 @@ func (pc *proc) execIf(n *plan.If) error {
 		}
 	}
 	if v != 0 {
-		return pc.exec(n.Then)
+		return plan.Exec(n.Then, pc)
 	}
-	return pc.exec(n.Else)
+	return plan.Exec(n.Else, pc)
 }
 
 // runSums runs the collective combine of every distributed SUM of a

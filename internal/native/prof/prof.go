@@ -263,7 +263,7 @@ type RunStats struct {
 	Collectives int64 `json:"collectives"`
 	Barriers    int64 `json:"barriers"`
 	// Ops counts the executed communication operations under the
-	// codegen listing's vocabulary (exchange, broadcast, gather,
+	// program listing's vocabulary (exchange, broadcast, gather,
 	// global-sum).
 	Ops map[string]int64 `json:"ops,omitempty"`
 	// ElapsedSeconds is the wall clock of the run proper (first

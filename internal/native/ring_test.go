@@ -16,7 +16,7 @@ import (
 // pairEngine wires a minimal two-processor fabric by hand — just the
 // 0↔1 pair — so the rings can be driven without a program.
 func pairEngine() (*proc, *proc) {
-	eng := &engine{procs: 2, link: [][]*link{{nil, nil}, {nil, nil}}}
+	eng := &Engine{procs: 2, link: [][]*link{{nil, nil}, {nil, nil}}}
 	for _, pair := range [][2]int{{1, 0}, {0, 1}} {
 		eng.link[pair[0]][pair[1]] = &link{ch: make(chan []float64, 1)}
 	}

@@ -72,7 +72,7 @@ func combEngine(t *testing.T, src string, params map[string]int, procs int) *Eng
 func TestScheduleKeyHoldsBoundBits(t *testing.T) {
 	e := combEngine(t, afterLoopSection, map[string]int{"n": 12}, 4)
 	var op *plan.CommOp
-	for _, n := range e.eng.prog.Body {
+	for _, n := range e.prog.Body {
 		if lp, ok := n.(*plan.Loop); ok && lp.Pre != nil && len(lp.Pre.Ops[0].Slots) == 1 {
 			op = &lp.Pre.Ops[0]
 		}
@@ -82,7 +82,7 @@ func TestScheduleKeyHoldsBoundBits(t *testing.T) {
 	}
 	k := op.Slots[0]
 	// Processor 0 of the 2 × 2 grid sends its last column to processor 1.
-	pc := e.eng.ps[0]
+	pc := e.ps[0]
 	runs := func() int { return len(pc.schedule(op, 1, -1).send) }
 
 	if n := runs(); n != 0 {
@@ -176,7 +176,7 @@ func (w *walker) comm(cm *plan.Comm) {
 	if cm == nil {
 		return
 	}
-	pc, grid := w.pc, w.pc.eng.pl.A.Unit.Grid
+	pc, grid := w.pc, w.pc.eng.prog.Plan.A.Unit.Grid
 	for i := range cm.Ops {
 		op := &cm.Ops[i]
 		g := op.Group
@@ -293,9 +293,9 @@ func TestTranslatedScheduleMatchesRebuilt(t *testing.T) {
 		}
 		e := combEngine(t, src, tc.params, tc.procs)
 		var sum walker
-		for _, pc := range e.eng.ps {
+		for _, pc := range e.ps {
 			w := walker{t: t, pc: pc}
-			w.exec(e.eng.prog.Body)
+			w.exec(e.prog.Body)
 			sum.replayed, sum.translated, sum.built = sum.replayed+w.replayed, sum.translated+w.translated, sum.built+w.built
 		}
 		t.Logf("%s/%s %v P=%d: exchanges %d replayed / %d translated / %d built", tc.bench, tc.routine, tc.params, tc.procs, sum.replayed, sum.translated, sum.built)
@@ -307,11 +307,11 @@ func TestTranslatedScheduleMatchesRebuilt(t *testing.T) {
 		}
 		// The engine runs from the schedules the walk left, then from the
 		// ones its own run left, to the simulator's image both times.
-		sim, err := spmd.Run(e.res, machine.SP2(), tc.procs)
+		sim, err := spmd.Run(e.prog.Plan.Res, machine.SP2(), tc.procs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.eng.mem.Reset() // the walk's nest exits cleared copies of a memory no run has reset yet
+		e.mem.Reset() // the walk's nest exits cleared copies of a memory no run has reset yet
 		for run := 0; run < 2; run++ {
 			nat, err := e.Run()
 			if err != nil {

@@ -80,7 +80,7 @@ func (lw *lowerer) localize(nodes []Node) {
 		case *Loop:
 			if nest := lw.pureNest(n); nest != nil {
 				n.Nest = nest
-				nest.clamp(lw.pl.mem.P)
+				nest.clamp(lw.pl.Layout.P)
 				nest.entryKey(lw.pr)
 				for l, lp := range nest.loops {
 					if lp.Row = lw.rowBody(lp); lp.Row != nil {
@@ -139,14 +139,14 @@ func (lw *lowerer) pureNest(root *Loop) *Nest {
 	}
 	written := map[string]bool{}
 	for _, st := range nest.stmts {
-		if st.LHS == nil || st.LHS.Am.Dist == nil || len(st.Sums) > 0 || !nest.boxed(st.LHS) {
+		if st.LHS == nil || st.LHS.Lay.Dist == nil || len(st.Sums) > 0 || !nest.boxed(st.LHS) {
 			return nil
 		}
-		written[st.LHS.Am.Name] = true
+		written[st.LHS.Lay.Name] = true
 	}
 	for _, st := range nest.stmts {
 		for _, r := range st.reads {
-			if written[r.Am.Name] && !ownerAligned(r, st.LHS) {
+			if written[r.Lay.Name] && !ownerAligned(r, st.LHS) {
 				return nil
 			}
 		}
@@ -206,7 +206,7 @@ func (n *Nest) varies(e *IntExpr) bool {
 // each subscript is v+c for a nest variable v no other subscript uses,
 // or does not vary in the nest.
 func (n *Nest) boxed(lhs *ArrayRef) bool {
-	if len(lhs.Subs) != lhs.Am.Arr.Rank() {
+	if len(lhs.Subs) != lhs.Lay.Arr.Rank() {
 		return false
 	}
 	used := map[int]bool{}
@@ -226,10 +226,10 @@ func (n *Nest) boxed(lhs *ArrayRef) bool {
 // ownerAligned reports whether a read lands, in every iteration, on
 // the processor that owns the statement's left-hand element.
 func ownerAligned(r, lhs *ArrayRef) bool {
-	if !r.Am.Dist.SameLayout(*lhs.Am.Dist) || !r.affine() || len(r.Subs) != r.Am.Arr.Rank() {
+	if !r.Lay.Dist.SameLayout(*lhs.Lay.Dist) || !r.affine() || len(r.Subs) != r.Lay.Arr.Rank() {
 		return false
 	}
-	for i, dd := range r.Am.Dist.Dims {
+	for i, dd := range r.Lay.Dist.Dims {
 		if dd.Kind != dist.Star && !r.Subs[i].equal(&lhs.Subs[i].Affine) {
 			return false
 		}
@@ -251,7 +251,7 @@ func (n *Nest) clamp(procs int) {
 	}
 	cons := make([][]constraint, len(n.stmts))
 	for si, st := range n.stmts {
-		d := st.LHS.Am.Dist
+		d := st.LHS.Lay.Dist
 		for i, dd := range d.Dims {
 			sub := &st.LHS.Subs[i]
 			if dd.Kind != dist.Block || !n.varies(sub) {
@@ -259,7 +259,7 @@ func (n *Nest) clamp(procs int) {
 			}
 			c := constraint{loop: n.loops[n.loopOf[sub.Terms[0].Slot]], owned: make([]Range, procs)}
 			for p := range c.owned {
-				lo, hi := st.LHS.Am.OwnedBox(p, i)
+				lo, hi := st.LHS.Lay.OwnedBox(p, i)
 				c.owned[p] = Range{Lo: lo - sub.Const, Hi: hi - sub.Const}
 			}
 			cons[si] = append(cons[si], c)
@@ -307,7 +307,7 @@ func (n *Nest) clamp(procs int) {
 				covered++
 			}
 		}
-		st.Guard = covered != len(st.LHS.Am.Dist.DistributedDims())
+		st.Guard = covered != len(st.LHS.Lay.Dist.DistributedDims())
 		// Every processor walks a left-hand side over the whole box
 		// (guarded or not), and an unguarded statement reads exactly
 		// over the processor's own box: both are verified on entry.
@@ -423,10 +423,10 @@ func (n *Nest) Enter(fr *Frame) {
 }
 
 func (n *Nest) verify(r *ArrayRef, fr *Frame, mine bool) {
-	arr := r.Am.Arr
+	arr := r.Lay.Arr
 	for i := range r.Subs {
 		if s := n.span(&r.Subs[i].Affine, fr, mine); s.Lo < arr.Lo[i] || s.Hi > arr.Hi[i] {
-			fr.fail(rangeError(r.Pos, r.Am, i, s.Lo, s.Hi))
+			fr.fail(rangeError(r.Pos, r.Lay, i, s.Lo, s.Hi))
 			return
 		}
 	}
@@ -461,6 +461,6 @@ func (n *Nest) Leave(fr *Frame) {
 			s := n.span(&st.LHS.Subs[i].Affine, fr, false)
 			lo[i], hi[i] = s.Lo, s.Hi
 		}
-		st.LHS.Am.InvalidateBox(fr.P, lo, hi, fr.Scratch)
+		fr.View(st.LHS.Lay).InvalidateBox(fr.P, lo, hi, fr.Scratch)
 	}
 }

@@ -7,22 +7,23 @@ import (
 
 	"gcao/internal/ast"
 	"gcao/internal/cfg"
-	"gcao/internal/codegen"
 	"gcao/internal/core"
 	"gcao/internal/runtime"
 	"gcao/internal/source"
 )
 
-// Lower turns the plan's placed program into its slot-resolved form.
-// Lowering never rejects a program: what is wrong with an expression
-// (an unbound name, a section where an element is needed, a malformed
-// SUM) the lowered expression reports when, and only if, it is
+// Lower turns a placement into its slot-resolved form for the processor
+// count its unit was compiled for, building the array layout and no
+// memory image. Lowering never rejects a program: what is wrong with an
+// expression (an unbound name, a section where an element is needed, a
+// malformed SUM) the lowered expression reports when, and only if, it is
 // evaluated.
-func Lower(pl *Plan) *Program {
-	u := pl.A.Unit
+func Lower(res *core.Result) *Program {
+	u := res.Analysis.Unit
+	pl := newPlan(res, runtime.NewLayout(u, u.Grid.NumProcs()))
 	lw := &lowerer{
 		pl:       pl,
-		pr:       &Program{Plan: pl, MaxRank: 1},
+		pr:       &Program{Plan: pl},
 		intSlot:  map[string]int{},
 		realSlot: map[string]int{},
 	}
@@ -40,9 +41,6 @@ func Lower(pl *Plan) *Program {
 	sort.Strings(lw.pr.Reals)
 	for s, name := range lw.pr.Reals {
 		lw.realSlot[name] = s
-	}
-	for _, arr := range u.Arrays {
-		lw.pr.MaxRank = max(lw.pr.MaxRank, arr.Rank())
 	}
 	lw.pr.Body, _ = lw.seq(pl.A.G.EntryBlock)
 	lw.localize(lw.pr.Body)
@@ -109,7 +107,7 @@ func (lw *lowerer) seq(b *cfg.Block) ([]Node, *cfg.Block) {
 			n.Cond = lw.real(b.Branch.Cond)
 			n.Sums, n.Sync = lw.sums, len(lw.sums) > 0
 			for _, r := range lw.reads {
-				n.Sync = n.Sync || r.Am.Dist != nil
+				n.Sync = n.Sync || r.Lay.Dist != nil
 			}
 			var join *cfg.Block
 			n.Then, join = lw.seq(b.Succs[0])
@@ -171,21 +169,12 @@ func (lw *lowerer) stmt(st *cfg.Stmt) *Stmt {
 	if lw.rowOK {
 		out.row, lw.rowOK = lw.row, false
 	}
-	if am := lw.array(as.LHS.Name); am != nil {
+	if am := lw.pl.Layout.Array(as.LHS.Name); am != nil {
 		out.LHS = lw.arrayRef(as.LHS, am)
 	} else {
 		out.Scalar = lw.realSlot[as.LHS.Name]
 	}
 	return out
-}
-
-// array returns the memory view of a declared array, nil for any other
-// name.
-func (lw *lowerer) array(name string) *runtime.ArrayMem {
-	if lw.pl.A.Unit.Arrays[name] == nil {
-		return nil
-	}
-	return lw.pl.mem.View(name)
 }
 
 func (lw *lowerer) beginExpr() {
@@ -201,8 +190,7 @@ func (lw *lowerer) comm(groups []*core.Group) *Comm {
 	}
 	c := &Comm{Ops: make([]CommOp, len(groups))}
 	for i, g := range groups {
-		op := CommOp{Group: g, Name: codegen.OpName(g), Bound: lw.pl.Bound[g]}
-		lw.pr.OpNames[g.Kind] = op.Name
+		op := CommOp{Group: g, Bound: lw.pl.Bound[g]}
 		if g.Kind != core.KindReduce {
 			for _, e := range g.Entries {
 				if es, ok := lw.entry(g, e); ok {
@@ -222,11 +210,11 @@ func (lw *lowerer) comm(groups []*core.Group) *Comm {
 // never move data are dropped: replicated arrays, arrays a shift's grid
 // dimension does not partition, and sections over a name no loop binds.
 func (lw *lowerer) entry(g *core.Group, e *core.Entry) (EntrySec, bool) {
-	am := lw.pl.mem.View(e.Array)
+	am := lw.pl.Layout.Array(e.Array)
 	if am.Dist == nil {
 		return EntrySec{}, false
 	}
-	es := EntrySec{Am: am, ShiftDim: -1}
+	es := EntrySec{Lay: am, ShiftDim: -1}
 	if g.Kind == core.KindShift {
 		if es.ShiftDim = am.ShiftArrayDim(g.Map.GridDim); es.ShiftDim < 0 {
 			return EntrySec{}, false
@@ -404,10 +392,10 @@ func intAdd(x, y IntExpr, sign int) IntExpr {
 // ---------------------------------------------------------------------
 // Array references
 
-// arrayRef binds an element reference to its view and folds the flat
-// offset where every subscript is affine.
-func (lw *lowerer) arrayRef(ref *ast.Ref, am *runtime.ArrayMem) *ArrayRef {
-	r := &ArrayRef{Am: am, Pos: ref.Pos, Subs: make([]IntExpr, len(ref.Subs))}
+// arrayRef lowers an element reference under its array's layout and folds
+// the flat offset where every subscript is affine.
+func (lw *lowerer) arrayRef(ref *ast.Ref, am *runtime.ArrayLayout) *ArrayRef {
+	r := &ArrayRef{Lay: am, Pos: ref.Pos, Subs: make([]IntExpr, len(ref.Subs))}
 	for i, sub := range ref.Subs {
 		if sub.Kind != ast.SubExpr {
 			r.Subs[i] = failInt(source.Errorf(ref.Pos, "section of %s where an element is needed", ref.Name))
@@ -441,7 +429,7 @@ func (r *ArrayRef) affine() bool {
 // secExpr lowers the section of a SUM argument: element subscripts are
 // points, absent triplet parts the declared bounds and stride 1, no
 // subscripts the whole array.
-func (lw *lowerer) secExpr(ref *ast.Ref, am *runtime.ArrayMem) SecExpr {
+func (lw *lowerer) secExpr(ref *ast.Ref, am *runtime.ArrayLayout) SecExpr {
 	konst := func(c int) IntExpr { return IntExpr{Affine: Affine{Const: c}} }
 	part := func(e ast.Expr, dflt int) IntExpr {
 		if e == nil {
@@ -497,7 +485,7 @@ func (lw *lowerer) real(e ast.Expr) RealFn {
 		lw.emit(op, 2, fn)
 		return fn
 	case *ast.Ref:
-		if am := lw.array(e.Name); am != nil {
+		if am := lw.pl.Layout.Array(e.Name); am != nil {
 			return lw.read(e, am)
 		}
 		return lw.scalar(e.Name, e.Pos, false)
@@ -596,22 +584,22 @@ func (lw *lowerer) scalar(name string, pos source.Pos, strict bool) RealFn {
 	return fn
 }
 
-// read lowers an array element read from the frame's processor's view:
-// a stale copy is an error, which is how a run proves its communication
-// placement sufficient.
-func (lw *lowerer) read(ref *ast.Ref, am *runtime.ArrayMem) RealFn {
-	r := lw.arrayRef(ref, am)
+// read lowers an array element read from the frame's processor's view of
+// the frame's image: a stale copy is an error, which is how a run proves
+// its communication placement sufficient.
+func (lw *lowerer) read(ref *ast.Ref, lay *runtime.ArrayLayout) RealFn {
+	r, slot := lw.arrayRef(ref, lay), lay.Slot
 	lw.reads = append(lw.reads, r)
 	lw.rowOK = lw.rowOK && r.affine()
 	lw.push(rowOp{kind: opRead, ref: r})
-	if am.Dist == nil {
-		return func(fr *Frame) float64 { return am.Data[0][r.Offset(fr)] }
+	if lay.Dist == nil {
+		return func(fr *Frame) float64 { return fr.arrays[slot].Data[0][r.Offset(fr)] }
 	}
 	return func(fr *Frame) float64 {
-		off := r.Offset(fr)
+		am, off := fr.arrays[slot], r.Offset(fr)
 		if !am.Valid[fr.P][off] {
 			if fr.Err == nil {
-				fr.Err = &runtime.StaleReadError{Proc: fr.P, Array: am.Name, Index: r.Index(fr, make([]int, len(r.Subs)))}
+				fr.Err = &runtime.StaleReadError{Proc: fr.P, Array: lay.Name, Index: r.Index(fr, make([]int, len(r.Subs)))}
 			}
 			return 0
 		}
@@ -674,7 +662,7 @@ func (lw *lowerer) sum(e *ast.Call) RealFn {
 	if !ok {
 		return failReal(source.Errorf(e.Pos, "sum argument must be an array section"))
 	}
-	am := lw.array(ref.Name)
+	am := lw.pl.Layout.Array(ref.Name)
 	if am == nil {
 		return failReal(source.Errorf(e.Pos, "sum over non-array %q", ref.Name))
 	}
@@ -683,20 +671,20 @@ func (lw *lowerer) sum(e *ast.Call) RealFn {
 		if !seen {
 			slot = len(lw.sums)
 			lw.sumSlot[e] = slot
-			lw.sums = append(lw.sums, Sum{Am: am, Pos: e.Pos, Sec: lw.secExpr(ref, am), Bound: am.Arr.Size()})
+			lw.sums = append(lw.sums, Sum{Lay: am, Pos: e.Pos, Sec: lw.secExpr(ref, am), Bound: am.Arr.Size()})
 			lw.pr.maxSums = max(lw.pr.maxSums, len(lw.sums))
 		}
 		return func(fr *Frame) float64 { return fr.Sums[slot] }
 	}
-	sum := Sum{Am: am, Pos: e.Pos, Sec: lw.secExpr(ref, am)}
+	sum := Sum{Lay: am, Pos: e.Pos, Sec: lw.secExpr(ref, am)}
 	return func(fr *Frame) float64 {
 		sec := sum.Section(fr)
 		if fr.Err != nil {
 			return 0
 		}
-		total := 0.0
+		total, row := 0.0, fr.View(am).Data[0]
 		am.OwnerRuns(sec, fr.Scratch, func(_, off, n int) {
-			for _, v := range am.Data[0][off : off+n] {
+			for _, v := range row[off : off+n] {
 				total += v
 			}
 			fr.SumFlops += n

@@ -1,41 +1,45 @@
 // Package plan holds the one executable form of a placed program and
-// the only evaluator of it. New indexes a placement over a memory image
-// (communication groups by position, payload bounds, the collective
-// tree); Lower turns that Plan into a Program: the slot-resolved,
-// structured form in which every name is a frame slot, every array
-// reference is bound to its memory view, every communication position
-// and SUM collective is an explicit operation, and owner-computes nests
-// carry per-processor loop bounds (see program.go, lower.go,
-// localize.go). Under that closure tree the statements of such a nest
-// carry a second, flat form — postfix row ops — which RunBox executes
-// over the box of a perfect chain of loops, a batch of rows at a time
-// (row.go); the tree stays the semantics and the fallback.
+// the only evaluator of it. Lower turns a placement into a Program: the
+// slot-resolved, structured form in which every name is a frame slot,
+// every array reference holds its array's layout — bounds, strides,
+// ownership tables: a function of (unit, P), never a memory image —
+// every communication position and SUM collective is an explicit
+// operation, and owner-computes nests carry per-processor loop bounds
+// (see program.go, lower.go, localize.go). Storage is reached through the
+// image a Frame is bound to, so one Program serves every engine of its
+// placement, and its Listing is the Fig. 6 trace dump of the tree that
+// runs (listing.go). Under that closure tree the statements of a nest
+// carry a second, flat form — postfix row ops — which RunBox executes over
+// the box of a perfect chain of loops, a batch of rows at a time (row.go);
+// the tree stays the semantics and the fallback.
 //
 // Both backends — the BSP simulator (package spmd) and the native
 // goroutine backend (package native) — are drivers over that Program.
 // How a placed statement is evaluated (name resolution, subscript
 // folding, bounds checks, floating-point operation order, SUM call
-// sites, loop-exit values) is decided here and nowhere else; a backend
-// knows only what it adds: the simulator its rendezvous and ledger
-// charges, the native backend its message fabric.
+// sites, loop-exit values, the order of a loop's steps: Loop.Run) is
+// decided here and nowhere else; a backend knows only what it adds: the
+// simulator its rendezvous and ledger charges, the native backend its
+// message fabric.
 //
-// A Plan is immutable after New, a Program after Lower; both are safe
-// for concurrent readers.
+// A Plan and a Program are immutable once built; both are safe for
+// concurrent readers.
 package plan
 
 import (
-	"gcao/internal/asd"
 	"gcao/internal/ast"
 	"gcao/internal/core"
 	"gcao/internal/runtime"
 )
 
-// Plan is the immutable per-run index of one placement over one memory
-// image: what Lower reads and what the backends need beside the lowered
-// form.
+// Plan is the immutable index of one placement over one array layout:
+// what lowering reads and what the backends need beside the lowered form.
 type Plan struct {
 	A   *core.Analysis
 	Res *core.Result
+	// Layout is the geometry of the unit's arrays on the run's processor
+	// count: every image a frame binds was made under it, or under its equal.
+	Layout *runtime.Layout
 	// Comm[b.ID][k+1] lists the groups placed after statement k of
 	// block b (index 0 is the block-top position After=-1), in
 	// Res.Groups order.
@@ -50,13 +54,14 @@ type Plan struct {
 	// The bound uses the symbolic section's constant element count when
 	// it has one and degrades to the full declared array size otherwise.
 	Bound map[*core.Group]int
-	mem   *runtime.Memory
 }
 
-// New builds the plan for one placement over one memory image.
-func New(res *core.Result, mem *runtime.Memory) *Plan {
+// New builds the plan of a placement under the layout of a memory image.
+func New(res *core.Result, mem *runtime.Memory) *Plan { return newPlan(res, mem.Layout) }
+
+func newPlan(res *core.Result, layout *runtime.Layout) *Plan {
 	a := res.Analysis
-	pl := &Plan{A: a, Res: res, mem: mem}
+	pl := &Plan{A: a, Res: res, Layout: layout}
 	pl.Comm = make([][][]*core.Group, len(a.G.Blocks))
 	for _, b := range a.G.Blocks {
 		pl.Comm[b.ID] = make([][]*core.Group, len(b.Stmts)+1)
@@ -65,27 +70,23 @@ func New(res *core.Result, mem *runtime.Memory) *Plan {
 		b := g.Pos.Block
 		pl.Comm[b.ID][g.Pos.After+1] = append(pl.Comm[b.ID][g.Pos.After+1], g)
 	}
-	pl.Tree = BuildTree(mem.P)
+	pl.Tree = BuildTree(layout.P)
 	pl.Bound = make(map[*core.Group]int, len(res.Groups))
 	for _, g := range res.Groups {
 		total := 0
 		for _, e := range g.Entries {
-			total += pl.entryBound(res.CommSection(e, g.Pos.Level()), a.Unit.Arrays[e.Array].Size())
+			// The symbolic section's constant count when it has one (point
+			// dimensions count 1 even while symbolic), else the full declared
+			// array size: sections are clipped to the bounds, so that is sound.
+			n, ok := res.CommSection(e, g.Pos.Level()).NumElems()
+			if !ok {
+				n = a.Unit.Arrays[e.Array].Size()
+			}
+			total += n
 		}
 		pl.Bound[g] = total
 	}
 	return pl
-}
-
-// entryBound bounds one entry's concretized element count: the
-// symbolic section's constant count when it has one (point dimensions
-// count 1 even while symbolic), else the full declared array size —
-// sections are clipped to the array bounds, so the fallback is sound.
-func (pl *Plan) entryBound(sym asd.SymSection, arraySize int) int {
-	if n, ok := sym.NumElems(); ok {
-		return n
-	}
-	return arraySize
 }
 
 // Tree is a binomial collective tree over processors 0..Procs-1,

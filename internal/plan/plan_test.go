@@ -149,7 +149,7 @@ func TestLowerFig10a(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog := plan.Lower(plan.New(res, runtime.NewMemory(a.Unit, 9)))
+			prog := plan.Lower(res)
 
 			groups, nests, stmts := 0, 0, 0
 			var walk func(nodes []plan.Node, nest, clamped int)
@@ -181,7 +181,7 @@ func TestLowerFig10a(t *testing.T) {
 						}
 						walk(n.Body, in, c)
 					case *plan.Stmt:
-						if n.LHS == nil || n.LHS.Am.Dist == nil {
+						if n.LHS == nil || n.LHS.Lay.Dist == nil {
 							continue
 						}
 						stmts++
@@ -200,5 +200,54 @@ func TestLowerFig10a(t *testing.T) {
 				t.Errorf("%d nests over %d array statements", nests, stmts)
 			}
 		})
+	}
+}
+
+// TestFrameRefusesForeignImage: a Program holds layouts, never storage,
+// and a frame binds the storage when it is made or reset — an image made
+// under the program's own layout, or under its equal (the same unit on the
+// same processor count: runtime.NewMemory). An image of another unit, even
+// one compiled from the same text, is an error from both, not a misread.
+func TestFrameRefusesForeignImage(t *testing.T) {
+	pr, err := bench.ByName("shallow", "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var progs [2]*plan.Program
+	for i := range progs {
+		a, err := pr.Compile(8, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Place(core.Options{Version: core.VersionCombine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs[i] = plan.Lower(res)
+	}
+	prog, layout := progs[0], progs[0].Plan.Layout
+	shared, equal, foreign := layout.NewMemory(), runtime.NewMemory(layout.Unit, layout.P), progs[1].Plan.Layout.NewMemory()
+	if shared.Layout != layout || equal.Layout == layout {
+		t.Fatal("Layout.NewMemory does not share the layout, or runtime.NewMemory does")
+	}
+	fr, err := prog.NewFrame(0, shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := layout.Array("p")
+	if fr.View(lay) != shared.View("p") {
+		t.Error("the frame does not resolve an array to the image it was made over")
+	}
+	if err := fr.Reset(equal); err != nil || fr.View(lay) != equal.View("p") {
+		t.Errorf("Reset over an image of the same unit and processor count: error %v, bound %v", err, fr.View(lay) == equal.View("p"))
+	}
+	if err := fr.Reset(foreign); err == nil {
+		t.Error("Reset bound an image of another unit")
+	}
+	if fr.View(lay) != equal.View("p") {
+		t.Error("a refused Reset changed the binding")
+	}
+	if _, err := prog.NewFrame(0, foreign); err == nil {
+		t.Error("NewFrame bound an image of another unit")
 	}
 }

@@ -14,10 +14,11 @@ import (
 
 // Program is the lowered, slot-resolved form of a placed program: the
 // structured control flow as a tree of nodes, every name resolved to a
-// frame slot, every array reference bound to its memory view, every
+// frame slot, every array reference holding its array's layout, every
 // communication position and SUM collective an explicit operation. It
-// is immutable after Lower and shared by all executors; everything an
-// execution mutates lives in a Frame.
+// is immutable after Lower, holds no memory image or part of one, and is
+// shared by all executors of its placement; everything an execution
+// mutates lives in a Frame and in the image the frame is bound to.
 //
 // A backend is a driver over this form: it walks Body, calls the
 // evaluation methods below for integer and real expressions, and
@@ -29,15 +30,7 @@ type Program struct {
 	// Ints and Reals name the frame slots: one integer slot per loop
 	// variable name, one real slot per declared non-parameter scalar.
 	Ints, Reals []string
-	// MaxRank is the largest array rank of the unit (at least 1): the
-	// size of an index vector or section descriptor that fits any array.
-	MaxRank int
-	// OpNames[k] is CommOp.Name of the program's groups of kind k, empty
-	// when it holds none: what a backend that counts operations per kind
-	// reports them under.
-	OpNames [core.KindGeneral + 1]string
-
-	maxSums int
+	maxSums     int
 	// memoLen is the length of a frame's memo: every nest's entry key.
 	memoLen int
 	// What one frame needs to run any box: operand stack entries and
@@ -65,8 +58,6 @@ type Comm struct {
 // lowered to slot form.
 type CommOp struct {
 	Group *core.Group
-	// Name is the operation under the codegen listing's vocabulary.
-	Name string
 	// Bound is the plan's payload bound for the group (Plan.Bound).
 	Bound int
 	// Entries are the group's entries over distributed arrays (for
@@ -81,7 +72,7 @@ type CommOp struct {
 // EntrySec is one group entry's communicated section, symbolic in the
 // loop variables around the group's position.
 type EntrySec struct {
-	Am     *runtime.ArrayMem
+	Lay    *runtime.ArrayLayout
 	Lo, Hi []Affine
 	Step   []int
 	// ShiftDim is the array dimension a shift group moves this entry
@@ -101,14 +92,21 @@ func (e *EntrySec) Concrete(fr *Frame, dst []section.Dim) (sec section.Section, 
 			return section.Section{}, false
 		}
 	}
+	dst = e.Bounds(fr, dst)
+	return section.Section{Dims: dst}.ClipInto(e.Lay.Arr.Lo, e.Lay.Arr.Hi, dst), true
+}
+
+// Bounds evaluates the section under fr, unclipped, into dst (len >= rank).
+func (e *EntrySec) Bounds(fr *Frame, dst []section.Dim) []section.Dim {
 	dst = dst[:len(e.Lo)]
 	for i := range dst {
 		dst[i] = section.Dim{Lo: e.Lo[i].Eval(fr), Hi: e.Hi[i].Eval(fr), Step: e.Step[i]}
 	}
-	return section.Section{Dims: dst}.ClipInto(e.Am.Arr.Lo, e.Am.Arr.Hi, dst), true
+	return dst
 }
 
-// Entry is one group entry concretized under a frame.
+// Entry is one group entry concretized under a frame: its section and its
+// array's storage in the frame's image.
 type Entry struct {
 	Am       *runtime.ArrayMem
 	Sec      section.Section
@@ -142,7 +140,7 @@ func (op *CommOp) Concretize(fr *Frame, buf *EntryBuf) []Entry {
 			dims = dims[:len(dims)-rank]
 			continue
 		}
-		out = append(out, Entry{Am: e.Am, Sec: sec, ShiftDim: e.ShiftDim})
+		out = append(out, Entry{Am: fr.View(e.Lay), Sec: sec, ShiftDim: e.ShiftDim})
 	}
 	buf.ents, buf.dims = out, dims
 	return out
@@ -175,7 +173,7 @@ type Stmt struct {
 // Sum is one SUM call over an array section: a collective of its
 // statement or condition when the array is distributed.
 type Sum struct {
-	Am  *runtime.ArrayMem
+	Lay *runtime.ArrayLayout
 	Pos source.Pos
 	Sec SecExpr
 	// Bound is the plan's element-count bound for gather buffers.
@@ -191,11 +189,11 @@ func (s *Sum) Section(fr *Frame) section.Section {
 	if fr.Err != nil || sec.IsEmpty() {
 		return sec
 	}
-	arr := s.Am.Arr
+	arr := s.Lay.Arr
 	for i, d := range sec.Dims {
 		step := max(d.Step, 1)
 		if last := d.Lo + (d.Hi-d.Lo)/step*step; d.Lo < arr.Lo[i] || last > arr.Hi[i] {
-			fr.fail(rangeError(s.Pos, s.Am, i, d.Lo, last))
+			fr.fail(rangeError(s.Pos, s.Lay, i, d.Lo, last))
 			break
 		}
 	}
@@ -250,6 +248,8 @@ type Loop struct {
 // Range is an inclusive integer interval, empty when Lo > Hi.
 type Range struct{ Lo, Hi int }
 
+func (r Range) String() string { return fmt.Sprintf("%d:%d", r.Lo, r.Hi) }
+
 func (r Range) intersect(o Range) Range {
 	return Range{Lo: max(r.Lo, o.Lo), Hi: min(r.Hi, o.Hi)}
 }
@@ -284,14 +284,104 @@ func (lp *Loop) Begin(fr *Frame) (first, last, step, exit int, run bool) {
 	return lo, hi, step, exit, true
 }
 
+// Driver is a backend as the lowered form sees it: how it executes each
+// kind of node — a nil Comm is a position without groups, a Loop begins
+// with its preheader's — and what it charges for a box RunBox ran whole,
+// each statement of lp.Box.Row at points iteration points.
+type Driver interface {
+	Stmt(*Stmt) error
+	Loop(*Loop) error
+	Comm(*Comm) error
+	If(*If) error
+	Charge(lp *Loop, points int)
+}
+
+// Exec drives the nodes in order: control state is replicated, so every
+// executor reaches the same communication operations in the same order.
+func Exec(nodes []Node, d Driver) error {
+	for _, n := range nodes {
+		var err error
+		switch n := n.(type) {
+		case *Stmt:
+			err = d.Stmt(n)
+		case *Loop:
+			err = d.Loop(n)
+		case *Comm:
+			err = d.Comm(n)
+		case *If:
+			err = d.If(n)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// walk runs the iterations first, first+step, ... last of the loop on the
+// closure tree: the groups at its header once per iteration, before the body.
+func (lp *Loop) walk(fr *Frame, d Driver, first, last, step int) error {
+	for v := first; (step > 0 && v <= last) || (step < 0 && v >= last); v += step {
+		fr.Ints[lp.Slot] = v
+		if err := d.Comm(lp.Head); err != nil {
+			return err
+		}
+		if err := Exec(lp.Body, d); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Run is one execution of the loop under fr, the one order of its steps
+// for every backend: the bounds; on the root of a nest the entry that
+// verifies subscript ranges once; the box whole where the loop heads one,
+// else — or for the row a Stuck box could not prove — the walk, which
+// reports the stale element or failing operand; the exit value; the nest's
+// settling of the validity planes. It returns the driver's error and
+// leaves an evaluation error in fr.Err.
+func (lp *Loop) Run(fr *Frame, d Driver) error {
+	first, last, step, exit, run := lp.Begin(fr)
+	if run && lp.Nest != nil {
+		lp.Nest.Enter(fr)
+	}
+	if fr.Err != nil || !run {
+		return nil
+	}
+	switch out, points := lp.RunBox(fr); out {
+	case NotApplicable:
+		if err := lp.walk(fr, d, first, last, step); err != nil {
+			return err
+		}
+	case Done:
+		d.Charge(lp, points)
+	case Stuck:
+		first, last, step, _, _ = lp.Box.Begin(fr)
+		if err := lp.Box.walk(fr, d, first, last, step); err != nil {
+			return err
+		}
+		fr.fail(ErrDeclinedRowRan)
+		return nil
+	}
+	fr.Ints[lp.Slot] = exit
+	if lp.Nest != nil {
+		lp.Nest.Leave(fr)
+	}
+	return nil
+}
+
 // ---------------------------------------------------------------------
 // Frame: one executor's mutable state
 
 // Frame is the mutable state of one executor of a Program: the slot
-// values, the first evaluation error, and evaluation scratch. P is the
-// processor whose view array reads take and whose clamps loops use.
+// values, the first evaluation error, evaluation scratch, and the memory
+// image the program's array references resolve to. P is the processor
+// whose view array reads take and whose clamps loops use.
 type Frame struct {
 	P int
+	// arrays is the bound image's storage, by ArrayLayout.Slot.
+	arrays []*runtime.ArrayMem
+	layout *runtime.Layout
 	// Ints holds loop-variable values; Bound marks the slots a loop has
 	// set at least once (a variable keeps its exit value after its
 	// loop, and reads as unbound before).
@@ -337,22 +427,24 @@ type Frame struct {
 }
 
 // NewFrame allocates the state for one executor taking processor p's
-// view.
-func (pr *Program) NewFrame(p int) *Frame {
-	return &Frame{
+// view of mem, which must fit the program's layout (see Reset).
+func (pr *Program) NewFrame(p int, mem *runtime.Memory) (*Frame, error) {
+	rank := pr.Plan.Layout.MaxRank
+	fr := &Frame{
 		P:       p,
+		layout:  pr.Plan.Layout,
 		Ints:    make([]int, len(pr.Ints)),
 		Bound:   make([]bool, len(pr.Ints)),
 		Reals:   make([]float64, len(pr.Reals)),
 		Set:     make([]bool, len(pr.Reals)),
 		Sums:    make([]float64, pr.maxSums),
-		Scratch: runtime.NewScratch(pr.MaxRank),
+		Scratch: runtime.NewScratch(rank),
 		ranges:  make([]loopRange, len(pr.Plan.A.G.Loops)),
 		memo:    make([]int, pr.memoLen),
-		dims:    make([]section.Dim, pr.MaxRank),
-		idx:     make([]int, pr.MaxRank),
-		lo:      make([]int, pr.MaxRank),
-		hi:      make([]int, pr.MaxRank),
+		dims:    make([]section.Dim, rank),
+		idx:     make([]int, rank),
+		lo:      make([]int, rank),
+		hi:      make([]int, rank),
 		coords:  make([]int, pr.Plan.A.Unit.Grid.Rank()),
 
 		rowStack:  make([]rowVal, pr.rowDepth),
@@ -362,16 +454,28 @@ func (pr *Program) NewFrame(p int) *Frame {
 		boxOff:    make([]int, pr.rowRefs*batchRows),
 		boxLeaf:   make([]float64, pr.rowLeaves*batchRows),
 	}
+	return fr, fr.Reset(mem)
 }
 
-// Reset returns the frame to its initial state for another run.
-func (fr *Frame) Reset() {
+// Reset returns the frame to its initial state for another run, over mem:
+// an image made under the program's layout or its equal (the same unit on
+// the same processor count). Any other is an error, never a misread.
+func (fr *Frame) Reset(mem *runtime.Memory) error {
+	if l := fr.layout; mem.Layout != l && (mem.Unit != l.Unit || mem.P != l.P) {
+		return fmt.Errorf("plan: a memory image of %s on %d processors cannot stand under a program lowered for %s on %d",
+			mem.Unit.Routine.Name, mem.P, fr.layout.Unit.Routine.Name, fr.layout.P)
+	}
+	fr.arrays = mem.Arrays
 	clear(fr.Ints)
 	clear(fr.Bound)
 	clear(fr.Reals)
 	clear(fr.Set)
 	fr.Err = nil
+	return nil
 }
+
+// View returns the storage of an array of the program in the bound image.
+func (fr *Frame) View(lay *runtime.ArrayLayout) *runtime.ArrayMem { return fr.arrays[lay.Slot] }
 
 func (fr *Frame) fail(err error) {
 	if fr.Err == nil {
@@ -498,9 +602,9 @@ func (s *SecExpr) Eval(fr *Frame, dst []section.Dim) section.Section {
 	return section.Section{Dims: dst}
 }
 
-// ArrayRef is an element reference bound to its memory view.
+// ArrayRef is an element reference with its array's layout.
 type ArrayRef struct {
-	Am   *runtime.ArrayMem
+	Lay  *runtime.ArrayLayout
 	Pos  source.Pos
 	Subs []IntExpr
 	// off is the flat offset folded to one affine form; it replaces the
@@ -519,15 +623,15 @@ func (r *ArrayRef) Offset(fr *Frame) int {
 	if r.hoisted {
 		return r.off.Eval(fr)
 	}
-	arr := r.Am.Arr
+	arr := r.Lay.Arr
 	off := 0
 	for i := range r.Subs {
 		x := r.Subs[i].Eval(fr)
 		if x < arr.Lo[i] || x > arr.Hi[i] {
-			fr.fail(rangeError(r.Pos, r.Am, i, x, x))
+			fr.fail(rangeError(r.Pos, r.Lay, i, x, x))
 			return 0
 		}
-		off += (x - arr.Lo[i]) * r.Am.Strides[i]
+		off += (x - arr.Lo[i]) * r.Lay.Strides[i]
 	}
 	return off
 }
@@ -543,12 +647,12 @@ func (r *ArrayRef) Index(fr *Frame, idx []int) []int {
 
 // Owner returns the processor owning the referenced element.
 func (r *ArrayRef) Owner(fr *Frame) int {
-	return r.Am.OwnerInto(r.Index(fr, fr.idx), fr.coords[:r.Am.Dist.Grid.Rank()])
+	return r.Lay.OwnerInto(r.Index(fr, fr.idx), fr.coords[:r.Lay.Dist.Grid.Rank()])
 }
 
 // rangeError is the positioned error of a subscript, or a range of
 // them, outside the declared bounds of a dimension.
-func rangeError(pos source.Pos, am *runtime.ArrayMem, dim, lo, hi int) error {
+func rangeError(pos source.Pos, am *runtime.ArrayLayout, dim, lo, hi int) error {
 	sub := fmt.Sprint(lo)
 	if hi != lo {
 		sub = fmt.Sprintf("%d:%d", lo, hi)

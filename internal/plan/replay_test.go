@@ -87,10 +87,10 @@ func (c *control) moved(op *plan.CommOp, key []int) bool {
 			to[i] = append(to[i], section.Dim{Lo: es.Lo[k].Eval(c.fr), Hi: es.Hi[k].Eval(c.fr), Step: es.Step[k]})
 		}
 		if _, ok := c.grid.Neighbor(c.fr.P, g.Map.GridDim, -g.Map.Sign); ok && rigid { // the strip it sends
-			_, rigid = es.Am.StripShift(at[i], to[i], c.fr.P, es.ShiftDim, g.Map.Sign, g.Map.Width, c.fr.Scratch)
+			_, rigid = es.Lay.StripShift(at[i], to[i], c.fr.P, es.ShiftDim, g.Map.Sign, g.Map.Width, c.fr.Scratch)
 		}
 		if src, ok := c.grid.Neighbor(c.fr.P, g.Map.GridDim, g.Map.Sign); ok && rigid { // the one it receives
-			_, rigid = es.Am.StripShift(at[i], to[i], src, es.ShiftDim, g.Map.Sign, g.Map.Width, c.fr.Scratch)
+			_, rigid = es.Lay.StripShift(at[i], to[i], src, es.ShiftDim, g.Map.Sign, g.Map.Width, c.fr.Scratch)
 		}
 	}
 	if c.at[op] = nil; bound {
@@ -166,7 +166,7 @@ func TestScheduleReplayShare(t *testing.T) {
 		w := newWalker(t, res, tc.procs)
 		var sum control
 		for p := 0; p < tc.procs; p++ {
-			c := control{t: t, fr: w.prog.NewFrame(p), grid: res.Analysis.Unit.Grid, keys: map[*plan.CommOp][]int{}, at: map[*plan.CommOp][][]section.Dim{}}
+			c := control{t: t, fr: newFrame(t, w.prog, p, w.mem), grid: res.Analysis.Unit.Grid, keys: map[*plan.CommOp][]int{}, at: map[*plan.CommOp][][]section.Dim{}}
 			c.exec(w.prog.Body)
 			sum.exchReplayed += c.exchReplayed
 			sum.exchTranslated += c.exchTranslated
@@ -239,7 +239,9 @@ end
 		if err := enter(2); err == nil || read.Nest.Verified(fr) {
 			t.Fatalf("run %d, it = 2 (a(13) of 12): error %v, remembered %v; want the range error and no memo", run, err, read.Nest.Verified(fr))
 		}
-		fr.Reset()
+		if err := fr.Reset(w.mem); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := enter(1); err != nil || !read.Nest.Verified(fr) {
 		t.Fatalf("it = 1 after the failed entries: error %v, remembered %v", err, read.Nest.Verified(fr))

@@ -119,11 +119,11 @@ func (lw *lowerer) rowBody(lp *Loop) []*Stmt {
 	refs, leaves := 0, 0
 	for _, st := range body {
 		for _, w := range body {
-			if st.LHS.Am == w.LHS.Am && !st.LHS.off.equal(&w.LHS.off) {
+			if st.LHS.Lay == w.LHS.Lay && !st.LHS.off.equal(&w.LHS.off) {
 				return nil
 			}
 			for _, r := range st.reads {
-				if r.Am == w.LHS.Am && !r.off.equal(&w.LHS.off) {
+				if r.Lay == w.LHS.Lay && !r.off.equal(&w.LHS.off) {
 					return nil
 				}
 			}
@@ -135,7 +135,7 @@ func (lw *lowerer) rowBody(lp *Loop) []*Stmt {
 		extent := batchElems
 		for i := range st.LHS.Subs {
 			if st.LHS.Subs[i].coef(lp.Slot) != 0 {
-				extent = max(extent, st.LHS.Am.Arr.Hi[i]-st.LHS.Am.Arr.Lo[i]+1)
+				extent = max(extent, st.LHS.Lay.Arr.Hi[i]-st.LHS.Lay.Arr.Lo[i]+1)
 			}
 		}
 		depth := (len(st.row) + 1) / 2
@@ -308,7 +308,7 @@ func (lp *Loop) prove(fr *Frame, vars uint64, r, n int) bool {
 	ri := 0
 	for _, st := range lp.Row {
 		for _, ref := range st.reads {
-			if am := ref.Am; am.Dist != nil && !rowValid(am.Valid[fr.P], offs[ri], ref.stride, n) {
+			if ref.Lay.Dist != nil && !rowValid(fr.View(ref.Lay).Valid[fr.P], offs[ri], ref.stride, n) {
 				return false
 			}
 			ri++
@@ -360,9 +360,10 @@ func (lp *Loop) runBatch(fr *Frame, vars uint64, b, n, lo int) {
 				stack[sp] = rowVal{v: t, tmp: true}
 				sp++
 			case opRead:
-				data, stride := op.ref.Am.Data[0], op.ref.stride
-				if op.ref.Am.Dist != nil {
-					data = op.ref.Am.Data[p]
+				am, stride := fr.View(op.ref.Lay), op.ref.stride
+				data := am.Data[0]
+				if am.Dist != nil {
+					data = am.Data[p]
 				}
 				if off := fr.boxOff[ri]; b == 1 && stride == 1 {
 					stack[sp] = rowVal{v: data[off : off+n : off+n]}
@@ -416,7 +417,7 @@ func (lp *Loop) runBatch(fr *Frame, vars uint64, b, n, lo int) {
 
 		// Stored after the statement's last operation, so a right-hand
 		// side may read the rows it replaces.
-		res, am := &stack[0], st.LHS.Am
+		res, am := &stack[0], fr.View(st.LHS.Lay)
 		data, valid, stride := am.Data[p], am.Valid[p], st.LHS.stride
 		for r := 0; r < b; r++ {
 			off := fr.boxOff[r*lp.refs+ri]

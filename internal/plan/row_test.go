@@ -9,33 +9,15 @@ import (
 
 	"gcao/internal/bench"
 	"gcao/internal/core"
-	"gcao/internal/parser"
 	"gcao/internal/plan"
 	"gcao/internal/refeval"
 	"gcao/internal/runtime"
 	"gcao/internal/section"
-	"gcao/internal/sem"
 )
 
 func placeSrc(t testing.TB, src string, params map[string]int, procs int) *core.Result {
 	t.Helper()
-	r, err := parser.ParseRoutine(src)
-	if err != nil {
-		t.Fatalf("parse: %v\n%s", err, src)
-	}
-	u, err := sem.Analyze(r, params, sem.Options{Procs: procs})
-	if err != nil {
-		t.Fatalf("sem: %v\n%s", err, src)
-	}
-	a, err := core.NewAnalysis(u)
-	if err != nil {
-		t.Fatalf("analysis: %v\n%s", err, src)
-	}
-	res, err := a.Place(core.Options{Version: core.VersionCombine})
-	if err != nil {
-		t.Fatalf("place: %v\n%s", err, src)
-	}
-	return res
+	return place(t, src, params, procs, core.VersionCombine)
 }
 
 // walker is a sequential driver over a lowered program, one processor
@@ -88,8 +70,16 @@ type planes struct {
 
 func newWalker(t testing.TB, res *core.Result, procs int) *walker {
 	mem := runtime.NewMemory(res.Analysis.Unit, procs)
-	prog := plan.Lower(plan.New(res, mem))
-	return &walker{t: t, prog: prog, mem: mem, fr: prog.NewFrame(0), deliver: true, counts: make([]int, procs)}
+	prog := plan.Lower(res)
+	return &walker{t: t, prog: prog, mem: mem, fr: newFrame(t, prog, 0, mem), deliver: true, counts: make([]int, procs)}
+}
+
+func newFrame(t testing.TB, prog *plan.Program, p int, mem *runtime.Memory) *plan.Frame {
+	fr, err := prog.NewFrame(p, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fr
 }
 
 func (w *walker) run() error { return w.exec(w.prog.Body) }
@@ -252,7 +242,7 @@ func (w *walker) snapshot() map[string]planes {
 // own executes a statement of a pure nest for the frame's processor.
 func (w *walker) own(st *plan.Stmt) error {
 	fr := w.fr
-	p, am := fr.P, st.LHS.Am
+	p, am := fr.P, fr.View(st.LHS.Lay)
 	off := st.LHS.Offset(fr)
 	if st.Guard && st.LHS.Owner(fr) != p {
 		am.Valid[p][off] = false
@@ -275,7 +265,7 @@ func (w *walker) stmt(st *plan.Stmt) error {
 	w.sums(st.Sums)
 	owner, off := 0, 0
 	if st.LHS != nil {
-		if off = st.LHS.Offset(fr); st.LHS.Am.Dist != nil {
+		if off = st.LHS.Offset(fr); st.LHS.Lay.Dist != nil {
 			owner = st.LHS.Owner(fr)
 		}
 	}
@@ -293,15 +283,15 @@ func (w *walker) stmt(st *plan.Stmt) error {
 		fr.Reals[st.Scalar], fr.Set[st.Scalar] = v, true
 		return nil
 	}
-	st.LHS.Am.StoreOwner(off, owner, v)
-	st.LHS.Am.InvalidateRange(off, owner, 0, w.mem.P)
+	fr.View(st.LHS.Lay).StoreOwner(off, owner, v)
+	fr.View(st.LHS.Lay).InvalidateRange(off, owner, 0, w.mem.P)
 	return nil
 }
 
 func (w *walker) sums(sums []plan.Sum) {
 	for i := range sums {
 		if sec := sums[i].Section(w.fr); w.fr.Err == nil {
-			w.fr.Sums[i] = sums[i].Am.SumSection(sec, w.fr.Scratch, w.counts)
+			w.fr.Sums[i] = w.fr.View(sums[i].Lay).SumSection(sec, w.fr.Scratch, w.counts)
 		}
 	}
 }
@@ -810,7 +800,7 @@ func TestRowCoverageFig10a(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog := plan.Lower(plan.New(res, runtime.NewMemory(a.Unit, p)))
+			prog := plan.Lower(res)
 			name := pr.Bench + "/" + pr.Routine
 			if got := countRows(prog); got != want[name] {
 				t.Errorf("%s at P=%d: %+v, want %+v", name, p, got, want[name])

@@ -11,8 +11,8 @@ import (
 // exchange, broadcast, SUM, invalidation, reset — moves or marks a set
 // of elements that is a box, or a box cut where the owner changes, so
 // none of them asks who owns an element: they read three tables built
-// once per array (initGeometry) and a fourth kept as data moves, and walk
-// rows.
+// once per array layout (initGeometry) and shared by every image under it,
+// and two boxes a processor kept per image as data moves, and walk rows.
 //
 //   - the owned box of processor p (OwnedBox): per dimension its BLOCK
 //     interval, the declared bounds of a collapsed dimension, the
@@ -64,7 +64,7 @@ func NewScratch(rank int) *Scratch {
 }
 
 // initGeometry builds the ownership tables of the array on p processors.
-func (am *ArrayMem) initGeometry(p int) {
+func (am *ArrayLayout) initGeometry(p int) {
 	arr, d := am.Arr, am.Dist
 	rank := arr.Rank()
 	total := 0
@@ -91,8 +91,7 @@ func (am *ArrayMem) initGeometry(p int) {
 				am.own[k][i] = d.OwnerDim(k, arr.Lo[k]+i) * stride
 			}
 		}
-		am.box = make([]int, 6*p*rank)
-		am.box, am.touched, am.hull = am.box[:2*p*rank], am.box[2*p*rank:4*p*rank], am.box[4*p*rank:]
+		am.box = make([]int, 2*p*rank)
 		coords := make([]int, d.Grid.Rank())
 		for q := 0; q < p; q++ {
 			d.Grid.CoordsInto(q, coords)
@@ -104,7 +103,6 @@ func (am *ArrayMem) initGeometry(p int) {
 				am.box[2*(q*rank+k)], am.box[2*(q*rank+k)+1] = lo, hi
 			}
 		}
-		am.emptyHulls()
 	}
 	own := am.own[rank-1]
 	for i := len(own) - 1; i >= 0; i-- {
@@ -119,7 +117,7 @@ func (am *ArrayMem) initGeometry(p int) {
 // dimension k: its block of a BLOCK dimension, the declared bounds of a
 // collapsed one, the covering range of a CYCLIC one (whose members are
 // every Grid.Shape-th index from lo). lo > hi when p owns nothing.
-func (am *ArrayMem) OwnedBox(p, k int) (lo, hi int) {
+func (am *ArrayLayout) OwnedBox(p, k int) (lo, hi int) {
 	i := 2 * (p*len(am.Strides) + k)
 	return am.box[i], am.box[i+1]
 }
@@ -165,7 +163,7 @@ func (am *ArrayMem) Delivered(p int, sec section.Section) {
 // receiver and simulator all enumerate a strip through this one
 // definition. It returns the strip as a section in sc (valid until sc is
 // used again), for the receiver's Delivered.
-func (am *ArrayMem) StripRuns(sec section.Section, src, ad, sign, width int, sc *Scratch, f func(off, n int)) section.Section {
+func (am *ArrayLayout) StripRuns(sec section.Section, src, ad, sign, width int, sc *Scratch, f func(off, n int)) section.Section {
 	lo, hi := sc.lo[:len(am.Strides)], sc.hi[:len(am.Strides)]
 	if !am.stripBox(src, ad, sign, width, lo, hi) {
 		return section.Section{}
@@ -181,7 +179,7 @@ func (am *ArrayMem) StripRuns(sec section.Section, src, ad, sign, width int, sc 
 
 // stripBox fills lo and hi with the strip box of StripRuns' arguments,
 // false when src owns nothing.
-func (am *ArrayMem) stripBox(src, ad, sign, width int, lo, hi []int) bool {
+func (am *ArrayLayout) stripBox(src, ad, sign, width int, lo, hi []int) bool {
 	arr := am.Arr
 	for k := range lo {
 		l, h := am.OwnedBox(src, k)
@@ -208,7 +206,7 @@ func (am *ArrayMem) stripBox(src, ad, sign, width int, lo, hi []int) bool {
 // after, where nothing clips it, and is not a CYCLIC moved dimension, whose
 // strip a lattice that stays behind cuts. Then the new strip's runs are the
 // old one's Σ δ·Strides further, and its section the old one moved by δ.
-func (am *ArrayMem) StripShift(from, to []section.Dim, src, ad, sign, width int, sc *Scratch) (doff int, ok bool) {
+func (am *ArrayLayout) StripShift(from, to []section.Dim, src, ad, sign, width int, sc *Scratch) (doff int, ok bool) {
 	lo, hi := sc.lo[:len(am.Strides)], sc.hi[:len(am.Strides)]
 	if !am.stripBox(src, ad, sign, width, lo, hi) {
 		return 0, false
@@ -231,7 +229,7 @@ func (am *ArrayMem) StripShift(from, to []section.Dim, src, ad, sign, width int,
 // OwnerRuns visits sec, which must lie within the declared bounds, in
 // section order as runs of n consecutive offsets from off that one
 // processor owns (processor 0 for a replicated array).
-func (am *ArrayMem) OwnerRuns(sec section.Section, sc *Scratch, f func(owner, off, n int)) {
+func (am *ArrayLayout) OwnerRuns(sec section.Section, sc *Scratch, f func(owner, off, n int)) {
 	am.walk(sec, sc.idx, true, f)
 }
 
@@ -239,7 +237,7 @@ func (am *ArrayMem) OwnerRuns(sec section.Section, sc *Scratch, f func(owner, of
 // last dimension has step 1, one per element where it is strided. With
 // cut a run also ends where the owner changes and owner is the run's
 // owner; without it owner is meaningless.
-func (am *ArrayMem) walk(sec section.Section, idx []int, cut bool, f func(owner, off, n int)) {
+func (am *ArrayLayout) walk(sec section.Section, idx []int, cut bool, f func(owner, off, n int)) {
 	if sec.IsEmpty() {
 		return
 	}

@@ -193,84 +193,111 @@ func (e *StaleReadError) Error() string {
 	return fmt.Sprintf("runtime: processor %d read stale %s%v (element not owned and never delivered)", e.Proc, e.Array, e.Index)
 }
 
-// Memory is the distributed memory: every processor holds a full-size
-// image of each distributed array, but only owned or delivered
-// elements are valid. Replicated arrays are stored once.
-type Memory struct {
+// Layout is the immutable half of a distributed memory: the strides and
+// ownership tables of every array of a unit on P processors, a function
+// of (Unit, P). Every Memory made under it shares it, read-only, with the
+// lowered program (package plan), which holds layouts, never storage.
+type Layout struct {
 	Unit *sem.Unit
 	P    int
-
-	views map[string]*ArrayMem
-	sc    *Scratch // Reset's
+	// Arrays lists the arrays in declaration order: Arrays[l.Slot] == l.
+	Arrays []*ArrayLayout
+	// MaxRank is the largest array rank, at least 1: an index vector's size.
+	MaxRank int
+	byName  map[string]*ArrayLayout
 }
 
-// ArrayMem is the resolved per-array view of a Memory: the data and
-// validity planes, strides, distribution and ownership geometry of one
-// array, with no string-keyed lookups on the access path. The
-// interpreter's inner loops and the bulk operations run on these views;
-// per-processor rows are independent allocations, so shards working on
-// disjoint processor ranges never share cache lines.
-type ArrayMem struct {
+// ArrayLayout is the geometry of one array: bounds, strides, distribution
+// and the ownership tables (see geometry.go). own[k][x-Lo[k]] is what
+// index x of dimension k contributes to the owner's linear id — the
+// owning grid coordinate times its grid stride, 0 on a collapsed
+// dimension — so an element's owner is the sum over its subscripts.
+// runEnd[i], along the last dimension, is the last position of the run of
+// equal ownership that holds position i. box is every processor's owned
+// box (nil for replicated arrays).
+type ArrayLayout struct {
 	Name    string
 	Arr     *sem.Array
 	Dist    *dist.Dist // nil for replicated arrays (single row 0)
 	Strides []int
+	Slot    int
+
+	own    [][]int
+	runEnd []int
+	box    []int
+	whole  section.Section
+}
+
+// Memory is the distributed memory: every processor holds a full-size
+// image of each distributed array, but only owned or delivered
+// elements are valid. Replicated arrays are stored once.
+type Memory struct {
+	Unit   *sem.Unit
+	P      int
+	Layout *Layout
+	// Arrays holds the storage of Layout.Arrays, slot for slot.
+	Arrays []*ArrayMem
+	sc     *Scratch // Reset's
+}
+
+// ArrayMem is the storage of one array of a Memory under its layout: the
+// data and validity planes, with no string-keyed lookups on the access
+// path. The interpreter's inner loops and the bulk operations run on
+// these views; per-processor rows are independent allocations, so shards
+// working on disjoint processor ranges never share cache lines.
+type ArrayMem struct {
+	*ArrayLayout
 	// Data[p][off] and Valid[p][off] are processor p's copy of the
 	// element at flat offset off (row 0 only for replicated arrays).
 	Data  [][]float64
 	Valid [][]bool
-
-	// The ownership tables (see geometry.go). own[k][x-Lo[k]] is what
-	// index x of dimension k contributes to the owner's linear id — the
-	// owning grid coordinate times its grid stride, 0 on a collapsed
-	// dimension — so an element's owner is the sum over its subscripts.
-	// runEnd[i], along the last dimension, is the last position of the
-	// run of equal ownership that holds position i. box, hull, touched: every
-	// processor's owned box, ghost hull, touched box (nil for replicated arrays).
-	own                [][]int
-	runEnd             []int
-	box, hull, touched []int
-	whole              section.Section
+	// hull, touched: every processor's ghost hull and touched box, laid
+	// out as the layout's box (empty for replicated arrays).
+	hull, touched []int
 }
 
-// NewMemory allocates memories for all arrays of the unit.
-func NewMemory(u *sem.Unit, p int) *Memory {
-	m := &Memory{
-		Unit:  u,
-		P:     p,
-		views: map[string]*ArrayMem{},
-	}
-	maxRank := 1
-	for name, arr := range u.Arrays {
-		size := arr.Size()
-		strides := make([]int, arr.Rank())
+// NewLayout builds the layout of the unit's arrays on p processors.
+func NewLayout(u *sem.Unit, p int) *Layout {
+	l := &Layout{Unit: u, P: p, MaxRank: 1, Arrays: make([]*ArrayLayout, 0, len(u.ArrayNames)), byName: make(map[string]*ArrayLayout, len(u.ArrayNames))}
+	for slot, name := range u.ArrayNames {
+		arr := u.Arrays[name]
+		al := &ArrayLayout{Name: name, Arr: arr, Dist: arr.Dist, Strides: make([]int, arr.Rank()), Slot: slot, whole: section.Whole(arr.Lo, arr.Hi)}
 		s := 1
 		for i := arr.Rank() - 1; i >= 0; i-- {
-			strides[i] = s
+			al.Strides[i] = s
 			s *= arr.Hi[i] - arr.Lo[i] + 1
 		}
-		copies := p
-		if arr.Dist == nil {
+		al.initGeometry(p)
+		l.Arrays, l.byName[name], l.MaxRank = append(l.Arrays, al), al, max(l.MaxRank, arr.Rank())
+	}
+	return l
+}
+
+// Array returns the layout of a declared array, nil for any other name.
+func (l *Layout) Array(name string) *ArrayLayout { return l.byName[name] }
+
+// NewMemory allocates memories for all arrays of the unit.
+func NewMemory(u *sem.Unit, p int) *Memory { return NewLayout(u, p).NewMemory() }
+
+// NewMemory allocates one more image under the layout, sharing its tables.
+func (l *Layout) NewMemory() *Memory {
+	m := &Memory{Unit: l.Unit, P: l.P, Layout: l, Arrays: make([]*ArrayMem, len(l.Arrays))}
+	for slot, al := range l.Arrays {
+		size, copies := al.Arr.Size(), l.P
+		if al.Dist == nil {
 			copies = 1
 		}
-		am := &ArrayMem{
-			Name:    name,
-			Arr:     arr,
-			Dist:    arr.Dist,
-			Strides: strides,
-			Data:    make([][]float64, copies),
-			Valid:   make([][]bool, copies),
-			whole:   section.Whole(arr.Lo, arr.Hi),
-		}
+		am := &ArrayMem{ArrayLayout: al, Data: make([][]float64, copies), Valid: make([][]bool, copies)}
 		for c := 0; c < copies; c++ {
 			am.Data[c] = make([]float64, size)
 			am.Valid[c] = make([]bool, size)
 		}
-		am.initGeometry(p)
-		m.views[name] = am
-		maxRank = max(maxRank, arr.Rank())
+		ints := make([]int, 2*len(al.box))
+		am.touched, am.hull = ints[:len(al.box)], ints[len(al.box):]
+		am.emptyHulls()
+		m.Arrays[slot] = am
 	}
-	m.sc = NewScratch(maxRank)
+	m.sc = NewScratch(l.MaxRank)
 	m.initValidity()
 	return m
 }
@@ -279,7 +306,7 @@ func NewMemory(u *sem.Unit, p int) *Memory {
 // valid, a row segment of the owner's box at a time; everything starts
 // at value zero.
 func (m *Memory) initValidity() {
-	for _, am := range m.views {
+	for _, am := range m.Arrays {
 		am.OwnerRuns(am.whole, m.sc, func(o, off, n int) {
 			setValid(am.Valid[o][off : off+n])
 		})
@@ -298,7 +325,7 @@ func setValid(row []bool) {
 // processor's plane differs from a new one's inside its touched box only,
 // so that is what is cleared: the blocks and their halos, not P arrays.
 func (m *Memory) Reset() {
-	for _, am := range m.views {
+	for _, am := range m.Arrays {
 		for p := range am.Data {
 			data, valid, box := am.Data[p], am.Valid[p], am.whole
 			if am.Dist != nil {
@@ -321,16 +348,16 @@ func (m *Memory) Reset() {
 // View returns the resolved per-array view, panicking on unknown
 // arrays (callers pass names from the compiled unit).
 func (m *Memory) View(name string) *ArrayMem {
-	am := m.views[name]
-	if am == nil {
+	al := m.Layout.byName[name]
+	if al == nil {
 		panic(fmt.Sprintf("runtime: unknown array %q", name))
 	}
-	return am
+	return m.Arrays[al.Slot]
 }
 
 // Offset maps an index vector to the flat row-major offset, panicking
 // when the index lies outside the declared bounds.
-func (am *ArrayMem) Offset(idx []int) int {
+func (am *ArrayLayout) Offset(idx []int) int {
 	arr := am.Arr
 	off := 0
 	for i, x := range idx {
@@ -345,7 +372,7 @@ func (am *ArrayMem) Offset(idx []int) int {
 // OwnerInto computes the owning processor of an element, reusing the
 // caller's grid-coordinate buffer (len = grid rank) to avoid the
 // per-element allocation of dist.Owner on hot paths.
-func (am *ArrayMem) OwnerInto(idx, coords []int) int {
+func (am *ArrayLayout) OwnerInto(idx, coords []int) int {
 	if am.Dist == nil {
 		return 0
 	}
@@ -455,7 +482,7 @@ func (am *ArrayMem) InvalidateBox(p int, lo, hi []int, sc *Scratch) {
 // rows visits the rows of the non-empty box [lo, hi] in order: base is
 // the flat offset of a row's first element, stepped by the strides from
 // one row to the next; idx is scratch.
-func (am *ArrayMem) rows(lo, hi, idx []int, f func(base int)) {
+func (am *ArrayLayout) rows(lo, hi, idx []int, f func(base int)) {
 	last := len(lo) - 1
 	idx = idx[:last]
 	copy(idx, lo)
@@ -536,7 +563,7 @@ func (m *Memory) Canonical(name string) []float64 {
 // verifiers: it returns an error naming the first valid element outside
 // the hull of a processor that does not own it.
 func (m *Memory) CheckHulls() error {
-	for _, am := range m.views {
+	for _, am := range m.Arrays {
 		for p := 0; am.Dist != nil && p < m.P; p++ {
 			lo, hi := am.ghost(p)
 			for off, valid := range am.Valid[p] {
@@ -561,7 +588,7 @@ func (m *Memory) CheckHulls() error {
 // ShiftArrayDim returns the array dimension mapped to the given grid
 // dimension (the axis a shift along gridDim moves data over), or -1
 // when the array is not distributed along it.
-func (am *ArrayMem) ShiftArrayDim(gridDim int) int {
+func (am *ArrayLayout) ShiftArrayDim(gridDim int) int {
 	if am.Dist == nil {
 		return -1
 	}

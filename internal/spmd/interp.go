@@ -95,36 +95,14 @@ func (sh *shard) evalErr() error {
 	return fmt.Errorf("spmd: processor %d at %s: %w", sh.fr.P, sh.at, sh.fr.Err)
 }
 
-// exec drives the lowered program. Every shard takes the same walk, so
-// all of them reach the same rendezvous in the same order.
-func (sh *shard) exec(nodes []plan.Node) error {
-	for _, n := range nodes {
-		var err error
-		switch n := n.(type) {
-		case *plan.Stmt:
-			err = sh.execStmt(n)
-		case *plan.Loop:
-			err = sh.execLoop(n)
-		case *plan.Comm:
-			err = sh.execComm(n)
-		case *plan.If:
-			err = sh.execIf(n)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// execLoop runs a loop. Nothing in a pure owner-computes nest
+// Loop runs a loop. Nothing in a pure owner-computes nest
 // synchronizes or is seen by another processor before the nest ends, so
 // the shard runs such a nest whole for one processor of its range after
 // the other — each under its own loop bounds, as the native backend's
 // processors do — instead of testing ownership per element for all of
 // them at once.
-func (sh *shard) execLoop(lp *plan.Loop) error {
-	if err := sh.execComm(lp.Pre); err != nil {
+func (sh *shard) Loop(lp *plan.Loop) error {
+	if err := sh.Comm(lp.Pre); err != nil {
 		return err
 	}
 	if lp.Nest == nil {
@@ -142,67 +120,27 @@ func (sh *shard) execLoop(lp *plan.Loop) error {
 }
 
 // iterate runs the iterations of a loop that fall to fr.P (all of them
-// outside a nest). On the root of a nest the subscript ranges are
-// verified once on entry and the processor's validity plane is settled
-// once on exit. A loop that heads a box runs it whole, a batch of rows at
-// a time, and is then charged as the walk charges it — per iteration
-// point, per statement — so every clock adds up in the same order; a row
-// that cannot run (a stale element, a failing operand) is walked, and
-// reported, on the tree.
+// outside a nest), in the order of steps plan.Loop.Run fixes for both
+// backends.
 func (sh *shard) iterate(lp *plan.Loop) error {
-	fr := sh.fr
 	sh.at = lp.Src.Do.Pos
-	first, last, step, exit, run := lp.Begin(fr)
-	if run && lp.Nest != nil {
-		lp.Nest.Enter(fr)
+	if err := lp.Run(sh.fr, sh); err != nil {
+		return err
 	}
-	if fr.Err != nil {
+	if sh.fr.Err != nil {
 		return sh.evalErr()
-	}
-	if !run {
-		return nil
-	}
-	switch out, points := lp.RunBox(fr); out {
-	case plan.NotApplicable:
-		if err := sh.walk(lp, first, last, step); err != nil {
-			return err
-		}
-	case plan.Done:
-		for ; points > 0; points-- {
-			for _, st := range lp.Box.Row {
-				sh.led.Compute(fr.P, st.Flops)
-			}
-		}
-	case plan.Stuck:
-		first, last, step, _, _ = lp.Box.Begin(fr)
-		if err := sh.walk(lp.Box, first, last, step); err != nil {
-			return err
-		}
-		fr.Err = plan.ErrDeclinedRowRan
-		return sh.evalErr()
-	}
-	fr.Ints[lp.Slot] = exit
-	if lp.Nest != nil {
-		lp.Nest.Leave(fr)
 	}
 	return nil
 }
 
-// walk runs the iterations first, first+step, ... last of a loop on the
-// closure tree.
-func (sh *shard) walk(lp *plan.Loop, first, last, step int) error {
-	for v := first; (step > 0 && v <= last) || (step < 0 && v >= last); v += step {
-		sh.fr.Ints[lp.Slot] = v
-		// Communication placed at the loop header executes once per
-		// iteration, before the body.
-		if err := sh.execComm(lp.Head); err != nil {
-			return err
-		}
-		if err := sh.exec(lp.Body); err != nil {
-			return err
+// Charge charges a box that ran whole as the walk charges it — per
+// iteration point, per statement — so every clock adds up in one order.
+func (sh *shard) Charge(lp *plan.Loop, points int) {
+	for ; points > 0; points-- {
+		for _, st := range lp.Box.Row {
+			sh.led.Compute(sh.fr.P, st.Flops)
 		}
 	}
-	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -254,17 +192,17 @@ func (sh *shard) runSums(sums []plan.Sum) {
 		if sh.fr.Err != nil {
 			return
 		}
-		sh.fr.Sums[i] = sums[i].Am.SumSection(sec, sh.fr.Scratch, sh.sumCounts[i])
+		sh.fr.Sums[i] = sh.fr.View(sums[i].Lay).SumSection(sec, sh.fr.Scratch, sh.sumCounts[i])
 	}
 }
 
-func (sh *shard) execStmt(st *plan.Stmt) error {
+func (sh *shard) Stmt(st *plan.Stmt) error {
 	fr := sh.fr
 	sh.at = st.Src.Assign.Pos
 	if sh.nest {
 		return sh.execOwn(st)
 	}
-	if len(st.Sums) > 0 || (st.LHS != nil && st.LHS.Am.Dist == nil) {
+	if len(st.Sums) > 0 || (st.LHS != nil && st.LHS.Lay.Dist == nil) {
 		return sh.execSyncStmt(st)
 	}
 
@@ -284,7 +222,7 @@ func (sh *shard) execStmt(st *plan.Stmt) error {
 	// Owner-computes on a distributed array: the owner, if it is in the
 	// range, evaluates and stores; every other processor of the range
 	// loses its copy.
-	am := st.LHS.Am
+	am := fr.View(st.LHS.Lay)
 	off := st.LHS.Offset(fr)
 	if fr.Err != nil {
 		return sh.evalErr()
@@ -307,7 +245,7 @@ func (sh *shard) execStmt(st *plan.Stmt) error {
 // owns; the nest's exit settles the validity of everything it skipped.
 func (sh *shard) execOwn(st *plan.Stmt) error {
 	fr := sh.fr
-	p, am := fr.P, st.LHS.Am
+	p, am := fr.P, fr.View(st.LHS.Lay)
 	off := st.LHS.Offset(fr)
 	if st.Guard && st.LHS.Owner(fr) != p {
 		am.Valid[p][off] = false
@@ -347,7 +285,7 @@ func (sh *shard) execSyncStmt(st *plan.Stmt) error {
 	switch {
 	case fr.Err != nil:
 		serr = sh.evalErr()
-	case st.LHS != nil && st.LHS.Am.Dist != nil:
+	case st.LHS != nil && st.LHS.Lay.Dist != nil:
 		// Owner-computes: only the owner's shard evaluates.
 		if owner = st.LHS.Owner(fr); owner >= sh.lo && owner < sh.hi {
 			sh.runSums(st.Sums)
@@ -389,9 +327,9 @@ func (sh *shard) execSyncStmt(st *plan.Stmt) error {
 		eng.syncResult = v0
 		if st.LHS != nil {
 			if !have {
-				return fmt.Errorf("spmd: no shard computed %s", st.LHS.Am.Name)
+				return fmt.Errorf("spmd: no shard computed %s", st.LHS.Lay.Name)
 			}
-			st.LHS.Am.StoreOwner(off, owner, v0)
+			fr.View(st.LHS.Lay).StoreOwner(off, owner, v0)
 		}
 		return nil
 	})
@@ -401,17 +339,17 @@ func (sh *shard) execSyncStmt(st *plan.Stmt) error {
 	if st.LHS == nil {
 		fr.Reals[st.Scalar], fr.Set[st.Scalar] = eng.syncResult, true
 	} else {
-		st.LHS.Am.InvalidateRange(off, owner, sh.lo, sh.hi)
+		fr.View(st.LHS.Lay).InvalidateRange(off, owner, sh.lo, sh.hi)
 	}
 	return nil
 }
 
-// execIf takes a branch. Scalar-only conditions are evaluated locally
+// If takes a branch. Scalar-only conditions are evaluated locally
 // (every shard computes the identical value); conditions reading
 // distributed data rendezvous so the leader can evaluate processor 0's
 // view while all shards are quiescent. Every processor is charged the
 // evaluation of the replicated condition.
-func (sh *shard) execIf(n *plan.If) error {
+func (sh *shard) If(n *plan.If) error {
 	eng, fr := sh.eng, sh.fr
 	sh.at = n.Src.Branch.Pos
 	fr.P = 0
@@ -439,9 +377,9 @@ func (sh *shard) execIf(n *plan.If) error {
 		sh.led.Compute(p, 1)
 	}
 	if taken {
-		return sh.exec(n.Then)
+		return plan.Exec(n.Then, sh)
 	}
-	return sh.exec(n.Else)
+	return plan.Exec(n.Else, sh)
 }
 
 // VerifyAgainstSequential compares the canonical memory of a parallel

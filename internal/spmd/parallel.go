@@ -81,16 +81,16 @@ func RunParallelObs(res *core.Result, m machine.Machine, procs, workers int, rec
 	return eng.Run(m, rec)
 }
 
-// RunPooled is RunObs on an idle engine from pool — which holds the
-// engines of this placement on this processor count and nothing else —
-// or, when there is none, on a new one whose home the pool becomes: the
+// RunPooled is RunObs of a placement's lowered program on an idle engine
+// from pool — which holds engines of this program and nothing else — or,
+// when there is none, on a new one whose home the pool becomes: the
 // result's Release, or the failure of a run, puts the engine there.
-func RunPooled(pool *sync.Pool, res *core.Result, m machine.Machine, procs int, rec *obs.Recorder) (*RunResult, error) {
-	defer rec.Start("simulate:" + res.Version.String())()
+func RunPooled(pool *sync.Pool, prog *plan.Program, m machine.Machine, procs int, rec *obs.Recorder) (*RunResult, error) {
+	defer rec.Start("simulate:" + prog.Plan.Res.Version.String())()
 	eng, _ := pool.Get().(*Engine)
 	if eng == nil || eng.mem.P != procs {
 		var err error
-		if eng, err = NewEngine(res, procs, autoWorkers(procs)); err != nil {
+		if eng, err = newEngine(prog, procs, autoWorkers(procs)); err != nil {
 			return nil, err
 		}
 		eng.home = pool
@@ -104,20 +104,25 @@ func RunPooled(pool *sync.Pool, res *core.Result, m machine.Machine, procs int, 
 
 // NewEngine prepares a simulation of the placement on procs processors
 // and workers shards (workers < 1 selects GOMAXPROCS): everything that
-// does not depend on the run.
+// does not depend on the run, on a lowering of its own.
 func NewEngine(res *core.Result, procs, workers int) (*Engine, error) {
-	a := res.Analysis
-	if got := a.Unit.Grid.NumProcs(); got != procs {
+	return newEngine(plan.Lower(res), procs, workers)
+}
+
+// newEngine builds what an engine owns — a memory image under the
+// program's layout, the shards with their frames, the rendezvous scratch
+// — around a program it shares with every other engine of the placement.
+func newEngine(prog *plan.Program, procs, workers int) (*Engine, error) {
+	if got := prog.Plan.Layout.P; got != procs {
 		return nil, fmt.Errorf("spmd: unit compiled for %d processors, run requested %d", got, procs)
 	}
 	if workers < 1 {
 		workers = goruntime.GOMAXPROCS(0)
 	}
 	workers = min(workers, procs)
-	mem := runtime.NewMemory(a.Unit, procs)
 	eng := &Engine{
-		prog:       plan.Lower(plan.New(res, mem)),
-		mem:        mem,
+		prog:       prog,
+		mem:        prog.Plan.Layout.NewMemory(),
 		scalars:    map[string]float64{},
 		shards:     make([]*shard, workers),
 		syncVals:   make([]float64, workers),
@@ -128,7 +133,11 @@ func NewEngine(res *core.Result, procs, workers int) (*Engine, error) {
 	}
 	for i := range eng.shards {
 		lo := i * procs / workers
-		sh := &shard{eng: eng, idx: i, lo: lo, hi: (i + 1) * procs / workers, fr: eng.prog.NewFrame(lo)}
+		fr, err := prog.NewFrame(lo, eng.mem)
+		if err != nil {
+			return nil, err
+		}
+		sh := &shard{eng: eng, idx: i, lo: lo, hi: (i + 1) * procs / workers, fr: fr}
 		sh.sumCounts = make([][]int, len(sh.fr.Sums))
 		for i := range sh.sumCounts {
 			sh.sumCounts[i] = make([]int, procs)
@@ -162,7 +171,9 @@ func (eng *Engine) Run(m machine.Machine, rec *obs.Recorder) (*RunResult, error)
 		}
 	}
 	for _, sh := range eng.shards {
-		sh.fr.Reset()
+		if err := sh.fr.Reset(eng.mem); err != nil {
+			return nil, err
+		}
 		sh.fr.P, sh.nest, sh.prof = sh.lo, false, nil
 		sh.led = eng.led.View(sh.lo, sh.hi)
 		if rec != nil {
@@ -202,7 +213,7 @@ func (sh *shard) main() {
 			eng.ph.fail(fmt.Errorf("spmd: processor range [%d,%d) at %s: panic: %v", sh.lo, sh.hi, sh.at, r))
 		}
 	}()
-	if err := sh.exec(eng.prog.Body); err != nil {
+	if err := plan.Exec(eng.prog.Body, sh); err != nil {
 		eng.ph.fail(err)
 		return
 	}
@@ -221,8 +232,9 @@ func (sh *shard) main() {
 // Engine: a prepared simulation, reusable across runs
 
 // Engine is a prepared simulation of one placement, in the image of
-// native.Engine: the memory image, the lowered program, the shards with
-// their frames and the rendezvous scratch are built once; the ledger,
+// native.Engine: the memory image, the shards with their frames and the
+// rendezvous scratch are built once, around a lowered program that may be
+// shared with other engines and is never written; the ledger,
 // the phaser and — with a recorder — the profile and attribution
 // records are a run's own. An Engine is not safe for concurrent Runs. A
 // failed run leaves it usable.
@@ -416,7 +428,7 @@ func (eng *Engine) finishProfile(rec *obs.Recorder) {
 // ---------------------------------------------------------------------
 // communication execution (superstep rendezvous)
 
-// execComm executes the communication groups placed at one position.
+// Comm executes the communication groups placed at one position.
 // Each group is one superstep: rendezvous A quiesces the shards,
 // absorbs the shard clocks, runs the barrier and concretizes the
 // entry sections once; the shards then deliver the strips of the
@@ -425,7 +437,7 @@ func (eng *Engine) finishProfile(rec *obs.Recorder) {
 // receiver order. A shift's sender is its receiver's neighbour, so that
 // is the (sender, receiver) pairs in sorted order: the charge order —
 // and with it every float accumulation — is reproducible run-to-run.
-func (sh *shard) execComm(c *plan.Comm) error {
+func (sh *shard) Comm(c *plan.Comm) error {
 	if c == nil {
 		return nil
 	}
