@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check race check bench-build attr-smoke obs-smoke native-smoke nativeprof-smoke compile-smoke sim-smoke size
+.PHONY: all build test vet fmt-check race check run-names bench-build attr-smoke obs-smoke native-smoke nativeprof-smoke compile-smoke sim-smoke size
 
 all: build
 
@@ -23,7 +23,13 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-check: build vet fmt-check test bench-build compile-smoke sim-smoke size
+check: build vet fmt-check run-names test bench-build compile-smoke sim-smoke size
+
+# run-names fails when a -run alternative of a `go test` line below names
+# no test of its package: `go test -run` that matches nothing passes, so a
+# moved or renamed test would otherwise drop out of CI silently.
+run-names:
+	@GO="$(GO)" sh ci/run-names.sh
 
 # size prints the non-test Go lines of the algorithm, the execution
 # layers, the observability layer, the command-line front ends and the
@@ -125,7 +131,7 @@ obs-smoke:
 # exhaustive native-vs-simulator matrix and the oversubscription
 # regression test, then what a warm plane rests on: a translated exchange
 # schedule against one rebuilt from scratch (the rule in runtime, the
-# schedules of the six Fig. 10(a) routines in native, the pinned replay
+# schedules of the six Fig. 10(a) routines in plan, the pinned replay
 # shares), Reset against a new memory after random operations, and the
 # lowered mod against math.Mod bit for bit, and one lowered program under
 # two engines of each backend at once, under the race detector: a Program
@@ -142,9 +148,9 @@ native-smoke:
 	@grep -q 'native ok, bit-identical to simulator' out/native-smoke.txt || { echo "native-smoke: no native verification line"; exit 1; }
 	@n=$$(grep -c 'native ok, bit-identical to simulator' out/native-smoke.txt); \
 	[ "$$n" -ge 6 ] || { echo "native-smoke: only $$n of 6 benchmarks verified"; exit 1; }
-	$(GO) test ./internal/native -run 'TestNativeMatchesSimulator|TestNativeOversubscription|TestTranslatedScheduleMatchesRebuilt|TestScheduleKeyHoldsBoundBits|TestReusedEngineMatchesFresh|TestNativeLocalizationEdgeCases/mod' -count=1
+	$(GO) test ./internal/native -run 'TestNativeMatchesSimulator|TestNativeOversubscription|TestReusedEngineMatchesFresh|TestNativeLocalizationEdgeCases/(mod|mixed)' -count=1
 	$(GO) test ./internal/runtime -run 'TestStripShiftMatchesRebuild|TestGhostHullUnderRandomOperations|TestBulkOperationsDoNotAllocate' -count=1
-	$(GO) test ./internal/plan -run 'TestModMatchesMathMod|TestScheduleReplayShare' -count=1
+	$(GO) test ./internal/plan -run 'TestModMatchesMathMod|TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt|TestScheduleKeyHoldsBoundBits' -count=1
 	$(GO) test -race ./internal/native -run 'TestSharedProgramConcurrentEngines' -count=1
 	@GO="$(GO)" sh ci/alloc-budget.sh 'BenchmarkNative(Alloc|Comm)$$' ci/native-alloc-budget.txt native-smoke
 	@echo "native-smoke: ok"
@@ -200,8 +206,11 @@ compile-smoke:
 # sim-smoke holds what the BSP simulator charges and what it costs: the
 # ledger golden file (messages, bytes, barriers and every clock bit, at
 # 1, 3 and GOMAXPROCS shards) must pass unchanged, the per-receiver
-# strip delivery must leave exactly what the per-element section scan
-# it replaced left (rows, validity planes, per-pair bytes), the sharded
+# strip delivery (StripRuns runs copied by CopyValid, what a receiver's
+# exchange schedule replays) must leave exactly what the per-element
+# section scan it replaced left (rows, validity planes, per-pair bytes),
+# the receive-only schedules must be built once per (exchange, receiver)
+# and replayed or translated to what a rebuild gives, the sharded
 # run must match the sequential one under the race detector — shards
 # deliver into disjoint receiver rows without locks — as must two
 # simulator engines (and two native ones) running one lowered program at
@@ -217,6 +226,7 @@ sim-smoke:
 	@mkdir -p out
 	$(GO) test ./internal/spmd -run 'TestLedgerGolden' -count=1
 	$(GO) test ./internal/runtime -run 'TestStripMatchesElementScan|TestOwnerRunsMatchElementScan|TestBulkOperationsDoNotAllocate' -count=1
+	$(GO) test ./internal/plan -run 'TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt' -count=1
 	$(GO) test -race ./internal/spmd -run 'TestParallelMatchesSequential' -count=1
 	$(GO) test -race ./internal/native -run 'TestSharedProgramConcurrentEngines' -count=1
 	@GO="$(GO)" sh ci/alloc-budget.sh 'BenchmarkSimVerify/j1$$' ci/sim-alloc-budget.txt sim-smoke

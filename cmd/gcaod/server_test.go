@@ -151,6 +151,21 @@ func TestCompileNativeBackend(t *testing.T) {
 		t.Fatalf("native message counter missing from /metrics")
 	}
 
+	// A 1-D array beside a 2-D one shifts over its own grid, on both backends.
+	resp, out = postCompile(t, ts, map[string]any{
+		"source": "routine r(n)\nreal a(n, n), c(n), d(n)\n!hpf$ distribute (block, block) :: a\n!hpf$ distribute (block) :: c, d\n" +
+			"do i = 1, n\ndo j = 1, n\na(i, j) = i + j\nenddo\nenddo\ndo i = 1, n\nc(i) = i * 3\nd(i) = 0\nenddo\n" +
+			"do i = 2, n - 1\nd(i) = c(i - 1) + c(i + 1)\nenddo\nend\n",
+		"params":   map[string]int{"n": 32},
+		"procs":    4,
+		"strategy": "comb",
+		"simulate": true,
+		"backend":  "native",
+	})
+	if resp.StatusCode != http.StatusOK || out.Native == nil || out.Simulate == nil || out.Native.Messages != int64(out.Simulate.DynMessages) {
+		t.Fatalf("mixed-rank grids: status %d, native %+v, simulate %+v: want 200 and the simulator's message count", resp.StatusCode, out.Native, out.Simulate)
+	}
+
 	// An unknown backend is a client error, not a server one.
 	bad, _ := postCompile(t, ts, map[string]any{
 		"source":  stencilSrc,

@@ -122,16 +122,16 @@ func (g Grid) PID(coords []int) int {
 }
 
 // Neighbor returns the processor delta steps from pid along grid
-// dimension dim; ok is false past the edge of the (non-periodic) grid.
-func (g Grid) Neighbor(pid, dim, delta int) (int, bool) {
+// dimension dim, -1 past the edge of the (non-periodic) grid.
+func (g Grid) Neighbor(pid, dim, delta int) int {
 	stride := 1
 	for i := dim + 1; i < len(g.Shape); i++ {
 		stride *= g.Shape[i]
 	}
 	if c := pid/stride%g.Shape[dim] + delta; c < 0 || c >= g.Shape[dim] {
-		return 0, false
+		return -1
 	}
-	return pid + delta*stride, true
+	return pid + delta*stride
 }
 
 func (g Grid) String() string {

@@ -48,10 +48,11 @@ package native
 //     the strips it sends and receives from its own loop environment —
 //     sender and receiver compute identical lists because the
 //     concretized entry sections and the strip geometry are pure
-//     functions of shared state — keeps them as the exchange's schedule
-//     while the slots the sections read hold or only move the strips, and
-//     one message per neighbour pair carries the packed strip (combining
-//     realized literally). Validity travels as a
+//     functions of shared state — in its plan.Schedule of the exchange,
+//     replayed while the slots the sections read hold and translated
+//     while they only move the strips, and one message per neighbour pair
+//     (CommOp.Neighbors) carries the packed strip (combining realized
+//     literally). Validity travels as a
 //     packed bitmap trailer (one bit per strip element) instead of a
 //     flag word per element, so only the elements the sender holds
 //     current occupy payload words: the wire format is
@@ -81,7 +82,6 @@ package native
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"gcao/internal/core"
 	"gcao/internal/native/prof"
@@ -269,132 +269,17 @@ func (pc *proc) Comm(c *plan.Comm) error {
 	return nil
 }
 
-// schedule is the geometry of one exchange on one processor: per entry
-// the runs of its own plane that the strip it sends is packed from and the
-// strip it receives is unpacked into, in wire order. ArrayLayout.StripRuns —
-// the one definition of a strip — enumerated them when the slots the entry
-// sections read held what key records. A strip is a function of (section,
-// receiver), so a time loop replays the lists; where the slots that moved
-// only shift every section rigidly (gravity's planes) the new strip is the
-// old one shifted, and translate moves the lists with it; else build.
-type schedule struct {
-	key        []int
-	ents       []schedEntry
-	send, recv []stripRun
-	dims       []section.Dim // backs the entries' at and ghost
-}
-
-// schedEntry is one entry of a schedule: its runs are send[:nsend] and
-// recv[:nrecv] less the entries before it, off what translations have
-// added to their offsets since they were enumerated; at is its section,
-// unclipped, where the runs are now, ghost the strip received as a
-// section: what an unpack adds to the processor's ghost hull.
-type schedEntry struct {
-	am                *runtime.ArrayMem
-	nsend, nrecv, off int
-	at, ghost         []section.Dim
-}
-
-// stripRun is one run of a strip: n consecutive flat offsets from off.
-type stripRun struct{ off, n int }
-
-// schedule returns the exchange's current run lists — replayed, translated
-// or rebuilt — for the neighbours dst and src the processor sends to and
-// receives from, -1 for none.
-func (pc *proc) schedule(op *plan.CommOp, dst, src int) *schedule {
-	sch := &pc.sched[op.Group.ID]
-	built := sch.key != nil
-	if !built {
-		sch.key, sch.dims = make([]int, len(op.Slots)), make([]section.Dim, 2*len(pc.to)*len(op.Entries))
-	}
-	if pc.fr.Unchanged(op.Slots, sch.key) && built {
-		return sch
-	}
-	if !built || !pc.translate(sch, op, dst, src) {
-		pc.build(sch, op, dst, src)
-	}
-	return sch
-}
-
-// build enumerates the schedule's lists from scratch.
-func (pc *proc) build(sch *schedule, op *plan.CommOp, dst, src int) {
-	g, dims := op.Group, sch.dims
-	sch.ents, sch.send, sch.recv = sch.ents[:0], sch.send[:0], sch.recv[:0]
-	for i := range op.Entries {
-		es := &op.Entries[i]
-		at := dims[:copy(dims, es.Bounds(pc.fr, pc.to))]
-		sec, ok := es.Concrete(pc.fr, pc.to)
-		if !ok {
-			continue
-		}
-		if dst >= 0 {
-			es.Lay.StripRuns(sec, pc.p, es.ShiftDim, g.Map.Sign, g.Map.Width, pc.fr.Scratch, func(off, n int) {
-				sch.send = append(sch.send, stripRun{off, n})
-			})
-		}
-		var strip section.Section
-		if src >= 0 {
-			strip = es.Lay.StripRuns(sec, src, es.ShiftDim, g.Map.Sign, g.Map.Width, pc.fr.Scratch, func(off, n int) {
-				sch.recv = append(sch.recv, stripRun{off, n})
-			})
-		}
-		ghost := dims[len(at) : len(at)+copy(dims[len(at):], strip.Dims)]
-		sch.ents = append(sch.ents, schedEntry{am: pc.fr.View(es.Lay), nsend: len(sch.send), nrecv: len(sch.recv), at: at, ghost: ghost})
-		dims = dims[2*len(at):]
-	}
-}
-
-// translate moves the schedule to where the entry sections are now and
-// reports whether it could: no entry was or is left out for a slot no loop
-// has bound, and each moved its strips rigidly, the sent and the received
-// (StripShift). A false return may leave it half moved: build starts over.
-func (pc *proc) translate(sch *schedule, op *plan.CommOp, dst, src int) bool {
-	if len(sch.ents) != len(op.Entries) || slices.Contains(sch.key, math.MinInt) {
-		return false
-	}
-	g := op.Group
-	for i := range sch.ents {
-		e, to := &sch.ents[i], op.Entries[i].Bounds(pc.fr, pc.to)
-		doff, ok := 0, true
-		if dst >= 0 {
-			doff, ok = e.am.StripShift(e.at, to, pc.p, op.Entries[i].ShiftDim, g.Map.Sign, g.Map.Width, pc.fr.Scratch)
-		}
-		if ok && src >= 0 {
-			doff, ok = e.am.StripShift(e.at, to, src, op.Entries[i].ShiftDim, g.Map.Sign, g.Map.Width, pc.fr.Scratch)
-		}
-		if !ok {
-			return false
-		}
-		e.off += doff
-		for k := range e.ghost {
-			d := to[k].Lo - e.at[k].Lo
-			e.ghost[k].Lo, e.ghost[k].Hi = e.ghost[k].Lo+d, e.ghost[k].Hi+d
-		}
-		copy(e.at, to)
-	}
-	return true
-}
-
-// shiftExchange performs one ghost-strip exchange. Data moves from
-// grid coordinate c to c-sign along g.Map.GridDim: this processor
-// sends its strip to the neighbour at coordinate c-sign (if any) and
-// receives the neighbour strip from coordinate c+sign (if any). The
-// payload carries only the elements the sender holds current plus a
-// packed validity bitmap trailer, reproducing the simulator's rule
-// that only valid elements travel. Both legs read the exchange's
-// schedule, whose lists were enumerated with the same arguments — the
-// strip's sender — on both processors, and so visit the same elements.
+// shiftExchange performs one ghost-strip exchange: this processor sends
+// its strip to the schedule's Dst and receives the neighbour strip from
+// its Src (CommOp.Neighbors). The payload carries only the elements the
+// sender holds current plus a packed validity bitmap trailer, reproducing
+// the simulator's rule that only valid elements travel. Both legs read
+// the exchange's schedule, whose lists were enumerated with the same
+// arguments — the strip's sender — on both processors, and so visit the
+// same elements.
 func (pc *proc) shiftExchange(op *plan.CommOp) error {
-	g := op.Group
-	grid := pc.eng.prog.Plan.A.Unit.Grid
-	dst, src := -1, -1
-	if q, ok := grid.Neighbor(pc.p, g.Map.GridDim, -g.Map.Sign); ok {
-		dst = q
-	}
-	if q, ok := grid.Neighbor(pc.p, g.Map.GridDim, g.Map.Sign); ok {
-		src = q
-	}
-	sch := pc.schedule(op, dst, src)
+	sch := pc.eng.sched.At(pc.fr, op, pc.p)
+	dst, src := sch.Dst, sch.Src
 
 	// Send leg: pack the valid strip elements and the validity bitmap
 	// for the receiving neighbour. Wire format:
@@ -403,12 +288,11 @@ func (pc *proc) shiftExchange(op *plan.CommOp) error {
 		payload := pc.getBuf(dst, op.Bound+op.Bound/64+2)
 		bits := pc.bitbuf[:0]
 		n := 0
-		from := 0
-		for _, e := range sch.ents {
-			data, valid := e.am.Data[pc.p], e.am.Valid[pc.p]
-			for _, r := range sch.send[from:e.nsend] {
-				at := r.off + e.off
-				for i, ok := range valid[at : at+r.n] {
+		for _, e := range sch.Ents {
+			data, valid := e.Am.Data[pc.p], e.Am.Valid[pc.p]
+			for _, r := range e.Send {
+				at := r.Off + e.Off
+				for i, ok := range valid[at : at+r.N] {
 					if n%64 == 0 {
 						bits = append(bits, 0)
 					}
@@ -419,7 +303,6 @@ func (pc *proc) shiftExchange(op *plan.CommOp) error {
 					n++
 				}
 			}
-			from = e.nsend
 		}
 		pc.bitbuf = bits
 		pc.bytes += int64(8 * len(payload))
@@ -449,12 +332,12 @@ func (pc *proc) shiftExchange(op *plan.CommOp) error {
 			return fmt.Errorf("native: exchange %d→%d protocol mismatch: %d words cannot hold %d elements", src, pc.p, len(buf), n)
 		}
 		words := buf[nv : len(buf)-1]
-		k, vpos, from := 0, 0, 0
-		for _, e := range sch.ents {
-			e.am.Delivered(pc.p, section.Section{Dims: e.ghost})
-			data, valid := e.am.Data[pc.p], e.am.Valid[pc.p]
-			for _, r := range sch.recv[from:e.nrecv] {
-				for i := r.off + e.off; i < r.off+e.off+r.n; i++ {
+		k, vpos := 0, 0
+		for _, e := range sch.Ents {
+			e.Am.Delivered(pc.p, section.Section{Dims: e.Ghost})
+			data, valid := e.Am.Data[pc.p], e.Am.Valid[pc.p]
+			for _, r := range e.Recv {
+				for i := r.Off + e.Off; i < r.Off+e.Off+r.N; i++ {
 					if k < n && math.Float64bits(words[k/64])&(1<<uint(k%64)) != 0 {
 						data[i], valid[i] = buf[vpos], true
 						vpos++
@@ -462,7 +345,6 @@ func (pc *proc) shiftExchange(op *plan.CommOp) error {
 					k++
 				}
 			}
-			from = e.nrecv
 		}
 		if k != n || vpos != nv {
 			return fmt.Errorf("native: exchange %d→%d protocol mismatch: %d/%d elements packed, %d/%d expected", src, pc.p, n, nv, k, vpos)
@@ -577,9 +459,13 @@ func (pc *proc) packOwned(am *runtime.ArrayMem, sec section.Section) {
 // owner-order scan SumSection uses), the section descends the tree,
 // and every processor stores the elements it does not own.
 func (pc *proc) bcastGather(op *plan.CommOp) error {
-	for _, es := range op.Concretize(pc.fr, &pc.entbuf) {
-		am := es.Am
-		pc.packOwned(am, es.Sec)
+	for i := range op.Entries {
+		sec, ok := op.Entries[i].Concrete(pc.fr)
+		if !ok {
+			continue
+		}
+		am := pc.fr.View(op.Entries[i].Lay)
+		pc.packOwned(am, sec)
 		streams, err := pc.gatherUp(pc.cnt, op.Bound)
 		if err != nil {
 			return err
@@ -590,7 +476,7 @@ func (pc *proc) bcastGather(op *plan.CommOp) error {
 			full = pc.fullbuf[:0]
 			pos := pc.pos
 			clear(pos)
-			am.OwnerRuns(es.Sec, pc.fr.Scratch, func(o, _, n int) {
+			am.OwnerRuns(sec, pc.fr.Scratch, func(o, _, n int) {
 				full = append(full, streams[o][pos[o]:pos[o]+n]...)
 				pos[o] += n
 			})
@@ -601,8 +487,8 @@ func (pc *proc) bcastGather(op *plan.CommOp) error {
 		}
 
 		k := 0
-		am.Delivered(pc.p, es.Sec)
-		am.OwnerRuns(es.Sec, pc.fr.Scratch, func(o, off, n int) {
+		am.Delivered(pc.p, sec)
+		am.OwnerRuns(sec, pc.fr.Scratch, func(o, off, n int) {
 			if o != pc.p {
 				copy(am.Data[pc.p][off:off+n], full[k:k+n])
 				for i := off; i < off+n; i++ {

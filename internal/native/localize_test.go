@@ -352,6 +352,10 @@ enddo
 s = mod(0 - 9, 4) + mod(0 - 8, 4) + mod(0 - 2.5, 0.75)
 end
 `, map[string]int{"n": 9}, 4, localized{1, 2, 0}},
+		// A 1-D array shifts over its own grid of P processors, not the
+		// square one the unit's 2-D array makes.
+		{"mixed-rank-grids-p4", mixedRankGrids, map[string]int{"n": 32}, 4, localized{3, 4, 0}},
+		{"mixed-rank-grids-p16", mixedRankGrids, map[string]int{"n": 32}, 16, localized{3, 4, 0}},
 		{"reject-misaligned-read-of-written", `
 routine r(n)
 real a(n), b(n)
@@ -407,6 +411,29 @@ end
 		}
 	})
 }
+
+// mixedRankGrids distributes c and d over a 1-D grid of all processors
+// beside a 2-D a, for which the unit's grid is square: c's exchange moves
+// between neighbours on c's grid.
+const mixedRankGrids = `
+routine r(n)
+real a(n, n), c(n), d(n)
+!hpf$ distribute (block, block) :: a
+!hpf$ distribute (block) :: c, d
+do i = 1, n
+do j = 1, n
+a(i, j) = i + j
+enddo
+enddo
+do i = 1, n
+c(i) = i * 3
+d(i) = 0
+enddo
+do i = 2, n - 1
+d(i) = c(i - 1) + c(i + 1)
+enddo
+end
+`
 
 // unboundInNest reads a scalar nothing assigns, in the second statement
 // of a row loop's body.

@@ -53,7 +53,6 @@ import (
 	"gcao/internal/obs"
 	"gcao/internal/plan"
 	"gcao/internal/runtime"
-	"gcao/internal/section"
 	"gcao/internal/source"
 )
 
@@ -107,14 +106,7 @@ func MaxProcs() int {
 
 // Run executes the placement natively on procs goroutines.
 func Run(res *core.Result, procs int) (*RunResult, error) {
-	return RunObs(res, procs, nil)
-}
-
-// RunObs is Run with an obs recorder: the run is wrapped in a
-// "native:<version>" phase span and its message/byte/collective
-// counters are added under the native.<version>. prefix.
-func RunObs(res *core.Result, procs int, rec *obs.Recorder) (*RunResult, error) {
-	return RunPooled(nil, plan.Lower(res), procs, rec, false)
+	return RunPooled(nil, plan.Lower(res), procs, nil, false)
 }
 
 // RunProfiled executes the placement natively with the runtime
@@ -124,11 +116,11 @@ func RunProfiled(res *core.Result, procs int, rec *obs.Recorder) (*RunResult, er
 	return RunPooled(nil, plan.Lower(res), procs, rec, true)
 }
 
-// RunPooled is RunObs or, profiled, RunProfiled of a placement's lowered
-// program on an idle engine from pool — which holds engines of this
-// program and nothing else — or, when there is none (or no pool), on a new
-// one whose home the pool becomes: the result's Release, or the failure
-// of a run, puts the engine there.
+// RunPooled runs a placement's lowered program — profiled, or with rec
+// (nil: none) wrapping it in a "native:<version>" span and taking its
+// counters under the native.<version>. prefix — on an idle engine from
+// pool, which holds engines of this program only, or else on a new one
+// whose home the pool becomes: Release, or a failed run, puts it there.
 func RunPooled(pool *sync.Pool, prog *plan.Program, procs int, rec *obs.Recorder, profiled bool) (*RunResult, error) {
 	res := prog.Plan.Res
 	defer rec.Start("native:" + res.Version.String())()
@@ -194,6 +186,7 @@ type Engine struct {
 	mem   *runtime.Memory
 	procs int
 	ps    []*proc
+	sched plan.Schedules // every processor's exchanges
 	ran   bool
 	home  *sync.Pool // where Release puts the engine; nil: nowhere
 	// scalars is the replicated scalar state of the last run, ops its
@@ -210,8 +203,9 @@ type Engine struct {
 	ringSize  int
 
 	// link[dst][src] is the directed pair src→dst, allocated only for
-	// pairs the protocol uses (binomial-tree edges and grid neighbours),
-	// so the fabric stays O(P·rank) instead of O(P²); links lists them.
+	// pairs the protocol uses (binomial-tree edges and the exchanges'
+	// neighbours), so the fabric stays O(P·rank) per grid instead of
+	// O(P²); links lists them.
 	link  [][]*link
 	links []*link
 
@@ -246,6 +240,7 @@ func newEngine(prog *plan.Program, procs int) (*Engine, error) {
 		prog:    prog,
 		mem:     prog.Plan.Layout.NewMemory(),
 		procs:   procs,
+		sched:   prog.NewSchedules(true),
 		scalars: map[string]float64{},
 		ops:     map[string]int64{},
 	}
@@ -257,13 +252,7 @@ func newEngine(prog *plan.Program, procs int) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		pc := &proc{
-			eng:   eng,
-			p:     p,
-			fr:    fr,
-			sched: make([]schedule, len(prog.Plan.Res.Groups)),
-			to:    make([]section.Dim, prog.Plan.Layout.MaxRank),
-		}
+		pc := &proc{eng: eng, p: p, fr: fr}
 		if p == 0 {
 			// Gather-assembly scratch: only the tree root carves
 			// per-processor streams out of child buffers.
@@ -425,7 +414,7 @@ type link struct {
 
 // connectFabric allocates the pairs the protocol can use: the
 // binomial-tree edges (collectives, barriers, condition broadcasts)
-// and both directions between grid neighbours (shift exchanges).
+// and the exchanges' pairs (CommOp.Neighbors).
 func (eng *Engine) connectFabric() {
 	eng.link = make([][]*link, eng.procs)
 	for d := range eng.link {
@@ -442,16 +431,11 @@ func (eng *Engine) connectFabric() {
 		connect(p, parent)
 		connect(parent, p)
 	}
-	shape := eng.prog.Plan.A.Unit.Grid.Shape
-	for p := 0; p < eng.procs; p++ {
-		coords := eng.prog.Plan.A.Unit.Grid.Coords(p)
-		stride := 1
-		for d := len(shape) - 1; d >= 0; d-- {
-			if coords[d]+1 < shape[d] {
-				connect(p, p+stride)
-				connect(p+stride, p)
+	for _, op := range eng.prog.Exchanges {
+		for p := 0; p < eng.procs; p++ {
+			if dst, _ := op.Neighbors(p); dst >= 0 {
+				connect(dst, p)
 			}
-			stride *= shape[d]
 		}
 	}
 }
@@ -525,14 +509,10 @@ type proc struct {
 	at source.Pos
 
 	// Reusable scratch, sized once at engine setup so the hot paths
-	// allocate nothing: the concretized entry list with its descriptors
-	// (entbuf), the packed contribution and assembled-section buffers,
-	// the shift validity bitmap, and — root only — the gather
+	// allocate nothing: the packed contribution and assembled-section
+	// buffers, the shift validity bitmap, and — root only — the gather
 	// stream-carving scratch. The bulk memory operations use the
 	// frame's Scratch.
-	entbuf  plan.EntryBuf
-	sched   []schedule    // by group ID: the exchanges' run lists
-	to      []section.Dim // an entry's section while schedule places it
 	minebuf []float64
 	fullbuf []float64
 	bitbuf  []uint64

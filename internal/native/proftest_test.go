@@ -161,7 +161,7 @@ func TestNativeProfileCalibrationJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.New()
-	if _, err := spmd.RunObs(res, machine.SP2(), 16, rec); err != nil {
+	if _, err := spmd.RunParallelObs(res, machine.SP2(), 16, 0, rec); err != nil {
 		t.Fatal(err)
 	}
 	attrRun := rec.Attribution()

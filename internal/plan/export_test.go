@@ -1,6 +1,10 @@
 package plan
 
-import "slices"
+import (
+	"slices"
+
+	"gcao/internal/section"
+)
 
 // ClearRows removes the row-loop and box marks from a lowered program,
 // so that a driver walks every loop on the closure tree: the element
@@ -51,4 +55,36 @@ func (lp *Loop) BoxShape(fr *Frame) (rows, n int) {
 func (n *Nest) Verified(fr *Frame) bool {
 	key := fr.memo[n.memo : n.memo+1+len(n.slots)]
 	return key[0] == fr.P+1 && fr.Unchanged(n.slots, slices.Clone(key[1:]))
+}
+
+// AtWay is Schedules.At, naming the way it took: "replayed", "translated"
+// or "built".
+func (ss *Schedules) AtWay(fr *Frame, op *CommOp, p int) (*Schedule, string) { return ss.at(fr, op, p) }
+
+// Build builds processor p's schedule of op under fr from scratch.
+func (ss *Schedules) Build(fr *Frame, op *CommOp, p int) *Schedule {
+	s := &ss.s[p*ss.nx+op.xid]
+	s.build(fr, op, p)
+	return s
+}
+
+// Matches reports whether s holds what f, built from scratch where s is
+// now, holds: the same neighbours, arrays and sections, the same runs at
+// the same offsets and the same received strips (or both empty).
+func (s *Schedule) Matches(f *Schedule) bool {
+	if s.Dst != f.Dst || s.Src != f.Src || len(s.Ents) != len(f.Ents) {
+		return false
+	}
+	empty := func(dims []section.Dim) bool { return section.Section{Dims: dims}.IsEmpty() }
+	sameRuns := func(a, b []StripRun, da, db int) bool {
+		return slices.EqualFunc(a, b, func(x, y StripRun) bool { return x.Off+da == y.Off+db && x.N == y.N })
+	}
+	for i, e := range s.Ents {
+		g := f.Ents[i]
+		if e.Am != g.Am || !slices.Equal(e.at, g.at) || !slices.Equal(e.Ghost, g.Ghost) && !(empty(e.Ghost) && empty(g.Ghost)) ||
+			!sameRuns(e.Send, g.Send, e.Off, g.Off) || !sameRuns(e.Recv, g.Recv, e.Off, g.Off) {
+			return false
+		}
+	}
+	return true
 }

@@ -191,6 +191,9 @@ func (lw *lowerer) comm(groups []*core.Group) *Comm {
 	c := &Comm{Ops: make([]CommOp, len(groups))}
 	for i, g := range groups {
 		op := CommOp{Group: g, Bound: lw.pl.Bound[g]}
+		if g.Kind == core.KindShift {
+			op.xid, lw.pr.Exchanges = len(lw.pr.Exchanges), append(lw.pr.Exchanges, &c.Ops[i])
+		}
 		if g.Kind != core.KindReduce {
 			for _, e := range g.Entries {
 				if es, ok := lw.entry(g, e); ok {

@@ -17,7 +17,8 @@
 // goroutine backend (package native) — are drivers over that Program.
 // How a placed statement is evaluated (name resolution, subscript
 // folding, bounds checks, floating-point operation order, SUM call
-// sites, loop-exit values, the order of a loop's steps: Loop.Run) is
+// sites, loop-exit values, the order of a loop's steps: Loop.Run) and
+// which runs an exchange moves between which neighbours (Schedule) are
 // decided here and nowhere else; a backend knows only what it adds: the
 // simulator its rendezvous and ledger charges, the native backend its
 // message fabric.

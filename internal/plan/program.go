@@ -27,6 +27,8 @@ import (
 type Program struct {
 	Plan *Plan
 	Body []Node
+	// Exchanges lists the shift operations of Body in lowering order.
+	Exchanges []*CommOp
 	// Ints and Reals name the frame slots: one integer slot per loop
 	// variable name, one real slot per declared non-parameter scalar.
 	Ints, Reals []string
@@ -64,9 +66,22 @@ type CommOp struct {
 	// shifts, only those distributed along the shifted grid dimension);
 	// empty for global-sum markers, which move no data themselves.
 	Entries []EntrySec
-	// Slots lists the integer slots the entries' sections read: Concretize
-	// returns what it returned while Frame.Unchanged says they have not moved.
+	// Slots lists the integer slots the entries' sections read: a schedule
+	// built under them holds while Frame.Unchanged says they have not moved.
 	Slots []int
+	xid   int // a shift's index in Program.Exchanges
+}
+
+// Neighbors returns the processors p sends its strips to and takes them
+// from in a shift, -1 for none: its neighbours on the grid the entries'
+// arrays are distributed over (core combines none of different grids).
+// Both backends and the native fabric ask this and nothing else.
+func (op *CommOp) Neighbors(p int) (dst, src int) {
+	if len(op.Entries) == 0 {
+		return -1, -1
+	}
+	m, g := op.Group.Map, op.Entries[0].Lay.Dist.Grid
+	return g.Neighbor(p, m.GridDim, -m.Sign), g.Neighbor(p, m.GridDim, m.Sign)
 }
 
 // EntrySec is one group entry's communicated section, symbolic in the
@@ -84,66 +99,28 @@ type EntrySec struct {
 }
 
 // Concrete evaluates the section under fr, clipped to the declared
-// bounds, into dst (len >= rank). ok is false while a variable the
-// section depends on has never been bound.
-func (e *EntrySec) Concrete(fr *Frame, dst []section.Dim) (sec section.Section, ok bool) {
+// bounds, into the frame's scratch (valid until the next evaluation under
+// fr). ok is false while a variable the section depends on has never been
+// bound: the entry moves nothing then. Loop variables are replicated, so
+// every executor derives the same section.
+func (e *EntrySec) Concrete(fr *Frame) (sec section.Section, ok bool) {
 	for _, s := range e.need {
 		if !fr.Bound[s] {
 			return section.Section{}, false
 		}
 	}
-	dst = e.Bounds(fr, dst)
+	dst := e.Bounds(fr)
 	return section.Section{Dims: dst}.ClipInto(e.Lay.Arr.Lo, e.Lay.Arr.Hi, dst), true
 }
 
-// Bounds evaluates the section under fr, unclipped, into dst (len >= rank).
-func (e *EntrySec) Bounds(fr *Frame, dst []section.Dim) []section.Dim {
-	dst = dst[:len(e.Lo)]
+// Bounds evaluates the section under fr, unclipped, into the frame's
+// scratch.
+func (e *EntrySec) Bounds(fr *Frame) []section.Dim {
+	dst := fr.dims[:len(e.Lo)]
 	for i := range dst {
 		dst[i] = section.Dim{Lo: e.Lo[i].Eval(fr), Hi: e.Hi[i].Eval(fr), Step: e.Step[i]}
 	}
 	return dst
-}
-
-// Entry is one group entry concretized under a frame: its section and its
-// array's storage in the frame's image.
-type Entry struct {
-	Am       *runtime.ArrayMem
-	Sec      section.Section
-	ShiftDim int
-}
-
-// EntryBuf is the storage of one concretized entry list, reused from
-// one communication operation to the next by the executor that owns it.
-type EntryBuf struct {
-	ents []Entry
-	dims []section.Dim
-}
-
-// Concretize resolves the group's entry sections under fr into buf
-// (valid until the next call with the same buf). The entries lowering
-// kept are the ones that can move data; one over a variable no loop has
-// bound yet moves none. Loop variables are replicated, so every
-// executor derives the identical list.
-func (op *CommOp) Concretize(fr *Frame, buf *EntryBuf) []Entry {
-	out, dims := buf.ents[:0], buf.dims[:0]
-	for i := range op.Entries {
-		e := &op.Entries[i]
-		rank := len(e.Lo)
-		if len(dims)+rank > cap(dims) {
-			// Earlier entries keep the descriptors they already hold.
-			dims = make([]section.Dim, 0, 2*(len(dims)+rank))
-		}
-		dims = dims[:len(dims)+rank]
-		sec, ok := e.Concrete(fr, dims[len(dims)-rank:])
-		if !ok {
-			dims = dims[:len(dims)-rank]
-			continue
-		}
-		out = append(out, Entry{Am: fr.View(e.Lay), Sec: sec, ShiftDim: e.ShiftDim})
-	}
-	buf.ents, buf.dims = out, dims
-	return out
 }
 
 // Stmt is one assignment. A backend runs Sums (the statement-level

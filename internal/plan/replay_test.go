@@ -1,40 +1,52 @@
 package plan_test
 
 import (
-	"math"
-	"slices"
 	"testing"
 
 	"gcao/internal/bench"
 	"gcao/internal/core"
-	"gcao/internal/dist"
 	"gcao/internal/plan"
-	"gcao/internal/section"
+	"gcao/internal/runtime"
 )
 
 // control walks a lowered program's control flow for one processor as a
 // native processor's frame sees it — loop variables, nest entries and
 // exits, communication positions in program order — and executes no
 // statement, so the program must not branch (the benchmark programs do
-// not). At every exchange it asks what the native backend asks of its
-// schedule — is there one, does Frame.Unchanged say the slots the sections
-// read hold what they held, and if they moved, does ArrayMem.StripShift say
-// every entry's strips only moved with them, the sent and the received —
-// and at every nest entry whether Enter will return at once: counting
-// wrappers around the replays, with no counter in the program. (The native
-// package's TestTranslatedScheduleMatchesRebuilt counts the same on the
-// schedules themselves.)
+// not). At every exchange it asks the plan schedule what the backends
+// ask of it (Schedules.At) — the native backend for the frame's
+// processor, sending and receiving; with recv, the simulator for every
+// receiver, receiving only — and counts the way each
+// took; given fresh, it holds each against one built from scratch there.
+// At every nest entry it counts whether Enter will return at once: with
+// no counter in the program.
 type control struct {
-	t    *testing.T
-	fr   *plan.Frame
-	grid dist.Grid
-	keys map[*plan.CommOp][]int
-	// at holds, per exchange, the entry sections — unclipped — its schedule
-	// was last placed at; nil while a slot they read is unbound and an entry
-	// left out.
-	at map[*plan.CommOp][][]section.Dim
+	t         *testing.T
+	fr        *plan.Frame
+	procs     int
+	recv      bool
+	ss, fresh *plan.Schedules
+	ways      map[string]int
+	// asked holds the (exchange, processor) pairs asked about.
+	asked                   map[pair]bool
+	nestReplayed, nestBuilt int
+}
 
-	exchReplayed, exchTranslated, exchBuilt, nestReplayed, nestBuilt int
+type pair struct {
+	op *plan.CommOp
+	p  int
+}
+
+// newControl returns a control walk on processor p of prog, over its
+// native engine's schedules or, with recv, its simulator's.
+func newControl(t *testing.T, prog *plan.Program, mem *runtime.Memory, p int, recv, fresh bool) *control {
+	ss := prog.NewSchedules(!recv)
+	c := &control{t: t, fr: newFrame(t, prog, p, mem), procs: prog.Plan.Layout.P, recv: recv, ss: &ss, ways: map[string]int{}, asked: map[pair]bool{}}
+	if fresh {
+		f := prog.NewSchedules(!recv)
+		c.fresh = &f
+	}
+	return c
 }
 
 func (c *control) exec(nodes []plan.Node) {
@@ -59,44 +71,18 @@ func (c *control) comm(cm *plan.Comm) {
 		if op.Group.Kind != core.KindShift {
 			continue
 		}
-		key, built := c.keys[op]
-		if !built {
-			key = make([]int, len(op.Slots))
-			c.keys[op] = key
-		}
-		switch {
-		case c.fr.Unchanged(op.Slots, key) && built:
-			c.exchReplayed++
-		case c.moved(op, key):
-			c.exchTranslated++
-		default:
-			c.exchBuilt++
+		for p := range c.procs {
+			if !c.recv && p != c.fr.P {
+				continue
+			}
+			s, way := c.ss.AtWay(c.fr, op, p)
+			c.ways[way]++
+			c.asked[pair{op, p}] = true
+			if c.fresh != nil && !s.Matches(c.fresh.Build(c.fr, op, p)) {
+				c.t.Fatalf("processor %d, exchange %s with %v: the schedule (%s) is\n%+v\nbuilt from scratch\n%+v", p, op.Group.SiteID, c.fr.Ints, way, *s, *c.fresh.Build(c.fr, op, p))
+			}
 		}
 	}
-}
-
-// moved records where the exchange's entry sections are now and reports
-// whether a schedule placed where they were before translates there.
-func (c *control) moved(op *plan.CommOp, key []int) bool {
-	g, at, to := op.Group, c.at[op], make([][]section.Dim, len(op.Entries))
-	bound := !slices.Contains(key, math.MinInt)
-	rigid := bound && at != nil
-	for i := range op.Entries {
-		es := &op.Entries[i]
-		for k := range es.Lo {
-			to[i] = append(to[i], section.Dim{Lo: es.Lo[k].Eval(c.fr), Hi: es.Hi[k].Eval(c.fr), Step: es.Step[k]})
-		}
-		if _, ok := c.grid.Neighbor(c.fr.P, g.Map.GridDim, -g.Map.Sign); ok && rigid { // the strip it sends
-			_, rigid = es.Lay.StripShift(at[i], to[i], c.fr.P, es.ShiftDim, g.Map.Sign, g.Map.Width, c.fr.Scratch)
-		}
-		if src, ok := c.grid.Neighbor(c.fr.P, g.Map.GridDim, g.Map.Sign); ok && rigid { // the one it receives
-			_, rigid = es.Lay.StripShift(at[i], to[i], src, es.ShiftDim, g.Map.Sign, g.Map.Width, c.fr.Scratch)
-		}
-	}
-	if c.at[op] = nil; bound {
-		c.at[op] = to
-	}
-	return rigid
 }
 
 func (c *control) loop(lp *plan.Loop) {
@@ -143,7 +129,9 @@ func (c *control) loop(lp *plan.Loop) {
 // built once per processor too and translated for every later plane; the
 // entries of its nests that subscript the plane variable are rebuilt every
 // time (their verified ranges move with it) and the nests that do not are
-// replayed.
+// replayed. The simulator's receive-only schedules of hydflo/flux, one per
+// (exchange, receiver), are built once each in a run and replayed from
+// then on.
 func TestScheduleReplayShare(t *testing.T) {
 	for _, tc := range []struct {
 		bench, routine string
@@ -164,25 +152,35 @@ func TestScheduleReplayShare(t *testing.T) {
 		}
 		res := placeSrc(t, pr.Source, tc.params, tc.procs)
 		w := newWalker(t, res, tc.procs)
-		var sum control
+		sum := control{ways: map[string]int{}}
 		for p := 0; p < tc.procs; p++ {
-			c := control{t: t, fr: newFrame(t, w.prog, p, w.mem), grid: res.Analysis.Unit.Grid, keys: map[*plan.CommOp][]int{}, at: map[*plan.CommOp][][]section.Dim{}}
+			c := newControl(t, w.prog, w.mem, p, false, false)
 			c.exec(w.prog.Body)
-			sum.exchReplayed += c.exchReplayed
-			sum.exchTranslated += c.exchTranslated
-			sum.exchBuilt += c.exchBuilt
+			for way, n := range c.ways {
+				sum.ways[way] += n
+			}
 			sum.nestReplayed += c.nestReplayed
 			sum.nestBuilt += c.nestBuilt
 		}
-		exch, nests := sum.exchReplayed+sum.exchTranslated+sum.exchBuilt, sum.nestReplayed+sum.nestBuilt
+		built, exch, nests := sum.ways["built"], sum.ways["replayed"]+sum.ways["translated"]+sum.ways["built"], sum.nestReplayed+sum.nestBuilt
 		t.Logf("%s/%s %v P=%d: exchanges %d replayed / %d translated / %d built (%.2f%% not built), nest entries %d replayed / %d built (%.2f%%)",
-			tc.bench, tc.routine, tc.params, tc.procs, sum.exchReplayed, sum.exchTranslated, sum.exchBuilt, 100*float64(exch-sum.exchBuilt)/float64(exch),
+			tc.bench, tc.routine, tc.params, tc.procs, sum.ways["replayed"], sum.ways["translated"], built, 100*float64(exch-built)/float64(exch),
 			sum.nestReplayed, sum.nestBuilt, 100*float64(sum.nestReplayed)/float64(nests))
-		if want := tc.exchanges * tc.procs; sum.exchBuilt != want {
-			t.Errorf("%s/%s: %d exchange schedules built, want %d a processor: %d", tc.bench, tc.routine, sum.exchBuilt, tc.exchanges, want)
+		if want := tc.exchanges * tc.procs; built != want {
+			t.Errorf("%s/%s: %d exchange schedules built, want %d a processor: %d", tc.bench, tc.routine, built, tc.exchanges, want)
 		}
 		if want := tc.nests * tc.procs; sum.nestBuilt != want {
 			t.Errorf("%s/%s: %d nest entries built, want %d a processor: %d", tc.bench, tc.routine, sum.nestBuilt, tc.nests, want)
+		}
+		if tc.routine != "flux" {
+			continue
+		}
+		c := newControl(t, w.prog, w.mem, 0, true, false)
+		c.exec(w.prog.Body)
+		t.Logf("%s/%s %v P=%d, simulator: deliveries %d replayed / %d translated / %d built (%.2f%% replayed)", tc.bench, tc.routine, tc.params, tc.procs,
+			c.ways["replayed"], c.ways["translated"], c.ways["built"], 100*float64(c.ways["replayed"])/float64(c.ways["replayed"]+c.ways["built"]))
+		if c.ways["built"] != len(c.asked) || c.ways["translated"] != 0 || c.ways["replayed"] == 0 {
+			t.Errorf("%s/%s simulator: %v for %d (exchange, receiver) pairs, want each built once and replayed from then on", tc.bench, tc.routine, c.ways, len(c.asked))
 		}
 	}
 }

@@ -27,8 +27,8 @@ import (
 //     that read owner rows (OwnerRuns), cut where the owner changes;
 //   - the ghost hull of processor p (Delivered): a box outside which p
 //     holds no valid element it does not own. Whatever makes such an
-//     element valid — ShiftRange, BroadcastRange, the native backend's
-//     exchange and gather unpack — grows the hull over what it delivers;
+//     element valid — either backend's exchange delivery, BroadcastRange,
+//     the native gather unpack — grows the hull over what it delivers;
 //     an InvalidateBox that covers the hull, and Reset, empty it. In
 //     between the hull only over-approximates, so clearing a box is
 //     clearing its part inside the hull: O(halo), not O(box).
@@ -159,10 +159,10 @@ func (am *ArrayMem) Delivered(p int, sec section.Section) {
 // neighbour: those src owns along ad within width of its sign-side
 // block boundary, inside the receiver's block widened by width (the
 // ghost margin) in every other dimension — the two processors differ in
-// the moved grid coordinate only, so that block is src's own. Sender,
-// receiver and simulator all enumerate a strip through this one
-// definition. It returns the strip as a section in sc (valid until sc is
-// used again), for the receiver's Delivered.
+// the moved grid coordinate only, so that block is src's own. Both
+// backends enumerate a strip through this one definition, when package
+// plan builds an exchange schedule. It returns the strip as a section in
+// sc (valid until sc is used again), for the receiver's Delivered.
 func (am *ArrayLayout) StripRuns(sec section.Section, src, ad, sign, width int, sc *Scratch, f func(off, n int)) section.Section {
 	lo, hi := sc.lo[:len(am.Strides)], sc.hi[:len(am.Strides)]
 	if !am.stripBox(src, ad, sign, width, lo, hi) {
@@ -175,6 +175,24 @@ func (am *ArrayLayout) StripRuns(sec section.Section, src, ad, sign, width int, 
 	}
 	am.walk(strip, sc.idx, false, func(_, off, n int) { f(off, n) })
 	return strip
+}
+
+// StripBound bounds the runs StripRuns visits for src's strip of any
+// section whose last dimension has step: one a row of the strip box, one
+// an element where the rows are strided — by the section, or by the
+// lattice of a CYCLIC moved last dimension.
+func (am *ArrayLayout) StripBound(src, ad, sign, width, step int, sc *Scratch) int {
+	lo, hi := sc.lo[:len(am.Strides)], sc.hi[:len(am.Strides)]
+	if !am.stripBox(src, ad, sign, width, lo, hi) {
+		return 0
+	}
+	last, n := len(lo)-1, 1
+	for k := range lo {
+		if k < last || step > 1 || (k == ad && am.Dist.Dims[k].Kind == dist.Cyclic) {
+			n *= hi[k] - lo[k] + 1
+		}
+	}
+	return n
 }
 
 // stripBox fills lo and hi with the strip box of StripRuns' arguments,

@@ -4,9 +4,9 @@
 // processor does not own is readable only after a communication
 // operation delivered it — reading a stale copy is an error, which is
 // how the test suite proves that a communication placement is
-// sufficient), the communication operations the compiler emits (ghost
-// exchange for NNC, broadcast, general gather, reduction accounting),
-// and a ledger charging every operation to the machine cost model.
+// sufficient), what the compiler's communication is made of (the strips
+// of a ghost exchange and their copy, broadcast, general gather,
+// reduction accounting), and a ledger charging it to the machine model.
 package runtime
 
 import (
@@ -600,49 +600,20 @@ func (am *ArrayLayout) ShiftArrayDim(gridDim int) int {
 	return -1
 }
 
-// ShiftRange performs a ghost exchange for one array section along one
-// grid dimension, restricted to the receiving processors [dstLo,
-// dstHi): each of them takes, from its neighbour on the sign side, the
-// strip of width elements at that neighbour's block boundary —
-// including ghost copies the neighbour received in earlier exchanges,
-// which is how diagonal data reaches its corner in the classic
-// two-phase augmented exchange. The strip spans the receiver's local
-// region plus a ghost margin in the other dimensions (Zima-style
-// overlap regions); only elements the sender holds valid travel, and
-// the bytes of every one that does are added to bytes[receiver] — the
-// strip is sent unconditionally, a compiled exchange does not know
-// what the receiver already holds. The caller charges one message per
-// receiver with a non-zero count (that is the whole point of
-// combining): the sender is a function of the receiver, so ascending
-// receivers are the (sender, receiver) pairs in sorted order.
-//
-// What a processor receives is owned, along the moved dimension, by its
-// neighbour, and what it sends by itself: no row is both read and
-// written at the same element, so shards running ShiftRange over
-// disjoint receiver ranges concurrently neither race nor depend on
-// each other's order.
-func (am *ArrayMem) ShiftRange(sec section.Section, gridDim, sign, width, dstLo, dstHi int, sc *Scratch, bytes []int) {
-	ad := am.ShiftArrayDim(gridDim)
-	if ad < 0 {
-		return
-	}
-	for dst := dstLo; dst < dstHi; dst++ {
-		src, ok := am.Dist.Grid.Neighbor(dst, gridDim, sign)
-		if !ok {
-			continue // non-periodic boundary
+// CopyValid delivers one run of a shift's strip (StripRuns; the caller
+// grows dst's hull by Delivered): what src holds valid of the n offsets
+// from off, its ghosts too, is copied into dst's plane, marked and counted.
+// Disjoint receivers run concurrently: what one receives, another sends.
+func (am *ArrayMem) CopyValid(src, dst, off, n int) int {
+	from, held, to, valid := am.Data[src][off:off+n], am.Valid[src][off:off+n], am.Data[dst][off:off+n], am.Valid[dst][off:off+n]
+	moved := 0
+	for i, ok := range held {
+		if ok {
+			to[i], valid[i] = from[i], true
+			moved++
 		}
-		from, held, to, valid := am.Data[src], am.Valid[src], am.Data[dst], am.Valid[dst]
-		moved := 0
-		am.Delivered(dst, am.StripRuns(sec, src, ad, sign, width, sc, func(off, n int) {
-			for i := off; i < off+n; i++ {
-				if held[i] {
-					to[i], valid[i] = from[i], true
-					moved++
-				}
-			}
-		}))
-		bytes[dst] += moved * am.Arr.ElemBytes()
 	}
+	return moved
 }
 
 // BroadcastRange delivers a section (within the declared bounds) from

@@ -80,7 +80,7 @@ func TestProfileDoesNotPerturbRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.New()
-	inst, err := RunObs(res, machine.SP2(), 4, rec)
+	inst, err := RunParallelObs(res, machine.SP2(), 4, 1, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

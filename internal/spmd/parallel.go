@@ -28,6 +28,7 @@ import (
 	"gcao/internal/obs/attr"
 	"gcao/internal/plan"
 	"gcao/internal/runtime"
+	"gcao/internal/section"
 )
 
 // DefaultParallelThreshold is the processor count below which Run
@@ -43,13 +44,7 @@ const DefaultParallelThreshold = 8
 // reaches DefaultParallelThreshold; results are bit-identical either
 // way.
 func Run(res *core.Result, m machine.Machine, procs int) (*RunResult, error) {
-	return RunObs(res, m, procs, res.Analysis.Obs)
-}
-
-// RunObs is Run with an explicit recorder (which may be nil to
-// disable profiling even when the analysis has one).
-func RunObs(res *core.Result, m machine.Machine, procs int, rec *obs.Recorder) (*RunResult, error) {
-	return RunParallelObs(res, m, procs, autoWorkers(procs), rec)
+	return RunParallelObs(res, m, procs, autoWorkers(procs), res.Analysis.Obs)
 }
 
 // RunParallel is Run with an explicit shard count: workers=1 forces
@@ -70,8 +65,8 @@ func autoWorkers(procs int) int {
 	return w
 }
 
-// RunParallelObs is the full-control entry point: explicit shard
-// count and explicit recorder. It builds an engine and runs it once.
+// RunParallelObs is the full-control entry point: explicit shard count
+// and recorder (nil disables profiling). It builds an engine and runs it.
 func RunParallelObs(res *core.Result, m machine.Machine, procs, workers int, rec *obs.Recorder) (*RunResult, error) {
 	defer rec.Start("simulate:" + res.Version.String())()
 	eng, err := NewEngine(res, procs, workers)
@@ -81,10 +76,10 @@ func RunParallelObs(res *core.Result, m machine.Machine, procs, workers int, rec
 	return eng.Run(m, rec)
 }
 
-// RunPooled is RunObs of a placement's lowered program on an idle engine
-// from pool — which holds engines of this program and nothing else — or,
-// when there is none, on a new one whose home the pool becomes: the
-// result's Release, or the failure of a run, puts the engine there.
+// RunPooled is RunParallelObs of a placement's lowered program on an idle
+// engine from pool — which holds engines of this program and nothing
+// else — or, when there is none, on a new one whose home the pool becomes:
+// the result's Release, or the failure of a run, puts the engine there.
 func RunPooled(pool *sync.Pool, prog *plan.Program, m machine.Machine, procs int, rec *obs.Recorder) (*RunResult, error) {
 	defer rec.Start("simulate:" + prog.Plan.Res.Version.String())()
 	eng, _ := pool.Get().(*Engine)
@@ -110,8 +105,9 @@ func NewEngine(res *core.Result, procs, workers int) (*Engine, error) {
 }
 
 // newEngine builds what an engine owns — a memory image under the
-// program's layout, the shards with their frames, the rendezvous scratch
-// — around a program it shares with every other engine of the placement.
+// program's layout, the shards with their frames, the schedules and the
+// rendezvous scratch — around a program it shares with every other
+// engine of the placement.
 func newEngine(prog *plan.Program, procs, workers int) (*Engine, error) {
 	if got := prog.Plan.Layout.P; got != procs {
 		return nil, fmt.Errorf("spmd: unit compiled for %d processors, run requested %d", got, procs)
@@ -123,6 +119,7 @@ func newEngine(prog *plan.Program, procs, workers int) (*Engine, error) {
 	eng := &Engine{
 		prog:       prog,
 		mem:        prog.Plan.Layout.NewMemory(),
+		sched:      prog.NewSchedules(false),
 		scalars:    map[string]float64{},
 		shards:     make([]*shard, workers),
 		syncVals:   make([]float64, workers),
@@ -232,15 +229,16 @@ func (sh *shard) main() {
 // Engine: a prepared simulation, reusable across runs
 
 // Engine is a prepared simulation of one placement, in the image of
-// native.Engine: the memory image, the shards with their frames and the
-// rendezvous scratch are built once, around a lowered program that may be
-// shared with other engines and is never written; the ledger,
-// the phaser and — with a recorder — the profile and attribution
-// records are a run's own. An Engine is not safe for concurrent Runs. A
+// native.Engine: the memory image, the receivers' exchange schedules, the
+// shards with their frames and the rendezvous scratch are built once,
+// around a lowered program that may be shared with other engines and is
+// never written; the ledger, the phaser and — with a recorder — the
+// profile and attribution records are a run's own. An Engine is not safe for concurrent Runs. A
 // failed run leaves it usable.
 type Engine struct {
 	prog    *plan.Program
 	mem     *runtime.Memory
+	sched   plan.Schedules // receive-only; a shard uses its receivers'
 	shards  []*shard
 	scalars map[string]float64
 	ran     bool
@@ -275,8 +273,6 @@ type Engine struct {
 	// processor dst, written by the shard whose range holds dst.
 	recvBytes  []int
 	bcastBytes []int
-	entBuf     plan.EntryBuf
-	ents       []plan.Entry
 	msgs0      int
 	bytes0     int
 }
@@ -429,14 +425,13 @@ func (eng *Engine) finishProfile(rec *obs.Recorder) {
 // communication execution (superstep rendezvous)
 
 // Comm executes the communication groups placed at one position.
-// Each group is one superstep: rendezvous A quiesces the shards,
-// absorbs the shard clocks, runs the barrier and concretizes the
-// entry sections once; the shards then deliver the strips of the
-// receivers in their own ranges concurrently; rendezvous B charges the
-// master ledger one message per receiver that was sent anything, in
-// receiver order. A shift's sender is its receiver's neighbour, so that
-// is the (sender, receiver) pairs in sorted order: the charge order —
-// and with it every float accumulation — is reproducible run-to-run.
+// Each group is one superstep: rendezvous A quiesces the shards, absorbs
+// the shard clocks and runs the barrier; the shards then deliver to the
+// receivers in their own ranges concurrently, under their replicated loop
+// state; rendezvous B charges the master ledger one message per receiver
+// that was sent anything, in receiver order. A shift's sender is its
+// receiver's neighbour, so that is the (sender, receiver) pairs in sorted
+// order: the charge order — and every float accumulation — is reproducible.
 func (sh *shard) Comm(c *plan.Comm) error {
 	if c == nil {
 		return nil
@@ -452,7 +447,6 @@ func (sh *shard) Comm(c *plan.Comm) error {
 			}
 			eng.masterBarrier()
 			eng.msgs0, eng.bytes0 = eng.led.DynMessages, eng.led.BytesMoved
-			eng.ents = op.Concretize(sh.fr, &eng.entBuf)
 			if g.Kind == core.KindReduce {
 				// Functionally the SUM statement computes the value; the
 				// group charges one combined message of k partials.
@@ -468,29 +462,34 @@ func (sh *shard) Comm(c *plan.Comm) error {
 		case core.KindShift:
 			// One message per (src,dst) pair for the whole group: the
 			// member strips are packed together. This shard delivers
-			// the strips whose receivers lie in its range.
-			clear(eng.recvBytes[sh.lo:sh.hi])
-			for _, e := range eng.ents {
-				e.Am.ShiftRange(e.Sec, g.Map.GridDim, g.Map.Sign, g.Map.Width, sh.lo, sh.hi, sh.fr.Scratch, eng.recvBytes)
-			}
+			// those whose receivers lie in its range, from their schedules.
 			for dst := sh.lo; dst < sh.hi; dst++ {
-				b := int64(eng.recvBytes[dst])
-				if b == 0 {
+				sch, b := eng.sched.At(sh.fr, op, dst), 0
+				for _, e := range sch.Ents {
+					e.Am.Delivered(dst, section.Section{Dims: e.Ghost})
+					moved := 0
+					for _, r := range e.Recv {
+						moved += e.Am.CopyValid(sch.Src, dst, r.Off+e.Off, r.N)
+					}
+					b += moved * e.Am.Arr.ElemBytes()
+				}
+				if eng.recvBytes[dst] = b; b == 0 {
 					continue
 				}
-				src := eng.sender(g, dst)
-				sh.prof.AddPair(src, dst, b)
+				sh.prof.AddPair(sch.Src, dst, int64(b))
 				if eng.attrScr != nil {
 					// Shard-local h-relation accumulation: only deliveries
 					// whose receivers fall in this shard's range are here,
 					// so each delivery is counted exactly once run-wide.
-					eng.attrScr[sh.idx].AddPair(src, dst, b)
+					eng.attrScr[sh.idx].AddPair(sch.Src, dst, int64(b))
 				}
 			}
 		case core.KindBcast, core.KindGeneral:
 			bytes := 0
-			for _, e := range eng.ents {
-				bytes += e.Am.BroadcastRange(e.Sec, sh.lo, sh.hi, sh.fr.Scratch)
+			for i := range op.Entries {
+				if sec, ok := op.Entries[i].Concrete(sh.fr); ok {
+					bytes += sh.fr.View(op.Entries[i].Lay).BroadcastRange(sec, sh.lo, sh.hi, sh.fr.Scratch)
+				}
 			}
 			eng.bcastBytes[sh.idx] = bytes
 		}
@@ -502,7 +501,8 @@ func (sh *shard) Comm(c *plan.Comm) error {
 					if b == 0 {
 						continue
 					}
-					eng.led.Message(eng.sender(g, dst), dst, b)
+					_, src := op.Neighbors(dst)
+					eng.led.Message(src, dst, b)
 				}
 			case core.KindBcast, core.KindGeneral:
 				// Every shard observed the same full-section payload.
@@ -523,15 +523,6 @@ func (sh *shard) Comm(c *plan.Comm) error {
 		}
 	}
 	return nil
-}
-
-// sender returns the processor that the executing shift group's
-// receiver dst takes its strips from: its neighbour on the grid the
-// group's arrays are distributed over (combining requires them to share
-// it). Only asked about receivers that were sent something.
-func (eng *Engine) sender(g *core.Group, dst int) int {
-	src, _ := eng.ents[0].Am.Dist.Grid.Neighbor(dst, g.Map.GridDim, g.Map.Sign)
-	return src
 }
 
 // ---------------------------------------------------------------------
