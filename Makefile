@@ -58,18 +58,17 @@ bench-build:
 	if [ -n "$$bad" ]; then echo "bench-build: shifting eviction in internal/obs (use internal/obs/ring):"; echo "$$bad"; exit 1; fi
 
 # attr-smoke proves the cost-attribution path end to end: compile and
-# simulate one benchmark with -blame and a Chrome trace, assert the
-# blame table and the superstep lane came out non-empty, and run the
-# exposition tests covering the new Prometheus attribution families
-# (gcao_superstep_hrelation_bytes, gcao_site_comm_bytes_total) through
-# CheckPromText.
+# simulate one benchmark with -blame and a Chrome trace, hold hpfc
+# profile's stdout (heatmap, superstep timeline, time split, blame
+# table) to its goldens, assert the trace's superstep lane came out
+# non-empty, and run the exposition tests covering the Prometheus
+# attribution families (gcao_superstep_hrelation_bytes,
+# gcao_site_comm_bytes_total) through CheckPromText.
 attr-smoke:
 	@mkdir -p out
 	$(GO) run ./cmd/hpfc profile -bench shallow -procs 4 -version comb \
-		-blame 5 -trace-out out/attr-trace.json | tee out/attr-blame.txt
-	@grep -q 'communication blame: top' out/attr-blame.txt || { echo "attr-smoke: no blame table"; exit 1; }
-	@grep -Eq 'critical path: [1-9][0-9]* of' out/attr-blame.txt || { echo "attr-smoke: empty critical path"; exit 1; }
-	@grep -q 'comb/g' out/attr-blame.txt || { echo "attr-smoke: no blamed placement sites"; exit 1; }
+		-blame 5 -trace-out out/attr-trace.json
+	$(GO) test ./cmd/hpfc -run 'TestGoldenStdout/profile' -count=1
 	@grep -q '"tid":2' out/attr-trace.json || { echo "attr-smoke: trace lacks the superstep lane"; exit 1; }
 	@grep -q '"h_in"' out/attr-trace.json || { echo "attr-smoke: trace lacks h-relations"; exit 1; }
 	$(GO) test ./internal/obs -run 'TestRegistryAttributionFamilies|TestHistogramBucketBoundaries' -count=1

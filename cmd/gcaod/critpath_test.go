@@ -127,6 +127,11 @@ func TestCritPathEndpoint(t *testing.T) {
 	if code := getJSON(t, simURL+"&L=-1", nil); code != http.StatusBadRequest {
 		t.Fatalf("negative L status = %d", code)
 	}
+	for _, knob := range []string{"&g=NaN", "&L=Inf"} {
+		if code := getJSON(t, simURL+knob, nil); code != http.StatusBadRequest {
+			t.Fatalf("non-finite knob %s status = %d", knob, code)
+		}
+	}
 	if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+outPlain.ReqID+"?facet=critpath", nil); code != http.StatusNotFound {
 		t.Fatalf("non-simulated request status = %d", code)
 	}

@@ -305,7 +305,7 @@ func (s *server) execute(resp *compileResponse, req compileRequest, placed *gcao
 	if np := nat.Profile; np != nil {
 		resp.Native.SkewRatio, resp.Native.BlockedSeconds = np.SkewRatio, np.BlockedSeconds
 		if attrRun := rec.Attribution(); attrRun != nil {
-			np.Calibrate(obs.ModelSteps(attrRun, gcao.AttrCostModelFor(m)))
+			np.Calibrate(attrRun.Steps, gcao.AttrCostModelFor(m))
 		}
 		if c := np.Fit(); c != nil {
 			resp.Native.FittedL, resp.Native.FittedG, resp.Native.CalibR2 = c.FittedL, c.FittedG, c.R2

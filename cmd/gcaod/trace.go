@@ -241,8 +241,9 @@ func (s *server) handleFlight(w http.ResponseWriter, r *http.Request) {
 			if q == "" {
 				continue
 			}
+			// ParseFloat takes NaN and Inf; JSON cannot carry them.
 			v, err := strconv.ParseFloat(q, 64)
-			if err != nil || v < 0 {
+			if err != nil || !(v >= 0 && v <= math.MaxFloat64) {
 				s.writeErrMsg(w, r, http.StatusBadRequest, "bad "+knob.name+" "+q)
 				return
 			}

@@ -34,8 +34,10 @@ func stdout(t *testing.T, name string, args ...string) string {
 }
 
 // TestGoldenStdout pins what the artefact subcommands print, byte for
-// byte: the Fig. 10(a) table, one Fig. 10 chart and one Fig. 5 machine.
-// Regenerate with -update, only when the change is intended.
+// byte: the Fig. 10(a) table, one Fig. 10 chart, one Fig. 5 machine and
+// two simulator profiles (heatmap, superstep timeline, time split and
+// blame table). Regenerate with -update, only when the change is
+// intended.
 func TestGoldenStdout(t *testing.T) {
 	for _, tc := range []struct {
 		golden, name string
@@ -44,6 +46,8 @@ func TestGoldenStdout(t *testing.T) {
 		{"fig10a.golden", "fig10a", nil},
 		{"charts-b.golden", "charts", []string{"-fig", "b"}},
 		{"fig5-sp2.golden", "fig5", []string{"-machine", "sp2"}},
+		{"profile-shallow.golden", "profile", []string{"-bench", "shallow", "-procs", "4", "-version", "comb", "-blame", "5"}},
+		{"profile-gravity.golden", "profile", []string{"-bench", "gravity", "-n", "12", "-procs", "16", "-version", "comb", "-blame", "5"}},
 	} {
 		t.Run(strings.TrimSuffix(tc.golden, ".golden"), func(t *testing.T) {
 			got := stdout(t, tc.name, tc.args...)

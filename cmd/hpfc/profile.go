@@ -93,28 +93,28 @@ func profile(fs *flag.FlagSet, args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	prof := rec.CommProfile()
-	if prof == nil {
+	prof, steps := rec.CommProfile(), rec.Attribution()
+	if prof == nil || steps == nil {
 		fatal(fmt.Errorf("simulator produced no communication profile"))
 	}
 
 	fmt.Printf("hpfc profile: %s/%s n=%d P=%d version=%s machine=%s\n",
 		pr.Bench, pr.Routine, size, *procs, v, *machineName)
 	fmt.Printf("%d supersteps, %d dynamic messages, %d bytes moved, %d barriers\n\n",
-		len(prof.Steps), prof.TotalMessages(), prof.TotalBytes(), run.Ledger.Barriers)
+		len(steps.Steps), steps.TotalMessages(), steps.TotalBytes(), run.Ledger.Barriers)
 
 	writeMatrix(prof)
-	writeTimeline(prof)
+	writeTimeline(steps.Steps)
 	writeProcSplit(prof)
 	if *blame > 0 {
-		writeBlame(rec, model, *blame)
+		writeBlame(steps, model, *blame)
 	}
 	if *nativeRun {
 		out, err := native.RunProfiled(res, *procs, rec)
 		if err != nil {
 			fatal(err)
 		}
-		writeNativeProfile(out.Profile, rec, model, m.Name)
+		writeNativeProfile(out.Profile, steps.Steps, model, m.Name)
 	}
 	o.finish(rec, false)
 }
@@ -159,16 +159,16 @@ func writeMatrix(prof *obs.CommProfile) {
 
 // writeTimeline prints one row per superstep with a bar scaled to the
 // heaviest superstep's byte count.
-func writeTimeline(prof *obs.CommProfile) {
+func writeTimeline(steps []attr.Step) {
 	fmt.Println("superstep timeline:")
 	var maxBytes int64
-	for _, s := range prof.Steps {
+	for _, s := range steps {
 		if s.Bytes > maxBytes {
 			maxBytes = s.Bytes
 		}
 	}
 	fmt.Printf("  %4s  %-6s %-22s %8s %10s  %s\n", "step", "kind", "group", "msgs", "bytes", "bar")
-	for _, s := range prof.Steps {
+	for _, s := range steps {
 		bar := ""
 		if maxBytes > 0 {
 			bar = strings.Repeat("#", int(s.Bytes*30/maxBytes))
@@ -178,14 +178,10 @@ func writeTimeline(prof *obs.CommProfile) {
 	fmt.Println()
 }
 
-// writeBlame analyzes the run's cost-attribution record under the BSP
-// cost model and prints the top-k bottleneck-site table plus the
-// critical path.
-func writeBlame(rec *obs.Recorder, model attr.CostModel, k int) {
-	run := rec.Attribution()
-	if run == nil {
-		fatal(fmt.Errorf("simulator produced no attribution record"))
-	}
+// writeBlame analyzes the run's superstep stream under the BSP cost
+// model and prints the top-k bottleneck-site table plus the critical
+// path.
+func writeBlame(run *attr.Run, model attr.CostModel, k int) {
 	rep := attr.Analyze(run, model)
 	fmt.Print(rep.FormatBlame(k))
 	fmt.Println("critical path chain:")
@@ -198,9 +194,9 @@ func writeBlame(rec *obs.Recorder, model attr.CostModel, k int) {
 // writeNativeProfile prints the measured side of the run: one heatmap
 // row per native processor shading where its wall time went across the
 // profiler's phases, the straggler ranking, and the least-squares
-// (L, g) calibration against the simulator's attribution record under
+// (L, g) calibration against the simulator's superstep records under
 // the cost model of the machine named.
-func writeNativeProfile(np *nprof.NativeProfile, rec *obs.Recorder, model attr.CostModel, machineName string) {
+func writeNativeProfile(np *nprof.NativeProfile, steps []attr.Step, model attr.CostModel, machineName string) {
 	if np == nil {
 		fatal(fmt.Errorf("native backend produced no profile"))
 	}
@@ -239,13 +235,7 @@ func writeNativeProfile(np *nprof.NativeProfile, rec *obs.Recorder, model attr.C
 	}
 	fmt.Println()
 
-	run := rec.Attribution()
-	if run == nil {
-		fmt.Println("  (no attribution record; calibration skipped)")
-		fmt.Println()
-		return
-	}
-	c := np.Calibrate(obs.ModelSteps(run, model))
+	c := np.Calibrate(steps, model)
 	if c.Degenerate {
 		fmt.Printf("  calibration degenerate (%d points, no h spread)\n\n", c.Points)
 		return

@@ -5,9 +5,10 @@
 // and calibrated against the analytic L+g·h model by a least-squares fit
 // of the measured (L, g) machine constants.
 //
-// The package is stdlib-only (time is not even needed: events carry
-// nanoseconds the engine stamped) so every layer of the observability
-// stack can embed its types without an import cycle.
+// The package imports nothing outside the standard library but attr,
+// itself a leaf (time is not even needed: events carry nanoseconds the
+// engine stamped), so every layer of the observability stack can embed
+// its types without an import cycle.
 //
 // Recording discipline: only communication operations are recorded —
 // sends, receive waits, tree waits, reduction legs. Compute time is
@@ -25,6 +26,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"gcao/internal/obs/attr"
 )
 
 // Phase classifies where a native processor's wall time went.
@@ -443,25 +446,6 @@ func (p *NativeProfile) SiteName(site int32) string {
 // ---------------------------------------------------------------------
 // Calibration: measured supersteps vs the analytic model
 
-// ModelStep is the analytic model's view of one superstep, converted
-// from the simulator's cost-attribution record (attr.Step) by the
-// caller so this package stays stdlib-only. Index must match the
-// native superstep index — both backends execute the identical group
-// sequence in program order, so position k is the same group in both.
-type ModelStep struct {
-	// Index is the superstep index.
-	Index int `json:"index"`
-	// Site is the group's stable placement-site id, asserted against
-	// the profile's site table at join time.
-	Site string `json:"site"`
-	// HBytes is the step's h-relation in bytes: max over processors
-	// of bytes in/out, the h the model charges g against.
-	HBytes int64 `json:"h_bytes"`
-	// ModeledSec is the step's analytic cost L + g·h under the paper
-	// machine's constants.
-	ModeledSec float64 `json:"modeled_sec"`
-}
-
 // SiteResidual compares measured and modeled time for one placement
 // site (summed over its supersteps).
 type SiteResidual struct {
@@ -496,10 +480,13 @@ type Calibration struct {
 }
 
 // Calibrate joins the profile's measured supersteps against the
-// model's record by index (asserting site agreement), fits (L, g) by
-// least squares, attaches the result to the profile and returns it.
+// simulator's superstep records by index — both backends execute the
+// identical group sequence in program order, so step k is the same
+// group in both — asserting site agreement, and fits (L, g) by least
+// squares against each step's h-relation. A step's modeled cost is
+// model.StepCost. The result is attached to the profile and returned.
 // Supersteps missing on either side are skipped.
-func (p *NativeProfile) Calibrate(model []ModelStep) *Calibration {
+func (p *NativeProfile) Calibrate(steps []attr.Step, model attr.CostModel) *Calibration {
 	c := &Calibration{}
 	type pt struct {
 		h, t    float64
@@ -507,18 +494,18 @@ func (p *NativeProfile) Calibrate(model []ModelStep) *Calibration {
 		site    string
 	}
 	var pts []pt
-	for _, ms := range model {
-		if ms.Index < 0 || ms.Index >= len(p.Steps) {
+	for _, s := range steps {
+		if s.Index < 0 || s.Index >= len(p.Steps) {
 			continue
 		}
-		st := &p.Steps[ms.Index]
-		if st.Site >= 0 && ms.Site != "" && p.SiteName(st.Site) != ms.Site {
+		st := &p.Steps[s.Index]
+		if st.Site >= 0 && s.Site != "" && p.SiteName(st.Site) != s.Site {
 			c.Mismatched++
 			continue
 		}
 		pts = append(pts, pt{
-			h: float64(ms.HBytes), t: st.CommSec,
-			modeled: ms.ModeledSec, site: ms.Site,
+			h: float64(s.H()), t: st.CommSec,
+			modeled: model.StepCost(s), site: s.Site,
 		})
 	}
 	c.Points = len(pts)

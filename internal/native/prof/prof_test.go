@@ -3,6 +3,8 @@ package prof
 import (
 	"math"
 	"testing"
+
+	"gcao/internal/obs/attr"
 )
 
 func TestRingWraparoundKeepsNewest(t *testing.T) {
@@ -187,11 +189,11 @@ func TestCalibrateRecoversPlantedConstants(t *testing.T) {
 		start += d + 100
 	}
 	p := Fold(sites, rings, []int64{start}, start)
-	model := make([]ModelStep, len(hs))
+	steps := make([]attr.Step, len(hs))
 	for k, h := range hs {
-		model[k] = ModelStep{Index: k, Site: sites[k], HBytes: h, ModeledSec: L + g*float64(h)}
+		steps[k] = attr.Step{Index: k, Site: sites[k], HIn: h, HOut: h}
 	}
-	c := p.Calibrate(model)
+	c := p.Calibrate(steps, attr.CostModel{GSecPerByte: g, LSec: L})
 	if c.Degenerate || c.Points != 3 || c.Mismatched != 0 {
 		t.Fatalf("calibration = %+v", c)
 	}
@@ -217,17 +219,18 @@ func TestCalibrateDegenerateAndMismatch(t *testing.T) {
 	r := NewRing(4)
 	r.Record(Event{Start: 0, Dur: 100, Step: 0, Site: 0, Phase: PhaseSend})
 	p := Fold([]string{"v/g0@p/NNC"}, []*Ring{r}, []int64{100}, 100)
-	c := p.Calibrate([]ModelStep{{Index: 0, Site: "v/g0@p/NNC", HBytes: 8, ModeledSec: 1e-6}})
+	model := attr.CostModel{LSec: 1e-6}
+	c := p.Calibrate([]attr.Step{{Index: 0, Site: "v/g0@p/NNC", HIn: 8, HOut: 8}}, model)
 	if !c.Degenerate || c.FittedG != 0 || c.FittedL != 100e-9 {
 		t.Fatalf("single-point fit = %+v", c)
 	}
 	// A site mismatch excludes the step instead of joining wrong data.
-	c = p.Calibrate([]ModelStep{{Index: 0, Site: "OTHER", HBytes: 8, ModeledSec: 1e-6}})
+	c = p.Calibrate([]attr.Step{{Index: 0, Site: "OTHER", HIn: 8, HOut: 8}}, model)
 	if c.Mismatched != 1 || c.Points != 0 {
 		t.Fatalf("mismatched fit = %+v", c)
 	}
 	// Out-of-range indexes are skipped silently.
-	c = p.Calibrate([]ModelStep{{Index: 99, Site: "x", HBytes: 8}})
+	c = p.Calibrate([]attr.Step{{Index: 99, Site: "x", HIn: 8, HOut: 8}}, model)
 	if c.Points != 0 {
 		t.Fatalf("out-of-range join = %+v", c)
 	}

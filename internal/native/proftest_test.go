@@ -172,16 +172,15 @@ func TestNativeProfileCalibrationJoin(t *testing.T) {
 		t.Fatalf("superstep mismatch: simulator %d, native %d", len(attrRun.Steps), len(out.Profile.Steps))
 	}
 	m := machine.SP2()
-	model := obs.ModelSteps(attrRun, attr.CostModel{
+	c := out.Profile.Calibrate(attrRun.Steps, attr.CostModel{
 		GSecPerByte: m.PerByte,
 		LSec:        m.SendOverhead + m.RecvOverhead + m.Latency,
 	})
-	c := out.Profile.Calibrate(model)
 	if c.Mismatched != 0 {
 		t.Fatalf("%d site mismatches joining native to model", c.Mismatched)
 	}
-	if c.Points != len(model) {
-		t.Fatalf("joined %d of %d supersteps", c.Points, len(model))
+	if c.Points != len(attrRun.Steps) {
+		t.Fatalf("joined %d of %d supersteps", c.Points, len(attrRun.Steps))
 	}
 	if c.Degenerate {
 		t.Fatal("fit degenerate on a benchmark with h spread")

@@ -1,11 +1,12 @@
 // Package attr is the communication cost-attribution layer of the
-// observability subsystem: it records, per rendezvous/superstep of a
-// simulator run, an h-relation record — the maximum bytes any
-// processor sends or receives in that superstep, in the sense of
-// Valiant's BSP bridging model — and blames the traffic back to the
-// placement site that scheduled it (the stable site id minted by
-// internal/core placement and carried through codegen into the runtime
-// comm groups) and to the originating source statements.
+// observability subsystem. Its Step is the one record of a simulator
+// superstep (one barrier-fenced communication group execution): the
+// messages and bytes the ledger charged, the h-relation — the maximum
+// bytes any processor sends or receives in that superstep, in the sense
+// of Valiant's BSP bridging model — and the blame: the placement site
+// that scheduled the traffic (the stable site id minted by
+// internal/core placement and carried by the lowered program's comm
+// groups) and the originating source statements.
 //
 // On top of the superstep stream, Analyze computes the communication
 // critical path: the heaviest chain of dependent supersteps under a
@@ -13,10 +14,11 @@
 // L), and ranks placement sites by the cost they contribute to that
 // chain — the top-k bottleneck table.
 //
-// The package is stdlib-only so package obs can embed its types
-// without an import cycle, and every aggregation is an integer sum or
-// max folded in a fixed order, so attribution output is bit-identical
-// regardless of how many shards the simulator ran on.
+// The package is stdlib-only so package obs and the native profiler
+// can embed its types without an import cycle. The simulator's
+// rendezvous leader counts each step's traffic in one receiver-order
+// walk and appends the steps in execution order, so the stream is
+// bit-identical regardless of how many shards the simulator ran on.
 package attr
 
 import (
@@ -46,8 +48,8 @@ func (m CostModel) StepCost(s Step) float64 {
 	return m.LSec + m.GSecPerByte*float64(s.H())
 }
 
-// Step is the h-relation record of one superstep (one barrier-fenced
-// communication group execution).
+// Step is the record of one superstep (one barrier-fenced communication
+// group execution).
 type Step struct {
 	// Index is the superstep's position in execution order.
 	Index int `json:"index"`
@@ -105,62 +107,6 @@ func (r *Run) TotalMessages() int {
 		n += s.Messages
 	}
 	return n
-}
-
-// ---------------------------------------------------------------------
-// Scratch: shard-local h-relation accumulation
-
-// Scratch accumulates one shard's view of a superstep's per-processor
-// byte flows. Each simulator shard owns one Scratch and adds only the
-// deliveries whose receivers fall in its own processor range, so no
-// delivery is counted twice; the rendezvous leader folds the scratches
-// in shard-index order. All operations are integer adds into indexed
-// slots — commutative and associative — so the fold is bit-identical
-// for any shard count.
-type Scratch struct {
-	In  []int64
-	Out []int64
-}
-
-// NewScratch builds a zeroed scratch for p processors.
-func NewScratch(p int) *Scratch {
-	return &Scratch{In: make([]int64, p), Out: make([]int64, p)}
-}
-
-// AddPair charges one src→dst delivery of the given size.
-func (s *Scratch) AddPair(src, dst int, bytes int64) {
-	s.Out[src] += bytes
-	s.In[dst] += bytes
-}
-
-// MergeInto folds this scratch into dst (integer adds).
-func (s *Scratch) MergeInto(dst *Scratch) {
-	for p := range s.In {
-		dst.In[p] += s.In[p]
-		dst.Out[p] += s.Out[p]
-	}
-}
-
-// MaxInOut returns the h-relation of the accumulated flows: the
-// maximum bytes into and out of any single processor.
-func (s *Scratch) MaxInOut() (hin, hout int64) {
-	for p := range s.In {
-		if s.In[p] > hin {
-			hin = s.In[p]
-		}
-		if s.Out[p] > hout {
-			hout = s.Out[p]
-		}
-	}
-	return hin, hout
-}
-
-// Reset zeroes the scratch for the next superstep.
-func (s *Scratch) Reset() {
-	for p := range s.In {
-		s.In[p] = 0
-		s.Out[p] = 0
-	}
 }
 
 // ---------------------------------------------------------------------

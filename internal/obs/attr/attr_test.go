@@ -1,48 +1,9 @@
 package attr
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
-
-// TestScratchMergeOrderInvariant: folding per-shard scratches must be
-// independent of how deliveries were split across shards — the engine
-// contract that makes attribution bit-identical for any -j.
-func TestScratchMergeOrderInvariant(t *testing.T) {
-	type delivery struct {
-		src, dst int
-		bytes    int64
-	}
-	deliveries := []delivery{
-		{0, 1, 100}, {1, 2, 50}, {2, 3, 75}, {3, 0, 25},
-		{0, 2, 10}, {1, 3, 60}, {2, 0, 90}, {0, 3, 5},
-	}
-	// One shard owns everything.
-	whole := NewScratch(4)
-	for _, d := range deliveries {
-		whole.AddPair(d.src, d.dst, d.bytes)
-	}
-	// Sharded by receiver (the engine's split), folded in index order.
-	shards := []*Scratch{NewScratch(4), NewScratch(4)}
-	for _, d := range deliveries {
-		shards[d.dst/2].AddPair(d.src, d.dst, d.bytes)
-	}
-	acc := shards[0]
-	shards[1].MergeInto(acc)
-	if !reflect.DeepEqual(acc.In, whole.In) || !reflect.DeepEqual(acc.Out, whole.Out) {
-		t.Fatalf("merged scratch differs: in %v/%v out %v/%v", acc.In, whole.In, acc.Out, whole.Out)
-	}
-	// In: p3 receives 75+60+5 = 140; Out: p2 sends 75+90 = 165.
-	hin, hout := acc.MaxInOut()
-	if hin != 140 || hout != 165 {
-		t.Fatalf("h-relation = (%d, %d), want (140, 165)", hin, hout)
-	}
-	acc.Reset()
-	if in, out := acc.MaxInOut(); in != 0 || out != 0 {
-		t.Fatalf("reset scratch not zero: (%d, %d)", in, out)
-	}
-}
 
 func TestStepH(t *testing.T) {
 	if h := (Step{HIn: 3, HOut: 7}).H(); h != 7 {

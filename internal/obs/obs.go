@@ -3,8 +3,9 @@
 // allocations for every pipeline phase, a named counter/gauge metrics
 // registry, a structured per-entry placement decision log (the
 // machine-readable version of the paper's Fig. 6 trace annotations),
-// and a communication profile recording the simulator's per-superstep
-// message traffic and sender→receiver byte matrix.
+// and a simulator run's records: its superstep stream (attr.Run, one
+// attr.Step per executed communication group) and its communication
+// profile (the sender→receiver byte matrix and the time split).
 //
 // Every method is nil-safe: a nil *Recorder is a no-op, so the
 // compiler pipeline threads one unconditionally and pays nothing when
@@ -293,25 +294,4 @@ func (r *Recorder) NativeProfile() *prof.NativeProfile {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.natProf
-}
-
-// ModelSteps converts a simulator cost-attribution record into the
-// profiler's model-step form under the given cost model: one entry per
-// superstep, carrying the stable site id, the h-relation in bytes and
-// the analytic cost L + g·h. Both backends execute the identical group
-// sequence in program order, so index k joins native superstep k.
-func ModelSteps(run *attr.Run, model attr.CostModel) []prof.ModelStep {
-	if run == nil {
-		return nil
-	}
-	out := make([]prof.ModelStep, len(run.Steps))
-	for i, s := range run.Steps {
-		out[i] = prof.ModelStep{
-			Index:      s.Index,
-			Site:       s.Site,
-			HBytes:     s.H(),
-			ModeledSec: model.StepCost(s),
-		}
-	}
-	return out
 }

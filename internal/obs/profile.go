@@ -1,42 +1,23 @@
 package obs
 
-import "fmt"
-
-// CommProfile records the communication behaviour of one functional
-// simulator run: the sender→receiver byte/message matrix (the Fig. 10
-// message accounting, per pair), the per-superstep timeline, and the
-// per-processor compute/communication/idle time split. It is built by
-// a single goroutine (the interpreter) and is not internally locked.
+// CommProfile records what the superstep stream (attr.Run) does not of
+// one functional simulator run: the sender→receiver byte/message matrix
+// (the Fig. 10 message accounting, per pair) and the per-processor
+// compute/communication/idle time split. The simulator's rendezvous
+// leader is its only writer; it is not internally locked.
 type CommProfile struct {
 	Procs int `json:"procs"`
 	// PairBytes[src][dst] and PairMsgs[src][dst] accumulate the
 	// point-to-point traffic between processor pairs. Collective
 	// operations (reductions, broadcasts) appear in the superstep
-	// timeline but not in the pair matrix.
+	// stream but not in the pair matrix.
 	PairBytes [][]int64 `json:"pair_bytes"`
 	PairMsgs  [][]int64 `json:"pair_msgs"`
-	// Steps is the superstep timeline: one record per communication
-	// group execution (each group is fenced by a barrier).
-	Steps []Superstep `json:"supersteps"`
 	// ComputeSec, CommSec and IdleSec split each processor's clock:
 	// flop time, message/copy time, and barrier wait time.
 	ComputeSec []float64 `json:"compute_seconds,omitempty"`
 	CommSec    []float64 `json:"comm_seconds,omitempty"`
 	IdleSec    []float64 `json:"idle_seconds,omitempty"`
-}
-
-// Superstep is one executed communication group: a barrier followed by
-// the group's messages.
-type Superstep struct {
-	Index int `json:"index"`
-	// Label identifies the placed group ("group3@B7.top"); Kind is the
-	// communication kind ("NNC", "SUM", "BCAST", "GEN").
-	Label string `json:"label"`
-	Kind  string `json:"kind"`
-	// Messages and Bytes are the dynamic messages and payload bytes
-	// this execution charged to the ledger.
-	Messages int   `json:"messages"`
-	Bytes    int64 `json:"bytes"`
 }
 
 // NewCommProfile allocates an empty profile for p processors.
@@ -58,83 +39,6 @@ func (p *CommProfile) AddPair(src, dst int, bytes int64) {
 	}
 	p.PairBytes[src][dst] += bytes
 	p.PairMsgs[src][dst]++
-}
-
-// AddStep appends one superstep record.
-func (p *CommProfile) AddStep(label, kind string, messages int, bytes int64) {
-	if p == nil {
-		return
-	}
-	p.Steps = append(p.Steps, Superstep{
-		Index:    len(p.Steps),
-		Label:    label,
-		Kind:     kind,
-		Messages: messages,
-		Bytes:    bytes,
-	})
-}
-
-// Merge folds another profile into p: the pair matrices are summed
-// elementwise, the supersteps appended (reindexed), and the
-// per-processor second splits added where present. The sharded
-// interpreter uses it to fold each shard's scratch pair matrix into
-// the master profile; integer addition commutes, so the merged matrix
-// is bit-identical regardless of shard count or merge order.
-func (p *CommProfile) Merge(o *CommProfile) {
-	if p == nil || o == nil {
-		return
-	}
-	if o.Procs != p.Procs {
-		panic(fmt.Sprintf("obs: merging CommProfile of %d procs into %d", o.Procs, p.Procs))
-	}
-	for i := 0; i < p.Procs; i++ {
-		for j := 0; j < p.Procs; j++ {
-			p.PairBytes[i][j] += o.PairBytes[i][j]
-			p.PairMsgs[i][j] += o.PairMsgs[i][j]
-		}
-	}
-	for _, s := range o.Steps {
-		s.Index = len(p.Steps)
-		p.Steps = append(p.Steps, s)
-	}
-	addSec := func(dst *[]float64, src []float64) {
-		if len(src) == 0 {
-			return
-		}
-		if len(*dst) == 0 {
-			*dst = make([]float64, p.Procs)
-		}
-		for i := range src {
-			(*dst)[i] += src[i]
-		}
-	}
-	addSec(&p.ComputeSec, o.ComputeSec)
-	addSec(&p.CommSec, o.CommSec)
-	addSec(&p.IdleSec, o.IdleSec)
-}
-
-// TotalBytes sums the payload bytes over all supersteps.
-func (p *CommProfile) TotalBytes() int64 {
-	if p == nil {
-		return 0
-	}
-	var total int64
-	for _, s := range p.Steps {
-		total += s.Bytes
-	}
-	return total
-}
-
-// TotalMessages sums the dynamic messages over all supersteps.
-func (p *CommProfile) TotalMessages() int {
-	if p == nil {
-		return 0
-	}
-	total := 0
-	for _, s := range p.Steps {
-		total += s.Messages
-	}
-	return total
 }
 
 // MaxPairBytes returns the largest sender→receiver byte count, the

@@ -139,9 +139,10 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 }
 
 // MetricsDoc is the JSON document WriteMetrics emits: every counter
-// and gauge, the placement decision log, the simulator communication
-// profile when one was recorded, and the raw spans. encoding/json
-// sorts map keys, so the output is deterministic.
+// and gauge, the placement decision log, a simulated run's
+// communication profile and superstep stream, a profiled native run's
+// profile, and the raw spans. encoding/json sorts map keys, so the
+// output is deterministic.
 type MetricsDoc struct {
 	Counters   map[string]int64    `json:"counters"`
 	Gauges     map[string]float64  `json:"gauges,omitempty"`

@@ -16,6 +16,7 @@ import (
 	"gcao/internal/bench"
 	"gcao/internal/core"
 	"gcao/internal/machine"
+	"gcao/internal/obs"
 	"gcao/internal/spmd"
 )
 
@@ -153,6 +154,56 @@ func TestLedgerGolden(t *testing.T) {
 		}
 		if err := os.WriteFile(goldenPath, append(raw, '\n'), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestSuperstepInvariants pins what one receiver-order walk over an
+// exchange's deliveries can account, on the six Fig. 10(a) routines under
+// every version, P = 4 and 16, one and three shards: a shift sends each
+// processor at most one strip and delivers it at most one, so its
+// h-relation in equals its h-relation out; the shift steps' bytes and
+// messages are the pair matrix's; and all steps' bytes are the ledger's.
+func TestSuperstepInvariants(t *testing.T) {
+	m := machine.SP2()
+	for _, pr := range bench.Programs() {
+		for _, v := range versions {
+			for _, procs := range []int{4, 16} {
+				res := placeBench(t, pr, procs, v)
+				for _, workers := range []int{1, 3} {
+					key := fmt.Sprintf("%s/%s/%s/P%d/j%d", pr.Bench, pr.Routine, v, procs, workers)
+					rec := obs.New()
+					run, err := spmd.RunParallelObs(res, m, procs, workers, rec)
+					if err != nil {
+						t.Fatalf("%s: %v", key, err)
+					}
+					var shiftBytes, shiftMsgs, allBytes, pairBytes, pairMsgs int64
+					for _, s := range rec.Attribution().Steps {
+						allBytes += s.Bytes
+						if s.Kind != core.KindShift.String() {
+							continue
+						}
+						if s.HIn != s.HOut {
+							t.Errorf("%s: step %d h_in %d != h_out %d", key, s.Index, s.HIn, s.HOut)
+						}
+						shiftBytes += s.Bytes
+						shiftMsgs += int64(s.Messages)
+					}
+					prof := rec.CommProfile()
+					for src := range prof.PairBytes {
+						for dst := range prof.PairBytes[src] {
+							pairBytes += prof.PairBytes[src][dst]
+							pairMsgs += prof.PairMsgs[src][dst]
+						}
+					}
+					if shiftBytes != pairBytes || shiftMsgs != pairMsgs {
+						t.Errorf("%s: shift steps %d bytes %d msgs, pair matrix %d bytes %d msgs", key, shiftBytes, shiftMsgs, pairBytes, pairMsgs)
+					}
+					if allBytes != int64(run.Ledger.BytesMoved) {
+						t.Errorf("%s: steps sum to %d bytes, ledger moved %d", key, allBytes, run.Ledger.BytesMoved)
+					}
+				}
+			}
 		}
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 
-	"gcao/internal/obs"
 	"gcao/internal/plan"
 	"gcao/internal/runtime"
 	"gcao/internal/source"
@@ -81,9 +80,6 @@ type shard struct {
 	// processor of its range at a time.
 	nest bool
 	led  *runtime.LedgerView
-	// prof is the shard's scratch pair matrix, merged into the master
-	// profile at each superstep rendezvous (nil when unprofiled).
-	prof *obs.CommProfile
 	// sumCounts[i] is, per processor, how many elements of the executing
 	// statement's i-th distributed SUM the processor owns: its share of
 	// the reduction's flops.

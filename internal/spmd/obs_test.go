@@ -1,6 +1,7 @@
 package spmd
 
 import (
+	"math"
 	"testing"
 
 	"gcao/internal/core"
@@ -8,10 +9,11 @@ import (
 	"gcao/internal/obs"
 )
 
-// TestProfileMatchesLedger: the communication profile is an alternate
-// accounting of the same run — its per-superstep totals must equal the
-// ledger's global counts exactly, and the pair matrix must show real
-// point-to-point traffic for a multi-processor stencil.
+// TestProfileMatchesLedger: the communication profile and the superstep
+// record reconcile with the ledger of the same run — the steps' totals
+// equal the ledger's global counts exactly, the pair matrix shows real
+// point-to-point traffic for a multi-processor stencil, and the time
+// split tiles each processor's clock.
 func TestProfileMatchesLedger(t *testing.T) {
 	a := compile(t, stencilSrc, map[string]int{"n": 8, "steps": 2}, 4)
 	rec := obs.New()
@@ -21,20 +23,20 @@ func TestProfileMatchesLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := rec.CommProfile()
-	if prof == nil {
+	prof, steps := rec.CommProfile(), rec.Attribution()
+	if prof == nil || steps == nil {
 		t.Fatal("run with a recorder produced no profile")
 	}
 	if prof.Procs != 4 {
 		t.Errorf("profile procs = %d, want 4", prof.Procs)
 	}
-	if got := prof.TotalBytes(); got != int64(run.Ledger.BytesMoved) {
+	if got := steps.TotalBytes(); got != int64(run.Ledger.BytesMoved) {
 		t.Errorf("superstep bytes sum to %d, ledger moved %d", got, run.Ledger.BytesMoved)
 	}
-	if got := prof.TotalMessages(); got != run.Ledger.DynMessages {
+	if got := steps.TotalMessages(); got != run.Ledger.DynMessages {
 		t.Errorf("superstep messages sum to %d, ledger counted %d", got, run.Ledger.DynMessages)
 	}
-	if len(prof.Steps) == 0 {
+	if len(steps.Steps) == 0 {
 		t.Error("stencil run recorded no supersteps")
 	}
 	// Pair matrix: every shift byte is attributed to a sender→receiver
@@ -54,10 +56,14 @@ func TestProfileMatchesLedger(t *testing.T) {
 	}
 	// Time split: compute + comm + idle per processor, all non-negative,
 	// and compute+comm+idle must equal the processor's elapsed clock.
+	elapsed := run.Ledger.ElapsedTime()
 	for p := 0; p < 4; p++ {
 		if prof.ComputeSec[p] < 0 || prof.CommSec[p] < -1e-12 || prof.IdleSec[p] < 0 {
 			t.Errorf("p%d: negative time split: compute=%v comm=%v idle=%v",
 				p, prof.ComputeSec[p], prof.CommSec[p], prof.IdleSec[p])
+		}
+		if sum := prof.ComputeSec[p] + prof.CommSec[p] + prof.IdleSec[p]; math.Abs(sum-elapsed) > 1e-12*elapsed {
+			t.Errorf("p%d: compute+comm+idle = %v, elapsed clock %v", p, sum, elapsed)
 		}
 	}
 	// Counters mirror the ledger.
@@ -65,8 +71,8 @@ func TestProfileMatchesLedger(t *testing.T) {
 	if c["spmd.comb.messages"] != int64(run.Ledger.DynMessages) {
 		t.Errorf("spmd.comb.messages = %d, want %d", c["spmd.comb.messages"], run.Ledger.DynMessages)
 	}
-	if c["spmd.comb.supersteps"] != int64(len(prof.Steps)) {
-		t.Errorf("spmd.comb.supersteps = %d, want %d", c["spmd.comb.supersteps"], len(prof.Steps))
+	if c["spmd.comb.supersteps"] != int64(len(steps.Steps)) {
+		t.Errorf("spmd.comb.supersteps = %d, want %d", c["spmd.comb.supersteps"], len(steps.Steps))
 	}
 }
 
@@ -109,12 +115,12 @@ func TestProfileReductionSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := rec.CommProfile()
-	if prof == nil {
-		t.Fatal("no profile")
+	steps := rec.Attribution()
+	if steps == nil {
+		t.Fatal("no superstep record")
 	}
 	sums := 0
-	for _, s := range prof.Steps {
+	for _, s := range steps.Steps {
 		if s.Kind == core.KindReduce.String() {
 			sums++
 			if s.Messages <= 0 || s.Bytes <= 0 {
@@ -125,7 +131,7 @@ func TestProfileReductionSteps(t *testing.T) {
 	if sums == 0 {
 		t.Error("reduction run recorded no SUM supersteps")
 	}
-	if got := prof.TotalBytes(); got != int64(run.Ledger.BytesMoved) {
+	if got := steps.TotalBytes(); got != int64(run.Ledger.BytesMoved) {
 		t.Errorf("superstep bytes %d != ledger %d with collectives", got, run.Ledger.BytesMoved)
 	}
 }

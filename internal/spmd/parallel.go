@@ -10,16 +10,17 @@ package spmd
 // that read owner rows across ranges (distributed SUM), shared-row
 // writes (replicated arrays), and branch conditions over distributed
 // data. The last shard to arrive runs the leader action — absorbing
-// the range-scoped ledger views into the master ledger, charging
-// message costs in receiver order, merging the shards' scratch
-// communication profiles — so every master-side mutation has a single
-// writer and a deterministic order, making results bit-identical to a
-// single-shard run regardless of worker count.
+// the range-scoped ledger views into the master ledger and, at the end
+// of a superstep, one receiver-order walk over what the shards delivered
+// that charges the ledger, the pair matrix and the h-relation — so every
+// master-side mutation has a single writer and a deterministic order,
+// making results bit-identical to a single-shard run regardless of
+// worker count.
 
 import (
 	"fmt"
 	goruntime "runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"gcao/internal/core"
@@ -157,25 +158,21 @@ func (eng *Engine) Run(m machine.Machine, rec *obs.Recorder) (*RunResult, error)
 	eng.ran = true
 	procs := eng.mem.P
 	eng.led, eng.ph = runtime.NewLedger(procs, m), newPhaser(len(eng.shards))
-	eng.prof, eng.idle, eng.attrRun, eng.attrScr = nil, nil, nil, nil
+	eng.prof, eng.idle, eng.attrRun = nil, nil, nil
 	if rec != nil {
 		eng.prof = obs.NewCommProfile(procs)
 		eng.idle = make([]float64, procs)
 		eng.attrRun = &attr.Run{Version: eng.prog.Plan.Res.Version.String(), Procs: procs}
-		eng.attrScr = make([]*attr.Scratch, len(eng.shards))
-		for i := range eng.attrScr {
-			eng.attrScr[i] = attr.NewScratch(procs)
+		if eng.steps == nil {
+			eng.steps = stepTable(eng.prog.Plan.Res.Groups)
 		}
 	}
 	for _, sh := range eng.shards {
 		if err := sh.fr.Reset(eng.mem); err != nil {
 			return nil, err
 		}
-		sh.fr.P, sh.nest, sh.prof = sh.lo, false, nil
+		sh.fr.P, sh.nest = sh.lo, false
 		sh.led = eng.led.View(sh.lo, sh.hi)
-		if rec != nil {
-			sh.prof = obs.NewCommProfile(procs)
-		}
 	}
 
 	var wg sync.WaitGroup
@@ -199,8 +196,8 @@ func (eng *Engine) Run(m machine.Machine, rec *obs.Recorder) (*RunResult, error)
 }
 
 // main runs one shard to completion: the program walk, then the final
-// rendezvous that folds the shard state into the master ledger and
-// profile. Whatever stops the shard — an evaluation error, a panic under
+// rendezvous that folds the shard clocks into the master ledger.
+// Whatever stops the shard — an evaluation error, a panic under
 // it — becomes the phaser's sticky error, so the peers parked at a
 // rendezvous unwind and the caller gets a value, not a crash.
 func (sh *shard) main() {
@@ -220,7 +217,6 @@ func (sh *shard) main() {
 			return err
 		}
 		eng.masterBarrier()
-		eng.mergeProfiles()
 		return nil
 	})
 }
@@ -233,8 +229,8 @@ func (sh *shard) main() {
 // shards with their frames and the rendezvous scratch are built once,
 // around a lowered program that may be shared with other engines and is
 // never written; the ledger, the phaser and — with a recorder — the
-// profile and attribution records are a run's own. An Engine is not safe for concurrent Runs. A
-// failed run leaves it usable.
+// profile and superstep records are a run's own. An Engine is not safe
+// for concurrent Runs. A failed run leaves it usable.
 type Engine struct {
 	prog    *plan.Program
 	mem     *runtime.Memory
@@ -243,21 +239,20 @@ type Engine struct {
 	scalars map[string]float64
 	ran     bool
 	home    *sync.Pool // where Release puts the engine; nil: nowhere
+	// steps is the static half of each group's superstep record, indexed
+	// by group ID: built by the first profiled run, copied by every
+	// execution of the group, never written after.
+	steps []attr.Step
 
 	led *runtime.Ledger
 	ph  *phaser
 
-	// prof and idle are the master communication profile of this run,
-	// built only when a recorder is attached (both nil otherwise).
-	prof *obs.CommProfile
-	idle []float64
-
-	// attrRun is the cost-attribution record (one h-relation Step per
-	// superstep, appended by the rendezvous-B leader); attrScr holds
-	// one shard-local h-relation scratch per shard, folded by the
-	// leader in shard-index order. Both nil without a recorder.
+	// prof and idle are the pair matrices and idle account of this run;
+	// attrRun is its superstep stream, one Step appended by the
+	// rendezvous-B leader per executed group. All nil without a recorder.
+	prof    *obs.CommProfile
+	idle    []float64
 	attrRun *attr.Run
-	attrScr []*attr.Scratch
 
 	// Rendezvous scratch. Each field is written either by the single
 	// rendezvous leader while all other shards are parked in the
@@ -318,65 +313,25 @@ func (eng *Engine) checkScalarAgreement() error {
 	return nil
 }
 
-// mergeProfiles folds each shard's scratch pair matrix into the
-// master profile and resets the scratch. Pairs are integer sums over
-// disjoint receiver ranges, so the merged matrix is bit-identical to
-// the single-shard one.
-func (eng *Engine) mergeProfiles() {
-	if eng.prof == nil {
-		return
-	}
-	for _, sh := range eng.shards {
-		eng.prof.Merge(sh.prof)
-		for i := range sh.prof.PairBytes {
-			for j := range sh.prof.PairBytes[i] {
-				sh.prof.PairBytes[i][j] = 0
-				sh.prof.PairMsgs[i][j] = 0
+// stepTable builds the static half of every group's superstep record:
+// placement site, kind, label, the arrays it moves (sorted) and its
+// source statements.
+func stepTable(groups []*core.Group) []attr.Step {
+	steps := make([]attr.Step, len(groups))
+	for i, g := range groups {
+		st := attr.Step{
+			Site: g.SiteID, Kind: g.Kind.String(), Sources: g.Sources,
+			Label: fmt.Sprintf("group%d@%s", g.ID, g.Pos),
+		}
+		for _, e := range g.Entries {
+			if !slices.Contains(st.Arrays, e.Array) {
+				st.Arrays = append(st.Arrays, e.Array)
 			}
 		}
+		slices.Sort(st.Arrays)
+		steps[i] = st
 	}
-}
-
-// addAttrStep appends the finished superstep's h-relation record to
-// the attribution run. Runs only in the rendezvous-B leader (single
-// writer, superstep order), so the step stream is deterministic. For
-// shift groups the shard-local scratches are folded in shard-index
-// order — integer sums over disjoint receiver ranges, so the fold is
-// bit-identical for any worker count; collectives charge the same
-// full-section payload on every processor, so the ledger byte delta
-// is the h-relation directly.
-func (eng *Engine) addAttrStep(g *core.Group) {
-	st := attr.Step{
-		Index:    len(eng.attrRun.Steps),
-		Site:     g.SiteID,
-		Kind:     g.Kind.String(),
-		Label:    fmt.Sprintf("group%d@%s", g.ID, g.Pos),
-		Sources:  g.Sources,
-		Messages: eng.led.DynMessages - eng.msgs0,
-		Bytes:    int64(eng.led.BytesMoved - eng.bytes0),
-	}
-	seen := map[string]bool{}
-	for _, e := range g.Entries {
-		if !seen[e.Array] {
-			seen[e.Array] = true
-			st.Arrays = append(st.Arrays, e.Array)
-		}
-	}
-	sort.Strings(st.Arrays)
-	switch g.Kind {
-	case core.KindShift:
-		acc := eng.attrScr[0]
-		for _, scr := range eng.attrScr[1:] {
-			scr.MergeInto(acc)
-		}
-		st.HIn, st.HOut = acc.MaxInOut()
-		for _, scr := range eng.attrScr {
-			scr.Reset()
-		}
-	default:
-		st.HIn, st.HOut = st.Bytes, st.Bytes
-	}
-	eng.attrRun.Steps = append(eng.attrRun.Steps, st)
+	return steps
 }
 
 // firstShardError returns the lowest-indexed shard's recorded error,
@@ -409,7 +364,7 @@ func (eng *Engine) finishProfile(rec *obs.Recorder) {
 	rec.SetAttribution(eng.attrRun)
 	version := eng.prog.Plan.Res.Version.String()
 	prefix := "spmd." + version + "."
-	rec.Add(prefix+"supersteps", int64(len(eng.prof.Steps)))
+	rec.Add(prefix+"supersteps", int64(len(eng.attrRun.Steps)))
 	rec.Add(prefix+"messages", int64(eng.led.DynMessages))
 	rec.Add(prefix+"bytes", int64(eng.led.BytesMoved))
 	rec.Add(prefix+"barriers", int64(eng.led.Barriers))
@@ -428,10 +383,12 @@ func (eng *Engine) finishProfile(rec *obs.Recorder) {
 // Each group is one superstep: rendezvous A quiesces the shards, absorbs
 // the shard clocks and runs the barrier; the shards then deliver to the
 // receivers in their own ranges concurrently, under their replicated loop
-// state; rendezvous B charges the master ledger one message per receiver
-// that was sent anything, in receiver order. A shift's sender is its
-// receiver's neighbour, so that is the (sender, receiver) pairs in sorted
-// order: the charge order — and every float accumulation — is reproducible.
+// state; rendezvous B accounts the superstep in one walk over the
+// receivers that were sent anything, in receiver order: one ledger
+// message and one pair-matrix entry each, and the h-relation. A shift's
+// sender is its receiver's neighbour, so that is the (sender, receiver)
+// pairs in sorted order: the charge order — and every float accumulation
+// — is reproducible.
 func (sh *shard) Comm(c *plan.Comm) error {
 	if c == nil {
 		return nil
@@ -473,16 +430,7 @@ func (sh *shard) Comm(c *plan.Comm) error {
 					}
 					b += moved * e.Am.Arr.ElemBytes()
 				}
-				if eng.recvBytes[dst] = b; b == 0 {
-					continue
-				}
-				sh.prof.AddPair(sch.Src, dst, int64(b))
-				if eng.attrScr != nil {
-					// Shard-local h-relation accumulation: only deliveries
-					// whose receivers fall in this shard's range are here,
-					// so each delivery is counted exactly once run-wide.
-					eng.attrScr[sh.idx].AddPair(sch.Src, dst, int64(b))
-				}
+				eng.recvBytes[dst] = b
 			}
 		case core.KindBcast, core.KindGeneral:
 			bytes := 0
@@ -495,26 +443,37 @@ func (sh *shard) Comm(c *plan.Comm) error {
 		}
 
 		err = eng.ph.await(token{kind: tkCommB, a: g.ID}, func() error {
+			var h int64
 			switch g.Kind {
 			case core.KindShift:
+				// Neighbors is injective, so each processor sends at most
+				// one strip and receives at most one: the largest
+				// delivery is the h-relation, in and out.
 				for dst, b := range eng.recvBytes {
 					if b == 0 {
 						continue
 					}
 					_, src := op.Neighbors(dst)
 					eng.led.Message(src, dst, b)
+					eng.prof.AddPair(src, dst, int64(b))
+					h = max(h, int64(b))
 				}
 			case core.KindBcast, core.KindGeneral:
 				// Every shard observed the same full-section payload.
 				eng.led.Broadcast(eng.bcastBytes[0])
 			}
-			eng.mergeProfiles()
-			if eng.prof != nil {
-				eng.prof.AddStep(fmt.Sprintf("group%d@%s", g.ID, g.Pos), g.Kind.String(),
-					eng.led.DynMessages-eng.msgs0, int64(eng.led.BytesMoved-eng.bytes0))
-			}
 			if eng.attrRun != nil {
-				eng.addAttrStep(g)
+				st := eng.steps[g.ID]
+				st.Index = len(eng.attrRun.Steps)
+				st.Messages = eng.led.DynMessages - eng.msgs0
+				st.Bytes = int64(eng.led.BytesMoved - eng.bytes0)
+				if g.Kind != core.KindShift {
+					// A collective charges the full payload on every
+					// processor: its bytes are its h-relation.
+					h = st.Bytes
+				}
+				st.HIn, st.HOut = h, h
+				eng.attrRun.Steps = append(eng.attrRun.Steps, st)
 			}
 			return nil
 		})
