@@ -128,7 +128,12 @@ obs-smoke:
 # the shallow benchmark, run it as real goroutines, verify bit-for-bit
 # against the BSP simulator from the command line, then run the
 # exhaustive native-vs-simulator matrix and the oversubscription
-# regression test, then what a warm plane rests on: a translated exchange
+# regression test, the traffic golden (every message and byte of the six
+# Fig. 10(a) routines × 3 versions × P ∈ {4, 16}), the split-phase SUM
+# edge cases (gather at the statement, settle at the global-sum group,
+# engine reuse after a run failed between the two) and the profiler's
+# attribution of both SUM legs to the group's step, then what a warm
+# plane rests on: a translated exchange
 # schedule against one rebuilt from scratch (the rule in runtime, the
 # schedules of the six Fig. 10(a) routines in plan, the pinned replay
 # shares), Reset against a new memory after random operations, and the
@@ -148,6 +153,7 @@ native-smoke:
 	@n=$$(grep -c 'native ok, bit-identical to simulator' out/native-smoke.txt); \
 	[ "$$n" -ge 6 ] || { echo "native-smoke: only $$n of 6 benchmarks verified"; exit 1; }
 	$(GO) test ./internal/native -run 'TestNativeMatchesSimulator|TestNativeOversubscription|TestReusedEngineMatchesFresh|TestNativeLocalizationEdgeCases/(mod|mixed)' -count=1
+	$(GO) test ./internal/native -run 'TestNativeTrafficGolden|TestNativeSplitSumEdgeCases|TestNativeReuseAfterFailedSplitSum|TestNativeProfileSumAttribution' -count=1
 	$(GO) test ./internal/runtime -run 'TestStripShiftMatchesRebuild|TestGhostHullUnderRandomOperations|TestBulkOperationsDoNotAllocate' -count=1
 	$(GO) test ./internal/plan -run 'TestModMatchesMathMod|TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt|TestScheduleKeyHoldsBoundBits' -count=1
 	$(GO) test -race ./internal/native -run 'TestSharedProgramConcurrentEngines' -count=1

@@ -502,7 +502,7 @@ func (a *Analysis) computeReduceRange(e *Entry) {
 	lhs := st.Assign.LHS.Name
 	last := st.Index
 	for k := st.Index + 1; k < len(st.Block.Stmts); k++ {
-		if stmtReadsScalar(st.Block.Stmts[k], lhs) {
+		if a.StmtReads(st.Block.Stmts[k], lhs, true) {
 			break
 		}
 		last = k
@@ -514,26 +514,46 @@ func (a *Analysis) computeReduceRange(e *Entry) {
 	}
 }
 
-// stmtReadsScalar reports whether a statement's RHS or subscripts
-// mention the named scalar.
-func stmtReadsScalar(st *cfg.Stmt, name string) bool {
-	found := false
-	check := func(e ast.Expr) {
-		if id, ok := e.(*ast.Ident); ok && id.Name == name {
-			found = true
+// StmtReads reports whether a statement mentions the named scalar or
+// array in its RHS or its target's subscripts. Without inSums it skips
+// the arguments of SUMs over distributed arrays: a reduction gathers those
+// where its statement stands, whenever its global sum settles.
+func (a *Analysis) StmtReads(st *cfg.Stmt, name string, inSums bool) bool {
+	return a.mentions(st.Assign.RHS, name, inSums) || a.subsMention(st.Assign.LHS.Subs, name, inSums)
+}
+
+func (a *Analysis) mentions(e ast.Expr, name string, inSums bool) bool {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name == name
+	case *ast.Ref:
+		return e.Name == name || a.subsMention(e.Subs, name, inSums)
+	case *ast.BinExpr:
+		return a.mentions(e.X, name, inSums) || a.mentions(e.Y, name, inSums)
+	case *ast.UnaryExpr:
+		return a.mentions(e.X, name, inSums)
+	case *ast.Call:
+		if !inSums && e.Func == "sum" && len(e.Args) == 1 {
+			if r, ok := e.Args[0].(*ast.Ref); ok && a.Unit.Arrays[r.Name] != nil && a.Unit.Arrays[r.Name].Dist != nil {
+				return false
+			}
 		}
-		if r, ok := e.(*ast.Ref); ok && r.Name == name {
-			found = true
+		for _, x := range e.Args {
+			if a.mentions(x, name, inSums) {
+				return true
+			}
 		}
 	}
-	ast.WalkExprs(st.Assign.RHS, check)
-	for _, sub := range st.Assign.LHS.Subs {
-		ast.WalkExprs(sub.X, check)
-		ast.WalkExprs(sub.Lo, check)
-		ast.WalkExprs(sub.Hi, check)
-		ast.WalkExprs(sub.Step, check)
+	return false
+}
+
+func (a *Analysis) subsMention(subs []ast.Sub, name string, inSums bool) bool {
+	for _, s := range subs {
+		if a.mentions(s.X, name, inSums) || a.mentions(s.Lo, name, inSums) || a.mentions(s.Hi, name, inSums) || a.mentions(s.Step, name, inSums) {
+			return true
+		}
 	}
-	return found
+	return false
 }
 
 // ---------------------------------------------------------------------

@@ -71,13 +71,14 @@ package native
 //     processor stores the elements it does not own. Critical path:
 //     ceil(log2 P) hops up, the same down.
 //
-//   - global-sum (KindReduce): no data motion here — the combine
-//     happened at the SUM statement itself (collectiveSum), which is
-//     where the simulator's functional value is produced too; the
-//     group only marks the superstep in the listing. The collective
-//     gathers raw operands up the tree (never partial sums) so the
-//     root's section-order accumulation is bit-identical to the
-//     simulator's scan, then broadcasts the total down the tree.
+//   - global-sum (KindReduce): a SUM is split across the placement's
+//     slack (§6.2). At its statement every processor sends its gather
+//     leg (gatherSum): raw operands, never partial sums, so the root's
+//     section-order accumulation is bit-identical to the simulator's
+//     scan. The group settles the statements lowering deferred to it
+//     (CommOp.Settles): the totals descend, the statements assign. Each
+//     directed pair carries what it did when a SUM ran whole, in order;
+//     only the interleaving across pairs changes.
 
 import (
 	"fmt"
@@ -246,13 +247,21 @@ func (pc *proc) Comm(c *plan.Comm) error {
 		case core.KindBcast, core.KindGeneral:
 			err = pc.bcastGather(op)
 		case core.KindReduce:
-			// Combine already performed at the SUM statement (the
-			// group's position is after it) — the group only marks the
-			// superstep. Claim the SUM's pending events for this step
-			// and drop a zero-duration marker so the fold sees the
-			// step's site even when the collective moved nothing.
+			// The gathers ran at the SUM statements, before this position
+			// gave them a step: claim their pending events first, then
+			// settle under the step (set each time: a replicated store's
+			// barriers change it), and drop a zero-duration marker so the
+			// fold sees the step's site even when nothing moved.
 			if pc.ring != nil {
 				pc.ring.PatchPending(step, int32(g.ID))
+			}
+			for _, st := range op.Settles {
+				pc.evStep, pc.evSite, pc.evSend, pc.evRecv = step, int32(g.ID), prof.PhaseSum, prof.PhaseSum
+				if err = pc.settle(st); err != nil {
+					break
+				}
+			}
+			if pc.ring != nil {
 				pc.ring.Record(prof.Event{
 					Start: pc.nowNS(), Dur: 0,
 					Step: step, Site: int32(g.ID), Phase: prof.PhaseSum,
@@ -501,34 +510,22 @@ func (pc *proc) bcastGather(op *plan.CommOp) error {
 	return nil
 }
 
-// collectiveSum combines a distributed SUM: owners stream their
-// section elements up the binomial tree as raw operands, the root
-// replays the simulator's global section-order scan — popping each
-// run from its owner's stream, so the floating-point accumulation
-// order is bit-identical to SumSection — and the total descends the
-// tree.
-func (pc *proc) collectiveSum(sc *plan.Sum) (float64, error) {
-	if pc.ring != nil {
-		// The combine runs at the SUM statement, before its global-sum
-		// marker group's position assigns a superstep index: record
-		// the legs as pending and let the marker patch them.
-		pc.evStep, pc.evSite = prof.PendingStep, -1
-		pc.evSend, pc.evRecv = prof.PhaseSum, prof.PhaseSum
-	}
+// gatherSum is the first phase of a distributed SUM: owners stream their
+// section elements up the binomial tree as raw operands, and the root
+// replays the simulator's global section-order scan — popping each run
+// from its owner's stream, so the floating-point accumulation order is
+// bit-identical to SumSection — into the SUM's slot of its frame.
+func (pc *proc) gatherSum(sc *plan.Sum) error {
 	sec := sc.Section(pc.fr)
 	if pc.fr.Err != nil {
-		return 0, pc.evalErr()
+		return pc.evalErr()
 	}
 	am := pc.fr.View(sc.Lay)
 	pc.packOwned(am, sec)
 	streams, err := pc.gatherUp(pc.cnt, sc.Bound)
-	if err != nil {
-		return 0, err
+	if err != nil || pc.p != 0 {
+		return err
 	}
-	if pc.p != 0 {
-		return pc.bcastValue(0)
-	}
-
 	pos := pc.pos
 	clear(pos)
 	total := 0.0
@@ -538,5 +535,29 @@ func (pc *proc) collectiveSum(sc *plan.Sum) (float64, error) {
 		}
 		pos[o] += n
 	})
-	return pc.bcastValue(total)
+	pc.fr.Sums[sc.Slot] = total
+	return nil
+}
+
+// gatherSums gathers every distributed SUM of a statement or condition,
+// in the order lowering fixed. The legs record as pending: the global-sum
+// group that gives them a superstep comes later and patches them.
+func (pc *proc) gatherSums(sums []plan.Sum) (err error) {
+	if len(sums) > 0 {
+		pc.evStep, pc.evSite, pc.evSend, pc.evRecv = prof.PendingStep, -1, prof.PhaseSum, prof.PhaseSum
+	}
+	for i := 0; i < len(sums) && err == nil; i++ {
+		err = pc.gatherSum(&sums[i])
+	}
+	return err
+}
+
+// bcastSums is the second phase: the root's totals descend the tree to
+// every processor's frame.
+func (pc *proc) bcastSums(sums []plan.Sum) (err error) {
+	for i := 0; i < len(sums) && err == nil; i++ {
+		s := sums[i].Slot
+		pc.fr.Sums[s], err = pc.bcastValue(pc.fr.Sums[s])
+	}
+	return err
 }

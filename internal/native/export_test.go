@@ -1,0 +1,7 @@
+package native
+
+import "gcao/internal/plan"
+
+// ProgramOf returns the lowered program an engine runs, for tests that
+// alter it between runs.
+func ProgramOf(eng *Engine) *plan.Program { return eng.prog }

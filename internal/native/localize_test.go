@@ -22,6 +22,11 @@ import (
 
 func placeSrc(t *testing.T, src string, params map[string]int, procs int) *core.Result {
 	t.Helper()
+	return placeSrcAs(t, src, params, procs, core.VersionCombine)
+}
+
+func placeSrcAs(t *testing.T, src string, params map[string]int, procs int, v core.Version) *core.Result {
+	t.Helper()
 	r, err := parser.ParseRoutine(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
@@ -34,7 +39,7 @@ func placeSrc(t *testing.T, src string, params map[string]int, procs int) *core.
 	if err != nil {
 		t.Fatalf("analysis: %v", err)
 	}
-	res, err := a.Place(core.Options{Version: core.VersionCombine})
+	res, err := a.Place(core.Options{Version: v})
 	if err != nil {
 		t.Fatalf("place: %v", err)
 	}

@@ -531,10 +531,10 @@ type proc struct {
 	// predictable branch. nextStep counts executed communication
 	// groups (the superstep index, matching attr.Step order);
 	// evStep/evSite/evSend/evRecv are the attribution context the
-	// comm primitives stamp onto events. Distributed-SUM legs run at
-	// the SUM statement, before their global-sum marker group's
+	// comm primitives stamp onto events. Distributed-SUM gather legs
+	// run at the SUM statement, before their global-sum group's
 	// position assigns a step index, so they record with
-	// prof.PendingStep and the marker patches them (this goroutine's
+	// prof.PendingStep and the group patches them (this goroutine's
 	// own ring — single writer). endNS is the goroutine's finish
 	// mark, nanoseconds since run start. kept is the processor's ring
 	// whether armed or not.
@@ -603,12 +603,26 @@ func (pc *proc) Loop(lp *plan.Loop) error {
 func (pc *proc) Charge(*plan.Loop, int) {}
 
 // Stmt executes one assignment. Distributed SUMs in the RHS are
-// statement-level collectives: every processor takes part before any
-// evaluation.
+// statement-level collectives: every processor sends its gather legs
+// here, and the statement settles — the totals descend, it evaluates and
+// stores — here too unless lowering deferred that to a global-sum group.
 func (pc *proc) Stmt(st *plan.Stmt) error {
+	pc.at = st.Src.Assign.Pos
+	if err := pc.gatherSums(st.Sums); err != nil {
+		return err
+	}
+	if st.Settle != nil {
+		return nil
+	}
+	return pc.settle(st)
+}
+
+// settle is the rest of a statement after its gathers: every processor
+// receives the totals, then the statement evaluates and stores.
+func (pc *proc) settle(st *plan.Stmt) error {
 	fr := pc.fr
 	pc.at = st.Src.Assign.Pos
-	if err := pc.runSums(st.Sums); err != nil {
+	if err := pc.bcastSums(st.Sums); err != nil {
 		return err
 	}
 
@@ -676,7 +690,10 @@ func (pc *proc) If(n *plan.If) error {
 	if !n.Sync {
 		v = n.Cond(fr)
 	} else {
-		if err := pc.runSums(n.Sums); err != nil {
+		if err := pc.gatherSums(n.Sums); err != nil {
+			return err
+		}
+		if err := pc.bcastSums(n.Sums); err != nil {
 			return err
 		}
 		if pc.p == 0 {
@@ -701,18 +718,4 @@ func (pc *proc) If(n *plan.If) error {
 		return plan.Exec(n.Then, pc)
 	}
 	return plan.Exec(n.Else, pc)
-}
-
-// runSums runs the collective combine of every distributed SUM of a
-// statement or condition, in the order lowering fixed (identical on
-// all processors), leaving the totals where the expression reads them.
-func (pc *proc) runSums(sums []plan.Sum) error {
-	for i := range sums {
-		total, err := pc.collectiveSum(&sums[i])
-		if err != nil {
-			return err
-		}
-		pc.fr.Sums[i] = total
-	}
-	return nil
 }

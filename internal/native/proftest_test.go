@@ -14,6 +14,7 @@ import (
 	"gcao/internal/native/prof"
 	"gcao/internal/obs"
 	"gcao/internal/obs/attr"
+	"gcao/internal/plan"
 	"gcao/internal/spmd"
 )
 
@@ -190,6 +191,57 @@ func TestNativeProfileCalibrationJoin(t *testing.T) {
 	}
 	if len(c.Residuals) == 0 {
 		t.Fatal("no per-site residuals")
+	}
+}
+
+// TestNativeProfileSumAttribution: a profiled gravity comb run at P=16
+// leaves no event pending, and each global-sum step carries on every
+// processor both legs of every member — the gather sent at its SUM
+// statement, patched when the group came, and the broadcast the group
+// settled — under PhaseSum, beside the step's marker.
+func TestNativeProfileSumAttribution(t *testing.T) {
+	const p = 16
+	eng, res := profiledEngine(t, "gravity", 12, p, core.VersionCombine)
+	out, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	np, tree := out.Profile, plan.BuildTree(p)
+	for q, evs := range np.Events {
+		for _, ev := range evs {
+			if ev.Step == prof.PendingStep {
+				t.Fatalf("processor %d: event %+v left pending", q, ev)
+			}
+		}
+	}
+	sums := 0
+	for _, st := range np.Steps {
+		if st.Site < 0 || res.Groups[st.Site].Kind != core.KindReduce {
+			continue
+		}
+		sums++
+		members := len(res.Groups[st.Site].Entries)
+		for q, evs := range np.Events {
+			legs := len(tree.Children[q])
+			if q != 0 {
+				legs++
+			}
+			got := 0
+			for _, ev := range evs {
+				if ev.Step == st.Step {
+					if ev.Phase != prof.PhaseSum {
+						t.Errorf("step %d processor %d: a %v event", st.Step, q, ev.Phase)
+					}
+					got++
+				}
+			}
+			if want := 2*members*legs + 1; got != want {
+				t.Errorf("step %d processor %d: %d events, want %d: two legs of %d members on %d tree edges and the marker", st.Step, q, got, want, members, legs)
+			}
+		}
+	}
+	if sums == 0 {
+		t.Fatal("no global-sum step in the profile")
 	}
 }
 

@@ -47,13 +47,13 @@ func (ls *lister) nodes(nodes []Node, depth int) {
 		case *Comm:
 			ls.comm(n, depth)
 		case *Stmt:
-			ls.sums(n.Sums, depth)
+			ls.sums(n.Sums, n.Settle, depth)
 			if ls.nest && n.Guard {
 				ls.line(LoweredPrefix, depth, "guard: ownership of the %s element tested per iteration", n.LHS.Lay.Name)
 			}
 			ls.line("", depth, "%s = %s", ast.ExprString(n.Src.Assign.LHS), ast.ExprString(n.Src.Assign.RHS))
 		case *If:
-			ls.sums(n.Sums, depth)
+			ls.sums(n.Sums, nil, depth)
 			if n.Sync {
 				ls.line(LoweredPrefix, depth, "condition over distributed data: processor 0 evaluates, every processor takes its edge")
 			}
@@ -98,9 +98,13 @@ func (ls *lister) loop(lp *Loop, depth int) {
 	}
 }
 
-func (ls *lister) sums(sums []Sum, depth int) {
+func (ls *lister) sums(sums []Sum, settle *CommOp, depth int) {
+	where := "here"
+	if settle != nil {
+		where = fmt.Sprintf("at global-sum g%d", settle.Group.ID)
+	}
 	for i := range sums {
-		ls.line(LoweredPrefix, depth, "collective: SUM %d over %s gathered to processor 0, at most %d elements, the total broadcast", i, sums[i].Lay.Name, sums[i].Bound)
+		ls.line(LoweredPrefix, depth, "collective: SUM %d over %s gathered to processor 0, at most %d elements; the total descends %s", i, sums[i].Lay.Name, sums[i].Bound, where)
 	}
 }
 
@@ -127,7 +131,11 @@ func (ls *lister) comm(c *Comm, depth int) {
 		}
 		ls.line("", depth, "%s", text)
 		if g.Kind == core.KindReduce {
-			ls.line(LoweredPrefix, depth, "marks the superstep: the combine ran at the SUM statements")
+			var targets []string
+			for _, st := range op.Settles {
+				targets = append(targets, ast.ExprString(st.Src.Assign.LHS))
+			}
+			ls.line(LoweredPrefix, depth, "operands gathered at the SUM statements; settles {%s} here: totals descend, statements assign", strings.Join(targets, ", "))
 		} else {
 			ls.line(LoweredPrefix, depth, "%d of %d entries can move data, at most %d elements a message", len(op.Entries), len(g.Entries), op.Bound)
 		}

@@ -262,6 +262,35 @@ enddo
 	}
 }
 
+// TestListingSaysWhereSumsSettle: gravity's comb placement gives each
+// plane's four SUMs one global-sum group, and the listing says that the
+// statements gather where they stand and settle at the group.
+func TestListingSaysWhereSumsSettle(t *testing.T) {
+	pr, err := bench.ByName("gravity", "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := pr.Compile(pr.DefaultN, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.Place(core.Options{Version: core.VersionCombine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := plan.Lower(res).Listing()
+	for want, n := range map[string]int{
+		"the total descends at global-sum g4\n":                              4,
+		"the total descends at global-sum g5\n":                              4,
+		"settles {s1, s2, s3, s4} here: totals descend, statements assign\n": 1,
+		"settles {t1, t2, t3, t4} here: totals descend, statements assign\n": 1,
+	} {
+		if got := strings.Count(out, want); got != n {
+			t.Errorf("listing says %q %d times, want %d:\n%s", want, got, n, out)
+		}
+	}
+}
+
 // TestListingGolden: the six Fig. 10(a) routines under the three
 // strategies at their default sizes on 16 processors. The golden files
 // were written by codegen.Emit at the last commit that had it; with the

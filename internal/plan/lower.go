@@ -95,12 +95,13 @@ func (lw *lowerer) seq(b *cfg.Block) ([]Node, *cfg.Block) {
 			b = lp.Src.PostExit
 			continue
 		}
-		comm := lw.pl.Comm[b.ID]
+		comm, first := lw.pl.Comm[b.ID], len(out)
 		out = appendComm(out, lw.comm(comm[0]))
 		for k, st := range b.Stmts {
 			out = append(out, lw.stmt(st))
 			out = appendComm(out, lw.comm(comm[k+1]))
 		}
+		lw.settle(out[first:])
 		if b.Branch != nil {
 			n := &If{Src: b}
 			lw.beginExpr()
@@ -207,6 +208,69 @@ func (lw *lowerer) comm(groups []*core.Group) *Comm {
 		c.Ops[i] = op
 	}
 	return c
+}
+
+// settle decides where each statement of one block's nodes with
+// distributed SUMs settles — its totals descend and it assigns: at the
+// global-sum group holding its first SUM (Stmt.Settle, CommOp.Settles)
+// when that group holds them all and nothing between can change the
+// result — nothing assigns the target or a name the statement reads
+// outside its SUMs' arguments (the gathers read those), and no group moves
+// the target's array, whose old value it would carry — else at itself.
+// Nothing between reads the target: the reduction's placement range
+// (§6.2) ends before the first statement that does.
+func (lw *lowerer) settle(nodes []Node) {
+	for i, n := range nodes {
+		if st, ok := n.(*Stmt); ok && len(st.Sums) > 0 {
+			if op := lw.settleAt(st, nodes[i+1:]); op != nil {
+				if op.Settles == nil { // one allocation a group
+					op.Settles = make([]*Stmt, 0, len(op.Group.Entries))
+				}
+				st.Settle, op.Settles = op, append(op.Settles, st)
+			}
+		}
+	}
+}
+
+func (lw *lowerer) settleAt(st *Stmt, after []Node) *CommOp {
+	target, free, read := st.Src.Assign.LHS.Name, true, false
+	for _, n := range after {
+		switch n := n.(type) {
+		case *Stmt:
+			read = read || lw.pl.A.StmtReads(n.Src, target, true)
+			free = free && n.Src.Assign.LHS.Name != target && !lw.pl.A.StmtReads(st.Src, n.Src.Assign.LHS.Name, false)
+		case *Comm:
+			for k := range n.Ops {
+				op := &n.Ops[k]
+				if op.Group.Kind == core.KindReduce && op.holds(&st.Sums[0]) {
+					if read {
+						panic(fmt.Sprintf("plan: internal error: %s read before its global-sum group", target))
+					}
+					for i := range st.Sums {
+						free = free && op.holds(&st.Sums[i])
+					}
+					if free {
+						return op
+					}
+					return nil
+				}
+				for _, e := range op.Group.Entries {
+					free = free && e.Array != target
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// holds reports whether a SUM is a member of the group.
+func (op *CommOp) holds(s *Sum) bool {
+	for _, e := range op.Group.Entries {
+		if e.Use().Ref == s.arg {
+			return true
+		}
+	}
+	return false
 }
 
 // entry lowers one group entry's symbolic section. Entries that can
@@ -652,8 +716,9 @@ func (lw *lowerer) intrinsic(e *ast.Call) RealFn {
 }
 
 // sum lowers a SUM call. Over a distributed array it is a collective:
-// the call is appended to the statement's Sums (once per call site) and
-// the expression reads the total the backend left in Frame.Sums. Over a
+// the call is appended to the statement's Sums (once per call site, with
+// a slot of its own) and the expression reads the total the backend left
+// in Frame.Sums. Over a
 // replicated array it scans the shared row in section order and adds the
 // element count to Frame.SumFlops.
 func (lw *lowerer) sum(e *ast.Call) RealFn {
@@ -672,10 +737,10 @@ func (lw *lowerer) sum(e *ast.Call) RealFn {
 	if am.Dist != nil {
 		slot, seen := lw.sumSlot[e]
 		if !seen {
-			slot = len(lw.sums)
+			slot = lw.pr.numSums
+			lw.pr.numSums++
 			lw.sumSlot[e] = slot
-			lw.sums = append(lw.sums, Sum{Lay: am, Pos: e.Pos, Sec: lw.secExpr(ref, am), Bound: am.Arr.Size()})
-			lw.pr.maxSums = max(lw.pr.maxSums, len(lw.sums))
+			lw.sums = append(lw.sums, Sum{Lay: am, Pos: e.Pos, Sec: lw.secExpr(ref, am), Bound: am.Arr.Size(), Slot: slot, arg: ref})
 		}
 		return func(fr *Frame) float64 { return fr.Sums[slot] }
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"gcao/internal/ast"
 	"gcao/internal/cfg"
 	"gcao/internal/core"
 	"gcao/internal/runtime"
@@ -32,7 +33,8 @@ type Program struct {
 	// Ints and Reals name the frame slots: one integer slot per loop
 	// variable name, one real slot per declared non-parameter scalar.
 	Ints, Reals []string
-	maxSums     int
+	// numSums counts the distributed SUMs, what Sum.Slot indexes.
+	numSums int
 	// memoLen is the length of a frame's memo: every nest's entry key.
 	memoLen int
 	// What one frame needs to run any box: operand stack entries and
@@ -69,7 +71,10 @@ type CommOp struct {
 	// Slots lists the integer slots the entries' sections read: a schedule
 	// built under them holds while Frame.Unchanged says they have not moved.
 	Slots []int
-	xid   int // a shift's index in Program.Exchanges
+	// Settles, on a global-sum group, lists in source order the statements
+	// whose SUMs it holds and that settle here (Stmt.Settle).
+	Settles []*Stmt
+	xid     int // a shift's index in Program.Exchanges
 }
 
 // Neighbors returns the processors p sends its strips to and takes them
@@ -124,13 +129,14 @@ func (e *EntrySec) Bounds(fr *Frame) []section.Dim {
 }
 
 // Stmt is one assignment. A backend runs Sums (the statement-level
-// collectives, results into Frame.Sums in order), then evaluates and
-// stores: into Frame.Reals[Scalar] when LHS is nil, else into the
-// array element — on the owner only; Guard tells whether ownership
-// still has to be tested per execution or the enclosing loop bounds
-// already restrict the executing processor to elements it owns. Flops
-// is the right-hand side's CountFlops, what one evaluation costs beside
-// its SUM shares.
+// collectives, totals into Frame.Sums), then evaluates and stores: into
+// Frame.Reals[Scalar] when LHS is nil, else into the array element — on
+// the owner only; Guard tells whether ownership still has to be tested per
+// execution or the enclosing loop bounds already restrict the executing
+// processor to elements it owns. Flops is the right-hand side's
+// CountFlops, what one evaluation costs beside its SUM shares. Settle,
+// when set, is the global-sum group where the totals descend and the
+// statement evaluates and stores; the SUMs gather at the statement.
 type Stmt struct {
 	Src    *cfg.Stmt
 	Flops  int
@@ -139,6 +145,7 @@ type Stmt struct {
 	LHS    *ArrayRef
 	Scalar int
 	Guard  bool
+	Settle *CommOp
 
 	reads []*ArrayRef // array reads of the RHS, outside SUM arguments
 	loops []*Loop     // enclosing loops, outermost first
@@ -155,6 +162,10 @@ type Sum struct {
 	Sec SecExpr
 	// Bound is the plan's element-count bound for gather buffers.
 	Bound int
+	// Slot is the index of the total in Frame.Sums, one per distributed SUM
+	// of the program.
+	Slot int
+	arg  *ast.Ref // the summed reference: a global-sum entry's use
 }
 
 // Section evaluates the summed section under fr, into the frame's
@@ -367,8 +378,8 @@ type Frame struct {
 	// Reals holds scalar values; Set marks the assigned ones.
 	Reals []float64
 	Set   []bool
-	// Sums holds the totals of the executing statement's (or
-	// condition's) distributed SUMs, in Stmt.Sums order.
+	// Sums holds the totals of the distributed SUMs, by Sum.Slot: a
+	// statement's stay there from its gather until it settles.
 	Sums []float64
 	// SumFlops counts the elements added up by SUMs over replicated
 	// arrays, which evaluate inline. Only a driver that charges flops
@@ -414,7 +425,7 @@ func (pr *Program) NewFrame(p int, mem *runtime.Memory) (*Frame, error) {
 		Bound:   make([]bool, len(pr.Ints)),
 		Reals:   make([]float64, len(pr.Reals)),
 		Set:     make([]bool, len(pr.Reals)),
-		Sums:    make([]float64, pr.maxSums),
+		Sums:    make([]float64, pr.numSums),
 		Scratch: runtime.NewScratch(rank),
 		ranges:  make([]loopRange, len(pr.Plan.A.G.Loops)),
 		memo:    make([]int, pr.memoLen),

@@ -416,17 +416,22 @@ func (lp *Loop) runBatch(fr *Frame, vars uint64, b, n, lo int) {
 		}
 
 		// Stored after the statement's last operation, so a right-hand
-		// side may read the rows it replaces.
-		res, am := &stack[0], fr.View(st.LHS.Lay)
-		data, valid, stride := am.Data[p], am.Valid[p], st.LHS.stride
+		// side may read the rows it replaces. The statement is unguarded,
+		// so p owns every element it stores, and an owner's copy is always
+		// valid (DESIGN.md §17): only the values change.
+		res, data, stride := &stack[0], fr.View(st.LHS.Lay).Data[p], st.LHS.stride
 		for r := 0; r < b; r++ {
 			off := fr.boxOff[r*lp.refs+ri]
+			if res.v != nil && stride == 1 {
+				copy(data[off:off+n], res.v[r*n:(r+1)*n])
+				continue
+			}
 			for i := r * n; i < (r+1)*n; i++ {
 				v := res.c
 				if res.v != nil {
 					v = res.v[i]
 				}
-				data[off], valid[off] = v, true
+				data[off] = v
 				off += stride
 			}
 		}

@@ -291,7 +291,7 @@ func (w *walker) stmt(st *plan.Stmt) error {
 func (w *walker) sums(sums []plan.Sum) {
 	for i := range sums {
 		if sec := sums[i].Section(w.fr); w.fr.Err == nil {
-			w.fr.Sums[i] = w.fr.View(sums[i].Lay).SumSection(sec, w.fr.Scratch, w.counts)
+			w.fr.Sums[sums[i].Slot] = w.fr.View(sums[i].Lay).SumSection(sec, w.fr.Scratch, w.counts)
 		}
 	}
 }

@@ -561,7 +561,9 @@ func (m *Memory) Canonical(name string) []float64 {
 
 // CheckHulls holds the ghost hulls against the planes, for tests and
 // verifiers: it returns an error naming the first valid element outside
-// the hull of a processor that does not own it.
+// the hull of a processor that does not own it, or the first element its
+// owner holds invalid — an owner's copy is always current, which is what
+// lets a row kernel store without marking.
 func (m *Memory) CheckHulls() error {
 	for _, am := range m.Arrays {
 		for p := 0; am.Dist != nil && p < m.P; p++ {
@@ -575,6 +577,9 @@ func (m *Memory) CheckHulls() error {
 				}
 				if valid && outside && owner != p {
 					return fmt.Errorf("runtime: processor %d holds %s valid at flat offset %d, outside its ghost hull %v:%v", p, am.Name, off, lo, hi)
+				}
+				if !valid && owner == p {
+					return fmt.Errorf("runtime: processor %d holds its own %s element at flat offset %d invalid", p, am.Name, off)
 				}
 			}
 		}

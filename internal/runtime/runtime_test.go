@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"gcao/internal/machine"
@@ -59,6 +60,16 @@ func TestOwnershipAndValidity(t *testing.T) {
 		if _, err := m.Read(p, "r", []int{3}); err != nil {
 			t.Fatalf("replicated read: %v", err)
 		}
+	}
+	// An owner's copy is always current: CheckHulls reports one that is not.
+	if err := m.CheckHulls(); err != nil {
+		t.Fatalf("a new memory: %v", err)
+	}
+	am := m.View("a")
+	off := am.Offset([]int{6, 3})
+	am.Valid[m.Owner("a", []int{6, 3})][off] = false
+	if err := m.CheckHulls(); err == nil || !strings.Contains(err.Error(), "its own a element") {
+		t.Errorf("an owner's cleared bit: CheckHulls returned %v", err)
 	}
 }
 

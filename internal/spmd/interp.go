@@ -188,7 +188,7 @@ func (sh *shard) runSums(sums []plan.Sum) {
 		if sh.fr.Err != nil {
 			return
 		}
-		sh.fr.Sums[i] = sh.fr.View(sums[i].Lay).SumSection(sec, sh.fr.Scratch, sh.sumCounts[i])
+		sh.fr.Sums[sums[i].Slot] = sh.fr.View(sums[i].Lay).SumSection(sec, sh.fr.Scratch, sh.sumCounts[i])
 	}
 }
 
