@@ -184,7 +184,9 @@ nativeprof-smoke:
 
 # compile-smoke proves the compile path end to end and holds its cost:
 # the Fig. 10(a) table must come out of hpfc fig10a with hydflo/flux at
-# its 52/30/6 call sites (TestFig10aHydfloFlux), the placement golden file, the section-table and
+# its 52/30/6 call sites (TestFig10aHydfloFlux), the affine forms' sorted
+# terms must agree with the map model on random forms
+# (TestFormMatchesMapModel), the placement golden file, the section-table and
 # shared-analysis tests must pass (the last under the race detector —
 # an Analysis is shared lock-free), a compilation instantiated from a
 # cached skeleton must equal the one compiled from the text (the
@@ -200,6 +202,7 @@ nativeprof-smoke:
 # before it shows in milliseconds.
 compile-smoke:
 	$(GO) test ./cmd/hpfc -run 'TestFig10aHydfloFlux' -count=1
+	$(GO) test ./internal/lin -run 'TestFormMatchesMapModel' -count=1
 	$(GO) test ./internal/core -run 'TestPlacementGolden|TestSectionTableMatchesExpansion|TestPlaceNilRecorderAllocs|TestNilTallyCostsNothing' -count=1
 	$(GO) test -race ./internal/core -run 'TestSharedAnalysisConcurrentPlace' -count=1
 	$(GO) test . -run 'TestSkeletonMatchesMonolithic|TestSkeletonHitPin' -count=1

@@ -18,6 +18,7 @@ import (
 	"gcao"
 	"gcao/internal/bench"
 	"gcao/internal/core"
+	"gcao/internal/core/bound"
 	"gcao/internal/machine"
 	"gcao/internal/native"
 	"gcao/internal/parser"
@@ -318,6 +319,44 @@ func BenchmarkCompile(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCompileSuite is the repository benchmark's compile-suite op
+// under `go test`: the six Fig. 10(a) routines at their default sizes on
+// 25 processors, each parsed, checked, analysed, placed under the three
+// versions, estimated on the SP2 model and bounded from below — the
+// compiler user's cold path with no cache and no execution layer.
+func BenchmarkCompileSuite(b *testing.B) {
+	progs := bench.Programs()
+	sp2 := machine.SP2()
+	versions := []core.Version{core.VersionOrig, core.VersionRedund, core.VersionCombine}
+	b.ReportAllocs()
+	var msgs int
+	var floor float64
+	for i := 0; i < b.N; i++ {
+		msgs, floor = 0, 0
+		for _, pr := range progs {
+			a, err := pr.Compile(pr.DefaultN, 25)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, v := range versions {
+				res, err := a.Place(core.Options{Version: v})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := spmd.Estimate(res, sp2); err != nil {
+					b.Fatal(err)
+				}
+				if v == core.VersionCombine {
+					msgs += res.TotalMessages()
+				}
+			}
+			floor += bound.Compute(a).TotalBytes
+		}
+	}
+	b.ReportMetric(float64(msgs), "comb-msgs")
+	b.ReportMetric(floor, "bound-bytes")
 }
 
 // hydfloFluxUnit parses and checks hydflo/flux — the routine that

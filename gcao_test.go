@@ -118,6 +118,13 @@ func TestCompileErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "steps") {
 		t.Errorf("missing parameter must be reported: %v", err)
 	}
+	// A call to a routine the text does not define is never inlined; sem
+	// reports it at its position, so the CFG builder never sees a call.
+	const callSrc = "routine f(n)\nreal a(n)\na(1) = 0\ncall foo(a, n)\nend\n"
+	_, err = gcao.Compile(callSrc, gcao.Config{Params: map[string]int{"n": 8}, Procs: 4})
+	if err == nil || !strings.Contains(err.Error(), `4:1: sem: call to "foo" not inlined`) {
+		t.Errorf("a call to an unknown routine must be a positioned error: %v", err)
+	}
 }
 
 func TestMachineByName(t *testing.T) {

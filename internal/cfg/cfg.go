@@ -13,6 +13,7 @@ package cfg
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"gcao/internal/ast"
@@ -73,7 +74,7 @@ func (s *Stmt) Label() string {
 	if s.Assign != nil && s.Assign.Label != "" {
 		return s.Assign.Label
 	}
-	return fmt.Sprintf("s%d", s.ID)
+	return "s" + strconv.Itoa(s.ID)
 }
 
 func (s *Stmt) String() string {
@@ -256,6 +257,10 @@ func (b *builder) build(stmts []ast.Stmt, cur *Block) *Block {
 			cur = post
 
 		default:
+			// Unreachable from source: the one other statement kind is
+			// ast.CallStmt, and sem rejects a call the inliner left
+			// behind with a positioned error (5:1: sem: call to "foo"
+			// not inlined), so no checked body reaches here with one.
 			panic(fmt.Sprintf("cfg: unexpected statement type %T", s))
 		}
 	}
@@ -263,17 +268,13 @@ func (b *builder) build(stmts []ast.Stmt, cur *Block) *Block {
 }
 
 // CommonLoops returns the loops containing both statements, outermost
-// first.
+// first: a prefix of a.Loops, which callers must not write to.
 func CommonLoops(a, d *Stmt) []*Loop {
-	n := min(len(a.Loops), len(d.Loops))
-	var out []*Loop
-	for i := 0; i < n; i++ {
-		if a.Loops[i] != d.Loops[i] {
-			break
-		}
-		out = append(out, a.Loops[i])
+	n := 0
+	for n < len(a.Loops) && n < len(d.Loops) && a.Loops[n] == d.Loops[n] {
+		n++
 	}
-	return out
+	return a.Loops[:n:n]
 }
 
 // CNL returns the common nesting level of two statements: the depth of

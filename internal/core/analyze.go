@@ -163,11 +163,12 @@ func (s *Skeleton) Analyze(u *sem.Unit, rec *obs.Recorder) (*Analysis, error) {
 		return nil, err
 	}
 	end = rec.Start("earliest-latest")
+	w := &walkScratch{seen: s.SSA.NewMarks(), visit: s.SSA.NewMarks()}
 	for _, e := range a.Entries {
 		if e.Coalesced {
 			continue
 		}
-		if err := a.computePlacementRange(e); err != nil {
+		if err := a.computePlacementRange(e, w); err != nil {
 			end()
 			return nil, err
 		}
@@ -225,6 +226,19 @@ func (a *Analysis) LoopTrip(l *cfg.Loop) (int, bool) {
 	return (b.hi-b.lo)/b.step + 1, true
 }
 
+// walkScratch is what the Earliest/Latest walks write as they go: visit
+// sets over the skeleton's DefIDs and buffers they reuse from entry to
+// entry. One Analyze call owns it and drops it on return. The Skeleton
+// (with its ssa.Info) is shared by concurrent Analyze calls and the
+// finished Analysis by concurrent Place calls, so neither holds it.
+type walkScratch struct {
+	seen  ssa.Marks         // the reaching walk's and earliestDef's visited defs
+	visit ssa.Marks         // rcount's visit set, shared across a φ's parameters
+	regs  []*ssa.RegularDef // the reaching walk's result
+	order []int             // test's order of a φ's parameters
+	chain []*cfg.Block      // computeCandidates' dominator path
+}
+
 // ---------------------------------------------------------------------
 // Latest position (§4.2)
 
@@ -232,11 +246,11 @@ func (a *Analysis) LoopTrip(l *cfg.Loop) (int, bool) {
 // entry, which is as shallow as possible: just before the outermost
 // loop with no true dependence on the use, or just before the
 // statement when dependences pin it at full depth.
-func (a *Analysis) computeLatest(e *Entry) {
+func (a *Analysis) computeLatest(e *Entry, w *walkScratch) {
 	level := 0
 	for _, u := range e.Uses {
-		regs, _ := dep.ReachingRegularDefs(u)
-		for _, d := range regs {
+		w.regs, _ = dep.ReachingRegularDefs(u, &w.seen, w.regs[:0])
+		for _, d := range w.regs {
 			if l := a.Dep.DepLevel(d, u); l > level {
 				level = l
 			}
@@ -263,11 +277,11 @@ func (a *Analysis) computeLatest(e *Entry) {
 // point for the entry: the first definition, in a depth-first preorder
 // walk back through the SSA chain from the use, for which Test returns
 // true (Claim 4.1).
-func (a *Analysis) computeEarliest(e *Entry) error {
+func (a *Analysis) computeEarliest(e *Entry, w *walkScratch) error {
 	var best ssa.Def
 	var bestPos Position
 	for _, u := range e.Uses {
-		d := a.earliestDef(u)
+		d := a.earliestDef(u, w)
 		if d == nil {
 			return fmt.Errorf("core: no earliest def for %s", u)
 		}
@@ -289,33 +303,31 @@ func (a *Analysis) computeEarliest(e *Entry) error {
 // earliestDef implements the walk of Fig. 8(a): visit defs backward
 // from Reaching(u) in depth-first preorder; the first def passing Test
 // is Earliest(u). The ENTRY pseudo-def always passes.
-func (a *Analysis) earliestDef(u *ssa.Use) ssa.Def {
-	visited := map[ssa.Def]bool{}
-	var found ssa.Def
-	var dfs func(d ssa.Def) bool
-	dfs = func(d ssa.Def) bool {
-		if d == nil || visited[d] {
-			return false
-		}
-		visited[d] = true
-		if a.test(d, u) {
-			found = d
-			return true
-		}
-		switch d := d.(type) {
-		case *ssa.RegularDef:
-			return dfs(d.Input)
-		case *ssa.PhiDef:
-			for _, arg := range d.Args {
-				if dfs(arg) {
-					return true
-				}
+func (a *Analysis) earliestDef(u *ssa.Use, w *walkScratch) ssa.Def {
+	w.seen.Clear()
+	return a.earliestFrom(u.Reaching, u, w)
+}
+
+// earliestFrom continues earliestDef's walk at d, returning the first
+// def passing Test or nil.
+func (a *Analysis) earliestFrom(d ssa.Def, u *ssa.Use, w *walkScratch) ssa.Def {
+	if d == nil || !w.seen.Mark(d) {
+		return nil
+	}
+	if a.test(d, u, w) {
+		return d
+	}
+	switch d := d.(type) {
+	case *ssa.RegularDef:
+		return a.earliestFrom(d.Input, u, w)
+	case *ssa.PhiDef:
+		for _, arg := range d.Args {
+			if found := a.earliestFrom(arg, u, w); found != nil {
+				return found
 			}
 		}
-		return false
 	}
-	dfs(u.Reaching)
-	return found
+	return nil
 }
 
 // test implements Fig. 8(b): a regular def is the earliest point when
@@ -323,7 +335,7 @@ func (a *Analysis) earliestDef(u *ssa.Use) ssa.Def {
 // earliest point when two or more of its parameters reach distinct
 // dependence sources over node-disjoint backpaths (counted by Rcount
 // with a shared visit set).
-func (a *Analysis) test(d ssa.Def, u *ssa.Use) bool {
+func (a *Analysis) test(d ssa.Def, u *ssa.Use, w *walkScratch) bool {
 	switch d := d.(type) {
 	case *ssa.EntryDef:
 		return true
@@ -338,34 +350,37 @@ func (a *Analysis) test(d ssa.Def, u *ssa.Use) bool {
 		// walks it — so we accept the test if any parameter ordering
 		// yields two positives. Blocks in this structured CFG have at
 		// most two predecessors, so this is at most two trials.
-		level := ssa.CNL(d, u)
-		n := len(d.Args)
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
+		w.order = w.order[:0]
+		for i := range d.Args {
+			w.order = append(w.order, i)
 		}
-		var try func(k int) bool
-		try = func(k int) bool {
-			if k == n {
-				visit := map[ssa.Def]bool{d: true}
-				positives := 0
-				for _, i := range order {
-					if a.rcount(d.Args[i], u, level, visit) > 0 {
-						positives++
-					}
-				}
-				return positives >= 2
+		return a.tryOrders(d, u, ssa.CNL(d, u), w, 0)
+	}
+	return false
+}
+
+// tryOrders tries every order of the φ's parameters that keeps
+// w.order[:k] in place, reporting whether one yields two positive
+// Rcounts.
+func (a *Analysis) tryOrders(d *ssa.PhiDef, u *ssa.Use, level int, w *walkScratch, k int) bool {
+	order := w.order
+	if k == len(order) {
+		w.visit.Clear()
+		w.visit.Mark(d)
+		positives := 0
+		for _, i := range order {
+			if a.rcount(d.Args[i], u, level, &w.visit) > 0 {
+				positives++
 			}
-			for i := k; i < n; i++ {
-				order[k], order[i] = order[i], order[k]
-				if try(k + 1) {
-					return true
-				}
-				order[k], order[i] = order[i], order[k]
-			}
-			return false
 		}
-		return try(0)
+		return positives >= 2
+	}
+	for i := k; i < len(order); i++ {
+		order[k], order[i] = order[i], order[k]
+		if a.tryOrders(d, u, level, w, k+1) {
+			return true
+		}
+		order[k], order[i] = order[i], order[k]
 	}
 	return false
 }
@@ -373,11 +388,10 @@ func (a *Analysis) test(d ssa.Def, u *ssa.Use) bool {
 // rcount implements Fig. 8(c): it counts dependence sources reachable
 // through a φ parameter, visiting every definition at most once so
 // that two positive parameter counts certify node-disjoint paths.
-func (a *Analysis) rcount(d ssa.Def, u *ssa.Use, level int, visit map[ssa.Def]bool) int {
-	if d == nil || visit[d] {
+func (a *Analysis) rcount(d ssa.Def, u *ssa.Use, level int, visit *ssa.Marks) int {
+	if d == nil || !visit.Mark(d) {
 		return 0
 	}
-	visit[d] = true
 	switch d := d.(type) {
 	case *ssa.EntryDef:
 		return 1 // IsArrayDep is TRUE for the pseudo-def at ENTRY
@@ -407,6 +421,9 @@ func (a *Analysis) defPosition(d ssa.Def) Position {
 	case *ssa.PhiDef:
 		return Position{Block: d.Blk, After: -1}
 	}
+	// Unreachable from any input: d comes from earliestDef, whose walk
+	// only follows a use's ssa.Info chain, and an Info holds only the
+	// three kinds above.
 	panic("core: unknown def kind")
 }
 
@@ -425,55 +442,54 @@ func (a *Analysis) posDominates(p, q Position) bool {
 // computeCandidates marks every statement on the dominator-tree path
 // from Latest(u) up to Earliest(u) (Claims 4.5–4.6). Candidates are
 // ordered earliest-first.
-func (a *Analysis) computeCandidates(e *Entry) error {
-	var cands []Position
-	c := e.Latest.Block
-	if c == e.Earliest.Block {
-		for k := e.Earliest.After; k <= e.Latest.After; k++ {
-			cands = append(cands, Position{Block: c, After: k})
-		}
-		e.Candidates = cands
+func (a *Analysis) computeCandidates(e *Entry, w *walkScratch) error {
+	top, bottom := e.Earliest, e.Latest
+	if bottom.Block == top.Block {
+		e.Candidates = appendPositions(nil, top.Block, top.After, bottom.After)
 		return nil
 	}
-	// Latest's block: positions from block top through Latest.
-	var below [][]Position
-	var blk []Position
-	for k := -1; k <= e.Latest.After; k++ {
-		blk = append(blk, Position{Block: c, After: k})
-	}
-	below = append(below, blk)
-	c = a.Dom.IDom(c)
-	for c != nil && c != e.Earliest.Block {
-		blk = nil
-		for k := -1; k < len(c.Stmts); k++ {
-			blk = append(blk, Position{Block: c, After: k})
-		}
-		below = append(below, blk)
+	// The dominator path strictly between Latest's block and Earliest's,
+	// walked upward, sizes the one slice the candidates go into.
+	n := bottom.After + 2
+	w.chain = w.chain[:0]
+	c := a.Dom.IDom(bottom.Block)
+	for c != nil && c != top.Block {
+		w.chain = append(w.chain, c)
+		n += len(c.Stmts) + 1
 		c = a.Dom.IDom(c)
 	}
 	if c == nil {
 		return fmt.Errorf("core: dominator walk from %s missed earliest %s for %s", e.Latest, e.Earliest, e)
 	}
-	blk = nil
-	for k := e.Earliest.After; k < len(c.Stmts); k++ {
-		blk = append(blk, Position{Block: c, After: k})
+	// Earliest-first: Earliest through the end of its block, every
+	// position of the blocks between, Latest's block top through Latest.
+	n += len(c.Stmts) - top.After
+	cands := appendPositions(make([]Position, 0, n), c, top.After, len(c.Stmts)-1)
+	for i := len(w.chain) - 1; i >= 0; i-- {
+		cands = appendPositions(cands, w.chain[i], -1, len(w.chain[i].Stmts)-1)
 	}
-	below = append(below, blk)
-	// Assemble earliest-first.
-	for i := len(below) - 1; i >= 0; i-- {
-		cands = append(cands, below[i]...)
-	}
-	e.Candidates = cands
+	e.Candidates = appendPositions(cands, bottom.Block, -1, bottom.After)
 	return nil
 }
 
-func (a *Analysis) computePlacementRange(e *Entry) error {
+// appendPositions appends the positions of block b after slots lo … hi.
+func appendPositions(ps []Position, b *cfg.Block, lo, hi int) []Position {
+	if ps == nil && hi >= lo {
+		ps = make([]Position, 0, hi-lo+1)
+	}
+	for k := lo; k <= hi; k++ {
+		ps = append(ps, Position{Block: b, After: k})
+	}
+	return ps
+}
+
+func (a *Analysis) computePlacementRange(e *Entry, w *walkScratch) error {
 	if e.Kind == KindReduce {
 		a.computeReduceRange(e)
 		return nil
 	}
-	a.computeLatest(e)
-	if err := a.computeEarliest(e); err != nil {
+	a.computeLatest(e, w)
+	if err := a.computeEarliest(e, w); err != nil {
 		return err
 	}
 	// The earliest point may sit deeper than or past Latest only when
@@ -483,7 +499,7 @@ func (a *Analysis) computePlacementRange(e *Entry) error {
 		e.Earliest = e.Latest
 		e.EarliestDef = nil
 	}
-	return a.computeCandidates(e)
+	return a.computeCandidates(e, w)
 }
 
 // computeReduceRange places reduction communication per §6.2: the
@@ -508,10 +524,7 @@ func (a *Analysis) computeReduceRange(e *Entry) {
 		last = k
 	}
 	e.Latest = Position{Block: st.Block, After: last}
-	e.Candidates = nil
-	for k := st.Index; k <= last; k++ {
-		e.Candidates = append(e.Candidates, Position{Block: st.Block, After: k})
-	}
+	e.Candidates = appendPositions(nil, st.Block, st.Index, last)
 }
 
 // StmtReads reports whether a statement mentions the named scalar or

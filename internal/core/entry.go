@@ -11,7 +11,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 	"strings"
 
 	"gcao/internal/asd"
@@ -45,9 +45,9 @@ func (p Position) String() string {
 		return "<nil>"
 	}
 	if p.After < 0 {
-		return fmt.Sprintf("B%d.top", p.Block.ID)
+		return "B" + strconv.Itoa(p.Block.ID) + ".top"
 	}
-	return fmt.Sprintf("B%d.after(%s)", p.Block.ID, p.Block.Stmts[p.After].Label())
+	return "B" + strconv.Itoa(p.Block.ID) + ".after(" + p.Block.Stmts[p.After].Label() + ")"
 }
 
 // CommKind classifies the communication needed by a use.
@@ -613,7 +613,7 @@ func subsSignature(a *Analysis, r *ast.Ref) string {
 		if forms[i].OK {
 			// Canonicalize loop variables positionally so that
 			// different nests with the same shape compare equal.
-			parts = append(parts, canonForm(forms[i].Form, r))
+			parts = append(parts, canonForm(forms[i].Form))
 		} else {
 			parts = append(parts, ast.ExprString(sub.X))
 		}
@@ -621,13 +621,14 @@ func subsSignature(a *Analysis, r *ast.Ref) string {
 	return strings.Join(parts, ",")
 }
 
-func canonForm(f lin.Form, r *ast.Ref) string {
-	vars := f.Vars()
-	sort.Strings(vars)
+func canonForm(f lin.Form) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d", f.Const)
-	for i, v := range vars {
-		fmt.Fprintf(&b, "+%d*v%d", f.CoefOf(v), i)
+	b.WriteString(strconv.Itoa(f.Const))
+	for i, t := range f.Terms {
+		b.WriteByte('+')
+		b.WriteString(strconv.Itoa(t.Coef))
+		b.WriteString("*v")
+		b.WriteString(strconv.Itoa(i))
 	}
 	return b.String()
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"slices"
 	"sort"
+	"strconv"
 
 	"gcao/internal/asd"
 	"gcao/internal/cfg"
@@ -326,7 +327,7 @@ func (a *Analysis) sortGroups(res *Result) {
 	})
 	for i, g := range res.Groups {
 		g.ID = i
-		g.SiteID = fmt.Sprintf("%s/g%d@%s/%s", res.Version, g.ID, g.Pos, g.Kind)
+		g.SiteID = res.Version.String() + "/g" + strconv.Itoa(g.ID) + "@" + g.Pos.String() + "/" + g.Kind.String()
 		g.Sources = groupSources(g)
 	}
 }
@@ -335,28 +336,18 @@ func (a *Analysis) sortGroups(res *Result) {
 // group's exchange serves — members and subsumed attachments alike —
 // as "label@line:col" strings, deduplicated and sorted.
 func groupSources(g *Group) []string {
-	seen := map[string]bool{}
 	var out []string
-	add := func(e *Entry) {
-		for _, u := range e.Uses {
-			if u.Stmt == nil || u.Stmt.Assign == nil {
-				continue
-			}
-			s := fmt.Sprintf("%s@%s", u.Stmt.Label(), u.Stmt.Assign.Pos)
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, s)
+	for _, es := range [2][]*Entry{g.Entries, g.Attached} {
+		for _, e := range es {
+			for _, u := range e.Uses {
+				if u.Stmt != nil && u.Stmt.Assign != nil {
+					out = append(out, u.Stmt.Label()+"@"+u.Stmt.Assign.Pos.String())
+				}
 			}
 		}
 	}
-	for _, e := range g.Entries {
-		add(e)
-	}
-	for _, e := range g.Attached {
-		add(e)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ---------------------------------------------------------------------

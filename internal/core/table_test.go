@@ -152,8 +152,9 @@ func TestSharedAnalysisConcurrentPlace(t *testing.T) {
 // to build 166 counter names (one per greedy round, rejection, merge,
 // redundancy step and dropped position) before Recorder.Add saw the nil
 // receiver; it now tallies locally and names the counters once, only
-// when a recorder listens. 1063 allocations measured; the budget leaves
-// a tenth for toolchain drift and still trips on a return of per-step
+// when a recorder listens. 965 allocations measured (1,063 before site
+// labels and source lists stopped going through fmt); the budget leaves
+// a quarter for toolchain drift and still trips on a return of per-step
 // names. TestNilTallyCostsNothing holds the mechanism exactly.
 func TestPlaceNilRecorderAllocs(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
@@ -176,7 +177,7 @@ func TestPlaceNilRecorderAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 1160
+	const budget = 1200
 	if allocs > budget {
 		t.Errorf("Place(comb) without a recorder allocates %.0f times, budget %d", allocs, budget)
 	}

@@ -62,7 +62,8 @@ func (s DirSet) String() string {
 // Analysis holds per-routine context for dependence queries under one
 // binding of the routine's parameters. One built by New also remembers what
 // it derived — a subscript's form per reference that Forms does not hold, a
-// direction vector per (def, use) pair — and so has a single user at a time;
+// direction vector per (def, use) pair of one SSA form — and so has a
+// single user at a time;
 // the literal &Analysis{Unit: u, Forms: f} answers the same queries from
 // scratch, writes nothing, and may be shared.
 type Analysis struct {
@@ -125,9 +126,12 @@ func readsParam(e ast.Expr, params []string) bool {
 	return false
 }
 
-type pairKey struct {
-	d *ssa.RegularDef
-	u *ssa.Use
+// pairKey names a (regular def, use) pair of one routine's SSA form by
+// the def's DefID and the use's ID.
+type pairKey uint64
+
+func keyOf(d *ssa.RegularDef, u *ssa.Use) pairKey {
+	return pairKey(uint64(d.DefID())<<32 | uint64(uint32(u.ID)))
 }
 
 // New builds a remembering dependence analysis for a routine.
@@ -167,11 +171,12 @@ func (a *Analysis) RefForms(r *ast.Ref) []SubscriptForm {
 // pairDirections is Directions for a regular def and a use; what
 // Directions returns for a feasible pair is never nil.
 func (a *Analysis) pairDirections(d *ssa.RegularDef, u *ssa.Use) ([]DirSet, bool) {
-	dirs, ok := a.pairs[pairKey{d, u}]
+	k := keyOf(d, u)
+	dirs, ok := a.pairs[k]
 	if !ok {
 		dirs, _ = a.Directions(d.Stmt, d.LHS, u.Stmt, u.Ref)
 		if a.pairs != nil {
-			a.pairs[pairKey{d, u}] = dirs
+			a.pairs[k] = dirs
 		}
 	}
 	return dirs, dirs != nil
@@ -251,9 +256,15 @@ func (a *Analysis) Directions(dstmt *cfg.Stmt, dref *ast.Ref, ustmt *cfg.Stmt, u
 		// Whole-array or rank-mismatched references: conservative.
 		return dirs, true
 	}
-	commonVar := map[string]int{} // loop var -> level index (0-based)
-	for i, l := range common {
-		commonVar[l.Var()] = i
+	// commonVar finds the level index (0-based) of the innermost common
+	// loop binding a variable.
+	commonVar := func(v string) (int, bool) {
+		for i := len(common) - 1; i >= 0; i-- {
+			if common[i].Var() == v {
+				return i, true
+			}
+		}
+		return 0, false
 	}
 
 	// fixed[i] holds a required distance at level i once constrained.
@@ -291,8 +302,8 @@ func (a *Analysis) Directions(dstmt *cfg.Stmt, dref *ast.Ref, ustmt *cfg.Stmt, u
 			if !dok || !uok {
 				continue // multi-variable: unconstrained
 			}
-			di, dCommon := commonVar[dv]
-			ui, uCommon := commonVar[uv]
+			di, dCommon := commonVar(dv)
+			ui, uCommon := commonVar(uv)
 			if !dCommon || !uCommon || dv != uv {
 				// Different loops or private loop variables: the inner
 				// loop may satisfy the equation — unless the two value
@@ -484,27 +495,28 @@ func (a *Analysis) DepLevel(d ssa.Def, u *ssa.Use) int {
 // reachable from the use's SSA chain (through φ arguments and the
 // inputs of preserving defs), plus the ENTRY pseudo-def if reached.
 // This is the set "d ranges over the reaching regular defs of u" of
-// §4.2.
-func ReachingRegularDefs(u *ssa.Use) (regs []*ssa.RegularDef, entry *ssa.EntryDef) {
-	seen := map[ssa.Def]bool{}
-	var walk func(d ssa.Def)
-	walk = func(d ssa.Def) {
-		if d == nil || seen[d] {
-			return
-		}
-		seen[d] = true
-		switch d := d.(type) {
-		case *ssa.EntryDef:
-			entry = d
-		case *ssa.RegularDef:
-			regs = append(regs, d)
-			walk(d.Input)
-		case *ssa.PhiDef:
-			for _, a := range d.Args {
-				walk(a)
-			}
+// §4.2. The defs are appended to regs; seen, a set over the use's
+// Info, is cleared first and holds the visited defs afterwards.
+func ReachingRegularDefs(u *ssa.Use, seen *ssa.Marks, regs []*ssa.RegularDef) ([]*ssa.RegularDef, *ssa.EntryDef) {
+	seen.Clear()
+	var entry *ssa.EntryDef
+	regs = reaching(u.Reaching, seen, regs, &entry)
+	return regs, entry
+}
+
+func reaching(d ssa.Def, seen *ssa.Marks, regs []*ssa.RegularDef, entry **ssa.EntryDef) []*ssa.RegularDef {
+	if d == nil || !seen.Mark(d) {
+		return regs
+	}
+	switch d := d.(type) {
+	case *ssa.EntryDef:
+		*entry = d
+	case *ssa.RegularDef:
+		regs = reaching(d.Input, seen, append(regs, d), entry)
+	case *ssa.PhiDef:
+		for _, a := range d.Args {
+			regs = reaching(a, seen, regs, entry)
 		}
 	}
-	walk(u.Reaching)
-	return regs, entry
+	return regs
 }

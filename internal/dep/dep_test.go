@@ -253,12 +253,15 @@ enddo
 end
 `, map[string]int{"n": 8})
 	u := c.useOf(t, "a", 0)
-	regs, entry := ReachingRegularDefs(u)
-	if len(regs) != 3 {
-		t.Errorf("reaching regular defs = %d, want 3 (both branches + loop def)", len(regs))
-	}
-	if entry == nil {
-		t.Error("ENTRY should be reachable through the preserving chain")
+	seen := c.info.NewMarks()
+	for pass := 0; pass < 2; pass++ { // the second walk reuses the marks
+		regs, entry := ReachingRegularDefs(u, &seen, nil)
+		if len(regs) != 3 {
+			t.Errorf("pass %d: reaching regular defs = %d, want 3 (both branches + loop def)", pass, len(regs))
+		}
+		if entry == nil || entry != c.info.Entry("a") {
+			t.Errorf("pass %d: ENTRY should be reachable through the preserving chain", pass)
+		}
 	}
 }
 

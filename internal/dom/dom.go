@@ -172,47 +172,58 @@ func (t *Tree) StrictlyDominates(a, b *cfg.Block) bool {
 	return a != b && t.Dominates(a, b)
 }
 
-// Children returns the dominator-tree children of b.
-func (t *Tree) Children(b *cfg.Block) []*cfg.Block {
-	ids := t.children[b.ID]
-	out := make([]*cfg.Block, len(ids))
-	for i, id := range ids {
-		out[i] = t.g.Blocks[id]
-	}
-	return out
-}
+// Children returns the IDs of the dominator-tree children of the block
+// with the given ID. The list is the tree's own: callers must not write
+// to it.
+func (t *Tree) Children(id int) []int { return t.children[id] }
 
 // RPO returns the blocks in reverse postorder.
 func (t *Tree) RPO() []*cfg.Block { return t.rpo }
 
 // Frontier computes the dominance frontier of every block (Cytron et
-// al.), used for φ insertion by the SSA builder.
-func (t *Tree) Frontier() map[*cfg.Block][]*cfg.Block {
-	df := map[*cfg.Block][]*cfg.Block{}
+// al.), indexed by block ID; the SSA builder places φs with it. A first
+// walk sizes every list, so that the second fills them all from one
+// backing array.
+func (t *Tree) Frontier() [][]*cfg.Block {
+	n := len(t.g.Blocks)
+	ints := make([]int, 2*n)
+	size, stamp := ints[:n], ints[n:]
+	total := 0
+	t.frontierEdges(stamp, 0, func(runner, b *cfg.Block) {
+		size[runner.ID]++
+		total++
+	})
+	df := make([][]*cfg.Block, n)
+	all := make([]*cfg.Block, total)
+	for id, k := range size {
+		df[id], all = all[:0:k], all[k:]
+	}
+	t.frontierEdges(stamp, n, func(runner, b *cfg.Block) {
+		df[runner.ID] = append(df[runner.ID], b)
+	})
+	return df
+}
+
+// frontierEdges calls add once for every block b and every block runner
+// with b in runner's dominance frontier: a join's predecessors walk up
+// the dominator tree until they reach the join's immediate dominator.
+// stamp[runner.ID] == base+b.ID+1 marks a runner already reported for
+// b; each walk passes a base no earlier walk over stamp has used.
+func (t *Tree) frontierEdges(stamp []int, base int, add func(runner, b *cfg.Block)) {
 	for _, b := range t.g.Blocks {
 		if len(b.Preds) < 2 {
 			continue
 		}
+		idom, mark := t.IDom(b), base+b.ID+1
 		for _, p := range b.Preds {
-			runner := p
-			for runner != nil && runner != t.IDom(b) {
-				if !blockIn(df[runner], b) {
-					df[runner] = append(df[runner], b)
+			for runner := p; runner != nil && runner != idom; runner = t.IDom(runner) {
+				if stamp[runner.ID] != mark {
+					stamp[runner.ID] = mark
+					add(runner, b)
 				}
-				runner = t.IDom(runner)
 			}
 		}
 	}
-	return df
-}
-
-func blockIn(bs []*cfg.Block, b *cfg.Block) bool {
-	for _, x := range bs {
-		if x == b {
-			return true
-		}
-	}
-	return false
 }
 
 // DominatesStmt reports whether statement a dominates statement b:

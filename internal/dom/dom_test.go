@@ -144,8 +144,8 @@ end
 	}
 	// Children lists are consistent with IDom.
 	for _, b := range g.Blocks {
-		for _, c := range tr.Children(b) {
-			if tr.IDom(c) != b {
+		for _, id := range tr.Children(b.ID) {
+			if c := g.Blocks[id]; tr.IDom(c) != b {
 				t.Errorf("child %v of %v has idom %v", c, b, tr.IDom(c))
 			}
 		}
@@ -197,20 +197,59 @@ end
 	thenB, elseB := entry.Succs[0], entry.Succs[1]
 	for _, b := range []*cfg.Block{thenB, elseB} {
 		found := false
-		for _, f := range df[b] {
+		for _, f := range df[b.ID] {
 			if f.Kind == cfg.Join {
 				found = true
 			}
 		}
 		if !found {
-			t.Errorf("join missing from frontier of %v: %v", b, df[b])
+			t.Errorf("join missing from frontier of %v: %v", b, df[b.ID])
 		}
 	}
 	// The join is not in its own frontier here (single-level if).
-	for _, f := range df[entry] {
+	for _, f := range df[entry.ID] {
 		if f == entry {
 			t.Error("entry in its own frontier")
 		}
+	}
+}
+
+// TestFrontierListsEachJoinOnce: a join with three predecessors, two of
+// which share a dominator below the join's own, is in that dominator's
+// frontier once (cfg.Build never makes such a join; Frontier takes any
+// graph).
+func TestFrontierListsEachJoinOnce(t *testing.T) {
+	g := &cfg.Graph{}
+	blk := func() *cfg.Block {
+		b := &cfg.Block{ID: len(g.Blocks)}
+		g.Blocks = append(g.Blocks, b)
+		return b
+	}
+	edge := func(from, to *cfg.Block) {
+		from.Succs = append(from.Succs, to)
+		to.Preds = append(to.Preds, from)
+	}
+	entry, a, c, b1, b2, join := blk(), blk(), blk(), blk(), blk(), blk()
+	g.EntryBlock = entry
+	edge(entry, a)
+	edge(entry, c)
+	edge(a, b1)
+	edge(a, b2)
+	edge(b1, join)
+	edge(b2, join)
+	edge(c, join)
+	tr := New(g)
+	if err := tr.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	df := tr.Frontier()
+	for _, b := range []*cfg.Block{a, b1, b2, c} {
+		if len(df[b.ID]) != 1 || df[b.ID][0] != join {
+			t.Errorf("frontier of B%d = %v, want [B%d] once", b.ID, df[b.ID], join.ID)
+		}
+	}
+	if len(df[entry.ID]) != 0 || len(df[join.ID]) != 0 {
+		t.Errorf("frontiers of entry %v and join %v, want both empty", df[entry.ID], df[join.ID])
 	}
 }
 

@@ -6,109 +6,115 @@
 package lin
 
 import (
-	"fmt"
-	"sort"
+	"strconv"
 	"strings"
 )
 
-// Form is an affine form c0 + Σ Coef[v]·v. A nil Coef map means the
-// form is the constant Const. Zero-coefficient entries are never
-// stored. A Form is an immutable value: results may share their Coef
-// map with an operand, so nothing outside this package's constructors
-// may write to one.
-type Form struct {
-	Const int
-	Coef  map[string]int
+// Term is one variable term Coef·Var of a form.
+type Term struct {
+	Var  string
+	Coef int
 }
 
-// Const returns a constant form.
+// Form is an affine form Const + Σ Terms[k].Coef·Terms[k].Var. Terms
+// are sorted by variable name, name a variable at most once and never
+// hold a zero coefficient; a form without terms is the constant Const.
+// A Form is an immutable value: results may share their Terms slice
+// with an operand, so nothing outside this package's constructors may
+// write to one.
+type Form struct {
+	Const int
+	Terms []Term
+}
+
+// ConstForm returns a constant form.
 func ConstForm(c int) Form { return Form{Const: c} }
 
 // Var returns the form 1·name.
 func Var(name string) Form {
-	return Form{Coef: map[string]int{name: 1}}
-}
-
-// clone returns a deep copy.
-func (f Form) clone() Form {
-	out := Form{Const: f.Const}
-	if len(f.Coef) > 0 {
-		out.Coef = make(map[string]int, len(f.Coef))
-		for k, v := range f.Coef {
-			out.Coef[k] = v
-		}
-	}
-	return out
-}
-
-func (f *Form) set(name string, c int) {
-	if c == 0 {
-		delete(f.Coef, name)
-		return
-	}
-	if f.Coef == nil {
-		f.Coef = map[string]int{}
-	}
-	f.Coef[name] = c
+	return Form{Terms: []Term{{Var: name, Coef: 1}}}
 }
 
 // Add returns f + g.
-func (f Form) Add(g Form) Form {
-	if len(g.Coef) == 0 {
-		return f.AddConst(g.Const)
-	}
-	out := f.clone()
-	out.Const += g.Const
-	for k, v := range g.Coef {
-		out.set(k, out.Coef[k]+v)
-	}
-	return out
-}
+func (f Form) Add(g Form) Form { return f.merge(g, 1) }
 
 // Sub returns f - g.
-func (f Form) Sub(g Form) Form {
-	if len(g.Coef) == 0 {
-		return f.AddConst(-g.Const)
+func (f Form) Sub(g Form) Form { return f.merge(g, -1) }
+
+// merge returns f + sign·g by one pass over the two sorted term lists.
+func (f Form) merge(g Form, sign int) Form {
+	if len(g.Terms) == 0 {
+		return f.AddConst(sign * g.Const)
 	}
-	out := f.clone()
-	out.Const -= g.Const
-	for k, v := range g.Coef {
-		out.set(k, out.Coef[k]-v)
+	if len(f.Terms) == 0 && sign == 1 {
+		return g.AddConst(f.Const)
 	}
-	return out
+	out := make([]Term, 0, len(f.Terms)+len(g.Terms))
+	i, j := 0, 0
+	for i < len(f.Terms) || j < len(g.Terms) {
+		switch {
+		case j == len(g.Terms) || i < len(f.Terms) && f.Terms[i].Var < g.Terms[j].Var:
+			out = append(out, f.Terms[i])
+			i++
+		case i == len(f.Terms) || g.Terms[j].Var < f.Terms[i].Var:
+			out = append(out, Term{Var: g.Terms[j].Var, Coef: sign * g.Terms[j].Coef})
+			j++
+		default:
+			if c := f.Terms[i].Coef + sign*g.Terms[j].Coef; c != 0 {
+				out = append(out, Term{Var: f.Terms[i].Var, Coef: c})
+			}
+			i, j = i+1, j+1
+		}
+	}
+	if len(out) == 0 {
+		out = nil
+	}
+	return Form{Const: f.Const + sign*g.Const, Terms: out}
 }
 
 // Scale returns c·f.
 func (f Form) Scale(c int) Form {
-	if c == 0 {
+	switch c {
+	case 0:
 		return Form{}
+	case 1:
+		return f
 	}
 	out := Form{Const: f.Const * c}
-	for k, v := range f.Coef {
-		out.set(k, v*c)
+	if len(f.Terms) > 0 {
+		out.Terms = make([]Term, len(f.Terms))
+		for k, t := range f.Terms {
+			out.Terms[k] = Term{Var: t.Var, Coef: t.Coef * c}
+		}
 	}
 	return out
 }
 
 // AddConst returns f + c.
 func (f Form) AddConst(c int) Form {
-	return Form{Const: f.Const + c, Coef: f.Coef}
+	return Form{Const: f.Const + c, Terms: f.Terms}
+}
+
+// find returns the index of name's term, or -1.
+func (f Form) find(name string) int {
+	for k, t := range f.Terms {
+		if t.Var == name {
+			return k
+		}
+	}
+	return -1
 }
 
 // Subst returns f with the variable name bound to the value val.
 func (f Form) Subst(name string, val int) Form {
-	c := f.Coef[name]
-	if c == 0 {
+	k := f.find(name)
+	if k < 0 {
 		return f
 	}
-	out := Form{Const: f.Const + c*val}
-	if len(f.Coef) > 1 {
-		out.Coef = make(map[string]int, len(f.Coef)-1)
-		for k, v := range f.Coef {
-			if k != name {
-				out.Coef[k] = v
-			}
-		}
+	out := Form{Const: f.Const + f.Terms[k].Coef*val}
+	if len(f.Terms) > 1 {
+		out.Terms = make([]Term, 0, len(f.Terms)-1)
+		out.Terms = append(append(out.Terms, f.Terms[:k]...), f.Terms[k+1:]...)
 	}
 	return out
 }
@@ -116,35 +122,36 @@ func (f Form) Subst(name string, val int) Form {
 // IsConst reports whether the form has no variable terms, returning
 // the constant.
 func (f Form) IsConst() (int, bool) {
-	if len(f.Coef) == 0 {
+	if len(f.Terms) == 0 {
 		return f.Const, true
 	}
 	return 0, false
 }
 
 // CoefOf returns the coefficient of a variable.
-func (f Form) CoefOf(name string) int { return f.Coef[name] }
+func (f Form) CoefOf(name string) int {
+	if k := f.find(name); k >= 0 {
+		return f.Terms[k].Coef
+	}
+	return 0
+}
 
 // Vars returns the variables with non-zero coefficients, sorted.
 func (f Form) Vars() []string {
-	out := make([]string, 0, len(f.Coef))
-	for k := range f.Coef {
-		out = append(out, k)
+	out := make([]string, len(f.Terms))
+	for k, t := range f.Terms {
+		out[k] = t.Var
 	}
-	sort.Strings(out)
 	return out
 }
 
 // SingleVar reports whether f = coef·name + konst for exactly one
 // variable.
 func (f Form) SingleVar() (name string, coef, konst int, ok bool) {
-	if len(f.Coef) != 1 {
+	if len(f.Terms) != 1 {
 		return "", 0, 0, false
 	}
-	for k, v := range f.Coef {
-		return k, v, f.Const, true
-	}
-	return "", 0, 0, false
+	return f.Terms[0].Var, f.Terms[0].Coef, f.Const, true
 }
 
 // Equal reports structural equality (same polynomial).
@@ -154,14 +161,14 @@ func (f Form) Equal(g Form) bool {
 }
 
 // ConstDiff returns f - g when the difference is a constant: the two
-// forms have the same variable terms (zero coefficients are never
-// stored, so equal lengths and one-way agreement suffice).
+// forms have the same terms (both lists are sorted and hold no zero
+// coefficient, so they must agree element by element).
 func (f Form) ConstDiff(g Form) (int, bool) {
-	if len(f.Coef) != len(g.Coef) {
+	if len(f.Terms) != len(g.Terms) {
 		return 0, false
 	}
-	for k, v := range f.Coef {
-		if g.Coef[k] != v {
+	for k, t := range f.Terms {
+		if g.Terms[k] != t {
 			return 0, false
 		}
 	}
@@ -172,12 +179,12 @@ func (f Form) ConstDiff(g Form) (int, bool) {
 // report ok=false.
 func (f Form) Eval(env map[string]int) (int, bool) {
 	v := f.Const
-	for k, c := range f.Coef {
-		x, ok := env[k]
+	for _, t := range f.Terms {
+		x, ok := env[t.Var]
 		if !ok {
 			return 0, false
 		}
-		v += c * x
+		v += t.Coef * x
 	}
 	return v, true
 }
@@ -185,31 +192,36 @@ func (f Form) Eval(env map[string]int) (int, bool) {
 // DependsOnly reports whether every variable of f is in the allowed
 // set.
 func (f Form) DependsOnly(allowed map[string]bool) bool {
-	for k := range f.Coef {
-		if !allowed[k] {
+	for _, t := range f.Terms {
+		if !allowed[t.Var] {
 			return false
 		}
 	}
 	return true
 }
 
-// String renders the form.
+// String renders the form: its terms in name order, then the constant
+// when it is non-zero or stands alone ("2*i-j+3", "-4").
 func (f Form) String() string {
-	var parts []string
-	for _, v := range f.Vars() {
-		c := f.Coef[v]
-		switch c {
-		case 1:
-			parts = append(parts, v)
-		case -1:
-			parts = append(parts, "-"+v)
-		default:
-			parts = append(parts, fmt.Sprintf("%d*%s", c, v))
+	var b strings.Builder
+	for k, t := range f.Terms {
+		switch {
+		case t.Coef == -1:
+			b.WriteByte('-')
+		case k > 0 && t.Coef > 0:
+			b.WriteByte('+')
 		}
+		if t.Coef != 1 && t.Coef != -1 {
+			b.WriteString(strconv.Itoa(t.Coef))
+			b.WriteByte('*')
+		}
+		b.WriteString(t.Var)
 	}
-	if f.Const != 0 || len(parts) == 0 {
-		parts = append(parts, fmt.Sprint(f.Const))
+	if f.Const != 0 || len(f.Terms) == 0 {
+		if len(f.Terms) > 0 && f.Const > 0 {
+			b.WriteByte('+')
+		}
+		b.WriteString(strconv.Itoa(f.Const))
 	}
-	s := strings.Join(parts, "+")
-	return strings.ReplaceAll(s, "+-", "-")
+	return b.String()
 }

@@ -1,6 +1,10 @@
 package lin
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -133,6 +137,195 @@ func TestDependsOnly(t *testing.T) {
 	}
 	if f.DependsOnly(map[string]bool{"i": true}) {
 		t.Error("DependsOnly should reject missing j")
+	}
+}
+
+// mapForm is the map-based affine form: the model Form's sorted terms
+// are held against. A nil or empty Coef map is the constant Const; zero
+// coefficients are never stored.
+type mapForm struct {
+	Const int
+	Coef  map[string]int
+}
+
+func (f mapForm) clone() mapForm {
+	out := mapForm{Const: f.Const, Coef: map[string]int{}}
+	for k, v := range f.Coef {
+		out.Coef[k] = v
+	}
+	return out
+}
+
+func (f *mapForm) set(name string, c int) {
+	if c == 0 {
+		delete(f.Coef, name)
+		return
+	}
+	f.Coef[name] = c
+}
+
+func (f mapForm) add(g mapForm, sign int) mapForm {
+	out := f.clone()
+	out.Const += sign * g.Const
+	for k, v := range g.Coef {
+		out.set(k, out.Coef[k]+sign*v)
+	}
+	return out
+}
+
+func (f mapForm) scale(c int) mapForm {
+	out := mapForm{Const: f.Const * c, Coef: map[string]int{}}
+	for k, v := range f.Coef {
+		out.set(k, v*c)
+	}
+	return out
+}
+
+func (f mapForm) subst(name string, val int) mapForm {
+	out := f.clone()
+	out.Const += f.Coef[name] * val
+	delete(out.Coef, name)
+	return out
+}
+
+func (f mapForm) vars() []string {
+	out := []string{}
+	for k := range f.Coef {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (f mapForm) constDiff(g mapForm) (int, bool) {
+	if len(f.Coef) != len(g.Coef) {
+		return 0, false
+	}
+	for k, v := range f.Coef {
+		if g.Coef[k] != v {
+			return 0, false
+		}
+	}
+	return f.Const - g.Const, true
+}
+
+func (f mapForm) eval(env map[string]int) (int, bool) {
+	v := f.Const
+	for k, c := range f.Coef {
+		x, ok := env[k]
+		if !ok {
+			return 0, false
+		}
+		v += c * x
+	}
+	return v, true
+}
+
+func (f mapForm) String() string {
+	var parts []string
+	for _, v := range f.vars() {
+		switch c := f.Coef[v]; c {
+		case 1:
+			parts = append(parts, v)
+		case -1:
+			parts = append(parts, "-"+v)
+		default:
+			parts = append(parts, fmt.Sprintf("%d*%s", c, v))
+		}
+	}
+	if f.Const != 0 || len(parts) == 0 {
+		parts = append(parts, fmt.Sprint(f.Const))
+	}
+	return strings.ReplaceAll(strings.Join(parts, "+"), "+-", "-")
+}
+
+// model converts a Form to the map model, failing when its terms are not
+// sorted, repeat a variable or hold a zero coefficient.
+func model(t *testing.T, what string, f Form) mapForm {
+	t.Helper()
+	m := mapForm{Const: f.Const, Coef: map[string]int{}}
+	for k, term := range f.Terms {
+		if term.Coef == 0 {
+			t.Fatalf("%s = %v: zero coefficient for %s", what, f, term.Var)
+		}
+		if k > 0 && f.Terms[k-1].Var >= term.Var {
+			t.Fatalf("%s = %v: terms not strictly sorted", what, f)
+		}
+		m.Coef[term.Var] = term.Coef
+	}
+	return m
+}
+
+// TestFormMatchesMapModel: over random forms of up to four variables
+// with coefficients in ±5 — built by Add, Sub and Scale so that terms
+// cancel — every operation gives what the map model gives, and every
+// result keeps its terms sorted with no zero coefficient.
+func TestFormMatchesMapModel(t *testing.T) {
+	names := []string{"i", "j", "k", "n"}
+	rng := rand.New(rand.NewSource(1))
+	random := func() (Form, mapForm) {
+		f, m := ConstForm(rng.Intn(11)-5), mapForm{Coef: map[string]int{}}
+		m.Const = f.Const
+		for n := rng.Intn(5); n > 0; n-- {
+			v, c := names[rng.Intn(len(names))], rng.Intn(11)-5
+			term := Var(v).Scale(c)
+			if rng.Intn(2) == 0 {
+				f, m = f.Add(term), m.add(mapForm{Coef: map[string]int{v: c}}, 1)
+			} else {
+				f, m = f.Sub(term), m.add(mapForm{Coef: map[string]int{v: c}}, -1)
+			}
+		}
+		return f, m
+	}
+	same := func(what string, got Form, want mapForm) {
+		t.Helper()
+		g := model(t, what, got)
+		if d, ok := g.constDiff(want); !ok || d != 0 {
+			t.Fatalf("%s = %v, model %v", what, got, want)
+		}
+	}
+	env := map[string]int{"i": 3, "j": -2, "k": 7}
+	for trial := 0; trial < 5000; trial++ {
+		f, fm := random()
+		g, gm := random()
+		same("f", f, fm)
+		same("f+g", f.Add(g), fm.add(gm, 1))
+		same("f-g", f.Sub(g), fm.add(gm, -1))
+		same("f-f", f.Sub(f), mapForm{Coef: map[string]int{}})
+		c := rng.Intn(11) - 5
+		same("c*f", f.Scale(c), fm.scale(c))
+		v, val := names[rng.Intn(len(names))], rng.Intn(11)-5
+		same("f[v:=val]", f.Subst(v, val), fm.subst(v, val))
+		if f.CoefOf(v) != fm.Coef[v] {
+			t.Fatalf("CoefOf(%v, %s) = %d, model %d", f, v, f.CoefOf(v), fm.Coef[v])
+		}
+		d, ok := f.ConstDiff(g)
+		wd, wok := fm.constDiff(gm)
+		if ok != wok || d != wd {
+			t.Fatalf("ConstDiff(%v, %v) = %d %v, model %d %v", f, g, d, ok, wd, wok)
+		}
+		if f.Equal(g) != (wok && wd == 0) {
+			t.Fatalf("Equal(%v, %v) = %v", f, g, f.Equal(g))
+		}
+		x, ok := f.Eval(env)
+		wx, wok := fm.eval(env)
+		if ok != wok || x != wx {
+			t.Fatalf("Eval(%v) = %d %v, model %d %v", f, x, ok, wx, wok)
+		}
+		if got, want := f.Vars(), fm.vars(); strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("Vars(%v) = %v, model %v", f, got, want)
+		}
+		name, coef, konst, ok := f.SingleVar()
+		if want := len(fm.Coef) == 1; ok != want || ok && (fm.Coef[name] != coef || konst != fm.Const) {
+			t.Fatalf("SingleVar(%v) = %q %d %d %v", f, name, coef, konst, ok)
+		}
+		k, ok := f.IsConst()
+		if ok != (len(fm.Coef) == 0) || ok && k != fm.Const {
+			t.Fatalf("IsConst(%v) = %d %v", f, k, ok)
+		}
+		if f.String() != fm.String() {
+			t.Fatalf("String = %q, model %q", f.String(), fm.String())
+		}
 	}
 }
 

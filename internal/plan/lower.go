@@ -8,6 +8,7 @@ import (
 	"gcao/internal/ast"
 	"gcao/internal/cfg"
 	"gcao/internal/core"
+	"gcao/internal/lin"
 	"gcao/internal/runtime"
 	"gcao/internal/source"
 )
@@ -288,24 +289,24 @@ func (lw *lowerer) entry(g *core.Group, e *core.Entry) (EntrySec, bool) {
 		}
 	}
 	need := map[int]bool{}
-	form := func(c int, coef map[string]int) (Affine, bool) {
-		a := Affine{Const: c}
-		for name, k := range coef {
-			slot, ok := lw.intSlot[name]
+	form := func(f lin.Form) (Affine, bool) {
+		a := Affine{Const: f.Const}
+		for _, t := range f.Terms {
+			slot, ok := lw.intSlot[t.Var]
 			if !ok {
 				return Affine{}, false
 			}
 			if lw.depth(slot) < 0 {
 				need[slot] = true
 			}
-			a.Terms = append(a.Terms, Term{Slot: slot, Coef: k})
+			a.Terms = append(a.Terms, Term{Slot: slot, Coef: t.Coef})
 		}
 		sortTerms(a.Terms)
 		return a, true
 	}
 	for _, d := range lw.pl.Res.CommSection(e, g.Pos.Level()).Dims {
-		lo, ok1 := form(d.Lo.Const, d.Lo.Coef)
-		hi, ok2 := form(d.Hi.Const, d.Hi.Coef)
+		lo, ok1 := form(d.Lo)
+		hi, ok2 := form(d.Hi)
 		if !ok1 || !ok2 {
 			return EntrySec{}, false
 		}

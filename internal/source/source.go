@@ -12,6 +12,7 @@ package source
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -25,7 +26,7 @@ func (p Pos) String() string {
 	if p.Line == 0 {
 		return "-"
 	}
-	return fmt.Sprintf("%d:%d", p.Line, p.Col)
+	return strconv.Itoa(p.Line) + ":" + strconv.Itoa(p.Col)
 }
 
 // Kind enumerates token kinds.

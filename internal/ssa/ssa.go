@@ -7,10 +7,16 @@
 // (φExit — the exit/zero-trip join), and at ordinary joins, and a
 // pseudo-def at ENTRY exists for every variable, which simplifies the
 // dataflow walks (§4.1).
+//
+// Blocks, statements, variables and defs are all numbered densely, so
+// construction and the walks over the def chains index slices, never
+// maps: a block or statement by its cfg ID, a variable by its order of
+// first appearance, a def by its DefID.
 package ssa
 
 import (
 	"fmt"
+	"strconv"
 
 	"gcao/internal/ast"
 	"gcao/internal/cfg"
@@ -25,6 +31,9 @@ type Def interface {
 	// Loops returns the loops enclosing the definition point,
 	// outermost first.
 	Loops() []*cfg.Loop
+	// DefID numbers the def densely within its Info: ENTRY pseudo-defs
+	// first, then φ-defs, then regular defs, 0 ≤ DefID < Info.NumDefs.
+	DefID() int
 	String() string
 }
 
@@ -33,11 +42,13 @@ type Def interface {
 type EntryDef struct {
 	Var string
 	Blk *cfg.Block
+	id  int
 }
 
 func (d *EntryDef) VarName() string      { return d.Var }
 func (d *EntryDef) DefBlock() *cfg.Block { return d.Blk }
 func (d *EntryDef) Loops() []*cfg.Loop   { return nil }
+func (d *EntryDef) DefID() int           { return d.id }
 func (d *EntryDef) String() string       { return d.Var + "@ENTRY" }
 
 // RegularDef is a textual definition: the LHS of an assignment. All
@@ -49,13 +60,15 @@ type RegularDef struct {
 	LHS     *ast.Ref
 	Input   Def
 	Version int
+	id      int
 }
 
 func (d *RegularDef) VarName() string      { return d.Var }
 func (d *RegularDef) DefBlock() *cfg.Block { return d.Stmt.Block }
 func (d *RegularDef) Loops() []*cfg.Loop   { return d.Stmt.Loops }
+func (d *RegularDef) DefID() int           { return d.id }
 func (d *RegularDef) String() string {
-	return fmt.Sprintf("%s_%d@%s", d.Var, d.Version, d.Stmt.Label())
+	return d.Var + "_" + strconv.Itoa(d.Version) + "@" + d.Stmt.Label()
 }
 
 // PhiKind distinguishes the paper's φEntry / φExit from plain joins.
@@ -85,6 +98,7 @@ type PhiDef struct {
 	Kind    PhiKind
 	Args    []Def
 	Version int
+	id      int
 }
 
 func (d *PhiDef) VarName() string      { return d.Var }
@@ -100,8 +114,9 @@ func (d *PhiDef) Loops() []*cfg.Loop {
 	}
 	return out
 }
+func (d *PhiDef) DefID() int { return d.id }
 func (d *PhiDef) String() string {
-	return fmt.Sprintf("%s_%d=%s@B%d", d.Var, d.Version, d.Kind, d.Blk.ID)
+	return d.Var + "_" + strconv.Itoa(d.Version) + "=" + d.Kind.String() + "@B" + strconv.Itoa(d.Blk.ID)
 }
 
 // Use is a read of an array variable inside an assignment's RHS (or,
@@ -121,180 +136,260 @@ func (u *Use) String() string {
 
 // Info is the SSA form of a routine.
 type Info struct {
-	G       *cfg.Graph
-	Dom     *dom.Tree
-	Entries map[string]*EntryDef
+	G   *cfg.Graph
+	Dom *dom.Tree
+	// Entries holds the ENTRY pseudo-def of every array variable the
+	// routine mentions, in order of first appearance; a variable's
+	// index here is its number.
+	Entries []*EntryDef
 	Defs    []*RegularDef
 	Phis    []*PhiDef
 	Uses    []*Use
-	// PhisByBlock lists the φ-defs at the top of each block.
-	PhisByBlock map[*cfg.Block][]*PhiDef
-	// DefOfStmt maps a statement to its array def, if any.
-	DefOfStmt map[*cfg.Stmt]*RegularDef
-	// UsesOfStmt maps a statement to its array uses.
-	UsesOfStmt map[*cfg.Stmt][]*Use
+	// NumDefs counts the entries, φs and regular defs: their DefIDs are
+	// 0 … NumDefs−1.
+	NumDefs int
+	// PhisByBlock lists the φ-defs at the top of each block, indexed by
+	// block ID.
+	PhisByBlock [][]*PhiDef
+	// DefOfStmt holds a statement's array def, if any, indexed by
+	// statement ID.
+	DefOfStmt []*RegularDef
+	// UsesOfStmt holds a statement's array uses, indexed by statement
+	// ID.
+	UsesOfStmt [][]*Use
+
+	// varIndex numbers the array variables: the index into Entries.
+	varIndex map[string]int
+}
+
+// Entry returns the ENTRY pseudo-def of an array variable, or nil when
+// the routine does not mention it.
+func (info *Info) Entry(name string) *EntryDef {
+	if v, ok := info.varIndex[name]; ok {
+		return info.Entries[v]
+	}
+	return nil
+}
+
+// builder holds what construction needs beside the Info it fills.
+type builder struct {
+	info  *Info
+	sites [][]*cfg.Block // sites[v]: the blocks defining variable v, in statement order
+	// Renaming state: the def of each variable reaching the walk's
+	// current point, the last version handed out, and the defs the walk
+	// has shadowed, restored as it leaves a dominator subtree.
+	cur     []Def
+	version []int
+	undo    []shadowed
+	// Every Use and RegularDef is carved from one allocation.
+	useSlab []Use
+	defSlab []RegularDef
+}
+
+type shadowed struct {
+	v int
+	d Def
 }
 
 // Build constructs SSA form for the array variables named in isArray.
 func Build(g *cfg.Graph, t *dom.Tree, isArray func(name string) bool) *Info {
-	info := &Info{
-		G:           g,
-		Dom:         t,
-		Entries:     map[string]*EntryDef{},
-		PhisByBlock: map[*cfg.Block][]*PhiDef{},
-		DefOfStmt:   map[*cfg.Stmt]*RegularDef{},
-		UsesOfStmt:  map[*cfg.Stmt][]*Use{},
-	}
+	info := &Info{G: g, Dom: t, varIndex: map[string]int{}}
+	b := &builder{info: info}
 
-	// Collect variables and their def sites.
-	defSites := map[string][]*cfg.Block{}
-	vars := map[string]bool{}
+	// Number the variables in order of first appearance, collect their
+	// def sites, and count the uses and defs renaming will create.
+	nUses, nDefs := 0, 0
 	for _, st := range g.Stmts {
 		if st.Assign == nil {
 			continue
 		}
-		if isArray(st.Assign.LHS.Name) {
-			v := st.Assign.LHS.Name
-			vars[v] = true
-			defSites[v] = append(defSites[v], st.Block)
+		if name := st.Assign.LHS.Name; isArray(name) {
+			v := b.index(name)
+			b.sites[v] = append(b.sites[v], st.Block)
+			nDefs++
 		}
 		collectUses(st.Assign.RHS, false, func(r *ast.Ref, inSum bool) {
 			if isArray(r.Name) {
-				vars[r.Name] = true
+				b.index(r.Name)
+				nUses++
 			}
 		})
 	}
-	var varList []string
-	for _, st := range g.Stmts { // deterministic order of first appearance
-		if st.Assign == nil {
-			continue
-		}
-		if isArray(st.Assign.LHS.Name) && !containsStr(varList, st.Assign.LHS.Name) {
-			varList = append(varList, st.Assign.LHS.Name)
-		}
-		collectUses(st.Assign.RHS, false, func(r *ast.Ref, inSum bool) {
-			if isArray(r.Name) && !containsStr(varList, r.Name) {
-				varList = append(varList, r.Name)
-			}
-		})
-	}
+	b.placePhis()
+	info.NumDefs = len(info.Entries) + len(info.Phis) + nDefs
 
-	for _, v := range varList {
-		info.Entries[v] = &EntryDef{Var: v, Blk: g.EntryBlock}
+	nv := len(info.Entries)
+	b.cur = make([]Def, nv)
+	for v, e := range info.Entries {
+		b.cur[v] = e
 	}
+	b.version = make([]int, nv)
+	b.useSlab = make([]Use, nUses)
+	b.defSlab = make([]RegularDef, nDefs)
+	info.Uses = make([]*Use, 0, nUses)
+	info.Defs = make([]*RegularDef, 0, nDefs)
+	info.DefOfStmt = make([]*RegularDef, len(g.Stmts))
+	b.rename(g.EntryBlock.ID)
 
-	// φ insertion at iterated dominance frontiers of the def sites.
-	df := t.Frontier()
-	phiAt := map[*cfg.Block]map[string]*PhiDef{}
-	for _, v := range varList {
-		work := append([]*cfg.Block(nil), defSites[v]...)
-		onWork := map[*cfg.Block]bool{}
-		for _, b := range work {
-			onWork[b] = true
+	// A statement's uses are renamed together, so they sit side by side.
+	info.UsesOfStmt = make([][]*Use, len(g.Stmts))
+	for i := 0; i < len(info.Uses); {
+		j := i + 1
+		for j < len(info.Uses) && info.Uses[j].Stmt == info.Uses[i].Stmt {
+			j++
 		}
-		hasPhi := map[*cfg.Block]bool{}
+		info.UsesOfStmt[info.Uses[i].Stmt.ID] = info.Uses[i:j:j]
+		i = j
+	}
+	return info
+}
+
+// index returns a variable's number, numbering it (and creating its
+// ENTRY pseudo-def) on first sight.
+func (b *builder) index(name string) int {
+	v, ok := b.info.varIndex[name]
+	if !ok {
+		v = len(b.info.Entries)
+		b.info.varIndex[name] = v
+		b.info.Entries = append(b.info.Entries, &EntryDef{Var: name, Blk: b.info.G.EntryBlock, id: v})
+		b.sites = append(b.sites, nil)
+	}
+	return v
+}
+
+// placePhis inserts φ-defs at the iterated dominance frontiers of every
+// variable's def sites. The worklist's membership and the blocks that
+// already hold the variable's φ are stamps by block ID: v+1 while
+// variable v is processed. The sites are found first, so that the φs,
+// their arguments and the per-block lists are each one allocation.
+func (b *builder) placePhis() {
+	info := b.info
+	nb := len(info.G.Blocks)
+	df := info.Dom.Frontier()
+	type phiSite struct {
+		v   int
+		blk *cfg.Block
+	}
+	var sites []phiSite
+	nargs := 0
+	marks := make([]int, 3*nb)
+	onWork, hasPhi, perBlock := marks[:nb], marks[nb:2*nb], marks[2*nb:]
+	var work []*cfg.Block
+	for v, defSites := range b.sites {
+		stamp := v + 1
+		work = append(work[:0], defSites...)
+		for _, blk := range work {
+			onWork[blk.ID] = stamp
+		}
 		for len(work) > 0 {
-			b := work[len(work)-1]
+			blk := work[len(work)-1]
 			work = work[:len(work)-1]
-			for _, fb := range df[b] {
-				if hasPhi[fb] {
+			for _, fb := range df[blk.ID] {
+				if hasPhi[fb.ID] == stamp {
 					continue
 				}
-				hasPhi[fb] = true
-				kind := PhiJoin
-				switch fb.Kind {
-				case cfg.Header:
-					kind = PhiEntry
-				case cfg.PostExit:
-					kind = PhiExit
-				}
-				phi := &PhiDef{Var: v, Blk: fb, Kind: kind, Args: make([]Def, len(fb.Preds))}
-				info.Phis = append(info.Phis, phi)
-				if phiAt[fb] == nil {
-					phiAt[fb] = map[string]*PhiDef{}
-				}
-				phiAt[fb][v] = phi
-				info.PhisByBlock[fb] = append(info.PhisByBlock[fb], phi)
-				if !onWork[fb] {
-					onWork[fb] = true
+				hasPhi[fb.ID] = stamp
+				sites = append(sites, phiSite{v, fb})
+				perBlock[fb.ID]++
+				nargs += len(fb.Preds)
+				if onWork[fb.ID] != stamp {
+					onWork[fb.ID] = stamp
 					work = append(work, fb)
 				}
 			}
 		}
 	}
 
-	// Renaming over the dominator tree.
-	stacks := map[string][]Def{}
-	versions := map[string]int{}
-	for _, v := range varList {
-		stacks[v] = []Def{info.Entries[v]}
+	phis := make([]PhiDef, len(sites))
+	args := make([]Def, nargs)
+	lists := make([]*PhiDef, len(sites))
+	info.Phis = make([]*PhiDef, len(sites))
+	info.PhisByBlock = make([][]*PhiDef, nb)
+	for id, n := range perBlock {
+		if n > 0 {
+			info.PhisByBlock[id], lists = lists[:0:n], lists[n:]
+		}
 	}
-	top := func(v string) Def { return stacks[v][len(stacks[v])-1] }
-	nextVersion := func(v string) int {
-		versions[v]++
-		return versions[v]
+	for i, s := range sites {
+		kind := PhiJoin
+		switch s.blk.Kind {
+		case cfg.Header:
+			kind = PhiEntry
+		case cfg.PostExit:
+			kind = PhiExit
+		}
+		n := len(s.blk.Preds)
+		phis[i] = PhiDef{Var: info.Entries[s.v].Var, Blk: s.blk, Kind: kind, Args: args[:n:n], id: len(info.Entries) + i}
+		args = args[n:]
+		info.Phis[i] = &phis[i]
+		info.PhisByBlock[s.blk.ID] = append(info.PhisByBlock[s.blk.ID], &phis[i])
 	}
+}
 
-	predIndex := func(b, pred *cfg.Block) int {
-		for i, p := range b.Preds {
-			if p == pred {
-				return i
-			}
-		}
-		return -1
-	}
+// define makes d the def of variable v reaching what follows, with the
+// variable's next version.
+func (b *builder) define(v int, d Def) int {
+	b.undo = append(b.undo, shadowed{v, b.cur[v]})
+	b.cur[v] = d
+	b.version[v]++
+	return b.version[v]
+}
 
-	useID := 0
-	var rename func(b *cfg.Block)
-	rename = func(b *cfg.Block) {
-		var pushed []string
-		for _, phi := range info.PhisByBlock[b] {
-			phi.Version = nextVersion(phi.Var)
-			stacks[phi.Var] = append(stacks[phi.Var], phi)
-			pushed = append(pushed, phi.Var)
+// rename walks the dominator tree from block id, giving every φ and
+// regular def its version and every use its reaching def, and filling
+// the φ arguments of the successors.
+func (b *builder) rename(id int) {
+	info := b.info
+	blk := info.G.Blocks[id]
+	mark := len(b.undo)
+	for _, phi := range info.PhisByBlock[id] {
+		phi.Version = b.define(info.varIndex[phi.Var], phi)
+	}
+	for _, st := range blk.Stmts {
+		if st.Assign == nil {
+			continue
 		}
-		for _, st := range b.Stmts {
-			if st.Assign == nil {
-				continue
+		collectUses(st.Assign.RHS, false, func(r *ast.Ref, inSum bool) {
+			v, ok := info.varIndex[r.Name]
+			if !ok {
+				return
 			}
-			var uses []*Use
-			collectUses(st.Assign.RHS, false, func(r *ast.Ref, inSum bool) {
-				if _, ok := stacks[r.Name]; !ok {
-					return
-				}
-				u := &Use{Var: r.Name, Stmt: st, Ref: r, Reaching: top(r.Name), InReduction: inSum, ID: useID}
-				useID++
-				uses = append(uses, u)
-				info.Uses = append(info.Uses, u)
-			})
-			if len(uses) > 0 {
-				info.UsesOfStmt[st] = uses
-			}
-			if _, ok := stacks[st.Assign.LHS.Name]; ok {
-				v := st.Assign.LHS.Name
-				d := &RegularDef{Var: v, Stmt: st, LHS: st.Assign.LHS, Input: top(v), Version: nextVersion(v)}
-				info.Defs = append(info.Defs, d)
-				info.DefOfStmt[st] = d
-				stacks[v] = append(stacks[v], d)
-				pushed = append(pushed, v)
-			}
-		}
-		for _, s := range b.Succs {
-			j := predIndex(s, b)
-			for _, phi := range info.PhisByBlock[s] {
-				phi.Args[j] = top(phi.Var)
-			}
-		}
-		for _, c := range t.Children(b) {
-			rename(c)
-		}
-		for i := len(pushed) - 1; i >= 0; i-- {
-			v := pushed[i]
-			stacks[v] = stacks[v][:len(stacks[v])-1]
+			u := &b.useSlab[len(info.Uses)]
+			*u = Use{Var: r.Name, Stmt: st, Ref: r, Reaching: b.cur[v], InReduction: inSum, ID: len(info.Uses)}
+			info.Uses = append(info.Uses, u)
+		})
+		if v, ok := info.varIndex[st.Assign.LHS.Name]; ok {
+			d := &b.defSlab[len(info.Defs)]
+			*d = RegularDef{Var: st.Assign.LHS.Name, Stmt: st, LHS: st.Assign.LHS, Input: b.cur[v],
+				id: len(info.Entries) + len(info.Phis) + len(info.Defs)}
+			d.Version = b.define(v, d)
+			info.Defs = append(info.Defs, d)
+			info.DefOfStmt[st.ID] = d
 		}
 	}
-	rename(g.EntryBlock)
-	return info
+	for _, s := range blk.Succs {
+		j := predIndex(s, blk)
+		for _, phi := range info.PhisByBlock[s.ID] {
+			phi.Args[j] = b.cur[info.varIndex[phi.Var]]
+		}
+	}
+	for _, c := range info.Dom.Children(id) {
+		b.rename(c)
+	}
+	for len(b.undo) > mark {
+		last := b.undo[len(b.undo)-1]
+		b.cur[last.v] = last.d
+		b.undo = b.undo[:len(b.undo)-1]
+	}
+}
+
+func predIndex(b, pred *cfg.Block) int {
+	for i, p := range b.Preds {
+		if p == pred {
+			return i
+		}
+	}
+	return -1
 }
 
 // collectUses walks an RHS expression reporting every array reference
@@ -326,52 +421,121 @@ func collectUses(e ast.Expr, inSum bool, f func(r *ast.Ref, inSum bool)) {
 	}
 }
 
-func containsStr(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
-// CommonLoops returns the loops containing both a definition and a
-// use, outermost first.
-func CommonLoops(d Def, u *Use) []*cfg.Loop {
-	dl := d.Loops()
-	ul := u.Stmt.Loops
-	n := min(len(dl), len(ul))
-	var out []*cfg.Loop
-	for i := 0; i < n; i++ {
-		if dl[i] != ul[i] {
-			break
-		}
-		out = append(out, dl[i])
-	}
-	return out
-}
-
 // CNL returns the common nesting level of a def and a use (paper
-// notation CNL(d, u)).
-func CNL(d Def, u *Use) int { return len(CommonLoops(d, u)) }
+// notation CNL(d, u)): the length of the common prefix of d.Loops() and
+// the use's loops, without building the def's list. Loops nest, so the
+// deepest loop of the def's that also encloses the use has every
+// shallower one in common too.
+func CNL(d Def, u *Use) int {
+	ul := u.Stmt.Loops
+	switch d := d.(type) {
+	case *RegularDef:
+		dl := d.Stmt.Loops
+		n := 0
+		for n < len(dl) && n < len(ul) && dl[n] == ul[n] {
+			n++
+		}
+		return n
+	case *PhiDef:
+		for l := d.Blk.Loop; l != nil; l = l.Parent {
+			if l.Depth <= len(ul) && ul[l.Depth-1] == l {
+				return l.Depth
+			}
+		}
+	}
+	return 0
+}
 
-// Validate checks SSA invariants: every φ argument is filled, every
-// use's reaching def dominates the use (for regular defs and φs), and
-// versions are unique per variable. Used by tests.
+// Marks is a set of an Info's defs for one walk over the def chains,
+// emptied in O(1) by Clear. It belongs to the walk's caller: an Info is
+// shared by every analysis of its routine and holds none.
+type Marks struct {
+	stamp []uint32
+	epoch uint32
+}
+
+// NewMarks returns an empty set over info's defs.
+func (info *Info) NewMarks() Marks {
+	return Marks{stamp: make([]uint32, info.NumDefs), epoch: 1}
+}
+
+// Clear empties the set.
+func (m *Marks) Clear() {
+	if m.epoch++; m.epoch == 0 {
+		clear(m.stamp)
+		m.epoch = 1
+	}
+}
+
+// Mark adds d to the set and reports whether it was absent.
+func (m *Marks) Mark(d Def) bool {
+	id := d.DefID()
+	if m.stamp[id] == m.epoch {
+		return false
+	}
+	m.stamp[id] = m.epoch
+	return true
+}
+
+// Validate checks SSA invariants: every def has a distinct DefID below
+// NumDefs, every φ argument is filled, every use's reaching def
+// dominates the use (for regular defs and φs), and a variable with k φ
+// and regular defs numbers their versions 1 … k, each once. Used by
+// tests and by every skeleton build.
 func (info *Info) Validate() error {
-	seen := map[string]map[int]bool{}
-	note := func(v string, ver int) error {
-		if seen[v] == nil {
-			seen[v] = map[int]bool{}
+	if n := len(info.Entries) + len(info.Defs) + len(info.Phis); n != info.NumDefs {
+		return fmt.Errorf("ssa: %d defs, NumDefs %d", n, info.NumDefs)
+	}
+	ids := make([]bool, info.NumDefs)
+	// Variable v's versions 1 … k, one per φ and regular def of v, are
+	// the slots base[v] … base[v]+k−1 of one table.
+	base := make([]int, len(info.Entries)+1)
+	for _, d := range info.Defs {
+		if v, ok := info.varIndex[d.Var]; ok {
+			base[v+1]++
 		}
-		if seen[v][ver] {
-			return fmt.Errorf("ssa: duplicate version %s_%d", v, ver)
+	}
+	for _, p := range info.Phis {
+		if v, ok := info.varIndex[p.Var]; ok {
+			base[v+1]++
 		}
-		seen[v][ver] = true
+	}
+	for v := range info.Entries {
+		base[v+1] += base[v]
+	}
+	seen := make([]bool, base[len(info.Entries)])
+	note := func(d Def, ver int) error {
+		id := d.DefID()
+		if id < 0 || id >= len(ids) {
+			return fmt.Errorf("ssa: %s has DefID %d outside [0, %d)", d, id, len(ids))
+		}
+		if ids[id] {
+			return fmt.Errorf("ssa: %s repeats DefID %d", d, id)
+		}
+		ids[id] = true
+		if ver < 0 {
+			return nil // the ENTRY pseudo-def
+		}
+		v, ok := info.varIndex[d.VarName()]
+		if !ok {
+			return fmt.Errorf("ssa: %s defines an unnumbered variable", d)
+		}
+		if ver < 1 || base[v]+ver > base[v+1] {
+			return fmt.Errorf("ssa: %s has version %d outside [1, %d]", d, ver, base[v+1]-base[v])
+		}
+		if seen[base[v]+ver-1] {
+			return fmt.Errorf("ssa: duplicate version %s_%d", d.VarName(), ver)
+		}
+		seen[base[v]+ver-1] = true
 		return nil
 	}
+	for _, e := range info.Entries {
+		if err := note(e, -1); err != nil {
+			return err
+		}
+	}
 	for _, d := range info.Defs {
-		if err := note(d.Var, d.Version); err != nil {
+		if err := note(d, d.Version); err != nil {
 			return err
 		}
 		if d.Input == nil {
@@ -379,7 +543,7 @@ func (info *Info) Validate() error {
 		}
 	}
 	for _, p := range info.Phis {
-		if err := note(p.Var, p.Version); err != nil {
+		if err := note(p, p.Version); err != nil {
 			return err
 		}
 		for i, a := range p.Args {

@@ -43,7 +43,7 @@ end
 	}
 	// Preserving chain: def2.Input = def1, def1.Input = def0,
 	// def0.Input = ENTRY.
-	if info.Defs[0].Input != info.Entries["a"] {
+	if info.Defs[0].Input != info.Entry("a") {
 		t.Error("first def's input should be the ENTRY pseudo-def")
 	}
 	if info.Defs[1].Input != info.Defs[0] || info.Defs[2].Input != info.Defs[1] {
@@ -209,20 +209,37 @@ enddo
 end
 `, "a")
 	u := info.Uses[0]
-	d := info.DefOfStmt[u.Stmt]
+	d := info.DefOfStmt[u.Stmt.ID]
 	if d == nil {
 		t.Fatal("missing def")
 	}
 	if CNL(d, u) != 2 {
 		t.Errorf("CNL same statement = %d", CNL(d, u))
 	}
-	if got := len(CommonLoops(u.Reaching, u)); got > 2 {
+	if got := len(commonLoops(u.Reaching, u)); got > 2 {
 		t.Errorf("common loops with reaching def = %d", got)
 	}
 }
 
-// Property: on random structured programs, SSA invariants hold and
-// every use's reaching def dominates it.
+// commonLoops is the reference for CNL: the loops containing both a
+// definition and a use, outermost first.
+func commonLoops(d Def, u *Use) []*cfg.Loop {
+	dl := d.Loops()
+	ul := u.Stmt.Loops
+	n := min(len(dl), len(ul))
+	var out []*cfg.Loop
+	for i := 0; i < n; i++ {
+		if dl[i] != ul[i] {
+			break
+		}
+		out = append(out, dl[i])
+	}
+	return out
+}
+
+// Property: on random structured programs, SSA invariants hold, every
+// use's reaching def dominates it, and CNL of every (def, use) pair is
+// the number of loops the two have in common.
 func TestRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -236,6 +253,124 @@ func TestRandomPrograms(t *testing.T) {
 		info := Build(g, tr, func(n string) bool { return n == "a" || n == "b" })
 		if err := info.Validate(); err != nil {
 			t.Fatalf("trial %d:\n%s\n%v", trial, src, err)
+		}
+		var defs []Def
+		for _, e := range info.Entries {
+			defs = append(defs, e)
+		}
+		for _, p := range info.Phis {
+			defs = append(defs, p)
+		}
+		for _, d := range info.Defs {
+			defs = append(defs, d)
+		}
+		for _, d := range defs {
+			for _, u := range info.Uses {
+				if got, want := CNL(d, u), len(commonLoops(d, u)); got != want {
+					t.Fatalf("trial %d: CNL(%s, %s) = %d, want %d", trial, d, u, got, want)
+				}
+			}
+		}
+	}
+}
+
+// defsByID lists every def of info in DefID order, failing when the IDs
+// are not exactly 0 … NumDefs−1.
+func defsByID(t *testing.T, info *Info) []string {
+	t.Helper()
+	out := make([]string, info.NumDefs)
+	add := func(d Def) {
+		if id := d.DefID(); id < 0 || id >= len(out) || out[id] != "" {
+			t.Fatalf("%s: DefID %d out of range or repeated", d, id)
+		}
+		out[d.DefID()] = d.String()
+	}
+	for _, e := range info.Entries {
+		add(e)
+	}
+	for _, p := range info.Phis {
+		add(p)
+	}
+	for _, d := range info.Defs {
+		add(d)
+	}
+	for id, s := range out {
+		if s == "" {
+			t.Fatalf("no def has DefID %d", id)
+		}
+	}
+	return out
+}
+
+// TestNumberingIsDeterministic: building SSA twice over one graph numbers
+// every def and φ the same way — DefID, version and block — and the
+// per-statement tables index exactly the defs and uses of each
+// statement.
+func TestNumberingIsDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 30; trial++ {
+		src := randomArrayProgram(rng)
+		r, err := parser.ParseRoutine(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := cfg.Build(r.Body)
+		tr := dom.New(g)
+		isArray := func(n string) bool { return n == "a" || n == "b" }
+		first, second := Build(g, tr, isArray), Build(g, tr, isArray)
+		a, b := defsByID(t, first), defsByID(t, second)
+		if strings.Join(a, " ") != strings.Join(b, " ") {
+			t.Fatalf("trial %d: numbering differs between builds:\n%v\n%v", trial, a, b)
+		}
+		for _, st := range g.Stmts {
+			var want []*Use
+			for _, u := range first.Uses {
+				if u.Stmt == st {
+					want = append(want, u)
+				}
+			}
+			got := first.UsesOfStmt[st.ID]
+			if len(got) != len(want) {
+				t.Fatalf("trial %d: %s has %d uses, UsesOfStmt %d", trial, st, len(want), len(got))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d: UsesOfStmt[%d][%d] = %s, want %s", trial, st.ID, i, got[i], want[i])
+				}
+			}
+			if d := first.DefOfStmt[st.ID]; d != nil && d.Stmt != st {
+				t.Fatalf("trial %d: DefOfStmt[%d] = %s", trial, st.ID, d)
+			}
+		}
+	}
+}
+
+// TestValidateChecksDefIDs: a DefID out of range or held by two defs
+// fails validation.
+func TestValidateChecksDefIDs(t *testing.T) {
+	src := `
+routine f(n)
+real a(n)
+a(1) = 0
+do i = 2, n
+a(i) = a(i - 1)
+enddo
+end
+`
+	for _, tc := range []struct {
+		name   string
+		tamper func(info *Info)
+		want   string
+	}{
+		{"out of range", func(info *Info) { info.Defs[0].id = info.NumDefs }, "outside"},
+		{"negative", func(info *Info) { info.Phis[0].id = -1 }, "outside"},
+		{"duplicate", func(info *Info) { info.Defs[1].id = info.Phis[0].id }, "repeats"},
+		{"count", func(info *Info) { info.NumDefs++ }, "NumDefs"},
+	} {
+		info, _ := buildSSA(t, src, "a")
+		tc.tamper(info)
+		if err := info.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
 }
