@@ -36,6 +36,21 @@ func topKeys(t *testing.T, url string) (int, string) {
 	return code, strings.Join(keys, " ")
 }
 
+// scrape returns the daemon's /metrics text.
+func scrape(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(text)
+}
+
 // TestDebugRouteTable maps every removed debug route onto the query that
 // replaced it: the query serves the document the route served (the
 // payloads themselves are asserted by TestDecisionDebugEndpoint,
@@ -65,6 +80,20 @@ func TestDebugRouteTable(t *testing.T) {
 		if got := routeLabel(strings.SplitN(tc.old, "?", 2)[0]); got != "other" {
 			t.Errorf("routeLabel(%s) = %q", tc.old, got)
 		}
+	}
+	// /debug/live restated /metrics: a request rate is the difference of
+	// gcao_http_requests_total between two scrapes. Its route is gone too,
+	// answers with the request id, and is counted with the six above.
+	live, err := http.Get(ts.URL + "/debug/live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.Body.Close()
+	if live.StatusCode != http.StatusNotFound || live.Header.Get("X-Request-Id") == "" {
+		t.Errorf("/debug/live: status %d, X-Request-Id %q, want 404 with an id", live.StatusCode, live.Header.Get("X-Request-Id"))
+	}
+	if text := scrape(t, ts); !strings.Contains(text, `gcao_http_requests_total{code="404",route="other"} 7`+"\n") {
+		t.Errorf("removed routes not counted as 7 404s under other:\n%s", text)
 	}
 	// No facet: the summary, naming the facets, and the span tree.
 	var rec reqtrace.Record

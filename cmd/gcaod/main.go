@@ -15,8 +15,11 @@
 //	                                 ?facet=decisions|critpath|nativeprof its placement decision
 //	                                 log, its blame ranking and critical path (?g= ?L= override
 //	                                 the cost model), or its native runtime profile
-//	GET  /debug/live                 server-sent-event stream of live ops snapshots
 //	GET  /debug/pprof/...            net/http/pprof
+//
+// Live numbers are /metrics scraped twice: a request rate is the
+// difference of gcao_http_requests_total between two scrapes over the
+// time between them, and latency quantiles come from the _bucket series.
 //
 // Every response carries an X-Request-Id header and a W3C traceparent
 // (ingested from the client's, or minted); error bodies repeat the id

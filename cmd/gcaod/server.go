@@ -42,8 +42,6 @@ type serverConfig struct {
 	// slowThreshold marks requests at or above it for longer retention.
 	flightSize    int
 	slowThreshold time.Duration
-	// liveInterval paces /debug/live snapshots (tests shorten it).
-	liveInterval time.Duration
 	// version identifies the build in /healthz, gcao_build_info and
 	// the startup log.
 	version string
@@ -98,9 +96,6 @@ func newServer(cfg serverConfig) *server {
 	}
 	if cfg.slowThreshold <= 0 {
 		cfg.slowThreshold = 500 * time.Millisecond
-	}
-	if cfg.liveInterval <= 0 {
-		cfg.liveInterval = time.Second
 	}
 	if cfg.version == "" {
 		cfg.version = "dev"
@@ -162,7 +157,6 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /debug/cache", s.handleCacheStats)
 	mux.HandleFunc("GET /debug/flightrecorder", s.handleFlightList)
 	mux.HandleFunc("GET /debug/flightrecorder/{id}", s.handleFlight)
-	mux.HandleFunc("GET /debug/live", s.handleLive)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -646,7 +640,5 @@ func listLimit(r *http.Request) (int, error) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -817,10 +818,9 @@ func TestCompileAllStrategies(t *testing.T) {
 }
 
 // TestOptimalityGapMetrics: an estimating compile publishes the
-// communication lower bound and per-version gap gauges on /metrics,
-// and the live document reports the aggregate.
+// communication lower bound and per-version gap gauges on /metrics.
 func TestOptimalityGapMetrics(t *testing.T) {
-	s, ts := testServer(t)
+	_, ts := testServer(t)
 	resp, _ := postCompile(t, ts, map[string]any{
 		"source":   stencilSrc,
 		"params":   map[string]int{"n": 12, "steps": 2},
@@ -831,16 +831,8 @@ func TestOptimalityGapMetrics(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile status = %d", resp.StatusCode)
 	}
-	mResp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mResp.Body.Close()
-	text, err := io.ReadAll(mResp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.CheckPromText(text); err != nil {
+	text := scrape(t, ts)
+	if err := obs.CheckPromText([]byte(text)); err != nil {
 		t.Fatalf("/metrics invalid with gap families: %v", err)
 	}
 	for _, want := range []string{
@@ -849,16 +841,18 @@ func TestOptimalityGapMetrics(t *testing.T) {
 		`gcao_optimality_gap_ratio{benchmark="smooth",version="nored"}`,
 		`gcao_optimality_gap_ratio{benchmark="smooth",version="comb"}`,
 	} {
-		if !strings.Contains(string(text), want) {
+		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	doc, _ := s.liveSnapshot(-1, 0)
-	if doc.GapPoints != 3 {
-		t.Fatalf("live gap points = %d, want 3 (one per version)", doc.GapPoints)
-	}
-	if doc.GapRatio < 1 {
-		t.Errorf("aggregate gap = %v, want >= 1 (actual traffic at or above the bound)", doc.GapRatio)
+	// Every version's traffic is at or above the bound.
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "gcao_optimality_gap_ratio{") {
+			f := strings.Fields(line)
+			if v, err := strconv.ParseFloat(f[len(f)-1], 64); err != nil || v < 1 {
+				t.Errorf("%s: want a ratio >= 1", line)
+			}
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 func routeLabel(path string) string {
 	switch path {
 	case "/compile", "/compile/batch", "/metrics", "/healthz",
-		"/debug/cache", "/debug/flightrecorder", "/debug/live":
+		"/debug/cache", "/debug/flightrecorder":
 		return path
 	}
 	switch {
@@ -34,9 +34,7 @@ func routeLabel(path string) string {
 	return "other"
 }
 
-// statusWriter captures the response status for the RED ledger. It
-// forwards Flush so streaming handlers (/debug/live) work through the
-// wrapper.
+// statusWriter captures the response status for the RED ledger.
 type statusWriter struct {
 	http.ResponseWriter
 	code int
@@ -54,12 +52,6 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 		w.code = http.StatusOK
 	}
 	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 func (w *statusWriter) status() int {

@@ -281,15 +281,6 @@ func CommonLoops(a, d *Stmt) []*Loop {
 // the deepest loop containing both (paper notation CNL(u, v)).
 func CNL(a, d *Stmt) int { return len(CommonLoops(a, d)) }
 
-// LoopAtLevel returns the statement's enclosing loop with Depth == lvl
-// (1-based), or nil.
-func (s *Stmt) LoopAtLevel(lvl int) *Loop {
-	if lvl < 1 || lvl > len(s.Loops) {
-		return nil
-	}
-	return s.Loops[lvl-1]
-}
-
 // String renders the graph for debugging.
 func (g *Graph) String() string {
 	var sb strings.Builder

@@ -107,7 +107,7 @@ end
 		t.Error("Contains misbehaves")
 	}
 	st := g.Stmts[0]
-	if st.NL() != 2 || st.LoopAtLevel(1) != outer || st.LoopAtLevel(2) != inner || st.LoopAtLevel(3) != nil {
+	if st.NL() != 2 || st.Loops[0] != outer || st.Loops[1] != inner {
 		t.Errorf("statement loops = %v", st.Loops)
 	}
 	// Inner loop's preheader belongs to the outer loop.

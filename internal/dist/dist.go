@@ -109,11 +109,16 @@ func (g Grid) CoordsInto(pid int, c []int) []int {
 // PID converts grid coordinates back to a linear processor id.
 func (g Grid) PID(coords []int) int {
 	if len(coords) != len(g.Shape) {
+		// Unreachable from input: Owner and plan's ArrayRef.Owner size
+		// coords by the rank of the distribution's grid.
 		panic("dist: PID: coordinate rank mismatch")
 	}
 	id := 0
 	for i, c := range coords {
 		if c < 0 || c >= g.Shape[i] {
+			// Unreachable from input: plan checks a subscript against the
+			// declared bounds (ArrayRef.Offset, Nest.Enter) before it asks
+			// for its owner, and OwnerDim maps an in-bounds index in range.
 			panic(fmt.Sprintf("dist: PID: coordinate %d out of range [0,%d)", c, g.Shape[i]))
 		}
 		id = id*g.Shape[i] + c
@@ -224,12 +229,16 @@ func (d *Dist) OwnerDim(i, x int) int {
 		p := d.Grid.Shape[dd.GridDim]
 		return ((x-d.Lo[i])%p + p) % p
 	}
+	// Unreachable from input: sem, the only caller of New, maps the
+	// parser's three DISTRIBUTE keywords onto the three kinds.
 	panic("dist: unknown kind")
 }
 
 // Owner returns the linear processor id owning the element at idx.
 func (d *Dist) Owner(idx []int) int {
 	if len(idx) != d.Rank() {
+		// Unreachable from input: the lowered program never calls Owner;
+		// runtime.Memory's element accessors, its callers, serve tests.
 		panic("dist: Owner: rank mismatch")
 	}
 	coords := make([]int, d.Grid.Rank())
@@ -268,31 +277,8 @@ func (d *Dist) LocalRange(i, c int) (lo, hi int, ok bool) {
 		}
 		return d.Lo[i] + c, d.Hi[i], true
 	}
-	panic("dist: unknown kind")
-}
-
-// LocalCount returns the number of elements of dimension i owned by
-// grid coordinate c.
-func (d *Dist) LocalCount(i, c int) int {
-	dd := d.Dims[i]
-	switch dd.Kind {
-	case Star:
-		return d.Extent(i)
-	case Block:
-		lo, hi, ok := d.LocalRange(i, c)
-		if !ok {
-			return 0
-		}
-		return hi - lo + 1
-	case Cyclic:
-		p := d.Grid.Shape[dd.GridDim]
-		n := d.Extent(i)
-		cnt := n / p
-		if c < n%p {
-			cnt++
-		}
-		return cnt
-	}
+	// Unreachable from input: sem, the only caller of New, maps the
+	// parser's three DISTRIBUTE keywords onto the three kinds.
 	panic("dist: unknown kind")
 }
 

@@ -70,8 +70,8 @@ func TestBlockOwnership(t *testing.T) {
 }
 
 // Property: for BLOCK distributions, every index is owned by exactly
-// the coordinate whose LocalRange contains it, and local counts sum to
-// the extent.
+// the coordinate whose LocalRange contains it, and the ranges' lengths
+// sum to the extent.
 func TestBlockPartitionProperty(t *testing.T) {
 	f := func(np, nu uint8) bool {
 		p := int(np%6) + 1
@@ -86,11 +86,11 @@ func TestBlockPartitionProperty(t *testing.T) {
 		}
 		total := 0
 		for c := 0; c < p; c++ {
-			total += d.LocalCount(0, c)
 			lo, hi, ok := d.LocalRange(0, c)
 			if !ok {
 				continue
 			}
+			total += hi - lo + 1
 			for x := lo; x <= hi; x++ {
 				if d.OwnerDim(0, x) != c {
 					return false
@@ -115,12 +115,9 @@ func TestCyclicOwnership(t *testing.T) {
 			t.Errorf("cyclic OwnerDim(%d) = %d, want %d", i, got, want)
 		}
 	}
-	// Counts: 10 elements round-robin over 4 procs: 3,3,2,2.
-	want := []int{3, 3, 2, 2}
-	for c := 0; c < 4; c++ {
-		if got := d.LocalCount(0, c); got != want[c] {
-			t.Errorf("cyclic LocalCount(%d) = %d, want %d", c, got, want[c])
-		}
+	// The covering range starts at the coordinate's first element.
+	if lo, hi, ok := d.LocalRange(0, 3); !ok || lo != 4 || hi != 10 {
+		t.Errorf("cyclic LocalRange(3) = %d..%d, %v", lo, hi, ok)
 	}
 }
 

@@ -23,7 +23,6 @@ type Tree struct {
 	// pre and post are DFS numbers over the dominator tree, giving
 	// O(1) Dominates queries.
 	pre, post []int
-	rpo       []*cfg.Block // reverse postorder of the CFG
 }
 
 // New computes dominators for g. Unreachable blocks (there are none in
@@ -66,7 +65,6 @@ func New(g *cfg.Graph) *Tree {
 	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
 		order[i], order[j] = order[j], order[i]
 	}
-	t.rpo = order
 
 	rpoNum := make([]int, n)
 	for i, b := range order {
@@ -177,9 +175,6 @@ func (t *Tree) StrictlyDominates(a, b *cfg.Block) bool {
 // to it.
 func (t *Tree) Children(id int) []int { return t.children[id] }
 
-// RPO returns the blocks in reverse postorder.
-func (t *Tree) RPO() []*cfg.Block { return t.rpo }
-
 // Frontier computes the dominance frontier of every block (Cytron et
 // al.), indexed by block ID; the SSA builder places φs with it. A first
 // walk sizes every list, so that the second fills them all from one
@@ -224,16 +219,6 @@ func (t *Tree) frontierEdges(stamp []int, base int, add func(runner, b *cfg.Bloc
 			}
 		}
 	}
-}
-
-// DominatesStmt reports whether statement a dominates statement b:
-// either a's block strictly dominates b's, or they share a block and a
-// comes first (a statement dominates itself).
-func (t *Tree) DominatesStmt(a, b *cfg.Stmt) bool {
-	if a.Block == b.Block {
-		return a.Index <= b.Index
-	}
-	return t.Dominates(a.Block, b.Block)
 }
 
 // Verify checks the dominator tree against a reference O(n^2)

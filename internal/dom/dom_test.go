@@ -161,24 +161,6 @@ end
 	}
 }
 
-func TestDominatesStmt(t *testing.T) {
-	g := buildGraph(t, `
-routine f()
-real x, y
-x = 1
-y = 2
-end
-`)
-	tr := New(g)
-	s0, s1 := g.Stmts[0], g.Stmts[1]
-	if !tr.DominatesStmt(s0, s1) || tr.DominatesStmt(s1, s0) {
-		t.Error("in-block statement dominance by index failed")
-	}
-	if !tr.DominatesStmt(s0, s0) {
-		t.Error("statement dominates itself")
-	}
-}
-
 func TestFrontier(t *testing.T) {
 	g := buildGraph(t, `
 routine f()

@@ -189,17 +189,6 @@ func (f Form) Eval(env map[string]int) (int, bool) {
 	return v, true
 }
 
-// DependsOnly reports whether every variable of f is in the allowed
-// set.
-func (f Form) DependsOnly(allowed map[string]bool) bool {
-	for _, t := range f.Terms {
-		if !allowed[t.Var] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the form: its terms in name order, then the constant
 // when it is non-zero or stands alone ("2*i-j+3", "-4").
 func (f Form) String() string {

@@ -130,16 +130,6 @@ func TestSubst(t *testing.T) {
 	}
 }
 
-func TestDependsOnly(t *testing.T) {
-	f := Var("i").Add(Var("j"))
-	if !f.DependsOnly(map[string]bool{"i": true, "j": true}) {
-		t.Error("DependsOnly should accept full set")
-	}
-	if f.DependsOnly(map[string]bool{"i": true}) {
-		t.Error("DependsOnly should reject missing j")
-	}
-}
-
 // mapForm is the map-based affine form: the model Form's sorted terms
 // are held against. A nil or empty Coef map is the constant Const; zero
 // coefficients are never stored.

@@ -47,27 +47,7 @@ func TestOptimalityGapFamilies(t *testing.T) {
 	if !strings.Contains(b.String(), `gcao_optimality_gap_ratio{benchmark="shallow",version="comb"} 3`) {
 		t.Error("gap gauge did not overwrite")
 	}
-}
-
-func TestAggregateGap(t *testing.T) {
-	g := NewRegistry()
-	if ratio, points := g.AggregateGap(); ratio != 0 || points != 0 {
-		t.Fatalf("empty registry gap = %v/%d", ratio, points)
-	}
-	g.SetOptimalityGap("shallow", "comb", 1000, 3000)
-	g.SetOptimalityGap("gravity", "comb", 1000, 5000)
-	g.SetOptimalityGap("aligned", "comb", 0, 100) // unmeasurable, excluded
-	ratio, points := g.AggregateGap()
-	if points != 2 {
-		t.Fatalf("points = %d, want 2", points)
-	}
-	if ratio != 4 { // (3000+5000)/(1000+1000)
-		t.Fatalf("aggregate = %v, want 4", ratio)
-	}
 	var nilReg *Registry
-	if ratio, points := nilReg.AggregateGap(); ratio != 0 || points != 0 {
-		t.Fatal("nil registry must be a no-op")
-	}
 	nilReg.SetOptimalityGap("x", "comb", 1, 1)
 }
 

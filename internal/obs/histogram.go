@@ -81,51 +81,6 @@ func (h *Histogram) Cumulative() []uint64 {
 	return out
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) the way Prometheus's
-// histogram_quantile does: find the bucket holding the target rank and
-// interpolate linearly inside it. Observations in the +Inf overflow
-// bucket report the largest finite bound (the histogram cannot resolve
-// beyond its range). Returns 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.count)
-	var cum float64
-	for i, c := range h.counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank {
-			continue
-		}
-		if i == len(h.bounds) { // +Inf bucket
-			if len(h.bounds) == 0 {
-				return h.sum / float64(h.count)
-			}
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		if c == 0 {
-			return hi
-		}
-		return lo + (hi-lo)*(rank-prev)/float64(c)
-	}
-	if len(h.bounds) == 0 {
-		return h.sum / float64(h.count)
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // clone deep-copies the histogram (for lock-free rendering).
 func (h *Histogram) clone() *Histogram {
 	return &Histogram{

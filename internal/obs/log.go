@@ -115,10 +115,9 @@ func (l *Logger) Log(lv Level, event string, fields ...Field) {
 	io.WriteString(l.w, b.String())
 }
 
-// Debug, Info, Warn and Error are Log at fixed levels.
+// Debug, Info and Error are Log at fixed levels.
 func (l *Logger) Debug(event string, fields ...Field) { l.Log(LevelDebug, event, fields...) }
 func (l *Logger) Info(event string, fields ...Field)  { l.Log(LevelInfo, event, fields...) }
-func (l *Logger) Warn(event string, fields ...Field)  { l.Log(LevelWarn, event, fields...) }
 func (l *Logger) Error(event string, fields ...Field) { l.Log(LevelError, event, fields...) }
 
 // writeJSONField appends `"key":value` with the value marshaled by

@@ -281,35 +281,6 @@ func (g *Registry) SetOptimalityGap(benchmark, version string, boundBytes, actua
 	byVer[version] = actualBytes
 }
 
-// AggregateGap sums the registry's latest per-(benchmark, version)
-// traffic against the matching lower bounds: the daemon-wide "how many
-// times the floor are we moving" number the ops view shows. points is
-// the number of (benchmark, version) samples with a measurable bound;
-// zero points means no gap is known yet.
-func (g *Registry) AggregateGap() (ratio float64, points int) {
-	if g == nil {
-		return 0, 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var actual, bound float64
-	for bench, byVer := range g.gapActual {
-		b := g.vals[famLowerBound][bench]
-		if b <= 0 {
-			continue
-		}
-		for _, a := range byVer {
-			actual += a
-			bound += b
-			points++
-		}
-	}
-	if bound <= 0 {
-		return 0, 0
-	}
-	return actual / bound, points
-}
-
 // CacheTierStats is one compilation-cache tier's scrape-time snapshot,
 // rendered into the exposition as the gcao_cache_* families with the
 // tier name as the label.

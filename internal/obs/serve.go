@@ -84,65 +84,6 @@ func (g *Registry) SetServerStatsFunc(fn func() ServerStats) {
 	g.serverStats = fn
 }
 
-// RouteStat is one route's live latency summary, derived from the
-// gcao_http_request_seconds histogram.
-type RouteStat struct {
-	Route string `json:"route"`
-	Count uint64 `json:"count"`
-	// P50ms and P99ms are bucket-interpolated latency quantiles in
-	// milliseconds.
-	P50ms float64 `json:"p50_ms"`
-	P99ms float64 `json:"p99_ms"`
-}
-
-// HTTPRouteStats summarizes every observed route, sorted by route.
-func (g *Registry) HTTPRouteStats() []RouteStat {
-	if g == nil {
-		return nil
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	lat := g.hists[famHTTPSeconds]
-	out := make([]RouteStat, 0, len(lat))
-	for _, route := range sortedKeys(lat) {
-		h := lat[route]
-		out = append(out, RouteStat{
-			Route: route,
-			Count: h.Count(),
-			P50ms: h.Quantile(0.50) * 1e3,
-			P99ms: h.Quantile(0.99) * 1e3,
-		})
-	}
-	return out
-}
-
-// HTTPCodeTotals sums served requests by status code across routes.
-func (g *Registry) HTTPCodeTotals() map[string]int64 {
-	if g == nil {
-		return nil
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := map[string]int64{}
-	for _, codes := range g.httpReq {
-		for code, n := range codes {
-			out[code] += n
-		}
-	}
-	return out
-}
-
-// QueueWaitQuantile reports a bucket-interpolated quantile of the
-// queue-wait histogram in seconds.
-func (g *Registry) QueueWaitQuantile(q float64) float64 {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.hists[famQueueWait][queueWaitPool].Quantile(q)
-}
-
 // writeHTTPRequests renders the two-label request counter (route-major,
 // code-minor order — deterministic).
 func writeHTTPRequests(b *strings.Builder, snap *registrySnapshot) {

@@ -2,110 +2,10 @@ package obs
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"sync"
 	"testing"
 )
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4, 8})
-	// Uniform-ish fill: 4 obs in (0,1], 4 in (1,2], 4 in (2,4].
-	for i := 0; i < 4; i++ {
-		h.Observe(0.5)
-		h.Observe(1.5)
-		h.Observe(3)
-	}
-	// Rank 6 of 12 lands at the end of the (1,2] bucket's first half.
-	if got := h.Quantile(0.5); got < 1 || got > 2 {
-		t.Fatalf("p50 = %v, want within (1,2]", got)
-	}
-	if got := h.Quantile(0.99); got < 2 || got > 4 {
-		t.Fatalf("p99 = %v, want within (2,4]", got)
-	}
-	// Quantiles are monotone in q.
-	if h.Quantile(0.25) > h.Quantile(0.75) {
-		t.Fatal("quantiles not monotone")
-	}
-	// Overflow observations clamp to the largest finite bound.
-	h2 := NewHistogram([]float64{1})
-	h2.Observe(100)
-	if got := h2.Quantile(0.9); got != 1 {
-		t.Fatalf("overflow quantile = %v, want 1", got)
-	}
-	// Empty and nil histograms report 0.
-	if NewHistogram([]float64{1}).Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile != 0")
-	}
-	var nilH *Histogram
-	if nilH.Quantile(0.5) != 0 {
-		t.Fatal("nil histogram quantile != 0")
-	}
-	// Out-of-range q is clamped, not NaN.
-	if v := h.Quantile(-1); math.IsNaN(v) {
-		t.Fatal("q<0 produced NaN")
-	}
-	if v := h.Quantile(2); math.IsNaN(v) {
-		t.Fatal("q>1 produced NaN")
-	}
-}
-
-// TestHistogramQuantileMassEdges pins the degenerate mass
-// distributions: every observation in one bucket. These are the shapes
-// the native profiler produces on tiny runs (all supersteps equally
-// fast, or all slower than the largest bound), so the estimator must
-// stay finite and ordered rather than divide by an empty bucket.
-func TestHistogramQuantileMassEdges(t *testing.T) {
-	// All mass in the first bucket: every quantile interpolates inside
-	// (0, 1] and never escapes it.
-	first := NewHistogram([]float64{1, 2, 4})
-	for i := 0; i < 10; i++ {
-		first.Observe(0.5)
-	}
-	for _, q := range []float64{0.01, 0.5, 1} {
-		got := first.Quantile(q)
-		if got <= 0 || got > 1 {
-			t.Fatalf("first-bucket q=%v = %v, want within (0,1]", q, got)
-		}
-	}
-	if first.Quantile(1) != 1 {
-		t.Fatalf("first-bucket q=1 = %v, want the bucket's upper bound", first.Quantile(1))
-	}
-
-	// All mass in the last finite bucket: quantiles interpolate inside
-	// (2, 4], never below the bucket's lower bound.
-	last := NewHistogram([]float64{1, 2, 4})
-	for i := 0; i < 10; i++ {
-		last.Observe(3)
-	}
-	for _, q := range []float64{0.01, 0.5, 1} {
-		got := last.Quantile(q)
-		if got <= 2 || got > 4 {
-			t.Fatalf("last-bucket q=%v = %v, want within (2,4]", q, got)
-		}
-	}
-
-	// All mass past the largest bound: the histogram cannot resolve
-	// beyond its range, so every quantile clamps to that bound.
-	over := NewHistogram([]float64{1, 2, 4})
-	for i := 0; i < 10; i++ {
-		over.Observe(1000)
-	}
-	for _, q := range []float64{0.01, 0.5, 1} {
-		if got := over.Quantile(q); got != 4 {
-			t.Fatalf("overflow q=%v = %v, want clamp to 4", q, got)
-		}
-	}
-
-	// No finite bounds at all: only the +Inf bucket exists, so the best
-	// available estimate is the mean.
-	unbounded := NewHistogram(nil)
-	unbounded.Observe(3)
-	unbounded.Observe(5)
-	if got := unbounded.Quantile(0.5); got != 4 {
-		t.Fatalf("unbounded q=0.5 = %v, want the mean 4", got)
-	}
-}
 
 // TestRegistryREDFamilies pins the serving-layer exposition: the
 // two-label request counter, the per-route latency histogram, the
@@ -208,6 +108,9 @@ func TestRegistryServerStatsFamilies(t *testing.T) {
 	}
 }
 
+// TestHTTPRouteStatsAndCodeTotals: what an operator reads per route is on
+// the exposition — requests by status code, the latency count and the
+// buckets a quantile is interpolated from — and a nil registry is inert.
 func TestHTTPRouteStatsAndCodeTotals(t *testing.T) {
 	g := NewRegistry()
 	for i := 0; i < 100; i++ {
@@ -215,38 +118,46 @@ func TestHTTPRouteStatsAndCodeTotals(t *testing.T) {
 	}
 	g.ObserveHTTP("/compile", 500, 2.0)
 	g.ObserveHTTP("/metrics", 200, 0.0002)
-
-	stats := g.HTTPRouteStats()
-	if len(stats) != 2 || stats[0].Route != "/compile" || stats[1].Route != "/metrics" {
-		t.Fatalf("route stats = %+v", stats)
+	text := exposition(t, g)
+	for _, want := range []string{
+		`gcao_http_requests_total{code="200",route="/compile"} 100`,
+		`gcao_http_requests_total{code="500",route="/compile"} 1`,
+		`gcao_http_requests_total{code="200",route="/metrics"} 1`,
+		`gcao_http_request_seconds_count{route="/compile"} 101`,
+		`gcao_http_request_seconds_bucket{route="/compile",le="0.0025"} 0`,
+		`gcao_http_request_seconds_bucket{route="/compile",le="0.005"} 100`,
+		`gcao_http_request_seconds_bucket{route="/compile",le="1"} 100`,
+		`gcao_http_request_seconds_bucket{route="/compile",le="2.5"} 101`,
+		`gcao_http_request_seconds_bucket{route="/metrics",le="0.00025"} 1`,
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("exposition missing %q\n%s", want, text)
+		}
 	}
-	c := stats[0]
-	if c.Count != 101 {
-		t.Fatalf("/compile count = %d", c.Count)
-	}
-	if c.P50ms <= 0 || c.P50ms > 10 {
-		t.Fatalf("/compile p50 = %vms, want small", c.P50ms)
-	}
-	if c.P99ms < c.P50ms {
-		t.Fatalf("p99 %v < p50 %v", c.P99ms, c.P50ms)
-	}
-	totals := g.HTTPCodeTotals()
-	if totals["200"] != 101 || totals["500"] != 1 {
-		t.Fatalf("code totals = %v", totals)
-	}
-	// Nil-safety.
 	var nilG *Registry
 	nilG.ObserveHTTP("/x", 200, 1)
 	nilG.ObserveQueueWait(1)
 	nilG.SetBuildInfo("x")
 	nilG.SetServerStatsFunc(nil)
-	if nilG.HTTPRouteStats() != nil || nilG.HTTPCodeTotals() != nil || nilG.QueueWaitQuantile(0.5) != 0 {
-		t.Fatal("nil registry not inert")
-	}
 }
 
-// TestRegistryREDConcurrent exercises the new write paths under
-// concurrent scrapes (run with -race).
+// exposition renders the registry, failing the test on a write error or
+// an exposition the validator rejects.
+func exposition(t *testing.T, g *Registry) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckPromText(buf.Bytes()); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, buf.String())
+	}
+	return buf.String()
+}
+
+// TestRegistryREDConcurrent exercises the write paths under concurrent
+// scrapes (run with -race); the counter the scrapes read ends at the
+// number of requests observed.
 func TestRegistryREDConcurrent(t *testing.T) {
 	g := NewRegistry()
 	g.SetBuildInfo("race")
@@ -262,14 +173,12 @@ func TestRegistryREDConcurrent(t *testing.T) {
 				if i%10 == 0 {
 					var buf bytes.Buffer
 					g.WritePrometheus(&buf)
-					g.HTTPRouteStats()
-					g.HTTPCodeTotals()
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := g.HTTPCodeTotals()["200"]; got != 800 {
-		t.Fatalf("code totals = %d, want 800", got)
+	if text := exposition(t, g); !strings.Contains(text, `gcao_http_requests_total{code="200",route="/compile"} 800`+"\n") {
+		t.Fatalf("exposition after 800 requests:\n%s", text)
 	}
 }

@@ -350,6 +350,8 @@ func (m *Memory) Reset() {
 func (m *Memory) View(name string) *ArrayMem {
 	al := m.Layout.byName[name]
 	if al == nil {
+		// Unreachable from input: every caller passes a name from the
+		// compiled unit's ArrayNames; the lowered program binds by slot.
 		panic(fmt.Sprintf("runtime: unknown array %q", name))
 	}
 	return m.Arrays[al.Slot]
@@ -362,6 +364,8 @@ func (am *ArrayLayout) Offset(idx []int) int {
 	off := 0
 	for i, x := range idx {
 		if x < arr.Lo[i] || x > arr.Hi[i] {
+			// Unreachable from input: the lowered program computes offsets
+			// in plan's ArrayRef.Offset, which returns a positioned error.
 			panic(fmt.Sprintf("runtime: %s%v out of bounds", am.Name, idx))
 		}
 		off += (x - arr.Lo[i]) * am.Strides[i]

@@ -3,11 +3,10 @@
 // subsections of Fortran-style arrays. Sections are the "D" component of
 // the Available Section Descriptors (ASDs) of Gupta, Schonberg and
 // Srinivasan that the placement algorithm of Chakrabarti, Gupta and Choi
-// (PLDI 1996) manipulates: redundancy elimination needs containment
-// tests, and message combining needs approximate unions with a bounded
-// blow-up check (the paper requires that |D1 ∪ D2|, as approximated by a
-// single descriptor, not exceed |D1| + |D2| by more than a small
-// constant).
+// (PLDI 1996) manipulates, once bound to concrete extents: the placement
+// analysis works on their symbolic form (asd.SymSection, whose Hull is
+// message combining's bounded union), and the execution layers clip,
+// intersect and enumerate the concrete sections here.
 //
 // All bounds are inclusive, matching Fortran triplet notation. A
 // dimension with Lo > Hi is empty, and a section with any empty
@@ -40,6 +39,8 @@ func New(dims ...Dim) Section {
 // inclusive per-dimension bounds [lo[i], hi[i]].
 func Whole(lo, hi []int) Section {
 	if len(lo) != len(hi) {
+		// Unreachable from input: the callers pass a declared array's
+		// bounds, one pair per dimension, or Clip's checked box.
 		panic("section: Whole: mismatched bound ranks")
 	}
 	d := make([]Dim, len(lo))
@@ -236,54 +237,10 @@ func (s Section) Intersect(t Section) Section {
 	return out.Normalize()
 }
 
-// Overlaps reports whether s ∩ t is non-empty.
-func (s Section) Overlaps(t Section) bool {
-	return !s.Intersect(t).IsEmpty()
-}
-
-// UnionBound returns the smallest single descriptor covering both s and
-// t, together with the "blow-up": covered elements divided by
-// |s| + |t| (>= 0.5 when s, t overlap fully; large when the hull covers
-// many elements in neither section). The placement pass refuses to
-// combine sections whose hull blows up past a small constant, exactly
-// as required in §4.7 of the paper. Mismatched ranks return ok=false.
-func (s Section) UnionBound(t Section) (hull Section, blowup float64, ok bool) {
-	if len(s.Dims) != len(t.Dims) {
-		return Section{}, 0, false
-	}
-	if s.IsEmpty() {
-		return t.Normalize(), 1, true
-	}
-	if t.IsEmpty() {
-		return s.Normalize(), 1, true
-	}
-	sn, tn := s.Normalize(), t.Normalize()
-	out := Section{Dims: make([]Dim, len(sn.Dims))}
-	for i := range sn.Dims {
-		a, b := sn.Dims[i], tn.Dims[i]
-		lo := min(a.Lo, b.Lo)
-		hi := max(a.Hi, b.Hi)
-		step := gcd(a.Step, b.Step)
-		if step == 0 {
-			step = 1
-		}
-		// The offsets of the two lattices must agree modulo the merged
-		// step; otherwise fall back to step 1.
-		if (a.Lo-b.Lo)%step != 0 {
-			step = 1
-		}
-		out.Dims[i] = normDim(Dim{Lo: lo, Hi: hi, Step: step})
-	}
-	total := s.NumElems() + t.NumElems()
-	if total == 0 {
-		return out, 1, true
-	}
-	return out, float64(out.NumElems()) / float64(total), true
-}
-
 // Shift translates the section by the given per-dimension offsets.
 func (s Section) Shift(off []int) Section {
 	if len(off) != len(s.Dims) {
+		// Unreachable from input: only tests shift a section.
 		panic(fmt.Sprintf("section: Shift: rank %d section with %d offsets", len(s.Dims), len(off)))
 	}
 	out := Section{Dims: make([]Dim, len(s.Dims))}
@@ -296,6 +253,8 @@ func (s Section) Shift(off []int) Section {
 // Clip restricts the section to the box [lo, hi] (inclusive).
 func (s Section) Clip(lo, hi []int) Section {
 	if len(lo) != len(s.Dims) || len(hi) != len(s.Dims) {
+		// Unreachable from input: only tests call Clip; the lowered
+		// program clips through ClipInto.
 		panic("section: Clip: rank mismatch")
 	}
 	box := Whole(lo, hi)
@@ -307,6 +266,9 @@ func (s Section) Clip(lo, hi []int) Section {
 // result is empty.
 func (s Section) ClipInto(lo, hi []int, dst []Dim) Section {
 	if len(lo) != len(s.Dims) || len(hi) != len(s.Dims) {
+		// Unreachable from input: plan clips a reference's section to its
+		// array's bounds or strip box, and sem rejects a reference whose
+		// subscript count is not the array's rank.
 		panic("section: ClipInto: rank mismatch")
 	}
 	dst = dst[:len(s.Dims)]

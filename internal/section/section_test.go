@@ -125,54 +125,6 @@ func TestIntersectBruteForce(t *testing.T) {
 	}
 }
 
-func TestUnionBoundCovers(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	randSec := func() Section {
-		return New(
-			Dim{Lo: rng.Intn(6), Hi: rng.Intn(12), Step: 1 + rng.Intn(3)},
-			Dim{Lo: rng.Intn(6), Hi: rng.Intn(12), Step: 1 + rng.Intn(3)},
-		)
-	}
-	for trial := 0; trial < 500; trial++ {
-		a, b := randSec(), randSec()
-		hull, blowup, ok := a.UnionBound(b)
-		if !ok {
-			t.Fatalf("UnionBound(%v, %v) not ok", a, b)
-		}
-		if !hull.Contains(a.Normalize()) && !a.IsEmpty() {
-			// Contains may be conservative on strided lattices; verify
-			// by brute force instead.
-			a.Elems(func(idx []int) bool {
-				if !pointIn(hull, idx) {
-					t.Fatalf("hull %v of (%v, %v) misses %v", hull, a, b, idx)
-				}
-				return true
-			})
-		}
-		b.Elems(func(idx []int) bool {
-			if !pointIn(hull, idx) {
-				t.Fatalf("hull %v of (%v, %v) misses %v", hull, a, b, idx)
-			}
-			return true
-		})
-		if !a.IsEmpty() && !b.IsEmpty() && blowup <= 0 {
-			t.Fatalf("blowup %v not positive", blowup)
-		}
-	}
-}
-
-func pointIn(s Section, idx []int) bool {
-	if len(idx) != len(s.Dims) {
-		return false
-	}
-	for i, d := range s.Dims {
-		if !member(d, idx[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 func TestShiftClip(t *testing.T) {
 	s := New(Dim{2, 9, 1}, Dim{1, 5, 2})
 	sh := s.Shift([]int{-1, 2})
@@ -202,18 +154,6 @@ func TestEqualQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestOverlaps(t *testing.T) {
-	a := New(Dim{1, 10, 2}) // odds
-	b := New(Dim{2, 10, 2}) // evens
-	if a.Overlaps(b) {
-		t.Error("odd and even lattices must not overlap")
-	}
-	c := New(Dim{1, 10, 1})
-	if !a.Overlaps(c) {
-		t.Error("1:10:2 overlaps 1:10")
 	}
 }
 

@@ -8,7 +8,6 @@ package sem
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"gcao/internal/ast"
 	"gcao/internal/dist"
@@ -451,16 +450,4 @@ func exprPos(e ast.Expr) source.Pos {
 		return source.Pos{}
 	}
 	return e.ExprPos()
-}
-
-// DistributedArrays returns the names of distributed arrays, sorted.
-func (u *Unit) DistributedArrays() []string {
-	var out []string
-	for name, a := range u.Arrays {
-		if a.Dist != nil {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

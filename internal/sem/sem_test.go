@@ -81,9 +81,6 @@ end
 	if g.Dist == nil || g.Dist.Dims[0].Kind != dist.Star || g.Dist.Dims[1].GridDim != 0 {
 		t.Fatalf("g dist = %+v", g.Dist)
 	}
-	if got := u.DistributedArrays(); len(got) != 2 || got[0] != "a" {
-		t.Errorf("DistributedArrays = %v", got)
-	}
 }
 
 func TestDefaultGrid(t *testing.T) {
