@@ -77,7 +77,8 @@ attr-smoke:
 
 # obs-smoke proves the request-tracing path end to end against a live
 # daemon: compile once, take the response's X-Request-Id, resolve it at
-# /debug/flightrecorder/{id} to a span tree with the expected phases
+# /debug/flightrecorder/{id} to spans with the expected phases and the
+# place:comb pipeline span
 # and, by ?facet=decisions, to its placement decision log, find it in
 # the ?has=decisions listing, and scrape /metrics around one more compile:
 # the RED and build-info families are there, and the /compile request
@@ -106,7 +107,8 @@ obs-smoke:
 	grep -q '"phases"' out/obs-flight.json || { echo "obs-smoke: flight record lacks phases"; exit 1; }; \
 	grep -q '"compile"' out/obs-flight.json || { echo "obs-smoke: flight record lacks a compile phase"; exit 1; }; \
 	grep -q '"queue.wait"' out/obs-flight.json || { echo "obs-smoke: flight record lacks queue wait"; exit 1; }; \
-	grep -q '"trace"' out/obs-flight.json || { echo "obs-smoke: flight record lacks the span tree"; exit 1; }; \
+	grep -q '"spans"' out/obs-flight.json || { echo "obs-smoke: flight record lacks its spans"; exit 1; }; \
+	grep -q '"name":"place:comb"' out/obs-flight.json || { echo "obs-smoke: flight record lacks the place:comb span"; exit 1; }; \
 	grep -q '"decisions"' out/obs-flight.json || { echo "obs-smoke: flight record does not name its decisions facet"; exit 1; }; \
 	curl -fsS "http://127.0.0.1:8377/debug/flightrecorder/$$rid?facet=decisions" > out/obs-decisions.json; \
 	grep -q '"outcome"' out/obs-decisions.json || { echo "obs-smoke: decisions facet holds no decision"; exit 1; }; \
@@ -120,7 +122,7 @@ obs-smoke:
 	grep -q 'gcao_queue_wait_seconds_count{pool="compile"}' out/obs-metrics.txt || { echo "obs-smoke: no queue wait histogram"; exit 1; }; \
 	kill $$daemon 2>/dev/null || true; \
 	wait $$daemon 2>/dev/null || true
-	$(GO) test ./cmd/gcaod -run 'TestFlightRecorderResolvesCompile|TestSlowRecordKeepsFacets|TestDebugRouteTable|TestTraceparentRoundTrip' -count=1
+	$(GO) test ./cmd/gcaod -run 'TestFlightRecorderResolvesCompile|TestRetainedRecordSpans|TestSlowRecordKeepsFacets|TestDebugRouteTable|TestTraceparentRoundTrip' -count=1
 	@echo "obs-smoke: ok (metrics at out/obs-metrics.txt)"
 
 # native-smoke proves the native execution backend end to end: compile

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"time"
 
@@ -49,7 +50,8 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 	// The middleware's request id doubles as the batch id; items mint
 	// their own ids below so every compilation remains individually
 	// addressable in the flight recorder.
-	batchID := reqID(r)
+	batchTr, _ := reqtrace.FromContext(r.Context())
+	batchID := batchTr.ReqID()
 	t0 := time.Now()
 	req, err := decodeJSONBody[batchRequest](r, s.cfg.maxBody)
 	if err != nil {
@@ -79,15 +81,12 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 	tasks := make([]sched.BatchTask, len(req.Items))
 	for i, item := range req.Items {
 		id := fmt.Sprintf("r%06d", s.seq.Add(1))
+		// Each item is a request of its own under the batch's trace id,
+		// with its own recorder, so a slow item resolves at
+		// /debug/flightrecorder/{id} like a single-shot request would.
+		tr, _ := reqtrace.FromTraceparent(batchTr.Traceparent(), id)
 		rec := obs.New()
-		// Each item carries its own span tree under the batch's trace
-		// id, so a slow item resolves at /debug/flightrecorder/{id}
-		// like a single-shot request would.
-		tr, _ := reqtrace.FromTraceparent("batch.item", reqtrace.FromContext(r.Context()).Traceparent())
-		tr.SetReqID(id)
-		root := tr.Root()
-		root.SetAttr("batch", batchID)
-		root.Phase("queue.wait")
+		rec.Phase("queue.wait")
 		// Each item gets the same per-request deadline a single-shot
 		// /compile gets; the batch ctx cancels them all if the client
 		// goes away.
@@ -97,7 +96,7 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 		tasks[i] = sched.BatchTask{
 			Ctx: ctx,
 			Run: func(context.Context) (any, error) {
-				return s.compile(id, rec, item, root)
+				return s.compile(id, rec, item)
 			},
 		}
 	}
@@ -127,12 +126,12 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 			allQueueFull = false
 		}
 		resp.Items[res.Index] = item
-		s.retain(st.tr, "/compile/batch", res.Err, cresp, st.rec, t0)
+		s.retain(st.tr, reqtrace.Record{Route: "/compile/batch", Batch: batchID, UnixNS: t0.UnixNano()}, res.Err, cresp, st.rec)
 	}
-	s.log.Info("http.batch",
-		obs.F("req", batchID), obs.F("items", len(results)),
-		obs.F("ok", resp.Succeeded), obs.F("failed", resp.Failed),
-		obs.F("dur_us", time.Since(t0).Microseconds()))
+	s.log.LogAttrs(r.Context(), slog.LevelInfo, "http.batch",
+		slog.String("req", batchID), slog.Int("items", len(results)),
+		slog.Int("ok", resp.Succeeded), slog.Int("failed", resp.Failed),
+		slog.Int64("dur_us", time.Since(t0).Microseconds()))
 	if allQueueFull {
 		s.writeError(w, batchID, sched.ErrQueueFull)
 		return

@@ -5,13 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"gcao/internal/bench"
-	"gcao/internal/obs"
 )
 
 // benchServer is a daemon configured as the repository benchmark runs it
@@ -22,7 +22,7 @@ func benchServer(tb testing.TB) *server {
 		cacheEntries: 256,
 		flightSize:   8192,
 		logW:         io.Discard,
-		logLevel:     obs.LevelError,
+		logLevel:     slog.LevelError,
 	})
 	tb.Cleanup(s.close)
 	return s

@@ -95,13 +95,9 @@ func TestDebugRouteTable(t *testing.T) {
 	if text := scrape(t, ts); !strings.Contains(text, `gcao_http_requests_total{code="404",route="other"} 7`+"\n") {
 		t.Errorf("removed routes not counted as 7 404s under other:\n%s", text)
 	}
-	// No facet: the summary, naming the facets, and the span tree.
-	var rec reqtrace.Record
-	if code := getJSON(t, ts.URL+byID, &rec); code != http.StatusOK {
-		t.Fatalf("%s: status %d", byID, code)
-	}
-	if got := strings.Join(rec.Facets, " "); got != "decisions critpath nativeprof" || rec.Trace == nil {
-		t.Errorf("record names facets %q, span tree %v", got, rec.Trace != nil)
+	// No facet: the summary, naming the facets, and the spans.
+	if rec := fetchRecord(t, ts, out.ReqID); strings.Join(rec.Facets, " ") != "decisions critpath nativeprof" {
+		t.Errorf("record names facets %v", rec.Facets)
 	}
 	if _, keys := topKeys(t, ts.URL+byID); strings.Contains(keys, "native_") || strings.Contains(keys, "data") {
 		t.Errorf("record keys %q restate a facet", keys)

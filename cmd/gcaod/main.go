@@ -11,7 +11,7 @@
 //	GET  /healthz                    liveness + version + uptime + request count
 //	GET  /debug/cache                compilation-cache, scheduler and flight-recorder counters
 //	GET  /debug/flightrecorder       recent and slow/errored request summaries; ?has=<facet> filters
-//	GET  /debug/flightrecorder/{id}  one request's phase summary and span tree, or with
+//	GET  /debug/flightrecorder/{id}  one request's phase summary and spans, or with
 //	                                 ?facet=decisions|critpath|nativeprof its placement decision
 //	                                 log, its blame ranking and critical path (?g= ?L= override
 //	                                 the cost model), or its native runtime profile
@@ -24,9 +24,9 @@
 // Every response carries an X-Request-Id header and a W3C traceparent
 // (ingested from the client's, or minted); error bodies repeat the id
 // so a failure report is joinable against the flight recorder
-// (/debug/flightrecorder/{id} resolves the id to a span tree showing
-// where the request's wall time went: queue wait, cache probe +
-// compile, place, simulate).
+// (/debug/flightrecorder/{id} resolves the id to the request's spans:
+// the phases its wall time went to — queue wait, cache probe + compile,
+// place, simulate — and the pipeline spans that ran inside each).
 //
 // Repeated and concurrent identical requests are served from a
 // content-addressed compilation cache (-cache-entries, -cache-bytes);
@@ -42,14 +42,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
 	"runtime/debug"
 	"syscall"
 	"time"
-
-	"gcao/internal/obs"
 )
 
 func main() {
@@ -71,8 +70,8 @@ func main() {
 		return
 	}
 
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
 		fatal(err)
 	}
 	s := newServer(serverConfig{
@@ -96,19 +95,16 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	s.log.Info("gcaod.start",
-		obs.F("addr", *addr), obs.F("version", version),
-		obs.F("timeout", timeout.String()),
-		obs.F("cache_entries", s.cfg.cacheEntries),
-		obs.F("cache_bytes", s.cfg.cacheBytes),
-		obs.F("workers", s.cfg.workers),
-		obs.F("queue_depth", s.cfg.queueDepth))
+		"addr", *addr, "version", version, "timeout", timeout.String(),
+		"cache_entries", s.cfg.cacheEntries, "cache_bytes", s.cfg.cacheBytes,
+		"workers", s.cfg.workers, "queue_depth", s.cfg.queueDepth)
 
 	select {
 	case err := <-errCh:
 		fatal(err)
 	case <-ctx.Done():
 	}
-	s.log.Info("gcaod.shutdown", obs.F("requests", s.reg.Requests()))
+	s.log.Info("gcaod.shutdown", "requests", s.reg.Requests())
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -110,7 +112,7 @@ func TestRequestIDOnTimeoutAnd429(t *testing.T) {
 	s := newServer(serverConfig{
 		reqTimeout: time.Nanosecond,
 		logW:       io.Discard,
-		logLevel:   obs.LevelError,
+		logLevel:   slog.LevelError,
 	})
 	defer s.close()
 	ts := httptest.NewServer(s.handler())
@@ -206,8 +208,8 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if rec.TraceID != traceID {
 		t.Fatalf("flight record trace id %q, want %q", rec.TraceID, traceID)
 	}
-	if rec.Trace == nil || rec.Trace.RemoteParent != parent {
-		t.Fatalf("flight record remote parent not retained: %+v", rec.Trace)
+	if rec.RemoteParent != parent {
+		t.Fatalf("flight record remote parent %q, want %q", rec.RemoteParent, parent)
 	}
 
 	// A malformed header is ignored: a fresh valid trace is minted.
@@ -224,9 +226,22 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
-// checkPhaseSum asserts the flight-record acceptance criterion: the
-// span tree's phase durations sum to the reported wall time within 5%.
-func checkPhaseSum(t *testing.T, rec reqtrace.Record) {
+// phaseNames are the request phases, the keys of a record's phases
+// summary.
+var phaseNames = map[string]bool{
+	"ingress": true, "queue.wait": true, "compile": true, "place": true,
+	"estimate": true, "simulate": true, "native.exec": true, "finalize": true,
+}
+
+// within reports whether span inner lies inside span outer.
+func within(outer, inner obs.Span) bool {
+	return outer.StartUS <= inner.StartUS && inner.StartUS+inner.DurUS <= outer.StartUS+outer.DurUS
+}
+
+// checkRecord asserts what a retained record promises: its request phases
+// sum to the reported wall time within 5%, the phases summary is keyed by
+// phase names alone, and every pipeline span lies inside a phase, below it.
+func checkRecord(t *testing.T, rec reqtrace.Record) {
 	t.Helper()
 	if rec.WallUS <= 0 {
 		t.Fatalf("record %s has no wall time", rec.ID)
@@ -235,7 +250,10 @@ func checkPhaseSum(t *testing.T, rec reqtrace.Record) {
 		t.Fatalf("record %s has no phases", rec.ID)
 	}
 	var sum int64
-	for _, d := range rec.Phases {
+	for name, d := range rec.Phases {
+		if !phaseNames[name] {
+			t.Errorf("record %s: phases summary keyed by %q", rec.ID, name)
+		}
 		sum += d
 	}
 	diff := rec.WallUS - sum
@@ -246,12 +264,140 @@ func checkPhaseSum(t *testing.T, rec reqtrace.Record) {
 		t.Errorf("record %s: phases sum %dus vs wall %dus (gap %dus > 5%%): %v",
 			rec.ID, sum, rec.WallUS, diff, rec.Phases)
 	}
+	for _, sp := range rec.Spans {
+		if sp.Phase {
+			continue
+		}
+		inside := false
+		for _, ph := range rec.Spans {
+			inside = inside || ph.Phase && within(ph, sp)
+		}
+		if !inside || sp.Depth < 1 {
+			t.Errorf("record %s: span %s [%d +%d] at depth %d lies in no phase", rec.ID, sp.Name, sp.StartUS, sp.DurUS, sp.Depth)
+		}
+	}
+}
+
+// phaseKeys returns a record's phase names, sorted and space-separated.
+func phaseKeys(rec reqtrace.Record) string {
+	keys := make([]string, 0, len(rec.Phases))
+	for k := range rec.Phases {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, " ")
+}
+
+// findSpan returns the record's span of the given name, which must be
+// there at the given depth.
+func findSpan(t *testing.T, rec reqtrace.Record, name string, depth int) obs.Span {
+	t.Helper()
+	for _, sp := range rec.Spans {
+		if sp.Name == name {
+			if sp.Depth != depth {
+				t.Errorf("record %s: span %s at depth %d, want %d", rec.ID, name, sp.Depth, depth)
+			}
+			return sp
+		}
+	}
+	t.Fatalf("record %s has no span %s: %+v", rec.ID, name, rec.Spans)
+	return obs.Span{}
+}
+
+// fetchRecord resolves a request id at the flight recorder.
+func fetchRecord(t *testing.T, ts *httptest.Server, id string) reqtrace.Record {
+	t.Helper()
+	var rec reqtrace.Record
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+id, &rec); code != http.StatusOK {
+		t.Fatalf("flight record %s status = %d", id, code)
+	}
+	if rec.ID != id || len(rec.Spans) == 0 {
+		t.Fatalf("flight record %s incomplete: %+v", id, rec)
+	}
+	return rec
+}
+
+// TestRetainedRecordSpans: following a request id to its flight record
+// shows the request's phases and, inside them, the pipeline spans that
+// ran — for a compile miss, a hit, strategy "all", each item of a batch
+// and a request that timed out.
+func TestRetainedRecordSpans(t *testing.T) {
+	_, ts := testServer(t)
+	body := func(n int, strategy string) map[string]any {
+		return map[string]any{"source": stencilSrc, "params": map[string]int{"n": n, "steps": 2}, "procs": 4, "strategy": strategy}
+	}
+
+	// A miss: place → place:comb → greedy-choose, and the phases say
+	// what the cache did.
+	resp, _ := postCompile(t, ts, body(12, "comb"))
+	miss := fetchRecord(t, ts, resp.Header.Get("X-Request-Id"))
+	checkRecord(t, miss)
+	if got := phaseKeys(miss); got != "compile finalize ingress place queue.wait" {
+		t.Errorf("miss phases %q", got)
+	}
+	place, placeComb := findSpan(t, miss, "place", 0), findSpan(t, miss, "place:comb", 1)
+	if greedy := findSpan(t, miss, "greedy-choose", 2); !within(place, placeComb) || !within(placeComb, greedy) {
+		t.Errorf("place %+v, place:comb %+v, greedy-choose %+v do not nest", place, placeComb, greedy)
+	}
+	if compile := findSpan(t, miss, "compile", 0); compile.Attrs["cache"] != "miss" || place.Attrs["cache"] != "miss" {
+		t.Errorf("phase attributes: compile %v, place %v", compile.Attrs, place.Attrs)
+	}
+
+	// A hit ran no pipeline span.
+	resp, _ = postCompile(t, ts, body(12, "comb"))
+	hit := fetchRecord(t, ts, resp.Header.Get("X-Request-Id"))
+	checkRecord(t, hit)
+	for _, sp := range hit.Spans {
+		if !sp.Phase {
+			t.Errorf("a hit ran %s", sp.Name)
+		}
+	}
+
+	// Strategy "all": three sibling placements at one depth inside place.
+	resp, _ = postCompile(t, ts, body(13, "all"))
+	all := fetchRecord(t, ts, resp.Header.Get("X-Request-Id"))
+	checkRecord(t, all)
+	place = findSpan(t, all, "place", 0)
+	for _, v := range []string{"orig", "nored", "comb"} {
+		if sp := findSpan(t, all, "place:"+v, 1); !within(place, sp) {
+			t.Errorf("place:%s %+v outside place %+v", v, sp, place)
+		}
+	}
+
+	// Batch items: each its own record, under the batch's id.
+	resp, out := postBatch(t, ts, []map[string]any{body(14, "comb"), body(12, "comb")})
+	if resp.StatusCode != http.StatusOK || out.Succeeded != 2 {
+		t.Fatalf("batch status = %d, succeeded = %d", resp.StatusCode, out.Succeeded)
+	}
+	for _, item := range out.Items {
+		rec := fetchRecord(t, ts, item.ReqID)
+		checkRecord(t, rec)
+		if rec.Batch != resp.Header.Get("X-Request-Id") || phaseKeys(rec) != "compile place queue.wait" {
+			t.Errorf("batch item %s: batch %q, phases %q", item.ReqID, rec.Batch, phaseKeys(rec))
+		}
+	}
+
+	// A timeout: the worker is still in compile when the handler answers,
+	// and the record ends with finalize.
+	s := newServer(serverConfig{reqTimeout: 50 * time.Millisecond, workers: 1, logW: io.Discard})
+	release := make(chan struct{})
+	s.testHook = func() { <-release }
+	slow := httptest.NewServer(s.handler())
+	t.Cleanup(slow.Close)
+	t.Cleanup(s.close)
+	t.Cleanup(func() { close(release) })
+	resp, _ = postCompile(t, slow, body(12, "comb"))
+	timedOut := fetchRecord(t, slow, resp.Header.Get("X-Request-Id"))
+	checkRecord(t, timedOut)
+	if timedOut.Status != http.StatusServiceUnavailable || !strings.HasSuffix(phaseKeys(timedOut), "finalize ingress queue.wait") {
+		t.Errorf("timed-out record: status %d, phases %q", timedOut.Status, phaseKeys(timedOut))
+	}
 }
 
 // TestFlightRecorderResolvesCompile is the tentpole acceptance check:
 // for miss, hit AND dedup cache outcomes, the X-Request-Id returned by
-// /compile resolves at /debug/flightrecorder/{id} to a span tree whose
-// phase durations account for the reported wall time within 5%.
+// /compile resolves at /debug/flightrecorder/{id} to spans whose phase
+// durations account for the reported wall time within 5%.
 func TestFlightRecorderResolvesCompile(t *testing.T) {
 	type barrier struct {
 		n  atomic.Int32
@@ -263,7 +409,7 @@ func TestFlightRecorderResolvesCompile(t *testing.T) {
 		workers:    2,
 		queueDepth: 8,
 		logW:       io.Discard,
-		logLevel:   obs.LevelError,
+		logLevel:   slog.LevelError,
 	})
 	s.testHook = func() {
 		b := hook.Load()
@@ -278,18 +424,6 @@ func TestFlightRecorderResolvesCompile(t *testing.T) {
 	defer s.close()
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
-
-	fetchRecord := func(id string) reqtrace.Record {
-		t.Helper()
-		var rec reqtrace.Record
-		if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+id, &rec); code != http.StatusOK {
-			t.Fatalf("flight record %s status = %d", id, code)
-		}
-		if rec.ID != id || rec.Trace == nil {
-			t.Fatalf("flight record %s incomplete: %+v", id, rec)
-		}
-		return rec
-	}
 
 	// Miss and dedup: two identical concurrent requests held at a
 	// barrier until both reached a worker, so their cache probes
@@ -346,8 +480,8 @@ func TestFlightRecorderResolvesCompile(t *testing.T) {
 		}
 		if m, okM := outcomes["miss"]; okM {
 			if d, okD := outcomes["dedup"]; okD {
-				missRec = fetchRecord(m.id)
-				dedupRec = fetchRecord(d.id)
+				missRec = fetchRecord(t, ts, m.id)
+				dedupRec = fetchRecord(t, ts, d.id)
 				hitBody = body
 				found = true
 			}
@@ -356,8 +490,8 @@ func TestFlightRecorderResolvesCompile(t *testing.T) {
 	if !found {
 		t.Fatal("never observed a miss+dedup pair in 5 attempts")
 	}
-	checkPhaseSum(t, missRec)
-	checkPhaseSum(t, dedupRec)
+	checkRecord(t, missRec)
+	checkRecord(t, dedupRec)
 	if missRec.Cache != "miss" || dedupRec.Cache != "dedup" {
 		t.Fatalf("record cache outcomes = %q, %q", missRec.Cache, dedupRec.Cache)
 	}
@@ -377,16 +511,16 @@ func TestFlightRecorderResolvesCompile(t *testing.T) {
 	if out.Cache == nil || out.Cache.Compile != "hit" {
 		t.Fatalf("expected compile cache hit, got %+v", out.Cache)
 	}
-	hitRec := fetchRecord(resp.Header.Get("X-Request-Id"))
-	checkPhaseSum(t, hitRec)
+	hitRec := fetchRecord(t, ts, resp.Header.Get("X-Request-Id"))
+	checkRecord(t, hitRec)
 	if hitRec.Cache != "hit" {
 		t.Fatalf("hit record cache = %q", hitRec.Cache)
 	}
 }
 
 // TestFlightRecorderRetainsErrors pins the slow/errored store: a 400
-// lands in the slow listing even though it was fast, and its full
-// trace resolves by id.
+// lands in the slow listing even though it was fast, and its spans
+// resolve by id.
 func TestFlightRecorderRetainsErrors(t *testing.T) {
 	_, ts := testServer(t)
 	raw, _ := json.Marshal(map[string]any{
@@ -418,8 +552,8 @@ func TestFlightRecorderRetainsErrors(t *testing.T) {
 			if rec.Status != http.StatusBadRequest || rec.Error == "" {
 				t.Fatalf("retained error record incomplete: %+v", rec)
 			}
-			if rec.Trace != nil {
-				t.Fatal("listing should carry summaries, not span trees")
+			if rec.Spans != nil {
+				t.Fatal("listing should carry summaries, not spans")
 			}
 		}
 	}
@@ -429,11 +563,7 @@ func TestFlightRecorderRetainsErrors(t *testing.T) {
 	if listing.Stats.Retained < 1 {
 		t.Fatalf("stats retained = %d", listing.Stats.Retained)
 	}
-	var rec reqtrace.Record
-	getJSON(t, ts.URL+"/debug/flightrecorder/"+id, &rec)
-	if rec.Trace == nil {
-		t.Fatal("by-id fetch lost the span tree")
-	}
+	fetchRecord(t, ts, id)
 }
 
 // postForError posts body to /compile and, when the answer is not a
@@ -499,8 +629,8 @@ func TestPanicOnWorkerIs500(t *testing.T) {
 // poisonLog is a log sink that panics on a line naming the armed event,
 // which raises the panic where the pipeline logs that event: inside the
 // cached computation ("analysis.done" in the compile and skeleton tiers',
-// "place.done" in the placement tier's — for strategy "all", on placeAll's own
-// goroutines), not in front of the cache as testHook does.
+// "place.done" in the placement tier's), not in front of the cache as
+// testHook does.
 type poisonLog struct{ event atomic.Pointer[string] }
 
 func (w *poisonLog) Write(p []byte) (int, error) {
@@ -515,8 +645,7 @@ func (w *poisonLog) Write(p []byte) (int, error) {
 // 500 with the stack in its flight record, and the identical request
 // after it — the input no longer panicking — compiles, instead of
 // parking the (single) worker on the dead flight until its deadline.
-// With strategy "all" the panic is on a goroutine the pool's recover
-// does not cover, and must not end the process either.
+// With strategy "all" the panic is in the first of the three placements.
 func TestPanicInsideCacheDoesNotWedge(t *testing.T) {
 	for _, tc := range []struct{ strategy, event string }{
 		{"comb", "analysis.done"},
@@ -567,7 +696,7 @@ func TestPanicInsideCacheDoesNotWedge(t *testing.T) {
 }
 
 // TestBatchItemsInFlightRecorder checks batch items are individually
-// retained, joined to the batch by attribute and trace id.
+// retained, joined to the batch by its request id and trace id.
 func TestBatchItemsInFlightRecorder(t *testing.T) {
 	_, ts := testServer(t)
 	resp, out := postBatch(t, ts, []map[string]any{
@@ -586,11 +715,10 @@ func TestBatchItemsInFlightRecorder(t *testing.T) {
 		if rec.Route != "/compile/batch" {
 			t.Fatalf("batch item route = %q", rec.Route)
 		}
-		if rec.Trace.Root.Attrs["batch"] != batchID {
-			t.Fatalf("batch item %s not linked to batch %s: %v",
-				item.ReqID, batchID, rec.Trace.Root.Attrs)
+		if rec.Batch != batchID {
+			t.Fatalf("batch item %s not linked to batch %s: %q", item.ReqID, batchID, rec.Batch)
 		}
-		checkPhaseSum(t, rec)
+		checkRecord(t, rec)
 	}
 }
 

@@ -6,11 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,9 +45,10 @@ type serverConfig struct {
 	// version identifies the build in /healthz, gcao_build_info and
 	// the startup log.
 	version string
-	// logW + logLevel configure the structured event log.
+	// logW + logLevel configure the structured event log (nil logW:
+	// io.Discard).
 	logW     io.Writer
-	logLevel obs.Level
+	logLevel slog.Level
 }
 
 // server is the gcaod daemon state: one process-global metrics
@@ -100,9 +101,8 @@ func newServer(cfg serverConfig) *server {
 	if cfg.version == "" {
 		cfg.version = "dev"
 	}
-	var log *gcao.Logger
-	if cfg.logW != nil {
-		log = gcao.NewLogger(cfg.logW, cfg.logLevel)
+	if cfg.logW == nil {
+		cfg.logW = io.Discard
 	}
 	s := &server{
 		cfg:    cfg,
@@ -110,7 +110,7 @@ func newServer(cfg serverConfig) *server {
 		cache:  gcao.NewCache(gcao.CacheOptions{MaxEntries: cfg.cacheEntries, MaxBytes: cfg.cacheBytes}),
 		pool:   sched.New(cfg.workers, cfg.queueDepth),
 		flight: reqtrace.NewFlightRecorder(cfg.flightSize, cfg.flightSize, cfg.slowThreshold),
-		log:    log,
+		log:    gcao.NewLogger(cfg.logW, cfg.logLevel),
 		start:  time.Now(),
 	}
 	s.reg.SetCacheStatsFunc(s.cacheTierStats)
@@ -177,9 +177,8 @@ type compileRequest struct {
 	Params map[string]int `json:"params"`
 	Procs  int            `json:"procs"`
 	// Strategy is "orig", "nored" or "comb" (default comb), or "all"
-	// to place every version of the one cached compilation
-	// concurrently and report them side by side; Machine is "SP2" or
-	// "NOW" (default SP2).
+	// to place every version of the one cached compilation and report
+	// them side by side; Machine is "SP2" or "NOW" (default SP2).
 	Strategy string `json:"strategy,omitempty"`
 	Machine  string `json:"machine,omitempty"`
 	// Estimate adds the analytic cost model's verdict; Simulate runs
@@ -270,11 +269,11 @@ type nativeReport struct {
 // the Chrome trace, and the flight record's nativeprof facet. Each run
 // takes an engine from the cached placement's pools; the response holds
 // copies of what it reports, so the engines go back when execute returns.
-func (s *server) execute(resp *compileResponse, req compileRequest, placed *gcao.Placed, m gcao.Machine, rec *obs.Recorder, root *reqtrace.Span) error {
+func (s *server) execute(resp *compileResponse, req compileRequest, placed *gcao.Placed, m gcao.Machine, rec *obs.Recorder) error {
 	if !req.Simulate {
 		return nil
 	}
-	root.Phase("simulate")
+	rec.Phase("simulate")
 	procs := placed.Result.Analysis.Unit.Grid.NumProcs()
 	run, err := placed.SimulateObs(m, procs, rec)
 	if err != nil {
@@ -289,7 +288,7 @@ func (s *server) execute(resp *compileResponse, req compileRequest, placed *gcao
 	if req.Backend != "native" {
 		return nil
 	}
-	root.Phase("native.exec")
+	rec.Phase("native.exec")
 	nat, err := placed.RunNativeProfiled(procs, rec)
 	if err != nil {
 		return badRequestError{fmt.Errorf("native: %w", err)}
@@ -310,11 +309,9 @@ func (s *server) execute(resp *compileResponse, req compileRequest, placed *gcao
 }
 
 func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	tr := reqtrace.FromContext(r.Context())
+	tr, rec := reqtrace.FromContext(r.Context())
 	id := tr.ReqID()
-	root := tr.Root()
 	t0 := time.Now()
-	rec := obs.New()
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.reqTimeout)
 	defer cancel()
 	var resp *compileResponse
@@ -322,23 +319,23 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		// The queue.wait phase runs from admission until a worker picks
 		// the job up; compile() opens the next phase at that instant.
-		root.Phase("queue.wait")
+		rec.Phase("queue.wait")
 		var v any
 		v, err = s.pool.Submit(ctx, func(context.Context) (any, error) {
-			return s.compile(id, rec, req, root)
+			return s.compile(id, rec, req)
 		})
 		if c, ok := v.(*compileResponse); ok {
 			resp = c
 		}
 	}
-	root.Phase("finalize")
+	rec.Phase("finalize")
 	// The request is retained before the response is written: a client
 	// may follow its X-Request-Id to /debug/flightrecorder/{id} the
 	// moment it has the body.
-	status := s.retain(tr, "/compile", err, resp, rec, t0)
-	s.log.Info("http.compile",
-		obs.F("req", id), obs.F("status", status),
-		obs.F("dur_us", time.Since(t0).Microseconds()))
+	status := s.retain(tr, reqtrace.Record{Route: "/compile", UnixNS: t0.UnixNano()}, err, resp, rec)
+	s.log.LogAttrs(r.Context(), slog.LevelInfo, "http.compile",
+		slog.String("req", id), slog.String("status", status),
+		slog.Int64("dur_us", time.Since(t0).Microseconds()))
 	if err != nil {
 		s.writeError(w, id, err)
 	} else {
@@ -360,12 +357,6 @@ func (e payloadTooLargeError) Error() string { return e.err.Error() }
 func (e payloadTooLargeError) Unwrap() error { return e.err }
 
 func httpStatus(err error) int {
-	// A contained panic is the server's fault whatever wrapped it on the
-	// way up (placeAll reports a strategy's failure as a bad request).
-	var pe *sched.PanicError
-	if errors.As(err, &pe) {
-		return http.StatusInternalServerError
-	}
 	var big payloadTooLargeError
 	if errors.As(err, &big) {
 		return http.StatusRequestEntityTooLarge
@@ -419,13 +410,12 @@ func decodeJSONBody[T any](r *http.Request, maxBody int64) (T, error) {
 	return v, nil
 }
 
-// compile runs one request through the cached pipeline with a
-// request-scoped recorder attached. root is the request's span; the
-// phases opened here (compile, place, estimate, simulate) tile it
-// gap-free after the handler's queue.wait, so their durations account
-// for the request's wall time.
-func (s *server) compile(id string, rec *obs.Recorder, req compileRequest, root *reqtrace.Span) (*compileResponse, error) {
-	ph := root.Phase("compile")
+// compile runs one request through the cached pipeline on the request's
+// recorder. The phases opened here (compile, place, estimate, simulate)
+// follow the handler's queue.wait gap-free, so their durations account
+// for the request's wall time, and the pipeline spans nest inside them.
+func (s *server) compile(id string, rec *obs.Recorder, req compileRequest) (*compileResponse, error) {
+	rec.Phase("compile")
 	if s.testHook != nil {
 		s.testHook()
 	}
@@ -461,22 +451,22 @@ func (s *server) compile(id string, rec *obs.Recorder, req compileRequest, root 
 		return nil, badRequestError{err}
 	}
 	cached := &cacheDoc{Compile: compOut.Compile.String()}
-	ph.SetAttr("cache", cached.Compile)
+	rec.SetAttr("cache", cached.Compile)
 	if compOut.Compile == gcao.CacheMiss {
 		// Only a compile-tier miss went through the skeleton tier.
 		cached.Skeleton = compOut.Skeleton.String()
-		ph.SetAttr("skeleton", cached.Skeleton)
+		rec.SetAttr("skeleton", cached.Skeleton)
 	}
 	if all {
-		return s.placeAll(id, rec, req, c, cached, m, root)
+		return s.placeAll(id, rec, req, c, cached, m)
 	}
-	pp := root.Phase("place")
+	rec.Phase("place")
 	placed, placeOut, err := s.cache.Place(c, strategy, gcao.PlacementOptions{}, rec)
 	if err != nil {
 		return nil, badRequestError{err}
 	}
 	cached.Place = placeOut.String()
-	pp.SetAttr("cache", cached.Place)
+	rec.SetAttr("cache", cached.Place)
 	resp := &compileResponse{
 		ReqID:    id,
 		Strategy: strategy.String(),
@@ -486,12 +476,12 @@ func (s *server) compile(id string, rec *obs.Recorder, req compileRequest, root 
 		Cache:    cached,
 	}
 	if req.Estimate {
-		root.Phase("estimate")
+		rec.Phase("estimate")
 		if resp.Estimate, err = s.estimate(c, placed, m); err != nil {
 			return nil, err
 		}
 	}
-	if err := s.execute(resp, req, placed, m, rec, root); err != nil {
+	if err := s.execute(resp, req, placed, m, rec); err != nil {
 		return nil, err
 	}
 	resp.Metrics = rec.Doc()
@@ -521,70 +511,45 @@ func (s *server) estimate(c *gcao.Compilation, placed *gcao.Placed, m gcao.Machi
 	return &estimateDoc{CPUSeconds: cost.CPU, NetSeconds: cost.Net, Messages: cost.Messages, Bytes: cost.Bytes}, nil
 }
 
-// placeAll places the three strategies of one cached compilation
-// concurrently: the placements are independent (the Analysis is
-// immutable once built and shared lock-free, the recorder is
-// thread-safe) so the request pays for the slowest placement instead
-// of the sum. Plain goroutines, not pool.Submit — this already runs
-// on a pool worker, and re-submitting from inside a worker can
-// deadlock a full queue — so each contains its own panic, as the pool
-// does for its workers.
-func (s *server) placeAll(id string, rec *obs.Recorder, req compileRequest, c *gcao.Compilation, cached *cacheDoc, m gcao.Machine, root *reqtrace.Span) (*compileResponse, error) {
-	root.Phase("place")
-	strategies := []gcao.Strategy{gcao.Vectorize, gcao.EarliestRedundancy, gcao.Combine}
-	type placeOut struct {
-		placed *gcao.Placed
-		out    gcao.CacheOutcome
-		err    error
-	}
-	outs := make([]placeOut, len(strategies))
-	var wg sync.WaitGroup
-	for i, strat := range strategies {
-		wg.Add(1)
-		go func(i int, strat gcao.Strategy) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					outs[i].err = sched.Recovered(r)
-				}
-			}()
-			p, o, err := s.cache.Place(c, strat, gcao.PlacementOptions{}, rec)
-			outs[i] = placeOut{placed: p, out: o, err: err}
-		}(i, strat)
-	}
-	wg.Wait()
-	for i, o := range outs {
-		if o.err != nil {
-			return nil, badRequestError{fmt.Errorf("%s: %w", strategies[i], o.err)}
-		}
-	}
+// placeAll places the three strategies of one cached compilation, one
+// after another on this request's pool worker, and reports them side by
+// side. The pool already serves requests in parallel, and the placements
+// share the request's recorder, whose span depth is one counter: run
+// concurrently, the sibling place:<v> spans would record three depths.
+func (s *server) placeAll(id string, rec *obs.Recorder, req compileRequest, c *gcao.Compilation, cached *cacheDoc, m gcao.Machine) (*compileResponse, error) {
+	rec.Phase("place")
 	resp := &compileResponse{
 		ReqID:    id,
 		Strategy: "all",
 		Machine:  m.Name,
 		Cache:    cached,
 	}
-	for i, strat := range strategies {
+	var placed *gcao.Placed
+	for _, strat := range []gcao.Strategy{gcao.Vectorize, gcao.EarliestRedundancy, gcao.Combine} {
+		var out gcao.CacheOutcome
+		var err error
+		if placed, out, err = s.cache.Place(c, strat, gcao.PlacementOptions{}, rec); err != nil {
+			return nil, badRequestError{fmt.Errorf("%s: %w", strat, err)}
+		}
 		doc := versionDoc{
 			Strategy: strat.String(),
-			Messages: outs[i].placed.Messages(),
-			Counts:   countsOf(outs[i].placed),
-			Place:    outs[i].out.String(),
+			Messages: placed.Messages(),
+			Counts:   countsOf(placed),
+			Place:    out.String(),
 		}
 		if req.Estimate {
-			var err error
-			if doc.Estimate, err = s.estimate(c, outs[i].placed, m); err != nil {
+			if doc.Estimate, err = s.estimate(c, placed, m); err != nil {
 				return nil, err
 			}
 		}
 		resp.Versions = append(resp.Versions, doc)
 	}
-	// Surface the paper's algorithm (comb) in the scalar fields so
-	// clients that ignore Versions still see the best placement.
+	// Surface the paper's algorithm (comb, placed last) in the scalar
+	// fields so clients that ignore Versions still see the best placement.
 	last := resp.Versions[len(resp.Versions)-1]
 	resp.Messages = last.Messages
 	resp.Counts = last.Counts
-	if err := s.execute(resp, req, outs[len(outs)-1].placed, m, rec, root); err != nil {
+	if err := s.execute(resp, req, placed, m, rec); err != nil {
 		return nil, err
 	}
 	resp.Metrics = rec.Doc()
@@ -594,7 +559,7 @@ func (s *server) placeAll(id string, rec *obs.Recorder, req compileRequest, c *g
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.reg.WritePrometheus(w); err != nil {
-		s.log.Error("http.metrics", obs.F("err", err.Error()))
+		s.log.Error("http.metrics", "err", err.Error())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"gcao/internal/obs"
-	"gcao/internal/obs/reqtrace"
 )
 
 const stencilSrc = `
@@ -47,7 +47,7 @@ func testServer(t *testing.T) (*server, *httptest.Server) {
 	s := newServer(serverConfig{
 		reqTimeout: 30 * time.Second,
 		logW:       io.Discard,
-		logLevel:   obs.LevelDebug,
+		logLevel:   slog.LevelDebug,
 	})
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
@@ -456,7 +456,7 @@ func TestPayloadTooLarge413(t *testing.T) {
 		reqTimeout: 30 * time.Second,
 		maxBody:    512,
 		logW:       io.Discard,
-		logLevel:   obs.LevelError,
+		logLevel:   slog.LevelError,
 	})
 	defer s.close()
 	ts := httptest.NewServer(s.handler())
@@ -498,7 +498,7 @@ func blockingServer(t *testing.T) (*server, *httptest.Server, func()) {
 		workers:    1,
 		queueDepth: 1,
 		logW:       io.Discard,
-		logLevel:   obs.LevelError,
+		logLevel:   slog.LevelError,
 	})
 	release := make(chan struct{})
 	s.testHook = func() { <-release }
@@ -603,7 +603,7 @@ func TestCompileBatch(t *testing.T) {
 		workers:    2,
 		queueDepth: 8,
 		logW:       io.Discard,
-		logLevel:   obs.LevelError,
+		logLevel:   slog.LevelError,
 	})
 	defer s.close()
 	ts := httptest.NewServer(s.handler())
@@ -714,7 +714,7 @@ func TestHealthzVersion(t *testing.T) {
 		reqTimeout: time.Second,
 		version:    "abc123def456",
 		logW:       io.Discard,
-		logLevel:   obs.LevelError,
+		logLevel:   slog.LevelError,
 	})
 	defer s.close()
 	ts := httptest.NewServer(s.handler())
@@ -746,7 +746,7 @@ func TestCompileTimeout(t *testing.T) {
 	s := newServer(serverConfig{
 		reqTimeout: 1 * time.Nanosecond,
 		logW:       io.Discard,
-		logLevel:   obs.LevelError,
+		logLevel:   slog.LevelError,
 	})
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
@@ -894,18 +894,9 @@ func TestKnownSourceNewSize(t *testing.T) {
 	if second.Metrics.Counters["cache.skeleton.hit"] != 1 {
 		t.Errorf("request counters %v", second.Metrics.Counters)
 	}
-	var rec reqtrace.Record
-	if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+resp.Header.Get("X-Request-Id"), &rec); code != http.StatusOK {
-		t.Fatalf("flight record: status %d", code)
-	}
-	found := false
-	for _, ph := range rec.Trace.Root.Children {
-		if ph.Name == "compile" {
-			found = ph.Attrs["cache"] == "miss" && ph.Attrs["skeleton"] == "hit"
-		}
-	}
-	if !found {
-		t.Errorf("flight record %+v: no compile phase with cache=miss skeleton=hit", rec.Trace.Root.Children)
+	rec := fetchRecord(t, ts, resp.Header.Get("X-Request-Id"))
+	if ph := findSpan(t, rec, "compile", 0); ph.Attrs["cache"] != "miss" || ph.Attrs["skeleton"] != "hit" {
+		t.Errorf("flight record's compile phase %+v: want cache=miss skeleton=hit", ph)
 	}
 
 	// A daemon that never saw the source answers the same.

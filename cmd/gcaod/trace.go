@@ -62,26 +62,27 @@ func (w *statusWriter) status() int {
 }
 
 // withObs is the ingress middleware every route runs under: it mints
-// the request id, ingests (or mints) the W3C trace context and opens
-// the request's span tree, answers with X-Request-Id and traceparent
-// headers before the handler runs — so even sheds and timeouts carry
-// them — and feeds the RED families and the in-flight gauge.
+// the request id, ingests (or mints) the W3C trace context, makes the
+// request's recorder and binds both to the request's context, answers
+// with X-Request-Id and traceparent headers before the handler runs — so
+// even sheds and timeouts carry them — and feeds the RED families and
+// the in-flight gauge.
 func (s *server) withObs(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		route := routeLabel(r.URL.Path)
 		id := fmt.Sprintf("r%06d", s.seq.Add(1))
-		tr, _ := reqtrace.FromTraceparent("http "+route, r.Header.Get("traceparent"))
-		tr.SetReqID(id)
-		// Open the first phase immediately so the tiling covers the
-		// whole request: middleware and handler overhead land in
+		tr, _ := reqtrace.FromTraceparent(r.Header.Get("traceparent"), id)
+		rec := obs.New()
+		// Open the first phase with the recorder so the tiling covers
+		// the whole request: middleware and handler overhead land in
 		// "ingress", not in an unaccounted gap.
-		tr.Root().Phase("ingress")
+		rec.Phase("ingress")
 		w.Header().Set("X-Request-Id", id)
 		w.Header().Set("Traceparent", tr.Traceparent())
 		sw := &statusWriter{ResponseWriter: w}
 		s.inflight.Add(1)
-		next.ServeHTTP(sw, r.WithContext(reqtrace.NewContext(r.Context(), tr)))
+		next.ServeHTTP(sw, r.WithContext(reqtrace.NewContext(r.Context(), tr, rec)))
 		s.inflight.Add(-1)
 		s.reg.ObserveHTTP(route, sw.status(), time.Since(t0).Seconds())
 	})
@@ -89,16 +90,18 @@ func (s *server) withObs(next http.Handler) http.Handler {
 
 // reqID returns the middleware-minted id of the request being served.
 func reqID(r *http.Request) string {
-	return reqtrace.FromContext(r.Context()).ReqID()
+	tr, _ := reqtrace.FromContext(r.Context())
+	return tr.ReqID()
 }
 
 // retain is where a finished request goes, from /compile and from each
 // /compile/batch item alike: its recorder is absorbed into the registry,
-// its span tree is closed, and one record — summary, span tree and the
-// facets the recorder held — is added to the flight recorder under the
-// id the response's X-Request-Id header carried. It returns the status
-// label the registry counted the request under.
-func (s *server) retain(tr *reqtrace.Trace, route string, err error, resp *compileResponse, reqRec *obs.Recorder, t0 time.Time) string {
+// its last phase is ended, and one record — rec's route and time, the
+// trace's identity, the outcome, the recorder's spans and the facets it
+// held — is added to the flight recorder under the id the response's
+// X-Request-Id header carried. It returns the status label the registry
+// counted the request under.
+func (s *server) retain(tr *reqtrace.Trace, rec reqtrace.Record, err error, resp *compileResponse, reqRec *obs.Recorder) string {
 	status, code := "ok", http.StatusOK
 	if err != nil {
 		status, code = "error", httpStatus(err)
@@ -112,21 +115,13 @@ func (s *server) retain(tr *reqtrace.Trace, route string, err error, resp *compi
 	} else {
 		held = reqRec.Doc()
 	}
-	tr.Root().End()
-	doc := tr.Doc()
-	rec := reqtrace.Record{
-		ID:      tr.ReqID(),
-		TraceID: doc.TraceID,
-		Route:   route,
-		Status:  code,
-		UnixNS:  t0.UnixNano(),
-		WallUS:  doc.Root.DurUS,
-		Phases:  reqtrace.PhaseTotals(doc.Root),
-		Trace:   &doc,
-		Data: &reqtrace.Facets{
-			Decisions: held.Decisions, Counters: held.Counters,
-			Attr: held.Attr, NativeProf: held.NativeProf,
-		},
+	reqRec.EndPhase()
+	rec.ID, rec.TraceID, rec.RemoteParent = tr.ReqID(), tr.TraceID(), tr.RemoteParent()
+	rec.Status = code
+	rec.Spans = reqRec.Spans()
+	rec.Data = &reqtrace.Facets{
+		Decisions: held.Decisions, Counters: held.Counters,
+		Attr: held.Attr, NativeProf: held.NativeProf,
 	}
 	if err != nil {
 		rec.Error = err.Error()
@@ -164,7 +159,7 @@ func (s *server) retryAfter() int {
 }
 
 // handleFlightList serves the flight recorder's ring and slow-store
-// summaries (no span trees; fetch /debug/flightrecorder/{id} for one).
+// summaries (no spans; fetch /debug/flightrecorder/{id} for one).
 // ?has=<facet> keeps the requests that carry that facet, and the stats
 // then count those.
 func (s *server) handleFlightList(w http.ResponseWriter, r *http.Request) {
@@ -191,8 +186,8 @@ var facetAbsent = map[string]string{
 }
 
 // handleFlight serves one retained request, looked up by the
-// X-Request-Id the original response carried: its summary and span tree,
-// or with ?facet= one of the facets its summary names —
+// X-Request-Id the original response carried: its summary and spans, or
+// with ?facet= one of the facets its summary names —
 //
 //	decisions   the placement decision log and the final counters
 //	critpath    the blame ranking and communication critical path analyzed

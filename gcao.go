@@ -27,6 +27,7 @@ package gcao
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"sync"
 
 	"gcao/internal/ast"
@@ -93,16 +94,18 @@ func AnalyzeAttribution(run *AttrRun, model AttrCostModel) *AttrReport {
 	return attr.Analyze(run, model)
 }
 
-// Logger re-exports the leveled structured JSON event logger; attach
-// one via Config.Log to receive request-scoped pipeline events.
-type Logger = obs.Logger
+// Logger is the standard library's structured logger; attach one via
+// Config.Log to receive request-scoped pipeline events.
+type Logger = slog.Logger
 
-// LogLevel re-exports the logger severity scale.
-type LogLevel = obs.Level
+// LogLevel is its severity scale.
+type LogLevel = slog.Level
 
-// NewLogger builds a logger writing JSON event lines at or above min
-// to w.
-func NewLogger(w io.Writer, min LogLevel) *Logger { return obs.NewLogger(w, min) }
+// NewLogger builds a logger writing one JSON object a line — time, level,
+// msg, then the event's attributes — for events at or above min to w.
+func NewLogger(w io.Writer, min LogLevel) *Logger {
+	return slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: min}))
+}
 
 // Strategy selects a communication placement strategy.
 type Strategy int
@@ -171,7 +174,7 @@ type Config struct {
 	// metrics and decision logs, and simulator communication profiles
 	// for every operation on the resulting compilation.
 	Obs *Recorder
-	// Log, when non-nil, receives leveled structured JSON events from
+	// Log, when non-nil, receives leveled structured events from
 	// the pipeline (analysis/placement/simulation summaries at info,
 	// per-phase timings at debug). Events flow through the Obs
 	// recorder, so Log requires Obs to be set.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"log/slog"
 
 	"gcao/internal/asd"
 	"gcao/internal/ast"
@@ -185,10 +186,10 @@ func (s *Skeleton) Analyze(u *sem.Unit, rec *obs.Recorder) (*Analysis, error) {
 	rec.Add("analysis.entries", int64(len(a.Entries)))
 	rec.Add("analysis.comm_entries", int64(len(a.CommEntries())))
 	rec.Add("analysis.coalesced", int64(len(a.Entries)-len(a.CommEntries())))
-	rec.Event(obs.LevelInfo, "analysis.done",
-		obs.F("routine", u.Routine.Name),
-		obs.F("entries", len(a.Entries)),
-		obs.F("comm_entries", len(a.CommEntries())))
+	rec.Event(slog.LevelInfo, "analysis.done",
+		slog.String("routine", u.Routine.Name),
+		slog.Int("entries", len(a.Entries)),
+		slog.Int("comm_entries", len(a.CommEntries())))
 	return a, nil
 }
 

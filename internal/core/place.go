@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"log/slog"
 	"slices"
 	"sort"
 	"strconv"
@@ -225,11 +226,11 @@ func (a *Analysis) Place(opts Options) (*Result, error) {
 		rec.Add(prefix+name, n)
 	}
 	a.recordDecisions(rec, res)
-	rec.Event(obs.LevelInfo, "place.done",
-		obs.F("version", opts.Version.String()),
-		obs.F("entries", len(entries)),
-		obs.F("groups", len(res.Groups)),
-		obs.F("redundant", len(res.Redundant)))
+	rec.Event(slog.LevelInfo, "place.done",
+		slog.String("version", opts.Version.String()),
+		slog.Int("entries", len(entries)),
+		slog.Int("groups", len(res.Groups)),
+		slog.Int("redundant", len(res.Redundant)))
 	return res, nil
 }
 

@@ -42,6 +42,7 @@ package native
 
 import (
 	"fmt"
+	"log/slog"
 	"maps"
 	goruntime "runtime"
 	"sync"
@@ -160,13 +161,13 @@ func RunPooled(pool *sync.Pool, prog *plan.Program, procs int, rec *obs.Recorder
 		rec.Add(prefix+"alloc_bytes", st.AllocBytes)
 		rec.Add(prefix+"collectives", st.Collectives)
 		rec.Add(prefix+"barriers", st.Barriers)
-		rec.Event(obs.LevelInfo, "native.done",
-			obs.F("version", res.Version.String()),
-			obs.F("procs", procs),
-			obs.F("messages", st.Messages),
-			obs.F("bytes", st.Bytes),
-			obs.F("wire_bytes", st.WireBytes),
-			obs.F("seconds", st.ElapsedSeconds))
+		rec.Event(slog.LevelInfo, "native.done",
+			slog.String("version", res.Version.String()),
+			slog.Int("procs", procs),
+			slog.Int64("messages", st.Messages),
+			slog.Int64("bytes", st.Bytes),
+			slog.Int64("wire_bytes", st.WireBytes),
+			slog.Float64("seconds", st.ElapsedSeconds))
 	}
 	return out, nil
 }

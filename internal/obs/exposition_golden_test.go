@@ -27,12 +27,12 @@ func TestExpositionGolden(t *testing.T) {
 		{Name: "parse", DurUS: 120},
 		{Name: "place:comb", DurUS: 2500},
 		{Name: "parse", DurUS: 3_000_000},
+		{Name: "compile", DurUS: 3_200_000, Phase: true}, // a request phase: not exported
 	}
 	rec.Add("place.comb.entries", 20)
 	rec.Add("place.comb.groups", 8)
 	rec.Add("place.orig.groups", 18)
 	rec.Add("spmd.comb.bytes", 1_000_000)
-	rec.Gauge("comm.ratio", 0.4)
 	rec.SetAttribution(&attr.Run{
 		Version: "comb",
 		Procs:   4,
@@ -49,8 +49,6 @@ func TestExpositionGolden(t *testing.T) {
 	rec2.Add("place.comb.groups", 6)
 	rec2.Add("place.nored.groups", 14)
 	rec2.Add("spmd.nored.bytes", 123456)
-	rec2.Gauge("comm.ratio", 0.25)
-	rec2.Gauge("sim.shards", 2)
 	reg.Absorb(rec2, "ok")
 	reg.Absorb(nil, "error")
 

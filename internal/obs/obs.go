@@ -1,6 +1,7 @@
 // Package obs is the zero-dependency observability subsystem of the
 // compiler and simulator: a span recorder capturing wall time and
-// allocations for every pipeline phase, a named counter/gauge metrics
+// allocations for every pipeline phase (and, on a served request, the
+// request phases those spans run inside), a named counter metrics
 // registry, a structured per-entry placement decision log (the
 // machine-readable version of the paper's Fig. 6 trace annotations),
 // and a simulator run's records: its superstep stream (attr.Run, one
@@ -13,6 +14,8 @@
 package obs
 
 import (
+	"context"
+	"log/slog"
 	"runtime/metrics"
 	"sync"
 	"time"
@@ -21,7 +24,7 @@ import (
 	"gcao/internal/obs/attr"
 )
 
-// Span is one completed pipeline phase.
+// Span is one completed pipeline span or request phase.
 type Span struct {
 	Name string `json:"name"`
 	// StartUS and DurUS are microseconds relative to the recorder's
@@ -31,42 +34,46 @@ type Span struct {
 	// AllocBytes is the heap the whole process allocated while the span
 	// was open (cumulative allocation delta, not live bytes). It lags by
 	// what sits in the per-P allocation caches: small objects are counted
-	// when their span of memory is swapped out, large ones at once.
+	// when their span of memory is swapped out, large ones at once. A
+	// request phase does not measure it.
 	AllocBytes int64 `json:"alloc_bytes"`
-	// Depth is the nesting depth at which the span was opened.
+	// Depth is the nesting depth at which the span was opened: a request
+	// phase is 0 and the pipeline spans inside it start at 1.
 	Depth int `json:"depth"`
+	// Phase marks a request phase (see Recorder.Phase).
+	Phase bool `json:"phase,omitempty"`
+	// Attrs are a request phase's attributes (see Recorder.SetAttr).
+	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
 // Recorder accumulates spans, metrics, placement decisions and a
 // communication profile over one or more pipeline runs.
 type Recorder struct {
-	mu        sync.Mutex
-	epoch     time.Time
-	spans     []Span
-	depth     int
+	mu    sync.Mutex
+	epoch time.Time
+	spans []Span
+	depth int
+	// phase is the open request phase when inPhase is set.
+	phase     Span
+	inPhase   bool
 	counters  map[string]int64
-	gauges    map[string]float64
 	decisions []Decision
 	profile   *CommProfile
 	attrRun   *attr.Run
 	natProf   *prof.NativeProfile
-	log       *Logger
+	log       *slog.Logger
 	reqID     string
 }
 
 // New builds an empty recorder whose clock starts now.
 func New() *Recorder {
-	return &Recorder{
-		epoch:    time.Now(),
-		counters: map[string]int64{},
-		gauges:   map[string]float64{},
-	}
+	return &Recorder{epoch: time.Now(), counters: map[string]int64{}}
 }
 
-// SetLog attaches a structured event logger and a request id to the
-// recorder: every subsequent Event (and the debug event emitted when a
-// span ends) is written request-scoped. A nil logger detaches.
-func (r *Recorder) SetLog(l *Logger, reqID string) {
+// SetLog attaches a structured logger and a request id to the recorder:
+// every subsequent Event (and the debug event emitted when a span ends)
+// is written request-scoped. A nil logger detaches.
+func (r *Recorder) SetLog(l *slog.Logger, reqID string) {
 	if r == nil {
 		return
 	}
@@ -76,22 +83,82 @@ func (r *Recorder) SetLog(l *Logger, reqID string) {
 	r.reqID = reqID
 }
 
-// Event emits one structured log event through the attached logger
-// (no-op without one), prefixing the recorder's request id.
-func (r *Recorder) Event(lv Level, event string, fields ...Field) {
+// Event writes one log record through the attached logger (no-op
+// without one), the recorder's request id as its first attribute.
+func (r *Recorder) Event(lv slog.Level, msg string, attrs ...slog.Attr) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	l, id := r.log, r.reqID
 	r.mu.Unlock()
-	if !l.Enabled(lv) {
+	ctx := context.Background()
+	if l == nil || !l.Enabled(ctx, lv) {
 		return
 	}
 	if id != "" {
-		fields = append([]Field{F("req", id)}, fields...)
+		attrs = append([]slog.Attr{slog.String("req", id)}, attrs...)
 	}
-	l.Log(lv, event, fields...)
+	l.LogAttrs(ctx, lv, msg, attrs...)
+}
+
+// Phase ends the open request phase, if any, and opens the named one at
+// the same clock reading, so consecutive phases tile the request with no
+// gap: their durations sum to the time from the first one's start to the
+// last one's end. A served request opens "ingress" as its recorder is
+// made and its last phase ends with EndPhase; the pipeline spans started
+// meanwhile nest inside the phase they ran in.
+func (r *Recorder) Phase(name string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	now := time.Since(r.epoch).Microseconds()
+	if !r.endPhaseLocked(now) {
+		r.depth++
+	}
+	r.phase = Span{Name: name, StartUS: now, Phase: true}
+	r.inPhase = true
+}
+
+// EndPhase ends the open request phase, if any.
+func (r *Recorder) EndPhase() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.endPhaseLocked(time.Since(r.epoch).Microseconds()) {
+		r.depth--
+	}
+}
+
+func (r *Recorder) endPhaseLocked(nowUS int64) bool {
+	if !r.inPhase {
+		return false
+	}
+	r.phase.DurUS = nowUS - r.phase.StartUS
+	r.spans = append(r.spans, r.phase)
+	r.inPhase = false
+	return true
+}
+
+// SetAttr attaches a key/value attribute to the open request phase (a
+// repeated key overwrites); with no phase open it does nothing.
+func (r *Recorder) SetAttr(key, val string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.inPhase {
+		return
+	}
+	if r.phase.Attrs == nil {
+		r.phase.Attrs = map[string]string{}
+	}
+	r.phase.Attrs[key] = val
 }
 
 // SpanEnd closes a span opened by Start.
@@ -136,12 +203,9 @@ func (r *Recorder) Start(name string) SpanEnd {
 			AllocBytes: alloc,
 			Depth:      depth,
 		})
-		debug := r.log.Enabled(LevelDebug)
 		r.mu.Unlock()
-		if debug {
-			r.Event(LevelDebug, "phase.done",
-				F("phase", name), F("dur_us", dur.Microseconds()), F("alloc_bytes", alloc))
-		}
+		r.Event(slog.LevelDebug, "phase.done",
+			slog.String("phase", name), slog.Int64("dur_us", dur.Microseconds()), slog.Int64("alloc_bytes", alloc))
 	}
 }
 
@@ -165,16 +229,6 @@ func (r *Recorder) Add(name string, delta int64) {
 	r.counters[name] += delta
 }
 
-// Gauge sets a named gauge.
-func (r *Recorder) Gauge(name string, v float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gauges[name] = v
-}
-
 // Counter returns a counter's current value (0 when absent or nil).
 func (r *Recorder) Counter(name string) int64 {
 	if r == nil {
@@ -194,20 +248,6 @@ func (r *Recorder) Counters() map[string]int64 {
 	defer r.mu.Unlock()
 	out := make(map[string]int64, len(r.counters))
 	for k, v := range r.counters {
-		out[k] = v
-	}
-	return out
-}
-
-// Gauges returns a copy of all gauges.
-func (r *Recorder) Gauges() map[string]float64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]float64, len(r.gauges))
-	for k, v := range r.gauges {
 		out[k] = v
 	}
 	return out

@@ -5,16 +5,19 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
 	r.Start("phase")() // must not panic
+	r.Phase("ingress")
+	r.SetAttr("k", "v")
+	r.EndPhase()
 	r.Add("c", 1)
-	r.Gauge("g", 2)
 	r.AddDecision(Decision{Entry: 1})
 	r.SetProfile(NewCommProfile(2))
-	if r.Counter("c") != 0 || r.Counters() != nil || r.Gauges() != nil {
+	if r.Counter("c") != 0 || r.Counters() != nil {
 		t.Fatal("nil recorder retained state")
 	}
 	if r.Spans() != nil || r.Decisions() != nil || r.CommProfile() != nil {
@@ -68,16 +71,75 @@ func TestSpansNestAndMeasure(t *testing.T) {
 	}
 }
 
-func TestCountersAndGauges(t *testing.T) {
+// TestPhaseTiling pins the ledger property of request phases:
+// consecutive phases share boundaries exactly, so their durations sum to
+// the window from the first one's start to the last one's end. A pipeline
+// span opened inside a phase nests under it, and a phase keeps its
+// attributes.
+func TestPhaseTiling(t *testing.T) {
+	r := New()
+	r.SetAttr("lost", "no phase is open")
+	r.Phase("ingress")
+	time.Sleep(2 * time.Millisecond)
+	r.Phase("queue.wait")
+	time.Sleep(2 * time.Millisecond)
+	r.Phase("compile")
+	r.SetAttr("cache", "hit")
+	r.SetAttr("cache", "miss") // overwrite, not duplicate
+	end := r.Start("parse")
+	time.Sleep(2 * time.Millisecond)
+	end()
+	r.Phase("finalize")
+	r.EndPhase()
+	r.EndPhase() // idempotent
+	r.Start("after")()
+
+	var phases, pipeline []Span
+	for _, s := range r.Spans() {
+		if s.Phase {
+			phases = append(phases, s)
+		} else {
+			pipeline = append(pipeline, s)
+		}
+	}
+	if len(phases) != 4 || len(pipeline) != 2 {
+		t.Fatalf("phases %+v, pipeline spans %+v", phases, pipeline)
+	}
+	var sum int64
+	for i, p := range phases {
+		if p.Depth != 0 {
+			t.Errorf("phase %s at depth %d", p.Name, p.Depth)
+		}
+		sum += p.DurUS
+		if i > 0 {
+			prev := phases[i-1]
+			if prev.StartUS+prev.DurUS != p.StartUS {
+				t.Fatalf("gap between %s and %s: %d+%d != %d", prev.Name, p.Name, prev.StartUS, prev.DurUS, p.StartUS)
+			}
+		}
+	}
+	first, last := phases[0], phases[len(phases)-1]
+	if got := last.StartUS + last.DurUS - first.StartUS; sum != got {
+		t.Fatalf("phase sum %d != active window %d", sum, got)
+	}
+	compile, parse := phases[2], pipeline[0]
+	if compile.Name != "compile" || len(compile.Attrs) != 1 || compile.Attrs["cache"] != "miss" || phases[0].Attrs != nil {
+		t.Fatalf("attrs: %+v", phases)
+	}
+	if parse.Depth != 1 || parse.StartUS < compile.StartUS || parse.StartUS+parse.DurUS > compile.StartUS+compile.DurUS {
+		t.Fatalf("parse %+v does not nest in compile %+v", parse, compile)
+	}
+	if after := pipeline[1]; after.Depth != 0 {
+		t.Fatalf("a span after the last phase at depth %d", after.Depth)
+	}
+}
+
+func TestCounters(t *testing.T) {
 	r := New()
 	r.Add("x", 2)
 	r.Add("x", 3)
-	r.Gauge("ratio", 0.5)
 	if r.Counter("x") != 5 {
 		t.Fatalf("counter x = %d", r.Counter("x"))
-	}
-	if r.Gauges()["ratio"] != 0.5 {
-		t.Fatal("gauge lost")
 	}
 	// Counters() returns a copy.
 	r.Counters()["x"] = 99
@@ -122,8 +184,6 @@ func TestMetricsJSONDeterministic(t *testing.T) {
 		r := New()
 		r.Add("b", 2)
 		r.Add("a", 1)
-		r.Gauge("z", 1)
-		r.Gauge("y", 2)
 		r.AddDecision(Decision{Version: "comb", Entry: 0, Array: "u", Kind: "NNC", Outcome: OutcomePlaced, SubsumedBy: -1})
 		doc := r.Doc()
 		doc.Spans = nil // spans carry timings; exclude from determinism check

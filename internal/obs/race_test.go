@@ -3,12 +3,14 @@ package obs
 import (
 	"fmt"
 	"io"
+	"log/slog"
+	"strconv"
 	"sync"
 	"testing"
 )
 
 // TestRecorderConcurrency hammers one Recorder from many goroutines —
-// spans, counters, gauges, decisions, profiles, snapshots and exports
+// spans, request phases and their attributes, counters, decisions, profiles, snapshots and exports
 // all interleaved — so `go test -race` proves every access path is
 // guarded. The final totals double-check that no increments were lost
 // to unsynchronized map writes.
@@ -16,7 +18,7 @@ func TestRecorderConcurrency(t *testing.T) {
 	const workers = 16
 	const iters = 200
 	r := New()
-	r.SetLog(NewLogger(io.Discard, LevelDebug), "race")
+	r.SetLog(slog.New(slog.NewJSONHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelDebug})), "race")
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -26,9 +28,12 @@ func TestRecorderConcurrency(t *testing.T) {
 				end := r.Start(fmt.Sprintf("phase%d", w%4))
 				r.Add("shared", 1)
 				r.Add(fmt.Sprintf("worker.%d", w), 1)
-				r.Gauge("g", float64(i))
+				if i%50 == 0 {
+					r.Phase(fmt.Sprintf("phase.%d", i))
+				}
+				r.SetAttr("worker", strconv.Itoa(w))
 				r.AddDecision(Decision{Entry: i, SubsumedBy: -1, Group: -1})
-				r.Event(LevelDebug, "tick", F("i", i))
+				r.Event(slog.LevelDebug, "tick", slog.Int("i", i))
 				if i%16 == 0 {
 					p := NewCommProfile(2)
 					p.AddPair(0, 1, 8)
@@ -36,7 +41,6 @@ func TestRecorderConcurrency(t *testing.T) {
 				}
 				// Concurrent readers.
 				_ = r.Counters()
-				_ = r.Gauges()
 				_ = r.Spans()
 				_ = r.Counter("shared")
 				_ = r.CommProfile()
@@ -55,8 +59,17 @@ func TestRecorderConcurrency(t *testing.T) {
 	if got := len(r.Decisions()); got != workers*iters {
 		t.Fatalf("lost decisions: %d != %d", got, workers*iters)
 	}
-	if got := len(r.Spans()); got != workers*iters {
-		t.Fatalf("lost spans: %d != %d", got, workers*iters)
+	r.EndPhase()
+	pipeline, phases := 0, 0
+	for _, s := range r.Spans() {
+		if s.Phase {
+			phases++
+		} else {
+			pipeline++
+		}
+	}
+	if pipeline != workers*iters || phases != workers*iters/50 {
+		t.Fatalf("lost spans: %d pipeline spans, %d phases; want %d, %d", pipeline, phases, workers*iters, workers*iters/50)
 	}
 }
 

@@ -53,7 +53,6 @@ const (
 	famHTTPSeconds
 	famQueueWait
 	famPipelineCounter
-	famPipelineGauge
 	famPhaseSeconds
 	famPlacedMessages
 	famCommBytes
@@ -99,8 +98,6 @@ var families = [numFamilies]family{
 		help: "Scheduler admission-queue wait in seconds, all jobs."},
 	famPipelineCounter: {name: "gcao_pipeline_counter_total", typ: "counter", label: "name",
 		help: "Aggregated pipeline recorder counters, by dotted counter name."},
-	famPipelineGauge: {name: "gcao_pipeline_gauge", typ: "gauge", label: "name",
-		help: "Last written value of each pipeline recorder gauge, by name."},
 	famPhaseSeconds: {name: "gcao_phase_seconds", label: "phase", buckets: LatencyBuckets,
 		help: "Pipeline phase latency in seconds, by phase (span) name."},
 	famPlacedMessages: {name: "gcao_placed_messages", label: "version", buckets: CountBuckets,
@@ -197,7 +194,8 @@ var versions = []string{"orig", "nored", "comb"}
 
 // Absorb merges one request's recorder into the registry: the request
 // is counted under the given status, every counter is added, every
-// gauge overwrites, every span feeds the phase-latency histogram, and
+// pipeline span (not the request phases) feeds the phase-latency
+// histogram, and
 // the per-version placement/simulation counters feed the
 // placed-messages and bytes-moved histograms. A nil recorder only
 // counts the request.
@@ -208,27 +206,24 @@ func (g *Registry) Absorb(rec *Recorder, status string) {
 	var (
 		spans    []Span
 		counters map[string]int64
-		gauges   map[string]float64
 		attrRun  *attr.Run
 	)
 	if rec != nil {
 		spans = rec.Spans()
 		counters = rec.Counters()
-		gauges = rec.Gauges()
 		attrRun = rec.Attribution()
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.vals[famRequests][status]++
-	ctr, gau := g.vals[famPipelineCounter], g.vals[famPipelineGauge]
+	ctr := g.vals[famPipelineCounter]
 	for k, v := range counters {
 		ctr[k] += float64(v)
 	}
-	for k, v := range gauges {
-		gau[k] = v
-	}
 	for _, s := range spans {
-		g.hist(famPhaseSeconds, s.Name).Observe(float64(s.DurUS) / 1e6)
+		if !s.Phase {
+			g.hist(famPhaseSeconds, s.Name).Observe(float64(s.DurUS) / 1e6)
+		}
 	}
 	for _, v := range versions {
 		if n, ok := counters["place."+v+".groups"]; ok {

@@ -3,10 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"gcao/internal/native/prof"
 )
@@ -51,12 +51,14 @@ func TestHistogramDropsExplicitInf(t *testing.T) {
 
 func TestRegistryAbsorbAndRender(t *testing.T) {
 	rec := New()
+	rec.Phase("compile")
 	rec.Start("parse")()
+	rec.Phase("place")
 	rec.Start("place:comb")()
+	rec.EndPhase()
 	rec.Add("place.comb.entries", 20)
 	rec.Add("place.comb.groups", 8)
 	rec.Add("spmd.comb.bytes", 4096)
-	rec.Gauge("comm.ratio", 0.4)
 
 	reg := NewRegistry()
 	reg.Absorb(rec, "ok")
@@ -81,7 +83,6 @@ func TestRegistryAbsorbAndRender(t *testing.T) {
 		`gcao_requests_total{status="ok"} 1`,
 		`gcao_requests_total{status="error"} 1`,
 		`gcao_pipeline_counter_total{name="place.comb.groups"} 8`,
-		`gcao_pipeline_gauge{name="comm.ratio"} 0.4`,
 		`gcao_phase_seconds_bucket{phase="parse",le="+Inf"} 1`,
 		`gcao_phase_seconds_count{phase="parse"} 1`,
 		`gcao_placed_messages_bucket{version="comb",le="8"} 1`,
@@ -93,6 +94,10 @@ func TestRegistryAbsorbAndRender(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q\n%s", want, text)
 		}
+	}
+	// Request phases are the flight record's, not the phase histogram's.
+	if strings.Contains(text, `phase="compile"`) || strings.Contains(text, `phase="place"`) {
+		t.Errorf("request phases reached gcao_phase_seconds:\n%s", text)
 	}
 	// A second render with no new absorption is byte-identical
 	// (deterministic label order).
@@ -250,61 +255,12 @@ func TestCheckPromTextRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestLoggerLevelsAndBinding(t *testing.T) {
-	var buf bytes.Buffer
-	base := NewLogger(&buf, LevelInfo)
-	base.now = func() time.Time { return time.Unix(12, 0) }
-	l := base.With(F("req", "r1"))
-	l.Debug("dropped")
-	l.Info("kept", F("n", 3), F("arr", "cu"))
-	l.Error("boom", F("err", "bad"))
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("want 2 lines, got %d: %q", len(lines), buf.String())
-	}
-	var ev map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
-		t.Fatalf("line not JSON: %v", err)
-	}
-	if ev["level"] != "info" || ev["event"] != "kept" || ev["req"] != "r1" || ev["n"] != 3.0 {
-		t.Fatalf("event fields wrong: %v", ev)
-	}
-	if _, ok := ev["ts"]; !ok {
-		t.Fatal("event missing ts")
-	}
-	// Field order: bound fields lead, call fields follow, insertion order.
-	if !strings.Contains(lines[0], `"req":"r1","n":3,"arr":"cu"`) {
-		t.Fatalf("field order lost: %s", lines[0])
-	}
-	// Nil logger and detached recorder are inert.
-	var nilL *Logger
-	nilL.Info("x")
-	if nilL.With(F("a", 1)) != nil {
-		t.Fatal("nil With should stay nil")
-	}
-	if nilL.Enabled(LevelError) {
-		t.Fatal("nil logger enabled")
-	}
-}
-
-func TestParseLevel(t *testing.T) {
-	for s, want := range map[string]Level{"debug": LevelDebug, "info": LevelInfo, "warning": LevelWarn, "ERROR": LevelError} {
-		got, err := ParseLevel(s)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel accepted garbage")
-	}
-}
-
 func TestRecorderEventCarriesReqID(t *testing.T) {
 	var buf bytes.Buffer
 	rec := New()
-	rec.SetLog(NewLogger(&buf, LevelDebug), "req-9")
+	rec.SetLog(slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})), "req-9")
 	rec.Start("parse")() // emits phase.done at debug
-	rec.Event(LevelInfo, "place.done", F("groups", 4))
+	rec.Event(slog.LevelInfo, "place.done", slog.Int("groups", 4))
 	out := buf.String()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 2 {
@@ -315,19 +271,23 @@ func TestRecorderEventCarriesReqID(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("event not JSON: %v", err)
 		}
-		if ev["req"] != "req-9" {
-			t.Fatalf("event missing request id: %s", line)
+		if ev["req"] != "req-9" || ev["msg"] == nil || ev["time"] == nil || ev["level"] == nil {
+			t.Fatalf("event missing its request id or a standard key: %s", line)
 		}
+	}
+	// The request id is the first attribute, before the event's own.
+	if !strings.Contains(lines[1], `"msg":"place.done","req":"req-9","groups":4}`) {
+		t.Fatalf("attribute order lost: %s", lines[1])
 	}
 	// Detaching stops emission; nil recorder stays inert.
 	rec.SetLog(nil, "")
-	rec.Event(LevelError, "late")
+	rec.Event(slog.LevelError, "late")
 	if strings.Count(buf.String(), "\n") != 2 {
 		t.Fatal("detached recorder still logged")
 	}
 	var nilRec *Recorder
-	nilRec.SetLog(NewLogger(&buf, LevelDebug), "x")
-	nilRec.Event(LevelError, "x")
+	nilRec.SetLog(slog.New(slog.NewJSONHandler(&buf, nil)), "x")
+	nilRec.Event(slog.LevelError, "x")
 }
 
 func TestRegistryCacheFamilies(t *testing.T) {

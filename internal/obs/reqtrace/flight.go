@@ -56,11 +56,17 @@ func (f *Facets) names() []string {
 // Record is one completed request as retained by the flight recorder:
 // an identity block joinable against client logs (request id, trace
 // id), the outcome, a phase-duration summary, the names of the facets
-// it carries, the full span tree and the facets themselves.
+// it carries, the request's spans and the facets themselves.
 type Record struct {
 	ID      string `json:"id"`
 	TraceID string `json:"trace_id"`
-	Route   string `json:"route"`
+	// RemoteParent is the parent span id of the ingested traceparent,
+	// when the client sent one.
+	RemoteParent string `json:"remote_parent,omitempty"`
+	Route        string `json:"route"`
+	// Batch is the request id of the /compile/batch request an item
+	// came in.
+	Batch string `json:"batch,omitempty"`
 	// Status is the HTTP status code the response carried.
 	Status   int    `json:"status"`
 	Error    string `json:"error,omitempty"`
@@ -68,9 +74,10 @@ type Record struct {
 	// Cache is the compile-tier outcome (hit/miss/dedup) when known.
 	Cache  string `json:"cache,omitempty"`
 	UnixNS int64  `json:"unix_ns"`
-	// WallUS is the request's wall time; Phases sums the root span's
-	// direct children by name (queue.wait, compile, place, …) — the
-	// tiling discipline makes them account for the wall time.
+	// WallUS is the request's wall time, from its recorder's creation to
+	// the end of its last phase; Phases sums the request phases by name
+	// (queue.wait, compile, place, …) — they tile, so they account for
+	// the wall time. Add fills both in from Spans.
 	WallUS int64            `json:"wall_us"`
 	Phases map[string]int64 `json:"phases,omitempty"`
 	// Slow marks records that crossed the recorder's latency
@@ -78,11 +85,28 @@ type Record struct {
 	Slow bool `json:"slow,omitempty"`
 	// Facets names what Data holds; Add fills it in.
 	Facets []string `json:"facets,omitempty"`
-	// Trace is the full span tree. Listings drop it.
-	Trace *TraceDoc `json:"trace,omitempty"`
+	// Spans are the request's spans as its recorder held them when the
+	// request finished, in completion order: the request phases (Phase
+	// set, depth 0) and the pipeline spans that ran inside them. Listings
+	// drop them.
+	Spans []obs.Span `json:"spans,omitempty"`
 	// Data is never served with the record: one facet at a time is, by
 	// name.
 	Data *Facets `json:"-"`
+}
+
+// summarizePhases derives WallUS and Phases from the record's spans.
+func (r *Record) summarizePhases() {
+	for _, s := range r.Spans {
+		if !s.Phase {
+			continue
+		}
+		if r.Phases == nil {
+			r.Phases = map[string]int64{}
+		}
+		r.Phases[s.Name] += s.DurUS
+		r.WallUS = max(r.WallUS, s.StartUS+s.DurUS)
+	}
 }
 
 // Has reports whether the record carries the named facet.
@@ -92,7 +116,7 @@ func (r *Record) Has(facet string) bool { return slices.Contains(r.Facets, facet
 // records plus a second, longer-lived store for requests that were
 // slow (wall time at or above the threshold) or errored (status >=
 // 400). The main ring answers "what just happened"; the slow store
-// keeps the interesting requests around — span tree, facets and all —
+// keeps the interesting requests around — spans, facets and all —
 // while healthy traffic churns the ring.
 type FlightRecorder struct {
 	mu     sync.Mutex
@@ -113,13 +137,14 @@ func NewFlightRecorder(n, nSlow int, thresh time.Duration) *FlightRecorder {
 	return &FlightRecorder{recs: ring.New[Record](n), slow: ring.New[Record](nSlow), thresh: thresh}
 }
 
-// Add retains one completed request. The record lands in the main
-// ring always, and additionally in the slow store when it was slow or
-// errored.
+// Add retains one completed request, summarizing its spans and naming
+// its facets. The record lands in the main ring always, and additionally
+// in the slow store when it was slow or errored.
 func (f *FlightRecorder) Add(rec Record) {
 	if f == nil {
 		return
 	}
+	rec.summarizePhases()
 	rec.Facets = rec.Data.names()
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -154,7 +179,7 @@ func (f *FlightRecorder) Get(id string) (Record, bool) {
 	return Record{}, false
 }
 
-// List returns up to limit summaries (no span tree, no facet data) of
+// List returns up to limit summaries (no spans, no facet data) of
 // each store, newest first, and the recorder's stats, all of one
 // instant; limit <= 0 returns every summary. A non-empty has keeps only
 // the records that carry that facet, and the stats' Recent and
@@ -188,7 +213,7 @@ func summarize(recs *ring.Ring[Record], limit int, has string) ([]Record, int) {
 		matched++
 		if len(out) < limit {
 			sum := *rec
-			sum.Trace, sum.Data = nil, nil
+			sum.Spans, sum.Data = nil, nil
 			out = append(out, sum)
 		} else if has == "" {
 			return out, n // nothing is filtered: the rest match too

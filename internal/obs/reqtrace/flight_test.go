@@ -13,12 +13,12 @@ import (
 	"gcao/internal/obs/attr"
 )
 
+// rec is a request of wall time wallUS: one compile phase, and a parse
+// span inside it.
 func rec(id string, wallUS int64, status int) Record {
 	return Record{
-		ID: id, TraceID: id + "-trace", Route: "/compile",
-		Status: status, WallUS: wallUS,
-		Phases: map[string]int64{"compile": wallUS},
-		Trace:  &TraceDoc{TraceID: id + "-trace", Root: SpanDoc{Name: "http.compile", DurUS: wallUS}},
+		ID: id, TraceID: id + "-trace", Route: "/compile", Status: status,
+		Spans: []obs.Span{{Name: "parse", DurUS: wallUS / 2, Depth: 1}, {Name: "compile", DurUS: wallUS, Phase: true}},
 	}
 }
 
@@ -45,15 +45,15 @@ func TestFlightRingEvictionAndLookup(t *testing.T) {
 		t.Fatal("evicted record still resolvable")
 	}
 	got, ok := f.Get("r4")
-	if !ok || got.Trace == nil || got.Trace.Root.Name != "http.compile" {
-		t.Fatalf("r4 = %+v ok=%v", got, ok)
+	if !ok || len(got.Spans) != 2 || got.WallUS != 10 || len(got.Phases) != 1 || got.Phases["compile"] != 10 {
+		t.Fatalf("r4 = %+v ok=%v, want its spans and their phase summary", got, ok)
 	}
 	ids := recentList(f, 0)
 	if len(ids) != 3 || ids[0].ID != "r4" || ids[2].ID != "r2" {
 		t.Fatalf("recent = %+v", ids)
 	}
-	if ids[0].Trace != nil {
-		t.Fatal("listing leaked the full span tree")
+	if ids[0].Spans != nil || ids[0].Phases == nil {
+		t.Fatal("listing leaked the spans or lost the phase summary")
 	}
 	if lim := recentList(f, 2); len(lim) != 2 || lim[0].ID != "r4" {
 		t.Fatalf("limited recent = %+v", lim)
@@ -269,7 +269,7 @@ func TestFlightConcurrentWraparound(t *testing.T) {
 // store keeps the records carrying the facet, newest first, the stats
 // count every such record — not the store's occupancy, and not what the
 // limit let through — and a summary names its facets but carries neither
-// the span tree nor the facet data. The record the slow store keeps
+// the spans nor the facet data. The record the slow store keeps
 // shares its facets with the ring's.
 func TestFlightListHasFacet(t *testing.T) {
 	f := NewFlightRecorder(8, 8, 0)
@@ -300,8 +300,8 @@ func TestFlightListHasFacet(t *testing.T) {
 		var ids []string
 		for _, r := range got {
 			ids = append(ids, r.ID)
-			if r.Trace != nil || r.Data != nil {
-				t.Errorf("List(%d, %q): summary %s carries its span tree or facet data", tc.limit, tc.has, r.ID)
+			if r.Spans != nil || r.Data != nil {
+				t.Errorf("List(%d, %q): summary %s carries its spans or facet data", tc.limit, tc.has, r.ID)
 			}
 		}
 		if strings.Join(ids, " ") != tc.want || st.Recent != tc.recent || st.SlowRetained != tc.slow || len(slow) != 1 {

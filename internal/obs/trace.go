@@ -138,14 +138,13 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 	return enc.Encode(f)
 }
 
-// MetricsDoc is the JSON document WriteMetrics emits: every counter
-// and gauge, the placement decision log, a simulated run's
+// MetricsDoc is the JSON document WriteMetrics emits: every counter,
+// the placement decision log, a simulated run's
 // communication profile and superstep stream, a profiled native run's
-// profile, and the raw spans. encoding/json sorts map keys, so the
+// profile, and the raw spans (request phases included). encoding/json sorts map keys, so the
 // output is deterministic.
 type MetricsDoc struct {
 	Counters   map[string]int64    `json:"counters"`
-	Gauges     map[string]float64  `json:"gauges,omitempty"`
 	Decisions  []Decision          `json:"decisions,omitempty"`
 	Profile    *CommProfile        `json:"profile,omitempty"`
 	Attr       *attr.Run           `json:"attr,omitempty"`
@@ -160,7 +159,6 @@ func (r *Recorder) Doc() MetricsDoc {
 	}
 	return MetricsDoc{
 		Counters:   r.Counters(),
-		Gauges:     r.Gauges(),
 		Decisions:  r.Decisions(),
 		Profile:    r.CommProfile(),
 		Attr:       r.Attribution(),

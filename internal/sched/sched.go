@@ -39,14 +39,6 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return "sched: task panicked: " + e.Value }
 
-// Recovered wraps what a deferred recover() returned, with the stack of
-// the goroutine it is called on. The pool calls it for its workers; a
-// task that starts goroutines of its own calls it for those, which no
-// recover on the worker can reach.
-func Recovered(r any) *PanicError {
-	return &PanicError{Value: fmt.Sprint(r), Stack: debug.Stack()}
-}
-
 // Task is one unit of work; the context carries the request deadline.
 type Task func(ctx context.Context) (any, error)
 
@@ -159,7 +151,7 @@ func (p *Pool) run(j *job) {
 func (j *job) call() (v any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			v, err = nil, Recovered(r)
+			v, err = nil, &PanicError{Value: fmt.Sprint(r), Stack: debug.Stack()}
 		}
 	}()
 	return j.fn(j.ctx)

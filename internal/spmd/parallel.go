@@ -19,6 +19,7 @@ package spmd
 
 import (
 	"fmt"
+	"log/slog"
 	goruntime "runtime"
 	"slices"
 	"sync"
@@ -368,12 +369,12 @@ func (eng *Engine) finishProfile(rec *obs.Recorder) {
 	rec.Add(prefix+"messages", int64(eng.led.DynMessages))
 	rec.Add(prefix+"bytes", int64(eng.led.BytesMoved))
 	rec.Add(prefix+"barriers", int64(eng.led.Barriers))
-	rec.Event(obs.LevelInfo, "simulate.done",
-		obs.F("version", version),
-		obs.F("procs", eng.led.P),
-		obs.F("messages", eng.led.DynMessages),
-		obs.F("bytes", eng.led.BytesMoved),
-		obs.F("barriers", eng.led.Barriers))
+	rec.Event(slog.LevelInfo, "simulate.done",
+		slog.String("version", version),
+		slog.Int("procs", eng.led.P),
+		slog.Int("messages", eng.led.DynMessages),
+		slog.Int("bytes", eng.led.BytesMoved),
+		slog.Int("barriers", eng.led.Barriers))
 }
 
 // ---------------------------------------------------------------------
