@@ -133,8 +133,9 @@ obs-smoke:
 # Fig. 10(a) routines × 3 versions × P ∈ {4, 16}), the split-phase SUM
 # edge cases (gather at the statement, settle at the global-sum group,
 # engine reuse after a run failed between the two) and the profiler's
-# attribution of both SUM legs to the group's step, then what a warm
-# plane rests on: a translated exchange
+# attribution of both SUM legs to the group's step, the bytes of an
+# engine's image of local boxes (TestImageBytes) and a read past a box
+# reported stale, never aliased, then what a warm plane rests on: a translated exchange
 # schedule against one rebuilt from scratch (the rule in runtime, the
 # schedules of the six Fig. 10(a) routines in plan, the pinned replay
 # shares), Reset against a new memory after random operations, and the
@@ -154,7 +155,7 @@ native-smoke:
 	@n=$$(grep -c 'native ok, bit-identical to simulator' out/native-smoke.txt); \
 	[ "$$n" -ge 6 ] || { echo "native-smoke: only $$n of 6 benchmarks verified"; exit 1; }
 	$(GO) test ./internal/native -run 'TestNativeMatchesSimulator|TestNativeOversubscription|TestReusedEngineMatchesFresh|TestNativeLocalizationEdgeCases/(mod|mixed)' -count=1
-	$(GO) test ./internal/native -run 'TestNativeTrafficGolden|TestNativeSplitSumEdgeCases|TestNativeReuseAfterFailedSplitSum|TestNativeProfileSumAttribution' -count=1
+	$(GO) test ./internal/native -run 'TestNativeTrafficGolden|TestNativeSplitSumEdgeCases|TestNativeReuseAfterFailedSplitSum|TestNativeProfileSumAttribution|TestImageBytes|TestStaleReadOutsideLocalBox' -count=1
 	$(GO) test ./internal/runtime -run 'TestStripShiftMatchesRebuild|TestGhostHullUnderRandomOperations|TestBulkOperationsDoNotAllocate' -count=1
 	$(GO) test ./internal/plan -run 'TestModMatchesMathMod|TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt|TestScheduleKeyHoldsBoundBits' -count=1
 	$(GO) test -race ./internal/native -run 'TestSharedProgramConcurrentEngines' -count=1
@@ -230,12 +231,15 @@ compile-smoke:
 # measured allocs/op, where the revision that scanned whole sections
 # into per-call pair maps spent 10 300 — a bulk memory operation that
 # allocates per call again is a regression long before it shows in
-# milliseconds.
+# milliseconds. The image the simulator rebuilds per run is its
+# processors' local boxes: TestImageBytes pins its bytes, and a read past
+# a box must be a stale read, never another element's value.
 sim-smoke:
 	@mkdir -p out
 	$(GO) test ./internal/spmd -run 'TestLedgerGolden' -count=1
 	$(GO) test ./internal/runtime -run 'TestStripMatchesElementScan|TestOwnerRunsMatchElementScan|TestBulkOperationsDoNotAllocate' -count=1
 	$(GO) test ./internal/plan -run 'TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt' -count=1
+	$(GO) test ./internal/native -run 'TestImageBytes|TestStaleReadOutsideLocalBox' -count=1
 	$(GO) test -race ./internal/spmd -run 'TestParallelMatchesSequential' -count=1
 	$(GO) test -race ./internal/native -run 'TestSharedProgramConcurrentEngines' -count=1
 	@GO="$(GO)" sh ci/alloc-budget.sh 'BenchmarkSimVerify/j1$$' ci/sim-alloc-budget.txt sim-smoke

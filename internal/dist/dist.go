@@ -109,8 +109,8 @@ func (g Grid) CoordsInto(pid int, c []int) []int {
 // PID converts grid coordinates back to a linear processor id.
 func (g Grid) PID(coords []int) int {
 	if len(coords) != len(g.Shape) {
-		// Unreachable from input: Owner and plan's ArrayRef.Owner size
-		// coords by the rank of the distribution's grid.
+		// Unreachable from input: Owner sizes coords by the rank of the
+		// distribution's grid.
 		panic("dist: PID: coordinate rank mismatch")
 	}
 	id := 0
@@ -237,8 +237,8 @@ func (d *Dist) OwnerDim(i, x int) int {
 // Owner returns the linear processor id owning the element at idx.
 func (d *Dist) Owner(idx []int) int {
 	if len(idx) != d.Rank() {
-		// Unreachable from input: the lowered program never calls Owner;
-		// runtime.Memory's element accessors, its callers, serve tests.
+		// Unreachable from input: the lowered program never calls Owner
+		// (runtime's ownership tables answer it); tests do.
 		panic("dist: Owner: rank mismatch")
 	}
 	coords := make([]int, d.Grid.Rank())

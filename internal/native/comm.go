@@ -298,9 +298,9 @@ func (pc *proc) shiftExchange(op *plan.CommOp) error {
 		bits := pc.bitbuf[:0]
 		n := 0
 		for _, e := range sch.Ents {
-			data, valid := e.Am.Data[pc.p], e.Am.Valid[pc.p]
+			data, valid, base := e.Am.Data[pc.p], e.Am.Valid[pc.p], e.Off-e.Am.Base(pc.p)
 			for _, r := range e.Send {
-				at := r.Off + e.Off
+				at := r.Off + base
 				for i, ok := range valid[at : at+r.N] {
 					if n%64 == 0 {
 						bits = append(bits, 0)
@@ -344,9 +344,9 @@ func (pc *proc) shiftExchange(op *plan.CommOp) error {
 		k, vpos := 0, 0
 		for _, e := range sch.Ents {
 			e.Am.Delivered(pc.p, section.Section{Dims: e.Ghost})
-			data, valid := e.Am.Data[pc.p], e.Am.Valid[pc.p]
+			data, valid, base := e.Am.Data[pc.p], e.Am.Valid[pc.p], e.Off-e.Am.Base(pc.p)
 			for _, r := range e.Recv {
-				for i := r.Off + e.Off; i < r.Off+e.Off+r.N; i++ {
+				for i := r.Off + base; i < r.Off+base+r.N; i++ {
 					if k < n && math.Float64bits(words[k/64])&(1<<uint(k%64)) != 0 {
 						data[i], valid[i] = buf[vpos], true
 						vpos++
@@ -449,6 +449,7 @@ func (pc *proc) packOwned(am *runtime.ArrayMem, sec section.Section) {
 	clear(cnt)
 	am.OwnerRuns(sec, pc.fr.Scratch, func(o, off, n int) {
 		if o == pc.p {
+			off -= am.Base(o)
 			mine = append(mine, am.Data[o][off:off+n]...)
 		}
 		if pc.p == 0 {
@@ -495,10 +496,13 @@ func (pc *proc) bcastGather(op *plan.CommOp) error {
 			return err
 		}
 
-		k := 0
+		// The arrays a broadcast or general group delivers into keep their
+		// declared extents (plan.Lower), so every local box holds sec.
+		k, base := 0, am.Base(pc.p)
 		am.Delivered(pc.p, sec)
 		am.OwnerRuns(sec, pc.fr.Scratch, func(o, off, n int) {
 			if o != pc.p {
+				off -= base
 				copy(am.Data[pc.p][off:off+n], full[k:k+n])
 				for i := off; i < off+n; i++ {
 					am.Valid[pc.p][i] = true

@@ -1,10 +1,13 @@
 package native_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
 	goruntime "runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -15,6 +18,8 @@ import (
 	"gcao/internal/obs"
 	"gcao/internal/plan"
 	"gcao/internal/runtime"
+	"gcao/internal/section"
+	"gcao/internal/sem"
 	"gcao/internal/spmd"
 )
 
@@ -249,5 +254,133 @@ func TestSharedProgramConcurrentEngines(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
+	}
+}
+
+// imageBytes sums the data and validity planes of a memory image.
+func imageBytes(mem *runtime.Memory) int {
+	n := 0
+	for _, am := range mem.Arrays {
+		for p := range am.Data {
+			n += 8*len(am.Data[p]) + len(am.Valid[p])
+		}
+	}
+	return n
+}
+
+// declaredBytes is what the image of a unit on p processors takes at
+// declared extents: P planes of every distributed array, one of every
+// replicated one.
+func declaredBytes(u *sem.Unit, p int) int {
+	n := 0
+	for _, arr := range u.Arrays {
+		copies := p
+		if arr.Dist == nil {
+			copies = 1
+		}
+		n += 9 * arr.Size() * copies
+	}
+	return n
+}
+
+// TestImageBytes pins the memory image of one engine of each backend — the
+// data and validity planes of every array — for the programs of the
+// repository benchmark's three execution workloads at P=16: a processor
+// holds its local box of each distributed array, its block and overlap
+// region (§4.8), not the whole array (declaredBytes).
+func TestImageBytes(t *testing.T) {
+	for _, tc := range []struct {
+		bench, routine  string
+		params          map[string]int
+		bytes, declared int
+	}{
+		{"hydflo", "flux", map[string]int{"n": 16, "steps": 4}, 1207872, 8398080},
+		{"gravity", "main", map[string]int{"nx": 48, "ny": 48, "nz": 48, "steps": 1}, 1424448, 16920576},
+		{"shallow", "main", map[string]int{"n": 16, "steps": 40}, 70992, 606528},
+	} {
+		pr, err := bench.ByName(tc.bench, tc.routine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := placeSrc(t, pr.Source, tc.params, 16)
+		nat, err := native.Run(res, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := spmd.RunParallelObs(res, machine.SP2(), 16, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		declared := declaredBytes(res.Analysis.Unit, 16)
+		t.Logf("%s/%s %v P=16: %d image bytes an engine, %d at declared extents (%.1fx)",
+			tc.bench, tc.routine, tc.params, imageBytes(nat.Mem), declared, float64(declared)/float64(imageBytes(nat.Mem)))
+		for name, mem := range map[string]*runtime.Memory{"native": nat.Mem, "simulator": sim.Mem} {
+			if got := imageBytes(mem); got != tc.bytes {
+				t.Errorf("%s/%s: a %s engine's image is %d bytes, want %d", tc.bench, tc.routine, name, got, tc.bytes)
+			}
+		}
+		if declared != tc.declared {
+			t.Errorf("%s/%s: %d bytes at declared extents, want %d", tc.bench, tc.routine, declared, tc.declared)
+		}
+	}
+}
+
+// stateHash is the FNV-64a of a final state: every array's owner values
+// in declaration and row-major order, read in place, then the scalars in
+// name order.
+func stateHash(mem *runtime.Memory, scalars map[string]float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	for _, name := range mem.Unit.ArrayNames {
+		am := mem.View(name)
+		am.OwnerRuns(section.Whole(am.Arr.Lo, am.Arr.Hi), runtime.NewScratch(am.Arr.Rank()), func(o, off, n int) {
+			for _, v := range am.Data[o][off-am.Base(o):][:n] {
+				put(v)
+			}
+		})
+	}
+	names := make([]string, 0, len(scalars))
+	for name := range scalars {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		h.Write([]byte(name))
+		put(scalars[name])
+	}
+	return h.Sum64()
+}
+
+// TestNativeGravityPaperSize runs gravity natively at n=256 on P=64, a
+// size of the paper's runs: P planes of every array would take 9.7 GB,
+// more than the machines this suite runs on hold, where local boxes take
+// 0.17 GB. The final state equals a P=1 simulator run's bit for bit.
+func TestNativeGravityPaperSize(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("a 256³ field on 64 processors and once more on one")
+	}
+	pr, err := bench.ByName("gravity", "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]int{"nx": 256, "ny": 256, "nz": 256, "steps": 1}
+	ref, err := spmd.RunParallel(placeSrc(t, pr.Source, params, 1), machine.SP2(), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := stateHash(ref.Mem, ref.Scalars)
+	ref = nil
+	res := placeSrc(t, pr.Source, params, 64)
+	got, err := native.Run(res, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("gravity n=256 P=64: %d image bytes, %d at declared extents; %d messages", imageBytes(got.Mem), declaredBytes(res.Analysis.Unit, 64), got.Stats.Messages)
+	if sum := stateHash(got.Mem, got.Scalars); sum != want {
+		t.Errorf("final state %016x, the P=1 simulator's %016x", sum, want)
 	}
 }

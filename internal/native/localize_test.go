@@ -3,6 +3,7 @@ package native_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"regexp"
 	goruntime "runtime"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"gcao/internal/refeval"
 	"gcao/internal/runtime"
 	"gcao/internal/sem"
+	"gcao/internal/spmd"
 )
 
 func placeSrc(t *testing.T, src string, params map[string]int, procs int) *core.Result {
@@ -570,6 +572,75 @@ end
 	}
 	if at := "native: processor 0 at 13:1: "; !strings.HasPrefix(err.Error(), at) {
 		t.Errorf("error %q is not positioned %q", err, at)
+	}
+}
+
+// beyondMargin reads a three columns ahead and one behind, the columns
+// descending: at P=2 processor 0 owns columns 1-8 and its first read past
+// them, a(2, 11), lies two columns beyond the one-column margin the
+// exchange of a(i, j - 1) leaves room for once the exchange of a(i, j + 3)
+// is dropped. %s is the loop body: a pure nest, or one a scalar store
+// keeps on the closure tree.
+const beyondMargin = `
+routine r(n)
+real a(n, n), b(n, n)
+real x
+!hpf$ distribute (*, block) :: a, b
+do i = 1, n
+do j = 1, n
+a(i, j) = i * 100 + j
+b(i, j) = 0
+enddo
+enddo
+do i = 2, n - 1
+do j = n - 3, 2, -1
+%s
+enddo
+enddo
+end
+`
+
+// TestStaleReadOutsideLocalBox: a read that lands outside the reader's
+// local box — past the widest exchange into the array, which a placement
+// that dropped the wider one leaves — is a stale read naming the global
+// index, on both backends, on the hoisted path of a pure nest and on the
+// closure tree alike. It never reads the element its offset would wrap
+// to in the next row of the plane, which the reader owns.
+func TestStaleReadOutsideLocalBox(t *testing.T) {
+	for _, tc := range []struct{ name, body string }{
+		{"hoisted", "b(i, j) = a(i, j - 1) + a(i, j + 3)"},
+		{"closure-tree", "x = j\nb(i, j) = a(i, j - 1) + a(i, j + 3)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := placeSrc(t, fmt.Sprintf(beyondMargin, tc.body), map[string]int{"n": 16}, 2)
+			if _, err := native.Run(res, 2); err != nil {
+				t.Fatalf("the whole placement: %v", err)
+			}
+			kept := res.Groups[:0:0]
+			for _, g := range res.Groups {
+				if g.Kind != core.KindShift || g.Map.Width != 3 {
+					kept = append(kept, g)
+				}
+			}
+			if len(kept) != len(res.Groups)-1 || len(kept) == 0 {
+				t.Fatalf("%d of %d groups kept, want all but the exchange of width 3", len(kept), len(res.Groups))
+			}
+			res.Groups = kept
+			if w := plan.Lower(res).Plan.Layout.Array("a"); w.Strides[0] != 10 {
+				t.Fatalf("a's planes are %d columns wide, want the 8 of a block and a column of margin on each side", w.Strides[0])
+			}
+			_, nerr := native.Run(res, 2)
+			_, serr := spmd.RunParallelObs(res, machine.SP2(), 2, 1, nil)
+			for name, err := range map[string]error{"native": nerr, "simulator": serr} {
+				var stale *runtime.StaleReadError
+				if !errors.As(err, &stale) {
+					t.Fatalf("%s: run returned %v, want a *runtime.StaleReadError", name, err)
+				}
+				if want := (runtime.StaleReadError{Proc: 0, Array: "a", Index: []int{2, 11}}); !reflect.DeepEqual(*stale, want) {
+					t.Errorf("%s: stale read %+v, want %+v", name, *stale, want)
+				}
+			}
+		})
 	}
 }
 

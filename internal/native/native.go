@@ -1,8 +1,9 @@
 // Package native executes a placed program as real concurrent
 // goroutines — one per logical processor — instead of simulating it
-// under the BSP cost model. Each goroutine owns its processor's row of
-// every distributed array (the same per-processor memory image package
-// runtime gives the simulator) and the placed communication groups are
+// under the BSP cost model. Each goroutine owns its processor's plane of
+// every distributed array, over its local box (the same per-processor
+// memory image package runtime gives the simulator), and the placed
+// communication groups are
 // realized as actual channel transfers: ghost-strip exchanges as
 // neighbour sends with packed validity bitmaps, broadcasts, gathers
 // and distributed SUMs as binomial-tree collectives rooted at
@@ -639,7 +640,7 @@ func (pc *proc) settle(st *plan.Stmt) error {
 	}
 
 	am := fr.View(st.LHS.Lay)
-	off := st.LHS.Offset(fr)
+	off, in := st.LHS.Offset(fr, pc.p)
 	if fr.Err != nil {
 		return pc.evalErr()
 	}
@@ -657,18 +658,20 @@ func (pc *proc) settle(st *plan.Stmt) error {
 			return err
 		}
 		if pc.p == 0 {
-			am.StoreOwner(off, 0, v)
+			am.StoreOwner(off, 0, v) // a replicated array's plane is every processor's
 		}
 		return pc.barrier()
 	}
 
 	// Owner-computes: the owner evaluates from its own rows and stores
-	// into its own row; every other processor kills its stale copy in
-	// its own validity plane (same program point, own row only — no
-	// cross-row writes anywhere). An unguarded statement runs only on
-	// iterations this processor owns.
+	// into its own row; every other processor kills its stale copy, if its
+	// local box holds one, in its own validity plane (same program point,
+	// own row only — no cross-row writes anywhere). An unguarded statement
+	// runs only on iterations this processor owns.
 	if st.Guard && st.LHS.Owner(fr) != pc.p {
-		am.Valid[pc.p][off] = false
+		if in {
+			am.Valid[pc.p][off] = false
+		}
 		return nil
 	}
 	v := st.RHS(fr)

@@ -7,6 +7,7 @@ import (
 	"gcao/internal/core"
 	"gcao/internal/machine"
 	"gcao/internal/runtime"
+	"gcao/internal/section"
 	"gcao/internal/spmd"
 )
 
@@ -32,10 +33,10 @@ func VerifyAgainstSimulator(res *core.Result, m machine.Machine, procs int) erro
 
 // Diff compares a native result against a simulator result bit for bit
 // (math.Float64bits equality, NaN pairs forgiven): every array's
-// canonical (owner-assembled) image, every processor's validity plane
-// of it (which copies are current is part of the state: it decides
-// what later exchanges carry and which reads are stale), then the
-// replicated scalars. It returns an error naming the first difference,
+// canonical (owner-assembled) image, every processor's validity of each
+// element either local box holds, in global coordinates (which copies
+// are current is part of the state: it decides what later exchanges
+// carry and which reads are stale), then the replicated scalars. It returns an error naming the first difference,
 // or the first valid copy either image holds outside the ghost hull that
 // invalidation relies on.
 func Diff(nat *RunResult, sim *spmd.RunResult) error {
@@ -58,11 +59,11 @@ func Diff(nat *RunResult, sim *spmd.RunResult) error {
 		}
 		nm, sm := nat.Mem.View(name), sim.Mem.View(name)
 		for p := range nm.Valid {
-			for off, ok := range nm.Valid[p] {
-				if ok != sm.Valid[p][off] {
-					return fmt.Errorf("native: array %q validity differs on processor %d at flat index %d: native %v vs simulator %v",
-						name, p, off, ok, sm.Valid[p][off])
-				}
+			if err := sameValidity(name, p, nm, sm, "native", "simulator"); err != nil {
+				return err
+			}
+			if err := sameValidity(name, p, sm, nm, "simulator", "native"); err != nil {
+				return err
 			}
 		}
 	}
@@ -72,6 +73,26 @@ func Diff(nat *RunResult, sim *spmd.RunResult) error {
 		}
 	}
 	return nil
+}
+
+// sameValidity compares processor p's validity of every element a's
+// local box holds with b's of the same element, which is invalid where
+// b's local box does not hold it.
+func sameValidity(name string, p int, a, b *runtime.ArrayMem, an, bn string) error {
+	var err error
+	lo, hi := make([]int, a.Arr.Rank()), make([]int, a.Arr.Rank())
+	for k := range lo {
+		lo[k], hi[k] = a.LocalBox(p, k)
+	}
+	section.Whole(lo, hi).Elems(func(ix []int) bool {
+		off, _ := a.Local(p, ix)
+		other, in := b.Local(p, ix)
+		if got, want := a.Valid[p][off], in && b.Valid[p][other]; got != want {
+			err = fmt.Errorf("native: array %q validity differs on processor %d at %v: %s %v vs %s %v", name, p, ix, an, got, bn, want)
+		}
+		return err == nil
+	})
+	return err
 }
 
 // sameBits is bit equality with the one forgiveness VerifyAgainst-

@@ -9,14 +9,16 @@ import (
 )
 
 // Schedule is the geometry of one exchange on one processor: per entry,
-// in wire order, the runs of its plane that the strip it sends to Dst is
-// packed from and the strip it receives from Src is unpacked into (Dst
-// and Src are the op's Neighbors, -1 past the grid's edge and Dst on a
-// receive-only schedule), as ArrayLayout.StripRuns enumerated them when
-// the slots the sections read held what key records. A strip is a
-// function of (section, sender), so a time loop replays the lists; where
-// the slots moved every section rigidly (gravity's planes) translate
-// moves the lists with the strips; else build.
+// in wire order, the runs that the strip it sends to Dst is packed from
+// and the strip it receives from Src is unpacked into (Dst and Src are
+// the op's Neighbors, -1 past the grid's edge and Dst on a receive-only
+// schedule), as ArrayLayout.StripRuns enumerated them when the slots the
+// sections read held what key records. A run is in the planes' shared
+// stride space, once for both ends: each reads or writes its own plane at
+// the offset less its ArrayLayout.Base. A strip is a function of
+// (section, sender), so a time loop replays the lists; where the slots
+// moved every section rigidly (gravity's planes) translate moves the
+// lists with the strips; else build.
 type Schedule struct {
 	Dst, Src   int
 	Ents       []SchedEntry
@@ -37,7 +39,8 @@ type SchedEntry struct {
 	Ghost, at  []section.Dim
 }
 
-// StripRun is one run of a strip: N consecutive flat offsets from Off.
+// StripRun is one run of a strip: N consecutive offsets of the stride
+// space from Off.
 type StripRun struct{ Off, N int }
 
 // Schedules holds a schedule per (processor, exchange), in storage

@@ -53,8 +53,8 @@ func (lp *Loop) BoxShape(fr *Frame) (rows, n int) {
 // frame's last entry of the nest that verified was made by the same
 // processor with the same values in the slots the nest reads.
 func (n *Nest) Verified(fr *Frame) bool {
-	key := fr.memo[n.memo : n.memo+1+len(n.slots)]
-	return key[0] == fr.P+1 && fr.Unchanged(n.slots, slices.Clone(key[1:]))
+	key := fr.memo[n.memo : n.memo+2+len(n.slots)]
+	return key[0] == fr.P+1 && fr.Unchanged(n.slots, slices.Clone(key[2:]))
 }
 
 // AtWay is Schedules.At, naming the way it took: "replayed", "translated"

@@ -58,7 +58,8 @@ type Nest struct {
 	// slots lists the slots Enter reads that the nest does not vary: the
 	// variables from around it in loop bounds and verified subscripts. At
 	// memo a frame's memo keeps the nest's entry key: the processor of the
-	// last entry that verified, plus one, then Frame.Unchanged's record of slots.
+	// last entry that verified, plus one, its Frame.unboxed verdict as 0 or
+	// 1, then Frame.Unchanged's record of slots.
 	slots []int
 	memo  int
 }
@@ -308,10 +309,10 @@ func (n *Nest) clamp(procs int) {
 			}
 		}
 		st.Guard = covered != len(st.LHS.Lay.Dist.DistributedDims())
-		// Every processor walks a left-hand side over the whole box
-		// (guarded or not), and an unguarded statement reads exactly
-		// over the processor's own box: both are verified on entry.
-		st.LHS.hoisted = true
+		// An unguarded statement stores and reads exactly over the
+		// processor's own box, which is verified on entry; a guarded one
+		// tests each target it walks past against the processor's local box.
+		st.LHS.hoisted = !st.Guard
 		if !st.Guard {
 			for _, r := range st.reads {
 				r.hoisted = r.affine()
@@ -327,17 +328,19 @@ func (n *Nest) entryKey(pr *Program) {
 		n.slots = addSlots(addSlots(n.slots, &lp.Lo.Affine, n.loopOf), &lp.Hi.Affine, n.loopOf)
 	}
 	verified := func(r *ArrayRef) {
-		for i := 0; r.hoisted && i < len(r.Subs); i++ {
+		for i := range r.Subs {
 			n.slots = addSlots(n.slots, &r.Subs[i].Affine, n.loopOf)
 		}
 	}
 	for _, st := range n.stmts {
 		verified(st.LHS)
 		for _, r := range st.reads {
-			verified(r)
+			if r.hoisted {
+				verified(r)
+			}
 		}
 	}
-	n.memo, pr.memoLen = pr.memoLen, pr.memoLen+1+len(n.slots)
+	n.memo, pr.memoLen = pr.memoLen, pr.memoLen+2+len(n.slots)
 }
 
 // innermost returns the loop directly around a statement of a nest.
@@ -377,15 +380,17 @@ func (n *Nest) span(a *Affine, fr *Frame, mine bool) Range {
 // Begin said it runs: it evaluates every loop's range and verifies,
 // once, the subscript ranges the nest's hoisted references rely on. An
 // out-of-range subscript is recorded in fr.Err, positioned at the
-// reference. Ranges and verdict are a function of the frame's processor
+// reference; a read reaching outside the processor's local box sets
+// fr.unboxed. Ranges and verdicts are a function of the frame's processor
 // and n.slots, and the ranges are written here only: an entry under the
 // key of the frame's last entry that verified returns at once.
 func (n *Nest) Enter(fr *Frame) {
-	key := fr.memo[n.memo : n.memo+1+len(n.slots)]
-	if fr.Unchanged(n.slots, key[1:]) && key[0] == fr.P+1 {
+	key := fr.memo[n.memo : n.memo+2+len(n.slots)]
+	if fr.Unchanged(n.slots, key[2:]) && key[0] == fr.P+1 {
+		fr.unboxed = key[1] != 0
 		return
 	}
-	key[0] = 0
+	key[0], fr.unboxed = 0, false
 	for l, lp := range n.loops {
 		lo, hi := lp.Lo.Eval(fr), lp.Hi.Eval(fr)
 		if lp.Step.Const < 0 {
@@ -418,16 +423,27 @@ func (n *Nest) Enter(fr *Frame) {
 		}
 	}
 	if fr.Err == nil {
-		key[0] = fr.P + 1
+		key[0], key[1] = fr.P+1, 0
+		if fr.unboxed {
+			key[1] = 1
+		}
 	}
 }
 
+// verify records in fr an error when the reference's subscripts range
+// outside the declared bounds over the nest's box — the frame's
+// processor's part of it when mine — and there sets fr.unboxed when they
+// range outside the processor's local box.
 func (n *Nest) verify(r *ArrayRef, fr *Frame, mine bool) {
 	arr := r.Lay.Arr
 	for i := range r.Subs {
-		if s := n.span(&r.Subs[i].Affine, fr, mine); s.Lo < arr.Lo[i] || s.Hi > arr.Hi[i] {
+		s := n.span(&r.Subs[i].Affine, fr, mine)
+		if s.Lo < arr.Lo[i] || s.Hi > arr.Hi[i] {
 			fr.fail(rangeError(r.Pos, r.Lay, i, s.Lo, s.Hi))
 			return
+		}
+		if lo, hi := r.Lay.LocalBox(fr.P, i); mine && (s.Lo < lo || s.Hi > hi) {
+			fr.unboxed = true
 		}
 	}
 }

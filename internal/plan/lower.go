@@ -21,7 +21,7 @@ import (
 // evaluated.
 func Lower(res *core.Result) *Program {
 	u := res.Analysis.Unit
-	pl := newPlan(res, runtime.NewLayout(u, u.Grid.NumProcs()))
+	pl := newPlan(res, runtime.NewLayout(u, u.Grid.NumProcs(), margins(res)))
 	lw := &lowerer{
 		pl:       pl,
 		pr:       &Program{Plan: pl},
@@ -46,6 +46,28 @@ func Lower(res *core.Result) *Program {
 	lw.pr.Body, _ = lw.seq(pl.A.G.EntryBlock)
 	lw.localize(lw.pr.Body)
 	return lw.pr
+}
+
+// margins returns the overlap region of every array the placement's
+// groups leave room for (runtime.NewLayout): the widest shift that
+// delivers into it, 0 for an array nothing is delivered into; an array a
+// broadcast or general group delivers into is not named, so it keeps its
+// declared extents.
+func margins(res *core.Result) map[string]int {
+	m := make(map[string]int, len(res.Analysis.Unit.ArrayNames))
+	for _, name := range res.Analysis.Unit.ArrayNames {
+		m[name] = 0
+	}
+	for _, g := range res.Groups {
+		for _, e := range g.Entries {
+			if w, ok := m[e.Array]; ok && g.Kind == core.KindShift {
+				m[e.Array] = max(w, g.Map.Width)
+			} else if g.Kind == core.KindBcast || g.Kind == core.KindGeneral {
+				delete(m, e.Array)
+			}
+		}
+	}
+	return m
 }
 
 type lowerer struct {
@@ -461,7 +483,7 @@ func intAdd(x, y IntExpr, sign int) IntExpr {
 // Array references
 
 // arrayRef lowers an element reference under its array's layout and folds
-// the flat offset where every subscript is affine.
+// its offset in the planes' stride space where every subscript is affine.
 func (lw *lowerer) arrayRef(ref *ast.Ref, am *runtime.ArrayLayout) *ArrayRef {
 	r := &ArrayRef{Lay: am, Pos: ref.Pos, Subs: make([]IntExpr, len(ref.Subs))}
 	for i, sub := range ref.Subs {
@@ -653,19 +675,24 @@ func (lw *lowerer) scalar(name string, pos source.Pos, strict bool) RealFn {
 }
 
 // read lowers an array element read from the frame's processor's view of
-// the frame's image: a stale copy is an error, which is how a run proves
-// its communication placement sufficient.
+// the frame's image: a stale copy — and any element outside the
+// processor's local box, which can never be valid there — is an error,
+// which is how a run proves its communication placement sufficient.
 func (lw *lowerer) read(ref *ast.Ref, lay *runtime.ArrayLayout) RealFn {
 	r, slot := lw.arrayRef(ref, lay), lay.Slot
 	lw.reads = append(lw.reads, r)
 	lw.rowOK = lw.rowOK && r.affine()
 	lw.push(rowOp{kind: opRead, ref: r})
 	if lay.Dist == nil {
-		return func(fr *Frame) float64 { return fr.arrays[slot].Data[0][r.Offset(fr)] }
+		return func(fr *Frame) float64 {
+			off, _ := r.Offset(fr, 0)
+			return fr.arrays[slot].Data[0][off]
+		}
 	}
 	return func(fr *Frame) float64 {
-		am, off := fr.arrays[slot], r.Offset(fr)
-		if !am.Valid[fr.P][off] {
+		am := fr.arrays[slot]
+		off, in := r.Offset(fr, fr.P)
+		if !in || !am.Valid[fr.P][off] {
 			if fr.Err == nil {
 				fr.Err = &runtime.StaleReadError{Proc: fr.P, Array: lay.Name, Index: r.Index(fr, make([]int, len(r.Subs)))}
 			}

@@ -1,10 +1,10 @@
 // Package plan holds the one executable form of a placed program and
 // the only evaluator of it. Lower turns a placement into a Program: the
 // slot-resolved, structured form in which every name is a frame slot,
-// every array reference holds its array's layout — bounds, strides,
-// ownership tables: a function of (unit, P), never a memory image —
-// every communication position and SUM collective is an explicit
-// operation, and owner-computes nests carry per-processor loop bounds
+// every array reference holds its array's layout — bounds, local boxes,
+// strides, ownership tables: a function of (placement, P), never a
+// memory image — every communication position and SUM collective is an
+// explicit operation, and owner-computes nests carry per-processor loop bounds
 // (see program.go, lower.go, localize.go). Storage is reached through the
 // image a Frame is bound to, so one Program serves every engine of its
 // placement, and its Listing is the Fig. 6 trace dump of the tree that

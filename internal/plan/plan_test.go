@@ -206,29 +206,32 @@ func TestLowerFig10a(t *testing.T) {
 // TestFrameRefusesForeignImage: a Program holds layouts, never storage,
 // and a frame binds the storage when it is made or reset — an image made
 // under the program's own layout, or under its equal (the same unit on the
-// same processor count: runtime.NewMemory). An image of another unit, even
-// one compiled from the same text, is an error from both, not a misread.
+// same processor count with the same local boxes: another lowering of the
+// placement). An image of another unit, even one compiled from the same
+// text, and one of the unit at its declared extents (runtime.NewMemory),
+// whose planes the program's offsets do not index, are errors from both,
+// not misreads.
 func TestFrameRefusesForeignImage(t *testing.T) {
 	pr, err := bench.ByName("shallow", "main")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var res [2]*core.Result
 	var progs [2]*plan.Program
 	for i := range progs {
 		a, err := pr.Compile(8, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := a.Place(core.Options{Version: core.VersionCombine})
-		if err != nil {
+		if res[i], err = a.Place(core.Options{Version: core.VersionCombine}); err != nil {
 			t.Fatal(err)
 		}
-		progs[i] = plan.Lower(res)
+		progs[i] = plan.Lower(res[i])
 	}
 	prog, layout := progs[0], progs[0].Plan.Layout
-	shared, equal, foreign := layout.NewMemory(), runtime.NewMemory(layout.Unit, layout.P), progs[1].Plan.Layout.NewMemory()
+	shared, equal := layout.NewMemory(), plan.Lower(res[0]).Plan.Layout.NewMemory()
 	if shared.Layout != layout || equal.Layout == layout {
-		t.Fatal("Layout.NewMemory does not share the layout, or runtime.NewMemory does")
+		t.Fatal("Layout.NewMemory does not share the layout, or a second lowering does")
 	}
 	fr, err := prog.NewFrame(0, shared)
 	if err != nil {
@@ -239,15 +242,20 @@ func TestFrameRefusesForeignImage(t *testing.T) {
 		t.Error("the frame does not resolve an array to the image it was made over")
 	}
 	if err := fr.Reset(equal); err != nil || fr.View(lay) != equal.View("p") {
-		t.Errorf("Reset over an image of the same unit and processor count: error %v, bound %v", err, fr.View(lay) == equal.View("p"))
+		t.Errorf("Reset over an image of the same unit, processor count and local boxes: error %v, bound %v", err, fr.View(lay) == equal.View("p"))
 	}
-	if err := fr.Reset(foreign); err == nil {
-		t.Error("Reset bound an image of another unit")
-	}
-	if fr.View(lay) != equal.View("p") {
-		t.Error("a refused Reset changed the binding")
-	}
-	if _, err := prog.NewFrame(0, foreign); err == nil {
-		t.Error("NewFrame bound an image of another unit")
+	for name, foreign := range map[string]*runtime.Memory{
+		"another unit":     progs[1].Plan.Layout.NewMemory(),
+		"declared extents": runtime.NewMemory(layout.Unit, layout.P),
+	} {
+		if err := fr.Reset(foreign); err == nil {
+			t.Errorf("Reset bound an image of %s", name)
+		}
+		if fr.View(lay) != equal.View("p") {
+			t.Errorf("a refused Reset over an image of %s changed the binding", name)
+		}
+		if _, err := prog.NewFrame(0, foreign); err == nil {
+			t.Errorf("NewFrame bound an image of %s", name)
+		}
 	}
 }

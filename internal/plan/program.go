@@ -397,10 +397,13 @@ type Frame struct {
 
 	ranges []loopRange // by cfg.Loop.ID, filled by Nest.Enter
 	memo   []int       // Nest.Enter's keys, by Nest.memo
-	dims   []section.Dim
-	idx    []int
-	lo, hi []int
-	coords []int
+	// unboxed is Nest.Enter's verdict that a hoisted read of the nest
+	// ranges outside the frame's processor's local box: the entry takes
+	// the tested per-element path, which reports the first such element.
+	unboxed bool
+	dims    []section.Dim
+	idx     []int
+	lo, hi  []int
 
 	// RunBox's operand stack and scratch rows; per array reference of the
 	// body, the offset at the current row and what a step of each level
@@ -433,7 +436,6 @@ func (pr *Program) NewFrame(p int, mem *runtime.Memory) (*Frame, error) {
 		idx:     make([]int, rank),
 		lo:      make([]int, rank),
 		hi:      make([]int, rank),
-		coords:  make([]int, pr.Plan.A.Unit.Grid.Rank()),
 
 		rowStack:  make([]rowVal, pr.rowDepth),
 		rowFloats: make([]float64, pr.rowFloats),
@@ -446,14 +448,14 @@ func (pr *Program) NewFrame(p int, mem *runtime.Memory) (*Frame, error) {
 }
 
 // Reset returns the frame to its initial state for another run, over mem:
-// an image made under the program's layout or its equal (the same unit on
-// the same processor count). Any other is an error, never a misread.
+// an image made under the program's layout or its equal (runtime.Layout.
+// Fits). Any other is an error, never a misread.
 func (fr *Frame) Reset(mem *runtime.Memory) error {
-	if l := fr.layout; mem.Layout != l && (mem.Unit != l.Unit || mem.P != l.P) {
-		return fmt.Errorf("plan: a memory image of %s on %d processors cannot stand under a program lowered for %s on %d",
+	if l := fr.layout; !l.Fits(mem.Layout) {
+		return fmt.Errorf("plan: a memory image of %s on %d processors does not fit the local boxes of a program lowered for %s on %d",
 			mem.Unit.Routine.Name, mem.P, fr.layout.Unit.Routine.Name, fr.layout.P)
 	}
-	fr.arrays = mem.Arrays
+	fr.arrays, fr.unboxed = mem.Arrays, false
 	clear(fr.Ints)
 	clear(fr.Bound)
 	clear(fr.Reals)
@@ -595,48 +597,48 @@ type ArrayRef struct {
 	Lay  *runtime.ArrayLayout
 	Pos  source.Pos
 	Subs []IntExpr
-	// off is the flat offset folded to one affine form; it replaces the
-	// per-dimension evaluation and bounds test once hoisted says the
-	// enclosing nest verified the subscript ranges on entry. stride is
-	// its step per unit of the innermost enclosing loop's variable.
+	// off is the offset in the planes' stride space folded to one affine
+	// form; less the processor's Base it replaces the per-dimension
+	// evaluation and tests once hoisted says the enclosing nest verified
+	// on entry that the subscripts range inside the declared bounds and the
+	// processor's local box. stride is its step per unit of the innermost
+	// enclosing loop's variable.
 	off     Affine
 	stride  int
 	hoisted bool
 }
 
 // Offset evaluates the subscripts under fr and returns the element's
-// flat offset. A subscript outside the declared bounds records an
-// error in fr and yields offset 0.
-func (r *ArrayRef) Offset(fr *Frame) int {
-	if r.hoisted {
-		return r.off.Eval(fr)
+// offset in processor p's plane; in is false when p's local box does not
+// hold it. A subscript outside the declared bounds records an error in
+// fr and yields (0, false).
+func (r *ArrayRef) Offset(fr *Frame, p int) (off int, in bool) {
+	if r.hoisted && !fr.unboxed {
+		return r.off.Eval(fr) - r.Lay.Base(p), true
 	}
-	arr := r.Lay.Arr
-	off := 0
-	for i := range r.Subs {
-		x := r.Subs[i].Eval(fr)
-		if x < arr.Lo[i] || x > arr.Hi[i] {
-			fr.fail(rangeError(r.Pos, r.Lay, i, x, x))
-			return 0
-		}
-		off += (x - arr.Lo[i]) * r.Lay.Strides[i]
+	if idx := r.Index(fr, fr.idx); fr.Err == nil {
+		return r.Lay.Local(p, idx)
 	}
-	return off
+	return 0, false
 }
 
-// Index evaluates the subscripts under fr into idx (len >= rank).
+// Index evaluates the subscripts under fr into idx (len >= rank). The
+// first subscript outside the declared bounds records an error in fr and
+// ends the evaluation: the caller checks fr.Err.
 func (r *ArrayRef) Index(fr *Frame, idx []int) []int {
-	idx = idx[:len(r.Subs)]
+	arr, idx := r.Lay.Arr, idx[:len(r.Subs)]
 	for i := range r.Subs {
-		idx[i] = r.Subs[i].Eval(fr)
+		if idx[i] = r.Subs[i].Eval(fr); idx[i] < arr.Lo[i] || idx[i] > arr.Hi[i] {
+			fr.fail(rangeError(r.Pos, r.Lay, i, idx[i], idx[i]))
+			break
+		}
 	}
 	return idx
 }
 
-// Owner returns the processor owning the referenced element.
-func (r *ArrayRef) Owner(fr *Frame) int {
-	return r.Lay.OwnerInto(r.Index(fr, fr.idx), fr.coords[:r.Lay.Dist.Grid.Rank()])
-}
+// Owner returns the processor owning the referenced element, whose
+// subscripts the caller has found inside the declared bounds.
+func (r *ArrayRef) Owner(fr *Frame) int { return r.Lay.Owner(r.Index(fr, fr.idx)) }
 
 // rangeError is the positioned error of a subscript, or a range of
 // them, outside the declared bounds of a dimension.

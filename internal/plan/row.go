@@ -157,8 +157,9 @@ func (lw *lowerer) rowBody(lp *Loop) []*Stmt {
 type Outcome uint8
 
 const (
-	// NotApplicable: the loop heads no box, or a loop of its chain is empty
-	// or not live for the frame's processor. Nothing was touched; the
+	// NotApplicable: the loop heads no box, a loop of its chain is empty
+	// or not live for the frame's processor, or the nest's entry found a
+	// read outside the processor's local box. Nothing was touched; the
 	// driver runs the loop itself.
 	NotApplicable Outcome = iota
 	// Done: every iteration of the box ran; the chain's inner variables
@@ -199,7 +200,7 @@ func batchOf(n int) int { return min(max(batchElems/n, 1), batchRows) }
 // box ran each statement of Box.Row at.
 func (lp *Loop) RunBox(fr *Frame) (out Outcome, points int) {
 	row := lp.Box
-	if row == nil || !fr.ranges[row.Src.ID].busy {
+	if row == nil || !fr.ranges[row.Src.ID].busy || fr.unboxed {
 		return NotApplicable, 0
 	}
 	// The first row in walk order: the chain's outer variables are the
@@ -219,14 +220,14 @@ func (lp *Loop) RunBox(fr *Frame) (out Outcome, points int) {
 	lo, n := mine.Lo, mine.Hi-mine.Lo+1
 	fr.Ints[row.Slot] = lo
 
-	// Once per box: every reference's offset at the first row with what a
-	// step of each level adds to it — the level's own coefficient less the
-	// way back of the levels inside it, which start over — and the leaves
-	// nothing in the chain moves.
+	// Once per box: every reference's offset in the processor's plane at
+	// the first row with what a step of each level adds to it — the
+	// level's own coefficient less the way back of the levels inside it,
+	// which start over — and the leaves nothing in the chain moves.
 	cur, step := fr.boxCur[:row.refs], fr.boxStep
 	ri := 0
 	track := func(ref *ArrayRef) {
-		cur[ri] = ref.off.Eval(fr)
+		cur[ri] = ref.off.Eval(fr) - ref.Lay.Base(fr.P)
 		back := 0
 		for l, j := row.outer, levels-1; j >= 0; l, j = l.outer, j-1 {
 			mine := fr.ranges[l.Src.ID].mine

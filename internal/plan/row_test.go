@@ -25,9 +25,9 @@ func placeSrc(t testing.TB, src string, params map[string]int, procs int) *core.
 // executes what the backends execute (the same Begin/Enter/RunBox/Leave
 // protocol, the same stores) and replaces their communication by the
 // simplest sufficient one — at every communication position every
-// processor receives every owner's elements. Run once on a program as
-// lowered and once after plan.ClearRows, it must leave the same memory
-// image, validity planes included.
+// processor receives every owner's elements its local box holds. Run
+// once on a program as lowered and once after plan.ClearRows, it must
+// leave the same memory image, validity planes included.
 type walker struct {
 	t    testing.TB
 	prog *plan.Program
@@ -38,7 +38,7 @@ type walker struct {
 	// kernels, not the counters).
 	deliver, quiet bool
 	nest           bool
-	counts         []int
+	counts, target []int
 
 	// What ran where: statement instances in the kernels (of those,
 	// batched: in batches of more than one row) and on the tree; rows and
@@ -69,9 +69,9 @@ type planes struct {
 }
 
 func newWalker(t testing.TB, res *core.Result, procs int) *walker {
-	mem := runtime.NewMemory(res.Analysis.Unit, procs)
 	prog := plan.Lower(res)
-	return &walker{t: t, prog: prog, mem: mem, fr: newFrame(t, prog, 0, mem), deliver: true, counts: make([]int, procs)}
+	mem := prog.Plan.Layout.NewMemory()
+	return &walker{t: t, prog: prog, mem: mem, fr: newFrame(t, prog, 0, mem), deliver: true, counts: make([]int, procs), target: make([]int, prog.Plan.Layout.MaxRank)}
 }
 
 func newFrame(t testing.TB, prog *plan.Program, p int, mem *runtime.Memory) *plan.Frame {
@@ -243,9 +243,11 @@ func (w *walker) snapshot() map[string]planes {
 func (w *walker) own(st *plan.Stmt) error {
 	fr := w.fr
 	p, am := fr.P, fr.View(st.LHS.Lay)
-	off := st.LHS.Offset(fr)
+	off, in := st.LHS.Offset(fr, p)
 	if st.Guard && st.LHS.Owner(fr) != p {
-		am.Valid[p][off] = false
+		if in {
+			am.Valid[p][off] = false
+		}
 		return nil
 	}
 	v := st.RHS(fr)
@@ -263,10 +265,11 @@ func (w *walker) stmt(st *plan.Stmt) error {
 	fr := w.fr
 	fr.P = 0
 	w.sums(st.Sums)
-	owner, off := 0, 0
+	owner, off, idx := 0, 0, []int(nil)
 	if st.LHS != nil {
-		if off = st.LHS.Offset(fr); st.LHS.Lay.Dist != nil {
-			owner = st.LHS.Owner(fr)
+		if idx = st.LHS.Index(fr, w.target); fr.Err == nil {
+			owner = st.LHS.Lay.Owner(idx)
+			off, _ = st.LHS.Lay.Local(owner, idx)
 		}
 	}
 	if fr.Err != nil {
@@ -284,7 +287,7 @@ func (w *walker) stmt(st *plan.Stmt) error {
 		return nil
 	}
 	fr.View(st.LHS.Lay).StoreOwner(off, owner, v)
-	fr.View(st.LHS.Lay).InvalidateRange(off, owner, 0, w.mem.P)
+	fr.View(st.LHS.Lay).InvalidateRange(idx, owner, 0, w.mem.P)
 	return nil
 }
 

@@ -8,35 +8,38 @@ import (
 )
 
 // The geometry of ownership. Every bulk memory operation — ghost
-// exchange, broadcast, SUM, invalidation, reset — moves or marks a set
-// of elements that is a box, or a box cut where the owner changes, so
-// none of them asks who owns an element: they read three tables built
-// once per array layout (initGeometry) and shared by every image under it,
-// and two boxes a processor kept per image as data moves, and walk rows.
+// exchange, broadcast, SUM, invalidation — moves or marks a set of
+// elements that is a box, or a box cut where the owner changes, so none
+// of them asks who owns an element: they read tables built once per
+// array layout (initGeometry) and shared by every image under it, and one
+// box a processor keeps per image as data moves, and walk rows.
 //
 //   - the owned box of processor p (OwnedBox): per dimension its BLOCK
 //     interval, the declared bounds of a collapsed dimension, the
 //     covering range Lo+c:Hi of a CYCLIC one;
+//   - the local box of processor p (LocalBox), what its plane stores: its
+//     owned box widened by the layout's margin on every BLOCK dimension, at
+//     extents all processors share (the largest block plus twice the
+//     margin, at most the declared extent) — §4.8's overlap region. Nothing
+//     outside it is ever valid on p, and an offset of the planes' shared
+//     stride space less p's Base is one of p's plane;
 //   - the strip box of a shift (StripRuns): what one sender passes to
 //     its one receiver, the sender's box cut down to the boundary strip
 //     along the moved dimension and widened by the ghost margin in the
 //     others;
 //   - the run visitor (walk): a section inside the declared bounds, in
-//     section order, as runs of consecutive flat offsets — a row at a
-//     time where the last dimension has step 1 — and, for the operations
-//     that read owner rows (OwnerRuns), cut where the owner changes;
-//   - the ghost hull of processor p (Delivered): a box outside which p
-//     holds no valid element it does not own. Whatever makes such an
-//     element valid — either backend's exchange delivery, BroadcastRange,
-//     the native gather unpack — grows the hull over what it delivers;
-//     an InvalidateBox that covers the hull, and Reset, empty it. In
-//     between the hull only over-approximates, so clearing a box is
-//     clearing its part inside the hull: O(halo), not O(box).
-//   - the touched box of processor p: the owned box grown over whatever
-//     was Delivered since the memory was built or Reset — the block with
-//     its overlap region, outside which p's plane is as built. (The hull
-//     cannot say so: an invalidation empties it and leaves the values.)
-//     Reset clears this box and nothing else.
+//     section order, as runs of consecutive offsets of the stride space —
+//     a row at a time where the last dimension has step 1 — and, for the
+//     operations that read owner rows (OwnerRuns), cut where the owner
+//     changes;
+//   - the ghost hull of processor p (Delivered): a box inside p's local
+//     box outside which p holds no valid element it does not own.
+//     Whatever makes such an element valid — either backend's exchange
+//     delivery, BroadcastRange, the native gather unpack — grows the hull
+//     over what it delivers; an InvalidateBox that covers the hull, and
+//     Reset, empty it. In between the hull only over-approximates, so
+//     clearing a box is clearing its part inside the hull: O(halo), not
+//     O(box).
 //
 // A CYCLIC dimension's owned set is a lattice, not a range. On the
 // moved dimension of a shift the strip section is intersected with that
@@ -63,21 +66,35 @@ func NewScratch(rank int) *Scratch {
 	}
 }
 
-// initGeometry builds the ownership tables of the array on p processors.
-func (am *ArrayLayout) initGeometry(p int) {
+// initGeometry builds the ownership tables of the array on p processors
+// and its local boxes: widened by margin on every BLOCK dimension when
+// boxed, else the declared bounds.
+func (am *ArrayLayout) initGeometry(p, margin int, boxed bool) {
 	arr, d := am.Arr, am.Dist
 	rank := arr.Rank()
 	total := 0
 	for k := 0; k < rank; k++ {
 		total += arr.Hi[k] - arr.Lo[k] + 1
 	}
-	ints := make([]int, total+arr.Hi[rank-1]-arr.Lo[rank-1]+1)
+	ints := make([]int, total+arr.Hi[rank-1]-arr.Lo[rank-1]+1+2*rank+p*rank+p)
 	am.own = make([][]int, rank)
 	for k := range am.own {
 		n := arr.Hi[k] - arr.Lo[k] + 1
 		am.own[k], ints = ints[:n:n], ints[n:]
 	}
-	am.runEnd = ints
+	am.runEnd, ints = ints[:len(am.own[rank-1])], ints[len(am.own[rank-1]):]
+	am.Strides, am.ext, am.at, am.base = ints[:rank], ints[rank:2*rank], ints[2*rank:2*rank+p*rank], ints[2*rank+p*rank:]
+	am.size = 1
+	for k := rank - 1; k >= 0; k-- {
+		if am.ext[k] = len(am.own[k]); boxed && d != nil && d.Dims[k].Kind == dist.Block {
+			lo, hi, _ := d.LocalRange(k, 0) // the first block is a largest one
+			am.ext[k] = min(hi-lo+1+2*margin, am.ext[k])
+		}
+		am.Strides[k], am.size = am.size, am.size*am.ext[k]
+	}
+	for q := 0; q < p; q++ {
+		copy(am.at[q*rank:], arr.Lo)
+	}
 	if d != nil {
 		for k, dd := range d.Dims {
 			if dd.Kind == dist.Star {
@@ -96,7 +113,13 @@ func (am *ArrayLayout) initGeometry(p int) {
 		for q := 0; q < p; q++ {
 			d.Grid.CoordsInto(q, coords)
 			for k, dd := range d.Dims {
+				// An owner of nothing has its block past the declared bounds:
+				// its local box ends at them, where the last owner's strip lands.
 				lo, hi, ok := d.LocalRange(k, coords[dd.GridDim])
+				if am.ext[k] < len(am.own[k]) {
+					am.at[q*rank+k] = min(max(lo-margin, arr.Lo[k]), arr.Hi[k]-am.ext[k]+1)
+					am.base[q] += (am.at[q*rank+k] - arr.Lo[k]) * am.Strides[k]
+				}
 				if !ok {
 					lo, hi = 1, 0
 				}
@@ -122,6 +145,29 @@ func (am *ArrayLayout) OwnedBox(p, k int) (lo, hi int) {
 	return am.box[i], am.box[i+1]
 }
 
+// LocalBox returns the inclusive bounds of processor p's local box in
+// dimension k, what its plane stores.
+func (am *ArrayLayout) LocalBox(p, k int) (lo, hi int) {
+	lo = am.at[p*len(am.Strides)+k]
+	return lo, lo + am.ext[k] - 1
+}
+
+// Base returns what an offset of the stride space is less in p's plane.
+func (am *ArrayLayout) Base(p int) int { return am.base[p] }
+
+// Local returns the offset of the element at idx in processor p's plane,
+// false when p's local box does not hold it.
+func (am *ArrayLayout) Local(p int, idx []int) (int, bool) {
+	at, off := am.at[p*len(idx):], 0
+	for k, x := range idx {
+		if x -= at[k]; x < 0 || x >= am.ext[k] {
+			return 0, false
+		}
+		off += x * am.Strides[k]
+	}
+	return off, true
+}
+
 // ghost returns processor p's ghost hull: lower bounds, upper bounds
 // (the hulls' lower bounds fill the first half of am.hull).
 func (am *ArrayMem) ghost(p int) (lo, hi []int) {
@@ -129,28 +175,22 @@ func (am *ArrayMem) ghost(p int) (lo, hi []int) {
 	return am.hull[p*rank : (p+1)*rank], am.hull[half+p*rank : half+(p+1)*rank]
 }
 
-// emptyHulls gives every hull bounds no box meets and any delivery
-// replaces, and shrinks every touched box (laid out as box) to its owned box.
+// emptyHulls gives every hull bounds no box meets and any delivery replaces.
 func (am *ArrayMem) emptyHulls() {
 	for i, half := 0, len(am.hull)/2; i < half; i++ {
 		am.hull[i], am.hull[half+i] = math.MaxInt, math.MinInt
 	}
-	copy(am.touched, am.box)
 }
 
-// Delivered grows processor p's ghost hull and touched box over sec: the
-// caller marks elements of sec that p does not own valid in p's plane.
+// Delivered grows processor p's ghost hull over sec: the caller marks
+// elements of sec that p does not own valid in p's plane.
 func (am *ArrayMem) Delivered(p int, sec section.Section) {
 	if am.Dist == nil || sec.IsEmpty() {
 		return
 	}
 	lo, hi := am.ghost(p)
-	t := am.touched[2*p*len(lo):]
 	for k, d := range sec.Dims {
 		lo[k], hi[k] = min(lo[k], d.Lo), max(hi[k], d.Hi)
-		if d.Lo < t[2*k] || d.Hi > t[2*k+1] { // seldom: the store dirties a line other processors' boxes share
-			t[2*k], t[2*k+1] = min(t[2*k], d.Lo), max(t[2*k+1], d.Hi)
-		}
 	}
 }
 
@@ -161,8 +201,11 @@ func (am *ArrayMem) Delivered(p int, sec section.Section) {
 // ghost margin) in every other dimension — the two processors differ in
 // the moved grid coordinate only, so that block is src's own. Both
 // backends enumerate a strip through this one definition, when package
-// plan builds an exchange schedule. It returns the strip as a section in
-// sc (valid until sc is used again), for the receiver's Delivered.
+// plan builds an exchange schedule; the runs are offsets of the stride
+// space, each side's Base less in its plane, and the strip lies in both
+// local boxes when width is at most the layout's margin. It returns the
+// strip as a section in sc (valid until sc is used again), for the
+// receiver's Delivered.
 func (am *ArrayLayout) StripRuns(sec section.Section, src, ad, sign, width int, sc *Scratch, f func(off, n int)) section.Section {
 	lo, hi := sc.lo[:len(am.Strides)], sc.hi[:len(am.Strides)]
 	if !am.stripBox(src, ad, sign, width, lo, hi) {
@@ -245,8 +288,8 @@ func (am *ArrayLayout) StripShift(from, to []section.Dim, src, ad, sign, width i
 }
 
 // OwnerRuns visits sec, which must lie within the declared bounds, in
-// section order as runs of n consecutive offsets from off that one
-// processor owns (processor 0 for a replicated array).
+// section order as runs of n consecutive offsets of the stride space from
+// off that one processor owns (processor 0 for a replicated array).
 func (am *ArrayLayout) OwnerRuns(sec section.Section, sc *Scratch, f func(owner, off, n int)) {
 	am.walk(sec, sc.idx, true, f)
 }

@@ -37,6 +37,15 @@ func shiftRange(am *ArrayMem, sec section.Section, gridDim, sign, width, dstLo, 
 // LocalRange asked per element, pair bytes in a map) as the reference
 // the run-based operations are compared against.
 
+// ownerOf asks the distribution for an element's owner, per element, as
+// the oracles do: independently of the ownership tables under test.
+func ownerOf(am *ArrayMem, idx []int) int {
+	if am.Dist == nil {
+		return 0
+	}
+	return am.Dist.Owner(idx)
+}
+
 func oracleShiftRange(m *Memory, name string, sec section.Section, gridDim, sign, width, dstLo, dstHi int) map[[2]int]int {
 	am := m.View(name)
 	arr := am.Arr
@@ -121,20 +130,21 @@ func oracleInExtendedRegion(arr *sem.Array, coords []int, idx []int, ad, margin 
 	return true
 }
 
-func oracleBroadcastRange(m *Memory, name string, sec section.Section, dstLo, dstHi int) int {
+// oracleBroadcastRange delivers each element to the receivers whose local
+// box under the layout of the memory under test, boxes, holds it.
+func oracleBroadcastRange(m *Memory, name string, sec section.Section, dstLo, dstHi int, boxes *ArrayLayout) int {
 	am := m.View(name)
 	if am.Dist == nil {
 		return 0
 	}
 	elemBytes := am.Arr.ElemBytes()
-	coords := make([]int, am.Dist.Grid.Rank())
 	bytes := 0
 	sec.Elems(func(idx []int) bool {
 		off := am.Offset(idx)
-		o := am.OwnerInto(idx, coords)
+		o := ownerOf(am, idx)
 		v := am.Data[o][off]
 		for p := dstLo; p < dstHi; p++ {
-			if p != o {
+			if _, in := boxes.Local(p, idx); p != o && in {
 				am.Data[p][off] = v
 				am.Valid[p][off] = true
 			}
@@ -149,12 +159,8 @@ func oracleSumSection(m *Memory, name string, sec section.Section) (float64, []i
 	am := m.View(name)
 	counts := make([]int, m.P)
 	total := 0.0
-	coords := make([]int, 8)
 	sec.Elems(func(idx []int) bool {
-		o := 0
-		if am.Dist != nil {
-			o = am.OwnerInto(idx, coords[:am.Dist.Grid.Rank()])
-		}
+		o := ownerOf(am, idx)
 		total += am.Data[o][am.Offset(idx)]
 		counts[o]++
 		return true
@@ -163,19 +169,14 @@ func oracleSumSection(m *Memory, name string, sec section.Section) (float64, []i
 }
 
 // oracleValidity is the ownership pattern a fresh memory starts from,
-// one OwnerInto per element.
+// one ownerOf per element.
 func oracleValidity(am *ArrayMem) [][]bool {
 	want := make([][]bool, len(am.Valid))
 	for p := range want {
 		want[p] = make([]bool, len(am.Valid[p]))
 	}
-	coords := make([]int, 8)
 	section.Whole(am.Arr.Lo, am.Arr.Hi).Elems(func(idx []int) bool {
-		o := 0
-		if am.Dist != nil {
-			o = am.OwnerInto(idx, coords[:am.Dist.Grid.Rank()])
-		}
-		want[o][am.Offset(idx)] = true
+		want[ownerOf(am, idx)][am.Offset(idx)] = true
 		return true
 	})
 	return want
@@ -212,11 +213,16 @@ func layouts() []layout {
 	return out
 }
 
-// twin builds two identical memories of one layout — one for the
-// operation under test, one for its oracle — with every element written
-// to a distinct value (valid on its owner only). Beside a they hold a
-// replicated r(5), left as built.
-func twin(t *testing.T, l layout) (got, want *Memory) {
+// margins are the local boxes the matrix is run under: declared extents
+// (-1), and a's blocks widened by one and by two.
+var margins = []int{-1, 1, 2}
+
+// twin builds two memories of one layout holding the same values — one for
+// the operation under test, at declared extents or, for a margin of 0 or
+// more, with a's local boxes that wide; one at declared extents for its
+// oracle — with every element written to a distinct value (valid on its
+// owner only). Beside a they hold a replicated r(5), left as built.
+func twin(t *testing.T, l layout, margin int) (got, want *Memory) {
 	t.Helper()
 	shape := strings.Trim(fmt.Sprint(l.grid), "[]")
 	src := "routine m(n)\nreal " + l.decl + ", r(5)\n!hpf$ processors p(" + strings.ReplaceAll(shape, " ", ", ") + ")\n" +
@@ -224,6 +230,9 @@ func twin(t *testing.T, l layout) (got, want *Memory) {
 	procs := l.grid[0] * l.grid[1]
 	u := unit(t, src, map[string]int{"n": 1}, procs)
 	got, want = NewMemory(u, procs), NewMemory(u, procs)
+	if margin >= 0 {
+		got = NewLayout(u, procs, map[string]int{"a": margin}).NewMemory()
+	}
 	v := 1.0
 	section.Whole(got.View("a").Arr.Lo, got.View("a").Arr.Hi).Elems(func(idx []int) bool {
 		got.Write("a", idx, v)
@@ -285,14 +294,50 @@ func (s planes) restore(am *ArrayMem) {
 	}
 }
 
+// samePlanes compares two memories of one array through global
+// coordinates, processor by processor: every element got's local box
+// holds has want's value and validity, and want holds none valid outside
+// that box.
 func samePlanes(t *testing.T, what string, got, want *ArrayMem) {
 	t.Helper()
+	rank := len(got.Strides)
+	lo, hi, idx := make([]int, rank), make([]int, rank), make([]int, rank)
 	for p := range want.Data {
-		for off := range want.Data[p] {
-			if got.Valid[p][off] != want.Valid[p][off] || math.Float64bits(got.Data[p][off]) != math.Float64bits(want.Data[p][off]) {
-				t.Fatalf("%s: processor %d offset %d holds %v (valid %v), the element scan %v (valid %v)",
-					what, p, off, got.Data[p][off], got.Valid[p][off], want.Data[p][off], want.Valid[p][off])
+		for k := range lo {
+			lo[k], hi[k] = got.LocalBox(p, k)
+		}
+		inside, n := 0, hi[rank-1]-lo[rank-1]+1
+		for copy(idx, lo); ; {
+			g, _ := got.Local(p, idx)
+			w, _ := want.Local(p, idx)
+			for i := range n {
+				if want.Valid[p][w+i] {
+					inside++
+				}
+				if got.Valid[p][g+i] != want.Valid[p][w+i] || math.Float64bits(got.Data[p][g+i]) != math.Float64bits(want.Data[p][w+i]) {
+					idx[rank-1] += i
+					t.Fatalf("%s: processor %d holds %v at %v (valid %v), the element scan %v (valid %v)",
+						what, p, got.Data[p][g+i], idx, got.Valid[p][g+i], want.Data[p][w+i], want.Valid[p][w+i])
+				}
 			}
+			k := rank - 2
+			for ; k >= 0; k-- {
+				if idx[k]++; idx[k] <= hi[k] {
+					break
+				}
+				idx[k] = lo[k]
+			}
+			if k < 0 {
+				break
+			}
+		}
+		for _, v := range want.Valid[p] {
+			if v {
+				inside--
+			}
+		}
+		if inside != 0 {
+			t.Fatalf("%s: the element scan holds %d elements valid on processor %d outside its local box %v:%v", what, -inside, p, lo, hi)
 		}
 	}
 }
@@ -321,61 +366,71 @@ func sameBytes(t *testing.T, what string, grid dist.Grid, gridDim, sign int, got
 // TestStripMatchesElementScan: the per-receiver strip delivery leaves
 // the same rows, validity planes and per-pair bytes as the per-element
 // scan of the whole section it replaced — for every layout of the
-// matrix, both directions, strips narrower and wider than a block,
-// whole, strided and inset sections, on planes earlier exchanges along
-// both grid dimensions have already seeded with ghosts (the first phase
-// of the two-phase corner delivery), and whatever way the
-// receivers are divided among shards: every division into up to four
+// matrix, at declared extents and in local boxes a margin wide that the
+// strips are no wider than, both directions, strips narrower and wider
+// than a block, whole, strided and inset sections, on planes earlier
+// exchanges along both grid dimensions have already seeded with ghosts
+// (the first phase of the two-phase corner delivery), and whatever way
+// the receivers are divided among shards: every division into up to four
 // ranges where the grid has four processors; on the 15- and 16-processor
 // grids every division for one case in 24, and the whole, halves,
 // quarters and an uneven four for all of them.
 func TestStripMatchesElementScan(t *testing.T) {
 	n := 0
 	for _, l := range layouts() {
-		got, want := twin(t, l)
-		am, ref := got.View("a"), want.View("a")
-		procs := got.P
-		all := splits(procs)
-		some := [][]int{{procs}, {procs / 2, procs}, {procs / 4, procs / 2, 3 * procs / 4, procs}, {1, 2, procs - 1, procs}}
-		sc, bytes := NewScratch(am.Arr.Rank()), make([]int, procs)
-		fresh := snapshot(am)
-		for _, sec := range sections(am) {
-			for _, sign := range []int{1, -1} {
-				for _, width := range []int{1, 2, 4} {
-					for gridDim := 0; gridDim < 2; gridDim++ {
-						what := fmt.Sprintf("%v section %v shift dim %d sign %+d width %d", l, sec, gridDim, sign, width)
-						fresh.restore(am)
-						fresh.restore(ref)
-						// Seed ghosts along the other grid dimension, then along
-						// the moved one: a sender then holds copies of the block
-						// past its own, which a strip wider than the block must
-						// not forward.
-						var pairs map[[2]int]int
-						for _, seedDim := range []int{1 - gridDim, gridDim} {
-							clear(bytes)
-							shiftRange(am, ref.whole, seedDim, sign, width, 0, procs, sc, bytes)
-							pairs = oracleShiftRange(want, "a", ref.whole, seedDim, sign, width, 0, procs)
-							samePlanes(t, what+" (seeding phase)", am, ref)
-							sameBytes(t, what+" (seeding phase)", am.Dist.Grid, seedDim, sign, bytes, pairs)
-						}
+		for _, margin := range margins {
+			stripMatchesElementScan(t, l, margin, &n)
+		}
+	}
+}
 
-						seeded := snapshot(am)
-						pairs = oracleShiftRange(want, "a", sec, gridDim, sign, width, 0, procs)
-						cuts := some
-						if n++; procs <= 4 || n%24 == 0 {
-							cuts = all
+func stripMatchesElementScan(t *testing.T, l layout, margin int, n *int) {
+	got, want := twin(t, l, margin)
+	am, ref := got.View("a"), want.View("a")
+	procs := got.P
+	all := splits(procs)
+	some := [][]int{{procs}, {procs / 2, procs}, {procs / 4, procs / 2, 3 * procs / 4, procs}, {1, 2, procs - 1, procs}}
+	sc, bytes := NewScratch(am.Arr.Rank()), make([]int, procs)
+	fresh, wantFresh := snapshot(am), snapshot(ref)
+	for _, sec := range sections(am) {
+		for _, sign := range []int{1, -1} {
+			for _, width := range []int{1, 2, 4} {
+				if margin >= 0 && width > margin {
+					continue
+				}
+				for gridDim := 0; gridDim < 2; gridDim++ {
+					what := fmt.Sprintf("%v margin %d section %v shift dim %d sign %+d width %d", l, margin, sec, gridDim, sign, width)
+					fresh.restore(am)
+					wantFresh.restore(ref)
+					// Seed ghosts along the other grid dimension, then along
+					// the moved one: a sender then holds copies of the block
+					// past its own, which a strip wider than the block must
+					// not forward.
+					var pairs map[[2]int]int
+					for _, seedDim := range []int{1 - gridDim, gridDim} {
+						clear(bytes)
+						shiftRange(am, ref.whole, seedDim, sign, width, 0, procs, sc, bytes)
+						pairs = oracleShiftRange(want, "a", ref.whole, seedDim, sign, width, 0, procs)
+						samePlanes(t, what+" (seeding phase)", am, ref)
+						sameBytes(t, what+" (seeding phase)", am.Dist.Grid, seedDim, sign, bytes, pairs)
+					}
+
+					seeded := snapshot(am)
+					pairs = oracleShiftRange(want, "a", sec, gridDim, sign, width, 0, procs)
+					cuts := some
+					if *n++; procs <= 4 || *n%24 == 0 {
+						cuts = all
+					}
+					for _, cut := range cuts {
+						seeded.restore(am)
+						clear(bytes)
+						lo := 0
+						for _, hi := range cut {
+							shiftRange(am, sec, gridDim, sign, width, lo, hi, sc, bytes)
+							lo = hi
 						}
-						for _, cut := range cuts {
-							seeded.restore(am)
-							clear(bytes)
-							lo := 0
-							for _, hi := range cut {
-								shiftRange(am, sec, gridDim, sign, width, lo, hi, sc, bytes)
-								lo = hi
-							}
-							samePlanes(t, fmt.Sprintf("%s ranges %v", what, cut), am, ref)
-							sameBytes(t, fmt.Sprintf("%s ranges %v", what, cut), am.Dist.Grid, gridDim, sign, bytes, pairs)
-						}
+						samePlanes(t, fmt.Sprintf("%s ranges %v", what, cut), am, ref)
+						sameBytes(t, fmt.Sprintf("%s ranges %v", what, cut), am.Dist.Grid, gridDim, sign, bytes, pairs)
 					}
 				}
 			}
@@ -407,7 +462,7 @@ func TestStripShiftMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	moved := map[dist.Kind]int{} // translations, by the kind of a dimension that moved
 	for _, l := range layouts() {
-		got, _ := twin(t, l)
+		got, _ := twin(t, l, -1)
 		am := got.View("a")
 		rank, sc := am.Arr.Rank(), NewScratch(am.Arr.Rank())
 		for n := 0; n < 150; n++ {
@@ -468,7 +523,7 @@ func TestStripShiftMatchesRebuild(t *testing.T) {
 
 	// a(3, 7, -1:7) as (*, BLOCK, CYCLIC) on 2 × 2: processor 0 holds rows
 	// 1-4 of dimension 2 and every other index from -1 of dimension 3.
-	got, _ := twin(t, layout{"a(3, 7, -1:7)", "(*, block, cyclic)", []int{2, 2}})
+	got, _ := twin(t, layout{"a(3, 7, -1:7)", "(*, block, cyclic)", []int{2, 2}}, -1)
 	am, sc := got.View("a"), NewScratch(3)
 	plane := func(i, jlo, jhi, klo, khi int) []section.Dim {
 		return []section.Dim{{Lo: i, Hi: i, Step: 1}, {Lo: jlo, Hi: jhi, Step: 1}, {Lo: klo, Hi: khi, Step: 1}}
@@ -496,58 +551,61 @@ func TestStripShiftMatchesRebuild(t *testing.T) {
 }
 
 // TestOwnerRunsMatchElementScan: broadcast, SUM and the initial
-// validity walk owner runs and leave what their per-element scans left:
-// the same planes and payload bytes whatever ranges the receivers are
-// divided into, a bit-equal total (the accumulation order is the
-// section's) with equal per-owner counts, and the ownership pattern —
-// on construction and again after Reset.
+// validity walk owner runs and leave what their per-element scans left,
+// at declared extents and in local boxes (where a broadcast delivers what
+// a receiver's box holds): the same planes and payload bytes whatever
+// ranges the receivers are divided into, a bit-equal total (the
+// accumulation order is the section's) with equal per-owner counts, and
+// the ownership pattern — on construction and again after Reset.
 func TestOwnerRunsMatchElementScan(t *testing.T) {
 	for _, l := range layouts() {
-		got, want := twin(t, l)
-		am, ref := got.View("a"), want.View("a")
-		procs := got.P
-		sc, counts := NewScratch(am.Arr.Rank()), make([]int, procs)
-		fresh := snapshot(am)
-		for _, sec := range sections(am) {
-			what := fmt.Sprintf("%v section %v", l, sec)
-			total := am.SumSection(sec, sc, counts)
-			wantTotal, wantCounts := oracleSumSection(want, "a", sec)
-			if math.Float64bits(total) != math.Float64bits(wantTotal) || !slices.Equal(counts, wantCounts) {
-				t.Fatalf("%s: SumSection = %v %v, the element scan %v %v", what, total, counts, wantTotal, wantCounts)
+		for _, margin := range margins {
+			got, want := twin(t, l, margin)
+			am, ref := got.View("a"), want.View("a")
+			procs := got.P
+			sc, counts := NewScratch(am.Arr.Rank()), make([]int, procs)
+			fresh, wantFresh := snapshot(am), snapshot(ref)
+			for _, sec := range sections(am) {
+				what := fmt.Sprintf("%v margin %d section %v", l, margin, sec)
+				total := am.SumSection(sec, sc, counts)
+				wantTotal, wantCounts := oracleSumSection(want, "a", sec)
+				if math.Float64bits(total) != math.Float64bits(wantTotal) || !slices.Equal(counts, wantCounts) {
+					t.Fatalf("%s: SumSection = %v %v, the element scan %v %v", what, total, counts, wantTotal, wantCounts)
+				}
+
+				wantFresh.restore(ref)
+				wantBytes := oracleBroadcastRange(want, "a", sec, 0, procs, am.ArrayLayout)
+				for _, cut := range [][]int{{procs}, {1, procs}, {procs / 4, procs / 2, 3 * procs / 4, procs}} {
+					fresh.restore(am)
+					lo := 0
+					for _, hi := range cut {
+						if b := am.BroadcastRange(sec, lo, hi, sc); b != wantBytes {
+							t.Fatalf("%s: BroadcastRange [%d,%d) = %d bytes, the element scan %d", what, lo, hi, b, wantBytes)
+						}
+						lo = hi
+					}
+					samePlanes(t, fmt.Sprintf("%s broadcast ranges %v", what, cut), am, ref)
+				}
 			}
 
-			fresh.restore(ref)
-			wantBytes := oracleBroadcastRange(want, "a", sec, 0, procs)
-			for _, cut := range [][]int{{procs}, {1, procs}, {procs / 4, procs / 2, 3 * procs / 4, procs}} {
-				fresh.restore(am)
-				lo := 0
-				for _, hi := range cut {
-					if b := am.BroadcastRange(sec, lo, hi, sc); b != wantBytes {
-						t.Fatalf("%s: BroadcastRange [%d,%d) = %d bytes, the element scan %d", what, lo, hi, b, wantBytes)
+			pattern := oracleValidity(am)
+			for round := 0; round < 2; round++ { // as built (dirtied by the broadcasts above), then after Reset
+				got.Reset()
+				for p := range pattern {
+					if !slices.Equal(am.Valid[p], pattern[p]) {
+						t.Fatalf("%v margin %d: processor %d's validity after Reset is not the ownership pattern", l, margin, p)
 					}
-					lo = hi
-				}
-				samePlanes(t, fmt.Sprintf("%s broadcast ranges %v", what, cut), am, ref)
-			}
-		}
-
-		pattern := oracleValidity(am)
-		for round := 0; round < 2; round++ { // as built (dirtied by the broadcasts above), then after Reset
-			got.Reset()
-			for p := range pattern {
-				if !slices.Equal(am.Valid[p], pattern[p]) {
-					t.Fatalf("%v: processor %d's validity after Reset is not the ownership pattern", l, p)
-				}
-				for _, v := range am.Data[p] {
-					if v != 0 {
-						t.Fatalf("%v: Reset left a value on processor %d", l, p)
+					for _, v := range am.Data[p] {
+						if v != 0 {
+							t.Fatalf("%v margin %d: Reset left a value on processor %d", l, margin, p)
+						}
 					}
 				}
+				am.Valid[0][0] = !am.Valid[0][0]
 			}
-			am.Valid[0][0] = !am.Valid[0][0]
-		}
-		if built := NewMemory(got.Unit, procs).View("a"); !slices.EqualFunc(built.Valid, pattern, slices.Equal[[]bool]) {
-			t.Fatalf("%v: a new memory's validity is not the ownership pattern", l)
+			if built := got.Layout.NewMemory().View("a"); !slices.EqualFunc(built.Valid, pattern, slices.Equal[[]bool]) {
+				t.Fatalf("%v margin %d: a new memory's validity is not the ownership pattern", l, margin)
+			}
 		}
 	}
 
@@ -565,14 +623,14 @@ func TestOwnerRunsMatchElementScan(t *testing.T) {
 	}
 }
 
-// TestBulkOperationsDoNotAllocate: a warm call of each bulk operation
-// allocates nothing — its scratch is the caller's, the geometry is the
-// array's; CopyValid is called along the runs StripRuns visits — and
-// neither does Reset, over whatever the operations before it touched, nor
-// StripShift, so the warm native path and a simulator superstep stay off
-// the allocator.
+// TestBulkOperationsDoNotAllocate: a warm call of each bulk operation on
+// local boxes allocates nothing — its scratch is the caller's, the
+// geometry is the array's; CopyValid is called along the runs StripRuns
+// visits — and neither does Reset, over whatever the operations before it
+// touched, nor StripShift, so the warm native path and a simulator
+// superstep stay off the allocator.
 func TestBulkOperationsDoNotAllocate(t *testing.T) {
-	got, _ := twin(t, layout{"a(3, 7, -1:7)", "(*, block, cyclic)", []int{2, 2}})
+	got, _ := twin(t, layout{"a(3, 7, -1:7)", "(*, block, cyclic)", []int{2, 2}}, 2)
 	am := got.View("a")
 	sc, ints := NewScratch(3), make([]int, 4)
 	sec := sections(am)[2]
@@ -597,78 +655,84 @@ func TestBulkOperationsDoNotAllocate(t *testing.T) {
 // the operations that deliver, store, invalidate and reset — shift
 // delivery (shiftRange) and BroadcastRange over random receiver ranges, owner stores into a and
 // the replicated r, InvalidateBox on random boxes, now and then a Reset —
-// on every layout of the matrix, next to a twin on which each operation
-// is done element by element with no hull at all (the oracles above; a
-// box cleared by asking every element's owner; a reset that rewrites both
-// planes from the ownership pattern). After every step the planes agree
-// bit for bit, so the hull never kept an invalidation from clearing a
-// copy, and the hull invariant holds: no valid copy outside its
-// processor's hull. And after every Reset, and one more when the sequence
-// ends, every plane of both arrays is a new memory's: nothing the
-// operations left — a stale value under an emptied hull least of all —
-// lies outside the touched boxes Reset clears.
+// on every layout of the matrix, at declared extents and in local boxes
+// (shifts no wider than their margin), next to a twin at declared extents
+// on which each operation is done element by element with no hull at all
+// (the oracles above; a box cleared by asking every element's owner; a
+// reset that rewrites both planes from the ownership pattern). After every
+// step the planes agree bit for bit through global coordinates, so the
+// hull never kept an invalidation from clearing a copy, and the hull
+// invariant holds: no valid copy outside its processor's hull. And after
+// every Reset, and one more when the sequence ends, every plane of both
+// arrays is a new memory's.
 func TestGhostHullUnderRandomOperations(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, l := range layouts() {
-		got, want := twin(t, l)
-		am, ref := got.View("a"), want.View("a")
-		procs, rank := got.P, am.Arr.Rank()
-		sc, bytes, coords := NewScratch(rank), make([]int, procs), make([]int, 2)
-		pattern := oracleValidity(ref)
-		secs := sections(am)
-		built := NewMemory(got.Unit, procs)
-		var trace []string
-		for step := 0; step <= 60; step++ {
-			lo := rng.Intn(procs)
-			hi := lo + 1 + rng.Intn(procs-lo)
-			sec := secs[rng.Intn(len(secs))]
-			switch op := rng.Intn(11); {
-			case step == 60 || op == 9:
-				trace = append(trace, "reset")
-				got.Reset()
-				for p := range pattern {
-					clear(ref.Data[p])
-					copy(ref.Valid[p], pattern[p])
-				}
-				samePlanes(t, fmt.Sprintf("%v: a new memory and a after %s", l, strings.Join(trace, "; ")), am, built.View("a"))
-				samePlanes(t, fmt.Sprintf("%v: a new memory and r after %s", l, strings.Join(trace, "; ")), got.View("r"), built.View("r"))
-			case op == 10:
-				ix := make([]int, rank)
-				for k := range ix {
-					ix[k] = am.Arr.Lo[k] + rng.Intn(am.Arr.Hi[k]-am.Arr.Lo[k]+1)
-				}
-				trace = append(trace, fmt.Sprintf("store %v and r(%d)", ix, 1+step%5))
-				got.Write("a", ix, float64(step))
-				want.Write("a", ix, float64(step))
-				got.Write("r", []int{1 + step%5}, float64(step))
-			case op < 4:
-				gridDim, sign, width := rng.Intn(2), 1-2*rng.Intn(2), 1+rng.Intn(3)
-				trace = append(trace, fmt.Sprintf("shift %v dim %d sign %+d width %d into [%d,%d)", sec, gridDim, sign, width, lo, hi))
-				shiftRange(am, sec, gridDim, sign, width, lo, hi, sc, bytes)
-				oracleShiftRange(want, "a", sec, gridDim, sign, width, lo, hi)
-			case op < 5:
-				trace = append(trace, fmt.Sprintf("broadcast %v into [%d,%d)", sec, lo, hi))
-				am.BroadcastRange(sec, lo, hi, sc)
-				oracleBroadcastRange(want, "a", sec, lo, hi)
-			case op < 9:
-				blo, bhi := make([]int, rank), make([]int, rank)
-				for k := range blo {
-					blo[k] = am.Arr.Lo[k] + rng.Intn(am.Arr.Hi[k]-am.Arr.Lo[k]+1)
-					bhi[k] = blo[k] + rng.Intn(am.Arr.Hi[k]-blo[k]+1)
-				}
-				trace = append(trace, fmt.Sprintf("invalidate %v:%v on %d", blo, bhi, lo))
-				am.InvalidateBox(lo, blo, bhi, sc)
-				section.Whole(blo, bhi).Elems(func(ix []int) bool {
-					if ref.OwnerInto(ix, coords) != lo {
-						ref.Valid[lo][ref.Offset(ix)] = false
-					}
-					return true
-				})
+		for _, margin := range margins {
+			got, want := twin(t, l, margin)
+			am, ref := got.View("a"), want.View("a")
+			procs, rank := got.P, am.Arr.Rank()
+			sc, bytes := NewScratch(rank), make([]int, procs)
+			pattern := oracleValidity(ref)
+			secs := sections(am)
+			built := NewMemory(got.Unit, procs)
+			widths := 3
+			if margin >= 0 {
+				widths = margin
 			}
-			what := fmt.Sprintf("%v after %s", l, strings.Join(trace, "; "))
-			samePlanes(t, what, am, ref)
-			if err := got.CheckHulls(); err != nil {
-				t.Fatalf("%s: %v", what, err)
+			var trace []string
+			for step := 0; step <= 60; step++ {
+				lo := rng.Intn(procs)
+				hi := lo + 1 + rng.Intn(procs-lo)
+				sec := secs[rng.Intn(len(secs))]
+				switch op := rng.Intn(11); {
+				case step == 60 || op == 9:
+					trace = append(trace, "reset")
+					got.Reset()
+					for p := range pattern {
+						clear(ref.Data[p])
+						copy(ref.Valid[p], pattern[p])
+					}
+					samePlanes(t, fmt.Sprintf("%v margin %d: a new memory and a after %s", l, margin, strings.Join(trace, "; ")), am, built.View("a"))
+					samePlanes(t, fmt.Sprintf("%v margin %d: a new memory and r after %s", l, margin, strings.Join(trace, "; ")), got.View("r"), built.View("r"))
+				case op == 10:
+					ix := make([]int, rank)
+					for k := range ix {
+						ix[k] = am.Arr.Lo[k] + rng.Intn(am.Arr.Hi[k]-am.Arr.Lo[k]+1)
+					}
+					trace = append(trace, fmt.Sprintf("store %v and r(%d)", ix, 1+step%5))
+					got.Write("a", ix, float64(step))
+					want.Write("a", ix, float64(step))
+					got.Write("r", []int{1 + step%5}, float64(step))
+				case op < 4:
+					gridDim, sign, width := rng.Intn(2), 1-2*rng.Intn(2), 1+rng.Intn(widths)
+					trace = append(trace, fmt.Sprintf("shift %v dim %d sign %+d width %d into [%d,%d)", sec, gridDim, sign, width, lo, hi))
+					shiftRange(am, sec, gridDim, sign, width, lo, hi, sc, bytes)
+					oracleShiftRange(want, "a", sec, gridDim, sign, width, lo, hi)
+				case op < 5:
+					trace = append(trace, fmt.Sprintf("broadcast %v into [%d,%d)", sec, lo, hi))
+					am.BroadcastRange(sec, lo, hi, sc)
+					oracleBroadcastRange(want, "a", sec, lo, hi, am.ArrayLayout)
+				case op < 9:
+					blo, bhi := make([]int, rank), make([]int, rank)
+					for k := range blo {
+						blo[k] = am.Arr.Lo[k] + rng.Intn(am.Arr.Hi[k]-am.Arr.Lo[k]+1)
+						bhi[k] = blo[k] + rng.Intn(am.Arr.Hi[k]-blo[k]+1)
+					}
+					trace = append(trace, fmt.Sprintf("invalidate %v:%v on %d", blo, bhi, lo))
+					am.InvalidateBox(lo, blo, bhi, sc)
+					section.Whole(blo, bhi).Elems(func(ix []int) bool {
+						if ownerOf(ref, ix) != lo {
+							ref.Valid[lo][ref.Offset(ix)] = false
+						}
+						return true
+					})
+				}
+				what := fmt.Sprintf("%v margin %d after %s", l, margin, strings.Join(trace, "; "))
+				samePlanes(t, what, am, ref)
+				if err := got.CheckHulls(); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
 			}
 		}
 	}

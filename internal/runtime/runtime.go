@@ -11,6 +11,7 @@ package runtime
 
 import (
 	"fmt"
+	"maps"
 	"math"
 
 	"gcao/internal/dist"
@@ -193,10 +194,11 @@ func (e *StaleReadError) Error() string {
 	return fmt.Sprintf("runtime: processor %d read stale %s%v (element not owned and never delivered)", e.Proc, e.Array, e.Index)
 }
 
-// Layout is the immutable half of a distributed memory: the strides and
-// ownership tables of every array of a unit on P processors, a function
-// of (Unit, P). Every Memory made under it shares it, read-only, with the
-// lowered program (package plan), which holds layouts, never storage.
+// Layout is the immutable half of a distributed memory: the local boxes,
+// strides and ownership tables of every array of a unit on P processors, a
+// function of (Unit, P, margins). Every Memory made under it shares it,
+// read-only, with the lowered program (package plan), which holds layouts,
+// never storage.
 type Layout struct {
 	Unit *sem.Unit
 	P    int
@@ -205,32 +207,37 @@ type Layout struct {
 	// MaxRank is the largest array rank, at least 1: an index vector's size.
 	MaxRank int
 	byName  map[string]*ArrayLayout
+	margin  map[string]int
 }
 
-// ArrayLayout is the geometry of one array: bounds, strides, distribution
-// and the ownership tables (see geometry.go). own[k][x-Lo[k]] is what
-// index x of dimension k contributes to the owner's linear id — the
-// owning grid coordinate times its grid stride, 0 on a collapsed
-// dimension — so an element's owner is the sum over its subscripts.
-// runEnd[i], along the last dimension, is the last position of the run of
-// equal ownership that holds position i. box is every processor's owned
-// box (nil for replicated arrays).
+// ArrayLayout is the geometry of one array: bounds, strides, distribution,
+// local boxes and the ownership tables (see geometry.go). own[k][x-Lo[k]] is
+// what index x of dimension k contributes to the owner's linear id — the
+// owning grid coordinate times its grid stride, 0 on a collapsed dimension —
+// so an element's owner is the sum over its subscripts. runEnd[i], along the
+// last dimension, is the last position of the run of equal ownership that
+// holds position i. box is every processor's owned box (nil for replicated
+// arrays); every local box has the extents ext (size elements), its first
+// index at[p*rank+k] and its Base base[p].
 type ArrayLayout struct {
-	Name    string
-	Arr     *sem.Array
-	Dist    *dist.Dist // nil for replicated arrays (single row 0)
+	Name string
+	Arr  *sem.Array
+	Dist *dist.Dist // nil for replicated arrays (single row 0)
+	// Strides are the row-major strides of every processor's plane: of the
+	// local box, the declared array where it keeps its declared extents.
 	Strides []int
 	Slot    int
 
-	own    [][]int
-	runEnd []int
-	box    []int
-	whole  section.Section
+	own                        [][]int
+	runEnd, box, ext, at, base []int
+	size                       int
+	whole                      section.Section
 }
 
-// Memory is the distributed memory: every processor holds a full-size
-// image of each distributed array, but only owned or delivered
-// elements are valid. Replicated arrays are stored once.
+// Memory is the distributed memory: every processor holds a plane of
+// each distributed array over its local box — its block and overlap
+// region — and only owned or delivered elements are valid. Replicated
+// arrays are stored once.
 type Memory struct {
 	Unit   *sem.Unit
 	P      int
@@ -248,52 +255,55 @@ type Memory struct {
 type ArrayMem struct {
 	*ArrayLayout
 	// Data[p][off] and Valid[p][off] are processor p's copy of the
-	// element at flat offset off (row 0 only for replicated arrays).
+	// element at offset off of its plane (row 0 only for replicated arrays).
 	Data  [][]float64
 	Valid [][]bool
-	// hull, touched: every processor's ghost hull and touched box, laid
-	// out as the layout's box (empty for replicated arrays).
-	hull, touched []int
+	// hull: every processor's ghost hull, laid out as the layout's box
+	// (empty for replicated arrays).
+	hull []int
 }
 
-// NewLayout builds the layout of the unit's arrays on p processors.
-func NewLayout(u *sem.Unit, p int) *Layout {
-	l := &Layout{Unit: u, P: p, MaxRank: 1, Arrays: make([]*ArrayLayout, 0, len(u.ArrayNames)), byName: make(map[string]*ArrayLayout, len(u.ArrayNames))}
+// NewLayout builds the layout of the unit's arrays on p processors. A
+// processor's plane of a distributed array covers its local box: its owned
+// box widened by margin[name] on every BLOCK dimension. An array the map
+// does not name — any, under a nil map — keeps its declared extents.
+func NewLayout(u *sem.Unit, p int, margin map[string]int) *Layout {
+	l := &Layout{Unit: u, P: p, MaxRank: 1, Arrays: make([]*ArrayLayout, 0, len(u.ArrayNames)), byName: make(map[string]*ArrayLayout, len(u.ArrayNames)), margin: margin}
 	for slot, name := range u.ArrayNames {
 		arr := u.Arrays[name]
-		al := &ArrayLayout{Name: name, Arr: arr, Dist: arr.Dist, Strides: make([]int, arr.Rank()), Slot: slot, whole: section.Whole(arr.Lo, arr.Hi)}
-		s := 1
-		for i := arr.Rank() - 1; i >= 0; i-- {
-			al.Strides[i] = s
-			s *= arr.Hi[i] - arr.Lo[i] + 1
-		}
-		al.initGeometry(p)
+		al := &ArrayLayout{Name: name, Arr: arr, Dist: arr.Dist, Slot: slot, whole: section.Whole(arr.Lo, arr.Hi)}
+		w, boxed := margin[name]
+		al.initGeometry(p, w, boxed)
 		l.Arrays, l.byName[name], l.MaxRank = append(l.Arrays, al), al, max(l.MaxRank, arr.Rank())
 	}
 	return l
 }
 
+// Fits reports whether images made under o fit l: same unit, P and margins.
+func (l *Layout) Fits(o *Layout) bool {
+	return l == o || l.Unit == o.Unit && l.P == o.P && maps.Equal(l.margin, o.margin)
+}
+
 // Array returns the layout of a declared array, nil for any other name.
 func (l *Layout) Array(name string) *ArrayLayout { return l.byName[name] }
 
-// NewMemory allocates memories for all arrays of the unit.
-func NewMemory(u *sem.Unit, p int) *Memory { return NewLayout(u, p).NewMemory() }
+// NewMemory allocates memories for all arrays of the unit, at their
+// declared extents.
+func NewMemory(u *sem.Unit, p int) *Memory { return NewLayout(u, p, nil).NewMemory() }
 
 // NewMemory allocates one more image under the layout, sharing its tables.
 func (l *Layout) NewMemory() *Memory {
 	m := &Memory{Unit: l.Unit, P: l.P, Layout: l, Arrays: make([]*ArrayMem, len(l.Arrays))}
 	for slot, al := range l.Arrays {
-		size, copies := al.Arr.Size(), l.P
+		copies := l.P
 		if al.Dist == nil {
 			copies = 1
 		}
-		am := &ArrayMem{ArrayLayout: al, Data: make([][]float64, copies), Valid: make([][]bool, copies)}
+		am := &ArrayMem{ArrayLayout: al, Data: make([][]float64, copies), Valid: make([][]bool, copies), hull: make([]int, len(al.box))}
 		for c := 0; c < copies; c++ {
-			am.Data[c] = make([]float64, size)
-			am.Valid[c] = make([]bool, size)
+			am.Data[c] = make([]float64, al.size)
+			am.Valid[c] = make([]bool, al.size)
 		}
-		ints := make([]int, 2*len(al.box))
-		am.touched, am.hull = ints[:len(al.box)], ints[len(al.box):]
 		am.emptyHulls()
 		m.Arrays[slot] = am
 	}
@@ -303,42 +313,26 @@ func (l *Layout) NewMemory() *Memory {
 }
 
 // initValidity marks the owned (or replicated) elements of every array
-// valid, a row segment of the owner's box at a time; everything starts
-// at value zero.
+// valid, an owner run at a time; everything starts at value zero.
 func (m *Memory) initValidity() {
 	for _, am := range m.Arrays {
 		am.OwnerRuns(am.whole, m.sc, func(o, off, n int) {
-			setValid(am.Valid[o][off : off+n])
+			valid := am.Valid[o][off-am.base[o]:][:n]
+			for i := range valid {
+				valid[i] = true
+			}
 		})
-	}
-}
-
-func setValid(row []bool) {
-	for i := range row {
-		row[i] = true
 	}
 }
 
 // Reset restores the memory image to its just-constructed state —
 // every value zero, validity back to the ownership pattern, no ghosts —
-// reusing the existing rows so repeated native runs do not allocate. A
-// processor's plane differs from a new one's inside its touched box only,
-// so that is what is cleared: the blocks and their halos, not P arrays.
+// reusing the existing planes so repeated native runs do not allocate.
 func (m *Memory) Reset() {
 	for _, am := range m.Arrays {
 		for p := range am.Data {
-			data, valid, box := am.Data[p], am.Valid[p], am.whole
-			if am.Dist != nil {
-				box.Dims = m.sc.dims[:len(am.Strides)]
-				for k, d := range am.whole.Dims {
-					t := am.touched[2*(p*len(box.Dims)+k):]
-					box.Dims[k] = section.Dim{Lo: max(t[0], d.Lo), Hi: min(t[1], d.Hi), Step: 1}
-				}
-			}
-			am.walk(box, m.sc.idx, false, func(_, off, n int) {
-				clear(data[off : off+n])
-				clear(valid[off : off+n])
-			})
+			clear(am.Data[p])
+			clear(am.Valid[p])
 		}
 		am.emptyHulls()
 	}
@@ -357,75 +351,46 @@ func (m *Memory) View(name string) *ArrayMem {
 	return m.Arrays[al.Slot]
 }
 
-// Offset maps an index vector to the flat row-major offset, panicking
-// when the index lies outside the declared bounds.
+// Offset maps an index vector to the element's offset in its owner's
+// plane, panicking when the index lies outside the declared bounds.
 func (am *ArrayLayout) Offset(idx []int) int {
-	arr := am.Arr
-	off := 0
+	off, owner := 0, 0
 	for i, x := range idx {
-		if x < arr.Lo[i] || x > arr.Hi[i] {
+		if x -= am.Arr.Lo[i]; x < 0 || x >= len(am.own[i]) {
 			// Unreachable from input: the lowered program computes offsets
 			// in plan's ArrayRef.Offset, which returns a positioned error.
 			panic(fmt.Sprintf("runtime: %s%v out of bounds", am.Name, idx))
 		}
-		off += (x - arr.Lo[i]) * am.Strides[i]
+		off, owner = off+x*am.Strides[i], owner+am.own[i][x]
 	}
-	return off
+	return off - am.base[owner]
 }
 
-// OwnerInto computes the owning processor of an element, reusing the
-// caller's grid-coordinate buffer (len = grid rank) to avoid the
-// per-element allocation of dist.Owner on hot paths.
-func (am *ArrayLayout) OwnerInto(idx, coords []int) int {
-	if am.Dist == nil {
-		return 0
+// Owner returns the processor owning the element at idx, which must lie
+// within the declared bounds (0 for a replicated array).
+func (am *ArrayLayout) Owner(idx []int) int {
+	owner := 0
+	for k, x := range idx {
+		owner += am.own[k][x-am.Arr.Lo[k]]
 	}
-	for i := range coords {
-		coords[i] = 0
-	}
-	for i, dd := range am.Dist.Dims {
-		if dd.Kind == dist.Star {
-			continue
-		}
-		coords[dd.GridDim] = am.Dist.OwnerDim(i, idx[i])
-	}
-	return am.Dist.Grid.PID(coords)
+	return owner
 }
 
-// ReadAt returns processor proc's view of the element at offset off,
-// failing on stale copies (idx is only used for the error message).
-func (am *ArrayMem) ReadAt(proc, off int, idx []int) (float64, error) {
-	s := proc
-	if am.Dist == nil {
-		s = 0
-	}
-	if !am.Valid[s][off] {
-		return 0, &StaleReadError{Proc: proc, Array: am.Name, Index: append([]int(nil), idx...)}
-	}
-	return am.Data[s][off], nil
-}
+// OwnerInto is Owner, for callers that pass a grid-coordinate buffer.
+func (am *ArrayLayout) OwnerInto(idx, coords []int) int { return am.Owner(idx) }
 
-// StoreOwner writes the element at off into the owner's row and marks
-// it valid. In a sharded run only the owner's shard calls this.
+// StoreOwner writes the element at off of the owner's plane and marks it
+// valid. In a sharded run only the owner's shard calls this.
 func (am *ArrayMem) StoreOwner(off, owner int, v float64) {
-	s := owner
-	if am.Dist == nil {
-		s = 0
-	}
-	am.Data[s][off] = v
-	am.Valid[s][off] = true
+	am.Data[owner][off], am.Valid[owner][off] = v, true
 }
 
-// InvalidateRange clears the validity of processors [lo, hi) except
-// the owner — the range-scoped half of the killing write semantics
-// that make stale-read detection sound. Replicated arrays have a
-// single always-valid row, so there is nothing to invalidate.
-func (am *ArrayMem) InvalidateRange(off, owner, lo, hi int) {
-	if am.Dist == nil {
-		return
-	}
-	for p := lo; p < hi; p++ {
-		if p != owner {
+// InvalidateRange clears the validity of the element at idx on processors
+// [lo, hi) but its owner whose local boxes hold it — the range-scoped half
+// of the killing write semantics; a replicated array's row stays valid.
+func (am *ArrayMem) InvalidateRange(idx []int, owner, lo, hi int) {
+	for p := lo; p < hi && am.Dist != nil; p++ {
+		if off, ok := am.Local(p, idx); ok && p != owner {
 			am.Valid[p][off] = false
 		}
 	}
@@ -447,7 +412,7 @@ func (am *ArrayMem) InvalidateBox(p int, lo, hi []int, sc *Scratch) {
 		return
 	}
 	rank, covers := len(lo), true
-	blo, bhi, valid := sc.lo[:rank], sc.hi[:rank], am.Valid[p]
+	blo, bhi, valid, pb := sc.lo[:rank], sc.hi[:rank], am.Valid[p], am.base[p]
 	glo, ghi := am.ghost(p)
 	for k := range blo {
 		if blo[k], bhi[k] = max(lo[k], glo[k]), min(hi[k], ghi[k]); blo[k] > bhi[k] {
@@ -462,7 +427,7 @@ func (am *ArrayMem) InvalidateBox(p int, lo, hi []int, sc *Scratch) {
 		slab := func(from, to int) {
 			if blo[k], bhi[k] = from, to; from <= to {
 				n := bhi[rank-1] - blo[rank-1] + 1
-				am.rows(blo, bhi, sc.idx, func(base int) { clear(valid[base : base+n]) })
+				am.rows(blo, bhi, sc.idx, func(base int) { clear(valid[base-pb : base-pb+n]) })
 			}
 		}
 		l, h := blo[k], bhi[k]
@@ -484,8 +449,8 @@ func (am *ArrayMem) InvalidateBox(p int, lo, hi []int, sc *Scratch) {
 }
 
 // rows visits the rows of the non-empty box [lo, hi] in order: base is
-// the flat offset of a row's first element, stepped by the strides from
-// one row to the next; idx is scratch.
+// the stride space's offset of a row's first element, stepped by the
+// strides from one row to the next; idx is scratch.
 func (am *ArrayLayout) rows(lo, hi, idx []int, f func(base int)) {
 	last := len(lo) - 1
 	idx = idx[:last]
@@ -509,32 +474,23 @@ func (am *ArrayLayout) rows(lo, hi, idx []int, f func(base int)) {
 	}
 }
 
-// Owner returns the owning processor of an element (0 for replicated
-// arrays).
-func (m *Memory) Owner(name string, idx []int) int {
-	am := m.View(name)
-	if am.Dist == nil {
-		return 0
-	}
-	return am.Dist.Owner(idx)
-}
+// Owner returns the owning processor of an element (0 for replicated arrays).
+func (m *Memory) Owner(name string, idx []int) int { return m.View(name).Owner(idx) }
 
 // Read returns a processor's view of an element, failing on stale
 // copies.
 func (m *Memory) Read(proc int, name string, idx []int) (float64, error) {
 	am := m.View(name)
-	return am.ReadAt(proc, am.Offset(idx), idx)
+	s := proc % len(am.Data) // a replicated array's one plane is every processor's
+	if off, ok := am.Local(s, idx); ok && am.Valid[s][off] {
+		return am.Data[s][off], nil
+	}
+	return 0, &StaleReadError{Proc: proc, Array: am.Name, Index: append([]int(nil), idx...)}
 }
 
 // ReadOwner returns the canonical (owner's) value of an element.
 func (m *Memory) ReadOwner(name string, idx []int) float64 {
-	am := m.View(name)
-	off := am.Offset(idx)
-	s := 0
-	if am.Dist != nil {
-		s = am.Dist.Owner(idx)
-	}
-	return am.Data[s][off]
+	return m.View(name).Data[m.Owner(name, idx)][m.View(name).Offset(idx)]
 }
 
 // Write stores an element at its owner and invalidates every other
@@ -542,23 +498,17 @@ func (m *Memory) ReadOwner(name string, idx []int) float64 {
 // detection sound).
 func (m *Memory) Write(name string, idx []int, v float64) {
 	am := m.View(name)
-	off := am.Offset(idx)
-	if am.Dist == nil {
-		am.Data[0][off] = v
-		return
-	}
-	o := am.Dist.Owner(idx)
-	am.StoreOwner(off, o, v)
-	am.InvalidateRange(off, o, 0, m.P)
+	am.StoreOwner(am.Offset(idx), am.Owner(idx), v)
+	am.InvalidateRange(idx, am.Owner(idx), 0, m.P)
 }
 
 // Canonical assembles the owner values of an array into one flat
 // row-major slice, for comparison against a sequential reference run.
 func (m *Memory) Canonical(name string) []float64 {
 	am := m.View(name)
-	out := make([]float64, am.Arr.Size())
+	out, pos := make([]float64, am.Arr.Size()), 0
 	am.OwnerRuns(am.whole, NewScratch(am.Arr.Rank()), func(o, off, n int) {
-		copy(out[off:off+n], am.Data[o][off:off+n])
+		pos += copy(out[pos:pos+n], am.Data[o][off-am.base[o]:])
 	})
 	return out
 }
@@ -570,20 +520,21 @@ func (m *Memory) Canonical(name string) []float64 {
 // lets a row kernel store without marking.
 func (m *Memory) CheckHulls() error {
 	for _, am := range m.Arrays {
+		idx := make([]int, len(am.Strides))
 		for p := 0; am.Dist != nil && p < m.P; p++ {
 			lo, hi := am.ghost(p)
 			for off, valid := range am.Valid[p] {
 				owner, outside := 0, false
 				for k, stride := range am.Strides {
-					i := off / stride % len(am.own[k])
-					owner += am.own[k][i]
-					outside = outside || i+am.Arr.Lo[k] < lo[k] || i+am.Arr.Lo[k] > hi[k]
+					idx[k] = am.at[p*len(idx)+k] + off/stride%am.ext[k]
+					owner += am.own[k][idx[k]-am.Arr.Lo[k]]
+					outside = outside || idx[k] < lo[k] || idx[k] > hi[k]
 				}
 				if valid && outside && owner != p {
-					return fmt.Errorf("runtime: processor %d holds %s valid at flat offset %d, outside its ghost hull %v:%v", p, am.Name, off, lo, hi)
+					return fmt.Errorf("runtime: processor %d holds %s%v valid, outside its ghost hull %v:%v", p, am.Name, idx, lo, hi)
 				}
 				if !valid && owner == p {
-					return fmt.Errorf("runtime: processor %d holds its own %s element at flat offset %d invalid", p, am.Name, off)
+					return fmt.Errorf("runtime: processor %d holds its own %s element %v invalid", p, am.Name, idx)
 				}
 			}
 		}
@@ -611,10 +562,12 @@ func (am *ArrayLayout) ShiftArrayDim(gridDim int) int {
 
 // CopyValid delivers one run of a shift's strip (StripRuns; the caller
 // grows dst's hull by Delivered): what src holds valid of the n offsets
-// from off, its ghosts too, is copied into dst's plane, marked and counted.
-// Disjoint receivers run concurrently: what one receives, another sends.
+// of the stride space from off, its ghosts too, is copied into dst's
+// plane, marked and counted. Disjoint receivers run concurrently: what one
+// receives, another sends.
 func (am *ArrayMem) CopyValid(src, dst, off, n int) int {
-	from, held, to, valid := am.Data[src][off:off+n], am.Valid[src][off:off+n], am.Data[dst][off:off+n], am.Valid[dst][off:off+n]
+	s, d := off-am.base[src], off-am.base[dst]
+	from, held, to, valid := am.Data[src][s:s+n], am.Valid[src][s:s+n], am.Data[dst][d:d+n], am.Valid[dst][d:d+n]
 	moved := 0
 	for i, ok := range held {
 		if ok {
@@ -626,30 +579,34 @@ func (am *ArrayMem) CopyValid(src, dst, off, n int) int {
 }
 
 // BroadcastRange delivers a section (within the declared bounds) from
-// its owners to the processors in [dstLo, dstHi). The returned byte
-// count is that of the full section payload regardless of the range,
-// so concurrent shards each observe the same (chargeable) figure. An
-// element's owner row is never written by any range (owners skip
-// themselves), so disjoint ranges broadcast concurrently without data
-// races.
+// its owners to the processors in [dstLo, dstHi), each receiving the part
+// its local box holds. The returned byte count is that of the full
+// section payload regardless of the range, so concurrent shards each
+// observe the same (chargeable) figure. An element's owner row is never
+// written by any range (owners skip themselves), so disjoint ranges
+// broadcast concurrently without data races.
 func (am *ArrayMem) BroadcastRange(sec section.Section, dstLo, dstHi int, sc *Scratch) int {
 	if am.Dist == nil {
 		return 0
 	}
-	elems := 0
+	lo, hi := sc.lo[:len(am.Strides)], sc.hi[:len(am.Strides)]
 	for p := dstLo; p < dstHi; p++ {
-		am.Delivered(p, sec)
-	}
-	am.OwnerRuns(sec, sc, func(o, off, n int) {
-		for p := dstLo; p < dstHi; p++ {
-			if p != o {
-				copy(am.Data[p][off:off+n], am.Data[o][off:off+n])
-				setValid(am.Valid[p][off : off+n])
-			}
+		for k := range lo {
+			lo[k], hi[k] = am.LocalBox(p, k)
 		}
-		elems += n
-	})
-	return elems * am.Arr.ElemBytes()
+		part := sec.ClipInto(lo, hi, sc.dims)
+		am.Delivered(p, part)
+		data, valid, pb := am.Data[p], am.Valid[p], am.base[p]
+		am.OwnerRuns(part, sc, func(o, off, n int) {
+			if o != p {
+				copy(data[off-pb:off-pb+n], am.Data[o][off-am.base[o]:])
+				for i := off - pb; i < off-pb+n; i++ {
+					valid[i] = true
+				}
+			}
+		})
+	}
+	return sec.NumElems() * am.Arr.ElemBytes()
 }
 
 // SumSection computes the global sum of a section (within the declared
@@ -660,7 +617,7 @@ func (am *ArrayMem) SumSection(sec section.Section, sc *Scratch, counts []int) f
 	clear(counts)
 	total := 0.0
 	am.OwnerRuns(sec, sc, func(o, off, n int) {
-		for _, v := range am.Data[o][off : off+n] {
+		for _, v := range am.Data[o][off-am.base[o]:][:n] {
 			total += v
 		}
 		counts[o] += n

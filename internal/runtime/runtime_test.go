@@ -247,7 +247,9 @@ func TestLedgerAccounting(t *testing.T) {
 // contain it. The copies a box clears were delivered through the API —
 // in turn the whole array (a hull every box lies in), a strided and an
 // inset section on top of what the boxes before left (hulls a box covers,
-// cuts or misses) — and the hulls are held against the planes throughout.
+// cuts or misses) — and the hulls are held against the planes throughout;
+// at declared extents and in local boxes, where an element the box does
+// not hold has no copy to clear.
 func TestInvalidateBoxMatchesElementwise(t *testing.T) {
 	for _, tc := range []struct {
 		decl, distribute string
@@ -268,43 +270,53 @@ func TestInvalidateBoxMatchesElementwise(t *testing.T) {
 		{"a(0:n)", "(block)", 10, 4},
 	} {
 		src := "routine m(n)\nreal " + tc.decl + "\n!hpf$ distribute " + tc.distribute + " :: a\nend\n"
-		m := NewMemory(unit(t, src, map[string]int{"n": tc.n}, tc.procs), tc.procs)
-		am := m.View("a")
-		rank := am.Arr.Rank()
-		sc, coords := NewScratch(rank), make([]int, am.Dist.Grid.Rank())
-		// Every box: the product over the dimensions of every interval.
-		boxes := [][2][]int{{nil, nil}}
-		for k := 0; k < rank; k++ {
-			var next [][2][]int
-			for _, box := range boxes {
-				for lo := am.Arr.Lo[k]; lo <= am.Arr.Hi[k]; lo++ {
-					for hi := lo; hi <= am.Arr.Hi[k]; hi++ {
-						next = append(next, [2][]int{append(slices.Clone(box[0]), lo), append(slices.Clone(box[1]), hi)})
-					}
-				}
-			}
-			boxes = next
+		for _, margin := range margins {
+			invalidateBoxMatchesElementwise(t, src, tc.decl+" "+tc.distribute, tc.n, tc.procs, margin)
 		}
-		delivered := sections(am)
-		for b, box := range boxes {
-			for p := 0; p < tc.procs; p++ {
-				am.BroadcastRange(delivered[b%len(delivered)], p, p+1, sc)
-				want := slices.Clone(am.Valid[p])
-				section.Whole(box[0], box[1]).Elems(func(ix []int) bool {
-					if am.OwnerInto(ix, coords) != p {
-						want[am.Offset(ix)] = false
-					}
-					return true
-				})
-				am.InvalidateBox(p, box[0], box[1], sc)
-				if !slices.Equal(am.Valid[p], want) {
-					t.Fatalf("%s %s n=%d P=%d box %v:%v: processor %d's plane is\n%v, want\n%v",
-						tc.decl, tc.distribute, tc.n, tc.procs, box[0], box[1], p, am.Valid[p], want)
+	}
+}
+
+func invalidateBoxMatchesElementwise(t *testing.T, src, what string, n, procs, margin int) {
+	u := unit(t, src, map[string]int{"n": n}, procs)
+	m := NewMemory(u, procs)
+	if margin >= 0 {
+		m = NewLayout(u, procs, map[string]int{"a": margin}).NewMemory()
+	}
+	am := m.View("a")
+	rank := am.Arr.Rank()
+	sc := NewScratch(rank)
+	// Every box: the product over the dimensions of every interval.
+	boxes := [][2][]int{{nil, nil}}
+	for k := 0; k < rank; k++ {
+		var next [][2][]int
+		for _, box := range boxes {
+			for lo := am.Arr.Lo[k]; lo <= am.Arr.Hi[k]; lo++ {
+				for hi := lo; hi <= am.Arr.Hi[k]; hi++ {
+					next = append(next, [2][]int{append(slices.Clone(box[0]), lo), append(slices.Clone(box[1]), hi)})
 				}
 			}
-			if err := m.CheckHulls(); err != nil {
-				t.Fatalf("%s %s n=%d P=%d after box %v:%v: %v", tc.decl, tc.distribute, tc.n, tc.procs, box[0], box[1], err)
+		}
+		boxes = next
+	}
+	delivered := sections(am)
+	for b, box := range boxes {
+		for p := 0; p < procs; p++ {
+			am.BroadcastRange(delivered[b%len(delivered)], p, p+1, sc)
+			want := slices.Clone(am.Valid[p])
+			section.Whole(box[0], box[1]).Elems(func(ix []int) bool {
+				if off, in := am.Local(p, ix); in && ownerOf(am, ix) != p {
+					want[off] = false
+				}
+				return true
+			})
+			am.InvalidateBox(p, box[0], box[1], sc)
+			if !slices.Equal(am.Valid[p], want) {
+				t.Fatalf("%s n=%d P=%d margin %d box %v:%v: processor %d's plane is\n%v, want\n%v",
+					what, n, procs, margin, box[0], box[1], p, am.Valid[p], want)
 			}
+		}
+		if err := m.CheckHulls(); err != nil {
+			t.Fatalf("%s n=%d P=%d margin %d after box %v:%v: %v", what, n, procs, margin, box[0], box[1], err)
 		}
 	}
 }

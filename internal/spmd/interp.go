@@ -84,6 +84,9 @@ type shard struct {
 	// statement's i-th distributed SUM the processor owns: its share of
 	// the reduction's flops.
 	sumCounts [][]int
+	// target holds the index of the executing statement's target, which
+	// every processor of the range tests against its local box.
+	target []int
 }
 
 // evalErr returns the frame's pending evaluation error, positioned.
@@ -218,13 +221,13 @@ func (sh *shard) Stmt(st *plan.Stmt) error {
 	// Owner-computes on a distributed array: the owner, if it is in the
 	// range, evaluates and stores; every other processor of the range
 	// loses its copy.
-	am := fr.View(st.LHS.Lay)
-	off := st.LHS.Offset(fr)
+	am, idx := fr.View(st.LHS.Lay), st.LHS.Index(fr, sh.target)
 	if fr.Err != nil {
 		return sh.evalErr()
 	}
-	owner := st.LHS.Owner(fr)
+	owner := am.Owner(idx)
 	if owner >= sh.lo && owner < sh.hi {
+		off, _ := am.Local(owner, idx)
 		v, flops := sh.eval(owner, st)
 		if fr.Err != nil {
 			return sh.evalErr()
@@ -232,7 +235,7 @@ func (sh *shard) Stmt(st *plan.Stmt) error {
 		am.StoreOwner(off, owner, v)
 		sh.led.Compute(owner, flops)
 	}
-	am.InvalidateRange(off, owner, sh.lo, sh.hi)
+	am.InvalidateRange(idx, owner, sh.lo, sh.hi)
 	return nil
 }
 
@@ -242,9 +245,11 @@ func (sh *shard) Stmt(st *plan.Stmt) error {
 func (sh *shard) execOwn(st *plan.Stmt) error {
 	fr := sh.fr
 	p, am := fr.P, fr.View(st.LHS.Lay)
-	off := st.LHS.Offset(fr)
+	off, in := st.LHS.Offset(fr, p)
 	if st.Guard && st.LHS.Owner(fr) != p {
-		am.Valid[p][off] = false
+		if in {
+			am.Valid[p][off] = false
+		}
 		return nil
 	}
 	v, flops := sh.eval(p, st)
@@ -271,19 +276,23 @@ func (sh *shard) execSyncStmt(st *plan.Stmt) error {
 
 	var (
 		off, owner int
+		idx        []int
 		v          float64
 		has        bool
 		serr       error
 	)
 	if st.LHS != nil {
-		off = st.LHS.Offset(fr)
+		if idx = st.LHS.Index(fr, sh.target); fr.Err == nil {
+			owner = st.LHS.Lay.Owner(idx)
+			off, _ = st.LHS.Lay.Local(owner, idx)
+		}
 	}
 	switch {
 	case fr.Err != nil:
 		serr = sh.evalErr()
 	case st.LHS != nil && st.LHS.Lay.Dist != nil:
 		// Owner-computes: only the owner's shard evaluates.
-		if owner = st.LHS.Owner(fr); owner >= sh.lo && owner < sh.hi {
+		if owner >= sh.lo && owner < sh.hi {
 			sh.runSums(st.Sums)
 			var flops int
 			v, flops = sh.eval(owner, st)
@@ -335,7 +344,7 @@ func (sh *shard) execSyncStmt(st *plan.Stmt) error {
 	if st.LHS == nil {
 		fr.Reals[st.Scalar], fr.Set[st.Scalar] = eng.syncResult, true
 	} else {
-		fr.View(st.LHS.Lay).InvalidateRange(off, owner, sh.lo, sh.hi)
+		fr.View(st.LHS.Lay).InvalidateRange(idx, owner, sh.lo, sh.hi)
 	}
 	return nil
 }

@@ -136,7 +136,7 @@ func newEngine(prog *plan.Program, procs, workers int) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		sh := &shard{eng: eng, idx: i, lo: lo, hi: (i + 1) * procs / workers, fr: fr}
+		sh := &shard{eng: eng, idx: i, lo: lo, hi: (i + 1) * procs / workers, fr: fr, target: make([]int, prog.Plan.Layout.MaxRank)}
 		sh.sumCounts = make([][]int, len(sh.fr.Sums))
 		for i := range sh.sumCounts {
 			sh.sumCounts[i] = make([]int, procs)
