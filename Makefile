@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check race check run-names bench-build attr-smoke obs-smoke native-smoke nativeprof-smoke compile-smoke sim-smoke size
+.PHONY: all build test vet fmt-check race check run-names bench-build attr-smoke obs-smoke native-smoke nativeprof-smoke compile-smoke sim-smoke fuzz-smoke size
 
 all: build
 
@@ -201,8 +201,12 @@ nativeprof-smoke:
 # ci/compile-alloc-budget.txt: 1.25x the measured allocs/op, where the
 # revision before the per-level section tables spent 399 416 — a pair
 # test that starts re-expanding sections again is a regression long
-# before it shows in milliseconds.
+# before it shows in milliseconds. The parser's own pins go first: its
+# output on the golden corpus byte for byte (TestASTGolden), the nesting
+# bound, and what parsing the six routines allocates (TestParseAllocs,
+# 1.25x the measured count).
 compile-smoke:
+	$(GO) test ./internal/parser -run 'TestASTGolden|TestParseNestingLimit|TestParseAllocs' -count=1
 	$(GO) test ./cmd/hpfc -run 'TestFig10aHydfloFlux' -count=1
 	$(GO) test ./internal/lin -run 'TestFormMatchesMapModel' -count=1
 	$(GO) test ./internal/core -run 'TestPlacementGolden|TestSectionTableMatchesExpansion|TestPlaceNilRecorderAllocs|TestNilTallyCostsNothing' -count=1
@@ -212,6 +216,14 @@ compile-smoke:
 	$(GO) test -race . -run 'TestSkeletonSharedConcurrently' -count=1
 	@GO="$(GO)" sh ci/alloc-budget.sh 'BenchmarkFig10aHydfloFlux$$' ci/compile-alloc-budget.txt compile-smoke
 	@echo "compile-smoke: ok"
+
+# fuzz-smoke runs the parser's fuzz target for 30 s past its seed corpus
+# (the Fig. 10(a) routines and the AST golden's inputs) and the
+# minimised failures checked in under internal/parser/testdata/fuzz/,
+# which plain `go test` replays too. A new failure lands in that
+# directory: minimise it, fix the parser, and check the file in.
+fuzz-smoke:
+	$(GO) test ./internal/parser -run 'FuzzParse' -fuzz '^FuzzParse$$' -fuzztime 30s -parallel 2
 
 # sim-smoke holds what the BSP simulator charges and what it costs: the
 # ledger golden file (messages, bytes, barriers and every clock bit, at

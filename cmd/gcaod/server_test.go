@@ -351,6 +351,36 @@ func TestSimulateOutOfRangeSubscriptIs4xx(t *testing.T) {
 	}
 }
 
+// TestDeeplyNestedSourceIs400: a body of a million nested parentheses —
+// half gcaod's body limit — once overflowed the parser's goroutine stack,
+// a fatal error no recover catches. It is now a positioned 400 carrying
+// the request id, and the daemon serves the next request.
+func TestDeeplyNestedSourceIs400(t *testing.T) {
+	_, ts := testServer(t)
+	const depth = 1000000
+	src := "routine r()\nreal x\nx = " + strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth) + "\nend\n"
+	resp, _ := postCompile(t, ts, map[string]any{"source": src, "procs": 4})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	}
+	var body map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if body["req_id"] == "" || body["req_id"] != resp.Header.Get("X-Request-Id") {
+		t.Errorf("req_id %q, header %q", body["req_id"], resp.Header.Get("X-Request-Id"))
+	}
+	if want := "3:10005: nesting deeper than 10000 levels"; !strings.Contains(body["error"], want) {
+		t.Errorf("error %q lacks %q", body["error"], want)
+	}
+	resp, out := postCompile(t, ts, map[string]any{
+		"source": stencilSrc, "params": map[string]int{"n": 8, "steps": 1}, "procs": 4,
+	})
+	if resp.StatusCode != http.StatusOK || out.Messages <= 0 {
+		t.Fatalf("request after the nested one: status %d, %d messages", resp.StatusCode, out.Messages)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	_, ts := testServer(t)
 	resp, err := http.Get(ts.URL + "/healthz")

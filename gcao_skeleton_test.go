@@ -437,9 +437,10 @@ func TestSkeletonSharedConcurrently(t *testing.T) {
 // TestSkeletonHitPin pins what a known source at a new size costs through
 // the library: no front-end or structural step runs — the request's
 // recorder sees sem and the instantiate half only — and the compile
-// allocates well under half of what the text costs from scratch (shallow:
-// 720 allocations against 2,687 for Compile when the pin was last set;
-// 1,220 against 4,218 before the analysis moved onto dense indices).
+// allocates under two thirds of what the text costs from scratch (shallow:
+// 666 allocations against 1,150 for Compile when the pin was last set,
+// once the front end allocated by the routine; 720 against 2,687 before
+// that, 1,220 against 4,218 before the analysis moved onto dense indices).
 func TestSkeletonHitPin(t *testing.T) {
 	pr, err := bench.ByName("shallow", "main")
 	if err != nil {
@@ -482,10 +483,10 @@ func TestSkeletonHitPin(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 900
+	const budget = 830
 	t.Logf("compile-tier miss on a skeleton hit: %.0f allocs; Compile: %.0f", allocs, full)
-	if allocs > budget || 2*allocs > full {
-		t.Errorf("a known source at a new size allocates %.0f times: budget %d, and half of Compile's %.0f", allocs, budget, full)
+	if allocs > budget || 3*allocs > 2*full {
+		t.Errorf("a known source at a new size allocates %.0f times: budget %d, and two thirds of Compile's %.0f", allocs, budget, full)
 	}
 }
 

@@ -152,14 +152,61 @@ type Graph struct {
 	Stmts      []*Stmt // all statements, program order
 }
 
+// builder carves everything a graph holds from backing arrays sized by
+// one count of the body: the blocks and their edge lists, statements,
+// loops, and the enclosing-loop lists statements share.
 type builder struct {
-	g         *Graph
-	loopStack []*Loop
+	g      *Graph
+	blocks []Block
+	edges  []*Block // two successor and two predecessor slots per block
+	stmts  []Stmt
+	loops  []Loop
+	paths  []*Loop // loop paths: a loop's is its parent's plus itself
+	// The loops around the statement being built, outermost first,
+	// shared by every statement directly in the innermost one.
+	path []*Loop
+}
+
+// size counts what the graph of body holds: blocks beyond ENTRY and
+// EXIT, statements, loops, and the lengths of the loops' paths.
+func size(body []ast.Stmt, depth int) (blocks, stmts, loops, paths int) {
+	for _, s := range body {
+		switch s := s.(type) {
+		case *ast.AssignStmt:
+			stmts++
+		case *ast.IfStmt:
+			blocks += 2
+			if len(s.Else) > 0 {
+				blocks++
+			}
+			for _, arm := range [...][]ast.Stmt{s.Then, s.Else} {
+				b, st, l, p := size(arm, depth)
+				blocks, stmts, loops, paths = blocks+b, stmts+st, loops+l, paths+p
+			}
+		case *ast.DoStmt:
+			b, st, l, p := size(s.Body, depth+1)
+			blocks, stmts, loops, paths = blocks+4+b, stmts+st, loops+1+l, paths+depth+1+p
+		}
+	}
+	return
 }
 
 // Build constructs the augmented CFG for a (scalarized) routine body.
 func Build(body []ast.Stmt) *Graph {
-	b := &builder{g: &Graph{}}
+	nb, ns, nl, np := size(body, 0)
+	nb += 2
+	b := &builder{
+		g: &Graph{
+			Blocks: make([]*Block, 0, nb),
+			Stmts:  make([]*Stmt, 0, ns),
+			Loops:  make([]*Loop, 0, nl),
+		},
+		blocks: make([]Block, nb),
+		edges:  make([]*Block, 4*nb),
+		stmts:  make([]Stmt, ns),
+		loops:  make([]Loop, nl),
+		paths:  make([]*Loop, np),
+	}
 	entry := b.newBlock(Entry)
 	b.g.EntryBlock = entry
 	last := b.build(body, entry)
@@ -169,10 +216,14 @@ func Build(body []ast.Stmt) *Graph {
 	return b.g
 }
 
+// newBlock carves the next block. No block has more than two successors
+// or two predecessors, so both lists fit the slots carved with it.
 func (b *builder) newBlock(kind BlockKind) *Block {
-	blk := &Block{ID: len(b.g.Blocks), Kind: kind}
-	if n := len(b.loopStack); n > 0 {
-		blk.Loop = b.loopStack[n-1]
+	id := len(b.g.Blocks)
+	blk := &b.blocks[id]
+	*blk = Block{ID: id, Kind: kind, Succs: b.edges[4*id : 4*id : 4*id+2], Preds: b.edges[4*id+2 : 4*id+2 : 4*id+4]}
+	if n := len(b.path); n > 0 {
+		blk.Loop = b.path[n-1]
 	}
 	b.g.Blocks = append(b.g.Blocks, blk)
 	return blk
@@ -183,25 +234,25 @@ func (b *builder) edge(from, to *Block) {
 	to.Preds = append(to.Preds, from)
 }
 
-func (b *builder) curLoops() []*Loop {
-	return append([]*Loop(nil), b.loopStack...)
-}
-
 // build appends the CFG for stmts starting in cur and returns the block
 // where control continues.
 func (b *builder) build(stmts []ast.Stmt, cur *Block) *Block {
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *ast.AssignStmt:
-			st := &Stmt{
-				ID:     len(b.g.Stmts),
+			id := len(b.g.Stmts)
+			st := &b.stmts[id]
+			*st = Stmt{
+				ID:     id,
 				Assign: s,
 				Block:  cur,
 				Index:  len(cur.Stmts),
-				Loops:  b.curLoops(),
+				Loops:  b.path,
 			}
-			cur.Stmts = append(cur.Stmts, st)
 			b.g.Stmts = append(b.g.Stmts, st)
+			// A block's statements are consecutive in program order: its
+			// list is a window on the graph's, capped at its end.
+			cur.Stmts = b.g.Stmts[id-len(cur.Stmts) : id+1 : id+1]
 
 		case *ast.IfStmt:
 			cur.Branch = s
@@ -222,14 +273,15 @@ func (b *builder) build(stmts []ast.Stmt, cur *Block) *Block {
 
 		case *ast.DoStmt:
 			var parent *Loop
-			if n := len(b.loopStack); n > 0 {
-				parent = b.loopStack[n-1]
+			if n := len(b.path); n > 0 {
+				parent = b.path[n-1]
 			}
-			loop := &Loop{
+			loop := &b.loops[len(b.g.Loops)]
+			*loop = Loop{
 				ID:     len(b.g.Loops),
 				Do:     s,
 				Parent: parent,
-				Depth:  len(b.loopStack) + 1,
+				Depth:  len(b.path) + 1,
 			}
 			if parent != nil {
 				parent.Children = append(parent.Children, loop)
@@ -240,7 +292,11 @@ func (b *builder) build(stmts []ast.Stmt, cur *Block) *Block {
 			b.edge(cur, pre)
 			loop.PreHeader = pre
 
-			b.loopStack = append(b.loopStack, loop)
+			outer := b.path
+			n := len(outer) + 1
+			b.path, b.paths = b.paths[:n:n], b.paths[n:]
+			copy(b.path, outer)
+			b.path[n-1] = loop
 			hdr := b.newBlock(Header)
 			loop.Header = hdr
 			b.edge(pre, hdr)
@@ -248,7 +304,7 @@ func (b *builder) build(stmts []ast.Stmt, cur *Block) *Block {
 			b.edge(hdr, bodyB)
 			bodyEnd := b.build(s.Body, bodyB)
 			b.edge(bodyEnd, hdr) // backedge
-			b.loopStack = b.loopStack[:len(b.loopStack)-1]
+			b.path = outer
 
 			post := b.newBlock(PostExit) // belongs to enclosing loop
 			loop.PostExit = post

@@ -17,7 +17,57 @@ func build(t *testing.T, src string) *Graph {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
+	// The count Build sizes its backing arrays by is exact, and no edge
+	// list outgrew the two slots carved for it.
+	if nb, ns, nl, _ := size(r.Body, 0); len(g.Blocks) != nb+2 || len(g.Stmts) != ns || len(g.Loops) != nl {
+		t.Fatalf("counted %d blocks, %d statements, %d loops; built %d, %d, %d", nb+2, ns, nl, len(g.Blocks), len(g.Stmts), len(g.Loops))
+	}
+	for _, blk := range g.Blocks {
+		if cap(blk.Succs) != 2 || cap(blk.Preds) != 2 {
+			t.Fatalf("%s: edge lists outgrew their slots", blk)
+		}
+	}
 	return g
+}
+
+// TestNestedControlSizing builds consecutive and nested IFs and DOs,
+// empty arms and bodies among them, through the sizing checks of build.
+func TestNestedControlSizing(t *testing.T) {
+	g := build(t, `
+routine f(n)
+real x
+if (x > 0) then
+if (x > 1) then
+else
+do i = 1, n
+enddo
+endif
+endif
+if (x > 2) then
+x = 1
+endif
+do i = 1, n
+x = 2
+if (x > 3) then
+do j = 1, n
+x = 3
+enddo
+else
+x = 4
+endif
+do j = 1, n
+enddo
+x = 5
+enddo
+end
+`)
+	if len(g.Loops) != 4 || g.Loops[2].Depth != 2 || len(g.Loops[1].Children) != 2 {
+		t.Fatalf("loops %d, depth %d", len(g.Loops), g.Loops[2].Depth)
+	}
+	last := g.Stmts[len(g.Stmts)-1]
+	if len(last.Loops) != 1 || last.Loops[0] != g.Loops[1] {
+		t.Errorf("x = 5 in loops %v", last.Loops)
+	}
 }
 
 func TestStraightLine(t *testing.T) {

@@ -73,6 +73,23 @@ type Analysis struct {
 	Forms Forms
 	forms map[*ast.Ref][]SubscriptForm
 	pairs map[pairKey][]DirSet // nil dirs: not feasible
+	vars  varForms
+}
+
+// varForms interns the one-term form 1·v of each identifier v a
+// subscript names. Forms are immutable, so every subscript naming v may
+// share one; the nil set interns nothing and makes each afresh.
+type varForms map[string]lin.Form
+
+func (m varForms) of(name string) lin.Form {
+	f, ok := m[name]
+	if !ok {
+		f = lin.Var(name)
+		if m != nil {
+			m[name] = f
+		}
+	}
+	return f
 }
 
 // SubscriptForm is subForm's result for one subscript of a reference; OK
@@ -95,13 +112,14 @@ type Forms map[*ast.Ref][]SubscriptForm
 // parameters.
 func NewForms(params []string, info *ssa.Info) Forms {
 	f := make(Forms, len(info.Uses)+len(info.Defs))
+	vars := varForms{}
 	add := func(r *ast.Ref) {
 		for _, sub := range r.Subs {
 			if readsParam(sub.X, params) {
 				return
 			}
 		}
-		f[r] = refForms(r, nil)
+		f[r] = refForms(r, nil, vars)
 	}
 	for _, u := range info.Uses {
 		add(u.Ref)
@@ -136,15 +154,15 @@ func keyOf(d *ssa.RegularDef, u *ssa.Use) pairKey {
 
 // New builds a remembering dependence analysis for a routine.
 func New(u *sem.Unit) *Analysis {
-	return &Analysis{Unit: u, forms: map[*ast.Ref][]SubscriptForm{}, pairs: map[pairKey][]DirSet{}}
+	return &Analysis{Unit: u, forms: map[*ast.Ref][]SubscriptForm{}, pairs: map[pairKey][]DirSet{}, vars: varForms{}}
 }
 
 // refForms is the one place a reference's subscripts become forms.
-func refForms(r *ast.Ref, params map[string]int) []SubscriptForm {
+func refForms(r *ast.Ref, params map[string]int, vars varForms) []SubscriptForm {
 	fs := make([]SubscriptForm, len(r.Subs))
 	for k, sub := range r.Subs {
 		if sub.Kind != ast.SubRange {
-			fs[k].Form, fs[k].OK = subForm(sub.X, params)
+			fs[k].Form, fs[k].OK = subForm(sub.X, params, vars)
 		}
 	}
 	return fs
@@ -160,7 +178,7 @@ func (a *Analysis) RefForms(r *ast.Ref) []SubscriptForm {
 	}
 	fs, ok := a.forms[r]
 	if !ok {
-		fs = refForms(r, a.Unit.Params)
+		fs = refForms(r, a.Unit.Params, a.vars)
 		if a.forms != nil {
 			a.forms[r] = fs
 		}
@@ -187,8 +205,9 @@ func (a *Analysis) pairDirections(d *ssa.RegularDef, u *ssa.Use) ([]DirSet, bool
 // constants and keeping loop variables symbolic. ok is false when the
 // expression is not affine (division, products of variables, intrinsic
 // calls, array refs). An expression that names no parameter has the same
-// form under every binding, nil included.
-func subForm(e ast.Expr, params map[string]int) (lin.Form, bool) {
+// form under every binding, nil included. A loop variable's form comes
+// from vars.
+func subForm(e ast.Expr, params map[string]int, vars varForms) (lin.Form, bool) {
 	switch e := e.(type) {
 	case nil:
 		return lin.Form{}, false
@@ -201,16 +220,16 @@ func subForm(e ast.Expr, params map[string]int) (lin.Form, bool) {
 		if v, ok := params[e.Name]; ok {
 			return lin.ConstForm(v), true
 		}
-		return lin.Var(e.Name), true
+		return vars.of(e.Name), true
 	case *ast.UnaryExpr:
-		f, ok := subForm(e.X, params)
+		f, ok := subForm(e.X, params, vars)
 		if !ok {
 			return lin.Form{}, false
 		}
 		return f.Scale(-1), true
 	case *ast.BinExpr:
-		x, okx := subForm(e.X, params)
-		y, oky := subForm(e.Y, params)
+		x, okx := subForm(e.X, params, vars)
+		y, oky := subForm(e.Y, params, vars)
 		if !okx || !oky {
 			return lin.Form{}, false
 		}

@@ -83,7 +83,7 @@ enddo
 end
 `, map[string]int{"n": 8})
 	st := c.g.Stmts[0]
-	f, ok := subForm(st.Assign.LHS.Subs[0].X, c.a.Unit.Params)
+	f, ok := subForm(st.Assign.LHS.Subs[0].X, c.a.Unit.Params, nil)
 	if !ok || f.CoefOf("i") != 1 || f.Const != 0 {
 		t.Errorf("subForm(i) = %v, %v", f, ok)
 	}
@@ -401,7 +401,7 @@ end
 			refs++
 			got := a.RefForms(r)
 			for k, sub := range r.Subs {
-				f, ok := subForm(sub.X, u.Params)
+				f, ok := subForm(sub.X, u.Params, nil)
 				if sub.Kind == ast.SubRange {
 					f, ok = lin.Form{}, false
 				}

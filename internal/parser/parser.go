@@ -33,6 +33,7 @@ package parser
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -40,18 +41,64 @@ import (
 	"gcao/internal/source"
 )
 
+// maxNesting bounds how deeply the constructs the parser recurses on may
+// nest: parentheses (grouping, subscript lists, intrinsic arguments),
+// unary minus, the right operands of a ** chain, and DO and IF bodies,
+// all on one count. Without it a source of a million "(" — half of what
+// gcaod accepts in a body — overflows the goroutine stack, a fatal error
+// recover cannot catch.
+const maxNesting = 10000
+
+// parser reads tokens from the scanner as it goes: tok is the current
+// token and la the one after it, the lookahead factor needs to tell an
+// intrinsic call from a reference. Both are lexemes, whose text stays in
+// the source until a node takes it.
 type parser struct {
-	toks []source.Token
-	pos  int
+	sc      *source.Scanner
+	tok, la source.Lexeme
+	depth   int // constructs open around the current token (maxNesting)
+	a       *slabs
+	// Lists under construction, nested lists above their parents': a
+	// finished list is carved from its slab and popped. Each stack
+	// starts in an array of the parser's own, which the lists of the
+	// Fig. 10(a) routines never outgrow.
+	stmts    []ast.Stmt
+	exprs    []ast.Expr
+	subs     []ast.Sub
+	items    []ast.DeclItem
+	bounds   []ast.Bound
+	names    []string
+	stmtBuf  [64]ast.Stmt
+	exprBuf  [16]ast.Expr
+	subBuf   [16]ast.Sub
+	itemBuf  [16]ast.DeclItem
+	boundBuf [16]ast.Bound
+	nameBuf  [16]string
 }
 
-// Parse parses a whole program.
+// Parse parses a whole program. When the input holds a character the
+// scanner rejects, that error is the result, wherever it lies.
 func Parse(src string) (*ast.Program, error) {
-	toks, err := source.ScanAll(src)
-	if err != nil {
-		return nil, err
+	if len(src) > math.MaxInt32 {
+		return nil, fmt.Errorf("parser: a source of %d bytes is over the scanner's 2 GiB", len(src))
 	}
-	p := &parser{toks: toks}
+	p := &parser{sc: source.NewScanner(src), a: newSlabs(len(src))}
+	p.stmts, p.exprs, p.subs = p.stmtBuf[:0], p.exprBuf[:0], p.subBuf[:0]
+	p.items, p.bounds, p.names = p.itemBuf[:0], p.boundBuf[:0], p.nameBuf[:0]
+	p.tok = p.sc.Scan()
+	p.la = p.sc.Scan()
+	prog, err := p.program()
+	if err != nil {
+		for p.sc.Scan().Kind != source.EOF {
+		}
+	}
+	if serr := p.sc.Err(); serr != nil {
+		return nil, serr
+	}
+	return prog, err
+}
+
+func (p *parser) program() (*ast.Program, error) {
 	prog := &ast.Program{}
 	p.skipNewlines()
 	for !p.at(source.EOF) {
@@ -80,32 +127,59 @@ func ParseRoutine(src string) (*ast.Routine, error) {
 	return prog.Routines[0], nil
 }
 
-func (p *parser) cur() source.Token     { return p.toks[p.pos] }
-func (p *parser) at(k source.Kind) bool { return p.cur().Kind == k }
+func (p *parser) cur() source.Lexeme    { return p.tok }
+func (p *parser) at(k source.Kind) bool { return p.tok.Kind == k }
 
-func (p *parser) atKw(kw string) bool {
-	t := p.cur()
-	return t.Kind == source.Ident && t.Text == kw
+// text returns a lexeme's canonical text.
+func (p *parser) text(l source.Lexeme) string { return p.sc.Text(l) }
+
+// token returns a lexeme as the token an error message names.
+func (p *parser) token(l source.Lexeme) source.Token {
+	return source.Token{Kind: l.Kind, Text: p.text(l), Pos: l.Pos}
 }
 
-func (p *parser) next() source.Token {
-	t := p.toks[p.pos]
+func (p *parser) atKw(kw string) bool {
+	return p.tok.Kind == source.Ident && p.text(p.tok) == kw
+}
+
+func (p *parser) next() source.Lexeme {
+	t := p.tok
 	if t.Kind != source.EOF {
-		p.pos++
+		p.tok = p.la
+		p.la = p.sc.Scan()
 	}
 	return t
 }
 
-func (p *parser) expect(k source.Kind) (source.Token, error) {
+// enter opens one more nesting level at pos, or fails past maxNesting;
+// leave closes it.
+func (p *parser) enter(pos source.Pos) error {
+	if p.depth == maxNesting {
+		return source.Errorf(pos, "nesting deeper than %d levels", maxNesting)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
+
+// pop carves the list stack[mark:] from its slab and pops it.
+func pop[T any](stack *[]T, mark int, s *slab[T]) []T {
+	out := s.carve((*stack)[mark:])
+	*stack = (*stack)[:mark]
+	return out
+}
+
+func (p *parser) expect(k source.Kind) (source.Lexeme, error) {
 	if !p.at(k) {
-		return p.cur(), source.Errorf(p.cur().Pos, "expected %s, found %s", k, p.cur())
+		return p.cur(), source.Errorf(p.cur().Pos, "expected %s, found %s", k, p.token(p.cur()))
 	}
 	return p.next(), nil
 }
 
 func (p *parser) expectKw(kw string) error {
 	if !p.atKw(kw) {
-		return source.Errorf(p.cur().Pos, "expected %q, found %s", kw, p.cur())
+		return source.Errorf(p.cur().Pos, "expected %q, found %s", kw, p.token(p.cur()))
 	}
 	p.next()
 	return nil
@@ -116,7 +190,7 @@ func (p *parser) expectNL() error {
 		return nil
 	}
 	if !p.at(source.Newline) {
-		return source.Errorf(p.cur().Pos, "expected end of statement, found %s", p.cur())
+		return source.Errorf(p.cur().Pos, "expected end of statement, found %s", p.token(p.cur()))
 	}
 	p.skipNewlines()
 	return nil
@@ -137,15 +211,16 @@ func (p *parser) routine() (*ast.Routine, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &ast.Routine{Name: nameTok.Text, Pos: start}
+	r := &ast.Routine{Name: p.text(nameTok), Pos: start}
 	if p.at(source.LParen) {
 		p.next()
+		mark := len(p.names)
 		for !p.at(source.RParen) {
 			t, err := p.expect(source.Ident)
 			if err != nil {
 				return nil, err
 			}
-			r.Params = append(r.Params, t.Text)
+			p.names = append(p.names, p.text(t))
 			if p.at(source.Comma) {
 				p.next()
 				continue
@@ -155,6 +230,7 @@ func (p *parser) routine() (*ast.Routine, error) {
 		if _, err := p.expect(source.RParen); err != nil {
 			return nil, err
 		}
+		r.Params = pop(&p.names, mark, &p.a.names)
 	}
 	if err := p.expectNL(); err != nil {
 		return nil, err
@@ -181,6 +257,7 @@ func (p *parser) routine() (*ast.Routine, error) {
 		}
 	}
 body:
+	mark := len(p.stmts)
 	for !p.atKw("end") {
 		if p.at(source.EOF) {
 			return nil, source.Errorf(p.cur().Pos, "unexpected EOF in routine %q (missing 'end'?)", r.Name)
@@ -197,8 +274,9 @@ body:
 		if err != nil {
 			return nil, err
 		}
-		r.Body = append(r.Body, s)
+		p.stmts = append(p.stmts, s)
 	}
+	r.Body = pop(&p.stmts, mark, &p.a.stmts)
 	p.next() // "end"
 	// Optional "end routine [name]".
 	if p.atKw("routine") {
@@ -223,20 +301,22 @@ func (p *parser) decl() (*ast.Decl, error) {
 	}
 	p.next()
 	d := &ast.Decl{Type: typ, Pos: start}
+	mark := len(p.items)
 	for {
 		t, err := p.expect(source.Ident)
 		if err != nil {
 			return nil, err
 		}
-		item := ast.DeclItem{Name: t.Text}
+		item := ast.DeclItem{Name: p.text(t)}
 		if p.at(source.LParen) {
 			p.next()
+			bmark := len(p.bounds)
 			for {
 				b, err := p.bound()
 				if err != nil {
 					return nil, err
 				}
-				item.Bounds = append(item.Bounds, b)
+				p.bounds = append(p.bounds, b)
 				if p.at(source.Comma) {
 					p.next()
 					continue
@@ -246,14 +326,16 @@ func (p *parser) decl() (*ast.Decl, error) {
 			if _, err := p.expect(source.RParen); err != nil {
 				return nil, err
 			}
+			item.Bounds = pop(&p.bounds, bmark, &p.a.bounds)
 		}
-		d.Items = append(d.Items, item)
+		p.items = append(p.items, item)
 		if p.at(source.Comma) {
 			p.next()
 			continue
 		}
 		break
 	}
+	d.Items = pop(&p.items, mark, &p.a.items)
 	if err := p.expectNL(); err != nil {
 		return nil, err
 	}
@@ -286,16 +368,17 @@ func (p *parser) directive() (ast.Dir, error) {
 		if err != nil {
 			return nil, err
 		}
-		d := &ast.ProcessorsDir{Name: nameTok.Text, Pos: start}
+		d := &ast.ProcessorsDir{Name: p.text(nameTok), Pos: start}
 		if _, err := p.expect(source.LParen); err != nil {
 			return nil, err
 		}
+		mark := len(p.exprs)
 		for {
 			e, err := p.expr()
 			if err != nil {
 				return nil, err
 			}
-			d.Shape = append(d.Shape, e)
+			p.exprs = append(p.exprs, e)
 			if p.at(source.Comma) {
 				p.next()
 				continue
@@ -305,6 +388,7 @@ func (p *parser) directive() (ast.Dir, error) {
 		if _, err := p.expect(source.RParen); err != nil {
 			return nil, err
 		}
+		d.Shape = pop(&p.exprs, mark, &p.a.exprs)
 		if err := p.expectNL(); err != nil {
 			return nil, err
 		}
@@ -314,9 +398,10 @@ func (p *parser) directive() (ast.Dir, error) {
 		d := &ast.DistributeDir{Pos: start}
 		// Either "distribute a(block,block)" or "distribute (block,...)
 		// [onto p] :: a, b".
+		mark := len(p.names)
 		if p.at(source.Ident) {
 			nameTok := p.next()
-			d.Arrays = append(d.Arrays, nameTok.Text)
+			p.names = append(p.names, p.text(nameTok))
 		}
 		if _, err := p.expect(source.LParen); err != nil {
 			return nil, err
@@ -342,9 +427,9 @@ func (p *parser) directive() (ast.Dir, error) {
 			if err != nil {
 				return nil, err
 			}
-			d.Onto = t.Text
+			d.Onto = p.text(t)
 		}
-		if len(d.Arrays) == 0 {
+		if len(p.names) == mark {
 			// "::" a, b, c
 			if _, err := p.expect(source.Colon); err != nil {
 				return nil, err
@@ -357,7 +442,7 @@ func (p *parser) directive() (ast.Dir, error) {
 				if err != nil {
 					return nil, err
 				}
-				d.Arrays = append(d.Arrays, t.Text)
+				p.names = append(p.names, p.text(t))
 				if p.at(source.Comma) {
 					p.next()
 					continue
@@ -365,12 +450,13 @@ func (p *parser) directive() (ast.Dir, error) {
 				break
 			}
 		}
+		d.Arrays = pop(&p.names, mark, &p.a.names)
 		if err := p.expectNL(); err != nil {
 			return nil, err
 		}
 		return d, nil
 	}
-	return nil, source.Errorf(p.cur().Pos, "unknown HPF directive %s", p.cur())
+	return nil, source.Errorf(p.cur().Pos, "unknown HPF directive %s", p.token(p.cur()))
 }
 
 func (p *parser) distKind() (ast.DistKind, error) {
@@ -385,7 +471,7 @@ func (p *parser) distKind() (ast.DistKind, error) {
 		p.next()
 		return ast.DistCyclic, nil
 	}
-	return 0, source.Errorf(p.cur().Pos, "expected distribution kind, found %s", p.cur())
+	return 0, source.Errorf(p.cur().Pos, "expected distribution kind, found %s", p.token(p.cur()))
 }
 
 func (p *parser) stmt() (ast.Stmt, error) {
@@ -399,7 +485,28 @@ func (p *parser) stmt() (ast.Stmt, error) {
 	case p.at(source.Ident):
 		return p.assign()
 	}
-	return nil, source.Errorf(p.cur().Pos, "expected statement, found %s", p.cur())
+	return nil, source.Errorf(p.cur().Pos, "expected statement, found %s", p.token(p.cur()))
+}
+
+// block parses statements up to one of the keywords that close a body,
+// reporting EOF before it as unterminated, and returns them carved.
+func (p *parser) block(start source.Pos, what string, closers ...string) ([]ast.Stmt, error) {
+	mark := len(p.stmts)
+	for {
+		for _, kw := range closers {
+			if p.atKw(kw) {
+				return pop(&p.stmts, mark, &p.a.stmts), nil
+			}
+		}
+		if p.at(source.EOF) {
+			return nil, source.Errorf(start, "unterminated %s", what)
+		}
+		s, err := p.stmt()
+		if err != nil {
+			return nil, err
+		}
+		p.stmts = append(p.stmts, s)
+	}
 }
 
 func (p *parser) callStmt() (ast.Stmt, error) {
@@ -409,15 +516,17 @@ func (p *parser) callStmt() (ast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &ast.CallStmt{Name: name.Text, Pos: start}
+	s := p.a.callStmts.new()
+	s.Name, s.Pos = p.text(name), start
 	if p.at(source.LParen) {
 		p.next()
+		mark := len(p.exprs)
 		for !p.at(source.RParen) {
 			a, err := p.expr()
 			if err != nil {
 				return nil, err
 			}
-			s.Args = append(s.Args, a)
+			p.exprs = append(p.exprs, a)
 			if p.at(source.Comma) {
 				p.next()
 				continue
@@ -427,6 +536,7 @@ func (p *parser) callStmt() (ast.Stmt, error) {
 		if _, err := p.expect(source.RParen); err != nil {
 			return nil, err
 		}
+		s.Args = pop(&p.exprs, mark, &p.a.exprs)
 	}
 	if err := p.expectNL(); err != nil {
 		return nil, err
@@ -466,17 +576,16 @@ func (p *parser) doStmt() (ast.Stmt, error) {
 	if err := p.expectNL(); err != nil {
 		return nil, err
 	}
-	d := &ast.DoStmt{Var: v.Text, Lo: lo, Hi: hi, Step: step, Pos: start}
-	for !p.atKw("enddo") && !p.atKw("end") {
-		if p.at(source.EOF) {
-			return nil, source.Errorf(start, "unterminated do loop")
-		}
-		s, err := p.stmt()
-		if err != nil {
-			return nil, err
-		}
-		d.Body = append(d.Body, s)
+	if err := p.enter(start); err != nil {
+		return nil, err
 	}
+	body, err := p.block(start, "do loop", "enddo", "end")
+	if err != nil {
+		return nil, err
+	}
+	p.leave()
+	d := p.a.dos.new()
+	d.Var, d.Lo, d.Hi, d.Step, d.Body, d.Pos = p.text(v), lo, hi, step, body, start
 	if p.atKw("enddo") {
 		p.next()
 	} else { // "end" "do"
@@ -510,33 +619,24 @@ func (p *parser) ifStmt() (ast.Stmt, error) {
 	if err := p.expectNL(); err != nil {
 		return nil, err
 	}
-	s := &ast.IfStmt{Cond: cond, Pos: start}
-	for !p.atKw("else") && !p.atKw("endif") && !p.atKw("end") {
-		if p.at(source.EOF) {
-			return nil, source.Errorf(start, "unterminated if statement")
-		}
-		c, err := p.stmt()
-		if err != nil {
-			return nil, err
-		}
-		s.Then = append(s.Then, c)
+	if err := p.enter(start); err != nil {
+		return nil, err
+	}
+	s := p.a.ifs.new()
+	s.Cond, s.Pos = cond, start
+	if s.Then, err = p.block(start, "if statement", "else", "endif", "end"); err != nil {
+		return nil, err
 	}
 	if p.atKw("else") {
 		p.next()
 		if err := p.expectNL(); err != nil {
 			return nil, err
 		}
-		for !p.atKw("endif") && !p.atKw("end") {
-			if p.at(source.EOF) {
-				return nil, source.Errorf(start, "unterminated else branch")
-			}
-			c, err := p.stmt()
-			if err != nil {
-				return nil, err
-			}
-			s.Else = append(s.Else, c)
+		if s.Else, err = p.block(start, "else branch", "endif", "end"); err != nil {
+			return nil, err
 		}
 	}
+	p.leave()
 	if p.atKw("endif") {
 		p.next()
 	} else { // "end" "if"
@@ -567,7 +667,9 @@ func (p *parser) assign() (ast.Stmt, error) {
 	if err := p.expectNL(); err != nil {
 		return nil, err
 	}
-	return &ast.AssignStmt{LHS: lhs, RHS: rhs, Pos: start}, nil
+	s := p.a.assigns.new()
+	s.LHS, s.RHS, s.Pos = lhs, rhs, start
+	return s, nil
 }
 
 func (p *parser) ref() (*ast.Ref, error) {
@@ -575,15 +677,19 @@ func (p *parser) ref() (*ast.Ref, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &ast.Ref{Name: t.Text, Pos: t.Pos}
+	r := p.a.refs.new()
+	r.Name, r.Pos = p.text(t), t.Pos
 	if p.at(source.LParen) {
-		p.next()
+		if err := p.enter(p.next().Pos); err != nil {
+			return nil, err
+		}
+		mark := len(p.subs)
 		for {
 			s, err := p.sub()
 			if err != nil {
 				return nil, err
 			}
-			r.Subs = append(r.Subs, s)
+			p.subs = append(p.subs, s)
 			if p.at(source.Comma) {
 				p.next()
 				continue
@@ -593,6 +699,8 @@ func (p *parser) ref() (*ast.Ref, error) {
 		if _, err := p.expect(source.RParen); err != nil {
 			return nil, err
 		}
+		p.leave()
+		r.Subs = pop(&p.subs, mark, &p.a.subs)
 	}
 	return r, nil
 }
@@ -644,76 +752,71 @@ func (p *parser) subTail(lo ast.Expr) (ast.Sub, error) {
 	return s, nil
 }
 
-func (p *parser) expr() (ast.Expr, error) {
-	x, err := p.addExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op ast.BinOp
-		switch p.cur().Kind {
-		case source.Lt:
-			op = ast.CmpLt
-		case source.Gt:
-			op = ast.CmpGt
-		case source.Le:
-			op = ast.CmpLe
-		case source.Ge:
-			op = ast.CmpGe
-		case source.EqEq:
-			op = ast.CmpEq
-		case source.Ne:
-			op = ast.CmpNe
-		default:
-			return x, nil
-		}
-		pos := p.next().Pos
-		y, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		x = &ast.BinExpr{Op: op, X: x, Y: y, Pos: pos}
-	}
+// bin returns the binary operation x op y at pos.
+func (p *parser) bin(op ast.BinOp, x, y ast.Expr, pos source.Pos) *ast.BinExpr {
+	e := p.a.bins.new()
+	e.Op, e.X, e.Y, e.Pos = op, x, y, pos
+	return e
 }
 
-func (p *parser) addExpr() (ast.Expr, error) {
-	x, err := p.mulExpr()
-	if err != nil {
-		return nil, err
+func (p *parser) expr() (ast.Expr, error) { return p.binary(precCmp) }
+
+// The left-associative binary operators bind in three levels, loosest
+// first; ** binds tighter than all of them (powExpr).
+const (
+	precCmp = 1 + iota // < > <= >= == /=
+	precAdd            // + -
+	precMul            // * /
+)
+
+// binOp returns the binary operator a token kind spells and its level,
+// or level 0 for a kind that is not one.
+func binOp(k source.Kind) (ast.BinOp, int) {
+	switch k {
+	case source.Lt:
+		return ast.CmpLt, precCmp
+	case source.Gt:
+		return ast.CmpGt, precCmp
+	case source.Le:
+		return ast.CmpLe, precCmp
+	case source.Ge:
+		return ast.CmpGe, precCmp
+	case source.EqEq:
+		return ast.CmpEq, precCmp
+	case source.Ne:
+		return ast.CmpNe, precCmp
+	case source.Plus:
+		return ast.Add, precAdd
+	case source.Minus:
+		return ast.Sub_, precAdd
+	case source.Star:
+		return ast.Mul, precMul
+	case source.Slash:
+		return ast.Div, precMul
 	}
-	for p.at(source.Plus) || p.at(source.Minus) {
-		op := ast.Add
-		if p.at(source.Minus) {
-			op = ast.Sub_
-		}
-		pos := p.next().Pos
-		y, err := p.mulExpr()
-		if err != nil {
-			return nil, err
-		}
-		x = &ast.BinExpr{Op: op, X: x, Y: y, Pos: pos}
-	}
-	return x, nil
+	return 0, 0
 }
 
-func (p *parser) mulExpr() (ast.Expr, error) {
+// binary parses operands joined by operators of level prec or tighter,
+// left-associatively: rel, term and the comparison chain of the grammar
+// by precedence climbing, two calls a primary rather than four.
+func (p *parser) binary(prec int) (ast.Expr, error) {
 	x, err := p.powExpr()
 	if err != nil {
 		return nil, err
 	}
-	for p.at(source.Star) || p.at(source.Slash) {
-		op := ast.Mul
-		if p.at(source.Slash) {
-			op = ast.Div
+	for {
+		op, level := binOp(p.tok.Kind)
+		if level < prec {
+			return x, nil
 		}
 		pos := p.next().Pos
-		y, err := p.powExpr()
+		y, err := p.binary(level + 1)
 		if err != nil {
 			return nil, err
 		}
-		x = &ast.BinExpr{Op: op, X: x, Y: y, Pos: pos}
+		x = p.bin(op, x, y, pos)
 	}
-	return x, nil
 }
 
 func (p *parser) powExpr() (ast.Expr, error) {
@@ -723,11 +826,15 @@ func (p *parser) powExpr() (ast.Expr, error) {
 	}
 	if p.at(source.Power) {
 		pos := p.next().Pos
+		if err := p.enter(pos); err != nil {
+			return nil, err
+		}
 		y, err := p.powExpr() // right associative
 		if err != nil {
 			return nil, err
 		}
-		return &ast.BinExpr{Op: ast.Pow, X: x, Y: y, Pos: pos}, nil
+		p.leave()
+		return p.bin(ast.Pow, x, y, pos), nil
 	}
 	return x, nil
 }
@@ -737,27 +844,38 @@ func (p *parser) factor() (ast.Expr, error) {
 	switch t.Kind {
 	case source.Number:
 		p.next()
-		lit := &ast.NumLit{Text: t.Text, IsInt: !strings.ContainsAny(t.Text, ".e"), Pos: t.Pos}
+		lit := p.a.nums.new()
+		text := p.text(t)
+		lit.Text, lit.IsInt, lit.Pos = text, !strings.ContainsAny(text, ".e"), t.Pos
 		var err error
 		if lit.IsInt {
-			lit.Int, err = strconv.Atoi(t.Text)
+			lit.Int, err = strconv.Atoi(text)
 			lit.Value = float64(lit.Int)
 		} else {
-			lit.Value, err = strconv.ParseFloat(t.Text, 64)
+			lit.Value, err = strconv.ParseFloat(text, 64)
 		}
 		if err != nil {
-			return nil, source.Errorf(t.Pos, "bad number %q", t.Text)
+			return nil, source.Errorf(t.Pos, "bad number %q", text)
 		}
 		return lit, nil
 	case source.Minus:
 		p.next()
+		if err := p.enter(t.Pos); err != nil {
+			return nil, err
+		}
 		x, err := p.factor()
 		if err != nil {
 			return nil, err
 		}
-		return &ast.UnaryExpr{X: x, Pos: t.Pos}, nil
+		p.leave()
+		u := p.a.unaries.new()
+		u.X, u.Pos = x, t.Pos
+		return u, nil
 	case source.LParen:
 		p.next()
+		if err := p.enter(t.Pos); err != nil {
+			return nil, err
+		}
 		x, err := p.expr()
 		if err != nil {
 			return nil, err
@@ -765,43 +883,42 @@ func (p *parser) factor() (ast.Expr, error) {
 		if _, err := p.expect(source.RParen); err != nil {
 			return nil, err
 		}
+		p.leave()
 		return x, nil
 	case source.Ident:
-		if ast.Intrinsics[t.Text] && p.toks[p.pos+1].Kind == source.LParen {
+		if p.la.Kind != source.LParen {
 			p.next()
-			p.next() // (
-			call := &ast.Call{Func: t.Text, Pos: t.Pos}
-			for {
-				a, err := p.argExpr()
-				if err != nil {
-					return nil, err
-				}
-				call.Args = append(call.Args, a)
-				if p.at(source.Comma) {
-					p.next()
-					continue
-				}
-				break
-			}
-			if _, err := p.expect(source.RParen); err != nil {
-				return nil, err
-			}
-			return call, nil
+			id := p.a.idents.new()
+			id.Name, id.Pos = p.text(t), t.Pos
+			return id, nil
 		}
-		r, err := p.ref()
-		if err != nil {
+		if !ast.Intrinsics[p.text(t)] {
+			return p.ref()
+		}
+		p.next()
+		if err := p.enter(p.next().Pos); err != nil { // (
 			return nil, err
 		}
-		if len(r.Subs) == 0 {
-			return &ast.Ident{Name: r.Name, Pos: r.Pos}, nil
+		mark := len(p.exprs)
+		for {
+			a, err := p.expr()
+			if err != nil {
+				return nil, err
+			}
+			p.exprs = append(p.exprs, a)
+			if p.at(source.Comma) {
+				p.next()
+				continue
+			}
+			break
 		}
-		return r, nil
+		if _, err := p.expect(source.RParen); err != nil {
+			return nil, err
+		}
+		p.leave()
+		call := p.a.calls.new()
+		call.Func, call.Args, call.Pos = p.text(t), pop(&p.exprs, mark, &p.a.exprs), t.Pos
+		return call, nil
 	}
-	return nil, source.Errorf(t.Pos, "expected expression, found %s", t)
-}
-
-// argExpr parses an intrinsic argument, which may be a full expression
-// (possibly containing section refs, e.g. sum(g(i,ny,:))).
-func (p *parser) argExpr() (ast.Expr, error) {
-	return p.expr()
+	return nil, source.Errorf(t.Pos, "expected expression, found %s", p.token(t))
 }

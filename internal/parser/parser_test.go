@@ -1,10 +1,13 @@
 package parser
 
 import (
+	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
 	"gcao/internal/ast"
+	"gcao/internal/source"
 )
 
 func parseOne(t *testing.T, src string) *ast.Routine {
@@ -280,5 +283,52 @@ func TestNumericLiterals(t *testing.T) {
 		if err == nil || err.Error() != `2:5: bad number "`+text+`"` {
 			t.Errorf("%s: error %v, want a positioned bad number", text, err)
 		}
+	}
+}
+
+// TestParseNestingLimit: each construct the parser recurses on parses
+// nested maxNesting deep and fails, positioned, one level deeper — alone
+// and sharing the count with the others.
+func TestParseNestingLimit(t *testing.T) {
+	rep := strings.Repeat
+	routine := func(body string) string { return "routine f()\n" + body + "end\n" }
+	for _, tc := range []struct {
+		name string
+		src  func(n int) string
+		at   func(n int) string // the position of the level past the limit
+	}{
+		{"parentheses", func(n int) string { return routine("x = " + rep("(", n) + "1" + rep(")", n) + "\n") },
+			func(n int) string { return "2:" + strconv.Itoa(4+n) }},
+		{"subscripts", func(n int) string { return routine("x = " + rep("a(", n) + "1" + rep(")", n) + "\n") },
+			func(n int) string { return "2:" + strconv.Itoa(4+2*n) }},
+		{"intrinsic arguments", func(n int) string { return routine("x = " + rep("abs(", n) + "1" + rep(")", n) + "\n") },
+			func(n int) string { return "2:" + strconv.Itoa(4+4*n) }},
+		{"unary minus", func(n int) string { return routine("x = " + rep("-", n) + "1\n") },
+			func(n int) string { return "2:" + strconv.Itoa(4+n) }},
+		{"power chain", func(n int) string { return routine("x = " + rep("2 ** ", n) + "2\n") },
+			func(n int) string { return "2:" + strconv.Itoa(2+5*n) }},
+		{"do", func(n int) string { return routine(rep("do i = 1, 2\n", n) + "x = 1\n" + rep("enddo\n", n)) },
+			func(n int) string { return strconv.Itoa(1+n) + ":1" }},
+		{"if", func(n int) string { return routine(rep("if (x) then\n", n) + "x = 1\n" + rep("endif\n", n)) },
+			func(n int) string { return strconv.Itoa(1+n) + ":1" }},
+		{"do around parentheses", func(n int) string {
+			h := maxNesting / 2
+			return routine(rep("do i = 1, 2\n", h) + "x = " + rep("(", n-h) + "1" + rep(")", n-h) + "\n" + rep("enddo\n", h))
+		}, func(n int) string { return strconv.Itoa(2+maxNesting/2) + ":" + strconv.Itoa(4+n-maxNesting/2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Parse(tc.src(maxNesting)); err != nil {
+				t.Fatalf("%d levels: %v", maxNesting, err)
+			}
+			_, err := Parse(tc.src(maxNesting + 1))
+			var serr *source.Error
+			if !errors.As(err, &serr) {
+				t.Fatalf("%d levels: error %v (%T), want a *source.Error", maxNesting+1, err, err)
+			}
+			want := tc.at(maxNesting+1) + ": nesting deeper than " + strconv.Itoa(maxNesting) + " levels"
+			if err.Error() != want {
+				t.Errorf("%d levels: %q, want %q", maxNesting+1, err, want)
+			}
+		})
 	}
 }

@@ -8,6 +8,7 @@ package sem
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"gcao/internal/ast"
 	"gcao/internal/dist"
@@ -98,7 +99,9 @@ func Analyze(r *ast.Routine, params map[string]int, opt Options) (*Unit, error) 
 				u.Scalars[item.Name] = &Scalar{Name: item.Name, Type: d.Type}
 				continue
 			}
-			a := &Array{Name: item.Name, Type: d.Type}
+			rank := len(item.Bounds)
+			bounds := make([]int, 0, 2*rank)
+			a := &Array{Name: item.Name, Type: d.Type, Lo: bounds[:0:rank], Hi: bounds[rank:rank]}
 			for _, b := range item.Bounds {
 				lo := 1
 				if b.Lo != nil {
@@ -236,7 +239,8 @@ func Analyze(r *ast.Routine, params map[string]int, opt Options) (*Unit, error) 
 	}
 
 	// Validate statements.
-	if err := u.checkBody(r.Body, map[string]bool{}); err != nil {
+	c := checker{Unit: u}
+	if err := c.body(r.Body); err != nil {
 		return nil, err
 	}
 	return u, nil
@@ -249,46 +253,53 @@ func maxProcs(opt Options) int {
 	return 4
 }
 
-// checkBody validates references and collects implicitly declared loop
-// index variables as integer scalars.
-func (u *Unit) checkBody(body []ast.Stmt, loopVars map[string]bool) error {
+// checker validates a routine's statements against its symbol tables.
+// loopVars holds the index variables of the DO loops around the
+// statement being checked, outermost first: implicitly declared integer
+// scalars, in scope for their loop's body only.
+type checker struct {
+	*Unit
+	loopVars []string
+}
+
+// body validates references and collects implicitly declared loop index
+// variables as integer scalars.
+func (c *checker) body(body []ast.Stmt) error {
 	for _, s := range body {
 		switch s := s.(type) {
 		case *ast.AssignStmt:
-			if err := u.checkRef(s.LHS, loopVars, true); err != nil {
+			if err := c.ref(s.LHS, true); err != nil {
 				return err
 			}
-			if err := u.checkExpr(s.RHS, loopVars); err != nil {
+			if err := c.expr(s.RHS); err != nil {
 				return err
 			}
 		case *ast.DoStmt:
-			for _, e := range []ast.Expr{s.Lo, s.Hi, s.Step} {
-				if e == nil {
-					continue
-				}
-				if err := u.checkExpr(e, loopVars); err != nil {
-					return err
-				}
+			if err := c.expr(s.Lo); err != nil {
+				return err
 			}
-			if _, isArr := u.Arrays[s.Var]; isArr {
+			if err := c.expr(s.Hi); err != nil {
+				return err
+			}
+			if err := c.expr(s.Step); err != nil {
+				return err
+			}
+			if _, isArr := c.Arrays[s.Var]; isArr {
 				return source.Errorf(s.Pos, "sem: loop index %q is an array", s.Var)
 			}
-			inner := map[string]bool{}
-			for k := range loopVars {
-				inner[k] = true
-			}
-			inner[s.Var] = true
-			if err := u.checkBody(s.Body, inner); err != nil {
+			c.loopVars = append(c.loopVars, s.Var)
+			if err := c.body(s.Body); err != nil {
 				return err
 			}
+			c.loopVars = c.loopVars[:len(c.loopVars)-1]
 		case *ast.IfStmt:
-			if err := u.checkExpr(s.Cond, loopVars); err != nil {
+			if err := c.expr(s.Cond); err != nil {
 				return err
 			}
-			if err := u.checkBody(s.Then, loopVars); err != nil {
+			if err := c.body(s.Then); err != nil {
 				return err
 			}
-			if err := u.checkBody(s.Else, loopVars); err != nil {
+			if err := c.body(s.Else); err != nil {
 				return err
 			}
 		case *ast.CallStmt:
@@ -298,55 +309,67 @@ func (u *Unit) checkBody(body []ast.Stmt, loopVars map[string]bool) error {
 	return nil
 }
 
-func (u *Unit) checkExpr(e ast.Expr, loopVars map[string]bool) error {
-	var err error
-	ast.WalkExprs(e, func(e ast.Expr) {
-		if err != nil {
-			return
+// expr validates an expression, a node before its operands; nil is
+// valid. A reference's subscripts are checked once, by ref: the walk
+// that also descended into them after ref had took time exponential in
+// how deeply subscripts nest (a(a(a(...)))).
+func (c *checker) expr(e ast.Expr) error {
+	switch e := e.(type) {
+	case *ast.Ident:
+		if !c.known(e.Name) {
+			return source.Errorf(e.Pos, "sem: undeclared variable %q", e.Name)
 		}
-		switch e := e.(type) {
-		case *ast.Ident:
-			if !u.known(e.Name, loopVars) {
-				err = source.Errorf(e.Pos, "sem: undeclared variable %q", e.Name)
-			}
-		case *ast.Ref:
-			err = u.checkRef(e, loopVars, false)
-		case *ast.Call:
-			if !ast.Intrinsics[e.Func] {
-				err = source.Errorf(e.Pos, "sem: unknown intrinsic %q", e.Func)
+	case *ast.Ref:
+		return c.ref(e, false)
+	case *ast.Call:
+		if !ast.Intrinsics[e.Func] {
+			return source.Errorf(e.Pos, "sem: unknown intrinsic %q", e.Func)
+		}
+		for _, a := range e.Args {
+			if err := c.expr(a); err != nil {
+				return err
 			}
 		}
-	})
-	return err
+	case *ast.BinExpr:
+		if err := c.expr(e.X); err != nil {
+			return err
+		}
+		return c.expr(e.Y)
+	case *ast.UnaryExpr:
+		return c.expr(e.X)
+	}
+	return nil
 }
 
-func (u *Unit) known(name string, loopVars map[string]bool) bool {
-	if loopVars[name] {
-		return true
-	}
-	if _, ok := u.Scalars[name]; ok {
-		return true
-	}
-	if _, ok := u.Arrays[name]; ok {
-		return true
-	}
-	return false
+func (c *checker) isLoopVar(name string) bool {
+	return slices.Contains(c.loopVars, name)
 }
 
-func (u *Unit) checkRef(r *ast.Ref, loopVars map[string]bool, isLHS bool) error {
-	a, isArr := u.Arrays[r.Name]
+func (c *checker) known(name string) bool {
+	if c.isLoopVar(name) {
+		return true
+	}
+	if _, ok := c.Scalars[name]; ok {
+		return true
+	}
+	_, ok := c.Arrays[name]
+	return ok
+}
+
+func (c *checker) ref(r *ast.Ref, isLHS bool) error {
+	a, isArr := c.Arrays[r.Name]
 	if !isArr {
 		if len(r.Subs) > 0 {
 			return source.Errorf(r.Pos, "sem: %q subscripted but not an array", r.Name)
 		}
-		if !u.known(r.Name, loopVars) {
+		if !c.known(r.Name) {
 			return source.Errorf(r.Pos, "sem: undeclared variable %q", r.Name)
 		}
 		if isLHS {
-			if loopVars[r.Name] {
+			if c.isLoopVar(r.Name) {
 				return source.Errorf(r.Pos, "sem: assignment to loop index %q", r.Name)
 			}
-			if sc := u.Scalars[r.Name]; sc != nil && sc.IsParam {
+			if sc := c.Scalars[r.Name]; sc != nil && sc.IsParam {
 				return source.Errorf(r.Pos, "sem: assignment to parameter %q", r.Name)
 			}
 		}
@@ -356,11 +379,8 @@ func (u *Unit) checkRef(r *ast.Ref, loopVars map[string]bool, isLHS bool) error 
 		return source.Errorf(r.Pos, "sem: %q has rank %d, subscripted with %d", r.Name, a.Rank(), len(r.Subs))
 	}
 	for _, sub := range r.Subs {
-		for _, e := range []ast.Expr{sub.X, sub.Lo, sub.Hi, sub.Step} {
-			if e == nil {
-				continue
-			}
-			if err := u.checkExpr(e, loopVars); err != nil {
+		for _, e := range [...]ast.Expr{sub.X, sub.Lo, sub.Hi, sub.Step} {
+			if err := c.expr(e); err != nil {
 				return err
 			}
 		}

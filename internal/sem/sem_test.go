@@ -3,6 +3,7 @@ package sem
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"gcao/internal/ast"
 	"gcao/internal/dist"
@@ -189,4 +190,31 @@ enddo
 a(1) = i
 end
 `, map[string]int{"n": 4})
+}
+
+// TestNestedSubscriptsCheckOnce: a subscript nested in a subscript
+// (a(a(a(...)))) is checked once. When the checker walked into a
+// reference's subscripts again after checking them, the work doubled
+// with every level, and 40 levels — a 200-byte source — held a compile
+// for hours.
+func TestNestedSubscriptsCheckOnce(t *testing.T) {
+	const depth = 5000
+	src := "routine f()\nreal a(4)\nreal x\nx = " + strings.Repeat("a(", depth) + "1" + strings.Repeat(")", depth) + "\nend\n"
+	r, err := parser.ParseRoutine(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Analyze(r, nil, Options{})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatalf("checking %d nested subscripts did not finish in 20 s", depth)
+	}
 }

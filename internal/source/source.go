@@ -71,7 +71,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Token is one lexical token.
+// Token is a lexeme with its canonical text: what an error message
+// names ("found identifier(\"x\")").
 type Token struct {
 	Kind Kind
 	Text string // canonical (lower-cased for identifiers)
@@ -98,7 +99,8 @@ func Errorf(pos Pos, format string, args ...any) error {
 	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Scanner tokenizes mini-HPF source text.
+// Scanner tokenizes mini-HPF source text, one lexeme per Scan: a parser
+// pulls tokens as it goes, so no token stream is ever stored.
 type Scanner struct {
 	src  string
 	off  int
@@ -143,30 +145,91 @@ func (s *Scanner) advance() byte {
 	return c
 }
 
-func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
+// skipTo moves to offset off over bytes that hold no newline.
+func (s *Scanner) skipTo(off int) {
+	s.col += off - s.off
+	s.off = off
 }
 
-func isIdentCont(c byte) bool {
-	return c == '_' || c == '$' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
+// classes holds the character classes of every byte, so that the
+// scanner's test is one table read. A byte is classified as the code
+// point of the same number, as package unicode sees it: ASCII as ASCII,
+// a byte from 0x80 up as the Latin-1 letter or digit it would be.
+var classes = func() (t [256]uint8) {
+	for i := range t {
+		letter, digit := unicode.IsLetter(rune(i)), unicode.IsDigit(rune(i))
+		if i == '_' || letter {
+			t[i] |= classIdentStart
+		}
+		if i == '_' || i == '$' || letter || digit {
+			t[i] |= classIdentCont
+		}
+		if digit {
+			t[i] |= classDigit
+		}
+	}
+	return t
+}()
+
+const (
+	classIdentStart = 1 << iota
+	classIdentCont
+	classDigit
+)
+
+func isIdentStart(c byte) bool { return classes[c]&classIdentStart != 0 }
+func isIdentCont(c byte) bool  { return classes[c]&classIdentCont != 0 }
+func isDigit(c byte) bool      { return classes[c]&classDigit != 0 }
+
+// Lexeme is a token with its text left in the source: the token's Kind
+// and Pos, and the span src[Off:End] its text was scanned from. A Lexeme
+// holds no pointer, so a parser copies one with no write barrier, and
+// fits in 32 bytes, so the compiler keeps one in registers rather than
+// moving it through memory (int32 offsets: a source is under 2 GiB).
+// Text gives the text.
+type Lexeme struct {
+	Kind     Kind
+	Pos      Pos
+	Off, End int32
 }
 
-// Next returns the next token. After EOF it keeps returning EOF.
-func (s *Scanner) Next() Token {
+// Text returns the canonical text of a lexeme of this scanner's source:
+// an identifier lower-cased, a number's exponent letter made "e", the
+// directive sentinel as "!hpf$", nothing for the other kinds.
+func (s *Scanner) Text(l Lexeme) string {
+	switch l.Kind {
+	case Ident:
+		// ToLower returns its argument when it is lower case already:
+		// such a token's text is a slice of the source, not a copy.
+		return strings.ToLower(s.src[l.Off:l.End])
+	case Number:
+		raw := s.src[l.Off:l.End]
+		for i := 0; i < len(raw); i++ {
+			if c := raw[i]; c == 'E' || c == 'd' || c == 'D' {
+				return raw[:i] + "e" + raw[i+1:]
+			}
+		}
+		return raw
+	case HPFDir:
+		return "!hpf$"
+	}
+	return ""
+}
+
+// Scan returns the next lexeme. After EOF it keeps returning EOF.
+func (s *Scanner) Scan() Lexeme {
 	for {
 		// Skip horizontal whitespace and line continuations ("&\n").
 		for s.off < len(s.src) {
-			c := s.peek()
+			c := s.src[s.off]
 			if c == ' ' || c == '\t' || c == '\r' {
-				s.advance()
+				s.off++
+				s.col++
 				continue
 			}
 			if c == '&' {
 				// Fortran continuation: swallow through the newline.
-				s.advance()
-				for s.off < len(s.src) && s.peek() != '\n' {
-					s.advance()
-				}
+				s.skipTo(s.lineEnd())
 				if s.off < len(s.src) {
 					s.advance() // the newline itself
 				}
@@ -174,111 +237,107 @@ func (s *Scanner) Next() Token {
 			}
 			break
 		}
-		if s.off >= len(s.src) {
-			return Token{Kind: EOF, Pos: s.pos()}
+		// The lexeme is assembled from scalars and built once, at the
+		// return: a struct filled field by field and then copied out
+		// stalls store forwarding on every token.
+		pos, off := s.pos(), s.off
+		if off >= len(s.src) {
+			return Lexeme{Kind: EOF, Pos: pos, Off: int32(off), End: int32(off)}
 		}
-		start := s.pos()
-		c := s.peek()
-		switch {
-		case c == '\n':
-			s.advance()
-			return Token{Kind: Newline, Pos: start}
-		case c == '!':
+		c := s.src[off]
+		s.off++
+		s.col++
+		var kind Kind
+		switch c {
+		case '\n':
+			s.line++
+			s.col = 1
+			kind = Newline
+		case '!':
 			// Directive or comment.
-			rest := s.src[s.off:]
+			rest := s.src[off:]
 			if len(rest) >= 5 && strings.EqualFold(rest[:5], "!hpf$") {
-				for i := 0; i < 5; i++ {
-					s.advance()
-				}
-				return Token{Kind: HPFDir, Text: "!hpf$", Pos: start}
+				s.skipTo(off + 5)
+				kind = HPFDir
+				break
 			}
-			for s.off < len(s.src) && s.peek() != '\n' {
-				s.advance()
-			}
+			s.skipTo(s.lineEnd())
 			continue
-		case isIdentStart(c):
-			from := s.off
-			for s.off < len(s.src) && isIdentCont(s.peek()) {
-				s.advance()
-			}
-			// ToLower returns its argument when it is lower case already:
-			// such a token's text is a slice of the source, not a copy.
-			return Token{Kind: Ident, Text: strings.ToLower(s.src[from:s.off]), Pos: start}
-		case unicode.IsDigit(rune(c)):
-			return s.scanNumber(start)
-		case c == '(':
-			s.advance()
-			return Token{Kind: LParen, Pos: start}
-		case c == ')':
-			s.advance()
-			return Token{Kind: RParen, Pos: start}
-		case c == ',':
-			s.advance()
-			return Token{Kind: Comma, Pos: start}
-		case c == ':':
-			s.advance()
-			return Token{Kind: Colon, Pos: start}
-		case c == '+':
-			s.advance()
-			return Token{Kind: Plus, Pos: start}
-		case c == '-':
-			s.advance()
-			return Token{Kind: Minus, Pos: start}
-		case c == '*':
-			s.advance()
-			if s.peek() == '*' {
-				s.advance()
-				return Token{Kind: Power, Pos: start}
-			}
-			return Token{Kind: Star, Pos: start}
-		case c == '/':
-			s.advance()
-			if s.peek() == '=' {
-				s.advance()
-				return Token{Kind: Ne, Pos: start}
-			}
-			return Token{Kind: Slash, Pos: start}
-		case c == '=':
-			s.advance()
-			if s.peek() == '=' {
-				s.advance()
-				return Token{Kind: EqEq, Pos: start}
-			}
-			return Token{Kind: Assign, Pos: start}
-		case c == '<':
-			s.advance()
-			if s.peek() == '=' {
-				s.advance()
-				return Token{Kind: Le, Pos: start}
-			}
-			return Token{Kind: Lt, Pos: start}
-		case c == '>':
-			s.advance()
-			if s.peek() == '=' {
-				s.advance()
-				return Token{Kind: Ge, Pos: start}
-			}
-			return Token{Kind: Gt, Pos: start}
+		case '(':
+			kind = LParen
+		case ')':
+			kind = RParen
+		case ',':
+			kind = Comma
+		case ':':
+			kind = Colon
+		case '+':
+			kind = Plus
+		case '-':
+			kind = Minus
+		case '*':
+			kind = s.pair('*', Star, Power)
+		case '/':
+			kind = s.pair('=', Slash, Ne)
+		case '=':
+			kind = s.pair('=', Assign, EqEq)
+		case '<':
+			kind = s.pair('=', Lt, Le)
+		case '>':
+			kind = s.pair('=', Gt, Ge)
 		default:
-			if s.err == nil {
-				s.err = Errorf(start, "unexpected character %q", string(rune(c)))
+			switch {
+			case isIdentStart(c):
+				kind = Ident
+				end := s.off
+				for end < len(s.src) && isIdentCont(s.src[end]) {
+					end++
+				}
+				s.skipTo(end)
+			case isDigit(c):
+				kind = Number
+				s.scanNumber()
+			default:
+				if s.err == nil {
+					s.err = Errorf(pos, "unexpected character %q", string(rune(c)))
+				}
+				continue
 			}
-			s.advance()
-			continue
 		}
+		return Lexeme{Kind: kind, Pos: pos, Off: int32(off), End: int32(s.off)}
 	}
 }
 
-func (s *Scanner) scanNumber(start Pos) Token {
-	from := s.off
+// pair scans the second byte of a two-byte operator: two when the next
+// byte is c, else one.
+func (s *Scanner) pair(c byte, one, two Kind) Kind {
+	if s.peek() == c {
+		s.off++
+		s.col++
+		return two
+	}
+	return one
+}
+
+// lineEnd returns the offset of the next newline, or the end of input.
+func (s *Scanner) lineEnd() int {
+	if i := strings.IndexByte(s.src[s.off:], '\n'); i >= 0 {
+		return s.off + i
+	}
+	return len(s.src)
+}
+
+// scanNumber scans the rest of a number whose first digit is consumed.
+func (s *Scanner) scanNumber() {
 	digits := func() {
-		for s.off < len(s.src) && unicode.IsDigit(rune(s.peek())) {
-			s.advance()
+		for s.off < len(s.src) && isDigit(s.src[s.off]) {
+			s.off++
+			s.col++
 		}
 	}
 	digits()
 	// Fractional part; careful not to eat "1:2" or "1..2".
-	if s.peek() == '.' && unicode.IsDigit(rune(s.peek2())) {
+	if s.peek() == '.' && isDigit(s.peek2()) {
 		s.advance()
 		digits()
 	}
@@ -289,35 +348,10 @@ func (s *Scanner) scanNumber(start Pos) Token {
 		if s.peek() == '+' || s.peek() == '-' {
 			s.advance()
 		}
-		if unicode.IsDigit(rune(s.peek())) {
+		if isDigit(s.peek()) {
 			digits()
-			text := s.src[from:s.off]
-			if c != 'e' { // canonical exponent letter
-				text = s.src[from:save.off] + "e" + s.src[save.off+1:s.off]
-			}
-			return Token{Kind: Number, Text: text, Pos: start}
+			return
 		}
 		*s = save // not an exponent after all (e.g. "2elements")
 	}
-	return Token{Kind: Number, Text: s.src[from:s.off], Pos: start}
-}
-
-// ScanAll tokenizes the whole input, returning the token stream ending
-// in EOF, or the first error.
-func ScanAll(src string) ([]Token, error) {
-	sc := NewScanner(src)
-	// The suite's densest routine has a token per 1.7 bytes; sized for
-	// that, the slice never grows.
-	out := make([]Token, 0, len(src)*5/8+1)
-	for {
-		t := sc.Next()
-		out = append(out, t)
-		if t.Kind == EOF {
-			break
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -5,6 +5,24 @@ import (
 	"testing"
 )
 
+// ScanAll tokenizes the whole input, returning the token stream ending
+// in EOF, or the first error.
+func ScanAll(src string) ([]Token, error) {
+	sc := NewScanner(src)
+	var out []Token
+	for {
+		l := sc.Scan()
+		out = append(out, Token{Kind: l.Kind, Text: sc.Text(l), Pos: l.Pos})
+		if l.Kind == EOF {
+			break
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func kinds(toks []Token) []Kind {
 	out := make([]Kind, len(toks))
 	for i, t := range toks {
@@ -166,10 +184,10 @@ func TestScanError(t *testing.T) {
 
 func TestEOFIdempotent(t *testing.T) {
 	s := NewScanner("x")
-	s.Next() // x
+	s.Scan() // x
 	for i := 0; i < 3; i++ {
-		if tok := s.Next(); tok.Kind != EOF {
-			t.Fatalf("Next after EOF = %v", tok)
+		if l := s.Scan(); l.Kind != EOF {
+			t.Fatalf("Scan after EOF = %v", l)
 		}
 	}
 }

@@ -99,6 +99,7 @@ type PhiDef struct {
 	Args    []Def
 	Version int
 	id      int
+	v       int // Var's number
 }
 
 func (d *PhiDef) VarName() string      { return d.Var }
@@ -175,6 +176,13 @@ func (info *Info) Entry(name string) *EntryDef {
 type builder struct {
 	info  *Info
 	sites [][]*cfg.Block // sites[v]: the blocks defining variable v, in statement order
+	// The numbering pass's findings per statement, so that renaming
+	// neither walks an expression again nor looks a name up: statement
+	// i's array reads are reads[readsAt[i]:readsAt[i+1]], in collectUses
+	// order, and lhs[i] numbers the array it defines, or is −1.
+	reads   []read
+	readsAt []int
+	lhs     []int
 	// Renaming state: the def of each variable reaching the walk's
 	// current point, the last version handed out, and the defs the walk
 	// has shadowed, restored as it leaves a dominator subtree.
@@ -191,30 +199,43 @@ type shadowed struct {
 	d Def
 }
 
+// read is an array reference on a right-hand side and its variable's
+// number.
+type read struct {
+	ref   *ast.Ref
+	v     int
+	inSum bool
+}
+
 // Build constructs SSA form for the array variables named in isArray.
 func Build(g *cfg.Graph, t *dom.Tree, isArray func(name string) bool) *Info {
 	info := &Info{G: g, Dom: t, varIndex: map[string]int{}}
 	b := &builder{info: info}
 
 	// Number the variables in order of first appearance, collect their
-	// def sites, and count the uses and defs renaming will create.
-	nUses, nDefs := 0, 0
-	for _, st := range g.Stmts {
-		if st.Assign == nil {
-			continue
-		}
-		if name := st.Assign.LHS.Name; isArray(name) {
-			v := b.index(name)
-			b.sites[v] = append(b.sites[v], st.Block)
-			nDefs++
-		}
-		collectUses(st.Assign.RHS, false, func(r *ast.Ref, inSum bool) {
-			if isArray(r.Name) {
-				b.index(r.Name)
-				nUses++
+	// def sites, and record every statement's array reads and def.
+	nDefs := 0
+	ints := make([]int, 2*len(g.Stmts)+1)
+	b.readsAt, b.lhs = ints[:len(g.Stmts)+1], ints[len(g.Stmts)+1:]
+	b.reads = make([]read, 0, 2*len(g.Stmts)) // the Fig. 10(a) routines read two arrays a statement
+	for i, st := range g.Stmts {
+		b.lhs[i] = -1
+		if st.Assign != nil {
+			if name := st.Assign.LHS.Name; isArray(name) {
+				v := b.index(name)
+				b.sites[v] = append(b.sites[v], st.Block)
+				b.lhs[i] = v
+				nDefs++
 			}
-		})
+			collectUses(st.Assign.RHS, false, func(r *ast.Ref, inSum bool) {
+				if isArray(r.Name) {
+					b.reads = append(b.reads, read{r, b.index(r.Name), inSum})
+				}
+			})
+		}
+		b.readsAt[i+1] = len(b.reads)
 	}
+	nUses := len(b.reads)
 	b.placePhis()
 	info.NumDefs = len(info.Entries) + len(info.Phis) + nDefs
 
@@ -319,7 +340,7 @@ func (b *builder) placePhis() {
 			kind = PhiExit
 		}
 		n := len(s.blk.Preds)
-		phis[i] = PhiDef{Var: info.Entries[s.v].Var, Blk: s.blk, Kind: kind, Args: args[:n:n], id: len(info.Entries) + i}
+		phis[i] = PhiDef{Var: info.Entries[s.v].Var, Blk: s.blk, Kind: kind, Args: args[:n:n], id: len(info.Entries) + i, v: s.v}
 		args = args[n:]
 		info.Phis[i] = &phis[i]
 		info.PhisByBlock[s.blk.ID] = append(info.PhisByBlock[s.blk.ID], &phis[i])
@@ -343,22 +364,15 @@ func (b *builder) rename(id int) {
 	blk := info.G.Blocks[id]
 	mark := len(b.undo)
 	for _, phi := range info.PhisByBlock[id] {
-		phi.Version = b.define(info.varIndex[phi.Var], phi)
+		phi.Version = b.define(phi.v, phi)
 	}
 	for _, st := range blk.Stmts {
-		if st.Assign == nil {
-			continue
-		}
-		collectUses(st.Assign.RHS, false, func(r *ast.Ref, inSum bool) {
-			v, ok := info.varIndex[r.Name]
-			if !ok {
-				return
-			}
+		for _, rd := range b.reads[b.readsAt[st.ID]:b.readsAt[st.ID+1]] {
 			u := &b.useSlab[len(info.Uses)]
-			*u = Use{Var: r.Name, Stmt: st, Ref: r, Reaching: b.cur[v], InReduction: inSum, ID: len(info.Uses)}
+			*u = Use{Var: rd.ref.Name, Stmt: st, Ref: rd.ref, Reaching: b.cur[rd.v], InReduction: rd.inSum, ID: len(info.Uses)}
 			info.Uses = append(info.Uses, u)
-		})
-		if v, ok := info.varIndex[st.Assign.LHS.Name]; ok {
+		}
+		if v := b.lhs[st.ID]; v >= 0 {
 			d := &b.defSlab[len(info.Defs)]
 			*d = RegularDef{Var: st.Assign.LHS.Name, Stmt: st, LHS: st.Assign.LHS, Input: b.cur[v],
 				id: len(info.Entries) + len(info.Phis) + len(info.Defs)}
@@ -370,7 +384,7 @@ func (b *builder) rename(id int) {
 	for _, s := range blk.Succs {
 		j := predIndex(s, blk)
 		for _, phi := range info.PhisByBlock[s.ID] {
-			phi.Args[j] = b.cur[info.varIndex[phi.Var]]
+			phi.Args[j] = b.cur[phi.v]
 		}
 	}
 	for _, c := range info.Dom.Children(id) {
