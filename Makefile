@@ -135,10 +135,13 @@ obs-smoke:
 # engine reuse after a run failed between the two) and the profiler's
 # attribution of both SUM legs to the group's step, the bytes of an
 # engine's image of local boxes (TestImageBytes) and a read past a box
-# reported stale, never aliased, then what a warm plane rests on: a translated exchange
+# reported stale, never aliased, the longest list of valid boxes of every
+# routine (TestValidBoxFragmentation) and a strip its sender holds partly
+# valid, then what a warm plane rests on: a translated exchange
 # schedule against one rebuilt from scratch (the rule in runtime, the
 # schedules of the six Fig. 10(a) routines in plan, the pinned replay
-# shares), Reset against a new memory after random operations, and the
+# shares), the lists of valid boxes against a flag per element after
+# random operations and Resets, and the
 # lowered mod against math.Mod bit for bit, and one lowered program under
 # two engines of each backend at once, under the race detector: a Program
 # is shared by every engine of its placement and written by none. Finally
@@ -155,8 +158,8 @@ native-smoke:
 	@n=$$(grep -c 'native ok, bit-identical to simulator' out/native-smoke.txt); \
 	[ "$$n" -ge 6 ] || { echo "native-smoke: only $$n of 6 benchmarks verified"; exit 1; }
 	$(GO) test ./internal/native -run 'TestNativeMatchesSimulator|TestNativeOversubscription|TestReusedEngineMatchesFresh|TestNativeLocalizationEdgeCases/(mod|mixed)' -count=1
-	$(GO) test ./internal/native -run 'TestNativeTrafficGolden|TestNativeSplitSumEdgeCases|TestNativeReuseAfterFailedSplitSum|TestNativeProfileSumAttribution|TestImageBytes|TestStaleReadOutsideLocalBox' -count=1
-	$(GO) test ./internal/runtime -run 'TestStripShiftMatchesRebuild|TestGhostHullUnderRandomOperations|TestBulkOperationsDoNotAllocate' -count=1
+	$(GO) test ./internal/native -run 'TestNativeTrafficGolden|TestNativeSplitSumEdgeCases|TestNativeReuseAfterFailedSplitSum|TestNativeProfileSumAttribution|TestImageBytes|TestStaleReadOutsideLocalBox|TestValidBoxFragmentation|TestPartiallyValidStrip' -count=1
+	$(GO) test ./internal/runtime -run 'TestStripShiftMatchesRebuild|TestValidBoxesMatchPlane|TestBulkOperationsDoNotAllocate' -count=1
 	$(GO) test ./internal/plan -run 'TestModMatchesMathMod|TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt|TestScheduleKeyHoldsBoundBits' -count=1
 	$(GO) test -race ./internal/native -run 'TestSharedProgramConcurrentEngines' -count=1
 	@GO="$(GO)" sh ci/alloc-budget.sh 'BenchmarkNative(Alloc|Comm)$$' ci/native-alloc-budget.txt native-smoke
@@ -230,11 +233,15 @@ fuzz-smoke:
 # 1, 3 and GOMAXPROCS shards) must pass unchanged, the per-receiver
 # strip delivery (StripRuns runs copied by CopyValid, what a receiver's
 # exchange schedule replays) must leave exactly what the per-element
-# section scan it replaced left (rows, validity planes, per-pair bytes),
+# section scan it replaced left (rows, validity, per-pair bytes), the
+# lists of valid boxes must keep a flag-per-element twin's validity under
+# random operations, a nest entry whose reads are valid but whose proof
+# declines must leave the element walk's image,
 # the receive-only schedules must be built once per (exchange, receiver)
 # and replayed or translated to what a rebuild gives, the sharded
 # run must match the sequential one under the race detector — shards
-# deliver into disjoint receiver rows without locks — as must two
+# deliver into disjoint receivers without locks, reading the senders'
+# valid boxes from the copy the superstep's Freeze made — as must two
 # simulator engines (and two native ones) running one lowered program at
 # once, and one single-shard run of hydflo/flux (BenchmarkSimVerify/j1:
 # n=16, 4 steps, P=16, memory image and lowered program rebuilt per run,
@@ -249,8 +256,8 @@ fuzz-smoke:
 sim-smoke:
 	@mkdir -p out
 	$(GO) test ./internal/spmd -run 'TestLedgerGolden' -count=1
-	$(GO) test ./internal/runtime -run 'TestStripMatchesElementScan|TestOwnerRunsMatchElementScan|TestBulkOperationsDoNotAllocate' -count=1
-	$(GO) test ./internal/plan -run 'TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt' -count=1
+	$(GO) test ./internal/runtime -run 'TestStripMatchesElementScan|TestOwnerRunsMatchElementScan|TestValidBoxesMatchPlane|TestBulkOperationsDoNotAllocate' -count=1
+	$(GO) test ./internal/plan -run 'TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt|TestEntryProofDeclinesValidNest' -count=1
 	$(GO) test ./internal/native -run 'TestImageBytes|TestStaleReadOutsideLocalBox' -count=1
 	$(GO) test -race ./internal/spmd -run 'TestParallelMatchesSequential' -count=1
 	$(GO) test -race ./internal/native -run 'TestSharedProgramConcurrentEngines' -count=1

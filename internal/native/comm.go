@@ -282,8 +282,11 @@ func (pc *proc) Comm(c *plan.Comm) error {
 // its strip to the schedule's Dst and receives the neighbour strip from
 // its Src (CommOp.Neighbors). The payload carries only the elements the
 // sender holds current plus a packed validity bitmap trailer, reproducing
-// the simulator's rule that only valid elements travel. Both legs read
-// the exchange's schedule, whose lists were enumerated with the same
+// the simulator's rule that only valid elements travel: the sender sets
+// the bits of the strip's rows inside its owned set and its valid boxes,
+// and the receiver makes the strip valid whole when every bit is set, else
+// the sender's owned part and each run of set bits outside it. Both legs
+// read the exchange's schedule, whose lists were enumerated with the same
 // arguments — the strip's sender — on both processors, and so visit the
 // same elements.
 func (pc *proc) shiftExchange(op *plan.CommOp) error {
@@ -298,19 +301,26 @@ func (pc *proc) shiftExchange(op *plan.CommOp) error {
 		bits := pc.bitbuf[:0]
 		n := 0
 		for _, e := range sch.Ents {
-			data, valid, base := e.Am.Data[pc.p], e.Am.Valid[pc.p], e.Off-e.Am.Base(pc.p)
+			data, base, k := e.Am.Data[pc.p], e.Off-e.Am.Base(pc.p), n
+			for _, r := range e.Send {
+				n += r.N
+			}
+			for len(bits)*64 < n {
+				bits = append(bits, 0)
+			}
+			whole := e.Am.ValidBits(pc.p, section.Section{Dims: e.Sent}, bits, k, pc.fr.Scratch) == n-k
 			for _, r := range e.Send {
 				at := r.Off + base
-				for i, ok := range valid[at : at+r.N] {
-					if n%64 == 0 {
-						bits = append(bits, 0)
+				if whole || bits.All(k, r.N) {
+					payload = append(payload, data[at:at+r.N]...)
+				} else {
+					for i := range r.N {
+						if bits.Has(k + i) {
+							payload = append(payload, data[at+i])
+						}
 					}
-					if ok {
-						bits[n/64] |= 1 << (n % 64)
-						payload = append(payload, data[at+i])
-					}
-					n++
 				}
+				k += r.N
 			}
 		}
 		pc.bitbuf = bits
@@ -340,19 +350,37 @@ func (pc *proc) shiftExchange(op *plan.CommOp) error {
 		if nv < 0 {
 			return fmt.Errorf("native: exchange %d→%d protocol mismatch: %d words cannot hold %d elements", src, pc.p, len(buf), n)
 		}
-		words := buf[nv : len(buf)-1]
+		bits := pc.bitbuf[:0]
+		for _, w := range buf[nv : len(buf)-1] {
+			bits = append(bits, math.Float64bits(w))
+		}
+		pc.bitbuf = bits
 		k, vpos := 0, 0
 		for _, e := range sch.Ents {
-			e.Am.Delivered(pc.p, section.Section{Dims: e.Ghost})
-			data, valid, base := e.Am.Data[pc.p], e.Am.Valid[pc.p], e.Off-e.Am.Base(pc.p)
+			data, base, k0, v0, m := e.Am.Data[pc.p], e.Off-e.Am.Base(pc.p), k, vpos, 0
 			for _, r := range e.Recv {
-				for i := r.Off + base; i < r.Off+base+r.N; i++ {
-					if k < n && math.Float64bits(words[k/64])&(1<<uint(k%64)) != 0 {
-						data[i], valid[i] = buf[vpos], true
-						vpos++
+				m += r.N
+			}
+			whole := k+m <= n && vpos+m <= nv && bits.All(k, m)
+			for _, r := range e.Recv {
+				at := r.Off + base
+				if whole {
+					vpos += copy(data[at:at+r.N], buf[vpos:])
+				} else {
+					for i := range r.N {
+						if k+i < n && bits.Has(k+i) {
+							data[at+i] = buf[vpos]
+							vpos++
+						}
 					}
-					k++
 				}
+				k += r.N
+			}
+			switch {
+			case whole:
+				e.Am.Deliver(pc.p, section.Section{Dims: e.Ghost}, pc.fr.Scratch)
+			case k <= n:
+				e.Am.DeliverBits(pc.p, src, section.Section{Dims: e.Ghost}, e.Recv, e.Off, bits, k0, vpos-v0, pc.fr.Scratch)
 			}
 		}
 		if k != n || vpos != nv {
@@ -499,17 +527,13 @@ func (pc *proc) bcastGather(op *plan.CommOp) error {
 		// The arrays a broadcast or general group delivers into keep their
 		// declared extents (plan.Lower), so every local box holds sec.
 		k, base := 0, am.Base(pc.p)
-		am.Delivered(pc.p, sec)
 		am.OwnerRuns(sec, pc.fr.Scratch, func(o, off, n int) {
 			if o != pc.p {
-				off -= base
-				copy(am.Data[pc.p][off:off+n], full[k:k+n])
-				for i := off; i < off+n; i++ {
-					am.Valid[pc.p][i] = true
-				}
+				copy(am.Data[pc.p][off-base:off-base+n], full[k:k+n])
 			}
 			k += n
 		})
+		am.Deliver(pc.p, sec, pc.fr.Scratch)
 	}
 	return nil
 }

@@ -254,7 +254,7 @@ func newEngine(prog *plan.Program, procs int) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		pc := &proc{eng: eng, p: p, fr: fr}
+		pc := &proc{eng: eng, p: p, fr: fr, target: make([]int, prog.Plan.Layout.MaxRank)}
 		if p == 0 {
 			// Gather-assembly scratch: only the tree root carves
 			// per-processor streams out of child buffers.
@@ -514,10 +514,12 @@ type proc struct {
 	// allocate nothing: the packed contribution and assembled-section
 	// buffers, the shift validity bitmap, and — root only — the gather
 	// stream-carving scratch. The bulk memory operations use the
-	// frame's Scratch.
+	// frame's Scratch; target holds the index of a guarded statement's
+	// target.
 	minebuf []float64
 	fullbuf []float64
-	bitbuf  []uint64
+	bitbuf  runtime.Bits
+	target  []int
 	cnt     []int       // root: per-proc element counts of one gather
 	pos     []int       // root: per-proc stream positions
 	streams [][]float64 // root: per-proc operand streams
@@ -640,7 +642,7 @@ func (pc *proc) settle(st *plan.Stmt) error {
 	}
 
 	am := fr.View(st.LHS.Lay)
-	off, in := st.LHS.Offset(fr, pc.p)
+	off, _ := st.LHS.Offset(fr, pc.p)
 	if fr.Err != nil {
 		return pc.evalErr()
 	}
@@ -664,21 +666,21 @@ func (pc *proc) settle(st *plan.Stmt) error {
 	}
 
 	// Owner-computes: the owner evaluates from its own rows and stores
-	// into its own row; every other processor kills its stale copy, if its
-	// local box holds one, in its own validity plane (same program point,
-	// own row only — no cross-row writes anywhere). An unguarded statement
-	// runs only on iterations this processor owns.
-	if st.Guard && st.LHS.Owner(fr) != pc.p {
-		if in {
-			am.Valid[pc.p][off] = false
+	// into its own row; every other processor kills its stale copy, if it
+	// holds one, in its own list of valid boxes (same program point, own
+	// list only — no cross-processor writes anywhere). An unguarded
+	// statement runs only on iterations this processor owns.
+	if st.Guard {
+		if idx := st.LHS.Index(fr, pc.target); am.Owner(idx) != pc.p {
+			am.InvalidateBox(pc.p, idx, idx)
+			return nil
 		}
-		return nil
 	}
 	v := st.RHS(fr)
 	if fr.Err != nil {
 		return pc.evalErr()
 	}
-	am.Data[pc.p][off], am.Valid[pc.p][off] = v, true
+	am.Data[pc.p][off] = v
 	return nil
 }
 

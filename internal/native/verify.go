@@ -36,9 +36,9 @@ func VerifyAgainstSimulator(res *core.Result, m machine.Machine, procs int) erro
 // canonical (owner-assembled) image, every processor's validity of each
 // element either local box holds, in global coordinates (which copies
 // are current is part of the state: it decides what later exchanges
-// carry and which reads are stale), then the replicated scalars. It returns an error naming the first difference,
-// or the first valid copy either image holds outside the ghost hull that
-// invalidation relies on.
+// carry and which reads are stale), then the replicated scalars. It
+// returns an error naming the first difference, or the first box of
+// either image's lists that breaks their invariants (CheckHulls).
 func Diff(nat *RunResult, sim *spmd.RunResult) error {
 	for _, mem := range []*runtime.Memory{nat.Mem, sim.Mem} {
 		if err := mem.CheckHulls(); err != nil {
@@ -58,7 +58,7 @@ func Diff(nat *RunResult, sim *spmd.RunResult) error {
 			}
 		}
 		nm, sm := nat.Mem.View(name), sim.Mem.View(name)
-		for p := range nm.Valid {
+		for p := range nm.Data {
 			if err := sameValidity(name, p, nm, sm, "native", "simulator"); err != nil {
 				return err
 			}
@@ -85,9 +85,7 @@ func sameValidity(name string, p int, a, b *runtime.ArrayMem, an, bn string) err
 		lo[k], hi[k] = a.LocalBox(p, k)
 	}
 	section.Whole(lo, hi).Elems(func(ix []int) bool {
-		off, _ := a.Local(p, ix)
-		other, in := b.Local(p, ix)
-		if got, want := a.Valid[p][off], in && b.Valid[p][other]; got != want {
+		if got, want := a.ValidAt(p, ix), b.ValidAt(p, ix); got != want {
 			err = fmt.Errorf("native: array %q validity differs on processor %d at %v: %s %v vs %s %v", name, p, ix, an, got, bn, want)
 		}
 		return err == nil

@@ -24,24 +24,20 @@ type Schedule struct {
 	Ents       []SchedEntry
 	built      bool
 	key        []int
-	send, recv []StripRun    // back the entries' runs
-	dims       []section.Dim // backs the entries' at and Ghost
+	send, recv []runtime.Run // back the entries' runs
+	dims       []section.Dim // backs the entries' at, Sent and Ghost
 }
 
 // SchedEntry is one entry of a schedule: its strips' runs, Off further
-// than enumerated (by translations since); Ghost the strip received as a
-// section, what an unpack adds to the receiver's hull; at its section,
-// unclipped, where the runs are now.
+// than enumerated (by translations since); Sent and Ghost the strips sent
+// and received as sections, what a pack and an unpack test and make valid;
+// at its section, unclipped, where the runs are now.
 type SchedEntry struct {
-	Am         *runtime.ArrayMem
-	Send, Recv []StripRun
-	Off        int
-	Ghost, at  []section.Dim
+	Am              *runtime.ArrayMem
+	Send, Recv      []runtime.Run
+	Off             int
+	Sent, Ghost, at []section.Dim
 }
-
-// StripRun is one run of a strip: N consecutive offsets of the stride
-// space from Off.
-type StripRun struct{ Off, N int }
 
 // Schedules holds a schedule per (processor, exchange), in storage
 // allocated at once and sized by StripBound: building one allocates
@@ -66,7 +62,7 @@ func (pr *Program) NewSchedules(send bool) Schedules {
 		n[0], n[1] = len(op.Slots), len(op.Entries)
 		for j := range op.Entries {
 			es, m := &op.Entries[j], op.Group.Map
-			n[2] += 2 * len(es.Lo)
+			n[2] += 3 * len(es.Lo)
 			if s.Dst >= 0 {
 				n[3] += es.Lay.StripBound(p, es.ShiftDim, m.Sign, m.Width, es.Step[len(es.Step)-1], sc)
 			}
@@ -78,7 +74,7 @@ func (pr *Program) NewSchedules(send bool) Schedules {
 			total[k] += n[k]
 		}
 	}
-	ints, ents, dims, runs := make([]int, total[0]), make([]SchedEntry, total[1]), make([]section.Dim, total[2]), make([]StripRun, total[3]+total[4])
+	ints, ents, dims, runs := make([]int, total[0]), make([]SchedEntry, total[1]), make([]section.Dim, total[2]), make([]runtime.Run, total[3]+total[4])
 	for i, n := range sizes {
 		s := &ss.s[i]
 		s.key, ints = ints[:n[0]:n[0]], ints[n[0]:]
@@ -122,23 +118,23 @@ func (s *Schedule) build(fr *Frame, op *CommOp, p int) {
 		if !ok {
 			continue
 		}
-		e := SchedEntry{Am: fr.View(es.Lay), at: at}
-		from := len(s.send)
-		if s.Dst >= 0 {
-			es.Lay.StripRuns(sec, p, es.ShiftDim, m.Sign, m.Width, fr.Scratch, func(off, n int) {
-				s.send = append(s.send, StripRun{off, n})
-			})
-		}
-		e.Send, from = s.send[from:], len(s.recv)
+		e, from := SchedEntry{Am: fr.View(es.Lay), at: at}, len(s.send)
 		var strip section.Section
-		if s.Src >= 0 {
-			strip = es.Lay.StripRuns(sec, s.Src, es.ShiftDim, m.Sign, m.Width, fr.Scratch, func(off, n int) {
-				s.recv = append(s.recv, StripRun{off, n})
+		if s.Dst >= 0 {
+			strip = es.Lay.StripRuns(sec, p, es.ShiftDim, m.Sign, m.Width, fr.Scratch, func(off, n int) {
+				s.send = append(s.send, runtime.Run{Off: off, N: n})
 			})
 		}
-		e.Recv, e.Ghost = s.recv[from:], dims[len(at):len(at)+copy(dims[len(at):], strip.Dims)]
+		sent, ghost := dims[len(at):], dims[2*len(at):]
+		e.Send, e.Sent, from = s.send[from:], sent[:copy(sent, strip.Dims)], len(s.recv)
+		if strip = (section.Section{}); s.Src >= 0 {
+			strip = es.Lay.StripRuns(sec, s.Src, es.ShiftDim, m.Sign, m.Width, fr.Scratch, func(off, n int) {
+				s.recv = append(s.recv, runtime.Run{Off: off, N: n})
+			})
+		}
+		e.Recv, e.Ghost = s.recv[from:], ghost[:copy(ghost, strip.Dims)]
 		s.Ents = append(s.Ents, e)
-		dims = dims[2*len(at):]
+		dims = dims[3*len(at):]
 	}
 }
 
@@ -165,9 +161,13 @@ func (s *Schedule) translate(fr *Frame, op *CommOp, p int) bool {
 			return false
 		}
 		e.Off += doff
-		for k := range e.Ghost {
+		for k := range e.at {
 			d := to[k].Lo - e.at[k].Lo
-			e.Ghost[k].Lo, e.Ghost[k].Hi = e.Ghost[k].Lo+d, e.Ghost[k].Hi+d
+			for _, strip := range [][]section.Dim{e.Sent, e.Ghost} {
+				if len(strip) > 0 {
+					strip[k].Lo, strip[k].Hi = strip[k].Lo+d, strip[k].Hi+d
+				}
+			}
 		}
 		copy(e.at, to)
 	}

@@ -6,6 +6,7 @@ import (
 	"gcao/internal/bench"
 	"gcao/internal/core"
 	"gcao/internal/plan"
+	"gcao/internal/runtime"
 )
 
 // afterLoopSection exchanges row k of a, where k is the variable of a
@@ -59,12 +60,12 @@ func TestScheduleKeyHoldsBoundBits(t *testing.T) {
 		p    int
 	}{{"processor 0 sending", true, 0}, {"processor 1 receiving only", false, 1}} {
 		ss, fr := w.prog.NewSchedules(in.send), newFrame(t, w.prog, in.p, w.mem)
-		runs := func() []plan.StripRun { // the strip's runs, and the entry's offset
-			var out []plan.StripRun
+		runs := func() []runtime.Run { // the strip's runs, and the entry's offset
+			var out []runtime.Run
 			for _, e := range ss.At(fr, op, in.p).Ents {
-				for _, legs := range [][]plan.StripRun{e.Send, e.Recv} {
+				for _, legs := range [][]runtime.Run{e.Send, e.Recv} {
 					for _, r := range legs {
-						out = append(out, plan.StripRun{Off: r.Off + e.Off, N: r.N})
+						out = append(out, runtime.Run{Off: r.Off + e.Off, N: r.N})
 					}
 				}
 			}

@@ -3,6 +3,7 @@ package plan
 import (
 	"slices"
 
+	"gcao/internal/runtime"
 	"gcao/internal/section"
 )
 
@@ -53,8 +54,8 @@ func (lp *Loop) BoxShape(fr *Frame) (rows, n int) {
 // frame's last entry of the nest that verified was made by the same
 // processor with the same values in the slots the nest reads.
 func (n *Nest) Verified(fr *Frame) bool {
-	key := fr.memo[n.memo : n.memo+2+len(n.slots)]
-	return key[0] == fr.P+1 && fr.Unchanged(n.slots, slices.Clone(key[2:]))
+	key := fr.memo[n.memo : n.memo+1+len(n.slots)]
+	return key[0] == fr.P+1 && fr.Unchanged(n.slots, slices.Clone(key[1:]))
 }
 
 // AtWay is Schedules.At, naming the way it took: "replayed", "translated"
@@ -76,12 +77,13 @@ func (s *Schedule) Matches(f *Schedule) bool {
 		return false
 	}
 	empty := func(dims []section.Dim) bool { return section.Section{Dims: dims}.IsEmpty() }
-	sameRuns := func(a, b []StripRun, da, db int) bool {
-		return slices.EqualFunc(a, b, func(x, y StripRun) bool { return x.Off+da == y.Off+db && x.N == y.N })
+	sameRuns := func(a, b []runtime.Run, da, db int) bool {
+		return slices.EqualFunc(a, b, func(x, y runtime.Run) bool { return x.Off+da == y.Off+db && x.N == y.N })
 	}
 	for i, e := range s.Ents {
 		g := f.Ents[i]
 		if e.Am != g.Am || !slices.Equal(e.at, g.at) || !slices.Equal(e.Ghost, g.Ghost) && !(empty(e.Ghost) && empty(g.Ghost)) ||
+			!slices.Equal(e.Sent, g.Sent) && !(empty(e.Sent) && empty(g.Sent)) ||
 			!sameRuns(e.Send, g.Send, e.Off, g.Off) || !sameRuns(e.Recv, g.Recv, e.Off, g.Off) {
 			return false
 		}

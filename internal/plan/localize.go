@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"slices"
+
 	"gcao/internal/dist"
 )
 
@@ -58,10 +60,23 @@ type Nest struct {
 	// slots lists the slots Enter reads that the nest does not vary: the
 	// variables from around it in loop bounds and verified subscripts. At
 	// memo a frame's memo keeps the nest's entry key: the processor of the
-	// last entry that verified, plus one, its Frame.unboxed verdict as 0 or
-	// 1, then Frame.Unchanged's record of slots.
-	slots []int
-	memo  int
+	// last entry that verified, plus one, then Frame.Unchanged's record of
+	// slots, the hull of each proof and, from written, each statement's
+	// box of written elements.
+	slots         []int
+	memo, written int
+	// proofs are the reads Enter proves valid, one of each distinct
+	// hoisted read of a distributed array per loop body, but those on the
+	// element their statement stores, which its processor owns.
+	proofs []proof
+}
+
+// proof is a read Enter proves valid: its hull over the frame's
+// processor's part of the nest's box is at at in a frame's memo.
+type proof struct {
+	ref  *ArrayRef
+	loop *Loop // the innermost loop around its statements
+	at   int
 }
 
 // loopRange is one nest loop's iteration range for one entry of the
@@ -340,7 +355,28 @@ func (n *Nest) entryKey(pr *Program) {
 			}
 		}
 	}
-	n.memo, pr.memoLen = pr.memoLen, pr.memoLen+2+len(n.slots)
+	at := pr.memoLen + 1 + len(n.slots)
+	for _, st := range n.stmts {
+		for _, r := range st.reads {
+			if !st.Guard && r.hoisted && r.Lay.Dist != nil && !ownerAligned(r, st.LHS) && !n.proves(r, st.innermost()) {
+				n.proofs = append(n.proofs, proof{ref: r, loop: st.innermost(), at: at})
+				at += 2 * len(r.Subs)
+			}
+		}
+	}
+	n.written = at
+	for _, st := range n.stmts {
+		at += 2 * len(st.LHS.Subs)
+	}
+	n.memo, pr.memoLen = pr.memoLen, at
+}
+
+// proves reports whether a proof of the nest reads what r reads in the
+// body of lp.
+func (n *Nest) proves(r *ArrayRef, lp *Loop) bool {
+	return slices.ContainsFunc(n.proofs, func(pf proof) bool {
+		return pf.loop == lp && pf.ref.Lay == r.Lay && slices.EqualFunc(pf.ref.Subs, r.Subs, func(a, b IntExpr) bool { return a.equal(&b.Affine) })
+	})
 }
 
 // innermost returns the loop directly around a statement of a nest.
@@ -377,17 +413,18 @@ func (n *Nest) span(a *Affine, fr *Frame, mine bool) Range {
 }
 
 // Enter prepares one execution of the nest under fr, after the root's
-// Begin said it runs: it evaluates every loop's range and verifies,
-// once, the subscript ranges the nest's hoisted references rely on. An
-// out-of-range subscript is recorded in fr.Err, positioned at the
-// reference; a read reaching outside the processor's local box sets
-// fr.unboxed. Ranges and verdicts are a function of the frame's processor
-// and n.slots, and the ranges are written here only: an entry under the
-// key of the frame's last entry that verified returns at once.
+// Begin said it runs: it evaluates every loop's range and verifies, once,
+// the subscript ranges the nest's hoisted references rely on, then proves
+// the hoisted reads. An out-of-range subscript is recorded in fr.Err,
+// positioned at the reference. Ranges and verification are a function of
+// the frame's processor and n.slots, and the ranges are written here only:
+// an entry under the key of the frame's last entry that verified skips
+// them. The proof depends on what the processor holds valid, which changes
+// between entries, so every entry makes it.
 func (n *Nest) Enter(fr *Frame) {
-	key := fr.memo[n.memo : n.memo+2+len(n.slots)]
-	if fr.Unchanged(n.slots, key[2:]) && key[0] == fr.P+1 {
-		fr.unboxed = key[1] != 0
+	key := fr.memo[n.memo : n.memo+1+len(n.slots)]
+	if fr.Unchanged(n.slots, key[1:]) && key[0] == fr.P+1 {
+		fr.unboxed = !n.proven(fr)
 		return
 	}
 	key[0], fr.unboxed = 0, false
@@ -422,30 +459,57 @@ func (n *Nest) Enter(fr *Frame) {
 			}
 		}
 	}
-	if fr.Err == nil {
-		key[0], key[1] = fr.P+1, 0
-		if fr.unboxed {
-			key[1] = 1
-		}
+	if fr.Err != nil {
+		return
 	}
+	for _, pf := range n.proofs {
+		n.hull(pf.ref, fr, true, fr.memo[pf.at:])
+	}
+	for at, st := n.written, 0; st < len(n.stmts); at, st = at+2*len(n.stmts[st].LHS.Subs), st+1 {
+		n.hull(n.stmts[st].LHS, fr, false, fr.memo[at:])
+	}
+	key[0] = fr.P + 1
+	fr.unboxed = !n.proven(fr)
 }
 
 // verify records in fr an error when the reference's subscripts range
 // outside the declared bounds over the nest's box — the frame's
-// processor's part of it when mine — and there sets fr.unboxed when they
-// range outside the processor's local box.
+// processor's part of it when mine.
 func (n *Nest) verify(r *ArrayRef, fr *Frame, mine bool) {
 	arr := r.Lay.Arr
 	for i := range r.Subs {
-		s := n.span(&r.Subs[i].Affine, fr, mine)
-		if s.Lo < arr.Lo[i] || s.Hi > arr.Hi[i] {
+		if s := n.span(&r.Subs[i].Affine, fr, mine); s.Lo < arr.Lo[i] || s.Hi > arr.Hi[i] {
 			fr.fail(rangeError(r.Pos, r.Lay, i, s.Lo, s.Hi))
 			return
 		}
-		if lo, hi := r.Lay.LocalBox(fr.P, i); mine && (s.Lo < lo || s.Hi > hi) {
-			fr.unboxed = true
+	}
+}
+
+// hull writes into dst the ranges of the reference's subscripts over the
+// nest's box — the frame's processor's part of it when mine — their lower
+// bounds and then their upper bounds.
+func (n *Nest) hull(r *ArrayRef, fr *Frame, mine bool, dst []int) {
+	for i := range r.Subs {
+		s := n.span(&r.Subs[i].Affine, fr, mine)
+		dst[i], dst[len(r.Subs)+i] = s.Lo, s.Hi
+	}
+}
+
+// proven reports whether the frame's processor holds valid the hull of
+// every proof a statement it runs reads — the subscripts' ranges over its
+// part of the nest's box, which verify found inside the declared bounds —
+// and so may read the hoisted reads untested. Where it does not, or the
+// hull of a coupled subscript takes in more than the read does, the entry
+// takes the tested per-element path, which reports the first stale
+// element.
+func (n *Nest) proven(fr *Frame) bool {
+	for _, pf := range n.proofs {
+		r := len(pf.ref.Subs)
+		if fr.ranges[pf.loop.Src.ID].busy && !fr.View(pf.ref.Lay).Holds(fr.P, fr.memo[pf.at:pf.at+r], fr.memo[pf.at+r:pf.at+2*r]) {
+			return false
 		}
 	}
+	return true
 }
 
 // exit leaves in the variable of a live nest loop what walking its full
@@ -460,23 +524,19 @@ func (lp *Loop) exit(fr *Frame) {
 
 // Leave completes one execution of the nest under fr: every loop
 // variable takes the value the full walk leaves in it, and the frame's
-// processor's validity plane loses every element the nest wrote that
-// the processor does not own.
+// processor loses the validity of every element the nest wrote that it
+// does not own.
 func (n *Nest) Leave(fr *Frame) {
 	for _, lp := range n.loops {
 		if fr.ranges[lp.Src.ID].live {
 			lp.exit(fr)
 		}
 	}
+	at := n.written
 	for _, st := range n.stmts {
-		if !fr.ranges[st.innermost().Src.ID].live {
-			continue
+		if r := len(st.LHS.Subs); fr.ranges[st.innermost().Src.ID].live {
+			fr.View(st.LHS.Lay).InvalidateBox(fr.P, fr.memo[at:at+r], fr.memo[at+r:at+2*r])
 		}
-		lo, hi := fr.lo[:len(st.LHS.Subs)], fr.hi[:len(st.LHS.Subs)]
-		for i := range st.LHS.Subs {
-			s := n.span(&st.LHS.Subs[i].Affine, fr, false)
-			lo[i], hi[i] = s.Lo, s.Hi
-		}
-		fr.View(st.LHS.Lay).InvalidateBox(fr.P, lo, hi, fr.Scratch)
+		at += 2 * len(st.LHS.Subs)
 	}
 }

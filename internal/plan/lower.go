@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"gcao/internal/ast"
@@ -691,11 +692,16 @@ func (lw *lowerer) read(ref *ast.Ref, lay *runtime.ArrayLayout) RealFn {
 	}
 	return func(fr *Frame) float64 {
 		am := fr.arrays[slot]
-		off, in := r.Offset(fr, fr.P)
-		if !in || !am.Valid[fr.P][off] {
-			if fr.Err == nil {
-				fr.Err = &runtime.StaleReadError{Proc: fr.P, Array: lay.Name, Index: r.Index(fr, make([]int, len(r.Subs)))}
-			}
+		if r.hoisted && !fr.unboxed { // Nest.Enter proved it valid
+			return am.Data[fr.P][r.off.Eval(fr)-lay.Base(fr.P)]
+		}
+		idx := r.Index(fr, fr.idx)
+		if fr.Err != nil {
+			return 0
+		}
+		off, in := lay.Local(fr.P, idx)
+		if !in || !am.ValidAt(fr.P, idx) {
+			fr.Err = &runtime.StaleReadError{Proc: fr.P, Array: lay.Name, Index: slices.Clone(idx)}
 			return 0
 		}
 		return am.Data[fr.P][off]

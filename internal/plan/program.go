@@ -326,7 +326,7 @@ func (lp *Loop) walk(fr *Frame, d Driver, first, last, step int) error {
 // verifies subscript ranges once; the box whole where the loop heads one,
 // else — or for the row a Stuck box could not prove — the walk, which
 // reports the stale element or failing operand; the exit value; the nest's
-// settling of the validity planes. It returns the driver's error and
+// settling of validity. It returns the driver's error and
 // leaves an evaluation error in fr.Err.
 func (lp *Loop) Run(fr *Frame, d Driver) error {
 	first, last, step, exit, run := lp.Begin(fr)
@@ -397,13 +397,12 @@ type Frame struct {
 
 	ranges []loopRange // by cfg.Loop.ID, filled by Nest.Enter
 	memo   []int       // Nest.Enter's keys, by Nest.memo
-	// unboxed is Nest.Enter's verdict that a hoisted read of the nest
-	// ranges outside the frame's processor's local box: the entry takes
-	// the tested per-element path, which reports the first such element.
+	// unboxed is Nest.Enter's verdict that it could not prove a hoisted
+	// read of the nest valid: the entry takes the tested per-element path,
+	// which reports the first stale element.
 	unboxed bool
 	dims    []section.Dim
 	idx     []int
-	lo, hi  []int
 
 	// RunBox's operand stack and scratch rows; per array reference of the
 	// body, the offset at the current row and what a step of each level
@@ -434,8 +433,6 @@ func (pr *Program) NewFrame(p int, mem *runtime.Memory) (*Frame, error) {
 		memo:    make([]int, pr.memoLen),
 		dims:    make([]section.Dim, rank),
 		idx:     make([]int, rank),
-		lo:      make([]int, rank),
-		hi:      make([]int, rank),
 
 		rowStack:  make([]rowVal, pr.rowDepth),
 		rowFloats: make([]float64, pr.rowFloats),
@@ -600,8 +597,9 @@ type ArrayRef struct {
 	// off is the offset in the planes' stride space folded to one affine
 	// form; less the processor's Base it replaces the per-dimension
 	// evaluation and tests once hoisted says the enclosing nest verified
-	// on entry that the subscripts range inside the declared bounds and the
-	// processor's local box. stride is its step per unit of the innermost
+	// on entry that the subscripts range inside the declared bounds and,
+	// unless Frame.unboxed, that the processor holds a read's range valid —
+	// a store's it owns. stride is its step per unit of the innermost
 	// enclosing loop's variable.
 	off     Affine
 	stride  int

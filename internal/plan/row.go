@@ -1,9 +1,6 @@
 package plan
 
-import (
-	"errors"
-	"slices"
-)
+import "errors"
 
 // Row and box kernels: the lower level of a Program (DESIGN.md §17).
 // Beside its closure tree every assignment under a loop carries the same
@@ -158,18 +155,17 @@ type Outcome uint8
 
 const (
 	// NotApplicable: the loop heads no box, a loop of its chain is empty
-	// or not live for the frame's processor, or the nest's entry found a
-	// read outside the processor's local box. Nothing was touched; the
-	// driver runs the loop itself.
+	// or not live for the frame's processor, or the nest's entry could not
+	// prove a read valid. Nothing was touched; the driver runs the loop
+	// itself.
 	NotApplicable Outcome = iota
 	// Done: every iteration of the box ran; the chain's inner variables
 	// hold what walking them leaves, the loop's own is the driver's to set.
 	Done
-	// Stuck: a row could not be proven — it reads a stale element, or an
-	// operand failed. Every row before it in walk order ran once, nothing
-	// of it is stored, no error is left and the chain's outer variables are
-	// on it: the driver walks the row loop Box on the closure tree, which
-	// reports that element or operand.
+	// Stuck: an operand of a row failed. Every row before it in walk order
+	// ran once, nothing of it is stored, no error is left and the chain's
+	// outer variables are on it: the driver walks the row loop Box on the
+	// closure tree, which reports that operand.
 	Stuck
 )
 
@@ -195,9 +191,9 @@ func batchOf(n int) int { return min(max(batchElems/n, 1), batchRows) }
 // rows, so every floating-point operation of the source happens once per
 // element, in source order, one operation per pass. Each batch is proven
 // before any of it executes: every operand that does not move along a
-// row is evaluated, and every element the batch reads of a distributed
-// array is tested valid. points is the number of iteration points a Done
-// box ran each statement of Box.Row at.
+// row is evaluated; the elements it reads of a distributed array Enter
+// proved valid for the whole box. points is the number of iteration points
+// a Done box ran each statement of Box.Row at.
 func (lp *Loop) RunBox(fr *Frame) (out Outcome, points int) {
 	row := lp.Box
 	if row == nil || !fr.ranges[row.Src.ID].busy || fr.unboxed {
@@ -265,7 +261,7 @@ func (lp *Loop) RunBox(fr *Frame) (out Outcome, points int) {
 					cur[ri] += step[ri*levels+j]
 				}
 			}
-			if !row.prove(fr, lp.boxVars, r, n) {
+			if !row.prove(fr, lp.boxVars, r) {
 				fr.Err = nil
 				if r > 0 {
 					row.runBatch(fr, lp.boxVars, r, n, lo)
@@ -297,24 +293,12 @@ func (lp *Loop) leafValues(fr *Frame, r int) {
 
 // prove prepares row r of a batch of the row loop, the row the frame's
 // variables and current offsets are on: it keeps the offsets for
-// runBatch, evaluates the leaves again when some read a variable of the
-// chain (vars), and tests every element the row reads of a distributed
-// array. It reports false when one is stale or a leaf of the box failed.
-func (lp *Loop) prove(fr *Frame, vars uint64, r, n int) bool {
-	offs := fr.boxOff[r*lp.refs : (r+1)*lp.refs]
-	copy(offs, fr.boxCur)
+// runBatch and evaluates the leaves again when some read a variable of
+// the chain (vars). It reports false when a leaf of the box failed.
+func (lp *Loop) prove(fr *Frame, vars uint64, r int) bool {
+	copy(fr.boxOff[r*lp.refs:(r+1)*lp.refs], fr.boxCur)
 	if vars != 0 {
 		lp.leafValues(fr, r)
-	}
-	ri := 0
-	for _, st := range lp.Row {
-		for _, ref := range st.reads {
-			if ref.Lay.Dist != nil && !rowValid(fr.View(ref.Lay).Valid[fr.P], offs[ri], ref.stride, n) {
-				return false
-			}
-			ri++
-		}
-		ri++
 	}
 	return fr.Err == nil
 }
@@ -438,23 +422,6 @@ func (lp *Loop) runBatch(fr *Frame, vars uint64, b, n, lo int) {
 		}
 		ri++
 	}
-}
-
-// rowValid reports whether the elements off, off+stride, ... a row of n
-// reads are all valid.
-func rowValid(valid []bool, off, stride, n int) bool {
-	if stride == 1 {
-		return !slices.Contains(valid[off:off+n], false)
-	}
-	if stride == 0 {
-		n = 1
-	}
-	for i := 0; i < n; i++ {
-		if !valid[off+i*stride] {
-			return false
-		}
-	}
-	return true
 }
 
 // rowTemp returns the i-th scratch row of length n.

@@ -9,6 +9,8 @@ import (
 
 	"gcao/internal/bench"
 	"gcao/internal/core"
+	"gcao/internal/machine"
+	"gcao/internal/native"
 	"gcao/internal/plan"
 	"gcao/internal/refeval"
 	"gcao/internal/runtime"
@@ -35,10 +37,12 @@ type walker struct {
 	fr   *plan.Frame
 	// deliver is false to run as under a placement stripped of its
 	// communication; quiet is true to count nothing (a benchmark times the
-	// kernels, not the counters).
+	// kernels, not the counters). exact, when set, is the communication
+	// instead of every owner's elements.
 	deliver, quiet bool
 	nest           bool
 	counts, target []int
+	exact          func(*walker)
 
 	// What ran where: statement instances in the kernels (of those,
 	// batched: in batches of more than one row) and on the tree; rows and
@@ -110,6 +114,10 @@ func (w *walker) exec(nodes []plan.Node) error {
 
 func (w *walker) comm(c *plan.Comm) {
 	if c == nil || !w.deliver {
+		return
+	}
+	if w.exact != nil {
+		w.exact(w)
 		return
 	}
 	for _, name := range w.mem.Unit.ArrayNames {
@@ -232,7 +240,7 @@ func (w *walker) snapshot() map[string]planes {
 		var pl planes
 		for p := range am.Data {
 			pl.data = append(pl.data, slices.Clone(am.Data[p]))
-			pl.valid = append(pl.valid, slices.Clone(am.Valid[p]))
+			pl.valid = append(pl.valid, am.ValidPlane(p))
 		}
 		out[name] = pl
 	}
@@ -243,13 +251,13 @@ func (w *walker) snapshot() map[string]planes {
 func (w *walker) own(st *plan.Stmt) error {
 	fr := w.fr
 	p, am := fr.P, fr.View(st.LHS.Lay)
-	off, in := st.LHS.Offset(fr, p)
-	if st.Guard && st.LHS.Owner(fr) != p {
-		if in {
-			am.Valid[p][off] = false
+	if st.Guard {
+		if idx := st.LHS.Index(fr, w.target); am.Owner(idx) != p {
+			am.InvalidateBox(p, idx, idx)
+			return nil
 		}
-		return nil
 	}
+	off, _ := st.LHS.Offset(fr, p)
 	v := st.RHS(fr)
 	if fr.Err != nil {
 		return fr.Err
@@ -682,23 +690,22 @@ enddo
 end
 `
 
-// TestRowDeclinesWhole: under a placement whose data never arrives, or
-// with an operand that fails, RunBox stops at the first row in walk
-// order it cannot prove — the first of a box, the last of the last batch
-// of another — with no error left, the chain's outer variable on that
-// row and the memory image the element walk has when it begins the same
-// row: every earlier row stored once (the update is in place), nothing
-// of the row itself. The tree walk that follows reports the stale
-// element or the operand, and ends on the element walk's error and
-// image.
+// TestRowDeclinesWhole: under a placement whose data never arrives, the
+// nest's entry proof declines and the kernels run nothing of it; with an
+// operand that fails, RunBox stops at the first row in walk order it
+// cannot prove — the first of a box — with no error left, the chain's
+// outer variable on that row and the memory image the element walk has
+// when it begins the same row. Either way the tree walk that follows
+// reports the stale element or the operand, and ends on the element
+// walk's error and image.
 func TestRowDeclinesWhole(t *testing.T) {
 	for _, tc := range []struct {
 		name, src    string
-		n, procs, at int // the value of i at the row that cannot run
+		n, procs, at int // the value of i at the row that cannot run, 0 when the entry declines
 		want         string
 	}{
-		{"stale", inPlaceSrc, 7, 4, 2, "read stale g"},
-		{"stale-last-row", staleLastRowSrc, 12, 2, 6, "read stale a"},
+		{"stale", inPlaceSrc, 7, 4, 0, "read stale g"},
+		{"stale-last-row", staleLastRowSrc, 12, 2, 0, "read stale a"},
 		{"unbound-scalar", `
 routine r(n)
 real a(n, n), b(n, n)
@@ -721,25 +728,116 @@ end
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("run returned %v, want an error with %q", err, tc.want)
 			}
-			if w.declined != 1 {
-				t.Fatalf("the kernels stopped %d times, want once, at the row the error came from", w.declined)
-			}
-			if got := w.stuck.ints[slices.Index(w.prog.Ints, "i")]; got != tc.at {
-				t.Errorf("stopped at i=%d, want %d", got, tc.at)
+			if stops := min(tc.at, 1); w.declined != stops {
+				t.Fatalf("the kernels stopped %d times, want %d", w.declined, stops)
 			}
 
 			elem := newWalker(t, res, tc.procs)
 			plan.ClearRows(elem.prog)
-			elem.deliver, elem.watch = false, &stuckAt{row: w.stuck.row, p: w.stuck.p, ints: w.stuck.ints}
+			elem.deliver = false
+			if tc.at > 0 {
+				if got := w.stuck.ints[slices.Index(w.prog.Ints, "i")]; got != tc.at {
+					t.Errorf("stopped at i=%d, want %d", got, tc.at)
+				}
+				elem.watch = &stuckAt{row: w.stuck.row, p: w.stuck.p, ints: w.stuck.ints}
+			}
 			if elemErr := elem.run(); elemErr == nil || elemErr.Error() != err.Error() {
 				t.Fatalf("the kernels' run returned %v, the element walk %v", err, elemErr)
 			}
-			if elem.watch.image == nil {
-				t.Fatal("the element walk never began the row the kernels stopped at")
+			if tc.at > 0 {
+				if elem.watch.image == nil {
+					t.Fatal("the element walk never began the row the kernels stopped at")
+				}
+				samePlanes(t, w.stuck.image, elem.watch.image)
 			}
-			samePlanes(t, w.stuck.image, elem.watch.image)
 			sameImage(t, w, elem)
 		})
+	}
+}
+
+// coupledSrc reads a at a subscript two loop variables drive: the
+// elements a processor reads are a parallelogram, the hull of the
+// subscripts' ranges a box around it.
+const coupledSrc = `
+routine c(n)
+real a(n, n), b(n, n)
+!hpf$ distribute (block, *) :: a, b
+do i = 1, n
+do j = 1, n
+a(i, j) = i * 10 + j
+b(i, j) = 0
+enddo
+enddo
+do i = 1, n - 2
+do j = 1, 2
+b(i, j) = a(i + j, j)
+enddo
+enddo
+end
+`
+
+// TestEntryProofDeclinesValidNest: a nest entry whose proof declines,
+// though every element it reads is valid — a coupled subscript's hull
+// holds elements it does not read, which a communication of exactly the
+// read ones leaves stale — takes the tested element walk and leaves what
+// the element walk and the reference leave; with the placement's own
+// communication, which makes the hull valid, the kernels run it, and both
+// backends leave the reference's image bit for bit.
+func TestEntryProofDeclinesValidNest(t *testing.T) {
+	const n, procs = 10, 2
+	res := placeSrc(t, coupledSrc, map[string]int{"n": n}, procs)
+	exact := func(w *walker) { // a(i+j, j) to b(i, j)'s owner, for the nest's i and j
+		a, b := w.mem.View("a"), w.mem.View("b")
+		for i := 1; i <= n-2; i++ {
+			for j := 1; j <= 2; j++ {
+				idx := []int{i + j, j}
+				p, o := b.Owner([]int{i, j}), a.Owner(idx)
+				if p != o {
+					from, _ := a.Local(o, idx)
+					to, _ := a.Local(p, idx)
+					a.Data[p][to] = a.Data[o][from]
+					a.Deliver(p, section.Point(idx...), w.fr.Scratch)
+				}
+			}
+		}
+	}
+	ref, err := refeval.Run(res.Analysis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, w *walker) {
+		t.Helper()
+		scalars := map[string]float64{}
+		w.prog.Scalars(w.fr, scalars)
+		if err := ref.Check(w.mem, scalars); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	placed, declined, elem := newWalker(t, res, procs), newWalker(t, res, procs), newWalker(t, res, procs)
+	declined.exact, elem.exact = exact, exact
+	plan.ClearRows(elem.prog)
+	for name, w := range map[string]*walker{"placed": placed, "declined": declined, "element walk": elem} {
+		if err := w.run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		check(name, w)
+	}
+	sameImage(t, declined, elem)
+	// The reading nest is a row of two elements per i: the placed run's
+	// kernels run processor 0's five, i = 1..5, the declined run's none of
+	// them, and processor 1's three in both, whose reads its own rows hold.
+	if got, want := placed.rows-declined.rows, 5; got != want {
+		t.Errorf("the kernels ran %d rows fewer with the read elements alone delivered, want %d", got, want)
+	}
+	if err := native.VerifyAgainstSimulator(res, machine.SP2(), procs); err != nil {
+		t.Fatal(err)
+	}
+	nat, err := native.Run(res, procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Check(nat.Mem, nat.Scalars); err != nil {
+		t.Errorf("native: %v", err)
 	}
 }
 

@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"math"
-
 	"gcao/internal/dist"
 	"gcao/internal/section"
 )
@@ -11,8 +9,8 @@ import (
 // exchange, broadcast, SUM, invalidation — moves or marks a set of
 // elements that is a box, or a box cut where the owner changes, so none
 // of them asks who owns an element: they read tables built once per
-// array layout (initGeometry) and shared by every image under it, and one
-// box a processor keeps per image as data moves, and walk rows.
+// array layout (initGeometry) and shared by every image under it, and the
+// boxes a processor holds valid (valid.go), and walk rows.
 //
 //   - the owned box of processor p (OwnedBox): per dimension its BLOCK
 //     interval, the declared bounds of a collapsed dimension, the
@@ -31,15 +29,7 @@ import (
 //     section order, as runs of consecutive offsets of the stride space —
 //     a row at a time where the last dimension has step 1 — and, for the
 //     operations that read owner rows (OwnerRuns), cut where the owner
-//     changes;
-//   - the ghost hull of processor p (Delivered): a box inside p's local
-//     box outside which p holds no valid element it does not own.
-//     Whatever makes such an element valid — either backend's exchange
-//     delivery, BroadcastRange, the native gather unpack — grows the hull
-//     over what it delivers; an InvalidateBox that covers the hull, and
-//     Reset, empty it. In between the hull only over-approximates, so
-//     clearing a box is clearing its part inside the hull: O(halo), not
-//     O(box).
+//     changes.
 //
 // A CYCLIC dimension's owned set is a lattice, not a range. On the
 // moved dimension of a shift the strip section is intersected with that
@@ -47,22 +37,24 @@ import (
 // runs of one element. No other dimension pays for it.
 
 // Scratch is the index and section scratch of one caller of the bulk
-// operations, so that none of them allocates. A Memory owns one (for
-// Reset), and so does every plan frame: one per simulator shard, one
-// per native processor.
+// operations, so that none of them allocates. Every plan frame owns one:
+// one per simulator shard, one per native processor.
 type Scratch struct {
-	lo, hi, idx []int
-	dims        []section.Dim
+	lo, hi, idx, box []int
+	dims             []section.Dim
 }
 
-// NewScratch returns scratch for arrays of up to the given rank.
+// NewScratch returns scratch for arrays of up to the given rank. Its
+// arrays are whole cache lines, which the allocator aligns, so the scratch
+// of processors that run at once shares none.
 func NewScratch(rank int) *Scratch {
-	ints := make([]int, 3*rank)
+	ints := make([]int, (7*rank+7)/8*8)
 	return &Scratch{
 		lo:   ints[:rank],
 		hi:   ints[rank : 2*rank],
-		idx:  ints[2*rank:],
-		dims: make([]section.Dim, rank),
+		idx:  ints[2*rank : 3*rank],
+		box:  ints[3*rank : 7*rank],
+		dims: make([]section.Dim, (rank+7)/8*8)[:rank],
 	}
 }
 
@@ -97,7 +89,7 @@ func (am *ArrayLayout) initGeometry(p, margin int, boxed bool) {
 	}
 	if d != nil {
 		for k, dd := range d.Dims {
-			if dd.Kind == dist.Star {
+			if am.cyclic = am.cyclic || dd.Kind == dist.Cyclic; dd.Kind == dist.Star {
 				continue
 			}
 			stride := 1
@@ -168,31 +160,8 @@ func (am *ArrayLayout) Local(p int, idx []int) (int, bool) {
 	return off, true
 }
 
-// ghost returns processor p's ghost hull: lower bounds, upper bounds
-// (the hulls' lower bounds fill the first half of am.hull).
-func (am *ArrayMem) ghost(p int) (lo, hi []int) {
-	rank, half := len(am.Strides), len(am.hull)/2
-	return am.hull[p*rank : (p+1)*rank], am.hull[half+p*rank : half+(p+1)*rank]
-}
-
-// emptyHulls gives every hull bounds no box meets and any delivery replaces.
-func (am *ArrayMem) emptyHulls() {
-	for i, half := 0, len(am.hull)/2; i < half; i++ {
-		am.hull[i], am.hull[half+i] = math.MaxInt, math.MinInt
-	}
-}
-
-// Delivered grows processor p's ghost hull over sec: the caller marks
-// elements of sec that p does not own valid in p's plane.
-func (am *ArrayMem) Delivered(p int, sec section.Section) {
-	if am.Dist == nil || sec.IsEmpty() {
-		return
-	}
-	lo, hi := am.ghost(p)
-	for k, d := range sec.Dims {
-		lo[k], hi[k] = min(lo[k], d.Lo), max(hi[k], d.Hi)
-	}
-}
+// Run is a run of N consecutive offsets of the stride space from Off.
+type Run struct{ Off, N int }
 
 // StripRuns visits, in section order, the elements of sec that a shift
 // by sign along array dimension ad moves from processor src to its
@@ -204,8 +173,8 @@ func (am *ArrayMem) Delivered(p int, sec section.Section) {
 // plan builds an exchange schedule; the runs are offsets of the stride
 // space, each side's Base less in its plane, and the strip lies in both
 // local boxes when width is at most the layout's margin. It returns the
-// strip as a section in sc (valid until sc is used again), for the
-// receiver's Delivered.
+// strip as a section in sc (valid until sc is used again), what the
+// receiver's CopyValid or Deliver makes valid.
 func (am *ArrayLayout) StripRuns(sec section.Section, src, ad, sign, width int, sc *Scratch, f func(off, n int)) section.Section {
 	lo, hi := sc.lo[:len(am.Strides)], sc.hi[:len(am.Strides)]
 	if !am.stripBox(src, ad, sign, width, lo, hi) {
@@ -304,18 +273,19 @@ func (am *ArrayLayout) walk(sec section.Section, idx []int, cut bool, f func(own
 	}
 	last := len(sec.Dims) - 1
 	outer, row := sec.Dims[:last], sec.Dims[last]
-	idx = idx[:last]
+	idx, base := idx[:last], 0
 	for k, d := range outer {
-		idx[k] = d.Lo
+		idx[k], base = d.Lo, base+(d.Lo-am.Arr.Lo[k])*am.Strides[k]
 	}
 	lo, hi, step := row.Lo-am.Arr.Lo[last], row.Hi-am.Arr.Lo[last], max(row.Step, 1)
 	own, end := am.own[last], am.runEnd
 	for {
-		base, owner := 0, 0
+		owner := 0
 		for k, x := range idx {
-			i := x - am.Arr.Lo[k]
-			base += i * am.Strides[k]
-			owner += am.own[k][i]
+			if !cut {
+				break
+			}
+			owner += am.own[k][x-am.Arr.Lo[k]]
 		}
 		for i := lo; i <= hi; {
 			o, n := owner, 1
@@ -332,9 +302,12 @@ func (am *ArrayLayout) walk(sec section.Section, idx []int, cut bool, f func(own
 		}
 		k := last - 1
 		for ; k >= 0; k-- {
-			if idx[k] += max(outer[k].Step, 1); idx[k] <= outer[k].Hi {
+			s := max(outer[k].Step, 1)
+			if idx[k] += s; idx[k] <= outer[k].Hi {
+				base += s * am.Strides[k]
 				break
 			}
+			base -= (idx[k] - s - outer[k].Lo) * am.Strides[k]
 			idx[k] = outer[k].Lo
 		}
 		if k < 0 {

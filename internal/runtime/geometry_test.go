@@ -14,20 +14,24 @@ import (
 )
 
 // shiftRange is the simulator's delivery of one exchange section into the
-// receivers [dstLo, dstHi), built as its schedules build it: each takes
-// from its neighbour on the sign side the strip StripRuns enumerates,
-// CopyValid run by run, grows its hull over the strip, and has the bytes
-// of the elements that travelled added to bytes[receiver].
+// receivers [dstLo, dstHi), built as its schedules build it: after a
+// Freeze each takes from its neighbour on the sign side the strip
+// StripRuns returns, by CopyValid, and has the bytes of the elements that
+// travelled added to bytes[receiver].
 func shiftRange(am *ArrayMem, sec section.Section, gridDim, sign, width, dstLo, dstHi int, sc *Scratch, bytes []int) {
 	ad := am.ShiftArrayDim(gridDim)
+	am.Freeze()
 	for dst := dstLo; dst < dstHi && ad >= 0; dst++ {
 		src := am.Dist.Grid.Neighbor(dst, gridDim, sign)
 		if src < 0 {
 			continue
 		}
-		moved := 0
-		am.Delivered(dst, am.StripRuns(sec, src, ad, sign, width, sc, func(off, n int) { moved += am.CopyValid(src, dst, off, n) }))
-		bytes[dst] += moved * am.Arr.ElemBytes()
+		var dims [4]section.Dim // CopyValid's strip is not in sc
+		var buf [128]Run
+		runs := buf[:0]
+		strip := am.StripRuns(sec, src, ad, sign, width, sc, func(off, n int) { runs = append(runs, Run{off, n}) })
+		strip.Dims = dims[:copy(dims[:], strip.Dims)]
+		bytes[dst] += am.CopyValid(src, dst, strip, runs, 0, sc) * am.Arr.ElemBytes()
 	}
 }
 
@@ -35,7 +39,26 @@ func shiftRange(am *ArrayMem, sec section.Section, gridDim, sign, width, dstLo, 
 // Oracles: the per-element scans the bulk operations replaced, kept
 // verbatim (every element of the section visited, OwnerDim and
 // LocalRange asked per element, pair bytes in a map) as the reference
-// the run-based operations are compared against.
+// the run-based operations are compared against, on a twin that keeps a
+// flag per element and processor where the memory under test keeps boxes.
+
+// elemTwin is the oracles' memory: values at declared extents, and each
+// processor's validity of a as a flag per element (at declared extents
+// every processor's plane is indexed alike), written element by element.
+type elemTwin struct {
+	*Memory
+	valid [][]bool
+}
+
+// write stores an element of a at its owner and leaves it valid there
+// only.
+func (w *elemTwin) write(idx []int, v float64) {
+	w.Write("a", idx, v)
+	off, o := w.View("a").Offset(idx), ownerOf(w.View("a"), idx)
+	for p := range w.valid {
+		w.valid[p][off] = p == o
+	}
+}
 
 // ownerOf asks the distribution for an element's owner, per element, as
 // the oracles do: independently of the ownership tables under test.
@@ -46,8 +69,8 @@ func ownerOf(am *ArrayMem, idx []int) int {
 	return am.Dist.Owner(idx)
 }
 
-func oracleShiftRange(m *Memory, name string, sec section.Section, gridDim, sign, width, dstLo, dstHi int) map[[2]int]int {
-	am := m.View(name)
+func oracleShiftRange(m *elemTwin, sec section.Section, gridDim, sign, width, dstLo, dstHi int) map[[2]int]int {
+	am := m.View("a")
 	arr := am.Arr
 	if am.Dist == nil {
 		return nil
@@ -98,14 +121,14 @@ func oracleShiftRange(m *Memory, name string, sec section.Section, gridDim, sign
 			if dst < dstLo || dst >= dstHi {
 				continue
 			}
-			if !am.Valid[src][off] {
+			if !m.valid[src][off] {
 				continue
 			}
 			if !oracleInExtendedRegion(arr, coordsOf[dst], idx, ad, margin) {
 				continue
 			}
 			am.Data[dst][off] = am.Data[src][off]
-			am.Valid[dst][off] = true
+			m.valid[dst][off] = true
 			pairs[[2]int{src, dst}] += elemBytes
 		}
 		return true
@@ -132,11 +155,8 @@ func oracleInExtendedRegion(arr *sem.Array, coords []int, idx []int, ad, margin 
 
 // oracleBroadcastRange delivers each element to the receivers whose local
 // box under the layout of the memory under test, boxes, holds it.
-func oracleBroadcastRange(m *Memory, name string, sec section.Section, dstLo, dstHi int, boxes *ArrayLayout) int {
-	am := m.View(name)
-	if am.Dist == nil {
-		return 0
-	}
+func oracleBroadcastRange(m *elemTwin, sec section.Section, dstLo, dstHi int, boxes *ArrayLayout) int {
+	am := m.View("a")
 	elemBytes := am.Arr.ElemBytes()
 	bytes := 0
 	sec.Elems(func(idx []int) bool {
@@ -146,7 +166,7 @@ func oracleBroadcastRange(m *Memory, name string, sec section.Section, dstLo, ds
 		for p := dstLo; p < dstHi; p++ {
 			if _, in := boxes.Local(p, idx); p != o && in {
 				am.Data[p][off] = v
-				am.Valid[p][off] = true
+				m.valid[p][off] = true
 			}
 		}
 		bytes += elemBytes
@@ -168,12 +188,12 @@ func oracleSumSection(m *Memory, name string, sec section.Section) (float64, []i
 	return total, counts
 }
 
-// oracleValidity is the ownership pattern a fresh memory starts from,
-// one ownerOf per element.
+// oracleValidity is the ownership pattern a fresh memory at declared
+// extents starts from, one ownerOf per element.
 func oracleValidity(am *ArrayMem) [][]bool {
-	want := make([][]bool, len(am.Valid))
+	want := make([][]bool, len(am.Data))
 	for p := range want {
-		want[p] = make([]bool, len(am.Valid[p]))
+		want[p] = make([]bool, len(am.Data[p]))
 	}
 	section.Whole(am.Arr.Lo, am.Arr.Hi).Elems(func(idx []int) bool {
 		want[ownerOf(am, idx)][am.Offset(idx)] = true
@@ -222,21 +242,22 @@ var margins = []int{-1, 1, 2}
 // more, with a's local boxes that wide; one at declared extents for its
 // oracle — with every element written to a distinct value (valid on its
 // owner only). Beside a they hold a replicated r(5), left as built.
-func twin(t *testing.T, l layout, margin int) (got, want *Memory) {
+func twin(t *testing.T, l layout, margin int) (got *Memory, want *elemTwin) {
 	t.Helper()
 	shape := strings.Trim(fmt.Sprint(l.grid), "[]")
 	src := "routine m(n)\nreal " + l.decl + ", r(5)\n!hpf$ processors p(" + strings.ReplaceAll(shape, " ", ", ") + ")\n" +
 		"!hpf$ distribute a" + l.kinds + "\nend\n"
 	procs := l.grid[0] * l.grid[1]
 	u := unit(t, src, map[string]int{"n": 1}, procs)
-	got, want = NewMemory(u, procs), NewMemory(u, procs)
+	got, want = NewMemory(u, procs), &elemTwin{Memory: NewMemory(u, procs)}
 	if margin >= 0 {
 		got = NewLayout(u, procs, map[string]int{"a": margin}).NewMemory()
 	}
+	want.valid = oracleValidity(want.View("a"))
 	v := 1.0
 	section.Whole(got.View("a").Arr.Lo, got.View("a").Arr.Hi).Elems(func(idx []int) bool {
 		got.Write("a", idx, v)
-		want.Write("a", idx, v)
+		want.write(idx, v)
 		v += 0.5
 		return true
 	})
@@ -273,32 +294,52 @@ func splits(p int) [][]int {
 	return out
 }
 
+// planes is a copy of an array's values and validity: the lists of valid
+// boxes of a memory under test, the flags of a twin.
 type planes struct {
 	data  [][]float64
-	valid [][]bool
+	lists [][]int
+	flags [][]bool
 }
 
-func snapshot(am *ArrayMem) planes {
+func snapshot(am *ArrayMem, flags [][]bool) planes {
 	var s planes
 	for p := range am.Data {
 		s.data = append(s.data, slices.Clone(am.Data[p]))
-		s.valid = append(s.valid, slices.Clone(am.Valid[p]))
+		s.lists = append(s.lists, slices.Clone(am.Boxes(p)))
+	}
+	for _, f := range flags {
+		s.flags = append(s.flags, slices.Clone(f))
 	}
 	return s
 }
 
-func (s planes) restore(am *ArrayMem) {
+func (s planes) restore(am *ArrayMem, flags [][]bool) {
 	for p := range am.Data {
 		copy(am.Data[p], s.data[p])
-		copy(am.Valid[p], s.valid[p])
 	}
+	for p := range am.lists {
+		am.lists[p].boxes = append(am.lists[p].boxes[:0], s.lists[p]...)
+	}
+	for p := range flags {
+		copy(flags[p], s.flags[p])
+	}
+}
+
+// validPlanes materialises every processor's validity of an array.
+func validPlanes(am *ArrayMem) [][]bool {
+	out := make([][]bool, len(am.Data))
+	for p := range out {
+		out[p] = am.ValidPlane(p)
+	}
+	return out
 }
 
 // samePlanes compares two memories of one array through global
 // coordinates, processor by processor: every element got's local box
-// holds has want's value and validity, and want holds none valid outside
-// that box.
-func samePlanes(t *testing.T, what string, got, want *ArrayMem) {
+// holds has want's value and the validity valid gives it in want's planes,
+// and want holds none valid outside that box.
+func samePlanes(t *testing.T, what string, got, want *ArrayMem, valid [][]bool) {
 	t.Helper()
 	rank := len(got.Strides)
 	lo, hi, idx := make([]int, rank), make([]int, rank), make([]int, rank)
@@ -306,18 +347,18 @@ func samePlanes(t *testing.T, what string, got, want *ArrayMem) {
 		for k := range lo {
 			lo[k], hi[k] = got.LocalBox(p, k)
 		}
-		inside, n := 0, hi[rank-1]-lo[rank-1]+1
+		inside, n, gv := 0, hi[rank-1]-lo[rank-1]+1, got.ValidPlane(p)
 		for copy(idx, lo); ; {
 			g, _ := got.Local(p, idx)
 			w, _ := want.Local(p, idx)
 			for i := range n {
-				if want.Valid[p][w+i] {
+				if valid[p][w+i] {
 					inside++
 				}
-				if got.Valid[p][g+i] != want.Valid[p][w+i] || math.Float64bits(got.Data[p][g+i]) != math.Float64bits(want.Data[p][w+i]) {
+				if gv[g+i] != valid[p][w+i] || math.Float64bits(got.Data[p][g+i]) != math.Float64bits(want.Data[p][w+i]) {
 					idx[rank-1] += i
 					t.Fatalf("%s: processor %d holds %v at %v (valid %v), the element scan %v (valid %v)",
-						what, p, got.Data[p][g+i], idx, got.Valid[p][g+i], want.Data[p][w+i], want.Valid[p][w+i])
+						what, p, got.Data[p][g+i], idx, gv[g+i], want.Data[p][w+i], valid[p][w+i])
 				}
 			}
 			k := rank - 2
@@ -331,7 +372,7 @@ func samePlanes(t *testing.T, what string, got, want *ArrayMem) {
 				break
 			}
 		}
-		for _, v := range want.Valid[p] {
+		for _, v := range valid[p] {
 			if v {
 				inside--
 			}
@@ -391,7 +432,7 @@ func stripMatchesElementScan(t *testing.T, l layout, margin int, n *int) {
 	all := splits(procs)
 	some := [][]int{{procs}, {procs / 2, procs}, {procs / 4, procs / 2, 3 * procs / 4, procs}, {1, 2, procs - 1, procs}}
 	sc, bytes := NewScratch(am.Arr.Rank()), make([]int, procs)
-	fresh, wantFresh := snapshot(am), snapshot(ref)
+	fresh, wantFresh := snapshot(am, nil), snapshot(ref, want.valid)
 	for _, sec := range sections(am) {
 		for _, sign := range []int{1, -1} {
 			for _, width := range []int{1, 2, 4} {
@@ -400,8 +441,8 @@ func stripMatchesElementScan(t *testing.T, l layout, margin int, n *int) {
 				}
 				for gridDim := 0; gridDim < 2; gridDim++ {
 					what := fmt.Sprintf("%v margin %d section %v shift dim %d sign %+d width %d", l, margin, sec, gridDim, sign, width)
-					fresh.restore(am)
-					wantFresh.restore(ref)
+					fresh.restore(am, nil)
+					wantFresh.restore(ref, want.valid)
 					// Seed ghosts along the other grid dimension, then along
 					// the moved one: a sender then holds copies of the block
 					// past its own, which a strip wider than the block must
@@ -410,26 +451,26 @@ func stripMatchesElementScan(t *testing.T, l layout, margin int, n *int) {
 					for _, seedDim := range []int{1 - gridDim, gridDim} {
 						clear(bytes)
 						shiftRange(am, ref.whole, seedDim, sign, width, 0, procs, sc, bytes)
-						pairs = oracleShiftRange(want, "a", ref.whole, seedDim, sign, width, 0, procs)
-						samePlanes(t, what+" (seeding phase)", am, ref)
+						pairs = oracleShiftRange(want, ref.whole, seedDim, sign, width, 0, procs)
+						samePlanes(t, what+" (seeding phase)", am, ref, want.valid)
 						sameBytes(t, what+" (seeding phase)", am.Dist.Grid, seedDim, sign, bytes, pairs)
 					}
 
-					seeded := snapshot(am)
-					pairs = oracleShiftRange(want, "a", sec, gridDim, sign, width, 0, procs)
+					seeded := snapshot(am, nil)
+					pairs = oracleShiftRange(want, sec, gridDim, sign, width, 0, procs)
 					cuts := some
 					if *n++; procs <= 4 || *n%24 == 0 {
 						cuts = all
 					}
 					for _, cut := range cuts {
-						seeded.restore(am)
+						seeded.restore(am, nil)
 						clear(bytes)
 						lo := 0
 						for _, hi := range cut {
 							shiftRange(am, sec, gridDim, sign, width, lo, hi, sc, bytes)
 							lo = hi
 						}
-						samePlanes(t, fmt.Sprintf("%s ranges %v", what, cut), am, ref)
+						samePlanes(t, fmt.Sprintf("%s ranges %v", what, cut), am, ref, want.valid)
 						sameBytes(t, fmt.Sprintf("%s ranges %v", what, cut), am.Dist.Grid, gridDim, sign, bytes, pairs)
 					}
 				}
@@ -550,13 +591,13 @@ func TestStripShiftMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestOwnerRunsMatchElementScan: broadcast, SUM and the initial
-// validity walk owner runs and leave what their per-element scans left,
-// at declared extents and in local boxes (where a broadcast delivers what
-// a receiver's box holds): the same planes and payload bytes whatever
-// ranges the receivers are divided into, a bit-equal total (the
-// accumulation order is the section's) with equal per-owner counts, and
-// the ownership pattern — on construction and again after Reset.
+// TestOwnerRunsMatchElementScan: broadcast and SUM walk owner runs and
+// leave what their per-element scans left, at declared extents and in
+// local boxes (where a broadcast delivers what a receiver's box holds):
+// the same planes and payload bytes whatever ranges the receivers are
+// divided into, a bit-equal total (the accumulation order is the
+// section's) with equal per-owner counts. A new memory, and one Reset after
+// the broadcasts, hold their owned sets valid and nothing else.
 func TestOwnerRunsMatchElementScan(t *testing.T) {
 	for _, l := range layouts() {
 		for _, margin := range margins {
@@ -564,19 +605,19 @@ func TestOwnerRunsMatchElementScan(t *testing.T) {
 			am, ref := got.View("a"), want.View("a")
 			procs := got.P
 			sc, counts := NewScratch(am.Arr.Rank()), make([]int, procs)
-			fresh, wantFresh := snapshot(am), snapshot(ref)
+			fresh, wantFresh := snapshot(am, nil), snapshot(ref, want.valid)
 			for _, sec := range sections(am) {
 				what := fmt.Sprintf("%v margin %d section %v", l, margin, sec)
 				total := am.SumSection(sec, sc, counts)
-				wantTotal, wantCounts := oracleSumSection(want, "a", sec)
+				wantTotal, wantCounts := oracleSumSection(want.Memory, "a", sec)
 				if math.Float64bits(total) != math.Float64bits(wantTotal) || !slices.Equal(counts, wantCounts) {
 					t.Fatalf("%s: SumSection = %v %v, the element scan %v %v", what, total, counts, wantTotal, wantCounts)
 				}
 
-				wantFresh.restore(ref)
-				wantBytes := oracleBroadcastRange(want, "a", sec, 0, procs, am.ArrayLayout)
+				wantFresh.restore(ref, want.valid)
+				wantBytes := oracleBroadcastRange(want, sec, 0, procs, am.ArrayLayout)
 				for _, cut := range [][]int{{procs}, {1, procs}, {procs / 4, procs / 2, 3 * procs / 4, procs}} {
-					fresh.restore(am)
+					fresh.restore(am, nil)
 					lo := 0
 					for _, hi := range cut {
 						if b := am.BroadcastRange(sec, lo, hi, sc); b != wantBytes {
@@ -584,27 +625,26 @@ func TestOwnerRunsMatchElementScan(t *testing.T) {
 						}
 						lo = hi
 					}
-					samePlanes(t, fmt.Sprintf("%s broadcast ranges %v", what, cut), am, ref)
+					samePlanes(t, fmt.Sprintf("%s broadcast ranges %v", what, cut), am, ref, want.valid)
 				}
 			}
 
-			pattern := oracleValidity(am)
-			for round := 0; round < 2; round++ { // as built (dirtied by the broadcasts above), then after Reset
-				got.Reset()
-				for p := range pattern {
-					if !slices.Equal(am.Valid[p], pattern[p]) {
-						t.Fatalf("%v margin %d: processor %d's validity after Reset is not the ownership pattern", l, margin, p)
-					}
-					for _, v := range am.Data[p] {
-						if v != 0 {
-							t.Fatalf("%v margin %d: Reset left a value on processor %d", l, margin, p)
+			got.Reset()
+			for _, mem := range []*Memory{got.Layout.NewMemory(), got} {
+				a := mem.View("a")
+				section.Whole(a.Arr.Lo, a.Arr.Hi).Elems(func(idx []int) bool {
+					for p := 0; p < procs; p++ {
+						if a.ValidAt(p, idx) != (ownerOf(a, idx) == p) {
+							t.Fatalf("%v margin %d: processor %d holds %v valid %v, not the ownership pattern", l, margin, p, idx, a.ValidAt(p, idx))
 						}
 					}
+					return true
+				})
+				for p := range a.Data {
+					if len(a.Boxes(p)) != 0 || slices.ContainsFunc(a.Data[p], func(v float64) bool { return v != 0 }) {
+						t.Fatalf("%v margin %d: processor %d holds a value or a valid box after Reset", l, margin, p)
+					}
 				}
-				am.Valid[0][0] = !am.Valid[0][0]
-			}
-			if built := got.Layout.NewMemory().View("a"); !slices.EqualFunc(built.Valid, pattern, slices.Equal[[]bool]) {
-				t.Fatalf("%v margin %d: a new memory's validity is not the ownership pattern", l, margin)
 			}
 		}
 	}
@@ -625,10 +665,10 @@ func TestOwnerRunsMatchElementScan(t *testing.T) {
 
 // TestBulkOperationsDoNotAllocate: a warm call of each bulk operation on
 // local boxes allocates nothing — its scratch is the caller's, the
-// geometry is the array's; CopyValid is called along the runs StripRuns
-// visits — and neither does Reset, over whatever the operations before it
-// touched, nor StripShift, so the warm native path and a simulator
-// superstep stay off the allocator.
+// geometry is the array's, the lists of valid boxes keep their storage —
+// and neither does Reset, over whatever the operations before it touched,
+// nor StripShift, so the warm native path and a simulator superstep stay
+// off the allocator.
 func TestBulkOperationsDoNotAllocate(t *testing.T) {
 	got, _ := twin(t, layout{"a(3, 7, -1:7)", "(*, block, cyclic)", []int{2, 2}}, 2)
 	am := got.View("a")
@@ -637,13 +677,17 @@ func TestBulkOperationsDoNotAllocate(t *testing.T) {
 	lo, hi := []int{1, 2, 0}, []int{3, 6, 6}
 	next := slices.Clone(sec.Dims) // the inset box, one plane down
 	next[0].Lo, next[0].Hi = next[0].Lo-1, next[0].Hi-1
+	strip := section.New(section.Dim{Lo: 1, Hi: 1, Step: 1}, section.Dim{Lo: 2, Hi: 2, Step: 1}, section.Dim{Lo: 0, Hi: 2, Step: 1})
 	for name, f := range map[string]func(){
 		"Reset":          got.Reset,
 		"CopyValid":      func() { shiftRange(am, sec, 1, -1, 2, 0, 4, sc, ints) },
 		"BroadcastRange": func() { am.BroadcastRange(sec, 0, 4, sc) },
 		"SumSection":     func() { am.SumSection(sec, sc, ints) },
-		"InvalidateBox":  func() { am.InvalidateBox(2, lo, hi, sc) },
+		"InvalidateBox":  func() { am.InvalidateBox(2, lo, hi) },
 		"StripShift":     func() { am.StripShift(sec.Dims, next, 1, 1, -1, 2, sc) },
+		"Holds":          func() { am.Holds(2, lo, hi) },
+		"ValidBits":      func() { am.ValidBits(2, strip, make(Bits, 1), 0, sc) },
+		"DeliverBits":    func() { am.DeliverBits(2, 3, strip, []Run{{am.Base(2) + 4, 3}}, 0, Bits{0b101}, 0, 2, sc) },
 	} {
 		if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
 			t.Errorf("%s: %v allocations per call, want 0", name, allocs)
@@ -651,24 +695,27 @@ func TestBulkOperationsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestGhostHullUnderRandomOperations drives seeded random sequences of
-// the operations that deliver, store, invalidate and reset — shift
-// delivery (shiftRange) and BroadcastRange over random receiver ranges, owner stores into a and
-// the replicated r, InvalidateBox on random boxes, now and then a Reset —
-// on every layout of the matrix, at declared extents and in local boxes
-// (shifts no wider than their margin), next to a twin at declared extents
-// on which each operation is done element by element with no hull at all
-// (the oracles above; a box cleared by asking every element's owner; a
-// reset that rewrites both planes from the ownership pattern). After every
-// step the planes agree bit for bit through global coordinates, so the
-// hull never kept an invalidation from clearing a copy, and the hull
-// invariant holds: no valid copy outside its processor's hull. And after
+// TestValidBoxesMatchPlane drives seeded random sequences of the
+// operations that deliver, invalidate and reset — shift delivery
+// (shiftRange) and BroadcastRange over random receiver ranges, Deliver of
+// a section and DeliverBits of a strip to one processor, owner stores into a
+// and the replicated r, InvalidateRange over random processor ranges,
+// single kills, InvalidateBox on random boxes, now and then a Reset — on
+// every layout of the matrix (BLOCK, CYCLIC and collapsed dimensions), at
+// declared extents and in local boxes 0, 1 and 2 wide (shifts no wider),
+// next to a twin at declared extents on which each operation is done
+// element by element on a flag per element (the oracles above; a box
+// cleared by asking every element's owner). After every step the planes
+// ValidPlane materialises agree with the twin's bit for bit through global
+// coordinates, Holds and ValidBits agree with them on a random box and on
+// strips, and every list keeps its invariants: its boxes disjoint, inside the
+// local box and holding no element the processor owns (CheckHulls). After
 // every Reset, and one more when the sequence ends, every plane of both
 // arrays is a new memory's.
-func TestGhostHullUnderRandomOperations(t *testing.T) {
+func TestValidBoxesMatchPlane(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, l := range layouts() {
-		for _, margin := range margins {
+		for _, margin := range append([]int{0}, margins...) {
 			got, want := twin(t, l, margin)
 			am, ref := got.View("a"), want.View("a")
 			procs, rank := got.P, am.Arr.Rank()
@@ -680,60 +727,173 @@ func TestGhostHullUnderRandomOperations(t *testing.T) {
 			if margin >= 0 {
 				widths = margin
 			}
+			point := func() []int {
+				ix := make([]int, rank)
+				for k := range ix {
+					ix[k] = am.Arr.Lo[k] + rng.Intn(am.Arr.Hi[k]-am.Arr.Lo[k]+1)
+				}
+				return ix
+			}
+			box := func() (lo, hi []int) {
+				lo, hi = point(), make([]int, rank)
+				for k := range hi {
+					hi[k] = lo[k] + rng.Intn(am.Arr.Hi[k]-lo[k]+1)
+				}
+				return lo, hi
+			}
+			kill := func(p int, ix []int) {
+				if ownerOf(ref, ix) != p {
+					want.valid[p][ref.Offset(ix)] = false
+				}
+			}
 			var trace []string
 			for step := 0; step <= 60; step++ {
 				lo := rng.Intn(procs)
 				hi := lo + 1 + rng.Intn(procs-lo)
 				sec := secs[rng.Intn(len(secs))]
-				switch op := rng.Intn(11); {
+				switch op := rng.Intn(14); {
 				case step == 60 || op == 9:
 					trace = append(trace, "reset")
 					got.Reset()
 					for p := range pattern {
 						clear(ref.Data[p])
-						copy(ref.Valid[p], pattern[p])
+						copy(want.valid[p], pattern[p])
 					}
-					samePlanes(t, fmt.Sprintf("%v margin %d: a new memory and a after %s", l, margin, strings.Join(trace, "; ")), am, built.View("a"))
-					samePlanes(t, fmt.Sprintf("%v margin %d: a new memory and r after %s", l, margin, strings.Join(trace, "; ")), got.View("r"), built.View("r"))
+					samePlanes(t, fmt.Sprintf("%v margin %d: a new memory and a after %s", l, margin, strings.Join(trace, "; ")), am, built.View("a"), validPlanes(built.View("a")))
+					samePlanes(t, fmt.Sprintf("%v margin %d: a new memory and r after %s", l, margin, strings.Join(trace, "; ")), got.View("r"), built.View("r"), validPlanes(built.View("r")))
 				case op == 10:
-					ix := make([]int, rank)
-					for k := range ix {
-						ix[k] = am.Arr.Lo[k] + rng.Intn(am.Arr.Hi[k]-am.Arr.Lo[k]+1)
-					}
+					ix := point()
 					trace = append(trace, fmt.Sprintf("store %v and r(%d)", ix, 1+step%5))
 					got.Write("a", ix, float64(step))
-					want.Write("a", ix, float64(step))
+					want.write(ix, float64(step))
 					got.Write("r", []int{1 + step%5}, float64(step))
+				case op == 11:
+					ix := point()
+					trace = append(trace, fmt.Sprintf("kill %v on [%d,%d) but its owner", ix, lo, hi))
+					am.InvalidateRange(ix, am.Owner(ix), lo, hi)
+					for p := lo; p < hi; p++ {
+						kill(p, ix)
+					}
+				case op == 12:
+					ix := point()
+					trace = append(trace, fmt.Sprintf("kill %v on %d", ix, lo))
+					am.InvalidateBox(lo, ix, ix)
+					kill(lo, ix)
+				case op == 13:
+					// What an unpack makes valid: a whole strip, or a run of it.
+					p, blo, bhi := lo, make([]int, rank), make([]int, rank)
+					for k := range blo {
+						blo[k], bhi[k] = am.LocalBox(p, k)
+					}
+					part := sec.ClipInto(blo, bhi, make([]section.Dim, rank))
+					mark := func(ix []int) bool {
+						if ownerOf(ref, ix) != p {
+							want.valid[p][ref.Offset(ix)] = true
+						}
+						return true
+					}
+					if rng.Intn(2) == 0 {
+						trace = append(trace, fmt.Sprintf("deliver %v to %d", part, p))
+						am.Deliver(p, part, sc)
+						part.Elems(mark)
+						break
+					}
+					// An unpack of a strip from src, a box inside p's local box:
+					// src's owned part arrives, and some of the rest.
+					src, rlo, rhi := rng.Intn(procs), make([]int, rank), make([]int, rank)
+					for k := range rlo {
+						rlo[k] = blo[k] + rng.Intn(bhi[k]-blo[k]+1)
+						rhi[k] = rlo[k] + rng.Intn(bhi[k]-rlo[k]+1)
+					}
+					var runs []Run
+					strip, n := section.Whole(rlo, rhi), rhi[rank-1]-rlo[rank-1]+1
+					bits, set := make(Bits, (strip.NumElems()+63)/64), 0
+					section.Whole(rlo, append(slices.Clone(rhi[:rank-1]), rlo[rank-1])).Elems(func(row []int) bool {
+						off, _ := am.Local(p, row)
+						runs = append(runs, Run{off + am.Base(p), n})
+						ix := slices.Clone(row)
+						for ; ix[rank-1] <= rhi[rank-1]; ix[rank-1]++ {
+							if at := len(runs)*n - n + ix[rank-1] - rlo[rank-1]; ownerOf(ref, ix) == src || rng.Intn(3) == 0 {
+								bits.Set(at, 1)
+								set++
+								mark(ix)
+							}
+						}
+						return true
+					})
+					trace = append(trace, fmt.Sprintf("deliver %d of %v:%v from %d to %d", set, rlo, rhi, src, p))
+					am.DeliverBits(p, src, strip, runs, 0, bits, 0, set, sc)
 				case op < 4:
-					gridDim, sign, width := rng.Intn(2), 1-2*rng.Intn(2), 1+rng.Intn(widths)
+					gridDim, sign, width := rng.Intn(2), 1-2*rng.Intn(2), 1+rng.Intn(max(widths, 1))
+					if width > widths {
+						break
+					}
 					trace = append(trace, fmt.Sprintf("shift %v dim %d sign %+d width %d into [%d,%d)", sec, gridDim, sign, width, lo, hi))
 					shiftRange(am, sec, gridDim, sign, width, lo, hi, sc, bytes)
-					oracleShiftRange(want, "a", sec, gridDim, sign, width, lo, hi)
+					oracleShiftRange(want, sec, gridDim, sign, width, lo, hi)
 				case op < 5:
 					trace = append(trace, fmt.Sprintf("broadcast %v into [%d,%d)", sec, lo, hi))
 					am.BroadcastRange(sec, lo, hi, sc)
-					oracleBroadcastRange(want, "a", sec, lo, hi, am.ArrayLayout)
+					oracleBroadcastRange(want, sec, lo, hi, am.ArrayLayout)
 				case op < 9:
-					blo, bhi := make([]int, rank), make([]int, rank)
-					for k := range blo {
-						blo[k] = am.Arr.Lo[k] + rng.Intn(am.Arr.Hi[k]-am.Arr.Lo[k]+1)
-						bhi[k] = blo[k] + rng.Intn(am.Arr.Hi[k]-blo[k]+1)
-					}
+					blo, bhi := box()
 					trace = append(trace, fmt.Sprintf("invalidate %v:%v on %d", blo, bhi, lo))
-					am.InvalidateBox(lo, blo, bhi, sc)
+					am.InvalidateBox(lo, blo, bhi)
 					section.Whole(blo, bhi).Elems(func(ix []int) bool {
-						if ownerOf(ref, ix) != lo {
-							ref.Valid[lo][ref.Offset(ix)] = false
-						}
+						kill(lo, ix)
 						return true
 					})
 				}
 				what := fmt.Sprintf("%v margin %d after %s", l, margin, strings.Join(trace, "; "))
-				samePlanes(t, what, am, ref)
+				samePlanes(t, what, am, ref, want.valid)
 				if err := got.CheckHulls(); err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
+				for p := 0; p < procs; p++ {
+					if n := len(am.Boxes(p)) / (2 * rank); am.MostBoxes(p) < n {
+						t.Fatalf("%s: processor %d lists %d boxes, the most it has is %d", what, p, n, am.MostBoxes(p))
+					}
+				}
+				blo, bhi := box()
+				held := true
+				section.Whole(blo, bhi).Elems(func(ix []int) bool {
+					_, in := am.Local(lo, ix)
+					held = held && in && want.valid[lo][ref.Offset(ix)]
+					return held
+				})
+				if am.Holds(lo, blo, bhi) != held {
+					t.Fatalf("%s: processor %d Holds %v:%v = %v, the element scan %v", what, lo, blo, bhi, !held, held)
+				}
+				checkValidBits(t, what, am, ref, want.valid, lo, sc)
 			}
+		}
+	}
+}
+
+// checkValidBits holds ValidBits against the twin's flags on processor
+// p's local box and on the strided section inside it, as strips.
+func checkValidBits(t *testing.T, what string, am, ref *ArrayMem, valid [][]bool, p int, sc *Scratch) {
+	t.Helper()
+	rank := len(am.Strides)
+	lo, hi := make([]int, rank), make([]int, rank)
+	for k := range lo {
+		lo[k], hi[k] = am.LocalBox(p, k)
+	}
+	for _, strip := range []section.Section{section.Whole(lo, hi), sections(am)[1].Clip(lo, hi)} {
+		bits, pos, set := make(Bits, (strip.NumElems()+64)/64), 1, 0
+		n := am.ValidBits(p, strip, bits, 1, sc)
+		strip.Elems(func(ix []int) bool {
+			if valid[p][ref.Offset(ix)] {
+				set++
+			}
+			if bits.Has(pos) != valid[p][ref.Offset(ix)] {
+				t.Fatalf("%s: ValidBits of %v on processor %d says %v valid %v, the element scan %v", what, strip, p, ix, bits.Has(pos), !bits.Has(pos))
+			}
+			pos++
+			return true
+		})
+		if n != set || bits.Has(0) || pos < len(bits)*64 && bits.Has(pos) {
+			t.Fatalf("%s: ValidBits of %v on processor %d set %d bits, the element scan %d valid elements", what, strip, p, n, set)
 		}
 	}
 }

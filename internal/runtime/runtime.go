@@ -12,7 +12,6 @@ package runtime
 import (
 	"fmt"
 	"maps"
-	"math"
 
 	"gcao/internal/dist"
 	"gcao/internal/machine"
@@ -232,35 +231,37 @@ type ArrayLayout struct {
 	runEnd, box, ext, at, base []int
 	size                       int
 	whole                      section.Section
+	cyclic                     bool // a dimension is CYCLIC
 }
 
 // Memory is the distributed memory: every processor holds a plane of
 // each distributed array over its local box — its block and overlap
-// region — and only owned or delivered elements are valid. Replicated
-// arrays are stored once.
+// region — and only owned or delivered elements are valid (valid.go).
+// Replicated arrays are stored once.
 type Memory struct {
 	Unit   *sem.Unit
 	P      int
 	Layout *Layout
 	// Arrays holds the storage of Layout.Arrays, slot for slot.
 	Arrays []*ArrayMem
-	sc     *Scratch // Reset's
 }
 
 // ArrayMem is the storage of one array of a Memory under its layout: the
-// data and validity planes, with no string-keyed lookups on the access
-// path. The interpreter's inner loops and the bulk operations run on
-// these views; per-processor rows are independent allocations, so shards
-// working on disjoint processor ranges never share cache lines.
+// data planes and the lists of valid boxes, with no string-keyed lookups
+// on the access path. The interpreter's inner loops and the bulk
+// operations run on these views; per-processor rows are independent
+// allocations, so shards working on disjoint processor ranges never share
+// cache lines.
 type ArrayMem struct {
 	*ArrayLayout
-	// Data[p][off] and Valid[p][off] are processor p's copy of the
-	// element at offset off of its plane (row 0 only for replicated arrays).
-	Data  [][]float64
-	Valid [][]bool
-	// hull: every processor's ghost hull, laid out as the layout's box
-	// (empty for replicated arrays).
-	hull []int
+	// Data[p][off] is processor p's copy of the element at offset off of
+	// its plane (row 0 only for replicated arrays).
+	Data [][]float64
+	// lists[p] is processor p's list of valid boxes; sent holds every list
+	// as of the last Freeze, p's from sentAt[p] (nil for replicated
+	// arrays).
+	lists        []boxList
+	sent, sentAt []int
 }
 
 // NewLayout builds the layout of the unit's arrays on p processors. A
@@ -299,44 +300,31 @@ func (l *Layout) NewMemory() *Memory {
 		if al.Dist == nil {
 			copies = 1
 		}
-		am := &ArrayMem{ArrayLayout: al, Data: make([][]float64, copies), Valid: make([][]bool, copies), hull: make([]int, len(al.box))}
+		am := &ArrayMem{ArrayLayout: al, Data: make([][]float64, copies)}
 		for c := 0; c < copies; c++ {
 			am.Data[c] = make([]float64, al.size)
-			am.Valid[c] = make([]bool, al.size)
 		}
-		am.emptyHulls()
+		if al.Dist != nil {
+			am.initLists(copies)
+		}
 		m.Arrays[slot] = am
 	}
-	m.sc = NewScratch(l.MaxRank)
-	m.initValidity()
 	return m
 }
 
-// initValidity marks the owned (or replicated) elements of every array
-// valid, an owner run at a time; everything starts at value zero.
-func (m *Memory) initValidity() {
-	for _, am := range m.Arrays {
-		am.OwnerRuns(am.whole, m.sc, func(o, off, n int) {
-			valid := am.Valid[o][off-am.base[o]:][:n]
-			for i := range valid {
-				valid[i] = true
-			}
-		})
-	}
-}
-
 // Reset restores the memory image to its just-constructed state —
-// every value zero, validity back to the ownership pattern, no ghosts —
-// reusing the existing planes so repeated native runs do not allocate.
+// every value zero, every processor holding its owned set valid and
+// nothing else — reusing the planes and the lists' storage so repeated
+// native runs do not allocate.
 func (m *Memory) Reset() {
 	for _, am := range m.Arrays {
 		for p := range am.Data {
 			clear(am.Data[p])
-			clear(am.Valid[p])
 		}
-		am.emptyHulls()
+		for p := range am.lists {
+			am.lists[p].boxes = am.lists[p].boxes[:0]
+		}
 	}
-	m.initValidity()
 }
 
 // View returns the resolved per-array view, panicking on unknown
@@ -379,100 +367,9 @@ func (am *ArrayLayout) Owner(idx []int) int {
 // OwnerInto is Owner, for callers that pass a grid-coordinate buffer.
 func (am *ArrayLayout) OwnerInto(idx, coords []int) int { return am.Owner(idx) }
 
-// StoreOwner writes the element at off of the owner's plane and marks it
-// valid. In a sharded run only the owner's shard calls this.
-func (am *ArrayMem) StoreOwner(off, owner int, v float64) {
-	am.Data[owner][off], am.Valid[owner][off] = v, true
-}
-
-// InvalidateRange clears the validity of the element at idx on processors
-// [lo, hi) but its owner whose local boxes hold it — the range-scoped half
-// of the killing write semantics; a replicated array's row stays valid.
-func (am *ArrayMem) InvalidateRange(idx []int, owner, lo, hi int) {
-	for p := lo; p < hi && am.Dist != nil; p++ {
-		if off, ok := am.Local(p, idx); ok && p != owner {
-			am.Valid[p][off] = false
-		}
-	}
-}
-
-// InvalidateBox clears processor p's validity for every element of the
-// box [lo, hi] (inclusive, within the declared bounds) that p does not
-// own: the state p's plane is left in once every element of the box
-// has been written by its owner, whatever the order of the writes. Only
-// the part of the box inside p's ghost hull can hold such an element, and
-// a box that covers the hull leaves none anywhere. That part less p's
-// owned box is at most two slabs per dimension: one dimension after the
-// other is narrowed to the owned interval, the part of the box below it
-// and the part above it cleared whole. Within the covering range of a
-// CYCLIC dimension every index that is not p's — not owned as the range's
-// first is — is one more slab.
-func (am *ArrayMem) InvalidateBox(p int, lo, hi []int, sc *Scratch) {
-	if am.Dist == nil {
-		return
-	}
-	rank, covers := len(lo), true
-	blo, bhi, valid, pb := sc.lo[:rank], sc.hi[:rank], am.Valid[p], am.base[p]
-	glo, ghi := am.ghost(p)
-	for k := range blo {
-		if blo[k], bhi[k] = max(lo[k], glo[k]), min(hi[k], ghi[k]); blo[k] > bhi[k] {
-			return
-		}
-		covers = covers && lo[k] <= glo[k] && ghi[k] <= hi[k]
-	}
-	for k := 0; covers && k < rank; k++ {
-		glo[k], ghi[k] = math.MaxInt, math.MinInt
-	}
-	for k := range blo {
-		slab := func(from, to int) {
-			if blo[k], bhi[k] = from, to; from <= to {
-				n := bhi[rank-1] - blo[rank-1] + 1
-				am.rows(blo, bhi, sc.idx, func(base int) { clear(valid[base-pb : base-pb+n]) })
-			}
-		}
-		l, h := blo[k], bhi[k]
-		ownLo, ownHi := am.OwnedBox(p, k)
-		slab(l, min(ownLo-1, h))
-		slab(max(ownHi+1, ownLo, l), h)
-		l, h = max(l, ownLo), min(h, ownHi)
-		if t, first := am.own[k], am.Arr.Lo[k]; am.Dist.Dims[k].Kind == dist.Cyclic {
-			for x := l; x <= h; x++ {
-				if t[x-first] != t[ownLo-first] {
-					slab(x, x)
-				}
-			}
-		}
-		if blo[k], bhi[k] = l, h; l > h {
-			return
-		}
-	}
-}
-
-// rows visits the rows of the non-empty box [lo, hi] in order: base is
-// the stride space's offset of a row's first element, stepped by the
-// strides from one row to the next; idx is scratch.
-func (am *ArrayLayout) rows(lo, hi, idx []int, f func(base int)) {
-	last := len(lo) - 1
-	idx = idx[:last]
-	copy(idx, lo)
-	base := 0
-	for k, x := range lo {
-		base += (x - am.Arr.Lo[k]) * am.Strides[k]
-	}
-	for {
-		f(base)
-		k := last - 1
-		for ; k >= 0 && idx[k] == hi[k]; k-- {
-			base -= (hi[k] - lo[k]) * am.Strides[k]
-			idx[k] = lo[k]
-		}
-		if k < 0 {
-			return
-		}
-		idx[k]++
-		base += am.Strides[k]
-	}
-}
+// StoreOwner writes the element at off of the owner's plane, which holds
+// it valid. In a sharded run only the owner's shard calls this.
+func (am *ArrayMem) StoreOwner(off, owner int, v float64) { am.Data[owner][off] = v }
 
 // Owner returns the owning processor of an element (0 for replicated arrays).
 func (m *Memory) Owner(name string, idx []int) int { return m.View(name).Owner(idx) }
@@ -482,7 +379,7 @@ func (m *Memory) Owner(name string, idx []int) int { return m.View(name).Owner(i
 func (m *Memory) Read(proc int, name string, idx []int) (float64, error) {
 	am := m.View(name)
 	s := proc % len(am.Data) // a replicated array's one plane is every processor's
-	if off, ok := am.Local(s, idx); ok && am.Valid[s][off] {
+	if off, ok := am.Local(s, idx); ok && am.ValidAt(s, idx) {
 		return am.Data[s][off], nil
 	}
 	return 0, &StaleReadError{Proc: proc, Array: am.Name, Index: append([]int(nil), idx...)}
@@ -513,35 +410,6 @@ func (m *Memory) Canonical(name string) []float64 {
 	return out
 }
 
-// CheckHulls holds the ghost hulls against the planes, for tests and
-// verifiers: it returns an error naming the first valid element outside
-// the hull of a processor that does not own it, or the first element its
-// owner holds invalid — an owner's copy is always current, which is what
-// lets a row kernel store without marking.
-func (m *Memory) CheckHulls() error {
-	for _, am := range m.Arrays {
-		idx := make([]int, len(am.Strides))
-		for p := 0; am.Dist != nil && p < m.P; p++ {
-			lo, hi := am.ghost(p)
-			for off, valid := range am.Valid[p] {
-				owner, outside := 0, false
-				for k, stride := range am.Strides {
-					idx[k] = am.at[p*len(idx)+k] + off/stride%am.ext[k]
-					owner += am.own[k][idx[k]-am.Arr.Lo[k]]
-					outside = outside || idx[k] < lo[k] || idx[k] > hi[k]
-				}
-				if valid && outside && owner != p {
-					return fmt.Errorf("runtime: processor %d holds %s%v valid, outside its ghost hull %v:%v", p, am.Name, idx, lo, hi)
-				}
-				if !valid && owner == p {
-					return fmt.Errorf("runtime: processor %d holds its own %s element %v invalid", p, am.Name, idx)
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------
 // Communication operations
 
@@ -558,24 +426,6 @@ func (am *ArrayLayout) ShiftArrayDim(gridDim int) int {
 		}
 	}
 	return -1
-}
-
-// CopyValid delivers one run of a shift's strip (StripRuns; the caller
-// grows dst's hull by Delivered): what src holds valid of the n offsets
-// of the stride space from off, its ghosts too, is copied into dst's
-// plane, marked and counted. Disjoint receivers run concurrently: what one
-// receives, another sends.
-func (am *ArrayMem) CopyValid(src, dst, off, n int) int {
-	s, d := off-am.base[src], off-am.base[dst]
-	from, held, to, valid := am.Data[src][s:s+n], am.Valid[src][s:s+n], am.Data[dst][d:d+n], am.Valid[dst][d:d+n]
-	moved := 0
-	for i, ok := range held {
-		if ok {
-			to[i], valid[i] = from[i], true
-			moved++
-		}
-	}
-	return moved
 }
 
 // BroadcastRange delivers a section (within the declared bounds) from
@@ -595,16 +445,13 @@ func (am *ArrayMem) BroadcastRange(sec section.Section, dstLo, dstHi int, sc *Sc
 			lo[k], hi[k] = am.LocalBox(p, k)
 		}
 		part := sec.ClipInto(lo, hi, sc.dims)
-		am.Delivered(p, part)
-		data, valid, pb := am.Data[p], am.Valid[p], am.base[p]
+		data, pb := am.Data[p], am.base[p]
 		am.OwnerRuns(part, sc, func(o, off, n int) {
 			if o != p {
 				copy(data[off-pb:off-pb+n], am.Data[o][off-am.base[o]:])
-				for i := off - pb; i < off-pb+n; i++ {
-					valid[i] = true
-				}
 			}
 		})
+		am.Deliver(p, part, sc)
 	}
 	return sec.NumElems() * am.Arr.ElemBytes()
 }

@@ -61,15 +61,25 @@ func TestOwnershipAndValidity(t *testing.T) {
 			t.Fatalf("replicated read: %v", err)
 		}
 	}
-	// An owner's copy is always current: CheckHulls reports one that is not.
+	// A list of valid boxes holds no element its processor owns, lies in
+	// its local box and holds disjoint boxes: CheckHulls reports a list
+	// that does not.
 	if err := m.CheckHulls(); err != nil {
 		t.Fatalf("a new memory: %v", err)
 	}
 	am := m.View("a")
-	off := am.Offset([]int{6, 3})
-	am.Valid[m.Owner("a", []int{6, 3})][off] = false
-	if err := m.CheckHulls(); err == nil || !strings.Contains(err.Error(), "its own a element") {
-		t.Errorf("an owner's cleared bit: CheckHulls returned %v", err)
+	for _, tc := range []struct {
+		boxes []int
+		want  string
+	}{
+		{[]int{4, 4, 5, 5}, "holds elements it owns"},
+		{[]int{5, 1, 9, 1}, "not a box inside its local box"},
+		{[]int{5, 1, 6, 1, 6, 1, 7, 1}, "which meet"},
+	} {
+		am.lists[0].boxes = tc.boxes
+		if err := m.CheckHulls(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("processor 0 listing %v: CheckHulls returned %v, want %q", tc.boxes, err, tc.want)
+		}
 	}
 }
 
@@ -236,8 +246,8 @@ func TestLedgerAccounting(t *testing.T) {
 	}
 }
 
-// TestInvalidateBoxMatchesElementwise: clearing a box by slabs, inside
-// the ghost hull only, leaves a processor's plane exactly as clearing,
+// TestInvalidateBoxMatchesElementwise: subtracting a box from a
+// processor's list of valid boxes leaves its plane exactly as clearing,
 // element by element, every element of the box the processor does not
 // own — for BLOCK, CYCLIC and collapsed dimensions, uneven blocks,
 // processors that own nothing (a BLOCK extent that fills fewer blocks
@@ -245,11 +255,11 @@ func TestLedgerAccounting(t *testing.T) {
 // box inside the declared bounds: the ones that miss the processor's
 // block, straddle it on either side in any dimension, lie inside it and
 // contain it. The copies a box clears were delivered through the API —
-// in turn the whole array (a hull every box lies in), a strided and an
-// inset section on top of what the boxes before left (hulls a box covers,
-// cuts or misses) — and the hulls are held against the planes throughout;
-// at declared extents and in local boxes, where an element the box does
-// not hold has no copy to clear.
+// in turn the whole array (boxes every box cuts), a strided and an inset
+// section on top of what the boxes before left (lists a box covers, cuts
+// or misses) — and the lists are held to their invariants throughout; at
+// declared extents and in local boxes, where an element the box does not
+// hold has no copy to clear.
 func TestInvalidateBoxMatchesElementwise(t *testing.T) {
 	for _, tc := range []struct {
 		decl, distribute string
@@ -302,17 +312,17 @@ func invalidateBoxMatchesElementwise(t *testing.T, src, what string, n, procs, m
 	for b, box := range boxes {
 		for p := 0; p < procs; p++ {
 			am.BroadcastRange(delivered[b%len(delivered)], p, p+1, sc)
-			want := slices.Clone(am.Valid[p])
+			want := am.ValidPlane(p)
 			section.Whole(box[0], box[1]).Elems(func(ix []int) bool {
 				if off, in := am.Local(p, ix); in && ownerOf(am, ix) != p {
 					want[off] = false
 				}
 				return true
 			})
-			am.InvalidateBox(p, box[0], box[1], sc)
-			if !slices.Equal(am.Valid[p], want) {
+			am.InvalidateBox(p, box[0], box[1])
+			if got := am.ValidPlane(p); !slices.Equal(got, want) {
 				t.Fatalf("%s n=%d P=%d margin %d box %v:%v: processor %d's plane is\n%v, want\n%v",
-					what, n, procs, margin, box[0], box[1], p, am.Valid[p], want)
+					what, n, procs, margin, box[0], box[1], p, got, want)
 			}
 		}
 		if err := m.CheckHulls(); err != nil {

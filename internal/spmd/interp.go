@@ -245,13 +245,13 @@ func (sh *shard) Stmt(st *plan.Stmt) error {
 func (sh *shard) execOwn(st *plan.Stmt) error {
 	fr := sh.fr
 	p, am := fr.P, fr.View(st.LHS.Lay)
-	off, in := st.LHS.Offset(fr, p)
-	if st.Guard && st.LHS.Owner(fr) != p {
-		if in {
-			am.Valid[p][off] = false
+	if st.Guard {
+		if idx := st.LHS.Index(fr, sh.target); am.Owner(idx) != p {
+			am.InvalidateBox(p, idx, idx)
+			return nil
 		}
-		return nil
 	}
+	off, _ := st.LHS.Offset(fr, p)
 	v, flops := sh.eval(p, st)
 	if fr.Err != nil {
 		return sh.evalErr()

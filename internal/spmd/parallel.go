@@ -405,6 +405,13 @@ func (sh *shard) Comm(c *plan.Comm) error {
 			}
 			eng.masterBarrier()
 			eng.msgs0, eng.bytes0 = eng.led.DynMessages, eng.led.BytesMoved
+			if g.Kind == core.KindShift {
+				// A sender's boxes as the superstep found them: what a
+				// shard delivers, no other shard reads.
+				for i := range op.Entries {
+					eng.mem.Arrays[op.Entries[i].Lay.Slot].Freeze()
+				}
+			}
 			if g.Kind == core.KindReduce {
 				// Functionally the SUM statement computes the value; the
 				// group charges one combined message of k partials.
@@ -424,12 +431,7 @@ func (sh *shard) Comm(c *plan.Comm) error {
 			for dst := sh.lo; dst < sh.hi; dst++ {
 				sch, b := eng.sched.At(sh.fr, op, dst), 0
 				for _, e := range sch.Ents {
-					e.Am.Delivered(dst, section.Section{Dims: e.Ghost})
-					moved := 0
-					for _, r := range e.Recv {
-						moved += e.Am.CopyValid(sch.Src, dst, r.Off+e.Off, r.N)
-					}
-					b += moved * e.Am.Arr.ElemBytes()
+					b += e.Am.CopyValid(sch.Src, dst, section.Section{Dims: e.Ghost}, e.Recv, e.Off, sh.fr.Scratch) * e.Am.Arr.ElemBytes()
 				}
 				eng.recvBytes[dst] = b
 			}

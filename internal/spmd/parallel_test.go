@@ -132,7 +132,7 @@ func requireBitIdentical(t *testing.T, res *core.Result, workers int, seq, par *
 			if !sameFloats(vs.Data[p], vp.Data[p]) {
 				t.Errorf("j=%d: %s raw row for proc %d differs", workers, name, p)
 			}
-			if !reflect.DeepEqual(vs.Valid[p], vp.Valid[p]) {
+			if !reflect.DeepEqual(vs.ValidPlane(p), vp.ValidPlane(p)) {
 				t.Errorf("j=%d: %s validity for proc %d differs", workers, name, p)
 			}
 		}
