@@ -149,6 +149,40 @@ func TestCritPathEndpoint(t *testing.T) {
 	}
 }
 
+// TestCritPathPricesWithSP2: the critpath facet of an SP2 request is
+// the retained attribution record analyzed under the SP2 machine's own
+// cost model, the one hpfc profile -blame prices with.
+func TestCritPathPricesWithSP2(t *testing.T) {
+	s, ts := testServer(t)
+	resp, out := postCompile(t, ts, map[string]any{
+		"source":   stencilSrc,
+		"params":   map[string]int{"n": 8, "steps": 2},
+		"procs":    4,
+		"machine":  "SP2",
+		"simulate": true,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("simulated compile status = %d", resp.StatusCode)
+	}
+	rec, ok := s.flight.Get(out.ReqID)
+	if !ok || rec.Data.Attr == nil {
+		t.Fatalf("request %s retained no attribution record", out.ReqID)
+	}
+	want, err := json.Marshal(gcao.AnalyzeAttribution(rec.Data.Attr, gcao.AttrCostModelFor(gcao.SP2())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Report json.RawMessage `json:"report"`
+	}
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+out.ReqID+"?facet=critpath", &got); code != http.StatusOK {
+		t.Fatalf("critpath status = %d", code)
+	}
+	if string(got.Report) != string(want) {
+		t.Errorf("critpath report\n%s\nwant\n%s", got.Report, want)
+	}
+}
+
 // TestDecisionListLimit pins the ?limit=N paging of the
 // /debug/flightrecorder?has=decisions listing: default bounded, explicit
 // limit honored, limit=0 returns everything retained, the stats count

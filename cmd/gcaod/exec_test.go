@@ -25,7 +25,7 @@ func comparableResponse(body []byte, err error) (map[string]any, error) {
 	}
 	delete(doc, "req_id")
 	if nat, ok := doc["native"].(map[string]any); ok {
-		for _, k := range []string{"seconds", "alloc_bytes", "skew_ratio", "blocked_seconds", "fitted_l_seconds", "fitted_g_seconds_per_byte", "calib_r2"} {
+		for _, k := range []string{"seconds", "alloc_bytes", "skew_ratio", "blocked_seconds"} {
 			delete(nat, k)
 		}
 	}

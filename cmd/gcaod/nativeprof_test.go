@@ -10,7 +10,7 @@ import (
 )
 
 // TestNativeProfEndpoint: a backend:"native" compile is profiled end
-// to end — the response carries the skew/blocked/calibration headline,
+// to end — the response carries the skew/blocked headline,
 // /debug/flightrecorder?has=nativeprof lists the request,
 // /debug/flightrecorder/{id}?facet=nativeprof serves the retained
 // profile, and the profiler metric families reach /metrics. A plain

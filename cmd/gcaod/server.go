@@ -248,23 +248,17 @@ type simulateDoc struct {
 // nativeReport is the `native` object of a response: the run's Stats
 // record as it is (its JSON tags are the wire names) and — since every
 // daemon-served native run is profiled — the headline read from the
-// run's profile: compute skew, total blocked time, and the machine
-// constants fitted against the simulator's cost attribution (absent
-// when the fit measured nothing).
+// run's profile: compute skew and total blocked time.
 type nativeReport struct {
 	native.Stats
 	SkewRatio      float64 `json:"skew_ratio,omitempty"`
 	BlockedSeconds float64 `json:"blocked_seconds,omitempty"`
-	FittedL        float64 `json:"fitted_l_seconds,omitempty"`
-	FittedG        float64 `json:"fitted_g_seconds_per_byte,omitempty"`
-	CalibR2        float64 `json:"calib_r2,omitempty"`
 }
 
 // execute is the execution tail of a request, after placement: run the
 // placed program on the BSP simulator and, for backend:"native", on the
-// profiled native engine as well — calibrating the measured timings
-// against the attribution record the simulation just left on the
-// recorder — and fill the response and the registry from the results.
+// profiled native engine as well, and fill the response and the
+// registry from the results.
 // The profile itself stays on the recorder for the metrics document,
 // the Chrome trace, and the flight record's nativeprof facet. Each run
 // takes an engine from the cached placement's pools; the response holds
@@ -297,12 +291,6 @@ func (s *server) execute(resp *compileResponse, req compileRequest, placed *gcao
 	resp.Native = &nativeReport{Stats: nat.Stats}
 	if np := nat.Profile; np != nil {
 		resp.Native.SkewRatio, resp.Native.BlockedSeconds = np.SkewRatio, np.BlockedSeconds
-		if attrRun := rec.Attribution(); attrRun != nil {
-			np.Calibrate(attrRun.Steps, gcao.AttrCostModelFor(m))
-		}
-		if c := np.Fit(); c != nil {
-			resp.Native.FittedL, resp.Native.FittedG, resp.Native.CalibR2 = c.FittedL, c.FittedG, c.R2
-		}
 	}
 	s.reg.ObserveNativeExec(placed.Result.Version.String(), nat.Stats, nat.Profile)
 	return nil

@@ -194,7 +194,7 @@ var facetAbsent = map[string]string{
 //	            from the simulator's attribution record; ?g= and ?L=
 //	            override the BSP cost model (seconds per byte, per superstep)
 //	nativeprof  the native backend's runtime profile: per-superstep
-//	            per-processor timelines, wait accounting, skew, calibration
+//	            per-processor timelines, wait accounting, skew, stragglers
 func (s *server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	facet := r.URL.Query().Get("facet")
@@ -219,7 +219,7 @@ func (s *server) handleFlight(w http.ResponseWriter, r *http.Request) {
 			"req_id": id, "decisions": rec.Data.Decisions, "counters": rec.Data.Counters,
 		})
 	case reqtrace.FacetCritPath:
-		model := gcao.DefaultAttrCostModel()
+		model := gcao.AttrCostModelFor(gcao.SP2())
 		for _, knob := range []struct {
 			name string
 			v    *float64

@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"strings"
 
 	"gcao"
@@ -37,10 +36,8 @@ var shades = []string{".", "▁", "▂", "▃", "▄", "▅", "▆", "▇", "█
 //
 // -native additionally executes the placement on the profiled native
 // goroutine backend and prints the measured side: a per-processor
-// phase heatmap (where each processor's wall time actually went),
-// the straggler ranking, and the measured-vs-modeled calibration —
-// machine constants (L, g) fitted by least squares from the run's own
-// supersteps against the -machine model. With -trace-out the trace
+// phase heatmap (where each processor's wall time actually went), the
+// compute skew and the straggler ranking. With -trace-out the trace
 // gains one lane per native processor (pid 2).
 func profile(fs *flag.FlagSet, args []string) {
 	var o obsFlags
@@ -52,7 +49,7 @@ func profile(fs *flag.FlagSet, args []string) {
 	version := fs.String("version", "comb", "placement strategy: orig, nored, comb")
 	machineName := fs.String("machine", "SP2", "machine cost model: SP2 or NOW")
 	blame := fs.Int("blame", 0, "print the top-k communication blame table and critical path (0: off)")
-	nativeRun := fs.Bool("native", false, "execute on the profiled native backend and print the measured per-processor profile and (L, g) calibration")
+	nativeRun := fs.Bool("native", false, "execute on the profiled native backend and print the measured per-processor profile")
 	gFlag := fs.Float64("g", 0, "BSP per-byte cost override for -blame, seconds/byte (0: derive from -machine)")
 	lFlag := fs.Float64("L", 0, "BSP per-superstep latency override for -blame, seconds (0: derive from -machine)")
 	fs.Parse(args)
@@ -114,7 +111,7 @@ func profile(fs *flag.FlagSet, args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		writeNativeProfile(out.Profile, steps.Steps, model, m.Name)
+		writeNativeProfile(out.Profile)
 	}
 	o.finish(rec, false)
 }
@@ -193,10 +190,8 @@ func writeBlame(run *attr.Run, model attr.CostModel, k int) {
 
 // writeNativeProfile prints the measured side of the run: one heatmap
 // row per native processor shading where its wall time went across the
-// profiler's phases, the straggler ranking, and the least-squares
-// (L, g) calibration against the simulator's superstep records under
-// the cost model of the machine named.
-func writeNativeProfile(np *nprof.NativeProfile, steps []attr.Step, model attr.CostModel, machineName string) {
+// profiler's phases, the compute skew and the straggler ranking.
+func writeNativeProfile(np *nprof.NativeProfile) {
 	if np == nil {
 		fatal(fmt.Errorf("native backend produced no profile"))
 	}
@@ -233,29 +228,7 @@ func writeNativeProfile(np *nprof.NativeProfile, steps []attr.Step, model attr.C
 	if np.Truncated {
 		fmt.Printf("  [ring truncated]")
 	}
-	fmt.Println()
-
-	c := np.Calibrate(steps, model)
-	if c.Degenerate {
-		fmt.Printf("  calibration degenerate (%d points, no h spread)\n\n", c.Points)
-		return
-	}
-	fmt.Printf("measured vs modeled (%d supersteps, R²=%.3f):\n", c.Points, c.R2)
-	fmt.Printf("  fitted  L=%.4gs  g=%.4gs/B\n", c.FittedL, c.FittedG)
-	fmt.Printf("  model   L=%.4gs  g=%.4gs/B (%s)\n", model.LSec, model.GSecPerByte, machineName)
-	fmt.Println("  worst per-site residuals (measured/modeled):")
-	for i, r := range c.Residuals {
-		if i == 5 {
-			break
-		}
-		fmt.Printf("    %-32s %d step(s)  %8.4gs vs %8.4gs  %.2fx\n",
-			r.Site, r.Steps, r.MeasuredSec, r.ModeledSec, r.Ratio)
-	}
-	if w := c.WorstResidual(); w != nil && (w.Ratio > 2 || w.Ratio < 0.5) && !math.IsInf(w.Ratio, 0) {
-		fmt.Printf("  warning: site %s measured %.2fx its modeled cost — the %s constants do not describe this host\n",
-			w.Site, w.Ratio, machineName)
-	}
-	fmt.Println()
+	fmt.Print("\n\n")
 }
 
 // writeProcSplit prints each processor's compute/comm/idle seconds.

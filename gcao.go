@@ -78,15 +78,10 @@ type AttrCostModel = attr.CostModel
 // blame ranking and the communication critical path.
 type AttrReport = attr.Report
 
-// DefaultAttrCostModel returns SP2-flavoured cost model knobs.
-func DefaultAttrCostModel() AttrCostModel { return attr.DefaultCostModel() }
-
 // AttrCostModelFor derives attribution knobs from a machine model: g
 // from its receive bandwidth, L from its per-message overheads plus
 // wire latency.
-func AttrCostModelFor(m Machine) AttrCostModel {
-	return AttrCostModel{GSecPerByte: m.PerByte, LSec: m.SendOverhead + m.RecvOverhead + m.Latency}
-}
+func AttrCostModelFor(m Machine) AttrCostModel { return attr.CostModelFor(m) }
 
 // AnalyzeAttribution computes the per-site blame ranking and the
 // communication critical path of a run under the given cost model.
@@ -449,20 +444,14 @@ func (p *Placed) Estimate(m Machine) (spmd.Cost, error) {
 // bit-identical to Simulate by construction; VerifyNative enforces it.
 // The result's Mem and Scalars are valid until its Release, as Simulate's.
 func (p *Placed) RunNative(procs int) (*native.RunResult, error) {
-	return p.RunNativeObs(procs, nil)
+	return native.RunPooled(&p.nat, p.Program(), procs, nil, false)
 }
 
-// RunNativeObs is RunNative with an explicit recorder capturing the
-// run's phase span and message counters.
-func (p *Placed) RunNativeObs(procs int, rec *Recorder) (*native.RunResult, error) {
-	return native.RunPooled(&p.nat, p.Program(), procs, rec, false)
-}
-
-// RunNativeProfiled is RunNativeObs with the runtime profiler armed:
-// every processor records its communication events into a ring its
-// engine keeps, and the result (and the recorder) carry the folded
-// NativeProfile — per-superstep timelines, wait accounting, compute
-// skew — ready for Calibrate against a simulator attribution record.
+// RunNativeProfiled is RunNative with the runtime profiler armed and a
+// recorder: every processor records its communication events into a
+// ring its engine keeps, and the result (and the recorder) carry the
+// folded NativeProfile — per-superstep timelines, wait accounting,
+// compute skew.
 func (p *Placed) RunNativeProfiled(procs int, rec *Recorder) (*native.RunResult, error) {
 	return native.RunPooled(&p.nat, p.Program(), procs, rec, true)
 }

@@ -43,7 +43,6 @@ package native
 
 import (
 	"fmt"
-	"log/slog"
 	"maps"
 	goruntime "runtime"
 	"sync"
@@ -118,11 +117,11 @@ func RunProfiled(res *core.Result, procs int, rec *obs.Recorder) (*RunResult, er
 	return RunPooled(nil, plan.Lower(res), procs, rec, true)
 }
 
-// RunPooled runs a placement's lowered program — profiled, or with rec
-// (nil: none) wrapping it in a "native:<version>" span and taking its
-// counters under the native.<version>. prefix — on an idle engine from
-// pool, which holds engines of this program only, or else on a new one
-// whose home the pool becomes: Release, or a failed run, puts it there.
+// RunPooled runs a placement's lowered program — in a "native:<version>"
+// span of rec (nil: none), profiled or not, a profiled run leaving its
+// profile on rec — on an idle engine from pool, which holds engines of
+// this program only, or else on a new one whose home the pool becomes:
+// Release, or a failed run, puts it there.
 func RunPooled(pool *sync.Pool, prog *plan.Program, procs int, rec *obs.Recorder, profiled bool) (*RunResult, error) {
 	res := prog.Plan.Res
 	defer rec.Start("native:" + res.Version.String())()
@@ -149,26 +148,9 @@ func RunPooled(pool *sync.Pool, prog *plan.Program, procs int, rec *obs.Recorder
 		}
 		return nil, err
 	}
-	st := &out.Stats
-	st.Ops = maps.Clone(st.Ops) // the engine's next run clears its own
+	out.Stats.Ops = maps.Clone(out.Stats.Ops) // the engine's next run clears its own
 	if profiled {
 		rec.SetNativeProfile(out.Profile)
-	} else if rec != nil {
-		prefix := "native." + res.Version.String() + "."
-		rec.Add(prefix+"messages", st.Messages)
-		rec.Add(prefix+"bytes", st.Bytes)
-		rec.Add(prefix+"wire_bytes", st.WireBytes)
-		rec.Add(prefix+"collective_hops", st.Hops)
-		rec.Add(prefix+"alloc_bytes", st.AllocBytes)
-		rec.Add(prefix+"collectives", st.Collectives)
-		rec.Add(prefix+"barriers", st.Barriers)
-		rec.Event(slog.LevelInfo, "native.done",
-			slog.String("version", res.Version.String()),
-			slog.Int("procs", procs),
-			slog.Int64("messages", st.Messages),
-			slog.Int64("bytes", st.Bytes),
-			slog.Int64("wire_bytes", st.WireBytes),
-			slog.Float64("seconds", st.ElapsedSeconds))
 	}
 	return out, nil
 }
@@ -374,17 +356,6 @@ func (eng *Engine) Run() (*RunResult, error) {
 		out.Profile = eng.fold(int64(st.ElapsedSeconds * 1e9))
 	}
 	return out, nil
-}
-
-// Profile returns the last Run's folded profile (nil when profiling is
-// disabled or no profiled Run completed), folded again on demand — with
-// the last processor's finish mark for wall time — so callers holding
-// only the engine can read it. A retained pointer stays valid but stale.
-func (eng *Engine) Profile() *prof.NativeProfile {
-	if eng.ps[0].ring == nil || !eng.ran {
-		return nil
-	}
-	return eng.fold(0)
 }
 
 // fold folds the processors' event rings and finish marks into a

@@ -1,14 +1,12 @@
 // Package prof is the native runtime profiler: fixed-size phase events
 // recorded by each engine goroutine into a per-processor ring, folded
 // after the run into a NativeProfile — per-superstep per-processor
-// timelines, blocked-vs-compute accounting, skew and straggler ranking —
-// and calibrated against the analytic L+g·h model by a least-squares fit
-// of the measured (L, g) machine constants.
+// timelines, blocked-vs-compute accounting, skew and straggler ranking.
 //
-// The package imports nothing outside the standard library but attr,
-// itself a leaf (time is not even needed: events carry nanoseconds the
-// engine stamped), so every layer of the observability stack can embed
-// its types without an import cycle.
+// The package imports nothing outside the standard library (time is not
+// even needed: events carry nanoseconds the engine stamped), so every
+// layer of the observability stack can embed its types without an
+// import cycle.
 //
 // Recording discipline: only communication operations are recorded —
 // sends, receive waits, tree waits, reduction legs. Compute time is
@@ -24,10 +22,7 @@ package prof
 
 import (
 	"fmt"
-	"math"
 	"sort"
-
-	"gcao/internal/obs/attr"
 )
 
 // Phase classifies where a native processor's wall time went.
@@ -213,8 +208,8 @@ type StepStat struct {
 	MaxComputeSec  float64 `json:"max_compute_sec"`
 	MeanComputeSec float64 `json:"mean_compute_sec"`
 	// CommSec is the measured cost of the superstep: the maximum over
-	// processors of its blocked time — the native analogue of the
-	// model's L + g·h, and the t_k the calibration fits.
+	// processors of its blocked time, the native counterpart of the
+	// model's L + g·h.
 	CommSec float64 `json:"comm_sec"`
 }
 
@@ -240,8 +235,8 @@ type ProcStat struct {
 // RunStats is the one record of what a native run moved and how long
 // it took; native.Stats is this type. The JSON names are the wire names
 // of gcaod's /compile response. What a profiled run measured beyond it
-// — skew, blocked time, the fitted machine constants — stays on the
-// run's NativeProfile and its Calibration and is read from there.
+// — skew, blocked time — stays on the run's NativeProfile and is read
+// from there.
 type RunStats struct {
 	// Procs is the logical processor (goroutine) count.
 	Procs int `json:"procs"`
@@ -296,8 +291,6 @@ type NativeProfile struct {
 	// Truncated marks a profile where at least one ring wrapped; gap
 	// derivation is then incomplete and per-step stats undercount.
 	Truncated bool `json:"truncated,omitempty"`
-	// Calib is attached by Calibrate; nil until then.
-	Calib *Calibration `json:"calib,omitempty"`
 	// Events holds each processor's chronological event stream. It is
 	// excluded from JSON (it dwarfs the aggregates) but kept in memory
 	// so trace exporters can render per-processor lanes.
@@ -441,168 +434,4 @@ func (p *NativeProfile) SiteName(site int32) string {
 		return "?"
 	}
 	return p.Sites[site]
-}
-
-// ---------------------------------------------------------------------
-// Calibration: measured supersteps vs the analytic model
-
-// SiteResidual compares measured and modeled time for one placement
-// site (summed over its supersteps).
-type SiteResidual struct {
-	Site        string  `json:"site"`
-	Steps       int     `json:"steps"`
-	MeasuredSec float64 `json:"measured_sec"`
-	ModeledSec  float64 `json:"modeled_sec"`
-	// Ratio is measured/modeled; > 1 means the model is optimistic
-	// for this site on this machine.
-	Ratio float64 `json:"ratio"`
-}
-
-// Calibration is the least-squares fit of the measured superstep costs
-// t_k against the model's h-relations: t_k ≈ L + g·h_k. FittedL is in
-// seconds, FittedG in seconds per byte — directly comparable to the
-// paper's per-machine constants.
-type Calibration struct {
-	FittedL float64 `json:"fitted_l_seconds"`
-	FittedG float64 `json:"fitted_g_seconds_per_byte"`
-	// R2 is the fit's coefficient of determination over the joined
-	// points.
-	R2 float64 `json:"r2"`
-	// Points counts the joined (h_k, t_k) pairs; Mismatched counts
-	// steps whose site ids disagreed between profile and model (they
-	// are excluded from the fit).
-	Points     int `json:"points"`
-	Mismatched int `json:"mismatched,omitempty"`
-	// Degenerate marks fits with fewer than two points or no spread
-	// in h; FittedG is 0 and FittedL the mean measured cost then.
-	Degenerate bool           `json:"degenerate,omitempty"`
-	Residuals  []SiteResidual `json:"residuals,omitempty"`
-}
-
-// Calibrate joins the profile's measured supersteps against the
-// simulator's superstep records by index — both backends execute the
-// identical group sequence in program order, so step k is the same
-// group in both — asserting site agreement, and fits (L, g) by least
-// squares against each step's h-relation. A step's modeled cost is
-// model.StepCost. The result is attached to the profile and returned.
-// Supersteps missing on either side are skipped.
-func (p *NativeProfile) Calibrate(steps []attr.Step, model attr.CostModel) *Calibration {
-	c := &Calibration{}
-	type pt struct {
-		h, t    float64
-		modeled float64
-		site    string
-	}
-	var pts []pt
-	for _, s := range steps {
-		if s.Index < 0 || s.Index >= len(p.Steps) {
-			continue
-		}
-		st := &p.Steps[s.Index]
-		if st.Site >= 0 && s.Site != "" && p.SiteName(st.Site) != s.Site {
-			c.Mismatched++
-			continue
-		}
-		pts = append(pts, pt{
-			h: float64(s.H()), t: st.CommSec,
-			modeled: model.StepCost(s), site: s.Site,
-		})
-	}
-	c.Points = len(pts)
-
-	// Closed-form simple linear regression t = L + g·h.
-	var sh, st2, shh, sht float64
-	for _, q := range pts {
-		sh += q.h
-		st2 += q.t
-		shh += q.h * q.h
-		sht += q.h * q.t
-	}
-	n := float64(len(pts))
-	den := n*shh - sh*sh
-	if len(pts) < 2 || den == 0 {
-		c.Degenerate = true
-		if n > 0 {
-			c.FittedL = st2 / n
-		}
-	} else {
-		c.FittedG = (n*sht - sh*st2) / den
-		c.FittedL = (st2 - c.FittedG*sh) / n
-		mean := st2 / n
-		var ssRes, ssTot float64
-		for _, q := range pts {
-			d := q.t - (c.FittedL + c.FittedG*q.h)
-			ssRes += d * d
-			ssTot += (q.t - mean) * (q.t - mean)
-		}
-		if ssTot > 0 {
-			c.R2 = 1 - ssRes/ssTot
-		}
-	}
-
-	// Per-site residuals, worst measured/modeled ratio first.
-	bySite := map[string]*SiteResidual{}
-	var order []string
-	for _, q := range pts {
-		r := bySite[q.site]
-		if r == nil {
-			r = &SiteResidual{Site: q.site}
-			bySite[q.site] = r
-			order = append(order, q.site)
-		}
-		r.Steps++
-		r.MeasuredSec += q.t
-		r.ModeledSec += q.modeled
-	}
-	for _, site := range order {
-		r := bySite[site]
-		if r.ModeledSec > 0 {
-			r.Ratio = r.MeasuredSec / r.ModeledSec
-		} else if r.MeasuredSec > 0 {
-			r.Ratio = math.Inf(1)
-		}
-		c.Residuals = append(c.Residuals, *r)
-	}
-	sort.SliceStable(c.Residuals, func(i, j int) bool {
-		return c.Residuals[i].Ratio > c.Residuals[j].Ratio
-	})
-	p.Calib = c
-	return c
-}
-
-// Fit returns the profile's calibration when it measured the machine:
-// attached, with spread in h, and every joined step's site agreeing
-// with the model's. Nil otherwise (and on a nil profile) — a fit that
-// measured nothing must not be reported as L and g.
-func (p *NativeProfile) Fit() *Calibration {
-	if p == nil || p.Calib == nil || p.Calib.Degenerate || p.Calib.Mismatched > 0 {
-		return nil
-	}
-	return p.Calib
-}
-
-// WorstResidual returns the residual whose measured/modeled ratio is
-// furthest from 1 (in either direction), or nil when none exist.
-func (c *Calibration) WorstResidual() *SiteResidual {
-	if c == nil || len(c.Residuals) == 0 {
-		return nil
-	}
-	worst, score := -1, -1.0
-	for i := range c.Residuals {
-		r := c.Residuals[i].Ratio
-		if r <= 0 {
-			continue
-		}
-		s := r
-		if s < 1 {
-			s = 1 / s
-		}
-		if s > score {
-			worst, score = i, s
-		}
-	}
-	if worst < 0 {
-		return nil
-	}
-	return &c.Residuals[worst]
 }

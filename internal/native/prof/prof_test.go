@@ -3,8 +3,6 @@ package prof
 import (
 	"math"
 	"testing"
-
-	"gcao/internal/obs/attr"
 )
 
 func TestRingWraparoundKeepsNewest(t *testing.T) {
@@ -173,83 +171,6 @@ func TestFoldTruncationStartsAtOldestSurvivor(t *testing.T) {
 	// survivor (20), so gaps are 0 + 5 + tail 5.
 	if got := p.ProcTotals[0].ComputeSeconds; got != 10e-9 {
 		t.Errorf("compute = %g, want 10e-9", got)
-	}
-}
-
-func TestCalibrateRecoversPlantedConstants(t *testing.T) {
-	// Plant t_k = L + g·h_k exactly and check the fit recovers it.
-	const L, g = 40e-6, 0.9e-6 // SP2-flavoured constants
-	sites := []string{"v/g0@p/NNC", "v/g1@p/BCAST", "v/g2@p/SUM"}
-	rings := []*Ring{NewRing(16)}
-	hs := []int64{800, 4000, 64}
-	start := int64(0)
-	for k, h := range hs {
-		d := int64((L + g*float64(h)) * 1e9)
-		rings[0].Record(Event{Start: start, Dur: d, Step: int32(k), Site: int32(k), Phase: PhaseSend})
-		start += d + 100
-	}
-	p := Fold(sites, rings, []int64{start}, start)
-	steps := make([]attr.Step, len(hs))
-	for k, h := range hs {
-		steps[k] = attr.Step{Index: k, Site: sites[k], HIn: h, HOut: h}
-	}
-	c := p.Calibrate(steps, attr.CostModel{GSecPerByte: g, LSec: L})
-	if c.Degenerate || c.Points != 3 || c.Mismatched != 0 {
-		t.Fatalf("calibration = %+v", c)
-	}
-	if math.Abs(c.FittedL-L) > 5e-9 || math.Abs(c.FittedG-g) > 1e-10 {
-		t.Errorf("fitted L=%g g=%g, want L=%g g=%g", c.FittedL, c.FittedG, L, g)
-	}
-	if c.R2 < 0.999 {
-		t.Errorf("R2 = %g, want ~1", c.R2)
-	}
-	// Durations are stored in whole nanoseconds, so the replanted
-	// ratio carries a sub-ppm truncation error.
-	for _, r := range c.Residuals {
-		if math.Abs(r.Ratio-1) > 1e-4 {
-			t.Errorf("site %s ratio = %g, want ~1", r.Site, r.Ratio)
-		}
-	}
-	if p.Calib != c {
-		t.Error("Calibrate did not attach the result to the profile")
-	}
-}
-
-func TestCalibrateDegenerateAndMismatch(t *testing.T) {
-	r := NewRing(4)
-	r.Record(Event{Start: 0, Dur: 100, Step: 0, Site: 0, Phase: PhaseSend})
-	p := Fold([]string{"v/g0@p/NNC"}, []*Ring{r}, []int64{100}, 100)
-	model := attr.CostModel{LSec: 1e-6}
-	c := p.Calibrate([]attr.Step{{Index: 0, Site: "v/g0@p/NNC", HIn: 8, HOut: 8}}, model)
-	if !c.Degenerate || c.FittedG != 0 || c.FittedL != 100e-9 {
-		t.Fatalf("single-point fit = %+v", c)
-	}
-	// A site mismatch excludes the step instead of joining wrong data.
-	c = p.Calibrate([]attr.Step{{Index: 0, Site: "OTHER", HIn: 8, HOut: 8}}, model)
-	if c.Mismatched != 1 || c.Points != 0 {
-		t.Fatalf("mismatched fit = %+v", c)
-	}
-	// Out-of-range indexes are skipped silently.
-	c = p.Calibrate([]attr.Step{{Index: 99, Site: "x", HIn: 8, HOut: 8}}, model)
-	if c.Points != 0 {
-		t.Fatalf("out-of-range join = %+v", c)
-	}
-}
-
-func TestWorstResidual(t *testing.T) {
-	c := &Calibration{Residuals: []SiteResidual{
-		{Site: "a", Ratio: 1.5},
-		{Site: "b", Ratio: 0.2}, // 5× off, worse than 1.5×
-	}}
-	if w := c.WorstResidual(); w == nil || w.Site != "b" {
-		t.Fatalf("worst = %+v", w)
-	}
-	if (&Calibration{}).WorstResidual() != nil {
-		t.Error("empty calibration has a worst residual")
-	}
-	var nilc *Calibration
-	if nilc.WorstResidual() != nil {
-		t.Error("nil calibration has a worst residual")
 	}
 }
 

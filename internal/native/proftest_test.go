@@ -13,7 +13,6 @@ import (
 	"gcao/internal/native"
 	"gcao/internal/native/prof"
 	"gcao/internal/obs"
-	"gcao/internal/obs/attr"
 	"gcao/internal/plan"
 	"gcao/internal/spmd"
 )
@@ -152,10 +151,12 @@ func TestNativeProfileTilesWallTime(t *testing.T) {
 	}
 }
 
-// TestNativeProfileCalibrationJoin: the native supersteps join the
+// TestNativeStepsJoinAttribution: the native supersteps join the
 // simulator's cost-attribution record 1:1 by index with agreeing site
-// ids, and the fit comes back non-degenerate on a real benchmark.
-func TestNativeProfileCalibrationJoin(t *testing.T) {
+// ids — both backends execute the identical group sequence in program
+// order. The Chrome trace's lanes and the flight record's facets put
+// the two side by side on this join.
+func TestNativeStepsJoinAttribution(t *testing.T) {
 	eng, res := profiledEngine(t, "gravity", 12, 16, core.VersionCombine)
 	out, err := eng.Run()
 	if err != nil {
@@ -169,28 +170,18 @@ func TestNativeProfileCalibrationJoin(t *testing.T) {
 	if attrRun == nil {
 		t.Fatal("simulator recorded no attribution")
 	}
-	if len(attrRun.Steps) != len(out.Profile.Steps) {
-		t.Fatalf("superstep mismatch: simulator %d, native %d", len(attrRun.Steps), len(out.Profile.Steps))
+	np := out.Profile
+	if len(attrRun.Steps) != len(np.Steps) {
+		t.Fatalf("superstep mismatch: simulator %d, native %d", len(attrRun.Steps), len(np.Steps))
 	}
-	m := machine.SP2()
-	c := out.Profile.Calibrate(attrRun.Steps, attr.CostModel{
-		GSecPerByte: m.PerByte,
-		LSec:        m.SendOverhead + m.RecvOverhead + m.Latency,
-	})
-	if c.Mismatched != 0 {
-		t.Fatalf("%d site mismatches joining native to model", c.Mismatched)
-	}
-	if c.Points != len(attrRun.Steps) {
-		t.Fatalf("joined %d of %d supersteps", c.Points, len(attrRun.Steps))
-	}
-	if c.Degenerate {
-		t.Fatal("fit degenerate on a benchmark with h spread")
-	}
-	if math.IsNaN(c.FittedG) || math.IsInf(c.FittedG, 0) {
-		t.Fatalf("fitted g = %g", c.FittedG)
-	}
-	if len(c.Residuals) == 0 {
-		t.Fatal("no per-site residuals")
+	for k, s := range attrRun.Steps {
+		st := np.Steps[k]
+		if s.Index != k || int(st.Step) != k {
+			t.Fatalf("step %d: simulator index %d, native step %d", k, s.Index, st.Step)
+		}
+		if got := np.SiteName(st.Site); got != s.Site {
+			t.Errorf("step %d: native site %s, simulator site %s", k, got, s.Site)
+		}
 	}
 }
 
@@ -245,42 +236,46 @@ func TestNativeProfileSumAttribution(t *testing.T) {
 	}
 }
 
-// TestNativeProfileFoldRace hammers profiled runs back to back and
-// folds the rings from concurrent readers the moment each run's
-// goroutines exit; under -race this pins the happens-before edge
-// between a processor's last ring write (and its end mark) and the
-// fold's reads.
+// TestNativeProfileFoldRace runs profiled runs back to back while
+// concurrent readers walk the previous run's folded profile; under
+// -race this pins the happens-before edge between a processor's last
+// ring write (and its end mark) and the fold's reads, and that a run's
+// profile shares nothing the engine's next run writes.
 func TestNativeProfileFoldRace(t *testing.T) {
 	eng, _ := profiledEngine(t, "shallow", 12, 16, core.VersionCombine)
+	var wg sync.WaitGroup
 	for iter := 0; iter < 8; iter++ {
 		out, err := eng.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wg sync.WaitGroup
+		np := out.Profile
+		if np == nil {
+			t.Fatal("run lost its profile")
+		}
 		for r := 0; r < 4; r++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				np := eng.Profile()
-				if np == nil {
-					t.Error("concurrent fold returned nil")
-					return
-				}
 				var total float64
 				for _, ps := range np.ProcTotals {
 					total += ps.ComputeSeconds + ps.BlockedSeconds
 				}
-				if total < 0 {
-					t.Error("negative fold total")
+				events := 0
+				for _, evs := range np.Events {
+					for _, ev := range evs {
+						if ev.Dur >= 0 {
+							events++
+						}
+					}
+				}
+				if total < 0 || events == 0 {
+					t.Errorf("profile read back total %g over %d events", total, events)
 				}
 			}()
 		}
-		wg.Wait()
-		if out.Profile == nil {
-			t.Fatal("run lost its profile")
-		}
 	}
+	wg.Wait()
 }
 
 // BenchmarkNativeProfOverhead{Off,On} measure the acceptance

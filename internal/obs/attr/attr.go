@@ -14,17 +14,20 @@
 // L), and ranks placement sites by the cost they contribute to that
 // chain — the top-k bottleneck table.
 //
-// The package is stdlib-only so package obs and the native profiler
-// can embed its types without an import cycle. The simulator's
-// rendezvous leader counts each step's traffic in one receiver-order
-// walk and appends the steps in execution order, so the stream is
-// bit-identical regardless of how many shards the simulator ran on.
+// Beyond the standard library the package imports only the machine
+// models, a leaf, so package obs can embed its types without an import
+// cycle. The simulator's rendezvous leader counts each step's traffic
+// in one receiver-order walk and appends the steps in execution order,
+// so the stream is bit-identical regardless of how many shards the
+// simulator ran on.
 package attr
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"gcao/internal/machine"
 )
 
 // CostModel is the BSP cost model attribution is evaluated under: one
@@ -36,11 +39,11 @@ type CostModel struct {
 	LSec float64 `json:"l_sec"`
 }
 
-// DefaultCostModel returns SP2-flavoured knobs: g matching the ~34
-// MB/s receive bandwidth and L covering send+receive overhead plus
-// wire latency of one message round.
-func DefaultCostModel() CostModel {
-	return CostModel{GSecPerByte: 1.0 / 34e6, LSec: 75e-6}
+// CostModelFor derives the model from a machine: g is its receive
+// cost per byte, L its send and receive overheads plus wire latency —
+// one message round.
+func CostModelFor(m machine.Machine) CostModel {
+	return CostModel{GSecPerByte: m.PerByte, LSec: m.SendOverhead + m.RecvOverhead + m.Latency}
 }
 
 // StepCost evaluates one superstep under the model.

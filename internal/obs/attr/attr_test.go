@@ -3,6 +3,8 @@ package attr
 import (
 	"strings"
 	"testing"
+
+	"gcao/internal/machine"
 )
 
 func TestStepH(t *testing.T) {
@@ -79,7 +81,7 @@ func TestAnalyzeDependsThroughSharedArray(t *testing.T) {
 }
 
 func TestAnalyzeEmptyRun(t *testing.T) {
-	rep := Analyze(&Run{Version: "comb", Procs: 4}, DefaultCostModel())
+	rep := Analyze(&Run{Version: "comb", Procs: 4}, CostModelFor(machine.SP2()))
 	if rep.CriticalSec != 0 || len(rep.CriticalPath) != 0 || len(rep.Sites) != 0 {
 		t.Fatalf("empty run produced %+v", rep)
 	}
@@ -97,7 +99,7 @@ func TestTopSitesAndFormatBlame(t *testing.T) {
 			{Index: 1, Site: "sB", Kind: "SUM", Arrays: []string{"b"}, Messages: 1, Bytes: 8, HIn: 8, HOut: 8},
 		},
 	}
-	rep := Analyze(run, DefaultCostModel())
+	rep := Analyze(run, CostModelFor(machine.SP2()))
 	if got := len(rep.TopSites(1)); got != 1 {
 		t.Fatalf("TopSites(1) = %d entries", got)
 	}

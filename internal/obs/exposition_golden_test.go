@@ -60,18 +60,18 @@ func TestExpositionGolden(t *testing.T) {
 	reg.SetOptimalityGap("gravity", "comb", 1_000_000, 1_500_000)
 	reg.SetOptimalityGap("local", "comb", 0, 0) // zero bound: bound gauge, no ratio
 
-	// Native runs on two versions: unprofiled, profiled, calibrated.
-	profiled := func(skew, blocked float64, fit *prof.Calibration) *prof.NativeProfile {
-		return &prof.NativeProfile{SkewRatio: skew, BlockedSeconds: blocked, Calib: fit}
+	// Native runs on two versions, unprofiled and profiled.
+	profiled := func(skew, blocked float64) *prof.NativeProfile {
+		return &prof.NativeProfile{SkewRatio: skew, BlockedSeconds: blocked}
 	}
 	reg.ObserveNativeExec("comb", prof.RunStats{ElapsedSeconds: 0.012, Messages: 96, WireBytes: 4096, Hops: 12}, nil)
 	reg.ObserveNativeExec("comb", prof.RunStats{ElapsedSeconds: 0.014, Messages: 96, WireBytes: 4096, Hops: 12, AllocBytes: 512},
-		profiled(1.25, 0.004, nil))
+		profiled(1.25, 0.004))
 	reg.ObserveNativeExec("comb", prof.RunStats{ElapsedSeconds: 0.013, Messages: 96, WireBytes: 4096, Hops: 12},
-		profiled(1.5, 0.006, &prof.Calibration{FittedL: 40e-6, FittedG: 1.1e-9}))
+		profiled(1.5, 0.006))
 	reg.ObserveNativeExec("orig", prof.RunStats{ElapsedSeconds: 0.020, Messages: 480, WireBytes: 1_000_000, Hops: 60, AllocBytes: 2048}, nil)
 	reg.ObserveNativeExec("orig", prof.RunStats{ElapsedSeconds: 2.5, Messages: 480, WireBytes: 20480, Hops: 60},
-		profiled(2, 1.5, &prof.Calibration{FittedL: 42e-6, FittedG: 0.9e-9}))
+		profiled(2, 1.5))
 
 	reg.ObserveHTTP("/compile", 200, 0.003)
 	reg.ObserveHTTP("/compile", 200, 0.250)

@@ -65,8 +65,6 @@ const (
 	famNativeAlloc
 	famNativeSkew
 	famNativeBlocked
-	famNativeFitL
-	famNativeFitG
 	famLowerBound
 	famGapRatio
 	famCache
@@ -122,10 +120,6 @@ var families = [numFamilies]family{
 		help: "Compute skew of the last profiled native run (max/mean compute per superstep; 1.0 is perfectly balanced), by compiler version."},
 	famNativeBlocked: {name: "gcao_native_blocked_seconds_total", typ: "counter", label: "version",
 		help: "Seconds native processors spent blocked in sends, receive waits, barrier trees and SUM collectives, by compiler version."},
-	famNativeFitL: {name: "gcao_native_fitted_l_seconds", typ: "gauge", label: "version",
-		help: "Per-superstep latency constant L fitted by least squares from the last calibrated native run, by compiler version."},
-	famNativeFitG: {name: "gcao_native_fitted_g_seconds_per_byte", typ: "gauge", label: "version",
-		help: "Inverse-bandwidth constant g fitted by least squares from the last calibrated native run, by compiler version."},
 	famLowerBound: {name: "gcao_comm_lower_bound_bytes", typ: "gauge", label: "benchmark",
 		help: "Placement-independent communication lower bound of the last compile, by routine."},
 	famGapRatio: {write: writeGapRatio},
@@ -163,10 +157,9 @@ func (g *Registry) hist(id familyID, label string) *Histogram {
 
 // ObserveNativeExec records one native-backend run, labeled by compiler
 // version: the run's counts and wall clock and, when it was profiled
-// (np non-nil), its compute skew and blocked time, and the fitted
-// machine constants when the profile was calibrated. An unprofiled or
-// uncalibrated run leaves those families alone — it must not export
-// zeros as measurements.
+// (np non-nil), its compute skew and blocked time. An unprofiled run
+// leaves those two families alone — it must not export zeros as
+// measurements.
 func (g *Registry) ObserveNativeExec(version string, st prof.RunStats, np *prof.NativeProfile) {
 	if g == nil {
 		return
@@ -181,10 +174,6 @@ func (g *Registry) ObserveNativeExec(version string, st prof.RunStats, np *prof.
 	if np != nil {
 		g.vals[famNativeSkew][version] = np.SkewRatio
 		g.vals[famNativeBlocked][version] += np.BlockedSeconds
-	}
-	if c := np.Fit(); c != nil {
-		g.vals[famNativeFitL][version] = c.FittedL
-		g.vals[famNativeFitG][version] = c.FittedG
 	}
 }
 

@@ -154,10 +154,9 @@ func TestRegistryObserveNativeExec(t *testing.T) {
 		t.Fatalf("native alloc counter missing:\n%s", text)
 	}
 	// No run was profiled, so none of the profiler-derived families may
-	// appear — an uncalibrated run must not export zeros as measurements.
+	// appear — an unprofiled run must not export zeros as measurements.
 	for _, fam := range []string{
 		"gcao_native_skew_ratio", "gcao_native_blocked_seconds_total",
-		"gcao_native_fitted_l_seconds", "gcao_native_fitted_g_seconds_per_byte",
 	} {
 		if strings.Contains(text, fam) {
 			t.Fatalf("unprofiled run exported %s:\n%s", fam, text)
@@ -169,12 +168,13 @@ func TestRegistryObserveNativeProfiled(t *testing.T) {
 	reg := NewRegistry()
 	reg.ObserveNativeExec("comb",
 		prof.RunStats{ElapsedSeconds: 0.012, Messages: 96, WireBytes: 4096},
-		&prof.NativeProfile{SkewRatio: 1.25, BlockedSeconds: 0.004,
-			Calib: &prof.Calibration{FittedL: 42e-6, FittedG: 0.9e-9}})
+		&prof.NativeProfile{SkewRatio: 1.25, BlockedSeconds: 0.004})
 	reg.ObserveNativeExec("comb",
 		prof.RunStats{ElapsedSeconds: 0.013, Messages: 96, WireBytes: 4096},
-		&prof.NativeProfile{SkewRatio: 1.5, BlockedSeconds: 0.006,
-			Calib: &prof.Calibration{FittedL: 40e-6, FittedG: 1.1e-9}})
+		&prof.NativeProfile{SkewRatio: 1.5, BlockedSeconds: 0.006})
+	reg.ObserveNativeExec("orig",
+		prof.RunStats{ElapsedSeconds: 0.02, Messages: 480, WireBytes: 20480},
+		&prof.NativeProfile{SkewRatio: 2, BlockedSeconds: 0.5})
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -183,57 +183,14 @@ func TestRegistryObserveNativeProfiled(t *testing.T) {
 	if err := CheckPromText(buf.Bytes()); err != nil {
 		t.Fatalf("exposition invalid: %v\n%s", err, text)
 	}
-	// Gauges carry the latest profiled run; blocked time accumulates.
-	if !strings.Contains(text, `gcao_native_skew_ratio{version="comb"} 1.5`) {
+	// Gauges carry each version's latest profiled run; blocked time
+	// accumulates.
+	if !strings.Contains(text, `gcao_native_skew_ratio{version="comb"} 1.5`) ||
+		!strings.Contains(text, `gcao_native_skew_ratio{version="orig"} 2`) {
 		t.Fatalf("skew gauge missing or stale:\n%s", text)
 	}
 	if !strings.Contains(text, `gcao_native_blocked_seconds_total{version="comb"} 0.01`) {
 		t.Fatalf("blocked counter not accumulated:\n%s", text)
-	}
-	if !strings.Contains(text, `gcao_native_fitted_l_seconds{version="comb"} 4e-05`) {
-		t.Fatalf("fitted L gauge missing or stale:\n%s", text)
-	}
-	if !strings.Contains(text, `gcao_native_fitted_g_seconds_per_byte{version="comb"} 1.1e-09`) {
-		t.Fatalf("fitted g gauge missing or stale:\n%s", text)
-	}
-}
-
-// TestRegistryObserveNativeUnusableFit: a calibration that measured
-// nothing — no spread in h, or steps whose site disagrees with the
-// model's — is never exported as L and g, whatever numbers it carries.
-// The run's own measurements still are, and a version's earlier good fit
-// stays.
-func TestRegistryObserveNativeUnusableFit(t *testing.T) {
-	reg := NewRegistry()
-	run := prof.RunStats{ElapsedSeconds: 0.012, Messages: 96, WireBytes: 4096}
-	reg.ObserveNativeExec("nored", run, &prof.NativeProfile{SkewRatio: 1.25,
-		Calib: &prof.Calibration{Degenerate: true, FittedL: 7, FittedG: 7}})
-	reg.ObserveNativeExec("orig", run, &prof.NativeProfile{SkewRatio: 1.5,
-		Calib: &prof.Calibration{Mismatched: 2, FittedL: 7, FittedG: 7}})
-	reg.ObserveNativeExec("comb", run, &prof.NativeProfile{SkewRatio: 2,
-		Calib: &prof.Calibration{FittedL: 40e-6, FittedG: 1.1e-9}})
-	reg.ObserveNativeExec("comb", run, &prof.NativeProfile{SkewRatio: 3,
-		Calib: &prof.Calibration{Degenerate: true, FittedL: 7, FittedG: 7}})
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
-		`gcao_native_skew_ratio{version="nored"} 1.25`,
-		`gcao_native_skew_ratio{version="orig"} 1.5`,
-		`gcao_native_skew_ratio{version="comb"} 3`,
-		`gcao_native_fitted_l_seconds{version="comb"} 4e-05`,
-		`gcao_native_fitted_g_seconds_per_byte{version="comb"} 1.1e-09`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("missing %s", want)
-		}
-	}
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, "gcao_native_fitted_") && !strings.Contains(line, `version="comb"`) {
-			t.Errorf("unusable fit exported: %s", line)
-		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"gcao/internal/machine"
 	"gcao/internal/native/prof"
 	"gcao/internal/obs/attr"
 )
@@ -58,11 +59,11 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 		})
 	}
 	// The simulator's supersteps render as a second lane (tid 2), laid
-	// out serially under the default BSP cost model so the lane's
+	// out serially under SP2's BSP cost model so the lane's
 	// relative widths show where the communication time goes. The args
 	// carry the blame record: placement site, h-relation, traffic.
 	if attrRun != nil {
-		model := attr.DefaultCostModel()
+		model := attr.CostModelFor(machine.SP2())
 		ts := 0.0
 		for _, s := range attrRun.Steps {
 			cost := model.StepCost(s)

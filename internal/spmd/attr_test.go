@@ -38,7 +38,7 @@ func TestAttributionMatchesSequential(t *testing.T) {
 	const procs = 16
 	params := map[string]int{"nx": 6, "ny": 13, "nz": 13, "steps": 3}
 	a := compile(t, miniGravitySrc, params, procs)
-	model := attr.DefaultCostModel()
+	model := attr.CostModelFor(machine.SP2())
 	for _, v := range []core.Version{core.VersionOrig, core.VersionRedund, core.VersionCombine} {
 		res := placed(t, a, v)
 		for _, workers := range []int{2, 3, 4, 7, procs} {
@@ -109,7 +109,7 @@ func TestBlameLinksToGreedyDecision(t *testing.T) {
 	if _, err := RunParallelObs(res, machine.SP2(), procs, 4, rec); err != nil {
 		t.Fatal(err)
 	}
-	rep := attr.Analyze(rec.Attribution(), attr.DefaultCostModel())
+	rep := attr.Analyze(rec.Attribution(), attr.CostModelFor(machine.SP2()))
 	if len(rep.Sites) == 0 {
 		t.Fatal("no blamed sites")
 	}
