@@ -201,7 +201,14 @@ nativeprof-smoke:
 # ci/compile-alloc-budget.txt: 1.25x the measured allocs/op, where the
 # revision before the per-level section tables spent 399 416 — a pair
 # test that starts re-expanding sections again is a regression long
-# before it shows in milliseconds. The parser's own pins go first: its
+# before it shows in milliseconds. Placement's own storage is held the
+# same way: what each version allocates (TestPlaceNilRecorderAllocs), a
+# reused analysis placing what a fresh one does
+# (TestPlacementScratchPerCall), the on-demand site labels against the
+# format Place used to store (TestLazyLabelsMatchEagerFormat), eight
+# goroutines placing and labelling one analysis under the race detector
+# (TestConcurrentPlacementLabels), and the size-only hull against the
+# full one (TestHullCountMatchesHull). The parser's own pins go first: its
 # output on the golden corpus byte for byte (TestASTGolden), the nesting
 # bound, and what parsing the six routines allocates (TestParseAllocs,
 # 1.25x the measured count).
@@ -209,8 +216,9 @@ compile-smoke:
 	$(GO) test ./internal/parser -run 'TestASTGolden|TestParseNestingLimit|TestParseAllocs' -count=1
 	$(GO) test ./cmd/hpfc -run 'TestFig10aHydfloFlux' -count=1
 	$(GO) test ./internal/lin -run 'TestFormMatchesMapModel' -count=1
-	$(GO) test ./internal/core -run 'TestPlacementGolden|TestSectionTableMatchesExpansion|TestPlaceNilRecorderAllocs|TestNilTallyCostsNothing' -count=1
-	$(GO) test -race ./internal/core -run 'TestSharedAnalysisConcurrentPlace' -count=1
+	$(GO) test ./internal/asd -run 'TestHullCountMatchesHull' -count=1
+	$(GO) test ./internal/core -run 'TestPlacementGolden|TestSectionTableMatchesExpansion|TestPlaceNilRecorderAllocs|TestNilTallyCostsNothing|TestPlacementScratchPerCall|TestLazyLabelsMatchEagerFormat' -count=1
+	$(GO) test -race ./internal/core -run 'TestSharedAnalysisConcurrentPlace|TestConcurrentPlacementLabels' -count=1
 	$(GO) test . -run 'TestSkeletonMatchesMonolithic|TestSkeletonHitPin' -count=1
 	$(GO) test ./cmd/gcaod -run 'TestColdKnownSourceAllocs' -count=1
 	$(GO) test -race . -run 'TestSkeletonSharedConcurrently' -count=1

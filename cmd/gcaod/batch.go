@@ -95,8 +95,8 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 		item := item
 		tasks[i] = sched.BatchTask{
 			Ctx: ctx,
-			Run: func(context.Context) (any, error) {
-				return s.compile(id, rec, item)
+			Run: func(ctx context.Context) (any, error) {
+				return s.compile(ctx, id, rec, item)
 			},
 		}
 	}

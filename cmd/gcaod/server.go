@@ -309,8 +309,8 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		// the job up; compile() opens the next phase at that instant.
 		rec.Phase("queue.wait")
 		var v any
-		v, err = s.pool.Submit(ctx, func(context.Context) (any, error) {
-			return s.compile(id, rec, req)
+		v, err = s.pool.Submit(ctx, func(ctx context.Context) (any, error) {
+			return s.compile(ctx, id, rec, req)
 		})
 		if c, ok := v.(*compileResponse); ok {
 			resp = c
@@ -402,7 +402,14 @@ func decodeJSONBody[T any](r *http.Request, maxBody int64) (T, error) {
 // recorder. The phases opened here (compile, place, estimate, simulate)
 // follow the handler's queue.wait gap-free, so their durations account
 // for the request's wall time, and the pipeline spans nest inside them.
-func (s *server) compile(id string, rec *obs.Recorder, req compileRequest) (*compileResponse, error) {
+//
+// The job honours its context: a worker that picks it up after its
+// deadline has passed runs nothing, and a deadline that passes during
+// the compile stops it before the next placement.
+func (s *server) compile(ctx context.Context, id string, rec *obs.Recorder, req compileRequest) (*compileResponse, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	rec.Phase("compile")
 	if s.testHook != nil {
 		s.testHook()
@@ -446,7 +453,10 @@ func (s *server) compile(id string, rec *obs.Recorder, req compileRequest) (*com
 		rec.SetAttr("skeleton", cached.Skeleton)
 	}
 	if all {
-		return s.placeAll(id, rec, req, c, cached, m)
+		return s.placeAll(ctx, id, rec, req, c, cached, m)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	rec.Phase("place")
 	placed, placeOut, err := s.cache.Place(c, strategy, gcao.PlacementOptions{}, rec)
@@ -504,7 +514,7 @@ func (s *server) estimate(c *gcao.Compilation, placed *gcao.Placed, m gcao.Machi
 // side. The pool already serves requests in parallel, and the placements
 // share the request's recorder, whose span depth is one counter: run
 // concurrently, the sibling place:<v> spans would record three depths.
-func (s *server) placeAll(id string, rec *obs.Recorder, req compileRequest, c *gcao.Compilation, cached *cacheDoc, m gcao.Machine) (*compileResponse, error) {
+func (s *server) placeAll(ctx context.Context, id string, rec *obs.Recorder, req compileRequest, c *gcao.Compilation, cached *cacheDoc, m gcao.Machine) (*compileResponse, error) {
 	rec.Phase("place")
 	resp := &compileResponse{
 		ReqID:    id,
@@ -514,6 +524,9 @@ func (s *server) placeAll(id string, rec *obs.Recorder, req compileRequest, c *g
 	}
 	var placed *gcao.Placed
 	for _, strat := range []gcao.Strategy{gcao.Vectorize, gcao.EarliestRedundancy, gcao.Combine} {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		var out gcao.CacheOutcome
 		var err error
 		if placed, out, err = s.cache.Place(c, strat, gcao.PlacementOptions{}, rec); err != nil {

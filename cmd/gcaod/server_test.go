@@ -793,6 +793,65 @@ func TestCompileTimeout(t *testing.T) {
 	}
 }
 
+// TestExpiredCompileRunsNoPlacement: a compile job honours its deadline.
+// Request A (strategy "all") holds the only worker past its deadline;
+// request B waits in the queue past its own. Both get their 503, B's job
+// never reaches the compile, and A's stops before its first placement:
+// the placement cache records no entry and no miss.
+func TestExpiredCompileRunsNoPlacement(t *testing.T) {
+	s := newServer(serverConfig{
+		reqTimeout: 200 * time.Millisecond,
+		workers:    1,
+		queueDepth: 1,
+		logW:       io.Discard,
+		logLevel:   slog.LevelError,
+	})
+	t.Cleanup(s.close)
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	s.testHook = func() {
+		entered <- struct{}{}
+		<-release
+	}
+	ts := httptest.NewServer(s.handler())
+	t.Cleanup(ts.Close)
+	post := func(n int, strategy string, code chan<- int) {
+		raw, _ := json.Marshal(map[string]any{
+			"source": stencilSrc, "params": map[string]int{"n": n, "steps": 1}, "procs": 4, "strategy": strategy,
+		})
+		resp, err := http.Post(ts.URL+"/compile", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			code <- -1
+			return
+		}
+		resp.Body.Close()
+		code <- resp.StatusCode
+	}
+	codeA, codeB := make(chan int, 1), make(chan int, 1)
+	go post(8, "all", codeA)
+	<-entered // A holds the worker
+	go post(12, "comb", codeB)
+	if got := <-codeB; got != http.StatusServiceUnavailable {
+		t.Fatalf("queued request past its deadline: status %d, want 503", got)
+	}
+	if got := <-codeA; got != http.StatusServiceUnavailable {
+		t.Fatalf("running request past its deadline: status %d, want 503", got)
+	}
+	close(release)
+	deadline := time.Now().Add(5 * time.Second)
+	for st := s.pool.Stats(); st.Active+st.Queued > 0; st = s.pool.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("pool never drained: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if len(entered) != 0 {
+		t.Error("the queued job ran its compile after its deadline")
+	}
+	if st := s.cache.Stats().Place; st.Entries != 0 || st.Misses != 0 {
+		t.Errorf("expired jobs placed: placement cache %+v", st)
+	}
+}
+
 // TestCompileAllStrategies: strategy "all" places the three versions
 // of one cached compilation concurrently and reports them side by
 // side; the per-version results must match three individual requests.

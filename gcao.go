@@ -261,7 +261,8 @@ func compileRoutine(r *ast.Routine, sk *core.Skeleton, cfg Config) (*Compilation
 }
 
 // Entries returns the communication requirements found in the routine
-// (excluding diagonal NNC already coalesced into axis exchanges).
+// (excluding diagonal NNC already coalesced into axis exchanges). The
+// slice is the analysis's own, shared by every caller: read it only.
 func (c *Compilation) Entries() []*core.Entry { return c.Analysis.CommEntries() }
 
 // Place runs a placement strategy with default options.

@@ -155,38 +155,74 @@ func (s SymSection) Hull(t SymSection) (hull SymSection, blowup float64, ok bool
 	}
 	hull.Dims = make([]SymDim, len(s.Dims))
 	for i := range s.Dims {
-		a, b := s.Dims[i], t.Dims[i]
-		lo := a.Lo
-		if d, okd := b.Lo.ConstDiff(a.Lo); okd {
-			if d < 0 {
-				lo = b.Lo
-			}
-		} else {
+		if hull.Dims[i], ok = hullDim(s.Dims[i], t.Dims[i]); !ok {
 			return SymSection{}, 0, false
 		}
-		hi := a.Hi
-		if d, okd := b.Hi.ConstDiff(a.Hi); okd {
-			if d > 0 {
-				hi = b.Hi
-			}
-		} else {
-			return SymSection{}, 0, false
-		}
-		step := gcd(maxInt(a.Step, 1), maxInt(b.Step, 1))
-		// The strides must share phase; otherwise fall back to unit
-		// stride (a denser hull).
-		if d, okd := a.Lo.ConstDiff(b.Lo); !okd || d%step != 0 {
-			step = 1
-		}
-		hull.Dims[i] = SymDim{Lo: lo, Hi: hi, Step: step}
 	}
+	nh, okh := hull.NumElems()
 	ns, oks := s.NumElems()
 	nt, okt := t.NumElems()
-	nh, okh := hull.NumElems()
-	if oks && okt && okh && ns+nt > 0 {
-		return hull, float64(nh) / float64(ns+nt), true
+	return hull, Blowup(nh, ns+nt, okh && oks && okt), true
+}
+
+// Blowup is a hull's element count over the total of the two sections
+// it covers, or 1 when a count is unknown or the total is zero (the
+// caller's rule of thumb then applies).
+func Blowup(hull, total int, known bool) float64 {
+	if known && total > 0 {
+		return float64(hull) / float64(total)
 	}
-	return hull, 1, true // unknown sizes: rule-of-thumb handled by caller
+	return 1
+}
+
+// HullCount is Hull without the descriptor, for callers that only weigh
+// the hull: its element count, known when every dimension's count is
+// constant, and ok=false where Hull has no hull.
+func (s SymSection) HullCount(t SymSection) (n int, known, ok bool) {
+	if len(s.Dims) != len(t.Dims) {
+		return 0, false, false
+	}
+	n, known = 1, true
+	for i := range s.Dims {
+		d, okd := hullDim(s.Dims[i], t.Dims[i])
+		if !okd {
+			return 0, false, false
+		}
+		if c, okc := d.Count(); !okc {
+			known = false
+		} else if known {
+			n *= c
+		}
+	}
+	if !known {
+		n = 0
+	}
+	return n, known, true
+}
+
+// hullDim is one dimension of Hull: the outer bounds and the coarsest
+// stride both dimensions' lattices share. ok=false when a bound
+// difference is not constant.
+func hullDim(a, b SymDim) (SymDim, bool) {
+	lo := a.Lo
+	if d, okd := b.Lo.ConstDiff(a.Lo); !okd {
+		return SymDim{}, false
+	} else if d < 0 {
+		lo = b.Lo
+	}
+	hi := a.Hi
+	if d, okd := b.Hi.ConstDiff(a.Hi); !okd {
+		return SymDim{}, false
+	} else if d > 0 {
+		hi = b.Hi
+	}
+	step := gcd(maxInt(a.Step, 1), maxInt(b.Step, 1))
+	// The strides must share phase; otherwise fall back to unit
+	// stride (a denser hull).
+	if d, okd := a.Lo.ConstDiff(b.Lo); !okd || d%step != 0 {
+		step = 1
+	}
+	return SymDim{Lo: lo, Hi: hi, Step: step}, true
 }
 
 // Subtract returns the part of s not covered by t, when that
@@ -375,6 +411,9 @@ func (m Mapping) sameGrid(o Mapping) bool {
 	if len(m.GridShape) != len(o.GridShape) {
 		return false
 	}
+	if len(m.GridShape) == 0 || &m.GridShape[0] == &o.GridShape[0] {
+		return true // one routine's mappings share its grid's shape
+	}
 	for i := range m.GridShape {
 		if m.GridShape[i] != o.GridShape[i] {
 			return false
@@ -460,8 +499,8 @@ type ASD struct {
 // the (D1 ⊆ D2) ∧ (M1(D1) ⊆ M2(D1)) test of §4.6.
 func (a ASD) Subsumes(other ASD) bool {
 	return a.Array == other.Array &&
-		a.Data.Contains(other.Data) &&
-		other.Map.SubsetOf(a.Map)
+		other.Map.SubsetOf(a.Map) &&
+		a.Data.Contains(other.Data)
 }
 
 func (a ASD) String() string {

@@ -122,6 +122,54 @@ func TestHullCoversBruteForce(t *testing.T) {
 	}
 }
 
+// TestHullCountMatchesHull: the size-only hull reports what the full
+// one does — the element count of the descriptor Hull builds, the
+// blow-up Hull reports through Blowup, and the same refusals — on random
+// sections of up to three dimensions mixing constant, symbolic and
+// point bounds.
+func TestHullCountMatchesHull(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	dim := func() SymDim {
+		switch rng.Intn(4) {
+		case 0:
+			return Point(sym("i").AddConst(rng.Intn(3) - 1))
+		case 1:
+			return SymDim{Lo: sym("i").AddConst(rng.Intn(3)), Hi: sym("n").AddConst(rng.Intn(3)), Step: 1 + rng.Intn(2)}
+		}
+		return ConstDim(rng.Intn(6), rng.Intn(12), 1+rng.Intn(3))
+	}
+	refused := 0
+	for trial := 0; trial < 2000; trial++ {
+		rank := 1 + rng.Intn(3)
+		var a, b SymSection
+		for k := 0; k < rank; k++ {
+			a.Dims = append(a.Dims, dim())
+			b.Dims = append(b.Dims, dim())
+		}
+		if rng.Intn(10) == 0 {
+			b.Dims = b.Dims[1:]
+		}
+		h, blowup, ok := a.Hull(b)
+		n, known, cok := a.HullCount(b)
+		if ok != cok {
+			t.Fatalf("%v ∪ %v: Hull ok=%v, HullCount ok=%v", a, b, ok, cok)
+		}
+		if !ok {
+			refused++
+			continue
+		}
+		hn, hknown := h.NumElems()
+		na, oka := a.NumElems()
+		nb, okb := b.NumElems()
+		if n != hn || known != hknown || Blowup(n, na+nb, known && oka && okb) != blowup {
+			t.Fatalf("%v ∪ %v: Hull %v has %d,%v elements, blow-up %v; HullCount says %d,%v", a, b, h, hn, hknown, blowup, n, known)
+		}
+	}
+	if refused == 0 || refused == 2000 {
+		t.Errorf("%d of 2000 pairs refused: the generator misses a case", refused)
+	}
+}
+
 func TestConcrete(t *testing.T) {
 	s := SymSection{Dims: []SymDim{Point(sym("i").AddConst(-1)), ConstDim(1, 6, 2)}}
 	sec, ok := s.Concrete(map[string]int{"i": 4})

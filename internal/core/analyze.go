@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 
 	"gcao/internal/asd"
 	"gcao/internal/ast"
@@ -61,9 +62,17 @@ type Analysis struct {
 	// later coalesced into axis exchanges.
 	Entries []*Entry
 
+	// comm lists the entries that require placement: Entries less the
+	// coalesced diagonals, in ID order (CommEntries).
+	comm []*Entry
+
 	// loopBound holds the compile-time bounds of every loop, indexed by
 	// cfg.Loop.ID.
 	loopBound []loopBound
+	// slotBase numbers the positions of the graph densely in (block ID,
+	// slot) order: position (b, after) is slot slotBase[b.ID]+after+1,
+	// and the last element is the number of slots.
+	slotBase []int
 }
 
 // loopBound is one loop's bounds evaluated under the routine
@@ -163,6 +172,17 @@ func (s *Skeleton) Analyze(u *sem.Unit, rec *obs.Recorder) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
+	a.comm = make([]*Entry, 0, len(a.Entries))
+	for _, e := range a.Entries {
+		if !e.Coalesced {
+			a.comm = append(a.comm, e)
+		}
+	}
+	a.comm = slices.Clip(a.comm) // an append by a caller copies
+	a.slotBase = make([]int, len(s.G.Blocks)+1)
+	for i, b := range s.G.Blocks {
+		a.slotBase[i+1] = a.slotBase[i] + len(b.Stmts) + 1
+	}
 	end = rec.Start("earliest-latest")
 	w := &walkScratch{seen: s.SSA.NewMarks(), visit: s.SSA.NewMarks()}
 	for _, e := range a.Entries {
@@ -176,20 +196,21 @@ func (s *Skeleton) Analyze(u *sem.Unit, rec *obs.Recorder) (*Analysis, error) {
 	}
 	end()
 	end = rec.Start("level-tables")
+	levels, dims, grows := a.levelSlabs()
 	for _, e := range a.Entries {
-		a.buildLevelTable(e)
+		a.buildLevelTable(e, &levels, &dims, &grows)
 	}
 	end()
 	// Every dependence query has been asked: drop the tables dep.New
 	// remembered them in, so nothing on a shared Analysis is ever written.
 	a.Dep = &dep.Analysis{Unit: u, Forms: s.Forms}
 	rec.Add("analysis.entries", int64(len(a.Entries)))
-	rec.Add("analysis.comm_entries", int64(len(a.CommEntries())))
-	rec.Add("analysis.coalesced", int64(len(a.Entries)-len(a.CommEntries())))
+	rec.Add("analysis.comm_entries", int64(len(a.comm)))
+	rec.Add("analysis.coalesced", int64(len(a.Entries)-len(a.comm)))
 	rec.Event(slog.LevelInfo, "analysis.done",
 		slog.String("routine", u.Routine.Name),
 		slog.Int("entries", len(a.Entries)),
-		slog.Int("comm_entries", len(a.CommEntries())))
+		slog.Int("comm_entries", len(a.comm)))
 	return a, nil
 }
 
@@ -668,13 +689,9 @@ func nonZeroCount(xs []int) int {
 }
 
 // CommEntries returns the entries that require placement (excluding
-// coalesced diagonals).
-func (a *Analysis) CommEntries() []*Entry {
-	var out []*Entry
-	for _, e := range a.Entries {
-		if !e.Coalesced {
-			out = append(out, e)
-		}
-	}
-	return out
-}
+// coalesced diagonals), in ID order. The slice is built once by Analyze
+// and shared by every caller: it is read-only.
+func (a *Analysis) CommEntries() []*Entry { return a.comm }
+
+// slot returns the dense number of a position (see slotBase).
+func (a *Analysis) slot(p Position) int { return a.slotBase[p.Block.ID] + p.After + 1 }

@@ -148,14 +148,28 @@ func (e *Entry) Use() *ssa.Use { return e.Uses[0] }
 // Levels that expand no loop variable share their sections' Dims.
 type levelInfo struct {
 	// sec is the section communicated (SectionAt).
-	sec asd.SymSection
+	sec counted
 	// bytes is the per-processor message volume (BytesAt).
 	bytes   int
 	bytesOK bool
 	// grid is sec projected onto the processor grid dimensions, for
 	// the cross-array NNC test of combineVerdict.
-	grid   asd.SymSection
+	grid   counted
 	gridOK bool
+}
+
+// counted is a section with its element count (NumElems), taken once
+// when the level table is built: the combining test weighs hulls
+// against it for every pair it asks about.
+type counted struct {
+	asd.SymSection
+	n  int
+	ok bool
+}
+
+func count(sec asd.SymSection) counted {
+	n, ok := sec.NumElems()
+	return counted{sec, n, ok}
 }
 
 // SectionAt returns the section communicated when the entry is placed
@@ -165,59 +179,128 @@ type levelInfo struct {
 // 0..nest depth read as the nearest one. The result is shared: callers
 // must not write to its Dims.
 func (e *Entry) SectionAt(a *Analysis, level int) asd.SymSection {
-	return e.at(level).sec
+	return e.at(level).sec.SymSection
 }
 
 func (e *Entry) at(level int) *levelInfo {
 	return &e.levels[max(0, min(level, len(e.levels)-1))]
 }
 
+// levelSlabs sizes the slabs every entry's per-level table is carved
+// from: the tables, the section Dims of the expanded levels and grid
+// projections, and grows — for each entry, one flag per loop of its nest
+// saying whether placing the entry outside that loop expands its section.
+// The Dims are sized exactly: one copy of the entry's section per loop
+// that expands it, and one grid projection per level that differs from
+// the one inside it.
+func (a *Analysis) levelSlabs() (levels []levelInfo, dims []asd.SymDim, grows []bool) {
+	nloops, nd := 0, 0
+	for _, e := range a.Entries {
+		nloops += len(e.Use().Stmt.Loops)
+	}
+	grows = make([]bool, 0, nloops)
+	for _, e := range a.Entries {
+		fresh := 1 // the innermost level's section is the entry's own
+		for _, loop := range e.Use().Stmt.Loops {
+			grows = append(grows, a.expands(e.dims, loop))
+			if grows[len(grows)-1] {
+				nd += len(e.dims)
+				fresh++
+			}
+		}
+		if e.Kind == KindShift {
+			nd += fresh * a.Unit.Grid.Rank()
+		}
+	}
+	return make([]levelInfo, nloops+len(a.Entries)), make([]asd.SymDim, nd), grows
+}
+
 // buildLevelTable fills the entry's per-level table from the innermost
 // level outward: level l is level l+1 with loop l's variable expanded
-// over its bounds.
-func (a *Analysis) buildLevelTable(e *Entry) {
+// over its bounds. The table, its sections and the entry's expansion
+// flags are carved from the levelSlabs slabs.
+func (a *Analysis) buildLevelTable(e *Entry, levels *[]levelInfo, slab *[]asd.SymDim, grows *[]bool) {
 	loops := e.Use().Stmt.Loops
-	e.levels = make([]levelInfo, len(loops)+1)
+	e.levels = carve(levels, len(loops)+1)
+	expand := carve(grows, len(loops))
 	dims := e.dims
 	for level := len(loops); level >= 0; level-- {
 		li := &e.levels[level]
 		if level < len(loops) {
-			var changed bool
-			if dims, changed = a.expandLoop(dims, loops[level]); !changed {
+			if !expand[level] {
 				*li = e.levels[level+1]
 				continue
 			}
+			dims = a.expandLoop(dims, loops[level], slab)
 		}
-		li.sec = asd.SymSection{Dims: dims}
-		li.bytes, li.bytesOK = e.BytesForSection(a, li.sec)
+		li.sec = count(asd.SymSection{Dims: dims})
+		li.bytes, li.bytesOK = e.BytesForSection(a, li.sec.SymSection)
 		if e.Kind == KindShift {
-			li.grid, li.gridOK = a.gridSection(e, li.sec)
+			var grid asd.SymSection
+			if grid, li.gridOK = a.gridSection(e, li.sec.SymSection, slab); li.gridOK {
+				li.grid = count(grid)
+			}
 		}
 	}
 }
 
 // expandLoop expands one loop's variable out of every dimension that
-// mentions it, into a fresh slice; dims is returned as is when no
-// dimension does or the loop's bounds are symbolic (the section then
-// stays per-iteration, which is conservative).
-func (a *Analysis) expandLoop(dims []asd.SymDim, loop *cfg.Loop) ([]asd.SymDim, bool) {
-	b := a.loopBound[loop.ID]
-	if !b.ok {
-		return dims, false
+// mentions it, into a copy carved from slab. The caller has checked
+// that the loop expands the section (expands).
+func (a *Analysis) expandLoop(dims []asd.SymDim, loop *cfg.Loop, slab *[]asd.SymDim) []asd.SymDim {
+	b, v := a.loopBound[loop.ID], loop.Var()
+	out := carve(slab, len(dims))
+	for di, d := range dims {
+		out[di] = d
+		if mentions(d, v) {
+			out[di] = expandDim(d, v, b.lo, b.hi, b.step)
+		}
+	}
+	return out
+}
+
+// expands reports whether expanding loop's variable changes a section:
+// the loop's bounds are constant and a dimension mentions the variable
+// (else the section stays per-iteration, which is conservative).
+// Expanding an inner loop substitutes constants, so the answer is the
+// same for an entry's own section as for its inner levels'.
+func (a *Analysis) expands(dims []asd.SymDim, loop *cfg.Loop) bool {
+	if !a.loopBound[loop.ID].ok {
+		return false
 	}
 	v := loop.Var()
-	var out []asd.SymDim
-	for di, d := range dims {
-		if d.Lo.CoefOf(v) == 0 && d.Hi.CoefOf(v) == 0 {
-			continue
+	for _, d := range dims {
+		if mentions(d, v) {
+			return true
 		}
-		if out == nil {
-			out = append([]asd.SymDim(nil), dims...)
-		}
-		out[di] = expandDim(d, v, b.lo, b.hi, b.step)
 	}
-	if out == nil {
-		return dims, false
+	return false
+}
+
+func mentions(d asd.SymDim, v string) bool { return d.Lo.CoefOf(v) != 0 || d.Hi.CoefOf(v) != 0 }
+
+// gridSection projects an entry's section onto the processor grid
+// dimensions of its array's distribution, into Dims carved from slab.
+func (a *Analysis) gridSection(e *Entry, sec asd.SymSection, slab *[]asd.SymDim) (asd.SymSection, bool) {
+	arr := a.Unit.Arrays[e.Array]
+	if arr == nil || arr.Dist == nil {
+		return asd.SymSection{}, false
+	}
+	rank := a.Unit.Grid.Rank()
+	var found uint64 // bit g: grid dimension g has an array dimension
+	for k := range arr.Lo {
+		if g := a.gridDimOfArrayDim(arr, k); g >= 0 && k < len(sec.Dims) {
+			found |= 1 << g
+		}
+	}
+	if found != 1<<rank-1 {
+		return asd.SymSection{}, false
+	}
+	out := asd.SymSection{Dims: carve(slab, rank)}
+	for k := range arr.Lo {
+		if g := a.gridDimOfArrayDim(arr, k); g >= 0 && k < len(sec.Dims) {
+			out.Dims[g] = sec.Dims[k]
+		}
 	}
 	return out, true
 }
@@ -388,12 +471,26 @@ func (a *Analysis) gridDimOfArrayDim(arr *sem.Array, dim int) int {
 // buildEntries classifies every SSA use and constructs communication
 // entries. Local and replicated accesses yield no entry.
 func (a *Analysis) buildEntries() error {
+	// Every array use may become an entry: one count of them and their
+	// subscripts sizes the slabs the entries, their use lists, sections
+	// and offsets are carved from.
+	var sl entrySlabs
+	nu, nd := 0, 0
+	for _, u := range a.SSA.Uses {
+		if arr := a.Unit.Arrays[u.Var]; arr != nil {
+			nu++
+			nd += max(len(u.Ref.Subs), arr.Rank())
+		}
+	}
+	sl.entries, sl.uses = make([]Entry, nu), make([]*ssa.Use, nu)
+	sl.dims, sl.offsets = make([]asd.SymDim, nd), make([]int, nu*a.Unit.Grid.Rank())
+	a.Entries = make([]*Entry, 0, nu)
 	for _, u := range a.SSA.Uses {
 		arr := a.Unit.Arrays[u.Var]
 		if arr == nil {
 			continue
 		}
-		e, err := a.classifyUse(u, arr)
+		e, err := a.classifyUse(u, arr, &sl)
 		if err != nil {
 			return err
 		}
@@ -406,10 +503,28 @@ func (a *Analysis) buildEntries() error {
 	return nil
 }
 
+// entrySlabs is what buildEntries carves entries from: the entries,
+// their one-use lists, their sections' Dims and their offset vectors.
+type entrySlabs struct {
+	entries []Entry
+	uses    []*ssa.Use
+	dims    []asd.SymDim
+	offsets []int
+}
+
+// entry carves a new entry serving u with section dims.
+func (sl *entrySlabs) entry(u *ssa.Use, kind CommKind, m asd.Mapping, dims []asd.SymDim) *Entry {
+	e := &carve(&sl.entries, 1)[0]
+	uses := carve(&sl.uses, 1)
+	uses[0] = u
+	*e = Entry{Array: u.Var, Kind: kind, Uses: uses, Map: m, dims: dims}
+	return e
+}
+
 // classifyUse determines the communication kind, mapping and symbolic
 // section for one use, or nil when the access is local.
-func (a *Analysis) classifyUse(u *ssa.Use, arr *sem.Array) (*Entry, error) {
-	dims, err := a.refSection(u.Ref, arr)
+func (a *Analysis) classifyUse(u *ssa.Use, arr *sem.Array, sl *entrySlabs) (*Entry, error) {
+	dims, err := a.refSection(u.Ref, arr, sl)
 	if err != nil {
 		return nil, err
 	}
@@ -418,13 +533,7 @@ func (a *Analysis) classifyUse(u *ssa.Use, arr *sem.Array) (*Entry, error) {
 		if arr.Dist == nil {
 			return nil, nil // replicated: reduction is local
 		}
-		return &Entry{
-			Array: u.Var,
-			Kind:  KindReduce,
-			Uses:  []*ssa.Use{u},
-			Map:   asd.Mapping{Kind: asd.MapReduce, GridShape: a.Unit.Grid.Shape},
-			dims:  dims,
-		}, nil
+		return sl.entry(u, KindReduce, asd.Mapping{Kind: asd.MapReduce, GridShape: a.Unit.Grid.Shape}, dims), nil
 	}
 	if arr.Dist == nil {
 		return nil, nil // replicated data is always local
@@ -436,18 +545,12 @@ func (a *Analysis) classifyUse(u *ssa.Use, arr *sem.Array) (*Entry, error) {
 		// Scalar or replicated target: every processor evaluates the
 		// statement, so the distributed operand must be broadcast.
 		sig := fmt.Sprintf("bcast:%s:%v", arr.Dist.String(), subsSignature(a, u.Ref))
-		return &Entry{
-			Array: u.Var,
-			Kind:  KindBcast,
-			Uses:  []*ssa.Use{u},
-			Map:   asd.Mapping{Kind: asd.MapBcast, GridShape: a.Unit.Grid.Shape, Signature: sig},
-			dims:  dims,
-		}, nil
+		return sl.entry(u, KindBcast, asd.Mapping{Kind: asd.MapBcast, GridShape: a.Unit.Grid.Shape, Signature: sig}, dims), nil
 	}
 
 	// Owner-computes: compare the use's subscript in each distributed
 	// dimension against the LHS subscript aligned to the same grid dim.
-	offsets := make([]int, a.Unit.Grid.Rank())
+	offsets := carve(&sl.offsets, a.Unit.Grid.Rank())
 	general := false
 	ufs, lfs := a.Dep.RefForms(u.Ref), a.Dep.RefForms(lhs)
 	for k := range arr.Lo {
@@ -501,13 +604,7 @@ func (a *Analysis) classifyUse(u *ssa.Use, arr *sem.Array) (*Entry, error) {
 	}
 	if general {
 		sig := fmt.Sprintf("gen:%s->%s:%v", arr.Dist.String(), lhsArr.Dist.String(), subsSignature(a, u.Ref))
-		return &Entry{
-			Array: u.Var,
-			Kind:  KindGeneral,
-			Uses:  []*ssa.Use{u},
-			Map:   asd.Mapping{Kind: asd.MapGeneral, GridShape: a.Unit.Grid.Shape, Signature: sig},
-			dims:  dims,
-		}, nil
+		return sl.entry(u, KindGeneral, asd.Mapping{Kind: asd.MapGeneral, GridShape: a.Unit.Grid.Shape, Signature: sig}, dims), nil
 	}
 	allZero := true
 	for _, c := range offsets {
@@ -518,13 +615,8 @@ func (a *Analysis) classifyUse(u *ssa.Use, arr *sem.Array) (*Entry, error) {
 	if allZero {
 		return nil, nil // perfectly aligned: local access
 	}
-	e := &Entry{
-		Array:   u.Var,
-		Kind:    KindShift,
-		Uses:    []*ssa.Use{u},
-		Offsets: offsets,
-		dims:    dims,
-	}
+	e := sl.entry(u, KindShift, asd.Mapping{}, dims)
+	e.Offsets = offsets
 	// Single-axis shifts get their mapping now; diagonals are
 	// coalesced into axis exchanges by coalesceDiagonals.
 	nz := 0
@@ -555,16 +647,17 @@ func shiftMapping(gridShape []int, gridDim, offset int) asd.Mapping {
 	}
 }
 
-// refSection builds the symbolic section of a reference.
-func (a *Analysis) refSection(r *ast.Ref, arr *sem.Array) ([]asd.SymDim, error) {
+// refSection builds the symbolic section of a reference, in Dims carved
+// from the slab.
+func (a *Analysis) refSection(r *ast.Ref, arr *sem.Array, sl *entrySlabs) ([]asd.SymDim, error) {
 	if len(r.Subs) == 0 {
-		dims := make([]asd.SymDim, arr.Rank())
+		dims := carve(&sl.dims, arr.Rank())
 		for i := range dims {
 			dims[i] = asd.ConstDim(arr.Lo[i], arr.Hi[i], 1)
 		}
 		return dims, nil
 	}
-	dims := make([]asd.SymDim, len(r.Subs))
+	dims := carve(&sl.dims, len(r.Subs))
 	forms := a.Dep.RefForms(r)
 	for i, sub := range r.Subs {
 		if sub.Kind == ast.SubExpr {

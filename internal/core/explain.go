@@ -13,12 +13,14 @@ func (a *Analysis) recordDecisions(rec *obs.Recorder, res *Result) {
 	if rec == nil {
 		return
 	}
-	groupOf := map[*Entry]*Group{}
+	groupOf := make([]*Group, len(a.Entries))
 	for _, g := range res.Groups {
 		for _, e := range g.Entries {
-			groupOf[e] = g
+			groupOf[e.ID] = g
 		}
 	}
+	// Each group's site label, derived once for all its members.
+	sites := make([]string, len(res.Groups))
 	for _, e := range a.Entries {
 		d := obs.Decision{
 			Version:    res.Version.String(),
@@ -45,16 +47,19 @@ func (a *Analysis) recordDecisions(rec *obs.Recorder, res *Result) {
 		if by, ok := res.Redundant[e]; ok {
 			d.Outcome = obs.OutcomeSubsumed
 			d.SubsumedBy = by.ID
-			if p, ok := res.subsumedAt[e]; ok {
+			if p := res.subsumedAt[e.ID]; p.Block != nil {
 				d.SubsumedAt = p.String()
 			}
-		} else if g := groupOf[e]; g != nil {
+		} else if g := groupOf[e.ID]; g != nil {
 			d.Outcome = obs.OutcomePlaced
 			d.Group = g.ID
 			d.GroupPos = g.Pos.String()
 			d.GroupSize = len(g.Entries)
 			d.Combined = len(g.Entries) > 1
-			d.Site = g.SiteID
+			if sites[g.ID] == "" {
+				sites[g.ID] = g.SiteID()
+			}
+			d.Site = sites[g.ID]
 		}
 		rec.AddDecision(d)
 	}

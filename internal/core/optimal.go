@@ -134,7 +134,8 @@ func (a *Analysis) PlaceOptimal(opts Options, maxCombos int) (*Result, error) {
 	}
 
 	// Materialize the best assignment as a Result.
-	res := &Result{Analysis: a, Version: VersionCombine, Redundant: ref.Redundant, PosOf: map[*Entry]Position{}}
+	res := a.newResult(VersionCombine, len(a.CommEntries()))
+	res.Redundant = ref.Redundant
 	byPos := map[Position][]*Entry{}
 	for i, e := range live {
 		byPos[cands[i][best[i]]] = append(byPos[cands[i][best[i]]], e)
@@ -180,19 +181,21 @@ func (a *Analysis) assignmentCost(live []*Entry, assign []int, cands [][]Positio
 // same first-fit rule the greedy placer uses.
 func (a *Analysis) partition(es []*Entry, p Position, opts Options) [][]*Entry {
 	var groups [][]*Entry
+	var sizes []packed
 	for _, e := range es {
 		placed := false
 		if !opts.DisableCombining {
 			for gi := range groups {
 				ok := true
 				for _, m := range groups[gi] {
-					if !a.canCombine(e, m, p.Level(), opts) {
+					if ok, _ := a.combineVerdict(e, m, p.Level(), opts); !ok {
 						ok = false
 						break
 					}
 				}
-				if ok && a.groupFits(groups[gi], e, p.Level(), opts) {
+				if ok && sizes[gi].fits(e, p.Level(), opts) {
 					groups[gi] = append(groups[gi], e)
+					sizes[gi].add(e, p.Level())
 					placed = true
 					break
 				}
@@ -200,6 +203,8 @@ func (a *Analysis) partition(es []*Entry, p Position, opts Options) [][]*Entry {
 		}
 		if !placed {
 			groups = append(groups, []*Entry{e})
+			sizes = append(sizes, packed{})
+			sizes[len(sizes)-1].add(e, p.Level())
 		}
 	}
 	return groups

@@ -6,11 +6,9 @@ import (
 	"io"
 	"log/slog"
 	"slices"
-	"sort"
 	"strconv"
 
 	"gcao/internal/asd"
-	"gcao/internal/cfg"
 	"gcao/internal/obs"
 )
 
@@ -109,19 +107,42 @@ type Group struct {
 	Attached []*Entry
 	// Map is the union mapping of the members.
 	Map asd.Mapping
-	// SiteID is the stable placement-site identifier minted after the
-	// deterministic group ordering; it is carried through the codegen
-	// listing and the runtime comm groups so simulator traffic can be
-	// blamed back to this placement decision.
-	SiteID string
-	// Sources lists the originating source statements of the member
-	// and attached entries ("label@line:col"), deduplicated and
-	// sorted — the source-level half of the blame record.
-	Sources []string
+
+	version Version // the strategy that placed the group, for SiteID
 }
 
 func (g *Group) String() string {
 	return fmt.Sprintf("group%d@%s %s x%d", g.ID, g.Pos, g.Kind, len(g.Entries))
+}
+
+// SiteID returns the stable placement-site identifier,
+// "<version>/g<ID>@<position>/<kind>", numbered after the deterministic
+// group ordering. The codegen listing and the runtime comm groups carry
+// it so simulator traffic can be blamed back to this placement
+// decision. Only observers ask for it, so it is derived from the
+// group's fields on every call and never stored: a Result shared
+// between goroutines holds nothing a reader writes.
+func (g *Group) SiteID() string {
+	return g.version.String() + "/g" + strconv.Itoa(g.ID) + "@" + g.Pos.String() + "/" + g.Kind.String()
+}
+
+// Sources returns the source statements whose references the group's
+// exchange serves — members and subsumed attachments alike — as
+// "label@line:col" strings, deduplicated and sorted: the source-level
+// half of the blame record. Like SiteID it is derived on every call.
+func (g *Group) Sources() []string {
+	var out []string
+	for _, es := range [2][]*Entry{g.Entries, g.Attached} {
+		for _, e := range es {
+			for _, u := range e.Uses {
+				if u.Stmt != nil && u.Stmt.Assign != nil {
+					out = append(out, u.Stmt.Label()+"@"+u.Stmt.Assign.Pos.String())
+				}
+			}
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Result is the outcome of placement under one strategy.
@@ -137,9 +158,36 @@ type Result struct {
 	// partial redundancy elimination to the section actually moved.
 	Reduced map[*Entry]asd.SymSection
 
-	// subsumedAt records the position at which each redundant entry's
-	// subsumption was proven, for the decision log.
-	subsumedAt map[*Entry]Position
+	// subsumedAt[e.ID] is the position at which redundant entry e's
+	// subsumption was proven, for the decision log; the zero Position
+	// for every other entry.
+	subsumedAt []Position
+	// groups and lists are the slabs addGroup carves the Groups and
+	// their Entries and Attached lists from: reserve sizes groups, and
+	// lists holds every placed entry once, as a member of one group or
+	// attached to one.
+	groups []Group
+	lists  []*Entry
+}
+
+// newResult makes the Result of placing n communication entries of a
+// under v, with its maps and slabs sized once from n.
+func (a *Analysis) newResult(v Version, n int) *Result {
+	return &Result{
+		Analysis:   a,
+		Version:    v,
+		Redundant:  map[*Entry]*Entry{},
+		PosOf:      make(map[*Entry]Position, n),
+		subsumedAt: make([]Position, len(a.Entries)),
+		lists:      make([]*Entry, 0, n),
+	}
+}
+
+// reserve sizes the Result's groups for the k a strategy is about to
+// add.
+func (r *Result) reserve(k int) {
+	r.Groups = make([]*Group, 0, k)
+	r.groups = make([]Group, 0, k)
 }
 
 // Counts returns the number of placed communication operations by
@@ -153,7 +201,15 @@ func (r *Result) Counts() map[CommKind]int {
 }
 
 // Count returns the number of placed groups of one kind.
-func (r *Result) Count(kind CommKind) int { return r.Counts()[kind] }
+func (r *Result) Count(kind CommKind) int {
+	n := 0
+	for _, g := range r.Groups {
+		if g.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
 
 // TotalMessages returns the total number of placed groups.
 func (r *Result) TotalMessages() int { return len(r.Groups) }
@@ -186,6 +242,12 @@ func (t tally) reject(reason string) {
 }
 
 // Place runs the selected placement strategy over the analysis.
+//
+// Everything a placement writes is its own: the Result with its slabs,
+// and the scratch each strategy carves from a few slabs sized from the
+// entry and position counts before it starts. A placement allocates a
+// fixed handful of times however many groups, pairs and positions it
+// weighs, and any number of goroutines may place one Analysis at once.
 func (a *Analysis) Place(opts Options) (*Result, error) {
 	rec := a.recorder(opts)
 	var counts tally
@@ -193,14 +255,8 @@ func (a *Analysis) Place(opts Options) (*Result, error) {
 		counts = tally{}
 		defer rec.Start("place:" + opts.Version.String())()
 	}
-	res := &Result{
-		Analysis:   a,
-		Version:    opts.Version,
-		Redundant:  map[*Entry]*Entry{},
-		PosOf:      map[*Entry]Position{},
-		subsumedAt: map[*Entry]Position{},
-	}
 	entries := a.CommEntries()
+	res := a.newResult(opts.Version, len(entries))
 	switch opts.Version {
 	case VersionOrig:
 		a.placeVectorized(entries, res)
@@ -242,6 +298,16 @@ func (r *Result) CommSection(e *Entry, level int) asd.SymSection {
 		return sec
 	}
 	return e.SectionAt(r.Analysis, level)
+}
+
+// CommBytes is BytesForSection of CommSection: the per-processor bytes
+// an entry's exchange moves at a level, read from the level table unless
+// partial redundancy trimmed the entry.
+func (r *Result) CommBytes(e *Entry, level int) (int, bool) {
+	if sec, ok := r.Reduced[e]; ok {
+		return e.BytesForSection(r.Analysis, sec)
+	}
+	return e.BytesAt(r.Analysis, level)
 }
 
 // reducePartial implements the §7 extension: for every pair of placed
@@ -295,60 +361,90 @@ func (a *Analysis) reducePartial(res *Result, opts Options) {
 	}
 }
 
+// addGroup appends a group at pos, copying its members and attached
+// entries into the Result's slab. The lists it hands out are capped,
+// so an append to one copies it rather than overwriting a neighbour.
 func (r *Result) addGroup(pos Position, members, attached []*Entry) *Group {
-	g := &Group{ID: len(r.Groups), Pos: pos, Kind: members[0].Kind, Entries: members, Attached: attached, Map: members[0].Map}
-	for _, e := range members[1:] {
+	at := len(r.lists)
+	r.lists = append(append(r.lists, members...), attached...)
+	mid, end := at+len(members), len(r.lists)
+	r.groups = append(r.groups, Group{
+		ID: len(r.Groups), Pos: pos, Kind: members[0].Kind, Map: members[0].Map,
+		Entries: r.lists[at:mid:mid], version: r.Version,
+	})
+	g := &r.groups[len(r.groups)-1]
+	if end > mid {
+		g.Attached = r.lists[mid:end:end]
+	}
+	for _, e := range g.Entries[1:] {
 		g.Map = g.Map.Union(e.Map)
 	}
-	for _, e := range members {
+	for _, e := range g.Entries {
 		r.PosOf[e] = pos
 	}
 	r.Groups = append(r.Groups, g)
 	return g
 }
 
+// eliminate records that e is redundant given by, proven at at.
+func (r *Result) eliminate(e, by *Entry, at Position) {
+	r.Redundant[e] = by
+	r.subsumedAt[e.ID] = at
+}
+
 // sortGroups orders groups deterministically by position (dominance,
-// then block/slot) for stable output.
+// then block/slot) for stable output, and numbers them in that order.
 func (a *Analysis) sortGroups(res *Result) {
-	sort.SliceStable(res.Groups, func(i, j int) bool {
-		p, q := res.Groups[i].Pos, res.Groups[j].Pos
+	slices.SortStableFunc(res.Groups, func(x, y *Group) int {
+		p, q := x.Pos, y.Pos
 		if p.Block != q.Block {
-			if a.posDominates(p, q) {
-				return true
+			switch {
+			case a.posDominates(p, q):
+				return -1
+			case a.posDominates(q, p):
+				return 1
 			}
-			if a.posDominates(q, p) {
-				return false
-			}
-			return p.Block.ID < q.Block.ID
+			return cmp.Compare(p.Block.ID, q.Block.ID)
 		}
-		if p.After != q.After {
-			return p.After < q.After
-		}
-		return res.Groups[i].Entries[0].ID < res.Groups[j].Entries[0].ID
+		return cmp.Or(cmp.Compare(p.After, q.After), cmp.Compare(x.Entries[0].ID, y.Entries[0].ID))
 	})
 	for i, g := range res.Groups {
 		g.ID = i
-		g.SiteID = res.Version.String() + "/g" + strconv.Itoa(g.ID) + "@" + g.Pos.String() + "/" + g.Kind.String()
-		g.Sources = groupSources(g)
 	}
 }
 
-// groupSources collects the source statements whose references a
-// group's exchange serves — members and subsumed attachments alike —
-// as "label@line:col" strings, deduplicated and sorted.
-func groupSources(g *Group) []string {
-	var out []string
-	for _, es := range [2][]*Entry{g.Entries, g.Attached} {
-		for _, e := range es {
-			for _, u := range e.Uses {
-				if u.Stmt != nil && u.Stmt.Assign != nil {
-					out = append(out, u.Stmt.Label()+"@"+u.Stmt.Assign.Pos.String())
-				}
-			}
+// carve returns the next n elements of *slab and moves the slab past
+// them; a slab too short for n (never one sized by its caller's count)
+// yields a fresh slice instead.
+func carve[T any](slab *[]T, n int) []T {
+	if len(*slab) < n {
+		return make([]T, n)
+	}
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
+}
+
+// groupBy lays items out grouped by key, each group in item order:
+// group k is out[off[k]:off[k+1]]. An item whose key is negative is
+// left out. off must hold one more element than the largest key plus
+// two, out one per item kept.
+func groupBy(items []*Entry, key, off []int, out []*Entry) {
+	clear(off)
+	for _, k := range key {
+		if k >= 0 {
+			off[k+2]++
 		}
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	for k := 2; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+	for i, k := range key {
+		if k >= 0 {
+			out[off[k+1]] = items[i]
+			off[k+1]++
+		}
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -363,67 +459,84 @@ func groupSources(g *Group) []string {
 // and no messages are combined across arrays — that is exactly what
 // the paper's "orig" compiler did.
 func (a *Analysis) placeVectorized(entries []*Entry, res *Result) {
-	type bucketKey struct {
-		stmt  *cfg.Stmt
-		array string
-		kind  CommKind
-		pos   Position
-		dim   int
-		sign  int
-		sig   string
-		uniq  int // distinct reductions never share
-	}
-	order := make([]bucketKey, 0, len(entries))
-	buckets := map[bucketKey][]*Entry{}
-	for _, e := range entries {
-		k := bucketKey{stmt: e.Use().Stmt, array: e.Array, kind: e.Kind, pos: e.Latest}
-		switch e.Kind {
-		case KindShift:
-			k.dim, k.sign = e.Map.GridDim, e.Map.Sign
-		case KindReduce:
-			k.uniq = e.ID
-		default:
-			k.sig = e.Map.Signature
+	// Buckets are numbered in order of first appearance: bucket[i] is
+	// entries[i]'s and leaders[b] the first entry of bucket b.
+	n := len(entries)
+	ints := make([]int, n+n+2)
+	bucket, off := carve(&ints, n), carve(&ints, n+2)
+	ptrs := make([]*Entry, 2*n)
+	leaders, grouped := carve(&ptrs, n)[:0], carve(&ptrs, n)
+	for i, e := range entries {
+		b := 0
+		for b < len(leaders) && !sameBucket(leaders[b], e) {
+			b++
 		}
-		if _, ok := buckets[k]; !ok {
-			order = append(order, k)
+		if b == len(leaders) {
+			leaders = append(leaders, e)
 		}
-		buckets[k] = append(buckets[k], e)
+		bucket[i] = b
 	}
-	for _, k := range order {
-		res.addGroup(k.pos, buckets[k], nil)
+	groupBy(entries, bucket, off, grouped)
+	res.reserve(len(leaders))
+	for b, e := range leaders {
+		res.addGroup(e.Latest, grouped[off[b]:off[b+1]], nil)
 	}
+}
+
+// sameBucket reports whether e shares x's exchange under "orig": read
+// in the same statement, same array, kind and latest position, and for
+// a shift the same axis and direction, for a broadcast or general
+// pattern the same mapping signature. Distinct reductions never share.
+func sameBucket(x, e *Entry) bool {
+	if x.Use().Stmt != e.Use().Stmt || x.Array != e.Array || x.Kind != e.Kind || x.Latest != e.Latest {
+		return false
+	}
+	switch e.Kind {
+	case KindShift:
+		return x.Map.GridDim == e.Map.GridDim && x.Map.Sign == e.Map.Sign
+	case KindReduce:
+		return false
+	}
+	return x.Map.Signature == e.Map.Signature
 }
 
 // ---------------------------------------------------------------------
 // "nored": earliest placement with pairwise redundancy elimination.
 
 func (a *Analysis) placeEarliestRedundant(entries []*Entry, res *Result) {
+	n := len(entries)
+	ptrs := make([]*Entry, 4*n+len(a.Entries))
+	order, live, att, by := carve(&ptrs, n), carve(&ptrs, n)[:0], carve(&ptrs, n), carve(&ptrs, len(a.Entries))
+	ints := make([]int, n+len(a.Entries)+2)
+	key, off := carve(&ints, n), carve(&ints, len(a.Entries)+2)
 	// Order entries so that dominating positions come first; an entry
 	// is redundant when an earlier-placed live entry subsumes it.
-	order := append([]*Entry(nil), entries...)
-	sort.SliceStable(order, func(i, j int) bool {
-		p, q := order[i].Earliest, order[j].Earliest
+	copy(order, entries)
+	slices.SortStableFunc(order, func(x, y *Entry) int {
+		p, q := x.Earliest, y.Earliest
 		if p == q {
 			// Wider strips and larger sections first, so that an
 			// entry subsumed by a co-located bigger one is seen after
 			// its subsumer.
-			if order[i].Map.Width != order[j].Map.Width {
-				return order[i].Map.Width > order[j].Map.Width
+			if x.Map.Width != y.Map.Width {
+				return cmp.Compare(y.Map.Width, x.Map.Width)
 			}
-			ni, oki := order[i].SectionAt(a, p.Level()).NumElems()
-			nj, okj := order[j].SectionAt(a, p.Level()).NumElems()
-			if oki && okj && ni != nj {
-				return ni > nj
+			sx, sy := x.at(p.Level()).sec, y.at(p.Level()).sec
+			if sx.ok && sy.ok && sx.n != sy.n {
+				return cmp.Compare(sy.n, sx.n)
 			}
-			return order[i].ID < order[j].ID
+			return cmp.Compare(x.ID, y.ID)
 		}
-		return a.posDominates(p, q)
+		switch {
+		case a.posDominates(p, q):
+			return -1
+		case a.posDominates(q, p):
+			return 1
+		}
+		return 0
 	})
-	var live []*Entry
 	for _, e := range order {
 		level := e.Earliest.Level()
-		redundant := false
 		for _, prev := range live {
 			// Only co-located communications deduplicate safely here:
 			// e's Earliest sits immediately after its last
@@ -437,27 +550,27 @@ func (a *Analysis) placeEarliestRedundant(entries []*Entry, res *Result) {
 				continue
 			}
 			if prev.ASDAt(a, level).Subsumes(e.ASDAt(a, level)) {
-				res.Redundant[e] = prev
-				res.subsumedAt[e] = prev.Earliest
-				redundant = true
+				res.eliminate(e, prev, prev.Earliest)
+				by[e.ID] = prev
 				break
 			}
 		}
-		if redundant {
-			continue
+		if by[e.ID] == nil {
+			live = append(live, e)
 		}
-		live = append(live, e)
 	}
 	// Attach eliminated entries to their subsumer's group, in placement
 	// order.
-	attached := map[*Entry][]*Entry{}
-	for _, e := range order {
-		if by := res.Redundant[e]; by != nil {
-			attached[by] = append(attached[by], e)
+	for i, e := range order {
+		key[i] = -1
+		if s := by[e.ID]; s != nil {
+			key[i] = s.ID
 		}
 	}
-	for _, e := range live {
-		res.addGroup(e.Earliest, []*Entry{e}, attached[e])
+	groupBy(order, key, off, att)
+	res.reserve(len(live))
+	for i, e := range live {
+		res.addGroup(e.Earliest, live[i:i+1], att[off[e.ID]:off[e.ID+1]])
 	}
 }
 
@@ -468,16 +581,23 @@ func (a *Analysis) placeEarliestRedundant(entries []*Entry, res *Result) {
 // in dense form. Positions are numbered in (block ID, slot) order — the
 // order every pass below visits them in — and entries by ID, so
 // membership is one flag, and the positions an entry still has are a
-// walk of its own candidate list rather than a scan of every set.
+// walk of its own candidate list rather than a scan of every set. Its
+// lists are offsets into flat arrays, all sized before the first write.
 type commSets struct {
-	n      int              // len(Analysis.Entries): the row length of member
-	pos    []Position       // position index → position, ascending
-	index  map[Position]int // the inverse of pos
-	listed [][]*Entry       // listed[p]: the entries with pos[p] among their candidates, by ID
-	cands  [][]int          // cands[e.ID]: position indices of e's candidates, ascending
-	member []bool           // member[p*n+e.ID]: e is still in CommSet(pos[p])
-	size   []int            // size[p]: entries still in CommSet(pos[p])
-	left   []int            // left[e.ID]: sets e is still in
+	n     int        // len(Analysis.Entries): the row length of member
+	pos   []Position // position index → position, ascending
+	index []int      // Analysis.slot(position) → position index, −1 if no entry has it
+	// listed(p) = listedAt[listedOff[p]:listedOff[p+1]]: the entries
+	// with pos[p] among their candidates, by ID.
+	listedOff []int
+	listedAt  []*Entry
+	// cands(e) = candAt[candOff[e.ID]:candOff[e.ID+1]]: the position
+	// indices of e's candidates, ascending.
+	candOff []int
+	candAt  []int
+	member  []bool // member[p*n+e.ID]: e is still in CommSet(pos[p])
+	size    []int  // size[p]: entries still in CommSet(pos[p])
+	left    []int  // left[e.ID]: sets e is still in
 }
 
 // comparePos orders positions by block ID, then slot.
@@ -485,44 +605,85 @@ func comparePos(p, q Position) int {
 	return cmp.Or(cmp.Compare(p.Block.ID, q.Block.ID), cmp.Compare(p.After, q.After))
 }
 
-func (a *Analysis) newCommSets(entries []*Entry) *commSets {
-	cs := &commSets{n: len(a.Entries), index: map[Position]int{}}
+// newCommSets builds the sets of the entries, which are in ID order.
+func (a *Analysis) newCommSets(entries []*Entry) commSets {
+	n, total := len(a.Entries), 0
+	for _, e := range entries {
+		total += len(e.Candidates)
+	}
+	slots := a.slotBase[len(a.slotBase)-1]
+	ints := make([]int, slots+(n+1)+total+n)
+	cs := commSets{n: n, index: carve(&ints, slots), candOff: carve(&ints, n+1), candAt: carve(&ints, total), left: carve(&ints, n)}
+	for s := range cs.index {
+		cs.index[s] = -1
+	}
+	np := 0
 	for _, e := range entries {
 		for _, at := range e.Candidates {
-			if _, seen := cs.index[at]; !seen {
-				cs.index[at] = 0
-				cs.pos = append(cs.pos, at)
+			if s := a.slot(at); cs.index[s] < 0 {
+				cs.index[s] = 0
+				np++
 			}
 		}
 	}
-	slices.SortFunc(cs.pos, comparePos)
-	for p, at := range cs.pos {
-		cs.index[at] = p
+	// Number the marked slots in slot order, which is (block ID, slot)
+	// order.
+	cs.pos = make([]Position, 0, np)
+	for _, b := range a.G.Blocks {
+		for after := -1; after < len(b.Stmts); after++ {
+			if s := a.slotBase[b.ID] + after + 1; cs.index[s] >= 0 {
+				cs.index[s] = len(cs.pos)
+				cs.pos = append(cs.pos, Position{Block: b, After: after})
+			}
+		}
 	}
-	cs.listed = make([][]*Entry, len(cs.pos))
-	cs.cands = make([][]int, cs.n)
-	cs.member = make([]bool, len(cs.pos)*cs.n)
-	cs.size = make([]int, len(cs.pos))
-	cs.left = make([]int, cs.n)
+	pints := make([]int, 2*np+2)
+	cs.size, cs.listedOff = carve(&pints, np), carve(&pints, np+2)
+	cs.member = make([]bool, np*n)
+	off, next := 0, 0
 	for _, e := range entries {
-		cs.cands[e.ID] = make([]int, 0, len(e.Candidates))
+		for ; next <= e.ID; next++ {
+			cs.candOff[next] = off
+		}
 		for _, at := range e.Candidates {
-			p := cs.index[at]
+			p := cs.index[a.slot(at)]
 			if cs.has(p, e) {
 				continue
 			}
-			cs.listed[p] = append(cs.listed[p], e)
-			cs.cands[e.ID] = append(cs.cands[e.ID], p)
-			cs.member[p*cs.n+e.ID] = true
+			cs.member[p*n+e.ID] = true
+			cs.candAt[off] = p
+			off++
 			cs.size[p]++
 			cs.left[e.ID]++
 		}
-		slices.Sort(cs.cands[e.ID])
+		slices.Sort(cs.candAt[cs.candOff[e.ID]:off])
+	}
+	for ; next <= n; next++ {
+		cs.candOff[next] = off
+	}
+	// listed is the candidate lists turned inside out: a counting sort
+	// of the (position, entry) pairs by position, entries by ID within.
+	cs.listedAt = make([]*Entry, off)
+	for p, k := range cs.size {
+		cs.listedOff[p+2] = k
+	}
+	for p := 2; p < len(cs.listedOff); p++ {
+		cs.listedOff[p] += cs.listedOff[p-1]
+	}
+	for _, e := range entries {
+		for _, p := range cs.cands(e) {
+			cs.listedAt[cs.listedOff[p+1]] = e
+			cs.listedOff[p+1]++
+		}
 	}
 	return cs
 }
 
 func (cs *commSets) has(p int, e *Entry) bool { return cs.member[p*cs.n+e.ID] }
+
+func (cs *commSets) listed(p int) []*Entry { return cs.listedAt[cs.listedOff[p]:cs.listedOff[p+1]] }
+
+func (cs *commSets) cands(e *Entry) []int { return cs.candAt[cs.candOff[e.ID]:cs.candOff[e.ID+1]] }
 
 func (cs *commSets) remove(p int, e *Entry) {
 	cs.member[p*cs.n+e.ID] = false
@@ -532,22 +693,21 @@ func (cs *commSets) remove(p int, e *Entry) {
 
 // clear empties CommSet(pos[p]).
 func (cs *commSets) clear(p int) {
-	for _, e := range cs.listed[p] {
+	for _, e := range cs.listed(p) {
 		if cs.has(p, e) {
 			cs.remove(p, e)
 		}
 	}
 }
 
-// members returns a snapshot of CommSet(pos[p]), by ID.
-func (cs *commSets) members(p int) []*Entry {
-	out := make([]*Entry, 0, cs.size[p])
-	for _, e := range cs.listed[p] {
+// members appends CommSet(pos[p]) to buf, by ID.
+func (cs *commSets) members(p int, buf []*Entry) []*Entry {
+	for _, e := range cs.listed(p) {
 		if cs.has(p, e) {
-			out = append(out, e)
+			buf = append(buf, e)
 		}
 	}
-	return out
+	return buf
 }
 
 // subset reports CommSet(pos[p]) ⊆ CommSet(pos[q]).
@@ -555,7 +715,7 @@ func (cs *commSets) subset(p, q int) bool {
 	if cs.size[p] > cs.size[q] {
 		return false
 	}
-	for _, e := range cs.listed[p] {
+	for _, e := range cs.listed(p) {
 		if cs.has(p, e) && !cs.has(q, e) {
 			return false
 		}
@@ -566,7 +726,7 @@ func (cs *commSets) subset(p, q int) bool {
 // positionsOf appends the positions whose sets still hold e to buf,
 // ascending.
 func (cs *commSets) positionsOf(e *Entry, buf []int) []int {
-	for _, p := range cs.cands[e.ID] {
+	for _, p := range cs.cands(e) {
 		if cs.has(p, e) {
 			buf = append(buf, p)
 		}
@@ -574,9 +734,10 @@ func (cs *commSets) positionsOf(e *Entry, buf []int) []int {
 	return buf
 }
 
-// intersectSorted returns the common elements of two ascending lists.
-func intersectSorted(x, y []int) []int {
-	var out []int
+// intersectSorted writes the common elements of two ascending lists to
+// dst and returns them; dst may be x itself.
+func intersectSorted(dst, x, y []int) []int {
+	dst = dst[:0]
 	for i, j := 0, 0; i < len(x) && j < len(y); {
 		switch {
 		case x[i] < y[j]:
@@ -584,16 +745,50 @@ func intersectSorted(x, y []int) []int {
 		case x[i] > y[j]:
 			j++
 		default:
-			out = append(out, x[i])
+			dst = append(dst, x[i])
 			i, j = i+1, j+1
 		}
 	}
-	return out
+	return dst
+}
+
+// packed is a forming combine group's message size at its level, for
+// the threshold test of §4.7: its members' bytes, and whether any
+// member's size is unknown.
+type packed struct {
+	bytes   int
+	unknown bool
+}
+
+func (p *packed) add(e *Entry, level int) {
+	li := e.at(level)
+	p.bytes += li.bytes
+	p.unknown = p.unknown || !li.bytesOK
+}
+
+// fits bounds the total packed size of a combined message by the
+// machine threshold (§4.7): the pairwise test alone would let a group
+// of individually small strips grow past the point where combining
+// stops paying. Reductions move one partial per member, and unknown
+// sizes fall under the NNC rule of thumb.
+func (p packed) fits(e *Entry, level int, opts Options) bool {
+	li := e.at(level)
+	return e.Kind == KindReduce || !li.bytesOK || p.unknown || p.bytes+li.bytes <= opts.threshold()
+}
+
+// combineGroup is one combine group forming at position p: the
+// candidate positions its members and their attachments still share,
+// commons[lo:hi], and its packed size.
+type combineGroup struct {
+	p, lo, hi int
+	packed
 }
 
 func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec *obs.Recorder, counts tally) {
 	cs := a.newCommSets(entries)
-	counts.add("candidate_positions", int64(len(cs.pos)))
+	n, m, np := cs.n, len(entries), len(cs.pos)
+	trace := opts.Trace != nil
+	counts.add("candidate_positions", int64(np))
 
 	// Subset elimination (§4.5): CommSet(S1) ⊆ CommSet(S2) empties S1;
 	// for equal sets keep the later position (the final step pushes
@@ -614,8 +809,10 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 					if !a.posDominates(cs.pos[p], cs.pos[q]) {
 						drop = q
 					}
-					opts.tracef("subset-elim: CommSet(%v) == CommSet(%v): drop %v", cs.pos[p], cs.pos[q], cs.pos[drop])
-				} else {
+					if trace {
+						opts.tracef("subset-elim: CommSet(%v) == CommSet(%v): drop %v", cs.pos[p], cs.pos[q], cs.pos[drop])
+					}
+				} else if trace {
 					opts.tracef("subset-elim: CommSet(%v) subset of CommSet(%v): drop %v", cs.pos[p], cs.pos[q], cs.pos[p])
 				}
 				cs.clear(drop)
@@ -625,12 +822,49 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 		endSubset()
 	}
 
+	// The rest of the placement's scratch, carved from one slab of ints
+	// and one of entries: per-entry rows by ID (n), per-placed-entry
+	// lists (m), per-position offsets (np) and candidate-list buffers (at
+	// most maxCands long; the groups formed at all positions share at
+	// most len(candAt) common positions, as each entry founds at most
+	// one). Beside them, the verdict memo.
+	levels, maxCands := 0, 0
+	for _, at := range cs.pos {
+		levels = max(levels, at.Level()+1)
+	}
+	for _, e := range entries {
+		maxCands = max(maxCands, len(cs.cands(e)))
+	}
+	ints := make([]int, n+2*m+(np+2)+(n+2)+3*maxCands+len(cs.candAt))
+	pinned, keys, groupOf := carve(&ints, n), carve(&ints, m), carve(&ints, m)
+	byPosOff, attOff := carve(&ints, np+2), carve(&ints, n+2)
+	stmtSet, ec, merged, commons := carve(&ints, maxCands), carve(&ints, maxCands), carve(&ints, maxCands), carve(&ints, len(cs.candAt))
+	ptrs := make([]*Entry, n+7*m)
+	subsumer, snapshot, live, order := carve(&ptrs, n), carve(&ptrs, m), carve(&ptrs, m)[:0], carve(&ptrs, m)
+	byPos, attached, members, att := carve(&ptrs, m), carve(&ptrs, m), carve(&ptrs, m), carve(&ptrs, m)
+	groups := make([]combineGroup, 0, m)
+	// combineVerdict depends on the pair and the level only, and either
+	// order of the pair gets the same answer, so the greedy and the
+	// combiner ask each (pair, level) once: verdict[(level*n+e1.ID)*n+
+	// e2.ID] is 0 until then, and after it 1 + the answer's index in
+	// verdicts.
+	verdict := make([]uint8, levels*n*n)
+	judge := func(e1, e2 *Entry, level int) (bool, string) {
+		k := &verdict[(level*n+e1.ID)*n+e2.ID]
+		if *k == 0 {
+			_, reason := a.combineVerdict(e1, e2, level, opts)
+			*k = uint8(slices.Index(verdicts[:], reason) + 1)
+			verdict[(level*n+e2.ID)*n+e1.ID] = *k
+		}
+		reason := verdicts[*k-1]
+		return reason == "", reason
+	}
+
 	// Global redundancy elimination (§4.6, Fig. 9f): when c2 subsumes
 	// c1 at S, disable c1 at S and every position S dominates; iterate
 	// to fixpoint. An entry with no remaining position is eliminated
 	// entirely and attached to its subsumer.
 	endRedund := rec.Start("redundancy-elim")
-	subsumer := make([]*Entry, cs.n)
 	for changed := true; changed; {
 		changed = false
 		for p, at := range cs.pos {
@@ -638,7 +872,7 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 				continue
 			}
 			level := at.Level()
-			es := cs.members(p)
+			es := cs.members(p, snapshot[:0])
 			for _, c1 := range es {
 				if subsumer[c1.ID] != nil {
 					continue
@@ -652,7 +886,7 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 					}
 					// Disable c1 here and everywhere dominated by p.
 					removed := false
-					for _, q := range cs.cands[c1.ID] {
+					for _, q := range cs.cands(c1) {
 						if cs.has(q, c1) && (q == p || a.posDominates(at, cs.pos[q])) {
 							cs.remove(q, c1)
 							removed = true
@@ -663,10 +897,11 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 						counts.add("redundancy.disabled_positions", 1)
 					}
 					if cs.left[c1.ID] == 0 {
-						opts.tracef("redundancy: %v fully subsumed by %v at %v", c1, c2, at)
+						if trace {
+							opts.tracef("redundancy: %v fully subsumed by %v at %v", c1, c2, at)
+						}
 						subsumer[c1.ID] = c2
-						res.Redundant[c1] = c2
-						res.subsumedAt[c1] = at
+						res.eliminate(c1, c2, at)
 						counts.add("redundancy.eliminated", 1)
 					}
 					break
@@ -679,41 +914,24 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 	// GreedyChoose (Fig. 9g): consider the most constrained entry
 	// first; pin it at the position compatible with the most other
 	// candidates.
-	live := make([]*Entry, 0, len(entries))
 	for _, e := range entries {
 		if subsumer[e.ID] == nil {
 			live = append(live, e)
 		}
 	}
-	order := append([]*Entry(nil), live...)
+	order = order[:copy(order, live)]
 	if !opts.NaiveGreedyOrder {
-		sort.SliceStable(order, func(i, j int) bool {
-			ni, nj := cs.left[order[i].ID], cs.left[order[j].ID]
-			if ni != nj {
-				return ni < nj
-			}
-			return order[i].ID < order[j].ID
+		slices.SortStableFunc(order, func(x, y *Entry) int {
+			return cmp.Or(cmp.Compare(cs.left[x.ID], cs.left[y.ID]), cmp.Compare(x.ID, y.ID))
 		})
 	}
 	endGreedy := rec.Start("greedy-choose")
-	pinned := make([]int, cs.n)
-	var stmtSet []int
-	// An entry meets the same partner at every position of a level, and
-	// canCombine depends on the level only: asked[level*n+partner]
-	// holds the round (index into order, plus one) that last asked, and
-	// answer what it was told.
-	levels := 0
-	for _, at := range cs.pos {
-		levels = max(levels, at.Level()+1)
-	}
-	asked := make([]int, levels*cs.n)
-	answer := make([]bool, levels*cs.n)
-	for round, c := range order {
+	for _, c := range order {
 		counts.add("greedy.iterations", 1)
 		stmtSet = cs.positionsOf(c, stmtSet[:0])
 		if len(stmtSet) == 0 {
 			// Defensive: should not happen for live entries.
-			stmtSet = append(stmtSet, cs.index[c.Latest])
+			stmtSet = append(stmtSet, cs.index[a.slot(c.Latest)])
 		}
 		counts.add("greedy.positions_considered", int64(len(stmtSet)))
 		best := stmtSet[0]
@@ -721,15 +939,11 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 		for _, s := range stmtSet {
 			level := cs.pos[s].Level()
 			count := 0
-			for _, e2 := range cs.listed[s] {
+			for _, e2 := range cs.listed(s) {
 				if e2 == c || !cs.has(s, e2) {
 					continue
 				}
-				k := level*cs.n + e2.ID
-				if asked[k] != round+1 {
-					asked[k], answer[k] = round+1, a.canCombine(c, e2, level, opts)
-				}
-				if answer[k] {
+				if ok, _ := judge(c, e2, level); ok {
 					count++
 				}
 			}
@@ -739,7 +953,9 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 				best, bestCount = s, count
 			}
 		}
-		opts.tracef("greedy: pin %v at %v (combinable partners %d of %d positions)", c, cs.pos[best], bestCount, len(stmtSet))
+		if trace {
+			opts.tracef("greedy: pin %v at %v (combinable partners %d of %d positions)", c, cs.pos[best], bestCount, len(stmtSet))
+		}
 		pinned[c.ID] = best
 		for _, q := range stmtSet {
 			if q != best && cs.has(q, c) {
@@ -751,97 +967,108 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 
 	// Partition each position's entries into combine groups; live is in
 	// ID order, so every position's list is too.
-	byPos := make([][]*Entry, len(cs.pos))
-	for _, e := range live {
-		byPos[pinned[e.ID]] = append(byPos[pinned[e.ID]], e)
+	for i, e := range live {
+		keys[i] = pinned[e.ID]
 	}
+	groupBy(live, keys[:len(live)], byPosOff, byPos)
 	// Subsumption can chain (e1 ⊆ e2 ⊆ e3 with e2 itself eliminated);
 	// every eliminated entry attaches to its live root so the final
 	// group position honours the whole chain's candidate sets.
-	attached := make([][]*Entry, cs.n)
-	for _, e := range entries {
+	for i, e := range entries {
 		root := e
 		for subsumer[root.ID] != nil {
 			root = subsumer[root.ID]
 		}
+		keys[i] = -1
 		if root != e {
-			attached[root.ID] = append(attached[root.ID], e)
+			keys[i] = root.ID
 		}
 	}
-	// entryCommon is the candidate-position set of an entry intersected
-	// with those of the redundant entries riding on it; a group must
-	// keep the intersection of its members' sets non-empty so the
-	// final "latest common position" exists.
-	entryCommon := func(e *Entry) []int {
-		set := cs.cands[e.ID]
-		for _, r := range attached[e.ID] {
-			set = intersectSorted(set, cs.cands[r.ID])
-		}
-		return set
-	}
+	groupBy(entries, keys, attOff, attached)
+	attachedTo := func(e *Entry) []*Entry { return attached[attOff[e.ID]:attOff[e.ID+1]] }
 
+	// Partition each position's entries into combine groups, first fit:
+	// groupOf[i] is byPos[i]'s group, and groups are numbered position
+	// by position. Then the groups are emitted in that order.
 	endCombine := rec.Start("combine")
-	for p, es := range byPos {
-		if len(es) == 0 {
-			continue
-		}
+	used := 0
+	for p := range cs.pos {
+		at := byPosOff[p]
+		es := byPos[at:byPosOff[p+1]]
 		level := cs.pos[p].Level()
-		var groups [][]*Entry
-		var commons [][]int
-		for _, e := range es {
-			ec := entryCommon(e)
-			placedInGroup := false
-			if !opts.DisableCombining {
-				for gi := range groups {
-					ok := true
-					for _, m := range groups[gi] {
-						pairOK, reason := a.combineVerdict(e, m, level, opts)
-						if !pairOK {
-							opts.tracef("combine: %v does not join group of %v (%s)", e, m, reason)
-							counts.reject(reason)
-							ok = false
-							break
-						}
-					}
-					if !ok {
+		first := len(groups)
+		for i, e := range es {
+			// e's common positions: its candidate set intersected with
+			// those of the redundant entries riding on it. A group must
+			// keep the intersection of its members' sets non-empty so
+			// the final "latest common position" exists.
+			mine := append(ec[:0], cs.cands(e)...)
+			for _, r := range attachedTo(e) {
+				mine = intersectSorted(mine, mine, cs.cands(r))
+			}
+			groupOf[at+i] = -1
+			for gi := first; gi < len(groups) && !opts.DisableCombining; gi++ {
+				g := &groups[gi]
+				ok := true
+				for j, mj := range es[:i] {
+					if groupOf[at+j] != gi {
 						continue
 					}
-					if !a.groupFits(groups[gi], e, level, opts) {
-						counts.reject(reasonThreshold)
-						continue // combined size beyond the threshold
+					pairOK, reason := judge(e, mj, level)
+					if !pairOK {
+						if trace {
+							opts.tracef("combine: %v does not join group of %v (%s)", e, mj, reason)
+						}
+						counts.reject(reason)
+						ok = false
+						break
 					}
-					merged := intersectSorted(commons[gi], ec)
-					if len(merged) == 0 {
-						counts.reject(reasonNoCommonPos)
-						continue // no shared placement point
-					}
-					groups[gi] = append(groups[gi], e)
-					commons[gi] = merged
-					placedInGroup = true
-					counts.add("combine.merges", 1)
-					break
 				}
+				if !ok {
+					continue
+				}
+				if !g.fits(e, level, opts) {
+					counts.reject(reasonThreshold)
+					continue // combined size beyond the threshold
+				}
+				common := intersectSorted(merged, commons[g.lo:g.hi], mine)
+				if len(common) == 0 {
+					counts.reject(reasonNoCommonPos)
+					continue // no shared placement point
+				}
+				g.hi = g.lo + copy(commons[g.lo:], common)
+				g.add(e, level)
+				groupOf[at+i] = gi
+				counts.add("combine.merges", 1)
+				break
 			}
-			if !placedInGroup {
-				groups = append(groups, []*Entry{e})
-				commons = append(commons, ec)
+			if groupOf[at+i] < 0 {
+				groupOf[at+i] = len(groups)
+				g := combineGroup{p: p, lo: used, hi: used + copy(commons[used:], mine)}
+				g.add(e, level)
+				groups = append(groups, g)
+				used = g.hi
 			}
 		}
-		for gi, members := range groups {
-			// Final position: the latest candidate position common to
-			// every member and every attached redundant entry.
-			pos := members[0].Latest // defensive; the grouping keeps sets non-empty
-			for i, q := range commons[gi] {
-				if i == 0 || a.posDominates(pos, cs.pos[q]) {
-					pos = cs.pos[q]
-				}
+	}
+	res.reserve(len(groups))
+	for gi, g := range groups {
+		ms, as := members[:0], att[:0]
+		for i := byPosOff[g.p]; i < byPosOff[g.p+1]; i++ {
+			if groupOf[i] == gi {
+				ms = append(ms, byPos[i])
+				as = append(as, attachedTo(byPos[i])...)
 			}
-			var att []*Entry
-			for _, m := range members {
-				att = append(att, attached[m.ID]...)
-			}
-			res.addGroup(pos, members, att)
 		}
+		// Final position: the latest candidate position common to
+		// every member and every attached redundant entry.
+		pos := ms[0].Latest // defensive; the grouping keeps sets non-empty
+		for i, q := range commons[g.lo:g.hi] {
+			if i == 0 || a.posDominates(pos, cs.pos[q]) {
+				pos = cs.pos[q]
+			}
+		}
+		res.addGroup(pos, ms, as)
 	}
 	endCombine()
 }
@@ -860,17 +1087,16 @@ const (
 	reasonNoCommonPos = "no_common_pos"
 )
 
-// canCombine implements the §4.7 compatibility criteria: mappings
-// identical or one a subset of the other, combined size under the
-// machine threshold (with the NNC/reduction rule of thumb when sizes
-// are unknown), and a bounded single-descriptor union.
-func (a *Analysis) canCombine(e1, e2 *Entry, level int, opts Options) bool {
-	ok, _ := a.combineVerdict(e1, e2, level, opts)
-	return ok
-}
+// verdicts lists what combineVerdict can answer: "" (combinable) or the
+// reason a pair is not.
+var verdicts = [...]string{"", reasonKind, reasonMapping, reasonThreshold, reasonHull, reasonUnknownSize}
 
-// combineVerdict is canCombine plus the reason a pair cannot combine,
-// for the observability counters and trace log.
+// combineVerdict implements the §4.7 compatibility criteria —
+// mappings identical or one a subset of the other, combined size under
+// the machine threshold (with the NNC/reduction rule of thumb when
+// sizes are unknown), and a bounded single-descriptor union — and says
+// which one a pair fails, for the observability counters and trace
+// log.
 func (a *Analysis) combineVerdict(e1, e2 *Entry, level int, opts Options) (bool, string) {
 	if e1.Kind != e2.Kind {
 		return false, reasonKind
@@ -890,11 +1116,10 @@ func (a *Analysis) combineVerdict(e1, e2 *Entry, level int, opts Options) (bool,
 	} else if e1.Kind != KindShift {
 		return false, reasonUnknownSize // unknown size: only NNC gets the rule of thumb
 	}
-	s1 := e1.SectionAt(a, level)
-	s2 := e2.SectionAt(a, level)
+	l1, l2 := e1.at(level), e2.at(level)
 	if e1.Array == e2.Array {
-		_, blowup, ok := s1.Hull(s2)
-		if !ok || blowup > opts.maxBlowup() {
+		nh, okh, ok := l1.sec.HullCount(l2.sec.SymSection)
+		if !ok || asd.Blowup(nh, l1.sec.n+l2.sec.n, okh && l1.sec.ok && l2.sec.ok) > opts.maxBlowup() {
 			return false, reasonHull
 		}
 		return true, ""
@@ -906,82 +1131,31 @@ func (a *Analysis) combineVerdict(e1, e2 *Entry, level int, opts Options) (bool,
 		// footprints coincide (Fig. 1). Footprints may differ by a
 		// bounded hull (sections of stencil operands are offset by a
 		// point or two), matching the paper's single-descriptor rule.
-		l1, l2 := e1.at(level), e2.at(level)
 		if !l1.gridOK || !l2.gridOK {
 			return false, reasonMapping
 		}
 		return sharesDescriptor(l1.grid, l2.grid, opts, reasonHull)
 	}
-	return sharesDescriptor(s1, s2, opts, reasonUnknownSize)
+	return sharesDescriptor(l1.sec, l2.sec, opts, reasonUnknownSize)
 }
 
 // sharesDescriptor reports whether one descriptor can stand for both
 // sections across arrays: their hull must cover both without excessive
 // padding on either. Sections of unknown size must be provably
 // identical, else the pair is rejected for the given reason.
-func sharesDescriptor(x, y asd.SymSection, opts Options, unknown string) (bool, string) {
-	hull, _, ok := x.Hull(y)
+func sharesDescriptor(x, y counted, opts Options, unknown string) (bool, string) {
+	nh, okh, ok := x.HullCount(y.SymSection)
 	if !ok {
 		return false, reasonHull
 	}
-	n1, ok1 := x.NumElems()
-	n2, ok2 := y.NumElems()
-	nh, okh := hull.NumElems()
-	if !ok1 || !ok2 || !okh {
-		if x.Equal(y) {
+	if !x.ok || !y.ok || !okh {
+		if x.Equal(y.SymSection) {
 			return true, ""
 		}
 		return false, unknown
 	}
-	if float64(2*nh) <= opts.maxBlowup()*float64(n1+n2) {
+	if float64(2*nh) <= opts.maxBlowup()*float64(x.n+y.n) {
 		return true, ""
 	}
 	return false, reasonHull
-}
-
-// gridSection projects an entry's section onto the processor grid
-// dimensions of its array's distribution.
-func (a *Analysis) gridSection(e *Entry, sec asd.SymSection) (asd.SymSection, bool) {
-	arr := a.Unit.Arrays[e.Array]
-	if arr == nil || arr.Dist == nil {
-		return asd.SymSection{}, false
-	}
-	out := asd.SymSection{Dims: make([]asd.SymDim, a.Unit.Grid.Rank())}
-	found := make([]bool, a.Unit.Grid.Rank())
-	for k := range arr.Lo {
-		g := a.gridDimOfArrayDim(arr, k)
-		if g < 0 || k >= len(sec.Dims) {
-			continue
-		}
-		out.Dims[g] = sec.Dims[k]
-		found[g] = true
-	}
-	for _, f := range found {
-		if !f {
-			return asd.SymSection{}, false
-		}
-	}
-	return out, true
-}
-
-// groupFits bounds the total packed size of a combined message by the
-// machine threshold (§4.7): the pairwise test alone would let a group
-// of individually small strips grow past the point where combining
-// stops paying.
-func (a *Analysis) groupFits(members []*Entry, e *Entry, level int, opts Options) bool {
-	if e.Kind == KindReduce {
-		return true // reductions move one partial per member
-	}
-	total, ok := e.BytesAt(a, level)
-	if !ok {
-		return true // unknown sizes: the NNC rule of thumb applies
-	}
-	for _, m := range members {
-		b, okm := m.BytesAt(a, level)
-		if !okm {
-			return true
-		}
-		total += b
-	}
-	return total <= opts.threshold()
 }

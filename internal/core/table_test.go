@@ -147,16 +147,17 @@ func TestSharedAnalysisConcurrentPlace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPlaceNilRecorderAllocs pins "nil recorder = zero cost" on the
-// placement that counts the most. On hydflo/flux under comb, Place used
-// to build 166 counter names (one per greedy round, rejection, merge,
-// redundancy step and dropped position) before Recorder.Add saw the nil
-// receiver; it now tallies locally and names the counters once, only
-// when a recorder listens. 965 allocations measured (1,063 before site
-// labels and source lists stopped going through fmt; still 965 once the
-// front end allocated by the routine, which placement does not run); the budget leaves
-// a quarter for toolchain drift and still trips on a return of per-step
-// names. TestNilTallyCostsNothing holds the mechanism exactly.
+// TestPlaceNilRecorderAllocs pins what one placement without a
+// recorder allocates, per version, on hydflo/flux at P = 25. A
+// placement carves its Result and scratch from a few slabs sized from
+// the entry and position counts, and derives site labels and source
+// lists only when an observer asks, so the count is a small constant
+// however many groups, pairs and positions it weighs. Measured: orig 12,
+// nored 18, comb 25 — from 402, 347 and 965 when groups, bucket maps,
+// per-position lists and labels were allocated one by one (comb was
+// 1,063 before the labels stopped going through fmt, and built 166
+// counter names per call before the nil tally). Each budget is 1.25×
+// its measurement; TestNilTallyCostsNothing holds the tally exactly.
 func TestPlaceNilRecorderAllocs(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -173,14 +174,16 @@ func TestPlaceNilRecorderAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := a.Place(core.Options{Version: core.VersionCombine}); err != nil {
-			t.Fatal(err)
+	budget := map[core.Version]float64{core.VersionOrig: 15, core.VersionRedund: 23, core.VersionCombine: 32}
+	for _, v := range []core.Version{core.VersionOrig, core.VersionRedund, core.VersionCombine} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := a.Place(core.Options{Version: v}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > budget[v] {
+			t.Errorf("Place(%v) without a recorder allocates %.0f times, budget %.0f", v, allocs, budget[v])
 		}
-	})
-	const budget = 1200
-	if allocs > budget {
-		t.Errorf("Place(comb) without a recorder allocates %.0f times, budget %d", allocs, budget)
+		t.Logf("Place(%v), no recorder: %.0f allocs", v, allocs)
 	}
-	t.Logf("Place(comb), no recorder: %.0f allocs", allocs)
 }

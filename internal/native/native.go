@@ -263,7 +263,7 @@ func (eng *Engine) EnableProfiling(eventsPerProc int) {
 		groups := eng.prog.Plan.Res.Groups
 		eng.sites = make([]string, len(groups))
 		for _, g := range groups {
-			eng.sites[g.ID] = g.SiteID
+			eng.sites[g.ID] = g.SiteID()
 		}
 	}
 	for _, pc := range eng.ps {

@@ -118,9 +118,7 @@ func (ls *lister) comm(c *Comm, depth int) {
 		}
 		sort.Strings(parts)
 		text := fmt.Sprintf("COMM %s %s {%s}", OpName(g.Kind), g.Map, strings.Join(parts, ", "))
-		if g.SiteID != "" {
-			text += fmt.Sprintf("  ! site %s", g.SiteID)
-		}
+		text += "  ! site " + g.SiteID()
 		if len(g.Attached) > 0 {
 			var rs []string
 			for _, r := range g.Attached {

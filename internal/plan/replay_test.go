@@ -79,7 +79,7 @@ func (c *control) comm(cm *plan.Comm) {
 			c.ways[way]++
 			c.asked[pair{op, p}] = true
 			if c.fresh != nil && !s.Matches(c.fresh.Build(c.fr, op, p)) {
-				c.t.Fatalf("processor %d, exchange %s with %v: the schedule (%s) is\n%+v\nbuilt from scratch\n%+v", p, op.Group.SiteID, c.fr.Ints, way, *s, *c.fresh.Build(c.fr, op, p))
+				c.t.Fatalf("processor %d, exchange %s with %v: the schedule (%s) is\n%+v\nbuilt from scratch\n%+v", p, op.Group.SiteID(), c.fr.Ints, way, *s, *c.fresh.Build(c.fr, op, p))
 			}
 		}
 	}

@@ -131,7 +131,7 @@ func TestBlameLinksToGreedyDecision(t *testing.T) {
 	// loop: blame → site → decision → group.
 	var g *core.Group
 	for _, cand := range res.Groups {
-		if cand.SiteID == top.Site {
+		if cand.SiteID() == top.Site {
 			g = cand
 			break
 		}

@@ -71,12 +71,15 @@ func Estimate(res *core.Result, m machine.Machine) (Cost, error) {
 	}
 
 	// Communication.
+	// loops holds one group's enclosing loops, innermost first; its
+	// storage is reused from group to group.
+	var loops []*cfg.Loop
 	blockLoops := func(b *cfg.Block) []*cfg.Loop {
-		var out []*cfg.Loop
+		loops = loops[:0]
 		for l := b.Loop; l != nil; l = l.Parent {
-			out = append(out, l)
+			loops = append(loops, l)
 		}
-		return out
+		return loops
 	}
 	log2p := math.Ceil(math.Log2(float64(p)))
 	if p == 1 {
@@ -92,7 +95,7 @@ func Estimate(res *core.Result, m machine.Machine) (Cost, error) {
 		case core.KindShift:
 			bytes := 0
 			for _, e := range g.Entries {
-				b, ok := e.BytesForSection(a, res.CommSection(e, level))
+				b, ok := res.CommBytes(e, level)
 				if !ok {
 					continue
 				}

@@ -321,7 +321,7 @@ func stepTable(groups []*core.Group) []attr.Step {
 	steps := make([]attr.Step, len(groups))
 	for i, g := range groups {
 		st := attr.Step{
-			Site: g.SiteID, Kind: g.Kind.String(), Sources: g.Sources,
+			Site: g.SiteID(), Kind: g.Kind.String(), Sources: g.Sources(),
 			Label: fmt.Sprintf("group%d@%s", g.ID, g.Pos),
 		}
 		for _, e := range g.Entries {
