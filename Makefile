@@ -75,30 +75,34 @@ attr-smoke:
 	$(GO) test ./internal/spmd -run 'TestAttributionMatchesSequential|TestBlameLinksToGreedyDecision' -count=1
 	@echo "attr-smoke: ok (trace at out/attr-trace.json)"
 
-# obs-smoke proves the request-tracing path end to end against a live
-# daemon: compile once, take the response's X-Request-Id, resolve it at
+# obs-smoke proves the daemon and its request-tracing path end to end
+# against a live gcaod at -log-level debug: compile once (a cache miss),
+# take the response's X-Request-Id, resolve it at
 # /debug/flightrecorder/{id} to spans with the expected phases and the
 # place:comb pipeline span
 # and, by ?facet=decisions, to its placement decision log, find it in
 # the ?has=decisions listing, and scrape /metrics around one more compile:
-# the RED and build-info families are there, and the /compile request
-# counter went from 1 to 2 — a request rate is that difference over the
-# time between the scrapes (the second scrape lands in out/ for CI
-# artifacts).
+# the repeat is served from the compile and place tiers, the RED,
+# phase-histogram, cache and build-info families are there, and the
+# /compile request counter went from 1 to 2 — a request rate is that
+# difference over the time between the scrapes (the second scrape lands
+# in out/ for CI artifacts). /debug/cache and /healthz answer last.
 obs-smoke:
 	@mkdir -p out
 	$(GO) build -o out/gcaod ./cmd/gcaod
 	@set -e; \
-	./out/gcaod -addr 127.0.0.1:8377 -log-level warn 2>out/obs-gcaod.log & \
+	./out/gcaod -addr 127.0.0.1:8377 -log-level debug 2>out/obs-gcaod.log & \
 	daemon=$$!; \
 	trap 'kill $$daemon 2>/dev/null || true' EXIT; \
 	for i in $$(seq 1 50); do \
 		curl -fsS http://127.0.0.1:8377/healthz >/dev/null 2>&1 && break; \
 		sleep 0.2; \
 	done; \
-	printf '%s' '{"source": "routine smooth(n, steps)\nreal a(0:n+1, 0:n+1), b(0:n+1, 0:n+1)\n!hpf$$ distribute (block, block) :: a, b\ndo it = 1, steps\ndo i = 1, n\ndo j = 1, n\nb(i, j) = 0.25 * (a(i-1, j) + a(i+1, j) + a(i, j-1) + a(i, j+1))\nenddo\nenddo\nenddo\nend\n", "params": {"n": 16, "steps": 2}, "procs": 4, "estimate": true}' > out/obs-req.json; \
+	printf '%s' '{"source": "routine smooth(n, steps)\nreal a(0:n+1, 0:n+1), b(0:n+1, 0:n+1)\n!hpf$$ distribute (block, block) :: a, b\ndo i = 0, n + 1\ndo j = 0, n + 1\na(i, j) = 1.0 + i * 0.1 + j * 0.01\nb(i, j) = 0.0\nenddo\nenddo\ndo it = 1, steps\ndo i = 1, n\ndo j = 1, n\nb(i, j) = 0.25 * (a(i-1, j) + a(i+1, j) + a(i, j-1) + a(i, j+1))\nenddo\nenddo\ndo i = 1, n\ndo j = 1, n\na(i, j) = b(i, j)\nenddo\nenddo\nenddo\nend\n", "params": {"n": 16, "steps": 2}, "procs": 4, "strategy": "comb", "estimate": true}' > out/obs-req.json; \
 	curl -fsS -D out/obs-headers.txt -X POST -H 'Content-Type: application/json' \
 		--data @out/obs-req.json http://127.0.0.1:8377/compile > out/obs-compile.json; \
+	grep -q '"req_id"' out/obs-compile.json || { echo "obs-smoke: compile reply lacks req_id"; exit 1; }; \
+	grep -q '"compile":"miss"' out/obs-compile.json || { echo "obs-smoke: first compile is not a cache miss"; exit 1; }; \
 	grep -qi '^x-request-id:' out/obs-headers.txt || { echo "obs-smoke: no X-Request-Id header"; exit 1; }; \
 	grep -qi '^traceparent: 00-' out/obs-headers.txt || { echo "obs-smoke: no traceparent header"; exit 1; }; \
 	rid=$$(grep -i '^x-request-id:' out/obs-headers.txt | tr -d '\r' | awk '{print $$2}'); \
@@ -115,11 +119,21 @@ obs-smoke:
 	curl -fsS "http://127.0.0.1:8377/debug/flightrecorder?has=decisions" | grep -q "\"id\":\"$$rid\"" || { echo "obs-smoke: ?has=decisions does not list the request"; exit 1; }; \
 	curl -fsS http://127.0.0.1:8377/metrics > out/obs-metrics-before.txt; \
 	grep -qxF 'gcao_http_requests_total{code="200",route="/compile"} 1' out/obs-metrics-before.txt || { echo "obs-smoke: /compile counter is not 1 after one compile"; exit 1; }; \
-	curl -fsS -X POST -H 'Content-Type: application/json' --data @out/obs-req.json http://127.0.0.1:8377/compile > /dev/null; \
+	curl -fsS -X POST -H 'Content-Type: application/json' --data @out/obs-req.json http://127.0.0.1:8377/compile > out/obs-compile2.json; \
+	grep -q '"compile":"hit"' out/obs-compile2.json || { echo "obs-smoke: repeat compile is not a compile-tier hit"; exit 1; }; \
+	grep -q '"place":"hit"' out/obs-compile2.json || { echo "obs-smoke: repeat compile is not a place-tier hit"; exit 1; }; \
 	curl -fsS http://127.0.0.1:8377/metrics > out/obs-metrics.txt; \
 	grep -q 'gcao_build_info{version=' out/obs-metrics.txt || { echo "obs-smoke: no build info metric"; exit 1; }; \
 	grep -qxF 'gcao_http_requests_total{code="200",route="/compile"} 2' out/obs-metrics.txt || { echo "obs-smoke: /compile counter did not go from 1 to 2"; exit 1; }; \
 	grep -q 'gcao_queue_wait_seconds_count{pool="compile"}' out/obs-metrics.txt || { echo "obs-smoke: no queue wait histogram"; exit 1; }; \
+	grep -q 'gcao_requests_total{status="ok"} 2' out/obs-metrics.txt || { echo "obs-smoke: ok request counter is not 2"; exit 1; }; \
+	grep -q 'gcao_phase_seconds_bucket' out/obs-metrics.txt || { echo "obs-smoke: no phase histogram buckets"; exit 1; }; \
+	grep -qE 'gcao_phase_seconds_count\{phase="parse"\} [1-9]' out/obs-metrics.txt || { echo "obs-smoke: no parse phase observed"; exit 1; }; \
+	grep -q 'gcao_cache_hits_total{tier="compile"} 1' out/obs-metrics.txt || { echo "obs-smoke: compile tier hits are not 1"; exit 1; }; \
+	grep -q 'gcao_cache_misses_total{tier="compile"} 1' out/obs-metrics.txt || { echo "obs-smoke: compile tier misses are not 1"; exit 1; }; \
+	curl -fsS http://127.0.0.1:8377/debug/cache > out/obs-cache.json; \
+	grep -q '"hits":1' out/obs-cache.json || { echo "obs-smoke: /debug/cache counts no hit"; exit 1; }; \
+	curl -fsS http://127.0.0.1:8377/healthz | grep -q '"version"' || { echo "obs-smoke: /healthz lacks the version"; exit 1; }; \
 	kill $$daemon 2>/dev/null || true; \
 	wait $$daemon 2>/dev/null || true
 	$(GO) test ./cmd/gcaod -run 'TestFlightRecorderResolvesCompile|TestRetainedRecordSpans|TestSlowRecordKeepsFacets|TestDebugRouteTable|TestTraceparentRoundTrip' -count=1

@@ -32,15 +32,13 @@ const (
 )
 
 // CacheOptions sizes a compilation cache. Zero values pick the
-// defaults: 1024 entries and 256 MiB per tier, sharded 16 ways.
+// defaults: 1024 entries and 256 MiB per tier.
 type CacheOptions struct {
 	// MaxEntries bounds each tier's entry count.
 	MaxEntries int
 	// MaxBytes bounds each tier's estimated resident size; negative
 	// disables the byte bound.
 	MaxBytes int64
-	// Shards sets the lock-striping width.
-	Shards int
 }
 
 // CompileOutcome reports how the tiers a cached compile went through
@@ -57,7 +55,7 @@ type CompileOutcome struct {
 // parsed and inlined routine and the structural analysis every parameter
 // binding shares; the compile tier by those and (parameter binding,
 // processor count) — the analysis under one binding; the place tier by
-// the compilation's fingerprint plus strategy and placement options.
+// the compilation's fingerprint plus strategy.
 // Identical concurrent requests are deduplicated so N callers trigger
 // exactly one compile — the paper's redundancy-elimination discipline
 // applied to the compiler itself — and a known source at a new size pays
@@ -82,10 +80,7 @@ func NewCache(opt CacheOptions) *Cache {
 	if opt.MaxBytes == 0 {
 		opt.MaxBytes = 256 << 20
 	}
-	if opt.Shards <= 0 {
-		opt.Shards = 16
-	}
-	tier := func() *cache.Cache { return cache.New(opt.MaxEntries, opt.MaxBytes, opt.Shards) }
+	tier := func() *cache.Cache { return cache.New(opt.MaxEntries, opt.MaxBytes) }
 	return &Cache{compile: tier(), place: tier(), skeleton: tier()}
 }
 
@@ -178,23 +173,23 @@ func (c *Cache) fromSkeleton(source, main string, cfg Config) (*Compilation, Cac
 	return comp, out, err
 }
 
-// Place is the cached variant of Compilation.PlaceOptions for
-// compilations produced by this cache: the placement is keyed by the
-// compilation's fingerprint plus strategy and options, so repeated
-// requests reuse the placed result without re-running the global
-// algorithm. rec receives the placement telemetry when the placement
-// actually runs (on a hit the work — and its telemetry — happened in
-// an earlier request) and the outcome counter either way. A
-// compilation that did not come from a cache is placed directly and
-// reported as a miss.
-func (c *Cache) Place(comp *Compilation, s Strategy, opt PlacementOptions, rec *Recorder) (*Placed, CacheOutcome, error) {
+// Place is the cached variant of Compilation.Place for compilations
+// produced by this cache: the placement is keyed by the compilation's
+// fingerprint plus strategy, so repeated requests reuse the placed
+// result without re-running the global algorithm. rec receives the
+// placement telemetry when the placement actually runs (on a hit the
+// work — and its telemetry — happened in an earlier request) and the
+// outcome counter either way. A compilation that did not come from a
+// cache is placed directly and reported as a miss.
+func (c *Cache) Place(comp *Compilation, s Strategy, rec *Recorder) (*Placed, CacheOutcome, error) {
+	opts := core.Options{Version: s.version(), Obs: rec}
 	if comp.fingerprint == "" {
-		p, err := comp.placeObs(s, opt, rec)
+		p, err := comp.place(opts)
 		return p, CacheMiss, err
 	}
-	key := cache.Fingerprint("gcao-place-v1", comp.fingerprint, s.String(), opt.canon())
+	key := cache.Fingerprint("gcao-place-v1", comp.fingerprint, s.String())
 	v, out, err := c.place.Do(key, placedSize, func() (any, error) {
-		return comp.placeObs(s, opt, rec)
+		return comp.place(opts)
 	})
 	rec.Add("cache.place."+out.String(), 1)
 	if err != nil {

@@ -459,7 +459,7 @@ func (s *server) compile(ctx context.Context, id string, rec *obs.Recorder, req 
 		return nil, err
 	}
 	rec.Phase("place")
-	placed, placeOut, err := s.cache.Place(c, strategy, gcao.PlacementOptions{}, rec)
+	placed, placeOut, err := s.cache.Place(c, strategy, rec)
 	if err != nil {
 		return nil, badRequestError{err}
 	}
@@ -529,7 +529,7 @@ func (s *server) placeAll(ctx context.Context, id string, rec *obs.Recorder, req
 		}
 		var out gcao.CacheOutcome
 		var err error
-		if placed, out, err = s.cache.Place(c, strat, gcao.PlacementOptions{}, rec); err != nil {
+		if placed, out, err = s.cache.Place(c, strat, rec); err != nil {
 			return nil, badRequestError{fmt.Errorf("%s: %w", strat, err)}
 		}
 		doc := versionDoc{

@@ -305,31 +305,16 @@ func (opt PlacementOptions) coreOptions(s Strategy) core.Options {
 	}
 }
 
-// canon renders the options canonically for cache fingerprinting:
-// every tunable that changes placement output is significant.
-func (opt PlacementOptions) canon() string {
-	return fmt.Sprintf("ct=%d hb=%g se=%t ng=%t dc=%t pr=%t",
-		opt.CombineThresholdBytes, opt.MaxHullBlowup, opt.DisableSubsetElim,
-		opt.NaiveGreedyOrder, opt.DisableCombining, opt.PartialRedundancy)
-}
-
 // PlaceOptions runs a placement strategy with explicit options.
 func (c *Compilation) PlaceOptions(s Strategy, opt PlacementOptions) (*Placed, error) {
-	res, err := c.Analysis.Place(opt.coreOptions(s))
-	if err != nil {
-		return nil, err
-	}
-	return &Placed{Compilation: c, Result: res}, nil
+	return c.place(opt.coreOptions(s))
 }
 
-// placeObs is PlaceOptions with an explicit recorder, used when the
-// compilation is cache-resident: its analysis-wide recorder is
-// detached (it belonged to the request that built it), so each
-// placement threads its own.
-func (c *Compilation) placeObs(s Strategy, opt PlacementOptions, rec *Recorder) (*Placed, error) {
-	copts := opt.coreOptions(s)
-	copts.Obs = rec
-	res, err := c.Analysis.Place(copts)
+// place runs one placement. A cache-resident compilation has no recorder
+// of its own (it belonged to the request that built it), so the cache
+// passes each request's in opts.Obs.
+func (c *Compilation) place(opts core.Options) (*Placed, error) {
+	res, err := c.Analysis.Place(opts)
 	if err != nil {
 		return nil, err
 	}

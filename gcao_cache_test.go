@@ -78,25 +78,21 @@ func TestCacheCompileHitAndPlaceTiers(t *testing.T) {
 		t.Fatalf("recorder counters = %v", rec.Counters())
 	}
 
-	p1, out, err := c.Place(comp1, gcao.Combine, gcao.PlacementOptions{}, nil)
+	p1, out, err := c.Place(comp1, gcao.Combine, nil)
 	if err != nil || out != gcao.CacheMiss {
 		t.Fatalf("first place: outcome %v, err %v", out, err)
 	}
-	p2, out, err := c.Place(comp2, gcao.Combine, gcao.PlacementOptions{}, nil)
+	p2, out, err := c.Place(comp2, gcao.Combine, nil)
 	if err != nil || out != gcao.CacheHit {
 		t.Fatalf("second place: outcome %v, err %v", out, err)
 	}
 	if p1 != p2 || p1.Messages() <= 0 {
 		t.Fatalf("place hit wrong: %p vs %p, %d messages", p1, p2, p1.Messages())
 	}
-	// A different strategy or different options is a different key.
-	_, out, err = c.Place(comp1, gcao.Vectorize, gcao.PlacementOptions{}, nil)
+	// A different strategy is a different key.
+	_, out, err = c.Place(comp1, gcao.Vectorize, nil)
 	if err != nil || out != gcao.CacheMiss {
 		t.Fatalf("other strategy: outcome %v, err %v", out, err)
-	}
-	_, out, err = c.Place(comp1, gcao.Combine, gcao.PlacementOptions{DisableCombining: true}, nil)
-	if err != nil || out != gcao.CacheMiss {
-		t.Fatalf("other options: outcome %v, err %v", out, err)
 	}
 	st := c.Stats()
 	if st.Compile.Misses != 1 || st.Compile.Hits != 1 {
@@ -105,7 +101,7 @@ func TestCacheCompileHitAndPlaceTiers(t *testing.T) {
 	if st.Skeleton.Misses != 1 || st.Skeleton.Hits != 0 {
 		t.Fatalf("skeleton tier stats = %+v: only a compile-tier miss consults it", st.Skeleton)
 	}
-	if st.Place.Misses != 3 || st.Place.Hits != 1 {
+	if st.Place.Misses != 2 || st.Place.Hits != 1 {
 		t.Fatalf("place tier stats = %+v", st.Place)
 	}
 }
@@ -168,7 +164,7 @@ func TestCacheCompileProgramDistinctMains(t *testing.T) {
 	}
 	// Both placements work on the shared analyses.
 	for _, comp := range []*gcao.Compilation{compIter, compOnce} {
-		p, _, err := c.Place(comp, gcao.Combine, gcao.PlacementOptions{}, nil)
+		p, _, err := c.Place(comp, gcao.Combine, nil)
 		if err != nil || p.Messages() <= 0 {
 			t.Fatalf("place: %v, %v", p, err)
 		}
@@ -205,7 +201,7 @@ func TestCacheConcurrentSingleflight(t *testing.T) {
 					t.Errorf("compile: %v", err)
 					return
 				}
-				p, _, err := c.Place(comp, gcao.Combine, gcao.PlacementOptions{}, nil)
+				p, _, err := c.Place(comp, gcao.Combine, nil)
 				if err != nil || p.Messages() <= 0 {
 					t.Errorf("place: %v, %v", p, err)
 					return
@@ -247,7 +243,7 @@ func benchSource(t testing.TB) string {
 // TestWarmCacheSpeedup is the acceptance measurement: a warm-cache
 // compile+place of a repeated Fig. 10 program must be at least 5x
 // faster than the cold path. The margin in practice is orders of
-// magnitude (a full pipeline run vs one sharded map lookup), so 5x
+// magnitude (a full pipeline run vs one map lookup), so 5x
 // with the best-of-N discipline is robust to scheduler noise.
 func TestWarmCacheSpeedup(t *testing.T) {
 	pr, err := bench.ByName("shallow", "main")
@@ -277,7 +273,7 @@ func TestWarmCacheSpeedup(t *testing.T) {
 		if out.Compile == gcao.CacheMiss {
 			return -1 // priming run, not a warm measurement
 		}
-		if _, _, err := c.Place(comp, gcao.Combine, gcao.PlacementOptions{}, nil); err != nil {
+		if _, _, err := c.Place(comp, gcao.Combine, nil); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(t0)
@@ -348,7 +344,7 @@ func BenchmarkCompileShallowKnownSource(b *testing.B) {
 		if err != nil || out.Compile != gcao.CacheMiss || out.Skeleton != gcao.CacheHit {
 			b.Fatalf("outcome %v, err %v", out, err)
 		}
-		if _, _, err := c.Place(comp, gcao.Combine, gcao.PlacementOptions{}, nil); err != nil {
+		if _, _, err := c.Place(comp, gcao.Combine, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -371,7 +367,7 @@ func BenchmarkCompileShallowWarm(b *testing.B) {
 		if err != nil || out.Compile != gcao.CacheHit {
 			b.Fatalf("outcome %v, err %v", out, err)
 		}
-		if _, _, err := c.Place(comp, gcao.Combine, gcao.PlacementOptions{}, nil); err != nil {
+		if _, _, err := c.Place(comp, gcao.Combine, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

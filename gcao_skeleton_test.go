@@ -34,7 +34,7 @@ func explain(t testing.TB, c *gcao.Compilation) string {
 	placer := gcao.NewCache(gcao.CacheOptions{})
 	for _, s := range []gcao.Strategy{gcao.Vectorize, gcao.EarliestRedundancy, gcao.Combine} {
 		rec := gcao.NewRecorder()
-		p, _, err := placer.Place(c, s, gcao.PlacementOptions{}, rec)
+		p, _, err := placer.Place(c, s, rec)
 		if err != nil {
 			t.Fatalf("place %s: %v", s, err)
 		}
@@ -288,7 +288,7 @@ end
 // the compilations that hold it and is rebuilt, once, for the next new
 // size of its source.
 func TestSkeletonEviction(t *testing.T) {
-	c := gcao.NewCache(gcao.CacheOptions{MaxEntries: 1, Shards: 1})
+	c := gcao.NewCache(gcao.CacheOptions{MaxEntries: 1})
 	pr, err := bench.ByName("trimesh", "gauss")
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +398,7 @@ func TestSkeletonSharedConcurrently(t *testing.T) {
 					return
 				}
 				got, err := execute(c, func(c *gcao.Compilation) (*gcao.Placed, error) {
-					p, _, err := cache.Place(c, gcao.Combine, gcao.PlacementOptions{}, nil)
+					p, _, err := cache.Place(c, gcao.Combine, nil)
 					return p, err
 				})
 				if err != nil {

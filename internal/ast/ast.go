@@ -242,11 +242,6 @@ type Sub struct {
 	Lo, Hi, Step Expr
 }
 
-// IsFull reports whether the subscript is a bare ":".
-func (s Sub) IsFull() bool {
-	return s.Kind == SubRange && s.Lo == nil && s.Hi == nil && s.Step == nil
-}
-
 // Ref is an array reference a(subs...) or a bare array name "a" (whole
 // array, equivalent to all-":" subscripts).
 type Ref struct {

@@ -1,21 +1,20 @@
 // Package cache implements the serving layer's content-addressed
-// compilation cache: a sharded, size-bounded LRU keyed by canonical
-// SHA-256 fingerprints of request content, with singleflight
-// deduplication so N concurrent identical requests trigger exactly one
-// computation. The paper's redundancy-elimination discipline — never
-// repeat communication the program already paid for — applied to the
-// compiler itself: never repeat an analysis or placement an earlier
-// request already paid for.
+// compilation cache: a size-bounded LRU keyed by canonical SHA-256
+// fingerprints of request content, with singleflight deduplication so N
+// concurrent identical requests trigger exactly one computation. The
+// paper's redundancy-elimination discipline — never repeat
+// communication the program already paid for — applied to the compiler
+// itself: never repeat an analysis or placement an earlier request
+// already paid for.
 //
 // The cache stores opaque values; gcao layers three tiers on top of it
 // (a source's skeleton, analysis results and placement outcomes) with
 // separate instances, so a new problem size misses only the tiers whose
-// key reads it and a placement-option change only the placement tier.
+// key reads it and a new strategy only the placement tier.
 package cache
 
 import (
 	"container/list"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 )
@@ -44,30 +43,22 @@ func (o Outcome) String() string {
 	}
 }
 
-// Cache is a sharded, size-bounded LRU with singleflight deduplication.
-// Shards reduce lock contention under concurrent serving load; every
-// key maps to one shard by FNV-1a hash, and each shard holds its own
-// recency list, byte budget share and in-flight table.
+// Cache is a size-bounded LRU with singleflight deduplication: one
+// recency list, byte count and in-flight table behind one mutex, so
+// both bounds hold exactly.
 type Cache struct {
-	shards     []*shard
-	maxEntries int   // per shard
-	maxBytes   int64 // per shard; <= 0 disables the byte bound
-	// whole-cache configuration, reported by Stats
-	cfgEntries int
-	cfgBytes   int64
+	mu         sync.Mutex
+	ll         *list.List // front = most recently used
+	items      map[string]*list.Element
+	inflight   map[string]*flight
+	bytes      int64
+	maxEntries int
+	maxBytes   int64 // <= 0 disables the byte bound
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	waits     atomic.Int64
 	evictions atomic.Int64
-}
-
-type shard struct {
-	mu       sync.Mutex
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
-	inflight map[string]*flight
-	bytes    int64
 }
 
 type lruEntry struct {
@@ -86,46 +77,17 @@ type flight struct {
 	panicked any
 }
 
-// New builds a cache bounded to maxEntries entries and roughly
-// maxBytes of estimated value size, split across shards. maxEntries is
-// clamped to at least one per shard; maxBytes <= 0 disables the byte
-// bound; shards < 1 defaults to 16.
-func New(maxEntries int, maxBytes int64, shards int) *Cache {
-	if shards < 1 {
-		shards = 16
+// New builds a cache bounded to maxEntries entries (at least one) and
+// maxBytes of estimated value size; maxBytes <= 0 disables the byte
+// bound.
+func New(maxEntries int, maxBytes int64) *Cache {
+	return &Cache{
+		ll:         list.New(),
+		items:      map[string]*list.Element{},
+		inflight:   map[string]*flight{},
+		maxEntries: max(maxEntries, 1),
+		maxBytes:   maxBytes,
 	}
-	if maxEntries < 1 {
-		maxEntries = 1
-	}
-	if shards > maxEntries {
-		shards = maxEntries
-	}
-	c := &Cache{
-		shards:     make([]*shard, shards),
-		maxEntries: (maxEntries + shards - 1) / shards,
-		cfgEntries: maxEntries,
-		cfgBytes:   maxBytes,
-	}
-	if maxBytes > 0 {
-		c.maxBytes = maxBytes / int64(shards)
-		if c.maxBytes < 1 {
-			c.maxBytes = 1
-		}
-	}
-	for i := range c.shards {
-		c.shards[i] = &shard{
-			ll:       list.New(),
-			items:    map[string]*list.Element{},
-			inflight: map[string]*flight{},
-		}
-	}
-	return c
-}
-
-func (c *Cache) shard(key string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return c.shards[h.Sum32()%uint32(len(c.shards))]
 }
 
 // Do returns the value for key, computing it with fn on a miss.
@@ -137,17 +99,16 @@ func (c *Cache) shard(key string) *shard {
 // the resident cost of a freshly computed value for the byte bound
 // (nil, or a non-positive estimate, charges one byte).
 func (c *Cache) Do(key string, size func(any) int64, fn func() (any, error)) (any, Outcome, error) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	if el, ok := sh.items[key]; ok {
-		sh.ll.MoveToFront(el)
+	c.mu.Lock()
+	if el, ok := c.items[key]; ok {
+		c.ll.MoveToFront(el)
 		v := el.Value.(*lruEntry).val
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		c.hits.Add(1)
 		return v, Hit, nil
 	}
-	if fl, ok := sh.inflight[key]; ok {
-		sh.mu.Unlock()
+	if fl, ok := c.inflight[key]; ok {
+		c.mu.Unlock()
 		c.waits.Add(1)
 		<-fl.done
 		if fl.panicked != nil {
@@ -156,8 +117,8 @@ func (c *Cache) Do(key string, size func(any) int64, fn func() (any, error)) (an
 		return fl.val, Wait, fl.err
 	}
 	fl := &flight{done: make(chan struct{})}
-	sh.inflight[key] = fl
-	sh.mu.Unlock()
+	c.inflight[key] = fl
+	c.mu.Unlock()
 
 	c.misses.Add(1)
 	// The flight is settled on every way out of fn, a panic included: left
@@ -167,12 +128,17 @@ func (c *Cache) Do(key string, size func(any) int64, fn func() (any, error)) (an
 	// frames that raised it, and the same value in each waiter.
 	defer func() {
 		fl.panicked = recover()
-		sh.mu.Lock()
-		delete(sh.inflight, key)
-		if fl.panicked == nil && fl.err == nil {
-			c.insertLocked(sh, key, fl.val, size)
+		keep := fl.panicked == nil && fl.err == nil
+		sz := int64(1)
+		if keep && size != nil {
+			sz = max(size(fl.val), 1)
 		}
-		sh.mu.Unlock()
+		c.mu.Lock()
+		delete(c.inflight, key)
+		if keep {
+			c.insertLocked(key, fl.val, sz)
+		}
+		c.mu.Unlock()
 		close(fl.done)
 		if fl.panicked != nil {
 			panic(fl.panicked)
@@ -182,27 +148,20 @@ func (c *Cache) Do(key string, size func(any) int64, fn func() (any, error)) (an
 	return fl.val, Miss, fl.err
 }
 
-// insertLocked adds a computed value at the front of the shard's
-// recency list and evicts from the back until the shard is within both
-// bounds again. The newest entry itself is never evicted, so a single
-// oversized value is admitted rather than thrashing.
-func (c *Cache) insertLocked(sh *shard, key string, v any, size func(any) int64) {
-	sz := int64(1)
-	if size != nil {
-		if s := size(v); s > 0 {
-			sz = s
-		}
-	}
-	el := sh.ll.PushFront(&lruEntry{key: key, val: v, size: sz})
-	sh.items[key] = el
-	sh.bytes += sz
-	for sh.ll.Len() > 1 &&
-		(sh.ll.Len() > c.maxEntries || (c.maxBytes > 0 && sh.bytes > c.maxBytes)) {
-		back := sh.ll.Back()
+// insertLocked adds a computed value of estimated size sz at the front
+// of the recency list and evicts from the back until the cache is within
+// both bounds again. The newest entry itself is never evicted, so a
+// single oversized value is admitted rather than thrashing.
+func (c *Cache) insertLocked(key string, v any, sz int64) {
+	c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: v, size: sz})
+	c.bytes += sz
+	for c.ll.Len() > 1 &&
+		(c.ll.Len() > c.maxEntries || (c.maxBytes > 0 && c.bytes > c.maxBytes)) {
+		back := c.ll.Back()
 		e := back.Value.(*lruEntry)
-		sh.ll.Remove(back)
-		delete(sh.items, e.key)
-		sh.bytes -= e.size
+		c.ll.Remove(back)
+		delete(c.items, e.key)
+		c.bytes -= e.size
 		c.evictions.Add(1)
 	}
 }
@@ -214,7 +173,6 @@ type Stats struct {
 	Bytes         int64 `json:"bytes"`
 	MaxEntries    int   `json:"max_entries"`
 	MaxBytes      int64 `json:"max_bytes"`
-	Shards        int   `json:"shards"`
 	Hits          int64 `json:"hits"`
 	Misses        int64 `json:"misses"`
 	InflightWaits int64 `json:"inflight_waits"`
@@ -223,31 +181,24 @@ type Stats struct {
 
 // Stats snapshots the cache.
 func (c *Cache) Stats() Stats {
-	st := Stats{
-		MaxEntries:    c.cfgEntries,
-		MaxBytes:      c.cfgBytes,
-		Shards:        len(c.shards),
+	c.mu.Lock()
+	entries, bytes := c.ll.Len(), c.bytes
+	c.mu.Unlock()
+	return Stats{
+		Entries:       entries,
+		Bytes:         bytes,
+		MaxEntries:    c.maxEntries,
+		MaxBytes:      c.maxBytes,
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		InflightWaits: c.waits.Load(),
 		Evictions:     c.evictions.Load(),
 	}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		st.Entries += sh.ll.Len()
-		st.Bytes += sh.bytes
-		sh.mu.Unlock()
-	}
-	return st
 }
 
 // Len returns the number of resident entries.
 func (c *Cache) Len() int {
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += sh.ll.Len()
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
 }

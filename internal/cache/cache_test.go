@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -46,7 +47,7 @@ func TestCanonParamsEmpty(t *testing.T) {
 }
 
 func TestDoHitMiss(t *testing.T) {
-	c := New(8, 0, 2)
+	c := New(8, 0)
 	calls := 0
 	fn := func() (any, error) { calls++; return "v", nil }
 	v, out, err := c.Do("k", nil, fn)
@@ -67,7 +68,7 @@ func TestDoHitMiss(t *testing.T) {
 }
 
 func TestErrorsNotCached(t *testing.T) {
-	c := New(8, 0, 1)
+	c := New(8, 0)
 	boom := errors.New("boom")
 	calls := 0
 	_, out, err := c.Do("k", nil, func() (any, error) { calls++; return nil, boom })
@@ -84,7 +85,7 @@ func TestErrorsNotCached(t *testing.T) {
 }
 
 func TestEntryBoundEviction(t *testing.T) {
-	c := New(4, 0, 1) // one shard, 4 entries
+	c := New(4, 0)
 	for i := 0; i < 8; i++ {
 		key := fmt.Sprintf("k%d", i)
 		c.Do(key, nil, func() (any, error) { return i, nil })
@@ -102,9 +103,30 @@ func TestEntryBoundEviction(t *testing.T) {
 	}
 }
 
+// TestExactCapacity: a cache bounded to n entries holds n distinct
+// fingerprint keys and evicts none of them; bounded to n entries' bytes
+// instead, the same. Only the next key evicts, and exactly one entry.
+func TestExactCapacity(t *testing.T) {
+	size := func(any) int64 { return 100 }
+	for _, n := range []int{256, 1024} {
+		for _, c := range []*Cache{New(n, 0), New(1<<30, int64(n)*100)} {
+			for i := 0; i < n; i++ {
+				c.Do(Fingerprint("src", strconv.Itoa(i)), size, func() (any, error) { return i, nil })
+			}
+			if st := c.Stats(); st.Entries != n || st.Evictions != 0 {
+				t.Fatalf("n=%d: stats = %+v, want %d entries and no eviction", n, st, n)
+			}
+			c.Do(Fingerprint("src", "one more"), size, func() (any, error) { return -1, nil })
+			if st := c.Stats(); st.Entries != n || st.Evictions != 1 {
+				t.Fatalf("n=%d, one past the bound: stats = %+v, want %d entries and one eviction", n, st, n)
+			}
+		}
+	}
+}
+
 func TestByteBoundEviction(t *testing.T) {
 	size := func(any) int64 { return 100 }
-	c := New(100, 250, 1) // one shard, 250 bytes => two 100-byte entries fit
+	c := New(100, 250) // two 100-byte entries fit
 	for i := 0; i < 3; i++ {
 		c.Do(fmt.Sprintf("k%d", i), size, func() (any, error) { return i, nil })
 	}
@@ -123,7 +145,7 @@ func TestByteBoundEviction(t *testing.T) {
 }
 
 func TestLRURecencyOrder(t *testing.T) {
-	c := New(2, 0, 1)
+	c := New(2, 0)
 	c.Do("a", nil, func() (any, error) { return 1, nil })
 	c.Do("b", nil, func() (any, error) { return 2, nil })
 	c.Do("a", nil, func() (any, error) { return -1, nil }) // bump a
@@ -140,7 +162,7 @@ func TestLRURecencyOrder(t *testing.T) {
 // identical requests trigger exactly one computation, and the counters
 // prove it (misses == 1, everything else a hit or an in-flight wait).
 func TestSingleflightExactlyOnce(t *testing.T) {
-	c := New(8, 0, 4)
+	c := New(8, 0)
 	const goroutines = 32
 	var calls atomic.Int64
 	gate := make(chan struct{})
@@ -178,7 +200,7 @@ func TestSingleflightExactlyOnce(t *testing.T) {
 // the panic instead of blocking forever, nothing is cached, and the next
 // call for the key computes afresh.
 func TestPanicSettlesFlight(t *testing.T) {
-	c := New(8, 0, 1)
+	c := New(8, 0)
 	const waiters = 4
 	caught := make(chan any, waiters+1)
 	do := func(fn func() (any, error)) {
@@ -212,7 +234,7 @@ func TestPanicSettlesFlight(t *testing.T) {
 // eviction pressure; run with -race. Each distinct key's computation
 // must happen at least once and the value must always be the key's own.
 func TestConcurrentHammer(t *testing.T) {
-	c := New(8, 4096, 4) // small: forces constant eviction
+	c := New(8, 4096) // small: forces constant eviction
 	const (
 		goroutines = 16
 		iters      = 200

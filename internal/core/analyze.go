@@ -248,6 +248,22 @@ func (a *Analysis) LoopTrip(l *cfg.Loop) (int, bool) {
 	return (b.hi-b.lo)/b.step + 1, true
 }
 
+// TripProduct returns how many times a block inside loop l executes:
+// the product of the trip counts of l and the loops enclosing it (1
+// when l is nil, at top level). It fails on the innermost loop whose
+// bounds are not constant.
+func (a *Analysis) TripProduct(l *cfg.Loop) (float64, error) {
+	execs := 1.0
+	for ; l != nil; l = l.Parent {
+		trip, ok := a.LoopTrip(l)
+		if !ok {
+			return 0, fmt.Errorf("core: loop %q has non-constant bounds", l.Var())
+		}
+		execs *= float64(trip)
+	}
+	return execs, nil
+}
+
 // walkScratch is what the Earliest/Latest walks write as they go: visit
 // sets over the skeleton's DefIDs and buffers they reuse from entry to
 // entry. One Analyze call owns it and drops it on return. The Skeleton

@@ -21,25 +21,13 @@ import (
 func (a *Analysis) DynamicMessages(res *Result) (float64, error) {
 	total := 0.0
 	for _, g := range res.Groups {
-		execs, err := a.positionExecs(g.Pos)
+		execs, err := a.TripProduct(g.Pos.Block.Loop)
 		if err != nil {
 			return 0, err
 		}
 		total += execs
 	}
 	return total, nil
-}
-
-func (a *Analysis) positionExecs(p Position) (float64, error) {
-	execs := 1.0
-	for l := p.Block.Loop; l != nil; l = l.Parent {
-		trip, ok := a.LoopTrip(l)
-		if !ok {
-			return 0, fmt.Errorf("core: loop %q has non-constant bounds", l.Var())
-		}
-		execs *= float64(trip)
-	}
-	return execs, nil
 }
 
 // PlaceOptimal exhaustively searches the candidate assignment space
@@ -168,7 +156,7 @@ func (a *Analysis) assignmentCost(live []*Entry, assign []int, cands [][]Positio
 	}
 	total := 0.0
 	for p, es := range byPos {
-		execs, err := a.positionExecs(p)
+		execs, err := a.TripProduct(p.Block.Loop)
 		if err != nil {
 			return 0, err
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"io"
 	"log/slog"
 	"slices"
 	"strconv"
@@ -66,20 +65,10 @@ type Options struct {
 	// section (and no definition intervenes), the later message is
 	// trimmed to the single-descriptor difference.
 	PartialRedundancy bool
-	// Trace, when non-nil, receives a human-readable log of the
-	// elimination and greedy decisions (the analog of the paper's
-	// trace dump to a listing file, Fig. 6).
-	Trace io.Writer
 	// Obs, when non-nil, receives phase spans, elimination/combining
 	// counters and the per-entry placement decision log. When nil the
 	// Analysis's own recorder (if any) is used instead.
 	Obs *obs.Recorder
-}
-
-func (o Options) tracef(format string, args ...any) {
-	if o.Trace != nil {
-		fmt.Fprintf(o.Trace, format+"\n", args...)
-	}
 }
 
 func (o Options) threshold() int {
@@ -352,8 +341,6 @@ func (a *Analysis) reducePartial(res *Result, opts Options) {
 					nd, okd := diff.NumElems()
 					if okl && okd && nd < nl {
 						res.Reduced[eLate] = diff
-						opts.tracef("partial-redundancy: %v trimmed from %v to %v (covered by %v)",
-							eLate, late, diff, eEarly)
 					}
 				}
 			}
@@ -787,7 +774,6 @@ type combineGroup struct {
 func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec *obs.Recorder, counts tally) {
 	cs := a.newCommSets(entries)
 	n, m, np := cs.n, len(entries), len(cs.pos)
-	trace := opts.Trace != nil
 	counts.add("candidate_positions", int64(np))
 
 	// Subset elimination (§4.5): CommSet(S1) ⊆ CommSet(S2) empties S1;
@@ -809,11 +795,6 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 					if !a.posDominates(cs.pos[p], cs.pos[q]) {
 						drop = q
 					}
-					if trace {
-						opts.tracef("subset-elim: CommSet(%v) == CommSet(%v): drop %v", cs.pos[p], cs.pos[q], cs.pos[drop])
-					}
-				} else if trace {
-					opts.tracef("subset-elim: CommSet(%v) subset of CommSet(%v): drop %v", cs.pos[p], cs.pos[q], cs.pos[p])
 				}
 				cs.clear(drop)
 				counts.add("subset.dropped_positions", 1)
@@ -897,9 +878,6 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 						counts.add("redundancy.disabled_positions", 1)
 					}
 					if cs.left[c1.ID] == 0 {
-						if trace {
-							opts.tracef("redundancy: %v fully subsumed by %v at %v", c1, c2, at)
-						}
 						subsumer[c1.ID] = c2
 						res.eliminate(c1, c2, at)
 						counts.add("redundancy.eliminated", 1)
@@ -952,9 +930,6 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 			if count > bestCount || (count == bestCount && a.posDominates(cs.pos[best], cs.pos[s])) {
 				best, bestCount = s, count
 			}
-		}
-		if trace {
-			opts.tracef("greedy: pin %v at %v (combinable partners %d of %d positions)", c, cs.pos[best], bestCount, len(stmtSet))
 		}
 		pinned[c.ID] = best
 		for _, q := range stmtSet {
@@ -1016,9 +991,6 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 					}
 					pairOK, reason := judge(e, mj, level)
 					if !pairOK {
-						if trace {
-							opts.tracef("combine: %v does not join group of %v (%s)", e, mj, reason)
-						}
 						counts.reject(reason)
 						ok = false
 						break
@@ -1095,8 +1067,7 @@ var verdicts = [...]string{"", reasonKind, reasonMapping, reasonThreshold, reaso
 // mappings identical or one a subset of the other, combined size under
 // the machine threshold (with the NNC/reduction rule of thumb when
 // sizes are unknown), and a bounded single-descriptor union — and says
-// which one a pair fails, for the observability counters and trace
-// log.
+// which one a pair fails, for the observability counters.
 func (a *Analysis) combineVerdict(e1, e2 *Entry, level int, opts Options) (bool, string) {
 	if e1.Kind != e2.Kind {
 		return false, reasonKind

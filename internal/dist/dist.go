@@ -89,14 +89,9 @@ func (g Grid) NumProcs() int {
 // Rank returns the grid dimensionality.
 func (g Grid) Rank() int { return len(g.Shape) }
 
-// Coords converts a linear processor id to grid coordinates
-// (row-major: the last dimension varies fastest).
-func (g Grid) Coords(pid int) []int {
-	return g.CoordsInto(pid, make([]int, len(g.Shape)))
-}
-
-// CoordsInto is Coords writing into the caller's buffer (len >= grid
-// rank), for paths that must not allocate.
+// CoordsInto converts a linear processor id to grid coordinates
+// (row-major: the last dimension varies fastest), written into the
+// caller's buffer (len >= grid rank) so the path does not allocate.
 func (g Grid) CoordsInto(pid int, c []int) []int {
 	c = c[:len(g.Shape)]
 	for i := len(g.Shape) - 1; i >= 0; i-- {

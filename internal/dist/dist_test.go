@@ -20,7 +20,7 @@ func TestGridCoordsRoundTrip(t *testing.T) {
 		t.Fatalf("NumProcs = %d", g.NumProcs())
 	}
 	for pid := 0; pid < g.NumProcs(); pid++ {
-		if back := g.PID(g.Coords(pid)); back != pid {
+		if back := g.PID(g.CoordsInto(pid, make([]int, g.Rank()))); back != pid {
 			t.Fatalf("PID(Coords(%d)) = %d", pid, back)
 		}
 	}
@@ -132,7 +132,7 @@ func TestMultiDimOwner(t *testing.T) {
 	}
 	// dim1 extent 8 over 2 -> blocks of 4; dim2 extent 9 over 3 -> 3.
 	own := d.Owner([]int{3, 5, 7})
-	coords := g.Coords(own)
+	coords := g.CoordsInto(own, make([]int, g.Rank()))
 	if coords[0] != 1 || coords[1] != 2 {
 		t.Errorf("Owner coords = %v, want [1 2]", coords)
 	}

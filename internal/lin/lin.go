@@ -136,15 +136,6 @@ func (f Form) CoefOf(name string) int {
 	return 0
 }
 
-// Vars returns the variables with non-zero coefficients, sorted.
-func (f Form) Vars() []string {
-	out := make([]string, len(f.Terms))
-	for k, t := range f.Terms {
-		out[k] = t.Var
-	}
-	return out
-}
-
 // SingleVar reports whether f = coef·name + konst for exactly one
 // variable.
 func (f Form) SingleVar() (name string, coef, konst int, ok bool) {

@@ -33,8 +33,8 @@ func TestZeroCoefficientsVanish(t *testing.T) {
 	if c, ok := f.IsConst(); !ok || c != 0 {
 		t.Fatalf("i - i = %v, want constant 0", f)
 	}
-	if len(f.Vars()) != 0 {
-		t.Errorf("Vars of zero form = %v", f.Vars())
+	if len(f.Terms) != 0 {
+		t.Errorf("terms of zero form = %v", f.Terms)
 	}
 }
 
@@ -302,8 +302,12 @@ func TestFormMatchesMapModel(t *testing.T) {
 		if ok != wok || x != wx {
 			t.Fatalf("Eval(%v) = %d %v, model %d %v", f, x, ok, wx, wok)
 		}
-		if got, want := f.Vars(), fm.vars(); strings.Join(got, ",") != strings.Join(want, ",") {
-			t.Fatalf("Vars(%v) = %v, model %v", f, got, want)
+		var got []string
+		for _, tm := range f.Terms {
+			got = append(got, tm.Var)
+		}
+		if want := fm.vars(); strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("variables of %v = %v, model %v", f, got, want)
 		}
 		name, coef, konst, ok := f.SingleVar()
 		if want := len(fm.Coef) == 1; ok != want || ok && (fm.Coef[name] != coef || konst != fm.Const) {

@@ -88,7 +88,7 @@ func (r *RunResult) Release() {
 	r.eng = nil
 }
 
-// MaxProcs returns the largest logical processor count Run accepts
+// maxProcs returns the largest logical processor count Run accepts
 // under the oversubscription policy: up to 256 goroutines per
 // available core (and never fewer than 1024 total) run multiplexed on
 // the Go scheduler — every native operation is a blocking channel
@@ -97,7 +97,7 @@ func (r *RunResult) Release() {
 // reaper of a failed run, yields after every sweep and ends with the run
 // (see comm.go). Beyond the clamp a run is refused: that many parked
 // goroutines signals a misconfigured grid, not a bigger machine.
-func MaxProcs() int {
+func maxProcs() int {
 	n := goruntime.GOMAXPROCS(0) * 256
 	if n < 1024 {
 		n = 1024
@@ -217,7 +217,7 @@ func newEngine(prog *plan.Program, procs int) (*Engine, error) {
 	if got := prog.Plan.Layout.P; got != procs {
 		return nil, fmt.Errorf("native: unit compiled for %d processors, run requested %d", got, procs)
 	}
-	if max := MaxProcs(); procs > max {
+	if max := maxProcs(); procs > max {
 		return nil, fmt.Errorf("native: %d processors exceeds the oversubscription clamp of %d (256×GOMAXPROCS, min 1024)", procs, max)
 	}
 	eng := &Engine{

@@ -109,7 +109,7 @@ end
 	if lhs.Subs[0].Kind != ast.SubRange || lhs.Subs[0].Hi == nil || lhs.Subs[0].Lo == nil {
 		t.Errorf("lhs sub0 = %+v", lhs.Subs[0])
 	}
-	if !lhs.Subs[1].IsFull() {
+	if s := lhs.Subs[1]; s.Kind != ast.SubRange || s.Lo != nil || s.Hi != nil || s.Step != nil {
 		t.Errorf("lhs sub1 should be bare ':': %+v", lhs.Subs[1])
 	}
 	rhs := as.RHS.(*ast.Ref)

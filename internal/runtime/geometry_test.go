@@ -89,7 +89,7 @@ func oracleShiftRange(m *elemTwin, sec section.Section, gridDim, sign, width, ds
 	}
 	coordsOf := make([][]int, m.P)
 	for p := 0; p < m.P; p++ {
-		coordsOf[p] = grid.Coords(p)
+		coordsOf[p] = grid.CoordsInto(p, make([]int, grid.Rank()))
 	}
 	pairs := map[[2]int]int{}
 	sec.Elems(func(idx []int) bool {

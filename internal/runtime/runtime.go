@@ -126,28 +126,6 @@ func (l *Ledger) ElapsedTime() float64 {
 	return maxT
 }
 
-// CPUTime and NetTime return the maximum per-processor component
-// clocks, the two segments of the paper's normalized bars.
-func (l *Ledger) CPUTime() float64 {
-	maxT := 0.0
-	for p := 0; p < l.P; p++ {
-		if l.CPU[p] > maxT {
-			maxT = l.CPU[p]
-		}
-	}
-	return maxT
-}
-
-func (l *Ledger) NetTime() float64 {
-	maxT := 0.0
-	for p := 0; p < l.P; p++ {
-		if l.Net[p] > maxT {
-			maxT = l.Net[p]
-		}
-	}
-	return maxT
-}
-
 // LedgerView is a range-scoped window onto the CPU clocks of a ledger
 // for processors [Lo, Hi). It owns an independent backing slice, so
 // several views over disjoint ranges can accumulate compute time
@@ -383,11 +361,6 @@ func (m *Memory) Read(proc int, name string, idx []int) (float64, error) {
 		return am.Data[s][off], nil
 	}
 	return 0, &StaleReadError{Proc: proc, Array: am.Name, Index: append([]int(nil), idx...)}
-}
-
-// ReadOwner returns the canonical (owner's) value of an element.
-func (m *Memory) ReadOwner(name string, idx []int) float64 {
-	return m.View(name).Data[m.Owner(name, idx)][m.View(name).Offset(idx)]
 }
 
 // Write stores an element at its owner and invalidates every other

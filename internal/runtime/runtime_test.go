@@ -241,7 +241,7 @@ func TestLedgerAccounting(t *testing.T) {
 	if l.DynMessages <= 1 {
 		t.Error("collectives must account messages")
 	}
-	if l.CPUTime() <= 0 || l.NetTime() <= 0 {
+	if slices.Max(l.CPU) <= 0 || slices.Max(l.Net) <= 0 {
 		t.Error("component clocks must advance")
 	}
 }

@@ -178,9 +178,9 @@ func (p *Pool) SetQueueWaitObserver(fn func(time.Duration)) {
 	p.onQueueWait = fn
 }
 
-// AvgService returns the EWMA of per-job run time (0 before the
+// avgService returns the EWMA of per-job run time (0 before the
 // first job completes).
-func (p *Pool) AvgService() time.Duration {
+func (p *Pool) avgService() time.Duration {
 	return time.Duration(p.avgServiceNS.Load())
 }
 
@@ -314,6 +314,6 @@ func (p *Pool) Stats() Stats {
 		Completed:    p.completed.Load(),
 		Failed:       p.failed.Load(),
 		Expired:      p.expired.Load(),
-		AvgServiceUS: p.AvgService().Microseconds(),
+		AvgServiceUS: p.avgService().Microseconds(),
 	}
 }

@@ -342,7 +342,7 @@ func TestQueueWaitObserver(t *testing.T) {
 func TestAvgServiceEWMA(t *testing.T) {
 	p := New(1, 8)
 	defer p.Close()
-	if p.AvgService() != 0 || p.EstimateDrain() != 0 {
+	if p.avgService() != 0 || p.EstimateDrain() != 0 {
 		t.Fatal("fresh pool reports a service time")
 	}
 	for i := 0; i < 8; i++ {
@@ -351,7 +351,7 @@ func TestAvgServiceEWMA(t *testing.T) {
 			return nil, nil
 		})
 	}
-	avg := p.AvgService()
+	avg := p.avgService()
 	if avg < 4*time.Millisecond || avg > 100*time.Millisecond {
 		t.Fatalf("avg service %v, want around 5ms", avg)
 	}

@@ -237,19 +237,6 @@ func (s Section) Intersect(t Section) Section {
 	return out.Normalize()
 }
 
-// Shift translates the section by the given per-dimension offsets.
-func (s Section) Shift(off []int) Section {
-	if len(off) != len(s.Dims) {
-		// Unreachable from input: only tests shift a section.
-		panic(fmt.Sprintf("section: Shift: rank %d section with %d offsets", len(s.Dims), len(off)))
-	}
-	out := Section{Dims: make([]Dim, len(s.Dims))}
-	for i, d := range s.Dims {
-		out.Dims[i] = Dim{Lo: d.Lo + off[i], Hi: d.Hi + off[i], Step: d.Step}
-	}
-	return out
-}
-
 // Clip restricts the section to the box [lo, hi] (inclusive).
 func (s Section) Clip(lo, hi []int) Section {
 	if len(lo) != len(s.Dims) || len(hi) != len(s.Dims) {

@@ -125,14 +125,9 @@ func TestIntersectBruteForce(t *testing.T) {
 	}
 }
 
-func TestShiftClip(t *testing.T) {
-	s := New(Dim{2, 9, 1}, Dim{1, 5, 2})
-	sh := s.Shift([]int{-1, 2})
-	want := New(Dim{1, 8, 1}, Dim{3, 7, 2})
-	if !sh.Equal(want) {
-		t.Errorf("Shift = %v, want %v", sh, want)
-	}
-	cl := sh.Clip([]int{2, 2}, []int{6, 6})
+func TestClip(t *testing.T) {
+	s := New(Dim{1, 8, 1}, Dim{3, 7, 2})
+	cl := s.Clip([]int{2, 2}, []int{6, 6})
 	if cl.Dims[0].Lo != 2 || cl.Dims[0].Hi != 6 {
 		t.Errorf("Clip dim0 = %v", cl.Dims[0])
 	}

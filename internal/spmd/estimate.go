@@ -1,7 +1,6 @@
 package spmd
 
 import (
-	"fmt"
 	"math"
 
 	"gcao/internal/ast"
@@ -34,22 +33,10 @@ func Estimate(res *core.Result, m machine.Machine) (Cost, error) {
 	p := a.Unit.Grid.NumProcs()
 	var cost Cost
 
-	tripProduct := func(loops []*cfg.Loop) (float64, error) {
-		prod := 1.0
-		for _, l := range loops {
-			t, ok := a.LoopTrip(l)
-			if !ok {
-				return 0, fmt.Errorf("spmd: loop %q has non-constant bounds", l.Var())
-			}
-			prod *= float64(t)
-		}
-		return prod, nil
-	}
-
 	// Computation: owner-computes spreads distributed-LHS statements
 	// over the processors; replicated work is paid by everyone.
 	for _, st := range a.G.Stmts {
-		iters, err := tripProduct(st.Loops)
+		iters, err := a.TripProduct(st.Block.Loop)
 		if err != nil {
 			return Cost{}, err
 		}
@@ -71,22 +58,12 @@ func Estimate(res *core.Result, m machine.Machine) (Cost, error) {
 	}
 
 	// Communication.
-	// loops holds one group's enclosing loops, innermost first; its
-	// storage is reused from group to group.
-	var loops []*cfg.Loop
-	blockLoops := func(b *cfg.Block) []*cfg.Loop {
-		loops = loops[:0]
-		for l := b.Loop; l != nil; l = l.Parent {
-			loops = append(loops, l)
-		}
-		return loops
-	}
 	log2p := math.Ceil(math.Log2(float64(p)))
 	if p == 1 {
 		log2p = 0
 	}
 	for _, g := range res.Groups {
-		execs, err := tripProduct(blockLoops(g.Pos.Block))
+		execs, err := a.TripProduct(g.Pos.Block.Loop)
 		if err != nil {
 			return Cost{}, err
 		}

@@ -2,12 +2,14 @@ package spmd
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"gcao/internal/core"
 	"gcao/internal/machine"
 	"gcao/internal/parser"
 	"gcao/internal/plan"
+	"gcao/internal/runtime"
 	"gcao/internal/sem"
 )
 
@@ -26,6 +28,16 @@ func compile(t *testing.T, src string, params map[string]int, procs int) *core.A
 		t.Fatalf("analysis: %v", err)
 	}
 	return a
+}
+
+// readOwner returns an element as its owner holds it, always valid.
+func readOwner(t *testing.T, m *runtime.Memory, name string, idx ...int) float64 {
+	t.Helper()
+	v, err := m.Read(m.Owner(name, idx), name, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 func placed(t *testing.T, a *core.Analysis, v core.Version) *core.Result {
@@ -72,7 +84,7 @@ func TestRunComputesStencil(t *testing.T) {
 	// Hand-check one interior element: b(3,3) after one step equals
 	// the average of a's initial neighbours.
 	want := 0.25 * float64((2*10+3)+(4*10+3)+(3*10+2)+(3*10+4))
-	got := run.Mem.ReadOwner("a", []int{3, 3}) // copied into a by the second nest
+	got := readOwner(t, run.Mem, "a", 3, 3) // copied into a by the second nest
 	if got != want {
 		t.Errorf("a[3 3] = %v, want %v", got, want)
 	}
@@ -142,7 +154,7 @@ func TestEstimateMatchesRunShape(t *testing.T) {
 			t.Fatal(err)
 		}
 		estNet = append(estNet, c.Net)
-		runNet = append(runNet, run.Ledger.NetTime())
+		runNet = append(runNet, slices.Max(run.Ledger.Net))
 	}
 	if !(estNet[1] <= estNet[0]) {
 		t.Errorf("estimate: comb net %v should not exceed orig %v", estNet[1], estNet[0])
@@ -231,7 +243,7 @@ func TestBranching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := run.Mem.ReadOwner("b", []int{5}); got != 4 {
+	if got := readOwner(t, run.Mem, "b", 5); got != 4 {
 		t.Errorf("b[5] = %v, want 4 (then-branch taken)", got)
 	}
 }
@@ -259,7 +271,7 @@ func TestZeroTripLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 8; i++ {
-		if got := run.Mem.ReadOwner("a", []int{i}); got != 1 {
+		if got := readOwner(t, run.Mem, "a", i); got != 1 {
 			t.Errorf("a[%d] = %v after zero-trip loop, want 1", i, got)
 		}
 	}
@@ -289,7 +301,7 @@ end
 		if (i-1)%3 == 0 {
 			want = 7
 		}
-		if got := run.Mem.ReadOwner("a", []int{i}); got != want {
+		if got := readOwner(t, run.Mem, "a", i); got != want {
 			t.Errorf("a[%d] = %v, want %v", i, got, want)
 		}
 	}
@@ -341,7 +353,7 @@ func TestReplicatedAndIntrinsics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// a(i) = 2i + 1 + 3 + 2 + 2 + 1 + 2 = 2i + 11
-	if got := run.Mem.ReadOwner("a", []int{3}); got != 17 {
+	if got := readOwner(t, run.Mem, "a", 3); got != 17 {
 		t.Errorf("a[3] = %v, want 17", got)
 	}
 	want := 0.0
@@ -379,7 +391,7 @@ func TestNegativeStepLoop(t *testing.T) {
 		if i%2 == 1 {
 			want = float64(i)
 		}
-		if got := run.Mem.ReadOwner("a", []int{i}); got != want {
+		if got := readOwner(t, run.Mem, "a", i); got != want {
 			t.Errorf("a[%d] = %v, want %v", i, got, want)
 		}
 	}
@@ -414,7 +426,7 @@ end
 	if run.Scalars["x"] != 3 {
 		t.Errorf("x = %v, want 3", run.Scalars["x"])
 	}
-	if got := run.Mem.ReadOwner("a", []int{2}); got != 16 {
+	if got := readOwner(t, run.Mem, "a", 2); got != 16 {
 		t.Errorf("a[2] = %v, want 16", got)
 	}
 }
