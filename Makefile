@@ -142,7 +142,9 @@ obs-smoke:
 # native-smoke proves the native execution backend end to end: compile
 # the shallow benchmark, run it as real goroutines, verify bit-for-bit
 # against the BSP simulator from the command line, then run the
-# exhaustive native-vs-simulator matrix and the oversubscription
+# exhaustive native-vs-simulator matrix, the library's
+# (*gcao.Placed).VerifyNative over every routine × strategy at P=4
+# (TestPlacedVerifyNative), and the oversubscription
 # regression test, the traffic golden (every message and byte of the six
 # Fig. 10(a) routines × 3 versions × P ∈ {4, 16}), the split-phase SUM
 # edge cases (gather at the statement, settle at the global-sum group,
@@ -172,6 +174,7 @@ native-smoke:
 	@n=$$(grep -c 'native ok, bit-identical to simulator' out/native-smoke.txt); \
 	[ "$$n" -ge 6 ] || { echo "native-smoke: only $$n of 6 benchmarks verified"; exit 1; }
 	$(GO) test ./internal/native -run 'TestNativeMatchesSimulator|TestNativeOversubscription|TestReusedEngineMatchesFresh|TestNativeLocalizationEdgeCases/(mod|mixed)' -count=1
+	$(GO) test . -run 'TestPlacedVerifyNative' -count=1
 	$(GO) test ./internal/native -run 'TestNativeTrafficGolden|TestNativeSplitSumEdgeCases|TestNativeReuseAfterFailedSplitSum|TestNativeProfileSumAttribution|TestImageBytes|TestStaleReadOutsideLocalBox|TestValidBoxFragmentation|TestPartiallyValidStrip' -count=1
 	$(GO) test ./internal/runtime -run 'TestStripShiftMatchesRebuild|TestValidBoxesMatchPlane|TestBulkOperationsDoNotAllocate' -count=1
 	$(GO) test ./internal/plan -run 'TestModMatchesMathMod|TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt|TestScheduleKeyHoldsBoundBits' -count=1
@@ -249,7 +252,9 @@ fuzz-smoke:
 
 # sim-smoke holds what the BSP simulator charges and what it costs: the
 # ledger golden file (messages, bytes, barriers and every clock bit, at
-# 1, 3 and GOMAXPROCS shards) must pass unchanged, the per-receiver
+# 1, 3 and GOMAXPROCS shards) must pass unchanged, the one final-state
+# comparison must hold its table (TestCompareState: bit for bit, NaN
+# equal to NaN, -0 apart from +0), the per-receiver
 # strip delivery (StripRuns runs copied by CopyValid, what a receiver's
 # exchange schedule replays) must leave exactly what the per-element
 # section scan it replaced left (rows, validity, per-pair bytes), the
@@ -264,7 +269,7 @@ fuzz-smoke:
 # simulator engines (and two native ones) running one lowered program at
 # once, and one single-shard run of hydflo/flux (BenchmarkSimVerify/j1:
 # n=16, 4 steps, P=16, memory image and lowered program rebuilt per run,
-# as spmd.Run on a bare placement result does) must stay
+# as spmd.RunParallel on a bare placement result does) must stay
 # within the allocation budget in ci/sim-alloc-budget.txt: 1.25x the
 # measured allocs/op, where the revision that scanned whole sections
 # into per-call pair maps spent 10 300 — a bulk memory operation that
@@ -275,7 +280,7 @@ fuzz-smoke:
 sim-smoke:
 	@mkdir -p out
 	$(GO) test ./internal/spmd -run 'TestLedgerGolden' -count=1
-	$(GO) test ./internal/runtime -run 'TestStripMatchesElementScan|TestOwnerRunsMatchElementScan|TestValidBoxesMatchPlane|TestBulkOperationsDoNotAllocate' -count=1
+	$(GO) test ./internal/runtime -run 'TestStripMatchesElementScan|TestOwnerRunsMatchElementScan|TestValidBoxesMatchPlane|TestBulkOperationsDoNotAllocate|TestCompareState' -count=1
 	$(GO) test ./internal/plan -run 'TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt|TestEntryProofDeclinesValidNest' -count=1
 	$(GO) test ./internal/native -run 'TestImageBytes|TestStaleReadOutsideLocalBox' -count=1
 	$(GO) test -race ./internal/spmd -run 'TestParallelMatchesSequential' -count=1

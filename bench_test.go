@@ -134,7 +134,7 @@ func BenchmarkFunctionalSimulation(b *testing.B) {
 	m := machine.SP2()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := spmd.Run(res, m, 4); err != nil {
+		if _, err := spmd.RunParallel(res, m, 4, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -690,9 +690,10 @@ func BenchmarkNativeScaling(b *testing.B) {
 // placement's index and the slot-resolved form with its row ops, purity
 // analysis, per-processor bounds and row-loop marking; no memory image —
 // on the six Fig. 10(a) routines at P=25. A gcao.Placed pays for it once,
-// whatever it runs on; native.NewEngine and spmd.Run on a bare placement
-// result lower for themselves (so spmd.Run pays per run), which is why
-// what lowering allocates is budgeted in ci/sim-alloc-budget.txt.
+// whatever it runs on; native.NewEngine and spmd.RunParallel on a bare
+// placement result lower for themselves (so RunParallel pays per run),
+// which is why what lowering allocates is budgeted in
+// ci/sim-alloc-budget.txt.
 func BenchmarkLower(b *testing.B) {
 	var placed []*core.Result
 	for _, pr := range bench.Programs() {

@@ -363,6 +363,14 @@ func TestRetainedRecordSpans(t *testing.T) {
 			t.Errorf("place:%s %+v outside place %+v", v, sp, place)
 		}
 	}
+	// Estimated, strategy "all" estimates under its own phase, as a
+	// single strategy does.
+	estAll := body(15, "all")
+	estAll["estimate"] = true
+	resp, _ = postCompile(t, ts, estAll)
+	if got := phaseKeys(fetchRecord(t, ts, resp.Header.Get("X-Request-Id"))); got != "compile estimate finalize ingress place queue.wait" {
+		t.Errorf("estimated all phases %q", got)
+	}
 
 	// Batch items: each its own record, under the batch's id.
 	resp, out := postBatch(t, ts, []map[string]any{body(14, "comb"), body(12, "comb")})

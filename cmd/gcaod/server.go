@@ -398,6 +398,10 @@ func decodeJSONBody[T any](r *http.Request, maxBody int64) (T, error) {
 	return v, nil
 }
 
+// strategies are what strategy:"all" places, in response order: the
+// paper's algorithm last.
+var strategies = [...]gcao.Strategy{gcao.Vectorize, gcao.EarliestRedundancy, gcao.Combine}
+
 // compile runs one request through the cached pipeline on the request's
 // recorder. The phases opened here (compile, place, estimate, simulate)
 // follow the handler's queue.wait gap-free, so their durations account
@@ -415,13 +419,13 @@ func (s *server) compile(ctx context.Context, id string, rec *obs.Recorder, req 
 		s.testHook()
 	}
 	all := req.Strategy == "all"
-	var strategy gcao.Strategy
+	strats := strategies[:]
 	if !all {
-		var err error
-		strategy, err = gcao.StrategyByName(req.Strategy)
+		strategy, err := gcao.StrategyByName(req.Strategy)
 		if err != nil {
 			return nil, badRequestError{err}
 		}
+		strats = []gcao.Strategy{strategy}
 	}
 	machineName := req.Machine
 	if machineName == "" {
@@ -452,34 +456,53 @@ func (s *server) compile(ctx context.Context, id string, rec *obs.Recorder, req 
 		cached.Skeleton = compOut.Skeleton.String()
 		rec.SetAttr("skeleton", cached.Skeleton)
 	}
-	if all {
-		return s.placeAll(ctx, id, rec, req, c, cached, m)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	resp := &compileResponse{ReqID: id, Strategy: "all", Machine: m.Name, Cache: cached}
+
+	// The strategies are placed one after another on this request's pool
+	// worker: the pool already serves requests in parallel, and the
+	// placements share the request's recorder, whose span depth is one
+	// counter — run concurrently, the sibling place:<v> spans would record
+	// several depths. The scalar fields report the last placement: the
+	// paper's algorithm for strategy:"all".
 	rec.Phase("place")
-	placed, placeOut, err := s.cache.Place(c, strategy, rec)
-	if err != nil {
-		return nil, badRequestError{err}
-	}
-	cached.Place = placeOut.String()
-	rec.SetAttr("cache", cached.Place)
-	resp := &compileResponse{
-		ReqID:    id,
-		Strategy: strategy.String(),
-		Machine:  m.Name,
-		Messages: placed.Messages(),
-		Counts:   countsOf(placed),
-		Cache:    cached,
+	var placed [len(strategies)]*gcao.Placed
+	for i, strat := range strats {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		p, out, err := s.cache.Place(c, strat, rec)
+		if err != nil {
+			return nil, badRequestError{fmt.Errorf("%s: %w", strat, err)}
+		}
+		placed[i] = p
+		resp.Messages, resp.Counts = p.Messages(), countsOf(p)
+		if all {
+			resp.Versions = append(resp.Versions, versionDoc{
+				Strategy: strat.String(),
+				Messages: resp.Messages,
+				Counts:   resp.Counts,
+				Place:    out.String(),
+			})
+		} else {
+			resp.Strategy, cached.Place = strat.String(), out.String()
+			rec.SetAttr("cache", cached.Place)
+		}
 	}
 	if req.Estimate {
 		rec.Phase("estimate")
-		if resp.Estimate, err = s.estimate(c, placed, m); err != nil {
-			return nil, err
+		for i := range strats {
+			est, err := s.estimate(c, placed[i], m)
+			if err != nil {
+				return nil, err
+			}
+			if all {
+				resp.Versions[i].Estimate = est
+			} else {
+				resp.Estimate = est
+			}
 		}
 	}
-	if err := s.execute(resp, req, placed, m, rec); err != nil {
+	if err := s.execute(resp, req, placed[len(strats)-1], m, rec); err != nil {
 		return nil, err
 	}
 	resp.Metrics = rec.Doc()
@@ -507,54 +530,6 @@ func (s *server) estimate(c *gcao.Compilation, placed *gcao.Placed, m gcao.Machi
 	s.reg.ObserveBytes(version, cost.Bytes)
 	s.reg.SetOptimalityGap(c.Analysis.Unit.Routine.Name, version, c.LowerBound().TotalBytes, cost.Bytes)
 	return &estimateDoc{CPUSeconds: cost.CPU, NetSeconds: cost.Net, Messages: cost.Messages, Bytes: cost.Bytes}, nil
-}
-
-// placeAll places the three strategies of one cached compilation, one
-// after another on this request's pool worker, and reports them side by
-// side. The pool already serves requests in parallel, and the placements
-// share the request's recorder, whose span depth is one counter: run
-// concurrently, the sibling place:<v> spans would record three depths.
-func (s *server) placeAll(ctx context.Context, id string, rec *obs.Recorder, req compileRequest, c *gcao.Compilation, cached *cacheDoc, m gcao.Machine) (*compileResponse, error) {
-	rec.Phase("place")
-	resp := &compileResponse{
-		ReqID:    id,
-		Strategy: "all",
-		Machine:  m.Name,
-		Cache:    cached,
-	}
-	var placed *gcao.Placed
-	for _, strat := range []gcao.Strategy{gcao.Vectorize, gcao.EarliestRedundancy, gcao.Combine} {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var out gcao.CacheOutcome
-		var err error
-		if placed, out, err = s.cache.Place(c, strat, rec); err != nil {
-			return nil, badRequestError{fmt.Errorf("%s: %w", strat, err)}
-		}
-		doc := versionDoc{
-			Strategy: strat.String(),
-			Messages: placed.Messages(),
-			Counts:   countsOf(placed),
-			Place:    out.String(),
-		}
-		if req.Estimate {
-			if doc.Estimate, err = s.estimate(c, placed, m); err != nil {
-				return nil, err
-			}
-		}
-		resp.Versions = append(resp.Versions, doc)
-	}
-	// Surface the paper's algorithm (comb, placed last) in the scalar
-	// fields so clients that ignore Versions still see the best placement.
-	last := resp.Versions[len(resp.Versions)-1]
-	resp.Messages = last.Messages
-	resp.Counts = last.Counts
-	if err := s.execute(resp, req, placed, m, rec); err != nil {
-		return nil, err
-	}
-	resp.Metrics = rec.Doc()
-	return resp, nil
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -853,8 +853,9 @@ func TestExpiredCompileRunsNoPlacement(t *testing.T) {
 }
 
 // TestCompileAllStrategies: strategy "all" places the three versions
-// of one cached compilation concurrently and reports them side by
-// side; the per-version results must match three individual requests.
+// of one cached compilation and reports them side by side; the
+// per-version results — placement and estimate — must match three
+// individual requests.
 func TestCompileAllStrategies(t *testing.T) {
 	_, ts := testServer(t)
 	resp, out := postCompile(t, ts, map[string]any{
@@ -893,6 +894,7 @@ func TestCompileAllStrategies(t *testing.T) {
 			"params":   map[string]int{"n": 12, "steps": 2},
 			"procs":    4,
 			"strategy": strat,
+			"estimate": true,
 		})
 		var got versionDoc
 		for _, v := range out.Versions {
@@ -902,6 +904,9 @@ func TestCompileAllStrategies(t *testing.T) {
 		}
 		if single.Messages != got.Messages {
 			t.Errorf("%s: all-mode %d messages, single-mode %d", strat, got.Messages, single.Messages)
+		}
+		if single.Estimate == nil || *single.Estimate != *got.Estimate {
+			t.Errorf("%s: all-mode estimate %+v, single-mode %+v", strat, got.Estimate, single.Estimate)
 		}
 	}
 }

@@ -8,11 +8,10 @@ import (
 
 	"gcao"
 	"gcao/internal/bench"
-	"gcao/internal/core"
 	"gcao/internal/machine"
 	"gcao/internal/native"
 	"gcao/internal/obs"
-	"gcao/internal/spmd"
+	"gcao/internal/runtime"
 )
 
 // fig10a regenerates the compile-time static message-count table of
@@ -76,7 +75,7 @@ func charts(fs *flag.FlagSet, args []string) {
 }
 
 // verify executes every benchmark's functional instance under comb on
-// the BSP simulator at P=4 and checks it for numerical equivalence
+// the BSP simulator at P=4 and checks its final state bit for bit
 // against a sequential run; with -backend native it also runs the
 // placement as real goroutines and checks that bit for bit against the
 // simulator. -blame k prints each instance's top-k communication blame
@@ -101,37 +100,25 @@ func verify(fs *flag.FlagSet, args []string) {
 	m := machine.SP2()
 	for _, pr := range bench.Programs() {
 		name := pr.Bench + "/" + pr.Routine
-		place := func(p int, rec *obs.Recorder) *core.Result {
-			a, err := pr.Compile(functionalN(pr), p)
-			if err != nil {
-				fatal(err)
-			}
-			a.Obs = rec
-			res, err := a.Place(core.Options{Version: core.VersionCombine})
-			if err != nil {
-				fatal(err)
-			}
-			return res
-		}
-		res := place(procs, rec)
-		run, err := spmd.Run(res, m, procs)
+		placed := placeBench(pr, functionalN(pr), procs, gcao.Combine, rec)
+		run, err := placed.Simulate(m, procs)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
-		seq, err := spmd.Run(place(1, nil), m, 1)
+		seq, err := placeBench(pr, functionalN(pr), 1, gcao.Combine, nil).Simulate(m, 1)
 		if err != nil {
 			fatal(err)
 		}
-		if err := spmd.VerifyAgainstSequential(run, seq); err != nil {
-			fatal(fmt.Errorf("%s: %w", name, err))
+		if err := runtime.CompareState(run.Mem, seq.Mem, run.Scalars, seq.Scalars); err != nil {
+			fatal(fmt.Errorf("%s: parallel vs sequential: %w", name, err))
 		}
 		fmt.Printf("  %-18s ok (%d dynamic messages, %d barriers)\n", name, run.Ledger.DynMessages, run.Ledger.Barriers)
 		if *backend == "native" {
-			if err := native.VerifyAgainstSimulator(res, m, procs); err != nil {
+			nat, err := placed.RunNative(procs)
+			if err != nil {
 				fatal(fmt.Errorf("%s: %w", name, err))
 			}
-			nat, err := native.Run(res, procs)
-			if err != nil {
+			if err := native.Diff(nat, run); err != nil {
 				fatal(fmt.Errorf("%s: %w", name, err))
 			}
 			fmt.Printf("  %-18s native ok, bit-identical to simulator (%d messages, %d barriers, %d wire bytes, %d hops)\n",

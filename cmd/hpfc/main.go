@@ -122,19 +122,27 @@ func writeObs(path string, write func(w io.Writer) error) {
 	}
 }
 
-// versionByName resolves a -version flag, as the library's strategy and
-// as the core version benchmark programs are placed with.
-func versionByName(name string) (gcao.Strategy, core.Version) {
-	switch name {
-	case "orig":
-		return gcao.Vectorize, core.VersionOrig
-	case "nored":
-		return gcao.EarliestRedundancy, core.VersionRedund
-	case "comb":
-		return gcao.Combine, core.VersionCombine
+// strategy resolves a -version flag.
+func strategy(name string) gcao.Strategy {
+	s, err := gcao.StrategyByName(name)
+	if err != nil {
+		fatal(err)
 	}
-	fatal(fmt.Errorf("unknown -version %q (want orig, nored, comb)", name))
-	panic("unreachable")
+	return s
+}
+
+// placeBench compiles a benchmark routine's source at size n on procs
+// processors, observed by rec (nil: not observed), and places it under s.
+func placeBench(pr *bench.Program, n, procs int, s gcao.Strategy, rec *obs.Recorder) *gcao.Placed {
+	c, err := gcao.Compile(pr.Source, gcao.Config{Params: pr.Params(n), Procs: procs, Obs: rec})
+	if err != nil {
+		fatal(fmt.Errorf("bench %s/%s: %w", pr.Bench, pr.Routine, err))
+	}
+	placed, err := c.Place(s)
+	if err != nil {
+		fatal(err)
+	}
+	return placed
 }
 
 // functionalN is the size of a benchmark's functional instance: the
@@ -244,7 +252,7 @@ func compile(fs *flag.FlagSet, args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	strat, _ := versionByName(*version)
+	strat := strategy(*version)
 
 	c, err := gcao.CompileProgram(src, *mainName, gcao.Config{Params: params, Procs: *procs, Obs: rec})
 	if err != nil {

@@ -6,13 +6,10 @@ import (
 	"strings"
 
 	"gcao"
-	"gcao/internal/core"
 	"gcao/internal/machine"
-	"gcao/internal/native"
 	nprof "gcao/internal/native/prof"
 	"gcao/internal/obs"
 	"gcao/internal/obs/attr"
-	"gcao/internal/spmd"
 )
 
 // shades maps a pair's byte count, normalized to the matrix maximum,
@@ -54,7 +51,7 @@ func profile(fs *flag.FlagSet, args []string) {
 	lFlag := fs.Float64("L", 0, "BSP per-superstep latency override for -blame, seconds (0: derive from -machine)")
 	fs.Parse(args)
 
-	_, v := versionByName(*version)
+	strat := strategy(*version)
 	m, err := machine.ByName(*machineName)
 	if err != nil {
 		fatal(err)
@@ -77,16 +74,8 @@ func profile(fs *flag.FlagSet, args []string) {
 
 	// The profile is read off the recorder, so there always is one.
 	rec := obs.New()
-	a, err := pr.Compile(size, *procs)
-	if err != nil {
-		fatal(err)
-	}
-	a.Obs = rec
-	res, err := a.Place(core.Options{Version: v})
-	if err != nil {
-		fatal(err)
-	}
-	run, err := spmd.Run(res, m, *procs)
+	placed := placeBench(pr, size, *procs, strat, rec)
+	run, err := placed.Simulate(m, *procs)
 	if err != nil {
 		fatal(err)
 	}
@@ -96,7 +85,7 @@ func profile(fs *flag.FlagSet, args []string) {
 	}
 
 	fmt.Printf("hpfc profile: %s/%s n=%d P=%d version=%s machine=%s\n",
-		pr.Bench, pr.Routine, size, *procs, v, *machineName)
+		pr.Bench, pr.Routine, size, *procs, strat, *machineName)
 	fmt.Printf("%d supersteps, %d dynamic messages, %d bytes moved, %d barriers\n\n",
 		len(steps.Steps), steps.TotalMessages(), steps.TotalBytes(), run.Ledger.Barriers)
 
@@ -107,7 +96,7 @@ func profile(fs *flag.FlagSet, args []string) {
 		writeBlame(steps, model, *blame)
 	}
 	if *nativeRun {
-		out, err := native.RunProfiled(res, *procs, rec)
+		out, err := placed.RunNativeProfiled(*procs, rec)
 		if err != nil {
 			fatal(err)
 		}

@@ -40,6 +40,7 @@ import (
 	"gcao/internal/obs/attr"
 	"gcao/internal/parser"
 	"gcao/internal/plan"
+	"gcao/internal/runtime"
 	"gcao/internal/sem"
 	"gcao/internal/spmd"
 )
@@ -275,9 +276,6 @@ type PlacementOptions struct {
 	// CombineThresholdBytes bounds combined message size (default the
 	// paper's 20 KB).
 	CombineThresholdBytes int
-	// MaxHullBlowup bounds single-descriptor union padding (default
-	// 1.25).
-	MaxHullBlowup float64
 	// DisableSubsetElim turns off §4.5 subset elimination.
 	DisableSubsetElim bool
 	// NaiveGreedyOrder processes entries in program order instead of
@@ -297,7 +295,6 @@ func (opt PlacementOptions) coreOptions(s Strategy) core.Options {
 	return core.Options{
 		Version:               s.version(),
 		CombineThresholdBytes: opt.CombineThresholdBytes,
-		MaxHullBlowup:         opt.MaxHullBlowup,
 		DisableSubsetElim:     opt.DisableSubsetElim,
 		NaiveGreedyOrder:      opt.NaiveGreedyOrder,
 		DisableCombining:      opt.DisableCombining,
@@ -430,23 +427,37 @@ func (p *Placed) Estimate(m Machine) (spmd.Cost, error) {
 // bit-identical to Simulate by construction; VerifyNative enforces it.
 // The result's Mem and Scalars are valid until its Release, as Simulate's.
 func (p *Placed) RunNative(procs int) (*native.RunResult, error) {
-	return native.RunPooled(&p.nat, p.Program(), procs, nil, false)
+	return native.RunPooled(&p.nat, p.Program(), procs, nil)
 }
 
-// RunNativeProfiled is RunNative with the runtime profiler armed and a
-// recorder: every processor records its communication events into a
-// ring its engine keeps, and the result (and the recorder) carry the
-// folded NativeProfile — per-superstep timelines, wait accounting,
-// compute skew.
+// RunNativeProfiled is RunNative with the runtime profiler armed: every
+// processor records its communication events into a ring its engine
+// keeps, and the result (and rec) carry the folded NativeProfile —
+// per-superstep timelines, wait accounting, compute skew. A native run
+// is profiled when it is given a recorder, so a nil rec runs on one of
+// its own.
 func (p *Placed) RunNativeProfiled(procs int, rec *Recorder) (*native.RunResult, error) {
-	return native.RunPooled(&p.nat, p.Program(), procs, rec, true)
+	if rec == nil {
+		rec = obs.New()
+	}
+	return native.RunPooled(&p.nat, p.Program(), procs, rec)
 }
 
 // VerifyNative runs the placement on both backends — the BSP simulator
 // and the native goroutine engine — and compares final distributed
-// memory and scalar state bit for bit.
+// memory, validity and scalar state bit for bit (native.Diff).
 func (p *Placed) VerifyNative(m Machine, procs int) error {
-	return native.VerifyAgainstSimulator(p.Result, m, procs)
+	sim, err := p.Simulate(m, procs)
+	if err != nil {
+		return fmt.Errorf("gcao: simulator reference failed: %w", err)
+	}
+	defer sim.Release()
+	nat, err := p.RunNative(procs)
+	if err != nil {
+		return fmt.Errorf("gcao: native run failed: %w", err)
+	}
+	defer nat.Release()
+	return native.Diff(nat, sim)
 }
 
 // CompareStrategies compiles nothing new: it places the routine under
@@ -457,7 +468,9 @@ func (c *Compilation) CompareStrategies(m Machine) ([]spmd.Bar, error) {
 }
 
 // Verify runs the placed program and an independent single-processor
-// reference and compares all array contents elementwise.
+// reference and compares their final states bit for bit
+// (runtime.CompareState): every array's canonical image and the scalars
+// both hold.
 func (p *Placed) Verify(source string, cfg Config, m Machine, procs int) error {
 	run, err := p.Simulate(m, procs)
 	if err != nil {
@@ -478,5 +491,8 @@ func (p *Placed) Verify(source string, cfg Config, m Machine, procs int) error {
 	if err != nil {
 		return err
 	}
-	return spmd.VerifyAgainstSequential(run, seq)
+	if err := runtime.CompareState(run.Mem, seq.Mem, run.Scalars, seq.Scalars); err != nil {
+		return fmt.Errorf("gcao: parallel vs sequential: %w", err)
+	}
+	return nil
 }

@@ -111,7 +111,7 @@ func TestReleaseContract(t *testing.T) {
 	}
 
 	// Results of the package-level functions own their engines.
-	sim, err := spmd.Run(p.Result, m, 4)
+	sim, err := spmd.RunParallel(p.Result, m, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestPooledEnginesUnderConcurrency(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	p := placedShallow(t, 12, 4)
 	m := gcao.SP2()
-	ref, err := spmd.Run(p.Result, m, 4)
+	ref, err := spmd.RunParallel(p.Result, m, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +219,33 @@ func TestPooledEnginesUnderConcurrency(t *testing.T) {
 	for i, backend := range []string{"simulator", "native"} {
 		if n := len(images[i]); !raceEnabled && n > workers+runtime.GOMAXPROCS(0)-1 {
 			t.Errorf("%d %s engines built for %d concurrent callers", n, backend, workers)
+		}
+	}
+}
+
+// TestPlacedVerifyNative: every Fig. 10 routine under every strategy at
+// P=4, at the functional sizes hpfc verify runs (n=8 for shallow and
+// trimesh, 6 for the rest), ends in the same state — memory, validity and
+// scalars, bit for bit — on the native backend as on the simulator, both
+// run from the placement's lowered program and pools.
+func TestPlacedVerifyNative(t *testing.T) {
+	for _, pr := range bench.Programs() {
+		n := 6
+		if pr.Bench == "shallow" || pr.Bench == "trimesh" {
+			n = 8
+		}
+		c, err := gcao.Compile(pr.Source, gcao.Config{Params: pr.Params(n), Procs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []gcao.Strategy{gcao.Vectorize, gcao.EarliestRedundancy, gcao.Combine} {
+			p, err := c.Place(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.VerifyNative(gcao.SP2(), 4); err != nil {
+				t.Errorf("%s/%s %s: %v", pr.Bench, pr.Routine, s, err)
+			}
 		}
 	}
 }

@@ -29,7 +29,7 @@ func TestSecondEngineLowersNothing(t *testing.T) {
 		fresh, placed func() (*runtime.Memory, error)
 	}{
 		{"simulator",
-			func() (*runtime.Memory, error) { out, err := spmd.Run(p.Result, m, 4); return out.Mem, err },
+			func() (*runtime.Memory, error) { out, err := spmd.RunParallel(p.Result, m, 4, 0); return out.Mem, err },
 			func() (*runtime.Memory, error) { out, err := p.Simulate(m, 4); return out.Mem, err }},
 		{"native",
 			func() (*runtime.Memory, error) { out, err := native.Run(p.Result, 4); return out.Mem, err },

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"gcao"
-	"gcao/internal/spmd"
+	"gcao/internal/runtime"
 )
 
 const apiSrc = `
@@ -231,7 +231,7 @@ func TestInterprocedural(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := spmd.VerifyAgainstSequential(run, seq); err != nil {
+	if err := runtime.CompareState(run.Mem, seq.Mem, run.Scalars, seq.Scalars); err != nil {
 		t.Fatal(err)
 	}
 }

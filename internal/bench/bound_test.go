@@ -39,7 +39,7 @@ func checkBoundSoundness(t *testing.T, label string, a *core.Analysis, m machine
 		if !simulate {
 			continue
 		}
-		run, err := spmd.Run(res, m, a.Unit.Grid.NumProcs())
+		run, err := spmd.RunParallel(res, m, a.Unit.Grid.NumProcs(), 0)
 		if err != nil {
 			t.Fatalf("%s %v: run: %v", label, v, err)
 		}

@@ -9,6 +9,7 @@ import (
 	"gcao/internal/machine"
 	"gcao/internal/parser"
 	"gcao/internal/refeval"
+	"gcao/internal/runtime"
 	"gcao/internal/sem"
 	"gcao/internal/spmd"
 )
@@ -54,7 +55,7 @@ func TestRandomProgramsEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		seq, err := spmd.Run(seqRes, m, 1)
+		seq, err := spmd.RunParallel(seqRes, m, 1, 0)
 		if err != nil {
 			t.Fatalf("seed %d: sequential run: %v\n%s", seed, err, src)
 		}
@@ -78,11 +79,11 @@ func TestRandomProgramsEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %v: place: %v\n%s", seed, v, err, src)
 			}
-			run, err := spmd.Run(res, m, 4)
+			run, err := spmd.RunParallel(res, m, 4, 0)
 			if err != nil {
 				t.Fatalf("seed %d %v: run: %v\n%s", seed, v, err, src)
 			}
-			if err := spmd.VerifyAgainstSequential(run, seq); err != nil {
+			if err := runtime.CompareState(run.Mem, seq.Mem, run.Scalars, seq.Scalars); err != nil {
 				t.Fatalf("seed %d %v: %v\n%s", seed, v, err, src)
 			}
 		}
@@ -93,11 +94,11 @@ func TestRandomProgramsEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d partial: place: %v", seed, err)
 		}
-		run, err := spmd.Run(res, m, 4)
+		run, err := spmd.RunParallel(res, m, 4, 0)
 		if err != nil {
 			t.Fatalf("seed %d partial: run: %v\n%s", seed, err, src)
 		}
-		if err := spmd.VerifyAgainstSequential(run, seq); err != nil {
+		if err := runtime.CompareState(run.Mem, seq.Mem, run.Scalars, seq.Scalars); err != nil {
 			t.Fatalf("seed %d partial: %v\n%s", seed, err, src)
 		}
 	}

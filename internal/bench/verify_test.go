@@ -5,6 +5,7 @@ import (
 
 	"gcao/internal/core"
 	"gcao/internal/machine"
+	"gcao/internal/runtime"
 	"gcao/internal/spmd"
 )
 
@@ -41,7 +42,7 @@ func TestFunctionalEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("place seq: %v", err)
 			}
-			seq, err := spmd.Run(seqRes, m, 1)
+			seq, err := spmd.RunParallel(seqRes, m, 1, 0)
 			if err != nil {
 				t.Fatalf("run seq: %v", err)
 			}
@@ -57,11 +58,11 @@ func TestFunctionalEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("place %v: %v", v, err)
 					}
-					run, err := spmd.Run(res, m, procs)
+					run, err := spmd.RunParallel(res, m, procs, 0)
 					if err != nil {
 						t.Fatalf("P=%d %v: functional run failed: %v", procs, v, err)
 					}
-					if err := spmd.VerifyAgainstSequential(run, seq); err != nil {
+					if err := runtime.CompareState(run.Mem, seq.Mem, run.Scalars, seq.Scalars); err != nil {
 						t.Errorf("P=%d %v: %v", procs, v, err)
 					}
 					msgs = append(msgs, run.Ledger.DynMessages)

@@ -333,10 +333,6 @@ func CommonLoops(a, d *Stmt) []*Loop {
 	return a.Loops[:n:n]
 }
 
-// CNL returns the common nesting level of two statements: the depth of
-// the deepest loop containing both (paper notation CNL(u, v)).
-func CNL(a, d *Stmt) int { return len(CommonLoops(a, d)) }
-
 // String renders the graph for debugging.
 func (g *Graph) String() string {
 	var sb strings.Builder

@@ -237,15 +237,16 @@ end
 			sy = s
 		}
 	}
-	if CNL(sx, sy) != 1 {
-		t.Errorf("CNL across sibling nests = %d, want 1", CNL(sx, sy))
+	// The common nesting level CNL(u, v) is the number of common loops.
+	if n := len(CommonLoops(sx, sy)); n != 1 {
+		t.Errorf("CNL across sibling nests = %d, want 1", n)
 	}
 	common := CommonLoops(sx, sy)
 	if len(common) != 1 || common[0].Var() != "i" {
 		t.Errorf("common loops = %v", common)
 	}
-	if CNL(sx, sx) != 2 {
-		t.Errorf("CNL with self = %d", CNL(sx, sx))
+	if n := len(CommonLoops(sx, sx)); n != 2 {
+		t.Errorf("CNL with self = %d", n)
 	}
 }
 

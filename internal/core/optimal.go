@@ -42,7 +42,6 @@ func (a *Analysis) PlaceOptimal(opts Options, maxCombos int) (*Result, error) {
 	ref, err := a.Place(Options{
 		Version:               VersionCombine,
 		CombineThresholdBytes: opts.CombineThresholdBytes,
-		MaxHullBlowup:         opts.MaxHullBlowup,
 		DisableSubsetElim:     opts.DisableSubsetElim,
 	})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"gcao/internal/core"
 	"gcao/internal/machine"
+	"gcao/internal/runtime"
 	"gcao/internal/spmd"
 )
 
@@ -76,7 +77,7 @@ func TestPartialRedundancy(t *testing.T) {
 	}
 
 	// Soundness: the trimmed schedule must still satisfy every read.
-	run, err := spmd.Run(res, machine.SP2(), 4)
+	run, err := spmd.RunParallel(res, machine.SP2(), 4, 0)
 	if err != nil {
 		t.Fatalf("functional run with trimmed schedule: %v", err)
 	}
@@ -85,11 +86,11 @@ func TestPartialRedundancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := spmd.Run(baseRes, machine.SP2(), 4)
+	base, err := spmd.RunParallel(baseRes, machine.SP2(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := spmd.VerifyAgainstSequential(run, base); err != nil {
+	if err := runtime.CompareState(run.Mem, base.Mem, run.Scalars, base.Scalars); err != nil {
 		t.Fatalf("trimmed vs untrimmed results differ: %v", err)
 	}
 	// The trimmed schedule moves fewer bytes.

@@ -48,9 +48,6 @@ type Options struct {
 	// CombineThresholdBytes bounds the combined message size (§4.7);
 	// 0 selects the paper's 20 KB.
 	CombineThresholdBytes int
-	// MaxHullBlowup bounds how much larger the single-descriptor union
-	// may be than the two sections combined; 0 selects 1.25.
-	MaxHullBlowup float64
 	// DisableSubsetElim turns off §4.5 (ablation; §6 notes it must be
 	// dropped when overlap matters).
 	DisableSubsetElim bool
@@ -78,12 +75,9 @@ func (o Options) threshold() int {
 	return 20 << 10
 }
 
-func (o Options) maxBlowup() float64 {
-	if o.MaxHullBlowup > 0 {
-		return o.MaxHullBlowup
-	}
-	return 1.25
-}
+// maxHullBlowup bounds how much larger the single-descriptor union of
+// two sections may be than the two combined (§4.7).
+const maxHullBlowup = 1.25
 
 // Group is one placed communication operation: one runtime call that
 // moves the data of all member entries (plus any entries eliminated as
@@ -187,17 +181,6 @@ func (r *Result) Counts() map[CommKind]int {
 		out[g.Kind]++
 	}
 	return out
-}
-
-// Count returns the number of placed groups of one kind.
-func (r *Result) Count(kind CommKind) int {
-	n := 0
-	for _, g := range r.Groups {
-		if g.Kind == kind {
-			n++
-		}
-	}
-	return n
 }
 
 // TotalMessages returns the total number of placed groups.
@@ -1090,7 +1073,7 @@ func (a *Analysis) combineVerdict(e1, e2 *Entry, level int, opts Options) (bool,
 	l1, l2 := e1.at(level), e2.at(level)
 	if e1.Array == e2.Array {
 		nh, okh, ok := l1.sec.HullCount(l2.sec.SymSection)
-		if !ok || asd.Blowup(nh, l1.sec.n+l2.sec.n, okh && l1.sec.ok && l2.sec.ok) > opts.maxBlowup() {
+		if !ok || asd.Blowup(nh, l1.sec.n+l2.sec.n, okh && l1.sec.ok && l2.sec.ok) > maxHullBlowup {
 			return false, reasonHull
 		}
 		return true, ""
@@ -1105,16 +1088,16 @@ func (a *Analysis) combineVerdict(e1, e2 *Entry, level int, opts Options) (bool,
 		if !l1.gridOK || !l2.gridOK {
 			return false, reasonMapping
 		}
-		return sharesDescriptor(l1.grid, l2.grid, opts, reasonHull)
+		return sharesDescriptor(l1.grid, l2.grid, reasonHull)
 	}
-	return sharesDescriptor(l1.sec, l2.sec, opts, reasonUnknownSize)
+	return sharesDescriptor(l1.sec, l2.sec, reasonUnknownSize)
 }
 
 // sharesDescriptor reports whether one descriptor can stand for both
 // sections across arrays: their hull must cover both without excessive
 // padding on either. Sections of unknown size must be provably
 // identical, else the pair is rejected for the given reason.
-func sharesDescriptor(x, y counted, opts Options, unknown string) (bool, string) {
+func sharesDescriptor(x, y counted, unknown string) (bool, string) {
 	nh, okh, ok := x.HullCount(y.SymSection)
 	if !ok {
 		return false, reasonHull
@@ -1125,7 +1108,7 @@ func sharesDescriptor(x, y counted, opts Options, unknown string) (bool, string)
 		}
 		return false, unknown
 	}
-	if float64(2*nh) <= opts.maxBlowup()*float64(x.n+y.n) {
+	if float64(2*nh) <= maxHullBlowup*float64(x.n+y.n) {
 		return true, ""
 	}
 	return false, reasonHull

@@ -68,19 +68,19 @@ func TestGravityCombining(t *testing.T) {
 	orig := place(t, a, core.VersionOrig)
 	comb := place(t, a, core.VersionCombine)
 
-	if got := orig.Count(core.KindShift); got != 4 {
+	if got := orig.Counts()[core.KindShift]; got != 4 {
 		t.Errorf("orig NNC = %d, want 4 (2 fields x 2 directions)", got)
 	}
-	if got := orig.Count(core.KindReduce); got != 4 {
+	if got := orig.Counts()[core.KindReduce]; got != 4 {
 		t.Errorf("orig SUM = %d, want 4", got)
 	}
-	if got := comb.Count(core.KindShift); got != 2 {
+	if got := comb.Counts()[core.KindShift]; got != 2 {
 		for _, g := range comb.Groups {
 			t.Logf("%v", g)
 		}
 		t.Errorf("comb NNC = %d, want 2 ({g,glast} per direction)", got)
 	}
-	if got := comb.Count(core.KindReduce); got != 2 {
+	if got := comb.Counts()[core.KindReduce]; got != 2 {
 		t.Errorf("comb SUM = %d, want 2 (one set per field)", got)
 	}
 	// Each combined exchange carries both arrays.
@@ -121,7 +121,7 @@ end
 	comb := place(t, a, core.VersionCombine)
 	// s1 and s2 combine (s1 may sink past s2's statement, which does
 	// not read it); s3 is separated by the use of s1.
-	if got := comb.Count(core.KindReduce); got != 2 {
+	if got := comb.Counts()[core.KindReduce]; got != 2 {
 		for _, g := range comb.Groups {
 			t.Logf("%v at %v", g, g.Pos)
 		}

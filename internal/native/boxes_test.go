@@ -46,7 +46,7 @@ func TestValidBoxFragmentation(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s/%s/P%d native: %v", pr.Bench, pr.Routine, v, p, err)
 				}
-				sim, err := spmd.Run(res, machine.SP2(), p)
+				sim, err := spmd.RunParallel(res, machine.SP2(), p, 0)
 				if err != nil {
 					t.Fatalf("%s/%s/%s/P%d simulator: %v", pr.Bench, pr.Routine, v, p, err)
 				}

@@ -207,7 +207,7 @@ func TestSharedProgramConcurrentEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := spmd.Run(res, machine.SP2(), tc.procs)
+		sim, err := spmd.RunParallel(res, machine.SP2(), tc.procs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +239,11 @@ func TestSharedProgramConcurrentEngines(t *testing.T) {
 						}
 						out.Release()
 					} else {
-						out, err := native.RunPooled(&pool, prog, tc.procs, nil, run == 1)
+						var rec *obs.Recorder // the second run is profiled
+						if run == 1 {
+							rec = obs.New()
+						}
+						out, err := native.RunPooled(&pool, prog, tc.procs, rec)
 						if err != nil {
 							t.Error(err)
 							return

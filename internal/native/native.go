@@ -18,14 +18,14 @@
 // barriers around shared rows — and the engine around it.
 //
 // The backend is built to be bit-for-bit equivalent to the simulator
-// (spmd.Run): both run the same plan.Program, every floating-point
-// operation happens in the same order on the same values, and the
-// VerifyAgainstSimulator harness enforces the equivalence — values and
-// validity planes — for every paper benchmark × compiler version ×
-// processor count. The program's Listing is the contract between the
-// two: the operations a native run performs are exactly the COMM
-// pseudo-calls it prints, and Stats.Ops counts them under the
-// listing's vocabulary (exchange, broadcast, gather, global-sum).
+// (spmd.RunParallel): both run the same plan.Program, every
+// floating-point operation happens in the same order on the same values,
+// and Diff enforces the equivalence — values and validity planes — for
+// every paper benchmark × compiler version × processor count. The
+// program's Listing is the contract between the two: the operations a
+// native run performs are exactly the COMM pseudo-calls it prints, and
+// Stats.Ops counts them under the listing's vocabulary (exchange,
+// broadcast, gather, global-sum).
 //
 // Determinism argument (see DESIGN.md §13): each processor's state —
 // its array rows, validity planes and frame (loop variables, scalars)
@@ -107,22 +107,16 @@ func maxProcs() int {
 
 // Run executes the placement natively on procs goroutines.
 func Run(res *core.Result, procs int) (*RunResult, error) {
-	return RunPooled(nil, plan.Lower(res), procs, nil, false)
+	return RunPooled(nil, plan.Lower(res), procs, nil)
 }
 
-// RunProfiled executes the placement natively with the runtime
-// profiler enabled, installs the folded profile on the recorder (when
-// one is given) and returns the result with RunResult.Profile set.
-func RunProfiled(res *core.Result, procs int, rec *obs.Recorder) (*RunResult, error) {
-	return RunPooled(nil, plan.Lower(res), procs, rec, true)
-}
-
-// RunPooled runs a placement's lowered program — in a "native:<version>"
-// span of rec (nil: none), profiled or not, a profiled run leaving its
-// profile on rec — on an idle engine from pool, which holds engines of
-// this program only, or else on a new one whose home the pool becomes:
-// Release, or a failed run, puts it there.
-func RunPooled(pool *sync.Pool, prog *plan.Program, procs int, rec *obs.Recorder, profiled bool) (*RunResult, error) {
+// RunPooled runs a placement's lowered program on an idle engine from
+// pool, which holds engines of this program only, or else on a new one
+// whose home the pool becomes: Release, or a failed run, puts it there.
+// Given a recorder, the run is profiled, as a simulator run is: it runs
+// in a "native:<version>" span of rec, with the runtime profiler armed,
+// and leaves its folded profile on rec and in RunResult.Profile.
+func RunPooled(pool *sync.Pool, prog *plan.Program, procs int, rec *obs.Recorder) (*RunResult, error) {
 	res := prog.Plan.Res
 	defer rec.Start("native:" + res.Version.String())()
 	var eng *Engine
@@ -136,7 +130,7 @@ func RunPooled(pool *sync.Pool, prog *plan.Program, procs int, rec *obs.Recorder
 		}
 		eng.home = pool
 	}
-	if profiled {
+	if rec != nil {
 		eng.EnableProfiling(0)
 	} else {
 		eng.DisableProfiling()
@@ -149,7 +143,7 @@ func RunPooled(pool *sync.Pool, prog *plan.Program, procs int, rec *obs.Recorder
 		return nil, err
 	}
 	out.Stats.Ops = maps.Clone(out.Stats.Ops) // the engine's next run clears its own
-	if profiled {
+	if rec != nil {
 		rec.SetNativeProfile(out.Profile)
 	}
 	return out, nil

@@ -43,8 +43,6 @@ const (
 	// PhaseSum is time blocked in a distributed-SUM collective
 	// (operand gather and total broadcast).
 	PhaseSum
-
-	numPhases
 )
 
 // String names the phase under the vocabulary the issue and the docs

@@ -43,7 +43,7 @@ func settled(prog *plan.Program) int {
 // validity planes, scalars) and against the reference evaluator.
 func requireAgreement(t *testing.T, res *core.Result, p int) {
 	t.Helper()
-	sim, err := spmd.Run(res, machine.SP2(), p)
+	sim, err := spmd.RunParallel(res, machine.SP2(), p, 0)
 	if err != nil {
 		t.Fatalf("simulator: %v", err)
 	}

@@ -2,7 +2,6 @@ package native
 
 import (
 	"fmt"
-	"math"
 
 	"gcao/internal/core"
 	"gcao/internal/machine"
@@ -20,7 +19,7 @@ import (
 // hold both backends against. The machine model only prices the
 // simulator's ledger; it cannot influence values.
 func VerifyAgainstSimulator(res *core.Result, m machine.Machine, procs int) error {
-	sim, err := spmd.Run(res, m, procs)
+	sim, err := spmd.RunParallel(res, m, procs, 0)
 	if err != nil {
 		return fmt.Errorf("native: simulator reference failed: %w", err)
 	}
@@ -31,12 +30,11 @@ func VerifyAgainstSimulator(res *core.Result, m machine.Machine, procs int) erro
 	return Diff(nat, sim)
 }
 
-// Diff compares a native result against a simulator result bit for bit
-// (math.Float64bits equality, NaN pairs forgiven): every array's
-// canonical (owner-assembled) image, every processor's validity of each
-// element either local box holds, in global coordinates (which copies
-// are current is part of the state: it decides what later exchanges
-// carry and which reads are stale), then the replicated scalars. It
+// Diff compares a native result against a simulator result bit for bit:
+// the canonical images and the scalars both hold (runtime.CompareState),
+// and every processor's validity of each element either local box holds,
+// in global coordinates (which copies are current is part of the state:
+// it decides what later exchanges carry and which reads are stale). It
 // returns an error naming the first difference, or the first box of
 // either image's lists that breaks their invariants (CheckHulls).
 func Diff(nat *RunResult, sim *spmd.RunResult) error {
@@ -45,18 +43,10 @@ func Diff(nat *RunResult, sim *spmd.RunResult) error {
 			return err
 		}
 	}
+	if err := runtime.CompareState(nat.Mem, sim.Mem, nat.Scalars, sim.Scalars); err != nil {
+		return fmt.Errorf("native: native vs simulator: %w", err)
+	}
 	for _, name := range nat.Mem.Unit.ArrayNames {
-		nv := nat.Mem.Canonical(name)
-		sv := sim.Mem.Canonical(name)
-		if len(nv) != len(sv) {
-			return fmt.Errorf("native: array %q size differs: native %d vs simulator %d", name, len(nv), len(sv))
-		}
-		for i := range nv {
-			if !sameBits(nv[i], sv[i]) {
-				return fmt.Errorf("native: array %q differs at flat index %d: native %v vs simulator %v (bits %016x vs %016x)",
-					name, i, nv[i], sv[i], math.Float64bits(nv[i]), math.Float64bits(sv[i]))
-			}
-		}
 		nm, sm := nat.Mem.View(name), sim.Mem.View(name)
 		for p := range nm.Data {
 			if err := sameValidity(name, p, nm, sm, "native", "simulator"); err != nil {
@@ -65,11 +55,6 @@ func Diff(nat *RunResult, sim *spmd.RunResult) error {
 			if err := sameValidity(name, p, sm, nm, "simulator", "native"); err != nil {
 				return err
 			}
-		}
-	}
-	for k, v := range sim.Scalars {
-		if nv, ok := nat.Scalars[k]; ok && !sameBits(nv, v) {
-			return fmt.Errorf("native: scalar %q differs: native %v vs simulator %v", k, nv, v)
 		}
 	}
 	return nil
@@ -91,13 +76,4 @@ func sameValidity(name string, p int, a, b *runtime.ArrayMem, an, bn string) err
 		return err == nil
 	})
 	return err
-}
-
-// sameBits is bit equality with the one forgiveness VerifyAgainst-
-// Sequential also grants: any NaN equals any NaN.
-func sameBits(a, b float64) bool {
-	if math.IsNaN(a) && math.IsNaN(b) {
-		return true
-	}
-	return math.Float64bits(a) == math.Float64bits(b)
 }

@@ -879,7 +879,7 @@ func checkValidBits(t *testing.T, what string, am, ref *ArrayMem, valid [][]bool
 	for k := range lo {
 		lo[k], hi[k] = am.LocalBox(p, k)
 	}
-	for _, strip := range []section.Section{section.Whole(lo, hi), sections(am)[1].Clip(lo, hi)} {
+	for _, strip := range []section.Section{section.Whole(lo, hi), sections(am)[1].Intersect(section.Whole(lo, hi))} {
 		bits, pos, set := make(Bits, (strip.NumElems()+64)/64), 1, 0
 		n := am.ValidBits(p, strip, bits, 1, sc)
 		strip.Elems(func(ix []int) bool {

@@ -12,6 +12,7 @@ package runtime
 import (
 	"fmt"
 	"maps"
+	"math"
 
 	"gcao/internal/dist"
 	"gcao/internal/machine"
@@ -381,6 +382,37 @@ func (m *Memory) Canonical(name string) []float64 {
 		pos += copy(out[pos:pos+n], am.Data[o][off-am.base[o]:])
 	})
 	return out
+}
+
+// CompareState compares the final states of two runs of one program —
+// memory image a with scalars as, against b with bs — bit for bit
+// (math.Float64bits equality, NaN equal to any NaN): every array's
+// canonical image, then every scalar both runs hold. It returns an error
+// naming the first difference, a's value before b's.
+func CompareState(a, b *Memory, as, bs map[string]float64) error {
+	for _, name := range a.Unit.ArrayNames {
+		av, bv := a.Canonical(name), b.Canonical(name)
+		if len(av) != len(bv) {
+			return fmt.Errorf("array %q size differs: %d vs %d", name, len(av), len(bv))
+		}
+		for i := range av {
+			if !sameBits(av[i], bv[i]) {
+				return fmt.Errorf("array %q differs at flat index %d: %v vs %v (bits %016x vs %016x)",
+					name, i, av[i], bv[i], math.Float64bits(av[i]), math.Float64bits(bv[i]))
+			}
+		}
+	}
+	for k, bv := range bs {
+		if av, ok := as[k]; ok && !sameBits(av, bv) {
+			return fmt.Errorf("scalar %q differs: %v vs %v (bits %016x vs %016x)",
+				k, av, bv, math.Float64bits(av), math.Float64bits(bv))
+		}
+	}
+	return nil
+}
+
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
 }
 
 // ---------------------------------------------------------------------

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -212,6 +213,41 @@ func TestCanonical(t *testing.T) {
 	flat := m.Canonical("a")
 	if flat[(2-1)*8+(3-1)] != 7 {
 		t.Error("Canonical did not pick up the owner value")
+	}
+}
+
+// TestCompareState is the table of the one final-state comparison: two
+// images of one routine, bit for bit, NaN equal to any NaN, and only the
+// scalars both hold.
+func TestCompareState(t *testing.T) {
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1) // another NaN payload
+	for _, tc := range []struct {
+		name     string
+		a, b     float64 // a(2, 3) in each image
+		as, bs   map[string]float64
+		mismatch string // "" when the states are equal
+	}{
+		{name: "equal", a: 1.5, b: 1.5, as: map[string]float64{"s": 2}, bs: map[string]float64{"s": 2}},
+		{name: "flipped low bit", a: 1.5, b: math.Float64frombits(math.Float64bits(1.5) ^ 1), mismatch: `array "a" differs at flat index 10`},
+		{name: "NaN pair", a: math.NaN(), b: nan2},
+		{name: "NaN against a number", a: math.NaN(), b: 0, mismatch: `array "a" differs`},
+		{name: "+0 against -0", a: 0, b: math.Copysign(0, -1), mismatch: `array "a" differs`},
+		{name: "scalar one side holds", a: 1, b: 1, as: map[string]float64{"s": 2}, bs: map[string]float64{"t": 3}},
+		{name: "differing scalar", a: 1, b: 1, as: map[string]float64{"s": 2}, bs: map[string]float64{"s": 3}, mismatch: `scalar "s" differs`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			u := unit(t, memSrc, map[string]int{"n": 8}, 4)
+			a, b := NewMemory(u, 4), NewMemory(u, 4)
+			a.Write("a", []int{2, 3}, tc.a)
+			b.Write("a", []int{2, 3}, tc.b)
+			err := CompareState(a, b, tc.as, tc.bs)
+			switch {
+			case tc.mismatch == "" && err != nil:
+				t.Errorf("equal states reported %v", err)
+			case tc.mismatch != "" && (err == nil || !strings.Contains(err.Error(), tc.mismatch)):
+				t.Errorf("got %v, want an error containing %q", err, tc.mismatch)
+			}
+		})
 	}
 }
 

@@ -237,20 +237,10 @@ func (s Section) Intersect(t Section) Section {
 	return out.Normalize()
 }
 
-// Clip restricts the section to the box [lo, hi] (inclusive).
-func (s Section) Clip(lo, hi []int) Section {
-	if len(lo) != len(s.Dims) || len(hi) != len(s.Dims) {
-		// Unreachable from input: only tests call Clip; the lowered
-		// program clips through ClipInto.
-		panic("section: Clip: rank mismatch")
-	}
-	box := Whole(lo, hi)
-	return s.Intersect(box)
-}
-
-// ClipInto is Clip with the result's dimensions written into dst
-// (len >= rank) instead of allocated; the rank is kept even when the
-// result is empty.
+// ClipInto restricts the section to the box [lo, hi] (inclusive), as
+// s.Intersect(Whole(lo, hi)) does, with the result's dimensions written
+// into dst (len >= rank) instead of allocated; the rank is kept even
+// when the result is empty.
 func (s Section) ClipInto(lo, hi []int, dst []Dim) Section {
 	if len(lo) != len(s.Dims) || len(hi) != len(s.Dims) {
 		// Unreachable from input: plan clips a reference's section to its

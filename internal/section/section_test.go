@@ -125,9 +125,11 @@ func TestIntersectBruteForce(t *testing.T) {
 	}
 }
 
+// TestClip: clipping a section to a box is intersecting it with the
+// box's Whole section.
 func TestClip(t *testing.T) {
 	s := New(Dim{1, 8, 1}, Dim{3, 7, 2})
-	cl := s.Clip([]int{2, 2}, []int{6, 6})
+	cl := s.Intersect(Whole([]int{2, 2}, []int{6, 6}))
 	if cl.Dims[0].Lo != 2 || cl.Dims[0].Hi != 6 {
 		t.Errorf("Clip dim0 = %v", cl.Dims[0])
 	}
@@ -180,7 +182,7 @@ func TestIntoVariantsMatch(t *testing.T) {
 		lo := []int{rng.Intn(6), rng.Intn(6)}
 		hi := []int{lo[0] + rng.Intn(8) - 1, lo[1] + rng.Intn(8) - 1}
 		want := [][2]int{}
-		s.Clip(lo, hi).Elems(func(ix []int) bool {
+		s.Intersect(Whole(lo, hi)).Elems(func(ix []int) bool {
 			want = append(want, [2]int{ix[0], ix[1]})
 			return true
 		})

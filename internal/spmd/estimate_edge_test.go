@@ -69,7 +69,7 @@ func TestEstimateSingleProcessor(t *testing.T) {
 	if c.CPU <= 0 {
 		t.Errorf("P=1 CPU = %v, want > 0", c.CPU)
 	}
-	run, err := Run(res, machine.SP2(), 1)
+	run, err := RunParallel(res, machine.SP2(), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

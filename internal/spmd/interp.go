@@ -386,25 +386,3 @@ func (sh *shard) If(n *plan.If) error {
 	}
 	return plan.Exec(n.Else, sh)
 }
-
-// VerifyAgainstSequential compares the canonical memory of a parallel
-// run against a sequential (single-processor) run of the same
-// analysis: it returns an error naming the first differing array
-// element. Both runs must use placements of the same program.
-func VerifyAgainstSequential(par, seq *RunResult) error {
-	for _, name := range par.Mem.Unit.ArrayNames {
-		pv := par.Mem.Canonical(name)
-		sv := seq.Mem.Canonical(name)
-		for i := range pv {
-			if differ(pv[i], sv[i]) {
-				return fmt.Errorf("spmd: array %q differs at flat index %d: parallel %g vs sequential %g", name, i, pv[i], sv[i])
-			}
-		}
-	}
-	for k, v := range seq.Scalars {
-		if pv, ok := par.Scalars[k]; ok && differ(pv, v) {
-			return fmt.Errorf("spmd: scalar %q differs: parallel %g vs sequential %g", k, pv, v)
-		}
-	}
-	return nil
-}

@@ -7,6 +7,7 @@ import (
 	"gcao/internal/core"
 	"gcao/internal/machine"
 	"gcao/internal/obs"
+	"gcao/internal/runtime"
 )
 
 // TestProfileMatchesLedger: the communication profile and the superstep
@@ -19,7 +20,7 @@ func TestProfileMatchesLedger(t *testing.T) {
 	rec := obs.New()
 	a.Obs = rec
 	res := placed(t, a, core.VersionCombine)
-	run, err := Run(res, machine.SP2(), 4)
+	run, err := RunParallel(res, machine.SP2(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestProfileMatchesLedger(t *testing.T) {
 func TestProfileDoesNotPerturbRun(t *testing.T) {
 	a := compile(t, stencilSrc, map[string]int{"n": 8, "steps": 1}, 4)
 	res := placed(t, a, core.VersionCombine)
-	bare, err := Run(res, machine.SP2(), 4)
+	bare, err := RunParallel(res, machine.SP2(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestProfileDoesNotPerturbRun(t *testing.T) {
 			bare.Ledger.DynMessages, bare.Ledger.BytesMoved, bare.Ledger.Barriers, bare.Ledger.ElapsedTime(),
 			inst.Ledger.DynMessages, inst.Ledger.BytesMoved, inst.Ledger.Barriers, inst.Ledger.ElapsedTime())
 	}
-	if err := VerifyAgainstSequential(bare, inst); err != nil {
+	if err := runtime.CompareState(bare.Mem, inst.Mem, bare.Scalars, inst.Scalars); err != nil {
 		t.Errorf("instrumented run computed different values: %v", err)
 	}
 }
@@ -111,7 +112,7 @@ func TestProfileReductionSteps(t *testing.T) {
 	rec := obs.New()
 	a.Obs = rec
 	res := placed(t, a, core.VersionCombine)
-	run, err := Run(res, machine.SP2(), 4)
+	run, err := RunParallel(res, machine.SP2(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,38 +33,20 @@ import (
 	"gcao/internal/section"
 )
 
-// DefaultParallelThreshold is the processor count below which Run
-// stays on a single shard: the rendezvous overhead only pays off when
-// enough per-processor work exists between barriers.
+// DefaultParallelThreshold is the processor count below which a run
+// given no shard count stays on a single shard: the rendezvous overhead
+// only pays off when enough per-processor work exists between barriers.
 const DefaultParallelThreshold = 8
 
-// Run executes the program under the given placement on p processors.
-// When the analysis carries an obs recorder, the run is profiled:
-// sender→receiver traffic, the per-superstep timeline, and the
-// per-processor compute/communication/idle split. The per-processor
-// loops are sharded over min(GOMAXPROCS, procs) workers when procs
-// reaches DefaultParallelThreshold; results are bit-identical either
-// way.
-func Run(res *core.Result, m machine.Machine, procs int) (*RunResult, error) {
-	return RunParallelObs(res, m, procs, autoWorkers(procs), res.Analysis.Obs)
-}
-
-// RunParallel is Run with an explicit shard count: workers=1 forces
-// the sequential path, workers<=0 selects GOMAXPROCS. The worker
-// count never changes the result bits, only the wall clock.
+// RunParallel executes the program under the given placement on procs
+// processors over workers shards, profiled when the analysis carries an
+// obs recorder: sender→receiver traffic, the per-superstep timeline, and
+// the per-processor compute/communication/idle split. workers=1 forces
+// the sequential path; workers<=0 selects one shard below
+// DefaultParallelThreshold processors, else min(GOMAXPROCS, procs). The
+// worker count never changes the result bits, only the wall clock.
 func RunParallel(res *core.Result, m machine.Machine, procs, workers int) (*RunResult, error) {
 	return RunParallelObs(res, m, procs, workers, res.Analysis.Obs)
-}
-
-func autoWorkers(procs int) int {
-	if procs < DefaultParallelThreshold {
-		return 1
-	}
-	w := goruntime.GOMAXPROCS(0)
-	if w > procs {
-		w = procs
-	}
-	return w
 }
 
 // RunParallelObs is the full-control entry point: explicit shard count
@@ -87,7 +69,7 @@ func RunPooled(pool *sync.Pool, prog *plan.Program, m machine.Machine, procs int
 	eng, _ := pool.Get().(*Engine)
 	if eng == nil || eng.mem.P != procs {
 		var err error
-		if eng, err = newEngine(prog, procs, autoWorkers(procs)); err != nil {
+		if eng, err = newEngine(prog, procs, 0); err != nil {
 			return nil, err
 		}
 		eng.home = pool
@@ -100,8 +82,8 @@ func RunPooled(pool *sync.Pool, prog *plan.Program, m machine.Machine, procs int
 }
 
 // NewEngine prepares a simulation of the placement on procs processors
-// and workers shards (workers < 1 selects GOMAXPROCS): everything that
-// does not depend on the run, on a lowering of its own.
+// and workers shards (workers < 1 selects as RunParallel does):
+// everything that does not depend on the run, on a lowering of its own.
 func NewEngine(res *core.Result, procs, workers int) (*Engine, error) {
 	return newEngine(plan.Lower(res), procs, workers)
 }
@@ -115,7 +97,10 @@ func newEngine(prog *plan.Program, procs, workers int) (*Engine, error) {
 		return nil, fmt.Errorf("spmd: unit compiled for %d processors, run requested %d", got, procs)
 	}
 	if workers < 1 {
-		workers = goruntime.GOMAXPROCS(0)
+		workers = 1
+		if procs >= DefaultParallelThreshold {
+			workers = goruntime.GOMAXPROCS(0)
+		}
 	}
 	workers = min(workers, procs)
 	eng := &Engine{

@@ -196,13 +196,23 @@ func TestParallelReduction(t *testing.T) {
 	}
 }
 
-// TestAutoWorkers pins the sequential-path threshold.
+// TestAutoWorkers pins the sequential-path threshold: given no shard
+// count, an engine below DefaultParallelThreshold processors runs on one
+// shard, and from it on min(GOMAXPROCS, procs).
 func TestAutoWorkers(t *testing.T) {
-	if w := autoWorkers(DefaultParallelThreshold - 1); w != 1 {
-		t.Errorf("below threshold: %d workers, want 1", w)
-	}
-	if w := autoWorkers(1); w != 1 {
-		t.Errorf("procs=1: %d workers, want 1", w)
+	for _, procs := range []int{1, DefaultParallelThreshold - 1, DefaultParallelThreshold} {
+		a := compile(t, stencilSrc, map[string]int{"n": 16, "steps": 1}, procs)
+		eng, err := NewEngine(placed(t, a, core.VersionCombine), procs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 1
+		if procs >= DefaultParallelThreshold {
+			want = min(goruntime.GOMAXPROCS(0), procs)
+		}
+		if got := len(eng.shards); got != want {
+			t.Errorf("procs=%d: %d shards, want %d", procs, got, want)
+		}
 	}
 }
 

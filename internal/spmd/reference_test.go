@@ -27,7 +27,7 @@ func checkAgainstReference(t *testing.T, a *core.Analysis, procs int) {
 		if err != nil {
 			t.Fatalf("%s: place: %v", v, err)
 		}
-		run, err := spmd.Run(res, machine.SP2(), procs)
+		run, err := spmd.RunParallel(res, machine.SP2(), procs, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}

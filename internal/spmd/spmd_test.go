@@ -77,7 +77,7 @@ end
 func TestRunComputesStencil(t *testing.T) {
 	a := compile(t, stencilSrc, map[string]int{"n": 6, "steps": 1}, 4)
 	res := placed(t, a, core.VersionCombine)
-	run, err := Run(res, machine.SP2(), 4)
+	run, err := RunParallel(res, machine.SP2(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,28 +99,30 @@ func TestRunComputesStencil(t *testing.T) {
 func TestRunRejectsWrongProcs(t *testing.T) {
 	a := compile(t, stencilSrc, map[string]int{"n": 6, "steps": 1}, 4)
 	res := placed(t, a, core.VersionCombine)
-	if _, err := Run(res, machine.SP2(), 9); err == nil {
+	if _, err := RunParallel(res, machine.SP2(), 9, 0); err == nil {
 		t.Error("processor-count mismatch must fail")
 	}
 }
 
-func TestVerifyAgainstSequential(t *testing.T) {
+// TestMatchesSequential: a P=4 run ends in the state a P=1 run of the
+// same routine does, bit for bit, and a corrupted owner value is caught.
+func TestMatchesSequential(t *testing.T) {
 	a4 := compile(t, stencilSrc, map[string]int{"n": 6, "steps": 2}, 4)
 	a1 := compile(t, stencilSrc, map[string]int{"n": 6, "steps": 2}, 1)
-	par, err := Run(placed(t, a4, core.VersionCombine), machine.SP2(), 4)
+	par, err := RunParallel(placed(t, a4, core.VersionCombine), machine.SP2(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Run(placed(t, a1, core.VersionCombine), machine.SP2(), 1)
+	seq, err := RunParallel(placed(t, a1, core.VersionCombine), machine.SP2(), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAgainstSequential(par, seq); err != nil {
+	if err := runtime.CompareState(par.Mem, seq.Mem, par.Scalars, seq.Scalars); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt one owner value; verification must notice.
 	par.Mem.Write("a", []int{3, 3}, -999)
-	if err := VerifyAgainstSequential(par, seq); err == nil {
+	if err := runtime.CompareState(par.Mem, seq.Mem, par.Scalars, seq.Scalars); err == nil {
 		t.Error("verification should detect a corrupted element")
 	}
 }
@@ -132,7 +134,7 @@ func TestMissingCommDetected(t *testing.T) {
 	a := compile(t, stencilSrc, map[string]int{"n": 6, "steps": 1}, 4)
 	res := placed(t, a, core.VersionCombine)
 	res.Groups = nil // strip all communication
-	if _, err := Run(res, machine.SP2(), 4); err == nil {
+	if _, err := RunParallel(res, machine.SP2(), 4, 0); err == nil {
 		t.Fatal("run without communication must fail with a stale read")
 	}
 }
@@ -149,7 +151,7 @@ func TestEstimateMatchesRunShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := Run(res, m, 4)
+		run, err := RunParallel(res, m, 4, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +205,7 @@ end
 func TestReductionValues(t *testing.T) {
 	a := compile(t, reduceSrc, map[string]int{"n": 8}, 4)
 	res := placed(t, a, core.VersionCombine)
-	run, err := Run(res, machine.SP2(), 4)
+	run, err := RunParallel(res, machine.SP2(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +241,7 @@ end
 func TestBranching(t *testing.T) {
 	a := compile(t, branchSrc, map[string]int{"n": 8}, 4)
 	res := placed(t, a, core.VersionCombine)
-	run, err := Run(res, machine.SP2(), 4)
+	run, err := RunParallel(res, machine.SP2(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +268,7 @@ end
 func TestZeroTripLoop(t *testing.T) {
 	a := compile(t, zeroTripSrc, map[string]int{"n": 8}, 4)
 	res := placed(t, a, core.VersionCombine)
-	run, err := Run(res, machine.SP2(), 4)
+	run, err := RunParallel(res, machine.SP2(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +294,7 @@ end
 `
 	a := compile(t, src, map[string]int{"n": 10}, 2)
 	res := placed(t, a, core.VersionCombine)
-	run, err := Run(res, machine.SP2(), 2)
+	run, err := RunParallel(res, machine.SP2(), 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,10 +347,10 @@ end
 func TestReplicatedAndIntrinsics(t *testing.T) {
 	a := compile(t, replicatedSrc, map[string]int{"n": 8}, 4)
 	res := placed(t, a, core.VersionCombine)
-	if got := res.Count(core.KindReduce); got != 0 {
+	if got := res.Counts()[core.KindReduce]; got != 0 {
 		t.Errorf("sum over replicated array placed %d reduce groups, want 0", got)
 	}
-	run, err := Run(res, machine.SP2(), 4)
+	run, err := RunParallel(res, machine.SP2(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +383,7 @@ end
 func TestNegativeStepLoop(t *testing.T) {
 	a := compile(t, negStepSrc, map[string]int{"n": 9}, 2)
 	res := placed(t, a, core.VersionCombine)
-	run, err := Run(res, machine.SP2(), 2)
+	run, err := RunParallel(res, machine.SP2(), 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +421,7 @@ end
 	if c.Net <= 0 || c.Messages <= 0 {
 		t.Errorf("bcast/general cost = %+v", c)
 	}
-	run, err := Run(res, machine.NOW(), 4)
+	run, err := RunParallel(res, machine.NOW(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,11 +436,11 @@ end
 func TestRunDeterminism(t *testing.T) {
 	a := compile(t, stencilSrc, map[string]int{"n": 10, "steps": 2}, 4)
 	res := placed(t, a, core.VersionCombine)
-	r1, err := Run(res, machine.SP2(), 4)
+	r1, err := RunParallel(res, machine.SP2(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(res, machine.SP2(), 4)
+	r2, err := RunParallel(res, machine.SP2(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +449,7 @@ func TestRunDeterminism(t *testing.T) {
 		r1.Ledger.ElapsedTime() != r2.Ledger.ElapsedTime() {
 		t.Error("simulation must be deterministic")
 	}
-	if err := VerifyAgainstSequential(r1, r2); err != nil {
+	if err := runtime.CompareState(r1.Mem, r2.Mem, r1.Scalars, r2.Scalars); err != nil {
 		t.Errorf("identical runs differ: %v", err)
 	}
 }
