@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check race check run-names bench-build attr-smoke obs-smoke native-smoke nativeprof-smoke compile-smoke sim-smoke fuzz-smoke size
+.PHONY: all build test vet fmt-check race check run-names bench-build attr-smoke obs-smoke native-smoke nativeprof-smoke compile-smoke sim-smoke examples-smoke fuzz-smoke size
 
 all: build
 
@@ -23,7 +23,7 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-check: build vet fmt-check run-names test bench-build compile-smoke sim-smoke size
+check: build vet fmt-check run-names test bench-build compile-smoke sim-smoke examples-smoke size
 
 # run-names fails when a -run alternative of a `go test` line below names
 # no test of its package: `go test -run` that matches nothing passes, so a
@@ -242,6 +242,20 @@ compile-smoke:
 	@GO="$(GO)" sh ci/alloc-budget.sh 'BenchmarkFig10aHydfloFlux$$' ci/compile-alloc-budget.txt compile-smoke
 	@echo "compile-smoke: ok"
 
+# examples-smoke runs the five programs under examples/ and fails unless
+# each prints its verification line: each checks a placement it made
+# against the sequential program (gcao.Placed.Verify) — the interproc one
+# on a routine with its calls inlined, the syntax one on sources with a
+# PROCESSORS directive — and stops before that line when the check fails.
+examples-smoke:
+	@mkdir -p out
+	@set -e; for ex in gravity interproc quickstart shallow syntax; do \
+		$(GO) run ./examples/$$ex > out/example-$$ex.txt; \
+		grep -q 'verified against sequential execution' out/example-$$ex.txt || { echo "examples-smoke: examples/$$ex printed no verification line"; exit 1; }; \
+		echo "examples-smoke: examples/$$ex verified"; \
+	done
+	@echo "examples-smoke: ok"
+
 # fuzz-smoke runs the parser's fuzz target for 30 s past its seed corpus
 # (the Fig. 10(a) routines and the AST golden's inputs) and the
 # minimised failures checked in under internal/parser/testdata/fuzz/,
@@ -260,7 +274,11 @@ fuzz-smoke:
 # section scan it replaced left (rows, validity, per-pair bytes), the
 # lists of valid boxes must keep a flag-per-element twin's validity under
 # random operations, a nest entry whose reads are valid but whose proof
-# declines must leave the element walk's image,
+# declines must leave the element walk's image, runs 1-4 of one engine
+# must leave what a new engine's run leaves, gcao.Placed.Verify must find
+# the placed run equal to the sequential program's on a routine with its
+# calls inlined, on a source with a PROCESSORS directive and on the six
+# Fig. 10(a) routines under every strategy,
 # the receive-only schedules must be built once per (exchange, receiver)
 # and replayed or translated to what a rebuild gives, the sharded
 # run must match the sequential one under the race detector — shards
@@ -283,6 +301,8 @@ sim-smoke:
 	$(GO) test ./internal/runtime -run 'TestStripMatchesElementScan|TestOwnerRunsMatchElementScan|TestValidBoxesMatchPlane|TestBulkOperationsDoNotAllocate|TestCompareState' -count=1
 	$(GO) test ./internal/plan -run 'TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt|TestEntryProofDeclinesValidNest' -count=1
 	$(GO) test ./internal/native -run 'TestImageBytes|TestStaleReadOutsideLocalBox' -count=1
+	$(GO) test ./internal/spmd -run 'TestReusedEngineMatchesFresh' -count=1
+	$(GO) test . -run 'TestPublicAPI|TestInterprocedural|TestPlacedVerifyNative' -count=1
 	$(GO) test -race ./internal/spmd -run 'TestParallelMatchesSequential' -count=1
 	$(GO) test -race ./internal/native -run 'TestSharedProgramConcurrentEngines' -count=1
 	@GO="$(GO)" sh ci/alloc-budget.sh 'BenchmarkSimVerify/j1$$' ci/sim-alloc-budget.txt sim-smoke

@@ -85,8 +85,7 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 		// with its own recorder, so a slow item resolves at
 		// /debug/flightrecorder/{id} like a single-shot request would.
 		tr, _ := reqtrace.FromTraceparent(batchTr.Traceparent(), id)
-		rec := obs.New()
-		rec.Phase("queue.wait")
+		rec := obs.NewRequest("queue.wait")
 		// Each item gets the same per-request deadline a single-shot
 		// /compile gets; the batch ctx cancels them all if the client
 		// goes away.

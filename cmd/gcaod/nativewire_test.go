@@ -61,7 +61,7 @@ func TestNativeResponseWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := placed.RunNative(4)
+	direct, err := placed.RunNative()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -268,8 +268,7 @@ func (s *server) execute(resp *compileResponse, req compileRequest, placed *gcao
 		return nil
 	}
 	rec.Phase("simulate")
-	procs := placed.Result.Analysis.Unit.Grid.NumProcs()
-	run, err := placed.SimulateObs(m, procs, rec)
+	run, err := placed.SimulateObs(m, rec)
 	if err != nil {
 		return badRequestError{fmt.Errorf("simulate: %w", err)}
 	}
@@ -283,7 +282,7 @@ func (s *server) execute(resp *compileResponse, req compileRequest, placed *gcao
 		return nil
 	}
 	rec.Phase("native.exec")
-	nat, err := placed.RunNativeProfiled(procs, rec)
+	nat, err := placed.RunNativeProfiled(rec)
 	if err != nil {
 		return badRequestError{fmt.Errorf("native: %w", err)}
 	}

@@ -73,11 +73,10 @@ func (s *server) withObs(next http.Handler) http.Handler {
 		route := routeLabel(r.URL.Path)
 		id := fmt.Sprintf("r%06d", s.seq.Add(1))
 		tr, _ := reqtrace.FromTraceparent(r.Header.Get("traceparent"), id)
-		rec := obs.New()
-		// Open the first phase with the recorder so the tiling covers
+		// The first phase opens with the recorder so the tiling covers
 		// the whole request: middleware and handler overhead land in
 		// "ingress", not in an unaccounted gap.
-		rec.Phase("ingress")
+		rec := obs.NewRequest("ingress")
 		w.Header().Set("X-Request-Id", id)
 		w.Header().Set("Traceparent", tr.Traceparent())
 		sw := &statusWriter{ResponseWriter: w}

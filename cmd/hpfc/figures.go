@@ -11,7 +11,6 @@ import (
 	"gcao/internal/machine"
 	"gcao/internal/native"
 	"gcao/internal/obs"
-	"gcao/internal/runtime"
 )
 
 // fig10a regenerates the compile-time static message-count table of
@@ -74,13 +73,13 @@ func charts(fs *flag.FlagSet, args []string) {
 	o.finish(rec, false)
 }
 
-// verify executes every benchmark's functional instance under comb on
-// the BSP simulator at P=4 and checks its final state bit for bit
-// against a sequential run; with -backend native it also runs the
-// placement as real goroutines and checks that bit for bit against the
-// simulator. -blame k prints each instance's top-k communication blame
-// table (placement sites ranked by their critical-path cost under the
-// machine's BSP model).
+// verify checks every benchmark's functional instance under comb at P=4
+// bit for bit against the sequential program (Placed.Verify), then runs
+// it on the BSP simulator for the traffic it reports; with -backend
+// native it also runs the placement as real goroutines and checks that
+// bit for bit against the simulator run. -blame k prints each instance's
+// top-k communication blame table (placement sites ranked by their
+// critical-path cost under the machine's BSP model).
 func verify(fs *flag.FlagSet, args []string) {
 	var o obsFlags
 	o.register(fs)
@@ -101,20 +100,16 @@ func verify(fs *flag.FlagSet, args []string) {
 	for _, pr := range bench.Programs() {
 		name := pr.Bench + "/" + pr.Routine
 		placed := placeBench(pr, functionalN(pr), procs, gcao.Combine, rec)
-		run, err := placed.Simulate(m, procs)
+		if err := placed.Verify(); err != nil {
+			fatal(fmt.Errorf("%s: %w", name, err))
+		}
+		run, err := placed.Simulate(m)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
-		seq, err := placeBench(pr, functionalN(pr), 1, gcao.Combine, nil).Simulate(m, 1)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runtime.CompareState(run.Mem, seq.Mem, run.Scalars, seq.Scalars); err != nil {
-			fatal(fmt.Errorf("%s: parallel vs sequential: %w", name, err))
-		}
 		fmt.Printf("  %-18s ok (%d dynamic messages, %d barriers)\n", name, run.Ledger.DynMessages, run.Ledger.Barriers)
 		if *backend == "native" {
-			nat, err := placed.RunNative(procs)
+			nat, err := placed.RunNative()
 			if err != nil {
 				fatal(fmt.Errorf("%s: %w", name, err))
 			}

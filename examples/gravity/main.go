@@ -70,7 +70,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := ps.Verify(pr.Source, small, gcao.SP2(), 4); err != nil {
+	if err := ps.Verify(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nfunctional simulation at n=6, P=4 verified against sequential execution")

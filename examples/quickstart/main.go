@@ -75,13 +75,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := placed.Verify(src, cfg, gcao.SP2(), 4); err != nil {
+	if err := placed.Verify(); err != nil {
 		log.Fatal(err)
 	}
-	run, err := placed.Simulate(gcao.SP2(), 4)
+	run, err := placed.Simulate(gcao.SP2())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nfunctional simulation ok: %d dynamic messages, %d bytes moved, results match sequential run\n",
+	fmt.Printf("\nfunctional simulation ok: %d dynamic messages, %d bytes moved, verified against sequential execution\n",
 		run.Ledger.DynMessages, run.Ledger.BytesMoved)
 }

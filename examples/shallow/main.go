@@ -79,7 +79,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := ps.Verify(pr.Source, small, gcao.SP2(), 4); err != nil {
+	if err := ps.Verify(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nfunctional simulation at n=8, P=4 verified against sequential execution")

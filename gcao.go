@@ -14,20 +14,23 @@
 //	c, err := gcao.Compile(source, gcao.Config{Params: map[string]int{"n": 256}, Procs: 16})
 //	placed, err := c.Place(gcao.Combine)          // the paper's algorithm
 //	baseline, err := c.Place(gcao.Vectorize)      // the "orig" baseline
-//	run, err := placed.Simulate(gcao.SP2(), 16)   // functional simulation
+//	run, err := placed.Simulate(gcao.SP2())       // functional simulation
+//	err = placed.Verify()                         // against the sequential program
 //	cost, err := placed.Estimate(gcao.SP2())      // analytic cost model
 //
 // Compile parses and analyzes one routine; Place runs a placement
-// strategy; Simulate executes the program elementwise on a
-// bulk-synchronous simulator that verifies every remote access was
-// actually communicated; Estimate computes per-processor CPU/network
-// time without touching data, for paper-scale problem sizes.
+// strategy; Simulate executes the program on a bulk-synchronous
+// simulator, on the compilation's processors, that verifies every remote
+// access was actually communicated; Verify checks the final state against
+// the same routine run on one processor; Estimate computes per-processor
+// CPU/network time without touching data, for paper-scale problem sizes.
 package gcao
 
 import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sync"
 
 	"gcao/internal/ast"
@@ -335,36 +338,6 @@ func (c *Compilation) LowerBound() CommLowerBound {
 	return c.lowerBound
 }
 
-// OptimalityGap relates a placement's traffic to the compilation's
-// communication lower bound.
-type OptimalityGap struct {
-	// BoundBytes is the placement-independent floor; ActualBytes the
-	// analytic estimate of this placement's traffic on the machine.
-	BoundBytes  float64 `json:"bound_bytes"`
-	ActualBytes float64 `json:"actual_bytes"`
-	// Ratio is ActualBytes/BoundBytes (0 when the bound is zero);
-	// PctOfOptimal is BoundBytes/ActualBytes as a percentage, 100
-	// meaning provably optimal.
-	Ratio        float64 `json:"ratio"`
-	PctOfOptimal float64 `json:"pct_of_optimal"`
-}
-
-// OptimalityGap estimates the placement's traffic under the machine
-// model and relates it to the communication lower bound.
-func (p *Placed) OptimalityGap(m Machine) (OptimalityGap, error) {
-	cost, err := p.Estimate(m)
-	if err != nil {
-		return OptimalityGap{}, err
-	}
-	b := p.Compilation.LowerBound()
-	return OptimalityGap{
-		BoundBytes:   b.TotalBytes,
-		ActualBytes:  cost.Bytes,
-		Ratio:        b.Gap(cost.Bytes),
-		PctOfOptimal: b.PctOfOptimal(cost.Bytes),
-	}, nil
-}
-
 // Placed is a routine with chosen communication placements. Its first
 // execution lowers it, once, to the program every engine of either
 // backend runs and the listing prints; prepared engines — memory image,
@@ -397,21 +370,21 @@ func (p *Placed) Messages() int { return p.Result.TotalMessages() }
 func (p *Placed) MessageCounts() map[core.CommKind]int { return p.Result.Counts() }
 
 // Simulate executes the program on the functional bulk-synchronous
-// simulator with the given machine model and processor count (which
-// must match the compilation's grid). The run fails if any processor
-// reads remote data the placement failed to deliver. The result's Mem and
-// Scalars are valid until its Release, which a caller done with them
-// calls to let the next run reuse the engine.
-func (p *Placed) Simulate(m Machine, procs int) (*spmd.RunResult, error) {
-	return p.SimulateObs(m, procs, p.Result.Analysis.Obs)
+// simulator under the machine model, on the processors of the
+// compilation's grid. The run fails if any processor reads remote data
+// the placement failed to deliver. The result's Mem and Scalars are valid
+// until its Release, which a caller done with them calls to let the next
+// run reuse the engine.
+func (p *Placed) Simulate(m Machine) (*spmd.RunResult, error) {
+	return p.SimulateObs(m, p.Result.Analysis.Obs)
 }
 
 // SimulateObs is Simulate with an explicit recorder for the run's
 // profile and counters. Use it when the placement came out of a Cache:
 // the cached analysis carries no recorder of its own, so Simulate
 // would run unprofiled.
-func (p *Placed) SimulateObs(m Machine, procs int, rec *Recorder) (*spmd.RunResult, error) {
-	return spmd.RunPooled(&p.sim, p.Program(), m, procs, rec)
+func (p *Placed) SimulateObs(m Machine, rec *Recorder) (*spmd.RunResult, error) {
+	return spmd.RunPooled(&p.sim, p.Program(), m, rec)
 }
 
 // Estimate computes the analytic per-processor cost under the machine
@@ -421,13 +394,13 @@ func (p *Placed) Estimate(m Machine) (spmd.Cost, error) {
 }
 
 // RunNative executes the placed program for real: one goroutine per
-// logical processor, each owning its block of every distributed array,
-// with the placed communication groups realized as channel transfers.
-// The processor count must match the compilation's grid. Results are
-// bit-identical to Simulate by construction; VerifyNative enforces it.
-// The result's Mem and Scalars are valid until its Release, as Simulate's.
-func (p *Placed) RunNative(procs int) (*native.RunResult, error) {
-	return native.RunPooled(&p.nat, p.Program(), procs, nil)
+// logical processor of the compilation's grid, each owning its block of
+// every distributed array, with the placed communication groups realized
+// as channel transfers. Results are bit-identical to Simulate by
+// construction; VerifyNative enforces it. The result's Mem and Scalars
+// are valid until its Release, as Simulate's.
+func (p *Placed) RunNative() (*native.RunResult, error) {
+	return native.RunPooled(&p.nat, p.Program(), nil)
 }
 
 // RunNativeProfiled is RunNative with the runtime profiler armed: every
@@ -436,23 +409,25 @@ func (p *Placed) RunNative(procs int) (*native.RunResult, error) {
 // per-superstep timelines, wait accounting, compute skew. A native run
 // is profiled when it is given a recorder, so a nil rec runs on one of
 // its own.
-func (p *Placed) RunNativeProfiled(procs int, rec *Recorder) (*native.RunResult, error) {
+func (p *Placed) RunNativeProfiled(rec *Recorder) (*native.RunResult, error) {
 	if rec == nil {
 		rec = obs.New()
 	}
-	return native.RunPooled(&p.nat, p.Program(), procs, rec)
+	return native.RunPooled(&p.nat, p.Program(), rec)
 }
 
 // VerifyNative runs the placement on both backends — the BSP simulator
-// and the native goroutine engine — and compares final distributed
-// memory, validity and scalar state bit for bit (native.Diff).
-func (p *Placed) VerifyNative(m Machine, procs int) error {
-	sim, err := p.Simulate(m, procs)
+// and the native goroutine engine — unprofiled, and compares final
+// distributed memory, validity and scalar state bit for bit
+// (native.Diff). The machine model prices only the simulator's ledger,
+// never a value, so the check takes none.
+func (p *Placed) VerifyNative() error {
+	sim, err := p.SimulateObs(machine.SP2(), nil)
 	if err != nil {
 		return fmt.Errorf("gcao: simulator reference failed: %w", err)
 	}
 	defer sim.Release()
-	nat, err := p.RunNative(procs)
+	nat, err := p.RunNative()
 	if err != nil {
 		return fmt.Errorf("gcao: native run failed: %w", err)
 	}
@@ -467,29 +442,39 @@ func (c *Compilation) CompareStrategies(m Machine) ([]spmd.Bar, error) {
 	return spmd.EstimateVersions(c.Analysis, m)
 }
 
-// Verify runs the placed program and an independent single-processor
-// reference and compares their final states bit for bit
-// (runtime.CompareState): every array's canonical image and the scalars
-// both hold.
-func (p *Placed) Verify(source string, cfg Config, m Machine, procs int) error {
-	run, err := p.Simulate(m, procs)
+// Verify runs the placed program on the simulator and compares its final
+// state bit for bit (runtime.CompareState) — every array's canonical
+// image and the scalars both hold — with the sequential program's: the
+// placement's own routine, inlined calls and all, under its own parameter
+// binding, compiled again for one processor (its PROCESSORS directive
+// dropped) and simulated there. Both runs are unprofiled.
+func (p *Placed) Verify() error {
+	m := machine.SP2()
+	run, err := p.SimulateObs(m, nil)
 	if err != nil {
 		return err
 	}
 	defer run.Release()
-	seqCfg := cfg
-	seqCfg.Procs = 1
-	seqC, err := Compile(source, seqCfg)
+	u := p.Result.Analysis.Unit
+	r := *u.Routine
+	r.Dirs = slices.DeleteFunc(slices.Clone(r.Dirs), func(d ast.Dir) bool {
+		_, procs := d.(*ast.ProcessorsDir)
+		return procs
+	})
+	seqC, err := compileRoutine(&r, nil, Config{Params: u.Params, Procs: 1})
 	if err != nil {
 		return fmt.Errorf("gcao: sequential reference compile: %w", err)
+	}
+	if n := seqC.Analysis.Unit.Grid.NumProcs(); n != 1 {
+		return fmt.Errorf("gcao: sequential reference compiled for %d processors", n)
 	}
 	seqP, err := seqC.Place(Combine)
 	if err != nil {
 		return err
 	}
-	seq, err := seqP.Simulate(m, 1)
+	seq, err := seqP.SimulateObs(m, nil)
 	if err != nil {
-		return err
+		return fmt.Errorf("gcao: sequential reference: %w", err)
 	}
 	if err := runtime.CompareState(run.Mem, seq.Mem, run.Scalars, seq.Scalars); err != nil {
 		return fmt.Errorf("gcao: parallel vs sequential: %w", err)

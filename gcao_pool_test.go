@@ -43,11 +43,11 @@ func TestReleaseContract(t *testing.T) {
 	p := placedShallow(t, 12, 4)
 	m := gcao.SP2()
 
-	kept, err := p.Simulate(m, 4)
+	kept, err := p.Simulate(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := p.Simulate(m, 4)
+	second, err := p.Simulate(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestReleaseContract(t *testing.T) {
 	want := append([]float64(nil), kept.Mem.Canonical("p")...)
 	second.Release()
 	second.Release()
-	third, err := p.Simulate(m, 4)
+	third, err := p.Simulate(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fourth, err := p.Simulate(m, 4)
+	fourth, err := p.Simulate(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestReleaseContract(t *testing.T) {
 		}
 	}
 
-	nat, err := p.RunNative(4)
+	nat, err := p.RunNative()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestReleaseContract(t *testing.T) {
 	}
 	nat.Release()
 	nat.Release()
-	prof, err := p.RunNativeProfiled(4, nil)
+	prof, err := p.RunNativeProfiled(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestReleaseContract(t *testing.T) {
 	}
 	ops := prof.Stats.Ops
 	prof.Release()
-	again, err := p.RunNative(4)
+	again, err := p.RunNative()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,11 @@ func TestReleaseContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Release()
-	one, err := native.Run(p.Result, 4)
+	eng, err := native.NewEngine(p.Result, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +139,8 @@ func TestFailedRunReturnsItsEngine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var first [2]string
 	for run := 0; run < 3; run++ {
-		_, simErr := p.Simulate(gcao.SP2(), 4)
-		_, natErr := p.RunNativeProfiled(4, nil)
+		_, simErr := p.Simulate(gcao.SP2())
+		_, natErr := p.RunNativeProfiled(nil)
 		for i, err := range []error{simErr, natErr} {
 			switch {
 			case err == nil:
@@ -186,7 +190,7 @@ func TestPooledEnginesUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < runs; i++ {
 				if (w+i)%2 == 0 {
-					out, err := p.Simulate(m, 4)
+					out, err := p.Simulate(m)
 					if err != nil {
 						t.Error(err)
 						return
@@ -199,7 +203,7 @@ func TestPooledEnginesUnderConcurrency(t *testing.T) {
 					mu.Unlock()
 					out.Release()
 				} else {
-					out, err := p.RunNativeProfiled(4, nil)
+					out, err := p.RunNativeProfiled(nil)
 					if err != nil {
 						t.Error(err)
 						return
@@ -227,7 +231,8 @@ func TestPooledEnginesUnderConcurrency(t *testing.T) {
 // P=4, at the functional sizes hpfc verify runs (n=8 for shallow and
 // trimesh, 6 for the rest), ends in the same state — memory, validity and
 // scalars, bit for bit — on the native backend as on the simulator, both
-// run from the placement's lowered program and pools.
+// run from the placement's lowered program and pools; and the simulator
+// run ends where the sequential program does (Verify).
 func TestPlacedVerifyNative(t *testing.T) {
 	for _, pr := range bench.Programs() {
 		n := 6
@@ -243,7 +248,10 @@ func TestPlacedVerifyNative(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := p.VerifyNative(gcao.SP2(), 4); err != nil {
+			if err := p.VerifyNative(); err != nil {
+				t.Errorf("%s/%s %s: %v", pr.Bench, pr.Routine, s, err)
+			}
+			if err := p.Verify(); err != nil {
 				t.Errorf("%s/%s %s: %v", pr.Bench, pr.Routine, s, err)
 			}
 		}

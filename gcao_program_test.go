@@ -19,7 +19,7 @@ import (
 func TestSecondEngineLowersNothing(t *testing.T) {
 	p := placedShallow(t, 12, 4)
 	m := gcao.SP2()
-	first, err := p.Simulate(m, 4)
+	first, err := p.Simulate(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,10 +30,17 @@ func TestSecondEngineLowersNothing(t *testing.T) {
 	}{
 		{"simulator",
 			func() (*runtime.Memory, error) { out, err := spmd.RunParallel(p.Result, m, 4, 0); return out.Mem, err },
-			func() (*runtime.Memory, error) { out, err := p.Simulate(m, 4); return out.Mem, err }},
+			func() (*runtime.Memory, error) { out, err := p.Simulate(m); return out.Mem, err }},
 		{"native",
-			func() (*runtime.Memory, error) { out, err := native.Run(p.Result, 4); return out.Mem, err },
-			func() (*runtime.Memory, error) { out, err := p.RunNative(4); return out.Mem, err }},
+			func() (*runtime.Memory, error) {
+				eng, err := native.NewEngine(p.Result, 4)
+				if err != nil {
+					return nil, err
+				}
+				out, err := eng.Run()
+				return out.Mem, err
+			},
+			func() (*runtime.Memory, error) { out, err := p.RunNative(); return out.Mem, err }},
 	} {
 		var mem *runtime.Memory
 		measure := func(run func() (*runtime.Memory, error)) float64 {

@@ -352,12 +352,12 @@ func TestSkeletonSharedConcurrently(t *testing.T) {
 		if err != nil {
 			return res, err
 		}
-		sim, err := p.Simulate(gcao.SP2(), procs)
+		sim, err := p.Simulate(gcao.SP2())
 		if err != nil {
 			return res, err
 		}
 		defer sim.Release()
-		nat, err := p.RunNative(procs)
+		nat, err := p.RunNative()
 		if err != nil {
 			return res, err
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gcao"
-	"gcao/internal/runtime"
 )
 
 const apiSrc = `
@@ -33,6 +32,19 @@ enddo
 end
 `
 
+// procsSrc is the F90 form of examples/syntax: a PROCESSORS directive
+// names the grid the arrays are distributed onto.
+const procsSrc = `
+routine f90(n)
+real a(n), b(n), c(n)
+!hpf$ processors p(4)
+!hpf$ distribute (block) onto p :: a, b, c
+a(1:n) = 3
+b(1:n) = 4
+c(2:n) = a(1:n-1) + b(1:n-1)
+end
+`
+
 func TestPublicAPI(t *testing.T) {
 	cfg := gcao.Config{Params: map[string]int{"n": 12, "steps": 2}, Procs: 4}
 	c, err := gcao.Compile(apiSrc, cfg)
@@ -55,15 +67,33 @@ func TestPublicAPI(t *testing.T) {
 		t.Errorf("comb %d messages > orig %d", comb.Messages(), orig.Messages())
 	}
 
-	run, err := comb.Simulate(gcao.SP2(), 4)
+	run, err := comb.Simulate(gcao.SP2())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if run.Ledger.DynMessages == 0 {
 		t.Error("expected dynamic messages")
 	}
-	if err := comb.Verify(apiSrc, cfg, gcao.SP2(), 4); err != nil {
+	if err := comb.Verify(); err != nil {
 		t.Fatal(err)
+	}
+	// A PROCESSORS directive sets the grid over Config.Procs; the
+	// sequential reference drops it.
+	directed, err := gcao.Compile(procsSrc, gcao.Config{Params: map[string]int{"n": 64}, Procs: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := directed.Analysis.Unit.Grid.NumProcs(); got != 4 {
+		t.Fatalf("grid of %d processors, want the directive's 4", got)
+	}
+	for _, s := range []gcao.Strategy{gcao.Vectorize, gcao.Combine} {
+		p, err := directed.Place(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Verify(); err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
 	}
 
 	cost, err := comb.Estimate(gcao.NOW())
@@ -211,27 +241,11 @@ func TestInterprocedural(t *testing.T) {
 			t.Errorf("group %v does not span the two call sites", g)
 		}
 	}
-	// Functional verification: the parallel run matches a sequential
-	// one (compile the flattened program at P=1 independently).
-	run, err := comb.Simulate(gcao.SP2(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqCfg := cfg
-	seqCfg.Procs = 1
-	seqC, err := gcao.CompileProgram(interprocSrc, "main", seqCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqP, err := seqC.Place(gcao.Combine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := seqP.Simulate(gcao.SP2(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := runtime.CompareState(run.Mem, seq.Mem, run.Scalars, seq.Scalars); err != nil {
-		t.Fatal(err)
+	// Functional verification: the parallel run matches the sequential
+	// one, the flattened routine compiled again at P=1.
+	for _, p := range []*gcao.Placed{orig, comb} {
+		if err := p.Verify(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

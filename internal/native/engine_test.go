@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"math"
 	"reflect"
-	goruntime "runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -64,14 +63,13 @@ func requireSameImage(t *testing.T, what string, got, want *runtime.Memory, gotS
 	}
 }
 
-// TestReusedEngineMatchesFresh: runs 1-4 of one engine — simulator at one
-// shard and at GOMAXPROCS, native — leave what a run on a new engine
-// leaves: memory image and validity planes, scalars, every field of the
-// ledger (clocks bit for bit), the communication profile and attribution
-// steps, the native traffic counts; with a recorder (or the profiler) on
-// the odd runs and without on the even ones, so what one run attaches the
-// next does not inherit. The fabric allocates on an engine's first run
-// only, and the last native run still matches the simulator's.
+// TestReusedEngineMatchesFresh: runs 1-4 of one native engine leave what
+// a run on a new engine leaves: memory image and validity planes, scalars
+// and traffic counts, with the profiler on the odd runs and off on the
+// even ones, so what one run attaches the next does not inherit. The
+// fabric allocates on an engine's first run only, and the last run still
+// matches the simulator's. The simulator engine's half of the property is
+// the spmd package's test of this name.
 func TestReusedEngineMatchesFresh(t *testing.T) {
 	for _, name := range [][2]string{{"shallow", "main"}, {"gravity", "main"}, {"hydflo", "flux"}} {
 		pr, err := bench.ByName(name[0], name[1])
@@ -98,48 +96,10 @@ func TestReusedEngineMatchesFresh(t *testing.T) {
 
 func requireReuseMatchesFresh(t *testing.T, res *core.Result, p int) {
 	t.Helper()
-	m := machine.SP2()
-	var lastSim *spmd.RunResult
-	for _, j := range []int{1, goruntime.GOMAXPROCS(0)} {
-		recF := obs.New()
-		fresh, err := spmd.RunParallelObs(res, m, p, j, recF)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := spmd.NewEngine(res, p, j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for run := 1; run <= 4; run++ {
-			what := fmt.Sprintf("simulator j=%d run %d", j, run)
-			var rec *obs.Recorder
-			if run%2 == 1 {
-				rec = obs.New()
-			}
-			out, err := eng.Run(m, rec)
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-			requireSameImage(t, what, out.Mem, fresh.Mem, out.Scalars, fresh.Scalars)
-			if !reflect.DeepEqual(out.Ledger, fresh.Ledger) ||
-				!sameBitsAll(out.Ledger.CPU, fresh.Ledger.CPU) || !sameBitsAll(out.Ledger.Net, fresh.Ledger.Net) {
-				t.Errorf("%s: ledger differs:\n got %+v\nwant %+v", what, out.Ledger, fresh.Ledger)
-			}
-			if rec != nil {
-				if !reflect.DeepEqual(rec.CommProfile(), recF.CommProfile()) {
-					t.Errorf("%s: communication profile differs", what)
-				}
-				if !reflect.DeepEqual(rec.Attribution(), recF.Attribution()) {
-					t.Errorf("%s: attribution steps differ", what)
-				}
-				if !reflect.DeepEqual(rec.Counters(), recF.Counters()) {
-					t.Errorf("%s: counters %v, want %v", what, rec.Counters(), recF.Counters())
-				}
-			}
-			lastSim = out
-		}
+	sim, err := spmd.RunParallel(res, machine.SP2(), p, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-
 	freshEng, err := native.NewEngine(res, p)
 	if err != nil {
 		t.Fatal(err)
@@ -176,8 +136,8 @@ func requireReuseMatchesFresh(t *testing.T, res *core.Result, p int) {
 			t.Errorf("%s: profile present = %v", what, out.Profile != nil)
 		}
 		if run == 4 {
-			if err := native.Diff(out, lastSim); err != nil {
-				t.Errorf("reused native engine against reused simulator engine: %v", err)
+			if err := native.Diff(out, sim); err != nil {
+				t.Errorf("reused native engine against the simulator: %v", err)
 			}
 		}
 	}
@@ -228,7 +188,7 @@ func TestSharedProgramConcurrentEngines(t *testing.T) {
 				for run := 0; run < 3; run++ {
 					what := fmt.Sprintf("%s/%s engine %d run %d", tc.bench, tc.routine, w, run)
 					if w%2 == 0 {
-						out, err := spmd.RunPooled(&pool, prog, machine.SP2(), tc.procs, nil)
+						out, err := spmd.RunPooled(&pool, prog, machine.SP2(), nil)
 						if err != nil {
 							t.Error(err)
 							return
@@ -243,7 +203,7 @@ func TestSharedProgramConcurrentEngines(t *testing.T) {
 						if run == 1 {
 							rec = obs.New()
 						}
-						out, err := native.RunPooled(&pool, prog, tc.procs, rec)
+						out, err := native.RunPooled(&pool, prog, rec)
 						if err != nil {
 							t.Error(err)
 							return
@@ -313,7 +273,7 @@ func TestImageBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := spmd.RunParallelObs(res, machine.SP2(), 16, 1, nil)
+		sim, err := spmd.RunParallel(res, machine.SP2(), 16, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -630,7 +630,7 @@ func TestStaleReadOutsideLocalBox(t *testing.T) {
 				t.Fatalf("a's planes are %d columns wide, want the 8 of a block and a column of margin on each side", w.Strides[0])
 			}
 			_, nerr := native.Run(res, 2)
-			_, serr := spmd.RunParallelObs(res, machine.SP2(), 2, 1, nil)
+			_, serr := spmd.RunParallel(res, machine.SP2(), 2, 1)
 			for name, err := range map[string]error{"native": nerr, "simulator": serr} {
 				var stale *runtime.StaleReadError
 				if !errors.As(err, &stale) {

@@ -105,27 +105,19 @@ func maxProcs() int {
 	return n
 }
 
-// Run executes the placement natively on procs goroutines.
-func Run(res *core.Result, procs int) (*RunResult, error) {
-	return RunPooled(nil, plan.Lower(res), procs, nil)
-}
-
-// RunPooled runs a placement's lowered program on an idle engine from
-// pool, which holds engines of this program only, or else on a new one
-// whose home the pool becomes: Release, or a failed run, puts it there.
-// Given a recorder, the run is profiled, as a simulator run is: it runs
-// in a "native:<version>" span of rec, with the runtime profiler armed,
-// and leaves its folded profile on rec and in RunResult.Profile.
-func RunPooled(pool *sync.Pool, prog *plan.Program, procs int, rec *obs.Recorder) (*RunResult, error) {
-	res := prog.Plan.Res
-	defer rec.Start("native:" + res.Version.String())()
-	var eng *Engine
-	if pool != nil {
-		eng, _ = pool.Get().(*Engine)
-	}
-	if eng == nil || eng.procs != procs {
+// RunPooled runs a placement's lowered program on its processors, on an
+// idle engine from pool, which holds engines of this program only, or
+// else on a new one whose home the pool becomes: Release, or a failed
+// run, puts it there. Given a recorder, the run is profiled, as a
+// simulator run is: it runs in a "native:<version>" span of rec, with the
+// runtime profiler armed, and leaves its folded profile on rec and in
+// RunResult.Profile.
+func RunPooled(pool *sync.Pool, prog *plan.Program, rec *obs.Recorder) (*RunResult, error) {
+	defer rec.Start("native:" + prog.Plan.Res.Version.String())()
+	eng, _ := pool.Get().(*Engine)
+	if eng == nil {
 		var err error
-		if eng, err = newEngine(prog, procs); err != nil {
+		if eng, err = newEngine(prog, prog.Plan.Layout.P); err != nil {
 			return nil, err
 		}
 		eng.home = pool
@@ -137,9 +129,7 @@ func RunPooled(pool *sync.Pool, prog *plan.Program, procs int, rec *obs.Recorder
 	}
 	out, err := eng.Run()
 	if err != nil {
-		if pool != nil {
-			pool.Put(eng)
-		}
+		pool.Put(eng)
 		return nil, err
 	}
 	out.Stats.Ops = maps.Clone(out.Stats.Ops) // the engine's next run clears its own

@@ -13,7 +13,6 @@ import (
 	"gcao/internal/native"
 	"gcao/internal/native/prof"
 	"gcao/internal/obs"
-	"gcao/internal/plan"
 	"gcao/internal/spmd"
 )
 
@@ -157,13 +156,13 @@ func TestNativeProfileTilesWallTime(t *testing.T) {
 // order. The Chrome trace's lanes and the flight record's facets put
 // the two side by side on this join.
 func TestNativeStepsJoinAttribution(t *testing.T) {
-	eng, res := profiledEngine(t, "gravity", 12, 16, core.VersionCombine)
+	eng, _ := profiledEngine(t, "gravity", 12, 16, core.VersionCombine)
 	out, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := obs.New()
-	if _, err := spmd.RunParallelObs(res, machine.SP2(), 16, 0, rec); err != nil {
+	if _, err := spmd.RunPooled(new(sync.Pool), native.ProgramOf(eng), machine.SP2(), rec); err != nil {
 		t.Fatal(err)
 	}
 	attrRun := rec.Attribution()
@@ -197,7 +196,7 @@ func TestNativeProfileSumAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	np, tree := out.Profile, plan.BuildTree(p)
+	np, tree := out.Profile, native.ProgramOf(eng).Plan.Tree
 	for q, evs := range np.Events {
 		for _, ev := range evs {
 			if ev.Step == prof.PendingStep {

@@ -3,32 +3,10 @@ package native
 import (
 	"fmt"
 
-	"gcao/internal/core"
-	"gcao/internal/machine"
 	"gcao/internal/runtime"
 	"gcao/internal/section"
 	"gcao/internal/spmd"
 )
-
-// VerifyAgainstSimulator runs the placement on both backends — the BSP
-// simulator and the native goroutine engine — and compares the final
-// distributed memory and scalar state bit for bit. Both run the same
-// lowered program, so this checks the two drivers (data movement,
-// collectives, validity) against each other, not lowering itself: the
-// independent reference for that is package refeval, which the tests
-// hold both backends against. The machine model only prices the
-// simulator's ledger; it cannot influence values.
-func VerifyAgainstSimulator(res *core.Result, m machine.Machine, procs int) error {
-	sim, err := spmd.RunParallel(res, m, procs, 0)
-	if err != nil {
-		return fmt.Errorf("native: simulator reference failed: %w", err)
-	}
-	nat, err := Run(res, procs)
-	if err != nil {
-		return fmt.Errorf("native: native run failed: %w", err)
-	}
-	return Diff(nat, sim)
-}
 
 // Diff compares a native result against a simulator result bit for bit:
 // the canonical images and the scalars both hold (runtime.CompareState),

@@ -269,9 +269,9 @@ func Analyze(run *Run, model CostModel) *Report {
 	return rep
 }
 
-// TopSites returns the k heaviest sites (all of them when k <= 0 or
+// topSites returns the k heaviest sites (all of them when k <= 0 or
 // exceeds the site count).
-func (r *Report) TopSites(k int) []SiteStat {
+func (r *Report) topSites(k int) []SiteStat {
 	if k <= 0 || k > len(r.Sites) {
 		k = len(r.Sites)
 	}
@@ -284,7 +284,7 @@ func (r *Report) TopSites(k int) []SiteStat {
 func (r *Report) FormatBlame(k int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== communication blame: top %d of %d sites (version=%s, g=%.3g s/B, L=%.3g s) ==\n",
-		len(r.TopSites(k)), len(r.Sites), r.Version, r.Model.GSecPerByte, r.Model.LSec)
+		len(r.topSites(k)), len(r.Sites), r.Version, r.Model.GSecPerByte, r.Model.LSec)
 	fmt.Fprintf(&b, "critical path: %d of %d supersteps, %.6g s of %.6g s serialized\n",
 		len(r.CriticalPath), r.TotalSteps, r.CriticalSec, r.SerialSec)
 	if len(r.Sites) == 0 {
@@ -293,7 +293,7 @@ func (r *Report) FormatBlame(k int) string {
 	}
 	fmt.Fprintf(&b, "  %4s  %-28s %-6s %5s %6s %10s %9s %10s  %s\n",
 		"rank", "site", "kind", "steps", "msgs", "bytes", "h-bytes", "crit-sec", "sources")
-	for i, st := range r.TopSites(k) {
+	for i, st := range r.topSites(k) {
 		fmt.Fprintf(&b, "  %4d  %-28s %-6s %5d %6d %10d %9d %10.4g  %s\n",
 			i+1, st.Site, st.Kind, st.Steps, st.Messages, st.Bytes, st.HBytes,
 			st.CritSec, strings.Join(st.Sources, " "))

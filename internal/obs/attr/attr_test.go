@@ -100,11 +100,11 @@ func TestTopSitesAndFormatBlame(t *testing.T) {
 		},
 	}
 	rep := Analyze(run, CostModelFor(machine.SP2()))
-	if got := len(rep.TopSites(1)); got != 1 {
-		t.Fatalf("TopSites(1) = %d entries", got)
+	if got := len(rep.topSites(1)); got != 1 {
+		t.Fatalf("topSites(1) = %d entries", got)
 	}
-	if got := len(rep.TopSites(0)); got != 2 {
-		t.Fatalf("TopSites(0) = %d entries", got)
+	if got := len(rep.topSites(0)); got != 2 {
+		t.Fatalf("topSites(0) = %d entries", got)
 	}
 	out := rep.FormatBlame(5)
 	for _, want := range []string{"communication blame", "critical path:", "sA", "sB", "s1@4:1"} {

@@ -70,6 +70,17 @@ func New() *Recorder {
 	return &Recorder{epoch: time.Now(), counters: map[string]int64{}}
 }
 
+// NewRequest builds an empty recorder for a served request with its first
+// phase, the named one, open from the recorder's clock zero: the phases
+// then tile the request's wall time (see Phase) from its first
+// microsecond, where a Phase call after New would leave the time between
+// the two uncovered.
+func NewRequest(phase string) *Recorder {
+	r := New()
+	r.phase, r.inPhase, r.depth = Span{Name: phase, Phase: true}, true, 1
+	return r
+}
+
 // SetLog attaches a structured logger and a request id to the recorder:
 // every subsequent Event (and the debug event emitted when a span ends)
 // is written request-scoped. A nil logger detaches.
@@ -105,9 +116,9 @@ func (r *Recorder) Event(lv slog.Level, msg string, attrs ...slog.Attr) {
 // Phase ends the open request phase, if any, and opens the named one at
 // the same clock reading, so consecutive phases tile the request with no
 // gap: their durations sum to the time from the first one's start to the
-// last one's end. A served request opens "ingress" as its recorder is
-// made and its last phase ends with EndPhase; the pipeline spans started
-// meanwhile nest inside the phase they ran in.
+// last one's end. A served request's recorder is made with "ingress"
+// open (NewRequest) and its last phase ends with EndPhase; the pipeline
+// spans started meanwhile nest inside the phase they ran in.
 func (r *Recorder) Phase(name string) {
 	if r == nil {
 		return

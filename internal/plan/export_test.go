@@ -33,6 +33,9 @@ func clearMarks(nodes []Node, rows bool) {
 	}
 }
 
+// BuildTree constructs the binomial tree for procs processors.
+func BuildTree(procs int) *Tree { return buildTree(procs) }
+
 // BatchRows is how many rows of n elements RunBox proves and executes
 // together.
 func BatchRows(n int) int { return batchOf(n) }

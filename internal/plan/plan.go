@@ -71,7 +71,7 @@ func newPlan(res *core.Result, layout *runtime.Layout) *Plan {
 		b := g.Pos.Block
 		pl.Comm[b.ID][g.Pos.After+1] = append(pl.Comm[b.ID][g.Pos.After+1], g)
 	}
-	pl.Tree = BuildTree(layout.P)
+	pl.Tree = buildTree(layout.P)
 	pl.Bound = make(map[*core.Group]int, len(res.Groups))
 	for _, g := range res.Groups {
 		total := 0
@@ -114,8 +114,8 @@ type Tree struct {
 	SubSize  []int   // SubSize[p] = size of p's subtree
 }
 
-// BuildTree constructs the binomial tree for procs processors.
-func BuildTree(procs int) *Tree {
+// buildTree constructs the binomial tree for procs processors.
+func buildTree(procs int) *Tree {
 	t := &Tree{
 		Procs:    procs,
 		Parent:   make([]int, procs),

@@ -634,10 +634,6 @@ func (r *ArrayRef) Index(fr *Frame, idx []int) []int {
 	return idx
 }
 
-// Owner returns the processor owning the referenced element, whose
-// subscripts the caller has found inside the declared bounds.
-func (r *ArrayRef) Owner(fr *Frame) int { return r.Lay.Owner(r.Index(fr, fr.idx)) }
-
 // rangeError is the positioned error of a subscript, or a range of
 // them, outside the declared bounds of a dimension.
 func rangeError(pos source.Pos, am *runtime.ArrayLayout, dim, lo, hi int) error {

@@ -15,6 +15,7 @@ import (
 	"gcao/internal/refeval"
 	"gcao/internal/runtime"
 	"gcao/internal/section"
+	"gcao/internal/spmd"
 )
 
 func placeSrc(t testing.TB, src string, params map[string]int, procs int) *core.Result {
@@ -829,11 +830,19 @@ func TestEntryProofDeclinesValidNest(t *testing.T) {
 	if got, want := placed.rows-declined.rows, 5; got != want {
 		t.Errorf("the kernels ran %d rows fewer with the read elements alone delivered, want %d", got, want)
 	}
-	if err := native.VerifyAgainstSimulator(res, machine.SP2(), procs); err != nil {
+	sim, err := spmd.RunParallel(res, machine.SP2(), procs, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	nat, err := native.Run(res, procs)
+	eng, err := native.NewEngine(res, procs)
 	if err != nil {
+		t.Fatal(err)
+	}
+	nat, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := native.Diff(nat, sim); err != nil {
 		t.Fatal(err)
 	}
 	if err := ref.Check(nat.Mem, nat.Scalars); err != nil {

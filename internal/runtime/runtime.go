@@ -115,18 +115,6 @@ func (l *Ledger) Compute(proc, flops int) {
 	l.CPU[proc] += float64(flops) * l.Machine.FlopTime
 }
 
-// ElapsedTime returns the bulk-synchronous completion time: the
-// maximum per-processor clock.
-func (l *Ledger) ElapsedTime() float64 {
-	maxT := 0.0
-	for p := 0; p < l.P; p++ {
-		if t := l.CPU[p] + l.Net[p]; t > maxT {
-			maxT = t
-		}
-	}
-	return maxT
-}
-
 // LedgerView is a range-scoped window onto the CPU clocks of a ledger
 // for processors [Lo, Hi). It owns an independent backing slice, so
 // several views over disjoint ranges can accumulate compute time

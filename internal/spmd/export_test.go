@@ -1,6 +1,30 @@
 package spmd
 
-import "gcao/internal/runtime"
+import (
+	"gcao/internal/core"
+	"gcao/internal/machine"
+	"gcao/internal/obs"
+	"gcao/internal/plan"
+	"gcao/internal/runtime"
+)
+
+// RunParallelObs is RunParallel with an explicit recorder (nil runs
+// unprofiled), for tests that compare the profiles of runs.
+func RunParallelObs(res *core.Result, m machine.Machine, procs, workers int, rec *obs.Recorder) (*RunResult, error) {
+	defer rec.Start("simulate:" + res.Version.String())()
+	eng, err := NewEngine(res, procs, workers)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Run(m, rec)
+}
+
+// NewEngine prepares a simulation of the placement on procs processors
+// and workers shards, on a lowering of its own, for tests that run one
+// engine more than once.
+func NewEngine(res *core.Result, procs, workers int) (*Engine, error) {
+	return newEngine(plan.Lower(res), procs, workers)
+}
 
 // UnitPrograms hands the unit tests' programs to the external test
 // package, which checks them against the reference evaluator.

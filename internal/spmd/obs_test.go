@@ -57,14 +57,14 @@ func TestProfileMatchesLedger(t *testing.T) {
 	}
 	// Time split: compute + comm + idle per processor, all non-negative,
 	// and compute+comm+idle must equal the processor's elapsed clock.
-	elapsed := run.Ledger.ElapsedTime()
+	wall := elapsed(run.Ledger)
 	for p := 0; p < 4; p++ {
 		if prof.ComputeSec[p] < 0 || prof.CommSec[p] < -1e-12 || prof.IdleSec[p] < 0 {
 			t.Errorf("p%d: negative time split: compute=%v comm=%v idle=%v",
 				p, prof.ComputeSec[p], prof.CommSec[p], prof.IdleSec[p])
 		}
-		if sum := prof.ComputeSec[p] + prof.CommSec[p] + prof.IdleSec[p]; math.Abs(sum-elapsed) > 1e-12*elapsed {
-			t.Errorf("p%d: compute+comm+idle = %v, elapsed clock %v", p, sum, elapsed)
+		if sum := prof.ComputeSec[p] + prof.CommSec[p] + prof.IdleSec[p]; math.Abs(sum-wall) > 1e-12*wall {
+			t.Errorf("p%d: compute+comm+idle = %v, elapsed clock %v", p, sum, wall)
 		}
 	}
 	// Counters mirror the ledger.
@@ -94,10 +94,10 @@ func TestProfileDoesNotPerturbRun(t *testing.T) {
 	if bare.Ledger.DynMessages != inst.Ledger.DynMessages ||
 		bare.Ledger.BytesMoved != inst.Ledger.BytesMoved ||
 		bare.Ledger.Barriers != inst.Ledger.Barriers ||
-		bare.Ledger.ElapsedTime() != inst.Ledger.ElapsedTime() {
+		elapsed(bare.Ledger) != elapsed(inst.Ledger) {
 		t.Errorf("instrumented run differs: bare {msgs %d bytes %d barriers %d t %v}, instrumented {msgs %d bytes %d barriers %d t %v}",
-			bare.Ledger.DynMessages, bare.Ledger.BytesMoved, bare.Ledger.Barriers, bare.Ledger.ElapsedTime(),
-			inst.Ledger.DynMessages, inst.Ledger.BytesMoved, inst.Ledger.Barriers, inst.Ledger.ElapsedTime())
+			bare.Ledger.DynMessages, bare.Ledger.BytesMoved, bare.Ledger.Barriers, elapsed(bare.Ledger),
+			inst.Ledger.DynMessages, inst.Ledger.BytesMoved, inst.Ledger.Barriers, elapsed(inst.Ledger))
 	}
 	if err := runtime.CompareState(bare.Mem, inst.Mem, bare.Scalars, inst.Scalars); err != nil {
 		t.Errorf("instrumented run computed different values: %v", err)

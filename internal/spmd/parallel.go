@@ -44,32 +44,29 @@ const DefaultParallelThreshold = 8
 // the per-processor compute/communication/idle split. workers=1 forces
 // the sequential path; workers<=0 selects one shard below
 // DefaultParallelThreshold processors, else min(GOMAXPROCS, procs). The
-// worker count never changes the result bits, only the wall clock.
+// worker count never changes the result bits, only the wall clock. The
+// run lowers the placement and builds an engine of its own.
 func RunParallel(res *core.Result, m machine.Machine, procs, workers int) (*RunResult, error) {
-	return RunParallelObs(res, m, procs, workers, res.Analysis.Obs)
-}
-
-// RunParallelObs is the full-control entry point: explicit shard count
-// and recorder (nil disables profiling). It builds an engine and runs it.
-func RunParallelObs(res *core.Result, m machine.Machine, procs, workers int, rec *obs.Recorder) (*RunResult, error) {
+	rec := res.Analysis.Obs
 	defer rec.Start("simulate:" + res.Version.String())()
-	eng, err := NewEngine(res, procs, workers)
+	eng, err := newEngine(plan.Lower(res), procs, workers)
 	if err != nil {
 		return nil, err
 	}
 	return eng.Run(m, rec)
 }
 
-// RunPooled is RunParallelObs of a placement's lowered program on an idle
-// engine from pool — which holds engines of this program and nothing
-// else — or, when there is none, on a new one whose home the pool becomes:
-// the result's Release, or the failure of a run, puts the engine there.
-func RunPooled(pool *sync.Pool, prog *plan.Program, m machine.Machine, procs int, rec *obs.Recorder) (*RunResult, error) {
+// RunPooled runs a placement's lowered program on its processors, under
+// the machine model and profiled when rec is non-nil, on an idle engine
+// from pool — which holds engines of this program and nothing else — or,
+// when there is none, on a new one whose home the pool becomes: the
+// result's Release, or the failure of a run, puts the engine there.
+func RunPooled(pool *sync.Pool, prog *plan.Program, m machine.Machine, rec *obs.Recorder) (*RunResult, error) {
 	defer rec.Start("simulate:" + prog.Plan.Res.Version.String())()
 	eng, _ := pool.Get().(*Engine)
-	if eng == nil || eng.mem.P != procs {
+	if eng == nil {
 		var err error
-		if eng, err = newEngine(prog, procs, 0); err != nil {
+		if eng, err = newEngine(prog, prog.Plan.Layout.P, 0); err != nil {
 			return nil, err
 		}
 		eng.home = pool
@@ -79,13 +76,6 @@ func RunPooled(pool *sync.Pool, prog *plan.Program, m machine.Machine, procs int
 		pool.Put(eng)
 	}
 	return out, err
-}
-
-// NewEngine prepares a simulation of the placement on procs processors
-// and workers shards (workers < 1 selects as RunParallel does):
-// everything that does not depend on the run, on a lowering of its own.
-func NewEngine(res *core.Result, procs, workers int) (*Engine, error) {
-	return newEngine(plan.Lower(res), procs, workers)
 }
 
 // newEngine builds what an engine owns — a memory image under the

@@ -19,6 +19,14 @@ import (
 // communication group of the placement.
 func stripped(t *testing.T, src string, params map[string]int, procs int) *core.Result {
 	t.Helper()
+	res := placeSrc(t, src, params, procs)
+	res.Groups = nil
+	return res
+}
+
+// placeSrc compiles a program and places it under comb.
+func placeSrc(t *testing.T, src string, params map[string]int, procs int) *core.Result {
+	t.Helper()
 	r, err := parser.ParseRoutine(src)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +43,6 @@ func stripped(t *testing.T, src string, params map[string]int, procs int) *core.
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Groups = nil
 	return res
 }
 
