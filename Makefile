@@ -158,9 +158,12 @@ obs-smoke:
 # schedules of the six Fig. 10(a) routines in plan, the pinned replay
 # shares), the lists of valid boxes against a flag per element after
 # random operations and Resets, and the
-# lowered mod against math.Mod bit for bit, and one lowered program under
-# two engines of each backend at once, under the race detector: a Program
-# is shared by every engine of its placement and written by none. Finally
+# lowered mod against math.Mod bit for bit, the row kernel both backends
+# execute against the element walk (operands read in place, the last
+# operation writing the target, a stuck box, no allocation), and one
+# lowered program under two engines of each backend at once, under the
+# race detector: a Program is shared by every engine of its placement and
+# written by none. Finally
 # it measures the two
 # steady-state allocation benchmarks (gravity and shallow × 40 steps,
 # P=16, engine reuse) and fails if the allocs/op of either exceeds the
@@ -177,7 +180,7 @@ native-smoke:
 	$(GO) test . -run 'TestPlacedVerifyNative' -count=1
 	$(GO) test ./internal/native -run 'TestNativeTrafficGolden|TestNativeSplitSumEdgeCases|TestNativeReuseAfterFailedSplitSum|TestNativeProfileSumAttribution|TestImageBytes|TestStaleReadOutsideLocalBox|TestValidBoxFragmentation|TestPartiallyValidStrip' -count=1
 	$(GO) test ./internal/runtime -run 'TestStripShiftMatchesRebuild|TestValidBoxesMatchPlane|TestBulkOperationsDoNotAllocate' -count=1
-	$(GO) test ./internal/plan -run 'TestModMatchesMathMod|TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt|TestScheduleKeyHoldsBoundBits' -count=1
+	$(GO) test ./internal/plan -run 'TestModMatchesMathMod|TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt|TestScheduleKeyHoldsBoundBits|TestRowMatchesElementWalk|TestRowDeclinesWhole|TestRunRowDoesNotAllocate' -count=1
 	$(GO) test -race ./internal/native -run 'TestSharedProgramConcurrentEngines' -count=1
 	@GO="$(GO)" sh ci/alloc-budget.sh 'BenchmarkNative(Alloc|Comm)$$' ci/native-alloc-budget.txt native-smoke
 	@echo "native-smoke: ok"
@@ -294,12 +297,15 @@ fuzz-smoke:
 # allocates per call again is a regression long before it shows in
 # milliseconds. The image the simulator rebuilds per run is its
 # processors' local boxes: TestImageBytes pins its bytes, and a read past
-# a box must be a stale read, never another element's value.
+# a box must be a stale read, never another element's value. The row
+# kernel the simulator executes is held against the element walk bit for
+# bit, a box it cannot prove is left whole to the tree, and it allocates
+# nothing.
 sim-smoke:
 	@mkdir -p out
 	$(GO) test ./internal/spmd -run 'TestLedgerGolden' -count=1
 	$(GO) test ./internal/runtime -run 'TestStripMatchesElementScan|TestOwnerRunsMatchElementScan|TestValidBoxesMatchPlane|TestBulkOperationsDoNotAllocate|TestCompareState' -count=1
-	$(GO) test ./internal/plan -run 'TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt|TestEntryProofDeclinesValidNest' -count=1
+	$(GO) test ./internal/plan -run 'TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt|TestEntryProofDeclinesValidNest|TestRowMatchesElementWalk|TestRowDeclinesWhole|TestRunRowDoesNotAllocate' -count=1
 	$(GO) test ./internal/native -run 'TestImageBytes|TestStaleReadOutsideLocalBox' -count=1
 	$(GO) test ./internal/spmd -run 'TestReusedEngineMatchesFresh' -count=1
 	$(GO) test . -run 'TestPublicAPI|TestInterprocedural|TestPlacedVerifyNative' -count=1

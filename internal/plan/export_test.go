@@ -93,3 +93,7 @@ func (s *Schedule) Matches(f *Schedule) bool {
 	}
 	return true
 }
+
+// RowFloats is the length of a frame's scratch rows: what the statement
+// holding the most scratch rows at once needs of them.
+func RowFloats(pr *Program) int { return pr.rowFloats }

@@ -404,12 +404,13 @@ type Frame struct {
 	dims    []section.Dim
 	idx     []int
 
-	// RunBox's operand stack and scratch rows; per array reference of the
-	// body, the offset at the current row and what a step of each level
-	// adds to it; per row of a batch, the offsets and the leaf values
-	// prove left for runBatch.
+	// RunBox's operand stack, scratch rows and the offset of each row of a
+	// batch in them; per array reference of the body, the offset at the
+	// current row and what a step of each level adds to it; per row of a
+	// batch, the offsets and the leaf values prove left for runBatch.
 	rowStack  []rowVal
 	rowFloats []float64
+	rowRuns   []int
 	boxCur    []int
 	boxStep   []int
 	boxOff    []int
@@ -436,6 +437,7 @@ func (pr *Program) NewFrame(p int, mem *runtime.Memory) (*Frame, error) {
 
 		rowStack:  make([]rowVal, pr.rowDepth),
 		rowFloats: make([]float64, pr.rowFloats),
+		rowRuns:   make([]int, batchRows),
 		boxCur:    make([]int, pr.rowRefs),
 		boxStep:   make([]int, pr.rowRefs*pr.boxLevels),
 		boxOff:    make([]int, pr.rowRefs*batchRows),

@@ -21,6 +21,10 @@ type rowOp struct {
 	leaf RealFn                         // opLeaf
 	f1   func(float64) float64          // opFn1
 	f2   func(float64, float64) float64 // opFn2
+	// slot is the frame scratch row the op's values take (see
+	// (*Stmt).scratch): toTarget for the last operation of a unit-stride
+	// target, inPlace for an operand read where it lies.
+	slot int
 }
 
 const (
@@ -37,15 +41,43 @@ const (
 	opFn2 // power, a comparison, a two-argument intrinsic
 )
 
-// rowVal is one operand on the evaluation stack: a row of values, or —
-// v nil — the constant c over the whole row. tmp marks rows in frame
-// scratch, which the consuming operation may overwrite; the others are
-// views of an array's data.
+// The rowOp.slot of what takes no scratch row.
+const (
+	inPlace  = -1
+	toTarget = -2
+)
+
+// rowVal is one operand on the evaluation stack over a batch of rows of
+// n elements. A row operand (at non-nil) has row r at v[at[r·step]:]: a
+// view of an array's plane at the batch's offsets of one reference, or —
+// seq — scratch rows one after another. A constant is c over the whole
+// batch or, v non-nil, v[r·step] in row r: a leaf that differs from row
+// to row.
 type rowVal struct {
-	v   []float64
-	c   float64
-	tmp bool
+	v    []float64
+	at   []int
+	step int
+	c    float64
+	seq  bool
 }
+
+// row returns row r of a row operand.
+func (x *rowVal) row(r, n int) []float64 {
+	off := x.at[r*x.step]
+	return x.v[off : off+n : off+n]
+}
+
+// val returns row r of a constant.
+func (x *rowVal) val(r int) float64 {
+	if x.v == nil {
+		return x.c
+	}
+	return x.v[r*x.step]
+}
+
+// flat reports whether the operand is scratch rows or one constant over
+// the batch: whether one pass over b·n elements covers it.
+func (x *rowVal) flat() bool { return x.seq || x.at == nil && x.v == nil }
 
 // depthBit is the bit of rowOp.vars for the loop at a nesting depth.
 // Loops deeper than the word share its last bit: a leaf may then count
@@ -127,17 +159,16 @@ func (lw *lowerer) rowBody(lp *Loop) []*Stmt {
 		}
 		// The left-hand subscript the loop variable drives is v+c and in
 		// range over the whole loop, so a row is no longer than that
-		// dimension, and a batch of several rows no longer than batchElems;
-		// n ops hold at most (n+1)/2 operands at once.
+		// dimension, and a batch of several rows no longer than batchElems.
 		extent := batchElems
 		for i := range st.LHS.Subs {
 			if st.LHS.Subs[i].coef(lp.Slot) != 0 {
 				extent = max(extent, st.LHS.Lay.Arr.Hi[i]-st.LHS.Lay.Arr.Lo[i]+1)
 			}
 		}
-		depth := (len(st.row) + 1) / 2
+		depth, rows := st.scratch()
 		lw.pr.rowDepth = max(lw.pr.rowDepth, depth)
-		lw.pr.rowFloats = max(lw.pr.rowFloats, depth*extent)
+		lw.pr.rowFloats = max(lw.pr.rowFloats, rows*extent)
 		refs += len(st.reads) + 1 // and the target
 		for i := range st.row {
 			if st.row[i].kind == opLeaf {
@@ -148,6 +179,49 @@ func (lw *lowerer) rowBody(lp *Loop) []*Stmt {
 	lp.refs, lp.leaves = refs, leaves
 	lw.pr.rowRefs, lw.pr.rowLeaves = max(lw.pr.rowRefs, refs), max(lw.pr.rowLeaves, leaves)
 	return body
+}
+
+// scratch assigns the statement's row form its scratch rows and returns
+// the most operands and scratch rows it holds at once. A unit-stride read
+// is a view of its plane and a constant or a leaf a value, neither takes
+// a row; the row variable's values, a strided read's gather and an
+// operation's result take one, the operation's in the lowest scratch row
+// among its operands, else the next free one — rows are taken and
+// released in stack order. The last operation of a unit-stride target
+// writes the target's rows.
+func (st *Stmt) scratch() (depth, rows int) {
+	var buf [32]bool
+	tmp, nt := buf[:0], 0 // per stack entry: whether it is a scratch row; rows in use
+	for i := range st.row {
+		op := &st.row[i]
+		op.slot = inPlace
+		switch {
+		case op.kind == opConst || op.kind == opLeaf || op.kind == opRead && op.ref.stride == 1:
+			tmp = append(tmp, false)
+		case op.kind <= opRead:
+			op.slot, nt = nt, nt+1
+			tmp = append(tmp, true)
+		case i == len(st.row)-1 && st.LHS.stride == 1:
+			op.slot = toTarget
+		case op.kind == opFn1:
+			if !tmp[len(tmp)-1] {
+				nt++
+			}
+			op.slot, tmp[len(tmp)-1] = nt-1, true
+		default:
+			x, y := tmp[len(tmp)-2], tmp[len(tmp)-1]
+			switch {
+			case x && y:
+				nt--
+			case !x && !y:
+				nt++
+			}
+			tmp = tmp[:len(tmp)-1]
+			op.slot, tmp[len(tmp)-1] = nt-1, true
+		}
+		depth, rows = max(depth, len(tmp)), max(rows, nt)
+	}
+	return depth, rows
 }
 
 // Outcome is what RunBox did with one execution of a loop.
@@ -304,208 +378,214 @@ func (lp *Loop) prove(fr *Frame, vars uint64, r int) bool {
 }
 
 // runBatch executes the body of the row loop over the b rows of n
-// elements prove prepared, a statement at a time. An operand is a
-// constant, a scratch row of b·n values or — for a unit-stride read of a
-// single row — a view of the array's data.
+// elements prove prepared, a statement at a time. A unit-stride read is a
+// view of its plane at the batch's offsets, a constant and a leaf are
+// values, and the last operation of a unit-stride target writes the
+// target's rows: the row rule puts every reference to an array the body
+// writes on the point's own target, and the box's map from points to
+// targets is injective, so an operation reads every element of a row
+// before it writes that element, and no other. The row variable, a
+// strided read and any other operation's result are scratch rows (see
+// (*Stmt).scratch).
 func (lp *Loop) runBatch(fr *Frame, vars uint64, b, n, lo int) {
 	p, m := fr.P, b*n
 	ri, li := 0, 0
+	for r := 0; r < b; r++ {
+		fr.rowRuns[r] = r * n
+	}
 	for _, st := range lp.Row {
-		// Scratch rows are taken and released in stack order: nt counts
-		// the ones in use.
-		stack, sp, nt := fr.rowStack, 0, 0
+		ti, stack, sp := ri+len(st.reads), fr.rowStack, 0
+		// The statement is unguarded, so p owns every element it stores,
+		// and an owner's copy is always valid (DESIGN.md §17): only the
+		// values change.
+		target := rowVal{v: fr.View(st.LHS.Lay).Data[p], at: fr.boxOff[ti:], step: lp.refs}
 		for i := range st.row {
 			op := &st.row[i]
 			switch op.kind {
 			case opConst:
 				stack[sp] = rowVal{c: op.c}
-				sp++
 			case opLeaf:
 				stack[sp] = rowVal{c: fr.boxLeaf[li]}
 				if b > 1 && op.vars&vars != 0 { // differs from row to row
-					t := fr.rowTemp(nt, m)
-					nt++
-					for r := 0; r < b; r++ {
-						for i, v := r*n, fr.boxLeaf[r*lp.leaves+li]; i < (r+1)*n; i++ {
-							t[i] = v
-						}
-					}
-					stack[sp] = rowVal{v: t, tmp: true}
+					stack[sp] = rowVal{v: fr.boxLeaf[li:], step: lp.leaves}
 				}
 				li++
-				sp++
 			case opVar:
-				t := fr.rowTemp(nt, m)
-				nt++
+				t := fr.rowScratch(op.slot, m)
 				for r := 0; r < m; r += n {
 					for i := 0; i < n; i++ {
-						t[r+i] = float64(lo + i)
+						t.v[r+i] = float64(lo + i)
 					}
 				}
-				stack[sp] = rowVal{v: t, tmp: true}
-				sp++
+				stack[sp] = t
 			case opRead:
 				am, stride := fr.View(op.ref.Lay), op.ref.stride
 				data := am.Data[0]
 				if am.Dist != nil {
 					data = am.Data[p]
 				}
-				if off := fr.boxOff[ri]; b == 1 && stride == 1 {
-					stack[sp] = rowVal{v: data[off : off+n : off+n]}
+				if stride == 1 {
+					stack[sp] = rowVal{v: data, at: fr.boxOff[ri:], step: lp.refs}
 				} else {
-					t := fr.rowTemp(nt, m)
-					nt++
+					t := fr.rowScratch(op.slot, m)
 					for r := 0; r < b; r++ {
-						off, dst := fr.boxOff[r*lp.refs+ri], t[r*n:(r+1)*n]
-						if stride == 1 {
-							for i, v := range data[off : off+n] {
-								dst[i] = v
-							}
-							continue
-						}
+						off, dst := fr.boxOff[r*lp.refs+ri], t.row(r, n)
 						for i := range dst {
 							dst[i] = data[off+i*stride]
 						}
 					}
-					stack[sp] = rowVal{v: t, tmp: true}
+					stack[sp] = t
 				}
 				ri++
-				sp++
-			case opFn1:
-				x := &stack[sp-1]
-				dst := x.v
-				if !x.tmp {
-					dst = fr.rowTemp(nt, m)
-					nt++
+			default:
+				dst := target
+				if op.slot != toTarget {
+					dst = fr.rowScratch(op.slot, m)
 				}
-				for i, a := range x.v {
-					dst[i] = op.f1(a)
+				x, y := &stack[sp-1], &stack[sp-1] // opFn1 reads x alone
+				if op.kind != opFn1 {
+					sp--
+					x = &stack[sp-1]
+					y = &stack[sp]
 				}
-				*x = rowVal{v: dst, tmp: true}
-			default: // two operands, the result in the lowest scratch row among them
-				sp--
-				x, y := &stack[sp-1], &stack[sp]
-				dst := x.v
-				switch {
-				case x.tmp && y.tmp:
-					nt--
-				case y.tmp:
-					dst = y.v
-				case !x.tmp:
-					dst = fr.rowTemp(nt, m)
-					nt++
+				if b > 1 && dst.flat() && x.flat() && y.flat() {
+					op.rows(&dst, x, y, 1, m)
+				} else {
+					op.rows(&dst, x, y, b, n)
 				}
-				op.apply(dst, x, y)
-				*x = rowVal{v: dst, tmp: true}
-			}
-		}
-
-		// Stored after the statement's last operation, so a right-hand
-		// side may read the rows it replaces. The statement is unguarded,
-		// so p owns every element it stores, and an owner's copy is always
-		// valid (DESIGN.md §17): only the values change.
-		res, data, stride := &stack[0], fr.View(st.LHS.Lay).Data[p], st.LHS.stride
-		for r := 0; r < b; r++ {
-			off := fr.boxOff[r*lp.refs+ri]
-			if res.v != nil && stride == 1 {
-				copy(data[off:off+n], res.v[r*n:(r+1)*n])
+				*x = dst
 				continue
 			}
-			for i := r * n; i < (r+1)*n; i++ {
-				v := res.c
-				if res.v != nil {
-					v = res.v[i]
+			sp++
+		}
+		ri = ti + 1
+		if st.row[len(st.row)-1].slot == toTarget {
+			continue
+		}
+
+		// No operation wrote the target: a copy, a constant, or a strided
+		// target, stored after the statement's last operation.
+		res, stride := &stack[0], st.LHS.stride
+		for r := 0; r < b; r++ {
+			off := target.at[r*lp.refs]
+			if res.at == nil {
+				for i, c := 0, res.val(r); i < n; i++ {
+					target.v[off+i*stride] = c
 				}
-				data[off] = v
-				off += stride
+				continue
+			}
+			if v := res.row(r, n); stride == 1 {
+				copy(target.v[off:off+n], v)
+			} else {
+				for i, c := range v {
+					target.v[off+i*stride] = c
+				}
 			}
 		}
-		ri++
 	}
 }
 
-// rowTemp returns the i-th scratch row of length n.
-func (fr *Frame) rowTemp(i, n int) []float64 {
-	return fr.rowFloats[i*n : (i+1)*n : (i+1)*n]
+// rowScratch returns scratch row i of a batch of m elements.
+func (fr *Frame) rowScratch(i, m int) rowVal {
+	return rowVal{v: fr.rowFloats[i*m : (i+1)*m : (i+1)*m], at: fr.rowRuns, step: 1, seq: true}
 }
 
-// apply computes dst = x op y over the row; dst may be either operand's
-// row. One floating-point operation per pass, operands in source order:
-// no platform contracts a multiply and an add of the source into one
-// rounding, and a constant on either side stays on its side.
-func (op *rowOp) apply(dst []float64, x, y *rowVal) {
-	xv, yv, a, b := x.v, y.v, x.c, y.c
+// rows computes dst = x op y — f1(x) for opFn1 — over b rows of n
+// elements, row r of dst from row r of each operand; dst may be either
+// operand. The operands' kinds are switched on once per batch, the
+// operation's once per row. One floating-point operation per pass,
+// operands in source order: no platform contracts a multiply and an add
+// of the source into one rounding, and a constant on either side stays on
+// its side.
+func (op *rowOp) rows(dst, x, y *rowVal, b, n int) {
 	switch {
-	case xv == nil:
-		yv = yv[:len(dst)]
-		switch op.kind {
-		case opAdd:
-			for i, b := range yv {
-				dst[i] = a + b
-			}
-		case opSub:
-			for i, b := range yv {
-				dst[i] = a - b
-			}
-		case opMul:
-			for i, b := range yv {
-				dst[i] = a * b
-			}
-		case opDiv:
-			for i, b := range yv {
-				dst[i] = a / b
-			}
-		default:
-			for i, b := range yv {
-				dst[i] = op.f2(a, b)
+	case op.kind == opFn1:
+		for r := 0; r < b; r++ {
+			d, xv := dst.row(r, n), x.row(r, n)
+			xv = xv[:len(d)]
+			for i, a := range xv {
+				d[i] = op.f1(a)
 			}
 		}
-	case yv == nil:
-		xv = xv[:len(dst)]
-		switch op.kind {
-		case opAdd:
-			for i, a := range xv {
-				dst[i] = a + b
+	case x.at == nil:
+		for r := 0; r < b; r++ {
+			d, a, yv := dst.row(r, n), x.val(r), y.row(r, n)
+			yv = yv[:len(d)]
+			switch op.kind {
+			case opAdd:
+				for i, b := range yv {
+					d[i] = a + b
+				}
+			case opSub:
+				for i, b := range yv {
+					d[i] = a - b
+				}
+			case opMul:
+				for i, b := range yv {
+					d[i] = a * b
+				}
+			case opDiv:
+				for i, b := range yv {
+					d[i] = a / b
+				}
+			default:
+				for i, b := range yv {
+					d[i] = op.f2(a, b)
+				}
 			}
-		case opSub:
-			for i, a := range xv {
-				dst[i] = a - b
-			}
-		case opMul:
-			for i, a := range xv {
-				dst[i] = a * b
-			}
-		case opDiv:
-			for i, a := range xv {
-				dst[i] = a / b
-			}
-		default:
-			for i, a := range xv {
-				dst[i] = op.f2(a, b)
+		}
+	case y.at == nil:
+		for r := 0; r < b; r++ {
+			d, xv, b := dst.row(r, n), x.row(r, n), y.val(r)
+			xv = xv[:len(d)]
+			switch op.kind {
+			case opAdd:
+				for i, a := range xv {
+					d[i] = a + b
+				}
+			case opSub:
+				for i, a := range xv {
+					d[i] = a - b
+				}
+			case opMul:
+				for i, a := range xv {
+					d[i] = a * b
+				}
+			case opDiv:
+				for i, a := range xv {
+					d[i] = a / b
+				}
+			default:
+				for i, a := range xv {
+					d[i] = op.f2(a, b)
+				}
 			}
 		}
 	default:
-		xv, yv = xv[:len(dst)], yv[:len(dst)]
-		switch op.kind {
-		case opAdd:
-			for i, a := range xv {
-				dst[i] = a + yv[i]
-			}
-		case opSub:
-			for i, a := range xv {
-				dst[i] = a - yv[i]
-			}
-		case opMul:
-			for i, a := range xv {
-				dst[i] = a * yv[i]
-			}
-		case opDiv:
-			for i, a := range xv {
-				dst[i] = a / yv[i]
-			}
-		default:
-			for i, a := range xv {
-				dst[i] = op.f2(a, yv[i])
+		for r := 0; r < b; r++ {
+			d, xv, yv := dst.row(r, n), x.row(r, n), y.row(r, n)
+			xv, yv = xv[:len(d)], yv[:len(d)]
+			switch op.kind {
+			case opAdd:
+				for i, a := range xv {
+					d[i] = a + yv[i]
+				}
+			case opSub:
+				for i, a := range xv {
+					d[i] = a - yv[i]
+				}
+			case opMul:
+				for i, a := range xv {
+					d[i] = a * yv[i]
+				}
+			case opDiv:
+				for i, a := range xv {
+					d[i] = a / yv[i]
+				}
+			default:
+				for i, a := range xv {
+					d[i] = op.f2(a, yv[i])
+				}
 			}
 		}
 	}

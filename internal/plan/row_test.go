@@ -547,6 +547,99 @@ enddo
 enddo
 end
 `, 2, 2},
+	// The kernels' operand and store shapes: a right-hand side that is
+	// one read (the store copies the view), a constant store, a negation
+	// of the target into the target, leaves over the chain's outer
+	// variable in batches of several rows — an operand, and a whole
+	// right-hand side — and a strided read beside unit-stride views.
+	{"whole-rhs-one-read", `
+routine r(n)
+real a(n, n), b(n, n)
+!hpf$ distribute (block, block) :: a, b
+do i = 1, n
+do j = 1, n
+a(i, j) = i * n + j
+b(i, j) = 0
+enddo
+enddo
+do i = 1, n
+do j = 2, n
+b(i, j) = a(i, j - 1)
+enddo
+enddo
+end
+`, 2, 2},
+	{"constant-store", `
+routine r(n)
+real a(n, n), b(n, n)
+!hpf$ distribute (block, block) :: a, b
+do i = 1, n
+do j = 1, n
+a(i, j) = 2.5
+b(i, j) = a(i, j) * 3
+a(i, j) = -1
+enddo
+enddo
+end
+`, 1, 1},
+	{"negate-own-target", `
+routine r(n)
+real a(n, n)
+!hpf$ distribute (block, block) :: a
+do i = 1, n
+do j = 1, n
+a(i, j) = i - 2 * j
+enddo
+enddo
+do i = 1, n
+do j = 1, n
+a(i, j) = -a(i, j)
+enddo
+enddo
+end
+`, 2, 2},
+	{"chain-variable-leaf", `
+routine r(n)
+real a(n, n), b(n, n), c(n, n)
+real x
+!hpf$ distribute (block, block) :: a, b, c
+x = 1.5
+do i = 1, n
+do j = 1, n
+a(i, j) = i + 0.25 * j
+enddo
+enddo
+do i = 1, n
+do j = 1, n
+b(i, j) = a(i, j) * (i + 0.5) - x * i
+c(i, j) = i * x
+a(i, j) = i / (b(i, j) + 1) + j
+enddo
+enddo
+end
+`, 2, 2},
+	{"strided-beside-views", `
+routine r(n)
+real a(n, n), b(n, n), q(n, n)
+!hpf$ distribute (block, block) :: a, b
+do i = 1, n
+do j = 1, n
+q(i, j) = 3 * i - j
+enddo
+enddo
+do i = 1, n
+do j = 1, n
+a(i, j) = i + 2 * j
+b(i, j) = 0
+enddo
+enddo
+do i = 1, n
+do j = 2, n
+b(i, j) = q(j, i) + a(i, j) * a(i, j - 1) - q(j - 1, i)
+enddo
+enddo
+end
+`, 2, 2},
 	// What must not be a chain, or a row loop at all: a target that does
 	// not move with the outer loop (a reduction over j into w(k): taken a
 	// statement at a time over the box, the last j would win), a statement
@@ -603,8 +696,9 @@ end
 // the six Fig. 10(a) routines, random programs, and the row shapes that
 // need care: negative steps, a strided row over a collapsed dimension,
 // operands that do not move along the row, a statement reading what the
-// one before it stored, an update in place. Extents do not divide the
-// grids, and at P=25 some blocks are empty.
+// one before it stored, an update in place, and each way the kernels
+// read an operand and store a result. Extents do not divide the grids,
+// and at P=25 some blocks are empty.
 func TestRowMatchesElementWalk(t *testing.T) {
 	procs := []int{1, 4, 9, 16, 25}
 	for _, pr := range bench.Programs() {
@@ -919,6 +1013,37 @@ func TestRowCoverageFig10a(t *testing.T) {
 	}
 }
 
+// TestRowScratchFig10a pins the frame's scratch rows of the paper's
+// routines at their Fig. 10(a) sizes on 16 processors, in floats: reads
+// of unit stride are views and a unit-stride target takes its last
+// operation's result, so only the row variable, strided reads and
+// intermediate results take scratch. A change that makes an operand a
+// copy again raises it.
+func TestRowScratchFig10a(t *testing.T) {
+	want := map[string]int{
+		"shallow/main":    512,
+		"gravity/main":    512,
+		"trimesh/normdot": 512,
+		"trimesh/gauss":   256,
+		"hydflo/flux":     512,
+		"hydflo/hydro":    256,
+	}
+	for _, pr := range bench.Programs() {
+		a, err := pr.Compile(pr.DefaultN, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Place(core.Options{Version: core.VersionCombine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := pr.Bench + "/" + pr.Routine
+		if got := plan.RowFloats(plan.Lower(res)); got != want[name] {
+			t.Errorf("%s at n=%d, P=16: %d scratch floats, want %d", name, pr.DefaultN, got, want[name])
+		}
+	}
+}
+
 // TestRowShare reports, for the programs of the repository benchmark at
 // their benchmark sizes, the share of dynamic statement instances that
 // ran in the kernels and — the property batching depends on — in batches
@@ -1016,6 +1141,33 @@ end
 `
 )
 
+// leafStrideKernel reads a leaf over the chain's outer variable, which
+// differs from row to row of a batch, and a replicated array across its
+// rows, a strided read, beside unit-stride views.
+const leafStrideKernel = `
+routine k(len, rows)
+real g(rows + 2, len + 2), w1(rows + 2, len + 2), q(len + 2, rows + 2)
+real x
+!hpf$ distribute (block, block) :: g, w1
+x = 0.75
+do k = 1, len + 2
+do j = 1, rows + 2
+q(k, j) = 0.5 * j - k
+enddo
+enddo
+do j = 1, rows + 2
+do k = 1, len + 2
+g(j, k) = 1.0 + (2 * j + 3 * k) * 0.125
+enddo
+enddo
+do j = 2, rows + 1
+do k = 2, len + 1
+w1(j, k) = g(j, k - 1) * (j + x) + q(k, j) - g(j, k + 1) / j
+enddo
+enddo
+end
+`
+
 // kernelNest runs the kernel program once (so that its arrays hold
 // values) and returns the walker with the kernel's nest: the last
 // top-level loop, a box of rows × length elements per entry. mode says
@@ -1072,9 +1224,10 @@ func BenchmarkRowKernel(b *testing.B) {
 // TestRunRowDoesNotAllocate: the scratch of a box — operand rows, the
 // offsets and leaf values of a batch — is sized with the frame, so a box
 // costs no allocation, first or warm, whether it is one long row, one
-// batch or several.
+// batch or several, and whether its operands are views, gathered strided
+// reads or leaves that differ from row to row.
 func TestRunRowDoesNotAllocate(t *testing.T) {
-	for _, src := range []string{stencilKernel, fluxKernel} {
+	for _, src := range []string{stencilKernel, fluxKernel, leafStrideKernel} {
 		for _, shape := range [][2]int{{12, 8}, {300, 3}, {5, 70}} {
 			for _, mode := range []string{"row", "box"} {
 				w, nest := kernelNest(t, src, shape[0], shape[1], mode)
