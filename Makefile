@@ -82,7 +82,7 @@ attr-smoke:
 # place:comb pipeline span
 # and, by ?facet=decisions, to its placement decision log, find it in
 # the ?has=decisions listing, and scrape /metrics around one more compile:
-# the repeat is served from the compile and place tiers, the RED,
+# the repeat is served from the body, compile and place tiers, the RED,
 # phase-histogram, cache and build-info families are there, and the
 # /compile request counter went from 1 to 2 — a request rate is that
 # difference over the time between the scrapes (the second scrape lands
@@ -131,8 +131,11 @@ obs-smoke:
 	grep -qE 'gcao_phase_seconds_count\{phase="parse"\} [1-9]' out/obs-metrics.txt || { echo "obs-smoke: no parse phase observed"; exit 1; }; \
 	grep -q 'gcao_cache_hits_total{tier="compile"} 1' out/obs-metrics.txt || { echo "obs-smoke: compile tier hits are not 1"; exit 1; }; \
 	grep -q 'gcao_cache_misses_total{tier="compile"} 1' out/obs-metrics.txt || { echo "obs-smoke: compile tier misses are not 1"; exit 1; }; \
+	grep -qxF 'gcao_cache_misses_total{tier="body"} 1' out/obs-metrics.txt || { echo "obs-smoke: body tier misses are not 1"; exit 1; }; \
+	grep -qxF 'gcao_cache_hits_total{tier="body"} 1' out/obs-metrics.txt || { echo "obs-smoke: the repeated body is not a body-tier hit"; exit 1; }; \
 	curl -fsS http://127.0.0.1:8377/debug/cache > out/obs-cache.json; \
 	grep -q '"hits":1' out/obs-cache.json || { echo "obs-smoke: /debug/cache counts no hit"; exit 1; }; \
+	grep -q '"body":{' out/obs-cache.json || { echo "obs-smoke: /debug/cache does not list the body tier"; exit 1; }; \
 	curl -fsS http://127.0.0.1:8377/healthz | grep -q '"version"' || { echo "obs-smoke: /healthz lacks the version"; exit 1; }; \
 	kill $$daemon 2>/dev/null || true; \
 	wait $$daemon 2>/dev/null || true

@@ -8,6 +8,7 @@ import (
 
 	"gcao/internal/bench"
 	"gcao/internal/core/bound"
+	"gcao/internal/spmd"
 )
 
 // liveHeap returns the bytes of reachable heap objects.
@@ -154,5 +155,43 @@ func TestLowerBoundComputedOnce(t *testing.T) {
 	wg.Wait()
 	if len(want.Terms) == 0 || &c.LowerBound().Terms[0] != &c.LowerBound().Terms[0] {
 		t.Error("LowerBound has no terms, or recomputed them on a later call")
+	}
+}
+
+// TestEstimateKeptPerMachine: the daemon estimates a cached placement on
+// every estimated request, from whichever worker serves it, under either
+// machine. Each answer is what a fresh spmd.Estimate walk says, and the
+// placement keeps exactly one cost per machine asked about.
+func TestEstimateKeptPerMachine(t *testing.T) {
+	pr, err := bench.ByName("shallow", "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(pr.Source, Config{Params: pr.Params(16), Procs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.Place(Combine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		m := [...]Machine{SP2(), NOW()}[g%2]
+		want, err := spmd.Estimate(p.Result, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, err := p.Estimate(m); err != nil || got != want {
+				t.Errorf("%s: Estimate() = %+v, %v; spmd.Estimate = %+v", m.Name, got, err, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(p.costs) != 2 {
+		t.Errorf("the placement keeps %d costs for two machines", len(p.costs))
 	}
 }

@@ -53,7 +53,11 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 	batchTr, _ := reqtrace.FromContext(r.Context())
 	batchID := batchTr.ReqID()
 	t0 := time.Now()
-	req, err := decodeJSONBody[batchRequest](r, s.cfg.maxBody)
+	body, err := readBody(r, s.cfg.maxBody)
+	var req batchRequest
+	if err == nil {
+		req, err = decodeJSON[batchRequest](body)
+	}
 	if err != nil {
 		s.reg.Absorb(nil, "error")
 		s.writeError(w, batchID, err)

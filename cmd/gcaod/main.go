@@ -29,12 +29,13 @@
 // place, simulate — and the pipeline spans that ran inside each).
 //
 // Repeated and concurrent identical requests are served from a
-// content-addressed compilation cache (-cache-entries, -cache-bytes);
-// compile work runs on a bounded worker pool (-workers, -queue-depth)
-// that sheds load with 429 when the admission queue is full, with a
-// Retry-After derived from the scheduler's own drain estimate. The
-// daemon shuts down gracefully on SIGINT/SIGTERM and bounds every
-// compile with -timeout.
+// content-addressed compilation cache, and a body the daemon served
+// before is not decoded again (-cache-entries and -cache-bytes bound
+// each tier); compile work runs on a bounded worker pool (-workers,
+// -queue-depth) that sheds load with 429 when the admission queue is
+// full, with a Retry-After derived from the scheduler's own drain
+// estimate. The daemon shuts down gracefully on SIGINT/SIGTERM and
+// bounds every compile with -timeout.
 package main
 
 import (
@@ -55,8 +56,8 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request compile timeout")
 	logLevel := flag.String("log-level", "info", "structured log threshold: debug, info, warn, error")
-	cacheEntries := flag.Int("cache-entries", 1024, "max entries per compilation-cache tier")
-	cacheBytes := flag.Int64("cache-bytes", 256<<20, "max estimated bytes per compilation-cache tier")
+	cacheEntries := flag.Int("cache-entries", 1024, "max entries per cache tier (the compilation tiers and the body tier)")
+	cacheBytes := flag.Int64("cache-bytes", 256<<20, "max estimated bytes per cache tier (the compilation tiers and the body tier)")
 	workers := flag.Int("workers", 0, "compile worker goroutines (0: GOMAXPROCS)")
 	queueDepth := flag.Int("queue-depth", 64, "compile admission queue depth; overflow is a 429")
 	flightSize := flag.Int("flight", 256, "finished requests retained by the flight recorder (and by its slow/errored store)")

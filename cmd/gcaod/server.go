@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"gcao"
+	"gcao/internal/cache"
 	"gcao/internal/native"
 	"gcao/internal/obs"
 	"gcao/internal/obs/reqtrace"
@@ -30,7 +32,7 @@ type serverConfig struct {
 	// maxBody bounds a request body in bytes; a larger body is a 413.
 	maxBody int64
 	// cacheEntries and cacheBytes size each tier of the
-	// content-addressed compilation cache.
+	// content-addressed compilation cache, and the body tier.
 	cacheEntries int
 	cacheBytes   int64
 	// workers and queueDepth bound the compile scheduler; admission
@@ -53,13 +55,16 @@ type serverConfig struct {
 
 // server is the gcaod daemon state: one process-global metrics
 // registry every request is absorbed into, the content-addressed
-// compilation cache, the bounded compile scheduler, the flight recorder
-// that retains finished requests, the structured event log, and a
-// request sequence for ids.
+// compilation cache and the body tier in front of it, the bounded compile
+// scheduler, the flight recorder that retains finished requests, the
+// structured event log, and a request sequence for ids.
 type server struct {
-	cfg    serverConfig
-	reg    *gcao.Registry
-	cache  *gcao.Cache
+	cfg   serverConfig
+	reg   *gcao.Registry
+	cache *gcao.Cache
+	// bodies maps a /compile body, byte for byte, to the request it
+	// decodes to; it holds only bodies whose request succeeded.
+	bodies *cache.Cache
 	pool   *sched.Pool
 	flight *reqtrace.FlightRecorder
 	log    *gcao.Logger
@@ -108,6 +113,7 @@ func newServer(cfg serverConfig) *server {
 		cfg:    cfg,
 		reg:    gcao.NewRegistry(),
 		cache:  gcao.NewCache(gcao.CacheOptions{MaxEntries: cfg.cacheEntries, MaxBytes: cfg.cacheBytes}),
+		bodies: cache.New(cfg.cacheEntries, cfg.cacheBytes),
 		pool:   sched.New(cfg.workers, cfg.queueDepth),
 		flight: reqtrace.NewFlightRecorder(cfg.flightSize, cfg.flightSize, cfg.slowThreshold),
 		log:    gcao.NewLogger(cfg.logW, cfg.logLevel),
@@ -137,7 +143,15 @@ func (s *server) cacheTierStats() []obs.CacheTierStats {
 			Evictions:     t.Evictions,
 		}
 	}
-	return []obs.CacheTierStats{tier("compile", st.Compile), tier("place", st.Place), tier("skeleton", st.Skeleton)}
+	return []obs.CacheTierStats{tier("compile", st.Compile), tier("place", st.Place), tier("skeleton", st.Skeleton),
+		tier("body", s.bodies.Stats())}
+}
+
+// cacheStats is the /debug/cache view of the tiers: the compilation
+// cache's three and the body tier.
+type cacheStats struct {
+	gcao.CacheStats
+	Body gcao.CacheTierStats `json:"body"`
 }
 
 // close releases the worker pool; queued jobs fail with ErrClosed.
@@ -302,7 +316,12 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.reqTimeout)
 	defer cancel()
 	var resp *compileResponse
-	req, err := decodeJSONBody[compileRequest](r, s.cfg.maxBody)
+	var req compileRequest
+	known := false
+	body, err := readBody(r, s.cfg.maxBody)
+	if err == nil {
+		req, known, err = s.compileBody(body, rec)
+	}
 	if err == nil {
 		// The queue.wait phase runs from admission until a worker picks
 		// the job up; compile() opens the next phase at that instant.
@@ -314,6 +333,9 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		if c, ok := v.(*compileResponse); ok {
 			resp = c
 		}
+	}
+	if err == nil && !known {
+		s.bodies.Add(string(body), req, bodySize(body))
 	}
 	rec.Phase("finalize")
 	// The request is retained before the response is written: a client
@@ -337,7 +359,7 @@ type badRequestError struct{ err error }
 func (e badRequestError) Error() string { return e.err.Error() }
 func (e badRequestError) Unwrap() error { return e.err }
 
-// payloadTooLargeError marks a body that tripped MaxBytesReader.
+// payloadTooLargeError marks a body over the maxBody bound.
 type payloadTooLargeError struct{ err error }
 
 func (e payloadTooLargeError) Error() string { return e.err.Error() }
@@ -382,20 +404,54 @@ func (s *server) writeErrMsg(w http.ResponseWriter, r *http.Request, code int, m
 	writeJSON(w, code, map[string]string{"req_id": reqID(r), "error": msg})
 }
 
-// decodeJSONBody decodes a bounded request body, classifying oversized
-// bodies (413) apart from malformed ones (400).
-func decodeJSONBody[T any](r *http.Request, maxBody int64) (T, error) {
-	var v T
-	body := http.MaxBytesReader(nil, r.Body, maxBody)
-	if err := json.NewDecoder(body).Decode(&v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return v, payloadTooLargeError{fmt.Errorf("request body exceeds %d bytes", maxBody)}
+// readBody reads a request body whole into a buffer presized from its
+// Content-Length, classifying a body over maxBody bytes (413).
+func readBody(r *http.Request, maxBody int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if r.ContentLength <= maxBody {
+		// Room for the declared length and for the read that meets EOF,
+		// so a body of the length it declares is read into one allocation.
+		buf.Grow(int(max(r.ContentLength, 0)) + bytes.MinRead)
+		if _, err := buf.ReadFrom(&io.LimitedReader{R: r.Body, N: maxBody + 1}); err != nil {
+			return nil, badRequestError{fmt.Errorf("reading request: %w", err)}
 		}
+	}
+	if r.ContentLength > maxBody || int64(buf.Len()) > maxBody {
+		return nil, payloadTooLargeError{fmt.Errorf("request body exceeds %d bytes", maxBody)}
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeJSON decodes a whole body as one JSON value: anything but
+// whitespace after it is malformed, as a body that does not parse is (400).
+func decodeJSON[T any](body []byte) (T, error) {
+	var v T
+	if err := json.Unmarshal(body, &v); err != nil {
 		return v, badRequestError{fmt.Errorf("decoding request: %w", err)}
 	}
 	return v, nil
 }
+
+// compileBody returns the request a /compile body holds: from the body
+// tier when the same bytes were served before, else decoded. The tier is
+// keyed by the bytes themselves, not a fingerprint of them: its value is
+// read from exactly those bytes, so equal bytes are the exact match, and
+// a lookup hashes the body once instead of digesting it and then hashing
+// the digest.
+func (s *server) compileBody(body []byte, rec *obs.Recorder) (req compileRequest, known bool, err error) {
+	if v, ok := s.bodies.Get(body); ok {
+		rec.Add("cache.body.hit", 1)
+		return v.(compileRequest), true, nil
+	}
+	rec.Add("cache.body.miss", 1)
+	req, err = decodeJSON[compileRequest](body)
+	return req, false, err
+}
+
+// bodySize estimates what a body-tier entry keeps alive: the body as its
+// key, the decoded source about as long, and a constant for the entry,
+// the parameter map and the other fields.
+func bodySize(body []byte) int64 { return 2*int64(len(body)) + 512 }
 
 // strategies are what strategy:"all" places, in response order: the
 // paper's algorithm last.
@@ -552,7 +608,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // JSON for operators (the same numbers /metrics exposes for scraping).
 func (s *server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
-		"cache":     s.cache.Stats(),
+		"cache":     cacheStats{s.cache.Stats(), s.bodies.Stats()},
 		"scheduler": s.pool.Stats(),
 		"flight":    s.flight.Stats(),
 	})

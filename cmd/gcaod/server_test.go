@@ -1027,8 +1027,11 @@ func TestKnownSourceNewSize(t *testing.T) {
 		} `json:"cache"`
 	}
 	getJSON(t, ts.URL+"/debug/cache", &dbg)
-	if sk := dbg.Cache["skeleton"]; len(dbg.Cache) != 3 || sk.Hits != 1 || sk.Misses != 1 || sk.Entries != 1 || dbg.Cache["compile"].Misses != 2 {
-		t.Errorf("/debug/cache = %+v, want compile, place and a skeleton tier with one entry hit once", dbg.Cache)
+	if sk := dbg.Cache["skeleton"]; len(dbg.Cache) != 4 || sk.Hits != 1 || sk.Misses != 1 || sk.Entries != 1 || dbg.Cache["compile"].Misses != 2 {
+		t.Errorf("/debug/cache = %+v, want compile, place, body and a skeleton tier with one entry hit once", dbg.Cache)
+	}
+	if b := dbg.Cache["body"]; b.Hits != 1 || b.Misses != 2 || b.Entries != 2 {
+		t.Errorf("/debug/cache body tier %+v: want the repeated body hit, two bodies kept", b)
 	}
 	mResp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

@@ -346,7 +346,8 @@ func (c *Compilation) LowerBound() CommLowerBound {
 // Release puts it back, so a caller that runs in a loop pays for a reset
 // and a run. The garbage collector reclaims idle engines (an image can be
 // tens of megabytes); program and pools go with the Placed, which must
-// not be copied.
+// not be copied. It keeps its analytic cost per machine as well, so a
+// placement a cache serves again is estimated once.
 type Placed struct {
 	Compilation *Compilation
 	Result      *core.Result
@@ -354,6 +355,15 @@ type Placed struct {
 	lower    sync.Once
 	prog     *plan.Program
 	sim, nat sync.Pool
+
+	estMu sync.Mutex
+	costs []machineCost
+}
+
+// machineCost is one memoized Estimate.
+type machineCost struct {
+	m    Machine
+	cost spmd.Cost
 }
 
 // Program returns the lowered placement: built by the first caller, immutable.
@@ -388,9 +398,20 @@ func (p *Placed) SimulateObs(m Machine, rec *Recorder) (*spmd.RunResult, error) 
 }
 
 // Estimate computes the analytic per-processor cost under the machine
-// model.
+// model: walked by the first caller for each machine, kept after.
 func (p *Placed) Estimate(m Machine) (spmd.Cost, error) {
-	return spmd.Estimate(p.Result, m)
+	p.estMu.Lock()
+	defer p.estMu.Unlock()
+	for _, c := range p.costs {
+		if c.m == m {
+			return c.cost, nil
+		}
+	}
+	cost, err := spmd.Estimate(p.Result, m)
+	if err == nil {
+		p.costs = append(p.costs, machineCost{m, cost})
+	}
+	return cost, err
 }
 
 // RunNative executes the placed program for real: one goroutine per

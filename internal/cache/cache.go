@@ -10,7 +10,8 @@
 // The cache stores opaque values; gcao layers three tiers on top of it
 // (a source's skeleton, analysis results and placement outcomes) with
 // separate instances, so a new problem size misses only the tiers whose
-// key reads it and a new strategy only the placement tier.
+// key reads it and a new strategy only the placement tier. The daemon
+// keeps a fourth, its request bodies, through Get and Add.
 package cache
 
 import (
@@ -146,6 +147,40 @@ func (c *Cache) Do(key string, size func(any) int64, fn func() (any, error)) (an
 	}()
 	fl.val, fl.err = fn()
 	return fl.val, Miss, fl.err
+}
+
+// Get returns the value resident under key, counting a hit, or counts a
+// miss; it computes nothing and waits for nothing. The key is the bytes a
+// caller holds, looked up without copying them into a string. Get and Add
+// serve a tier that decides only after its own work whether a value is
+// worth keeping, which Do, keeping every value its fn returns, cannot.
+func (c *Cache) Get(key []byte) (any, bool) {
+	c.mu.Lock()
+	el, ok := c.items[string(key)]
+	if !ok {
+		c.mu.Unlock()
+		c.misses.Add(1)
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	v := el.Value.(*lruEntry).val
+	c.mu.Unlock()
+	c.hits.Add(1)
+	return v, true
+}
+
+// Add makes v resident under key with estimated size sz (a non-positive
+// estimate charges one byte), evicting from the back as Do does. A key
+// already resident keeps its value and only moves to the front: two
+// concurrent misses on one key both Add, and the first value stays.
+func (c *Cache) Add(key string, v any, sz int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.ll.MoveToFront(el)
+		return
+	}
+	c.insertLocked(key, v, max(sz, 1))
 }
 
 // insertLocked adds a computed value of estimated size sz at the front

@@ -84,6 +84,38 @@ func TestErrorsNotCached(t *testing.T) {
 	}
 }
 
+// TestGetAdd: Get counts a miss until Add makes the value resident and a
+// hit after; a second Add of a resident key keeps the first value; Add
+// respects both bounds as Do does, and Get moves what it finds to the
+// front of the recency list.
+func TestGetAdd(t *testing.T) {
+	c := New(2, 250)
+	if v, ok := c.Get([]byte("k")); ok || v != nil {
+		t.Fatalf("Get on an empty cache = %v, %v", v, ok)
+	}
+	c.Add("k", "first", 100)
+	c.Add("k", "second", 100)
+	if v, ok := c.Get([]byte("k")); !ok || v != "first" {
+		t.Fatalf("Get after two Adds = %v, %v, want the first value", v, ok)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 1 || st.Bytes != 100 {
+		t.Fatalf("stats = %+v, want one hit, one miss, one 100-byte entry", st)
+	}
+	c.Add("j", "j", 100)
+	c.Get([]byte("k")) // k is now the most recent
+	c.Add("l", "l", 100)
+	if _, ok := c.Get([]byte("j")); ok {
+		t.Fatal("the least recently used key survived the byte bound")
+	}
+	if _, ok := c.Get([]byte("k")); !ok {
+		t.Fatal("the key Get moved to the front was evicted")
+	}
+	c.Add("m", "m", 0)
+	if st := c.Stats(); st.Entries != 2 || st.Bytes != 101 || st.Evictions != 2 {
+		t.Fatalf("stats = %+v, want two entries of 101 bytes after two evictions", st)
+	}
+}
+
 func TestEntryBoundEviction(t *testing.T) {
 	c := New(4, 0)
 	for i := 0; i < 8; i++ {

@@ -1,18 +1,21 @@
 // Package spmd executes compiled programs on the simulated
 // distributed-memory machine. It provides two engines:
 //
-//   - Run, a functional bulk-synchronous simulator: a driver over the
-//     lowered program of package plan (the same form the native backend
-//     runs) that executes it elementwise over per-processor memories
-//     with validity tracking. It proves a communication placement correct
-//     (a stale read aborts the run) and produces exact per-processor
-//     time and message statistics under the machine cost model. What the
-//     driver adds to the lowered form is what makes it a simulator: the
-//     rendezvous of its worker shards, evaluation of replicated work on
-//     every processor of a shard's range, and the ledger charges. The
-//     processors are sharded over a pool of worker goroutines on
-//     contiguous ranges (see parallel.go); results are bit-identical to
-//     a single-shard run regardless of worker count.
+//   - A functional bulk-synchronous simulator, run through RunParallel (a
+//     placement result, lowered for the one run on an engine of its own)
+//     or RunPooled (a lowered program, on an idle engine from the
+//     caller's pool): a driver over the lowered program of package plan
+//     (the same form the native backend runs) that executes it
+//     elementwise over per-processor memories with validity tracking. It
+//     proves a communication placement correct (a stale read aborts the
+//     run) and produces exact per-processor time and message statistics
+//     under the machine cost model. What the driver adds to the lowered
+//     form is what makes it a simulator: the rendezvous of its worker
+//     shards, evaluation of replicated work on every processor of a
+//     shard's range, and the ledger charges. The processors are sharded
+//     over a pool of worker goroutines on contiguous ranges (see
+//     parallel.go); results are bit-identical to a single-shard run
+//     regardless of worker count.
 //
 //   - Estimate, an analytic walker that computes the same per-processor
 //     CPU/network time split without touching data, so the paper's
