@@ -163,10 +163,12 @@ obs-smoke:
 # random operations and Resets, and the
 # lowered mod against math.Mod bit for bit, the row kernel both backends
 # execute against the element walk (operands read in place, the last
-# operation writing the target, a stuck box, no allocation), and one
-# lowered program under two engines of each backend at once, under the
-# race detector: a Program is shared by every engine of its placement and
-# written by none. Finally
+# operation writing the target, a stuck box, no allocation), and, under
+# the race detector, one lowered program under two engines of each
+# backend at once (a Program is shared by every engine of its placement
+# and written by none) and the four paper benchmarks run natively at once
+# (each goroutine writes only its own rows, shared rows only inside
+# barriers). Finally
 # it measures the two
 # steady-state allocation benchmarks (gravity and shallow × 40 steps,
 # P=16, engine reuse) and fails if the allocs/op of either exceeds the
@@ -184,7 +186,7 @@ native-smoke:
 	$(GO) test ./internal/native -run 'TestNativeTrafficGolden|TestNativeSplitSumEdgeCases|TestNativeReuseAfterFailedSplitSum|TestNativeProfileSumAttribution|TestImageBytes|TestStaleReadOutsideLocalBox|TestValidBoxFragmentation|TestPartiallyValidStrip' -count=1
 	$(GO) test ./internal/runtime -run 'TestStripShiftMatchesRebuild|TestValidBoxesMatchPlane|TestBulkOperationsDoNotAllocate' -count=1
 	$(GO) test ./internal/plan -run 'TestModMatchesMathMod|TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt|TestScheduleKeyHoldsBoundBits|TestRowMatchesElementWalk|TestRowDeclinesWhole|TestRunRowDoesNotAllocate' -count=1
-	$(GO) test -race ./internal/native -run 'TestSharedProgramConcurrentEngines' -count=1
+	$(GO) test -race ./internal/native -run 'TestSharedProgramConcurrentEngines|TestNativeConcurrentBenchmarks' -count=1
 	@GO="$(GO)" sh ci/alloc-budget.sh 'BenchmarkNative(Alloc|Comm)$$' ci/native-alloc-budget.txt native-smoke
 	@echo "native-smoke: ok"
 

@@ -20,7 +20,7 @@ import (
 // small enough to sit beside a tight body bound.
 const tinySrc = "routine tiny(n)\nreal a(n)\n!hpf$ distribute (block) :: a\ndo i = 1, n\na(i) = 1.0\nenddo\nend"
 
-// TestBodyDecoding pins what a /compile or /compile/batch body may hold:
+// TestBodyDecoding pins what a /compile body may hold:
 // one JSON object, whitespace around it and fields the daemon does not
 // know; anything after the object is a 400, as an empty body is, and a
 // body one byte over maxBody is a 413 whether or not it declares its
@@ -30,42 +30,36 @@ func TestBodyDecoding(t *testing.T) {
 	s := newServer(serverConfig{reqTimeout: 30 * time.Second, maxBody: maxBody, logW: io.Discard})
 	defer s.close()
 	h := s.handler()
-	item := `{"source": ` + jsonString(tinySrc) + `, "params": {"n": 8}, "procs": 2}`
+	obj := `{"source": ` + jsonString(tinySrc) + `, "params": {"n": 8}, "procs": 2}`
 	pad := func(body string, n int) string { return body + strings.Repeat(" ", n-len(body)) }
-	for _, route := range []struct{ path, body string }{
-		{"/compile", item},
-		{"/compile/batch", `{"items": [` + item + `]}`},
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"object", obj, http.StatusOK},
+		{"whitespace around", "\n\t " + obj + " \r\n", http.StatusOK},
+		{"unknown fields", obj[:len(obj)-1] + `, "colour": "blue"}`, http.StatusOK},
+		{"trailing data", obj + ` {"source": 7} trailing`, http.StatusBadRequest},
+		{"second object", obj + obj, http.StatusBadRequest},
+		{"empty", "", http.StatusBadRequest},
+		{"whitespace only", "  \n", http.StatusBadRequest},
+		{"maxBody bytes", pad(obj, maxBody), http.StatusOK},
+		{"maxBody+1 bytes", pad(obj, maxBody+1), http.StatusRequestEntityTooLarge},
 	} {
-		obj := route.body
-		for _, tc := range []struct {
-			name string
-			body string
-			want int
-		}{
-			{"object", obj, http.StatusOK},
-			{"whitespace around", "\n\t " + obj + " \r\n", http.StatusOK},
-			{"unknown fields", obj[:len(obj)-1] + `, "colour": "blue"}`, http.StatusOK},
-			{"trailing data", obj + ` {"source": 7} trailing`, http.StatusBadRequest},
-			{"second object", obj + obj, http.StatusBadRequest},
-			{"empty", "", http.StatusBadRequest},
-			{"whitespace only", "  \n", http.StatusBadRequest},
-			{"maxBody bytes", pad(obj, maxBody), http.StatusOK},
-			{"maxBody+1 bytes", pad(obj, maxBody+1), http.StatusRequestEntityTooLarge},
-		} {
-			for _, sized := range []bool{true, false} {
-				var body io.Reader = strings.NewReader(tc.body)
-				if !sized {
-					body = io.MultiReader(body) // no Content-Length: the read decides
-				}
-				req := httptest.NewRequest(http.MethodPost, route.path, body)
-				if sized != (req.ContentLength == int64(len(tc.body))) {
-					t.Fatalf("%s %s: Content-Length %d", route.path, tc.name, req.ContentLength)
-				}
-				w := httptest.NewRecorder()
-				h.ServeHTTP(w, req)
-				if w.Code != tc.want {
-					t.Errorf("%s %s (sized %v): status %d, want %d: %s", route.path, tc.name, sized, w.Code, tc.want, w.Body)
-				}
+		for _, sized := range []bool{true, false} {
+			var body io.Reader = strings.NewReader(tc.body)
+			if !sized {
+				body = io.MultiReader(body) // no Content-Length: the read decides
+			}
+			req := httptest.NewRequest(http.MethodPost, "/compile", body)
+			if sized != (req.ContentLength == int64(len(tc.body))) {
+				t.Fatalf("%s: Content-Length %d", tc.name, req.ContentLength)
+			}
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			if w.Code != tc.want {
+				t.Errorf("%s (sized %v): status %d, want %d: %s", tc.name, sized, w.Code, tc.want, w.Body)
 			}
 		}
 	}

@@ -6,7 +6,6 @@
 // Endpoints:
 //
 //	POST /compile                    source in, placement report + metrics doc out
-//	POST /compile/batch              many compile requests through the bounded scheduler
 //	GET  /metrics                    Prometheus text exposition of the global registry
 //	GET  /healthz                    liveness + version + uptime + request count
 //	GET  /debug/cache                compilation-cache, scheduler and flight-recorder counters

@@ -319,8 +319,8 @@ func fetchRecord(t *testing.T, ts *httptest.Server, id string) reqtrace.Record {
 
 // TestRetainedRecordSpans: following a request id to its flight record
 // shows the request's phases and, inside them, the pipeline spans that
-// ran — for a compile miss, a hit, strategy "all", each item of a batch
-// and a request that timed out.
+// ran — for a compile miss, a hit, strategy "all" and a request that
+// timed out.
 func TestRetainedRecordSpans(t *testing.T) {
 	_, ts := testServer(t)
 	body := func(n int, strategy string) map[string]any {
@@ -370,19 +370,6 @@ func TestRetainedRecordSpans(t *testing.T) {
 	resp, _ = postCompile(t, ts, estAll)
 	if got := phaseKeys(fetchRecord(t, ts, resp.Header.Get("X-Request-Id"))); got != "compile estimate finalize ingress place queue.wait" {
 		t.Errorf("estimated all phases %q", got)
-	}
-
-	// Batch items: each its own record, under the batch's id.
-	resp, out := postBatch(t, ts, []map[string]any{body(14, "comb"), body(12, "comb")})
-	if resp.StatusCode != http.StatusOK || out.Succeeded != 2 {
-		t.Fatalf("batch status = %d, succeeded = %d", resp.StatusCode, out.Succeeded)
-	}
-	for _, item := range out.Items {
-		rec := fetchRecord(t, ts, item.ReqID)
-		checkRecord(t, rec)
-		if rec.Batch != resp.Header.Get("X-Request-Id") || phaseKeys(rec) != "compile place queue.wait" {
-			t.Errorf("batch item %s: batch %q, phases %q", item.ReqID, rec.Batch, phaseKeys(rec))
-		}
 	}
 
 	// A timeout: the worker is still in compile when the handler answers,
@@ -703,33 +690,6 @@ func TestPanicInsideCacheDoesNotWedge(t *testing.T) {
 	}
 }
 
-// TestBatchItemsInFlightRecorder checks batch items are individually
-// retained, joined to the batch by its request id and trace id.
-func TestBatchItemsInFlightRecorder(t *testing.T) {
-	_, ts := testServer(t)
-	resp, out := postBatch(t, ts, []map[string]any{
-		{"source": stencilSrc, "params": map[string]int{"n": 8, "steps": 1}, "procs": 4},
-		{"source": stencilSrc, "params": map[string]int{"n": 9, "steps": 1}, "procs": 4},
-	})
-	if resp.StatusCode != http.StatusOK || out.Succeeded != 2 {
-		t.Fatalf("batch status = %d, succeeded = %d", resp.StatusCode, out.Succeeded)
-	}
-	batchID := resp.Header.Get("X-Request-Id")
-	for _, item := range out.Items {
-		var rec reqtrace.Record
-		if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+item.ReqID, &rec); code != http.StatusOK {
-			t.Fatalf("batch item %s not in flight recorder", item.ReqID)
-		}
-		if rec.Route != "/compile/batch" {
-			t.Fatalf("batch item route = %q", rec.Route)
-		}
-		if rec.Batch != batchID {
-			t.Fatalf("batch item %s not linked to batch %s: %q", item.ReqID, batchID, rec.Batch)
-		}
-		checkRecord(t, rec)
-	}
-}
-
 // TestQueueWaitHistogram saturates a one-worker pool and checks the
 // queue-wait family renders with monotone cumulative buckets and a
 // nonzero count once jobs have drained.
@@ -827,7 +787,7 @@ func TestBuildInfoAndHTTPMetrics(t *testing.T) {
 func TestRouteLabelBounded(t *testing.T) {
 	cases := map[string]string{
 		"/compile":                     "/compile",
-		"/compile/batch":               "/compile/batch",
+		"/compile/batch":               "other",
 		"/debug/flightrecorder":        "/debug/flightrecorder",
 		"/debug/decisions/r000001":     "other",
 		"/debug/critpath":              "other",

@@ -26,8 +26,7 @@ import (
 // serverConfig are the daemon's tunables; main fills them from flags,
 // tests construct them directly.
 type serverConfig struct {
-	// reqTimeout bounds one /compile request (and each /compile/batch
-	// item) end to end.
+	// reqTimeout bounds one /compile request end to end.
 	reqTimeout time.Duration
 	// maxBody bounds a request body in bytes; a larger body is a 413.
 	maxBody int64
@@ -165,7 +164,6 @@ func (s *server) close() { s.pool.Close() }
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /compile", s.handleCompile)
-	mux.HandleFunc("POST /compile/batch", s.handleCompileBatch)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /debug/cache", s.handleCacheStats)
@@ -179,8 +177,7 @@ func (s *server) handler() http.Handler {
 	return s.withObs(mux)
 }
 
-// compileRequest is the POST /compile body (and one /compile/batch
-// item).
+// compileRequest is the POST /compile body.
 type compileRequest struct {
 	// Source is the mini-HPF text; Main selects the entry routine of a
 	// multi-routine program (empty: Source is a single routine).
@@ -341,7 +338,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// The request is retained before the response is written: a client
 	// may follow its X-Request-Id to /debug/flightrecorder/{id} the
 	// moment it has the body.
-	status := s.retain(tr, reqtrace.Record{Route: "/compile", UnixNS: t0.UnixNano()}, err, resp, rec)
+	status := s.retain(tr, t0, err, resp, rec)
 	s.log.LogAttrs(r.Context(), slog.LevelInfo, "http.compile",
 		slog.String("req", id), slog.String("status", status),
 		slog.Int64("dur_us", time.Since(t0).Microseconds()))
@@ -422,30 +419,23 @@ func readBody(r *http.Request, maxBody int64) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeJSON decodes a whole body as one JSON value: anything but
-// whitespace after it is malformed, as a body that does not parse is (400).
-func decodeJSON[T any](body []byte) (T, error) {
-	var v T
-	if err := json.Unmarshal(body, &v); err != nil {
-		return v, badRequestError{fmt.Errorf("decoding request: %w", err)}
-	}
-	return v, nil
-}
-
 // compileBody returns the request a /compile body holds: from the body
-// tier when the same bytes were served before, else decoded. The tier is
-// keyed by the bytes themselves, not a fingerprint of them: its value is
-// read from exactly those bytes, so equal bytes are the exact match, and
-// a lookup hashes the body once instead of digesting it and then hashing
-// the digest.
+// tier when the same bytes were served before, else decoded as one JSON
+// value (anything but whitespace after it is malformed, as a body that
+// does not parse is: 400). The tier is keyed by the bytes themselves,
+// not a fingerprint of them: its value is read from exactly those bytes,
+// so equal bytes are the exact match, and a lookup hashes the body once
+// instead of digesting it and then hashing the digest.
 func (s *server) compileBody(body []byte, rec *obs.Recorder) (req compileRequest, known bool, err error) {
 	if v, ok := s.bodies.Get(body); ok {
 		rec.Add("cache.body.hit", 1)
 		return v.(compileRequest), true, nil
 	}
 	rec.Add("cache.body.miss", 1)
-	req, err = decodeJSON[compileRequest](body)
-	return req, false, err
+	if err := json.Unmarshal(body, &req); err != nil {
+		return req, false, badRequestError{fmt.Errorf("decoding request: %w", err)}
+	}
+	return req, false, nil
 }
 
 // bodySize estimates what a body-tier entry keeps alive: the body as its

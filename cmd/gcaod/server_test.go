@@ -604,9 +604,15 @@ func TestQueueOverflow429(t *testing.T) {
 	}
 }
 
-func postBatch(t *testing.T, ts *httptest.Server, items []map[string]any) (*http.Response, batchResponse) {
-	t.Helper()
-	raw, err := json.Marshal(map[string]any{"items": items})
+// TestCompileIsTheOnlyCompileRoute: one request is one job. The route
+// that took many /compile bodies in one request (concurrent /compile
+// requests do the same) is gone: /compile/batch answers 404 with a
+// request id, is counted under the bounded label "other", and submits
+// nothing to the pool.
+func TestCompileIsTheOnlyCompileRoute(t *testing.T) {
+	s, ts := testServer(t)
+	item := map[string]any{"source": stencilSrc, "params": map[string]int{"n": 8, "steps": 1}, "procs": 4}
+	raw, err := json.Marshal(map[string]any{"items": []any{item, item}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,127 +620,15 @@ func postBatch(t *testing.T, ts *httptest.Server, items []map[string]any) (*http
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { resp.Body.Close() })
-	var out batchResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatalf("decoding batch response: %v", err)
-		}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || resp.Header.Get("X-Request-Id") == "" {
+		t.Fatalf("/compile/batch: status %d, X-Request-Id %q, want 404 with an id", resp.StatusCode, resp.Header.Get("X-Request-Id"))
 	}
-	return resp, out
-}
-
-// TestCompileBatch is the acceptance scenario: a batch of 8 programs
-// completes through a pool of 2 workers, every item reporting its own
-// id, status and cache outcome.
-func TestCompileBatch(t *testing.T) {
-	s := newServer(serverConfig{
-		reqTimeout: 30 * time.Second,
-		workers:    2,
-		queueDepth: 8,
-		logW:       io.Discard,
-		logLevel:   slog.LevelError,
-	})
-	defer s.close()
-	ts := httptest.NewServer(s.handler())
-	defer ts.Close()
-
-	items := make([]map[string]any, 8)
-	for i := range items {
-		items[i] = map[string]any{
-			"source":   stencilSrc,
-			"params":   map[string]int{"n": 8 + i, "steps": 1},
-			"procs":    4,
-			"strategy": "comb",
-		}
+	if text := scrape(t, ts); !strings.Contains(text, `gcao_http_requests_total{code="404",route="other"} 1`+"\n") {
+		t.Errorf("/compile/batch not counted as a 404 under other:\n%s", text)
 	}
-	// Two of the eight repeat an earlier parameter binding, so the
-	// batch itself exercises the cache.
-	items[6]["params"] = map[string]int{"n": 8, "steps": 1}
-	items[7]["params"] = map[string]int{"n": 9, "steps": 1}
-
-	resp, out := postBatch(t, ts, items)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status = %d", resp.StatusCode)
-	}
-	if out.Succeeded != 8 || out.Failed != 0 || len(out.Items) != 8 {
-		t.Fatalf("batch outcome = %d ok / %d failed / %d items", out.Succeeded, out.Failed, len(out.Items))
-	}
-	ids := map[string]bool{}
-	for _, item := range out.Items {
-		if item.Status != http.StatusOK || item.Response == nil || item.Error != "" {
-			t.Fatalf("item %d = %+v", item.Index, item)
-		}
-		if item.Response.Cache == nil {
-			t.Fatalf("item %d missing cache doc", item.Index)
-		}
-		if ids[item.ReqID] {
-			t.Fatalf("duplicate req id %s", item.ReqID)
-		}
-		ids[item.ReqID] = true
-	}
-	// The repeated bindings were served by the cache, not recompiled:
-	// 6 distinct configurations, 8 lookups.
-	st := s.cache.Stats()
-	if st.Compile.Misses != 6 {
-		t.Fatalf("compile misses = %d, want 6", st.Compile.Misses)
-	}
-	if st.Compile.Hits+st.Compile.InflightWaits != 2 {
-		t.Fatalf("compile hits+dedups = %d, want 2", st.Compile.Hits+st.Compile.InflightWaits)
-	}
-	if got := s.pool.Stats().Completed; got != 8 {
-		t.Fatalf("pool completed = %d, want 8", got)
-	}
-	// Every item is retained individually.
-	var list flightList
-	if code := getJSON(t, ts.URL+"/debug/flightrecorder", &list); code != http.StatusOK {
-		t.Fatalf("flight list status = %d", code)
-	}
-	if len(list.Recent) != 8 {
-		t.Fatalf("retained %d batch items, want 8", len(list.Recent))
-	}
-}
-
-// TestBatchQueueOverflow pins whole-batch shedding: when the pool is
-// saturated and no item can be admitted, the batch is a single 429.
-func TestBatchQueueOverflow(t *testing.T) {
-	s, ts, release := blockingServer(t)
-	done := make(chan int, 2)
-	saturate(t, s, ts, done)
-
-	items := []map[string]any{
-		{"source": stencilSrc, "params": map[string]int{"n": 8, "steps": 1}, "procs": 4},
-		{"source": stencilSrc, "params": map[string]int{"n": 9, "steps": 1}, "procs": 4},
-	}
-	resp, _ := postBatch(t, ts, items)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated batch status = %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("batch 429 missing Retry-After header")
-	}
-	release()
-	for i := 0; i < 2; i++ {
-		if code := <-done; code != http.StatusOK {
-			t.Fatalf("blocked request %d finished with %d, want 200", i, code)
-		}
-	}
-}
-
-// TestBatchRejectsBadRequests pins the batch endpoint's input checks.
-func TestBatchRejectsBadRequests(t *testing.T) {
-	_, ts := testServer(t)
-	resp, _ := postBatch(t, ts, nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty batch status = %d, want 400", resp.StatusCode)
-	}
-	big := make([]map[string]any, maxBatchItems+1)
-	for i := range big {
-		big[i] = map[string]any{"source": "x", "procs": 2}
-	}
-	resp2, _ := postBatch(t, ts, big)
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized batch status = %d, want 400", resp2.StatusCode)
+	if st := s.pool.Stats(); st.Submitted != 0 {
+		t.Errorf("pool submitted = %d, want 0", st.Submitted)
 	}
 }
 

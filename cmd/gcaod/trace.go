@@ -21,7 +21,7 @@ import (
 // collapse their id segment, everything else is "other".
 func routeLabel(path string) string {
 	switch path {
-	case "/compile", "/compile/batch", "/metrics", "/healthz",
+	case "/compile", "/metrics", "/healthz",
 		"/debug/cache", "/debug/flightrecorder":
 		return path
 	}
@@ -93,14 +93,13 @@ func reqID(r *http.Request) string {
 	return tr.ReqID()
 }
 
-// retain is where a finished request goes, from /compile and from each
-// /compile/batch item alike: its recorder is absorbed into the registry,
-// its last phase is ended, and one record — rec's route and time, the
-// trace's identity, the outcome, the recorder's spans and the facets it
-// held — is added to the flight recorder under the id the response's
-// X-Request-Id header carried. It returns the status label the registry
-// counted the request under.
-func (s *server) retain(tr *reqtrace.Trace, rec reqtrace.Record, err error, resp *compileResponse, reqRec *obs.Recorder) string {
+// retain is where a finished /compile request goes: its recorder is
+// absorbed into the registry, its last phase is ended, and one record —
+// its start time t0, the trace's identity, the outcome, the recorder's
+// spans and the facets it held — is added to the flight recorder under
+// the id the response's X-Request-Id header carried. It returns the
+// status label the registry counted the request under.
+func (s *server) retain(tr *reqtrace.Trace, t0 time.Time, err error, resp *compileResponse, reqRec *obs.Recorder) string {
 	status, code := "ok", http.StatusOK
 	if err != nil {
 		status, code = "error", httpStatus(err)
@@ -115,12 +114,14 @@ func (s *server) retain(tr *reqtrace.Trace, rec reqtrace.Record, err error, resp
 		held = reqRec.Doc()
 	}
 	reqRec.EndPhase()
-	rec.ID, rec.TraceID, rec.RemoteParent = tr.ReqID(), tr.TraceID(), tr.RemoteParent()
-	rec.Status = code
-	rec.Spans = reqRec.Spans()
-	rec.Data = &reqtrace.Facets{
-		Decisions: held.Decisions, Counters: held.Counters,
-		Attr: held.Attr, NativeProf: held.NativeProf,
+	rec := reqtrace.Record{
+		ID: tr.ReqID(), TraceID: tr.TraceID(), RemoteParent: tr.RemoteParent(),
+		Route: "/compile", Status: code, UnixNS: t0.UnixNano(),
+		Spans: reqRec.Spans(),
+		Data: &reqtrace.Facets{
+			Decisions: held.Decisions, Counters: held.Counters,
+			Attr: held.Attr, NativeProf: held.NativeProf,
+		},
 	}
 	if err != nil {
 		rec.Error = err.Error()

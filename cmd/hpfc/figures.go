@@ -8,6 +8,7 @@ import (
 
 	"gcao"
 	"gcao/internal/bench"
+	"gcao/internal/core"
 	"gcao/internal/machine"
 	"gcao/internal/native"
 	"gcao/internal/obs"
@@ -164,6 +165,6 @@ func fig5(fs *flag.FlagSet, args []string) {
 		}
 		fmt.Printf("half-power point: %d bytes (startup amortized well below the %d KB cache)\n",
 			m.HalfPowerPoint(), m.CacheBytes>>10)
-		fmt.Printf("combining threshold: %d KB\n\n", m.CombineThresholdBytes>>10)
+		fmt.Printf("combining threshold: %d KB\n\n", core.DefaultCombineThresholdBytes>>10)
 	}
 }

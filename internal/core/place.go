@@ -46,7 +46,7 @@ func (v Version) String() string {
 type Options struct {
 	Version Version
 	// CombineThresholdBytes bounds the combined message size (§4.7);
-	// 0 selects the paper's 20 KB.
+	// 0 selects DefaultCombineThresholdBytes.
 	CombineThresholdBytes int
 	// DisableSubsetElim turns off §4.5 (ablation; §6 notes it must be
 	// dropped when overlap matters).
@@ -68,11 +68,16 @@ type Options struct {
 	Obs *obs.Recorder
 }
 
+// DefaultCombineThresholdBytes is the paper's combining threshold
+// (§4.7): 20 KB, inside the in-cache bcopy regime of both machines, so
+// packing a combined message stays cheap beside sending it.
+const DefaultCombineThresholdBytes = 20 << 10
+
 func (o Options) threshold() int {
 	if o.CombineThresholdBytes > 0 {
 		return o.CombineThresholdBytes
 	}
-	return 20 << 10
+	return DefaultCombineThresholdBytes
 }
 
 // maxHullBlowup bounds how much larger the single-descriptor union of

@@ -59,10 +59,6 @@ type Machine struct {
 	// stencil code.
 	FlopTime float64
 
-	// CombineThresholdBytes is the combined-message size beyond which
-	// the compiler should stop combining (20 KB on the SP2, §4.7).
-	CombineThresholdBytes int
-
 	// DefaultProcs is the processor count used in the paper's runs.
 	DefaultProcs int
 }
@@ -70,18 +66,17 @@ type Machine struct {
 // SP2 returns the IBM SP2 / MPL model used for Fig. 10(a)–(c).
 func SP2() Machine {
 	return Machine{
-		Name:                  "SP2",
-		SendOverhead:          40e-6,
-		RecvOverhead:          30e-6,
-		Latency:               5e-6,
-		PerByte:               1.0 / (34e6),  // ~34 MB/s receive bandwidth
-		InjectPerByte:         1.0 / (41e6),  // injection a bit faster
-		CacheBytes:            128 << 10,     // 128 KB data cache
-		BcopyInCachePerByte:   1.0 / (150e6), // ~150 MB/s in cache
-		BcopyOutCachePerByte:  1.0 / (65e6),  // barely 2x message bw beyond
-		FlopTime:              45e-9,         // ~22 MFLOPS sustained stencil
-		CombineThresholdBytes: 20 << 10,
-		DefaultProcs:          25,
+		Name:                 "SP2",
+		SendOverhead:         40e-6,
+		RecvOverhead:         30e-6,
+		Latency:              5e-6,
+		PerByte:              1.0 / (34e6),  // ~34 MB/s receive bandwidth
+		InjectPerByte:        1.0 / (41e6),  // injection a bit faster
+		CacheBytes:           128 << 10,     // 128 KB data cache
+		BcopyInCachePerByte:  1.0 / (150e6), // ~150 MB/s in cache
+		BcopyOutCachePerByte: 1.0 / (65e6),  // barely 2x message bw beyond
+		FlopTime:             45e-9,         // ~22 MFLOPS sustained stencil
+		DefaultProcs:         25,
 	}
 }
 
@@ -89,18 +84,17 @@ func SP2() Machine {
 // for Fig. 10(d)–(f).
 func NOW() Machine {
 	return Machine{
-		Name:                  "NOW",
-		SendOverhead:          500e-6, // MPICH on Myrinet: very high per-msg cost
-		RecvOverhead:          400e-6,
-		Latency:               15e-6,
-		PerByte:               1.0 / (8e6), // ~8 MB/s receive bandwidth via MPICH
-		InjectPerByte:         1.0 / (12e6),
-		CacheBytes:            1 << 20, // 1 MB external cache
-		BcopyInCachePerByte:   1.0 / (170e6),
-		BcopyOutCachePerByte:  1.0 / (45e6),
-		FlopTime:              50e-9,
-		CombineThresholdBytes: 20 << 10,
-		DefaultProcs:          8,
+		Name:                 "NOW",
+		SendOverhead:         500e-6, // MPICH on Myrinet: very high per-msg cost
+		RecvOverhead:         400e-6,
+		Latency:              15e-6,
+		PerByte:              1.0 / (8e6), // ~8 MB/s receive bandwidth via MPICH
+		InjectPerByte:        1.0 / (12e6),
+		CacheBytes:           1 << 20, // 1 MB external cache
+		BcopyInCachePerByte:  1.0 / (170e6),
+		BcopyOutCachePerByte: 1.0 / (45e6),
+		FlopTime:             50e-9,
+		DefaultProcs:         8,
 	}
 }
 

@@ -1,24 +1,27 @@
-package machine
+package machine_test
 
 import (
 	"testing"
 	"testing/quick"
+
+	"gcao/internal/core"
+	"gcao/internal/machine"
 )
 
 func TestByName(t *testing.T) {
 	for _, name := range []string{"SP2", "sp2", "NOW", "now"} {
-		if _, err := ByName(name); err != nil {
-			t.Errorf("ByName(%q): %v", name, err)
+		if _, err := machine.ByName(name); err != nil {
+			t.Errorf("machine.ByName(%q): %v", name, err)
 		}
 	}
-	if _, err := ByName("CM5"); err == nil {
+	if _, err := machine.ByName("CM5"); err == nil {
 		t.Error("unknown machine must fail")
 	}
 }
 
 // The qualitative facts of §3 the placement algorithm relies on.
 func TestPaperFacts(t *testing.T) {
-	sp2, now := SP2(), NOW()
+	sp2, now := machine.SP2(), machine.NOW()
 
 	// The NOW has higher per-message overhead and lower bandwidth.
 	if now.SendOverhead <= sp2.SendOverhead {
@@ -28,7 +31,7 @@ func TestPaperFacts(t *testing.T) {
 		t.Error("NOW bandwidth should be below SP2's")
 	}
 
-	for _, m := range []Machine{sp2, now} {
+	for _, m := range []machine.Machine{sp2, now} {
 		// Startup amortization happens well below the cache size.
 		if hp := m.HalfPowerPoint(); hp >= m.CacheBytes {
 			t.Errorf("%s: half-power point %d not below cache %d", m.Name, hp, m.CacheBytes)
@@ -46,7 +49,7 @@ func TestPaperFacts(t *testing.T) {
 			t.Errorf("%s: out-of-cache bcopy/network ratio %.1f did not shrink (in-cache %.1f)", m.Name, outRatio, inRatio)
 		}
 		// The 20 KB combining threshold is within the in-cache regime.
-		if m.CombineThresholdBytes > m.CacheBytes {
+		if core.DefaultCombineThresholdBytes > m.CacheBytes {
 			t.Errorf("%s: combining threshold beyond cache", m.Name)
 		}
 	}
@@ -55,7 +58,7 @@ func TestPaperFacts(t *testing.T) {
 func TestSP2BarelyTwice(t *testing.T) {
 	// §3: "for the SP2, bcopy bandwidth is barely twice message
 	// bandwidth beyond cache size".
-	m := SP2()
+	m := machine.SP2()
 	big := 8 * m.CacheBytes
 	ratio := m.BcopyBandwidth(big) / m.NetworkBandwidth(big)
 	if ratio < 1.2 || ratio > 2.5 {
@@ -64,7 +67,7 @@ func TestSP2BarelyTwice(t *testing.T) {
 }
 
 func TestMonotonicity(t *testing.T) {
-	for _, m := range []Machine{SP2(), NOW()} {
+	for _, m := range []machine.Machine{machine.SP2(), machine.NOW()} {
 		f := func(au, bu uint16) bool {
 			a, b := int(au), int(bu)
 			if a > b {
@@ -83,7 +86,7 @@ func TestMonotonicity(t *testing.T) {
 func TestBandwidthRises(t *testing.T) {
 	// Effective network bandwidth must rise with message size (the
 	// Fig. 5 bottom curve) and approach the asymptote.
-	for _, m := range []Machine{SP2(), NOW()} {
+	for _, m := range []machine.Machine{machine.SP2(), machine.NOW()} {
 		prev := 0.0
 		for bytes := 16; bytes <= 1<<22; bytes *= 4 {
 			bw := m.NetworkBandwidth(bytes)
@@ -100,7 +103,7 @@ func TestBandwidthRises(t *testing.T) {
 }
 
 func TestBcopyKnee(t *testing.T) {
-	m := SP2()
+	m := machine.SP2()
 	in := m.BcopyBandwidth(m.CacheBytes / 2)
 	out := m.BcopyBandwidth(m.CacheBytes * 16)
 	if in <= out {
@@ -112,7 +115,7 @@ func TestBcopyKnee(t *testing.T) {
 }
 
 func TestReduceTime(t *testing.T) {
-	m := SP2()
+	m := machine.SP2()
 	if m.ReduceTime(8, 1) != 0 {
 		t.Error("single processor reduces locally")
 	}
@@ -124,7 +127,7 @@ func TestReduceTime(t *testing.T) {
 }
 
 func TestEdgeSizes(t *testing.T) {
-	m := NOW()
+	m := machine.NOW()
 	if m.MsgTime(-1) != m.MsgTime(0) {
 		t.Error("negative sizes clamp to zero")
 	}

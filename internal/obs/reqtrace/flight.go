@@ -64,9 +64,6 @@ type Record struct {
 	// when the client sent one.
 	RemoteParent string `json:"remote_parent,omitempty"`
 	Route        string `json:"route"`
-	// Batch is the request id of the /compile/batch request an item
-	// came in.
-	Batch string `json:"batch,omitempty"`
 	// Status is the HTTP status code the response carried.
 	Status   int    `json:"status"`
 	Error    string `json:"error,omitempty"`

@@ -1,13 +1,13 @@
-// Package sched implements the daemon's batched placement scheduler: a
-// bounded worker pool with an admission queue. Admission is
+// Package sched implements the daemon's placement scheduler: a bounded
+// worker pool with an admission queue. Admission is
 // non-blocking — when the queue is full the submission is rejected
 // immediately with ErrQueueFull so the caller can shed load (the HTTP
 // layer maps it to 429 + Retry-After) instead of letting latency grow
 // without bound. Every job carries a context; a job whose deadline
 // expires while it waits in the queue is skipped, not run, so a burst
-// never wastes workers on requests nobody is waiting for anymore. The
-// Batch API fans a set of jobs across the workers and reports per-item
-// results.
+// never wastes workers on requests nobody is waiting for anymore. One
+// request is one job: a caller with many jobs submits them concurrently,
+// and each is admitted or shed on its own.
 package sched
 
 import (
@@ -225,43 +225,6 @@ func (p *Pool) Submit(ctx context.Context, fn Task) (any, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-// BatchTask is one item of a Batch: an optional per-item context (the
-// batch context is used when nil) and the task to run.
-type BatchTask struct {
-	Ctx context.Context
-	Run Task
-}
-
-// BatchResult is one item's outcome.
-type BatchResult struct {
-	Index int
-	Value any
-	Err   error
-}
-
-// Batch submits every task concurrently and waits for all results.
-// Per-item failures — including ErrQueueFull on admission overflow and
-// context errors on expiry — land in the item's result rather than
-// aborting the batch, so the caller can report per-item status.
-func (p *Pool) Batch(ctx context.Context, tasks []BatchTask) []BatchResult {
-	out := make([]BatchResult, len(tasks))
-	var wg sync.WaitGroup
-	for i, t := range tasks {
-		wg.Add(1)
-		go func(i int, t BatchTask) {
-			defer wg.Done()
-			tctx := t.Ctx
-			if tctx == nil {
-				tctx = ctx
-			}
-			v, err := p.Submit(tctx, t.Run)
-			out[i] = BatchResult{Index: i, Value: v, Err: err}
-		}(i, t)
-	}
-	wg.Wait()
-	return out
 }
 
 // Close stops the workers and fails every job still in the queue with

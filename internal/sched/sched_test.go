@@ -129,50 +129,32 @@ func TestSubmitDeadlineWhileRunning(t *testing.T) {
 	}
 }
 
-func TestBatchPerItemResults(t *testing.T) {
-	p := New(2, 8)
-	defer p.Close()
-	boom := errors.New("boom")
-	tasks := make([]BatchTask, 8)
-	for i := range tasks {
-		i := i
-		tasks[i] = BatchTask{Run: func(context.Context) (any, error) {
-			if i == 3 {
-				return nil, boom
-			}
-			return i * i, nil
-		}}
+// submitAll submits every task on its own goroutine, as concurrent
+// requests would, and returns each task's result in task order.
+func submitAll(p *Pool, tasks []Task) ([]any, []error) {
+	vals, errs := make([]any, len(tasks)), make([]error, len(tasks))
+	var wg sync.WaitGroup
+	for i, fn := range tasks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			vals[i], errs[i] = p.Submit(context.Background(), fn)
+		}()
 	}
-	results := p.Batch(context.Background(), tasks)
-	if len(results) != 8 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for i, r := range results {
-		if r.Index != i {
-			t.Fatalf("result %d has index %d", i, r.Index)
-		}
-		if i == 3 {
-			if !errors.Is(r.Err, boom) {
-				t.Fatalf("item 3 err = %v", r.Err)
-			}
-			continue
-		}
-		if r.Err != nil || r.Value.(int) != i*i {
-			t.Fatalf("item %d = %v, %v", i, r.Value, r.Err)
-		}
-	}
+	wg.Wait()
+	return vals, errs
 }
 
-// TestBatchBoundedWorkers: a batch wider than the pool still completes,
-// and concurrency never exceeds the worker count.
-func TestBatchBoundedWorkers(t *testing.T) {
+// TestSubmitBoundedWorkers: more concurrent submissions than workers
+// all complete, and concurrency never exceeds the worker count.
+func TestSubmitBoundedWorkers(t *testing.T) {
 	const workers = 2
 	p := New(workers, 16)
 	defer p.Close()
 	var cur, peak atomic.Int64
-	tasks := make([]BatchTask, 8)
+	tasks := make([]Task, 8)
 	for i := range tasks {
-		tasks[i] = BatchTask{Run: func(context.Context) (any, error) {
+		tasks[i] = func(context.Context) (any, error) {
 			n := cur.Add(1)
 			for {
 				pk := peak.Load()
@@ -183,12 +165,12 @@ func TestBatchBoundedWorkers(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 			cur.Add(-1)
 			return nil, nil
-		}}
+		}
 	}
-	results := p.Batch(context.Background(), tasks)
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("item %d failed: %v", i, r.Err)
+	_, errs := submitAll(p, tasks)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("task %d failed: %v", i, err)
 		}
 	}
 	if pk := peak.Load(); pk > workers {
@@ -374,8 +356,8 @@ func TestAvgServiceEWMA(t *testing.T) {
 // TestPanickingTaskIsContained: a task that panics on a worker fails
 // alone — its caller gets a *PanicError with the panic text and the
 // stack, it counts as failed, active returns to zero, and the same
-// (single) worker goes on to serve every other job, through Submit and
-// through Batch.
+// (single) worker goes on to serve every other job, alone and among
+// healthy jobs submitted concurrently.
 func TestPanickingTaskIsContained(t *testing.T) {
 	p := New(1, 8)
 	defer p.Close()
@@ -397,10 +379,10 @@ func TestPanickingTaskIsContained(t *testing.T) {
 		t.Fatalf("Submit after a panic = %v, %v: the worker did not survive", v, err)
 	}
 
-	results := p.Batch(context.Background(), []BatchTask{{Run: ok}, {Run: boom}, {Run: ok}, {Run: boom}, {Run: ok}})
-	for i, r := range results {
-		if panics := i%2 == 1; panics != errors.As(r.Err, &pe) || (!panics && r.Value != "ok") {
-			t.Errorf("batch item %d = %v, %v", i, r.Value, r.Err)
+	vals, errs := submitAll(p, []Task{ok, boom, ok, boom, ok})
+	for i, err := range errs {
+		if panics := i%2 == 1; panics != errors.As(err, &pe) || (!panics && vals[i] != "ok") {
+			t.Errorf("job %d = %v, %v", i, vals[i], err)
 		}
 	}
 	st := p.Stats()
