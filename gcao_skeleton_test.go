@@ -438,11 +438,14 @@ func TestSkeletonSharedConcurrently(t *testing.T) {
 // the library: no front-end or structural step runs — the request's
 // recorder sees sem and the instantiate half only — and the compile
 // allocates under two thirds of what the text costs from scratch (shallow:
-// 270 allocations against 753 for Compile when the pin was last set, once
-// the analysis carved its entries and level tables from slabs; 666
-// against 1,150 before that, once the front end allocated by the routine;
-// 720 against 2,687 before that, 1,220 against 4,218 before the analysis
-// moved onto dense indices).
+// 152 allocations against 231 for Compile when the pin was last set, once
+// sem, the skeleton's layers and the candidate lists were carved from
+// slabs and the scalarizer shared what it does not rewrite, so that the
+// ratio nearly binds: what a skeleton hit saves is small now; 270 against
+// 753 before that, once the analysis carved its entries and level tables
+// from slabs; 666 against 1,150 before that, once the front end allocated
+// by the routine; 720 against 2,687 before that, 1,220 against 4,218
+// before the analysis moved onto dense indices).
 func TestSkeletonHitPin(t *testing.T) {
 	pr, err := bench.ByName("shallow", "main")
 	if err != nil {

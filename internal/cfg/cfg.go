@@ -63,16 +63,20 @@ type Stmt struct {
 	Index  int // position within Block.Stmts
 	// Loops lists the enclosing loops, outermost first.
 	Loops []*Loop
+	// label is what Label reports, set by Build.
+	label string
 }
 
 // NL returns the statement's nesting level: the number of loops
 // containing it (paper notation NL(v)).
 func (s *Stmt) NL() int { return len(s.Loops) }
 
-// Label returns the statement's source label for diagnostics.
+// Label returns the statement's source label for diagnostics: the
+// assignment's own Label when it has one, else L<line> of its source
+// line. Build derives every label once, so a call allocates nothing.
 func (s *Stmt) Label() string {
-	if s.Assign != nil && s.Assign.Label != "" {
-		return s.Assign.Label
+	if s.label != "" {
+		return s.label
 	}
 	return "s" + strconv.Itoa(s.ID)
 }
@@ -165,6 +169,8 @@ type builder struct {
 	// The loops around the statement being built, outermost first,
 	// shared by every statement directly in the innermost one.
 	path []*Loop
+	// topLoops counts the loops no loop contains.
+	topLoops int
 }
 
 // size counts what the graph of body holds: blocks beyond ENTRY and
@@ -213,7 +219,60 @@ func Build(body []ast.Stmt) *Graph {
 	exit := b.newBlock(Exit)
 	b.g.ExitBlock = exit
 	b.edge(last, exit)
+	b.children()
+	b.labels()
 	return b.g
+}
+
+// children fills every loop's Children, in preorder, from one array: a
+// loop's children are the loops after it whose parent it is.
+func (b *builder) children() {
+	if b.topLoops == len(b.loops) {
+		return
+	}
+	count := make([]int, len(b.loops)) // children per loop
+	for _, l := range b.g.Loops {
+		if l.Parent != nil {
+			count[l.Parent.ID]++
+		}
+	}
+	all := make([]*Loop, len(b.loops)-b.topLoops)
+	for _, l := range b.g.Loops {
+		if n := count[l.ID]; n > 0 {
+			l.Children, all = all[:0:n], all[n:]
+		}
+		if l.Parent != nil {
+			l.Parent.Children = append(l.Parent.Children, l)
+		}
+	}
+}
+
+// labels derives the label of every statement whose assignment carries
+// none — L<line> — into one string the statements share.
+func (b *builder) labels() {
+	var num [20]byte
+	n := 0
+	for i := range b.stmts {
+		if a := b.stmts[i].Assign; a.Label == "" {
+			n += 1 + len(strconv.AppendInt(num[:0], int64(a.Pos.Line), 10))
+		}
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for i := range b.stmts {
+		if a := b.stmts[i].Assign; a.Label == "" {
+			sb.WriteByte('L')
+			sb.Write(strconv.AppendInt(num[:0], int64(a.Pos.Line), 10))
+		}
+	}
+	all := sb.String()
+	for i := range b.stmts {
+		st := &b.stmts[i]
+		if st.label = st.Assign.Label; st.label == "" {
+			k := 1 + len(strconv.AppendInt(num[:0], int64(st.Assign.Pos.Line), 10))
+			st.label, all = all[:k], all[k:]
+		}
+	}
 }
 
 // newBlock carves the next block. No block has more than two successors
@@ -283,8 +342,8 @@ func (b *builder) build(stmts []ast.Stmt, cur *Block) *Block {
 				Parent: parent,
 				Depth:  len(b.path) + 1,
 			}
-			if parent != nil {
-				parent.Children = append(parent.Children, loop)
+			if parent == nil {
+				b.topLoops++
 			}
 			b.g.Loops = append(b.g.Loops, loop)
 

@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"strconv"
 	"testing"
 
 	"gcao/internal/ast"
@@ -25,6 +26,30 @@ func build(t *testing.T, src string) *Graph {
 	for _, blk := range g.Blocks {
 		if cap(blk.Succs) != 2 || cap(blk.Preds) != 2 {
 			t.Fatalf("%s: edge lists outgrew their slots", blk)
+		}
+	}
+	// Every loop's Children are the loops naming it their parent, in
+	// preorder, carved to their exact length.
+	for _, l := range g.Loops {
+		var want []*Loop
+		for _, c := range g.Loops {
+			if c.Parent == l {
+				want = append(want, c)
+			}
+		}
+		if len(l.Children) != len(want) || cap(l.Children) != len(want) {
+			t.Fatalf("loop %d: %d children (cap %d), want %d", l.ID, len(l.Children), cap(l.Children), len(want))
+		}
+		for i := range want {
+			if l.Children[i] != want[i] {
+				t.Fatalf("loop %d: child %d is loop %d, want loop %d", l.ID, i, l.Children[i].ID, want[i].ID)
+			}
+		}
+	}
+	// An unlabelled statement is labelled by its source line.
+	for _, st := range g.Stmts {
+		if want := "L" + strconv.Itoa(st.Assign.Pos.Line); st.Label() != want {
+			t.Fatalf("statement %d labelled %q, want %q", st.ID, st.Label(), want)
 		}
 	}
 	return g

@@ -185,13 +185,27 @@ func (s *Skeleton) Analyze(u *sem.Unit, rec *obs.Recorder) (*Analysis, error) {
 	}
 	end = rec.Start("earliest-latest")
 	w := &walkScratch{seen: s.SSA.NewMarks(), visit: s.SSA.NewMarks()}
-	for _, e := range a.Entries {
-		if e.Coalesced {
-			continue
-		}
+	for _, e := range a.comm {
 		if err := a.computePlacementRange(e, w); err != nil {
 			end()
 			return nil, err
+		}
+	}
+	// Every entry's candidates are carved from one slab: a first walk up
+	// the dominator paths sizes it, a second fills it.
+	n := 0
+	for _, e := range a.comm {
+		k, err := a.candidatePath(e, w)
+		if err != nil {
+			end()
+			return nil, err
+		}
+		n += k
+	}
+	slab := make([]Position, n)
+	for _, e := range a.comm {
+		if k, _ := a.candidatePath(e, w); k > 0 {
+			e.Candidates, slab = a.computeCandidates(e, w, slab[:0:k]), slab[k:]
 		}
 	}
 	end()
@@ -477,19 +491,17 @@ func (a *Analysis) posDominates(p, q Position) bool {
 	return a.Dom.StrictlyDominates(p.Block, q.Block)
 }
 
-// computeCandidates marks every statement on the dominator-tree path
-// from Latest(u) up to Earliest(u) (Claims 4.5–4.6). Candidates are
-// ordered earliest-first.
-func (a *Analysis) computeCandidates(e *Entry, w *walkScratch) error {
+// candidatePath walks the dominator tree from Latest(e)'s block up to
+// Earliest(e)'s, leaving the blocks strictly between in w.chain, bottom
+// up, and returns how many candidate positions the path holds: the
+// length of the list computeCandidates fills.
+func (a *Analysis) candidatePath(e *Entry, w *walkScratch) (int, error) {
 	top, bottom := e.Earliest, e.Latest
-	if bottom.Block == top.Block {
-		e.Candidates = appendPositions(nil, top.Block, top.After, bottom.After)
-		return nil
-	}
-	// The dominator path strictly between Latest's block and Earliest's,
-	// walked upward, sizes the one slice the candidates go into.
-	n := bottom.After + 2
 	w.chain = w.chain[:0]
+	if bottom.Block == top.Block {
+		return max(bottom.After-top.After+1, 0), nil
+	}
+	n := bottom.After + 2
 	c := a.Dom.IDom(bottom.Block)
 	for c != nil && c != top.Block {
 		w.chain = append(w.chain, c)
@@ -497,24 +509,30 @@ func (a *Analysis) computeCandidates(e *Entry, w *walkScratch) error {
 		c = a.Dom.IDom(c)
 	}
 	if c == nil {
-		return fmt.Errorf("core: dominator walk from %s missed earliest %s for %s", e.Latest, e.Earliest, e)
+		return 0, fmt.Errorf("core: dominator walk from %s missed earliest %s for %s", e.Latest, e.Earliest, e)
 	}
-	// Earliest-first: Earliest through the end of its block, every
-	// position of the blocks between, Latest's block top through Latest.
-	n += len(c.Stmts) - top.After
-	cands := appendPositions(make([]Position, 0, n), c, top.After, len(c.Stmts)-1)
+	return n + len(c.Stmts) - top.After, nil
+}
+
+// computeCandidates marks every statement on the dominator-tree path
+// from Latest(u) up to Earliest(u) (Claims 4.5–4.6), appending them to
+// cands, earliest-first: Earliest through the end of its block, every
+// position of the blocks between, Latest's block top through Latest.
+// w.chain must hold e's path, as candidatePath leaves it.
+func (a *Analysis) computeCandidates(e *Entry, w *walkScratch, cands []Position) []Position {
+	top, bottom := e.Earliest, e.Latest
+	if bottom.Block == top.Block {
+		return appendPositions(cands, top.Block, top.After, bottom.After)
+	}
+	cands = appendPositions(cands, top.Block, top.After, len(top.Block.Stmts)-1)
 	for i := len(w.chain) - 1; i >= 0; i-- {
 		cands = appendPositions(cands, w.chain[i], -1, len(w.chain[i].Stmts)-1)
 	}
-	e.Candidates = appendPositions(cands, bottom.Block, -1, bottom.After)
-	return nil
+	return appendPositions(cands, bottom.Block, -1, bottom.After)
 }
 
 // appendPositions appends the positions of block b after slots lo … hi.
 func appendPositions(ps []Position, b *cfg.Block, lo, hi int) []Position {
-	if ps == nil && hi >= lo {
-		ps = make([]Position, 0, hi-lo+1)
-	}
 	for k := lo; k <= hi; k++ {
 		ps = append(ps, Position{Block: b, After: k})
 	}
@@ -537,7 +555,7 @@ func (a *Analysis) computePlacementRange(e *Entry, w *walkScratch) error {
 		e.Earliest = e.Latest
 		e.EarliestDef = nil
 	}
-	return a.computeCandidates(e, w)
+	return nil
 }
 
 // computeReduceRange places reduction communication per §6.2: the
@@ -562,7 +580,6 @@ func (a *Analysis) computeReduceRange(e *Entry) {
 		last = k
 	}
 	e.Latest = Position{Block: st.Block, After: last}
-	e.Candidates = appendPositions(nil, st.Block, st.Index, last)
 }
 
 // StmtReads reports whether a statement mentions the named scalar or

@@ -19,8 +19,21 @@ func (a *Analysis) recordDecisions(rec *obs.Recorder, res *Result) {
 			groupOf[e.ID] = g
 		}
 	}
-	// Each group's site label, derived once for all its members.
+	// Each group's site label, derived once for all its members, and
+	// each position's text, formatted once for every entry whose range,
+	// candidates or group name it: indexed by the position's dense slot.
 	sites := make([]string, len(res.Groups))
+	posText := make([]string, a.slotBase[len(a.slotBase)-1])
+	pos := func(p Position) string {
+		if p.Block == nil {
+			return p.String()
+		}
+		s := &posText[a.slot(p)]
+		if *s == "" {
+			*s = p.String()
+		}
+		return *s
+	}
 	for _, e := range a.Entries {
 		d := obs.Decision{
 			Version:    res.Version.String(),
@@ -39,21 +52,24 @@ func (a *Analysis) recordDecisions(rec *obs.Recorder, res *Result) {
 			rec.AddDecision(d)
 			continue
 		}
-		d.Earliest = e.Earliest.String()
-		d.Latest = e.Latest.String()
-		for _, p := range e.Candidates {
-			d.Candidates = append(d.Candidates, p.String())
+		d.Earliest = pos(e.Earliest)
+		d.Latest = pos(e.Latest)
+		if len(e.Candidates) > 0 {
+			d.Candidates = make([]string, len(e.Candidates))
+			for i, p := range e.Candidates {
+				d.Candidates[i] = pos(p)
+			}
 		}
 		if by, ok := res.Redundant[e]; ok {
 			d.Outcome = obs.OutcomeSubsumed
 			d.SubsumedBy = by.ID
 			if p := res.subsumedAt[e.ID]; p.Block != nil {
-				d.SubsumedAt = p.String()
+				d.SubsumedAt = pos(p)
 			}
 		} else if g := groupOf[e.ID]; g != nil {
 			d.Outcome = obs.OutcomePlaced
 			d.Group = g.ID
-			d.GroupPos = g.Pos.String()
+			d.GroupPos = pos(g.Pos)
 			d.GroupSize = len(g.Entries)
 			d.Combined = len(g.Entries) > 1
 			if sites[g.ID] == "" {

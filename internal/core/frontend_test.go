@@ -1,0 +1,66 @@
+package core_test
+
+import (
+	"runtime/debug"
+	"testing"
+
+	"gcao/internal/ast"
+	"gcao/internal/bench"
+	"gcao/internal/core"
+	"gcao/internal/parser"
+	"gcao/internal/sem"
+)
+
+// TestFrontEndAllocs pins what the front end below the parser allocates
+// on the six Fig. 10(a) routines at P = 25, per pass over all six:
+// sem.Analyze, and core.NewSkeleton — scalarization, the CFG, dominators,
+// SSA and the parameter-free subscript forms. Each builds its tables from
+// slabs sized by a counting pass, and the scalarizer shares what it does
+// not rewrite, so both allocate by the routine, not by the node. Measured
+// when the pins were set: sem 165 and the skeleton 326, from 569 and
+// 2,311 when symbols, nodes, lists and defs were allocated one by one.
+// Each budget is 1.25× its measurement, as TestParseAllocs'.
+func TestFrontEndAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector moves stack allocations to the heap")
+			}
+		}
+	}
+	progs := bench.Programs()
+	routines := make([]*ast.Routine, len(progs))
+	units := make([]*sem.Unit, len(progs))
+	for i, pr := range progs {
+		r, err := parser.ParseRoutine(pr.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		routines[i] = r
+		if units[i], err = sem.Analyze(r, pr.Params(pr.DefaultN), sem.Options{Procs: 25}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	semAllocs := testing.AllocsPerRun(20, func() {
+		for i, pr := range progs {
+			if _, err := sem.Analyze(routines[i], pr.Params(pr.DefaultN), sem.Options{Procs: 25}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	skelAllocs := testing.AllocsPerRun(20, func() {
+		for _, u := range units {
+			if _, err := core.NewSkeleton(u, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("the six routines: sem.Analyze %.0f allocations, core.NewSkeleton %.0f", semAllocs, skelAllocs)
+	const semBudget, skelBudget = 206, 408
+	if semAllocs > semBudget {
+		t.Errorf("sem.Analyze of the six routines allocates %.0f times, budget %d", semAllocs, semBudget)
+	}
+	if skelAllocs > skelBudget {
+		t.Errorf("core.NewSkeleton of the six routines allocates %.0f times, budget %d", skelAllocs, skelBudget)
+	}
+}

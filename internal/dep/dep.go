@@ -109,17 +109,40 @@ type Forms map[*ast.Ref][]SubscriptForm
 // NewForms derives the parameter-free subscript forms of every reference
 // dependence testing and classification ask about: the SSA uses and the
 // left-hand sides of the regular defs. params names the routine's
-// parameters.
+// parameters. A first pass counts the references and subscripts, so that
+// the table and every reference's forms are carved from one allocation
+// each.
 func NewForms(params []string, info *ssa.Info) Forms {
-	f := make(Forms, len(info.Uses)+len(info.Defs))
-	vars := varForms{}
-	add := func(r *ast.Ref) {
+	refs, subs := 0, 0
+	structural := func(r *ast.Ref) bool {
 		for _, sub := range r.Subs {
 			if readsParam(sub.X, params) {
-				return
+				return false
 			}
 		}
-		f[r] = refForms(r, nil, vars)
+		return true
+	}
+	count := func(r *ast.Ref) {
+		if structural(r) {
+			refs++
+			subs += len(r.Subs)
+		}
+	}
+	for _, u := range info.Uses {
+		count(u.Ref)
+	}
+	for _, d := range info.Defs {
+		count(d.LHS)
+	}
+	f := make(Forms, refs)
+	slab := make([]SubscriptForm, subs)
+	vars := varForms{}
+	add := func(r *ast.Ref) {
+		if structural(r) {
+			n := len(r.Subs)
+			f[r] = fillForms(slab[:n:n], r, nil, vars)
+			slab = slab[n:]
+		}
 	}
 	for _, u := range info.Uses {
 		add(u.Ref)
@@ -157,9 +180,14 @@ func New(u *sem.Unit) *Analysis {
 	return &Analysis{Unit: u, forms: map[*ast.Ref][]SubscriptForm{}, pairs: map[pairKey][]DirSet{}, vars: varForms{}}
 }
 
-// refForms is the one place a reference's subscripts become forms.
+// refForms returns the forms of a reference's subscripts in a new list.
 func refForms(r *ast.Ref, params map[string]int, vars varForms) []SubscriptForm {
-	fs := make([]SubscriptForm, len(r.Subs))
+	return fillForms(make([]SubscriptForm, len(r.Subs)), r, params, vars)
+}
+
+// fillForms is the one place a reference's subscripts become forms: it
+// writes them into fs, one per subscript, and returns it.
+func fillForms(fs []SubscriptForm, r *ast.Ref, params map[string]int, vars varForms) []SubscriptForm {
 	for k, sub := range r.Subs {
 		if sub.Kind != ast.SubRange {
 			fs[k].Form, fs[k].OK = subForm(sub.X, params, vars)

@@ -163,22 +163,27 @@ type Dist struct {
 // array dimension; distributed dimensions are assigned to grid
 // dimensions in order (first distributed dim -> grid dim 0, etc.),
 // which matches the HPF default and the paper's benchmark layouts.
+//
+// The distribution keeps lo and hi, and g's shape, as its own: the
+// caller must not write to them afterwards (sem hands it an array's
+// declared bounds, which nothing writes once declared). Dims is the one
+// allocation New makes.
 func New(g Grid, lo, hi []int, kinds ...Kind) (Dist, error) {
 	if len(lo) != len(kinds) || len(hi) != len(kinds) {
 		return Dist{}, fmt.Errorf("dist: bounds rank %d/%d vs %d kinds", len(lo), len(hi), len(kinds))
 	}
-	d := Dist{Grid: g, Lo: append([]int(nil), lo...), Hi: append([]int(nil), hi...)}
+	n := len(kinds)
+	d := Dist{Grid: g, Lo: lo[:n:n], Hi: hi[:n:n], Dims: make([]DimDist, n)}
 	gd := 0
-	for _, k := range kinds {
-		dd := DimDist{Kind: k}
+	for i, k := range kinds {
+		d.Dims[i].Kind = k
 		if k != Star {
 			if gd >= g.Rank() {
 				return Dist{}, fmt.Errorf("dist: more distributed dims than grid dims (%d)", g.Rank())
 			}
-			dd.GridDim = gd
+			d.Dims[i].GridDim = gd
 			gd++
 		}
-		d.Dims = append(d.Dims, dd)
 	}
 	if gd != g.Rank() && gd != 0 {
 		// Allow using a prefix of the grid only if the remaining grid

@@ -12,25 +12,39 @@ import (
 	"gcao/internal/cfg"
 )
 
-// Tree is the dominator tree of a graph.
+// Tree is the dominator tree of a graph. Its tables are dense slices
+// indexed by block ID, all carved from one array.
 type Tree struct {
 	g *cfg.Graph
 	// idom[b.ID] is the immediate dominator block ID; entry maps to
-	// itself.
+	// itself, an unreachable block to -1.
 	idom []int
-	// children[b.ID] lists dominator-tree children.
-	children [][]int
+	// The dominator-tree children of block id are
+	// kids[start[id]:start[id+1]], in block ID order.
+	start, kids []int
 	// pre and post are DFS numbers over the dominator tree, giving
-	// O(1) Dominates queries.
+	// O(1) Dominates queries; both are 0 for an unreachable block.
 	pre, post []int
 }
 
-// New computes dominators for g. Unreachable blocks (there are none in
-// graphs built by cfg.Build) would be given the entry as idom.
+// New computes dominators for g. A block the entry does not reach
+// (cfg.Build makes none) keeps idom -1: IDom returns nil for it, it has
+// no dominator-tree parent or children, and Dominates reports false
+// whenever it is either argument.
 func New(g *cfg.Graph) *Tree {
-	t := &Tree{g: g}
 	n := len(g.Blocks)
-	t.idom = make([]int, n)
+	entry := g.EntryBlock.ID
+	// One array holds the tree — idom, pre, post, the children's offsets
+	// and lists — and what building it needs: the reverse postorder, each
+	// block's number in it, and a DFS stack of (block, next edge) frames.
+	ints := make([]int, 9*n+2)
+	carve := func(k int) []int {
+		s := ints[:k:k]
+		ints = ints[k:]
+		return s
+	}
+	t := &Tree{g: g, idom: carve(n), start: carve(n + 2), kids: carve(n), pre: carve(n), post: carve(n)}
+	rpoNum, order, stack := carve(n), carve(n)[:0], carve(2*n)
 	for i := range t.idom {
 		t.idom[i] = -1
 	}
@@ -39,48 +53,39 @@ func New(g *cfg.Graph) *Tree {
 	// nested loop CFGs from large inlined units would otherwise
 	// overflow the goroutine stack. Each frame remembers the next
 	// successor edge to explore; a block is emitted when its frame
-	// pops, reproducing the recursive postorder exactly.
-	seen := make([]bool, n)
-	order := make([]*cfg.Block, 0, n)
-	type dfsFrame struct {
-		b    *cfg.Block
-		next int
-	}
-	stack := []dfsFrame{{b: g.EntryBlock}}
-	seen[g.EntryBlock.ID] = true
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.next < len(f.b.Succs) {
-			s := f.b.Succs[f.next]
-			f.next++
-			if !seen[s.ID] {
-				seen[s.ID] = true
-				stack = append(stack, dfsFrame{b: s})
+	// pops, reproducing the recursive postorder exactly. Until the walk
+	// numbers them, rpoNum marks the blocks it has seen.
+	stack[0], stack[1] = entry, 0
+	sp := 2
+	rpoNum[entry] = 1
+	for sp > 0 {
+		id, next := stack[sp-2], stack[sp-1]
+		if succs := g.Blocks[id].Succs; next < len(succs) {
+			stack[sp-1]++
+			if s := succs[next].ID; rpoNum[s] == 0 {
+				rpoNum[s] = 1
+				stack[sp], stack[sp+1] = s, 0
+				sp += 2
 			}
 			continue
 		}
-		order = append(order, f.b)
-		stack = stack[:len(stack)-1]
+		order = append(order, id)
+		sp -= 2
 	}
 	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
 		order[i], order[j] = order[j], order[i]
 	}
-
-	rpoNum := make([]int, n)
-	for i, b := range order {
-		rpoNum[b.ID] = i
+	for i, id := range order {
+		rpoNum[id] = i
 	}
 
-	t.idom[g.EntryBlock.ID] = g.EntryBlock.ID
+	t.idom[entry] = entry
 	changed := true
 	for changed {
 		changed = false
-		for _, b := range order {
-			if b == g.EntryBlock {
-				continue
-			}
+		for _, id := range order[1:] {
 			newIdom := -1
-			for _, p := range b.Preds {
+			for _, p := range g.Blocks[id].Preds {
 				if t.idom[p.ID] == -1 {
 					continue // not yet processed
 				}
@@ -90,45 +95,49 @@ func New(g *cfg.Graph) *Tree {
 				}
 				newIdom = t.intersect(p.ID, newIdom, rpoNum)
 			}
-			if newIdom != -1 && t.idom[b.ID] != newIdom {
-				t.idom[b.ID] = newIdom
+			if newIdom != -1 && t.idom[id] != newIdom {
+				t.idom[id] = newIdom
 				changed = true
 			}
 		}
 	}
 
-	// Children lists and DFS numbering for O(1) dominance queries.
-	t.children = make([][]int, n)
-	for _, b := range g.Blocks {
-		if b == g.EntryBlock || t.idom[b.ID] == -1 {
-			continue
+	// Children lists, by counting: start[p+2] counts p's children, the
+	// prefix sums make start[p+1] where p's list begins, and filling
+	// advances it to where p+1's begins.
+	for id, p := range t.idom {
+		if id != entry && p != -1 {
+			t.start[p+2]++
 		}
-		p := t.idom[b.ID]
-		t.children[p] = append(t.children[p], b.ID)
 	}
-	t.pre = make([]int, n)
-	t.post = make([]int, n)
-	clock := 0
-	type numFrame struct {
-		id   int
-		next int
+	for i := 2; i < len(t.start); i++ {
+		t.start[i] += t.start[i-1]
 	}
-	num := []numFrame{{id: g.EntryBlock.ID}}
-	clock++
-	t.pre[g.EntryBlock.ID] = clock
-	for len(num) > 0 {
-		f := &num[len(num)-1]
-		if f.next < len(t.children[f.id]) {
-			c := t.children[f.id][f.next]
-			f.next++
+	for id, p := range t.idom {
+		if id != entry && p != -1 {
+			t.kids[t.start[p+1]] = id
+			t.start[p+1]++
+		}
+	}
+
+	// DFS numbering for O(1) dominance queries, on the same stack.
+	clock := 1
+	t.pre[entry] = clock
+	stack[0], stack[1] = entry, 0
+	sp = 2
+	for sp > 0 {
+		id, next := stack[sp-2], stack[sp-1]
+		if kids := t.Children(id); next < len(kids) {
+			stack[sp-1]++
 			clock++
-			t.pre[c] = clock
-			num = append(num, numFrame{id: c})
+			t.pre[kids[next]] = clock
+			stack[sp], stack[sp+1] = kids[next], 0
+			sp += 2
 			continue
 		}
 		clock++
-		t.post[f.id] = clock
-		num = num[:len(num)-1]
+		t.post[id] = clock
+		sp -= 2
 	}
 	return t
 }
@@ -171,9 +180,12 @@ func (t *Tree) StrictlyDominates(a, b *cfg.Block) bool {
 }
 
 // Children returns the IDs of the dominator-tree children of the block
-// with the given ID. The list is the tree's own: callers must not write
-// to it.
-func (t *Tree) Children(id int) []int { return t.children[id] }
+// with the given ID, in ascending order. The list is the tree's own:
+// callers must not write to it.
+func (t *Tree) Children(id int) []int {
+	lo, hi := t.start[id], t.start[id+1]
+	return t.kids[lo:hi:hi]
+}
 
 // Frontier computes the dominance frontier of every block (Cytron et
 // al.), indexed by block ID; the SSA builder places φs with it. A first

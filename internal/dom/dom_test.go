@@ -291,3 +291,54 @@ func TestDeepNesting(t *testing.T) {
 		}
 	}
 }
+
+// TestUnreachableBlocks pins what New does with blocks the entry does not
+// reach (cfg.Build makes none; New takes any graph): such a block has no
+// immediate dominator and no dominator-tree children, dominates nothing
+// and is dominated by nothing, itself included, and the reachable blocks'
+// tree is the one it would be without it. The cycle u1 ⇄ u2 hangs off
+// the graph.
+func TestUnreachableBlocks(t *testing.T) {
+	g := &cfg.Graph{}
+	blk := func() *cfg.Block {
+		b := &cfg.Block{ID: len(g.Blocks)}
+		g.Blocks = append(g.Blocks, b)
+		return b
+	}
+	edge := func(from, to *cfg.Block) {
+		from.Succs = append(from.Succs, to)
+		to.Preds = append(to.Preds, from)
+	}
+	entry, u1, a, u2, b := blk(), blk(), blk(), blk(), blk()
+	g.EntryBlock = entry
+	edge(entry, a)
+	edge(a, b)
+	edge(u1, u2)
+	edge(u2, u1)
+	tr := New(g)
+	if err := tr.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []*cfg.Block{u1, u2} {
+		if d := tr.IDom(u); d != nil {
+			t.Errorf("unreachable B%d has idom B%d, want none", u.ID, d.ID)
+		}
+		if kids := tr.Children(u.ID); len(kids) != 0 {
+			t.Errorf("unreachable B%d has dominator-tree children %v", u.ID, kids)
+		}
+		for _, o := range g.Blocks {
+			if tr.Dominates(u, o) || tr.Dominates(o, u) {
+				t.Errorf("Dominates relates unreachable B%d and B%d", u.ID, o.ID)
+			}
+		}
+	}
+	if tr.IDom(a) != entry || tr.IDom(b) != a {
+		t.Errorf("idom(a) = %v, idom(b) = %v; want the entry and a", tr.IDom(a), tr.IDom(b))
+	}
+	if kids := tr.Children(entry.ID); len(kids) != 1 || kids[0] != a.ID {
+		t.Errorf("entry's children %v, want [B%d]", kids, a.ID)
+	}
+	if !tr.Dominates(entry, b) || !tr.Dominates(a, b) {
+		t.Error("the reachable chain entry → a → b must dominate down")
+	}
+}

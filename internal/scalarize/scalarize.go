@@ -22,6 +22,9 @@ import (
 
 // Result carries the scalarized body and statistics.
 type Result struct {
+	// Body is the scalarized routine body. It is copy-on-write: a
+	// statement, list or expression nothing under which changed is the
+	// parsed routine's own, so only what was rewritten is new.
 	Body []ast.Stmt
 	// LoopsCreated counts the DO loops the scalarizer introduced.
 	LoopsCreated int
@@ -37,11 +40,12 @@ type scalarizer struct {
 
 // Scalarize returns a new routine body in which every F90 array
 // statement has been rewritten as a scalar loop nest. The input body
-// is not modified. Statement labels are propagated so later analyses
-// can report against original source lines.
+// is not modified, and what the rewrite leaves alone it shares with the
+// input rather than copying. A statement keeps its source position, from
+// which cfg.Build derives the label analyses report it by.
 func Scalarize(u *sem.Unit) (*Result, error) {
-	s := &scalarizer{u: u, res: &Result{}}
-	body, err := s.body(u.Routine.Body)
+	s := scalarizer{u: u, res: &Result{}}
+	body, _, err := s.body(u.Routine.Body)
 	if err != nil {
 		return nil, err
 	}
@@ -54,37 +58,56 @@ func (s *scalarizer) freshVar() string {
 	return fmt.Sprintf("i$%d", s.counter)
 }
 
-func (s *scalarizer) body(stmts []ast.Stmt) ([]ast.Stmt, error) {
-	var out []ast.Stmt
-	for _, st := range stmts {
-		switch st := st.(type) {
-		case *ast.AssignStmt:
-			ns, err := s.assign(st)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ns...)
-		case *ast.DoStmt:
-			b, err := s.body(st.Body)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, &ast.DoStmt{Var: st.Var, Lo: st.Lo, Hi: st.Hi, Step: st.Step, Body: b, Pos: st.Pos})
-		case *ast.IfStmt:
-			t, err := s.body(st.Then)
-			if err != nil {
-				return nil, err
-			}
-			e, err := s.body(st.Else)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, &ast.IfStmt{Cond: st.Cond, Then: t, Else: e, Pos: st.Pos})
-		default:
-			out = append(out, st)
+// body scalarizes a statement list. Every statement becomes exactly one,
+// so the result is stmts itself, and changed false, unless some
+// statement was rewritten; then it is a new list of the same length.
+func (s *scalarizer) body(stmts []ast.Stmt) (out []ast.Stmt, changed bool, err error) {
+	for i, st := range stmts {
+		ns, err := s.stmt(st)
+		if err != nil {
+			return nil, false, err
+		}
+		if ns != st && out == nil {
+			out = make([]ast.Stmt, len(stmts))
+			copy(out, stmts[:i])
+		}
+		if out != nil {
+			out[i] = ns
 		}
 	}
-	return out, nil
+	if out == nil {
+		return stmts, false, nil
+	}
+	return out, true, nil
+}
+
+// stmt scalarizes one statement: st itself when nothing in it changed.
+func (s *scalarizer) stmt(st ast.Stmt) (ast.Stmt, error) {
+	switch st := st.(type) {
+	case *ast.AssignStmt:
+		return s.assign(st)
+	case *ast.DoStmt:
+		b, changed, err := s.body(st.Body)
+		if err != nil || !changed {
+			return st, err
+		}
+		do := *st
+		do.Body = b
+		return &do, nil
+	case *ast.IfStmt:
+		t, tc, err := s.body(st.Then)
+		if err != nil {
+			return nil, err
+		}
+		e, ec, err := s.body(st.Else)
+		if err != nil || !tc && !ec {
+			return st, err
+		}
+		is := *st
+		is.Then, is.Else = t, e
+		return &is, nil
+	}
+	return st, nil
 }
 
 // expandWhole turns a bare array name reference (no subscripts) into a
@@ -180,15 +203,18 @@ func (s *scalarizer) isArrayStmt(st *ast.AssignStmt) bool {
 	return false
 }
 
-func (s *scalarizer) assign(st *ast.AssignStmt) ([]ast.Stmt, error) {
-	label := st.Label
-	if label == "" {
-		label = fmt.Sprintf("L%d", st.Pos.Line)
-	}
+// assign scalarizes an assignment into one statement: st itself when it
+// is not an array statement and its right-hand side names no whole array.
+func (s *scalarizer) assign(st *ast.AssignStmt) (ast.Stmt, error) {
 	if !s.isArrayStmt(st) {
 		// Still expand bare array names on the RHS under SUM.
-		out := &ast.AssignStmt{LHS: st.LHS, RHS: s.expandRHSWholes(st.RHS), Pos: st.Pos, Label: label}
-		return []ast.Stmt{out}, nil
+		rhs := s.expandRHSWholes(st.RHS)
+		if rhs == st.RHS {
+			return st, nil
+		}
+		as := *st
+		as.RHS = rhs
+		return &as, nil
 	}
 	if containsSum(st.RHS) {
 		return nil, source.Errorf(st.Pos, "scalarize: SUM on the right-hand side of an array statement is not supported")
@@ -304,7 +330,7 @@ func (s *scalarizer) assign(st *ast.AssignStmt) ([]ast.Stmt, error) {
 	// Rewrite the RHS, substituting each sectioned ref.
 	newRHS := s.rewriteRHS(rhs, lranges, vars, direct, mkIdx)
 
-	inner := &ast.AssignStmt{LHS: newLHS, RHS: newRHS, Pos: st.Pos, Label: label}
+	inner := &ast.AssignStmt{LHS: newLHS, RHS: newRHS, Pos: st.Pos, Label: st.Label}
 	s.res.StmtsExpanded++
 
 	// Wrap in loops, first sectioned dimension outermost (matching the
@@ -326,11 +352,13 @@ func (s *scalarizer) assign(st *ast.AssignStmt) ([]ast.Stmt, error) {
 		out = &ast.DoStmt{Var: vars[k], Lo: lo, Hi: hi, Step: step, Body: []ast.Stmt{out}, Pos: st.Pos}
 		s.res.LoopsCreated++
 	}
-	return []ast.Stmt{out}, nil
+	return out, nil
 }
 
 // expandRHSWholes replaces bare array-name identifiers in an
-// expression with full-section references.
+// expression with full-section references. It copies only the path to
+// what it replaced: an expression naming no whole array comes back as
+// itself.
 func (s *scalarizer) expandRHSWholes(e ast.Expr) ast.Expr {
 	switch e := e.(type) {
 	case nil:
@@ -345,13 +373,30 @@ func (s *scalarizer) expandRHSWholes(e ast.Expr) ast.Expr {
 		}
 		return e
 	case *ast.BinExpr:
-		return &ast.BinExpr{Op: e.Op, X: s.expandRHSWholes(e.X), Y: s.expandRHSWholes(e.Y), Pos: e.Pos}
+		x, y := s.expandRHSWholes(e.X), s.expandRHSWholes(e.Y)
+		if x == e.X && y == e.Y {
+			return e
+		}
+		return &ast.BinExpr{Op: e.Op, X: x, Y: y, Pos: e.Pos}
 	case *ast.UnaryExpr:
-		return &ast.UnaryExpr{X: s.expandRHSWholes(e.X), Pos: e.Pos}
+		if x := s.expandRHSWholes(e.X); x != e.X {
+			return &ast.UnaryExpr{X: x, Pos: e.Pos}
+		}
+		return e
 	case *ast.Call:
-		args := make([]ast.Expr, len(e.Args))
+		var args []ast.Expr // nil until an argument changes
 		for i, a := range e.Args {
-			args[i] = s.expandRHSWholes(a)
+			na := s.expandRHSWholes(a)
+			if na != a && args == nil {
+				args = make([]ast.Expr, len(e.Args))
+				copy(args, e.Args[:i])
+			}
+			if args != nil {
+				args[i] = na
+			}
+		}
+		if args == nil {
+			return e
 		}
 		return &ast.Call{Func: e.Func, Args: args, Pos: e.Pos}
 	default:

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gcao/internal/ast"
+	"gcao/internal/cfg"
 	"gcao/internal/parser"
 	"gcao/internal/sem"
 )
@@ -219,6 +220,9 @@ end
 	}
 }
 
+// TestLabelsPropagate holds that a statement the scalarizer made reports
+// the line of the array statement it came from: it keeps the source
+// position cfg.Build derives the L<line> label from.
 func TestLabelsPropagate(t *testing.T) {
 	res := scalarizeSrc(t, `
 routine f(n)
@@ -226,9 +230,11 @@ real a(n)
 a(1:n) = 1
 end
 `, map[string]int{"n": 4})
-	d := res.Body[0].(*ast.DoStmt)
-	as := d.Body[0].(*ast.AssignStmt)
-	if as.Label == "" {
-		t.Error("scalarized statement lost its source label")
+	g := cfg.Build(res.Body)
+	if len(g.Stmts) != 1 || g.Stmts[0].Loops == nil {
+		t.Fatalf("want one statement in the loop the scalarizer made:\n%s", g)
+	}
+	if got := g.Stmts[0].Label(); got != "L4" {
+		t.Errorf("scalarized statement is labelled %q, want L4 of its source line", got)
 	}
 }

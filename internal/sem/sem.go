@@ -70,12 +70,43 @@ type Options struct {
 
 // Analyze checks the routine and builds its symbol tables. params
 // supplies compile-time values for the routine's integer parameters.
+//
+// A first pass counts the routine's declarations and distributions, so
+// that its arrays, scalars, bounds and distributions are each carved from
+// one allocation and its maps are sized once: the unit allocates by the
+// routine, not by the symbol.
 func Analyze(r *ast.Routine, params map[string]int, opt Options) (*Unit, error) {
+	nArrays, nScalars, nBounds, nDists := 0, len(r.Params), 0, 0
+	for _, d := range r.Decls {
+		for _, item := range d.Items {
+			if len(item.Bounds) == 0 {
+				nScalars++
+			} else {
+				nArrays++
+				nBounds += 2 * len(item.Bounds)
+			}
+		}
+	}
+	for _, dir := range r.Dirs {
+		if dd, ok := dir.(*ast.DistributeDir); ok {
+			nDists += len(dd.Arrays)
+		}
+	}
+	arrays := make([]Array, nArrays)
+	scalars := make([]Scalar, nScalars)
+	bounds := make([]int, nBounds)
+	dists := make([]dist.Dist, nDists)
 	u := &Unit{
-		Routine: r,
-		Params:  map[string]int{},
-		Arrays:  map[string]*Array{},
-		Scalars: map[string]*Scalar{},
+		Routine:    r,
+		Params:     make(map[string]int, len(r.Params)),
+		Arrays:     make(map[string]*Array, nArrays),
+		Scalars:    make(map[string]*Scalar, nScalars),
+		ArrayNames: make([]string, 0, nArrays),
+	}
+	newScalar := func(sc Scalar) {
+		scalars[0] = sc
+		u.Scalars[sc.Name] = &scalars[0]
+		scalars = scalars[1:]
 	}
 	for _, p := range r.Params {
 		v, ok := params[p]
@@ -83,7 +114,7 @@ func Analyze(r *ast.Routine, params map[string]int, opt Options) (*Unit, error) 
 			return nil, fmt.Errorf("sem: routine %q: no value supplied for parameter %q", r.Name, p)
 		}
 		u.Params[p] = v
-		u.Scalars[p] = &Scalar{Name: p, Type: ast.Integer, IsParam: true}
+		newScalar(Scalar{Name: p, Type: ast.Integer, IsParam: true})
 	}
 
 	// Declarations.
@@ -96,12 +127,14 @@ func Analyze(r *ast.Routine, params map[string]int, opt Options) (*Unit, error) 
 				return nil, source.Errorf(d.Pos, "sem: %q declared twice", item.Name)
 			}
 			if len(item.Bounds) == 0 {
-				u.Scalars[item.Name] = &Scalar{Name: item.Name, Type: d.Type}
+				newScalar(Scalar{Name: item.Name, Type: d.Type})
 				continue
 			}
 			rank := len(item.Bounds)
-			bounds := make([]int, 0, 2*rank)
-			a := &Array{Name: item.Name, Type: d.Type, Lo: bounds[:0:rank], Hi: bounds[rank:rank]}
+			a := &arrays[0]
+			arrays = arrays[1:]
+			*a = Array{Name: item.Name, Type: d.Type, Lo: bounds[:0:rank], Hi: bounds[rank : rank : 2*rank]}
+			bounds = bounds[2*rank:]
 			for _, b := range item.Bounds {
 				lo := 1
 				if b.Lo != nil {
@@ -176,11 +209,52 @@ func Analyze(r *ast.Routine, params map[string]int, opt Options) (*Unit, error) 
 		u.Grid = g
 	}
 
-	// Distribute directives.
+	// Distribute directives. A directive's kinds and grid are the same
+	// for every array it names.
 	for _, dir := range r.Dirs {
 		dd, ok := dir.(*ast.DistributeDir)
 		if !ok {
 			continue
+		}
+		kinds := make([]dist.Kind, len(dd.Kinds))
+		for i, k := range dd.Kinds {
+			switch k {
+			case ast.DistStar:
+				kinds[i] = dist.Star
+			case ast.DistBlock:
+				kinds[i] = dist.Block
+			case ast.DistCyclic:
+				kinds[i] = dist.Cyclic
+			}
+		}
+		grid := u.Grid
+		// A distribution using fewer grid dims than the full grid
+		// uses a prefix; dist.New validates.
+		nd := 0
+		for _, k := range kinds {
+			if k != dist.Star {
+				nd++
+			}
+		}
+		if nd < grid.Rank() {
+			// Collapse onto the leading nd grid dims when possible:
+			// flatten the grid so NumProcs is preserved only if the
+			// trailing dims are 1; otherwise build a sub-grid.
+			shape := append([]int(nil), grid.Shape[:nd]...)
+			rest := 1
+			for _, s := range grid.Shape[nd:] {
+				rest *= s
+			}
+			if nd > 0 {
+				shape[nd-1] *= rest
+			} else {
+				shape = []int{rest}
+			}
+			g2, err := dist.NewGrid(shape...)
+			if err != nil {
+				return nil, err
+			}
+			grid = g2
 		}
 		for _, name := range dd.Arrays {
 			a, ok := u.Arrays[name]
@@ -190,56 +264,18 @@ func Analyze(r *ast.Routine, params map[string]int, opt Options) (*Unit, error) 
 			if len(dd.Kinds) != a.Rank() {
 				return nil, source.Errorf(dd.Pos, "sem: DISTRIBUTE rank %d for rank-%d array %q", len(dd.Kinds), a.Rank(), name)
 			}
-			kinds := make([]dist.Kind, len(dd.Kinds))
-			for i, k := range dd.Kinds {
-				switch k {
-				case ast.DistStar:
-					kinds[i] = dist.Star
-				case ast.DistBlock:
-					kinds[i] = dist.Block
-				case ast.DistCyclic:
-					kinds[i] = dist.Cyclic
-				}
-			}
-			grid := u.Grid
-			// A distribution using fewer grid dims than the full grid
-			// uses a prefix; dist.New validates.
-			nd := 0
-			for _, k := range kinds {
-				if k != dist.Star {
-					nd++
-				}
-			}
-			if nd < grid.Rank() {
-				// Collapse onto the leading nd grid dims when possible:
-				// flatten the grid so NumProcs is preserved only if the
-				// trailing dims are 1; otherwise build a sub-grid.
-				shape := append([]int(nil), grid.Shape[:nd]...)
-				rest := 1
-				for _, s := range grid.Shape[nd:] {
-					rest *= s
-				}
-				if nd > 0 {
-					shape[nd-1] *= rest
-				} else {
-					shape = []int{rest}
-				}
-				g2, err := dist.NewGrid(shape...)
-				if err != nil {
-					return nil, err
-				}
-				grid = g2
-			}
 			dv, err := dist.New(grid, a.Lo, a.Hi, kinds...)
 			if err != nil {
 				return nil, source.Errorf(dd.Pos, "sem: %q: %v", name, err)
 			}
-			a.Dist = &dv
+			dists[0] = dv
+			a.Dist = &dists[0]
+			dists = dists[1:]
 		}
 	}
 
 	// Validate statements.
-	c := checker{Unit: u}
+	c := checker{Unit: u, loopVars: make([]string, 0, 8)}
 	if err := c.body(r.Body); err != nil {
 		return nil, err
 	}

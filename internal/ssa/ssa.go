@@ -208,23 +208,26 @@ type read struct {
 }
 
 // Build constructs SSA form for the array variables named in isArray.
+// A numbering pass over the statements counts what the form holds — its
+// variables, their def sites, the reads — and every table is then
+// carved from an allocation of that size: construction allocates by the
+// routine, not by the def.
 func Build(g *cfg.Graph, t *dom.Tree, isArray func(name string) bool) *Info {
 	info := &Info{G: g, Dom: t, varIndex: map[string]int{}}
 	b := &builder{info: info}
 
-	// Number the variables in order of first appearance, collect their
-	// def sites, and record every statement's array reads and def.
+	// Number the variables in order of first appearance and record every
+	// statement's array reads and def.
+	ns := len(g.Stmts)
+	ints := make([]int, 2*ns+1)
+	b.readsAt, b.lhs = ints[:ns+1], ints[ns+1:]
+	b.reads = make([]read, 0, 2*ns) // the Fig. 10(a) routines read two arrays a statement
 	nDefs := 0
-	ints := make([]int, 2*len(g.Stmts)+1)
-	b.readsAt, b.lhs = ints[:len(g.Stmts)+1], ints[len(g.Stmts)+1:]
-	b.reads = make([]read, 0, 2*len(g.Stmts)) // the Fig. 10(a) routines read two arrays a statement
 	for i, st := range g.Stmts {
 		b.lhs[i] = -1
 		if st.Assign != nil {
 			if name := st.Assign.LHS.Name; isArray(name) {
-				v := b.index(name)
-				b.sites[v] = append(b.sites[v], st.Block)
-				b.lhs[i] = v
+				b.lhs[i] = b.index(name)
 				nDefs++
 			}
 			collectUses(st.Assign.RHS, false, func(r *ast.Ref, inSum bool) {
@@ -235,25 +238,52 @@ func Build(g *cfg.Graph, t *dom.Tree, isArray func(name string) bool) *Info {
 		}
 		b.readsAt[i+1] = len(b.reads)
 	}
+	nv := len(info.varIndex)
 	nUses := len(b.reads)
-	b.placePhis()
-	info.NumDefs = len(info.Entries) + len(info.Phis) + nDefs
 
-	nv := len(info.Entries)
+	// The ENTRY pseudo-defs, and each variable's def sites in statement
+	// order: version counts them until the sites are carved.
+	entries := make([]EntryDef, nv)
+	info.Entries = make([]*EntryDef, nv)
+	for name, v := range info.varIndex {
+		entries[v] = EntryDef{Var: name, Blk: g.EntryBlock, id: v}
+		info.Entries[v] = &entries[v]
+	}
+	b.version = make([]int, nv)
+	for _, v := range b.lhs {
+		if v >= 0 {
+			b.version[v]++
+		}
+	}
+	b.sites = make([][]*cfg.Block, nv)
+	all := make([]*cfg.Block, nDefs)
+	for v, k := range b.version {
+		b.sites[v], all = all[:0:k], all[k:]
+		b.version[v] = 0
+	}
+	for i, v := range b.lhs {
+		if v >= 0 {
+			b.sites[v] = append(b.sites[v], g.Stmts[i].Block)
+		}
+	}
+
+	b.placePhis()
+	info.NumDefs = nv + len(info.Phis) + nDefs
+
 	b.cur = make([]Def, nv)
 	for v, e := range info.Entries {
 		b.cur[v] = e
 	}
-	b.version = make([]int, nv)
+	b.undo = make([]shadowed, 0, len(info.Phis)+nDefs)
 	b.useSlab = make([]Use, nUses)
 	b.defSlab = make([]RegularDef, nDefs)
 	info.Uses = make([]*Use, 0, nUses)
-	info.Defs = make([]*RegularDef, 0, nDefs)
-	info.DefOfStmt = make([]*RegularDef, len(g.Stmts))
+	defs := make([]*RegularDef, nDefs+ns)
+	info.Defs, info.DefOfStmt = defs[:0:nDefs], defs[nDefs:]
 	b.rename(g.EntryBlock.ID)
 
 	// A statement's uses are renamed together, so they sit side by side.
-	info.UsesOfStmt = make([][]*Use, len(g.Stmts))
+	info.UsesOfStmt = make([][]*Use, ns)
 	for i := 0; i < len(info.Uses); {
 		j := i + 1
 		for j < len(info.Uses) && info.Uses[j].Stmt == info.Uses[i].Stmt {
@@ -265,86 +295,93 @@ func Build(g *cfg.Graph, t *dom.Tree, isArray func(name string) bool) *Info {
 	return info
 }
 
-// index returns a variable's number, numbering it (and creating its
-// ENTRY pseudo-def) on first sight.
+// index returns a variable's number, numbering it on first sight.
 func (b *builder) index(name string) int {
 	v, ok := b.info.varIndex[name]
 	if !ok {
-		v = len(b.info.Entries)
+		v = len(b.info.varIndex)
 		b.info.varIndex[name] = v
-		b.info.Entries = append(b.info.Entries, &EntryDef{Var: name, Blk: b.info.G.EntryBlock, id: v})
-		b.sites = append(b.sites, nil)
 	}
 	return v
 }
 
 // placePhis inserts φ-defs at the iterated dominance frontiers of every
-// variable's def sites. The worklist's membership and the blocks that
-// already hold the variable's φ are stamps by block ID: v+1 while
-// variable v is processed. The sites are found first, so that the φs,
-// their arguments and the per-block lists are each one allocation.
+// variable's def sites. It walks the frontiers twice: the first walk
+// counts the φs, their arguments and the φs per block, so that the
+// second fills the φs, their arguments and the per-block lists, each
+// from one allocation, in the order the first found them. The worklist's
+// membership and the blocks that already hold the variable's φ are
+// stamps by block ID, new for every variable of every walk.
 func (b *builder) placePhis() {
 	info := b.info
-	nb := len(info.G.Blocks)
+	nb, nv := len(info.G.Blocks), len(b.sites)
 	df := info.Dom.Frontier()
-	type phiSite struct {
-		v   int
-		blk *cfg.Block
+	maxSites := 0
+	for _, defSites := range b.sites {
+		maxSites = max(maxSites, len(defSites))
 	}
-	var sites []phiSite
-	nargs := 0
 	marks := make([]int, 3*nb)
 	onWork, hasPhi, perBlock := marks[:nb], marks[nb:2*nb], marks[2*nb:]
-	var work []*cfg.Block
-	for v, defSites := range b.sites {
-		stamp := v + 1
-		work = append(work[:0], defSites...)
-		for _, blk := range work {
-			onWork[blk.ID] = stamp
-		}
-		for len(work) > 0 {
-			blk := work[len(work)-1]
-			work = work[:len(work)-1]
-			for _, fb := range df[blk.ID] {
-				if hasPhi[fb.ID] == stamp {
-					continue
-				}
-				hasPhi[fb.ID] = stamp
-				sites = append(sites, phiSite{v, fb})
-				perBlock[fb.ID]++
-				nargs += len(fb.Preds)
-				if onWork[fb.ID] != stamp {
-					onWork[fb.ID] = stamp
-					work = append(work, fb)
+	// A variable's worklist starts as its def sites; a block joins it
+	// once after that.
+	work := make([]*cfg.Block, 0, maxSites+nb)
+	walk := func(base int, add func(v int, blk *cfg.Block)) {
+		for v, defSites := range b.sites {
+			stamp := base + v + 1
+			work = append(work[:0], defSites...)
+			for _, blk := range work {
+				onWork[blk.ID] = stamp
+			}
+			for len(work) > 0 {
+				blk := work[len(work)-1]
+				work = work[:len(work)-1]
+				for _, fb := range df[blk.ID] {
+					if hasPhi[fb.ID] == stamp {
+						continue
+					}
+					hasPhi[fb.ID] = stamp
+					add(v, fb)
+					if onWork[fb.ID] != stamp {
+						onWork[fb.ID] = stamp
+						work = append(work, fb)
+					}
 				}
 			}
 		}
 	}
+	nphis, nargs := 0, 0
+	walk(0, func(_ int, fb *cfg.Block) {
+		nphis++
+		nargs += len(fb.Preds)
+		perBlock[fb.ID]++
+	})
 
-	phis := make([]PhiDef, len(sites))
+	phis := make([]PhiDef, nphis)
 	args := make([]Def, nargs)
-	lists := make([]*PhiDef, len(sites))
-	info.Phis = make([]*PhiDef, len(sites))
+	lists := make([]*PhiDef, 2*nphis)
+	info.Phis, lists = lists[:nphis:nphis], lists[nphis:]
 	info.PhisByBlock = make([][]*PhiDef, nb)
 	for id, n := range perBlock {
 		if n > 0 {
 			info.PhisByBlock[id], lists = lists[:0:n], lists[n:]
 		}
 	}
-	for i, s := range sites {
+	i := 0
+	walk(nv, func(v int, blk *cfg.Block) {
 		kind := PhiJoin
-		switch s.blk.Kind {
+		switch blk.Kind {
 		case cfg.Header:
 			kind = PhiEntry
 		case cfg.PostExit:
 			kind = PhiExit
 		}
-		n := len(s.blk.Preds)
-		phis[i] = PhiDef{Var: info.Entries[s.v].Var, Blk: s.blk, Kind: kind, Args: args[:n:n], id: len(info.Entries) + i, v: s.v}
+		n := len(blk.Preds)
+		phis[i] = PhiDef{Var: info.Entries[v].Var, Blk: blk, Kind: kind, Args: args[:n:n], id: nv + i, v: v}
 		args = args[n:]
 		info.Phis[i] = &phis[i]
-		info.PhisByBlock[s.blk.ID] = append(info.PhisByBlock[s.blk.ID], &phis[i])
-	}
+		info.PhisByBlock[blk.ID] = append(info.PhisByBlock[blk.ID], &phis[i])
+		i++
+	})
 }
 
 // define makes d the def of variable v reaching what follows, with the
