@@ -313,7 +313,9 @@ fuzz-smoke:
 # a box must be a stale read, never another element's value. The row
 # kernel the simulator executes is held against the element walk bit for
 # bit, a box it cannot prove is left whole to the tree, and it allocates
-# nothing.
+# nothing. Eight callers placing and simulating one compilation at once
+# under the race detector must each find exactly their own call's
+# telemetry on the recorder they passed (TestRecorderGetsOnlyItsCall).
 sim-smoke:
 	@mkdir -p out
 	$(GO) test ./internal/spmd -run 'TestLedgerGolden' -count=1
@@ -323,6 +325,7 @@ sim-smoke:
 	$(GO) test ./internal/spmd -run 'TestReusedEngineMatchesFresh' -count=1
 	$(GO) test . -run 'TestPublicAPI|TestInterprocedural|TestPlacedVerifyNative' -count=1
 	$(GO) test -race ./internal/spmd -run 'TestParallelMatchesSequential' -count=1
+	$(GO) test -race . -run 'TestRecorderGetsOnlyItsCall' -count=1
 	$(GO) test -race ./internal/native -run 'TestSharedProgramConcurrentEngines' -count=1
 	@GO="$(GO)" sh ci/alloc-budget.sh 'BenchmarkSimVerify/j1$$' ci/sim-alloc-budget.txt sim-smoke
 	@echo "sim-smoke: ok"

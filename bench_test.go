@@ -458,7 +458,7 @@ end
 				placed, err := comp.PlaceOptions(gcao.Combine, gcao.PlacementOptions{
 					CombineThresholdBytes: 200,
 					PartialRedundancy:     partial,
-				})
+				}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

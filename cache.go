@@ -63,9 +63,8 @@ type CompileOutcome struct {
 //
 // A cached *Compilation is shared by every request that hits it, and a
 // skeleton by every compilation built from it, which is safe: after
-// analysis, placement and simulation only read both. Callers pass a
-// per-request Recorder to Place (and Placed.SimulateObs) for telemetry,
-// since the cached analysis has no recorder of its own.
+// analysis, placement and simulation only read both, and neither holds a
+// recorder — each request hands its own to every call it makes.
 type Cache struct {
 	compile  *cache.Cache
 	place    *cache.Cache
@@ -111,10 +110,6 @@ func (c *Cache) CompileProgram(source, main string, cfg Config) (*Compilation, C
 		if err != nil {
 			return nil, err
 		}
-		// Detach the building request's recorder: the cached analysis
-		// outlives the request, and every later placement or simulation
-		// passes its own recorder explicitly.
-		comp.Analysis.Obs = nil
 		comp.fingerprint = fp
 		return comp, nil
 	})
@@ -144,7 +139,6 @@ type front struct {
 // the call found it, and a binding that waited on the failed build takes
 // its turn at building instead of the other binding's error.
 func (c *Cache) fromSkeleton(source, main string, cfg Config) (*Compilation, CacheOutcome, error) {
-	cfg.Obs.SetLog(cfg.Log, cfg.ReqID)
 	key := cache.Fingerprint("gcao-skeleton-v1", source, main)
 	var built *Compilation
 	build := func() (any, error) {

@@ -112,7 +112,7 @@ func TestPlacedSizeTracksHeap(t *testing.T) {
 				kept := make([]*Placed, copies)
 				before := liveHeap()
 				for i := range kept {
-					if kept[i], err = c.Place(s); err != nil {
+					if kept[i], err = c.Place(s, nil); err != nil {
 						t.Fatal(err)
 					}
 					kept[i].Program()
@@ -171,7 +171,7 @@ func TestEstimateKeptPerMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := c.Place(Combine)
+	p, err := c.Place(Combine, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

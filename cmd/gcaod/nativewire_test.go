@@ -57,11 +57,11 @@ func TestNativeResponseWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placed, err := c.Place(gcao.Combine)
+	placed, err := c.Place(gcao.Combine, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := placed.RunNative()
+	direct, err := placed.RunNative(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

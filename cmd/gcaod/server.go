@@ -279,7 +279,7 @@ func (s *server) execute(resp *compileResponse, req compileRequest, placed *gcao
 		return nil
 	}
 	rec.Phase("simulate")
-	run, err := placed.SimulateObs(m, rec)
+	run, err := placed.Simulate(m, rec)
 	if err != nil {
 		return badRequestError{fmt.Errorf("simulate: %w", err)}
 	}
@@ -293,7 +293,7 @@ func (s *server) execute(resp *compileResponse, req compileRequest, placed *gcao
 		return nil
 	}
 	rec.Phase("native.exec")
-	nat, err := placed.RunNativeProfiled(rec)
+	nat, err := placed.RunNative(rec)
 	if err != nil {
 		return badRequestError{fmt.Errorf("native: %w", err)}
 	}
@@ -487,8 +487,6 @@ func (s *server) compile(ctx context.Context, id string, rec *obs.Recorder, req 
 		Params: req.Params,
 		Procs:  req.Procs,
 		Obs:    rec,
-		Log:    s.log,
-		ReqID:  id,
 	}
 	c, compOut, err := s.cache.CompileProgram(req.Source, req.Main, cfg)
 	if err != nil {

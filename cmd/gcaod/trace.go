@@ -63,7 +63,9 @@ func (w *statusWriter) status() int {
 
 // withObs is the ingress middleware every route runs under: it mints
 // the request id, ingests (or mints) the W3C trace context, makes the
-// request's recorder and binds both to the request's context, answers
+// request's recorder — logging through the daemon's logger under the
+// request id, so every event of the request from ingress on is
+// request-scoped — and binds both to the request's context, answers
 // with X-Request-Id and traceparent headers before the handler runs — so
 // even sheds and timeouts carry them — and feeds the RED families and
 // the in-flight gauge.
@@ -77,6 +79,7 @@ func (s *server) withObs(next http.Handler) http.Handler {
 		// the whole request: middleware and handler overhead land in
 		// "ingress", not in an unaccounted gap.
 		rec := obs.NewRequest("ingress")
+		rec.SetLog(s.log, id)
 		w.Header().Set("X-Request-Id", id)
 		w.Header().Set("Traceparent", tr.Traceparent())
 		sw := &statusWriter{ResponseWriter: w}

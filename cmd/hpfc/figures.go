@@ -32,7 +32,7 @@ func fig10a(fs *flag.FlagSet, args []string) {
 		if *n > 0 {
 			size = *n
 		}
-		r, err := bench.StaticCountsObs(pr, size, *procs, rec)
+		r, err := bench.StaticCounts(pr, size, *procs, rec)
 		if err != nil {
 			fatal(err)
 		}
@@ -104,13 +104,13 @@ func verify(fs *flag.FlagSet, args []string) {
 		if err := placed.Verify(); err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
-		run, err := placed.Simulate(m)
+		run, err := placed.Simulate(m, rec)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
 		fmt.Printf("  %-18s ok (%d dynamic messages, %d barriers)\n", name, run.Ledger.DynMessages, run.Ledger.Barriers)
 		if *backend == "native" {
-			nat, err := placed.RunNative()
+			nat, err := placed.RunNative(nil)
 			if err != nil {
 				fatal(fmt.Errorf("%s: %w", name, err))
 			}

@@ -138,7 +138,7 @@ func placeBench(pr *bench.Program, n, procs int, s gcao.Strategy, rec *obs.Recor
 	if err != nil {
 		fatal(fmt.Errorf("bench %s/%s: %w", pr.Bench, pr.Routine, err))
 	}
-	placed, err := c.Place(s)
+	placed, err := c.Place(s, rec)
 	if err != nil {
 		fatal(err)
 	}
@@ -275,7 +275,7 @@ func compile(fs *flag.FlagSet, args []string) {
 		fmt.Println()
 	}
 
-	placed, err := c.Place(strat)
+	placed, err := c.Place(strat, rec)
 	if err != nil {
 		fatal(err)
 	}

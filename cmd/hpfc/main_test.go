@@ -12,8 +12,8 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
-// stdout runs one subcommand with the given arguments and returns what
-// it printed.
+// stdout runs one subcommand — the compiler driver when name is "" — with
+// the given arguments and returns what it printed.
 func stdout(t *testing.T, name string, args ...string) string {
 	t.Helper()
 	r, w, err := os.Pipe()
@@ -27,17 +27,22 @@ func stdout(t *testing.T, name string, args ...string) string {
 		b, _ := io.ReadAll(r)
 		out <- string(b)
 	}()
-	subcommands[name](flag.NewFlagSet("hpfc "+name, flag.ContinueOnError), args)
+	run, fs := compile, flag.NewFlagSet("hpfc", flag.ContinueOnError)
+	if name != "" {
+		run, fs = subcommands[name], flag.NewFlagSet("hpfc "+name, flag.ContinueOnError)
+	}
+	run(fs, args)
 	os.Stdout = saved
 	w.Close()
 	return <-out
 }
 
 // TestGoldenStdout pins what the artefact subcommands print, byte for
-// byte: the Fig. 10(a) table, one Fig. 10 chart, one Fig. 5 machine and
-// two simulator profiles (heatmap, superstep timeline, time split and
-// blame table). Regenerate with -update, only when the change is
-// intended.
+// byte: the Fig. 10(a) table, one Fig. 10 chart, one Fig. 5 machine, two
+// simulator profiles (heatmap, superstep timeline, time split and blame
+// table) and the compiler driver's report with its -explain decision
+// log, which reaches the log only through the recorder the driver hands
+// Place. Regenerate with -update, only when the change is intended.
 func TestGoldenStdout(t *testing.T) {
 	for _, tc := range []struct {
 		golden, name string
@@ -48,6 +53,7 @@ func TestGoldenStdout(t *testing.T) {
 		{"fig5-sp2.golden", "fig5", []string{"-machine", "sp2"}},
 		{"profile-shallow.golden", "profile", []string{"-bench", "shallow", "-procs", "4", "-version", "comb", "-blame", "5"}},
 		{"profile-gravity.golden", "profile", []string{"-bench", "gravity", "-n", "12", "-procs", "16", "-version", "comb", "-blame", "5"}},
+		{"explain-shallow.golden", "", []string{"-explain", "-version", "comb", "shallow"}},
 	} {
 		t.Run(strings.TrimSuffix(tc.golden, ".golden"), func(t *testing.T) {
 			got := stdout(t, tc.name, tc.args...)

@@ -75,7 +75,7 @@ func profile(fs *flag.FlagSet, args []string) {
 	// The profile is read off the recorder, so there always is one.
 	rec := obs.New()
 	placed := placeBench(pr, size, *procs, strat, rec)
-	run, err := placed.Simulate(m)
+	run, err := placed.Simulate(m, rec)
 	if err != nil {
 		fatal(err)
 	}
@@ -96,7 +96,7 @@ func profile(fs *flag.FlagSet, args []string) {
 		writeBlame(steps, model, *blame)
 	}
 	if *nativeRun {
-		out, err := placed.RunNativeProfiled(rec)
+		out, err := placed.RunNative(rec)
 		if err != nil {
 			fatal(err)
 		}

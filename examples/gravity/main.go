@@ -29,7 +29,7 @@ func main() {
 	fmt.Println("NPAC gravity, n=16, P=16")
 	fmt.Printf("%-7s %6s %6s\n", "version", "NNC", "SUM")
 	for _, s := range []gcao.Strategy{gcao.Vectorize, gcao.EarliestRedundancy, gcao.Combine} {
-		placed, err := c.Place(s)
+		placed, err := c.Place(s, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -37,7 +37,7 @@ func main() {
 		fmt.Printf("%-7s %6d %6d\n", s, counts[core.KindShift], counts[core.KindReduce])
 	}
 
-	placed, err := c.Place(gcao.Combine)
+	placed, err := c.Place(gcao.Combine, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ps, err := cs.Place(gcao.Combine)
+	ps, err := cs.Place(gcao.Combine, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -52,13 +52,13 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, s := range []gcao.Strategy{gcao.Vectorize, gcao.Combine} {
-		placed, err := c.Place(s)
+		placed, err := c.Place(s, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-7s: %d exchanges per timestep\n", s, placed.Messages())
 	}
-	placed, err := c.Place(gcao.Combine)
+	placed, err := c.Place(gcao.Combine, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func main() {
 	fmt.Println()
 
 	for _, s := range []gcao.Strategy{gcao.Vectorize, gcao.EarliestRedundancy, gcao.Combine} {
-		placed, err := c.Place(s)
+		placed, err := c.Place(s, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -71,14 +71,14 @@ func main() {
 
 	// Run the optimized placement on the functional simulator and
 	// verify against an independent sequential execution.
-	placed, err := c.Place(gcao.Combine)
+	placed, err := c.Place(gcao.Combine, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := placed.Verify(); err != nil {
 		log.Fatal(err)
 	}
-	run, err := placed.Simulate(gcao.SP2())
+	run, err := placed.Simulate(gcao.SP2(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,14 +27,14 @@ func main() {
 
 	fmt.Println("NCAR shallow water, n=64, P=16")
 	for _, s := range []gcao.Strategy{gcao.Vectorize, gcao.EarliestRedundancy, gcao.Combine} {
-		placed, err := c.Place(s)
+		placed, err := c.Place(s, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-7s: %d exchanges per timestep\n", s, placed.Messages())
 	}
 
-	placed, err := c.Place(gcao.Combine)
+	placed, err := c.Place(gcao.Combine, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ps, err := cs.Place(gcao.Combine)
+	ps, err := cs.Place(gcao.Combine, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

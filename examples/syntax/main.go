@@ -65,7 +65,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		earliest, err := c.Place(gcao.EarliestRedundancy)
+		earliest, err := c.Place(gcao.EarliestRedundancy, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func main() {
 		for _, g := range earliest.Result.Groups {
 			points[g.Pos.String()] = true
 		}
-		comb, err := c.Place(gcao.Combine)
+		comb, err := c.Place(gcao.Combine, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -12,9 +12,9 @@
 // The typical flow is:
 //
 //	c, err := gcao.Compile(source, gcao.Config{Params: map[string]int{"n": 256}, Procs: 16})
-//	placed, err := c.Place(gcao.Combine)          // the paper's algorithm
-//	baseline, err := c.Place(gcao.Vectorize)      // the "orig" baseline
-//	run, err := placed.Simulate(gcao.SP2())       // functional simulation
+//	placed, err := c.Place(gcao.Combine, nil)     // the paper's algorithm
+//	baseline, err := c.Place(gcao.Vectorize, nil) // the "orig" baseline
+//	run, err := placed.Simulate(gcao.SP2(), nil)  // functional simulation
 //	err = placed.Verify()                         // against the sequential program
 //	cost, err := placed.Estimate(gcao.SP2())      // analytic cost model
 //
@@ -24,6 +24,12 @@
 // access was actually communicated; Verify checks the final state against
 // the same routine run on one processor; Estimate computes per-processor
 // CPU/network time without touching data, for paper-scale problem sizes.
+//
+// Every operation records into the recorder it is given — Config.Obs for
+// a compile, the last argument of Place, Simulate and RunNative — and
+// nothing else: a Compilation and a Placed hold none, so a recorder sees
+// exactly its own call's telemetry however many callers share them. A nil
+// recorder records nothing.
 package gcao
 
 import (
@@ -48,10 +54,11 @@ import (
 	"gcao/internal/spmd"
 )
 
-// Recorder re-exports the observability recorder: attach one via
-// Config.Obs to capture pipeline phase spans, placement metrics, the
-// per-entry decision log, and simulator communication profiles. A nil
-// recorder disables observability at zero cost.
+// Recorder re-exports the observability recorder: hand one to Compile
+// (Config.Obs), Place, Simulate or RunNative to capture that call's phase
+// spans, placement metrics and per-entry decision log, or its run's
+// communication profile. A nil recorder disables observability at zero
+// cost.
 type Recorder = obs.Recorder
 
 // NewRecorder builds an empty observability recorder.
@@ -69,7 +76,7 @@ func NewRegistry() *Registry { return obs.NewRegistry() }
 // AttrRun re-exports the simulator's cost-attribution record: one
 // h-relation Step per superstep, each blaming its traffic to the
 // placement site that scheduled it and the originating source
-// statements. SimulateObs fills one on the request's Recorder
+// statements. Simulate fills one on the recorder it is given
 // (Recorder.Attribution returns it).
 type AttrRun = attr.Run
 
@@ -93,8 +100,8 @@ func AnalyzeAttribution(run *AttrRun, model AttrCostModel) *AttrReport {
 	return attr.Analyze(run, model)
 }
 
-// Logger is the standard library's structured logger; attach one via
-// Config.Log to receive request-scoped pipeline events.
+// Logger is the standard library's structured logger; a recorder's
+// SetLog attaches one to receive its pipeline events.
 type Logger = slog.Logger
 
 // LogLevel is its severity scale.
@@ -169,18 +176,11 @@ type Config struct {
 	// Procs is the processor count; a PROCESSORS directive in the
 	// source takes precedence.
 	Procs int
-	// Obs, when non-nil, records pipeline phase spans, placement
-	// metrics and decision logs, and simulator communication profiles
-	// for every operation on the resulting compilation.
+	// Obs, when non-nil, records the compile's pipeline phase spans
+	// and analysis counters (and, through its SetLog, its events). The
+	// compilation does not keep it: later operations record into the
+	// recorder they are given.
 	Obs *Recorder
-	// Log, when non-nil, receives leveled structured events from
-	// the pipeline (analysis/placement/simulation summaries at info,
-	// per-phase timings at debug). Events flow through the Obs
-	// recorder, so Log requires Obs to be set.
-	Log *Logger
-	// ReqID, when non-empty, tags every logged event of this
-	// compilation with a request id — the serving-path correlation key.
-	ReqID string
 }
 
 // Compilation is an analyzed routine ready for placement.
@@ -215,7 +215,6 @@ func Compile(source string, cfg Config) (*Compilation, error) {
 // procedure boundaries, the §7 interprocedural direction. An empty main
 // is Compile: the source holds one routine.
 func CompileProgram(source, main string, cfg Config) (*Compilation, error) {
-	cfg.Obs.SetLog(cfg.Log, cfg.ReqID)
 	r, err := parseRoutine(source, main, cfg.Obs)
 	if err != nil {
 		return nil, err
@@ -252,12 +251,12 @@ func compileRoutine(r *ast.Routine, sk *core.Skeleton, cfg Config) (*Compilation
 	if err != nil {
 		return nil, err
 	}
-	var a *core.Analysis
-	if sk != nil {
-		a, err = sk.Analyze(u, cfg.Obs)
-	} else {
-		a, err = core.NewAnalysisObs(u, cfg.Obs)
+	if sk == nil {
+		if sk, err = core.NewSkeleton(u, cfg.Obs); err != nil {
+			return nil, err
+		}
 	}
+	a, err := sk.Analyze(u, cfg.Obs)
 	if err != nil {
 		return nil, err
 	}
@@ -269,9 +268,10 @@ func compileRoutine(r *ast.Routine, sk *core.Skeleton, cfg Config) (*Compilation
 // slice is the analysis's own, shared by every caller: read it only.
 func (c *Compilation) Entries() []*core.Entry { return c.Analysis.CommEntries() }
 
-// Place runs a placement strategy with default options.
-func (c *Compilation) Place(s Strategy) (*Placed, error) {
-	return c.PlaceOptions(s, PlacementOptions{})
+// Place runs a placement strategy with default options; rec, when
+// non-nil, receives the placement's span, counters and decision log.
+func (c *Compilation) Place(s Strategy, rec *Recorder) (*Placed, error) {
+	return c.PlaceOptions(s, PlacementOptions{}, rec)
 }
 
 // PlacementOptions exposes the paper's tunables for ablation studies.
@@ -294,9 +294,10 @@ type PlacementOptions struct {
 }
 
 // coreOptions lowers the public tunables to the core representation.
-func (opt PlacementOptions) coreOptions(s Strategy) core.Options {
+func (opt PlacementOptions) coreOptions(s Strategy, rec *Recorder) core.Options {
 	return core.Options{
 		Version:               s.version(),
+		Obs:                   rec,
 		CombineThresholdBytes: opt.CombineThresholdBytes,
 		DisableSubsetElim:     opt.DisableSubsetElim,
 		NaiveGreedyOrder:      opt.NaiveGreedyOrder,
@@ -305,14 +306,13 @@ func (opt PlacementOptions) coreOptions(s Strategy) core.Options {
 	}
 }
 
-// PlaceOptions runs a placement strategy with explicit options.
-func (c *Compilation) PlaceOptions(s Strategy, opt PlacementOptions) (*Placed, error) {
-	return c.place(opt.coreOptions(s))
+// PlaceOptions runs a placement strategy with explicit options, recorded
+// into rec as Place's is.
+func (c *Compilation) PlaceOptions(s Strategy, opt PlacementOptions, rec *Recorder) (*Placed, error) {
+	return c.place(opt.coreOptions(s, rec))
 }
 
-// place runs one placement. A cache-resident compilation has no recorder
-// of its own (it belonged to the request that built it), so the cache
-// passes each request's in opts.Obs.
+// place runs one placement, recorded into opts.Obs.
 func (c *Compilation) place(opts core.Options) (*Placed, error) {
 	res, err := c.Analysis.Place(opts)
 	if err != nil {
@@ -382,18 +382,11 @@ func (p *Placed) MessageCounts() map[core.CommKind]int { return p.Result.Counts(
 // Simulate executes the program on the functional bulk-synchronous
 // simulator under the machine model, on the processors of the
 // compilation's grid. The run fails if any processor reads remote data
-// the placement failed to deliver. The result's Mem and Scalars are valid
-// until its Release, which a caller done with them calls to let the next
-// run reuse the engine.
-func (p *Placed) Simulate(m Machine) (*spmd.RunResult, error) {
-	return p.SimulateObs(m, p.Result.Analysis.Obs)
-}
-
-// SimulateObs is Simulate with an explicit recorder for the run's
-// profile and counters. Use it when the placement came out of a Cache:
-// the cached analysis carries no recorder of its own, so Simulate
-// would run unprofiled.
-func (p *Placed) SimulateObs(m Machine, rec *Recorder) (*spmd.RunResult, error) {
+// the placement failed to deliver. rec, when non-nil, receives the run's
+// span, counters, communication profile and superstep attribution. The
+// result's Mem and Scalars are valid until its Release, which a caller
+// done with them calls to let the next run reuse the engine.
+func (p *Placed) Simulate(m Machine, rec *Recorder) (*spmd.RunResult, error) {
 	return spmd.RunPooled(&p.sim, p.Program(), m, rec)
 }
 
@@ -418,22 +411,13 @@ func (p *Placed) Estimate(m Machine) (spmd.Cost, error) {
 // logical processor of the compilation's grid, each owning its block of
 // every distributed array, with the placed communication groups realized
 // as channel transfers. Results are bit-identical to Simulate by
-// construction; VerifyNative enforces it. The result's Mem and Scalars
-// are valid until its Release, as Simulate's.
-func (p *Placed) RunNative() (*native.RunResult, error) {
-	return native.RunPooled(&p.nat, p.Program(), nil)
-}
-
-// RunNativeProfiled is RunNative with the runtime profiler armed: every
-// processor records its communication events into a ring its engine
-// keeps, and the result (and rec) carry the folded NativeProfile —
-// per-superstep timelines, wait accounting, compute skew. A native run
-// is profiled when it is given a recorder, so a nil rec runs on one of
-// its own.
-func (p *Placed) RunNativeProfiled(rec *Recorder) (*native.RunResult, error) {
-	if rec == nil {
-		rec = obs.New()
-	}
+// construction; VerifyNative enforces it. A non-nil rec arms the runtime
+// profiler: every processor records its communication events into a ring
+// its engine keeps, and the result (and rec) carry the folded
+// NativeProfile — per-superstep timelines, wait accounting, compute skew.
+// A nil rec runs unprofiled. The result's Mem and Scalars are valid until
+// its Release, as Simulate's.
+func (p *Placed) RunNative(rec *Recorder) (*native.RunResult, error) {
 	return native.RunPooled(&p.nat, p.Program(), rec)
 }
 
@@ -443,12 +427,12 @@ func (p *Placed) RunNativeProfiled(rec *Recorder) (*native.RunResult, error) {
 // (native.Diff). The machine model prices only the simulator's ledger,
 // never a value, so the check takes none.
 func (p *Placed) VerifyNative() error {
-	sim, err := p.SimulateObs(machine.SP2(), nil)
+	sim, err := p.Simulate(machine.SP2(), nil)
 	if err != nil {
 		return fmt.Errorf("gcao: simulator reference failed: %w", err)
 	}
 	defer sim.Release()
-	nat, err := p.RunNative()
+	nat, err := p.RunNative(nil)
 	if err != nil {
 		return fmt.Errorf("gcao: native run failed: %w", err)
 	}
@@ -471,7 +455,7 @@ func (c *Compilation) CompareStrategies(m Machine) ([]spmd.Bar, error) {
 // dropped) and simulated there. Both runs are unprofiled.
 func (p *Placed) Verify() error {
 	m := machine.SP2()
-	run, err := p.SimulateObs(m, nil)
+	run, err := p.Simulate(m, nil)
 	if err != nil {
 		return err
 	}
@@ -489,11 +473,11 @@ func (p *Placed) Verify() error {
 	if n := seqC.Analysis.Unit.Grid.NumProcs(); n != 1 {
 		return fmt.Errorf("gcao: sequential reference compiled for %d processors", n)
 	}
-	seqP, err := seqC.Place(Combine)
+	seqP, err := seqC.Place(Combine, nil)
 	if err != nil {
 		return err
 	}
-	seq, err := seqP.SimulateObs(m, nil)
+	seq, err := seqP.Simulate(m, nil)
 	if err != nil {
 		return fmt.Errorf("gcao: sequential reference: %w", err)
 	}

@@ -258,7 +258,7 @@ func TestWarmCacheSpeedup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := comp.Place(gcao.Combine); err != nil {
+		if _, err := comp.Place(gcao.Combine, nil); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(t0)
@@ -319,7 +319,7 @@ func BenchmarkCompileShallowCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := comp.Place(gcao.Combine); err != nil {
+		if _, err := comp.Place(gcao.Combine, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,7 +24,7 @@ func placedShallow(t *testing.T, n, procs int) *gcao.Placed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := c.Place(gcao.Combine)
+	p, err := c.Place(gcao.Combine, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,11 @@ func TestReleaseContract(t *testing.T) {
 	p := placedShallow(t, 12, 4)
 	m := gcao.SP2()
 
-	kept, err := p.Simulate(m)
+	kept, err := p.Simulate(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := p.Simulate(m)
+	second, err := p.Simulate(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestReleaseContract(t *testing.T) {
 	want := append([]float64(nil), kept.Mem.Canonical("p")...)
 	second.Release()
 	second.Release()
-	third, err := p.Simulate(m)
+	third, err := p.Simulate(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fourth, err := p.Simulate(m)
+	fourth, err := p.Simulate(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestReleaseContract(t *testing.T) {
 		}
 	}
 
-	nat, err := p.RunNative()
+	nat, err := p.RunNative(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestReleaseContract(t *testing.T) {
 	}
 	nat.Release()
 	nat.Release()
-	prof, err := p.RunNativeProfiled(nil)
+	prof, err := p.RunNative(gcao.NewRecorder())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestReleaseContract(t *testing.T) {
 	}
 	ops := prof.Stats.Ops
 	prof.Release()
-	again, err := p.RunNative()
+	again, err := p.RunNative(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +139,8 @@ func TestFailedRunReturnsItsEngine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var first [2]string
 	for run := 0; run < 3; run++ {
-		_, simErr := p.Simulate(gcao.SP2())
-		_, natErr := p.RunNativeProfiled(nil)
+		_, simErr := p.Simulate(gcao.SP2(), nil)
+		_, natErr := p.RunNative(gcao.NewRecorder())
 		for i, err := range []error{simErr, natErr} {
 			switch {
 			case err == nil:
@@ -190,7 +190,7 @@ func TestPooledEnginesUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < runs; i++ {
 				if (w+i)%2 == 0 {
-					out, err := p.Simulate(m)
+					out, err := p.Simulate(m, nil)
 					if err != nil {
 						t.Error(err)
 						return
@@ -203,7 +203,7 @@ func TestPooledEnginesUnderConcurrency(t *testing.T) {
 					mu.Unlock()
 					out.Release()
 				} else {
-					out, err := p.RunNativeProfiled(nil)
+					out, err := p.RunNative(gcao.NewRecorder())
 					if err != nil {
 						t.Error(err)
 						return
@@ -244,7 +244,7 @@ func TestPlacedVerifyNative(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range []gcao.Strategy{gcao.Vectorize, gcao.EarliestRedundancy, gcao.Combine} {
-			p, err := c.Place(s)
+			p, err := c.Place(s, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

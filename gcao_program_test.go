@@ -19,7 +19,7 @@ import (
 func TestSecondEngineLowersNothing(t *testing.T) {
 	p := placedShallow(t, 12, 4)
 	m := gcao.SP2()
-	first, err := p.Simulate(m)
+	first, err := p.Simulate(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestSecondEngineLowersNothing(t *testing.T) {
 	}{
 		{"simulator",
 			func() (*runtime.Memory, error) { out, err := spmd.RunParallel(p.Result, m, 4, 0); return out.Mem, err },
-			func() (*runtime.Memory, error) { out, err := p.Simulate(m); return out.Mem, err }},
+			func() (*runtime.Memory, error) { out, err := p.Simulate(m, nil); return out.Mem, err }},
 		{"native",
 			func() (*runtime.Memory, error) {
 				eng, err := native.NewEngine(p.Result, 4)
@@ -40,7 +40,7 @@ func TestSecondEngineLowersNothing(t *testing.T) {
 				out, err := eng.Run()
 				return out.Mem, err
 			},
-			func() (*runtime.Memory, error) { out, err := p.RunNative(); return out.Mem, err }},
+			func() (*runtime.Memory, error) { out, err := p.RunNative(nil); return out.Mem, err }},
 	} {
 		var mem *runtime.Memory
 		measure := func(run func() (*runtime.Memory, error)) float64 {

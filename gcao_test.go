@@ -1,10 +1,13 @@
 package gcao_test
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"gcao"
+	"gcao/internal/bench"
 )
 
 const apiSrc = `
@@ -55,11 +58,11 @@ func TestPublicAPI(t *testing.T) {
 		t.Fatalf("entries = %d, want 2 (a up and down)", len(c.Entries()))
 	}
 
-	orig, err := c.Place(gcao.Vectorize)
+	orig, err := c.Place(gcao.Vectorize, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comb, err := c.Place(gcao.Combine)
+	comb, err := c.Place(gcao.Combine, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +70,7 @@ func TestPublicAPI(t *testing.T) {
 		t.Errorf("comb %d messages > orig %d", comb.Messages(), orig.Messages())
 	}
 
-	run, err := comb.Simulate(gcao.SP2())
+	run, err := comb.Simulate(gcao.SP2(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +90,7 @@ func TestPublicAPI(t *testing.T) {
 		t.Fatalf("grid of %d processors, want the directive's 4", got)
 	}
 	for _, s := range []gcao.Strategy{gcao.Vectorize, gcao.Combine} {
-		p, err := directed.Place(s)
+		p, err := directed.Place(s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,11 +130,11 @@ func TestPlacementOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := c.PlaceOptions(gcao.Combine, gcao.PlacementOptions{DisableCombining: true})
+	off, err := c.PlaceOptions(gcao.Combine, gcao.PlacementOptions{DisableCombining: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := c.Place(gcao.Combine)
+	on, err := c.Place(gcao.Combine, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +217,11 @@ func TestInterprocedural(t *testing.T) {
 	if got := len(c.Entries()); got != 8 {
 		t.Fatalf("entries = %d, want 8 (2 arrays x 4 directions)", got)
 	}
-	orig, err := c.Place(gcao.Vectorize)
+	orig, err := c.Place(gcao.Vectorize, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comb, err := c.Place(gcao.Combine)
+	comb, err := c.Place(gcao.Combine, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,5 +250,87 @@ func TestInterprocedural(t *testing.T) {
 		if err := p.Verify(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRecorderGetsOnlyItsCall: every operation records into the recorder
+// it is given and into nothing else. One uncached compilation is placed
+// and simulated from eight goroutines at once, each handing both calls a
+// recorder of its own, beside a ninth that hands them none: each recorder
+// ends up with exactly what one place-and-simulate records alone — one
+// place.comb counter set, its own decision log, its own profile — and the
+// compile's recorder receives nothing after Compile returns.
+func TestRecorderGetsOnlyItsCall(t *testing.T) {
+	pr, err := bench.ByName("shallow", "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compRec := gcao.NewRecorder()
+	c, err := gcao.Compile(pr.Source, gcao.Config{Params: pr.Params(8), Procs: 4, Obs: compRec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := compRec.Doc()
+	run := func(rec *gcao.Recorder) error {
+		p, err := c.Place(gcao.Combine, rec)
+		if err != nil {
+			return err
+		}
+		out, err := p.Simulate(gcao.SP2(), rec)
+		if err != nil {
+			return err
+		}
+		out.Release()
+		return nil
+	}
+	want := gcao.NewRecorder()
+	if err := run(want); err != nil {
+		t.Fatal(err)
+	}
+	const callers = 8
+	recs := make([]*gcao.Recorder, callers+1) // the last stays nil
+	errs := make([]error, len(recs))
+	var wg sync.WaitGroup
+	for i := range recs {
+		if i < callers {
+			recs[i] = gcao.NewRecorder()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = run(recs[i])
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+	}
+	if len(want.Decisions()) != len(c.Analysis.Entries) || want.Counter("place.comb.entries") == 0 || want.CommProfile() == nil {
+		t.Fatalf("one recorded call: %d decisions for %d entries, counters %v", len(want.Decisions()), len(c.Analysis.Entries), want.Counters())
+	}
+	wantSpans := spanCounts(want)
+	for i, rec := range recs[:callers] {
+		if got := rec.Counters(); !reflect.DeepEqual(got, want.Counters()) {
+			t.Errorf("caller %d: counters %v, want one call's %v", i, got, want.Counters())
+		}
+		if got := rec.Decisions(); !reflect.DeepEqual(got, want.Decisions()) {
+			t.Errorf("caller %d: %d decisions, want one call's %d", i, len(got), len(want.Decisions()))
+		}
+		if got := rec.CommProfile(); !reflect.DeepEqual(got.PairBytes, want.CommProfile().PairBytes) {
+			t.Errorf("caller %d: pair matrix %v, want %v", i, got.PairBytes, want.CommProfile().PairBytes)
+		}
+		if got := rec.Attribution(); got.TotalBytes() != want.Attribution().TotalBytes() || len(got.Steps) != len(want.Attribution().Steps) {
+			t.Errorf("caller %d: %d supersteps moving %d bytes, want %d moving %d", i,
+				len(got.Steps), got.TotalBytes(), len(want.Attribution().Steps), want.Attribution().TotalBytes())
+		}
+		if got := spanCounts(rec); !reflect.DeepEqual(got, wantSpans) {
+			t.Errorf("caller %d: spans %v, want %v", i, got, wantSpans)
+		}
+	}
+	if after := compRec.Doc(); !reflect.DeepEqual(after, compiled) {
+		t.Errorf("the compile's recorder changed after Compile returned: %d → %d spans, counters %v → %v, %d decisions",
+			len(compiled.Spans), len(after.Spans), compiled.Counters, after.Counters, len(after.Decisions))
 	}
 }

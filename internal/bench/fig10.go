@@ -48,26 +48,19 @@ func countKinds(res *core.Result) map[string]int {
 	return out
 }
 
-// StaticCounts compiles a program at its default size on p processors
-// and returns the per-comm-type rows.
-func StaticCounts(pr *Program, n, p int) ([]CountRow, error) {
-	return StaticCountsObs(pr, n, p, nil)
-}
-
-// StaticCountsObs is StaticCounts with an observability recorder
-// attached to the compilation, so the three placements log their
-// phase spans, elimination counters and decision records.
-func StaticCountsObs(pr *Program, n, p int, rec *obs.Recorder) ([]CountRow, error) {
+// StaticCounts compiles a program at size n on p processors and returns
+// the per-comm-type rows. rec, when non-nil, receives the three
+// placements' phase spans, elimination counters and decision records.
+func StaticCounts(pr *Program, n, p int, rec *obs.Recorder) ([]CountRow, error) {
 	end := rec.Start("bench:" + pr.Bench + "/" + pr.Routine)
 	defer end()
 	a, err := pr.Compile(n, p)
 	if err != nil {
 		return nil, err
 	}
-	a.Obs = rec
 	byVersion := map[core.Version]map[string]int{}
 	for _, v := range []core.Version{core.VersionOrig, core.VersionRedund, core.VersionCombine} {
-		res, err := a.Place(core.Options{Version: v})
+		res, err := a.Place(core.Options{Version: v, Obs: rec})
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +94,7 @@ func StaticCountsObs(pr *Program, n, p int, rec *obs.Recorder) ([]CountRow, erro
 func Fig10aTable() ([]CountRow, error) {
 	var rows []CountRow
 	for _, pr := range Programs() {
-		r, err := StaticCounts(pr, pr.DefaultN, pr.Procs["SP2"])
+		r, err := StaticCounts(pr, pr.DefaultN, pr.Procs["SP2"], nil)
 		if err != nil {
 			return nil, err
 		}

@@ -71,7 +71,7 @@ func TestCountsStableAcrossSizes(t *testing.T) {
 		sizes := []int{pr.DefaultN, pr.DefaultN * 2}
 		var prev []CountRow
 		for _, n := range sizes {
-			rows, err := StaticCounts(pr, n, 25)
+			rows, err := StaticCounts(pr, n, 25, nil)
 			if err != nil {
 				t.Fatalf("%s/%s n=%d: %v", pr.Bench, pr.Routine, n, err)
 			}
@@ -91,7 +91,7 @@ func TestCountsStableAcrossSizes(t *testing.T) {
 // TestCountsAcrossMachines: the same table holds at the NOW's P=8.
 func TestCountsAtP8(t *testing.T) {
 	for _, pr := range Programs() {
-		rows, err := StaticCounts(pr, pr.DefaultN, 8)
+		rows, err := StaticCounts(pr, pr.DefaultN, 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,12 +52,6 @@ type Analysis struct {
 	Unit *sem.Unit
 	Dep  *dep.Analysis
 
-	// Obs, when non-nil, receives phase spans, counters and the
-	// placement decision log for every Place on this analysis (unless
-	// Options.Obs overrides it). Nil disables observability at zero
-	// cost.
-	Obs *obs.Recorder
-
 	// Entries lists every communication requirement, including entries
 	// later coalesced into axis exchanges.
 	Entries []*Entry
@@ -88,18 +82,11 @@ type loopBound struct {
 // classification, and the earliest/latest/candidate computation for
 // every entry.
 func NewAnalysis(u *sem.Unit) (*Analysis, error) {
-	return NewAnalysisObs(u, nil)
-}
-
-// NewAnalysisObs is NewAnalysis with each pipeline phase recorded as a
-// span on the recorder (nil-safe): the routine's skeleton, instantiated
-// under the unit's binding.
-func NewAnalysisObs(u *sem.Unit, rec *obs.Recorder) (*Analysis, error) {
-	s, err := NewSkeleton(u, rec)
+	s, err := NewSkeleton(u, nil)
 	if err != nil {
 		return nil, err
 	}
-	return s.Analyze(u, rec)
+	return s.Analyze(u, nil)
 }
 
 // NewSkeleton runs the steps that read the program text only:
@@ -156,7 +143,6 @@ func (s *Skeleton) Analyze(u *sem.Unit, rec *obs.Recorder) (*Analysis, error) {
 		Skeleton:  s,
 		Unit:      u,
 		Dep:       dep.New(u),
-		Obs:       rec,
 		loopBound: make([]loopBound, len(s.G.Loops)),
 	}
 	a.Dep.Forms = s.Forms

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gcao/internal/core"
+	"gcao/internal/obs"
 	"gcao/internal/parser"
 	"gcao/internal/sem"
 )
@@ -30,7 +31,13 @@ func analyze(t *testing.T, src string, params map[string]int, procs int) *core.A
 
 func place(t *testing.T, a *core.Analysis, v core.Version) *core.Result {
 	t.Helper()
-	res, err := a.Place(core.Options{Version: v})
+	return placeRec(t, a, v, nil)
+}
+
+// placeRec is place recording into rec.
+func placeRec(t *testing.T, a *core.Analysis, v core.Version, rec *obs.Recorder) *core.Result {
+	t.Helper()
+	res, err := a.Place(core.Options{Version: v, Obs: rec})
 	if err != nil {
 		t.Fatalf("place %v: %v", v, err)
 	}

@@ -41,8 +41,7 @@ func TestNilRecorderPlacementIdentical(t *testing.T) {
 	for _, v := range []core.Version{core.VersionOrig, core.VersionRedund, core.VersionCombine} {
 		bare := analyze(t, fig4Src, map[string]int{"n": 16}, 4)
 		inst := analyze(t, fig4Src, map[string]int{"n": 16}, 4)
-		inst.Obs = obs.New()
-		got := renderResult(place(t, inst, v))
+		got := renderResult(placeRec(t, inst, v, obs.New()))
 		want := renderResult(place(t, bare, v))
 		if got != want {
 			t.Errorf("%v: instrumented placement differs from bare placement:\n--- bare ---\n%s--- instrumented ---\n%s", v, want, got)
@@ -56,8 +55,7 @@ func TestNilRecorderPlacementIdentical(t *testing.T) {
 func TestDecisionLogCoversEveryEntry(t *testing.T) {
 	a := analyze(t, fig4Src, map[string]int{"n": 16}, 4)
 	rec := obs.New()
-	a.Obs = rec
-	res := place(t, a, core.VersionCombine)
+	res := placeRec(t, a, core.VersionCombine, rec)
 
 	var decs []obs.Decision
 	for _, d := range rec.Decisions() {
@@ -102,9 +100,8 @@ func TestDecisionLogCoversEveryEntry(t *testing.T) {
 func TestPlacementCountersConsistent(t *testing.T) {
 	a := analyze(t, fig4Src, map[string]int{"n": 16}, 4)
 	rec := obs.New()
-	a.Obs = rec
-	orig := place(t, a, core.VersionOrig)
-	comb := place(t, a, core.VersionCombine)
+	orig := placeRec(t, a, core.VersionOrig, rec)
+	comb := placeRec(t, a, core.VersionCombine, rec)
 	c := rec.Counters()
 
 	if got := c["place.orig.groups"]; got != int64(orig.TotalMessages()) {
@@ -125,8 +122,8 @@ func TestPlacementCountersConsistent(t *testing.T) {
 	}
 }
 
-// TestAnalysisCountersRecorded: a recorder attached at construction
-// time sees the entry discovery counters.
+// TestAnalysisCountersRecorded: the recorder handed to NewSkeleton and
+// Analyze sees the pipeline spans and the entry discovery counters.
 func TestAnalysisCountersRecorded(t *testing.T) {
 	rec := obs.New()
 	r, err := parser.ParseRoutine(fig4Src)
@@ -137,7 +134,11 @@ func TestAnalysisCountersRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := core.NewAnalysisObs(u, rec)
+	sk, err := core.NewSkeleton(u, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := sk.Analyze(u, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

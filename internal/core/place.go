@@ -63,8 +63,8 @@ type Options struct {
 	// trimmed to the single-descriptor difference.
 	PartialRedundancy bool
 	// Obs, when non-nil, receives phase spans, elimination/combining
-	// counters and the per-entry placement decision log. When nil the
-	// Analysis's own recorder (if any) is used instead.
+	// counters and the per-entry placement decision log of this
+	// placement. Nil records nothing.
 	Obs *obs.Recorder
 }
 
@@ -191,15 +191,6 @@ func (r *Result) Counts() map[CommKind]int {
 // TotalMessages returns the total number of placed groups.
 func (r *Result) TotalMessages() int { return len(r.Groups) }
 
-// recorder resolves the effective recorder for one placement: the
-// explicit Options recorder wins, else the analysis-wide one.
-func (a *Analysis) recorder(opts Options) *obs.Recorder {
-	if opts.Obs != nil {
-		return opts.Obs
-	}
-	return a.Obs
-}
-
 // tally accumulates one placement's counters by name, without the
 // "place.<version>." prefix; Place adds them to the recorder in one go
 // when the placement is done. A nil tally — nobody is listening —
@@ -226,7 +217,7 @@ func (t tally) reject(reason string) {
 // fixed handful of times however many groups, pairs and positions it
 // weighs, and any number of goroutines may place one Analysis at once.
 func (a *Analysis) Place(opts Options) (*Result, error) {
-	rec := a.recorder(opts)
+	rec := opts.Obs
 	var counts tally
 	if rec != nil {
 		counts = tally{}

@@ -249,81 +249,17 @@ func (t *Tree) Verify() error {
 	return nil
 }
 
-// slowDominators computes dominance by the classic dataflow fixpoint.
+// slowDominators computes dominance by the classic dataflow fixpoint,
+// dom[a][b] meaning a dominates b, over the blocks the entry reaches: a
+// block's dominators are itself plus the intersection of its reachable
+// predecessors' dominators. An unreachable predecessor lies on no path
+// from the entry, so it constrains nothing; an unreachable block is
+// dominated by nothing and dominates nothing, as New reports.
 func slowDominators(g *cfg.Graph) [][]bool {
 	n := len(g.Blocks)
-	dom := make([][]bool, n) // dom[b][a]: a is in Dom(b)? We store dom[a][b] = a dominates b.
-	in := make([]map[int]bool, n)
-	all := map[int]bool{}
-	for i := 0; i < n; i++ {
-		all[i] = true
-	}
-	for i := 0; i < n; i++ {
-		if i == g.EntryBlock.ID {
-			in[i] = map[int]bool{i: true}
-		} else {
-			m := map[int]bool{}
-			for k := range all {
-				m[k] = true
-			}
-			in[i] = m
-		}
-	}
-	changed := true
-	for changed {
-		changed = false
-		for _, b := range g.Blocks {
-			if b == g.EntryBlock {
-				continue
-			}
-			var m map[int]bool
-			for _, p := range b.Preds {
-				if m == nil {
-					m = map[int]bool{}
-					for k := range in[p.ID] {
-						m[k] = true
-					}
-				} else {
-					for k := range m {
-						if !in[p.ID][k] {
-							delete(m, k)
-						}
-					}
-				}
-			}
-			if m == nil {
-				m = map[int]bool{}
-			}
-			m[b.ID] = true
-			if len(m) != len(in[b.ID]) {
-				in[b.ID] = m
-				changed = true
-				continue
-			}
-			for k := range m {
-				if !in[b.ID][k] {
-					in[b.ID] = m
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		dom[i] = make([]bool, n)
-	}
-	for b := 0; b < n; b++ {
-		for a := range in[b] {
-			dom[a][b] = true
-		}
-	}
-	// Unreachable blocks: nothing dominates them except per init; the
-	// fast algorithm reports false, so clear rows/cols for blocks with
-	// no path from entry.
 	reach := make([]bool, n)
-	work := []*cfg.Block{g.EntryBlock}
 	reach[g.EntryBlock.ID] = true
-	for len(work) > 0 {
+	for work := []*cfg.Block{g.EntryBlock}; len(work) > 0; {
 		b := work[len(work)-1]
 		work = work[:len(work)-1]
 		for _, s := range b.Succs {
@@ -333,10 +269,36 @@ func slowDominators(g *cfg.Graph) [][]bool {
 			}
 		}
 	}
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if !reach[a] || !reach[b] {
-				dom[a][b] = false
+	// Reachable blocks start dominated by every reachable block, the
+	// entry by itself alone.
+	dom := make([][]bool, n)
+	for a := range dom {
+		dom[a] = make([]bool, n)
+		if reach[a] {
+			copy(dom[a], reach)
+			dom[a][g.EntryBlock.ID] = a == g.EntryBlock.ID
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, b := range g.Blocks {
+			if b == g.EntryBlock || !reach[b.ID] {
+				continue
+			}
+			for a := range n {
+				want := true
+				if a != b.ID {
+					for _, p := range b.Preds {
+						if reach[p.ID] && !dom[a][p.ID] {
+							want = false
+							break
+						}
+					}
+				}
+				if dom[a][b.ID] != want {
+					dom[a][b.ID] = want
+					changed = true
+				}
 			}
 		}
 	}

@@ -297,7 +297,9 @@ func TestDeepNesting(t *testing.T) {
 // immediate dominator and no dominator-tree children, dominates nothing
 // and is dominated by nothing, itself included, and the reachable blocks'
 // tree is the one it would be without it. The cycle u1 ⇄ u2 hangs off
-// the graph.
+// the graph, entered from u0, which has no predecessor, and feeds b:
+// Verify's reference has to leave an unreachable predecessor out of b's
+// intersection, or b is dominated by itself alone.
 func TestUnreachableBlocks(t *testing.T) {
 	g := &cfg.Graph{}
 	blk := func() *cfg.Block {
@@ -309,17 +311,19 @@ func TestUnreachableBlocks(t *testing.T) {
 		from.Succs = append(from.Succs, to)
 		to.Preds = append(to.Preds, from)
 	}
-	entry, u1, a, u2, b := blk(), blk(), blk(), blk(), blk()
+	entry, u1, a, u2, b, u0 := blk(), blk(), blk(), blk(), blk(), blk()
 	g.EntryBlock = entry
 	edge(entry, a)
 	edge(a, b)
 	edge(u1, u2)
 	edge(u2, u1)
+	edge(u0, u1)
+	edge(u2, b)
 	tr := New(g)
 	if err := tr.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	for _, u := range []*cfg.Block{u1, u2} {
+	for _, u := range []*cfg.Block{u0, u1, u2} {
 		if d := tr.IDom(u); d != nil {
 			t.Errorf("unreachable B%d has idom B%d, want none", u.ID, d.ID)
 		}

@@ -101,8 +101,7 @@ func TestBlameLinksToGreedyDecision(t *testing.T) {
 	params := map[string]int{"nx": 6, "ny": 13, "nz": 13, "steps": 3}
 	a := compile(t, miniGravitySrc, params, procs)
 	rec := obs.New()
-	a.Obs = rec
-	res, err := a.Place(core.Options{Version: core.VersionCombine})
+	res, err := a.Place(core.Options{Version: core.VersionCombine, Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,11 @@
 // distributed-memory machine. It provides two engines:
 //
 //   - A functional bulk-synchronous simulator, run through RunParallel (a
-//     placement result, lowered for the one run on an engine of its own)
-//     or RunPooled (a lowered program, on an idle engine from the
-//     caller's pool): a driver over the lowered program of package plan
-//     (the same form the native backend runs) that executes it
+//     placement result, lowered for the one run on an engine of its own,
+//     unprofiled) or RunPooled (a lowered program, on an idle engine from
+//     the caller's pool, profiled into the recorder it is given — a run
+//     finds none anywhere else): a driver over the lowered program of
+//     package plan (the same form the native backend runs) that executes it
 //     elementwise over per-processor memories with validity tracking. It
 //     proves a communication placement correct (a stale read aborts the
 //     run) and produces exact per-processor time and message statistics

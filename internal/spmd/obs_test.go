@@ -18,9 +18,8 @@ import (
 func TestProfileMatchesLedger(t *testing.T) {
 	a := compile(t, stencilSrc, map[string]int{"n": 8, "steps": 2}, 4)
 	rec := obs.New()
-	a.Obs = rec
 	res := placed(t, a, core.VersionCombine)
-	run, err := RunParallel(res, machine.SP2(), 4, 0)
+	run, err := RunParallelObs(res, machine.SP2(), 4, 0, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +109,8 @@ func TestProfileDoesNotPerturbRun(t *testing.T) {
 func TestProfileReductionSteps(t *testing.T) {
 	a := compile(t, reduceSrc, map[string]int{"n": 8}, 4)
 	rec := obs.New()
-	a.Obs = rec
 	res := placed(t, a, core.VersionCombine)
-	run, err := RunParallel(res, machine.SP2(), 4, 0)
+	run, err := RunParallelObs(res, machine.SP2(), 4, 0, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

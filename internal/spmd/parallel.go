@@ -39,21 +39,17 @@ import (
 const DefaultParallelThreshold = 8
 
 // RunParallel executes the program under the given placement on procs
-// processors over workers shards, profiled when the analysis carries an
-// obs recorder: sender→receiver traffic, the per-superstep timeline, and
-// the per-processor compute/communication/idle split. workers=1 forces
-// the sequential path; workers<=0 selects one shard below
+// processors over workers shards, unprofiled. workers=1 forces the
+// sequential path; workers<=0 selects one shard below
 // DefaultParallelThreshold processors, else min(GOMAXPROCS, procs). The
 // worker count never changes the result bits, only the wall clock. The
 // run lowers the placement and builds an engine of its own.
 func RunParallel(res *core.Result, m machine.Machine, procs, workers int) (*RunResult, error) {
-	rec := res.Analysis.Obs
-	defer rec.Start("simulate:" + res.Version.String())()
 	eng, err := newEngine(plan.Lower(res), procs, workers)
 	if err != nil {
 		return nil, err
 	}
-	return eng.Run(m, rec)
+	return eng.Run(m, nil)
 }
 
 // RunPooled runs a placement's lowered program on its processors, under
