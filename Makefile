@@ -223,14 +223,28 @@ nativeprof-smoke:
 # and through gcaod's handler) with no front-end or structural span, and
 # a full compile of hydflo/flux (parse through the three placements,
 # BenchmarkFig10aHydfloFlux) must stay within the allocation budget in
-# ci/compile-alloc-budget.txt: 1.25x the measured allocs/op — 411, for
-# the 329 it takes once sem, the skeleton's layers and the candidate
-# lists allocate by the routine (1,049 before), where the revision before
-# the per-level section tables spent 399 416 — a pair test that starts
-# re-expanding sections again is a regression long before it shows in
-# milliseconds. The front end below the parser is held the same way:
-# what sem.Analyze and core.NewSkeleton allocate on the six routines
-# (TestFrontEndAllocs, 1.25x the measured counts), and the scalarizer
+# ci/compile-alloc-budget.txt: 1.25x the measured allocs/op — 297, for
+# the 238 it takes once the dependence memo keeps one direction vector
+# per class of (def, use) pair and diagonal coalescing carves its lists
+# from slabs (329 and a budget of 411 before; 1,049 before sem, the
+# skeleton's layers and the candidate lists allocated by the routine),
+# where the revision before the per-level section tables spent 399 416 —
+# a pair test that starts re-expanding sections again is a regression
+# long before it shows in milliseconds. gcaod's cold request for a known
+# source is held within 10 % of its count (TestColdKnownSourceAllocs,
+# 457 under a budget of 502; 493 under 540 before the class memo). The
+# analysis must keep every answer while it asks fewer questions: every
+# entry's CommLevel, Latest, Earliest and candidates equal what the
+# exhaustive computation derives on the six routines, 200 random
+# programs, the syntax corpus and StencilNests
+# (TestLatestEarliestMatchExhaustive), every (def, use) pair gets from
+# the class memo the answer a table-less analysis computes
+# (TestClassMemoMatchesFresh), and doubling StencilNests' routine may
+# grow the Directions evaluations at most 2.3x (TestAnalysisScales). The
+# front end below the parser is held the same way:
+# what sem.Analyze, core.NewSkeleton and (*Skeleton).Analyze allocate on
+# the six routines (TestFrontEndAllocs, 1.25x the measured counts; the
+# analysis 317, from 519), and the scalarizer
 # shares what it does not rewrite with the parsed routine without ever
 # writing to it (TestScalarizeLeavesInputIntact) — which is what lets the
 # race test below share one skeleton with the source tier's tree. Placement's own storage is held the
@@ -250,7 +264,8 @@ compile-smoke:
 	$(GO) test ./internal/lin -run 'TestFormMatchesMapModel' -count=1
 	$(GO) test ./internal/asd -run 'TestHullCountMatchesHull' -count=1
 	$(GO) test ./internal/scalarize -run 'TestScalarizeLeavesInputIntact' -count=1
-	$(GO) test ./internal/core -run 'TestPlacementGolden|TestSectionTableMatchesExpansion|TestPlaceNilRecorderAllocs|TestNilTallyCostsNothing|TestPlacementScratchPerCall|TestLazyLabelsMatchEagerFormat|TestFrontEndAllocs' -count=1
+	$(GO) test ./internal/core -run 'TestPlacementGolden|TestSectionTableMatchesExpansion|TestPlaceNilRecorderAllocs|TestNilTallyCostsNothing|TestPlacementScratchPerCall|TestLazyLabelsMatchEagerFormat|TestFrontEndAllocs|TestLatestEarliestMatchExhaustive|TestAnalysisScales' -count=1
+	$(GO) test ./internal/dep -run 'TestClassMemoMatchesFresh' -count=1
 	$(GO) test -race ./internal/core -run 'TestSharedAnalysisConcurrentPlace|TestConcurrentPlacementLabels' -count=1
 	$(GO) test . -run 'TestSkeletonMatchesMonolithic|TestSkeletonHitPin' -count=1
 	$(GO) test ./cmd/gcaod -run 'TestColdKnownSourceAllocs' -count=1

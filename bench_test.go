@@ -387,6 +387,37 @@ func BenchmarkAnalysis(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalysisScale measures (*core.Skeleton).Analyze on
+// bench.StencilNests' routine of k nests (n = 64, P = 16), its skeleton
+// built once per k: how the analysis grows with the routine. Time is
+// measured here, not asserted; core's TestAnalysisScales holds the number
+// of Directions evaluations per doubling.
+func BenchmarkAnalysisScale(b *testing.B) {
+	for _, k := range []int{400, 800, 1600, 3200} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			r, err := parser.ParseRoutine(bench.StencilNests(k, 1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			u, err := sem.Analyze(r, map[string]int{"n": 64, "steps": 2}, sem.Options{Procs: 16})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sk, err := core.NewSkeleton(u, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sk.Analyze(u, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPlace measures one placement per version over a prebuilt
 // hydflo/flux analysis: the layer the section tables exist for.
 func BenchmarkPlace(b *testing.B) {

@@ -125,3 +125,40 @@ func (g *progGen) generate(seed int64) string {
 	g.line("end")
 	return g.b.String()
 }
+
+// StencilNests returns the seed's routine `nests(n, steps)`: k random
+// 2-D stencil nests over six BLOCK-BLOCK arrays inside one time-step
+// loop, each nest writing one array from a stencil of another as
+// RandomProgram's do. Its size is k, and so is everything that grows
+// with the routine: the input of the analysis' scaling test and
+// benchmark (core's TestAnalysisScales, BenchmarkAnalysisScale).
+func StencilNests(k int, seed int64) string {
+	g := &progGen{rng: rand.New(rand.NewSource(seed)), arrays: []string{"f1", "f2", "f3", "f4", "f5", "f6"}}
+	g.line("routine nests(n, steps)")
+	g.line("real %s", strings.Join(g.decls(), ", "))
+	g.line("!hpf$ distribute (block, block) :: %s", strings.Join(g.arrays, ", "))
+	g.line("do i = 0, n + 1")
+	g.line("do j = 0, n + 1")
+	for a, name := range g.arrays {
+		g.line("%s(i, j) = 1 + mod(i * %d + j, 7) * 0.25", name, a+1)
+	}
+	g.line("enddo")
+	g.line("enddo")
+	g.line("do it = 1, steps")
+	for range k {
+		g.stencil(g.arrays[g.rng.Intn(len(g.arrays))], g.arrays[g.rng.Intn(len(g.arrays))])
+	}
+	g.line("enddo")
+	g.line("end")
+	return g.b.String()
+}
+
+// decls declares every array of the generator over 0:n+1 in both
+// dimensions.
+func (g *progGen) decls() []string {
+	out := make([]string, len(g.arrays))
+	for i, name := range g.arrays {
+		out[i] = name + "(0:n+1, 0:n+1)"
+	}
+	return out
+}

@@ -139,10 +139,16 @@ func (s *Skeleton) SizeFree() bool { return s.Scal.StmtsExpanded == 0 }
 // was built from (any binding when the skeleton is SizeFree, else the one
 // NewSkeleton saw).
 func (s *Skeleton) Analyze(u *sem.Unit, rec *obs.Recorder) (*Analysis, error) {
+	return s.analyze(u, rec, dep.New(u))
+}
+
+// analyze is Analyze asking its dependence queries of d, a remembering
+// analysis under u's binding that it drops on return.
+func (s *Skeleton) analyze(u *sem.Unit, rec *obs.Recorder, d *dep.Analysis) (*Analysis, error) {
 	a := &Analysis{
 		Skeleton:  s,
 		Unit:      u,
-		Dep:       dep.New(u),
+		Dep:       d,
 		loopBound: make([]loopBound, len(s.G.Loops)),
 	}
 	a.Dep.Forms = s.Forms
@@ -283,23 +289,33 @@ type walkScratch struct {
 // computeLatest determines CommLevel(u) and the latest position for an
 // entry, which is as shallow as possible: just before the outermost
 // loop with no true dependence on the use, or just before the
-// statement when dependences pin it at full depth.
+// statement when dependences pin it at full depth. CommLevel is the
+// deepest DepLevel over every reaching regular def of every use, capped
+// at the primary use's nesting level; since DepLevel(d, u) ≤ CNL(d, u),
+// a def that shares no loop deeper than the level found so far is not
+// asked about, and the walk stops once the level reaches the cap.
 func (a *Analysis) computeLatest(e *Entry, w *walkScratch) {
-	level := 0
-	for _, u := range e.Uses {
-		w.regs, _ = dep.ReachingRegularDefs(u, &w.seen, w.regs[:0])
+	u := e.Use()
+	level, top := 0, u.Stmt.NL()
+	for _, v := range e.Uses {
+		if level >= top {
+			break
+		}
+		w.regs, _ = dep.ReachingRegularDefs(v, &w.seen, w.regs[:0])
 		for _, d := range w.regs {
-			if l := a.Dep.DepLevel(d, u); l > level {
-				level = l
+			if ssa.CNL(d, v) <= level {
+				continue
+			}
+			if l := a.Dep.DepLevel(d, v); l > level {
+				if level = l; level >= top {
+					break
+				}
 			}
 		}
 	}
-	u := e.Use()
-	if level > u.Stmt.NL() {
-		level = u.Stmt.NL()
-	}
+	level = min(level, top)
 	e.CommLevel = level
-	if level == u.Stmt.NL() {
+	if level == top {
 		e.Latest = Position{Block: u.Stmt.Block, After: u.Stmt.Index - 1}
 		return
 	}
@@ -387,9 +403,13 @@ func (a *Analysis) test(d ssa.Def, u *ssa.Use, w *walkScratch) bool {
 		// the ENTRY-side path before the through-the-loop parameter
 		// walks it — so we accept the test if any parameter ordering
 		// yields two positives. Blocks in this structured CFG have at
-		// most two predecessors, so this is at most two trials.
+		// most two predecessors, so this is at most two trials. The
+		// first trial starts from the last parameter: at a loop header
+		// the back edge, whose sources lie inside the loop, so the
+		// parameter walked in full is the short one; at a φExit the
+		// zero-trip edge, the order the φExit needs.
 		w.order = w.order[:0]
-		for i := range d.Args {
+		for i := len(d.Args) - 1; i >= 0; i-- {
 			w.order = append(w.order, i)
 		}
 		return a.tryOrders(d, u, ssa.CNL(d, u), w, 0)
@@ -399,15 +419,22 @@ func (a *Analysis) test(d ssa.Def, u *ssa.Use, w *walkScratch) bool {
 
 // tryOrders tries every order of the φ's parameters that keeps
 // w.order[:k] in place, reporting whether one yields two positive
-// Rcounts.
+// Rcounts. Only whether a count is positive matters, and the marks the
+// last parameter's walk leaves are never read, so that walk stops at its
+// first source; an order is abandoned once the parameters left cannot
+// make two positives.
 func (a *Analysis) tryOrders(d *ssa.PhiDef, u *ssa.Use, level int, w *walkScratch, k int) bool {
 	order := w.order
 	if k == len(order) {
 		w.visit.Clear()
 		w.visit.Mark(d)
 		positives := 0
-		for _, i := range order {
-			if a.rcount(d.Args[i], u, level, &w.visit) > 0 {
+		for n, i := range order {
+			left := len(order) - n
+			if positives+left < 2 {
+				return false
+			}
+			if a.rcount(d.Args[i], u, level, &w.visit, left == 1) > 0 {
 				positives++
 			}
 		}
@@ -425,8 +452,9 @@ func (a *Analysis) tryOrders(d *ssa.PhiDef, u *ssa.Use, level int, w *walkScratc
 
 // rcount implements Fig. 8(c): it counts dependence sources reachable
 // through a φ parameter, visiting every definition at most once so
-// that two positive parameter counts certify node-disjoint paths.
-func (a *Analysis) rcount(d ssa.Def, u *ssa.Use, level int, visit *ssa.Marks) int {
+// that two positive parameter counts certify node-disjoint paths. With
+// first set it stops at the first source, leaving the rest unvisited.
+func (a *Analysis) rcount(d ssa.Def, u *ssa.Use, level int, visit *ssa.Marks, first bool) int {
 	if d == nil || !visit.Mark(d) {
 		return 0
 	}
@@ -436,7 +464,9 @@ func (a *Analysis) rcount(d ssa.Def, u *ssa.Use, level int, visit *ssa.Marks) in
 	case *ssa.PhiDef:
 		n := 0
 		for _, arg := range d.Args {
-			n += a.rcount(arg, u, level, visit)
+			if n += a.rcount(arg, u, level, visit, first); first && n > 0 {
+				break
+			}
 		}
 		return n
 	case *ssa.RegularDef:
@@ -444,7 +474,7 @@ func (a *Analysis) rcount(d ssa.Def, u *ssa.Use, level int, visit *ssa.Marks) in
 			return 1
 		}
 		// All regular array defs are preserving: look through.
-		return a.rcount(d.Input, u, level, visit)
+		return a.rcount(d.Input, u, level, visit, first)
 	}
 	return 0
 }
@@ -616,37 +646,46 @@ func (a *Analysis) subsMention(subs []ast.Sub, name string, inSums bool) bool {
 // diagonal NNC using augmented axis exchanges, §2.2).
 
 func (a *Analysis) coalesceDiagonals() {
-	// Collect axis entries by (array, grid dim, sign, home loop).
-	type key struct {
-		array string
-		dim   int
-		sign  int
-		loop  *cfg.Loop
-	}
-	axis := map[key]*Entry{}
-	homeLoop := func(e *Entry) *cfg.Loop {
-		st := e.Use().Stmt
-		if len(st.Loops) == 0 {
-			return nil
-		}
-		return st.Loops[len(st.Loops)-1] // innermost loop = the nest
-	}
+	// A counting pass bounds what coalescing makes: one carrier link per
+	// non-zero component of a diagonal, each possibly a new axis entry.
+	naxis, nlinks := 0, 0
 	for _, e := range a.Entries {
-		if e.Kind != KindShift {
-			continue
-		}
-		if nz := nonZeroCount(e.Offsets); nz == 1 {
-			k := key{e.Array, e.Map.GridDim, e.Map.Sign, homeLoop(e)}
-			if old, ok := axis[k]; !ok || e.Map.Width > old.Map.Width {
-				axis[k] = e
+		if e.Kind == KindShift {
+			if nz := nonZeroCount(e.Offsets); nz == 1 {
+				naxis++
+			} else if nz >= 2 {
+				nlinks += nz
 			}
 		}
 	}
+	if nlinks == 0 {
+		return
+	}
+	// The axis entries, keyed by (array, grid dim, sign, home loop):
+	// slots chained per home loop from heads, indexed by loop ID + 1 (0
+	// for statements outside every loop).
+	t := axisTable{heads: make([]int32, len(a.G.Loops)+1), slots: make([]axisSlot, 0, naxis+nlinks)}
+	for _, e := range a.Entries {
+		if e.Kind == KindShift && nonZeroCount(e.Offsets) == 1 {
+			if i := t.find(e.Array, e.Map.GridDim, e.Map.Sign, e); i < 0 {
+				t.add(e, e.Map.GridDim, e.Map.Sign)
+			} else if e.Map.Width > t.slots[i].e.Map.Width {
+				t.slots[i].e = e
+			}
+		}
+	}
+	rank := a.Unit.Grid.Rank()
+	made := make([]Entry, nlinks)
+	offsets := make([]int, nlinks*rank)
+	carriers := make([]*Entry, nlinks)
+	links := make([]carrierLink, 0, nlinks)
+	a.Entries = slices.Grow(a.Entries, nlinks)
 	for _, e := range a.Entries {
 		if e.Kind != KindShift || nonZeroCount(e.Offsets) < 2 {
 			continue
 		}
 		e.Coalesced = true
+		e.Carriers = carve(&carriers, nonZeroCount(e.Offsets))[:0]
 		for g, c := range e.Offsets {
 			if c == 0 {
 				continue
@@ -655,28 +694,32 @@ func (a *Analysis) coalesceDiagonals() {
 			if c < 0 {
 				sign = -1
 			}
-			k := key{e.Array, g, sign, homeLoop(e)}
-			carrier, ok := axis[k]
-			if !ok {
+			i := t.find(e.Array, g, sign, e)
+			if i < 0 {
 				// Synthesize the axis exchange the diagonal rides on.
-				carrier = &Entry{
+				carrier := &carve(&made, 1)[0]
+				off := carve(&offsets, len(e.Offsets))
+				off[g] = c
+				*carrier = Entry{
 					ID:      len(a.Entries),
 					Array:   e.Array,
 					Kind:    KindShift,
 					Uses:    e.Uses,
-					Offsets: axisOffsets(len(e.Offsets), g, c),
+					Offsets: off,
 					Map:     shiftMapping(a.Unit.Grid.Shape, g, c),
 					dims:    e.dims,
 				}
 				a.Entries = append(a.Entries, carrier)
-				axis[k] = carrier
+				i = t.add(carrier, g, sign)
 			} else {
 				// The carrier now also serves the diagonal's reads, so
 				// its placement range must honour the diagonal's
 				// dependences too (a same-sweep carried diagonal pins
 				// the exchange inside the carrying loop).
-				carrier.Uses = append(carrier.Uses, e.Uses...)
+				t.slots[i].extra += len(e.Uses)
+				links = append(links, carrierLink{slot: i, from: e})
 			}
+			carrier := t.slots[i].e
 			if w := abs(c); w > carrier.Map.Width {
 				carrier.Map.Width = w
 			}
@@ -689,12 +732,76 @@ func (a *Analysis) coalesceDiagonals() {
 			e.Carriers = append(e.Carriers, carrier)
 		}
 	}
+	// Each carrier's use list grows, in diagonal order, into one list
+	// carved from a slab sized by the counts.
+	n := 0
+	for _, s := range t.slots {
+		if s.extra > 0 {
+			n += len(s.e.Uses) + s.extra
+		}
+	}
+	uses := make([]*ssa.Use, n)
+	for _, s := range t.slots {
+		if s.extra > 0 {
+			s.e.Uses = append(carve(&uses, len(s.e.Uses)+s.extra)[:0], s.e.Uses...)
+		}
+	}
+	for _, l := range links {
+		c := t.slots[l.slot].e
+		c.Uses = append(c.Uses, l.from.Uses...)
+	}
 }
 
-func axisOffsets(n, dim, c int) []int {
-	out := make([]int, n)
-	out[dim] = c
-	return out
+// axisTable is coalesceDiagonals' index of axis exchanges: slots holds
+// one per (array, grid dim, sign, home loop), heads the first slot of
+// each home loop (index + 1, 0 for none).
+type axisTable struct {
+	heads []int32
+	slots []axisSlot
+}
+
+// axisSlot is one axis exchange a diagonal may ride on; extra counts the
+// diagonals' uses it takes on.
+type axisSlot struct {
+	e         *Entry
+	dim, sign int
+	extra     int
+	next      int32 // index + 1 of the next slot of the same home loop
+}
+
+// carrierLink records that a diagonal rides on an existing carrier.
+type carrierLink struct {
+	slot int
+	from *Entry
+}
+
+// homeSlot returns the heads index of an entry's home loop: the
+// innermost loop of its primary use, the nest.
+func homeSlot(e *Entry) int {
+	if loops := e.Use().Stmt.Loops; len(loops) > 0 {
+		return loops[len(loops)-1].ID + 1
+	}
+	return 0
+}
+
+// find returns the slot of the axis exchange of (array, dim, sign) in
+// e's home loop, or −1.
+func (t *axisTable) find(array string, dim, sign int, e *Entry) int {
+	for i := t.heads[homeSlot(e)]; i != 0; i = t.slots[i-1].next {
+		if s := &t.slots[i-1]; s.dim == dim && s.sign == sign && s.e.Array == array {
+			return int(i - 1)
+		}
+	}
+	return -1
+}
+
+// add files e as the axis exchange of (dim, sign) in its home loop and
+// returns its slot.
+func (t *axisTable) add(e *Entry, dim, sign int) int {
+	h := homeSlot(e)
+	t.slots = append(t.slots, axisSlot{e: e, dim: dim, sign: sign, next: t.heads[h]})
+	t.heads[h] = int32(len(t.slots))
+	return len(t.slots) - 1
 }
 
 func nonZeroCount(xs []int) int {

@@ -19,7 +19,10 @@ import (
 // not rewrite, so both allocate by the routine, not by the node. Measured
 // when the pins were set: sem 165 and the skeleton 326, from 569 and
 // 2,311 when symbols, nodes, lists and defs were allocated one by one.
-// Each budget is 1.25× its measurement, as TestParseAllocs'.
+// The instance half, (*Skeleton).Analyze, is pinned beside them: 317,
+// from 519 when the dependence memo kept a direction vector per (def,
+// use) pair and diagonal coalescing allocated per diagonal. Each budget
+// is 1.25× its measurement, as TestParseAllocs'.
 func TestFrontEndAllocs(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -55,8 +58,25 @@ func TestFrontEndAllocs(t *testing.T) {
 			}
 		}
 	})
-	t.Logf("the six routines: sem.Analyze %.0f allocations, core.NewSkeleton %.0f", semAllocs, skelAllocs)
-	const semBudget, skelBudget = 206, 408
+	skels := make([]*core.Skeleton, len(units))
+	for i, u := range units {
+		var err error
+		if skels[i], err = core.NewSkeleton(u, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	analyzeAllocs := testing.AllocsPerRun(20, func() {
+		for i, u := range units {
+			if _, err := skels[i].Analyze(u, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("the six routines: sem.Analyze %.0f allocations, core.NewSkeleton %.0f, (*Skeleton).Analyze %.0f", semAllocs, skelAllocs, analyzeAllocs)
+	const semBudget, skelBudget, analyzeBudget = 206, 408, 396
+	if analyzeAllocs > analyzeBudget {
+		t.Errorf("(*core.Skeleton).Analyze of the six routines allocates %.0f times, budget %d", analyzeAllocs, analyzeBudget)
+	}
 	if semAllocs > semBudget {
 		t.Errorf("sem.Analyze of the six routines allocates %.0f times, budget %d", semAllocs, semBudget)
 	}

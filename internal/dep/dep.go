@@ -6,9 +6,18 @@
 // handles ZIV and strong-SIV pairs exactly and is conservative (all
 // directions possible) otherwise, which is safe for placement: a
 // spurious dependence only forfeits an optimization.
+//
+// A remembering analysis answers each query once per structural class
+// of (def, use) pair, not once per pair: the direction vector depends
+// only on the two references' subscript forms with loop variables named
+// by their binding depth, the bounds of the binding loops, and the
+// number of common loops, so the sibling nests of one time-step loop
+// share their answers and the number of Directions evaluations follows
+// the routine's distinct reference shapes, not its size.
 package dep
 
 import (
+	"encoding/binary"
 	"slices"
 
 	"gcao/internal/ast"
@@ -61,19 +70,53 @@ func (s DirSet) String() string {
 
 // Analysis holds per-routine context for dependence queries under one
 // binding of the routine's parameters. One built by New also remembers what
-// it derived — a subscript's form per reference that Forms does not hold, a
-// direction vector per (def, use) pair of one SSA form — and so has a
-// single user at a time;
-// the literal &Analysis{Unit: u, Forms: f} answers the same queries from
-// scratch, writes nothing, and may be shared.
+// it derived — a subscript's form per reference that Forms does not hold,
+// each loop's evaluated bounds, the structural class of each reference of
+// one SSA form and a direction vector per class of (def, use) pair — and so
+// has a single user at a time; the literal &Analysis{Unit: u, Forms: f}
+// answers the same queries from scratch, writes nothing, and may be shared.
 type Analysis struct {
 	Unit *sem.Unit
 	// Forms, when non-nil, holds the subscript forms the program text
 	// fixes; the analysis derives only those that read a parameter.
 	Forms Forms
 	forms map[*ast.Ref][]SubscriptForm
-	pairs map[pairKey][]DirSet // nil dirs: not feasible
 	vars  varForms
+	memo  *memo // nil: every query is answered from scratch
+}
+
+// memo is what a remembering analysis keeps between queries.
+type memo struct {
+	// classes interns a reference's structural class (classKey's
+	// encoding) as a dense number; useClass and defClass cache each
+	// use's and regular def's number plus one, by use ID and DefID.
+	classes  map[string]int32
+	useClass []int32
+	defClass []int32
+	key      []byte // the encoding being interned, reused
+	// pairs holds the direction vector of each class pair, as a span of
+	// dirs.
+	pairs map[classPair]dirSpan
+	dirs  []DirSet
+	// bounds caches each loop's valueLattice bounds by cfg.Loop.ID.
+	bounds []loopBounds
+	// evals counts Directions evaluations: one per class pair asked.
+	evals int
+}
+
+// classPair names the class of a (regular def, use) pair: the two
+// references' classes and their number of common loops.
+type classPair struct{ def, use, common int32 }
+
+// dirSpan locates a pair class's direction vector in memo.dirs; off is
+// −1 when the pair is infeasible.
+type dirSpan struct{ off, n int32 }
+
+// loopBounds is a loop's lo:hi:step as valueLattice reads it; known
+// marks a computed entry.
+type loopBounds struct {
+	lo, hi, step int
+	ok, known    bool
 }
 
 // varForms interns the one-term form 1·v of each identifier v a
@@ -167,17 +210,20 @@ func readsParam(e ast.Expr, params []string) bool {
 	return false
 }
 
-// pairKey names a (regular def, use) pair of one routine's SSA form by
-// the def's DefID and the use's ID.
-type pairKey uint64
-
-func keyOf(d *ssa.RegularDef, u *ssa.Use) pairKey {
-	return pairKey(uint64(d.DefID())<<32 | uint64(uint32(u.ID)))
-}
-
 // New builds a remembering dependence analysis for a routine.
 func New(u *sem.Unit) *Analysis {
-	return &Analysis{Unit: u, forms: map[*ast.Ref][]SubscriptForm{}, pairs: map[pairKey][]DirSet{}, vars: varForms{}}
+	return &Analysis{Unit: u, forms: map[*ast.Ref][]SubscriptForm{}, vars: varForms{},
+		memo: &memo{classes: map[string]int32{}, pairs: map[classPair]dirSpan{}}}
+}
+
+// Evaluations reports how many times a remembering analysis has run
+// Directions: once per class of (def, use) pair it was asked about. The
+// table-less literal reports 0.
+func (a *Analysis) Evaluations() int {
+	if a.memo == nil {
+		return 0
+	}
+	return a.memo.evals
 }
 
 // refForms returns the forms of a reference's subscripts in a new list.
@@ -214,18 +260,109 @@ func (a *Analysis) RefForms(r *ast.Ref) []SubscriptForm {
 	return fs
 }
 
-// pairDirections is Directions for a regular def and a use; what
-// Directions returns for a feasible pair is never nil.
+// pairDirections is Directions for a regular def and a use, answered
+// once per class pair by a remembering analysis.
 func (a *Analysis) pairDirections(d *ssa.RegularDef, u *ssa.Use) ([]DirSet, bool) {
-	k := keyOf(d, u)
-	dirs, ok := a.pairs[k]
+	m := a.memo
+	if m == nil {
+		return a.Directions(d.Stmt, d.LHS, u.Stmt, u.Ref)
+	}
+	k := classPair{
+		def:    a.classOf(&m.defClass, d.DefID(), d.Stmt, d.LHS),
+		use:    a.classOf(&m.useClass, u.ID, u.Stmt, u.Ref),
+		common: int32(ssa.CNL(d, u)),
+	}
+	sp, ok := m.pairs[k]
 	if !ok {
-		dirs, _ = a.Directions(d.Stmt, d.LHS, u.Stmt, u.Ref)
-		if a.pairs != nil {
-			a.pairs[k] = dirs
+		m.evals++
+		start := len(m.dirs)
+		var feasible bool
+		m.dirs, feasible = a.directions(m.dirs, d.Stmt, d.LHS, u.Stmt, u.Ref)
+		sp = dirSpan{off: -1}
+		if feasible {
+			sp = dirSpan{off: int32(start), n: int32(len(m.dirs) - start)}
+		}
+		m.pairs[k] = sp
+	}
+	if sp.off < 0 {
+		return nil, false
+	}
+	return m.dirs[sp.off : sp.off+sp.n : sp.off+sp.n], true
+}
+
+// classOf returns the class number of reference r of statement st, cached
+// in (*cache)[id]: interned once per reference.
+func (a *Analysis) classOf(cache *[]int32, id int, st *cfg.Stmt, r *ast.Ref) int32 {
+	c := *cache
+	if id >= len(c) {
+		c = append(c, make([]int32, max(id+1, 2*len(c), 64)-len(c))...)
+		*cache = c
+	}
+	if c[id] == 0 {
+		m := a.memo
+		m.key = a.classKey(m.key[:0], st, r)
+		n, ok := m.classes[string(m.key)]
+		if !ok {
+			n = int32(len(m.classes))
+			m.classes[string(m.key)] = n
+		}
+		c[id] = n + 1
+	}
+	return c[id] - 1
+}
+
+// classKey appends the encoding of a reference's structural class to
+// buf: everything Directions reads of one side of a pair. That is, per
+// subscript, its OK flag and, when OK, its constant and each term's
+// coefficient and variable, the variable named by the depths of the
+// statement's loops that bind it, innermost first, with the innermost
+// binding loop's valueLattice bounds (or by its name when no loop of the
+// statement binds it). Two pairs whose def references, use references
+// and common-loop counts encode alike get the same direction vector:
+// which common loop a variable names, whether two variables are the same
+// common loop's, and the lattice a subscript ranges over are all read
+// off the depths and bounds.
+func (a *Analysis) classKey(buf []byte, st *cfg.Stmt, r *ast.Ref) []byte {
+	fs := a.RefForms(r)
+	buf = binary.AppendUvarint(buf, uint64(len(fs)))
+	for _, f := range fs {
+		if !f.OK {
+			buf = append(buf, 0)
+			continue
+		}
+		buf = append(buf, 1)
+		buf = binary.AppendVarint(buf, int64(f.Form.Const))
+		buf = binary.AppendUvarint(buf, uint64(len(f.Form.Terms)))
+		for _, t := range f.Form.Terms {
+			buf = binary.AppendVarint(buf, int64(t.Coef))
+			bound := false
+			for i := len(st.Loops) - 1; i >= 0; i-- {
+				l := st.Loops[i]
+				if l.Var() != t.Var {
+					continue
+				}
+				buf = binary.AppendUvarint(buf, uint64(i+1))
+				if !bound {
+					b := a.bounds(l)
+					if b.ok {
+						buf = append(buf, 1)
+						buf = binary.AppendVarint(buf, int64(b.lo))
+						buf = binary.AppendVarint(buf, int64(b.hi))
+						buf = binary.AppendVarint(buf, int64(b.step))
+					} else {
+						buf = append(buf, 0)
+					}
+					bound = true
+				}
+			}
+			buf = append(buf, 0)
+			if !bound {
+				buf = binary.AppendUvarint(buf, uint64(len(t.Var)))
+				buf = append(buf, t.Var...)
+			}
 		}
 	}
-	return dirs, dirs != nil
+	return buf
 }
 
 // subForm extracts the affine form of an element subscript expression,
@@ -292,16 +429,26 @@ func subForm(e ast.Expr, params map[string]int, vars varForms) (lin.Form, bool) 
 // statement (reading uref), both references to the same array.
 // feasible=false means the subscripts can never name the same element,
 // so there is no dependence at all. The returned slice has one entry
-// per common loop, outermost first.
+// per common loop, outermost first, and is not nil for a feasible pair.
 func (a *Analysis) Directions(dstmt *cfg.Stmt, dref *ast.Ref, ustmt *cfg.Stmt, uref *ast.Ref) (dirs []DirSet, feasible bool) {
+	dirs, feasible = a.directions(make([]DirSet, 0, len(cfg.CommonLoops(ustmt, dstmt))), dstmt, dref, ustmt, uref)
+	if !feasible {
+		return nil, false
+	}
+	return dirs, true
+}
+
+// directions is Directions appending the direction sets to dst; it
+// returns dst unchanged for an infeasible pair.
+func (a *Analysis) directions(dst []DirSet, dstmt *cfg.Stmt, dref *ast.Ref, ustmt *cfg.Stmt, uref *ast.Ref) ([]DirSet, bool) {
 	common := cfg.CommonLoops(ustmt, dstmt)
-	dirs = make([]DirSet, len(common))
-	for i := range dirs {
-		dirs[i] = DirAll
+	start := len(dst)
+	for range common {
+		dst = append(dst, DirAll)
 	}
 	if len(dref.Subs) == 0 || len(uref.Subs) == 0 || len(dref.Subs) != len(uref.Subs) {
 		// Whole-array or rank-mismatched references: conservative.
-		return dirs, true
+		return dst, true
 	}
 	// commonVar finds the level index (0-based) of the innermost common
 	// loop binding a variable.
@@ -319,7 +466,12 @@ func (a *Analysis) Directions(dstmt *cfg.Stmt, dref *ast.Ref, ustmt *cfg.Stmt, u
 		set  bool
 		dist int
 	}
-	fixed := make([]constraint, len(common))
+	var stack [8]constraint
+	fixed := stack[:0]
+	if len(common) > len(stack) {
+		fixed = make([]constraint, 0, len(common))
+	}
+	fixed = fixed[:len(common)]
 
 	dfs, ufs := a.RefForms(dref), a.RefForms(uref)
 	for k := range dfs {
@@ -332,14 +484,14 @@ func (a *Analysis) Directions(dstmt *cfg.Stmt, dref *ast.Ref, ustmt *cfg.Stmt, u
 		switch {
 		case dConst && uConst:
 			if dc != uc {
-				return nil, false // ZIV: never the same element
+				return dst[:start], false // ZIV: never the same element
 			}
 		case dConst || uConst:
 			// One side fixed: check the constant lies in the other
 			// side's value lattice at all; if not, the subscripts can
 			// never meet (stride/range disjointness).
 			if a.latticesDisjoint(df, dstmt, uf, ustmt) {
-				return nil, false
+				return dst[:start], false
 			}
 			// Otherwise the distance is unconstrained.
 			continue
@@ -350,43 +502,42 @@ func (a *Analysis) Directions(dstmt *cfg.Stmt, dref *ast.Ref, ustmt *cfg.Stmt, u
 				continue // multi-variable: unconstrained
 			}
 			di, dCommon := commonVar(dv)
-			ui, uCommon := commonVar(uv)
+			_, uCommon := commonVar(uv)
 			if !dCommon || !uCommon || dv != uv {
 				// Different loops or private loop variables: the inner
 				// loop may satisfy the equation — unless the two value
 				// lattices are provably disjoint (e.g. the Fig. 4 odd
 				// vs even column sections).
 				if a.latticesDisjoint(df, dstmt, uf, ustmt) {
-					return nil, false
+					return dst[:start], false
 				}
 				continue
 			}
 			if dcoef != ucoef {
 				if a.latticesDisjoint(df, dstmt, uf, ustmt) {
-					return nil, false
+					return dst[:start], false
 				}
 				continue // weak SIV: conservative
 			}
 			if dcoef == 0 {
 				if dk != uk {
-					return nil, false
+					return dst[:start], false
 				}
 				continue
 			}
 			// dcoef*vd + dk == dcoef*vu + uk  =>  vu - vd = (dk-uk)/dcoef
 			num := dk - uk
 			if num%dcoef != 0 {
-				return nil, false // non-integral distance: independent
+				return dst[:start], false // non-integral distance: independent
 			}
 			dist := num / dcoef
-			lvl := di
-			_ = ui
-			if fixed[lvl].set && fixed[lvl].dist != dist {
-				return nil, false // conflicting constraints
+			if fixed[di].set && fixed[di].dist != dist {
+				return dst[:start], false // conflicting constraints
 			}
-			fixed[lvl] = constraint{set: true, dist: dist}
+			fixed[di] = constraint{set: true, dist: dist}
 		}
 	}
+	dirs := dst[start:]
 	for i, c := range fixed {
 		if !c.set {
 			continue
@@ -400,7 +551,7 @@ func (a *Analysis) Directions(dstmt *cfg.Stmt, dref *ast.Ref, ustmt *cfg.Stmt, u
 			dirs[i] = DirEq
 		}
 	}
-	return dirs, true
+	return dst, true
 }
 
 // valueLattice bounds the values a subscript form can take over the
@@ -424,25 +575,16 @@ func (a *Analysis) valueLattice(f lin.Form, stmt *cfg.Stmt) (lo, hi, step int, o
 	if loop == nil {
 		return 0, 0, 0, false
 	}
-	llo, err1 := a.Unit.EvalInt(loop.Do.Lo)
-	lhi, err2 := a.Unit.EvalInt(loop.Do.Hi)
-	if err1 != nil || err2 != nil || llo > lhi {
+	b := a.bounds(loop)
+	if !b.ok {
 		return 0, 0, 0, false
 	}
-	lstep := 1
-	if loop.Do.Step != nil {
-		s, err := a.Unit.EvalInt(loop.Do.Step)
-		if err != nil || s < 1 {
-			return 0, 0, 0, false
-		}
-		lstep = s
-	}
-	v1 := coef*llo + k
-	v2 := coef*lhi + k
+	v1 := coef*b.lo + k
+	v2 := coef*b.hi + k
 	if v1 > v2 {
 		v1, v2 = v2, v1
 	}
-	st := coef * lstep
+	st := coef * b.step
 	if st < 0 {
 		st = -st
 	}
@@ -450,6 +592,42 @@ func (a *Analysis) valueLattice(f lin.Form, stmt *cfg.Stmt) (lo, hi, step int, o
 		st = 1
 	}
 	return v1, v2, st, true
+}
+
+// bounds returns a loop's bounds under the binding: lo:hi:step with a
+// positive step, ok false when one is not a compile-time integer, the
+// step is below 1 or the loop runs no iteration. A remembering analysis
+// evaluates each loop once.
+func (a *Analysis) bounds(l *cfg.Loop) loopBounds {
+	m := a.memo
+	if m == nil {
+		return evalBounds(a.Unit, l)
+	}
+	if l.ID >= len(m.bounds) {
+		m.bounds = append(m.bounds, make([]loopBounds, max(l.ID+1, 2*len(m.bounds), 16)-len(m.bounds))...)
+	}
+	if !m.bounds[l.ID].known {
+		m.bounds[l.ID] = evalBounds(a.Unit, l)
+	}
+	return m.bounds[l.ID]
+}
+
+func evalBounds(u *sem.Unit, l *cfg.Loop) loopBounds {
+	b := loopBounds{step: 1, known: true}
+	lo, err1 := u.EvalInt(l.Do.Lo)
+	hi, err2 := u.EvalInt(l.Do.Hi)
+	if err1 != nil || err2 != nil || lo > hi {
+		return b
+	}
+	if l.Do.Step != nil {
+		s, err := u.EvalInt(l.Do.Step)
+		if err != nil || s < 1 {
+			return b
+		}
+		b.step = s
+	}
+	b.lo, b.hi, b.ok = lo, hi, true
+	return b
 }
 
 // latticesDisjoint soundly reports that two subscript value sets can

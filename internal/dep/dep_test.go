@@ -352,10 +352,10 @@ end
 			}
 		}
 	}
-	if queries == 0 || infeasible == 0 || len(c.a.pairs) == 0 || len(c.a.forms) == 0 {
-		t.Fatalf("%d queries, %d infeasible pairs, %d pairs and %d references remembered: the test exercises nothing", queries, infeasible, len(c.a.pairs), len(c.a.forms))
+	if queries == 0 || infeasible == 0 || len(c.a.memo.pairs) == 0 || len(c.a.forms) == 0 {
+		t.Fatalf("%d queries, %d infeasible pairs, %d pair classes and %d references remembered: the test exercises nothing", queries, infeasible, len(c.a.memo.pairs), len(c.a.forms))
 	}
-	if fresh.pairs != nil || fresh.forms != nil {
+	if fresh.memo != nil || fresh.forms != nil {
 		t.Error("the table-less analysis grew tables")
 	}
 }
