@@ -437,73 +437,6 @@ func BenchmarkPlace(b *testing.B) {
 	}
 }
 
-// BenchmarkPartialRedundancyAblation measures the §7 extension on a
-// kernel where combining is threshold-blocked, reporting the estimated
-// bytes moved with and without section trimming.
-func BenchmarkPartialRedundancyAblation(b *testing.B) {
-	b.ReportAllocs()
-	const src = `
-routine pr(n, steps)
-real a(0:n+1, 0:n+1), c(0:n+1, 0:n+1), d(0:n+1, 0:n+1)
-!hpf$ distribute (block, block) :: a, c, d
-do i = 0, n + 1
-do j = 0, n + 1
-a(i, j) = i + j
-c(i, j) = 0
-d(i, j) = 0
-enddo
-enddo
-do it = 1, steps
-do i = 1, n
-do j = 1, n
-c(i, j) = a(i - 1, j)
-enddo
-enddo
-do i = 2, n + 1
-do j = 1, n
-d(i, j) = a(i - 1, j)
-enddo
-enddo
-do i = 1, n
-do j = 1, n
-a(i, j) = 0.5 * (c(i, j) + d(i, j))
-enddo
-enddo
-enddo
-end
-`
-	comp, err := gcao.Compile(src, gcao.Config{Params: map[string]int{"n": 64, "steps": 8}, Procs: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := machine.SP2()
-	for _, partial := range []bool{false, true} {
-		name := "off"
-		if partial {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var bytes float64
-			for i := 0; i < b.N; i++ {
-				placed, err := comp.PlaceOptions(gcao.Combine, gcao.PlacementOptions{
-					CombineThresholdBytes: 200,
-					PartialRedundancy:     partial,
-				}, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cost, err := placed.Estimate(m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				bytes = cost.Bytes
-			}
-			b.ReportMetric(bytes, "est-bytes")
-		})
-	}
-}
-
 // BenchmarkParallelSimulation measures the sharded functional
 // simulator against its own sequential path on the paper's hot point:
 // gravity, procs=25, n=250 (Fig. 10(c)'s upper sizes). The sequential

@@ -176,14 +176,13 @@ func (c *Cache) fromSkeleton(source, main string, cfg Config) (*Compilation, Cac
 // outcome counter either way. A compilation that did not come from a
 // cache is placed directly and reported as a miss.
 func (c *Cache) Place(comp *Compilation, s Strategy, rec *Recorder) (*Placed, CacheOutcome, error) {
-	opts := core.Options{Version: s.version(), Obs: rec}
 	if comp.fingerprint == "" {
-		p, err := comp.place(opts)
+		p, err := comp.Place(s, rec)
 		return p, CacheMiss, err
 	}
 	key := cache.Fingerprint("gcao-place-v1", comp.fingerprint, s.String())
 	v, out, err := c.place.Do(key, placedSize, func() (any, error) {
-		return comp.place(opts)
+		return comp.Place(s, rec)
 	})
 	rec.Add("cache.place."+out.String(), 1)
 	if err != nil {

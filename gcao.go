@@ -268,53 +268,10 @@ func compileRoutine(r *ast.Routine, sk *core.Skeleton, cfg Config) (*Compilation
 // slice is the analysis's own, shared by every caller: read it only.
 func (c *Compilation) Entries() []*core.Entry { return c.Analysis.CommEntries() }
 
-// Place runs a placement strategy with default options; rec, when
-// non-nil, receives the placement's span, counters and decision log.
+// Place runs a placement strategy; rec, when non-nil, receives the
+// placement's span, counters and decision log.
 func (c *Compilation) Place(s Strategy, rec *Recorder) (*Placed, error) {
-	return c.PlaceOptions(s, PlacementOptions{}, rec)
-}
-
-// PlacementOptions exposes the paper's tunables for ablation studies.
-type PlacementOptions struct {
-	// CombineThresholdBytes bounds combined message size (default the
-	// paper's 20 KB).
-	CombineThresholdBytes int
-	// DisableSubsetElim turns off §4.5 subset elimination.
-	DisableSubsetElim bool
-	// NaiveGreedyOrder processes entries in program order instead of
-	// most-constrained-first.
-	NaiveGreedyOrder bool
-	// DisableCombining keeps global placement but emits one message
-	// per entry.
-	DisableCombining bool
-	// PartialRedundancy enables the paper's §7 future-work extension:
-	// later messages are trimmed to the section an earlier exchange
-	// does not already deliver.
-	PartialRedundancy bool
-}
-
-// coreOptions lowers the public tunables to the core representation.
-func (opt PlacementOptions) coreOptions(s Strategy, rec *Recorder) core.Options {
-	return core.Options{
-		Version:               s.version(),
-		Obs:                   rec,
-		CombineThresholdBytes: opt.CombineThresholdBytes,
-		DisableSubsetElim:     opt.DisableSubsetElim,
-		NaiveGreedyOrder:      opt.NaiveGreedyOrder,
-		DisableCombining:      opt.DisableCombining,
-		PartialRedundancy:     opt.PartialRedundancy,
-	}
-}
-
-// PlaceOptions runs a placement strategy with explicit options, recorded
-// into rec as Place's is.
-func (c *Compilation) PlaceOptions(s Strategy, opt PlacementOptions, rec *Recorder) (*Placed, error) {
-	return c.place(opt.coreOptions(s, rec))
-}
-
-// place runs one placement, recorded into opts.Obs.
-func (c *Compilation) place(opts core.Options) (*Placed, error) {
-	res, err := c.Analysis.Place(opts)
+	res, err := c.Analysis.Place(core.Options{Version: s.version(), Obs: rec})
 	if err != nil {
 		return nil, err
 	}

@@ -124,25 +124,6 @@ func TestStrategyStrings(t *testing.T) {
 	}
 }
 
-func TestPlacementOptions(t *testing.T) {
-	cfg := gcao.Config{Params: map[string]int{"n": 12, "steps": 1}, Procs: 4}
-	c, err := gcao.Compile(apiSrc, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := c.PlaceOptions(gcao.Combine, gcao.PlacementOptions{DisableCombining: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := c.Place(gcao.Combine, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Messages() < on.Messages() {
-		t.Errorf("combining disabled yielded fewer messages (%d) than enabled (%d)", off.Messages(), on.Messages())
-	}
-}
-
 func TestCompileErrors(t *testing.T) {
 	if _, err := gcao.Compile("routine f(\n", gcao.Config{}); err == nil {
 		t.Error("parse error must propagate")

@@ -225,94 +225,6 @@ func hullDim(a, b SymDim) (SymDim, bool) {
 	return SymDim{Lo: lo, Hi: hi, Step: step}, true
 }
 
-// Subtract returns the part of s not covered by t, when that
-// difference is representable as a single regular section: t must
-// cover s in every dimension except at most one, and in that dimension
-// the leftover must be a single interval at one end (a strip trim).
-// ok=false means the difference is not a single descriptor; callers
-// then keep the full section. Strides must be unit in the trimmed
-// dimension.
-func (s SymSection) Subtract(t SymSection) (diff SymSection, ok bool) {
-	if len(s.Dims) != len(t.Dims) {
-		return SymSection{}, false
-	}
-	trimDim := -1
-	for i := range s.Dims {
-		a, b := s.Dims[i], t.Dims[i]
-		dlo, ok1 := a.Lo.ConstDiff(b.Lo)
-		dhi, ok2 := b.Hi.ConstDiff(a.Hi)
-		if !ok1 || !ok2 {
-			return SymSection{}, false
-		}
-		covered := dlo >= 0 && dhi >= 0 && nestedStride(b, a)
-		if covered {
-			continue
-		}
-		if trimDim >= 0 {
-			return SymSection{}, false // leftover in two dimensions
-		}
-		trimDim = i
-	}
-	if trimDim < 0 {
-		// Fully covered: the empty difference.
-		out := SymSection{Dims: append([]SymDim(nil), s.Dims...)}
-		out.Dims[0] = ConstDim(1, 0, 1)
-		return out, true
-	}
-	a, b := s.Dims[trimDim], t.Dims[trimDim]
-	if a.Step != 1 || b.Step != 1 {
-		return SymSection{}, false
-	}
-	dlo, _ := a.Lo.ConstDiff(b.Lo) // a.Lo - b.Lo
-	dhi, _ := b.Hi.ConstDiff(a.Hi) // b.Hi - a.Hi
-	out := SymSection{Dims: append([]SymDim(nil), s.Dims...)}
-	switch {
-	case dlo < 0 && dhi >= 0:
-		// Leftover strip below t: [a.Lo, min(a.Hi, b.Lo-1)].
-		hi := b.Lo.AddConst(-1)
-		if d, ok := a.Hi.ConstDiff(hi); !ok {
-			return SymSection{}, false
-		} else if d < 0 {
-			hi = a.Hi // t entirely above s: difference is all of s
-		}
-		out.Dims[trimDim] = SymDim{Lo: a.Lo, Hi: hi, Step: 1}
-		return out, true
-	case dhi < 0 && dlo >= 0:
-		// Leftover strip above t: [max(a.Lo, b.Hi+1), a.Hi].
-		lo := b.Hi.AddConst(1)
-		if d, ok := lo.ConstDiff(a.Lo); !ok {
-			return SymSection{}, false
-		} else if d < 0 {
-			lo = a.Lo // t entirely below s
-		}
-		out.Dims[trimDim] = SymDim{Lo: lo, Hi: a.Hi, Step: 1}
-		return out, true
-	default:
-		return SymSection{}, false // strips at both ends
-	}
-}
-
-// nestedStride reports that outer's lattice covers inner's points for
-// dims already known to be bound-covered.
-func nestedStride(outer, inner SymDim) bool {
-	if inner.IsPoint() {
-		return true
-	}
-	os := outer.Step
-	if os < 1 {
-		os = 1
-	}
-	is := inner.Step
-	if is < 1 {
-		is = 1
-	}
-	if is%os != 0 {
-		return false
-	}
-	d, ok := inner.Lo.ConstDiff(outer.Lo)
-	return ok && d%os == 0
-}
-
 // NumElems returns the element count when every dimension is constant
 // (point dimensions count 1 even when symbolic).
 func (s SymSection) NumElems() (int, bool) {

@@ -248,88 +248,6 @@ func TestASDSubsumes(t *testing.T) {
 	}
 }
 
-func TestSubtract(t *testing.T) {
-	sec := func(dims ...SymDim) SymSection { return SymSection{Dims: dims} }
-	cases := []struct {
-		name string
-		s, t SymSection
-		want string
-		ok   bool
-	}{
-		{"trim-high", sec(ConstDim(1, 10, 1)), sec(ConstDim(0, 7, 1)), "(8:10)", true},
-		{"trim-low", sec(ConstDim(0, 10, 1)), sec(ConstDim(3, 12, 1)), "(0:2)", true},
-		{"covered", sec(ConstDim(2, 5, 1)), sec(ConstDim(1, 6, 1)), "", true},
-		{"both-ends", sec(ConstDim(0, 10, 1)), sec(ConstDim(3, 7, 1)), "", false},
-		{"two-dims", sec(ConstDim(0, 10, 1), ConstDim(0, 10, 1)), sec(ConstDim(1, 10, 1), ConstDim(1, 10, 1)), "", false},
-		{"second-dim", sec(ConstDim(1, 8, 1), ConstDim(1, 10, 1)), sec(ConstDim(1, 8, 1), ConstDim(1, 8, 1)), "(1:8,9:10)", true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			d, ok := tc.s.Subtract(tc.t)
-			if ok != tc.ok {
-				t.Fatalf("ok = %v, want %v", ok, tc.ok)
-			}
-			if !ok {
-				return
-			}
-			if tc.want == "" {
-				if n, k := d.NumElems(); !k || n != 0 {
-					t.Errorf("want empty difference, got %v", d)
-				}
-				return
-			}
-			if got := d.String(); got != tc.want {
-				t.Errorf("diff = %v, want %v", got, tc.want)
-			}
-		})
-	}
-}
-
-// Property: whenever Subtract succeeds on constant unit-stride
-// sections, diff ⊆ s, diff ∩ t = ∅, and t ∪ diff ⊇ s.
-func TestSubtractBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	member := func(sec SymSection, x, y int) bool {
-		lo0, _ := sec.Dims[0].Lo.IsConst()
-		hi0, _ := sec.Dims[0].Hi.IsConst()
-		lo1, _ := sec.Dims[1].Lo.IsConst()
-		hi1, _ := sec.Dims[1].Hi.IsConst()
-		return x >= lo0 && x <= hi0 && y >= lo1 && y <= hi1
-	}
-	empty := func(sec SymSection) bool {
-		n, ok := sec.NumElems()
-		return ok && n == 0
-	}
-	for trial := 0; trial < 1000; trial++ {
-		mk := func() SymSection {
-			return SymSection{Dims: []SymDim{
-				ConstDim(rng.Intn(5), rng.Intn(10), 1),
-				ConstDim(rng.Intn(5), rng.Intn(10), 1),
-			}}
-		}
-		s, u := mk(), mk()
-		d, ok := s.Subtract(u)
-		if !ok {
-			continue
-		}
-		for x := 0; x < 12; x++ {
-			for y := 0; y < 12; y++ {
-				inS, inT := member(s, x, y), member(u, x, y)
-				inD := !empty(d) && member(d, x, y)
-				if inD && !inS {
-					t.Fatalf("diff %v of %v - %v contains (%d,%d) outside s", d, s, u, x, y)
-				}
-				if inD && inT {
-					t.Fatalf("diff %v of %v - %v overlaps t at (%d,%d)", d, s, u, x, y)
-				}
-				if inS && !inT && !inD {
-					t.Fatalf("diff %v of %v - %v misses (%d,%d)", d, s, u, x, y)
-				}
-			}
-		}
-	}
-}
-
 func TestStringForms(t *testing.T) {
 	m := Mapping{Kind: MapShift, GridShape: []int{2, 2}, GridDim: 1, Sign: -1, Width: 2}
 	if got := m.String(); got != "shift[dim1-2]" {

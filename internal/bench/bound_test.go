@@ -48,19 +48,6 @@ func checkBoundSoundness(t *testing.T, label string, a *core.Analysis, m machine
 				label, v, b.TotalBytes, run.Ledger.BytesMoved, b.Terms)
 		}
 	}
-	// The partial-redundancy extension trims sections below SectionAt;
-	// the bound must survive it too.
-	res, err := a.Place(core.Options{Version: core.VersionCombine, PartialRedundancy: true})
-	if err != nil {
-		t.Fatalf("%s partial: place: %v", label, err)
-	}
-	cost, err := spmd.Estimate(res, m)
-	if err != nil {
-		t.Fatalf("%s partial: estimate: %v", label, err)
-	}
-	if b.TotalBytes > cost.Bytes {
-		t.Errorf("%s partial: bound %.0f exceeds estimated bytes %.0f", label, b.TotalBytes, cost.Bytes)
-	}
 }
 
 // TestBoundSoundFig10Estimates sweeps every Fig. 10 chart spec at its

@@ -87,19 +87,5 @@ func TestRandomProgramsEndToEnd(t *testing.T) {
 				t.Fatalf("seed %d %v: %v\n%s", seed, v, err, src)
 			}
 		}
-
-		// The partial-redundancy extension must stay sound on random
-		// programs too.
-		res, err := a.Place(core.Options{Version: core.VersionCombine, PartialRedundancy: true})
-		if err != nil {
-			t.Fatalf("seed %d partial: place: %v", seed, err)
-		}
-		run, err := spmd.RunParallel(res, m, 4, 0)
-		if err != nil {
-			t.Fatalf("seed %d partial: run: %v\n%s", seed, err, src)
-		}
-		if err := runtime.CompareState(run.Mem, seq.Mem, run.Scalars, seq.Scalars); err != nil {
-			t.Fatalf("seed %d partial: %v\n%s", seed, err, src)
-		}
 	}
 }

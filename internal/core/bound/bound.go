@@ -19,18 +19,18 @@
 // individual floor is therefore the minimum of that product over its
 // candidates.
 //
-// Entries do not contribute independently: redundancy elimination,
-// subset elimination and partial-redundancy trimming can serve one
-// entry's data with another's traffic, but only ever with traffic of
-// the same array — Available Section Descriptors are per-array, so
-// cross-array subsumption is impossible. Reductions form a separate
-// channel: they move combining-tree partial results, never array
-// sections, so no data exchange can absorb them (and vice versa).
-// Hence entries are grouped by (array, channel) where channel is
-// "data" (shift/broadcast/general) or "sum" (reductions), and each
-// group contributes the MINIMUM floor of its members once: whatever
-// the placement, the first exchange actually executed for that group
-// pays at least the cheapest member's floor.
+// Entries do not contribute independently: redundancy elimination and
+// subset elimination can serve one entry's data with another's
+// traffic, but only ever with traffic of the same array — Available
+// Section Descriptors are per-array, so cross-array subsumption is
+// impossible. Reductions form a separate channel: they move
+// combining-tree partial results, never array sections, so no data
+// exchange can absorb them (and vice versa). Hence entries are
+// grouped by (array, channel) where channel is "data"
+// (shift/broadcast/general) or "sum" (reductions), and each group
+// contributes the MINIMUM floor of its members once: whatever the
+// placement, the first exchange actually executed for that group pays
+// at least the cheapest member's floor.
 //
 // # When the bound is loose (deliberately)
 //

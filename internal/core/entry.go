@@ -356,8 +356,7 @@ func (e *Entry) BytesAt(a *Analysis, level int) (int, bool) {
 }
 
 // BytesForSection estimates the per-processor message volume for an
-// explicit section (used by the partial-redundancy extension, which
-// trims the communicated section below SectionAt's).
+// explicit section. BytesAt reads it, computed once, for SectionAt's.
 func (e *Entry) BytesForSection(a *Analysis, sec asd.SymSection) (int, bool) {
 	arr := a.Unit.Arrays[e.Array]
 	if arr == nil {
@@ -404,8 +403,8 @@ func (e *Entry) BytesForSection(a *Analysis, sec asd.SymSection) (int, bool) {
 // carries: the average, over neighbour pairs, of the section's
 // intersection with each partition-boundary band. With a full-extent
 // section this is exactly Map.Width (the classic ghost strip); a
-// section trimmed away from the boundaries (partial redundancy)
-// contributes nothing. Symbolic bounds fall back to Width.
+// section that stays clear of the boundaries contributes nothing.
+// Symbolic bounds fall back to Width.
 func (a *Analysis) stripRows(e *Entry, arr *sem.Array, sec asd.SymSection) int {
 	// Find the array dim mapped to the shifted grid dim.
 	ad := -1

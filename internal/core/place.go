@@ -57,11 +57,6 @@ type Options struct {
 	// DisableCombining turns off message combining while keeping the
 	// global placement machinery (ablation).
 	DisableCombining bool
-	// PartialRedundancy enables the §7 future-work extension: when an
-	// earlier-placed exchange already moves part of a later entry's
-	// section (and no definition intervenes), the later message is
-	// trimmed to the single-descriptor difference.
-	PartialRedundancy bool
 	// Obs, when non-nil, receives phase spans, elimination/combining
 	// counters and the per-entry placement decision log of this
 	// placement. Nil records nothing.
@@ -142,9 +137,6 @@ type Result struct {
 	Redundant map[*Entry]*Entry
 	// PosOf maps every live entry to its group's position.
 	PosOf map[*Entry]Position
-	// Reduced maps entries whose communicated section was trimmed by
-	// partial redundancy elimination to the section actually moved.
-	Reduced map[*Entry]asd.SymSection
 
 	// subsumedAt[e.ID] is the position at which redundant entry e's
 	// subsumption was proven, for the decision log; the zero Position
@@ -236,9 +228,6 @@ func (a *Analysis) Place(opts Options) (*Result, error) {
 		return nil, fmt.Errorf("core: unknown version %v", opts.Version)
 	}
 	a.sortGroups(res)
-	if opts.PartialRedundancy {
-		a.reducePartial(res, opts)
-	}
 	if rec == nil {
 		return res, nil
 	}
@@ -256,75 +245,6 @@ func (a *Analysis) Place(opts Options) (*Result, error) {
 		slog.Int("groups", len(res.Groups)),
 		slog.Int("redundant", len(res.Redundant)))
 	return res, nil
-}
-
-// CommSection returns the section an entry actually communicates at a
-// level: the partial-redundancy-trimmed section when one was recorded,
-// the full section otherwise.
-func (r *Result) CommSection(e *Entry, level int) asd.SymSection {
-	if sec, ok := r.Reduced[e]; ok {
-		return sec
-	}
-	return e.SectionAt(r.Analysis, level)
-}
-
-// CommBytes is BytesForSection of CommSection: the per-processor bytes
-// an entry's exchange moves at a level, read from the level table unless
-// partial redundancy trimmed the entry.
-func (r *Result) CommBytes(e *Entry, level int) (int, bool) {
-	if sec, ok := r.Reduced[e]; ok {
-		return e.BytesForSection(r.Analysis, sec)
-	}
-	return e.BytesAt(r.Analysis, level)
-}
-
-// reducePartial implements the §7 extension: for every pair of placed
-// shift entries of the same array where an earlier (dominating)
-// exchange with an at-least-as-wide mapping already moves part of a
-// later entry's section — and the data is already fully available at
-// the earlier point (its Earliest dominates it), so nothing can stale
-// the overlap — the later message shrinks to the single-descriptor
-// difference. The functional simulator's validity tracking verifies
-// the soundness of every trim the tests exercise.
-func (a *Analysis) reducePartial(res *Result, opts Options) {
-	res.Reduced = map[*Entry]asd.SymSection{}
-	for _, gLate := range res.Groups {
-		if gLate.Kind != KindShift {
-			continue
-		}
-		for _, eLate := range gLate.Entries {
-			for _, gEarly := range res.Groups {
-				if gEarly == gLate || gEarly.Kind != KindShift {
-					continue
-				}
-				if !a.posDominates(gEarly.Pos, gLate.Pos) || gEarly.Pos == gLate.Pos {
-					continue
-				}
-				if gEarly.Pos.Level() != gLate.Pos.Level() {
-					continue // sections live in different symbolic bases
-				}
-				if !a.posDominates(eLate.Earliest, gEarly.Pos) {
-					continue // a constraining def intervenes
-				}
-				for _, eEarly := range gEarly.Entries {
-					if eEarly.Array != eLate.Array || !eLate.Map.SubsetOf(eEarly.Map) {
-						continue
-					}
-					late := res.CommSection(eLate, gLate.Pos.Level())
-					early := res.CommSection(eEarly, gEarly.Pos.Level())
-					diff, ok := late.Subtract(early)
-					if !ok {
-						continue
-					}
-					nl, okl := late.NumElems()
-					nd, okd := diff.NumElems()
-					if okl && okd && nd < nl {
-						res.Reduced[eLate] = diff
-					}
-				}
-			}
-		}
-	}
 }
 
 // addGroup appends a group at pos, copying its members and attached

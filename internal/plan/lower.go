@@ -327,7 +327,7 @@ func (lw *lowerer) entry(g *core.Group, e *core.Entry) (EntrySec, bool) {
 		sortTerms(a.Terms)
 		return a, true
 	}
-	for _, d := range lw.pl.Res.CommSection(e, g.Pos.Level()).Dims {
+	for _, d := range e.SectionAt(lw.pl.A, g.Pos.Level()).Dims {
 		lo, ok1 := form(d.Lo)
 		hi, ok2 := form(d.Hi)
 		if !ok1 || !ok2 {

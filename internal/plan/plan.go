@@ -79,7 +79,7 @@ func newPlan(res *core.Result, layout *runtime.Layout) *Plan {
 			// The symbolic section's constant count when it has one (point
 			// dimensions count 1 even while symbolic), else the full declared
 			// array size: sections are clipped to the bounds, so that is sound.
-			n, ok := res.CommSection(e, g.Pos.Level()).NumElems()
+			n, ok := e.SectionAt(a, g.Pos.Level()).NumElems()
 			if !ok {
 				n = a.Unit.Arrays[e.Array].Size()
 			}

@@ -72,7 +72,7 @@ func Estimate(res *core.Result, m machine.Machine) (Cost, error) {
 		case core.KindShift:
 			bytes := 0
 			for _, e := range g.Entries {
-				b, ok := res.CommBytes(e, level)
+				b, ok := e.BytesAt(a, level)
 				if !ok {
 					continue
 				}
@@ -92,7 +92,7 @@ func Estimate(res *core.Result, m machine.Machine) (Cost, error) {
 		case core.KindBcast, core.KindGeneral:
 			bytes := 0
 			for _, e := range g.Entries {
-				if n, ok := res.CommSection(e, level).NumElems(); ok {
+				if n, ok := e.SectionAt(a, level).NumElems(); ok {
 					bytes += n * 8
 				}
 			}
