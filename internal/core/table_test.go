@@ -73,12 +73,9 @@ func TestSectionTableMatchesExpansion(t *testing.T) {
 type sharedUse struct {
 	Results []*core.Result
 	Costs   []spmd.Cost
-	// Comm and PlanBounds are each plan's group index and its payload
-	// bounds in Result.Groups order (Plan.Bound itself is keyed by
-	// group pointer, which no two placements share).
-	Comm       [][][][]*core.Group
-	PlanBounds [][]int
-	Bound      bound.Bound
+	// Comm is each plan's group index.
+	Comm  [][][][]*core.Group
+	Bound bound.Bound
 }
 
 func useAnalysis(a *core.Analysis, mem *runtime.Memory) (sharedUse, error) {
@@ -92,13 +89,8 @@ func useAnalysis(a *core.Analysis, mem *runtime.Memory) (sharedUse, error) {
 		if err != nil {
 			return u, err
 		}
-		pl := plan.New(res, mem)
-		var bounds []int
-		for _, g := range res.Groups {
-			bounds = append(bounds, pl.Bound[g])
-		}
 		u.Results, u.Costs = append(u.Results, res), append(u.Costs, cost)
-		u.Comm, u.PlanBounds = append(u.Comm, pl.Comm), append(u.PlanBounds, bounds)
+		u.Comm = append(u.Comm, plan.New(res, mem).Comm)
 	}
 	u.Bound = bound.Compute(a)
 	return u, nil

@@ -12,15 +12,17 @@ package native
 // Buffer lifecycle (zero allocation in steady state). The payloads of a
 // directed pair live in a ring of three slices its sender owns (link):
 // message k is packed into slot k mod 3, counting from 0 in every run,
-// and a slot is replaced only when it is too small. Initial capacities
-// come from the plan's per-group payload bounds, and since a repeat of a
-// run sends the same sequence through the same slots it allocates
-// nothing, whatever the timing. No buffer is ever handed back: the
-// channel's own ordering is the hand-over. The receiver is done with
-// message k before it receives k+1 (it keeps no reference past its next
-// receive from the pair); that receive happens before the send of k+2
-// completes (capacity 1); the sender fills k+3, the slot's next tenant,
-// only after that send.
+// and a slot is replaced only when it is too small. The sender sizes a
+// slot at getBuf from the message it is about to pack — a shift leg
+// counts its valid elements first, a gather leg receives its children's
+// payloads first — so a cold run allocates no more fabric bytes than it
+// sends, and since a repeat of a run sends the same sequence through the
+// same slots it allocates nothing, whatever the timing. No buffer is
+// ever handed back: the channel's own ordering is the hand-over. The
+// receiver is done with message k before it receives k+1 (it keeps no
+// reference past its next receive from the pair); that receive happens
+// before the send of k+2 completes (capacity 1); the sender fills k+3,
+// the slot's next tenant, only after that send.
 //
 // Failure protocol. engine.fail — the single way a run stops early, and
 // what a context's cancellation would call — records the first error,
@@ -146,7 +148,9 @@ func (pc *proc) recv(src int) ([]float64, error) {
 // getBuf returns an empty payload slice of capacity need or more for the
 // processor's next message to dst: the pair's next slot, replaced by a
 // fresh allocation (counted in Stats.AllocBytes) only when it is too
-// small. need is an upper bound, so packing never outgrows the slot.
+// small. need is the length of the message the caller packs next, so
+// packing never outgrows the slot and a slot is never larger than the
+// longest message it has carried.
 func (pc *proc) getBuf(dst, need int) []float64 {
 	l := pc.eng.link[dst][pc.p]
 	slot := &l.slot[l.next%len(l.slot)]
@@ -293,25 +297,29 @@ func (pc *proc) shiftExchange(op *plan.CommOp) error {
 	sch := pc.eng.sched.At(pc.fr, op, pc.p)
 	dst, src := sch.Dst, sch.Src
 
-	// Send leg: pack the valid strip elements and the validity bitmap
-	// for the receiving neighbour. Wire format:
-	// [values...][bitmap words][element count].
+	// Send leg: mark the valid strip elements, size the slot to them, then
+	// pack them and the validity bitmap for the receiving neighbour. Wire
+	// format: [values...][bitmap words][element count].
 	if dst >= 0 {
-		payload := pc.getBuf(dst, op.Bound+op.Bound/64+2)
 		bits := pc.bitbuf[:0]
-		n := 0
+		n, valid := 0, 0
 		for _, e := range sch.Ents {
-			data, base, k := e.Am.Data[pc.p], e.Off-e.Am.Base(pc.p), n
+			k := n
 			for _, r := range e.Send {
 				n += r.N
 			}
 			for len(bits)*64 < n {
 				bits = append(bits, 0)
 			}
-			whole := e.Am.ValidBits(pc.p, section.Section{Dims: e.Sent}, bits, k, pc.fr.Scratch) == n-k
+			valid += e.Am.ValidBits(pc.p, section.Section{Dims: e.Sent}, bits, k, pc.fr.Scratch)
+		}
+		payload := pc.getBuf(dst, valid+len(bits)+1)
+		k := 0
+		for _, e := range sch.Ents {
+			data, base := e.Am.Data[pc.p], e.Off-e.Am.Base(pc.p)
 			for _, r := range e.Send {
 				at := r.Off + base
-				if whole || bits.All(k, r.N) {
+				if bits.All(k, r.N) {
 					payload = append(payload, data[at:at+r.N]...)
 				} else {
 					for i := range r.N {
@@ -392,28 +400,30 @@ func (pc *proc) shiftExchange(op *plan.CommOp) error {
 
 // gatherUp moves this processor's contribution (already packed into
 // pc.minebuf in section order) up the binomial tree. Intermediate
-// nodes concatenate — own elements, then each child subtree's payload
-// in child order, which is DFS pre-order by induction — and forward to
-// the parent; no floating-point operation happens on the way up, so
-// the root sees every operand bit-exact. At the root, gatherUp carves
-// the child buffers into per-processor streams using cnt (the
-// element count each processor contributed, from the caller's own
-// section scan) and returns them: they alias the children's messages,
-// which are the root's to read until its next receive from each child —
-// the next collective. Non-roots return nil.
-//
-// bound is an upper bound of a whole subtree's payload, what the up-edge
-// slot is sized to.
-func (pc *proc) gatherUp(cnt []int, bound int) ([][]float64, error) {
+// nodes receive every child subtree's payload first, size the up-edge
+// slot to their own elements plus those, and concatenate — own
+// elements, then the children's payloads in child order, which is DFS
+// pre-order by induction — for the parent; no floating-point operation
+// happens on the way up, so the root sees every operand bit-exact. At
+// the root, gatherUp carves the child buffers into per-processor streams
+// using cnt (the element count each processor contributed, from the
+// caller's own section scan) and returns them: they alias the children's
+// messages, which are the root's to read until its next receive from
+// each child — the next collective. Non-roots return nil.
+func (pc *proc) gatherUp(cnt []int) ([][]float64, error) {
 	t := pc.eng.prog.Plan.Tree
 	if pc.p != 0 {
-		out := pc.getBuf(t.Parent[pc.p], bound)
-		out = append(out, pc.minebuf...)
-		for _, c := range t.Children[pc.p] {
+		need := len(pc.minebuf)
+		for i, c := range t.Children[pc.p] {
 			b, err := pc.recv(c)
 			if err != nil {
 				return nil, err
 			}
+			pc.kids[i], need = b, need+len(b)
+		}
+		out := pc.getBuf(t.Parent[pc.p], need)
+		out = append(out, pc.minebuf...)
+		for _, b := range pc.kids {
 			out = append(out, b...)
 		}
 		pc.hops++
@@ -504,7 +514,7 @@ func (pc *proc) bcastGather(op *plan.CommOp) error {
 		}
 		am := pc.fr.View(op.Entries[i].Lay)
 		pc.packOwned(am, sec)
-		streams, err := pc.gatherUp(pc.cnt, op.Bound)
+		streams, err := pc.gatherUp(pc.cnt)
 		if err != nil {
 			return err
 		}
@@ -550,7 +560,7 @@ func (pc *proc) gatherSum(sc *plan.Sum) error {
 	}
 	am := pc.fr.View(sc.Lay)
 	pc.packOwned(am, sec)
-	streams, err := pc.gatherUp(pc.cnt, sc.Bound)
+	streams, err := pc.gatherUp(pc.cnt)
 	if err != nil || pc.p != 0 {
 		return err
 	}

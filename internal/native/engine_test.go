@@ -345,7 +345,8 @@ func TestNativeGravityPaperSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("gravity n=256 P=64: %d image bytes, %d at declared extents; %d messages", imageBytes(got.Mem), declaredBytes(res.Analysis.Unit, 64), got.Stats.Messages)
+	st := got.Stats
+	t.Logf("gravity n=256 P=64: %d image bytes, %d at declared extents; %d messages, %d wire bytes, %d fabric bytes allocated", imageBytes(got.Mem), declaredBytes(res.Analysis.Unit, 64), st.Messages, st.WireBytes, st.AllocBytes)
 	if sum := stateHash(got.Mem, got.Scalars); sum != want {
 		t.Errorf("final state %016x, the P=1 simulator's %016x", sum, want)
 	}

@@ -227,6 +227,8 @@ func newEngine(prog *plan.Program, procs int) (*Engine, error) {
 			pc.cnt = make([]int, procs)
 			pc.pos = make([]int, procs)
 			pc.streams = make([][]float64, procs)
+		} else {
+			pc.kids = make([][]float64, len(prog.Plan.Tree.Children[p]))
 		}
 		eng.ps[p] = pc
 	}
@@ -301,12 +303,9 @@ func (eng *Engine) Run() (*RunResult, error) {
 	start := time.Now()
 	eng.profStart = start
 	eng.running.Store(int32(eng.procs))
+	eng.wg.Add(eng.procs - 1)
 	for _, pc := range eng.ps[1:] {
-		eng.wg.Add(1)
-		go func(pc *proc) {
-			defer eng.wg.Done()
-			pc.main()
-		}(pc)
+		go pc.main()
 	}
 	eng.ps[0].main()
 	eng.wg.Wait() // the processors and, after a failure, the reaper
@@ -467,14 +466,16 @@ type proc struct {
 
 	// Reusable scratch, sized once at engine setup so the hot paths
 	// allocate nothing: the packed contribution and assembled-section
-	// buffers, the shift validity bitmap, and — root only — the gather
-	// stream-carving scratch. The bulk memory operations use the
+	// buffers, the shift validity bitmap, the children's payloads a
+	// gather holds while it sizes its up-edge slot, and — root only — the
+	// gather stream-carving scratch. The bulk memory operations use the
 	// frame's Scratch; target holds the index of a guarded statement's
 	// target.
 	minebuf []float64
 	fullbuf []float64
 	bitbuf  runtime.Bits
 	target  []int
+	kids    [][]float64 // non-root: one gather's child payloads
 	cnt     []int       // root: per-proc element counts of one gather
 	pos     []int       // root: per-proc stream positions
 	streams [][]float64 // root: per-proc operand streams
@@ -512,7 +513,8 @@ func (pc *proc) nowNS() int64 {
 // main runs the program on this processor. Whatever stops it — an
 // evaluation error, a protocol error, a panic under it — becomes the
 // engine's error, so the peers blocked on this processor unwind and
-// the caller gets a value, not a crash.
+// the caller gets a value, not a crash. Processors other than 0 run it
+// on goroutines of their own, which Run waits for.
 func (pc *proc) main() {
 	defer func() {
 		if r := recover(); r != nil {
@@ -522,6 +524,9 @@ func (pc *proc) main() {
 			pc.endNS = pc.nowNS()
 		}
 		pc.eng.running.Add(-1)
+		if pc.p != 0 {
+			pc.eng.wg.Done()
+		}
 	}()
 	if err := plan.Exec(pc.eng.prog.Body, pc); err != nil {
 		pc.eng.fail(err)

@@ -19,7 +19,9 @@ var updateTraffic = flag.Bool("update", false, "rewrite testdata/traffic.golden 
 // routine × version × P ∈ {4, 16} sends — messages, wire and payload
 // bytes, tree hops, collectives, barriers and the operations by name — so
 // a change to when a collective runs can reorder messages across pairs but
-// never change one of them.
+// never change one of them. Each run is a cold engine's, and a slot is
+// sized to the message packed into it, so the fabric allocates no more
+// bytes than the run sends.
 func TestNativeTrafficGolden(t *testing.T) {
 	var b strings.Builder
 	for _, pr := range bench.Programs() {
@@ -34,6 +36,9 @@ func TestNativeTrafficGolden(t *testing.T) {
 					t.Fatalf("%s/%s/%s/P%d: %v", pr.Bench, pr.Routine, v, p, err)
 				}
 				st := out.Stats
+				if st.AllocBytes > st.WireBytes {
+					t.Errorf("%s/%s/%s/P%d: the fabric allocated %d bytes to send %d", pr.Bench, pr.Routine, v, p, st.AllocBytes, st.WireBytes)
+				}
 				fmt.Fprintf(&b, "%s/%s/%s/P%d messages=%d wire=%d bytes=%d hops=%d collectives=%d barriers=%d",
 					pr.Bench, pr.Routine, v, p, st.Messages, st.WireBytes, st.Bytes, st.Hops, st.Collectives, st.Barriers)
 				ops := make([]string, 0, len(st.Ops))

@@ -104,7 +104,7 @@ func (ls *lister) sums(sums []Sum, settle *CommOp, depth int) {
 		where = fmt.Sprintf("at global-sum g%d", settle.Group.ID)
 	}
 	for i := range sums {
-		ls.line(LoweredPrefix, depth, "collective: SUM %d over %s gathered to processor 0, at most %d elements; the total descends %s", i, sums[i].Lay.Name, sums[i].Bound, where)
+		ls.line(LoweredPrefix, depth, "collective: SUM %d over %s gathered to processor 0; the total descends %s", i, sums[i].Lay.Name, where)
 	}
 }
 
@@ -135,7 +135,7 @@ func (ls *lister) comm(c *Comm, depth int) {
 			}
 			ls.line(LoweredPrefix, depth, "operands gathered at the SUM statements; settles {%s} here: totals descend, statements assign", strings.Join(targets, ", "))
 		} else {
-			ls.line(LoweredPrefix, depth, "%d of %d entries can move data, at most %d elements a message", len(op.Entries), len(g.Entries), op.Bound)
+			ls.line(LoweredPrefix, depth, "%d of %d entries can move data", len(op.Entries), len(g.Entries))
 		}
 	}
 }

@@ -215,7 +215,7 @@ func (lw *lowerer) comm(groups []*core.Group) *Comm {
 	}
 	c := &Comm{Ops: make([]CommOp, len(groups))}
 	for i, g := range groups {
-		op := CommOp{Group: g, Bound: lw.pl.Bound[g]}
+		op := CommOp{Group: g}
 		if g.Kind == core.KindShift {
 			op.xid, lw.pr.Exchanges = len(lw.pr.Exchanges), append(lw.pr.Exchanges, &c.Ops[i])
 		}
@@ -774,7 +774,7 @@ func (lw *lowerer) sum(e *ast.Call) RealFn {
 			slot = lw.pr.numSums
 			lw.pr.numSums++
 			lw.sumSlot[e] = slot
-			lw.sums = append(lw.sums, Sum{Lay: am, Pos: e.Pos, Sec: lw.secExpr(ref, am), Bound: am.Arr.Size(), Slot: slot, arg: ref})
+			lw.sums = append(lw.sums, Sum{Lay: am, Pos: e.Pos, Sec: lw.secExpr(ref, am), Slot: slot, arg: ref})
 		}
 		return func(fr *Frame) float64 { return fr.Sums[slot] }
 	}

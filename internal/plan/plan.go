@@ -35,6 +35,9 @@ import (
 
 // Plan is the immutable index of one placement over one array layout:
 // what lowering reads and what the backends need beside the lowered form.
+// It bounds no payload: a message's size is known only where a backend
+// packs it, under the run's loop environment and validity, and the native
+// fabric sizes its buffers there.
 type Plan struct {
 	A   *core.Analysis
 	Res *core.Result
@@ -49,12 +52,6 @@ type Plan struct {
 	// count: broadcasts, gathers, reductions and barriers follow its
 	// parent/child edges for a log-P critical path.
 	Tree *Tree
-	// Bound maps each placed group to a conservative element-count
-	// bound of its concretized payload (per processor pair), so backend
-	// buffer capacities are decided once at setup, not per transfer.
-	// The bound uses the symbolic section's constant element count when
-	// it has one and degrades to the full declared array size otherwise.
-	Bound map[*core.Group]int
 }
 
 // New builds the plan of a placement under the layout of a memory image.
@@ -72,21 +69,6 @@ func newPlan(res *core.Result, layout *runtime.Layout) *Plan {
 		pl.Comm[b.ID][g.Pos.After+1] = append(pl.Comm[b.ID][g.Pos.After+1], g)
 	}
 	pl.Tree = buildTree(layout.P)
-	pl.Bound = make(map[*core.Group]int, len(res.Groups))
-	for _, g := range res.Groups {
-		total := 0
-		for _, e := range g.Entries {
-			// The symbolic section's constant count when it has one (point
-			// dimensions count 1 even while symbolic), else the full declared
-			// array size: sections are clipped to the bounds, so that is sound.
-			n, ok := e.SectionAt(a, g.Pos.Level()).NumElems()
-			if !ok {
-				n = a.Unit.Arrays[e.Array].Size()
-			}
-			total += n
-		}
-		pl.Bound[g] = total
-	}
 	return pl
 }
 

@@ -62,8 +62,6 @@ type Comm struct {
 // lowered to slot form.
 type CommOp struct {
 	Group *core.Group
-	// Bound is the plan's payload bound for the group (Plan.Bound).
-	Bound int
 	// Entries are the group's entries over distributed arrays (for
 	// shifts, only those distributed along the shifted grid dimension);
 	// empty for global-sum markers, which move no data themselves.
@@ -160,8 +158,6 @@ type Sum struct {
 	Lay *runtime.ArrayLayout
 	Pos source.Pos
 	Sec SecExpr
-	// Bound is the plan's element-count bound for gather buffers.
-	Bound int
 	// Slot is the index of the total in Frame.Sums, one per distributed SUM
 	// of the program.
 	Slot int
