@@ -62,8 +62,9 @@ bench-build:
 # profile's stdout (heatmap, superstep timeline, time split, blame
 # table) to its goldens, assert the trace's superstep lane came out
 # non-empty, and run the exposition tests covering the Prometheus
-# attribution families (gcao_superstep_hrelation_bytes,
-# gcao_site_comm_bytes_total) through CheckPromText.
+# attribution family (gcao_superstep_hrelation_bytes, labeled by version
+# alone: per-site bytes stay in the request's critpath facet) through
+# CheckPromText.
 attr-smoke:
 	@mkdir -p out
 	$(GO) run ./cmd/hpfc profile -bench shallow -procs 4 -version comb \
@@ -87,6 +88,9 @@ attr-smoke:
 # /compile request counter went from 1 to 2 — a request rate is that
 # difference over the time between the scrapes (the second scrape lands
 # in out/ for CI artifacts). /debug/cache and /healthz answer last.
+# /metrics keeps a fixed schema: forty compiles of ever longer routines
+# under new names, natively every other time, leave exactly the series
+# the first of each kind left (TestMetricsSeriesBounded).
 obs-smoke:
 	@mkdir -p out
 	$(GO) build -o out/gcaod ./cmd/gcaod
@@ -140,6 +144,7 @@ obs-smoke:
 	kill $$daemon 2>/dev/null || true; \
 	wait $$daemon 2>/dev/null || true
 	$(GO) test ./cmd/gcaod -run 'TestFlightRecorderResolvesCompile|TestRetainedRecordSpans|TestSlowRecordKeepsFacets|TestDebugRouteTable|TestTraceparentRoundTrip' -count=1
+	$(GO) test ./cmd/gcaod -run 'TestMetricsSeriesBounded' -count=1
 	@echo "obs-smoke: ok (metrics at out/obs-metrics.txt)"
 
 # native-smoke proves the native execution backend end to end: compile

@@ -1,13 +1,11 @@
 package gcao
 
 import (
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
 	"gcao/internal/bench"
-	"gcao/internal/core/bound"
 	"gcao/internal/spmd"
 )
 
@@ -125,36 +123,6 @@ func TestPlacedSizeTracksHeap(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestLowerBoundComputedOnce: the daemon asks a cached compilation for
-// its lower bound on every estimated request, from whichever worker
-// serves it; every caller gets the one memoized answer, and it is what
-// bound.Compute says.
-func TestLowerBoundComputedOnce(t *testing.T) {
-	pr, err := bench.ByName("hydflo", "flux")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Compile(pr.Source, Config{Params: pr.Params(pr.DefaultN), Procs: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := bound.Compute(c.Analysis)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got := c.LowerBound(); !reflect.DeepEqual(got, want) {
-				t.Errorf("LowerBound() = %+v, bound.Compute = %+v", got, want)
-			}
-		}()
-	}
-	wg.Wait()
-	if len(want.Terms) == 0 || &c.LowerBound().Terms[0] != &c.LowerBound().Terms[0] {
-		t.Error("LowerBound has no terms, or recomputed them on a later call")
 	}
 }
 

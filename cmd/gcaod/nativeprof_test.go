@@ -1,7 +1,6 @@
 package main
 
 import (
-	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -13,8 +12,8 @@ import (
 // to end — the response carries the skew/blocked headline,
 // /debug/flightrecorder?has=nativeprof lists the request,
 // /debug/flightrecorder/{id}?facet=nativeprof serves the retained
-// profile, and the profiler metric families reach /metrics. A plain
-// request has no profile and 404s.
+// profile, and its blocked time reaches /metrics. A plain request has no
+// profile and 404s.
 func TestNativeProfEndpoint(t *testing.T) {
 	_, ts := testServer(t)
 	respPlain, outPlain := postCompile(t, ts, map[string]any{
@@ -78,20 +77,14 @@ func TestNativeProfEndpoint(t *testing.T) {
 		t.Fatalf("retained skew %g != response skew %g", np.SkewRatio, outNat.Native.SkewRatio)
 	}
 
-	// The profiler families reach the scrape.
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// The blocked-time counter reaches the scrape; skew is the run's own
+	// answer (response and facet above), never a gauge.
+	text := scrape(t, ts)
+	if !strings.Contains(text, `gcao_native_blocked_seconds_total{version="comb"}`) {
+		t.Fatal("gcao_native_blocked_seconds_total missing from /metrics")
 	}
-	defer mresp.Body.Close()
-	text, _ := io.ReadAll(mresp.Body)
-	for _, want := range []string{
-		`gcao_native_skew_ratio{version="comb"}`,
-		`gcao_native_blocked_seconds_total{version="comb"}`,
-	} {
-		if !strings.Contains(string(text), want) {
-			t.Fatalf("%s missing from /metrics", want)
-		}
+	if strings.Contains(text, "skew") {
+		t.Fatal("/metrics exports a run's skew")
 	}
 
 	// Error paths: unprofiled request, unknown id, bad limit.

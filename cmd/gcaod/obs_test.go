@@ -803,3 +803,77 @@ func TestRouteLabelBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsSeriesBounded: /metrics is an aggregate with a fixed schema.
+// Forty compiles, each of a new routine one sweep longer than the last,
+// every one placing all three versions, estimating and simulating, every
+// other one natively too, leave exactly the series the first request of
+// each kind left: no label value comes from the routine's name, its
+// placement sites or the last run.
+func TestMetricsSeriesBounded(t *testing.T) {
+	_, ts := testServer(t)
+	// A scrape before the traffic, so every later one already counts the
+	// /metrics route.
+	scrape(t, ts)
+	var first map[string]bool
+	for i := range 40 {
+		req := map[string]any{
+			"source":   sweepSource(fmt.Sprintf("smooth%d", i), i+1),
+			"params":   map[string]int{"n": 8, "steps": 1},
+			"procs":    4,
+			"strategy": "all",
+			"estimate": true,
+			"simulate": true,
+		}
+		if i%2 == 1 {
+			req["backend"] = "native"
+		}
+		if resp, _ := postCompile(t, ts, req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
+		}
+		if i == 1 {
+			first = seriesOf(t, scrape(t, ts))
+		}
+	}
+	last := seriesOf(t, scrape(t, ts))
+	for k := range last {
+		if !first[k] {
+			t.Errorf("series %s appeared after the first request of its kind", k)
+		}
+	}
+	for k := range first {
+		if !last[k] {
+			t.Errorf("series %s disappeared", k)
+		}
+	}
+}
+
+// sweepSource is a Jacobi smoother named name whose time loop holds
+// sweeps stencil-and-copy pairs.
+func sweepSource(name string, sweeps int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "routine %s(n, steps)\nreal a(0:n+1, 0:n+1), b(0:n+1, 0:n+1)\n!hpf$ distribute (block, block) :: a, b\n", name)
+	b.WriteString("do i = 0, n + 1\ndo j = 0, n + 1\na(i, j) = 1.0 + i * 0.1 + j * 0.01\nb(i, j) = 0.0\nenddo\nenddo\ndo it = 1, steps\n")
+	for range sweeps {
+		b.WriteString("do i = 1, n\ndo j = 1, n\nb(i, j) = 0.25 * (a(i-1, j) + a(i+1, j) + a(i, j-1) + a(i, j+1))\nenddo\nenddo\n")
+		b.WriteString("do i = 1, n\ndo j = 1, n\na(i, j) = b(i, j)\nenddo\nenddo\n")
+	}
+	b.WriteString("enddo\nend\n")
+	return b.String()
+}
+
+// seriesOf is the set of (family, label set) pairs of a valid exposition:
+// each sample line without its value.
+func seriesOf(t *testing.T, text string) map[string]bool {
+	t.Helper()
+	if err := obs.CheckPromText([]byte(text)); err != nil {
+		t.Fatalf("exposition invalid: %v", err)
+	}
+	set := map[string]bool{}
+	for _, line := range strings.Split(text, "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			set[line[:strings.LastIndexByte(line, ' ')]] = true
+		}
+	}
+	return set
+}

@@ -534,7 +534,7 @@ func (s *server) compile(ctx context.Context, id string, rec *obs.Recorder, req 
 	if req.Estimate {
 		rec.Phase("estimate")
 		for i := range strats {
-			est, err := s.estimate(c, placed[i], m)
+			est, err := s.estimate(placed[i], m)
 			if err != nil {
 				return nil, err
 			}
@@ -562,16 +562,15 @@ func countsOf(placed *gcao.Placed) map[string]int {
 }
 
 // estimate asks the analytic cost model for one placement's verdict and
-// feeds it to the bytes-moved histogram and the optimality-gap gauges,
-// which an estimate-only request reaches no other way.
-func (s *server) estimate(c *gcao.Compilation, placed *gcao.Placed, m gcao.Machine) (*estimateDoc, error) {
+// feeds it to the bytes-moved histogram, which an estimate-only request
+// reaches no other way.
+func (s *server) estimate(placed *gcao.Placed, m gcao.Machine) (*estimateDoc, error) {
 	version := placed.Result.Version.String()
 	cost, err := placed.Estimate(m)
 	if err != nil {
 		return nil, badRequestError{fmt.Errorf("estimate %s: %w", version, err)}
 	}
 	s.reg.ObserveBytes(version, cost.Bytes)
-	s.reg.SetOptimalityGap(c.Analysis.Unit.Routine.Name, version, c.LowerBound().TotalBytes, cost.Bytes)
 	return &estimateDoc{CPUSeconds: cost.CPU, NetSeconds: cost.Net, Messages: cost.Messages, Bytes: cost.Bytes}, nil
 }
 

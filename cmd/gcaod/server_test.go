@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -801,45 +800,6 @@ func TestCompileAllStrategies(t *testing.T) {
 		}
 		if single.Estimate == nil || *single.Estimate != *got.Estimate {
 			t.Errorf("%s: all-mode estimate %+v, single-mode %+v", strat, got.Estimate, single.Estimate)
-		}
-	}
-}
-
-// TestOptimalityGapMetrics: an estimating compile publishes the
-// communication lower bound and per-version gap gauges on /metrics.
-func TestOptimalityGapMetrics(t *testing.T) {
-	_, ts := testServer(t)
-	resp, _ := postCompile(t, ts, map[string]any{
-		"source":   stencilSrc,
-		"params":   map[string]int{"n": 12, "steps": 2},
-		"procs":    4,
-		"strategy": "all",
-		"estimate": true,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("compile status = %d", resp.StatusCode)
-	}
-	text := scrape(t, ts)
-	if err := obs.CheckPromText([]byte(text)); err != nil {
-		t.Fatalf("/metrics invalid with gap families: %v", err)
-	}
-	for _, want := range []string{
-		`gcao_comm_lower_bound_bytes{benchmark="smooth"}`,
-		`gcao_optimality_gap_ratio{benchmark="smooth",version="orig"}`,
-		`gcao_optimality_gap_ratio{benchmark="smooth",version="nored"}`,
-		`gcao_optimality_gap_ratio{benchmark="smooth",version="comb"}`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-	// Every version's traffic is at or above the bound.
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, "gcao_optimality_gap_ratio{") {
-			f := strings.Fields(line)
-			if v, err := strconv.ParseFloat(f[len(f)-1], 64); err != nil || v < 1 {
-				t.Errorf("%s: want a ratio >= 1", line)
-			}
 		}
 	}
 }

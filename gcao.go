@@ -41,7 +41,6 @@ import (
 
 	"gcao/internal/ast"
 	"gcao/internal/core"
-	"gcao/internal/core/bound"
 	"gcao/internal/inline"
 	"gcao/internal/machine"
 	"gcao/internal/native"
@@ -195,11 +194,6 @@ type Compilation struct {
 	// placement tier so placements of cached analyses are themselves
 	// cacheable.
 	fingerprint string
-
-	// lowerBound memoizes LowerBound: a pure function of the immutable
-	// analysis that the daemon asks for on every estimated request.
-	lowerBoundOnce sync.Once
-	lowerBound     CommLowerBound
 }
 
 // Compile parses, semantically analyzes, scalarizes and
@@ -276,23 +270,6 @@ func (c *Compilation) Place(s Strategy, rec *Recorder) (*Placed, error) {
 		return nil, err
 	}
 	return &Placed{Compilation: c, Result: res}, nil
-}
-
-// CommLowerBound re-exports the placement-independent communication
-// lower bound: the bytes any placement of the compilation must move,
-// derived from the analysis alone (package bound documents the
-// derivation and its deliberate looseness).
-type CommLowerBound = bound.Bound
-
-// LowerBound computes the compilation's communication lower bound.
-// The bound is placement-independent: it holds for every strategy,
-// every option set, and the exhaustive optimal search alike, so
-// actual-traffic/bound is a placement's optimality-gap ratio. It is
-// computed once per compilation; the result's Terms are shared, not to
-// be written to.
-func (c *Compilation) LowerBound() CommLowerBound {
-	c.lowerBoundOnce.Do(func() { c.lowerBound = bound.Compute(c.Analysis) })
-	return c.lowerBound
 }
 
 // Placed is a routine with chosen communication placements. Its first

@@ -11,6 +11,7 @@ import (
 	"gcao"
 	"gcao/internal/bench"
 	"gcao/internal/core"
+	"gcao/internal/core/bound"
 	"gcao/internal/native"
 	"gcao/internal/parser"
 	"gcao/internal/sem"
@@ -54,7 +55,7 @@ func explain(t testing.TB, c *gcao.Compilation) string {
 		}
 		fmt.Fprintf(&b, "estimate %+v\n", cost)
 	}
-	fmt.Fprintf(&b, "bound %+v\n", c.LowerBound())
+	fmt.Fprintf(&b, "bound %+v\n", bound.Compute(c.Analysis))
 	return b.String()
 }
 

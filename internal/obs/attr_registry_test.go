@@ -9,9 +9,9 @@ import (
 )
 
 // TestRegistryAttributionFamilies: absorbing a recorder that carries a
-// cost-attribution record must surface the two new metric families —
-// the per-superstep h-relation histogram and the per-site byte counter
-// — in a parseable, deterministic exposition.
+// cost-attribution record must surface the per-superstep h-relation
+// histogram, labeled by version alone, in a parseable, deterministic
+// exposition. The per-site bytes stay in the request's own record.
 func TestRegistryAttributionFamilies(t *testing.T) {
 	rec := New()
 	rec.SetAttribution(&attr.Run{
@@ -45,9 +45,6 @@ func TestRegistryAttributionFamilies(t *testing.T) {
 		`gcao_superstep_hrelation_bytes_bucket{version="comb",le="256"} 3`,
 		`gcao_superstep_hrelation_bytes_count{version="comb"} 3`,
 		`gcao_superstep_hrelation_bytes_sum{version="comb"} 280`,
-		`# TYPE gcao_site_comm_bytes_total counter`,
-		`gcao_site_comm_bytes_total{site="comb/g0@B1.top/NNC"} 800`,
-		`gcao_site_comm_bytes_total{site="comb/g1@B2.top/SUM"} 40`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q\n%s", want, text)
@@ -61,7 +58,7 @@ func TestRegistryAttributionFamilies(t *testing.T) {
 	if buf.String() != buf2.String() {
 		t.Fatal("exposition not deterministic")
 	}
-	// A recorder without attribution leaves the families absent but the
+	// A recorder without attribution leaves the family absent but the
 	// exposition still valid.
 	reg2 := NewRegistry()
 	reg2.Absorb(New(), "ok")
@@ -72,7 +69,7 @@ func TestRegistryAttributionFamilies(t *testing.T) {
 	if err := CheckPromText(buf3.Bytes()); err != nil {
 		t.Fatalf("attribution-free exposition not parseable: %v", err)
 	}
-	if strings.Contains(buf3.String(), "gcao_site_comm_bytes_total{") {
-		t.Fatal("site counter rendered without any attribution")
+	if strings.Contains(buf3.String(), "gcao_superstep_hrelation_bytes") {
+		t.Fatal("h-relation histogram rendered without any attribution")
 	}
 }

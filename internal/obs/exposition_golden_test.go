@@ -55,11 +55,6 @@ func TestExpositionGolden(t *testing.T) {
 	reg.ObserveBytes("comb", 4096)
 	reg.ObserveBytes("orig", 2.5e6)
 
-	reg.SetOptimalityGap("shallow", "orig", 2240, 6496)
-	reg.SetOptimalityGap("shallow", "comb", 2240, 3360)
-	reg.SetOptimalityGap("gravity", "comb", 1_000_000, 1_500_000)
-	reg.SetOptimalityGap("local", "comb", 0, 0) // zero bound: bound gauge, no ratio
-
 	// Native runs on two versions, unprofiled and profiled.
 	profiled := func(skew, blocked float64) *prof.NativeProfile {
 		return &prof.NativeProfile{SkewRatio: skew, BlockedSeconds: blocked}

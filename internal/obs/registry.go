@@ -22,7 +22,11 @@ import (
 //
 // What it exports is the families table below, in that order; label
 // values are rendered sorted, so the exposition is byte-deterministic
-// given deterministic inputs.
+// given deterministic inputs. The schema is fixed: every label value
+// comes from a closed vocabulary (version, status, route, counter or
+// phase name, tier, pool, outcome) and every gauge is a constant or read
+// at scrape time, so no request adds a series. What one request measured
+// — a site's bytes, a run's skew — stays in that request's record.
 type Registry struct {
 	mu sync.Mutex
 	// The samples of every regular family by label value, indexed like
@@ -31,11 +35,7 @@ type Registry struct {
 	vals  [numFamilies]map[string]float64
 	hists [numFamilies]map[string]*Histogram
 
-	// Optimality gap: per (benchmark, version) the latest observed
-	// traffic; the ratio is derived at scrape time against the bound in
-	// famLowerBound. Gauges, not counters — each compile overwrites.
-	gapActual map[string]map[string]float64 // benchmark -> version -> bytes
-	httpReq   map[string]map[string]int64   // route -> code -> count
+	httpReq   map[string]map[string]int64 // route -> code -> count
 	buildInfo string
 	// Scrape-time callbacks of the serving layer (see serve.go).
 	cacheStats  func() []CacheTierStats
@@ -57,16 +57,12 @@ const (
 	famPlacedMessages
 	famCommBytes
 	famHRelation
-	famSiteBytes
 	famNativeSeconds
 	famNativeMessages
 	famNativeWire
 	famNativeHops
 	famNativeAlloc
-	famNativeSkew
 	famNativeBlocked
-	famLowerBound
-	famGapRatio
 	famCache
 	famServer
 	numFamilies
@@ -104,8 +100,6 @@ var families = [numFamilies]family{
 		help: "Bytes moved per compile (simulated or estimated), by compiler version."},
 	famHRelation: {name: "gcao_superstep_hrelation_bytes", label: "version", buckets: BytesBuckets,
 		help: "Per-superstep h-relation size in bytes (max in/out per processor), by compiler version."},
-	famSiteBytes: {name: "gcao_site_comm_bytes_total", typ: "counter", label: "site",
-		help: "Simulated communication bytes attributed to each placement site."},
 	famNativeSeconds: {name: "gcao_native_exec_seconds", label: "version", buckets: LatencyBuckets,
 		help: "Native goroutine-backend wall clock per run in seconds, by compiler version."},
 	famNativeMessages: {name: "gcao_native_messages_total", typ: "counter", label: "version",
@@ -116,23 +110,15 @@ var families = [numFamilies]family{
 		help: "Binomial-tree hops moved by native collectives (gather ascents, broadcast descents), by compiler version."},
 	famNativeAlloc: {name: "gcao_native_alloc_bytes_total", typ: "counter", label: "version",
 		help: "Payload-buffer bytes the native message fabric allocated because no recycled buffer fit, by compiler version."},
-	famNativeSkew: {name: "gcao_native_skew_ratio", typ: "gauge", label: "version",
-		help: "Compute skew of the last profiled native run (max/mean compute per superstep; 1.0 is perfectly balanced), by compiler version."},
 	famNativeBlocked: {name: "gcao_native_blocked_seconds_total", typ: "counter", label: "version",
 		help: "Seconds native processors spent blocked in sends, receive waits, barrier trees and SUM collectives, by compiler version."},
-	famLowerBound: {name: "gcao_comm_lower_bound_bytes", typ: "gauge", label: "benchmark",
-		help: "Placement-independent communication lower bound of the last compile, by routine."},
-	famGapRatio: {write: writeGapRatio},
-	famCache:    {write: writeCacheFamilies},
-	famServer:   {write: writeServerFamilies},
+	famCache:  {write: writeCacheFamilies},
+	famServer: {write: writeServerFamilies},
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	g := &Registry{
-		gapActual: map[string]map[string]float64{},
-		httpReq:   map[string]map[string]int64{},
-	}
+	g := &Registry{httpReq: map[string]map[string]int64{}}
 	for id, f := range families {
 		switch {
 		case f.buckets != nil:
@@ -157,9 +143,9 @@ func (g *Registry) hist(id familyID, label string) *Histogram {
 
 // ObserveNativeExec records one native-backend run, labeled by compiler
 // version: the run's counts and wall clock and, when it was profiled
-// (np non-nil), its compute skew and blocked time. An unprofiled run
-// leaves those two families alone — it must not export zeros as
-// measurements.
+// (np non-nil), its blocked time. An unprofiled run leaves that family
+// alone — it must not export zeros as measurements. A run's compute skew
+// is its own answer, not an aggregate: it stays in the run's profile.
 func (g *Registry) ObserveNativeExec(version string, st prof.RunStats, np *prof.NativeProfile) {
 	if g == nil {
 		return
@@ -172,7 +158,6 @@ func (g *Registry) ObserveNativeExec(version string, st prof.RunStats, np *prof.
 	g.vals[famNativeHops][version] += float64(st.Hops)
 	g.vals[famNativeAlloc][version] += float64(st.AllocBytes)
 	if np != nil {
-		g.vals[famNativeSkew][version] = np.SkewRatio
 		g.vals[famNativeBlocked][version] += np.BlockedSeconds
 	}
 }
@@ -223,10 +208,8 @@ func (g *Registry) Absorb(rec *Recorder, status string) {
 		}
 	}
 	if attrRun != nil {
-		site := g.vals[famSiteBytes]
 		for _, s := range attrRun.Steps {
 			g.hist(famHRelation, attrRun.Version).Observe(float64(s.H()))
-			site[s.Site] += float64(s.Bytes)
 		}
 	}
 }
@@ -241,28 +224,6 @@ func (g *Registry) ObserveBytes(version string, bytes float64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.hist(famCommBytes, version).Observe(bytes)
-}
-
-// SetOptimalityGap records a compile's communication lower bound and
-// the traffic one compiler version actually produced against it. The
-// gap ratio (actual/bound) is exported as
-// gcao_optimality_gap_ratio{benchmark,version}; the bound itself as
-// gcao_comm_lower_bound_bytes{benchmark}. A non-positive bound is
-// recorded (the bound gauge is honest about "nothing provably moves")
-// but yields no gap sample — the ratio would be meaningless.
-func (g *Registry) SetOptimalityGap(benchmark, version string, boundBytes, actualBytes float64) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.vals[famLowerBound][benchmark] = boundBytes
-	byVer := g.gapActual[benchmark]
-	if byVer == nil {
-		byVer = map[string]float64{}
-		g.gapActual[benchmark] = byVer
-	}
-	byVer[version] = actualBytes
 }
 
 // CacheTierStats is one compilation-cache tier's scrape-time snapshot,
@@ -320,7 +281,6 @@ func (g *Registry) Counter(name string) int64 {
 type registrySnapshot struct {
 	vals        [numFamilies]map[string]float64
 	hists       [numFamilies]map[string]*Histogram
-	gapActual   map[string]map[string]float64
 	httpReq     map[string]map[string]int64
 	buildInfo   string
 	cacheStats  func() []CacheTierStats
@@ -333,7 +293,6 @@ func (g *Registry) snapshot() *registrySnapshot {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	snap := &registrySnapshot{
-		gapActual:   make(map[string]map[string]float64, len(g.gapActual)),
 		httpReq:     make(map[string]map[string]int64, len(g.httpReq)),
 		buildInfo:   g.buildInfo,
 		cacheStats:  g.cacheStats,
@@ -348,9 +307,6 @@ func (g *Registry) snapshot() *registrySnapshot {
 	}
 	for route, codes := range g.httpReq {
 		snap.httpReq[route] = copyMap(codes)
-	}
-	for bench, byVer := range g.gapActual {
-		snap.gapActual[bench] = copyMap(byVer)
 	}
 	return snap
 }
@@ -394,29 +350,6 @@ func writeBuildInfo(b *strings.Builder, snap *registrySnapshot) {
 	}
 	fmt.Fprintf(b, "# HELP gcao_build_info Build identity; constant 1 labeled by version.\n# TYPE gcao_build_info gauge\n")
 	fmt.Fprintf(b, "gcao_build_info{version=%s} 1\n", quoteLabel(snap.buildInfo))
-}
-
-// writeGapRatio renders the two-label optimality-gap family, both
-// labels in sorted order (benchmark, then version). The ratio is derived
-// here from the snapshot's bound and actual bytes, copied under one
-// lock, so a sample always reflects one consistent (bound, actual) pair.
-func writeGapRatio(b *strings.Builder, snap *registrySnapshot) {
-	const name = "gcao_optimality_gap_ratio"
-	header := false
-	for _, bench := range sortedKeys(snap.gapActual) {
-		bound := snap.vals[famLowerBound][bench]
-		if bound <= 0 {
-			continue
-		}
-		if !header {
-			header = true
-			fmt.Fprintf(b, "# HELP %s Latest traffic over the communication lower bound, by routine and compiler version.\n# TYPE %s gauge\n", name, name)
-		}
-		for _, ver := range sortedKeys(snap.gapActual[bench]) {
-			fmt.Fprintf(b, "%s{benchmark=%s,version=%s} %s\n",
-				name, quoteLabel(bench), quoteLabel(ver), formatValue(snap.gapActual[bench][ver]/bound))
-		}
-	}
 }
 
 // writeCacheFamilies renders the serving layer's cache tiers as the
