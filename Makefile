@@ -77,8 +77,9 @@ attr-smoke:
 	@echo "attr-smoke: ok (trace at out/attr-trace.json)"
 
 # obs-smoke proves the daemon and its request-tracing path end to end
-# against a live gcaod at -log-level debug: compile once (a cache miss),
-# take the response's X-Request-Id, resolve it at
+# against a live gcaod at -log-level debug: compile once (a cache miss,
+# whose reply holds no metrics document), take the response's
+# X-Request-Id, resolve it at
 # /debug/flightrecorder/{id} to spans with the expected phases and the
 # place:comb pipeline span
 # and, by ?facet=decisions, to its placement decision log, find it in
@@ -106,6 +107,7 @@ obs-smoke:
 	curl -fsS -D out/obs-headers.txt -X POST -H 'Content-Type: application/json' \
 		--data @out/obs-req.json http://127.0.0.1:8377/compile > out/obs-compile.json; \
 	grep -q '"req_id"' out/obs-compile.json || { echo "obs-smoke: compile reply lacks req_id"; exit 1; }; \
+	if grep -q '"metrics"' out/obs-compile.json; then echo "obs-smoke: compile reply restates the flight record's metrics"; exit 1; fi; \
 	grep -q '"compile":"miss"' out/obs-compile.json || { echo "obs-smoke: first compile is not a cache miss"; exit 1; }; \
 	grep -qi '^x-request-id:' out/obs-headers.txt || { echo "obs-smoke: no X-Request-Id header"; exit 1; }; \
 	grep -qi '^traceparent: 00-' out/obs-headers.txt || { echo "obs-smoke: no traceparent header"; exit 1; }; \

@@ -126,10 +126,12 @@ func BenchmarkHandleCompile(b *testing.B) {
 // body is decoded whole and then kept, its bytes copied into the tier's
 // key. It measured 493 (budget 540) once sem carved its symbols from
 // slabs, the analysis its candidate lists from one, and the decision log
-// formatted each position once per call (627 without that last), and 457
-// when the pin was last set (budget within 10 %), once the dependence
-// memo kept one direction vector per class of (def, use) pair instead of
-// one per pair and diagonal coalescing carved its lists from slabs.
+// formatted each position once per call (627 without that last), 457
+// once the dependence memo kept one direction vector per class of (def,
+// use) pair instead of one per pair and diagonal coalescing carved its
+// lists from slabs, and 442 before the reply stopped carrying the
+// request's metrics document. It measured 396 when the pin was last set
+// (budget within 10 %).
 func TestColdKnownSourceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector moves stack allocations to the heap")
@@ -142,7 +144,7 @@ func TestColdKnownSourceAllocs(t *testing.T) {
 		mustServe(t, h, shallowBody(t, n, 16, false, ""))
 	})
 	// shallowBody itself marshals the request: 30 allocations of the count.
-	const budget = 502
+	const budget = 436
 	t.Logf("cold request, known source: %.0f allocs", allocs)
 	if allocs > budget {
 		t.Errorf("a cold request for a known source allocates %.0f times, budget %d", allocs, budget)
@@ -152,7 +154,9 @@ func TestColdKnownSourceAllocs(t *testing.T) {
 // TestWarmRequestAllocs pins the serve-mix warm class through the handler:
 // a request whose body the daemon served before (body-tier hit, compile
 // and place hits, kept estimate, reply). It took 122 allocations when
-// every request decoded its body and walked the estimate again.
+// every request decoded its body and walked the estimate again, and 106
+// while the reply carried the request's metrics document; 92 when the
+// pin was last set (budget within 10 %).
 func TestWarmRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector moves stack allocations to the heap")
@@ -161,7 +165,7 @@ func TestWarmRequestAllocs(t *testing.T) {
 	body := shallowBody(t, 64, 16, false, "")
 	mustServe(t, h, body)
 	allocs := testing.AllocsPerRun(100, func() { mustServe(t, h, body) })
-	const budget = 112
+	const budget = 101
 	t.Logf("warm request: %.0f allocs", allocs)
 	if allocs > budget {
 		t.Errorf("a warm request allocates %.0f times, budget %d", allocs, budget)

@@ -72,7 +72,7 @@ func jsonString(s string) string {
 }
 
 // compareReply reads a reply as JSON less what legitimately differs from
-// request to request: its id and its metrics document.
+// request to request: its id.
 func compareReply(t *testing.T, raw []byte) map[string]any {
 	t.Helper()
 	var doc map[string]any
@@ -80,13 +80,12 @@ func compareReply(t *testing.T, raw []byte) map[string]any {
 		t.Fatal(err)
 	}
 	delete(doc, "req_id")
-	delete(doc, "metrics")
 	return doc
 }
 
 // TestBodyTierSameAnswers: a body served from the body tier gets the reply
 // it gets from a daemon whose body tier is empty, every field but the
-// request id and the metrics document, from 8 goroutines at once.
+// request id, from 8 goroutines at once.
 func TestBodyTierSameAnswers(t *testing.T) {
 	s := benchServer(t)
 	h := s.handler()

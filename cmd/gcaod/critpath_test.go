@@ -47,7 +47,8 @@ func (l flightList) ids() []string {
 // TestCritPathEndpoint: a simulated compile leaves an attribution
 // record behind; /debug/flightrecorder?has=critpath lists it and
 // /debug/flightrecorder/{id}?facet=critpath serves the analyzed blame
-// report, with ?g/?L overriding the BSP cost model.
+// report, with ?g/?L overriding the BSP cost model, beside the
+// simulator's profile.
 func TestCritPathEndpoint(t *testing.T) {
 	_, ts := testServer(t)
 	// One plain compile (no attribution) and one simulated compile.
@@ -84,8 +85,9 @@ func TestCritPathEndpoint(t *testing.T) {
 
 	simURL := ts.URL + "/debug/flightrecorder/" + outSim.ReqID + "?facet=critpath"
 	var detail struct {
-		ReqID  string           `json:"req_id"`
-		Report *gcao.AttrReport `json:"report"`
+		ReqID   string           `json:"req_id"`
+		Report  *gcao.AttrReport `json:"report"`
+		Profile *obs.CommProfile `json:"profile"`
 	}
 	if code := getJSON(t, simURL, &detail); code != http.StatusOK {
 		t.Fatalf("critpath detail status = %d", code)
@@ -93,6 +95,10 @@ func TestCritPathEndpoint(t *testing.T) {
 	rep := detail.Report
 	if detail.ReqID != outSim.ReqID || rep == nil {
 		t.Fatalf("critpath detail = %+v", detail)
+	}
+	if pr := detail.Profile; pr == nil || pr.Procs != 4 || len(pr.PairBytes) != 4 || len(pr.PairBytes[0]) != 4 ||
+		pr.MaxPairBytes() <= 0 || len(pr.ComputeSec) != 4 {
+		t.Fatalf("critpath profile = %+v, want a 4×4 pair matrix with traffic and a time split", detail.Profile)
 	}
 	if rep.TotalSteps == 0 || rep.TotalBytes == 0 || len(rep.Sites) == 0 || len(rep.CriticalPath) == 0 {
 		t.Fatalf("report empty: %+v", rep)
@@ -194,7 +200,7 @@ func TestDecisionListLimit(t *testing.T) {
 	for _, id := range []string{"r1", "r2", "plain", "r3"} {
 		rec := reqtrace.Record{ID: id, Status: http.StatusOK}
 		if id != "plain" {
-			rec.Data = &reqtrace.Facets{Decisions: []obs.Decision{{Entry: 1}}}
+			rec.Data = &obs.MetricsDoc{Decisions: []obs.Decision{{Entry: 1}}}
 		}
 		s.flight.Add(rec)
 	}

@@ -11,10 +11,10 @@ import (
 )
 
 // comparableResponse decodes a /compile response and drops what may differ
-// between two executions of one request: the request id, every timing —
-// span times, the native run's wall clock and what its profile derives
-// from the clock — and the allocation counts (a span's bytes; the fabric's,
-// which a pooled engine's first run alone has).
+// between two executions of one request: the request id and what the
+// native run measured of the clock and the heap — its wall clock, what its
+// profile derives from the clock, and the fabric's allocations, which a
+// pooled engine's first run alone has.
 func comparableResponse(body []byte, err error) (map[string]any, error) {
 	var doc map[string]any
 	if err == nil {
@@ -28,14 +28,6 @@ func comparableResponse(body []byte, err error) (map[string]any, error) {
 		for _, k := range []string{"seconds", "alloc_bytes", "skew_ratio", "blocked_seconds"} {
 			delete(nat, k)
 		}
-	}
-	metrics := doc["metrics"].(map[string]any)
-	delete(metrics, "native_prof")
-	for _, sp := range metrics["spans"].([]any) {
-		sp := sp.(map[string]any)
-		delete(sp, "start_us")
-		delete(sp, "dur_us")
-		delete(sp, "alloc_bytes")
 	}
 	return doc, nil
 }

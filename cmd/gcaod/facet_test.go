@@ -28,12 +28,18 @@ func topKeys(t *testing.T, url string) (int, string) {
 	t.Helper()
 	var doc map[string]json.RawMessage
 	code := getJSON(t, url, &doc)
+	return code, sortedKeys(doc)
+}
+
+// sortedKeys lists a JSON object's top-level keys, sorted and space
+// separated.
+func sortedKeys(doc map[string]json.RawMessage) string {
 	keys := make([]string, 0, len(doc))
 	for k := range doc {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	return code, strings.Join(keys, " ")
+	return strings.Join(keys, " ")
 }
 
 // scrape returns the daemon's /metrics text.
@@ -65,7 +71,7 @@ func TestDebugRouteTable(t *testing.T) {
 	byID := "/debug/flightrecorder/" + out.ReqID
 	for _, tc := range []struct{ old, query, keys string }{
 		{"/debug/decisions/" + out.ReqID, byID + "?facet=decisions", "counters decisions req_id"},
-		{"/debug/critpath/" + out.ReqID + "?g=0&L=1", byID + "?facet=critpath&g=0&L=1", "report req_id"},
+		{"/debug/critpath/" + out.ReqID + "?g=0&L=1", byID + "?facet=critpath&g=0&L=1", "profile report req_id"},
 		{"/debug/nativeprof/" + out.ReqID, byID + "?facet=nativeprof", "profile req_id"},
 		{"/debug/decisions", "/debug/flightrecorder?has=decisions", "recent slow stats"},
 		{"/debug/critpath", "/debug/flightrecorder?has=critpath", "recent slow stats"},

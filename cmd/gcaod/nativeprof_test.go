@@ -44,9 +44,6 @@ func TestNativeProfEndpoint(t *testing.T) {
 	if outNat.Native.BlockedSeconds <= 0 {
 		t.Fatalf("blocked seconds = %g, want > 0 on a communicating run", outNat.Native.BlockedSeconds)
 	}
-	if outNat.Metrics.NativeProf == nil {
-		t.Fatal("metrics doc lost the native profile")
-	}
 
 	// The list endpoint names only the profiled request, and counts it
 	// alone.

@@ -11,13 +11,13 @@ import (
 	"gcao"
 	"gcao/internal/bench"
 	"gcao/internal/native/prof"
-	"gcao/internal/obs"
 )
 
 // TestNativeResponseWire pins the `native` object of a backend:"native"
 // /compile response as clients read it — the key set and every value,
 // cross-checked against a direct native run of the same placement (the
-// counts are deterministic) and the profile the same response carries.
+// counts are deterministic) and the profile the request's flight record
+// holds.
 // gravity mixes ghost exchanges with SUM collectives, so every op kind
 // the object counts is exercised.
 func TestNativeResponseWire(t *testing.T) {
@@ -42,13 +42,16 @@ func TestNativeResponseWire(t *testing.T) {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 	var doc struct {
-		Native  map[string]any `json:"native"`
-		Metrics obs.MetricsDoc `json:"metrics"`
+		Native map[string]any `json:"native"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	np := doc.Metrics.NativeProf
+	var retained struct {
+		Profile *prof.NativeProfile `json:"profile"`
+	}
+	fetchFacet(t, ts, resp.Header.Get("X-Request-Id"), "nativeprof", &retained)
+	np := retained.Profile
 	if doc.Native == nil || np == nil {
 		t.Fatalf("native object or profile missing: %v", doc.Native)
 	}
@@ -92,17 +95,6 @@ func TestNativeResponseWire(t *testing.T) {
 		if ops[k] != float64(n) {
 			t.Errorf("native.ops[%s] = %v, want %d", k, ops[k], n)
 		}
-	}
-	// The flight record's nativeprof facet is the same profile, not a
-	// copy of the response's copy.
-	var retained struct {
-		Profile *prof.NativeProfile `json:"profile"`
-	}
-	if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+resp.Header.Get("X-Request-Id")+"?facet=nativeprof", &retained); code != http.StatusOK {
-		t.Fatalf("flight record: status %d", code)
-	}
-	if rp := retained.Profile; rp == nil || rp.SkewRatio != np.SkewRatio || rp.BlockedSeconds != np.BlockedSeconds {
-		t.Errorf("flight record profile %+v, response's skew %v blocked %v", rp, np.SkewRatio, np.BlockedSeconds)
 	}
 	// The object may grow only by counts the run's Stats record already
 	// holds.

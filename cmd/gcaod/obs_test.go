@@ -317,6 +317,14 @@ func fetchRecord(t *testing.T, ts *httptest.Server, id string) reqtrace.Record {
 	return rec
 }
 
+// fetchFacet decodes one facet of a request's flight record into out.
+func fetchFacet(t *testing.T, ts *httptest.Server, id, facet string, out any) {
+	t.Helper()
+	if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+id+"?facet="+facet, out); code != http.StatusOK {
+		t.Fatalf("flight record %s facet %s status = %d", id, facet, code)
+	}
+}
+
 // TestRetainedRecordSpans: following a request id to its flight record
 // shows the request's phases and, inside them, the pipeline spans that
 // ran — for a compile miss, a hit, strategy "all" and a request that

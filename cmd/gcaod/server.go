@@ -205,8 +205,9 @@ type compileRequest struct {
 }
 
 // compileResponse is the POST /compile result: the placement report,
-// how the cache satisfied the request, plus the request's full metrics
-// document.
+// how the cache satisfied the request and what the request asked to
+// have run. What the request's recorder measured is its flight record's,
+// under the same id.
 type compileResponse struct {
 	ReqID    string         `json:"req_id"`
 	Strategy string         `json:"strategy"`
@@ -219,8 +220,7 @@ type compileResponse struct {
 	Native   *nativeReport  `json:"native,omitempty"`
 	// Versions holds the per-strategy reports of a strategy:"all"
 	// request, in orig, nored, comb order.
-	Versions []versionDoc   `json:"versions,omitempty"`
-	Metrics  obs.MetricsDoc `json:"metrics"`
+	Versions []versionDoc `json:"versions,omitempty"`
 }
 
 // versionDoc is one strategy's report inside a strategy:"all"
@@ -270,10 +270,10 @@ type nativeReport struct {
 // placed program on the BSP simulator and, for backend:"native", on the
 // profiled native engine as well, and fill the response and the
 // registry from the results.
-// The profile itself stays on the recorder for the metrics document,
-// the Chrome trace, and the flight record's nativeprof facet. Each run
-// takes an engine from the cached placement's pools; the response holds
-// copies of what it reports, so the engines go back when execute returns.
+// The profile itself stays on the recorder for the flight record's
+// nativeprof facet. Each run takes an engine from the cached placement's
+// pools; the response holds copies of what it reports, so the engines go
+// back when execute returns.
 func (s *server) execute(resp *compileResponse, req compileRequest, placed *gcao.Placed, m gcao.Machine, rec *obs.Recorder) error {
 	if !req.Simulate {
 		return nil
@@ -548,7 +548,6 @@ func (s *server) compile(ctx context.Context, id string, rec *obs.Recorder, req 
 	if err := s.execute(resp, req, placed[len(strats)-1], m, rec); err != nil {
 		return nil, err
 	}
-	resp.Metrics = rec.Doc()
 	return resp, nil
 }
 

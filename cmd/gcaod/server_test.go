@@ -75,7 +75,7 @@ func postCompile(t *testing.T, ts *httptest.Server, body map[string]any) (*http.
 
 func TestCompileEndpoint(t *testing.T) {
 	_, ts := testServer(t)
-	resp, out := postCompile(t, ts, map[string]any{
+	raw, err := json.Marshal(map[string]any{
 		"source":   stencilSrc,
 		"params":   map[string]int{"n": 12, "steps": 2},
 		"procs":    4,
@@ -83,8 +83,21 @@ func TestCompileEndpoint(t *testing.T) {
 		"estimate": true,
 		"simulate": true,
 	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("compile status = %d", resp.StatusCode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/compile", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile status = %d (%v)", resp.StatusCode, err)
+	}
+	var out compileResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
 	}
 	if out.ReqID == "" || out.Strategy != "comb" || out.Machine != "SP2" {
 		t.Fatalf("response header wrong: %+v", out)
@@ -98,11 +111,24 @@ func TestCompileEndpoint(t *testing.T) {
 	if out.Simulate == nil || out.Simulate.DynMessages <= 0 || out.Simulate.BytesMoved <= 0 {
 		t.Fatalf("simulation missing: %+v", out.Simulate)
 	}
-	if len(out.Metrics.Decisions) == 0 || out.Metrics.Counters["place.comb.groups"] <= 0 {
-		t.Fatalf("metrics doc incomplete: %d decisions, counters %v",
-			len(out.Metrics.Decisions), out.Metrics.Counters)
+	// The reply is the answer and nothing else: what the request's
+	// recorder measured is its flight record's.
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
 	}
-	if out.Metrics.Profile == nil {
+	if got, want := sortedKeys(doc), "cache counts estimate machine messages req_id simulate strategy"; got != want {
+		t.Errorf("reply keys %q, want %q", got, want)
+	}
+	var decisions obs.MetricsDoc
+	fetchFacet(t, ts, out.ReqID, "decisions", &decisions)
+	if len(decisions.Decisions) == 0 || decisions.Counters["place.comb.groups"] <= 0 {
+		t.Fatalf("decisions facet incomplete: %d decisions, counters %v",
+			len(decisions.Decisions), decisions.Counters)
+	}
+	var critpath obs.MetricsDoc
+	fetchFacet(t, ts, out.ReqID, "critpath", &critpath)
+	if critpath.Profile == nil {
 		t.Fatal("simulated request lost its communication profile")
 	}
 }
@@ -129,15 +155,7 @@ func TestCompileNativeBackend(t *testing.T) {
 	if out.Native.Ops["exchange"] <= 0 {
 		t.Fatalf("native ops not counted under the listing vocabulary: %v", out.Native.Ops)
 	}
-	found := false
-	for _, sp := range out.Metrics.Spans {
-		if sp.Name == "native:comb" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no native:comb execution span in %+v", out.Metrics.Spans)
-	}
+	findSpan(t, fetchRecord(t, ts, out.ReqID), "native:comb", 1)
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -827,8 +845,9 @@ func TestKnownSourceNewSize(t *testing.T) {
 	if second.Cache == nil || second.Cache.Compile != "miss" || second.Cache.Place != "miss" || second.Cache.Skeleton != "hit" {
 		t.Fatalf("second size: cache doc %+v, want a compile miss on a skeleton hit", second.Cache)
 	}
+	rec := fetchRecord(t, ts, resp.Header.Get("X-Request-Id"))
 	ran := map[string]bool{}
-	for _, sp := range second.Metrics.Spans {
+	for _, sp := range rec.Spans {
 		ran[sp.Name] = true
 	}
 	for _, name := range []string{"parse", "scalarize", "cfg", "dom", "ssa"} {
@@ -839,10 +858,11 @@ func TestKnownSourceNewSize(t *testing.T) {
 	if !ran["sem"] || !ran["entries"] || !ran["level-tables"] {
 		t.Errorf("spans %v: sem and the instantiate half must run", ran)
 	}
-	if second.Metrics.Counters["cache.skeleton.hit"] != 1 {
-		t.Errorf("request counters %v", second.Metrics.Counters)
+	var facet obs.MetricsDoc
+	fetchFacet(t, ts, rec.ID, "decisions", &facet)
+	if facet.Counters["cache.skeleton.hit"] != 1 {
+		t.Errorf("request counters %v", facet.Counters)
 	}
-	rec := fetchRecord(t, ts, resp.Header.Get("X-Request-Id"))
 	if ph := findSpan(t, rec, "compile", 0); ph.Attrs["cache"] != "miss" || ph.Attrs["skeleton"] != "hit" {
 		t.Errorf("flight record's compile phase %+v: want cache=miss skeleton=hit", ph)
 	}

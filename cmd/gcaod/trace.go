@@ -98,33 +98,22 @@ func reqID(r *http.Request) string {
 
 // retain is where a finished /compile request goes: its recorder is
 // absorbed into the registry, its last phase is ended, and one record —
-// its start time t0, the trace's identity, the outcome, the recorder's
-// spans and the facets it held — is added to the flight recorder under
-// the id the response's X-Request-Id header carried. It returns the
-// status label the registry counted the request under.
+// its start time t0, the trace's identity, the outcome and one snapshot
+// of the recorder, spans and facets — is added to the flight recorder
+// under the id the response's X-Request-Id header carried. It returns
+// the status label the registry counted the request under.
 func (s *server) retain(tr *reqtrace.Trace, t0 time.Time, err error, resp *compileResponse, reqRec *obs.Recorder) string {
 	status, code := "ok", http.StatusOK
 	if err != nil {
 		status, code = "error", httpStatus(err)
 	}
 	s.reg.Absorb(reqRec, status)
-	// A response already holds its recorder's snapshot; only a failed
-	// request (whose worker may still be writing) is copied here.
-	var held obs.MetricsDoc
-	if resp != nil {
-		held = resp.Metrics
-	} else {
-		held = reqRec.Doc()
-	}
 	reqRec.EndPhase()
+	doc := reqRec.Doc()
 	rec := reqtrace.Record{
 		ID: tr.ReqID(), TraceID: tr.TraceID(), RemoteParent: tr.RemoteParent(),
 		Route: "/compile", Status: code, UnixNS: t0.UnixNano(),
-		Spans: reqRec.Spans(),
-		Data: &reqtrace.Facets{
-			Decisions: held.Decisions, Counters: held.Counters,
-			Attr: held.Attr, NativeProf: held.NativeProf,
-		},
+		Spans: doc.Spans, Data: &doc,
 	}
 	if err != nil {
 		rec.Error = err.Error()
@@ -195,7 +184,8 @@ var facetAbsent = map[string]string{
 //	decisions   the placement decision log and the final counters
 //	critpath    the blame ranking and communication critical path analyzed
 //	            from the simulator's attribution record; ?g= and ?L=
-//	            override the BSP cost model (seconds per byte, per superstep)
+//	            override the BSP cost model (seconds per byte, per superstep);
+//	            beside it the simulator's profile: pair matrices, time split
 //	nativeprof  the native backend's runtime profile: per-superstep
 //	            per-processor timelines, wait accounting, skew, stragglers
 func (s *server) handleFlight(w http.ResponseWriter, r *http.Request) {
@@ -240,7 +230,7 @@ func (s *server) handleFlight(w http.ResponseWriter, r *http.Request) {
 			*knob.v = v
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
-			"req_id": id, "report": gcao.AnalyzeAttribution(rec.Data.Attr, model),
+			"req_id": id, "report": gcao.AnalyzeAttribution(rec.Data.Attr, model), "profile": rec.Data.Profile,
 		})
 	case reqtrace.FacetNativeProf:
 		writeJSON(w, http.StatusOK, map[string]any{"req_id": id, "profile": rec.Data.NativeProf})

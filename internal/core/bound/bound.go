@@ -92,29 +92,6 @@ type Bound struct {
 	Terms []Term `json:"terms,omitempty"`
 }
 
-// Gap returns the optimality-gap ratio actual/bound (how many times
-// the bound a placement moves). A zero bound — nothing provably needs
-// to move — yields 0, meaning "no gap measurable".
-func (b Bound) Gap(actualBytes float64) float64 {
-	if b.TotalBytes <= 0 {
-		return 0
-	}
-	return actualBytes / b.TotalBytes
-}
-
-// PctOfOptimal returns bound/actual as a percentage: 100 means the
-// placement is provably optimal, 25 means it moves 4× the floor. Zero
-// actual traffic with a zero bound is reported as 100.
-func (b Bound) PctOfOptimal(actualBytes float64) float64 {
-	if actualBytes <= 0 {
-		if b.TotalBytes <= 0 {
-			return 100
-		}
-		return 0
-	}
-	return b.TotalBytes / actualBytes * 100
-}
-
 func (t Term) String() string {
 	return fmt.Sprintf("%s/%s >= %.0fB (x%g execs at level %d, %d entries)",
 		t.Array, t.Channel, t.Bytes, t.Execs, t.Level, t.Entries)

@@ -81,23 +81,3 @@ end
 		t.Fatalf("aligned program bound = %+v, want zero", b)
 	}
 }
-
-func TestGapRatios(t *testing.T) {
-	b := Bound{TotalBytes: 100}
-	if g := b.Gap(400); g != 4 {
-		t.Fatalf("Gap(400) = %v, want 4", g)
-	}
-	if p := b.PctOfOptimal(400); p != 25 {
-		t.Fatalf("PctOfOptimal(400) = %v, want 25", p)
-	}
-	if p := b.PctOfOptimal(0); p != 0 {
-		t.Fatalf("PctOfOptimal(0) with positive bound = %v, want 0", p)
-	}
-	zero := Bound{}
-	if g := zero.Gap(400); g != 0 {
-		t.Fatalf("zero-bound Gap = %v, want 0 (unmeasurable)", g)
-	}
-	if p := zero.PctOfOptimal(0); p != 100 {
-		t.Fatalf("zero traffic on zero bound = %v, want 100", p)
-	}
-}

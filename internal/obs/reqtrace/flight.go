@@ -5,23 +5,9 @@ import (
 	"sync"
 	"time"
 
-	"gcao/internal/native/prof"
 	"gcao/internal/obs"
-	"gcao/internal/obs/attr"
 	"gcao/internal/obs/ring"
 )
-
-// Facets is what a request's recorder held when the request finished:
-// the placement decision log with the final counters, the simulator's
-// cost-attribution record and the native backend's runtime profile.
-// A Record holds it by pointer, so the recent ring and the slow/errored
-// store share one copy.
-type Facets struct {
-	Decisions  []obs.Decision
-	Counters   map[string]int64
-	Attr       *attr.Run
-	NativeProf *prof.NativeProfile
-}
 
 // The facet names of GET /debug/flightrecorder/{id}?facet= and ?has=.
 const (
@@ -35,19 +21,19 @@ func KnownFacet(name string) bool {
 	return name == FacetDecisions || name == FacetCritPath || name == FacetNativeProf
 }
 
-// names lists the facets f carries, in the order above.
-func (f *Facets) names() []string {
-	if f == nil {
+// facetNames lists the facets a snapshot carries, in the order above.
+func facetNames(d *obs.MetricsDoc) []string {
+	if d == nil {
 		return nil
 	}
 	var out []string
-	if len(f.Decisions) > 0 {
+	if len(d.Decisions) > 0 {
 		out = append(out, FacetDecisions)
 	}
-	if f.Attr != nil {
+	if d.Attr != nil {
 		out = append(out, FacetCritPath)
 	}
-	if f.NativeProf != nil {
+	if d.NativeProf != nil {
 		out = append(out, FacetNativeProf)
 	}
 	return out
@@ -56,7 +42,7 @@ func (f *Facets) names() []string {
 // Record is one completed request as retained by the flight recorder:
 // an identity block joinable against client logs (request id, trace
 // id), the outcome, a phase-duration summary, the names of the facets
-// it carries, the request's spans and the facets themselves.
+// it carries, the request's spans and the snapshot its recorder held.
 type Record struct {
 	ID      string `json:"id"`
 	TraceID string `json:"trace_id"`
@@ -82,14 +68,15 @@ type Record struct {
 	Slow bool `json:"slow,omitempty"`
 	// Facets names what Data holds; Add fills it in.
 	Facets []string `json:"facets,omitempty"`
-	// Spans are the request's spans as its recorder held them when the
-	// request finished, in completion order: the request phases (Phase
-	// set, depth 0) and the pipeline spans that ran inside them. Listings
-	// drop them.
+	// Spans are Data's spans, in completion order: the request phases
+	// (Phase set, depth 0) and the pipeline spans that ran inside them.
+	// Listings drop them.
 	Spans []obs.Span `json:"spans,omitempty"`
-	// Data is never served with the record: one facet at a time is, by
-	// name.
-	Data *Facets `json:"-"`
+	// Data is a snapshot of the request's recorder as it stood when the
+	// request finished, held by pointer, so the ring and the slow store share one
+	// copy. It is never served with the record: one facet of it at a time
+	// is, by name.
+	Data *obs.MetricsDoc `json:"-"`
 }
 
 // summarizePhases derives WallUS and Phases from the record's spans.
@@ -142,7 +129,7 @@ func (f *FlightRecorder) Add(rec Record) {
 		return
 	}
 	rec.summarizePhases()
-	rec.Facets = rec.Data.names()
+	rec.Facets = facetNames(rec.Data)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.added++

@@ -217,7 +217,7 @@ func TestFlightConcurrentWraparound(t *testing.T) {
 				r.AddDecision(obs.Decision{Entry: i, SubsumedBy: -1, Group: -1})
 				reg.Absorb(r, "ok")
 				rc := rec(id, 10, 200)
-				rc.Data = &Facets{Decisions: r.Decisions(), Counters: r.Counters()}
+				rc.Data = &obs.MetricsDoc{Decisions: r.Decisions(), Counters: r.Counters()}
 				f.Add(rc)
 				if i%16 == 0 {
 					f.List(3, FacetDecisions)
@@ -273,9 +273,9 @@ func TestFlightConcurrentWraparound(t *testing.T) {
 // shares its facets with the ring's.
 func TestFlightListHasFacet(t *testing.T) {
 	f := NewFlightRecorder(8, 8, 0)
-	sim := &Facets{Attr: &attr.Run{}}
-	nat := &Facets{Decisions: []obs.Decision{{Entry: 1}}, Attr: &attr.Run{}, NativeProf: &prof.NativeProfile{}}
-	for i, d := range []*Facets{nil, sim, {Counters: map[string]int64{"c": 1}}, nat, sim, nil} {
+	sim := &obs.MetricsDoc{Attr: &attr.Run{}}
+	nat := &obs.MetricsDoc{Decisions: []obs.Decision{{Entry: 1}}, Attr: &attr.Run{}, NativeProf: &prof.NativeProfile{}}
+	for i, d := range []*obs.MetricsDoc{nil, sim, {Counters: map[string]int64{"c": 1}}, nat, sim, nil} {
 		r := rec(fmt.Sprintf("r%d", i), 10, 200)
 		if i == 3 {
 			r.Status = 500 // the slow store keeps it too

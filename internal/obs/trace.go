@@ -139,11 +139,13 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 	return enc.Encode(f)
 }
 
-// MetricsDoc is the JSON document WriteMetrics emits: every counter,
-// the placement decision log, a simulated run's
-// communication profile and superstep stream, a profiled native run's
-// profile, and the raw spans (request phases included). encoding/json sorts map keys, so the
-// output is deterministic.
+// MetricsDoc is one snapshot of a recorder: every counter, the placement
+// decision log, a simulated run's communication profile and superstep
+// stream, a profiled native run's profile, and the raw spans (request
+// phases included). It is the document WriteMetrics emits (hpfc
+// -metrics-out) and what a gcaod flight record holds of its request,
+// served one facet at a time. encoding/json sorts map keys, so the output
+// is deterministic.
 type MetricsDoc struct {
 	Counters   map[string]int64    `json:"counters"`
 	Decisions  []Decision          `json:"decisions,omitempty"`
