@@ -327,10 +327,14 @@ fuzz-smoke:
 # n=16, 4 steps, P=16, memory image and lowered program rebuilt per run,
 # as spmd.RunParallel on a bare placement result does) must stay
 # within the allocation budget in ci/sim-alloc-budget.txt: 1.25x the
-# measured allocs/op, where the revision that scanned whole sections
-# into per-call pair maps spent 10 300 — a bulk memory operation that
+# measured allocs/op (860), where the revision that scanned whole sections
+# into per-call pair maps spent 10 300 and the one that lowered by the
+# expression 3 645 — a bulk memory operation or a lowered form that
 # allocates per call again is a regression long before it shows in
-# milliseconds. The image the simulator rebuilds per run is its
+# milliseconds. Lowering carves its forms from slabs: every Terms slice
+# and every plane of an image must be capped at its length
+# (TestLoweredTermsCapped), and what lowering allocates is pinned on flux
+# and shallow (TestLowerAllocations). The image the simulator rebuilds per run is its
 # processors' local boxes: TestImageBytes pins its bytes, and a read past
 # a box must be a stale read, never another element's value. The row
 # kernel the simulator executes is held against the element walk bit for
@@ -342,7 +346,7 @@ sim-smoke:
 	@mkdir -p out
 	$(GO) test ./internal/spmd -run 'TestLedgerGolden' -count=1
 	$(GO) test ./internal/runtime -run 'TestStripMatchesElementScan|TestOwnerRunsMatchElementScan|TestValidBoxesMatchPlane|TestBulkOperationsDoNotAllocate|TestCompareState' -count=1
-	$(GO) test ./internal/plan -run 'TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt|TestEntryProofDeclinesValidNest|TestRowMatchesElementWalk|TestRowDeclinesWhole|TestRunRowDoesNotAllocate' -count=1
+	$(GO) test ./internal/plan -run 'TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt|TestEntryProofDeclinesValidNest|TestRowMatchesElementWalk|TestRowDeclinesWhole|TestRunRowDoesNotAllocate|TestLoweredTermsCapped|TestLowerAllocations' -count=1
 	$(GO) test ./internal/native -run 'TestImageBytes|TestStaleReadOutsideLocalBox' -count=1
 	$(GO) test ./internal/spmd -run 'TestReusedEngineMatchesFresh' -count=1
 	$(GO) test . -run 'TestPublicAPI|TestInterprocedural|TestPlacedVerifyNative' -count=1

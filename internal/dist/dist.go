@@ -282,17 +282,6 @@ func (d *Dist) LocalRange(i, c int) (lo, hi int, ok bool) {
 	panic("dist: unknown kind")
 }
 
-// DistributedDims returns the array dims that are actually partitioned.
-func (d *Dist) DistributedDims() []int {
-	var out []int
-	for i, dd := range d.Dims {
-		if dd.Kind != Star {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // SameLayout reports whether two distributions partition index space
 // identically: same grid, same kinds, same grid-dim assignment and the
 // same bounds on distributed dimensions. Arrays with the same layout

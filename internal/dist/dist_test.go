@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -127,8 +128,8 @@ func TestMultiDimOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dims := d.DistributedDims(); len(dims) != 2 || dims[0] != 1 || dims[1] != 2 {
-		t.Fatalf("DistributedDims = %v", dims)
+	if want := []DimDist{{Star, 0}, {Block, 0}, {Block, 1}}; !slices.Equal(d.Dims, want) {
+		t.Fatalf("Dims = %v, want %v", d.Dims, want)
 	}
 	// dim1 extent 8 over 2 -> blocks of 4; dim2 extent 9 over 3 -> 3.
 	own := d.Owner([]int{3, 5, 7})

@@ -779,6 +779,25 @@ func TestNativeOutOfRangeSubscriptIsError(t *testing.T) {
 	}
 }
 
+// TestNativeLoweredErrorsPositioned: the errors lowering leaves in the
+// program for evaluation — a subscript naming neither an enclosing loop's
+// variable nor a parameter, a section where an element is needed, an
+// integer division or mod by zero — carry the simulator's positions.
+func TestNativeLoweredErrorsPositioned(t *testing.T) {
+	for _, tc := range []struct{ rhs, want string }{
+		{"b(x)", `6:10: "x" is not an integer here`},
+		{"b(2:3)", "6:8: section of b where an element is needed"},
+		{"b(n / (i - i))", "6:12: division by zero"},
+		{"b(mod(n, i - i))", "6:10: mod by zero"},
+	} {
+		src := "routine r(n)\nreal a(n), b(n)\nreal x\n!hpf$ distribute (block) :: a, b\ndo i = 1, n\na(i) = " + tc.rhs + "\nenddo\nend\n"
+		_, err := native.Run(placeSrc(t, src, map[string]int{"n": 8}, 4), 4)
+		if want := regexp.MustCompile(`^native: processor [0-3] at 6:1: ` + regexp.QuoteMeta(tc.want) + `$`); err == nil || !want.MatchString(err.Error()) {
+			t.Errorf("%s: run returned %v, want %s", tc.rhs, err, want)
+		}
+	}
+}
+
 // oneFails is a program in which exactly one processor fails while its
 // peers are parked in the fabric. Processor 3 (of 4) alone has work in the
 // w nest, so the others run ahead; it alone owns a(n) and so alone

@@ -97,3 +97,66 @@ func (s *Schedule) Matches(f *Schedule) bool {
 // RowFloats is the length of a frame's scratch rows: what the statement
 // holding the most scratch rows at once needs of them.
 func RowFloats(pr *Program) int { return pr.rowFloats }
+
+// Forms calls f on every affine form of a lowered program, naming where
+// it sits: loop bounds and steps, the subscripts and folded offset of
+// every array reference, the bounds of every communicated section and
+// SUM section.
+func Forms(pr *Program, f func(where string, a *Affine)) { forms(pr.Body, f) }
+
+func forms(nodes []Node, f func(string, *Affine)) {
+	ref := func(r *ArrayRef) {
+		for i := range r.Subs {
+			f(r.Lay.Name+" subscript", &r.Subs[i].Affine)
+		}
+		f(r.Lay.Name+" offset", &r.off)
+	}
+	sums := func(ss []Sum) {
+		for _, s := range ss {
+			for i := range s.Sec.Dims {
+				d := &s.Sec.Dims[i]
+				f("sum section", &d.Lo.Affine)
+				f("sum section", &d.Hi.Affine)
+				f("sum section", &d.Step.Affine)
+			}
+		}
+	}
+	comm := func(c *Comm) {
+		if c == nil {
+			return
+		}
+		for _, op := range c.Ops {
+			for _, es := range op.Entries {
+				for i := range es.Lo {
+					f("section", &es.Lo[i])
+					f("section", &es.Hi[i])
+				}
+			}
+		}
+	}
+	for _, n := range nodes {
+		switch n := n.(type) {
+		case *Comm:
+			comm(n)
+		case *Loop:
+			comm(n.Pre)
+			comm(n.Head)
+			f("loop bound", &n.Lo.Affine)
+			f("loop bound", &n.Hi.Affine)
+			f("loop step", &n.Step.Affine)
+			forms(n.Body, f)
+		case *Stmt:
+			sums(n.Sums)
+			if n.LHS != nil {
+				ref(n.LHS)
+			}
+			for _, r := range n.reads {
+				ref(r)
+			}
+		case *If:
+			sums(n.Sums)
+			forms(n.Then, f)
+			forms(n.Else, f)
+		}
+	}
+}

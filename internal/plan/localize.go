@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"gcao/internal/dist"
+	"gcao/internal/runtime"
 )
 
 // Owner-computes localization (paper §4.8: each processor runs the
@@ -114,38 +115,18 @@ func (lw *lowerer) localize(nodes []Node) {
 }
 
 // pureNest returns the nest rooted at root when it satisfies the three
-// purity rules, else nil.
+// purity rules, else nil. The candidate is collected in the lowerer's
+// scratch, which a nest that qualifies copies.
 func (lw *lowerer) pureNest(root *Loop) *Nest {
-	nest := &Nest{loopOf: make([]int, len(lw.pr.Ints))}
+	nest := &lw.cand
+	nest.loops, nest.up, nest.stmts = nest.loops[:0], nest.up[:0], nest.stmts[:0]
+	if nest.loopOf == nil {
+		nest.loopOf = make([]int, len(lw.pr.Ints))
+	}
 	for s := range nest.loopOf {
 		nest.loopOf[s] = -1
 	}
-	var collect func(lp *Loop, up int) bool
-	collect = func(lp *Loop, up int) bool {
-		if lp.Head != nil || (lp != root && lp.Pre != nil) || nest.loopOf[lp.Slot] >= 0 {
-			return false
-		}
-		if step, ok := lp.Step.constant(); !ok || (step != 1 && step != -1) {
-			return false
-		}
-		self := len(nest.loops)
-		nest.loopOf[lp.Slot] = self
-		nest.loops, nest.up = append(nest.loops, lp), append(nest.up, up)
-		for _, n := range lp.Body {
-			switch n := n.(type) {
-			case *Stmt:
-				nest.stmts = append(nest.stmts, n)
-			case *Loop:
-				if !collect(n, self) {
-					return false
-				}
-			default: // a communication position or a branch
-				return false
-			}
-		}
-		return true
-	}
-	if !collect(root, -1) {
+	if !nest.collect(root, root, -1) {
 		return nil
 	}
 	for _, lp := range nest.loops {
@@ -153,21 +134,53 @@ func (lw *lowerer) pureNest(root *Loop) *Nest {
 			return nil
 		}
 	}
-	written := map[string]bool{}
 	for _, st := range nest.stmts {
 		if st.LHS == nil || st.LHS.Lay.Dist == nil || len(st.Sums) > 0 || !nest.boxed(st.LHS) {
 			return nil
 		}
-		written[st.LHS.Lay.Name] = true
 	}
 	for _, st := range nest.stmts {
 		for _, r := range st.reads {
-			if written[r.Lay.Name] && !ownerAligned(r, st.LHS) {
+			if nest.writes(r.Lay) && !ownerAligned(r, st.LHS) {
 				return nil
 			}
 		}
 	}
-	return nest
+	return &Nest{loops: slices.Clone(nest.loops), up: slices.Clone(nest.up), stmts: slices.Clone(nest.stmts), loopOf: slices.Clone(nest.loopOf)}
+}
+
+// collect adds lp, below the loop at index up, and everything under it to
+// the nest rooted at root; false when one of them breaks the first two
+// rules' shape: a communication position or a branch inside, a loop
+// reusing a variable or stepping by other than a constant ±1.
+func (n *Nest) collect(root, lp *Loop, up int) bool {
+	if lp.Head != nil || (lp != root && lp.Pre != nil) || n.loopOf[lp.Slot] >= 0 {
+		return false
+	}
+	if step, ok := lp.Step.constant(); !ok || (step != 1 && step != -1) {
+		return false
+	}
+	self := len(n.loops)
+	n.loopOf[lp.Slot] = self
+	n.loops, n.up = append(n.loops, lp), append(n.up, up)
+	for _, node := range lp.Body {
+		switch node := node.(type) {
+		case *Stmt:
+			n.stmts = append(n.stmts, node)
+		case *Loop:
+			if !n.collect(root, node, self) {
+				return false
+			}
+		default: // a communication position or a branch
+			return false
+		}
+	}
+	return true
+}
+
+// writes reports whether a statement of the nest assigns the array.
+func (n *Nest) writes(lay *runtime.ArrayLayout) bool {
+	return slices.ContainsFunc(n.stmts, func(st *Stmt) bool { return st.LHS.Lay == lay })
 }
 
 // boxChain marks the box the row loop at index l of the nest's loops
@@ -225,16 +238,19 @@ func (n *Nest) boxed(lhs *ArrayRef) bool {
 	if len(lhs.Subs) != lhs.Lay.Arr.Rank() {
 		return false
 	}
-	used := map[int]bool{}
 	for i := range lhs.Subs {
 		sub := &lhs.Subs[i]
 		if !n.varies(sub) {
 			continue
 		}
-		if sub.Gen != nil || len(sub.Terms) != 1 || sub.Terms[0].Coef != 1 || used[sub.Terms[0].Slot] {
+		if sub.Gen != nil || len(sub.Terms) != 1 || sub.Terms[0].Coef != 1 {
 			return false
 		}
-		used[sub.Terms[0].Slot] = true
+		// v varies in the nest, so an earlier subscript reading it is v+c.
+		v := sub.Terms[0].Slot
+		if slices.ContainsFunc(lhs.Subs[:i], func(e IntExpr) bool { return len(e.Terms) == 1 && e.Terms[0].Slot == v }) {
+			return false
+		}
 	}
 	return true
 }
@@ -262,10 +278,11 @@ func (n *Nest) clamp(procs int) {
 	// values of the variable for which the processor owns the
 	// statement's elements along that dimension.
 	type constraint struct {
-		loop  *Loop
+		loop  int // index in n.loops
 		owned []Range
 	}
 	cons := make([][]constraint, len(n.stmts))
+	var slab []Range
 	for si, st := range n.stmts {
 		d := st.LHS.Lay.Dist
 		for i, dd := range d.Dims {
@@ -273,7 +290,7 @@ func (n *Nest) clamp(procs int) {
 			if dd.Kind != dist.Block || !n.varies(sub) {
 				continue
 			}
-			c := constraint{loop: n.loops[n.loopOf[sub.Terms[0].Slot]], owned: make([]Range, procs)}
+			c := constraint{loop: n.loopOf[sub.Terms[0].Slot], owned: carve(&slab, procs)}
 			for p := range c.owned {
 				lo, hi := st.LHS.Lay.OwnedBox(p, i)
 				c.owned[p] = Range{Lo: lo - sub.Const, Hi: hi - sub.Const}
@@ -284,8 +301,8 @@ func (n *Nest) clamp(procs int) {
 	// A loop is clamped to the hull of the constraints on its variable
 	// when every statement below it has one; exact records whether the
 	// hull is every one of those statements' own range.
-	exact := map[*Loop]bool{}
-	for _, lp := range n.loops {
+	exact := make([]bool, len(n.loops))
+	for l, lp := range n.loops {
 		var hull []Range
 		same := true
 		for si, st := range n.stmts {
@@ -294,7 +311,7 @@ func (n *Nest) clamp(procs int) {
 			}
 			var own []Range
 			for _, c := range cons[si] {
-				if c.loop == lp {
+				if c.loop == l {
 					own = c.owned
 				}
 			}
@@ -314,16 +331,21 @@ func (n *Nest) clamp(procs int) {
 			}
 		}
 		lp.Clamp = hull
-		exact[lp] = hull != nil && same
+		exact[l] = hull != nil && same
 	}
 	for si, st := range n.stmts {
-		covered := 0
+		covered, distributed := 0, 0
 		for _, c := range cons[si] {
 			if exact[c.loop] {
 				covered++
 			}
 		}
-		st.Guard = covered != len(st.LHS.Lay.Dist.DistributedDims())
+		for _, dd := range st.LHS.Lay.Dist.Dims {
+			if dd.Kind != dist.Star {
+				distributed++
+			}
+		}
+		st.Guard = covered != distributed
 		// An unguarded statement stores and reads exactly over the
 		// processor's own box, which is verified on entry; a guarded one
 		// tests each target it walks past against the processor's local box.

@@ -28,6 +28,7 @@ func Lower(res *core.Result) *Program {
 		pr:       &Program{Plan: pl},
 		intSlot:  map[string]int{},
 		realSlot: map[string]int{},
+		sumSlot:  map[*ast.Call]int{},
 	}
 	for _, l := range pl.A.G.Loops {
 		if _, ok := lw.intSlot[l.Var()]; !ok {
@@ -35,6 +36,7 @@ func Lower(res *core.Result) *Program {
 			lw.pr.Ints = append(lw.pr.Ints, l.Var())
 		}
 	}
+	lw.vars = make([][]Term, len(lw.pr.Ints))
 	for name, sc := range u.Scalars {
 		if !sc.IsParam {
 			lw.pr.Reals = append(lw.pr.Reals, name)
@@ -80,10 +82,27 @@ type lowerer struct {
 	// variable of one of them is certainly bound there.
 	loops []*Loop
 	// sums and reads collect the distributed SUMs and the array reads
-	// of the statement or condition being lowered.
+	// of the statement or condition being lowered; reads is scratch.
 	sums    []Sum
 	sumSlot map[*ast.Call]int
 	reads   []*ArrayRef
+	// stack is a copy of loops that the statements lowered since the
+	// stack last changed share as their Stmt.loops.
+	stack []*Loop
+	// The slabs the lowered forms are carved from (carve), so that
+	// lowering allocates by the Program, not by the expression: every
+	// Affine's terms, every ArrayRef, its subscripts and a statement's
+	// list of them, every section's bounds and steps. vars[slot] is the
+	// one-term form of a loop variable, which every read of it shares.
+	terms    []Term
+	subs     []IntExpr
+	refs     []ArrayRef
+	refLists []*ArrayRef
+	bounds   []Affine
+	steps    []int
+	vars     [][]Term
+	// cand is pureNest's scratch.
+	cand Nest
 	// row collects the row form (see row.go) of the statement being
 	// lowered, over the variable of the innermost loop around it, while
 	// rowOK says every operand so far has one.
@@ -174,23 +193,27 @@ func (lw *lowerer) loop(pre *cfg.Block) *Loop {
 	if src.Do.Step != nil {
 		lp.Step = lw.intExpr(src.Do.Step)
 	}
-	lw.loops = append(lw.loops, lp)
+	lw.loops, lw.stack = append(lw.loops, lp), nil
 	lp.Head = lw.comm(lw.pl.Comm[src.Header.ID][0])
 	lp.Body, _ = lw.seq(src.Header.Succs[0])
-	lw.loops = lw.loops[:len(lw.loops)-1]
+	lw.loops, lw.stack = lw.loops[:len(lw.loops)-1], nil
 	return lp
 }
 
 func (lw *lowerer) stmt(st *cfg.Stmt) *Stmt {
 	as := st.Assign
-	out := &Stmt{Src: st, Flops: CountFlops(as.RHS), Scalar: -1, Guard: true, loops: append([]*Loop(nil), lw.loops...)}
+	if lw.stack == nil {
+		lw.stack = slices.Clone(lw.loops)
+	}
+	out := &Stmt{Src: st, Flops: CountFlops(as.RHS), Scalar: -1, Guard: true, loops: lw.stack}
 	lw.beginExpr()
 	if len(lw.loops) > 0 {
 		// An expression of F operations has at most F+1 operands.
 		lw.row, lw.rowOK = make([]rowOp, 0, 2*out.Flops+1), true
 	}
 	out.RHS = lw.real(as.RHS)
-	out.Sums, out.reads = lw.sums, lw.reads
+	out.Sums, out.reads = lw.sums, carve(&lw.refLists, len(lw.reads))
+	copy(out.reads, lw.reads)
 	if lw.rowOK {
 		out.row, lw.rowOK = lw.row, false
 	}
@@ -203,7 +226,8 @@ func (lw *lowerer) stmt(st *cfg.Stmt) *Stmt {
 }
 
 func (lw *lowerer) beginExpr() {
-	lw.sums, lw.reads, lw.sumSlot = nil, nil, map[*ast.Call]int{}
+	lw.sums, lw.reads = nil, lw.reads[:0]
+	clear(lw.sumSlot)
 	lw.row, lw.rowOK = nil, false
 }
 
@@ -311,39 +335,57 @@ func (lw *lowerer) entry(g *core.Group, e *core.Entry) (EntrySec, bool) {
 			return EntrySec{}, false
 		}
 	}
-	need := map[int]bool{}
-	form := func(f lin.Form) (Affine, bool) {
-		a := Affine{Const: f.Const}
-		for _, t := range f.Terms {
-			slot, ok := lw.intSlot[t.Var]
-			if !ok {
-				return Affine{}, false
-			}
-			if lw.depth(slot) < 0 {
-				need[slot] = true
-			}
-			a.Terms = append(a.Terms, Term{Slot: slot, Coef: t.Coef})
-		}
-		sortTerms(a.Terms)
-		return a, true
-	}
-	for _, d := range e.SectionAt(lw.pl.A, g.Pos.Level()).Dims {
-		lo, ok1 := form(d.Lo)
-		hi, ok2 := form(d.Hi)
-		if !ok1 || !ok2 {
+	sec := e.SectionAt(lw.pl.A, g.Pos.Level())
+	n := len(sec.Dims)
+	es.Lo, es.Hi, es.Step = carve(&lw.bounds, n), carve(&lw.bounds, n), carve(&lw.steps, n)
+	for i, d := range sec.Dims {
+		if !lw.form(d.Lo, &es.Lo[i], &es.need) || !lw.form(d.Hi, &es.Hi[i], &es.need) {
 			return EntrySec{}, false
 		}
-		es.Lo, es.Hi, es.Step = append(es.Lo, lo), append(es.Hi, hi), append(es.Step, max(d.Step, 1))
+		es.Step[i] = max(d.Step, 1)
 	}
-	for slot := range need {
-		es.need = append(es.need, slot)
-	}
-	sort.Ints(es.need)
+	slices.Sort(es.need)
 	return es, true
 }
 
-func sortTerms(ts []Term) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Slot < ts[j].Slot })
+// form lowers a section bound over loop variables into a, its terms sorted
+// by slot, and adds to need the slots it reads from outside their loops;
+// false when a name no loop binds appears in it.
+func (lw *lowerer) form(f lin.Form, a *Affine, need *[]int) bool {
+	a.Const, a.Terms = f.Const, carve(&lw.terms, len(f.Terms))
+	for k, t := range f.Terms {
+		slot, ok := lw.intSlot[t.Var]
+		if !ok {
+			return false
+		}
+		if lw.depth(slot) < 0 && !slices.Contains(*need, slot) {
+			*need = append(*need, slot)
+		}
+		a.Terms[k] = Term{Slot: slot, Coef: t.Coef}
+	}
+	slices.SortFunc(a.Terms, func(x, y Term) int { return x.Slot - y.Slot })
+	return true
+}
+
+// maxChunk bounds the elements of one slab allocation.
+const maxChunk = 64
+
+// carve returns n zeroed elements from the end of a slab, capped so that
+// an append to them copies instead of overwriting the next carving; nil
+// for none. A full slab is replaced by a new one — what was carved from
+// it stays where it is — twice as large up to maxChunk elements: a
+// Program keeps its slabs' unused tails alive as long as it is cached.
+func carve[T any](slab *[]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	s := *slab
+	if cap(s)-len(s) < n {
+		s = make([]T, 0, max(n, min(2*cap(s), maxChunk), 16))
+	}
+	k := len(s)
+	*slab = s[:k+n]
+	return s[k : k+n : k+n]
 }
 
 // ---------------------------------------------------------------------
@@ -366,50 +408,26 @@ func (lw *lowerer) intExpr(e ast.Expr) IntExpr {
 	case *ast.Ident:
 		return lw.intName(e)
 	case *ast.UnaryExpr:
-		return intScale(lw.intExpr(e.X), -1)
+		return lw.intScale(lw.intExpr(e.X), -1)
 	case *ast.BinExpr:
 		x, y := lw.intExpr(e.X), lw.intExpr(e.Y)
 		switch e.Op {
 		case ast.Add:
-			return intAdd(x, y, 1)
+			return lw.intAdd(x, y, 1)
 		case ast.Sub_:
-			return intAdd(x, y, -1)
+			return lw.intAdd(x, y, -1)
 		case ast.Mul:
 			if c, ok := x.constant(); ok {
-				return intScale(y, c)
+				return lw.intScale(y, c)
 			}
 			if c, ok := y.constant(); ok {
-				return intScale(x, c)
+				return lw.intScale(x, c)
 			}
-			return IntExpr{Gen: func(fr *Frame) int { return x.Eval(fr) * y.Eval(fr) }}
-		case ast.Div:
-			zero := source.Errorf(e.Pos, "division by zero")
-			return IntExpr{Gen: func(fr *Frame) int {
-				a, b := x.Eval(fr), y.Eval(fr)
-				if b == 0 {
-					fr.fail(zero)
-					return 0
-				}
-				return a / b
-			}}
-		case ast.Pow:
-			return IntExpr{Gen: func(fr *Frame) int {
-				return int(math.Pow(float64(x.Eval(fr)), float64(y.Eval(fr))))
-			}}
 		}
-		return failInt(source.Errorf(e.Pos, "operator %s in integer expression", e.Op))
+		return genBinary(e, x, y)
 	case *ast.Call:
 		if e.Func == "mod" && len(e.Args) == 2 {
-			x, y := lw.intExpr(e.Args[0]), lw.intExpr(e.Args[1])
-			zero := source.Errorf(e.Pos, "mod by zero")
-			return IntExpr{Gen: func(fr *Frame) int {
-				a, b := x.Eval(fr), y.Eval(fr)
-				if b == 0 {
-					fr.fail(zero)
-					return 0
-				}
-				return a % b
-			}}
+			return genMod(e.Pos, lw.intExpr(e.Args[0]), lw.intExpr(e.Args[1]))
 		}
 	}
 	var pos source.Pos
@@ -419,21 +437,80 @@ func (lw *lowerer) intExpr(e ast.Expr) IntExpr {
 	return failInt(source.Errorf(pos, "not an integer expression: %s", ast.ExprString(e)))
 }
 
+// The gen functions build the closures of the forms that are not affine.
+// They are functions of their own because the operands a closure captures
+// move to the heap: kept apart, an affine operand of intExpr, intAdd or
+// intScale stays on the stack.
+
+// genBinary evaluates a product of two variable parts, a quotient or a
+// power at run time.
+func genBinary(e *ast.BinExpr, x, y IntExpr) IntExpr {
+	switch e.Op {
+	case ast.Mul:
+		return IntExpr{Gen: func(fr *Frame) int { return x.Eval(fr) * y.Eval(fr) }}
+	case ast.Div:
+		pos := e.Pos
+		return IntExpr{Gen: func(fr *Frame) int {
+			a, b := x.Eval(fr), y.Eval(fr)
+			if b == 0 {
+				fr.fail(source.Errorf(pos, "division by zero"))
+				return 0
+			}
+			return a / b
+		}}
+	case ast.Pow:
+		return IntExpr{Gen: func(fr *Frame) int {
+			return int(math.Pow(float64(x.Eval(fr)), float64(y.Eval(fr))))
+		}}
+	}
+	return failInt(source.Errorf(e.Pos, "operator %s in integer expression", e.Op))
+}
+
+func genMod(pos source.Pos, x, y IntExpr) IntExpr {
+	return IntExpr{Gen: func(fr *Frame) int {
+		a, b := x.Eval(fr), y.Eval(fr)
+		if b == 0 {
+			fr.fail(source.Errorf(pos, "mod by zero"))
+			return 0
+		}
+		return a % b
+	}}
+}
+
+func genAdd(x, y IntExpr, sign int) IntExpr {
+	return IntExpr{Gen: func(fr *Frame) int { return x.Eval(fr) + sign*y.Eval(fr) }}
+}
+
+func genScale(x IntExpr, c int) IntExpr {
+	return IntExpr{Gen: func(fr *Frame) int { return c * x.Gen(fr) }}
+}
+
 // intName resolves a name in integer context: the variable of an
 // enclosing loop, else — at run time — a variable some earlier loop
 // left bound, else a routine parameter.
 func (lw *lowerer) intName(e *ast.Ident) IntExpr {
 	slot, isVar := lw.intSlot[e.Name]
 	if isVar && lw.depth(slot) >= 0 {
-		return IntExpr{Affine: Affine{Terms: []Term{{Slot: slot, Coef: 1}}}}
+		if lw.vars[slot] == nil {
+			lw.vars[slot] = carve(&lw.terms, 1)
+			lw.vars[slot][0] = Term{Slot: slot, Coef: 1}
+		}
+		return IntExpr{Affine: Affine{Terms: lw.vars[slot]}}
 	}
-	rest := failInt(source.Errorf(e.Pos, "%q is not an integer here", e.Name))
+	var rest IntExpr
 	if v, ok := lw.pl.A.Unit.Params[e.Name]; ok {
 		rest = IntExpr{Affine: Affine{Const: v}}
+	} else {
+		rest = failInt(source.Errorf(e.Pos, "%q is not an integer here", e.Name))
 	}
 	if !isVar {
 		return rest
 	}
+	return genBound(slot, rest)
+}
+
+// genBound reads a variable an earlier loop left bound, else rest.
+func genBound(slot int, rest IntExpr) IntExpr {
 	return IntExpr{Gen: func(fr *Frame) int {
 		if fr.Bound[slot] {
 			return fr.Ints[slot]
@@ -442,41 +519,45 @@ func (lw *lowerer) intName(e *ast.Ident) IntExpr {
 	}}
 }
 
-func intScale(x IntExpr, c int) IntExpr {
+func (lw *lowerer) intScale(x IntExpr, c int) IntExpr {
 	if x.Gen != nil {
-		return IntExpr{Gen: func(fr *Frame) int { return c * x.Gen(fr) }}
+		return genScale(x, c)
 	}
-	out := IntExpr{Affine: Affine{Const: c * x.Const}}
-	if c != 0 {
-		for _, t := range x.Terms {
-			out.Terms = append(out.Terms, Term{Slot: t.Slot, Coef: c * t.Coef})
-		}
-	}
-	return out
+	return IntExpr{Affine: lw.addScaled(&Affine{}, &x.Affine, c)}
 }
 
 // intAdd returns x + sign·y.
-func intAdd(x, y IntExpr, sign int) IntExpr {
+func (lw *lowerer) intAdd(x, y IntExpr, sign int) IntExpr {
 	if x.Gen != nil || y.Gen != nil {
-		return IntExpr{Gen: func(fr *Frame) int { return x.Eval(fr) + sign*y.Eval(fr) }}
+		return genAdd(x, y, sign)
 	}
-	out := IntExpr{Affine: Affine{Const: x.Const + sign*y.Const}}
+	return IntExpr{Affine: lw.addScaled(&x.Affine, &y.Affine, sign)}
+}
+
+// addScaled returns x + c·y, dropping the terms that cancel. The result
+// shares x's terms when y has none, else carves its own from the slab.
+func (lw *lowerer) addScaled(x, y *Affine, c int) Affine {
+	out := Affine{Const: x.Const + c*y.Const, Terms: x.Terms}
+	if c == 0 || len(y.Terms) == 0 {
+		return out
+	}
+	out.Terms = carve(&lw.terms, len(x.Terms)+len(y.Terms))[:0]
 	xs, ys := x.Terms, y.Terms // both sorted by slot: merge
-	out.Terms = make([]Term, 0, len(xs)+len(ys))
 	for len(xs) > 0 || len(ys) > 0 {
 		var t Term
 		switch {
 		case len(ys) == 0 || (len(xs) > 0 && xs[0].Slot < ys[0].Slot):
 			t, xs = xs[0], xs[1:]
 		case len(xs) == 0 || ys[0].Slot < xs[0].Slot:
-			t, ys = Term{Slot: ys[0].Slot, Coef: sign * ys[0].Coef}, ys[1:]
+			t, ys = Term{Slot: ys[0].Slot, Coef: c * ys[0].Coef}, ys[1:]
 		default:
-			t, xs, ys = Term{Slot: xs[0].Slot, Coef: xs[0].Coef + sign*ys[0].Coef}, xs[1:], ys[1:]
+			t, xs, ys = Term{Slot: xs[0].Slot, Coef: xs[0].Coef + c*ys[0].Coef}, xs[1:], ys[1:]
 		}
 		if t.Coef != 0 {
 			out.Terms = append(out.Terms, t)
 		}
 	}
+	out.Terms = slices.Clip(out.Terms)
 	return out
 }
 
@@ -486,7 +567,8 @@ func intAdd(x, y IntExpr, sign int) IntExpr {
 // arrayRef lowers an element reference under its array's layout and folds
 // its offset in the planes' stride space where every subscript is affine.
 func (lw *lowerer) arrayRef(ref *ast.Ref, am *runtime.ArrayLayout) *ArrayRef {
-	r := &ArrayRef{Lay: am, Pos: ref.Pos, Subs: make([]IntExpr, len(ref.Subs))}
+	r := &carve(&lw.refs, 1)[0]
+	r.Lay, r.Pos, r.Subs = am, ref.Pos, carve(&lw.subs, len(ref.Subs))
 	for i, sub := range ref.Subs {
 		if sub.Kind != ast.SubExpr {
 			r.Subs[i] = failInt(source.Errorf(ref.Pos, "section of %s where an element is needed", ref.Name))
@@ -495,12 +577,10 @@ func (lw *lowerer) arrayRef(ref *ast.Ref, am *runtime.ArrayLayout) *ArrayRef {
 		r.Subs[i] = lw.intExpr(sub.X)
 	}
 	if r.affine() {
-		off := IntExpr{}
 		for i := range r.Subs {
-			off = intAdd(off, intScale(r.Subs[i], am.Strides[i]), 1)
-			off.Const -= am.Arr.Lo[i] * am.Strides[i]
+			r.off = lw.addScaled(&r.off, &r.Subs[i].Affine, am.Strides[i])
+			r.off.Const -= am.Arr.Lo[i] * am.Strides[i]
 		}
-		r.off = off.Affine
 		if n := len(lw.loops); n > 0 {
 			r.stride = r.off.coef(lw.loops[n-1].Slot)
 		}
@@ -648,10 +728,9 @@ func (lw *lowerer) scalar(name string, pos source.Pos, strict bool) RealFn {
 		c := float64(v)
 		rest = func(*Frame) float64 { return c }
 	} else if s, ok := lw.realSlot[name]; ok && strict {
-		unbound := source.Errorf(pos, "unbound scalar %q", name)
 		rest = func(fr *Frame) float64 {
-			if !fr.Set[s] {
-				fr.fail(unbound)
+			if !fr.Set[s] && fr.Err == nil {
+				fr.fail(source.Errorf(pos, "unbound scalar %q", name))
 			}
 			return fr.Reals[s]
 		}

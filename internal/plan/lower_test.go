@@ -1,0 +1,73 @@
+package plan_test
+
+import (
+	"testing"
+
+	"gcao/internal/bench"
+	"gcao/internal/core"
+	"gcao/internal/plan"
+)
+
+// TestLoweredTermsCapped: lowering carves the terms of every affine form
+// from slabs, so each Terms slice must be capped at its length — else an
+// append to one (localize, the row form) would write over the terms of
+// the form carved next to it. Likewise every plane of a memory image,
+// carved from one slab per array.
+func TestLoweredTermsCapped(t *testing.T) {
+	for _, pr := range bench.Programs() {
+		name := pr.Bench + "/" + pr.Routine
+		a, err := pr.Compile(pr.DefaultN, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Place(core.Options{Version: core.VersionCombine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, forms := plan.Lower(res), 0
+		plan.Forms(prog, func(where string, f *plan.Affine) {
+			if forms++; cap(f.Terms) != len(f.Terms) {
+				t.Errorf("%s: a %s has %d terms and room for %d", name, where, len(f.Terms), cap(f.Terms))
+			}
+		})
+		if forms == 0 {
+			t.Errorf("%s: no affine form walked", name)
+		}
+		mem := prog.Plan.Layout.NewMemory()
+		for _, am := range mem.Arrays {
+			for p, plane := range am.Data {
+				if cap(plane) != len(plane) {
+					t.Errorf("%s: processor %d's plane of %s has %d elements and room for %d", name, p, am.Name, len(plane), cap(plane))
+				}
+			}
+		}
+	}
+}
+
+// TestLowerAllocations pins what lowering allocates — a function of the
+// program, not of its expressions — at 1.25× the measured count, on
+// sim-verify's hydflo/flux (752; 3,383 when every expression allocated)
+// and on native-comm's shallow (568; 2,116).
+func TestLowerAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		bench, routine string
+		params         map[string]int
+		procs          int
+		budget         float64
+	}{
+		{"hydflo", "flux", map[string]int{"n": 16, "steps": 4}, 16, 940},
+		{"shallow", "main", map[string]int{"n": 16, "steps": 40}, 16, 710},
+	} {
+		pr, err := bench.ByName(tc.bench, tc.routine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := placeSrc(t, pr.Source, tc.params, tc.procs)
+		n := testing.AllocsPerRun(10, func() { plan.Lower(res) })
+		if n > tc.budget {
+			t.Errorf("lowering %s/%s allocates %v objects, budget %v", tc.bench, tc.routine, n, tc.budget)
+		} else {
+			t.Logf("%s/%s: %v allocations a lowering", tc.bench, tc.routine, n)
+		}
+	}
+}

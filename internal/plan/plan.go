@@ -28,6 +28,9 @@
 package plan
 
 import (
+	"cmp"
+	"slices"
+
 	"gcao/internal/ast"
 	"gcao/internal/core"
 	"gcao/internal/runtime"
@@ -61,12 +64,26 @@ func newPlan(res *core.Result, layout *runtime.Layout) *Plan {
 	a := res.Analysis
 	pl := &Plan{A: a, Res: res, Layout: layout}
 	pl.Comm = make([][][]*core.Group, len(a.G.Blocks))
+	n := 0
 	for _, b := range a.G.Blocks {
-		pl.Comm[b.ID] = make([][]*core.Group, len(b.Stmts)+1)
+		n += len(b.Stmts) + 1
 	}
-	for _, g := range res.Groups {
-		b := g.Pos.Block
-		pl.Comm[b.ID][g.Pos.After+1] = append(pl.Comm[b.ID][g.Pos.After+1], g)
+	positions := make([][]*core.Group, n)
+	for _, b := range a.G.Blocks {
+		k := len(b.Stmts) + 1
+		pl.Comm[b.ID], positions = positions[:k:k], positions[k:]
+	}
+	// One position's groups are a run of the groups sorted by position.
+	groups := slices.Clone(res.Groups)
+	slices.SortStableFunc(groups, func(x, y *core.Group) int {
+		return cmp.Or(x.Pos.Block.ID-y.Pos.Block.ID, x.Pos.After-y.Pos.After)
+	})
+	for i := 0; i < len(groups); {
+		pos, j := groups[i].Pos, i+1
+		for j < len(groups) && groups[j].Pos == pos {
+			j++
+		}
+		pl.Comm[pos.Block.ID][pos.After+1], i = groups[i:j:j], j
 	}
 	pl.Tree = buildTree(layout.P)
 	return pl
@@ -106,6 +123,7 @@ func buildTree(procs int) *Tree {
 		Pos:      make([]int, procs),
 		SubSize:  make([]int, procs),
 	}
+	kids := make([]int, 0, max(procs-1, 0)) // every processor but the root is one child
 	for p := 0; p < procs; p++ {
 		if p == 0 {
 			t.Parent[p] = -1
@@ -118,8 +136,12 @@ func buildTree(procs int) *Tree {
 		if p == 0 {
 			lim = procs
 		}
+		k := len(kids)
 		for step := 1; step < lim && p+step < procs; step <<= 1 {
-			t.Children[p] = append(t.Children[p], p+step)
+			kids = append(kids, p+step)
+		}
+		if len(kids) > k {
+			t.Children[p] = kids[k:len(kids):len(kids)]
 		}
 	}
 	// DFS pre-order and subtree sizes, iteratively (procs can be large).

@@ -216,9 +216,9 @@ type Memory struct {
 // ArrayMem is the storage of one array of a Memory under its layout: the
 // data planes and the lists of valid boxes, with no string-keyed lookups
 // on the access path. The interpreter's inner loops and the bulk
-// operations run on these views; per-processor rows are independent
-// allocations, so shards working on disjoint processor ranges never share
-// cache lines.
+// operations run on these views; the per-processor planes are carved from
+// one slab a cache line apart, so shards working on disjoint processor
+// ranges never share cache lines.
 type ArrayMem struct {
 	*ArrayLayout
 	// Data[p][off] is processor p's copy of the element at offset off of
@@ -268,8 +268,10 @@ func (l *Layout) NewMemory() *Memory {
 			copies = 1
 		}
 		am := &ArrayMem{ArrayLayout: al, Data: make([][]float64, copies)}
-		for c := 0; c < copies; c++ {
-			am.Data[c] = make([]float64, al.size)
+		w := al.size + 8 // a 64-byte line between planes
+		slab := make([]float64, copies*w)
+		for c := range am.Data {
+			am.Data[c] = slab[c*w : c*w+al.size : c*w+al.size]
 		}
 		if al.Dist != nil {
 			am.initLists(copies)

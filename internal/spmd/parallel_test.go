@@ -297,6 +297,29 @@ func TestSimulateUnboundScalarInNest(t *testing.T) {
 	}
 }
 
+// TestSimulateLoweredErrorsPositioned: what lowering cannot make an
+// integer of fails the run when evaluated, positioned at the expression —
+// a subscript naming neither an enclosing loop's variable nor a
+// parameter, a section where an element is needed, an integer division
+// or mod by zero.
+func TestSimulateLoweredErrorsPositioned(t *testing.T) {
+	for _, tc := range []struct{ rhs, want string }{
+		{"b(x)", `6:10: "x" is not an integer here`},
+		{"b(2:3)", "6:8: section of b where an element is needed"},
+		{"b(n / (i - i))", "6:12: division by zero"},
+		{"b(mod(n, i - i))", "6:10: mod by zero"},
+	} {
+		src := "routine r(n)\nreal a(n), b(n)\nreal x\n!hpf$ distribute (block) :: a, b\ndo i = 1, n\na(i) = " + tc.rhs + "\nenddo\nend\n"
+		res := placed(t, compile(t, src, map[string]int{"n": 8}, 4), core.VersionCombine)
+		for _, workers := range []int{1, 4} {
+			_, err := RunParallelObs(res, machine.SP2(), 4, workers, nil)
+			if want := regexp.MustCompile(`^spmd: processor [0-3] at 6:1: ` + regexp.QuoteMeta(tc.want) + `$`); err == nil || !want.MatchString(err.Error()) {
+				t.Errorf("%s, j=%d: run returned %v, want %s", tc.rhs, workers, err, want)
+			}
+		}
+	}
+}
+
 // TestEngineRunsAfterPanic: a panic under a shard in the middle of a run —
 // memory written, peers parked at a rendezvous — is a positioned error, and
 // the engine's next run, the program whole again, leaves bit for bit what a
