@@ -155,7 +155,9 @@ obs-smoke:
 # exhaustive native-vs-simulator matrix, the library's
 # (*gcao.Placed).VerifyNative over every routine × strategy at P=4
 # (TestPlacedVerifyNative), and the oversubscription
-# regression test, the traffic golden (every message and byte of the six
+# regression test, the runners' lifecycle (a warm run starts no
+# goroutine; a failed run, two engines at once under a bound, the idle
+# exit), the traffic golden (every message and byte of the six
 # Fig. 10(a) routines × 3 versions × P ∈ {4, 16}), the split-phase SUM
 # edge cases (gather at the statement, settle at the global-sum group,
 # engine reuse after a run failed between the two) and the profiler's
@@ -180,15 +182,18 @@ obs-smoke:
 # steady-state allocation benchmarks (gravity and shallow × 40 steps,
 # P=16, engine reuse) and fails if the allocs/op of either exceeds the
 # checked-in budget in ci/native-alloc-budget.txt — a warm run packs into
-# the pairs' rings and replays or translates its schedules, so a hot path
-# that starts allocating again is a regression.
+# the pairs' rings, replays or translates its schedules and hands its
+# processors to parked runners, so it allocates its RunResult and starts
+# no goroutine (budget 2: one for the result, one for the Go runtime's
+# channel waiters after a collection), and a hot path that starts
+# allocating again is a regression.
 native-smoke:
 	@mkdir -p out
 	$(GO) run ./cmd/hpfc verify -backend native | tee out/native-smoke.txt
 	@grep -q 'native ok, bit-identical to simulator' out/native-smoke.txt || { echo "native-smoke: no native verification line"; exit 1; }
 	@n=$$(grep -c 'native ok, bit-identical to simulator' out/native-smoke.txt); \
 	[ "$$n" -ge 6 ] || { echo "native-smoke: only $$n of 6 benchmarks verified"; exit 1; }
-	$(GO) test ./internal/native -run 'TestNativeMatchesSimulator|TestNativeOversubscription|TestReusedEngineMatchesFresh|TestNativeLocalizationEdgeCases/(mod|mixed)' -count=1
+	$(GO) test ./internal/native -run 'TestNativeMatchesSimulator|TestNativeOversubscription|TestReusedEngineMatchesFresh|TestNativeLocalizationEdgeCases/(mod|mixed)|TestWarmRunStartsNoGoroutine|TestRunners' -count=1
 	$(GO) test . -run 'TestPlacedVerifyNative' -count=1
 	$(GO) test ./internal/native -run 'TestNativeTrafficGolden|TestNativeSplitSumEdgeCases|TestNativeReuseAfterFailedSplitSum|TestNativeProfileSumAttribution|TestImageBytes|TestStaleReadOutsideLocalBox|TestValidBoxFragmentation|TestPartiallyValidStrip' -count=1
 	$(GO) test ./internal/runtime -run 'TestStripShiftMatchesRebuild|TestValidBoxesMatchPlane|TestBulkOperationsDoNotAllocate' -count=1

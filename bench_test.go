@@ -599,26 +599,9 @@ func BenchmarkNativeExecution(b *testing.B) {
 // native-smoke` enforces with -benchmem.
 func BenchmarkNativeAlloc(b *testing.B) {
 	eng := warmGravityEngine(b, 48, 16)
-	settleRuntime(b, eng)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// settleRuntime runs a warm engine until the Go runtime's own pools have
-// grown to what its runs take from them. A run starts P−1 goroutines and
-// parks them on channels; they exit, and release their channel waiters,
-// on whichever thread ran them, so for some tens of runs a spawn or a
-// park on another thread finds its free list empty and allocates a
-// goroutine or a waiter. Those allocations are the runtime's, not the
-// engine's, and a budget timed over five runs would count them.
-func settleRuntime(b *testing.B, eng *native.Engine) {
-	b.Helper()
-	for range 64 {
 		if _, err := eng.Run(); err != nil {
 			b.Fatal(err)
 		}
@@ -633,7 +616,6 @@ func settleRuntime(b *testing.B, eng *native.Engine) {
 // ci/native-alloc-budget.txt as BenchmarkNativeAlloc.
 func BenchmarkNativeComm(b *testing.B) {
 	eng := warmEngine(b, "shallow", map[string]int{"n": 16, "steps": 40}, 16)
-	settleRuntime(b, eng)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -35,11 +35,15 @@ package native
 // touching what it received (which may be the reaper's nil, or a message
 // out of sequence) and without another channel operation, so the run
 // ends, Run waits for the reaper, and the reaper's last sweep leaves the
-// channels empty. The data channels are never closed (a close races with
-// a concurrent send) and no operation selects on a shared done channel
-// (a two-case select locks the pair's channel and the one channel all P
-// goroutines share, on every message of every successful run). For the
-// rings a failure changes one step of the argument: the reaper may take
+// channels empty. Processors run on runners (runner.go), which park
+// before they mark their processor done: when Run returns, every
+// processor's goroutine is parked on the runner stack, or gone if it was
+// a one-shot goroutine past the runner bound, and none of them blocks on
+// a channel of the engine. The data channels are never closed (a close
+// races with a concurrent send) and no operation selects on a shared done
+// channel (a two-case select locks the pair's channel and the one channel
+// all P goroutines share, on every message of every successful run). For
+// the rings a failure changes one step of the argument: the reaper may take
 // k+1 in the receiver's place, while the receiver still reads k — but
 // the send of k+2 that lets complete is followed by the flag load, and
 // the sender never fills k+3.
@@ -98,7 +102,7 @@ import (
 // bug, not a user error. The sender writes buf again only as the slot's
 // next tenant (see link).
 func (pc *proc) send(dst int, buf []float64) error {
-	l := pc.eng.link[dst][pc.p]
+	l := pc.eng.pair(dst, pc.p)
 	if l == nil {
 		return fmt.Errorf("native: no channel %d→%d (protocol bug)", pc.p, dst)
 	}
@@ -124,7 +128,7 @@ func (pc *proc) send(dst int, buf []float64) error {
 // recv takes the pair's next message from src. The payload is the
 // receiver's to read until its next receive from src.
 func (pc *proc) recv(src int) ([]float64, error) {
-	l := pc.eng.link[pc.p][src]
+	l := pc.eng.pair(pc.p, src)
 	if l == nil {
 		return nil, fmt.Errorf("native: no channel %d→%d (protocol bug)", src, pc.p)
 	}
@@ -152,7 +156,7 @@ func (pc *proc) recv(src int) ([]float64, error) {
 // packing never outgrows the slot and a slot is never larger than the
 // longest message it has carried.
 func (pc *proc) getBuf(dst, need int) []float64 {
-	l := pc.eng.link[dst][pc.p]
+	l := pc.eng.pair(dst, pc.p)
 	slot := &l.slot[l.next%len(l.slot)]
 	l.next++
 	if cap(*slot) < need {

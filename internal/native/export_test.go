@@ -42,3 +42,26 @@ func ProgramOf(eng *Engine) *plan.Program { return eng.prog }
 
 // MaxProcs is the oversubscription clamp NewEngine enforces.
 func MaxProcs() int { return maxProcs() }
+
+// Runners is how many runners exist, parked or running a processor.
+func Runners() int {
+	runnerMu.Lock()
+	defer runnerMu.Unlock()
+	return runners
+}
+
+// RunnerIdle is how long a parked runner waits before it exits.
+const RunnerIdle = runnerIdle
+
+// SetRunnerCap bounds the runners at n instead of MaxProcs until the
+// returned function restores the bound.
+func SetRunnerCap(n int) (restore func()) {
+	runnerMu.Lock()
+	defer runnerMu.Unlock()
+	runnerCap = func() int { return n }
+	return func() {
+		runnerMu.Lock()
+		defer runnerMu.Unlock()
+		runnerCap = maxProcs
+	}
+}

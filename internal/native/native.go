@@ -96,7 +96,9 @@ func (r *RunResult) Release() {
 // including P=64 on a single core; the one loop that does not block, the
 // reaper of a failed run, yields after every sweep and ends with the run
 // (see comm.go). Beyond the clamp a run is refused: that many parked
-// goroutines signals a misconfigured grid, not a bigger machine.
+// goroutines signals a misconfigured grid, not a bigger machine. It is
+// also the most runners the process keeps (runner.go): processors run on
+// parked runners, and a run starts none while enough of them are idle.
 func maxProcs() int {
 	n := goruntime.GOMAXPROCS(0) * 256
 	if n < 1024 {
@@ -147,8 +149,10 @@ func RunPooled(pool *sync.Pool, prog *plan.Program, rec *obs.Recorder) (*RunResu
 // between runs and the fabric allocates nothing after the first. An
 // Engine is not safe for concurrent Runs, and what a Run returns of it —
 // memory image, scalars, operation counts — is overwritten by the next. A
-// failed run leaves the engine usable: it ends with every goroutine gone
-// and the channels drained, and the next Run clears the error.
+// failed run leaves the engine usable: it ends with every processor back
+// on a parked runner or gone and the channels drained, and the next Run
+// clears the error. Processors run on parked runners, process-wide
+// goroutines that outlive the run (see dispatch): a warm run starts none.
 type Engine struct {
 	prog  *plan.Program
 	mem   *runtime.Memory
@@ -170,12 +174,12 @@ type Engine struct {
 	sites     []string
 	ringSize  int
 
-	// link[dst][src] is the directed pair src→dst, allocated only for
-	// pairs the protocol uses (binomial-tree edges and the exchanges'
-	// neighbours), so the fabric stays O(P·rank) per grid instead of
-	// O(P²); links lists them.
-	link  [][]*link
-	links []*link
+	// link[dst*procs+src] is the directed pair src→dst (pair), nil but
+	// for the pairs the protocol uses (binomial-tree edges and the
+	// exchanges' neighbours), so the channels and rings stay O(P·rank) per
+	// grid and only the table is P²; links holds the pairs themselves.
+	link  []*link
+	links []link
 
 	// The failure protocol (see fail): the first error, the flag every
 	// channel operation is followed by a load of, the count of processors
@@ -272,8 +276,10 @@ func (eng *Engine) DisableProfiling() {
 // Run executes the prepared program once. The first call initializes,
 // later calls reset the memory image and per-processor state first —
 // message buffers and scratches are reused, so steady-state runs do
-// not allocate. The returned RunResult shares the engine's memory
-// image, scalar map and operation counts; it is valid until the next Run.
+// not allocate. Processor 0 runs on the caller's goroutine and the others
+// on parked runners, so a run starts no goroutine while enough of them
+// are idle. The returned RunResult shares the engine's memory image,
+// scalar map and operation counts; it is valid until the next Run.
 func (eng *Engine) Run() (*RunResult, error) {
 	eng.errVal = nil
 	eng.failed.Store(false)
@@ -281,8 +287,8 @@ func (eng *Engine) Run() (*RunResult, error) {
 		eng.mem.Reset()
 	}
 	eng.ran = true
-	for _, l := range eng.links {
-		l.next = 0
+	for i := range eng.links {
+		eng.links[i].next = 0
 	}
 	for _, pc := range eng.ps {
 		if err := pc.fr.Reset(eng.mem); err != nil {
@@ -305,7 +311,7 @@ func (eng *Engine) Run() (*RunResult, error) {
 	eng.running.Store(int32(eng.procs))
 	eng.wg.Add(eng.procs - 1)
 	for _, pc := range eng.ps[1:] {
-		go pc.main()
+		dispatch(pc)
 	}
 	eng.ps[0].main()
 	eng.wg.Wait() // the processors and, after a failure, the reaper
@@ -368,33 +374,47 @@ type link struct {
 	next int
 }
 
-// connectFabric allocates the pairs the protocol can use: the
-// binomial-tree edges (collectives, barriers, condition broadcasts)
-// and the exchanges' pairs (CommOp.Neighbors).
+// connectFabric wires the pairs the protocol can use: the binomial-tree
+// edges (collectives, barriers, condition broadcasts) and the exchanges'
+// pairs (CommOp.Neighbors). A first pass marks them in the P×P table, a
+// second carves them from one slab in table order; only their channels
+// are allocated one by one.
 func (eng *Engine) connectFabric() {
-	eng.link = make([][]*link, eng.procs)
-	for d := range eng.link {
-		eng.link[d] = make([]*link, eng.procs)
-	}
-	connect := func(dst, src int) {
-		if dst != src && eng.link[dst][src] == nil {
-			eng.link[dst][src] = &link{ch: make(chan []float64, 1)}
-			eng.links = append(eng.links, eng.link[dst][src])
+	P := eng.procs
+	eng.link = make([]*link, P*P)
+	n := 0
+	mark := func(dst, src int) {
+		if dst != src && eng.link[dst*P+src] == nil {
+			eng.link[dst*P+src] = &unwired
+			n++
 		}
 	}
-	for p := 1; p < eng.procs; p++ {
+	for p := 1; p < P; p++ {
 		parent := eng.prog.Plan.Tree.Parent[p]
-		connect(p, parent)
-		connect(parent, p)
+		mark(p, parent)
+		mark(parent, p)
 	}
 	for _, op := range eng.prog.Exchanges {
-		for p := 0; p < eng.procs; p++ {
+		for p := 0; p < P; p++ {
 			if dst, _ := op.Neighbors(p); dst >= 0 {
-				connect(dst, p)
+				mark(dst, p)
 			}
 		}
 	}
+	eng.links = make([]link, 0, n)
+	for i, l := range eng.link {
+		if l != nil {
+			eng.links = append(eng.links, link{ch: make(chan []float64, 1)})
+			eng.link[i] = &eng.links[len(eng.links)-1]
+		}
+	}
 }
+
+// unwired marks a pair connectFabric has yet to carve.
+var unwired link
+
+// pair returns the directed pair src→dst, nil when the protocol uses none.
+func (eng *Engine) pair(dst, src int) *link { return eng.link[dst*eng.procs+src] }
 
 // fail is the one way a run stops early: it records the first error,
 // sets the flag and starts the reaper. Every send and receive is a plain
@@ -432,7 +452,8 @@ func (eng *Engine) reap() {
 	defer eng.wg.Done()
 	for {
 		left := eng.running.Load() == 0
-		for _, l := range eng.links {
+		for i := range eng.links {
+			l := &eng.links[i]
 			select {
 			case <-l.ch:
 			default:
@@ -513,8 +534,9 @@ func (pc *proc) nowNS() int64 {
 // main runs the program on this processor. Whatever stops it — an
 // evaluation error, a protocol error, a panic under it — becomes the
 // engine's error, so the peers blocked on this processor unwind and
-// the caller gets a value, not a crash. Processors other than 0 run it
-// on goroutines of their own, which Run waits for.
+// the caller gets a value, not a crash. Processor 0 runs it on Run's
+// goroutine, the others on runners (dispatch), which mark them done for
+// Run to wait for.
 func (pc *proc) main() {
 	defer func() {
 		if r := recover(); r != nil {
@@ -524,9 +546,6 @@ func (pc *proc) main() {
 			pc.endNS = pc.nowNS()
 		}
 		pc.eng.running.Add(-1)
-		if pc.p != 0 {
-			pc.eng.wg.Done()
-		}
 	}()
 	if err := plan.Exec(pc.eng.prog.Body, pc); err != nil {
 		pc.eng.fail(err)

@@ -16,9 +16,10 @@ import (
 // pairEngine wires a minimal two-processor fabric by hand — just the
 // 0↔1 pair — so the rings can be driven without a program.
 func pairEngine() (*proc, *proc) {
-	eng := &Engine{procs: 2, link: [][]*link{{nil, nil}, {nil, nil}}}
-	for _, pair := range [][2]int{{1, 0}, {0, 1}} {
-		eng.link[pair[0]][pair[1]] = &link{ch: make(chan []float64, 1)}
+	eng := &Engine{procs: 2, links: make([]link, 2)}
+	eng.link = []*link{nil, &eng.links[0], &eng.links[1], nil}
+	for i := range eng.links {
+		eng.links[i].ch = make(chan []float64, 1)
 	}
 	return &proc{eng: eng, p: 0}, &proc{eng: eng, p: 1}
 }
@@ -83,7 +84,7 @@ func TestRingSenderAheadNeverAliases(t *testing.T) {
 // the run (the ring rewound) finds; nil barrier tokens take no slot.
 func TestRingSlots(t *testing.T) {
 	p0, p1 := pairEngine()
-	l := p0.eng.link[1][0]
+	l := p0.eng.pair(1, 0)
 	var first [4]uintptr
 	for k := range first {
 		buf := p0.getBuf(1, 8)

@@ -97,7 +97,7 @@ func (lw *lowerer) localize(nodes []Node) {
 		case *Loop:
 			if nest := lw.pureNest(n); nest != nil {
 				n.Nest = nest
-				nest.clamp(lw.pl.Layout.P)
+				lw.clamp(nest)
 				nest.entryKey(lw.pr)
 				for l, lp := range nest.loops {
 					if lp.Row = lw.rowBody(lp); lp.Row != nil {
@@ -269,58 +269,63 @@ func ownerAligned(r, lhs *ArrayRef) bool {
 	return true
 }
 
-// clamp computes the per-processor loop bounds and decides, per
-// statement, whether they make the ownership guard redundant and
-// whether subscript ranges can be verified once on entry.
-func (n *Nest) clamp(procs int) {
-	// A constraint is what one BLOCK dimension of a statement's target
-	// asks of the loop whose variable subscripts it: per processor, the
-	// values of the variable for which the processor owns the
-	// statement's elements along that dimension.
-	type constraint struct {
-		loop  int // index in n.loops
-		owned []Range
-	}
-	cons := make([][]constraint, len(n.stmts))
-	var slab []Range
+// constraint is what one BLOCK dimension of a statement's target asks of
+// the loop whose variable subscripts it: per processor, the values of
+// the variable for which the processor owns the statement's elements
+// along that dimension. exact says the loop's clamp is exactly that.
+type constraint struct {
+	stmt, dim, loop int // the statement's index in the nest, the dimension, the loop's
+	owned           []Range
+	exact           bool
+}
+
+// clamp computes the per-processor loop bounds of a nest and decides, per
+// statement, whether they make the ownership guard redundant and whether
+// subscript ranges can be verified once on entry. The constraints and
+// their ranges are the lowerer's scratch.
+func (lw *lowerer) clamp(n *Nest) {
+	procs := lw.pl.Layout.P
+	cons := lw.cons[:0]
 	for si, st := range n.stmts {
-		d := st.LHS.Lay.Dist
-		for i, dd := range d.Dims {
-			sub := &st.LHS.Subs[i]
-			if dd.Kind != dist.Block || !n.varies(sub) {
-				continue
+		for i, dd := range st.LHS.Lay.Dist.Dims {
+			if sub := &st.LHS.Subs[i]; dd.Kind == dist.Block && n.varies(sub) {
+				cons = append(cons, constraint{stmt: si, dim: i, loop: n.loopOf[sub.Terms[0].Slot]})
 			}
-			c := constraint{loop: n.loopOf[sub.Terms[0].Slot], owned: carve(&slab, procs)}
-			for p := range c.owned {
-				lo, hi := st.LHS.Lay.OwnedBox(p, i)
-				c.owned[p] = Range{Lo: lo - sub.Const, Hi: hi - sub.Const}
-			}
-			cons[si] = append(cons[si], c)
+		}
+	}
+	// One run of procs ranges per constraint, then one per loop for its
+	// hull.
+	ranges := slices.Grow(lw.owned[:0], (len(cons)+len(n.loops))*procs)[:(len(cons)+len(n.loops))*procs]
+	for j := range cons {
+		c := &cons[j]
+		lhs := n.stmts[c.stmt].LHS
+		c.owned = ranges[j*procs : (j+1)*procs]
+		for p := range c.owned {
+			lo, hi := lhs.Lay.OwnedBox(p, c.dim)
+			c.owned[p] = Range{Lo: lo - lhs.Subs[c.dim].Const, Hi: hi - lhs.Subs[c.dim].Const}
 		}
 	}
 	// A loop is clamped to the hull of the constraints on its variable
-	// when every statement below it has one; exact records whether the
-	// hull is every one of those statements' own range.
-	exact := make([]bool, len(n.loops))
+	// when every statement below it has one; it is exact when the hull is
+	// every one of those statements' own range. The clamps of a nest are
+	// runs of one slice.
+	clamped := 0
 	for l, lp := range n.loops {
-		var hull []Range
-		same := true
+		hull := ranges[(len(cons)+l)*procs : (len(cons)+l+1)*procs]
+		has, same := false, true
 		for si, st := range n.stmts {
 			if !st.inside(lp) {
 				continue
 			}
-			var own []Range
-			for _, c := range cons[si] {
-				if c.loop == l {
-					own = c.owned
-				}
-			}
-			if own == nil {
-				hull = nil
+			j := slices.IndexFunc(cons, func(c constraint) bool { return c.stmt == si && c.loop == l })
+			if j < 0 {
+				has = false
 				break
 			}
-			if hull == nil {
-				hull = append([]Range(nil), own...)
+			own := cons[j].owned
+			if !has {
+				copy(hull, own)
+				has = true
 				continue
 			}
 			for p := range hull {
@@ -330,13 +335,29 @@ func (n *Nest) clamp(procs int) {
 				}
 			}
 		}
+		if !has {
+			continue
+		}
 		lp.Clamp = hull
-		exact[l] = hull != nil && same
+		clamped++
+		for j := range cons {
+			if cons[j].loop == l {
+				cons[j].exact = same
+			}
+		}
+	}
+	kept := make([]Range, 0, clamped*procs)
+	for _, lp := range n.loops {
+		if lp.Clamp != nil {
+			k := len(kept)
+			kept = append(kept, lp.Clamp...)
+			lp.Clamp = kept[k:len(kept):len(kept)]
+		}
 	}
 	for si, st := range n.stmts {
 		covered, distributed := 0, 0
-		for _, c := range cons[si] {
-			if exact[c.loop] {
+		for _, c := range cons {
+			if c.stmt == si && c.exact {
 				covered++
 			}
 		}
@@ -356,6 +377,7 @@ func (n *Nest) clamp(procs int) {
 			}
 		}
 	}
+	lw.cons, lw.owned = cons, ranges
 }
 
 // entryKey collects the slots Enter's outcome depends on beside the

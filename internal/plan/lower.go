@@ -101,8 +101,10 @@ type lowerer struct {
 	bounds   []Affine
 	steps    []int
 	vars     [][]Term
-	// cand is pureNest's scratch.
-	cand Nest
+	// cand is pureNest's scratch, cons and owned clamp's.
+	cand  Nest
+	cons  []constraint
+	owned []Range
 	// row collects the row form (see row.go) of the statement being
 	// lowered, over the variable of the innermost loop around it, while
 	// rowOK says every operand so far has one.
