@@ -332,11 +332,11 @@ fuzz-smoke:
 # n=16, 4 steps, P=16, memory image and lowered program rebuilt per run,
 # as spmd.RunParallel on a bare placement result does) must stay
 # within the allocation budget in ci/sim-alloc-budget.txt: 1.25x the
-# measured allocs/op (860), where the revision that scanned whole sections
-# into per-call pair maps spent 10 300 and the one that lowered by the
-# expression 3 645 — a bulk memory operation or a lowered form that
-# allocates per call again is a regression long before it shows in
-# milliseconds. Lowering carves its forms from slabs: every Terms slice
+# measured allocs/op (474), where the revision that scanned whole sections
+# into per-call pair maps spent 10 300, the one that lowered by the
+# expression 3 645 and the one whose expressions were closures 767 — a
+# bulk memory operation or a lowered form that allocates per call again is
+# a regression long before it shows in milliseconds. Lowering carves its forms from slabs: every Terms slice
 # and every plane of an image must be capped at its length
 # (TestLoweredTermsCapped), and what lowering allocates is pinned on flux
 # and shallow (TestLowerAllocations). The image the simulator rebuilds per run is its

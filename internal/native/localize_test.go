@@ -481,7 +481,7 @@ func rowLoops(res *core.Result, procs int) (loops int) {
 
 // TestRowQualificationNegatives: the loops a row kernel must not take —
 // each case's second nest breaks one clause of the qualification rule
-// (plan/row.go) and has to stay on the closure tree, where it still
+// (plan/row.go) and has to stay on the expression tree, where it still
 // matches the reference evaluator; the first nest of each program
 // qualifies, so the count also says the rule is not simply off.
 func TestRowQualificationNegatives(t *testing.T) {
@@ -580,7 +580,7 @@ end
 // them, a(2, 11), lies two columns beyond the one-column margin the
 // exchange of a(i, j - 1) leaves room for once the exchange of a(i, j + 3)
 // is dropped. %s is the loop body: a pure nest, or one a scalar store
-// keeps on the closure tree.
+// keeps on the expression tree.
 const beyondMargin = `
 routine r(n)
 real a(n, n), b(n, n)
@@ -604,7 +604,7 @@ end
 // local box — past the widest exchange into the array, which a placement
 // that dropped the wider one leaves — is a stale read naming the global
 // index, on both backends, on the hoisted path of a pure nest and on the
-// closure tree alike. It never reads the element its offset would wrap
+// expression tree alike. It never reads the element its offset would wrap
 // to in the next row of the plane, which the reader owns.
 func TestStaleReadOutsideLocalBox(t *testing.T) {
 	for _, tc := range []struct{ name, body string }{
@@ -753,7 +753,7 @@ func TestNativeOutOfRangeSubscriptIsError(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := goruntime.NumGoroutine()
+			before := nonRunners()
 			for run := 0; run < 2; run++ {
 				_, err := eng.Run()
 				if err == nil {
@@ -769,15 +769,21 @@ func TestNativeOutOfRangeSubscriptIsError(t *testing.T) {
 			// their actual exit by a few instructions: give the count a
 			// moment to settle before calling it a leak.
 			deadline := time.Now().Add(5 * time.Second)
-			for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
+			for nonRunners() > before && time.Now().Before(deadline) {
 				goruntime.Gosched()
 			}
-			if after := goruntime.NumGoroutine(); after > before {
-				t.Errorf("%d goroutines before the failed runs, %d after", before, after)
+			if after := nonRunners(); after > before {
+				t.Errorf("%d goroutines beside the runners before the failed runs, %d after", before, after)
 			}
 		})
 	}
 }
+
+// nonRunners counts the goroutines that are not runners. A leak check
+// compares it before and after: runners that earlier tests parked, and
+// that idle out in between, neither hide a leaked goroutine nor count as
+// one.
+func nonRunners() int { return goruntime.NumGoroutine() - native.Runners() }
 
 // TestNativeLoweredErrorsPositioned: the errors lowering leaves in the
 // program for evaluation — a subscript naming neither an enclosing loop's
@@ -858,7 +864,7 @@ func TestNativeOneProcessorFails(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := goruntime.NumGoroutine()
+			before := nonRunners()
 			var first string
 			for run := 0; run < 20; run++ {
 				ran := make(chan error, 1)
@@ -886,11 +892,11 @@ func TestNativeOneProcessorFails(t *testing.T) {
 				}
 			}
 			deadline := time.Now().Add(5 * time.Second)
-			for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
+			for nonRunners() > before && time.Now().Before(deadline) {
 				goruntime.Gosched()
 			}
-			if after := goruntime.NumGoroutine(); after > before {
-				t.Errorf("%d goroutines before the failed runs, %d after", before, after)
+			if after := nonRunners(); after > before {
+				t.Errorf("%d goroutines beside the runners before the failed runs, %d after", before, after)
 			}
 		})
 	}

@@ -612,7 +612,7 @@ func (pc *proc) settle(st *plan.Stmt) error {
 	if st.LHS == nil {
 		// Scalar target: every processor computes the replicated value
 		// locally (determinism makes the copies identical).
-		v := st.RHS(fr)
+		v := st.RHS.Eval(fr)
 		if fr.Err != nil {
 			return pc.evalErr()
 		}
@@ -631,7 +631,7 @@ func (pc *proc) settle(st *plan.Stmt) error {
 		// processor 0 alone, inside a pair of barriers that separate
 		// the write from every other processor's reads in program
 		// order.
-		v := st.RHS(fr)
+		v := st.RHS.Eval(fr)
 		if fr.Err != nil {
 			return pc.evalErr()
 		}
@@ -655,7 +655,7 @@ func (pc *proc) settle(st *plan.Stmt) error {
 			return nil
 		}
 	}
-	v := st.RHS(fr)
+	v := st.RHS.Eval(fr)
 	if fr.Err != nil {
 		return pc.evalErr()
 	}
@@ -673,7 +673,7 @@ func (pc *proc) If(n *plan.If) error {
 	pc.at = n.Src.Branch.Pos
 	var v float64
 	if !n.Sync {
-		v = n.Cond(fr)
+		v = n.Cond.Eval(fr)
 	} else {
 		if err := pc.gatherSums(n.Sums); err != nil {
 			return err
@@ -682,7 +682,7 @@ func (pc *proc) If(n *plan.If) error {
 			return err
 		}
 		if pc.p == 0 {
-			v = n.Cond(fr)
+			v = n.Cond.Eval(fr)
 		}
 	}
 	if fr.Err != nil {

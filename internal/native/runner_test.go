@@ -112,10 +112,10 @@ end
 			*sub += 20
 			return func() { *sub -= 20 }
 		}},
-		{"panic", "native: processor 1 at 11:1: panic: breaks", func(prog *plan.Program) func() {
+		{"panic", "native: processor 1 at 11:1: panic: runtime error: invalid memory address", func(prog *plan.Program) func() {
 			st := lastStore(prog) // b(3) = 7, which processor 1 owns
 			rhs := st.RHS
-			st.RHS = func(*plan.Frame) float64 { panic("breaks") }
+			st.RHS = nil // evaluating it dereferences nil
 			return func() { st.RHS = rhs }
 		}},
 	} {

@@ -8,7 +8,7 @@ import (
 )
 
 // ClearRows removes the row-loop and box marks from a lowered program,
-// so that a driver walks every loop on the closure tree: the element
+// so that a driver walks every loop on the expression tree: the element
 // walk the kernels are held against. ClearChains removes only the marks
 // of the chains, so that a driver runs every row loop a row at a time.
 // For tests only — nothing else changes a Program after Lower.

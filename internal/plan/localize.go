@@ -220,7 +220,7 @@ climb:
 // varies reports whether an integer expression may change inside the
 // nest: it reads a variable of the nest, or cannot be inspected.
 func (n *Nest) varies(e *IntExpr) bool {
-	if e.Gen != nil {
+	if e.gen != nil {
 		return true
 	}
 	for _, t := range e.Terms {
@@ -243,7 +243,7 @@ func (n *Nest) boxed(lhs *ArrayRef) bool {
 		if !n.varies(sub) {
 			continue
 		}
-		if sub.Gen != nil || len(sub.Terms) != 1 || sub.Terms[0].Coef != 1 {
+		if sub.gen != nil || len(sub.Terms) != 1 || sub.Terms[0].Coef != 1 {
 			return false
 		}
 		// v varies in the nest, so an earlier subscript reading it is v+c.

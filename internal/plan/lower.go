@@ -29,6 +29,8 @@ func Lower(res *core.Result) *Program {
 		intSlot:  map[string]int{},
 		realSlot: map[string]int{},
 		sumSlot:  map[*ast.Call]int{},
+		stmts:    make([]Stmt, 0, len(pl.A.G.Stmts)),
+		lps:      make([]Loop, 0, len(pl.A.G.Loops)),
 	}
 	for _, l := range pl.A.G.Loops {
 		if _, ok := lw.intSlot[l.Var()]; !ok {
@@ -46,6 +48,7 @@ func Lower(res *core.Result) *Program {
 	for s, name := range lw.pr.Reals {
 		lw.realSlot[name] = s
 	}
+	lw.unbound = make([]string, len(lw.pr.Reals))
 	lw.pr.Body, _ = lw.seq(pl.A.G.EntryBlock)
 	lw.localize(lw.pr.Body)
 	return lw.pr
@@ -91,9 +94,17 @@ type lowerer struct {
 	stack []*Loop
 	// The slabs the lowered forms are carved from (carve), so that
 	// lowering allocates by the Program, not by the expression: every
-	// Affine's terms, every ArrayRef, its subscripts and a statement's
-	// list of them, every section's bounds and steps. vars[slot] is the
-	// one-term form of a loop variable, which every read of it shares.
+	// statement and loop, every expression node and a statement's row
+	// ops, every Affine's terms, every ArrayRef, its subscripts and a
+	// statement's list of them, every section's bounds and steps. The
+	// statements and loops are sized to the CFG's, so each is one
+	// allocation. vars[slot] is the one-term form of a loop variable,
+	// which every read of it shares.
+	stmts    []Stmt
+	lps      []Loop
+	reals    []Real
+	gens     []intNode
+	ops      []rowOp
 	terms    []Term
 	subs     []IntExpr
 	refs     []ArrayRef
@@ -101,13 +112,16 @@ type lowerer struct {
 	bounds   []Affine
 	steps    []int
 	vars     [][]Term
+	// unbound[s] is the message of a strict read of real slot s while the
+	// scalar is unassigned, made at the first such read.
+	unbound []string
 	// cand is pureNest's scratch, cons and owned clamp's.
 	cand  Nest
 	cons  []constraint
 	owned []Range
 	// row collects the row form (see row.go) of the statement being
 	// lowered, over the variable of the innermost loop around it, while
-	// rowOK says every operand so far has one.
+	// rowOK says every operand so far has one; it is scratch.
 	row   []rowOp
 	rowOK bool
 }
@@ -184,7 +198,8 @@ func appendComm(out []Node, c *Comm) []Node {
 
 func (lw *lowerer) loop(pre *cfg.Block) *Loop {
 	src := pre.Succs[0].Loop // a preheader's first edge enters its loop's header
-	lp := &Loop{
+	lp := &carve(&lw.lps, 1)[0]
+	*lp = Loop{
 		Src:  src,
 		Slot: lw.intSlot[src.Var()],
 		Pre:  lw.comm(lw.pl.Comm[pre.ID][0]),
@@ -207,17 +222,16 @@ func (lw *lowerer) stmt(st *cfg.Stmt) *Stmt {
 	if lw.stack == nil {
 		lw.stack = slices.Clone(lw.loops)
 	}
-	out := &Stmt{Src: st, Flops: CountFlops(as.RHS), Scalar: -1, Guard: true, loops: lw.stack}
+	out := &carve(&lw.stmts, 1)[0]
+	*out = Stmt{Src: st, Flops: CountFlops(as.RHS), Scalar: -1, Guard: true, loops: lw.stack}
 	lw.beginExpr()
-	if len(lw.loops) > 0 {
-		// An expression of F operations has at most F+1 operands.
-		lw.row, lw.rowOK = make([]rowOp, 0, 2*out.Flops+1), true
-	}
+	lw.rowOK = len(lw.loops) > 0
 	out.RHS = lw.real(as.RHS)
 	out.Sums, out.reads = lw.sums, carve(&lw.refLists, len(lw.reads))
 	copy(out.reads, lw.reads)
 	if lw.rowOK {
-		out.row, lw.rowOK = lw.row, false
+		out.row, lw.rowOK = carve(&lw.ops, len(lw.row)), false
+		copy(out.row, lw.row)
 	}
 	if am := lw.pl.Layout.Array(as.LHS.Name); am != nil {
 		out.LHS = lw.arrayRef(as.LHS, am)
@@ -230,7 +244,7 @@ func (lw *lowerer) stmt(st *cfg.Stmt) *Stmt {
 func (lw *lowerer) beginExpr() {
 	lw.sums, lw.reads = nil, lw.reads[:0]
 	clear(lw.sumSlot)
-	lw.row, lw.rowOK = nil, false
+	lw.row, lw.rowOK = lw.row[:0], false
 }
 
 // comm lowers the groups placed at one position; nil when there are
@@ -393,10 +407,6 @@ func carve[T any](slab *[]T, n int) []T {
 // ---------------------------------------------------------------------
 // Integer expressions
 
-func failInt(err error) IntExpr {
-	return IntExpr{Gen: func(fr *Frame) int { fr.fail(err); return 0 }}
-}
-
 // intExpr lowers an integer expression (a subscript, a loop or section
 // bound), folding it to an affine form over enclosing loop variables
 // where the operators allow.
@@ -404,7 +414,7 @@ func (lw *lowerer) intExpr(e ast.Expr) IntExpr {
 	switch e := e.(type) {
 	case *ast.NumLit:
 		if !e.IsInt {
-			return failInt(source.Errorf(e.Pos, "real literal %q where integer expected", e.Text))
+			return lw.failInt(e.Pos, fmt.Sprintf("real literal %q where integer expected", e.Text))
 		}
 		return IntExpr{Affine: Affine{Const: int(e.Value)}}
 	case *ast.Ident:
@@ -425,66 +435,51 @@ func (lw *lowerer) intExpr(e ast.Expr) IntExpr {
 			if c, ok := y.constant(); ok {
 				return lw.intScale(x, c)
 			}
+			return lw.gen(intNode{kind: intMul}, &x, &y)
+		case ast.Div:
+			return lw.gen(intNode{kind: intDiv, slot: lw.errorAt(e.Pos, "division by zero")}, &x, &y)
+		case ast.Pow:
+			return lw.gen(intNode{kind: intPow}, &x, &y)
 		}
-		return genBinary(e, x, y)
+		return lw.failInt(e.Pos, fmt.Sprintf("operator %s in integer expression", e.Op))
 	case *ast.Call:
 		if e.Func == "mod" && len(e.Args) == 2 {
-			return genMod(e.Pos, lw.intExpr(e.Args[0]), lw.intExpr(e.Args[1]))
+			x, y := lw.intExpr(e.Args[0]), lw.intExpr(e.Args[1])
+			return lw.gen(intNode{kind: intMod, slot: lw.errorAt(e.Pos, "mod by zero")}, &x, &y)
 		}
 	}
 	var pos source.Pos
 	if e != nil {
 		pos = e.ExprPos()
 	}
-	return failInt(source.Errorf(pos, "not an integer expression: %s", ast.ExprString(e)))
+	return lw.failInt(pos, "not an integer expression: "+ast.ExprString(e))
 }
 
-// The gen functions build the closures of the forms that are not affine.
-// They are functions of their own because the operands a closure captures
-// move to the heap: kept apart, an affine operand of intExpr, intAdd or
-// intScale stays on the stack.
-
-// genBinary evaluates a product of two variable parts, a quotient or a
-// power at run time.
-func genBinary(e *ast.BinExpr, x, y IntExpr) IntExpr {
-	switch e.Op {
-	case ast.Mul:
-		return IntExpr{Gen: func(fr *Frame) int { return x.Eval(fr) * y.Eval(fr) }}
-	case ast.Div:
-		pos := e.Pos
-		return IntExpr{Gen: func(fr *Frame) int {
-			a, b := x.Eval(fr), y.Eval(fr)
-			if b == 0 {
-				fr.fail(source.Errorf(pos, "division by zero"))
-				return 0
-			}
-			return a / b
-		}}
-	case ast.Pow:
-		return IntExpr{Gen: func(fr *Frame) int {
-			return int(math.Pow(float64(x.Eval(fr)), float64(y.Eval(fr))))
-		}}
+// gen returns the form of node n, carved from the slab with copies of its
+// operands (nil for none).
+func (lw *lowerer) gen(n intNode, x, y *IntExpr) IntExpr {
+	g := &carve(&lw.gens, 1)[0]
+	*g = n
+	if x != nil {
+		g.x = &carve(&lw.subs, 1)[0]
+		*g.x = *x
 	}
-	return failInt(source.Errorf(e.Pos, "operator %s in integer expression", e.Op))
+	if y != nil {
+		g.y = &carve(&lw.subs, 1)[0]
+		*g.y = *y
+	}
+	return IntExpr{gen: g}
 }
 
-func genMod(pos source.Pos, x, y IntExpr) IntExpr {
-	return IntExpr{Gen: func(fr *Frame) int {
-		a, b := x.Eval(fr), y.Eval(fr)
-		if b == 0 {
-			fr.fail(source.Errorf(pos, "mod by zero"))
-			return 0
-		}
-		return a % b
-	}}
+func (lw *lowerer) failInt(pos source.Pos, msg string) IntExpr {
+	return lw.gen(intNode{kind: intFail, slot: lw.errorAt(pos, msg)}, nil, nil)
 }
 
-func genAdd(x, y IntExpr, sign int) IntExpr {
-	return IntExpr{Gen: func(fr *Frame) int { return x.Eval(fr) + sign*y.Eval(fr) }}
-}
-
-func genScale(x IntExpr, c int) IntExpr {
-	return IntExpr{Gen: func(fr *Frame) int { return c * x.Gen(fr) }}
+// errorAt adds a positioned error to the program's table and returns its
+// index.
+func (lw *lowerer) errorAt(pos source.Pos, msg string) int32 {
+	lw.pr.errs = append(lw.pr.errs, source.Error{Pos: pos, Msg: msg})
+	return int32(len(lw.pr.errs) - 1)
 }
 
 // intName resolves a name in integer context: the variable of an
@@ -503,35 +498,25 @@ func (lw *lowerer) intName(e *ast.Ident) IntExpr {
 	if v, ok := lw.pl.A.Unit.Params[e.Name]; ok {
 		rest = IntExpr{Affine: Affine{Const: v}}
 	} else {
-		rest = failInt(source.Errorf(e.Pos, "%q is not an integer here", e.Name))
+		rest = lw.failInt(e.Pos, fmt.Sprintf("%q is not an integer here", e.Name))
 	}
 	if !isVar {
 		return rest
 	}
-	return genBound(slot, rest)
-}
-
-// genBound reads a variable an earlier loop left bound, else rest.
-func genBound(slot int, rest IntExpr) IntExpr {
-	return IntExpr{Gen: func(fr *Frame) int {
-		if fr.Bound[slot] {
-			return fr.Ints[slot]
-		}
-		return rest.Eval(fr)
-	}}
+	return lw.gen(intNode{kind: intBound, slot: int32(slot)}, &rest, nil)
 }
 
 func (lw *lowerer) intScale(x IntExpr, c int) IntExpr {
-	if x.Gen != nil {
-		return genScale(x, c)
+	if x.gen != nil {
+		return lw.gen(intNode{kind: intScale, c: c}, &x, nil)
 	}
 	return IntExpr{Affine: lw.addScaled(&Affine{}, &x.Affine, c)}
 }
 
 // intAdd returns x + sign·y.
 func (lw *lowerer) intAdd(x, y IntExpr, sign int) IntExpr {
-	if x.Gen != nil || y.Gen != nil {
-		return genAdd(x, y, sign)
+	if x.gen != nil || y.gen != nil {
+		return lw.gen(intNode{kind: intAdd, c: sign}, &x, &y)
 	}
 	return IntExpr{Affine: lw.addScaled(&x.Affine, &y.Affine, sign)}
 }
@@ -573,7 +558,7 @@ func (lw *lowerer) arrayRef(ref *ast.Ref, am *runtime.ArrayLayout) *ArrayRef {
 	r.Lay, r.Pos, r.Subs = am, ref.Pos, carve(&lw.subs, len(ref.Subs))
 	for i, sub := range ref.Subs {
 		if sub.Kind != ast.SubExpr {
-			r.Subs[i] = failInt(source.Errorf(ref.Pos, "section of %s where an element is needed", ref.Name))
+			r.Subs[i] = lw.failInt(ref.Pos, fmt.Sprintf("section of %s where an element is needed", ref.Name))
 			continue
 		}
 		r.Subs[i] = lw.intExpr(sub.X)
@@ -592,7 +577,7 @@ func (lw *lowerer) arrayRef(ref *ast.Ref, am *runtime.ArrayLayout) *ArrayRef {
 
 func (r *ArrayRef) affine() bool {
 	for i := range r.Subs {
-		if r.Subs[i].Gen != nil {
+		if r.Subs[i].gen != nil {
 			return false
 		}
 	}
@@ -630,33 +615,32 @@ func (lw *lowerer) secExpr(ref *ast.Ref, am *runtime.ArrayLayout) SecExpr {
 // ---------------------------------------------------------------------
 // Real expressions
 
-func failReal(err error) RealFn {
-	return func(fr *Frame) float64 { fr.fail(err); return 0 }
-}
-
-// real lowers a real expression to a closure tree with the source
+// real lowers a real expression to a tree of nodes with the source
 // expression's shape: operands evaluate left to right and every
 // floating-point operation of the source happens once, in place. The
 // same pass emits the expression's row form, in postfix order.
-func (lw *lowerer) real(e ast.Expr) RealFn {
+func (lw *lowerer) real(e ast.Expr) *Real {
 	switch e := e.(type) {
 	case *ast.NumLit:
-		v := e.Value
-		lw.push(rowOp{kind: opConst, c: v})
-		return func(*Frame) float64 { return v }
+		n := lw.node(Real{kind: realConst, c: e.Value})
+		lw.push(rowOp{kind: opConst, x: n})
+		return n
 	case *ast.Ident:
 		return lw.scalar(e.Name, e.Pos, true)
 	case *ast.UnaryExpr:
-		x := lw.real(e.X)
-		fn := func(fr *Frame) float64 { return -x(fr) }
-		lw.emit(rowOp{kind: opFn1, f1: func(x float64) float64 { return -x }}, 1, fn)
-		return fn
+		n := lw.node(Real{kind: realFn1, fn: fnNeg, x: lw.real(e.X)})
+		lw.emit(n, 1)
+		return n
 	case *ast.BinExpr:
-		fn := binary(e, lw.real(e.X), lw.real(e.Y))
+		x, y := lw.real(e.X), lw.real(e.Y)
 		op, ok := binOps[e.Op]
-		lw.rowOK = lw.rowOK && ok
-		lw.emit(op, 2, fn)
-		return fn
+		if !ok {
+			lw.rowOK = false
+			return lw.failReal(e.Pos, fmt.Sprintf("bad operator %v", e.Op))
+		}
+		n := lw.node(Real{kind: op.kind, fn: op.fn, x: x, y: y})
+		lw.emit(n, 2)
+		return n
 	case *ast.Ref:
 		if am := lw.pl.Layout.Array(e.Name); am != nil {
 			return lw.read(e, am)
@@ -669,38 +653,75 @@ func (lw *lowerer) real(e ast.Expr) RealFn {
 		return lw.intrinsic(e)
 	}
 	lw.rowOK = false
-	return failReal(fmt.Errorf("cannot evaluate %T", e))
+	var pos source.Pos
+	if e != nil {
+		pos = e.ExprPos()
+	}
+	return lw.failReal(pos, fmt.Sprintf("cannot evaluate %T", e))
 }
 
-func binary(e *ast.BinExpr, x, y RealFn) RealFn {
-	switch e.Op {
-	case ast.Add:
-		return func(fr *Frame) float64 { return x(fr) + y(fr) }
-	case ast.Sub_:
-		return func(fr *Frame) float64 { return x(fr) - y(fr) }
-	case ast.Mul:
-		return func(fr *Frame) float64 { return x(fr) * y(fr) }
-	case ast.Div:
-		return func(fr *Frame) float64 { return x(fr) / y(fr) }
-	}
-	if f := binOps[e.Op].f2; f != nil {
-		return func(fr *Frame) float64 { return f(x(fr), y(fr)) }
-	}
-	return failReal(source.Errorf(e.Pos, "bad operator %v", e.Op))
+// node carves a real node from the slab.
+func (lw *lowerer) node(n Real) *Real {
+	p := &carve(&lw.reals, 1)[0]
+	*p = n
+	return p
 }
 
-// binOps gives each binary operator its row op: a kind with element
-// loops of its own, or the function both levels call (true is 1).
-var binOps = map[ast.BinOp]rowOp{
-	ast.Add: {kind: opAdd}, ast.Sub_: {kind: opSub}, ast.Mul: {kind: opMul}, ast.Div: {kind: opDiv},
-	ast.Pow:   {kind: opFn2, f2: math.Pow},
-	ast.CmpLt: {kind: opFn2, f2: func(x, y float64) float64 { return b2f(x < y) }},
-	ast.CmpGt: {kind: opFn2, f2: func(x, y float64) float64 { return b2f(x > y) }},
-	ast.CmpLe: {kind: opFn2, f2: func(x, y float64) float64 { return b2f(x <= y) }},
-	ast.CmpGe: {kind: opFn2, f2: func(x, y float64) float64 { return b2f(x >= y) }},
-	ast.CmpEq: {kind: opFn2, f2: func(x, y float64) float64 { return b2f(x == y) }},
-	ast.CmpNe: {kind: opFn2, f2: func(x, y float64) float64 { return b2f(x != y) }},
+func (lw *lowerer) failReal(pos source.Pos, msg string) *Real {
+	return lw.node(Real{kind: realFail, slot: lw.errorAt(pos, msg)})
 }
+
+// binOps gives each binary operator its node: an arithmetic kind, or a
+// call of the function fns2[fn].
+var binOps = map[ast.BinOp]struct {
+	kind realKind
+	fn   uint8
+}{
+	ast.Add: {kind: realAdd}, ast.Sub_: {kind: realSub}, ast.Mul: {kind: realMul}, ast.Div: {kind: realDiv},
+	ast.Pow: {realFn2, fnPow}, ast.CmpLt: {realFn2, fnLt}, ast.CmpGt: {realFn2, fnGt},
+	ast.CmpLe: {realFn2, fnLe}, ast.CmpGe: {realFn2, fnGe}, ast.CmpEq: {realFn2, fnEq}, ast.CmpNe: {realFn2, fnNe},
+}
+
+// The functions a Fn1 or Fn2 node or row op calls, by index: static
+// values, the same for the tree and the row kernels. A comparison's true
+// is 1.
+const (
+	fnNeg = iota
+	fnSqrt
+	fnAbs
+	fnExp
+)
+
+const (
+	fnPow = iota
+	fnLt
+	fnGt
+	fnLe
+	fnGe
+	fnEq
+	fnNe
+	fnMin
+	fnMax
+	fnMod
+)
+
+var (
+	fns1 = [...]func(float64) float64{
+		fnNeg: func(x float64) float64 { return -x }, fnSqrt: math.Sqrt, fnAbs: math.Abs, fnExp: math.Exp,
+	}
+	fns2 = [...]func(float64, float64) float64{
+		fnPow: math.Pow,
+		fnLt:  func(x, y float64) float64 { return b2f(x < y) },
+		fnGt:  func(x, y float64) float64 { return b2f(x > y) },
+		fnLe:  func(x, y float64) float64 { return b2f(x <= y) },
+		fnGe:  func(x, y float64) float64 { return b2f(x >= y) },
+		fnEq:  func(x, y float64) float64 { return b2f(x == y) },
+		fnNe:  func(x, y float64) float64 { return b2f(x != y) },
+		fnMin: math.Min, fnMax: math.Max, fnMod: mod,
+	}
+	intrinsics1 = map[string]uint8{"sqrt": fnSqrt, "abs": fnAbs, "exp": fnExp}
+	intrinsics2 = map[string]uint8{"min": fnMin, "max": fnMax, "mod": fnMod}
+)
 
 func b2f(b bool) float64 {
 	if b {
@@ -714,85 +735,52 @@ func b2f(b bool) float64 {
 // else a parameter or a real scalar. Reading a never-assigned scalar is
 // an error for a plain identifier (strict) and 0 for a subscriptless
 // reference.
-func (lw *lowerer) scalar(name string, pos source.Pos, strict bool) RealFn {
+func (lw *lowerer) scalar(name string, pos source.Pos, strict bool) *Real {
 	slot, isVar := lw.intSlot[name]
 	if d := lw.depth(slot); isVar && d >= 0 {
-		fn := func(fr *Frame) float64 { return float64(fr.Ints[slot]) }
+		n := lw.node(Real{kind: realVar, slot: int32(slot)})
 		if d == len(lw.loops)-1 {
 			lw.push(rowOp{kind: opVar})
 		} else {
-			lw.push(rowOp{kind: opLeaf, leaf: fn, vars: depthBit(d)})
+			lw.push(rowOp{kind: opLeaf, x: n, vars: depthBit(d)})
 		}
-		return fn
+		return n
 	}
-	var rest RealFn
+	var n *Real
 	if v, ok := lw.pl.A.Unit.Params[name]; ok {
-		c := float64(v)
-		rest = func(*Frame) float64 { return c }
+		n = lw.node(Real{kind: realConst, c: float64(v)})
 	} else if s, ok := lw.realSlot[name]; ok && strict {
-		rest = func(fr *Frame) float64 {
-			if !fr.Set[s] && fr.Err == nil {
-				fr.fail(source.Errorf(pos, "unbound scalar %q", name))
-			}
-			return fr.Reals[s]
+		if lw.unbound[s] == "" {
+			lw.unbound[s] = fmt.Sprintf("unbound scalar %q", name)
 		}
+		n = lw.node(Real{kind: realStrict, slot: int32(s), x: lw.failReal(pos, lw.unbound[s])})
 	} else if ok {
-		rest = func(fr *Frame) float64 { return fr.Reals[s] }
+		n = lw.node(Real{kind: realScalar, slot: int32(s)})
 	} else if strict {
-		rest = failReal(source.Errorf(pos, "unbound scalar %q", name))
+		n = lw.failReal(pos, fmt.Sprintf("unbound scalar %q", name))
 	} else {
-		rest = func(*Frame) float64 { return 0 }
+		n = lw.node(Real{kind: realConst})
 	}
-	fn := rest
 	if isVar {
-		fn = func(fr *Frame) float64 {
-			if fr.Bound[slot] {
-				return float64(fr.Ints[slot])
-			}
-			return rest(fr)
-		}
+		n = lw.node(Real{kind: realBound, slot: int32(slot), x: n})
 	}
-	lw.push(rowOp{kind: opLeaf, leaf: fn})
-	return fn
+	lw.push(rowOp{kind: opLeaf, x: n})
+	return n
 }
 
 // read lowers an array element read from the frame's processor's view of
-// the frame's image: a stale copy — and any element outside the
-// processor's local box, which can never be valid there — is an error,
-// which is how a run proves its communication placement sufficient.
-func (lw *lowerer) read(ref *ast.Ref, lay *runtime.ArrayLayout) RealFn {
-	r, slot := lw.arrayRef(ref, lay), lay.Slot
+// the frame's image (ArrayRef.read).
+func (lw *lowerer) read(ref *ast.Ref, lay *runtime.ArrayLayout) *Real {
+	r := lw.arrayRef(ref, lay)
 	lw.reads = append(lw.reads, r)
 	lw.rowOK = lw.rowOK && r.affine()
-	lw.push(rowOp{kind: opRead, ref: r})
+	n := lw.node(Real{kind: realRead, ref: r})
 	if lay.Dist == nil {
-		return func(fr *Frame) float64 {
-			off, _ := r.Offset(fr, 0)
-			return fr.arrays[slot].Data[0][off]
-		}
+		n.kind = realReplRead
 	}
-	return func(fr *Frame) float64 {
-		am := fr.arrays[slot]
-		if r.hoisted && !fr.unboxed { // Nest.Enter proved it valid
-			return am.Data[fr.P][r.off.Eval(fr)-lay.Base(fr.P)]
-		}
-		idx := r.Index(fr, fr.idx)
-		if fr.Err != nil {
-			return 0
-		}
-		off, in := lay.Local(fr.P, idx)
-		if !in || !am.ValidAt(fr.P, idx) {
-			fr.Err = &runtime.StaleReadError{Proc: fr.P, Array: lay.Name, Index: slices.Clone(idx)}
-			return 0
-		}
-		return am.Data[fr.P][off]
-	}
+	lw.push(rowOp{kind: opRead, x: n})
+	return n
 }
-
-var (
-	intrinsics1 = map[string]func(float64) float64{"sqrt": math.Sqrt, "abs": math.Abs, "exp": math.Exp}
-	intrinsics2 = map[string]func(float64, float64) float64{"min": math.Min, "max": math.Max, "mod": mod}
-)
 
 // mod is math.Mod, bit for bit. Integral operands below 2⁵³ — what the
 // benchmarks' initialisation loops pass — are exact as int64, where the
@@ -809,45 +797,44 @@ func mod(x, y float64) float64 {
 	return math.Mod(x, y)
 }
 
-func (lw *lowerer) intrinsic(e *ast.Call) RealFn {
-	f1, f2 := intrinsics1[e.Func], intrinsics2[e.Func]
+func (lw *lowerer) intrinsic(e *ast.Call) *Real {
+	f1, ok1 := intrinsics1[e.Func]
+	f2, ok2 := intrinsics2[e.Func]
 	switch {
-	case f1 != nil && len(e.Args) == 1:
-		x := lw.real(e.Args[0])
-		fn := func(fr *Frame) float64 { return f1(x(fr)) }
-		lw.emit(rowOp{kind: opFn1, f1: f1}, 1, fn)
-		return fn
-	case f2 != nil && len(e.Args) == 2:
+	case ok1 && len(e.Args) == 1:
+		n := lw.node(Real{kind: realFn1, fn: f1, x: lw.real(e.Args[0])})
+		lw.emit(n, 1)
+		return n
+	case ok2 && len(e.Args) == 2:
 		x, y := lw.real(e.Args[0]), lw.real(e.Args[1])
-		fn := func(fr *Frame) float64 { return f2(x(fr), y(fr)) }
-		lw.emit(rowOp{kind: opFn2, f2: f2}, 2, fn)
-		return fn
+		n := lw.node(Real{kind: realFn2, fn: f2, x: x, y: y})
+		lw.emit(n, 2)
+		return n
 	}
 	lw.rowOK = false
-	if f1 != nil || f2 != nil {
-		return failReal(source.Errorf(e.Pos, "%s called with %d argument(s)", e.Func, len(e.Args)))
+	if ok1 || ok2 {
+		return lw.failReal(e.Pos, fmt.Sprintf("%s called with %d argument(s)", e.Func, len(e.Args)))
 	}
-	return failReal(source.Errorf(e.Pos, "unknown intrinsic %q", e.Func))
+	return lw.failReal(e.Pos, fmt.Sprintf("unknown intrinsic %q", e.Func))
 }
 
 // sum lowers a SUM call. Over a distributed array it is a collective:
 // the call is appended to the statement's Sums (once per call site, with
 // a slot of its own) and the expression reads the total the backend left
-// in Frame.Sums. Over a
-// replicated array it scans the shared row in section order and adds the
-// element count to Frame.SumFlops.
-func (lw *lowerer) sum(e *ast.Call) RealFn {
+// in Frame.Sums. Over a replicated array it scans the shared row in
+// section order (Sum.inline).
+func (lw *lowerer) sum(e *ast.Call) *Real {
 	lw.rowOK = false
 	if len(e.Args) != 1 {
-		return failReal(source.Errorf(e.Pos, "sum wants 1 argument"))
+		return lw.failReal(e.Pos, "sum wants 1 argument")
 	}
 	ref, ok := e.Args[0].(*ast.Ref)
 	if !ok {
-		return failReal(source.Errorf(e.Pos, "sum argument must be an array section"))
+		return lw.failReal(e.Pos, "sum argument must be an array section")
 	}
 	am := lw.pl.Layout.Array(ref.Name)
 	if am == nil {
-		return failReal(source.Errorf(e.Pos, "sum over non-array %q", ref.Name))
+		return lw.failReal(e.Pos, fmt.Sprintf("sum over non-array %q", ref.Name))
 	}
 	if am.Dist != nil {
 		slot, seen := lw.sumSlot[e]
@@ -857,21 +844,8 @@ func (lw *lowerer) sum(e *ast.Call) RealFn {
 			lw.sumSlot[e] = slot
 			lw.sums = append(lw.sums, Sum{Lay: am, Pos: e.Pos, Sec: lw.secExpr(ref, am), Slot: slot, arg: ref})
 		}
-		return func(fr *Frame) float64 { return fr.Sums[slot] }
+		return lw.node(Real{kind: realSum, slot: int32(slot)})
 	}
-	sum := Sum{Lay: am, Pos: e.Pos, Sec: lw.secExpr(ref, am)}
-	return func(fr *Frame) float64 {
-		sec := sum.Section(fr)
-		if fr.Err != nil {
-			return 0
-		}
-		total, row := 0.0, fr.View(am).Data[0]
-		am.OwnerRuns(sec, fr.Scratch, func(_, off, n int) {
-			for _, v := range row[off : off+n] {
-				total += v
-			}
-			fr.SumFlops += n
-		})
-		return total
-	}
+	lw.pr.inline = append(lw.pr.inline, Sum{Lay: am, Pos: e.Pos, Sec: lw.secExpr(ref, am)})
+	return lw.node(Real{kind: realInline, slot: int32(len(lw.pr.inline) - 1)})
 }

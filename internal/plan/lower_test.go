@@ -46,8 +46,9 @@ func TestLoweredTermsCapped(t *testing.T) {
 
 // TestLowerAllocations pins what lowering allocates — a function of the
 // program, not of its expressions — at 1.25× the measured count, on
-// sim-verify's hydflo/flux (659; 3,383 when every expression allocated)
-// and on native-comm's shallow (498; 2,116).
+// sim-verify's hydflo/flux (363; 659 while expressions were closures,
+// 3,383 when every expression allocated) and on native-comm's shallow
+// (284; 498; 2,116).
 func TestLowerAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		bench, routine string
@@ -55,8 +56,8 @@ func TestLowerAllocations(t *testing.T) {
 		procs          int
 		budget         float64
 	}{
-		{"hydflo", "flux", map[string]int{"n": 16, "steps": 4}, 16, 824},
-		{"shallow", "main", map[string]int{"n": 16, "steps": 40}, 16, 623},
+		{"hydflo", "flux", map[string]int{"n": 16, "steps": 4}, 16, 454},
+		{"shallow", "main", map[string]int{"n": 16, "steps": 40}, 16, 355},
 	} {
 		pr, err := bench.ByName(tc.bench, tc.routine)
 		if err != nil {

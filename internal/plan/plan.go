@@ -8,7 +8,7 @@
 // (see program.go, lower.go, localize.go). Storage is reached through the
 // image a Frame is bound to, so one Program serves every engine of its
 // placement, and its Listing is the Fig. 6 trace dump of the tree that
-// runs (listing.go). Under that closure tree the statements of a nest
+// runs (listing.go). Under that tree of nodes the statements of a nest
 // carry a second, flat form — postfix row ops — which RunBox executes over
 // the box of a perfect chain of loops, a batch of rows at a time (row.go);
 // the tree stays the semantics and the fallback.

@@ -37,6 +37,12 @@ type Program struct {
 	numSums int
 	// memoLen is the length of a frame's memo: every nest's entry key.
 	memoLen int
+	// The tables a node holds an index into: the SUMs over replicated
+	// arrays, and the positioned errors evaluation may record, made once
+	// at lowering — what a fail node reports, an unassigned scalar read
+	// strictly, an integer division or mod by zero.
+	inline []Sum
+	errs   []source.Error
 	// What one frame needs to run any box: operand stack entries and
 	// scratch floats of one statement, array references and leaf operands
 	// of one row loop's body, outer loops of one chain.
@@ -139,7 +145,7 @@ type Stmt struct {
 	Src    *cfg.Stmt
 	Flops  int
 	Sums   []Sum
-	RHS    RealFn
+	RHS    *Real
 	LHS    *ArrayRef
 	Scalar int
 	Guard  bool
@@ -190,7 +196,7 @@ func (s *Sum) Section(fr *Frame) section.Section {
 type If struct {
 	Src        *cfg.Block
 	Sums       []Sum
-	Cond       RealFn
+	Cond       *Real
 	Sync       bool
 	Then, Else []Node
 }
@@ -303,7 +309,7 @@ func Exec(nodes []Node, d Driver) error {
 }
 
 // walk runs the iterations first, first+step, ... last of the loop on the
-// closure tree: the groups at its header once per iteration, before the body.
+// tree: the groups at its header once per iteration, before the body.
 func (lp *Loop) walk(fr *Frame, d Driver, first, last, step int) error {
 	for v := first; (step > 0 && v <= last) || (step < 0 && v >= last); v += step {
 		fr.Ints[lp.Slot] = v
@@ -385,6 +391,9 @@ type Frame struct {
 	// return a zero in its place and keep going; the caller checks Err
 	// before using a value.
 	Err error
+	// inline and errs are the program's tables (Program.inline, errs).
+	inline []Sum
+	errs   []source.Error
 
 	// Scratch is the executor's scratch for the bulk memory operations
 	// of package runtime: the lowered form uses it between statements
@@ -420,6 +429,8 @@ func (pr *Program) NewFrame(p int, mem *runtime.Memory) (*Frame, error) {
 	fr := &Frame{
 		P:       p,
 		layout:  pr.Plan.Layout,
+		inline:  pr.inline,
+		errs:    pr.errs,
 		Ints:    make([]int, len(pr.Ints)),
 		Bound:   make([]bool, len(pr.Ints)),
 		Reals:   make([]float64, len(pr.Reals)),
@@ -513,9 +524,131 @@ func (pr *Program) Scalars(fr *Frame, dst map[string]float64) {
 // ---------------------------------------------------------------------
 // Expressions
 
-// RealFn evaluates a real expression under a frame, performing the
-// floating-point operations of the source expression in source order.
-type RealFn func(fr *Frame) float64
+// Real is one node of a lowered real expression: a kind and its
+// operands, carved with the rest of the Program from the lowerer's slabs.
+// A node performs at most one floating-point operation of the source,
+// after evaluating its operands left to right.
+type Real struct {
+	kind realKind
+	fn   uint8 // realFn1, realFn2: the function's index in fns1, fns2
+	// slot is the frame slot read — a loop variable, a scalar, a SUM's
+	// total — or the index of realInline's SUM in the program's inline
+	// and of realFail's error in its errs.
+	slot int32
+	c    float64 // realConst
+	// x and y are the operands; x is also realBound's fallback and
+	// realStrict's failure.
+	x, y *Real
+	ref  *ArrayRef // realRead, realReplRead
+}
+
+type realKind uint8
+
+const (
+	realConst    realKind = iota // a literal or a parameter
+	realVar                      // the variable of a loop around
+	realBound                    // a variable an earlier loop left bound, else x
+	realScalar                   // a real scalar, 0 while unassigned (lenient)
+	realStrict                   // a real scalar; while unassigned, x fails (strict)
+	realReplRead                 // an element of a replicated array
+	realRead                     // an element of a distributed array, tested unless hoisted
+	// The operations, in the order of their row ops (opAdd … opFn2).
+	realAdd
+	realSub
+	realMul
+	realDiv
+	realFn1    // fns1[fn](x): negation, a one-argument intrinsic
+	realFn2    // fns2[fn](x, y)
+	realSum    // the total of a distributed SUM, Frame.Sums[slot]
+	realInline // a SUM over a replicated array, scanned in place
+	realFail   // records its error and reads 0
+)
+
+// Eval evaluates the expression under fr. An operation's result is
+// converted explicitly, which rounds it: no platform may fuse it with
+// the operation that consumes it (DESIGN.md §17 "No fused forms").
+func (n *Real) Eval(fr *Frame) float64 {
+	switch n.kind {
+	case realConst:
+		return n.c
+	case realVar:
+		return float64(fr.Ints[n.slot])
+	case realBound:
+		if fr.Bound[n.slot] {
+			return float64(fr.Ints[n.slot])
+		}
+		return n.x.Eval(fr)
+	case realScalar:
+		return fr.Reals[n.slot]
+	case realStrict:
+		if !fr.Set[n.slot] {
+			n.x.Eval(fr)
+		}
+		return fr.Reals[n.slot]
+	case realReplRead:
+		off, _ := n.ref.Offset(fr, 0)
+		return fr.arrays[n.ref.Lay.Slot].Data[0][off]
+	case realRead:
+		return n.ref.read(fr)
+	case realAdd:
+		return float64(n.x.Eval(fr) + n.y.Eval(fr))
+	case realSub:
+		return float64(n.x.Eval(fr) - n.y.Eval(fr))
+	case realMul:
+		return float64(n.x.Eval(fr) * n.y.Eval(fr))
+	case realDiv:
+		return float64(n.x.Eval(fr) / n.y.Eval(fr))
+	case realFn1:
+		return float64(fns1[n.fn](n.x.Eval(fr)))
+	case realFn2:
+		return float64(fns2[n.fn](n.x.Eval(fr), n.y.Eval(fr)))
+	case realSum:
+		return fr.Sums[n.slot]
+	case realInline:
+		return fr.inline[n.slot].inline(fr)
+	}
+	fr.fail(&fr.errs[n.slot])
+	return 0
+}
+
+// read is an element of a distributed array from the frame's processor's
+// view: a stale copy — and any element outside the processor's local box,
+// which can never be valid there — is an error, which is how a run proves
+// its communication placement sufficient.
+func (r *ArrayRef) read(fr *Frame) float64 {
+	p, lay := fr.P, r.Lay
+	am := fr.arrays[lay.Slot]
+	if r.hoisted && !fr.unboxed { // Nest.Enter proved it valid
+		return am.Data[p][r.off.Eval(fr)-lay.Base(p)]
+	}
+	idx := r.Index(fr, fr.idx)
+	if fr.Err != nil {
+		return 0
+	}
+	off, in := lay.Local(p, idx)
+	if !in || !am.ValidAt(p, idx) {
+		fr.Err = &runtime.StaleReadError{Proc: p, Array: lay.Name, Index: slices.Clone(idx)}
+		return 0
+	}
+	return am.Data[p][off]
+}
+
+// inline scans a SUM over a replicated array: the shared row in section
+// order, adding the element count to Frame.SumFlops.
+func (s *Sum) inline(fr *Frame) float64 {
+	sec := s.Section(fr)
+	if fr.Err != nil {
+		return 0
+	}
+	total, row := 0.0, fr.View(s.Lay).Data[0]
+	s.Lay.OwnerRuns(sec, fr.Scratch, func(_, off, n int) {
+		for _, v := range row[off : off+n] {
+			total += v
+		}
+		fr.SumFlops += n
+	})
+	return total
+}
 
 // Affine is the integer form Const + Σ Coef·Ints[Slot].
 type Affine struct {
@@ -548,24 +681,77 @@ func (a *Affine) equal(b *Affine) bool {
 }
 
 // IntExpr is an integer expression: an Affine where lowering could
-// fold it to one, else a general evaluator (Gen != nil) for division,
-// mod, products of variables and names only resolvable at run time.
+// fold it to one, else a node (gen != nil) for division, mod, products of
+// variables and names only resolvable at run time.
 type IntExpr struct {
 	Affine
-	Gen func(fr *Frame) int
+	gen *intNode
 }
 
 // Eval evaluates the expression under fr.
 func (e *IntExpr) Eval(fr *Frame) int {
-	if e.Gen != nil {
-		return e.Gen(fr)
+	if e.gen != nil {
+		return e.gen.eval(fr)
 	}
 	return e.Affine.Eval(fr)
 }
 
 // constant reports the value of an expression without variable parts.
 func (e *IntExpr) constant() (int, bool) {
-	return e.Const, e.Gen == nil && len(e.Terms) == 0
+	return e.Const, e.gen == nil && len(e.Terms) == 0
+}
+
+// intNode is an integer form that is not affine: a kind and its operands,
+// evaluated left to right.
+type intNode struct {
+	kind intKind
+	// slot is intBound's variable, or the index in the program's errs of
+	// what intFail records and intDiv and intMod record on a zero divisor.
+	slot int32
+	c    int // intScale: the factor; intAdd: the sign of y
+	x, y *IntExpr
+}
+
+type intKind uint8
+
+const (
+	intMul   intKind = iota // x·y
+	intDiv                  // x/y
+	intPow                  // x**y
+	intMod                  // mod(x, y)
+	intAdd                  // x + c·y
+	intScale                // c·x
+	intBound                // a variable an earlier loop left bound, else x
+	intFail                 // records its error and reads 0
+)
+
+func (n *intNode) eval(fr *Frame) int {
+	switch n.kind {
+	case intMul:
+		return n.x.Eval(fr) * n.y.Eval(fr)
+	case intDiv, intMod:
+		a, b := n.x.Eval(fr), n.y.Eval(fr)
+		if b == 0 {
+			break
+		}
+		if n.kind == intDiv {
+			return a / b
+		}
+		return a % b
+	case intPow:
+		return int(math.Pow(float64(n.x.Eval(fr)), float64(n.y.Eval(fr))))
+	case intAdd:
+		return n.x.Eval(fr) + n.c*n.y.Eval(fr)
+	case intScale:
+		return n.c * n.x.Eval(fr)
+	case intBound:
+		if fr.Bound[n.slot] {
+			return fr.Ints[n.slot]
+		}
+		return n.x.Eval(fr)
+	}
+	fr.fail(&fr.errs[n.slot])
+	return 0
 }
 
 // SecExpr is the section of a sectioned reference (a SUM argument),

@@ -3,7 +3,7 @@ package plan
 import "errors"
 
 // Row and box kernels: the lower level of a Program (DESIGN.md §17).
-// Beside its closure tree every assignment under a loop carries the same
+// Beside its tree of nodes every assignment under a loop carries the same
 // expression as a flat postfix array of row ops over the innermost loop
 // around it; localize marks that loop a row loop (Loop.Row) when
 // executing its body a statement at a time over a whole row of
@@ -15,16 +15,15 @@ import "errors"
 // rowOp is one postfix operation of a statement's row form.
 type rowOp struct {
 	kind uint8
-	vars uint64                         // opLeaf: depthBit of every enclosing loop whose variable it reads
-	c    float64                        // opConst
-	ref  *ArrayRef                      // opRead
-	leaf RealFn                         // opLeaf
-	f1   func(float64) float64          // opFn1
-	f2   func(float64, float64) float64 // opFn2
+	fn   uint8 // opFn1, opFn2: the function's index in fns1, fns2
 	// slot is the frame scratch row the op's values take (see
 	// (*Stmt).scratch): toTarget for the last operation of a unit-stride
 	// target, inPlace for an operand read where it lies.
-	slot int
+	slot int32
+	vars uint64 // opLeaf: depthBit of every enclosing loop whose variable it reads
+	// x is the tree's own node of an operand: opConst's literal, opRead's
+	// read, opLeaf's subexpression.
+	x *Real
 }
 
 const (
@@ -33,6 +32,7 @@ const (
 	opLeaf               // a subexpression over scalars and outer loop variables
 	opVar                // the row variable as a real
 	opRead               // an array element, base + ref.stride·t
+	// The operations, in the order of the nodes' (realAdd … realFn2).
 	opAdd
 	opSub
 	opMul
@@ -92,25 +92,25 @@ func (lw *lowerer) push(op rowOp) {
 	}
 }
 
-// emit appends an operation on the last arity operands — or, when none
-// of them moves along the row, folds them and the operation into one
-// leaf evaluated once per row: fn, the closure of the whole
+// emit appends the operation of node n on the last arity operands — or,
+// when none of them moves along the row, folds them and the operation
+// into one leaf evaluated once per row: n, the node of the whole
 // subexpression. So the operation of an emitted op always has a row
 // among its operands.
-func (lw *lowerer) emit(op rowOp, arity int, fn RealFn) {
+func (lw *lowerer) emit(n *Real, arity int) {
 	if !lw.rowOK {
 		return
 	}
-	n := len(lw.row) - arity
+	k := len(lw.row) - arity
 	vars := uint64(0)
-	for _, x := range lw.row[n:] {
+	for _, x := range lw.row[k:] {
 		if x.kind > opLeaf {
-			lw.row = append(lw.row, op)
+			lw.row = append(lw.row, rowOp{kind: opAdd + uint8(n.kind-realAdd), fn: n.fn})
 			return
 		}
 		vars |= x.vars
 	}
-	lw.row = append(lw.row[:n], rowOp{kind: opLeaf, leaf: fn, vars: vars})
+	lw.row = append(lw.row[:k], rowOp{kind: opLeaf, x: n, vars: vars})
 }
 
 // coef returns the coefficient of an integer slot in the form.
@@ -196,10 +196,10 @@ func (st *Stmt) scratch() (depth, rows int) {
 		op := &st.row[i]
 		op.slot = inPlace
 		switch {
-		case op.kind == opConst || op.kind == opLeaf || op.kind == opRead && op.ref.stride == 1:
+		case op.kind == opConst || op.kind == opLeaf || op.kind == opRead && op.x.ref.stride == 1:
 			tmp = append(tmp, false)
 		case op.kind <= opRead:
-			op.slot, nt = nt, nt+1
+			op.slot, nt = int32(nt), nt+1
 			tmp = append(tmp, true)
 		case i == len(st.row)-1 && st.LHS.stride == 1:
 			op.slot = toTarget
@@ -207,7 +207,7 @@ func (st *Stmt) scratch() (depth, rows int) {
 			if !tmp[len(tmp)-1] {
 				nt++
 			}
-			op.slot, tmp[len(tmp)-1] = nt-1, true
+			op.slot, tmp[len(tmp)-1] = int32(nt-1), true
 		default:
 			x, y := tmp[len(tmp)-2], tmp[len(tmp)-1]
 			switch {
@@ -217,7 +217,7 @@ func (st *Stmt) scratch() (depth, rows int) {
 				nt++
 			}
 			tmp = tmp[:len(tmp)-1]
-			op.slot, tmp[len(tmp)-1] = nt-1, true
+			op.slot, tmp[len(tmp)-1] = int32(nt-1), true
 		}
 		depth, rows = max(depth, len(tmp)), max(rows, nt)
 	}
@@ -239,13 +239,13 @@ const (
 	// Stuck: an operand of a row failed. Every row before it in walk order
 	// ran once, nothing of it is stored, no error is left and the chain's
 	// outer variables are on it: the driver walks the row loop Box on the
-	// closure tree, which reports that operand.
+	// tree, which reports that operand.
 	Stuck
 )
 
-// ErrDeclinedRowRan is the internal error of a driver whose closure tree
-// ran, without complaint, the row a Stuck box handed it.
-var ErrDeclinedRowRan = errors.New("internal error: the closure tree ran a row its kernel declined")
+// ErrDeclinedRowRan is the internal error of a driver whose tree ran,
+// without complaint, the row a Stuck box handed it.
+var ErrDeclinedRowRan = errors.New("internal error: the expression tree ran a row its kernel declined")
 
 // A batch is the rows of a box that are proven and then executed
 // together: batchElems elements' worth, batchRows at most, one when a
@@ -358,7 +358,7 @@ func (lp *Loop) leafValues(fr *Frame, r int) {
 	for _, st := range lp.Row {
 		for i := range st.row {
 			if op := &st.row[i]; op.kind == opLeaf {
-				leaves[li] = op.leaf(fr)
+				leaves[li] = op.x.Eval(fr)
 				li++
 			}
 		}
@@ -403,7 +403,7 @@ func (lp *Loop) runBatch(fr *Frame, vars uint64, b, n, lo int) {
 			op := &st.row[i]
 			switch op.kind {
 			case opConst:
-				stack[sp] = rowVal{c: op.c}
+				stack[sp] = rowVal{c: op.x.c}
 			case opLeaf:
 				stack[sp] = rowVal{c: fr.boxLeaf[li]}
 				if b > 1 && op.vars&vars != 0 { // differs from row to row
@@ -411,7 +411,7 @@ func (lp *Loop) runBatch(fr *Frame, vars uint64, b, n, lo int) {
 				}
 				li++
 			case opVar:
-				t := fr.rowScratch(op.slot, m)
+				t := fr.rowScratch(int(op.slot), m)
 				for r := 0; r < m; r += n {
 					for i := 0; i < n; i++ {
 						t.v[r+i] = float64(lo + i)
@@ -419,7 +419,7 @@ func (lp *Loop) runBatch(fr *Frame, vars uint64, b, n, lo int) {
 				}
 				stack[sp] = t
 			case opRead:
-				am, stride := fr.View(op.ref.Lay), op.ref.stride
+				am, stride := fr.View(op.x.ref.Lay), op.x.ref.stride
 				data := am.Data[0]
 				if am.Dist != nil {
 					data = am.Data[p]
@@ -427,7 +427,7 @@ func (lp *Loop) runBatch(fr *Frame, vars uint64, b, n, lo int) {
 				if stride == 1 {
 					stack[sp] = rowVal{v: data, at: fr.boxOff[ri:], step: lp.refs}
 				} else {
-					t := fr.rowScratch(op.slot, m)
+					t := fr.rowScratch(int(op.slot), m)
 					for r := 0; r < b; r++ {
 						off, dst := fr.boxOff[r*lp.refs+ri], t.row(r, n)
 						for i := range dst {
@@ -440,7 +440,7 @@ func (lp *Loop) runBatch(fr *Frame, vars uint64, b, n, lo int) {
 			default:
 				dst := target
 				if op.slot != toTarget {
-					dst = fr.rowScratch(op.slot, m)
+					dst = fr.rowScratch(int(op.slot), m)
 				}
 				x, y := &stack[sp-1], &stack[sp-1] // opFn1 reads x alone
 				if op.kind != opFn1 {
@@ -500,11 +500,12 @@ func (fr *Frame) rowScratch(i, m int) rowVal {
 func (op *rowOp) rows(dst, x, y *rowVal, b, n int) {
 	switch {
 	case op.kind == opFn1:
+		f := fns1[op.fn]
 		for r := 0; r < b; r++ {
 			d, xv := dst.row(r, n), x.row(r, n)
 			xv = xv[:len(d)]
 			for i, a := range xv {
-				d[i] = op.f1(a)
+				d[i] = f(a)
 			}
 		}
 	case x.at == nil:
@@ -529,8 +530,9 @@ func (op *rowOp) rows(dst, x, y *rowVal, b, n int) {
 					d[i] = a / b
 				}
 			default:
+				f := fns2[op.fn]
 				for i, b := range yv {
-					d[i] = op.f2(a, b)
+					d[i] = f(a, b)
 				}
 			}
 		}
@@ -556,8 +558,9 @@ func (op *rowOp) rows(dst, x, y *rowVal, b, n int) {
 					d[i] = a / b
 				}
 			default:
+				f := fns2[op.fn]
 				for i, a := range xv {
-					d[i] = op.f2(a, b)
+					d[i] = f(a, b)
 				}
 			}
 		}
@@ -583,8 +586,9 @@ func (op *rowOp) rows(dst, x, y *rowVal, b, n int) {
 					d[i] = a / yv[i]
 				}
 			default:
+				f := fns2[op.fn]
 				for i, a := range xv {
-					d[i] = op.f2(a, yv[i])
+					d[i] = f(a, yv[i])
 				}
 			}
 		}

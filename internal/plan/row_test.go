@@ -259,7 +259,7 @@ func (w *walker) own(st *plan.Stmt) error {
 		}
 	}
 	off, _ := st.LHS.Offset(fr, p)
-	v := st.RHS(fr)
+	v := st.RHS.Eval(fr)
 	if fr.Err != nil {
 		return fr.Err
 	}
@@ -285,7 +285,7 @@ func (w *walker) stmt(st *plan.Stmt) error {
 		return fr.Err
 	}
 	fr.P = owner
-	v := st.RHS(fr)
+	v := st.RHS.Eval(fr)
 	fr.P = 0
 	if fr.Err != nil {
 		return fr.Err
@@ -312,7 +312,7 @@ func (w *walker) branch(n *plan.If) error {
 	fr := w.fr
 	fr.P = 0
 	w.sums(n.Sums)
-	v := n.Cond(fr)
+	v := n.Cond.Eval(fr)
 	if fr.Err != nil {
 		return fr.Err
 	}
@@ -691,7 +691,7 @@ end
 }
 
 // TestRowMatchesElementWalk: running a row loop through RunRow and
-// walking it element by element on the closure tree leave the same
+// walking it element by element on the expression tree leave the same
 // memory image — values and validity planes, on every processor — for
 // the six Fig. 10(a) routines, random programs, and the row shapes that
 // need care: negative steps, a strided row over a collapsed dimension,
@@ -1171,7 +1171,7 @@ end
 // kernelNest runs the kernel program once (so that its arrays hold
 // values) and returns the walker with the kernel's nest: the last
 // top-level loop, a box of rows × length elements per entry. mode says
-// how the walker is to run it: "tree" on the closure tree, "row" a row at
+// how the walker is to run it: "tree" on the expression tree, "row" a row at
 // a time, "box" as lowered.
 func kernelNest(t testing.TB, src string, length, rows int, mode string) (*walker, *plan.Loop) {
 	w := newWalker(t, placeSrc(t, src, map[string]int{"len": length, "rows": rows}, 1), 1)
@@ -1193,7 +1193,7 @@ func kernelNest(t testing.TB, src string, length, rows int, mode string) (*walke
 }
 
 // BenchmarkRowKernel is the per-layer number behind the kernels: ns per
-// element of one statement — on the closure tree, a row at a time, and
+// element of one statement — on the expression tree, a row at a time, and
 // the box in batches — at row lengths from the benchmark's (4 for shallow
 // and flux at n=16, 12 for gravity at n=48) to the paper's (250) and
 // boxes of 1 to 64 rows. Driver overhead — Begin, the nest's Enter and

@@ -157,7 +157,7 @@ func (sh *shard) Charge(lp *plan.Loop, points int) {
 func (sh *shard) eval(p int, st *plan.Stmt) (v float64, flops int) {
 	fr := sh.fr
 	fr.P, fr.SumFlops = p, 0
-	v = st.RHS(fr)
+	v = st.RHS.Eval(fr)
 	flops = st.Flops + fr.SumFlops
 	for i := range st.Sums {
 		flops += sh.sumCounts[i][p]
@@ -364,14 +364,14 @@ func (sh *shard) If(n *plan.If) error {
 	fr.P = 0
 	var taken bool
 	if !n.Sync {
-		taken = n.Cond(fr) != 0
+		taken = n.Cond.Eval(fr) != 0
 		if fr.Err != nil {
 			return sh.evalErr()
 		}
 	} else {
 		err := eng.ph.await(token{kind: tkCond, a: n.Src.ID}, func() error {
 			sh.runSums(n.Sums)
-			eng.condVal = n.Cond(fr) != 0
+			eng.condVal = n.Cond.Eval(fr) != 0
 			if fr.Err != nil {
 				return sh.evalErr()
 			}
