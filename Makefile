@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check race check run-names bench-build attr-smoke obs-smoke native-smoke nativeprof-smoke compile-smoke sim-smoke examples-smoke fuzz-smoke size
+.PHONY: all build test vet fmt-check race check run-names bench-build attr-smoke obs-smoke native-smoke nativeprof-smoke compile-smoke sim-smoke examples-smoke fuzz-smoke size reach
 
 all: build
 
@@ -23,7 +23,7 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-check: build vet fmt-check run-names test bench-build compile-smoke sim-smoke examples-smoke size
+check: build vet fmt-check run-names test bench-build compile-smoke sim-smoke examples-smoke size reach
 
 # run-names fails when a -run alternative of a `go test` line below names
 # no test of its package: `go test -run` that matches nothing passes, so a
@@ -37,6 +37,17 @@ run-names:
 # is kept from. A report, not a gate.
 size:
 	@sh ci/size.sh
+
+# reach fails on a shipped function no binary reaches: it links gcaod,
+# hpfc, the examples and the benchmark/ driver with inlining off and the
+# linker's dependency dump on, and every non-test func declaration
+# outside benchmark/ must be reached by one of them or be listed in
+# ci/test-oracles.txt — a test oracle another package's tests call,
+# README-documented API, or an interface marker method. An entry that
+# names no declaration, names a reached one, or cites a test `go test
+# -list` does not list fails it too.
+reach:
+	@GO="$(GO)" sh ci/reach.sh
 
 # bench-build covers what ./... cannot see: the nested benchmark/ module
 # imports internal/plan, internal/spmd and internal/runtime, so it has to

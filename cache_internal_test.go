@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gcao/internal/bench"
+	"gcao/internal/machine"
 	"gcao/internal/spmd"
 )
 
@@ -145,7 +146,7 @@ func TestEstimateKeptPerMachine(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
-		m := [...]Machine{SP2(), NOW()}[g%2]
+		m := [...]Machine{SP2(), machine.NOW()}[g%2]
 		want, err := spmd.Estimate(p.Result, m)
 		if err != nil {
 			t.Fatal(err)

@@ -153,7 +153,7 @@ func TestFailedBodiesNotKept(t *testing.T) {
 		t.Fatalf("after 100 failing requests the body tier is %+v, want 100 misses and nothing kept", st)
 	}
 	mustServe(t, h, []byte(`{"source": `+jsonString(tinySrc)+`, "params": {"n": 8}, "procs": 2}`))
-	if n := s.bodies.Len(); n != 1 {
+	if n := s.bodies.Stats().Entries; n != 1 {
 		t.Fatalf("a succeeding request left %d bodies, want 1", n)
 	}
 }

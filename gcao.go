@@ -161,9 +161,6 @@ type Machine = machine.Machine
 // SP2 returns the IBM SP2 cost model (P=25 in the paper's runs).
 func SP2() Machine { return machine.SP2() }
 
-// NOW returns the Berkeley NOW cost model (P=8 in the paper's runs).
-func NOW() Machine { return machine.NOW() }
-
 // MachineByName resolves "SP2" or "NOW".
 func MachineByName(name string) (Machine, error) { return machine.ByName(name) }
 

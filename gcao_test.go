@@ -99,7 +99,11 @@ func TestPublicAPI(t *testing.T) {
 		}
 	}
 
-	cost, err := comb.Estimate(gcao.NOW())
+	now, err := gcao.MachineByName("NOW")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost, err := comb.Estimate(now)
 	if err != nil {
 		t.Fatal(err)
 	}

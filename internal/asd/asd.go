@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"gcao/internal/lin"
-	"gcao/internal/section"
 )
 
 // SymDim is one dimension of a symbolic section: Lo:Hi:Step with
@@ -74,9 +73,6 @@ func (d SymDim) String() string {
 type SymSection struct {
 	Dims []SymDim
 }
-
-// Rank returns the number of dimensions.
-func (s SymSection) Rank() int { return len(s.Dims) }
 
 func (s SymSection) String() string {
 	parts := make([]string, len(s.Dims))
@@ -239,25 +235,6 @@ func (s SymSection) NumElems() (int, bool) {
 	return n, true
 }
 
-// Concrete evaluates the section under an environment binding the
-// remaining symbolic variables.
-func (s SymSection) Concrete(env map[string]int) (section.Section, bool) {
-	out := section.Section{Dims: make([]section.Dim, len(s.Dims))}
-	for i, d := range s.Dims {
-		lo, ok1 := d.Lo.Eval(env)
-		hi, ok2 := d.Hi.Eval(env)
-		if !ok1 || !ok2 {
-			return section.Section{}, false
-		}
-		step := d.Step
-		if step < 1 {
-			step = 1
-		}
-		out.Dims[i] = section.Dim{Lo: lo, Hi: hi, Step: step}
-	}
-	return out.Normalize(), true
-}
-
 func gcd(a, b int) int {
 	for b != 0 {
 		a, b = b, a%b
@@ -334,21 +311,6 @@ func (m Mapping) sameGrid(o Mapping) bool {
 	return true
 }
 
-// Equal reports identical sender–receiver relations.
-func (m Mapping) Equal(o Mapping) bool {
-	if m.Kind != o.Kind || !m.sameGrid(o) {
-		return false
-	}
-	switch m.Kind {
-	case MapShift:
-		return m.GridDim == o.GridDim && m.Sign == o.Sign && m.Width == o.Width
-	case MapReduce:
-		return true
-	default:
-		return m.Signature == o.Signature
-	}
-}
-
 // SubsetOf reports M(D) ⊆ O(D): every transfer m performs is also
 // performed by o. For shifts this holds when both move along the same
 // grid dimension in the same direction and o's strip is at least as
@@ -413,8 +375,4 @@ func (a ASD) Subsumes(other ASD) bool {
 	return a.Array == other.Array &&
 		other.Map.SubsetOf(a.Map) &&
 		a.Data.Contains(other.Data)
-}
-
-func (a ASD) String() string {
-	return fmt.Sprintf("%s%s via %s", a.Array, a.Data, a.Map)
 }

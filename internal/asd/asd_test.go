@@ -100,24 +100,17 @@ func TestHullCoversBruteForce(t *testing.T) {
 		if !ok {
 			t.Fatal("const hull must exist")
 		}
-		ca, _ := a.Concrete(nil)
-		cb, _ := b.Concrete(nil)
-		ch, _ := h.Concrete(nil)
-		for _, s := range []struct {
-			name string
-			sec  interface{ Elems(func([]int) bool) }
-		}{
-			{"a", ca}, {"b", cb},
-		} {
-			s.sec.Elems(func(idx []int) bool {
-				x := idx[0]
-				lo, _ := h.Dims[0].Lo.IsConst()
-				hi, _ := h.Dims[0].Hi.IsConst()
+		lo, _ := h.Dims[0].Lo.IsConst()
+		hi, _ := h.Dims[0].Hi.IsConst()
+		for name, s := range map[string]SymSection{"a": a, "b": b} {
+			d := s.Dims[0]
+			slo, _ := d.Lo.IsConst()
+			shi, _ := d.Hi.IsConst()
+			for x := slo; x <= shi; x += d.Step {
 				if x < lo || x > hi {
-					t.Fatalf("hull %v of %v,%v misses %d from %s", ch, ca, cb, x, s.name)
+					t.Fatalf("hull %v of %v,%v misses %d from %s", h, a, b, x, name)
 				}
-				return true
-			})
+			}
 		}
 	}
 }
@@ -170,23 +163,6 @@ func TestHullCountMatchesHull(t *testing.T) {
 	}
 }
 
-func TestConcrete(t *testing.T) {
-	s := SymSection{Dims: []SymDim{Point(sym("i").AddConst(-1)), ConstDim(1, 6, 2)}}
-	sec, ok := s.Concrete(map[string]int{"i": 4})
-	if !ok {
-		t.Fatal("concrete eval failed")
-	}
-	if sec.Dims[0].Lo != 3 || sec.Dims[0].Hi != 3 {
-		t.Errorf("dim0 = %v", sec.Dims[0])
-	}
-	if sec.NumElems() != 3 {
-		t.Errorf("elems = %d", sec.NumElems())
-	}
-	if _, ok := s.Concrete(nil); ok {
-		t.Error("missing binding must fail")
-	}
-}
-
 func TestMappingRelations(t *testing.T) {
 	grid := []int{4, 4}
 	left1 := Mapping{Kind: MapShift, GridShape: grid, GridDim: 0, Sign: -1, Width: 1}
@@ -213,7 +189,7 @@ func TestMappingRelations(t *testing.T) {
 
 	r1 := Mapping{Kind: MapReduce, GridShape: grid}
 	r2 := Mapping{Kind: MapReduce, GridShape: grid}
-	if !r1.CompatibleWith(r2) || !r1.Equal(r2) {
+	if !r1.CompatibleWith(r2) {
 		t.Error("reductions on the same grid combine")
 	}
 	if r1.CompatibleWith(left1) {
@@ -256,10 +232,6 @@ func TestStringForms(t *testing.T) {
 	r := Mapping{Kind: MapReduce}
 	if r.String() != "reduce" {
 		t.Errorf("reduce string = %q", r.String())
-	}
-	a := ASD{Array: "a", Data: SymSection{Dims: []SymDim{ConstDim(1, 4, 1)}}, Map: m}
-	if got := a.String(); got != "a(1:4) via shift[dim1-2]" {
-		t.Errorf("ASD.String = %q", got)
 	}
 	if MapBcast.String() != "bcast" || MapGeneral.String() != "general" || MapKind(9).String() == "" {
 		t.Error("MapKind strings")

@@ -144,7 +144,6 @@ func (d *DistributeDir) String() string {
 // Stmt is a statement.
 type Stmt interface {
 	stmtNode()
-	StmtPos() source.Pos
 }
 
 // AssignStmt is "lhs = rhs". The LHS reference may carry section
@@ -159,8 +158,7 @@ type AssignStmt struct {
 	Label string
 }
 
-func (*AssignStmt) stmtNode()             {}
-func (s *AssignStmt) StmtPos() source.Pos { return s.Pos }
+func (*AssignStmt) stmtNode() {}
 
 // CallStmt invokes another routine: call sub(a, n). The inliner
 // (package inline) substitutes the callee's body before analysis —
@@ -172,8 +170,7 @@ type CallStmt struct {
 	Pos  source.Pos
 }
 
-func (*CallStmt) stmtNode()             {}
-func (s *CallStmt) StmtPos() source.Pos { return s.Pos }
+func (*CallStmt) stmtNode() {}
 
 // DoStmt is a counted DO loop: do v = lo, hi [, step].
 type DoStmt struct {
@@ -183,8 +180,7 @@ type DoStmt struct {
 	Pos          source.Pos
 }
 
-func (*DoStmt) stmtNode()             {}
-func (s *DoStmt) StmtPos() source.Pos { return s.Pos }
+func (*DoStmt) stmtNode() {}
 
 // IfStmt is if (cond) then ... [else ...] endif.
 type IfStmt struct {
@@ -194,8 +190,7 @@ type IfStmt struct {
 	Pos  source.Pos
 }
 
-func (*IfStmt) stmtNode()             {}
-func (s *IfStmt) StmtPos() source.Pos { return s.Pos }
+func (*IfStmt) stmtNode() {}
 
 // Expr is an expression.
 type Expr interface {
@@ -409,20 +404,6 @@ func writeStmt(b *strings.Builder, s Stmt, depth int) {
 			}
 		}
 		fmt.Fprintf(b, "%sendif\n", ind)
-	}
-}
-
-// Walk visits every statement in the body, depth first, calling f.
-func Walk(body []Stmt, f func(Stmt)) {
-	for _, s := range body {
-		f(s)
-		switch s := s.(type) {
-		case *DoStmt:
-			Walk(s.Body, f)
-		case *IfStmt:
-			Walk(s.Then, f)
-			Walk(s.Else, f)
-		}
 	}
 }
 

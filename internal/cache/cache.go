@@ -230,10 +230,3 @@ func (c *Cache) Stats() Stats {
 		Evictions:     c.evictions.Load(),
 	}
 }
-
-// Len returns the number of resident entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

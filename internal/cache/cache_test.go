@@ -79,8 +79,8 @@ func TestErrorsNotCached(t *testing.T) {
 	if err != nil || calls != 2 {
 		t.Fatalf("error was cached: calls=%d err=%v", calls, err)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("entries = %d", c.Len())
+	if n := c.Stats().Entries; n != 1 {
+		t.Fatalf("entries = %d", n)
 	}
 }
 

@@ -136,17 +136,6 @@ type Loop struct {
 // Var returns the loop index variable name.
 func (l *Loop) Var() string { return l.Do.Var }
 
-// Contains reports whether the loop (transitively) contains the other
-// loop o, or l == o.
-func (l *Loop) Contains(o *Loop) bool {
-	for ; o != nil; o = o.Parent {
-		if o == l {
-			return true
-		}
-	}
-	return false
-}
-
 // Graph is the augmented CFG of one routine body.
 type Graph struct {
 	EntryBlock *Block

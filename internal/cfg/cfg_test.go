@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"testing"
 
-	"gcao/internal/ast"
 	"gcao/internal/parser"
 )
 
@@ -178,9 +177,6 @@ end
 	if inner.Parent != outer || outer.Depth != 1 || inner.Depth != 2 {
 		t.Errorf("nesting wrong: %+v %+v", outer, inner)
 	}
-	if !outer.Contains(inner) || inner.Contains(outer) {
-		t.Error("Contains misbehaves")
-	}
 	st := g.Stmts[0]
 	if st.NL() != 2 || st.Loops[0] != outer || st.Loops[1] != inner {
 		t.Errorf("statement loops = %v", st.Loops)
@@ -295,26 +291,5 @@ end
 	}
 	if !found {
 		t.Error("zero-trip edge missing")
-	}
-}
-
-func TestWalk(t *testing.T) {
-	r, err := parser.ParseRoutine(`
-routine f()
-real x
-do i = 1, 2
-if (x > 0) then
-x = 1
-endif
-enddo
-end
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	ast.Walk(r.Body, func(ast.Stmt) { count++ })
-	if count != 3 { // do, if, assign
-		t.Errorf("Walk visited %d, want 3", count)
 	}
 }

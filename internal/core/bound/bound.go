@@ -54,7 +54,6 @@
 package bound
 
 import (
-	"fmt"
 	"sort"
 
 	"gcao/internal/asd"
@@ -90,11 +89,6 @@ type Bound struct {
 	// Terms lists the per-(array, channel) contributions, sorted by
 	// array then channel.
 	Terms []Term `json:"terms,omitempty"`
-}
-
-func (t Term) String() string {
-	return fmt.Sprintf("%s/%s >= %.0fB (x%g execs at level %d, %d entries)",
-		t.Array, t.Channel, t.Bytes, t.Execs, t.Level, t.Entries)
 }
 
 // Compute derives the lower bound of an analyzed routine. Unknowable

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -195,4 +196,9 @@ func (a *Analysis) partition(es []*Entry, p Position, opts Options) [][]*Entry {
 		}
 	}
 	return groups
+}
+
+// comparePos orders positions by block ID, then slot.
+func comparePos(p, q Position) int {
+	return cmp.Or(cmp.Compare(p.Block.ID, q.Block.ID), cmp.Compare(p.After, q.After))
 }

@@ -486,11 +486,6 @@ type commSets struct {
 	left    []int  // left[e.ID]: sets e is still in
 }
 
-// comparePos orders positions by block ID, then slot.
-func comparePos(p, q Position) int {
-	return cmp.Or(cmp.Compare(p.Block.ID, q.Block.ID), cmp.Compare(p.After, q.After))
-}
-
 // newCommSets builds the sets of the entries, which are in ID order.
 func (a *Analysis) newCommSets(entries []*Entry) commSets {
 	n, total := len(a.Entries), 0

@@ -259,7 +259,7 @@ end
 		if len(regs) != 3 {
 			t.Errorf("pass %d: reaching regular defs = %d, want 3 (both branches + loop def)", pass, len(regs))
 		}
-		if entry == nil || entry != c.info.Entry("a") {
+		if entry == nil || entry.Var != "a" {
 			t.Errorf("pass %d: ENTRY should be reachable through the preserving chain", pass)
 		}
 	}

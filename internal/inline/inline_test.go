@@ -57,11 +57,9 @@ func TestFlattenBasics(t *testing.T) {
 		t.Errorf("second expansion should read b:\n%s", body)
 	}
 	// No calls remain.
-	ast.Walk(r.Body, func(s ast.Stmt) {
-		if _, ok := s.(*ast.CallStmt); ok {
-			t.Error("call statement survived flattening")
-		}
-	})
+	if strings.Contains(body, "call ") {
+		t.Errorf("a call statement survived flattening:\n%s", body)
+	}
 	// tmp hoisted twice with distinct names + distribute directives.
 	names := map[string]bool{}
 	for _, d := range r.Decls {

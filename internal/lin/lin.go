@@ -166,20 +166,6 @@ func (f Form) ConstDiff(g Form) (int, bool) {
 	return f.Const - g.Const, true
 }
 
-// Eval evaluates the form under an environment; missing variables
-// report ok=false.
-func (f Form) Eval(env map[string]int) (int, bool) {
-	v := f.Const
-	for _, t := range f.Terms {
-		x, ok := env[t.Var]
-		if !ok {
-			return 0, false
-		}
-		v += t.Coef * x
-	}
-	return v, true
-}
-
 // String renders the form: its terms in name order, then the constant
 // when it is non-zero or stands alone ("2*i-j+3", "-4").
 func (f Form) String() string {

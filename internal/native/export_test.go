@@ -43,13 +43,6 @@ func ProgramOf(eng *Engine) *plan.Program { return eng.prog }
 // MaxProcs is the oversubscription clamp NewEngine enforces.
 func MaxProcs() int { return maxProcs() }
 
-// Runners is how many runners exist, parked or running a processor.
-func Runners() int {
-	runnerMu.Lock()
-	defer runnerMu.Unlock()
-	return runners
-}
-
 // RunnerIdle is how long a parked runner waits before it exits.
 const RunnerIdle = runnerIdle
 

@@ -106,3 +106,12 @@ func (r *runner) expire() {
 		r.next <- nil // off the stack, no dispatch sends to r again
 	}
 }
+
+// Runners is how many runners exist, parked or running a processor. A
+// goroutine-leak check counts NumGoroutine() − Runners(): parked runners
+// are kept on purpose, and they idle out while a check waits.
+func Runners() int {
+	runnerMu.Lock()
+	defer runnerMu.Unlock()
+	return runners
+}

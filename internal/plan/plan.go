@@ -172,23 +172,6 @@ func (t *Tree) Subtree(p int) []int {
 	return t.Order[t.Pos[p] : t.Pos[p]+t.SubSize[p]]
 }
 
-// Depth returns the length of the longest root-to-leaf edge path — the
-// collective critical path in hops.
-func (t *Tree) Depth() int {
-	depth := make([]int, t.Procs)
-	max := 0
-	// Order is pre-order, so parents appear before children.
-	for _, p := range t.Order {
-		if t.Parent[p] >= 0 {
-			depth[p] = depth[t.Parent[p]] + 1
-			if depth[p] > max {
-				max = depth[p]
-			}
-		}
-	}
-	return max
-}
-
 // CountFlops counts the floating-point operations of an expression,
 // excluding integer subscript arithmetic (which compiled code strength-
 // reduces away).

@@ -125,8 +125,15 @@ func TestBuildTree(t *testing.T) {
 		for 1<<logP < procs {
 			logP++
 		}
-		if d := tr.Depth(); d > logP {
-			t.Fatalf("P=%d: depth %d exceeds ceil(log2 P) = %d", procs, d, logP)
+		// Order is pre-order, so a parent's depth is known before its
+		// children's.
+		depth := make([]int, procs)
+		for _, p := range tr.Order {
+			if q := tr.Parent[p]; q >= 0 {
+				if depth[p] = depth[q] + 1; depth[p] > logP {
+					t.Fatalf("P=%d: depth %d exceeds ceil(log2 P) = %d", procs, depth[p], logP)
+				}
+			}
 		}
 	}
 }

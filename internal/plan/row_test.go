@@ -891,7 +891,7 @@ func TestEntryProofDeclinesValidNest(t *testing.T) {
 					from, _ := a.Local(o, idx)
 					to, _ := a.Local(p, idx)
 					a.Data[p][to] = a.Data[o][from]
-					a.Deliver(p, section.Point(idx...), w.fr.Scratch)
+					a.Deliver(p, section.Whole(idx, idx), w.fr.Scratch)
 				}
 			}
 		}

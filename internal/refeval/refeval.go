@@ -77,8 +77,8 @@ func (ev *evaluator) block(stmts []ast.Stmt) error {
 					err = ev.block(s.Else)
 				}
 			}
-		default:
-			err = fmt.Errorf("refeval: %s: cannot execute %T", s.StmtPos(), s)
+		case *ast.CallStmt:
+			err = fmt.Errorf("refeval: %s: cannot execute call %s", s.Pos, s.Name)
 		}
 		if err != nil {
 			return err

@@ -273,7 +273,7 @@ func sections(am *ArrayMem) []section.Section {
 		strided[k] = section.Dim{Lo: d.Lo + k%2, Hi: d.Hi, Step: 2 + k%2}
 		inset[k] = section.Dim{Lo: min(d.Lo+2, d.Hi), Hi: max(d.Hi-1, d.Lo), Step: 1}
 	}
-	return []section.Section{whole, section.New(strided...), section.New(inset...)}
+	return []section.Section{whole, {Dims: strided}, {Dims: inset}}
 }
 
 // splits returns every division of [0, p) into 1 to 4 contiguous,
@@ -656,7 +656,7 @@ func TestOwnerRunsMatchElementScan(t *testing.T) {
 		m.Write("r", []int{j}, float64(j)/3)
 	}
 	counts := make([]int, 4)
-	sec := section.New(section.Dim{Lo: 2, Hi: 8, Step: 3})
+	sec := section.Section{Dims: []section.Dim{{Lo: 2, Hi: 8, Step: 3}}}
 	total := m.View("r").SumSection(sec, NewScratch(1), counts)
 	if wantTotal, wantCounts := oracleSumSection(m, "r", sec); total != wantTotal || !slices.Equal(counts, wantCounts) {
 		t.Fatalf("replicated SumSection = %v %v, the element scan %v %v", total, counts, wantTotal, wantCounts)
@@ -677,7 +677,7 @@ func TestBulkOperationsDoNotAllocate(t *testing.T) {
 	lo, hi := []int{1, 2, 0}, []int{3, 6, 6}
 	next := slices.Clone(sec.Dims) // the inset box, one plane down
 	next[0].Lo, next[0].Hi = next[0].Lo-1, next[0].Hi-1
-	strip := section.New(section.Dim{Lo: 1, Hi: 1, Step: 1}, section.Dim{Lo: 2, Hi: 2, Step: 1}, section.Dim{Lo: 0, Hi: 2, Step: 1})
+	strip := section.Section{Dims: []section.Dim{{Lo: 1, Hi: 1, Step: 1}, {Lo: 2, Hi: 2, Step: 1}, {Lo: 0, Hi: 2, Step: 1}}}
 	for name, f := range map[string]func(){
 		"Reset":          got.Reset,
 		"CopyValid":      func() { shiftRange(am, sec, 1, -1, 2, 0, 4, sc, ints) },
@@ -879,7 +879,7 @@ func checkValidBits(t *testing.T, what string, am, ref *ArrayMem, valid [][]bool
 	for k := range lo {
 		lo[k], hi[k] = am.LocalBox(p, k)
 	}
-	for _, strip := range []section.Section{section.Whole(lo, hi), sections(am)[1].Intersect(section.Whole(lo, hi))} {
+	for _, strip := range []section.Section{section.Whole(lo, hi), sections(am)[1].ClipInto(lo, hi, make([]section.Dim, rank))} {
 		bits, pos, set := make(Bits, (strip.NumElems()+64)/64), 1, 0
 		n := am.ValidBits(p, strip, bits, 1, sc)
 		strip.Elems(func(ix []int) bool {

@@ -92,7 +92,7 @@ func TestWriteInvalidates(t *testing.T) {
 
 	// Deliver a ghost copy everywhere via Broadcast, then overwrite:
 	// the ghosts must go stale.
-	m.View("a").BroadcastRange(section.Point(4, 4), 0, 4, NewScratch(2))
+	m.View("a").BroadcastRange(section.Whole([]int{4, 4}, []int{4, 4}), 0, 4, NewScratch(2))
 	for p := 0; p < 4; p++ {
 		if _, err := m.Read(p, "a", idx); err != nil {
 			t.Fatalf("post-broadcast read by %d: %v", p, err)
@@ -182,7 +182,7 @@ func TestBroadcastAndSum(t *testing.T) {
 		m.Write("a", []int{1, j}, float64(j))
 		total += float64(j)
 	}
-	sec := section.New(section.Dim{Lo: 1, Hi: 1, Step: 1}, section.Dim{Lo: 1, Hi: 8, Step: 1})
+	sec := section.Section{Dims: []section.Dim{{Lo: 1, Hi: 1, Step: 1}, {Lo: 1, Hi: 8, Step: 1}}}
 	am, sc, counts := m.View("a"), NewScratch(2), make([]int, 4)
 	got := am.SumSection(sec, sc, counts)
 	if got != total {
@@ -253,7 +253,9 @@ func TestCompareState(t *testing.T) {
 
 func TestLedgerAccounting(t *testing.T) {
 	l := NewLedger(4, machine.SP2())
-	l.Compute(0, 1000)
+	v := l.View(0, 4)
+	v.Compute(0, 1000)
+	l.Absorb(v)
 	l.Message(0, 1, 4096)
 	if l.DynMessages != 1 || l.MsgsRecv[1] != 1 || l.BytesMoved != 4096 {
 		t.Errorf("ledger = %+v", l)

@@ -30,11 +30,6 @@ type Section struct {
 	Dims []Dim
 }
 
-// New builds a section from dimension triplets.
-func New(dims ...Dim) Section {
-	return Section{Dims: dims}
-}
-
 // Whole returns the section covering an entire array with the given
 // inclusive per-dimension bounds [lo[i], hi[i]].
 func Whole(lo, hi []int) Section {
@@ -49,18 +44,6 @@ func Whole(lo, hi []int) Section {
 	}
 	return Section{Dims: d}
 }
-
-// Point returns the degenerate section holding a single element.
-func Point(idx ...int) Section {
-	d := make([]Dim, len(idx))
-	for i, v := range idx {
-		d[i] = Dim{Lo: v, Hi: v, Step: 1}
-	}
-	return Section{Dims: d}
-}
-
-// Rank reports the number of dimensions.
-func (s Section) Rank() int { return len(s.Dims) }
 
 // normDim canonicalizes one dimension: an empty range becomes the
 // canonical empty dim, a single-point range gets Step 1, and Hi is
@@ -78,16 +61,6 @@ func normDim(d Dim) Dim {
 		d.Step = 1
 	}
 	return d
-}
-
-// Normalize returns the canonical form of s: strides positive, Hi
-// clamped to the last reached element, empty dims in canonical form.
-func (s Section) Normalize() Section {
-	out := Section{Dims: make([]Dim, len(s.Dims))}
-	for i, d := range s.Dims {
-		out.Dims[i] = normDim(d)
-	}
-	return out
 }
 
 // IsEmpty reports whether the section contains no elements. A rank-0
@@ -115,75 +88,6 @@ func (s Section) NumElems() int {
 		n *= (dd.Hi-dd.Lo)/dd.Step + 1
 	}
 	return n
-}
-
-// dimCount returns the element count of a single normalized dimension.
-func dimCount(d Dim) int {
-	if d.Lo > d.Hi {
-		return 0
-	}
-	return (d.Hi-d.Lo)/d.Step + 1
-}
-
-// Equal reports whether s and t denote the same set of elements.
-func (s Section) Equal(t Section) bool {
-	if len(s.Dims) != len(t.Dims) {
-		return false
-	}
-	if s.IsEmpty() && t.IsEmpty() {
-		return true
-	}
-	if s.IsEmpty() != t.IsEmpty() {
-		return false
-	}
-	sn, tn := s.Normalize(), t.Normalize()
-	for i := range sn.Dims {
-		if sn.Dims[i] != tn.Dims[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// dimContains reports whether normalized dim a contains normalized dim b
-// as sets of integers.
-func dimContains(a, b Dim) bool {
-	if b.Lo > b.Hi {
-		return true
-	}
-	if a.Lo > a.Hi {
-		return false
-	}
-	if b.Lo < a.Lo || b.Hi > a.Hi {
-		return false
-	}
-	// Every point of b must be on a's lattice: b.Lo ≡ a.Lo (mod a.Step)
-	// and b.Step a multiple of a.Step (unless b is a single point).
-	if (b.Lo-a.Lo)%a.Step != 0 {
-		return false
-	}
-	if dimCount(b) == 1 {
-		return true
-	}
-	return b.Step%a.Step == 0
-}
-
-// Contains reports whether s ⊇ t elementwise. Sections of different
-// rank are incomparable (returns false) unless t is empty.
-func (s Section) Contains(t Section) bool {
-	if t.IsEmpty() {
-		return true
-	}
-	if len(s.Dims) != len(t.Dims) || s.IsEmpty() {
-		return false
-	}
-	sn, tn := s.Normalize(), t.Normalize()
-	for i := range sn.Dims {
-		if !dimContains(sn.Dims[i], tn.Dims[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // gcd of two non-negative ints.
@@ -222,23 +126,8 @@ func dimIntersect(a, b Dim) (Dim, bool) {
 	return Dim{Lo: 1, Hi: 0, Step: 1}, true
 }
 
-// Intersect returns the exact intersection of s and t when both have
-// the same rank. For mismatched ranks it returns the empty section.
-func (s Section) Intersect(t Section) Section {
-	if len(s.Dims) != len(t.Dims) || s.IsEmpty() || t.IsEmpty() {
-		return Section{Dims: []Dim{{Lo: 1, Hi: 0, Step: 1}}}
-	}
-	sn, tn := s.Normalize(), t.Normalize()
-	out := Section{Dims: make([]Dim, len(sn.Dims))}
-	for i := range sn.Dims {
-		d, _ := dimIntersect(sn.Dims[i], tn.Dims[i])
-		out.Dims[i] = d
-	}
-	return out.Normalize()
-}
-
-// ClipInto restricts the section to the box [lo, hi] (inclusive), as
-// s.Intersect(Whole(lo, hi)) does, with the result's dimensions written
+// ClipInto restricts the section to the box [lo, hi] (inclusive), each
+// dimension as Dim.Intersect does, with the result's dimensions written
 // into dst (len >= rank) instead of allocated; the rank is kept even
 // when the result is empty.
 func (s Section) ClipInto(lo, hi []int, dst []Dim) Section {
@@ -300,7 +189,7 @@ func (s Section) Elems(f func(idx []int) bool) {
 // ElemsInto is Elems with the index vector kept in the caller's buffer
 // (len >= rank), so repeated enumerations allocate nothing. Strides
 // below 1 count as 1 and Hi need not lie on the lattice, as in
-// Normalize.
+// normDim.
 func (s Section) ElemsInto(idx []int, f func(idx []int) bool) {
 	if s.IsEmpty() {
 		return

@@ -3,7 +3,6 @@ package section
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestNormalize(t *testing.T) {
@@ -19,9 +18,8 @@ func TestNormalize(t *testing.T) {
 		{Dim{3, 4, 2}, Dim{3, 3, 1}},   // stride overshoots: one point
 	}
 	for _, tc := range tests {
-		got := New(tc.in).Normalize().Dims[0]
-		if got != tc.want {
-			t.Errorf("Normalize(%v) = %v, want %v", tc.in, got, tc.want)
+		if got := normDim(tc.in); got != tc.want {
+			t.Errorf("normDim(%v) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
 }
@@ -36,7 +34,7 @@ func TestNumElems(t *testing.T) {
 		{New(Dim{1, 10, 3}), 4},
 		{New(Dim{1, 10, 1}, Dim{1, 5, 2}), 30},
 		{New(Dim{2, 1, 1}), 0},
-		{Point(3, 4), 1},
+		{Whole([]int{3, 4}, []int{3, 4}), 1},
 		{Section{}, 0},
 	}
 	for _, tc := range tests {
@@ -80,44 +78,18 @@ func member(d Dim, x int) bool {
 	return (x-d.Lo)%d.Step == 0
 }
 
-func TestContainsBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	randDim := func() Dim {
-		return Dim{Lo: rng.Intn(8), Hi: rng.Intn(16), Step: 1 + rng.Intn(4)}
-	}
-	for trial := 0; trial < 2000; trial++ {
-		a, b := randDim(), randDim()
-		got := dimContains(normDim(a), normDim(b))
-		want := true
-		for x := -2; x < 20; x++ {
-			if member(b, x) && !member(a, x) {
-				want = false
-				break
-			}
-		}
-		if got && !want {
-			t.Fatalf("dimContains(%v, %v) = true but %v has points outside %v", a, b, b, a)
-		}
-		// The test may be conservative (false when true), but must be
-		// exact for unit strides.
-		if !got && want && normDim(a).Step == 1 && normDim(b).Step == 1 {
-			t.Fatalf("dimContains(%v, %v) = false but containment holds with unit strides", a, b)
-		}
-	}
-}
-
 func TestIntersectBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	randDim := func() Dim {
 		return Dim{Lo: rng.Intn(8), Hi: rng.Intn(16), Step: 1 + rng.Intn(4)}
 	}
 	for trial := 0; trial < 2000; trial++ {
-		a, b := New(randDim()), New(randDim())
+		a, b := randDim(), randDim()
 		got := a.Intersect(b)
 		for x := -2; x < 20; x++ {
-			inA := member(a.Dims[0], x)
-			inB := member(b.Dims[0], x)
-			inG := member(got.Dims[0], x)
+			inA := member(a, x)
+			inB := member(b, x)
+			inG := member(got, x)
 			if (inA && inB) != inG {
 				t.Fatalf("Intersect(%v, %v) = %v: x=%d inA=%v inB=%v inGot=%v", a, b, got, x, inA, inB, inG)
 			}
@@ -125,11 +97,10 @@ func TestIntersectBruteForce(t *testing.T) {
 	}
 }
 
-// TestClip: clipping a section to a box is intersecting it with the
-// box's Whole section.
+// TestClip: clipping a section to a box keeps it inside the box.
 func TestClip(t *testing.T) {
 	s := New(Dim{1, 8, 1}, Dim{3, 7, 2})
-	cl := s.Intersect(Whole([]int{2, 2}, []int{6, 6}))
+	cl := s.ClipInto([]int{2, 2}, []int{6, 6}, make([]Dim, 2))
 	if cl.Dims[0].Lo != 2 || cl.Dims[0].Hi != 6 {
 		t.Errorf("Clip dim0 = %v", cl.Dims[0])
 	}
@@ -140,37 +111,21 @@ func TestClip(t *testing.T) {
 	}
 }
 
-func TestEqualQuick(t *testing.T) {
-	// Equality must agree with mutual containment for unit strides.
-	f := func(alo, ahi, blo, bhi uint8) bool {
-		a := New(Dim{int(alo % 10), int(ahi % 20), 1})
-		b := New(Dim{int(blo % 10), int(bhi % 20), 1})
-		eq := a.Equal(b)
-		mutual := a.Contains(b) && b.Contains(a)
-		return eq == mutual
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestWholeAndPoint(t *testing.T) {
 	w := Whole([]int{1, 0}, []int{4, 3})
 	if w.NumElems() != 16 {
 		t.Errorf("Whole elems = %d", w.NumElems())
 	}
-	p := Point(2, 2)
-	if !w.Contains(p) {
-		t.Error("whole should contain interior point")
-	}
-	if w.Contains(Point(5, 2)) {
-		t.Error("whole should not contain out-of-range point")
+	// A one-element box is a point.
+	if p := Whole([]int{2, 5}, []int{2, 5}); p.NumElems() != 1 || p.String() != "(2,5)" {
+		t.Errorf("point = %v with %d elems", p, p.NumElems())
 	}
 }
 
 // TestIntoVariantsMatch: the scratch-buffer variants enumerate and clip
-// exactly as the allocating ones, in the same order, for strided and
-// unnormalized sections, and allocate nothing.
+// exactly as filtering the allocating enumeration to the box does, in
+// the same order, for strided and unnormalized sections, and allocate
+// nothing.
 func TestIntoVariantsMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	randDim := func() Dim {
@@ -182,8 +137,10 @@ func TestIntoVariantsMatch(t *testing.T) {
 		lo := []int{rng.Intn(6), rng.Intn(6)}
 		hi := []int{lo[0] + rng.Intn(8) - 1, lo[1] + rng.Intn(8) - 1}
 		want := [][2]int{}
-		s.Intersect(Whole(lo, hi)).Elems(func(ix []int) bool {
-			want = append(want, [2]int{ix[0], ix[1]})
+		s.Elems(func(ix []int) bool {
+			if lo[0] <= ix[0] && ix[0] <= hi[0] && lo[1] <= ix[1] && ix[1] <= hi[1] {
+				want = append(want, [2]int{ix[0], ix[1]})
+			}
 			return true
 		})
 		got := [][2]int{}

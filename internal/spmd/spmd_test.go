@@ -41,13 +41,10 @@ func elapsed(l *runtime.Ledger) float64 {
 	return t
 }
 
-func readOwner(t *testing.T, m *runtime.Memory, name string, idx ...int) float64 {
-	t.Helper()
-	v, err := m.Read(m.Owner(name, idx), name, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
+// readOwner reads an element from its owner's plane.
+func readOwner(m *runtime.Memory, name string, idx ...int) float64 {
+	am := m.View(name)
+	return am.Data[am.Owner(idx)][am.Offset(idx)]
 }
 
 func placed(t *testing.T, a *core.Analysis, v core.Version) *core.Result {
@@ -94,7 +91,7 @@ func TestRunComputesStencil(t *testing.T) {
 	// Hand-check one interior element: b(3,3) after one step equals
 	// the average of a's initial neighbours.
 	want := 0.25 * float64((2*10+3)+(4*10+3)+(3*10+2)+(3*10+4))
-	got := readOwner(t, run.Mem, "a", 3, 3) // copied into a by the second nest
+	got := readOwner(run.Mem, "a", 3, 3) // copied into a by the second nest
 	if got != want {
 		t.Errorf("a[3 3] = %v, want %v", got, want)
 	}
@@ -131,7 +128,8 @@ func TestMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt one owner value; verification must notice.
-	par.Mem.Write("a", []int{3, 3}, -999)
+	a, idx := par.Mem.View("a"), []int{3, 3}
+	a.StoreOwner(a.Offset(idx), a.Owner(idx), -999)
 	if err := runtime.CompareState(par.Mem, seq.Mem, par.Scalars, seq.Scalars); err == nil {
 		t.Error("verification should detect a corrupted element")
 	}
@@ -255,7 +253,7 @@ func TestBranching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := readOwner(t, run.Mem, "b", 5); got != 4 {
+	if got := readOwner(run.Mem, "b", 5); got != 4 {
 		t.Errorf("b[5] = %v, want 4 (then-branch taken)", got)
 	}
 }
@@ -283,7 +281,7 @@ func TestZeroTripLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 8; i++ {
-		if got := readOwner(t, run.Mem, "a", i); got != 1 {
+		if got := readOwner(run.Mem, "a", i); got != 1 {
 			t.Errorf("a[%d] = %v after zero-trip loop, want 1", i, got)
 		}
 	}
@@ -313,7 +311,7 @@ end
 		if (i-1)%3 == 0 {
 			want = 7
 		}
-		if got := readOwner(t, run.Mem, "a", i); got != want {
+		if got := readOwner(run.Mem, "a", i); got != want {
 			t.Errorf("a[%d] = %v, want %v", i, got, want)
 		}
 	}
@@ -365,7 +363,7 @@ func TestReplicatedAndIntrinsics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// a(i) = 2i + 1 + 3 + 2 + 2 + 1 + 2 = 2i + 11
-	if got := readOwner(t, run.Mem, "a", 3); got != 17 {
+	if got := readOwner(run.Mem, "a", 3); got != 17 {
 		t.Errorf("a[3] = %v, want 17", got)
 	}
 	want := 0.0
@@ -403,7 +401,7 @@ func TestNegativeStepLoop(t *testing.T) {
 		if i%2 == 1 {
 			want = float64(i)
 		}
-		if got := readOwner(t, run.Mem, "a", i); got != want {
+		if got := readOwner(run.Mem, "a", i); got != want {
 			t.Errorf("a[%d] = %v, want %v", i, got, want)
 		}
 	}
@@ -438,7 +436,7 @@ end
 	if run.Scalars["x"] != 3 {
 		t.Errorf("x = %v, want 3", run.Scalars["x"])
 	}
-	if got := readOwner(t, run.Mem, "a", 2); got != 16 {
+	if got := readOwner(run.Mem, "a", 2); got != 16 {
 		t.Errorf("a[2] = %v, want 16", got)
 	}
 }

@@ -28,9 +28,6 @@ import (
 type Def interface {
 	VarName() string
 	DefBlock() *cfg.Block
-	// Loops returns the loops enclosing the definition point,
-	// outermost first.
-	Loops() []*cfg.Loop
 	// DefID numbers the def densely within its Info: ENTRY pseudo-defs
 	// first, then φ-defs, then regular defs, 0 ≤ DefID < Info.NumDefs.
 	DefID() int
@@ -47,7 +44,6 @@ type EntryDef struct {
 
 func (d *EntryDef) VarName() string      { return d.Var }
 func (d *EntryDef) DefBlock() *cfg.Block { return d.Blk }
-func (d *EntryDef) Loops() []*cfg.Loop   { return nil }
 func (d *EntryDef) DefID() int           { return d.id }
 func (d *EntryDef) String() string       { return d.Var + "@ENTRY" }
 
@@ -65,7 +61,6 @@ type RegularDef struct {
 
 func (d *RegularDef) VarName() string      { return d.Var }
 func (d *RegularDef) DefBlock() *cfg.Block { return d.Stmt.Block }
-func (d *RegularDef) Loops() []*cfg.Loop   { return d.Stmt.Loops }
 func (d *RegularDef) DefID() int           { return d.id }
 func (d *RegularDef) String() string {
 	return d.Var + "_" + strconv.Itoa(d.Version) + "@" + d.Stmt.Label()
@@ -104,18 +99,7 @@ type PhiDef struct {
 
 func (d *PhiDef) VarName() string      { return d.Var }
 func (d *PhiDef) DefBlock() *cfg.Block { return d.Blk }
-func (d *PhiDef) Loops() []*cfg.Loop {
-	var out []*cfg.Loop
-	for l := d.Blk.Loop; l != nil; l = l.Parent {
-		out = append(out, l)
-	}
-	// Reverse to outermost-first.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
-}
-func (d *PhiDef) DefID() int { return d.id }
+func (d *PhiDef) DefID() int           { return d.id }
 func (d *PhiDef) String() string {
 	return d.Var + "_" + strconv.Itoa(d.Version) + "=" + d.Kind.String() + "@B" + strconv.Itoa(d.Blk.ID)
 }
@@ -161,15 +145,6 @@ type Info struct {
 
 	// varIndex numbers the array variables: the index into Entries.
 	varIndex map[string]int
-}
-
-// Entry returns the ENTRY pseudo-def of an array variable, or nil when
-// the routine does not mention it.
-func (info *Info) Entry(name string) *EntryDef {
-	if v, ok := info.varIndex[name]; ok {
-		return info.Entries[v]
-	}
-	return nil
 }
 
 // builder holds what construction needs beside the Info it fills.
@@ -473,10 +448,11 @@ func collectUses(e ast.Expr, inSum bool, f func(r *ast.Ref, inSum bool)) {
 }
 
 // CNL returns the common nesting level of a def and a use (paper
-// notation CNL(d, u)): the length of the common prefix of d.Loops() and
-// the use's loops, without building the def's list. Loops nest, so the
-// deepest loop of the def's that also encloses the use has every
-// shallower one in common too.
+// notation CNL(d, u)): how many loops, outermost first, enclose both the
+// def — a regular def's statement, a φ-def's block, none for ENTRY — and
+// the use, without building the def's list. Loops nest, so the deepest
+// loop of the def's that also encloses the use has every shallower one
+// in common too.
 func CNL(d Def, u *Use) int {
 	ul := u.Stmt.Loops
 	switch d := d.(type) {

@@ -43,7 +43,7 @@ end
 	}
 	// Preserving chain: def2.Input = def1, def1.Input = def0,
 	// def0.Input = ENTRY.
-	if info.Defs[0].Input != info.Entry("a") {
+	if e, ok := info.Defs[0].Input.(*EntryDef); !ok || e.Var != "a" {
 		t.Error("first def's input should be the ENTRY pseudo-def")
 	}
 	if info.Defs[1].Input != info.Defs[0] || info.Defs[2].Input != info.Defs[1] {
@@ -222,9 +222,12 @@ end
 }
 
 // commonLoops is the reference for CNL: the loops containing both a
-// definition and a use, outermost first.
+// definition's block and a use, outermost first.
 func commonLoops(d Def, u *Use) []*cfg.Loop {
-	dl := d.Loops()
+	var dl []*cfg.Loop
+	for l := d.DefBlock().Loop; l != nil; l = l.Parent {
+		dl = append([]*cfg.Loop{l}, dl...)
+	}
 	ul := u.Stmt.Loops
 	n := min(len(dl), len(ul))
 	var out []*cfg.Loop
