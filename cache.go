@@ -36,8 +36,10 @@ const (
 type CacheOptions struct {
 	// MaxEntries bounds each tier's entry count.
 	MaxEntries int
-	// MaxBytes bounds each tier's estimated resident size; negative
-	// disables the byte bound.
+	// MaxBytes bounds the bytes each tier charges its values: a placement
+	// what it holds, counted (its Program from its first run on), a
+	// compilation or a skeleton an estimate fitted to the heap it keeps;
+	// negative disables the byte bound.
 	MaxBytes int64
 }
 
@@ -181,8 +183,12 @@ func (c *Cache) Place(comp *Compilation, s Strategy, rec *Recorder) (*Placed, Ca
 		return p, CacheMiss, err
 	}
 	key := cache.Fingerprint("gcao-place-v1", comp.fingerprint, s.String())
-	v, out, err := c.place.Do(key, placedSize, func() (any, error) {
-		return comp.Place(s, rec)
+	v, out, err := c.place.Do(key, placedBytes, func() (any, error) {
+		p, err := comp.Place(s, rec)
+		if err == nil {
+			p.tier, p.key = c.place, key
+		}
+		return p, err
 	})
 	rec.Add("cache.place."+out.String(), 1)
 	if err != nil {
@@ -233,22 +239,7 @@ func structureSize(sk *core.Skeleton) int64 {
 		int64(len(sk.SSA.Uses)+len(sk.SSA.Defs)+len(sk.SSA.Phis))*448
 }
 
-// placedSize estimates the resident cost of a cached placement, with the
-// program its first execution lowers it to and keeps: a constant per
-// group and per statement (with its share of loops and nests), and per
-// array dimension the layout's ownership table by extent and owned boxes
-// by processor. Fitted as compilationSize's constants were (40–135 KB a
-// program); TestPlacedSizeTracksHeap keeps it within 2× of the live heap.
-// The engines idle in the pools are not charged: the garbage collector,
-// not the cache, decides how long they stay.
-func placedSize(v any) int64 {
-	res := v.(*Placed).Result
-	a, procs := res.Analysis, int64(res.Analysis.Unit.Grid.NumProcs())
-	n := int64(1<<10) + int64(len(res.Groups))*768 + int64(len(res.PosOf))*128 + int64(len(a.G.Stmts))*3000
-	for _, arr := range a.Unit.Arrays {
-		for k := range arr.Lo {
-			n += int64(arr.Hi[k]-arr.Lo[k]+1)*8 + procs*16
-		}
-	}
-	return n
-}
+// placedBytes is what the place tier charges a placement: what it holds,
+// (*Placed).Bytes — its Result until its first run lowers it, then its
+// Program too, which Placed.Program re-charges.
+func placedBytes(v any) int64 { return v.(*Placed).Bytes() }

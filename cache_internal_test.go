@@ -1,6 +1,7 @@
 package gcao
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -21,7 +22,13 @@ func liveHeap() uint64 {
 
 // within2x reports whether an estimate and a measurement are within a
 // factor of two of each other.
-func within2x(est, real int64) bool { return est <= 2*real && real <= 2*est }
+func within2x(est, real int64) bool { return within(est, real, 2) }
+
+// within reports whether a count and a measurement are within a factor f
+// of each other.
+func within(est, real int64, f float64) bool {
+	return float64(est) <= f*float64(real) && float64(real) <= f*float64(est)
+}
 
 // TestCompilationSizeTracksHeap holds the cache's admission estimates
 // against what the cached values really keep alive, for each of the six
@@ -93,9 +100,11 @@ func TestCompilationSizeTracksHeap(t *testing.T) {
 	}
 }
 
-// TestPlacedSizeTracksHeap holds the placement tier's admission estimate
-// against what a cached placement keeps alive once it has executed: the
-// placement and the program lowered from it (the pooled engines are the
+// TestPlacedSizeTracksHeap holds what the place tier charges a placement,
+// (*Placed).Bytes, against what it keeps alive: never run, the placement
+// alone, within 2× (its Result is a few kilobytes, where a map's buckets
+// and the allocator's size classes weigh most); once a run has lowered
+// it, with its Program, within 1.25× (the pooled engines are the
 // collector's). For the six Fig. 10(a) routines under orig and comb at
 // P = 4 and 25, and at four times the size, where the layout's ownership
 // tables grow and the statements do not.
@@ -108,19 +117,30 @@ func TestPlacedSizeTracksHeap(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, s := range []Strategy{Vectorize, Combine} {
+				name := fmt.Sprintf("%s/%s n=%d P=%d %v", pr.Bench, pr.Routine, tc.n, tc.procs, s)
 				kept := make([]*Placed, copies)
 				before := liveHeap()
 				for i := range kept {
 					if kept[i], err = c.Place(s, nil); err != nil {
 						t.Fatal(err)
 					}
-					kept[i].Program()
 				}
-				real, est := int64(liveHeap()-before)/copies, placedSize(kept[0])
+				placed := liveHeap()
+				est := kept[0].Bytes()
+				for _, p := range kept {
+					p.Program()
+				}
+				lowered := liveHeap()
+				estLowered := kept[0].Bytes()
 				runtime.KeepAlive(kept)
-				t.Logf("%s/%s n=%d P=%d %v: heap %d B, estimate %d B (%.2fx)", pr.Bench, pr.Routine, tc.n, tc.procs, s, real, est, float64(est)/float64(real))
-				if !within2x(est, real) {
-					t.Errorf("%s/%s n=%d P=%d %v: placedSize %d B is off by more than 2x from the %d B a lowered placement keeps alive", pr.Bench, pr.Routine, tc.n, tc.procs, s, est, real)
+				real, realLowered := int64(placed-before)/copies, int64(lowered-before)/copies
+				t.Logf("%s: placed: heap %d B, charge %d B (%.2fx); lowered: heap %d B, charge %d B (%.2fx)",
+					name, real, est, float64(est)/float64(real), realLowered, estLowered, float64(estLowered)/float64(realLowered))
+				if !within(est, real, 2) {
+					t.Errorf("%s: Bytes() = %d B is off by more than 2x from the %d B a placement keeps alive", name, est, real)
+				}
+				if !within(estLowered, realLowered, 1.25) {
+					t.Errorf("%s: Bytes() = %d B is off by more than 1.25x from the %d B a lowered placement keeps alive", name, estLowered, realLowered)
 				}
 			}
 		}

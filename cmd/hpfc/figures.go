@@ -26,17 +26,9 @@ func fig10a(fs *flag.FlagSet, args []string) {
 	fs.Parse(args)
 
 	rec := o.recorder()
-	var rows []bench.CountRow
-	for _, pr := range bench.Programs() {
-		size := pr.DefaultN
-		if *n > 0 {
-			size = *n
-		}
-		r, err := bench.StaticCounts(pr, size, *procs, rec)
-		if err != nil {
-			fatal(err)
-		}
-		rows = append(rows, r...)
+	rows, err := bench.Fig10aTable(*n, *procs, rec)
+	if err != nil {
+		fatal(err)
 	}
 	fmt.Printf("Fig. 10(a): static communication call sites per routine (P=%d)\n\n", *procs)
 	bench.WriteFig10a(os.Stdout, rows)

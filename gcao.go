@@ -38,8 +38,10 @@ import (
 	"log/slog"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"gcao/internal/ast"
+	"gcao/internal/cache"
 	"gcao/internal/core"
 	"gcao/internal/inline"
 	"gcao/internal/machine"
@@ -286,6 +288,10 @@ type Placed struct {
 	lower    sync.Once
 	prog     *plan.Program
 	sim, nat sync.Pool
+	// tier and key name the cache entry the placement is resident under,
+	// which its lowering re-charges (nil: made outside a Cache).
+	tier *cache.Cache
+	key  string
 
 	estMu sync.Mutex
 	costs []machineCost
@@ -298,9 +304,28 @@ type machineCost struct {
 }
 
 // Program returns the lowered placement: built by the first caller, immutable.
+// A placement resident in a Cache is charged there what it holds now.
 func (p *Placed) Program() *plan.Program {
-	p.lower.Do(func() { p.prog = plan.Lower(p.Result) })
+	p.lower.Do(func() {
+		p.prog = plan.Lower(p.Result)
+		if p.tier != nil {
+			p.tier.Recharge(p.key, p, p.Bytes())
+		}
+	})
 	return p.prog
+}
+
+// Bytes returns what the placement holds beside its compilation: itself,
+// its Result and, once lowered, its Program. The engines idle in its pools
+// are not counted: the garbage collector, not the placement, decides how
+// long they stay. It reads the Program without waiting for a lowering in
+// progress, so a caller that may race the first run must not ask.
+func (p *Placed) Bytes() int64 {
+	n := int64(unsafe.Sizeof(*p)) + p.Result.Bytes()
+	if p.prog != nil {
+		n += p.prog.Bytes()
+	}
+	return n
 }
 
 // Messages returns the number of placed communication operations —

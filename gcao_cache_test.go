@@ -106,6 +106,53 @@ func TestCacheCompileHitAndPlaceTiers(t *testing.T) {
 	}
 }
 
+// TestPlaceTierChargesLowering: the place tier charges a placement what
+// it holds. Placed and estimated, that is its Result; its first run lowers
+// it and raises the tier's bytes by exactly the Program's count, and a
+// second run, or a placement made outside the cache, changes nothing.
+func TestPlaceTierChargesLowering(t *testing.T) {
+	c := gcao.NewCache(gcao.CacheOptions{})
+	comp, _, err := c.Compile(benchSource(t), gcao.Config{Params: map[string]int{"n": 12, "steps": 2}, Procs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := c.Place(comp, gcao.Combine, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	placed := c.Stats().Place.Bytes
+	if placed != p.Bytes() {
+		t.Fatalf("the place tier charges %d B for a placement that holds %d B", placed, p.Bytes())
+	}
+	if _, err := p.Estimate(gcao.SP2()); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats().Place.Bytes; got != placed {
+		t.Fatalf("an estimate moved the place tier from %d B to %d B", placed, got)
+	}
+	run := func() {
+		r, err := p.Simulate(gcao.SP2(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Release()
+	}
+	run()
+	lowered := c.Stats().Place.Bytes
+	if prog := p.Program().Bytes(); lowered-placed != prog || prog <= 0 {
+		t.Fatalf("the first run raised the place tier by %d B; its Program holds %d B", lowered-placed, prog)
+	}
+	run()
+	other, err := comp.Place(gcao.Combine, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Program()
+	if st := c.Stats().Place; st.Bytes != lowered || st.Entries != 1 {
+		t.Fatalf("a second run and an uncached placement left the place tier at %+v, want %d B in one entry", st, lowered)
+	}
+}
+
 // TestCacheParamsCanonical: the same binding in any map order is one
 // entry; a different binding or processor count is another.
 func TestCacheParamsCanonical(t *testing.T) {

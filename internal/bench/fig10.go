@@ -89,6 +89,25 @@ func StaticCounts(pr *Program, n, p int, rec *obs.Recorder) ([]CountRow, error) 
 	return rows, nil
 }
 
+// Fig10aTable is the Fig. 10(a) table hpfc fig10a prints: every
+// program's rows at size n (0: the program's default) on p processors.
+// rec, when non-nil, receives every placement's telemetry (StaticCounts).
+func Fig10aTable(n, p int, rec *obs.Recorder) ([]CountRow, error) {
+	var rows []CountRow
+	for _, pr := range Programs() {
+		size := pr.DefaultN
+		if n > 0 {
+			size = n
+		}
+		r, err := StaticCounts(pr, size, p, rec)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, r...)
+	}
+	return rows, nil
+}
+
 // WriteFig10a renders the table like the paper's Fig. 10(a), each row
 // beside the counts the paper published for it ("-" where it has none).
 func WriteFig10a(w io.Writer, rows []CountRow) {

@@ -79,8 +79,7 @@ type flight struct {
 }
 
 // New builds a cache bounded to maxEntries entries (at least one) and
-// maxBytes of estimated value size; maxBytes <= 0 disables the byte
-// bound.
+// maxBytes of value size; maxBytes <= 0 disables the byte bound.
 func New(maxEntries int, maxBytes int64) *Cache {
 	return &Cache{
 		ll:         list.New(),
@@ -96,9 +95,10 @@ func New(maxEntries int, maxBytes int64) *Cache {
 // caller (the leader) runs fn while the rest wait for its result.
 // Errors are delivered to every waiter of the flight and are never
 // cached, so a later call retries; a panic in fn likewise panics in
-// every caller of the flight and leaves nothing behind. size estimates
-// the resident cost of a freshly computed value for the byte bound
-// (nil, or a non-positive estimate, charges one byte).
+// every caller of the flight and leaves nothing behind. size returns what
+// the byte bound charges a freshly computed value — the bytes it holds, or
+// an estimate of them (nil, or a non-positive size, charges one byte); a
+// value that grows once resident is charged its new size by Recharge.
 func (c *Cache) Do(key string, size func(any) int64, fn func() (any, error)) (any, Outcome, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -169,8 +169,8 @@ func (c *Cache) Get(key []byte) (any, bool) {
 	return v, true
 }
 
-// Add makes v resident under key with estimated size sz (a non-positive
-// estimate charges one byte), evicting from the back as Do does. A key
+// Add makes v resident under key at size sz (a non-positive size charges
+// one byte), evicting from the back as Do does. A key
 // already resident keeps its value and only moves to the front: two
 // concurrent misses on one key both Add, and the first value stays.
 func (c *Cache) Add(key string, v any, sz int64) {
@@ -183,13 +183,42 @@ func (c *Cache) Add(key string, v any, sz int64) {
 	c.insertLocked(key, v, max(sz, 1))
 }
 
-// insertLocked adds a computed value of estimated size sz at the front
-// of the recency list and evicts from the back until the cache is within
-// both bounds again. The newest entry itself is never evicted, so a
-// single oversized value is admitted rather than thrashing.
+// Recharge charges the entry resident under key sz bytes (a non-positive
+// size one byte) when it still holds v, moves it to the front and evicts
+// from the back as an insertion does, never the entry itself; it does
+// nothing when key is not resident or holds another value. A value that
+// grows after it was made resident — a placement lowered by its first run
+// — calls it once with what it holds now. v must be comparable.
+func (c *Cache) Recharge(key string, v any, sz int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return
+	}
+	e := el.Value.(*lruEntry)
+	if e.val != v {
+		return
+	}
+	sz = max(sz, 1)
+	c.bytes += sz - e.size
+	e.size = sz
+	c.ll.MoveToFront(el)
+	c.evictLocked()
+}
+
+// insertLocked adds a computed value of size sz at the front of the
+// recency list and evicts from the back.
 func (c *Cache) insertLocked(key string, v any, sz int64) {
 	c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: v, size: sz})
 	c.bytes += sz
+	c.evictLocked()
+}
+
+// evictLocked evicts from the back until the cache is within both bounds
+// again. The front entry itself is never evicted, so a single oversized
+// value is admitted rather than thrashing.
+func (c *Cache) evictLocked() {
 	for c.ll.Len() > 1 &&
 		(c.ll.Len() > c.maxEntries || (c.maxBytes > 0 && c.bytes > c.maxBytes)) {
 		back := c.ll.Back()

@@ -190,6 +190,42 @@ func TestLRURecencyOrder(t *testing.T) {
 	}
 }
 
+// TestRecharge: a resident entry charged anew changes the byte count,
+// moves to the front and evicts from the back, never itself; a key that is
+// not resident, or that holds another value, is left as it is.
+func TestRecharge(t *testing.T) {
+	size := func(any) int64 { return 100 }
+	c := New(100, 350)
+	vals := []*int{new(int), new(int), new(int)}
+	for i, v := range vals {
+		c.Do(fmt.Sprintf("k%d", i), size, func() (any, error) { return v, nil })
+	}
+	c.Recharge("k1", vals[1], 150)
+	if st := c.Stats(); st.Entries != 3 || st.Bytes != 350 || st.Evictions != 0 {
+		t.Fatalf("after k1 grew to 150 B: stats = %+v, want 3 entries of 350 B", st)
+	}
+	// k0, at the back, grows and moves to the front: k2 is now the back.
+	c.Recharge("k0", vals[0], 200)
+	if st := c.Stats(); st.Entries != 2 || st.Bytes != 350 || st.Evictions != 1 {
+		t.Fatalf("after k0 grew to 200 B: stats = %+v, want 2 entries of 350 B after one eviction", st)
+	}
+	if _, ok := c.Get([]byte("k2")); ok {
+		t.Fatal("k2, at the back, survived k0's growth")
+	}
+	c.Recharge("k0", vals[0], 1000)
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != 1000 {
+		t.Fatalf("after k0 outgrew the bound: stats = %+v, want k0 alone at 1000 B", st)
+	}
+	if v, ok := c.Get([]byte("k0")); !ok || v != vals[0] {
+		t.Fatal("the entry that grew evicted itself")
+	}
+	c.Recharge("k1", vals[1], 5) // evicted
+	c.Recharge("k0", vals[1], 5) // holds another value
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != 1000 || st.Evictions != 2 {
+		t.Fatalf("recharging an absent key or another value changed the cache: stats = %+v", st)
+	}
+}
+
 // TestSingleflightExactlyOnce is the dedup contract: N concurrent
 // identical requests trigger exactly one computation, and the counters
 // prove it (misses == 1, everything else a hit or an in-flight wait).

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"slices"
 	"strconv"
+	"unsafe"
 
 	"gcao/internal/asd"
 	"gcao/internal/obs"
@@ -161,6 +162,19 @@ func (a *Analysis) newResult(v Version, n int) *Result {
 		subsumedAt: make([]Position, len(a.Entries)),
 		lists:      make([]*Entry, 0, n),
 	}
+}
+
+// Bytes returns what the Result holds beside its Analysis: itself, its
+// groups and their member lists, the subsumption positions and the two
+// maps, each map by its entries' keys and values.
+func (r *Result) Bytes() int64 {
+	return int64(unsafe.Sizeof(*r)) +
+		int64(cap(r.Groups))*int64(unsafe.Sizeof(r.Groups[0])) +
+		int64(cap(r.groups))*int64(unsafe.Sizeof(r.groups[0])) +
+		int64(cap(r.lists))*int64(unsafe.Sizeof(r.lists[0])) +
+		int64(cap(r.subsumedAt))*int64(unsafe.Sizeof(r.subsumedAt[0])) +
+		int64(len(r.Redundant))*int64(unsafe.Sizeof(r.lists[0])+unsafe.Sizeof(r.Redundant[nil])) +
+		int64(len(r.PosOf))*int64(unsafe.Sizeof(r.lists[0])+unsafe.Sizeof(r.PosOf[nil]))
 }
 
 // reserve sizes the Result's groups for the k a strategy is about to

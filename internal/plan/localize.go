@@ -2,6 +2,7 @@ package plan
 
 import (
 	"slices"
+	"unsafe"
 
 	"gcao/internal/dist"
 	"gcao/internal/runtime"
@@ -98,7 +99,7 @@ func (lw *lowerer) localize(nodes []Node) {
 			if nest := lw.pureNest(n); nest != nil {
 				n.Nest = nest
 				lw.clamp(nest)
-				nest.entryKey(lw.pr)
+				lw.entryKey(nest)
 				for l, lp := range nest.loops {
 					if lp.Row = lw.rowBody(lp); lp.Row != nil {
 						lw.boxChain(nest, l)
@@ -146,7 +147,16 @@ func (lw *lowerer) pureNest(root *Loop) *Nest {
 			}
 		}
 	}
-	return &Nest{loops: slices.Clone(nest.loops), up: slices.Clone(nest.up), stmts: slices.Clone(nest.stmts), loopOf: slices.Clone(nest.loopOf)}
+	out := &Nest{
+		loops: carve(lw, &lw.loopLists, len(nest.loops)), up: carve(lw, &lw.ints, len(nest.up)),
+		stmts: carve(lw, &lw.stmtLists, len(nest.stmts)), loopOf: carve(lw, &lw.ints, len(nest.loopOf)),
+	}
+	copy(out.loops, nest.loops)
+	copy(out.up, nest.up)
+	copy(out.stmts, nest.stmts)
+	copy(out.loopOf, nest.loopOf)
+	lw.pr.bytes += int64(unsafe.Sizeof(*out))
+	return out
 }
 
 // collect adds lp, below the loop at index up, and everything under it to
@@ -347,6 +357,7 @@ func (lw *lowerer) clamp(n *Nest) {
 		}
 	}
 	kept := make([]Range, 0, clamped*procs)
+	lw.pr.bytes += bytesOf(kept)
 	for _, lp := range n.loops {
 		if lp.Clamp != nil {
 			k := len(kept)
@@ -382,7 +393,8 @@ func (lw *lowerer) clamp(n *Nest) {
 
 // entryKey collects the slots Enter's outcome depends on beside the
 // frame's processor and reserves the nest's part of the frames' memos.
-func (n *Nest) entryKey(pr *Program) {
+func (lw *lowerer) entryKey(n *Nest) {
+	pr := lw.pr
 	for _, lp := range n.loops {
 		n.slots = addSlots(addSlots(n.slots, &lp.Lo.Affine, n.loopOf), &lp.Hi.Affine, n.loopOf)
 	}
@@ -413,6 +425,7 @@ func (n *Nest) entryKey(pr *Program) {
 		at += 2 * len(st.LHS.Subs)
 	}
 	n.memo, pr.memoLen = pr.memoLen, at
+	pr.bytes += bytesOf(n.slots) + bytesOf(n.proofs)
 }
 
 // proves reports whether a proof of the nest reads what r reads in the

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"gcao/internal/ast"
 	"gcao/internal/cfg"
@@ -23,6 +24,17 @@ import (
 func Lower(res *core.Result) *Program {
 	u := res.Analysis.Unit
 	pl := newPlan(res, runtime.NewLayout(u, u.Grid.NumProcs(), margins(res)))
+	positions, entries := 0, 0
+	for _, at := range pl.Comm {
+		for _, groups := range at {
+			positions += min(len(groups), 1)
+		}
+	}
+	for _, g := range res.Groups {
+		if g.Kind != core.KindReduce {
+			entries += len(g.Entries)
+		}
+	}
 	lw := &lowerer{
 		pl:       pl,
 		pr:       &Program{Plan: pl},
@@ -31,7 +43,11 @@ func Lower(res *core.Result) *Program {
 		sumSlot:  map[*ast.Call]int{},
 		stmts:    make([]Stmt, 0, len(pl.A.G.Stmts)),
 		lps:      make([]Loop, 0, len(pl.A.G.Loops)),
+		comms:    make([]Comm, 0, positions),
+		commOps:  make([]CommOp, 0, len(res.Groups)),
+		ents:     make([]EntrySec, 0, entries),
 	}
+	lw.pr.bytes = int64(unsafe.Sizeof(*lw.pr)) + bytesOf(lw.stmts) + bytesOf(lw.lps) + bytesOf(lw.comms) + bytesOf(lw.commOps) + bytesOf(lw.ents)
 	for _, l := range pl.A.G.Loops {
 		if _, ok := lw.intSlot[l.Var()]; !ok {
 			lw.intSlot[l.Var()] = len(lw.pr.Ints)
@@ -51,8 +67,14 @@ func Lower(res *core.Result) *Program {
 	lw.unbound = make([]string, len(lw.pr.Reals))
 	lw.pr.Body, _ = lw.seq(pl.A.G.EntryBlock)
 	lw.localize(lw.pr.Body)
-	return lw.pr
+	pr := lw.pr
+	pr.bytes += bytesOf(pr.Ints) + bytesOf(pr.Reals) + bytesOf(pr.Exchanges) + bytesOf(pr.inline) + bytesOf(pr.errs)
+	return pr
 }
+
+// bytesOf returns the bytes of a slice's array: its capacity times the
+// size of an element.
+func bytesOf[T any](s []T) int64 { return int64(cap(s)) * int64(unsafe.Sizeof(s[0])) }
 
 // margins returns the overlap region of every array the placement's
 // groups leave room for (runtime.NewLayout): the widest shift that
@@ -96,22 +118,29 @@ type lowerer struct {
 	// lowering allocates by the Program, not by the expression: every
 	// statement and loop, every expression node and a statement's row
 	// ops, every Affine's terms, every ArrayRef, its subscripts and a
-	// statement's list of them, every section's bounds and steps. The
-	// statements and loops are sized to the CFG's, so each is one
-	// allocation. vars[slot] is the one-term form of a loop variable,
-	// which every read of it shares.
-	stmts    []Stmt
-	lps      []Loop
-	reals    []Real
-	gens     []intNode
-	ops      []rowOp
-	terms    []Term
-	subs     []IntExpr
-	refs     []ArrayRef
-	refLists []*ArrayRef
-	bounds   []Affine
-	steps    []int
-	vars     [][]Term
+	// statement's list of them, every communication position, its ops and
+	// their entries, every section's bounds and steps, a statement's
+	// enclosing loops and a nest's lists. The statements and loops are
+	// sized to the CFG's, the positions, ops and entries to the placement's,
+	// so each is one allocation. vars[slot] is the one-term form of a loop
+	// variable, which every read of it shares.
+	stmts     []Stmt
+	lps       []Loop
+	reals     []Real
+	gens      []intNode
+	ops       []rowOp
+	terms     []Term
+	subs      []IntExpr
+	refs      []ArrayRef
+	refLists  []*ArrayRef
+	comms     []Comm
+	commOps   []CommOp
+	ents      []EntrySec
+	bounds    []Affine
+	ints      []int
+	loopLists []*Loop
+	stmtLists []*Stmt
+	vars      [][]Term
 	// unbound[s] is the message of a strict read of real slot s while the
 	// scalar is unassigned, made at the first such read.
 	unbound []string
@@ -166,6 +195,7 @@ func (lw *lowerer) seq(b *cfg.Block) ([]Node, *cfg.Block) {
 			lw.beginExpr()
 			n.Cond = lw.real(b.Branch.Cond)
 			n.Sums, n.Sync = lw.sums, len(lw.sums) > 0
+			lw.pr.bytes += int64(unsafe.Sizeof(*n)) + bytesOf(n.Sums)
 			for _, r := range lw.reads {
 				n.Sync = n.Sync || r.Lay.Dist != nil
 			}
@@ -179,14 +209,20 @@ func (lw *lowerer) seq(b *cfg.Block) ([]Node, *cfg.Block) {
 			continue
 		}
 		if len(b.Succs) == 0 {
-			return out, nil
+			return lw.kept(out), nil
 		}
 		next := b.Succs[0]
 		if next.Kind == cfg.Join || next.Kind == cfg.Header {
-			return out, next
+			return lw.kept(out), next
 		}
 		b = next
 	}
+}
+
+// kept counts a list of nodes the Program keeps.
+func (lw *lowerer) kept(nodes []Node) []Node {
+	lw.pr.bytes += bytesOf(nodes)
+	return nodes
 }
 
 func appendComm(out []Node, c *Comm) []Node {
@@ -198,7 +234,7 @@ func appendComm(out []Node, c *Comm) []Node {
 
 func (lw *lowerer) loop(pre *cfg.Block) *Loop {
 	src := pre.Succs[0].Loop // a preheader's first edge enters its loop's header
-	lp := &carve(&lw.lps, 1)[0]
+	lp := &carve(lw, &lw.lps, 1)[0]
 	*lp = Loop{
 		Src:  src,
 		Slot: lw.intSlot[src.Var()],
@@ -220,17 +256,19 @@ func (lw *lowerer) loop(pre *cfg.Block) *Loop {
 func (lw *lowerer) stmt(st *cfg.Stmt) *Stmt {
 	as := st.Assign
 	if lw.stack == nil {
-		lw.stack = slices.Clone(lw.loops)
+		lw.stack = carve(lw, &lw.loopLists, len(lw.loops))
+		copy(lw.stack, lw.loops)
 	}
-	out := &carve(&lw.stmts, 1)[0]
+	out := &carve(lw, &lw.stmts, 1)[0]
 	*out = Stmt{Src: st, Flops: CountFlops(as.RHS), Scalar: -1, Guard: true, loops: lw.stack}
 	lw.beginExpr()
 	lw.rowOK = len(lw.loops) > 0
 	out.RHS = lw.real(as.RHS)
-	out.Sums, out.reads = lw.sums, carve(&lw.refLists, len(lw.reads))
+	out.Sums, out.reads = lw.sums, carve(lw, &lw.refLists, len(lw.reads))
+	lw.pr.bytes += bytesOf(out.Sums)
 	copy(out.reads, lw.reads)
 	if lw.rowOK {
-		out.row, lw.rowOK = carve(&lw.ops, len(lw.row)), false
+		out.row, lw.rowOK = carve(lw, &lw.ops, len(lw.row)), false
 		copy(out.row, lw.row)
 	}
 	if am := lw.pl.Layout.Array(as.LHS.Name); am != nil {
@@ -253,13 +291,15 @@ func (lw *lowerer) comm(groups []*core.Group) *Comm {
 	if len(groups) == 0 {
 		return nil
 	}
-	c := &Comm{Ops: make([]CommOp, len(groups))}
+	c := &carve(lw, &lw.comms, 1)[0]
+	c.Ops = carve(lw, &lw.commOps, len(groups))
 	for i, g := range groups {
 		op := CommOp{Group: g}
 		if g.Kind == core.KindShift {
 			op.xid, lw.pr.Exchanges = len(lw.pr.Exchanges), append(lw.pr.Exchanges, &c.Ops[i])
 		}
 		if g.Kind != core.KindReduce {
+			op.Entries = carve(lw, &lw.ents, len(g.Entries))[:0]
 			for _, e := range g.Entries {
 				if es, ok := lw.entry(g, e); ok {
 					op.Entries = append(op.Entries, es)
@@ -268,6 +308,7 @@ func (lw *lowerer) comm(groups []*core.Group) *Comm {
 					}
 				}
 			}
+			lw.pr.bytes += bytesOf(op.Slots)
 		}
 		c.Ops[i] = op
 	}
@@ -287,8 +328,8 @@ func (lw *lowerer) settle(nodes []Node) {
 	for i, n := range nodes {
 		if st, ok := n.(*Stmt); ok && len(st.Sums) > 0 {
 			if op := lw.settleAt(st, nodes[i+1:]); op != nil {
-				if op.Settles == nil { // one allocation a group
-					op.Settles = make([]*Stmt, 0, len(op.Group.Entries))
+				if op.Settles == nil {
+					op.Settles = carve(lw, &lw.stmtLists, len(op.Group.Entries))[:0]
 				}
 				st.Settle, op.Settles = op, append(op.Settles, st)
 			}
@@ -353,7 +394,7 @@ func (lw *lowerer) entry(g *core.Group, e *core.Entry) (EntrySec, bool) {
 	}
 	sec := e.SectionAt(lw.pl.A, g.Pos.Level())
 	n := len(sec.Dims)
-	es.Lo, es.Hi, es.Step = carve(&lw.bounds, n), carve(&lw.bounds, n), carve(&lw.steps, n)
+	es.Lo, es.Hi, es.Step = carve(lw, &lw.bounds, n), carve(lw, &lw.bounds, n), carve(lw, &lw.ints, n)
 	for i, d := range sec.Dims {
 		if !lw.form(d.Lo, &es.Lo[i], &es.need) || !lw.form(d.Hi, &es.Hi[i], &es.need) {
 			return EntrySec{}, false
@@ -361,6 +402,7 @@ func (lw *lowerer) entry(g *core.Group, e *core.Entry) (EntrySec, bool) {
 		es.Step[i] = max(d.Step, 1)
 	}
 	slices.Sort(es.need)
+	lw.pr.bytes += bytesOf(es.need)
 	return es, true
 }
 
@@ -368,7 +410,7 @@ func (lw *lowerer) entry(g *core.Group, e *core.Entry) (EntrySec, bool) {
 // by slot, and adds to need the slots it reads from outside their loops;
 // false when a name no loop binds appears in it.
 func (lw *lowerer) form(f lin.Form, a *Affine, need *[]int) bool {
-	a.Const, a.Terms = f.Const, carve(&lw.terms, len(f.Terms))
+	a.Const, a.Terms = f.Const, carve(lw, &lw.terms, len(f.Terms))
 	for k, t := range f.Terms {
 		slot, ok := lw.intSlot[t.Var]
 		if !ok {
@@ -390,14 +432,16 @@ const maxChunk = 64
 // an append to them copies instead of overwriting the next carving; nil
 // for none. A full slab is replaced by a new one — what was carved from
 // it stays where it is — twice as large up to maxChunk elements: a
-// Program keeps its slabs' unused tails alive as long as it is cached.
-func carve[T any](slab *[]T, n int) []T {
+// Program keeps its slabs' unused tails alive as long as it is cached,
+// so the Program's count takes every new slab whole.
+func carve[T any](lw *lowerer, slab *[]T, n int) []T {
 	if n == 0 {
 		return nil
 	}
 	s := *slab
 	if cap(s)-len(s) < n {
 		s = make([]T, 0, max(n, min(2*cap(s), maxChunk), 16))
+		lw.pr.bytes += bytesOf(s)
 	}
 	k := len(s)
 	*slab = s[:k+n]
@@ -458,25 +502,29 @@ func (lw *lowerer) intExpr(e ast.Expr) IntExpr {
 // gen returns the form of node n, carved from the slab with copies of its
 // operands (nil for none).
 func (lw *lowerer) gen(n intNode, x, y *IntExpr) IntExpr {
-	g := &carve(&lw.gens, 1)[0]
+	g := &carve(lw, &lw.gens, 1)[0]
 	*g = n
 	if x != nil {
-		g.x = &carve(&lw.subs, 1)[0]
+		g.x = &carve(lw, &lw.subs, 1)[0]
 		*g.x = *x
 	}
 	if y != nil {
-		g.y = &carve(&lw.subs, 1)[0]
+		g.y = &carve(lw, &lw.subs, 1)[0]
 		*g.y = *y
 	}
 	return IntExpr{gen: g}
 }
 
+// failInt and failReal are the forms of an error with a message of its
+// own, which the Program keeps and counts.
 func (lw *lowerer) failInt(pos source.Pos, msg string) IntExpr {
+	lw.pr.bytes += int64(len(msg))
 	return lw.gen(intNode{kind: intFail, slot: lw.errorAt(pos, msg)}, nil, nil)
 }
 
 // errorAt adds a positioned error to the program's table and returns its
-// index.
+// index; the table is counted whole at the end of lowering, a message by
+// the caller that made it.
 func (lw *lowerer) errorAt(pos source.Pos, msg string) int32 {
 	lw.pr.errs = append(lw.pr.errs, source.Error{Pos: pos, Msg: msg})
 	return int32(len(lw.pr.errs) - 1)
@@ -489,7 +537,7 @@ func (lw *lowerer) intName(e *ast.Ident) IntExpr {
 	slot, isVar := lw.intSlot[e.Name]
 	if isVar && lw.depth(slot) >= 0 {
 		if lw.vars[slot] == nil {
-			lw.vars[slot] = carve(&lw.terms, 1)
+			lw.vars[slot] = carve(lw, &lw.terms, 1)
 			lw.vars[slot][0] = Term{Slot: slot, Coef: 1}
 		}
 		return IntExpr{Affine: Affine{Terms: lw.vars[slot]}}
@@ -528,7 +576,7 @@ func (lw *lowerer) addScaled(x, y *Affine, c int) Affine {
 	if c == 0 || len(y.Terms) == 0 {
 		return out
 	}
-	out.Terms = carve(&lw.terms, len(x.Terms)+len(y.Terms))[:0]
+	out.Terms = carve(lw, &lw.terms, len(x.Terms)+len(y.Terms))[:0]
 	xs, ys := x.Terms, y.Terms // both sorted by slot: merge
 	for len(xs) > 0 || len(ys) > 0 {
 		var t Term
@@ -554,8 +602,8 @@ func (lw *lowerer) addScaled(x, y *Affine, c int) Affine {
 // arrayRef lowers an element reference under its array's layout and folds
 // its offset in the planes' stride space where every subscript is affine.
 func (lw *lowerer) arrayRef(ref *ast.Ref, am *runtime.ArrayLayout) *ArrayRef {
-	r := &carve(&lw.refs, 1)[0]
-	r.Lay, r.Pos, r.Subs = am, ref.Pos, carve(&lw.subs, len(ref.Subs))
+	r := &carve(lw, &lw.refs, 1)[0]
+	r.Lay, r.Pos, r.Subs = am, ref.Pos, carve(lw, &lw.subs, len(ref.Subs))
 	for i, sub := range ref.Subs {
 		if sub.Kind != ast.SubExpr {
 			r.Subs[i] = lw.failInt(ref.Pos, fmt.Sprintf("section of %s where an element is needed", ref.Name))
@@ -597,6 +645,7 @@ func (lw *lowerer) secExpr(ref *ast.Ref, am *runtime.ArrayLayout) SecExpr {
 	}
 	arr := am.Arr
 	sec := SecExpr{Dims: make([]SecDim, arr.Rank())}
+	lw.pr.bytes += bytesOf(sec.Dims)
 	for i := range sec.Dims {
 		switch {
 		case len(ref.Subs) == 0:
@@ -662,12 +711,13 @@ func (lw *lowerer) real(e ast.Expr) *Real {
 
 // node carves a real node from the slab.
 func (lw *lowerer) node(n Real) *Real {
-	p := &carve(&lw.reals, 1)[0]
+	p := &carve(lw, &lw.reals, 1)[0]
 	*p = n
 	return p
 }
 
 func (lw *lowerer) failReal(pos source.Pos, msg string) *Real {
+	lw.pr.bytes += int64(len(msg))
 	return lw.node(Real{kind: realFail, slot: lw.errorAt(pos, msg)})
 }
 
@@ -752,8 +802,10 @@ func (lw *lowerer) scalar(name string, pos source.Pos, strict bool) *Real {
 	} else if s, ok := lw.realSlot[name]; ok && strict {
 		if lw.unbound[s] == "" {
 			lw.unbound[s] = fmt.Sprintf("unbound scalar %q", name)
+			lw.pr.bytes += int64(len(lw.unbound[s]))
 		}
-		n = lw.node(Real{kind: realStrict, slot: int32(s), x: lw.failReal(pos, lw.unbound[s])})
+		fail := lw.node(Real{kind: realFail, slot: lw.errorAt(pos, lw.unbound[s])})
+		n = lw.node(Real{kind: realStrict, slot: int32(s), x: fail})
 	} else if ok {
 		n = lw.node(Real{kind: realScalar, slot: int32(s)})
 	} else if strict {

@@ -45,10 +45,11 @@ func TestLoweredTermsCapped(t *testing.T) {
 }
 
 // TestLowerAllocations pins what lowering allocates — a function of the
-// program, not of its expressions — at 1.25× the measured count, on
-// sim-verify's hydflo/flux (363; 659 while expressions were closures,
+// program, not of its expressions — at 1.25× the count measured before
+// communication positions and nest lists were carved too, on sim-verify's
+// hydflo/flux (283 now; 363 then, 659 while expressions were closures,
 // 3,383 when every expression allocated) and on native-comm's shallow
-// (284; 498; 2,116).
+// (250; 284; 498; 2,116).
 func TestLowerAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		bench, routine string

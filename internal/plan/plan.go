@@ -30,6 +30,7 @@ package plan
 import (
 	"cmp"
 	"slices"
+	"unsafe"
 
 	"gcao/internal/ast"
 	"gcao/internal/core"
@@ -55,6 +56,8 @@ type Plan struct {
 	// count: broadcasts, gathers, reductions and barriers follow its
 	// parent/child edges for a log-P critical path.
 	Tree *Tree
+	// bytes counts the plan's own tables and its tree.
+	bytes int64
 }
 
 // New builds the plan of a placement under the layout of a memory image.
@@ -86,6 +89,10 @@ func newPlan(res *core.Result, layout *runtime.Layout) *Plan {
 		pl.Comm[pos.Block.ID][pos.After+1], i = groups[i:j:j], j
 	}
 	pl.Tree = buildTree(layout.P)
+	t := pl.Tree
+	pl.bytes = int64(unsafe.Sizeof(*pl)) + bytesOf(pl.Comm) + int64(n)*int64(unsafe.Sizeof(pl.Comm[0][0])) + bytesOf(groups) +
+		int64(unsafe.Sizeof(*t)) + bytesOf(t.Parent) + bytesOf(t.Children) + bytesOf(t.Order) + bytesOf(t.Pos) + bytesOf(t.SubSize) +
+		int64(max(t.Procs-1, 0))*int64(unsafe.Sizeof(t.Procs)) // the children's one slab
 	return pl
 }
 

@@ -47,7 +47,15 @@ type Program struct {
 	// scratch floats of one statement, array references and leaf operands
 	// of one row loop's body, outer loops of one chain.
 	rowDepth, rowFloats, rowRefs, rowLeaves, boxLevels int
+	// bytes counts what lowering allocated that the Program keeps, beside
+	// its Plan: each slab whole when it is made, each list the lowerer
+	// grows by its capacity once it is done.
+	bytes int64
 }
+
+// Bytes returns what the Program holds beside its placement: its own
+// count, its Plan's tables and its array layout.
+func (pr *Program) Bytes() int64 { return pr.bytes + pr.Plan.bytes + pr.Plan.Layout.Bytes() }
 
 // Node is one element of the lowered control-flow tree: *Comm, *Stmt,
 // *Loop or *If.

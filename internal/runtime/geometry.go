@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"unsafe"
+
 	"gcao/internal/dist"
 	"gcao/internal/section"
 )
@@ -60,8 +62,8 @@ func NewScratch(rank int) *Scratch {
 
 // initGeometry builds the ownership tables of the array on p processors
 // and its local boxes: widened by margin on every BLOCK dimension when
-// boxed, else the declared bounds.
-func (am *ArrayLayout) initGeometry(p, margin int, boxed bool) {
+// boxed, else the declared bounds. It returns the bytes of the tables.
+func (am *ArrayLayout) initGeometry(p, margin int, boxed bool) int64 {
 	arr, d := am.Arr, am.Dist
 	rank := arr.Rank()
 	total := 0
@@ -70,6 +72,7 @@ func (am *ArrayLayout) initGeometry(p, margin int, boxed bool) {
 	}
 	ints := make([]int, total+arr.Hi[rank-1]-arr.Lo[rank-1]+1+2*rank+p*rank+p)
 	am.own = make([][]int, rank)
+	bytes := int64(len(ints))*int64(unsafe.Sizeof(ints[0])) + int64(rank)*int64(unsafe.Sizeof(am.own[0]))
 	for k := range am.own {
 		n := arr.Hi[k] - arr.Lo[k] + 1
 		am.own[k], ints = ints[:n:n], ints[n:]
@@ -101,6 +104,7 @@ func (am *ArrayLayout) initGeometry(p, margin int, boxed bool) {
 			}
 		}
 		am.box = make([]int, 2*p*rank)
+		bytes += int64(len(am.box)) * int64(unsafe.Sizeof(am.box[0]))
 		coords := make([]int, d.Grid.Rank())
 		for q := 0; q < p; q++ {
 			d.Grid.CoordsInto(q, coords)
@@ -126,6 +130,7 @@ func (am *ArrayLayout) initGeometry(p, margin int, boxed bool) {
 			am.runEnd[i] = am.runEnd[i+1]
 		}
 	}
+	return bytes
 }
 
 // OwnedBox returns the inclusive bounds of processor p's owned box in

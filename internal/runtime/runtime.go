@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"unsafe"
 
 	"gcao/internal/dist"
 	"gcao/internal/machine"
@@ -169,6 +170,7 @@ type Layout struct {
 	MaxRank int
 	byName  map[string]*ArrayLayout
 	margin  map[string]int
+	bytes   int64
 }
 
 // ArrayLayout is the geometry of one array: bounds, strides, distribution,
@@ -236,11 +238,19 @@ func NewLayout(u *sem.Unit, p int, margin map[string]int) *Layout {
 		arr := u.Arrays[name]
 		al := &ArrayLayout{Name: name, Arr: arr, Dist: arr.Dist, Slot: slot, whole: section.Whole(arr.Lo, arr.Hi)}
 		w, boxed := margin[name]
-		al.initGeometry(p, w, boxed)
+		l.bytes += al.initGeometry(p, w, boxed) + int64(unsafe.Sizeof(*al)) + int64(len(al.whole.Dims))*int64(unsafe.Sizeof(al.whole.Dims[0]))
 		l.Arrays, l.byName[name], l.MaxRank = append(l.Arrays, al), al, max(l.MaxRank, arr.Rank())
 	}
+	l.bytes += int64(unsafe.Sizeof(*l)) + int64(cap(l.Arrays))*int64(unsafe.Sizeof(l.Arrays[0])) +
+		int64(len(l.byName))*int64(unsafe.Sizeof("")+unsafe.Sizeof(l.byName[""])) +
+		int64(len(margin))*int64(unsafe.Sizeof("")+unsafe.Sizeof(margin[""]))
 	return l
 }
+
+// Bytes returns what the layout holds: itself, its arrays' layouts with
+// their ownership tables and local boxes, and its two maps by their
+// entries' keys and values.
+func (l *Layout) Bytes() int64 { return l.bytes }
 
 // Fits reports whether images made under o fit l: same unit, P and margins.
 func (l *Layout) Fits(o *Layout) bool {

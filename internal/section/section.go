@@ -98,32 +98,30 @@ func gcd(a, b int) int {
 	return a
 }
 
-// dimIntersect intersects two normalized dims exactly when both strides
-// are 1 or the lattices line up; otherwise it returns a conservative
-// overapproximation flag. ok=false means the exact intersection is not
-// representable as a single triplet and the returned dim overapproximates.
-func dimIntersect(a, b Dim) (Dim, bool) {
+// dimIntersect intersects two normalized dims exactly: the overlap of
+// their ranges when both strides are 1, else the lattice both strides
+// share from its first point in that overlap, empty when there is none.
+func dimIntersect(a, b Dim) Dim {
 	if a.Lo > a.Hi || b.Lo > b.Hi {
-		return Dim{Lo: 1, Hi: 0, Step: 1}, true
+		return Dim{Lo: 1, Hi: 0, Step: 1}
 	}
 	lo := max(a.Lo, b.Lo)
 	hi := min(a.Hi, b.Hi)
 	if lo > hi {
-		return Dim{Lo: 1, Hi: 0, Step: 1}, true
+		return Dim{Lo: 1, Hi: 0, Step: 1}
 	}
 	if a.Step == 1 && b.Step == 1 {
-		return Dim{Lo: lo, Hi: hi, Step: 1}, true
+		return Dim{Lo: lo, Hi: hi, Step: 1}
 	}
 	// Solve x ≡ a.Lo (mod a.Step), x ≡ b.Lo (mod b.Step) by search over
 	// one period; strides in compiler-generated sections are tiny.
 	step := a.Step / gcd(a.Step, b.Step) * b.Step
 	for x := lo; x < lo+step && x <= hi; x++ {
 		if (x-a.Lo)%a.Step == 0 && (x-b.Lo)%b.Step == 0 {
-			d := normDim(Dim{Lo: x, Hi: hi, Step: step})
-			return d, true
+			return normDim(Dim{Lo: x, Hi: hi, Step: step})
 		}
 	}
-	return Dim{Lo: 1, Hi: 0, Step: 1}, true
+	return Dim{Lo: 1, Hi: 0, Step: 1}
 }
 
 // ClipInto restricts the section to the box [lo, hi] (inclusive), each
@@ -147,8 +145,7 @@ func (s Section) ClipInto(lo, hi []int, dst []Dim) Section {
 // Intersect returns the exact intersection of two dimensions, strides
 // included, in canonical form.
 func (d Dim) Intersect(o Dim) Dim {
-	c, _ := dimIntersect(normDim(d), normDim(o))
-	return normDim(c)
+	return normDim(dimIntersect(normDim(d), normDim(o)))
 }
 
 // String renders the section in Fortran triplet notation.
