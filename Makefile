@@ -252,7 +252,8 @@ nativeprof-smoke:
 # ci/compile-alloc-budget.txt: 1.25x the measured allocs/op — 297, for
 # the 238 it takes once the dependence memo keeps one direction vector
 # per class of (def, use) pair and diagonal coalescing carves its lists
-# from slabs (329 and a budget of 411 before; 1,049 before sem, the
+# from slabs, 211 once placement keeps its redundancy and position tables
+# by entry ID (329 and a budget of 411 before; 1,049 before sem, the
 # skeleton's layers and the candidate lists allocated by the routine),
 # where the revision before the per-level section tables spent 399 416 —
 # a pair test that starts re-expanding sections again is a regression
@@ -283,7 +284,14 @@ nativeprof-smoke:
 # full one (TestHullCountMatchesHull). The parser's own pins go first: its
 # output on the golden corpus byte for byte (TestASTGolden), the nesting
 # bound, and what parsing the six routines allocates (TestParseAllocs,
-# 1.25x the measured count).
+# 1.25x the measured count). What the cache charges is held the same way:
+# every tier charges a value what its Bytes counts where it was made —
+# each tier's bytes the sum of its residents' counts, a skeleton charged
+# where it is held (TestTierChargesCounted) — and each count within 1.25x
+# of the heap the value keeps on the six routines: a compilation one-shot
+# and as one binding of a cached source, a skeleton-tier front
+# (TestCompilationSizeTracksHeap), a placement never run and lowered
+# (TestPlacedSizeTracksHeap).
 compile-smoke:
 	$(GO) test ./internal/parser -run 'TestASTGolden|TestParseNestingLimit|TestParseAllocs' -count=1
 	$(GO) test ./cmd/hpfc -run 'TestFig10aHydfloFlux' -count=1
@@ -293,7 +301,7 @@ compile-smoke:
 	$(GO) test ./internal/core -run 'TestPlacementGolden|TestSectionTableMatchesExpansion|TestPlaceNilRecorderAllocs|TestNilTallyCostsNothing|TestPlacementScratchPerCall|TestLazyLabelsMatchEagerFormat|TestFrontEndAllocs|TestLatestEarliestMatchExhaustive|TestAnalysisScales' -count=1
 	$(GO) test ./internal/dep -run 'TestClassMemoMatchesFresh' -count=1
 	$(GO) test -race ./internal/core -run 'TestSharedAnalysisConcurrentPlace|TestConcurrentPlacementLabels' -count=1
-	$(GO) test . -run 'TestSkeletonMatchesMonolithic|TestSkeletonHitPin' -count=1
+	$(GO) test . -run 'TestSkeletonMatchesMonolithic|TestSkeletonHitPin|TestCompilationSizeTracksHeap|TestPlacedSizeTracksHeap|TestTierChargesCounted' -count=1
 	$(GO) test ./cmd/gcaod -run 'TestColdKnownSourceAllocs' -count=1
 	$(GO) test -race . -run 'TestSkeletonSharedConcurrently' -count=1
 	@GO="$(GO)" sh ci/alloc-budget.sh 'BenchmarkFig10aHydfloFlux$$' ci/compile-alloc-budget.txt compile-smoke

@@ -6,6 +6,7 @@ import (
 	"gcao/internal/ast"
 	"gcao/internal/cache"
 	"gcao/internal/core"
+	"gcao/internal/heapsize"
 )
 
 // CacheTierStats re-exports one cache tier's snapshot: occupancy,
@@ -36,9 +37,10 @@ const (
 type CacheOptions struct {
 	// MaxEntries bounds each tier's entry count.
 	MaxEntries int
-	// MaxBytes bounds the bytes each tier charges its values: a placement
-	// what it holds, counted (its Program from its first run on), a
-	// compilation or a skeleton an estimate fitted to the heap it keeps;
+	// MaxBytes bounds the bytes each tier charges its values: what each
+	// holds, counted where it was made — a compilation its analysis under
+	// one binding, a skeleton its parsed routine and shared structure, a
+	// placement its result (and its Program from its first run on);
 	// negative disables the byte bound.
 	MaxBytes int64
 }
@@ -105,7 +107,7 @@ func (c *Cache) CompileProgram(source, main string, cfg Config) (*Compilation, C
 	fp := cache.Fingerprint("gcao-compile-v1",
 		source, main, cache.CanonParams(cfg.Params), strconv.Itoa(cfg.Procs))
 	var out CompileOutcome
-	v, compOut, err := c.compile.Do(fp, compilationSize, func() (any, error) {
+	v, compOut, err := c.compile.Do(fp, charge, func() (any, error) {
 		comp, skOut, err := c.fromSkeleton(source, main, cfg)
 		out.Skeleton = skOut
 		cfg.Obs.Add("cache.skeleton."+skOut.String(), 1)
@@ -124,13 +126,24 @@ func (c *Cache) CompileProgram(source, main string, cfg Config) (*Compilation, C
 }
 
 // front is what the skeleton tier holds for a (source, main): the routine
-// as parsed and inlined, and its skeleton when that serves every binding
-// (nil when the source has array statements, whose scalarization reads the
-// sizes: each binding then builds its own from the routine).
+// as parsed and inlined, the source text its names slice, and its
+// skeleton when that serves every binding (nil when the source has array
+// statements, whose scalarization reads the sizes: each binding then
+// builds its own from the routine).
 type front struct {
-	routine  *ast.Routine
-	shared   *core.Skeleton
-	srcBytes int // len(source), what skeletonSize scales the routine by
+	routine *ast.Routine
+	source  string
+	shared  *core.Skeleton
+}
+
+// Bytes returns what the front holds: itself, the routine, the source
+// text and the shared skeleton.
+func (k *front) Bytes() int64 {
+	n := heapsize.Of(k) + k.routine.Bytes + int64(len(k.source))
+	if k.shared != nil {
+		n += k.shared.Bytes()
+	}
+	return n
 }
 
 // fromSkeleton compiles a compile-tier miss through the skeleton tier. The
@@ -151,15 +164,15 @@ func (c *Cache) fromSkeleton(source, main string, cfg Config) (*Compilation, Cac
 		if built, err = compileRoutine(r, nil, cfg); err != nil {
 			return nil, err
 		}
-		k := &front{routine: r, srcBytes: len(source)}
+		k := &front{routine: r, source: source}
 		if sk := built.Analysis.Skeleton; sk.SizeFree() {
 			k.shared = sk
 		}
 		return k, nil
 	}
-	v, out, err := c.skeleton.Do(key, skeletonSize, build)
+	v, out, err := c.skeleton.Do(key, charge, build)
 	for err != nil && out == CacheDedup {
-		v, out, err = c.skeleton.Do(key, skeletonSize, build)
+		v, out, err = c.skeleton.Do(key, charge, build)
 	}
 	if err != nil || built != nil {
 		return built, out, err
@@ -183,7 +196,7 @@ func (c *Cache) Place(comp *Compilation, s Strategy, rec *Recorder) (*Placed, Ca
 		return p, CacheMiss, err
 	}
 	key := cache.Fingerprint("gcao-place-v1", comp.fingerprint, s.String())
-	v, out, err := c.place.Do(key, placedBytes, func() (any, error) {
+	v, out, err := c.place.Do(key, charge, func() (any, error) {
 		p, err := comp.Place(s, rec)
 		if err == nil {
 			p.tier, p.key = c.place, key
@@ -202,44 +215,7 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{Compile: c.compile.Stats(), Place: c.place.Stats(), Skeleton: c.skeleton.Stats()}
 }
 
-// compilationSize estimates the resident cost of a cached analysis for
-// the byte bound: what this binding alone keeps alive — the unit and the
-// per-entry descriptors (candidate lists and the per-level section
-// tables) — plus the skeleton when no other binding can share it. The
-// constants of the three estimates are fitted to the live-heap growth of
-// the six Fig. 10(a) routines compiled at eight sizes through one Cache
-// (20–95 KB a binding, 85–240 KB a source);
-// TestCompilationSizeTracksHeap keeps each within 2× of it.
-func compilationSize(v any) int64 {
-	a := v.(*Compilation).Analysis
-	n := int64(4<<10) + int64(len(a.Entries))*1536
-	if !a.SizeFree() {
-		n += structureSize(a.Skeleton)
-	}
-	return n
-}
-
-// skeletonSize estimates the resident cost of a skeleton-tier value: the
-// parsed routine (whose names are slices of the source text, so that
-// stays too) and the shared skeleton, charged once however many
-// compilations hold them.
-func skeletonSize(v any) int64 {
-	k := v.(*front)
-	n := int64(k.srcBytes) * 25
-	if k.shared != nil {
-		n += structureSize(k.shared)
-	}
-	return n
-}
-
-// structureSize is what a skeleton keeps alive beside the routine:
-// scalarized body, CFG, dominators, SSA and the structural subscript forms.
-func structureSize(sk *core.Skeleton) int64 {
-	return int64(len(sk.G.Blocks))*288 +
-		int64(len(sk.SSA.Uses)+len(sk.SSA.Defs)+len(sk.SSA.Phis))*448
-}
-
-// placedBytes is what the place tier charges a placement: what it holds,
-// (*Placed).Bytes — its Result until its first run lowers it, then its
-// Program too, which Placed.Program re-charges.
-func placedBytes(v any) int64 { return v.(*Placed).Bytes() }
+// charge is what every tier charges a value: what it holds, counted where
+// it was made — a compilation's, a skeleton-tier front's and a
+// placement's Bytes.
+func charge(v any) int64 { return v.(interface{ Bytes() int64 }).Bytes() }

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"gcao/internal/cache"
 )
@@ -155,6 +156,26 @@ func TestFailedBodiesNotKept(t *testing.T) {
 	mustServe(t, h, []byte(`{"source": `+jsonString(tinySrc)+`, "params": {"n": 8}, "procs": 2}`))
 	if n := s.bodies.Stats().Entries; n != 1 {
 		t.Fatalf("a succeeding request left %d bodies, want 1", n)
+	}
+}
+
+// TestBodyTierChargesCounted: the body tier charges a resident body what
+// it holds — the body as its key, the decoded request, the strings decoding
+// made for it and the parameter map's keys and values — nothing fitted.
+func TestBodyTierChargesCounted(t *testing.T) {
+	s := benchServer(t)
+	h := s.handler()
+	body := []byte(`{"source": ` + jsonString(tinySrc) + `, "params": {"n": 8}, "procs": 2, "strategy": "comb", "machine": "SP2", "backend": "sim"}`)
+	mustServe(t, h, body)
+	var req compileRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(len(body)) + int64(unsafe.Sizeof(req)) +
+		int64(len(tinySrc)+len("comb")+len("SP2")+len("sim")) +
+		int64(len("n")) + int64(unsafe.Sizeof("")+unsafe.Sizeof(0))
+	if st := s.bodies.Stats(); st.Entries != 1 || st.Bytes != want {
+		t.Errorf("body tier holds %d entries charged %d B; one body holds %d B", st.Entries, st.Bytes, want)
 	}
 }
 

@@ -56,7 +56,7 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request compile timeout")
 	logLevel := flag.String("log-level", "info", "structured log threshold: debug, info, warn, error")
 	cacheEntries := flag.Int("cache-entries", 1024, "max entries per cache tier (the compilation tiers and the body tier)")
-	cacheBytes := flag.Int64("cache-bytes", 256<<20, "max estimated bytes per cache tier (the compilation tiers and the body tier)")
+	cacheBytes := flag.Int64("cache-bytes", 256<<20, "max bytes each cache tier holds, counted (the compilation tiers and the body tier)")
 	workers := flag.Int("workers", 0, "compile worker goroutines (0: GOMAXPROCS)")
 	queueDepth := flag.Int("queue-depth", 64, "compile admission queue depth; overflow is a 429")
 	flightSize := flag.Int("flight", 256, "finished requests retained by the flight recorder (and by its slow/errored store)")

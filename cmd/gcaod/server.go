@@ -17,6 +17,7 @@ import (
 
 	"gcao"
 	"gcao/internal/cache"
+	"gcao/internal/heapsize"
 	"gcao/internal/native"
 	"gcao/internal/obs"
 	"gcao/internal/obs/reqtrace"
@@ -332,7 +333,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err == nil && !known {
-		s.bodies.Add(string(body), req, bodySize(body))
+		s.bodies.Add(string(body), req, bodyBytes(body, req))
 	}
 	rec.Phase("finalize")
 	// The request is retained before the response is written: a client
@@ -438,10 +439,17 @@ func (s *server) compileBody(body []byte, rec *obs.Recorder) (req compileRequest
 	return req, false, nil
 }
 
-// bodySize estimates what a body-tier entry keeps alive: the body as its
-// key, the decoded source about as long, and a constant for the entry,
-// the parameter map and the other fields.
-func bodySize(body []byte) int64 { return 2*int64(len(body)) + 512 }
+// bodyBytes is what a body-tier entry holds: the body as its key, the
+// request it decodes to with the strings decoding made for it, and its
+// parameter map's keys and values.
+func bodyBytes(body []byte, req compileRequest) int64 {
+	n := int64(len(body)) + heapsize.Of(&req) + heapsize.Map(req.Params) +
+		int64(len(req.Source)+len(req.Main)+len(req.Strategy)+len(req.Machine)+len(req.Backend))
+	for k := range req.Params {
+		n += int64(len(k))
+	}
+	return n
+}
 
 // strategies are what strategy:"all" places, in response order: the
 // paper's algorithm last.

@@ -38,11 +38,11 @@ import (
 	"log/slog"
 	"slices"
 	"sync"
-	"unsafe"
 
 	"gcao/internal/ast"
 	"gcao/internal/cache"
 	"gcao/internal/core"
+	"gcao/internal/heapsize"
 	"gcao/internal/inline"
 	"gcao/internal/machine"
 	"gcao/internal/native"
@@ -256,6 +256,19 @@ func compileRoutine(r *ast.Routine, sk *core.Skeleton, cfg Config) (*Compilation
 	return &Compilation{Analysis: a}, nil
 }
 
+// Bytes returns what the compilation holds beside its parsed routine:
+// itself, its Unit and its Analysis under this binding, and its Skeleton
+// when that is the binding's own — a size-free one is shared by every
+// binding, and a Cache's skeleton tier charges it.
+func (c *Compilation) Bytes() int64 {
+	a := c.Analysis
+	n := heapsize.Of(c) + int64(len(c.fingerprint)) + a.Bytes() + a.Unit.Bytes()
+	if !a.SizeFree() {
+		n += a.Skeleton.Bytes()
+	}
+	return n
+}
+
 // Entries returns the communication requirements found in the routine
 // (excluding diagonal NNC already coalesced into axis exchanges). The
 // slice is the analysis's own, shared by every caller: read it only.
@@ -321,7 +334,7 @@ func (p *Placed) Program() *plan.Program {
 // long they stay. It reads the Program without waiting for a lowering in
 // progress, so a caller that may race the first run must not ask.
 func (p *Placed) Bytes() int64 {
-	n := int64(unsafe.Sizeof(*p)) + p.Result.Bytes()
+	n := heapsize.Of(p) + p.Result.Bytes()
 	if p.prog != nil {
 		n += p.prog.Bytes()
 	}

@@ -53,6 +53,11 @@ type Routine struct {
 	Dirs   []Dir
 	Body   []Stmt
 	Pos    source.Pos
+	// Bytes is the heap the routine keeps alive, counted where it was
+	// made: everything its parse allocated (the routines of one source
+	// share their node slabs) and, for a routine inlining made, what
+	// inlining allocated. The source text its names slice is not in it.
+	Bytes int64
 }
 
 // Decl declares one or more variables of an element type. A variable

@@ -96,9 +96,9 @@ func New(maxEntries int, maxBytes int64) *Cache {
 // Errors are delivered to every waiter of the flight and are never
 // cached, so a later call retries; a panic in fn likewise panics in
 // every caller of the flight and leaves nothing behind. size returns what
-// the byte bound charges a freshly computed value — the bytes it holds, or
-// an estimate of them (nil, or a non-positive size, charges one byte); a
-// value that grows once resident is charged its new size by Recharge.
+// the byte bound charges a freshly computed value — the bytes it holds
+// (nil, or a non-positive size, charges one byte); a value that grows
+// once resident is charged its new size by Recharge.
 func (c *Cache) Do(key string, size func(any) int64, fn func() (any, error)) (any, Outcome, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"gcao/internal/ast"
+	"gcao/internal/heapsize"
 )
 
 // BlockKind classifies blocks for diagnostics and for the placement
@@ -143,7 +144,15 @@ type Graph struct {
 	Blocks     []*Block
 	Loops      []*Loop // all loops, preorder
 	Stmts      []*Stmt // all statements, program order
+
+	// bytes counts the arrays Build carves the graph from.
+	bytes int64
 }
+
+// Bytes returns what the graph holds: itself and the arrays its blocks,
+// edges, statements, loops, loop paths and labels are carved from. The
+// statements' assignments are the routine's.
+func (g *Graph) Bytes() int64 { return heapsize.Of(g) + g.bytes }
 
 // builder carves everything a graph holds from backing arrays sized by
 // one count of the body: the blocks and their edge lists, statements,
@@ -202,6 +211,9 @@ func Build(body []ast.Stmt) *Graph {
 		loops:  make([]Loop, nl),
 		paths:  make([]*Loop, np),
 	}
+	b.g.bytes = heapsize.Slice(b.g.Blocks) + heapsize.Slice(b.g.Stmts) + heapsize.Slice(b.g.Loops) +
+		heapsize.Slice(b.blocks) + heapsize.Slice(b.edges) + heapsize.Slice(b.stmts) +
+		heapsize.Slice(b.loops) + heapsize.Slice(b.paths)
 	entry := b.newBlock(Entry)
 	b.g.EntryBlock = entry
 	last := b.build(body, entry)
@@ -226,6 +238,7 @@ func (b *builder) children() {
 		}
 	}
 	all := make([]*Loop, len(b.loops)-b.topLoops)
+	b.g.bytes += heapsize.Slice(all)
 	for _, l := range b.g.Loops {
 		if n := count[l.ID]; n > 0 {
 			l.Children, all = all[:0:n], all[n:]
@@ -248,6 +261,7 @@ func (b *builder) labels() {
 	}
 	var sb strings.Builder
 	sb.Grow(n)
+	b.g.bytes += int64(n)
 	for i := range b.stmts {
 		if a := b.stmts[i].Assign; a.Label == "" {
 			sb.WriteByte('L')

@@ -10,6 +10,7 @@ import (
 	"gcao/internal/cfg"
 	"gcao/internal/dep"
 	"gcao/internal/dom"
+	"gcao/internal/heapsize"
 	"gcao/internal/obs"
 	"gcao/internal/scalarize"
 	"gcao/internal/sem"
@@ -67,6 +68,19 @@ type Analysis struct {
 	// slot) order: position (b, after) is slot slotBase[b.ID]+after+1,
 	// and the last element is the number of slots.
 	slotBase []int
+
+	// bytes counts the slabs Analyze carves the entries, their use lists,
+	// offsets, sections, candidates and level tables from, and the
+	// signatures and terms it makes for them.
+	bytes int64
+}
+
+// Bytes returns what the analysis holds beside its Skeleton and Unit:
+// itself, its dependence context, its lists and tables, and the slabs
+// its entries are carved from.
+func (a *Analysis) Bytes() int64 {
+	return heapsize.Of(a) + heapsize.Of(a.Dep) + a.bytes + heapsize.Slice(a.Entries) +
+		heapsize.Slice(a.comm) + heapsize.Slice(a.loopBound) + heapsize.Slice(a.slotBase)
 }
 
 // loopBound is one loop's bounds evaluated under the routine
@@ -132,6 +146,13 @@ func NewSkeleton(u *sem.Unit, rec *obs.Recorder) (*Skeleton, error) {
 // evaluates nothing otherwise.
 func (s *Skeleton) SizeFree() bool { return s.Scal.StmtsExpanded == 0 }
 
+// Bytes returns what the skeleton holds beside its routine: itself, the
+// scalarizer's new nodes, the graph, the dominator tree, the SSA form and
+// the structural subscript forms.
+func (s *Skeleton) Bytes() int64 {
+	return heapsize.Of(s) + s.Scal.Bytes() + s.G.Bytes() + s.Dom.Bytes() + s.SSA.Bytes() + s.Forms.Bytes()
+}
+
 // Analyze instantiates the skeleton under u's parameter binding — the
 // steps that read sizes: loop bounds, dependence levels, classification,
 // the earliest/latest/candidate computation and the per-level section
@@ -195,6 +216,7 @@ func (s *Skeleton) analyze(u *sem.Unit, rec *obs.Recorder, d *dep.Analysis) (*An
 		n += k
 	}
 	slab := make([]Position, n)
+	a.bytes += heapsize.Slice(slab)
 	for _, e := range a.comm {
 		if k, _ := a.candidatePath(e, w); k > 0 {
 			e.Candidates, slab = a.computeCandidates(e, w, slab[:0:k]), slab[k:]
@@ -679,6 +701,7 @@ func (a *Analysis) coalesceDiagonals() {
 	offsets := make([]int, nlinks*rank)
 	carriers := make([]*Entry, nlinks)
 	links := make([]carrierLink, 0, nlinks)
+	a.bytes += heapsize.Slice(made) + heapsize.Slice(offsets) + heapsize.Slice(carriers)
 	a.Entries = slices.Grow(a.Entries, nlinks)
 	for _, e := range a.Entries {
 		if e.Kind != KindShift || nonZeroCount(e.Offsets) < 2 {
@@ -728,6 +751,7 @@ func (a *Analysis) coalesceDiagonals() {
 			// the NNC along the two axes", §2.2).
 			if hull, _, ok := (asd.SymSection{Dims: carrier.dims}).Hull(asd.SymSection{Dims: e.dims}); ok {
 				carrier.dims = hull.Dims
+				a.bytes += heapsize.Slice(hull.Dims)
 			}
 			e.Carriers = append(e.Carriers, carrier)
 		}
@@ -741,6 +765,7 @@ func (a *Analysis) coalesceDiagonals() {
 		}
 	}
 	uses := make([]*ssa.Use, n)
+	a.bytes += heapsize.Slice(uses)
 	for _, s := range t.slots {
 		if s.extra > 0 {
 			s.e.Uses = append(carve(&uses, len(s.e.Uses)+s.extra)[:0], s.e.Uses...)

@@ -104,8 +104,8 @@ func TestRunningExampleFig4(t *testing.T) {
 		}
 		t.Fatalf("comb: want 1 combined message, got %d", got)
 	}
-	if len(comb.Redundant) != 2 {
-		t.Errorf("comb: want 2 entries eliminated as redundant (a1, b1), got %d", len(comb.Redundant))
+	if comb.Eliminated() != 2 {
+		t.Errorf("comb: want 2 entries eliminated as redundant (a1, b1), got %d", comb.Eliminated())
 	}
 	g := comb.Groups[0]
 	if len(g.Entries) != 2 {

@@ -13,11 +13,13 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"gcao/internal/asd"
 	"gcao/internal/ast"
 	"gcao/internal/cfg"
 	"gcao/internal/dist"
+	"gcao/internal/heapsize"
 	"gcao/internal/lin"
 	"gcao/internal/sem"
 	"gcao/internal/ssa"
@@ -212,7 +214,9 @@ func (a *Analysis) levelSlabs() (levels []levelInfo, dims []asd.SymDim, grows []
 			nd += fresh * a.Unit.Grid.Rank()
 		}
 	}
-	return make([]levelInfo, nloops+len(a.Entries)), make([]asd.SymDim, nd), grows
+	levels, dims = make([]levelInfo, nloops+len(a.Entries)), make([]asd.SymDim, nd)
+	a.bytes += heapsize.Slice(levels) + heapsize.Slice(dims) + heapsize.Slice(grows)
+	return levels, dims, grows
 }
 
 // buildLevelTable fills the entry's per-level table from the innermost
@@ -254,6 +258,8 @@ func (a *Analysis) expandLoop(dims []asd.SymDim, loop *cfg.Loop, slab *[]asd.Sym
 		out[di] = d
 		if mentions(d, v) {
 			out[di] = expandDim(d, v, b.lo, b.hi, b.step)
+			// A substitution into a form of several terms makes a list.
+			a.bytes += madeTerms(out[di].Lo, d.Lo) + madeTerms(out[di].Hi, d.Hi)
 		}
 	}
 	return out
@@ -278,6 +284,14 @@ func (a *Analysis) expands(dims []asd.SymDim, loop *cfg.Loop) bool {
 }
 
 func mentions(d asd.SymDim, v string) bool { return d.Lo.CoefOf(v) != 0 || d.Hi.CoefOf(v) != 0 }
+
+// madeTerms returns the bytes of f's term list when it is not from's.
+func madeTerms(f, from lin.Form) int64 {
+	if len(f.Terms) == 0 || unsafe.SliceData(f.Terms) == unsafe.SliceData(from.Terms) {
+		return 0
+	}
+	return heapsize.Slice(f.Terms)
+}
 
 // gridSection projects an entry's section onto the processor grid
 // dimensions of its array's distribution, into Dims carved from slab.
@@ -483,6 +497,7 @@ func (a *Analysis) buildEntries() error {
 	}
 	sl.entries, sl.uses = make([]Entry, nu), make([]*ssa.Use, nu)
 	sl.dims, sl.offsets = make([]asd.SymDim, nd), make([]int, nu*a.Unit.Grid.Rank())
+	a.bytes += heapsize.Slice(sl.entries) + heapsize.Slice(sl.uses) + heapsize.Slice(sl.dims) + heapsize.Slice(sl.offsets)
 	a.Entries = make([]*Entry, 0, nu)
 	for _, u := range a.SSA.Uses {
 		arr := a.Unit.Arrays[u.Var]
@@ -544,6 +559,7 @@ func (a *Analysis) classifyUse(u *ssa.Use, arr *sem.Array, sl *entrySlabs) (*Ent
 		// Scalar or replicated target: every processor evaluates the
 		// statement, so the distributed operand must be broadcast.
 		sig := fmt.Sprintf("bcast:%s:%v", arr.Dist.String(), subsSignature(a, u.Ref))
+		a.bytes += int64(len(sig))
 		return sl.entry(u, KindBcast, asd.Mapping{Kind: asd.MapBcast, GridShape: a.Unit.Grid.Shape, Signature: sig}, dims), nil
 	}
 
@@ -603,6 +619,7 @@ func (a *Analysis) classifyUse(u *ssa.Use, arr *sem.Array, sl *entrySlabs) (*Ent
 	}
 	if general {
 		sig := fmt.Sprintf("gen:%s->%s:%v", arr.Dist.String(), lhsArr.Dist.String(), subsSignature(a, u.Ref))
+		a.bytes += int64(len(sig))
 		return sl.entry(u, KindGeneral, asd.Mapping{Kind: asd.MapGeneral, GridShape: a.Unit.Grid.Shape, Signature: sig}, dims), nil
 	}
 	allZero := true

@@ -60,7 +60,7 @@ func (a *Analysis) recordDecisions(rec *obs.Recorder, res *Result) {
 				d.Candidates[i] = pos(p)
 			}
 		}
-		if by, ok := res.Redundant[e]; ok {
+		if by := res.Redundant[e.ID]; by != nil {
 			d.Outcome = obs.OutcomeSubsumed
 			d.SubsumedBy = by.ID
 			if p := res.subsumedAt[e.ID]; p.Block != nil {

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -23,13 +22,10 @@ func renderResult(res *core.Result) string {
 			fmt.Fprintf(&b, "  %v\n", e)
 		}
 	}
-	var redundant []*core.Entry
-	for e := range res.Redundant {
-		redundant = append(redundant, e)
-	}
-	sort.Slice(redundant, func(i, j int) bool { return redundant[i].ID < redundant[j].ID })
-	for _, e := range redundant {
-		fmt.Fprintf(&b, "redundant %v subsumed by %v\n", e, res.Redundant[e])
+	for id, by := range res.Redundant {
+		if by != nil {
+			fmt.Fprintf(&b, "redundant %v subsumed by %v\n", res.Analysis.Entries[id], by)
+		}
 	}
 	return b.String()
 }
@@ -78,8 +74,8 @@ func TestDecisionLogCoversEveryEntry(t *testing.T) {
 			t.Errorf("e%d subsumed without a subsumer", d.Entry)
 		}
 	}
-	if counts[obs.OutcomeSubsumed] != len(res.Redundant) {
-		t.Errorf("subsumed records = %d, want %d", counts[obs.OutcomeSubsumed], len(res.Redundant))
+	if counts[obs.OutcomeSubsumed] != res.Eliminated() {
+		t.Errorf("subsumed records = %d, want %d", counts[obs.OutcomeSubsumed], res.Eliminated())
 	}
 	placedEntries := 0
 	for _, g := range res.Groups {
@@ -114,8 +110,8 @@ func TestPlacementCountersConsistent(t *testing.T) {
 		t.Errorf("entries(%d) - eliminated(%d) - merges(%d) = %d, want TotalMessages = %d",
 			entries, elim, merges, got, comb.TotalMessages())
 	}
-	if elim != int64(len(comb.Redundant)) {
-		t.Errorf("redundancy.eliminated = %d, want %d", elim, len(comb.Redundant))
+	if elim != int64(comb.Eliminated()) {
+		t.Errorf("redundancy.eliminated = %d, want %d", elim, comb.Eliminated())
 	}
 	if c["place.comb.greedy.iterations"] <= 0 {
 		t.Error("greedy.iterations not counted")

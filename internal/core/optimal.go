@@ -50,17 +50,20 @@ func (a *Analysis) PlaceOptimal(opts Options, maxCombos int) (*Result, error) {
 	}
 	var live []*Entry
 	for _, e := range a.CommEntries() {
-		if ref.Redundant[e] == nil {
+		if ref.Redundant[e.ID] == nil {
 			live = append(live, e)
 		}
 	}
 	attached := map[*Entry][]*Entry{}
-	for e, by := range ref.Redundant {
-		root := by
-		for ref.Redundant[root] != nil {
-			root = ref.Redundant[root]
+	for id, by := range ref.Redundant {
+		if by == nil {
+			continue
 		}
-		attached[root] = append(attached[root], e)
+		root := by
+		for ref.Redundant[root.ID] != nil {
+			root = ref.Redundant[root.ID]
+		}
+		attached[root] = append(attached[root], a.Entries[id])
 	}
 	// Candidate sets constrained by attachments.
 	cands := make([][]Position, len(live))

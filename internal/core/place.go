@@ -6,9 +6,9 @@ import (
 	"log/slog"
 	"slices"
 	"strconv"
-	"unsafe"
 
 	"gcao/internal/asd"
+	"gcao/internal/heapsize"
 	"gcao/internal/obs"
 )
 
@@ -134,10 +134,12 @@ type Result struct {
 	Analysis *Analysis
 	Version  Version
 	Groups   []*Group
-	// Redundant maps eliminated entries to their subsumers.
-	Redundant map[*Entry]*Entry
-	// PosOf maps every live entry to its group's position.
-	PosOf map[*Entry]Position
+	// Redundant[e.ID] is the entry that subsumes eliminated entry e; nil
+	// for every other entry.
+	Redundant []*Entry
+	// PosOf[e.ID] is live entry e's group position; the zero Position for
+	// every other entry.
+	PosOf []Position
 
 	// subsumedAt[e.ID] is the position at which redundant entry e's
 	// subsumption was proven, for the decision log; the zero Position
@@ -152,29 +154,38 @@ type Result struct {
 }
 
 // newResult makes the Result of placing n communication entries of a
-// under v, with its maps and slabs sized once from n.
+// under v: its tables by entry ID, the two of positions carved from one
+// array, and its list slab sized once from n.
 func (a *Analysis) newResult(v Version, n int) *Result {
+	k := len(a.Entries)
+	pos := make([]Position, 2*k)
 	return &Result{
 		Analysis:   a,
 		Version:    v,
-		Redundant:  map[*Entry]*Entry{},
-		PosOf:      make(map[*Entry]Position, n),
-		subsumedAt: make([]Position, len(a.Entries)),
+		Redundant:  make([]*Entry, k),
+		PosOf:      pos[:k:k],
+		subsumedAt: pos[k:],
 		lists:      make([]*Entry, 0, n),
 	}
 }
 
 // Bytes returns what the Result holds beside its Analysis: itself, its
-// groups and their member lists, the subsumption positions and the two
-// maps, each map by its entries' keys and values.
+// groups and their member lists, and its tables by entry ID.
 func (r *Result) Bytes() int64 {
-	return int64(unsafe.Sizeof(*r)) +
-		int64(cap(r.Groups))*int64(unsafe.Sizeof(r.Groups[0])) +
-		int64(cap(r.groups))*int64(unsafe.Sizeof(r.groups[0])) +
-		int64(cap(r.lists))*int64(unsafe.Sizeof(r.lists[0])) +
-		int64(cap(r.subsumedAt))*int64(unsafe.Sizeof(r.subsumedAt[0])) +
-		int64(len(r.Redundant))*int64(unsafe.Sizeof(r.lists[0])+unsafe.Sizeof(r.Redundant[nil])) +
-		int64(len(r.PosOf))*int64(unsafe.Sizeof(r.lists[0])+unsafe.Sizeof(r.PosOf[nil]))
+	return heapsize.Of(r) + heapsize.Slice(r.Groups) + heapsize.Slice(r.groups) +
+		heapsize.Slice(r.lists) + heapsize.Slice(r.Redundant) +
+		heapsize.Slice(r.PosOf) + heapsize.Slice(r.subsumedAt)
+}
+
+// Eliminated returns the number of entries eliminated as redundant.
+func (r *Result) Eliminated() int {
+	n := 0
+	for _, by := range r.Redundant {
+		if by != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // reserve sizes the Result's groups for the k a strategy is about to
@@ -246,7 +257,7 @@ func (a *Analysis) Place(opts Options) (*Result, error) {
 		return res, nil
 	}
 	counts.add("entries", int64(len(entries)))
-	counts.add("redundant", int64(len(res.Redundant)))
+	counts.add("redundant", int64(res.Eliminated()))
 	counts.add("groups", int64(len(res.Groups)))
 	prefix := "place." + opts.Version.String() + "."
 	for name, n := range counts {
@@ -257,7 +268,7 @@ func (a *Analysis) Place(opts Options) (*Result, error) {
 		slog.String("version", opts.Version.String()),
 		slog.Int("entries", len(entries)),
 		slog.Int("groups", len(res.Groups)),
-		slog.Int("redundant", len(res.Redundant)))
+		slog.Int("redundant", res.Eliminated()))
 	return res, nil
 }
 
@@ -280,7 +291,7 @@ func (r *Result) addGroup(pos Position, members, attached []*Entry) *Group {
 		g.Map = g.Map.Union(e.Map)
 	}
 	for _, e := range g.Entries {
-		r.PosOf[e] = pos
+		r.PosOf[e.ID] = pos
 	}
 	r.Groups = append(r.Groups, g)
 	return g
@@ -288,7 +299,7 @@ func (r *Result) addGroup(pos Position, members, attached []*Entry) *Group {
 
 // eliminate records that e is redundant given by, proven at at.
 func (r *Result) eliminate(e, by *Entry, at Position) {
-	r.Redundant[e] = by
+	r.Redundant[e.ID] = by
 	r.subsumedAt[e.ID] = at
 }
 

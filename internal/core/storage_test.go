@@ -41,11 +41,15 @@ func shapeOf(res *core.Result) placedShape {
 			Site: g.SiteID(), Sources: g.Sources(),
 		})
 	}
-	for e, by := range res.Redundant {
-		s.Redundant[e.ID] = by.ID
+	for id, by := range res.Redundant {
+		if by != nil {
+			s.Redundant[id] = by.ID
+		}
 	}
-	for e, p := range res.PosOf {
-		s.PosOf[e.ID] = p.String()
+	for id, p := range res.PosOf {
+		if p.Block != nil {
+			s.PosOf[id] = p.String()
+		}
 	}
 	return s
 }

@@ -19,9 +19,11 @@ package dep
 import (
 	"encoding/binary"
 	"slices"
+	"unsafe"
 
 	"gcao/internal/ast"
 	"gcao/internal/cfg"
+	"gcao/internal/heapsize"
 	"gcao/internal/lin"
 	"gcao/internal/sem"
 	"gcao/internal/ssa"
@@ -147,7 +149,16 @@ type SubscriptForm struct {
 // parameter (i, j - 1, 2 * k + 1), which no binding changes. It is filled
 // by NewForms and never written afterwards, so every binding of one
 // routine — and every goroutine — may read the same one.
-type Forms map[*ast.Ref][]SubscriptForm
+type Forms struct {
+	of map[*ast.Ref][]SubscriptForm
+	// bytes counts the slab the lists are carved from and the term lists
+	// of their forms.
+	bytes int64
+}
+
+// Bytes returns what the table holds: its entries, its slab and the term
+// lists of its forms.
+func (f Forms) Bytes() int64 { return heapsize.Map(f.of) + f.bytes }
 
 // NewForms derives the parameter-free subscript forms of every reference
 // dependence testing and classification ask about: the SSA uses and the
@@ -177,13 +188,14 @@ func NewForms(params []string, info *ssa.Info) Forms {
 	for _, d := range info.Defs {
 		count(d.LHS)
 	}
-	f := make(Forms, refs)
-	slab := make([]SubscriptForm, subs)
+	f := Forms{of: make(map[*ast.Ref][]SubscriptForm, refs)}
+	all := make([]SubscriptForm, subs)
+	slab := all
 	vars := varForms{}
 	add := func(r *ast.Ref) {
 		if structural(r) {
 			n := len(r.Subs)
-			f[r] = fillForms(slab[:n:n], r, nil, vars)
+			f.of[r] = fillForms(slab[:n:n], r, nil, vars)
 			slab = slab[n:]
 		}
 	}
@@ -192,6 +204,14 @@ func NewForms(params []string, info *ssa.Info) Forms {
 	}
 	for _, d := range info.Defs {
 		add(d.LHS)
+	}
+	f.bytes = heapsize.Slice(all) + heapsize.Array[lin.Term](len(vars))
+	for _, sf := range all {
+		// A form is a variable's interned one, that plus a constant, or
+		// made for its subscript with terms of its own.
+		if t := sf.Form.Terms; len(t) > 0 && unsafe.SliceData(vars[t[0].Var].Terms) != unsafe.SliceData(t) {
+			f.bytes += heapsize.Slice(t)
+		}
 	}
 	return f
 }
@@ -247,7 +267,7 @@ func fillForms(fs []SubscriptForm, r *ast.Ref, params map[string]int, vars varFo
 // this binding (and remembered, when the analysis remembers). The result is
 // shared: callers must not write to it.
 func (a *Analysis) RefForms(r *ast.Ref) []SubscriptForm {
-	if fs, ok := a.Forms[r]; ok {
+	if fs, ok := a.Forms.of[r]; ok {
 		return fs
 	}
 	fs, ok := a.forms[r]

@@ -381,14 +381,14 @@ end
 	first := build(t, src, map[string]int{"n": 8, "m": 4})
 	forms := NewForms(first.a.Unit.Routine.Params, first.info)
 	structural := map[string]bool{}
-	for r := range forms {
+	for r := range forms.of {
 		structural[ast.ExprString(r)] = true
 	}
 	want := map[string]bool{"a(i,j)": true, "b((i - 1),((2 * j) + 1))": true, "b((i * j),(j / 2))": true, "b(((-i) + 3),7)": true, "a(i,1:n)": true}
 	if !reflect.DeepEqual(structural, want) {
 		t.Errorf("structural references %v, want %v", structural, want)
 	}
-	size := len(forms)
+	size := len(forms.of)
 	for _, params := range []map[string]int{{"n": 8, "m": 4}, {"n": 31, "m": 2}} {
 		u, err := sem.Analyze(first.a.Unit.Routine, params, sem.Options{Procs: 4})
 		if err != nil {
@@ -416,8 +416,8 @@ end
 		for _, d := range first.info.Defs {
 			check(d.LHS)
 		}
-		if len(a.forms) != refs-size || len(forms) != size {
-			t.Errorf("n=%d: %d references, %d structural, %d derived under the binding", params["n"], refs, len(forms), len(a.forms))
+		if len(a.forms) != refs-size || len(forms.of) != size {
+			t.Errorf("n=%d: %d references, %d structural, %d derived under the binding", params["n"], refs, len(forms.of), len(a.forms))
 		}
 	}
 }

@@ -6,7 +6,10 @@
 // Earliest(u), and redundancy elimination propagates along dominance.
 package dom
 
-import "gcao/internal/cfg"
+import (
+	"gcao/internal/cfg"
+	"gcao/internal/heapsize"
+)
 
 // Tree is the dominator tree of a graph. Its tables are dense slices
 // indexed by block ID, all carved from one array.
@@ -23,6 +26,15 @@ type Tree struct {
 	pre, post []int
 }
 
+// treeInts is the length of the one array New carves a tree of n blocks
+// and its own scratch from.
+func treeInts(n int) int { return 9*n + 2 }
+
+// Bytes returns what the tree holds: itself and its one array.
+func (t *Tree) Bytes() int64 {
+	return heapsize.Of(t) + heapsize.Array[int](treeInts(len(t.idom)))
+}
+
 // New computes dominators for g. A block the entry does not reach
 // (cfg.Build makes none) keeps idom -1: IDom returns nil for it, it has
 // no dominator-tree parent or children, and Dominates reports false
@@ -33,7 +45,7 @@ func New(g *cfg.Graph) *Tree {
 	// One array holds the tree — idom, pre, post, the children's offsets
 	// and lists — and what building it needs: the reverse postorder, each
 	// block's number in it, and a DFS stack of (block, next edge) frames.
-	ints := make([]int, 9*n+2)
+	ints := make([]int, treeInts(n))
 	carve := func(k int) []int {
 		s := ints[:k:k]
 		ints = ints[k:]

@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"gcao/internal/ast"
+	"gcao/internal/heapsize"
 	"gcao/internal/source"
 )
 
@@ -38,6 +39,9 @@ type flattener struct {
 	// arrays tracks array names visible in the flattened routine, for
 	// argument classification.
 	arrays map[string]bool
+	// bytes counts what the flattened routine keeps that inlining made:
+	// its new nodes, lists and names, not the clones it drops.
+	bytes int64
 }
 
 // Flatten inlines all calls in main.
@@ -66,6 +70,8 @@ func Flatten(prog *ast.Program, main string) (*ast.Routine, error) {
 		return nil, err
 	}
 	f.out.Body = body
+	f.out.Bytes = r.Bytes + f.bytes + heapsize.Of(f.out) + heapsize.Slice(f.out.Params) +
+		heapsize.Slice(f.out.Decls) + heapsize.Slice(f.out.Dirs)
 	return f.out, nil
 }
 
@@ -85,6 +91,7 @@ func (f *flattener) body(stmts []ast.Stmt, active map[string]bool) ([]ast.Stmt, 
 				return nil, err
 			}
 			out = append(out, &ast.DoStmt{Var: s.Var, Lo: s.Lo, Hi: s.Hi, Step: s.Step, Body: b, Pos: s.Pos})
+			f.bytes += heapsize.Of(s)
 		case *ast.IfStmt:
 			t, err := f.body(s.Then, active)
 			if err != nil {
@@ -95,10 +102,12 @@ func (f *flattener) body(stmts []ast.Stmt, active map[string]bool) ([]ast.Stmt, 
 				return nil, err
 			}
 			out = append(out, &ast.IfStmt{Cond: s.Cond, Then: t, Else: e, Pos: s.Pos})
+			f.bytes += heapsize.Of(s)
 		default:
 			out = append(out, s)
 		}
 	}
+	f.bytes += heapsize.Slice(out)
 	return out, nil
 }
 
@@ -180,9 +189,11 @@ func (f *flattener) expand(call *ast.CallStmt, active map[string]bool) ([]ast.St
 			if len(ni.Bounds) > 0 {
 				f.arrays[fresh] = true
 			}
+			f.bytes += int64(len(fresh)) + heapsize.Slice(ni.Bounds)
 		}
 		if len(nd.Items) > 0 {
 			f.out.Decls = append(f.out.Decls, nd)
+			f.bytes += heapsize.Of(nd) + heapsize.Slice(nd.Items)
 		}
 	}
 
@@ -206,6 +217,7 @@ func (f *flattener) expand(call *ast.CallStmt, active map[string]bool) ([]ast.St
 			}
 			if len(nd.Arrays) > 0 {
 				f.out.Dirs = append(f.out.Dirs, nd)
+				f.bytes += heapsize.Of(nd) + heapsize.Slice(nd.Arrays)
 			}
 		}
 	}
@@ -231,11 +243,13 @@ func (f *flattener) rewriteBody(stmts []ast.Stmt, rename map[string]string, subs
 				Pos:   s.Pos,
 				Label: s.Label,
 			})
+			f.bytes += heapsize.Of(s)
 		case *ast.DoStmt:
 			// Loop variables are local to the loop; rename them per
 			// call site so nests from different expansions stay
 			// independent.
 			fresh := fmt.Sprintf("%s$c%d", s.Var, f.callSeq)
+			f.bytes += int64(len(fresh))
 			inner := map[string]string{}
 			for k, v := range rename {
 				inner[k] = v
@@ -282,6 +296,7 @@ func (f *flattener) rewriteRef(r *ast.Ref, rename map[string]string, subst map[s
 			Step: f.rewriteExpr(sub.Step, rename, subst),
 		})
 	}
+	f.bytes += heapsize.Of(nr) + heapsize.Slice(nr.Subs)
 	return nr
 }
 
@@ -296,6 +311,7 @@ func (f *flattener) rewriteExpr(e ast.Expr, rename map[string]string, subst map[
 			return repl
 		}
 		if fresh, ok := rename[e.Name]; ok {
+			f.bytes += heapsize.Of(e)
 			return &ast.Ident{Name: fresh, Pos: e.Pos}
 		}
 		return e
@@ -307,17 +323,20 @@ func (f *flattener) rewriteExpr(e ast.Expr, rename map[string]string, subst map[
 		}
 		return f.rewriteRef(e, rename, subst)
 	case *ast.BinExpr:
+		f.bytes += heapsize.Of(e)
 		return &ast.BinExpr{Op: e.Op,
 			X:   f.rewriteExpr(e.X, rename, subst),
 			Y:   f.rewriteExpr(e.Y, rename, subst),
 			Pos: e.Pos}
 	case *ast.UnaryExpr:
+		f.bytes += heapsize.Of(e)
 		return &ast.UnaryExpr{X: f.rewriteExpr(e.X, rename, subst), Pos: e.Pos}
 	case *ast.Call:
 		args := make([]ast.Expr, len(e.Args))
 		for i, a := range e.Args {
 			args[i] = f.rewriteExpr(a, rename, subst)
 		}
+		f.bytes += heapsize.Of(e) + heapsize.Slice(args)
 		return &ast.Call{Func: e.Func, Args: args, Pos: e.Pos}
 	}
 	return e

@@ -38,6 +38,7 @@ import (
 	"strings"
 
 	"gcao/internal/ast"
+	"gcao/internal/heapsize"
 	"gcao/internal/source"
 )
 
@@ -58,6 +59,9 @@ type parser struct {
 	tok, la source.Lexeme
 	depth   int // constructs open around the current token (maxNesting)
 	a       *slabs
+	// bytes counts what the parse keeps beside its slabs: the program,
+	// routines, declarations, directives and their lists.
+	bytes int64
 	// Lists under construction, nested lists above their parents': a
 	// finished list is carved from its slab and popped. Each stack
 	// starts in an array of the parser's own, which the lists of the
@@ -111,6 +115,11 @@ func (p *parser) program() (*ast.Program, error) {
 	}
 	if len(prog.Routines) == 0 {
 		return nil, fmt.Errorf("parser: no routines in input")
+	}
+	// The routines share the slabs, so each keeps the whole parse alive.
+	n := p.bytes + p.a.bytes() + heapsize.Of(prog) + heapsize.Slice(prog.Routines)
+	for _, r := range prog.Routines {
+		r.Bytes = n
 	}
 	return prog, nil
 }
@@ -288,6 +297,7 @@ body:
 	if err := p.expectNL(); err != nil {
 		return nil, err
 	}
+	p.bytes += heapsize.Of(r) + heapsize.Slice(r.Decls) + heapsize.Slice(r.Dirs)
 	return r, nil
 }
 
@@ -301,6 +311,7 @@ func (p *parser) decl() (*ast.Decl, error) {
 	}
 	p.next()
 	d := &ast.Decl{Type: typ, Pos: start}
+	p.bytes += heapsize.Of(d)
 	mark := len(p.items)
 	for {
 		t, err := p.expect(source.Ident)
@@ -369,6 +380,7 @@ func (p *parser) directive() (ast.Dir, error) {
 			return nil, err
 		}
 		d := &ast.ProcessorsDir{Name: p.text(nameTok), Pos: start}
+		p.bytes += heapsize.Of(d)
 		if _, err := p.expect(source.LParen); err != nil {
 			return nil, err
 		}
@@ -451,6 +463,7 @@ func (p *parser) directive() (ast.Dir, error) {
 			}
 		}
 		d.Arrays = pop(&p.names, mark, &p.a.names)
+		p.bytes += heapsize.Of(d) + heapsize.Slice(d.Kinds)
 		if err := p.expectNL(); err != nil {
 			return nil, err
 		}

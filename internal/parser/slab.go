@@ -1,6 +1,9 @@
 package parser
 
-import "gcao/internal/ast"
+import (
+	"gcao/internal/ast"
+	"gcao/internal/heapsize"
+)
 
 // slab hands out values of one type from chunks, so that a routine's
 // nodes of that type cost an allocation per chunk rather than one each
@@ -14,8 +17,9 @@ import "gcao/internal/ast"
 // chunk's unused tail per type, plus, in a chunk a list did not fit,
 // fewer unused slots than that list had elements.
 type slab[T any] struct {
-	free []T // the current chunk's unused tail
-	size int // the length of the next chunk
+	free  []T   // the current chunk's unused tail
+	size  int   // the length of the next chunk
+	bytes int64 // the bytes of every chunk made
 }
 
 // new returns a zeroed value from the slab.
@@ -50,6 +54,7 @@ func (s *slab[T]) carve(xs []T) []T {
 func (s *slab[T]) grow(n int) {
 	s.free = make([]T, max(s.size, n))
 	s.size = max(s.size/4, 4)
+	s.bytes += heapsize.Slice(s.free)
 }
 
 // slabs are one parse's node and list slabs. A first chunk holds as
@@ -75,6 +80,14 @@ type slabs struct {
 	items     slab[ast.DeclItem]
 	bounds    slab[ast.Bound]
 	names     slab[string]
+}
+
+// bytes returns the bytes of every chunk the slabs have made.
+func (a *slabs) bytes() int64 {
+	return a.refs.bytes + a.idents.bytes + a.nums.bytes + a.bins.bytes +
+		a.unaries.bytes + a.calls.bytes + a.assigns.bytes + a.dos.bytes +
+		a.ifs.bytes + a.callStmts.bytes + a.subs.bytes + a.exprs.bytes +
+		a.stmts.bytes + a.items.bytes + a.bounds.bytes + a.names.bytes
 }
 
 func newSlabs(srcLen int) *slabs {

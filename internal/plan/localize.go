@@ -2,9 +2,9 @@ package plan
 
 import (
 	"slices"
-	"unsafe"
 
 	"gcao/internal/dist"
+	"gcao/internal/heapsize"
 	"gcao/internal/runtime"
 )
 
@@ -155,7 +155,7 @@ func (lw *lowerer) pureNest(root *Loop) *Nest {
 	copy(out.up, nest.up)
 	copy(out.stmts, nest.stmts)
 	copy(out.loopOf, nest.loopOf)
-	lw.pr.bytes += int64(unsafe.Sizeof(*out))
+	lw.pr.bytes += heapsize.Of(out)
 	return out
 }
 
@@ -357,7 +357,7 @@ func (lw *lowerer) clamp(n *Nest) {
 		}
 	}
 	kept := make([]Range, 0, clamped*procs)
-	lw.pr.bytes += bytesOf(kept)
+	lw.pr.bytes += heapsize.Slice(kept)
 	for _, lp := range n.loops {
 		if lp.Clamp != nil {
 			k := len(kept)
@@ -425,7 +425,7 @@ func (lw *lowerer) entryKey(n *Nest) {
 		at += 2 * len(st.LHS.Subs)
 	}
 	n.memo, pr.memoLen = pr.memoLen, at
-	pr.bytes += bytesOf(n.slots) + bytesOf(n.proofs)
+	pr.bytes += heapsize.Slice(n.slots) + heapsize.Slice(n.proofs)
 }
 
 // proves reports whether a proof of the nest reads what r reads in the

@@ -5,11 +5,11 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"unsafe"
 
 	"gcao/internal/ast"
 	"gcao/internal/cfg"
 	"gcao/internal/core"
+	"gcao/internal/heapsize"
 	"gcao/internal/lin"
 	"gcao/internal/runtime"
 	"gcao/internal/source"
@@ -47,7 +47,7 @@ func Lower(res *core.Result) *Program {
 		commOps:  make([]CommOp, 0, len(res.Groups)),
 		ents:     make([]EntrySec, 0, entries),
 	}
-	lw.pr.bytes = int64(unsafe.Sizeof(*lw.pr)) + bytesOf(lw.stmts) + bytesOf(lw.lps) + bytesOf(lw.comms) + bytesOf(lw.commOps) + bytesOf(lw.ents)
+	lw.pr.bytes = heapsize.Of(lw.pr) + heapsize.Slice(lw.stmts) + heapsize.Slice(lw.lps) + heapsize.Slice(lw.comms) + heapsize.Slice(lw.commOps) + heapsize.Slice(lw.ents)
 	for _, l := range pl.A.G.Loops {
 		if _, ok := lw.intSlot[l.Var()]; !ok {
 			lw.intSlot[l.Var()] = len(lw.pr.Ints)
@@ -68,13 +68,9 @@ func Lower(res *core.Result) *Program {
 	lw.pr.Body, _ = lw.seq(pl.A.G.EntryBlock)
 	lw.localize(lw.pr.Body)
 	pr := lw.pr
-	pr.bytes += bytesOf(pr.Ints) + bytesOf(pr.Reals) + bytesOf(pr.Exchanges) + bytesOf(pr.inline) + bytesOf(pr.errs)
+	pr.bytes += heapsize.Slice(pr.Ints) + heapsize.Slice(pr.Reals) + heapsize.Slice(pr.Exchanges) + heapsize.Slice(pr.inline) + heapsize.Slice(pr.errs)
 	return pr
 }
-
-// bytesOf returns the bytes of a slice's array: its capacity times the
-// size of an element.
-func bytesOf[T any](s []T) int64 { return int64(cap(s)) * int64(unsafe.Sizeof(s[0])) }
 
 // margins returns the overlap region of every array the placement's
 // groups leave room for (runtime.NewLayout): the widest shift that
@@ -195,7 +191,7 @@ func (lw *lowerer) seq(b *cfg.Block) ([]Node, *cfg.Block) {
 			lw.beginExpr()
 			n.Cond = lw.real(b.Branch.Cond)
 			n.Sums, n.Sync = lw.sums, len(lw.sums) > 0
-			lw.pr.bytes += int64(unsafe.Sizeof(*n)) + bytesOf(n.Sums)
+			lw.pr.bytes += heapsize.Of(n) + heapsize.Slice(n.Sums)
 			for _, r := range lw.reads {
 				n.Sync = n.Sync || r.Lay.Dist != nil
 			}
@@ -221,7 +217,7 @@ func (lw *lowerer) seq(b *cfg.Block) ([]Node, *cfg.Block) {
 
 // kept counts a list of nodes the Program keeps.
 func (lw *lowerer) kept(nodes []Node) []Node {
-	lw.pr.bytes += bytesOf(nodes)
+	lw.pr.bytes += heapsize.Slice(nodes)
 	return nodes
 }
 
@@ -265,7 +261,7 @@ func (lw *lowerer) stmt(st *cfg.Stmt) *Stmt {
 	lw.rowOK = len(lw.loops) > 0
 	out.RHS = lw.real(as.RHS)
 	out.Sums, out.reads = lw.sums, carve(lw, &lw.refLists, len(lw.reads))
-	lw.pr.bytes += bytesOf(out.Sums)
+	lw.pr.bytes += heapsize.Slice(out.Sums)
 	copy(out.reads, lw.reads)
 	if lw.rowOK {
 		out.row, lw.rowOK = carve(lw, &lw.ops, len(lw.row)), false
@@ -308,7 +304,7 @@ func (lw *lowerer) comm(groups []*core.Group) *Comm {
 					}
 				}
 			}
-			lw.pr.bytes += bytesOf(op.Slots)
+			lw.pr.bytes += heapsize.Slice(op.Slots)
 		}
 		c.Ops[i] = op
 	}
@@ -402,7 +398,7 @@ func (lw *lowerer) entry(g *core.Group, e *core.Entry) (EntrySec, bool) {
 		es.Step[i] = max(d.Step, 1)
 	}
 	slices.Sort(es.need)
-	lw.pr.bytes += bytesOf(es.need)
+	lw.pr.bytes += heapsize.Slice(es.need)
 	return es, true
 }
 
@@ -441,7 +437,7 @@ func carve[T any](lw *lowerer, slab *[]T, n int) []T {
 	s := *slab
 	if cap(s)-len(s) < n {
 		s = make([]T, 0, max(n, min(2*cap(s), maxChunk), 16))
-		lw.pr.bytes += bytesOf(s)
+		lw.pr.bytes += heapsize.Slice(s)
 	}
 	k := len(s)
 	*slab = s[:k+n]
@@ -645,7 +641,7 @@ func (lw *lowerer) secExpr(ref *ast.Ref, am *runtime.ArrayLayout) SecExpr {
 	}
 	arr := am.Arr
 	sec := SecExpr{Dims: make([]SecDim, arr.Rank())}
-	lw.pr.bytes += bytesOf(sec.Dims)
+	lw.pr.bytes += heapsize.Slice(sec.Dims)
 	for i := range sec.Dims {
 		switch {
 		case len(ref.Subs) == 0:

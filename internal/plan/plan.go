@@ -30,10 +30,10 @@ package plan
 import (
 	"cmp"
 	"slices"
-	"unsafe"
 
 	"gcao/internal/ast"
 	"gcao/internal/core"
+	"gcao/internal/heapsize"
 	"gcao/internal/runtime"
 )
 
@@ -90,9 +90,9 @@ func newPlan(res *core.Result, layout *runtime.Layout) *Plan {
 	}
 	pl.Tree = buildTree(layout.P)
 	t := pl.Tree
-	pl.bytes = int64(unsafe.Sizeof(*pl)) + bytesOf(pl.Comm) + int64(n)*int64(unsafe.Sizeof(pl.Comm[0][0])) + bytesOf(groups) +
-		int64(unsafe.Sizeof(*t)) + bytesOf(t.Parent) + bytesOf(t.Children) + bytesOf(t.Order) + bytesOf(t.Pos) + bytesOf(t.SubSize) +
-		int64(max(t.Procs-1, 0))*int64(unsafe.Sizeof(t.Procs)) // the children's one slab
+	pl.bytes = heapsize.Of(pl) + heapsize.Slice(pl.Comm) + heapsize.Array[[]*core.Group](n) + heapsize.Slice(groups) +
+		heapsize.Of(t) + heapsize.Slice(t.Parent) + heapsize.Slice(t.Children) + heapsize.Slice(t.Order) + heapsize.Slice(t.Pos) + heapsize.Slice(t.SubSize) +
+		heapsize.Array[int](max(t.Procs-1, 0)) // the children's one slab
 	return pl
 }
 

@@ -1,9 +1,8 @@
 package runtime
 
 import (
-	"unsafe"
-
 	"gcao/internal/dist"
+	"gcao/internal/heapsize"
 	"gcao/internal/section"
 )
 
@@ -72,7 +71,7 @@ func (am *ArrayLayout) initGeometry(p, margin int, boxed bool) int64 {
 	}
 	ints := make([]int, total+arr.Hi[rank-1]-arr.Lo[rank-1]+1+2*rank+p*rank+p)
 	am.own = make([][]int, rank)
-	bytes := int64(len(ints))*int64(unsafe.Sizeof(ints[0])) + int64(rank)*int64(unsafe.Sizeof(am.own[0]))
+	bytes := heapsize.Slice(ints) + heapsize.Slice(am.own)
 	for k := range am.own {
 		n := arr.Hi[k] - arr.Lo[k] + 1
 		am.own[k], ints = ints[:n:n], ints[n:]
@@ -104,7 +103,7 @@ func (am *ArrayLayout) initGeometry(p, margin int, boxed bool) int64 {
 			}
 		}
 		am.box = make([]int, 2*p*rank)
-		bytes += int64(len(am.box)) * int64(unsafe.Sizeof(am.box[0]))
+		bytes += heapsize.Slice(am.box)
 		coords := make([]int, d.Grid.Rank())
 		for q := 0; q < p; q++ {
 			d.Grid.CoordsInto(q, coords)

@@ -13,9 +13,9 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"unsafe"
 
 	"gcao/internal/dist"
+	"gcao/internal/heapsize"
 	"gcao/internal/machine"
 	"gcao/internal/section"
 	"gcao/internal/sem"
@@ -238,12 +238,10 @@ func NewLayout(u *sem.Unit, p int, margin map[string]int) *Layout {
 		arr := u.Arrays[name]
 		al := &ArrayLayout{Name: name, Arr: arr, Dist: arr.Dist, Slot: slot, whole: section.Whole(arr.Lo, arr.Hi)}
 		w, boxed := margin[name]
-		l.bytes += al.initGeometry(p, w, boxed) + int64(unsafe.Sizeof(*al)) + int64(len(al.whole.Dims))*int64(unsafe.Sizeof(al.whole.Dims[0]))
+		l.bytes += al.initGeometry(p, w, boxed) + heapsize.Of(al) + heapsize.Slice(al.whole.Dims)
 		l.Arrays, l.byName[name], l.MaxRank = append(l.Arrays, al), al, max(l.MaxRank, arr.Rank())
 	}
-	l.bytes += int64(unsafe.Sizeof(*l)) + int64(cap(l.Arrays))*int64(unsafe.Sizeof(l.Arrays[0])) +
-		int64(len(l.byName))*int64(unsafe.Sizeof("")+unsafe.Sizeof(l.byName[""])) +
-		int64(len(margin))*int64(unsafe.Sizeof("")+unsafe.Sizeof(margin[""]))
+	l.bytes += heapsize.Of(l) + heapsize.Slice(l.Arrays) + heapsize.Map(l.byName) + heapsize.Map(margin)
 	return l
 }
 

@@ -16,6 +16,7 @@ import (
 	"strconv"
 
 	"gcao/internal/ast"
+	"gcao/internal/heapsize"
 	"gcao/internal/sem"
 	"gcao/internal/source"
 )
@@ -30,7 +31,15 @@ type Result struct {
 	LoopsCreated int
 	// StmtsExpanded counts array statements that were expanded.
 	StmtsExpanded int
+
+	// bytes counts the nodes, lists and names the rewrite made that Body
+	// keeps.
+	bytes int64
 }
+
+// Bytes returns what the result holds beside the parsed routine: itself
+// and what the rewrite made.
+func (r *Result) Bytes() int64 { return heapsize.Of(r) + r.bytes }
 
 type scalarizer struct {
 	u       *sem.Unit
@@ -55,7 +64,9 @@ func Scalarize(u *sem.Unit) (*Result, error) {
 
 func (s *scalarizer) freshVar() string {
 	s.counter++
-	return fmt.Sprintf("i$%d", s.counter)
+	v := fmt.Sprintf("i$%d", s.counter)
+	s.res.bytes += int64(len(v))
+	return v
 }
 
 // body scalarizes a statement list. Every statement becomes exactly one,
@@ -70,6 +81,7 @@ func (s *scalarizer) body(stmts []ast.Stmt) (out []ast.Stmt, changed bool, err e
 		if ns != st && out == nil {
 			out = make([]ast.Stmt, len(stmts))
 			copy(out, stmts[:i])
+			s.res.bytes += heapsize.Slice(out)
 		}
 		if out != nil {
 			out[i] = ns
@@ -93,6 +105,7 @@ func (s *scalarizer) stmt(st ast.Stmt) (ast.Stmt, error) {
 		}
 		do := *st
 		do.Body = b
+		s.res.bytes += heapsize.Of(&do)
 		return &do, nil
 	case *ast.IfStmt:
 		t, tc, err := s.body(st.Then)
@@ -105,6 +118,7 @@ func (s *scalarizer) stmt(st ast.Stmt) (ast.Stmt, error) {
 		}
 		is := *st
 		is.Then, is.Else = t, e
+		s.res.bytes += heapsize.Of(&is)
 		return &is, nil
 	}
 	return st, nil
@@ -214,6 +228,7 @@ func (s *scalarizer) assign(st *ast.AssignStmt) (ast.Stmt, error) {
 		}
 		as := *st
 		as.RHS = rhs
+		s.res.bytes += heapsize.Of(&as)
 		return &as, nil
 	}
 	if containsSum(st.RHS) {
@@ -237,7 +252,11 @@ func (s *scalarizer) assign(st *ast.AssignStmt) (ast.Stmt, error) {
 	}
 	var rhsRefs []refRanges
 	var walkErr error
+	// rewriteRHS replaces every node the expansion makes here, so none of
+	// them is kept.
+	kept := s.res.bytes
 	rhs := s.expandRHSWholes(st.RHS)
+	s.res.bytes = kept
 	ast.WalkExprs(rhs, func(e ast.Expr) {
 		if walkErr != nil {
 			return
@@ -291,24 +310,29 @@ func (s *scalarizer) assign(st *ast.AssignStmt) (ast.Stmt, error) {
 	// llo). In normalized form the variable runs 0..count-1 and indexes
 	// are lo + v*step on both sides.
 	num := func(v int, pos source.Pos) ast.Expr {
-		return &ast.NumLit{Text: strconv.Itoa(v), Value: float64(v), Int: v, IsInt: true, Pos: pos}
+		lit := &ast.NumLit{Text: strconv.Itoa(v), Value: float64(v), Int: v, IsInt: true, Pos: pos}
+		s.res.bytes += heapsize.Of(lit)
+		return lit
 	}
 	mkIdx := func(v string, base, coef int, pos source.Pos) ast.Expr {
-		ve := ast.Expr(&ast.Ident{Name: v, Pos: pos})
+		id := &ast.Ident{Name: v, Pos: pos}
+		s.res.bytes += heapsize.Of(id)
+		ve := ast.Expr(id)
 		if coef != 1 {
-			ve = &ast.BinExpr{Op: ast.Mul, X: num(coef, pos), Y: ve, Pos: pos}
+			ve = s.bin(ast.Mul, num(coef, pos), ve, pos)
 		}
 		if base == 0 {
 			return ve
 		}
 		if base > 0 {
-			return &ast.BinExpr{Op: ast.Add, X: ve, Y: num(base, pos), Pos: pos}
+			return s.bin(ast.Add, ve, num(base, pos), pos)
 		}
-		return &ast.BinExpr{Op: ast.Sub_, X: ve, Y: num(-base, pos), Pos: pos}
+		return s.bin(ast.Sub_, ve, num(-base, pos), pos)
 	}
 
 	// New LHS with element subscripts.
 	newLHS := &ast.Ref{Name: lhs.Name, Pos: lhs.Pos, Subs: append([]ast.Sub(nil), lhs.Subs...)}
+	s.res.bytes += heapsize.Of(newLHS) + heapsize.Slice(newLHS.Subs)
 	{
 		k := 0
 		for d, sub := range lhs.Subs {
@@ -317,7 +341,9 @@ func (s *scalarizer) assign(st *ast.AssignStmt) (ast.Stmt, error) {
 			}
 			var idx ast.Expr
 			if direct {
-				idx = &ast.Ident{Name: vars[k], Pos: lhs.Pos}
+				id := &ast.Ident{Name: vars[k], Pos: lhs.Pos}
+				s.res.bytes += heapsize.Of(id)
+				idx = id
 			} else {
 				idx = mkIdx(vars[k], lranges[k].lo, lranges[k].step, lhs.Pos)
 			}
@@ -331,6 +357,7 @@ func (s *scalarizer) assign(st *ast.AssignStmt) (ast.Stmt, error) {
 	newRHS := s.rewriteRHS(rhs, lranges, vars, direct, mkIdx)
 
 	inner := &ast.AssignStmt{LHS: newLHS, RHS: newRHS, Pos: st.Pos, Label: st.Label}
+	s.res.bytes += heapsize.Of(inner)
 	s.res.StmtsExpanded++
 
 	// Wrap in loops, first sectioned dimension outermost (matching the
@@ -349,7 +376,9 @@ func (s *scalarizer) assign(st *ast.AssignStmt) (ast.Stmt, error) {
 			lo = num(0, st.Pos)
 			hi = num(rangeCount(lranges[k])-1, st.Pos)
 		}
-		out = &ast.DoStmt{Var: vars[k], Lo: lo, Hi: hi, Step: step, Body: []ast.Stmt{out}, Pos: st.Pos}
+		do := &ast.DoStmt{Var: vars[k], Lo: lo, Hi: hi, Step: step, Body: []ast.Stmt{out}, Pos: st.Pos}
+		s.res.bytes += heapsize.Of(do) + heapsize.Slice(do.Body)
+		out = do
 		s.res.LoopsCreated++
 	}
 	return out, nil
@@ -369,7 +398,9 @@ func (s *scalarizer) expandRHSWholes(e ast.Expr) ast.Expr {
 			for i := range subs {
 				subs[i] = ast.Sub{Kind: ast.SubRange}
 			}
-			return &ast.Ref{Name: e.Name, Subs: subs, Pos: e.Pos}
+			r := &ast.Ref{Name: e.Name, Subs: subs, Pos: e.Pos}
+			s.res.bytes += heapsize.Of(r) + heapsize.Slice(subs)
+			return r
 		}
 		return e
 	case *ast.BinExpr:
@@ -377,10 +408,10 @@ func (s *scalarizer) expandRHSWholes(e ast.Expr) ast.Expr {
 		if x == e.X && y == e.Y {
 			return e
 		}
-		return &ast.BinExpr{Op: e.Op, X: x, Y: y, Pos: e.Pos}
+		return s.bin(e.Op, x, y, e.Pos)
 	case *ast.UnaryExpr:
 		if x := s.expandRHSWholes(e.X); x != e.X {
-			return &ast.UnaryExpr{X: x, Pos: e.Pos}
+			return s.unary(x, e.Pos)
 		}
 		return e
 	case *ast.Call:
@@ -398,7 +429,7 @@ func (s *scalarizer) expandRHSWholes(e ast.Expr) ast.Expr {
 		if args == nil {
 			return e
 		}
-		return &ast.Call{Func: e.Func, Args: args, Pos: e.Pos}
+		return s.call(e.Func, args, e.Pos)
 	default:
 		return e
 	}
@@ -421,6 +452,7 @@ func (s *scalarizer) rewriteRHS(e ast.Expr, lranges []rangeInfo, vars []string, 
 			return e // validated earlier; defensive
 		}
 		out := &ast.Ref{Name: e.Name, Pos: e.Pos, Subs: append([]ast.Sub(nil), e.Subs...)}
+		s.res.bytes += heapsize.Of(out) + heapsize.Slice(out.Subs)
 		k := 0
 		for d, sub := range e.Subs {
 			if sub.Kind != ast.SubRange {
@@ -438,18 +470,37 @@ func (s *scalarizer) rewriteRHS(e ast.Expr, lranges []rangeInfo, vars []string, 
 		}
 		return out
 	case *ast.BinExpr:
-		return &ast.BinExpr{Op: e.Op,
-			X: s.rewriteRHS(e.X, lranges, vars, direct, mkIdx),
-			Y: s.rewriteRHS(e.Y, lranges, vars, direct, mkIdx), Pos: e.Pos}
+		return s.bin(e.Op,
+			s.rewriteRHS(e.X, lranges, vars, direct, mkIdx),
+			s.rewriteRHS(e.Y, lranges, vars, direct, mkIdx), e.Pos)
 	case *ast.UnaryExpr:
-		return &ast.UnaryExpr{X: s.rewriteRHS(e.X, lranges, vars, direct, mkIdx), Pos: e.Pos}
+		return s.unary(s.rewriteRHS(e.X, lranges, vars, direct, mkIdx), e.Pos)
 	case *ast.Call:
 		args := make([]ast.Expr, len(e.Args))
 		for i, a := range e.Args {
 			args[i] = s.rewriteRHS(a, lranges, vars, direct, mkIdx)
 		}
-		return &ast.Call{Func: e.Func, Args: args, Pos: e.Pos}
+		return s.call(e.Func, args, e.Pos)
 	default:
 		return e
 	}
+}
+
+// bin, unary and call make the rewrite's new operator nodes, counted.
+func (s *scalarizer) bin(op ast.BinOp, x, y ast.Expr, pos source.Pos) ast.Expr {
+	e := &ast.BinExpr{Op: op, X: x, Y: y, Pos: pos}
+	s.res.bytes += heapsize.Of(e)
+	return e
+}
+
+func (s *scalarizer) unary(x ast.Expr, pos source.Pos) ast.Expr {
+	e := &ast.UnaryExpr{X: x, Pos: pos}
+	s.res.bytes += heapsize.Of(e)
+	return e
+}
+
+func (s *scalarizer) call(fn string, args []ast.Expr, pos source.Pos) ast.Expr {
+	e := &ast.Call{Func: fn, Args: args, Pos: pos}
+	s.res.bytes += heapsize.Of(e) + heapsize.Slice(args)
+	return e
 }

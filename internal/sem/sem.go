@@ -12,6 +12,7 @@ import (
 
 	"gcao/internal/ast"
 	"gcao/internal/dist"
+	"gcao/internal/heapsize"
 	"gcao/internal/source"
 )
 
@@ -59,6 +60,17 @@ type Unit struct {
 	// ArrayNames lists arrays in declaration order for deterministic
 	// iteration.
 	ArrayNames []string
+
+	// bytes counts the slabs Analyze carves arrays, scalars, bounds and
+	// distributions from, and the distributions' own tables.
+	bytes int64
+}
+
+// Bytes returns what the unit holds beside its routine: itself, its
+// symbol tables and what they are carved from.
+func (u *Unit) Bytes() int64 {
+	return heapsize.Of(u) + u.bytes + heapsize.Map(u.Params) + heapsize.Map(u.Arrays) +
+		heapsize.Map(u.Scalars) + heapsize.Slice(u.ArrayNames) + heapsize.Slice(u.Grid.Shape)
 }
 
 // Options configures analysis.
@@ -102,6 +114,7 @@ func Analyze(r *ast.Routine, params map[string]int, opt Options) (*Unit, error) 
 		Arrays:     make(map[string]*Array, nArrays),
 		Scalars:    make(map[string]*Scalar, nScalars),
 		ArrayNames: make([]string, 0, nArrays),
+		bytes:      heapsize.Slice(arrays) + heapsize.Slice(scalars) + heapsize.Slice(bounds) + heapsize.Slice(dists),
 	}
 	newScalar := func(sc Scalar) {
 		scalars[0] = sc
@@ -255,6 +268,7 @@ func Analyze(r *ast.Routine, params map[string]int, opt Options) (*Unit, error) 
 				return nil, err
 			}
 			grid = g2
+			u.bytes += heapsize.Slice(grid.Shape)
 		}
 		for _, name := range dd.Arrays {
 			a, ok := u.Arrays[name]
@@ -270,6 +284,7 @@ func Analyze(r *ast.Routine, params map[string]int, opt Options) (*Unit, error) 
 			}
 			dists[0] = dv
 			a.Dist = &dists[0]
+			u.bytes += heapsize.Slice(dv.Dims)
 			dists = dists[1:]
 		}
 	}

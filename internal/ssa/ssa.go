@@ -21,6 +21,7 @@ import (
 	"gcao/internal/ast"
 	"gcao/internal/cfg"
 	"gcao/internal/dom"
+	"gcao/internal/heapsize"
 )
 
 // Def is an SSA definition of an array variable: a regular def, a
@@ -145,6 +146,17 @@ type Info struct {
 
 	// varIndex numbers the array variables: the index into Entries.
 	varIndex map[string]int
+	// bytes counts the slabs Build carves the defs, φ arguments and def
+	// lists from.
+	bytes int64
+}
+
+// Bytes returns what the form holds beside its graph and dominator tree:
+// itself, its tables and the slabs its defs and uses are carved from.
+func (info *Info) Bytes() int64 {
+	return heapsize.Of(info) + info.bytes + heapsize.Map(info.varIndex) +
+		heapsize.Slice(info.Entries) + heapsize.Slice(info.Uses) +
+		heapsize.Slice(info.PhisByBlock) + heapsize.Slice(info.UsesOfStmt)
 }
 
 // builder holds what construction needs beside the Info it fills.
@@ -254,6 +266,7 @@ func Build(g *cfg.Graph, t *dom.Tree, isArray func(name string) bool) *Info {
 	b.defSlab = make([]RegularDef, nDefs)
 	info.Uses = make([]*Use, 0, nUses)
 	defs := make([]*RegularDef, nDefs+ns)
+	info.bytes += heapsize.Slice(entries) + heapsize.Slice(b.useSlab) + heapsize.Slice(b.defSlab) + heapsize.Slice(defs)
 	info.Defs, info.DefOfStmt = defs[:0:nDefs], defs[nDefs:]
 	b.rename(g.EntryBlock.ID)
 
@@ -334,6 +347,7 @@ func (b *builder) placePhis() {
 	phis := make([]PhiDef, nphis)
 	args := make([]Def, nargs)
 	lists := make([]*PhiDef, 2*nphis)
+	info.bytes += heapsize.Slice(phis) + heapsize.Slice(args) + heapsize.Slice(lists)
 	info.Phis, lists = lists[:nphis:nphis], lists[nphis:]
 	info.PhisByBlock = make([][]*PhiDef, nb)
 	for id, n := range perBlock {
