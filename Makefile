@@ -249,17 +249,17 @@ nativeprof-smoke:
 # and through gcaod's handler) with no front-end or structural span, and
 # a full compile of hydflo/flux (parse through the three placements,
 # BenchmarkFig10aHydfloFlux) must stay within the allocation budget in
-# ci/compile-alloc-budget.txt: 1.25x the measured allocs/op — 297, for
-# the 238 it takes once the dependence memo keeps one direction vector
+# ci/compile-alloc-budget.txt: 1.25x the measured allocs/op — 264, for
+# the 211 it takes once placement keeps its redundancy and position tables
+# by entry ID (238 once the dependence memo keeps one direction vector
 # per class of (def, use) pair and diagonal coalescing carves its lists
-# from slabs, 211 once placement keeps its redundancy and position tables
-# by entry ID (329 and a budget of 411 before; 1,049 before sem, the
+# from slabs, 329 and a budget of 411 before; 1,049 before sem, the
 # skeleton's layers and the candidate lists allocated by the routine),
 # where the revision before the per-level section tables spent 399 416 —
 # a pair test that starts re-expanding sections again is a regression
 # long before it shows in milliseconds. gcaod's cold request for a known
 # source is held within 10 % of its count (TestColdKnownSourceAllocs,
-# 457 under a budget of 502; 493 under 540 before the class memo). The
+# 391 under a budget of 430; 493 under 540 before the class memo). The
 # analysis must keep every answer while it asks fewer questions: every
 # entry's CommLevel, Latest, Earliest and candidates equal what the
 # exhaustive computation derives on the six routines, 200 random
@@ -275,7 +275,8 @@ nativeprof-smoke:
 # shares what it does not rewrite with the parsed routine without ever
 # writing to it (TestScalarizeLeavesInputIntact) — which is what lets the
 # race test below share one skeleton with the source tier's tree. Placement's own storage is held the
-# same way: what each version allocates (TestPlaceNilRecorderAllocs), a
+# same way: what each version allocates (TestPlaceNilRecorderAllocs), the
+# exhaustive §6.1 search never beaten by greedy (TestGreedyVsOptimal), a
 # reused analysis placing what a fresh one does
 # (TestPlacementScratchPerCall), the on-demand site labels against the
 # format Place used to store (TestLazyLabelsMatchEagerFormat), eight
@@ -298,7 +299,7 @@ compile-smoke:
 	$(GO) test ./internal/lin -run 'TestFormMatchesMapModel' -count=1
 	$(GO) test ./internal/asd -run 'TestHullCountMatchesHull' -count=1
 	$(GO) test ./internal/scalarize -run 'TestScalarizeLeavesInputIntact' -count=1
-	$(GO) test ./internal/core -run 'TestPlacementGolden|TestSectionTableMatchesExpansion|TestPlaceNilRecorderAllocs|TestNilTallyCostsNothing|TestPlacementScratchPerCall|TestLazyLabelsMatchEagerFormat|TestFrontEndAllocs|TestLatestEarliestMatchExhaustive|TestAnalysisScales' -count=1
+	$(GO) test ./internal/core -run 'TestPlacementGolden|TestSectionTableMatchesExpansion|TestPlaceNilRecorderAllocs|TestNilTallyCostsNothing|TestGreedyVsOptimal|TestPlacementScratchPerCall|TestLazyLabelsMatchEagerFormat|TestFrontEndAllocs|TestLatestEarliestMatchExhaustive|TestAnalysisScales' -count=1
 	$(GO) test ./internal/dep -run 'TestClassMemoMatchesFresh' -count=1
 	$(GO) test -race ./internal/core -run 'TestSharedAnalysisConcurrentPlace|TestConcurrentPlacementLabels' -count=1
 	$(GO) test . -run 'TestSkeletonMatchesMonolithic|TestSkeletonHitPin|TestCompilationSizeTracksHeap|TestPlacedSizeTracksHeap|TestTierChargesCounted' -count=1
@@ -354,13 +355,14 @@ fuzz-smoke:
 # n=16, 4 steps, P=16, memory image and lowered program rebuilt per run,
 # as spmd.RunParallel on a bare placement result does) must stay
 # within the allocation budget in ci/sim-alloc-budget.txt: 1.25x the
-# measured allocs/op (474; 393 since lowering carves its communication
-# positions and nest lists), where the revision that scanned whole sections
+# measured allocs/op (279 since every list a lowered program keeps is
+# popped from a stack into a slab; 393 before, 474 before lowering carved
+# its communication positions and nest lists), where the revision that scanned whole sections
 # into per-call pair maps spent 10 300, the one that lowered by the
 # expression 3 645 and the one whose expressions were closures 767 — a
 # bulk memory operation or a lowered form that allocates per call again is
-# a regression long before it shows in milliseconds. Lowering carves its forms from slabs: every Terms slice
-# and every plane of an image must be capped at its length
+# a regression long before it shows in milliseconds. Lowering carves its forms and lists from slabs: every Terms slice,
+# every list a lowered program keeps and every plane of an image must be capped at its length
 # (TestLoweredTermsCapped), and what lowering allocates is pinned on flux
 # and shallow (TestLowerAllocations). The image the simulator rebuilds per run is its
 # processors' local boxes: TestImageBytes pins its bytes, and a read past

@@ -657,7 +657,10 @@ func BenchmarkNativeScaling(b *testing.B) {
 // whatever it runs on; native.NewEngine and spmd.RunParallel on a bare
 // placement result lower for themselves (so RunParallel pays per run),
 // which is why what lowering allocates is budgeted in
-// ci/sim-alloc-budget.txt.
+// ci/sim-alloc-budget.txt. Every value and list a Program keeps is carved
+// from a slab sized by the CFG's, the SSA form's and the placement's
+// counts: 976 allocations and 628 KB an op, from 1,358 and 665 KB while
+// node lists grew by append and each new slab doubled the last.
 func BenchmarkLower(b *testing.B) {
 	var placed []*core.Result
 	for _, pr := range bench.Programs() {

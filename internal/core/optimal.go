@@ -179,7 +179,7 @@ func (a *Analysis) partition(es []*Entry, p Position, opts Options) [][]*Entry {
 			for gi := range groups {
 				ok := true
 				for _, m := range groups[gi] {
-					if ok, _ := a.combineVerdict(e, m, p.Level(), opts); !ok {
+					if can, _ := a.combineVerdict(e, m, p.Level(), opts); !can {
 						ok = false
 						break
 					}

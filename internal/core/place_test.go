@@ -195,16 +195,17 @@ func TestSubsetElimAblation(t *testing.T) {
 // greedy heuristic must match the exhaustive optimum.
 func TestGreedyVsOptimal(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		src  string
-		n    int
+		name   string
+		src    string
+		params map[string]int
 	}{
-		{"fig3", fig3ScalarizedSrc, 64},
-		{"fig3fused", fig3FusedSrc, 64},
-		{"fig4", fig4Src, 16},
+		{"fig3", fig3ScalarizedSrc, map[string]int{"n": 64}},
+		{"fig3fused", fig3FusedSrc, map[string]int{"n": 64}},
+		{"fig4", fig4Src, map[string]int{"n": 16}},
+		{"optimal-kernel", optimalKernelSrc, map[string]int{"n": 16, "steps": 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a := analyze(t, tc.src, map[string]int{"n": tc.n}, 4)
+			a := analyze(t, tc.src, tc.params, 4)
 			greedy, err := a.Place(core.Options{Version: core.VersionCombine})
 			if err != nil {
 				t.Fatal(err)
@@ -230,6 +231,43 @@ func TestGreedyVsOptimal(t *testing.T) {
 		})
 	}
 }
+
+// optimalKernelSrc is BenchmarkOptimalAblation's kernel: two fields with
+// two-direction stencils updated across a timestep loop, whose exhaustive
+// search must not combine the two fields' shifts, which are not
+// compatible.
+const optimalKernelSrc = `
+routine opt(n, steps)
+real a(n, n), b(n, n), ra(n, n), rb(n, n)
+!hpf$ distribute (block, block) :: a, b, ra, rb
+do i = 1, n
+do j = 1, n
+a(i, j) = i
+b(i, j) = j
+ra(i, j) = 0
+rb(i, j) = 0
+enddo
+enddo
+do it = 1, steps
+do i = 2, n - 1
+do j = 2, n - 1
+ra(i, j) = a(i - 1, j) + a(i + 1, j)
+enddo
+enddo
+do i = 2, n - 1
+do j = 2, n - 1
+rb(i, j) = b(i - 1, j) + b(i + 1, j)
+enddo
+enddo
+do i = 2, n - 1
+do j = 2, n - 1
+a(i, j) = a(i, j) + 0.1 * ra(i, j)
+b(i, j) = b(i, j) + 0.1 * rb(i, j)
+enddo
+enddo
+enddo
+end
+`
 
 // TestCandidatesOrdered: every entry's candidate list runs from
 // Earliest to Latest along the dominator chain.

@@ -22,6 +22,7 @@ package inline
 
 import (
 	"fmt"
+	"slices"
 
 	"gcao/internal/ast"
 	"gcao/internal/heapsize"
@@ -33,29 +34,28 @@ import (
 // not modified.
 type flattener struct {
 	prog    *ast.Program
-	main    *ast.Routine
 	out     *ast.Routine
 	callSeq int
 	// arrays tracks array names visible in the flattened routine, for
 	// argument classification.
 	arrays map[string]bool
-	// bytes counts what the flattened routine keeps that inlining made:
-	// its new nodes, lists and names, not the clones it drops.
+	// bytes counts what inlining made for the flattened routine: its new
+	// nodes, lists and names (see rewriteBody).
 	bytes int64
 }
 
-// Flatten inlines all calls in main.
+// Flatten inlines all calls in main. A routine or a list of statements
+// without calls in or below it is the parsed one.
 func Flatten(prog *ast.Program, main string) (*ast.Routine, error) {
 	r := prog.Routine(main)
 	if r == nil {
 		return nil, fmt.Errorf("inline: no routine %q", main)
 	}
-	f := &flattener{prog: prog, main: r, arrays: map[string]bool{}}
-	f.out = &ast.Routine{
-		Name:   r.Name,
-		Params: append([]string(nil), r.Params...),
-		Pos:    r.Pos,
+	if !slices.ContainsFunc(r.Body, hasCall) {
+		return r, nil
 	}
+	f := &flattener{prog: prog, arrays: map[string]bool{}}
+	f.out = &ast.Routine{Name: r.Name, Params: r.Params, Pos: r.Pos}
 	for _, d := range r.Decls {
 		f.out.Decls = append(f.out.Decls, d)
 		for _, item := range d.Items {
@@ -70,14 +70,22 @@ func Flatten(prog *ast.Program, main string) (*ast.Routine, error) {
 		return nil, err
 	}
 	f.out.Body = body
-	f.out.Bytes = r.Bytes + f.bytes + heapsize.Of(f.out) + heapsize.Slice(f.out.Params) +
-		heapsize.Slice(f.out.Decls) + heapsize.Slice(f.out.Dirs)
+	f.out.Bytes = r.Bytes + f.bytes + heapsize.Of(f.out) + heapsize.Slice(f.out.Decls) + heapsize.Slice(f.out.Dirs)
 	return f.out, nil
 }
 
+// body returns stmts with every call in or below them inlined: stmts
+// itself when there is none.
 func (f *flattener) body(stmts []ast.Stmt, active map[string]bool) ([]ast.Stmt, error) {
+	if !slices.ContainsFunc(stmts, hasCall) {
+		return stmts, nil
+	}
 	var out []ast.Stmt
 	for _, s := range stmts {
+		if !hasCall(s) {
+			out = append(out, s)
+			continue
+		}
 		switch s := s.(type) {
 		case *ast.CallStmt:
 			inlined, err := f.expand(s, active)
@@ -103,12 +111,23 @@ func (f *flattener) body(stmts []ast.Stmt, active map[string]bool) ([]ast.Stmt, 
 			}
 			out = append(out, &ast.IfStmt{Cond: s.Cond, Then: t, Else: e, Pos: s.Pos})
 			f.bytes += heapsize.Of(s)
-		default:
-			out = append(out, s)
 		}
 	}
 	f.bytes += heapsize.Slice(out)
 	return out, nil
+}
+
+// hasCall reports whether s is a call or holds one.
+func hasCall(s ast.Stmt) bool {
+	switch s := s.(type) {
+	case *ast.CallStmt:
+		return true
+	case *ast.DoStmt:
+		return slices.ContainsFunc(s.Body, hasCall)
+	case *ast.IfStmt:
+		return slices.ContainsFunc(s.Then, hasCall) || slices.ContainsFunc(s.Else, hasCall)
+	}
+	return false
 }
 
 // expand inlines one call site.
@@ -222,7 +241,7 @@ func (f *flattener) expand(call *ast.CallStmt, active map[string]bool) ([]ast.St
 		}
 	}
 
-	// Clone and rewrite the body, then recursively inline nested calls.
+	// Clone and rewrite the body, then inline the calls the clone holds.
 	inner := map[string]bool{}
 	for k := range active {
 		inner[k] = true
@@ -232,6 +251,9 @@ func (f *flattener) expand(call *ast.CallStmt, active map[string]bool) ([]ast.St
 	return f.body(cloned, inner)
 }
 
+// rewriteBody clones stmts under the renaming and substitution and counts
+// the clones but a call's, which body replaces (as it does a cloned list
+// or statement holding a call, which is counted all the same).
 func (f *flattener) rewriteBody(stmts []ast.Stmt, rename map[string]string, subst map[string]ast.Expr) []ast.Stmt {
 	var out []ast.Stmt
 	for _, s := range stmts {
@@ -249,7 +271,7 @@ func (f *flattener) rewriteBody(stmts []ast.Stmt, rename map[string]string, subs
 			// call site so nests from different expansions stay
 			// independent.
 			fresh := fmt.Sprintf("%s$c%d", s.Var, f.callSeq)
-			f.bytes += int64(len(fresh))
+			f.bytes += int64(len(fresh)) + heapsize.Of(s)
 			inner := map[string]string{}
 			for k, v := range rename {
 				inner[k] = v
@@ -270,6 +292,7 @@ func (f *flattener) rewriteBody(stmts []ast.Stmt, rename map[string]string, subs
 				Else: f.rewriteBody(s.Else, rename, subst),
 				Pos:  s.Pos,
 			})
+			f.bytes += heapsize.Of(s)
 		case *ast.CallStmt:
 			args := make([]ast.Expr, len(s.Args))
 			for i, a := range s.Args {
@@ -278,6 +301,7 @@ func (f *flattener) rewriteBody(stmts []ast.Stmt, rename map[string]string, subs
 			out = append(out, &ast.CallStmt{Name: s.Name, Args: args, Pos: s.Pos})
 		}
 	}
+	f.bytes += heapsize.Slice(out)
 	return out
 }
 

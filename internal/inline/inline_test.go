@@ -83,6 +83,41 @@ func TestFlattenBasics(t *testing.T) {
 	if dirCount != 2 {
 		t.Errorf("hoisted distribute directives = %d, want 2", dirCount)
 	}
+
+	// What holds no call is the parse's own: a routine without calls, and
+	// a statement beside a call.
+	prog, err := parser.Parse(twoRoutineSrc + `
+routine mixed(n)
+real a(n, n)
+!hpf$ distribute (block, block) :: a
+do i = 1, n
+do j = 1, n
+a(i, j) = i + j
+enddo
+enddo
+call smooth(a, n)
+end
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flat *ast.Routine
+	allocs := testing.AllocsPerRun(10, func() { flat, err = Flatten(prog, "smooth") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if smooth := prog.Routine("smooth"); &flat.Body[0] != &smooth.Body[0] || len(flat.Body) != len(smooth.Body) {
+		t.Errorf("a call-free routine's body is a copy, not the parsed list")
+	}
+	if allocs > 2 {
+		t.Errorf("flattening a call-free routine allocates %v times, want at most 2", allocs)
+	}
+	if flat, err = Flatten(prog, "mixed"); err != nil {
+		t.Fatal(err)
+	}
+	if flat.Body[0] != prog.Routine("mixed").Body[0] {
+		t.Errorf("a call-free DO beside a call is a copy, not the parsed statement")
+	}
 }
 
 func renderBody(r *ast.Routine) string {

@@ -59,8 +59,8 @@ type parser struct {
 	tok, la source.Lexeme
 	depth   int // constructs open around the current token (maxNesting)
 	a       *slabs
-	// bytes counts what the parse keeps beside its slabs: the program,
-	// routines, declarations, directives and their lists.
+	// bytes counts what the parse keeps: its slabs' chunks, which they add,
+	// the program, routines, declarations, directives and their lists.
 	bytes int64
 	// Lists under construction, nested lists above their parents': a
 	// finished list is carved from its slab and popped. Each stack
@@ -86,7 +86,8 @@ func Parse(src string) (*ast.Program, error) {
 	if len(src) > math.MaxInt32 {
 		return nil, fmt.Errorf("parser: a source of %d bytes is over the scanner's 2 GiB", len(src))
 	}
-	p := &parser{sc: source.NewScanner(src), a: newSlabs(len(src))}
+	p := &parser{sc: source.NewScanner(src)}
+	p.a = newSlabs(len(src), &p.bytes)
 	p.stmts, p.exprs, p.subs = p.stmtBuf[:0], p.exprBuf[:0], p.subBuf[:0]
 	p.items, p.bounds, p.names = p.itemBuf[:0], p.boundBuf[:0], p.nameBuf[:0]
 	p.tok = p.sc.Scan()
@@ -117,7 +118,7 @@ func (p *parser) program() (*ast.Program, error) {
 		return nil, fmt.Errorf("parser: no routines in input")
 	}
 	// The routines share the slabs, so each keeps the whole parse alive.
-	n := p.bytes + p.a.bytes() + heapsize.Of(prog) + heapsize.Slice(prog.Routines)
+	n := p.bytes + heapsize.Of(prog) + heapsize.Slice(prog.Routines)
 	for _, r := range prog.Routines {
 		r.Bytes = n
 	}
@@ -171,13 +172,6 @@ func (p *parser) enter(pos source.Pos) error {
 }
 
 func (p *parser) leave() { p.depth-- }
-
-// pop carves the list stack[mark:] from its slab and pops it.
-func pop[T any](stack *[]T, mark int, s *slab[T]) []T {
-	out := s.carve((*stack)[mark:])
-	*stack = (*stack)[:mark]
-	return out
-}
 
 func (p *parser) expect(k source.Kind) (source.Lexeme, error) {
 	if !p.at(k) {
@@ -239,7 +233,7 @@ func (p *parser) routine() (*ast.Routine, error) {
 		if _, err := p.expect(source.RParen); err != nil {
 			return nil, err
 		}
-		r.Params = pop(&p.names, mark, &p.a.names)
+		r.Params = heapsize.Pop(&p.names, mark, &p.a.names)
 	}
 	if err := p.expectNL(); err != nil {
 		return nil, err
@@ -285,7 +279,7 @@ body:
 		}
 		p.stmts = append(p.stmts, s)
 	}
-	r.Body = pop(&p.stmts, mark, &p.a.stmts)
+	r.Body = heapsize.Pop(&p.stmts, mark, &p.a.stmts)
 	p.next() // "end"
 	// Optional "end routine [name]".
 	if p.atKw("routine") {
@@ -337,7 +331,7 @@ func (p *parser) decl() (*ast.Decl, error) {
 			if _, err := p.expect(source.RParen); err != nil {
 				return nil, err
 			}
-			item.Bounds = pop(&p.bounds, bmark, &p.a.bounds)
+			item.Bounds = heapsize.Pop(&p.bounds, bmark, &p.a.bounds)
 		}
 		p.items = append(p.items, item)
 		if p.at(source.Comma) {
@@ -346,7 +340,7 @@ func (p *parser) decl() (*ast.Decl, error) {
 		}
 		break
 	}
-	d.Items = pop(&p.items, mark, &p.a.items)
+	d.Items = heapsize.Pop(&p.items, mark, &p.a.items)
 	if err := p.expectNL(); err != nil {
 		return nil, err
 	}
@@ -400,7 +394,7 @@ func (p *parser) directive() (ast.Dir, error) {
 		if _, err := p.expect(source.RParen); err != nil {
 			return nil, err
 		}
-		d.Shape = pop(&p.exprs, mark, &p.a.exprs)
+		d.Shape = heapsize.Pop(&p.exprs, mark, &p.a.exprs)
 		if err := p.expectNL(); err != nil {
 			return nil, err
 		}
@@ -462,7 +456,7 @@ func (p *parser) directive() (ast.Dir, error) {
 				break
 			}
 		}
-		d.Arrays = pop(&p.names, mark, &p.a.names)
+		d.Arrays = heapsize.Pop(&p.names, mark, &p.a.names)
 		p.bytes += heapsize.Of(d) + heapsize.Slice(d.Kinds)
 		if err := p.expectNL(); err != nil {
 			return nil, err
@@ -508,7 +502,7 @@ func (p *parser) block(start source.Pos, what string, closers ...string) ([]ast.
 	for {
 		for _, kw := range closers {
 			if p.atKw(kw) {
-				return pop(&p.stmts, mark, &p.a.stmts), nil
+				return heapsize.Pop(&p.stmts, mark, &p.a.stmts), nil
 			}
 		}
 		if p.at(source.EOF) {
@@ -529,7 +523,7 @@ func (p *parser) callStmt() (ast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := p.a.callStmts.new()
+	s := p.a.callStmts.New()
 	s.Name, s.Pos = p.text(name), start
 	if p.at(source.LParen) {
 		p.next()
@@ -549,7 +543,7 @@ func (p *parser) callStmt() (ast.Stmt, error) {
 		if _, err := p.expect(source.RParen); err != nil {
 			return nil, err
 		}
-		s.Args = pop(&p.exprs, mark, &p.a.exprs)
+		s.Args = heapsize.Pop(&p.exprs, mark, &p.a.exprs)
 	}
 	if err := p.expectNL(); err != nil {
 		return nil, err
@@ -597,7 +591,7 @@ func (p *parser) doStmt() (ast.Stmt, error) {
 		return nil, err
 	}
 	p.leave()
-	d := p.a.dos.new()
+	d := p.a.dos.New()
 	d.Var, d.Lo, d.Hi, d.Step, d.Body, d.Pos = p.text(v), lo, hi, step, body, start
 	if p.atKw("enddo") {
 		p.next()
@@ -635,7 +629,7 @@ func (p *parser) ifStmt() (ast.Stmt, error) {
 	if err := p.enter(start); err != nil {
 		return nil, err
 	}
-	s := p.a.ifs.new()
+	s := p.a.ifs.New()
 	s.Cond, s.Pos = cond, start
 	if s.Then, err = p.block(start, "if statement", "else", "endif", "end"); err != nil {
 		return nil, err
@@ -680,7 +674,7 @@ func (p *parser) assign() (ast.Stmt, error) {
 	if err := p.expectNL(); err != nil {
 		return nil, err
 	}
-	s := p.a.assigns.new()
+	s := p.a.assigns.New()
 	s.LHS, s.RHS, s.Pos = lhs, rhs, start
 	return s, nil
 }
@@ -690,7 +684,7 @@ func (p *parser) ref() (*ast.Ref, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := p.a.refs.new()
+	r := p.a.refs.New()
 	r.Name, r.Pos = p.text(t), t.Pos
 	if p.at(source.LParen) {
 		if err := p.enter(p.next().Pos); err != nil {
@@ -713,7 +707,7 @@ func (p *parser) ref() (*ast.Ref, error) {
 			return nil, err
 		}
 		p.leave()
-		r.Subs = pop(&p.subs, mark, &p.a.subs)
+		r.Subs = heapsize.Pop(&p.subs, mark, &p.a.subs)
 	}
 	return r, nil
 }
@@ -767,7 +761,7 @@ func (p *parser) subTail(lo ast.Expr) (ast.Sub, error) {
 
 // bin returns the binary operation x op y at pos.
 func (p *parser) bin(op ast.BinOp, x, y ast.Expr, pos source.Pos) *ast.BinExpr {
-	e := p.a.bins.new()
+	e := p.a.bins.New()
 	e.Op, e.X, e.Y, e.Pos = op, x, y, pos
 	return e
 }
@@ -857,7 +851,7 @@ func (p *parser) factor() (ast.Expr, error) {
 	switch t.Kind {
 	case source.Number:
 		p.next()
-		lit := p.a.nums.new()
+		lit := p.a.nums.New()
 		text := p.text(t)
 		lit.Text, lit.IsInt, lit.Pos = text, !strings.ContainsAny(text, ".e"), t.Pos
 		var err error
@@ -881,7 +875,7 @@ func (p *parser) factor() (ast.Expr, error) {
 			return nil, err
 		}
 		p.leave()
-		u := p.a.unaries.new()
+		u := p.a.unaries.New()
 		u.X, u.Pos = x, t.Pos
 		return u, nil
 	case source.LParen:
@@ -901,7 +895,7 @@ func (p *parser) factor() (ast.Expr, error) {
 	case source.Ident:
 		if p.la.Kind != source.LParen {
 			p.next()
-			id := p.a.idents.new()
+			id := p.a.idents.New()
 			id.Name, id.Pos = p.text(t), t.Pos
 			return id, nil
 		}
@@ -929,8 +923,8 @@ func (p *parser) factor() (ast.Expr, error) {
 			return nil, err
 		}
 		p.leave()
-		call := p.a.calls.new()
-		call.Func, call.Args, call.Pos = p.text(t), pop(&p.exprs, mark, &p.a.exprs), t.Pos
+		call := p.a.calls.New()
+		call.Func, call.Args, call.Pos = p.text(t), heapsize.Pop(&p.exprs, mark, &p.a.exprs), t.Pos
 		return call, nil
 	}
 	return nil, source.Errorf(t.Pos, "expected expression, found %s", p.token(t))

@@ -98,6 +98,68 @@ func (s *Schedule) Matches(f *Schedule) bool {
 // holding the most scratch rows at once needs of them.
 func RowFloats(pr *Program) int { return pr.rowFloats }
 
+// Lists calls f on every list a lowered program keeps in its tree, naming
+// what it holds, with its length and capacity: node lists, a statement's
+// SUMs, reads, row ops and loops, a communication position's ops, an op's
+// entries and slots, an entry's bounds, steps and need, a SUM's section,
+// a loop's clamp and row statements and a nest's lists.
+func Lists(pr *Program, f func(what string, n, c int)) { lists(pr.Body, f) }
+
+func lists(nodes []Node, f func(string, int, int)) {
+	f("node list", len(nodes), cap(nodes))
+	sums := func(ss []Sum) {
+		f("SUM list", len(ss), cap(ss))
+		for _, s := range ss {
+			f("SUM section", len(s.Sec.Dims), cap(s.Sec.Dims))
+		}
+	}
+	comm := func(c *Comm) {
+		if c == nil {
+			return
+		}
+		f("op list", len(c.Ops), cap(c.Ops))
+		for _, op := range c.Ops {
+			f("entry list", len(op.Entries), cap(op.Entries))
+			f("slot list", len(op.Slots), cap(op.Slots))
+			for _, es := range op.Entries {
+				f("section lower bounds", len(es.Lo), cap(es.Lo))
+				f("section upper bounds", len(es.Hi), cap(es.Hi))
+				f("section steps", len(es.Step), cap(es.Step))
+				f("entry need", len(es.need), cap(es.need))
+			}
+		}
+	}
+	for _, n := range nodes {
+		switch n := n.(type) {
+		case *Comm:
+			comm(n)
+		case *Stmt:
+			sums(n.Sums)
+			f("read list", len(n.reads), cap(n.reads))
+			f("row ops", len(n.row), cap(n.row))
+			f("statement loops", len(n.loops), cap(n.loops))
+		case *Loop:
+			comm(n.Pre)
+			comm(n.Head)
+			f("clamp", len(n.Clamp), cap(n.Clamp))
+			f("row statements", len(n.Row), cap(n.Row))
+			if nest := n.Nest; nest != nil {
+				f("nest loops", len(nest.loops), cap(nest.loops))
+				f("nest up", len(nest.up), cap(nest.up))
+				f("nest statements", len(nest.stmts), cap(nest.stmts))
+				f("nest loopOf", len(nest.loopOf), cap(nest.loopOf))
+				f("nest slots", len(nest.slots), cap(nest.slots))
+				f("nest proofs", len(nest.proofs), cap(nest.proofs))
+			}
+			lists(n.Body, f)
+		case *If:
+			sums(n.Sums)
+			lists(n.Then, f)
+			lists(n.Else, f)
+		}
+	}
+}
+
 // Forms calls f on every affine form of a lowered program, naming where
 // it sits: loop bounds and steps, the subscripts and folded offset of
 // every array reference, the bounds of every communicated section and

@@ -122,6 +122,8 @@ func (lw *lowerer) pureNest(root *Loop) *Nest {
 	nest := &lw.cand
 	nest.loops, nest.up, nest.stmts = nest.loops[:0], nest.up[:0], nest.stmts[:0]
 	if nest.loopOf == nil {
+		g := lw.pl.A.G
+		nest.loops, nest.up, nest.stmts = make([]*Loop, 0, len(g.Loops)), make([]int, 0, len(g.Loops)), make([]*Stmt, 0, len(g.Stmts))
 		nest.loopOf = make([]int, len(lw.pr.Ints))
 	}
 	for s := range nest.loopOf {
@@ -147,15 +149,9 @@ func (lw *lowerer) pureNest(root *Loop) *Nest {
 			}
 		}
 	}
-	out := &Nest{
-		loops: carve(lw, &lw.loopLists, len(nest.loops)), up: carve(lw, &lw.ints, len(nest.up)),
-		stmts: carve(lw, &lw.stmtLists, len(nest.stmts)), loopOf: carve(lw, &lw.ints, len(nest.loopOf)),
-	}
-	copy(out.loops, nest.loops)
-	copy(out.up, nest.up)
-	copy(out.stmts, nest.stmts)
-	copy(out.loopOf, nest.loopOf)
-	lw.pr.bytes += heapsize.Of(out)
+	out := lw.s.nests.New()
+	out.loops, out.up = lw.s.loopLists.Carve(nest.loops), lw.s.ints.Carve(nest.up)
+	out.stmts, out.loopOf = lw.s.stmtLists.Carve(nest.stmts), lw.s.ints.Carve(nest.loopOf)
 	return out
 }
 
@@ -303,9 +299,8 @@ func (lw *lowerer) clamp(n *Nest) {
 			}
 		}
 	}
-	// One run of procs ranges per constraint, then one per loop for its
-	// hull.
-	ranges := slices.Grow(lw.owned[:0], (len(cons)+len(n.loops))*procs)[:(len(cons)+len(n.loops))*procs]
+	// One run of procs ranges per constraint, then one for a loop's hull.
+	ranges := slices.Grow(lw.owned[:0], (len(cons)+1)*procs)[:(len(cons)+1)*procs]
 	for j := range cons {
 		c := &cons[j]
 		lhs := n.stmts[c.stmt].LHS
@@ -317,14 +312,12 @@ func (lw *lowerer) clamp(n *Nest) {
 	}
 	// A loop is clamped to the hull of the constraints on its variable
 	// when every statement below it has one; it is exact when the hull is
-	// every one of those statements' own range. The clamps of a nest are
-	// runs of one slice.
-	clamped := 0
+	// every one of those statements' own range.
+	hull := ranges[len(cons)*procs:]
 	for l, lp := range n.loops {
-		hull := ranges[(len(cons)+l)*procs : (len(cons)+l+1)*procs]
 		has, same := false, true
 		for si, st := range n.stmts {
-			if !st.inside(lp) {
+			if !slices.Contains(st.loops, lp) {
 				continue
 			}
 			j := slices.IndexFunc(cons, func(c constraint) bool { return c.stmt == si && c.loop == l })
@@ -348,21 +341,11 @@ func (lw *lowerer) clamp(n *Nest) {
 		if !has {
 			continue
 		}
-		lp.Clamp = hull
-		clamped++
+		lp.Clamp = lw.s.ranges.Carve(hull)
 		for j := range cons {
 			if cons[j].loop == l {
 				cons[j].exact = same
 			}
-		}
-	}
-	kept := make([]Range, 0, clamped*procs)
-	lw.pr.bytes += heapsize.Slice(kept)
-	for _, lp := range n.loops {
-		if lp.Clamp != nil {
-			k := len(kept)
-			kept = append(kept, lp.Clamp...)
-			lp.Clamp = kept[k:len(kept):len(kept)]
 		}
 	}
 	for si, st := range n.stmts {
@@ -394,13 +377,13 @@ func (lw *lowerer) clamp(n *Nest) {
 // entryKey collects the slots Enter's outcome depends on beside the
 // frame's processor and reserves the nest's part of the frames' memos.
 func (lw *lowerer) entryKey(n *Nest) {
-	pr := lw.pr
+	pr, mark := lw.pr, len(lw.ints)
 	for _, lp := range n.loops {
-		n.slots = addSlots(addSlots(n.slots, &lp.Lo.Affine, n.loopOf), &lp.Hi.Affine, n.loopOf)
+		lw.ints = addSlots(addSlots(lw.ints, mark, &lp.Lo.Affine, n.loopOf), mark, &lp.Hi.Affine, n.loopOf)
 	}
 	verified := func(r *ArrayRef) {
 		for i := range r.Subs {
-			n.slots = addSlots(n.slots, &r.Subs[i].Affine, n.loopOf)
+			lw.ints = addSlots(lw.ints, mark, &r.Subs[i].Affine, n.loopOf)
 		}
 	}
 	for _, st := range n.stmts {
@@ -411,42 +394,34 @@ func (lw *lowerer) entryKey(n *Nest) {
 			}
 		}
 	}
-	at := pr.memoLen + 1 + len(n.slots)
+	n.slots = heapsize.Pop(&lw.ints, mark, &lw.s.ints)
+	at, mark := pr.memoLen+1+len(n.slots), len(lw.proofs)
 	for _, st := range n.stmts {
 		for _, r := range st.reads {
-			if !st.Guard && r.hoisted && r.Lay.Dist != nil && !ownerAligned(r, st.LHS) && !n.proves(r, st.innermost()) {
-				n.proofs = append(n.proofs, proof{ref: r, loop: st.innermost(), at: at})
+			if !st.Guard && r.hoisted && r.Lay.Dist != nil && !ownerAligned(r, st.LHS) && !proves(lw.proofs[mark:], r, st.innermost()) {
+				lw.proofs = append(lw.proofs, proof{ref: r, loop: st.innermost(), at: at})
 				at += 2 * len(r.Subs)
 			}
 		}
 	}
+	n.proofs = heapsize.Pop(&lw.proofs, mark, &lw.s.proofs)
 	n.written = at
 	for _, st := range n.stmts {
 		at += 2 * len(st.LHS.Subs)
 	}
 	n.memo, pr.memoLen = pr.memoLen, at
-	pr.bytes += heapsize.Slice(n.slots) + heapsize.Slice(n.proofs)
 }
 
-// proves reports whether a proof of the nest reads what r reads in the
+// proves reports whether one of the proofs reads what r reads in the
 // body of lp.
-func (n *Nest) proves(r *ArrayRef, lp *Loop) bool {
-	return slices.ContainsFunc(n.proofs, func(pf proof) bool {
+func proves(proofs []proof, r *ArrayRef, lp *Loop) bool {
+	return slices.ContainsFunc(proofs, func(pf proof) bool {
 		return pf.loop == lp && pf.ref.Lay == r.Lay && slices.EqualFunc(pf.ref.Subs, r.Subs, func(a, b IntExpr) bool { return a.equal(&b.Affine) })
 	})
 }
 
 // innermost returns the loop directly around a statement of a nest.
 func (st *Stmt) innermost() *Loop { return st.loops[len(st.loops)-1] }
-
-func (st *Stmt) inside(lp *Loop) bool {
-	for _, l := range st.loops {
-		if l == lp {
-			return true
-		}
-	}
-	return false
-}
 
 // span returns the range an affine form takes over the nest's box: the
 // full iteration ranges, or only the frame's processor's part of them.

@@ -24,30 +24,14 @@ import (
 func Lower(res *core.Result) *Program {
 	u := res.Analysis.Unit
 	pl := newPlan(res, runtime.NewLayout(u, u.Grid.NumProcs(), margins(res)))
-	positions, entries := 0, 0
-	for _, at := range pl.Comm {
-		for _, groups := range at {
-			positions += min(len(groups), 1)
-		}
-	}
-	for _, g := range res.Groups {
-		if g.Kind != core.KindReduce {
-			entries += len(g.Entries)
-		}
-	}
 	lw := &lowerer{
 		pl:       pl,
 		pr:       &Program{Plan: pl},
 		intSlot:  map[string]int{},
 		realSlot: map[string]int{},
 		sumSlot:  map[*ast.Call]int{},
-		stmts:    make([]Stmt, 0, len(pl.A.G.Stmts)),
-		lps:      make([]Loop, 0, len(pl.A.G.Loops)),
-		comms:    make([]Comm, 0, positions),
-		commOps:  make([]CommOp, 0, len(res.Groups)),
-		ents:     make([]EntrySec, 0, entries),
 	}
-	lw.pr.bytes = heapsize.Of(lw.pr) + heapsize.Slice(lw.stmts) + heapsize.Slice(lw.lps) + heapsize.Slice(lw.comms) + heapsize.Slice(lw.commOps) + heapsize.Slice(lw.ents)
+	lw.s.expect(pl, &lw.pr.bytes)
 	for _, l := range pl.A.G.Loops {
 		if _, ok := lw.intSlot[l.Var()]; !ok {
 			lw.intSlot[l.Var()] = len(lw.pr.Ints)
@@ -68,7 +52,7 @@ func Lower(res *core.Result) *Program {
 	lw.pr.Body, _ = lw.seq(pl.A.G.EntryBlock)
 	lw.localize(lw.pr.Body)
 	pr := lw.pr
-	pr.bytes += heapsize.Slice(pr.Ints) + heapsize.Slice(pr.Reals) + heapsize.Slice(pr.Exchanges) + heapsize.Slice(pr.inline) + heapsize.Slice(pr.errs)
+	pr.bytes += heapsize.Of(pr) + heapsize.Slice(pr.Ints) + heapsize.Slice(pr.Reals) + heapsize.Slice(pr.Exchanges) + heapsize.Slice(pr.inline) + heapsize.Slice(pr.errs)
 	return pr
 }
 
@@ -102,41 +86,24 @@ type lowerer struct {
 	// loops is the stack of loops around the point being lowered; a
 	// variable of one of them is certainly bound there.
 	loops []*Loop
-	// sums and reads collect the distributed SUMs and the array reads
-	// of the statement or condition being lowered; reads is scratch.
-	sums    []Sum
+	// sumSlot numbers the distributed SUMs of the statement or condition
+	// being lowered; reads collects its array reads, which is scratch.
 	sumSlot map[*ast.Call]int
 	reads   []*ArrayRef
-	// stack is a copy of loops that the statements lowered since the
-	// stack last changed share as their Stmt.loops.
+	// stack is the Stmt.loops of the statements lowered since loops changed.
 	stack []*Loop
-	// The slabs the lowered forms are carved from (carve), so that
-	// lowering allocates by the Program, not by the expression: every
-	// statement and loop, every expression node and a statement's row
-	// ops, every Affine's terms, every ArrayRef, its subscripts and a
-	// statement's list of them, every communication position, its ops and
-	// their entries, every section's bounds and steps, a statement's
-	// enclosing loops and a nest's lists. The statements and loops are
-	// sized to the CFG's, the positions, ops and entries to the placement's,
-	// so each is one allocation. vars[slot] is the one-term form of a loop
-	// variable, which every read of it shares.
-	stmts     []Stmt
-	lps       []Loop
-	reals     []Real
-	gens      []intNode
-	ops       []rowOp
-	terms     []Term
-	subs      []IntExpr
-	refs      []ArrayRef
-	refLists  []*ArrayRef
-	comms     []Comm
-	commOps   []CommOp
-	ents      []EntrySec
-	bounds    []Affine
-	ints      []int
-	loopLists []*Loop
-	stmtLists []*Stmt
-	vars      [][]Term
+	// s holds what the Program keeps. Lists under construction are popped
+	// into it: node lists, the SUMs of the statement or condition being
+	// lowered, need, Slots and a nest's slots, entries and proofs.
+	s      slabs
+	nodes  []Node
+	sums   []Sum
+	ints   []int
+	ents   []EntrySec
+	proofs []proof
+	// vars[slot] is the one-term form of a loop variable, which every read
+	// of it shares.
+	vars [][]Term
 	// unbound[s] is the message of a strict read of real slot s while the
 	// scalar is unassigned, made at the first such read.
 	unbound []string
@@ -149,6 +116,95 @@ type lowerer struct {
 	// rowOK says every operand so far has one; it is scratch.
 	row   []rowOp
 	rowOK bool
+}
+
+// slabs are one lowering's value and list slabs, so that lowering
+// allocates by the Program, not by the expression.
+type slabs struct {
+	nodes     heapsize.Slab[Node]
+	stmts     heapsize.Slab[Stmt]
+	loops     heapsize.Slab[Loop]
+	ifs       heapsize.Slab[If]
+	comms     heapsize.Slab[Comm]
+	ops       heapsize.Slab[CommOp]
+	ents      heapsize.Slab[EntrySec]
+	bounds    heapsize.Slab[Affine]
+	sums      heapsize.Slab[Sum]
+	dims      heapsize.Slab[SecDim]
+	reals     heapsize.Slab[Real]
+	gens      heapsize.Slab[intNode]
+	subs      heapsize.Slab[IntExpr]
+	terms     heapsize.Slab[Term]
+	refs      heapsize.Slab[ArrayRef]
+	refLists  heapsize.Slab[*ArrayRef]
+	row       heapsize.Slab[rowOp]
+	ints      heapsize.Slab[int]
+	loopLists heapsize.Slab[*Loop]
+	stmtLists heapsize.Slab[*Stmt]
+	nests     heapsize.Slab[Nest]
+	ranges    heapsize.Slab[Range]
+	proofs    heapsize.Slab[proof]
+}
+
+// expect sizes each slab's first chunk from counts the CFG, the SSA form
+// and the placement hold, exactly or as a bound where it can, else a
+// little below the Fig. 10(a) routines' mean density over those counts.
+func (a *slabs) expect(pl *Plan, count *int64) {
+	g, info := pl.A.G, pl.A.SSA
+	stmts, loops, nodes, ifs := len(g.Stmts), len(g.Loops), len(g.Stmts)+len(g.Loops), 0
+	for _, b := range g.Blocks {
+		for _, groups := range pl.Comm[b.ID] {
+			if len(groups) > 0 && b.Kind != cfg.PreHeader && b.Kind != cfg.Header { // a node, not a loop's
+				nodes++
+			}
+		}
+		if b.Branch != nil {
+			ifs++
+		}
+	}
+	entries, dims, sums, sumDims := 0, 0, 0, 0
+	for _, gr := range pl.Res.Groups {
+		for _, e := range gr.Entries {
+			if rank := pl.Layout.Array(e.Array).Arr.Rank(); gr.Kind == core.KindReduce {
+				sums, sumDims = sums+1, sumDims+rank
+			} else {
+				entries, dims = entries+1, dims+rank
+			}
+		}
+	}
+	reads, subs := 0, 0
+	for _, u := range info.Uses {
+		if !u.InReduction {
+			reads, subs = reads+1, subs+len(u.Ref.Subs)
+		}
+	}
+	for _, d := range info.Defs {
+		subs += len(d.LHS.Subs)
+	}
+	refs := reads + len(info.Defs)
+	a.nodes.Expect(nodes+ifs, count)
+	a.stmts.Expect(stmts, count)
+	a.loops.Expect(loops, count)
+	a.ifs.Expect(ifs, count)
+	a.comms.Expect(len(pl.Res.Groups), count)
+	a.ops.Expect(len(pl.Res.Groups), count)
+	a.ents.Expect(entries, count)
+	a.bounds.Expect(2*dims, count)
+	a.sums.Expect(sums, count)
+	a.dims.Expect(sumDims, count)
+	a.refs.Expect(refs, count)
+	a.refLists.Expect(reads, count)
+	a.subs.Expect(subs, count)
+	a.terms.Expect(subs*7/4, count)
+	a.reals.Expect(refs*5/2, count)
+	a.row.Expect(refs*2, count)
+	a.ints.Expect(dims+2*loops, count)
+	a.loopLists.Expect(2*loops+stmts, count)
+	a.stmtLists.Expect(2*stmts, count)
+	a.nests.Expect(loops/2, count)
+	a.ranges.Expect(loops/2*pl.Layout.P, count)
+	a.proofs.Expect(reads, count)
+	a.gens.Expect(0, count)
 }
 
 // depth returns the position, outermost first, of the innermost loop
@@ -171,27 +227,29 @@ func (lw *lowerer) depth(slot int) int {
 // branch arm falls into, the header a loop body returns to, nil at the
 // exit.
 func (lw *lowerer) seq(b *cfg.Block) ([]Node, *cfg.Block) {
-	var out []Node
+	mark := len(lw.nodes)
 	for {
 		if b.Kind == cfg.PreHeader {
 			lp := lw.loop(b)
-			out = append(out, lp)
+			lw.nodes = append(lw.nodes, lp)
 			b = lp.Src.PostExit
 			continue
 		}
-		comm, first := lw.pl.Comm[b.ID], len(out)
-		out = appendComm(out, lw.comm(comm[0]))
-		for k, st := range b.Stmts {
-			out = append(out, lw.stmt(st))
-			out = appendComm(out, lw.comm(comm[k+1]))
+		first := len(lw.nodes)
+		for k, groups := range lw.pl.Comm[b.ID] { // the block top, then after each statement
+			if k > 0 {
+				lw.nodes = append(lw.nodes, lw.stmt(b.Stmts[k-1]))
+			}
+			if c := lw.comm(groups); c != nil {
+				lw.nodes = append(lw.nodes, c)
+			}
 		}
-		lw.settle(out[first:])
+		lw.settle(lw.nodes[first:])
 		if b.Branch != nil {
-			n := &If{Src: b}
+			n := lw.s.ifs.New()
 			lw.beginExpr()
-			n.Cond = lw.real(b.Branch.Cond)
-			n.Sums, n.Sync = lw.sums, len(lw.sums) > 0
-			lw.pr.bytes += heapsize.Of(n) + heapsize.Slice(n.Sums)
+			n.Src, n.Cond = b, lw.real(b.Branch.Cond)
+			n.Sums, n.Sync = lw.s.sums.Carve(lw.sums), len(lw.sums) > 0
 			for _, r := range lw.reads {
 				n.Sync = n.Sync || r.Lay.Dist != nil
 			}
@@ -200,37 +258,24 @@ func (lw *lowerer) seq(b *cfg.Block) ([]Node, *cfg.Block) {
 			if b.Succs[1] != join { // an else arm, not the fall-through edge
 				n.Else, _ = lw.seq(b.Succs[1])
 			}
-			out = append(out, n)
+			lw.nodes = append(lw.nodes, n)
 			b = join
 			continue
 		}
 		if len(b.Succs) == 0 {
-			return lw.kept(out), nil
+			return heapsize.Pop(&lw.nodes, mark, &lw.s.nodes), nil
 		}
 		next := b.Succs[0]
 		if next.Kind == cfg.Join || next.Kind == cfg.Header {
-			return lw.kept(out), next
+			return heapsize.Pop(&lw.nodes, mark, &lw.s.nodes), next
 		}
 		b = next
 	}
 }
 
-// kept counts a list of nodes the Program keeps.
-func (lw *lowerer) kept(nodes []Node) []Node {
-	lw.pr.bytes += heapsize.Slice(nodes)
-	return nodes
-}
-
-func appendComm(out []Node, c *Comm) []Node {
-	if c != nil {
-		out = append(out, c)
-	}
-	return out
-}
-
 func (lw *lowerer) loop(pre *cfg.Block) *Loop {
 	src := pre.Succs[0].Loop // a preheader's first edge enters its loop's header
-	lp := &carve(lw, &lw.lps, 1)[0]
+	lp := lw.s.loops.New()
 	*lp = Loop{
 		Src:  src,
 		Slot: lw.intSlot[src.Var()],
@@ -252,20 +297,16 @@ func (lw *lowerer) loop(pre *cfg.Block) *Loop {
 func (lw *lowerer) stmt(st *cfg.Stmt) *Stmt {
 	as := st.Assign
 	if lw.stack == nil {
-		lw.stack = carve(lw, &lw.loopLists, len(lw.loops))
-		copy(lw.stack, lw.loops)
+		lw.stack = lw.s.loopLists.Carve(lw.loops)
 	}
-	out := &carve(lw, &lw.stmts, 1)[0]
+	out := lw.s.stmts.New()
 	*out = Stmt{Src: st, Flops: CountFlops(as.RHS), Scalar: -1, Guard: true, loops: lw.stack}
 	lw.beginExpr()
 	lw.rowOK = len(lw.loops) > 0
 	out.RHS = lw.real(as.RHS)
-	out.Sums, out.reads = lw.sums, carve(lw, &lw.refLists, len(lw.reads))
-	lw.pr.bytes += heapsize.Slice(out.Sums)
-	copy(out.reads, lw.reads)
+	out.Sums, out.reads = lw.s.sums.Carve(lw.sums), lw.s.refLists.Carve(lw.reads)
 	if lw.rowOK {
-		out.row, lw.rowOK = carve(lw, &lw.ops, len(lw.row)), false
-		copy(out.row, lw.row)
+		out.row, lw.rowOK = lw.s.row.Carve(lw.row), false
 	}
 	if am := lw.pl.Layout.Array(as.LHS.Name); am != nil {
 		out.LHS = lw.arrayRef(as.LHS, am)
@@ -276,7 +317,7 @@ func (lw *lowerer) stmt(st *cfg.Stmt) *Stmt {
 }
 
 func (lw *lowerer) beginExpr() {
-	lw.sums, lw.reads = nil, lw.reads[:0]
+	lw.sums, lw.reads = lw.sums[:0], lw.reads[:0]
 	clear(lw.sumSlot)
 	lw.row, lw.rowOK = lw.row[:0], false
 }
@@ -287,26 +328,31 @@ func (lw *lowerer) comm(groups []*core.Group) *Comm {
 	if len(groups) == 0 {
 		return nil
 	}
-	c := &carve(lw, &lw.comms, 1)[0]
-	c.Ops = carve(lw, &lw.commOps, len(groups))
+	c := lw.s.comms.New()
+	c.Ops = lw.s.ops.Make(len(groups))
 	for i, g := range groups {
-		op := CommOp{Group: g}
+		op := &c.Ops[i]
+		op.Group = g
 		if g.Kind == core.KindShift {
-			op.xid, lw.pr.Exchanges = len(lw.pr.Exchanges), append(lw.pr.Exchanges, &c.Ops[i])
+			op.xid, lw.pr.Exchanges = len(lw.pr.Exchanges), append(lw.pr.Exchanges, op)
 		}
-		if g.Kind != core.KindReduce {
-			op.Entries = carve(lw, &lw.ents, len(g.Entries))[:0]
-			for _, e := range g.Entries {
-				if es, ok := lw.entry(g, e); ok {
-					op.Entries = append(op.Entries, es)
-					for i := range es.Lo {
-						op.Slots = addSlots(addSlots(op.Slots, &es.Lo[i], nil), &es.Hi[i], nil)
-					}
-				}
+		if g.Kind == core.KindReduce {
+			continue
+		}
+		mark := len(lw.ents)
+		for _, e := range g.Entries {
+			if es, ok := lw.entry(g, e); ok {
+				lw.ents = append(lw.ents, es)
 			}
-			lw.pr.bytes += heapsize.Slice(op.Slots)
 		}
-		c.Ops[i] = op
+		op.Entries = heapsize.Pop(&lw.ents, mark, &lw.s.ents)
+		mark = len(lw.ints)
+		for _, es := range op.Entries {
+			for i := range es.Lo {
+				lw.ints = addSlots(addSlots(lw.ints, mark, &es.Lo[i], nil), mark, &es.Hi[i], nil)
+			}
+		}
+		op.Slots = heapsize.Pop(&lw.ints, mark, &lw.s.ints)
 	}
 	return c
 }
@@ -325,7 +371,7 @@ func (lw *lowerer) settle(nodes []Node) {
 		if st, ok := n.(*Stmt); ok && len(st.Sums) > 0 {
 			if op := lw.settleAt(st, nodes[i+1:]); op != nil {
 				if op.Settles == nil {
-					op.Settles = carve(lw, &lw.stmtLists, len(op.Group.Entries))[:0]
+					op.Settles = lw.s.stmtLists.Make(len(op.Group.Entries))[:0]
 				}
 				st.Settle, op.Settles = op, append(op.Settles, st)
 			}
@@ -390,58 +436,37 @@ func (lw *lowerer) entry(g *core.Group, e *core.Entry) (EntrySec, bool) {
 	}
 	sec := e.SectionAt(lw.pl.A, g.Pos.Level())
 	n := len(sec.Dims)
-	es.Lo, es.Hi, es.Step = carve(lw, &lw.bounds, n), carve(lw, &lw.bounds, n), carve(lw, &lw.ints, n)
+	es.Lo, es.Hi, es.Step = lw.s.bounds.Make(n), lw.s.bounds.Make(n), lw.s.ints.Make(n)
+	mark := len(lw.ints)
 	for i, d := range sec.Dims {
-		if !lw.form(d.Lo, &es.Lo[i], &es.need) || !lw.form(d.Hi, &es.Hi[i], &es.need) {
+		if !lw.form(d.Lo, &es.Lo[i], mark) || !lw.form(d.Hi, &es.Hi[i], mark) {
+			lw.ints = lw.ints[:mark]
 			return EntrySec{}, false
 		}
 		es.Step[i] = max(d.Step, 1)
 	}
-	slices.Sort(es.need)
-	lw.pr.bytes += heapsize.Slice(es.need)
+	slices.Sort(lw.ints[mark:])
+	es.need = heapsize.Pop(&lw.ints, mark, &lw.s.ints)
 	return es, true
 }
 
 // form lowers a section bound over loop variables into a, its terms sorted
-// by slot, and adds to need the slots it reads from outside their loops;
-// false when a name no loop binds appears in it.
-func (lw *lowerer) form(f lin.Form, a *Affine, need *[]int) bool {
-	a.Const, a.Terms = f.Const, carve(lw, &lw.terms, len(f.Terms))
+// by slot, and adds to the list lw.ints[need:] the slots it reads from
+// outside their loops; false when a name no loop binds appears in it.
+func (lw *lowerer) form(f lin.Form, a *Affine, need int) bool {
+	a.Const, a.Terms = f.Const, lw.s.terms.Make(len(f.Terms))
 	for k, t := range f.Terms {
 		slot, ok := lw.intSlot[t.Var]
 		if !ok {
 			return false
 		}
-		if lw.depth(slot) < 0 && !slices.Contains(*need, slot) {
-			*need = append(*need, slot)
+		if lw.depth(slot) < 0 && !slices.Contains(lw.ints[need:], slot) {
+			lw.ints = append(lw.ints, slot)
 		}
 		a.Terms[k] = Term{Slot: slot, Coef: t.Coef}
 	}
 	slices.SortFunc(a.Terms, func(x, y Term) int { return x.Slot - y.Slot })
 	return true
-}
-
-// maxChunk bounds the elements of one slab allocation.
-const maxChunk = 64
-
-// carve returns n zeroed elements from the end of a slab, capped so that
-// an append to them copies instead of overwriting the next carving; nil
-// for none. A full slab is replaced by a new one — what was carved from
-// it stays where it is — twice as large up to maxChunk elements: a
-// Program keeps its slabs' unused tails alive as long as it is cached,
-// so the Program's count takes every new slab whole.
-func carve[T any](lw *lowerer, slab *[]T, n int) []T {
-	if n == 0 {
-		return nil
-	}
-	s := *slab
-	if cap(s)-len(s) < n {
-		s = make([]T, 0, max(n, min(2*cap(s), maxChunk), 16))
-		lw.pr.bytes += heapsize.Slice(s)
-	}
-	k := len(s)
-	*slab = s[:k+n]
-	return s[k : k+n : k+n]
 }
 
 // ---------------------------------------------------------------------
@@ -498,30 +523,30 @@ func (lw *lowerer) intExpr(e ast.Expr) IntExpr {
 // gen returns the form of node n, carved from the slab with copies of its
 // operands (nil for none).
 func (lw *lowerer) gen(n intNode, x, y *IntExpr) IntExpr {
-	g := &carve(lw, &lw.gens, 1)[0]
+	g := lw.s.gens.New()
 	*g = n
 	if x != nil {
-		g.x = &carve(lw, &lw.subs, 1)[0]
+		g.x = lw.s.subs.New()
 		*g.x = *x
 	}
 	if y != nil {
-		g.y = &carve(lw, &lw.subs, 1)[0]
+		g.y = lw.s.subs.New()
 		*g.y = *y
 	}
 	return IntExpr{gen: g}
 }
 
 // failInt and failReal are the forms of an error with a message of its
-// own, which the Program keeps and counts.
+// own.
 func (lw *lowerer) failInt(pos source.Pos, msg string) IntExpr {
-	lw.pr.bytes += int64(len(msg))
 	return lw.gen(intNode{kind: intFail, slot: lw.errorAt(pos, msg)}, nil, nil)
 }
 
 // errorAt adds a positioned error to the program's table and returns its
-// index; the table is counted whole at the end of lowering, a message by
-// the caller that made it.
+// index. The table is counted at the end of lowering, the message here:
+// a constant or a message several errors share is counted for each.
 func (lw *lowerer) errorAt(pos source.Pos, msg string) int32 {
+	lw.pr.bytes += int64(len(msg))
 	lw.pr.errs = append(lw.pr.errs, source.Error{Pos: pos, Msg: msg})
 	return int32(len(lw.pr.errs) - 1)
 }
@@ -533,7 +558,7 @@ func (lw *lowerer) intName(e *ast.Ident) IntExpr {
 	slot, isVar := lw.intSlot[e.Name]
 	if isVar && lw.depth(slot) >= 0 {
 		if lw.vars[slot] == nil {
-			lw.vars[slot] = carve(lw, &lw.terms, 1)
+			lw.vars[slot] = lw.s.terms.Make(1)
 			lw.vars[slot][0] = Term{Slot: slot, Coef: 1}
 		}
 		return IntExpr{Affine: Affine{Terms: lw.vars[slot]}}
@@ -572,7 +597,7 @@ func (lw *lowerer) addScaled(x, y *Affine, c int) Affine {
 	if c == 0 || len(y.Terms) == 0 {
 		return out
 	}
-	out.Terms = carve(lw, &lw.terms, len(x.Terms)+len(y.Terms))[:0]
+	out.Terms = lw.s.terms.Make(len(x.Terms) + len(y.Terms))[:0]
 	xs, ys := x.Terms, y.Terms // both sorted by slot: merge
 	for len(xs) > 0 || len(ys) > 0 {
 		var t Term
@@ -598,8 +623,8 @@ func (lw *lowerer) addScaled(x, y *Affine, c int) Affine {
 // arrayRef lowers an element reference under its array's layout and folds
 // its offset in the planes' stride space where every subscript is affine.
 func (lw *lowerer) arrayRef(ref *ast.Ref, am *runtime.ArrayLayout) *ArrayRef {
-	r := &carve(lw, &lw.refs, 1)[0]
-	r.Lay, r.Pos, r.Subs = am, ref.Pos, carve(lw, &lw.subs, len(ref.Subs))
+	r := lw.s.refs.New()
+	r.Lay, r.Pos, r.Subs = am, ref.Pos, lw.s.subs.Make(len(ref.Subs))
 	for i, sub := range ref.Subs {
 		if sub.Kind != ast.SubExpr {
 			r.Subs[i] = lw.failInt(ref.Pos, fmt.Sprintf("section of %s where an element is needed", ref.Name))
@@ -640,8 +665,7 @@ func (lw *lowerer) secExpr(ref *ast.Ref, am *runtime.ArrayLayout) SecExpr {
 		return lw.intExpr(e)
 	}
 	arr := am.Arr
-	sec := SecExpr{Dims: make([]SecDim, arr.Rank())}
-	lw.pr.bytes += heapsize.Slice(sec.Dims)
+	sec := SecExpr{Dims: lw.s.dims.Make(arr.Rank())}
 	for i := range sec.Dims {
 		switch {
 		case len(ref.Subs) == 0:
@@ -707,13 +731,12 @@ func (lw *lowerer) real(e ast.Expr) *Real {
 
 // node carves a real node from the slab.
 func (lw *lowerer) node(n Real) *Real {
-	p := &carve(lw, &lw.reals, 1)[0]
+	p := lw.s.reals.New()
 	*p = n
 	return p
 }
 
 func (lw *lowerer) failReal(pos source.Pos, msg string) *Real {
-	lw.pr.bytes += int64(len(msg))
 	return lw.node(Real{kind: realFail, slot: lw.errorAt(pos, msg)})
 }
 
@@ -798,7 +821,6 @@ func (lw *lowerer) scalar(name string, pos source.Pos, strict bool) *Real {
 	} else if s, ok := lw.realSlot[name]; ok && strict {
 		if lw.unbound[s] == "" {
 			lw.unbound[s] = fmt.Sprintf("unbound scalar %q", name)
-			lw.pr.bytes += int64(len(lw.unbound[s]))
 		}
 		fail := lw.node(Real{kind: realFail, slot: lw.errorAt(pos, lw.unbound[s])})
 		n = lw.node(Real{kind: realStrict, slot: int32(s), x: fail})

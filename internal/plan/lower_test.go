@@ -9,11 +9,12 @@ import (
 )
 
 // TestLoweredTermsCapped: lowering carves the terms of every affine form
-// from slabs, so each Terms slice must be capped at its length — else an
-// append to one (localize, the row form) would write over the terms of
-// the form carved next to it. Likewise every plane of a memory image,
-// carved from one slab per array.
+// and every list a Program keeps from slabs, side by side, so each must be
+// capped at its length — else an append to one (localize, the row form)
+// would write over the one carved next to it. Likewise every plane of a
+// memory image, carved from one slab per array.
 func TestLoweredTermsCapped(t *testing.T) {
+	walked := map[string]bool{} // the lists of each kind that were not all empty
 	for _, pr := range bench.Programs() {
 		name := pr.Bench + "/" + pr.Routine
 		a, err := pr.Compile(pr.DefaultN, 16)
@@ -33,6 +34,11 @@ func TestLoweredTermsCapped(t *testing.T) {
 		if forms == 0 {
 			t.Errorf("%s: no affine form walked", name)
 		}
+		plan.Lists(prog, func(what string, n, c int) {
+			if walked[what] = walked[what] || n > 0; c != n {
+				t.Errorf("%s: a %s has %d elements and room for %d", name, what, n, c)
+			}
+		})
 		mem := prog.Plan.Layout.NewMemory()
 		for _, am := range mem.Arrays {
 			for p, plane := range am.Data {
@@ -42,14 +48,21 @@ func TestLoweredTermsCapped(t *testing.T) {
 			}
 		}
 	}
+	for _, what := range []string{"node list", "SUM list", "op list", "entry list", "slot list", "clamp", "nest loops", "nest slots", "nest proofs", "read list", "row ops"} {
+		if !walked[what] {
+			t.Errorf("no routine holds a non-empty %s to check", what)
+		}
+	}
 }
 
 // TestLowerAllocations pins what lowering allocates — a function of the
-// program, not of its expressions — at 1.25× the count measured before
-// communication positions and nest lists were carved too, on sim-verify's
-// hydflo/flux (283 now; 363 then, 659 while expressions were closures,
-// 3,383 when every expression allocated) and on native-comm's shallow
-// (250; 284; 498; 2,116).
+// program, not of its expressions — at 1.25× the count measured once every
+// list a Program keeps was popped from a stack into a slab sized by the
+// CFG's and the placement's counts, on sim-verify's hydflo/flux (169; 283
+// while node lists grew by append, 363 before communication positions and
+// nest lists were carved, 659 while expressions were closures, 3,383 when
+// every expression allocated) and on native-comm's shallow (196; 250;
+// 284; 498; 2,116).
 func TestLowerAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		bench, routine string
@@ -57,8 +70,8 @@ func TestLowerAllocations(t *testing.T) {
 		procs          int
 		budget         float64
 	}{
-		{"hydflo", "flux", map[string]int{"n": 16, "steps": 4}, 16, 454},
-		{"shallow", "main", map[string]int{"n": 16, "steps": 40}, 16, 355},
+		{"hydflo", "flux", map[string]int{"n": 16, "steps": 4}, 16, 211},
+		{"shallow", "main", map[string]int{"n": 16, "steps": 40}, 16, 245},
 	} {
 		pr, err := bench.ByName(tc.bench, tc.routine)
 		if err != nil {

@@ -48,8 +48,8 @@ type Program struct {
 	// of one row loop's body, outer loops of one chain.
 	rowDepth, rowFloats, rowRefs, rowLeaves, boxLevels int
 	// bytes counts what lowering allocated that the Program keeps, beside
-	// its Plan: each slab whole when it is made, each list the lowerer
-	// grows by its capacity once it is done.
+	// its Plan: the lowerer's slabs, every chunk whole, the tables above
+	// and the error messages.
 	bytes int64
 }
 
@@ -504,15 +504,15 @@ func (fr *Frame) Unchanged(slots, key []int) bool {
 	return same
 }
 
-// addSlots appends to dst the slots of a's terms that dst does not hold
-// yet, but for those a nest varies (loopOf[slot] >= 0; nil: none).
-func addSlots(dst []int, a *Affine, loopOf []int) []int {
+// addSlots adds to the list stack[mark:] the slots of a's terms it lacks,
+// but for those a nest varies (loopOf[slot] >= 0; nil: none).
+func addSlots(stack []int, mark int, a *Affine, loopOf []int) []int {
 	for _, t := range a.Terms {
-		if (loopOf == nil || loopOf[t.Slot] < 0) && !slices.Contains(dst, t.Slot) {
-			dst = append(dst, t.Slot)
+		if (loopOf == nil || loopOf[t.Slot] < 0) && !slices.Contains(stack[mark:], t.Slot) {
+			stack = append(stack, t.Slot)
 		}
 	}
-	return dst
+	return stack
 }
 
 // Scalars writes the replicated scalar state into dst, replacing its

@@ -141,7 +141,7 @@ func (lw *lowerer) rowBody(lp *Loop) []*Stmt {
 			}
 		}
 	}
-	body := carve(lw, &lw.stmtLists, len(lp.Body))
+	body := lw.s.stmtLists.Make(len(lp.Body))
 	for i, n := range lp.Body {
 		body[i] = n.(*Stmt)
 	}
