@@ -355,16 +355,22 @@ fuzz-smoke:
 # n=16, 4 steps, P=16, memory image and lowered program rebuilt per run,
 # as spmd.RunParallel on a bare placement result does) must stay
 # within the allocation budget in ci/sim-alloc-budget.txt: 1.25x the
-# measured allocs/op (279 since every list a lowered program keeps is
-# popped from a stack into a slab; 393 before, 474 before lowering carved
-# its communication positions and nest lists), where the revision that scanned whole sections
+# measured allocs/op (155 since a layout, an image and a frame are each
+# carved from one slab per element type, whatever the number of arrays or
+# processors; 279 since every list a lowered program keeps is popped from
+# a stack into a slab, 393 before, 474 before lowering carved its
+# communication positions and nest lists), where the revision that scanned whole sections
 # into per-call pair maps spent 10 300, the one that lowered by the
 # expression 3 645 and the one whose expressions were closures 767 — a
 # bulk memory operation or a lowered form that allocates per call again is
 # a regression long before it shows in milliseconds. Lowering carves its forms and lists from slabs: every Terms slice,
-# every list a lowered program keeps and every plane of an image must be capped at its length
-# (TestLoweredTermsCapped), and what lowering allocates is pinned on flux
-# and shallow (TestLowerAllocations). The image the simulator rebuilds per run is its
+# every list a lowered program keeps, every plane of an image and every
+# table of a frame must be capped at its length (TestLoweredTermsCapped,
+# and TestCarvedTablesCapped for a layout's tables and an image's lists),
+# what lowering allocates is pinned on flux and shallow
+# (TestLowerAllocations), and what a layout, an image and a frame
+# allocate must not depend on the number of arrays or processors
+# (TestCarvingAllocatesByType, TestNewFrameAllocatesByType). The image the simulator rebuilds per run is its
 # processors' local boxes: TestImageBytes pins its bytes, and a read past
 # a box must be a stale read, never another element's value. The row
 # kernel the simulator executes is held against the element walk bit for
@@ -375,8 +381,8 @@ fuzz-smoke:
 sim-smoke:
 	@mkdir -p out
 	$(GO) test ./internal/spmd -run 'TestLedgerGolden' -count=1
-	$(GO) test ./internal/runtime -run 'TestStripMatchesElementScan|TestOwnerRunsMatchElementScan|TestValidBoxesMatchPlane|TestBulkOperationsDoNotAllocate|TestCompareState' -count=1
-	$(GO) test ./internal/plan -run 'TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt|TestEntryProofDeclinesValidNest|TestRowMatchesElementWalk|TestRowDeclinesWhole|TestRunRowDoesNotAllocate|TestLoweredTermsCapped|TestLowerAllocations' -count=1
+	$(GO) test ./internal/runtime -run 'TestStripMatchesElementScan|TestOwnerRunsMatchElementScan|TestValidBoxesMatchPlane|TestBulkOperationsDoNotAllocate|TestCompareState|TestCarvingAllocatesByType|TestCarvedTablesCapped' -count=1
+	$(GO) test ./internal/plan -run 'TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt|TestEntryProofDeclinesValidNest|TestRowMatchesElementWalk|TestRowDeclinesWhole|TestRunRowDoesNotAllocate|TestLoweredTermsCapped|TestLowerAllocations|TestNewFrameAllocatesByType' -count=1
 	$(GO) test ./internal/native -run 'TestImageBytes|TestStaleReadOutsideLocalBox' -count=1
 	$(GO) test ./internal/spmd -run 'TestReusedEngineMatchesFresh' -count=1
 	$(GO) test . -run 'TestPublicAPI|TestInterprocedural|TestPlacedVerifyNative' -count=1

@@ -512,6 +512,35 @@ func BenchmarkSimVerify(b *testing.B) {
 	}
 }
 
+// BenchmarkColdRun is a cold engine and one run an op on sim-verify's
+// configuration (hydflo/flux n=16, 4 steps, P=16, comb), each backend
+// lowering for itself: native.NewEngine and Run against spmd.RunParallel
+// on one shard. ROADMAP item 21 asks the native op to allocate no more
+// than the simulator's.
+func BenchmarkColdRun(b *testing.B) {
+	res := placeComb(b, "hydflo", "flux", map[string]int{"n": 16, "steps": 4}, 16)
+	b.Run("native", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			eng, err := native.NewEngine(res, 16)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := eng.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("simulate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := spmd.RunParallel(res, machine.SP2(), 16, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // placeComb compiles one benchmark routine under the given parameter
 // binding — the repository benchmark's workloads use bindings the
 // Program's own Params(n) does not produce — and places it under comb.

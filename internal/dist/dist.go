@@ -121,13 +121,20 @@ func (g Grid) PID(coords []int) int {
 	return id
 }
 
+// Stride returns what a step along grid dimension dim adds to a linear
+// processor id: pid/Stride(dim)%Shape[dim] is its coordinate there.
+func (g Grid) Stride(dim int) int {
+	stride := 1
+	for _, n := range g.Shape[dim+1:] {
+		stride *= n
+	}
+	return stride
+}
+
 // Neighbor returns the processor delta steps from pid along grid
 // dimension dim, -1 past the edge of the (non-periodic) grid.
 func (g Grid) Neighbor(pid, dim, delta int) int {
-	stride := 1
-	for i := dim + 1; i < len(g.Shape); i++ {
-		stride *= g.Shape[i]
-	}
+	stride := g.Stride(dim)
 	if c := pid/stride%g.Shape[dim] + delta; c < 0 || c >= g.Shape[dim] {
 		return -1
 	}

@@ -65,3 +65,27 @@ func Pop[T any](stack *[]T, mark int, s *Slab[T]) []T {
 	*stack = (*stack)[:mark]
 	return out
 }
+
+// Take returns the first n values of *slab, capped, and leaves the rest in
+// *slab: how a structure whose sizes are counted first carves its tables
+// from one allocation of each element type.
+func Take[T any](slab *[]T, n int) []T {
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
+}
+
+// Lines returns n rounded up to the values of T that fill whole 64-byte
+// cache lines: a slab of them is a size class the allocator aligns, so
+// slabs written at once by different processors share no line.
+func Lines[T any](n int) int {
+	per := 64 / gcd(64, int(unsafe.Sizeof(*new(T))))
+	return (n + per - 1) / per * per
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}

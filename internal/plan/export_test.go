@@ -46,10 +46,10 @@ func (lp *Loop) BoxShape(fr *Frame) (rows, n int) {
 	rows = 1
 	for l := lp.Box; l != lp; {
 		l = l.outer
-		r := fr.ranges[l.Src.ID].mine
+		r := fr.mine(l)
 		rows *= r.Hi - r.Lo + 1
 	}
-	r := fr.ranges[lp.Box.Src.ID].mine
+	r := fr.mine(lp.Box)
 	return rows, r.Hi - r.Lo + 1
 }
 
@@ -158,6 +158,23 @@ func lists(nodes []Node, f func(string, int, int)) {
 			lists(n.Else, f)
 		}
 	}
+}
+
+// FrameLists calls f on every table and scratch slice a frame carves from
+// its slabs, naming it, with its length and capacity.
+func FrameLists(fr *Frame, f func(what string, n, c int)) {
+	for what, s := range map[string][]int{"Ints": fr.Ints, "ranges": fr.ranges, "memo": fr.memo, "idx": fr.idx,
+		"rowRuns": fr.rowRuns, "boxCur": fr.boxCur, "boxStep": fr.boxStep, "boxOff": fr.boxOff} {
+		f(what, len(s), cap(s))
+	}
+	for what, s := range map[string][]float64{"Reals": fr.Reals, "Sums": fr.Sums, "rowFloats": fr.rowFloats, "boxLeaf": fr.boxLeaf} {
+		f(what, len(s), cap(s))
+	}
+	for what, s := range map[string][]bool{"Bound": fr.Bound, "Set": fr.Set, "live": fr.live, "busy": fr.busy} {
+		f(what, len(s), cap(s))
+	}
+	f("dims", len(fr.dims), cap(fr.dims))
+	f("rowStack", len(fr.rowStack), cap(fr.rowStack))
 }
 
 // Forms calls f on every affine form of a lowered program, naming where

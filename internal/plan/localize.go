@@ -81,15 +81,13 @@ type proof struct {
 	at   int
 }
 
-// loopRange is one nest loop's iteration range for one entry of the
-// nest: the full range, normalized to ascending, and the part the
-// frame's processor executes. live says the loop body runs at all
-// (neither the loop nor a nest loop around it is zero-trip), busy that
-// it runs on the frame's processor.
-type loopRange struct {
-	full, mine Range
-	live, busy bool
-}
+// full and mine return a nest loop's iteration range for the nest's last
+// entry: the full range, normalized to ascending, and the part the frame's
+// processor executes. Its live flag says the loop body runs at all
+// (neither the loop nor a nest loop around it is zero-trip), busy that it
+// runs on the frame's processor.
+func (fr *Frame) full(lp *Loop) Range { r := fr.ranges[4*lp.Src.ID:]; return Range{Lo: r[0], Hi: r[1]} }
+func (fr *Frame) mine(lp *Loop) Range { r := fr.ranges[4*lp.Src.ID:]; return Range{Lo: r[2], Hi: r[3]} }
 
 // localize finds the maximal pure nests among the nodes, top down.
 func (lw *lowerer) localize(nodes []Node) {
@@ -430,9 +428,9 @@ func (n *Nest) span(a *Affine, fr *Frame, mine bool) Range {
 	for _, t := range a.Terms {
 		r := Range{Lo: fr.Ints[t.Slot], Hi: fr.Ints[t.Slot]}
 		if l := n.loopOf[t.Slot]; l >= 0 {
-			r = fr.ranges[n.loops[l].Src.ID].full
+			r = fr.full(n.loops[l])
 			if mine {
-				r = fr.ranges[n.loops[l].Src.ID].mine
+				r = fr.mine(n.loops[l])
 			}
 		}
 		if t.Coef < 0 {
@@ -465,24 +463,25 @@ func (n *Nest) Enter(fr *Frame) {
 		if lp.Step.Const < 0 {
 			lo, hi = hi, lo
 		}
-		r := loopRange{full: Range{Lo: lo, Hi: hi}, mine: Range{Lo: lo, Hi: hi}}
+		full, mine := Range{Lo: lo, Hi: hi}, Range{Lo: lo, Hi: hi}
 		if lp.Clamp != nil {
-			r.mine = r.full.intersect(lp.Clamp[fr.P])
+			mine = full.intersect(lp.Clamp[fr.P])
 		}
-		r.live, r.busy = r.full.Lo <= r.full.Hi, r.mine.Lo <= r.mine.Hi
+		id, live, busy := lp.Src.ID, full.Lo <= full.Hi, mine.Lo <= mine.Hi
 		if up := n.up[l]; up >= 0 {
-			around := fr.ranges[n.loops[up].Src.ID]
-			r.live, r.busy = r.live && around.live, r.busy && around.busy
+			around := n.loops[up].Src.ID
+			live, busy = live && fr.live[around], busy && fr.busy[around]
 		}
-		fr.ranges[lp.Src.ID] = r
+		copy(fr.ranges[4*id:], []int{full.Lo, full.Hi, mine.Lo, mine.Hi})
+		fr.live[id], fr.busy[id] = live, busy
 	}
 	for _, st := range n.stmts {
-		r := fr.ranges[st.innermost().Src.ID]
-		if !r.live {
+		id := st.innermost().Src.ID
+		if !fr.live[id] {
 			continue
 		}
 		n.verify(st.LHS, fr, false)
-		if st.Guard || !r.busy {
+		if st.Guard || !fr.busy[id] {
 			continue
 		}
 		for _, r := range st.reads {
@@ -537,7 +536,7 @@ func (n *Nest) hull(r *ArrayRef, fr *Frame, mine bool, dst []int) {
 func (n *Nest) proven(fr *Frame) bool {
 	for _, pf := range n.proofs {
 		r := len(pf.ref.Subs)
-		if fr.ranges[pf.loop.Src.ID].busy && !fr.View(pf.ref.Lay).Holds(fr.P, fr.memo[pf.at:pf.at+r], fr.memo[pf.at+r:pf.at+2*r]) {
+		if fr.busy[pf.loop.Src.ID] && !fr.View(pf.ref.Lay).Holds(fr.P, fr.memo[pf.at:pf.at+r], fr.memo[pf.at+r:pf.at+2*r]) {
 			return false
 		}
 	}
@@ -547,7 +546,7 @@ func (n *Nest) proven(fr *Frame) bool {
 // exit leaves in the variable of a live nest loop what walking its full
 // range leaves.
 func (lp *Loop) exit(fr *Frame) {
-	full := fr.ranges[lp.Src.ID].full
+	full := fr.full(lp)
 	fr.Bound[lp.Slot], fr.Ints[lp.Slot] = true, full.Hi+1
 	if lp.Step.Const < 0 {
 		fr.Ints[lp.Slot] = full.Lo - 1
@@ -560,13 +559,13 @@ func (lp *Loop) exit(fr *Frame) {
 // does not own.
 func (n *Nest) Leave(fr *Frame) {
 	for _, lp := range n.loops {
-		if fr.ranges[lp.Src.ID].live {
+		if fr.live[lp.Src.ID] {
 			lp.exit(fr)
 		}
 	}
 	at := n.written
 	for _, st := range n.stmts {
-		if r := len(st.LHS.Subs); fr.ranges[st.innermost().Src.ID].live {
+		if r := len(st.LHS.Subs); fr.live[st.innermost().Src.ID] {
 			fr.View(st.LHS.Lay).InvalidateBox(fr.P, fr.memo[at:at+r], fr.memo[at+r:at+2*r])
 		}
 		at += 2 * len(st.LHS.Subs)

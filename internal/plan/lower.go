@@ -49,10 +49,12 @@ func Lower(res *core.Result) *Program {
 		lw.realSlot[name] = s
 	}
 	lw.unbound = make([]string, len(lw.pr.Reals))
+	lw.terms, lw.errs = make([]Term, 0, 2*pl.Layout.MaxRank), make([]source.Error, 0, len(pl.A.G.Stmts))
 	lw.pr.Body, _ = lw.seq(pl.A.G.EntryBlock)
 	lw.localize(lw.pr.Body)
 	pr := lw.pr
-	pr.bytes += heapsize.Of(pr) + heapsize.Slice(pr.Ints) + heapsize.Slice(pr.Reals) + heapsize.Slice(pr.Exchanges) + heapsize.Slice(pr.inline) + heapsize.Slice(pr.errs)
+	pr.errs = heapsize.Pop(&lw.errs, 0, &lw.s.errs)
+	pr.bytes += heapsize.Of(pr) + heapsize.Slice(pr.Ints) + heapsize.Slice(pr.Reals) + heapsize.Slice(pr.Exchanges) + heapsize.Slice(pr.inline)
 	return pr
 }
 
@@ -94,13 +96,16 @@ type lowerer struct {
 	stack []*Loop
 	// s holds what the Program keeps. Lists under construction are popped
 	// into it: node lists, the SUMs of the statement or condition being
-	// lowered, need, Slots and a nest's slots, entries and proofs.
+	// lowered, need, Slots and a nest's slots, entries and proofs, a folded
+	// offset's terms and the Program's errors.
 	s      slabs
 	nodes  []Node
 	sums   []Sum
 	ints   []int
 	ents   []EntrySec
 	proofs []proof
+	terms  []Term
+	errs   []source.Error
 	// vars[slot] is the one-term form of a loop variable, which every read
 	// of it shares.
 	vars [][]Term
@@ -144,6 +149,7 @@ type slabs struct {
 	nests     heapsize.Slab[Nest]
 	ranges    heapsize.Slab[Range]
 	proofs    heapsize.Slab[proof]
+	errs      heapsize.Slab[source.Error]
 }
 
 // expect sizes each slab's first chunk from counts the CFG, the SSA form
@@ -195,16 +201,17 @@ func (a *slabs) expect(pl *Plan, count *int64) {
 	a.refs.Expect(refs, count)
 	a.refLists.Expect(reads, count)
 	a.subs.Expect(subs, count)
-	a.terms.Expect(subs*7/4, count)
+	a.terms.Expect(subs+loops, count)
 	a.reals.Expect(refs*5/2, count)
 	a.row.Expect(refs*2, count)
 	a.ints.Expect(dims+2*loops, count)
 	a.loopLists.Expect(2*loops+stmts, count)
 	a.stmtLists.Expect(2*stmts, count)
 	a.nests.Expect(loops/2, count)
-	a.ranges.Expect(loops/2*pl.Layout.P, count)
+	a.ranges.Expect(loops*pl.Layout.P, count)
 	a.proofs.Expect(reads, count)
 	a.gens.Expect(0, count)
+	a.errs.Expect(0, count)
 }
 
 // depth returns the position, outermost first, of the innermost loop
@@ -543,12 +550,12 @@ func (lw *lowerer) failInt(pos source.Pos, msg string) IntExpr {
 }
 
 // errorAt adds a positioned error to the program's table and returns its
-// index. The table is counted at the end of lowering, the message here:
-// a constant or a message several errors share is counted for each.
+// index. The table is popped into a slab at the end of lowering, the message
+// counted here: a constant or a message several errors share, for each.
 func (lw *lowerer) errorAt(pos source.Pos, msg string) int32 {
 	lw.pr.bytes += int64(len(msg))
-	lw.pr.errs = append(lw.pr.errs, source.Error{Pos: pos, Msg: msg})
-	return int32(len(lw.pr.errs) - 1)
+	lw.errs = append(lw.errs, source.Error{Pos: pos, Msg: msg})
+	return int32(len(lw.errs) - 1)
 }
 
 // intName resolves a name in integer context: the variable of an
@@ -633,15 +640,32 @@ func (lw *lowerer) arrayRef(ref *ast.Ref, am *runtime.ArrayLayout) *ArrayRef {
 		r.Subs[i] = lw.intExpr(sub.X)
 	}
 	if r.affine() {
-		for i := range r.Subs {
-			r.off = lw.addScaled(&r.off, &r.Subs[i].Affine, am.Strides[i])
-			r.off.Const -= am.Arr.Lo[i] * am.Strides[i]
-		}
+		r.off = lw.offset(r)
 		if n := len(lw.loops); n > 0 {
 			r.stride = r.off.coef(lw.loops[n-1].Slot)
 		}
 	}
 	return r
+}
+
+// offset folds the subscripts of a reference, all affine, into its offset
+// in the planes' stride space, summing their terms by slot on a stack.
+func (lw *lowerer) offset(r *ArrayRef) (off Affine) {
+	for i := range r.Subs {
+		sub, stride := &r.Subs[i], r.Lay.Strides[i]
+		off.Const += (sub.Const - r.Lay.Arr.Lo[i]) * stride
+		for _, t := range sub.Terms {
+			if j := slices.IndexFunc(lw.terms, func(u Term) bool { return u.Slot == t.Slot }); j >= 0 {
+				lw.terms[j].Coef += t.Coef * stride
+			} else {
+				lw.terms = append(lw.terms, Term{Slot: t.Slot, Coef: t.Coef * stride})
+			}
+		}
+	}
+	lw.terms = slices.DeleteFunc(lw.terms, func(t Term) bool { return t.Coef == 0 })
+	slices.SortFunc(lw.terms, func(x, y Term) int { return x.Slot - y.Slot })
+	off.Terms = heapsize.Pop(&lw.terms, 0, &lw.s.terms)
+	return off
 }
 
 func (r *ArrayRef) affine() bool {

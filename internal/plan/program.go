@@ -8,6 +8,7 @@ import (
 	"gcao/internal/ast"
 	"gcao/internal/cfg"
 	"gcao/internal/core"
+	"gcao/internal/heapsize"
 	"gcao/internal/runtime"
 	"gcao/internal/section"
 	"gcao/internal/source"
@@ -378,7 +379,7 @@ func (lp *Loop) Run(fr *Frame, d Driver) error {
 type Frame struct {
 	P int
 	// arrays is the bound image's storage, by ArrayLayout.Slot.
-	arrays []*runtime.ArrayMem
+	arrays []runtime.ArrayMem
 	layout *runtime.Layout
 	// Ints holds loop-variable values; Bound marks the slots a loop has
 	// set at least once (a variable keeps its exit value after its
@@ -407,9 +408,13 @@ type Frame struct {
 	// of package runtime: the lowered form uses it between statements
 	// (Nest.Leave, inline SUMs), the driver for its communication.
 	Scratch *runtime.Scratch
+	scratch runtime.Scratch
 
-	ranges []loopRange // by cfg.Loop.ID, filled by Nest.Enter
-	memo   []int       // Nest.Enter's keys, by Nest.memo
+	// ranges and live, busy are by cfg.Loop.ID Nest.Enter's ranges (four
+	// ints a loop: full, mine) and flags, see Frame.full.
+	ranges     []int
+	live, busy []bool
+	memo       []int // Nest.Enter's keys, by Nest.memo
 	// unboxed is Nest.Enter's verdict that it could not prove a hoisted
 	// read of the nest valid: the entry takes the tested per-element path,
 	// which reports the first stale element.
@@ -431,33 +436,42 @@ type Frame struct {
 }
 
 // NewFrame allocates the state for one executor taking processor p's
-// view of mem, which must fit the program's layout (see Reset).
+// view of mem, which must fit the program's layout (see Reset). Its tables
+// and scratch are carved from one slab of each element type, each of whole
+// cache lines, so the frames of processors that run at once share none.
 func (pr *Program) NewFrame(p int, mem *runtime.Memory) (*Frame, error) {
-	rank := pr.Plan.Layout.MaxRank
+	rank, loops := pr.Plan.Layout.MaxRank, len(pr.Plan.A.G.Loops)
+	scInts, scDims := runtime.ScratchSize(rank)
+	ints := make([]int, heapsize.Lines[int](len(pr.Ints)+pr.memoLen+rank+batchRows+pr.rowRefs*(1+pr.boxLevels+batchRows)+4*loops+scInts))
+	floats := make([]float64, heapsize.Lines[float64](len(pr.Reals)+pr.numSums+pr.rowFloats+pr.rowLeaves*batchRows))
+	bools := make([]bool, heapsize.Lines[bool](len(pr.Ints)+len(pr.Reals)+2*loops))
+	dims := make([]section.Dim, heapsize.Lines[section.Dim](rank+scDims))
 	fr := &Frame{
-		P:       p,
-		layout:  pr.Plan.Layout,
-		inline:  pr.inline,
-		errs:    pr.errs,
-		Ints:    make([]int, len(pr.Ints)),
-		Bound:   make([]bool, len(pr.Ints)),
-		Reals:   make([]float64, len(pr.Reals)),
-		Set:     make([]bool, len(pr.Reals)),
-		Sums:    make([]float64, pr.numSums),
-		Scratch: runtime.NewScratch(rank),
-		ranges:  make([]loopRange, len(pr.Plan.A.G.Loops)),
-		memo:    make([]int, pr.memoLen),
-		dims:    make([]section.Dim, rank),
-		idx:     make([]int, rank),
+		P:      p,
+		layout: pr.Plan.Layout,
+		inline: pr.inline,
+		errs:   pr.errs,
+		Ints:   heapsize.Take(&ints, len(pr.Ints)),
+		Bound:  heapsize.Take(&bools, len(pr.Ints)),
+		Reals:  heapsize.Take(&floats, len(pr.Reals)),
+		Set:    heapsize.Take(&bools, len(pr.Reals)),
+		Sums:   heapsize.Take(&floats, pr.numSums),
+		ranges: heapsize.Take(&ints, 4*loops),
+		live:   heapsize.Take(&bools, loops),
+		busy:   heapsize.Take(&bools, loops),
+		memo:   heapsize.Take(&ints, pr.memoLen),
+		dims:   heapsize.Take(&dims, rank),
+		idx:    heapsize.Take(&ints, rank),
 
 		rowStack:  make([]rowVal, pr.rowDepth),
-		rowFloats: make([]float64, pr.rowFloats),
-		rowRuns:   make([]int, batchRows),
-		boxCur:    make([]int, pr.rowRefs),
-		boxStep:   make([]int, pr.rowRefs*pr.boxLevels),
-		boxOff:    make([]int, pr.rowRefs*batchRows),
-		boxLeaf:   make([]float64, pr.rowLeaves*batchRows),
+		rowFloats: heapsize.Take(&floats, pr.rowFloats),
+		rowRuns:   heapsize.Take(&ints, batchRows),
+		boxCur:    heapsize.Take(&ints, pr.rowRefs),
+		boxStep:   heapsize.Take(&ints, pr.rowRefs*pr.boxLevels),
+		boxOff:    heapsize.Take(&ints, pr.rowRefs*batchRows),
+		boxLeaf:   heapsize.Take(&floats, pr.rowLeaves*batchRows),
 	}
+	fr.Scratch = fr.scratch.Carve(rank, &ints, &dims)
 	return fr, fr.Reset(mem)
 }
 
@@ -479,7 +493,7 @@ func (fr *Frame) Reset(mem *runtime.Memory) error {
 }
 
 // View returns the storage of an array of the program in the bound image.
-func (fr *Frame) View(lay *runtime.ArrayLayout) *runtime.ArrayMem { return fr.arrays[lay.Slot] }
+func (fr *Frame) View(lay *runtime.ArrayLayout) *runtime.ArrayMem { return &fr.arrays[lay.Slot] }
 
 func (fr *Frame) fail(err error) {
 	if fr.Err == nil {

@@ -270,7 +270,7 @@ func batchOf(n int) int { return min(max(batchElems/n, 1), batchRows) }
 // a Done box ran each statement of Box.Row at.
 func (lp *Loop) RunBox(fr *Frame) (out Outcome, points int) {
 	row := lp.Box
-	if row == nil || !fr.ranges[row.Src.ID].busy || fr.unboxed {
+	if row == nil || !fr.busy[row.Src.ID] || fr.unboxed {
 		return NotApplicable, 0
 	}
 	// The first row in walk order: the chain's outer variables are the
@@ -279,14 +279,14 @@ func (lp *Loop) RunBox(fr *Frame) (out Outcome, points int) {
 	levels, rows := 0, 1
 	for l := row; l != lp; levels++ {
 		l = l.outer
-		mine := fr.ranges[l.Src.ID].mine
+		mine := fr.mine(l)
 		fr.Ints[l.Slot] = mine.Lo
 		if l.Step.Const < 0 {
 			fr.Ints[l.Slot] = mine.Hi
 		}
 		rows *= mine.Hi - mine.Lo + 1
 	}
-	mine := fr.ranges[row.Src.ID].mine
+	mine := fr.mine(row)
 	lo, n := mine.Lo, mine.Hi-mine.Lo+1
 	fr.Ints[row.Slot] = lo
 
@@ -300,7 +300,7 @@ func (lp *Loop) RunBox(fr *Frame) (out Outcome, points int) {
 		cur[ri] = ref.off.Eval(fr) - ref.Lay.Base(fr.P)
 		back := 0
 		for l, j := row.outer, levels-1; j >= 0; l, j = l.outer, j-1 {
-			mine := fr.ranges[l.Src.ID].mine
+			mine := fr.mine(l)
 			c := ref.off.coef(l.Slot) * l.Step.Const
 			step[ri*levels+j] = c - back
 			back += c * (mine.Hi - mine.Lo)
@@ -324,7 +324,7 @@ func (lp *Loop) RunBox(fr *Frame) (out Outcome, points int) {
 				// it start over.
 				l, j := row.outer, levels-1
 				for ; ; l, j = l.outer, j-1 {
-					mine := fr.ranges[l.Src.ID].mine
+					mine := fr.mine(l)
 					if v := fr.Ints[l.Slot] + l.Step.Const; v >= mine.Lo && v <= mine.Hi {
 						fr.Ints[l.Slot] = v
 						break

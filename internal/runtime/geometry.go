@@ -4,6 +4,7 @@ import (
 	"gcao/internal/dist"
 	"gcao/internal/heapsize"
 	"gcao/internal/section"
+	"gcao/internal/sem"
 )
 
 // The geometry of ownership. Every bulk memory operation — ghost
@@ -49,35 +50,44 @@ type Scratch struct {
 // arrays are whole cache lines, which the allocator aligns, so the scratch
 // of processors that run at once shares none.
 func NewScratch(rank int) *Scratch {
-	ints := make([]int, (7*rank+7)/8*8)
-	return &Scratch{
-		lo:   ints[:rank],
-		hi:   ints[rank : 2*rank],
-		idx:  ints[2*rank : 3*rank],
-		box:  ints[3*rank : 7*rank],
-		dims: make([]section.Dim, (rank+7)/8*8)[:rank],
+	ints, dims := make([]int, heapsize.Lines[int](7*rank)), make([]section.Dim, heapsize.Lines[section.Dim](rank))
+	return new(Scratch).Carve(rank, &ints, &dims)
+}
+
+// ScratchSize returns the ints and dims Carve takes for arrays of rank.
+func ScratchSize(rank int) (ints, dims int) { return 7 * rank, rank }
+
+// Carve carves sc, scratch for arrays of up to the given rank, from slabs.
+func (sc *Scratch) Carve(rank int, ints *[]int, dims *[]section.Dim) *Scratch {
+	sc.lo, sc.hi, sc.idx = heapsize.Take(ints, rank), heapsize.Take(ints, rank), heapsize.Take(ints, rank)
+	sc.box, sc.dims = heapsize.Take(ints, 4*rank), heapsize.Take(dims, rank)
+	return sc
+}
+
+// tableInts returns the ints initGeometry carves for the array on p
+// processors: a table a dimension, runEnd, Strides, ext, at, base, box.
+func tableInts(arr *sem.Array, p int) int {
+	r, n := arr.Rank(), 0
+	for k := range arr.Lo {
+		n += arr.Hi[k] - arr.Lo[k] + 1
 	}
+	if arr.Dist != nil {
+		n += 2 * p * r
+	}
+	return n + arr.Hi[r-1] - arr.Lo[r-1] + 1 + 2*r + p*r + p
 }
 
 // initGeometry builds the ownership tables of the array on p processors
-// and its local boxes: widened by margin on every BLOCK dimension when
-// boxed, else the declared bounds. It returns the bytes of the tables.
-func (am *ArrayLayout) initGeometry(p, margin int, boxed bool) int64 {
+// and its local boxes — widened by margin on every BLOCK dimension when
+// boxed, else the declared bounds — from ints, and returns the rest.
+func (am *ArrayLayout) initGeometry(p, margin int, boxed bool, ints []int) []int {
 	arr, d := am.Arr, am.Dist
 	rank := arr.Rank()
-	total := 0
-	for k := 0; k < rank; k++ {
-		total += arr.Hi[k] - arr.Lo[k] + 1
-	}
-	ints := make([]int, total+arr.Hi[rank-1]-arr.Lo[rank-1]+1+2*rank+p*rank+p)
-	am.own = make([][]int, rank)
-	bytes := heapsize.Slice(ints) + heapsize.Slice(am.own)
 	for k := range am.own {
-		n := arr.Hi[k] - arr.Lo[k] + 1
-		am.own[k], ints = ints[:n:n], ints[n:]
+		am.own[k] = heapsize.Take(&ints, arr.Hi[k]-arr.Lo[k]+1)
 	}
-	am.runEnd, ints = ints[:len(am.own[rank-1])], ints[len(am.own[rank-1]):]
-	am.Strides, am.ext, am.at, am.base = ints[:rank], ints[rank:2*rank], ints[2*rank:2*rank+p*rank], ints[2*rank+p*rank:]
+	am.runEnd, am.Strides, am.ext = heapsize.Take(&ints, len(am.own[rank-1])), heapsize.Take(&ints, rank), heapsize.Take(&ints, rank)
+	am.at, am.base = heapsize.Take(&ints, p*rank), heapsize.Take(&ints, p)
 	am.size = 1
 	for k := rank - 1; k >= 0; k-- {
 		if am.ext[k] = len(am.own[k]); boxed && d != nil && d.Dims[k].Kind == dist.Block {
@@ -94,23 +104,17 @@ func (am *ArrayLayout) initGeometry(p, margin int, boxed bool) int64 {
 			if am.cyclic = am.cyclic || dd.Kind == dist.Cyclic; dd.Kind == dist.Star {
 				continue
 			}
-			stride := 1
-			for g := dd.GridDim + 1; g < d.Grid.Rank(); g++ {
-				stride *= d.Grid.Shape[g]
-			}
+			stride := d.Grid.Stride(dd.GridDim)
 			for i := range am.own[k] {
 				am.own[k][i] = d.OwnerDim(k, arr.Lo[k]+i) * stride
 			}
 		}
-		am.box = make([]int, 2*p*rank)
-		bytes += heapsize.Slice(am.box)
-		coords := make([]int, d.Grid.Rank())
+		am.box = heapsize.Take(&ints, 2*p*rank)
 		for q := 0; q < p; q++ {
-			d.Grid.CoordsInto(q, coords)
 			for k, dd := range d.Dims {
 				// An owner of nothing has its block past the declared bounds:
 				// its local box ends at them, where the last owner's strip lands.
-				lo, hi, ok := d.LocalRange(k, coords[dd.GridDim])
+				lo, hi, ok := d.LocalRange(k, q/d.Grid.Stride(dd.GridDim)%d.Grid.Shape[dd.GridDim])
 				if am.ext[k] < len(am.own[k]) {
 					am.at[q*rank+k] = min(max(lo-margin, arr.Lo[k]), arr.Hi[k]-am.ext[k]+1)
 					am.base[q] += (am.at[q*rank+k] - arr.Lo[k]) * am.Strides[k]
@@ -129,7 +133,7 @@ func (am *ArrayLayout) initGeometry(p, margin int, boxed bool) int64 {
 			am.runEnd[i] = am.runEnd[i+1]
 		}
 	}
-	return bytes
+	return ints
 }
 
 // OwnedBox returns the inclusive bounds of processor p's owned box in

@@ -164,13 +164,13 @@ func (e *StaleReadError) Error() string {
 type Layout struct {
 	Unit *sem.Unit
 	P    int
-	// Arrays lists the arrays in declaration order: Arrays[l.Slot] == l.
-	Arrays []*ArrayLayout
+	// Arrays lists the arrays in declaration order: &Arrays[l.Slot] == l.
+	Arrays []ArrayLayout
 	// MaxRank is the largest array rank, at least 1: an index vector's size.
-	MaxRank int
-	byName  map[string]*ArrayLayout
-	margin  map[string]int
-	bytes   int64
+	MaxRank                      int
+	margin                       map[string]int
+	bytes                        int64
+	planes, floats, lists, store int // what NewMemory carves of each slab
 }
 
 // ArrayLayout is the geometry of one array: bounds, strides, distribution,
@@ -193,7 +193,7 @@ type ArrayLayout struct {
 
 	own                        [][]int
 	runEnd, box, ext, at, base []int
-	size                       int
+	size, copies               int // copies: the planes an image holds
 	whole                      section.Section
 	cyclic                     bool // a dimension is CYCLIC
 }
@@ -207,14 +207,14 @@ type Memory struct {
 	P      int
 	Layout *Layout
 	// Arrays holds the storage of Layout.Arrays, slot for slot.
-	Arrays []*ArrayMem
+	Arrays []ArrayMem
 }
 
 // ArrayMem is the storage of one array of a Memory under its layout: the
 // data planes and the lists of valid boxes, with no string-keyed lookups
 // on the access path. The interpreter's inner loops and the bulk
-// operations run on these views; the per-processor planes are carved from
-// one slab a cache line apart, so shards working on disjoint processor
+// operations run on these views; every plane of the image is carved from
+// one slab, a cache line apart, so shards working on disjoint processor
 // ranges never share cache lines.
 type ArrayMem struct {
 	*ArrayLayout
@@ -231,22 +231,32 @@ type ArrayMem struct {
 // NewLayout builds the layout of the unit's arrays on p processors. A
 // processor's plane of a distributed array covers its local box: its owned
 // box widened by margin[name] on every BLOCK dimension. An array the map
-// does not name — any, under a nil map — keeps its declared extents.
+// does not name — any, under a nil map — keeps its declared extents. The
+// arrays' tables, table headers and sections are carved from one slab each.
 func NewLayout(u *sem.Unit, p int, margin map[string]int) *Layout {
-	l := &Layout{Unit: u, P: p, MaxRank: 1, Arrays: make([]*ArrayLayout, 0, len(u.ArrayNames)), byName: make(map[string]*ArrayLayout, len(u.ArrayNames)), margin: margin}
-	for slot, name := range u.ArrayNames {
-		arr := u.Arrays[name]
-		al := &ArrayLayout{Name: name, Arr: arr, Dist: arr.Dist, Slot: slot, whole: section.Whole(arr.Lo, arr.Hi)}
-		w, boxed := margin[name]
-		l.bytes += al.initGeometry(p, w, boxed) + heapsize.Of(al) + heapsize.Slice(al.whole.Dims)
-		l.Arrays, l.byName[name], l.MaxRank = append(l.Arrays, al), al, max(l.MaxRank, arr.Rank())
+	ranks, ints := 0, 0
+	for _, name := range u.ArrayNames {
+		ranks, ints = ranks+u.Arrays[name].Rank(), ints+tableInts(u.Arrays[name], p)
 	}
-	l.bytes += heapsize.Of(l) + heapsize.Slice(l.Arrays) + heapsize.Map(l.byName) + heapsize.Map(margin)
+	l := &Layout{Unit: u, P: p, MaxRank: 1, Arrays: make([]ArrayLayout, len(u.ArrayNames)), margin: margin}
+	tables, own, dims := make([]int, ints), make([][]int, ranks), make([]section.Dim, ranks)
+	l.bytes = heapsize.Of(l) + heapsize.Slice(l.Arrays) + heapsize.Slice(tables) + heapsize.Slice(own) + heapsize.Slice(dims) + heapsize.Map(margin)
+	for slot, name := range u.ArrayNames {
+		arr, r, al := u.Arrays[name], u.Arrays[name].Rank(), &l.Arrays[slot]
+		*al = ArrayLayout{Name: name, Arr: arr, Dist: arr.Dist, Slot: slot, own: heapsize.Take(&own, r), copies: 1,
+			whole: section.WholeInto(arr.Lo, arr.Hi, heapsize.Take(&dims, r))}
+		w, boxed := margin[name]
+		tables, l.MaxRank = al.initGeometry(p, w, boxed, tables), max(l.MaxRank, r)
+		if arr.Dist != nil {
+			al.copies, l.lists, l.store = p, l.lists+p, l.store+listInts(r, p)
+		}
+		l.planes, l.floats = l.planes+al.copies, l.floats+al.copies*(al.size+8)
+	}
 	return l
 }
 
 // Bytes returns what the layout holds: itself, its arrays' layouts with
-// their ownership tables and local boxes, and its two maps by their
+// their ownership tables and local boxes, and its map of margins by its
 // entries' keys and values.
 func (l *Layout) Bytes() int64 { return l.bytes }
 
@@ -256,30 +266,32 @@ func (l *Layout) Fits(o *Layout) bool {
 }
 
 // Array returns the layout of a declared array, nil for any other name.
-func (l *Layout) Array(name string) *ArrayLayout { return l.byName[name] }
+func (l *Layout) Array(name string) *ArrayLayout {
+	if arr := l.Unit.Arrays[name]; arr != nil {
+		return &l.Arrays[arr.Slot]
+	}
+	return nil
+}
 
 // NewMemory allocates memories for all arrays of the unit, at their
 // declared extents.
 func NewMemory(u *sem.Unit, p int) *Memory { return NewLayout(u, p, nil).NewMemory() }
 
-// NewMemory allocates one more image under the layout, sharing its tables.
+// NewMemory allocates one more image under the layout, sharing its tables,
+// from one slab each of storage, plane headers, planes, lists and list store.
 func (l *Layout) NewMemory() *Memory {
-	m := &Memory{Unit: l.Unit, P: l.P, Layout: l, Arrays: make([]*ArrayMem, len(l.Arrays))}
-	for slot, al := range l.Arrays {
-		copies := l.P
-		if al.Dist == nil {
-			copies = 1
-		}
-		am := &ArrayMem{ArrayLayout: al, Data: make([][]float64, copies)}
-		w := al.size + 8 // a 64-byte line between planes
-		slab := make([]float64, copies*w)
+	m := &Memory{Unit: l.Unit, P: l.P, Layout: l, Arrays: make([]ArrayMem, len(l.Arrays))}
+	data, slab := make([][]float64, l.planes), make([]float64, l.floats)
+	boxes, ints := make([]boxList, l.lists), make([]int, l.store)
+	for i := range l.Arrays {
+		al, am := &l.Arrays[i], &m.Arrays[i]
+		am.ArrayLayout, am.Data = al, heapsize.Take(&data, al.copies)
 		for c := range am.Data {
-			am.Data[c] = slab[c*w : c*w+al.size : c*w+al.size]
+			am.Data[c] = heapsize.Take(&slab, al.size+8)[:al.size:al.size] // a 64-byte line between planes
 		}
 		if al.Dist != nil {
-			am.initLists(copies)
+			boxes, ints = am.initLists(l.P, boxes, ints)
 		}
-		m.Arrays[slot] = am
 	}
 	return m
 }
@@ -289,7 +301,8 @@ func (l *Layout) NewMemory() *Memory {
 // nothing else — reusing the planes and the lists' storage so repeated
 // native runs do not allocate.
 func (m *Memory) Reset() {
-	for _, am := range m.Arrays {
+	for i := range m.Arrays {
+		am := &m.Arrays[i]
 		for p := range am.Data {
 			clear(am.Data[p])
 		}
@@ -302,13 +315,13 @@ func (m *Memory) Reset() {
 // View returns the resolved per-array view, panicking on unknown
 // arrays (callers pass names from the compiled unit).
 func (m *Memory) View(name string) *ArrayMem {
-	al := m.Layout.byName[name]
+	al := m.Layout.Array(name)
 	if al == nil {
 		// Unreachable from input: every caller passes a name from the
 		// compiled unit's ArrayNames; the lowered program binds by slot.
 		panic(fmt.Sprintf("runtime: unknown array %q", name))
 	}
-	return m.Arrays[al.Slot]
+	return &m.Arrays[al.Slot]
 }
 
 // Offset maps an index vector to the element's offset in its owner's

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -373,5 +374,109 @@ func invalidateBoxMatchesElementwise(t *testing.T, src, what string, n, procs, m
 		if err := m.CheckHulls(); err != nil {
 			t.Fatalf("%s n=%d P=%d margin %d after box %v:%v: %v", what, n, procs, margin, box[0], box[1], err)
 		}
+	}
+}
+
+// unitOf returns the source of a routine declaring k arrays beside a real
+// scalar: k − 1 of 16 × 16 — BLOCK by BLOCK, BLOCK by CYCLIC and replicated
+// in turn — and r, 16 elements, replicated.
+func unitOf(k int) string {
+	var decl, block, cyclic []string
+	for i := 1; i < k; i++ {
+		name := fmt.Sprintf("a%d", i)
+		decl = append(decl, name+"(16, 16)")
+		switch i % 3 {
+		case 1:
+			block = append(block, name)
+		case 2:
+			cyclic = append(cyclic, name)
+		}
+	}
+	src := "routine m(n)\nreal " + strings.Join(append(decl, "r(16)", "s"), ", ") + "\n"
+	if len(block) > 0 {
+		src += "!hpf$ distribute (block, block) :: " + strings.Join(block, ", ") + "\n"
+	}
+	if len(cyclic) > 0 {
+		src += "!hpf$ distribute (block, cyclic) :: " + strings.Join(cyclic, ", ") + "\n"
+	}
+	return src + "s = 1\nend\n"
+}
+
+// TestCarvingAllocatesByType: a layout and an image are carved from one
+// slab per element type, so what NewLayout and NewMemory allocate does not
+// depend on how many arrays the unit declares or how many processors hold
+// them.
+func TestCarvingAllocatesByType(t *testing.T) {
+	counts := map[string]float64{}
+	for _, k := range []int{2, 12} {
+		for _, p := range []int{4, 16} {
+			u := unit(t, unitOf(k), map[string]int{"n": 16}, p)
+			margin := map[string]int{}
+			for _, name := range u.ArrayNames {
+				margin[name] = 1
+			}
+			l := NewLayout(u, p, margin)
+			for what, f := range map[string]func(){
+				"NewLayout":            func() { NewLayout(u, p, margin) },
+				"NewLayout at extents": func() { NewLayout(u, p, nil) },
+				"NewMemory":            func() { l.NewMemory() },
+			} {
+				n := testing.AllocsPerRun(10, f)
+				if c, ok := counts[what]; ok && n != c {
+					t.Errorf("%s of %d arrays on %d processors allocates %v objects, %v elsewhere", what, k, p, n, c)
+				}
+				counts[what] = n
+			}
+		}
+	}
+	t.Logf("allocations: %v", counts)
+}
+
+// TestCarvedTablesCapped: every table of a layout and every plane and list
+// of an image is carved from a slab it shares with the next one, so each
+// must end where its share does — else an append to one would write over
+// its neighbour. A list of valid boxes is capped at its share of the list
+// store, 2·rank + 1 boxes, which a cache line separates from the next.
+func TestCarvedTablesCapped(t *testing.T) {
+	u := unit(t, unitOf(12), map[string]int{"n": 16}, 16)
+	l := NewLayout(u, 16, map[string]int{"a1": 1, "a2": 2})
+	m := l.NewMemory()
+	capped := func(what string, n, c int) {
+		if n != c {
+			t.Errorf("%s has %d elements and room for %d", what, n, c)
+		}
+	}
+	for i := range m.Arrays {
+		am := &m.Arrays[i]
+		if am.ArrayLayout != &l.Arrays[i] || l.Array(am.Name) != am.ArrayLayout || m.View(am.Name) != am {
+			t.Errorf("slot %d: %s is not its layout's or its image's", i, am.Name)
+		}
+		for k, own := range am.own {
+			capped(fmt.Sprintf("%s's ownership table %d", am.Name, k), len(own), cap(own))
+		}
+		capped(am.Name+"'s ownership tables", len(am.own), cap(am.own))
+		for what, s := range map[string][]int{"runEnd": am.runEnd, "Strides": am.Strides, "ext": am.ext, "at": am.at, "base": am.base, "box": am.box, "sentAt": am.sentAt} {
+			capped(am.Name+"'s "+what, len(s), cap(s))
+		}
+		capped(am.Name+"'s whole section", len(am.whole.Dims), cap(am.whole.Dims))
+		capped(am.Name+"'s planes", len(am.Data), cap(am.Data))
+		for p, plane := range am.Data {
+			capped(fmt.Sprintf("processor %d's plane of %s", p, am.Name), len(plane), cap(plane))
+		}
+		r := len(am.Strides)
+		capped(am.Name+"'s lists", len(am.lists), cap(am.lists))
+		for p := range am.lists {
+			capped(fmt.Sprintf("processor %d's list share of %s", p, am.Name), 2*r*(2*r+1), cap(am.lists[p].boxes))
+		}
+	}
+	var sc Scratch
+	ints, dims := make([]int, 24), make([]section.Dim, 8)
+	sc.Carve(3, &ints, &dims)
+	for what, s := range map[string][]int{"lo": sc.lo, "hi": sc.hi, "idx": sc.idx, "box": sc.box} {
+		capped("scratch "+what, len(s), cap(s))
+	}
+	capped("scratch dims", len(sc.dims), cap(sc.dims))
+	if n, d := ScratchSize(3); len(ints) != 24-n || len(dims) != 8-d {
+		t.Errorf("Carve left %d ints and %d dims of 24 and 8, ScratchSize says it takes %d and %d", len(ints), len(dims), n, d)
 	}
 }

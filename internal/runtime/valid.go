@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"gcao/internal/dist"
+	"gcao/internal/heapsize"
 	"gcao/internal/section"
 )
 
@@ -28,11 +29,10 @@ import (
 //   - Reset empties every list.
 //
 // A list is 2·rank ints a box, its lower bounds and then its upper bounds,
-// carved from one backing array per ArrayMem: 2·rank + 1 boxes a
-// processor, a face of its local box each and a delivery before it merges,
-// which no Fig. 10(a) routine outgrows (TestValidBoxFragmentation). A list
-// that outgrows its share moves to an allocation of its own, which Reset
-// keeps.
+// carved from one list store per image: 2·rank + 1 boxes a processor, a
+// face of its local box each and a delivery before it merges, which no
+// Fig. 10(a) routine outgrows (TestValidBoxFragmentation). A list that
+// outgrows its share moves to an allocation of its own, which Reset keeps.
 
 // boxList is one processor's list, alone in its cache lines: processors
 // on different shards or goroutines write their lists at once.
@@ -42,15 +42,20 @@ type boxList struct {
 	_     [12]int
 }
 
-// initLists carves the processors' lists out of one backing array, a cache
-// line apart.
-func (am *ArrayMem) initLists(p int) {
-	w := 2*len(am.Strides)*(2*len(am.Strides)+1) + 8
-	store := make([]int, p*w+p+1)
-	am.lists, am.sentAt = make([]boxList, p), store[p*w:]
+// listInts returns the ints of the list store initLists carves for p lists
+// of an array of rank r: each list's share and a cache line, then sentAt.
+func listInts(r, p int) int { return p*(2*r*(2*r+1)+8) + p + 9 }
+
+// initLists carves the processors' lists, a cache line apart, from the
+// image's lists and list store, and returns what it leaves of them.
+func (am *ArrayMem) initLists(p int, lists []boxList, store []int) ([]boxList, []int) {
+	r := len(am.Strides)
+	am.lists = heapsize.Take(&lists, p)
 	for q := range am.lists {
-		am.lists[q].boxes = store[q*w : q*w : (q+1)*w-8]
+		am.lists[q].boxes = heapsize.Take(&store, 2*r*(2*r+1)+8)[: 0 : 2*r*(2*r+1)]
 	}
+	am.sentAt = heapsize.Take(&store, p+9)[: p+1 : p+1]
+	return lists, store
 }
 
 // keep stores p's list, noting its length when it is the longest yet.

@@ -32,13 +32,15 @@ type Section struct {
 
 // Whole returns the section covering an entire array with the given
 // inclusive per-dimension bounds [lo[i], hi[i]].
-func Whole(lo, hi []int) Section {
-	if len(lo) != len(hi) {
+func Whole(lo, hi []int) Section { return WholeInto(lo, hi, make([]Dim, len(lo))) }
+
+// WholeInto is Whole, written into d (len(d) == len(lo)).
+func WholeInto(lo, hi []int, d []Dim) Section {
+	if len(lo) != len(hi) || len(d) != len(lo) {
 		// Unreachable from input: the callers pass a declared array's
 		// bounds, one pair per dimension, or Clip's checked box.
 		panic("section: Whole: mismatched bound ranks")
 	}
-	d := make([]Dim, len(lo))
 	for i := range lo {
 		d[i] = Dim{Lo: lo[i], Hi: hi[i], Step: 1}
 	}

@@ -24,6 +24,8 @@ type Array struct {
 	Type   ast.ElemType
 	Lo, Hi []int
 	Dist   *dist.Dist
+	// Slot is the array's position in its unit's ArrayNames.
+	Slot int
 }
 
 // Rank returns the array's dimensionality.
@@ -146,7 +148,7 @@ func Analyze(r *ast.Routine, params map[string]int, opt Options) (*Unit, error) 
 			rank := len(item.Bounds)
 			a := &arrays[0]
 			arrays = arrays[1:]
-			*a = Array{Name: item.Name, Type: d.Type, Lo: bounds[:0:rank], Hi: bounds[rank : rank : 2*rank]}
+			*a = Array{Name: item.Name, Type: d.Type, Lo: bounds[:0:rank], Hi: bounds[rank : rank : 2*rank], Slot: len(u.ArrayNames)}
 			bounds = bounds[2*rank:]
 			for _, b := range item.Bounds {
 				lo := 1
