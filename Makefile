@@ -249,9 +249,12 @@ nativeprof-smoke:
 # and through gcaod's handler) with no front-end or structural span, and
 # a full compile of hydflo/flux (parse through the three placements,
 # BenchmarkFig10aHydfloFlux) must stay within the allocation budget in
-# ci/compile-alloc-budget.txt: 1.25x the measured allocs/op — 264, for
-# the 211 it takes once placement keeps its redundancy and position tables
-# by entry ID (238 once the dependence memo keeps one direction vector
+# ci/compile-alloc-budget.txt: 1.25x the measured allocs/op — 195, for
+# the 156 it takes once the analysis layers (sem's distributions, the CFG,
+# the dominance frontier, SSA, the class memo, the bound and a Result's
+# entry tables) take their tables from one slab per element type sized by
+# counts (211 once placement keeps its redundancy and position tables
+# by entry ID, 238 once the dependence memo keeps one direction vector
 # per class of (def, use) pair and diagonal coalescing carves its lists
 # from slabs, 329 and a budget of 411 before; 1,049 before sem, the
 # skeleton's layers and the candidate lists allocated by the routine),
@@ -259,7 +262,8 @@ nativeprof-smoke:
 # a pair test that starts re-expanding sections again is a regression
 # long before it shows in milliseconds. gcaod's cold request for a known
 # source is held within 10 % of its count (TestColdKnownSourceAllocs,
-# 391 under a budget of 430; 493 under 540 before the class memo). The
+# 361 under a budget of 397; 391 under 430 before the analysis layers
+# were carved, 493 under 540 before the class memo). The
 # analysis must keep every answer while it asks fewer questions: every
 # entry's CommLevel, Latest, Earliest and candidates equal what the
 # exhaustive computation derives on the six routines, 200 random
@@ -271,7 +275,12 @@ nativeprof-smoke:
 # front end below the parser is held the same way:
 # what sem.Analyze, core.NewSkeleton and (*Skeleton).Analyze allocate on
 # the six routines (TestFrontEndAllocs, 1.25x the measured counts; the
-# analysis 317, from 519), and the scalarizer
+# analysis 207, from 317 and 519), what each analysis layer allocates on
+# the six routines — cfg.Build, dom.New, ssa.Build with the frontier and
+# Validate, the dependence classification of every pair, bound.Compute —
+# and that the graph, the tree, the SSA form and the bound allocate as
+# often on StencilNests four times as long (TestAnalysisLayerAllocs,
+# 1.25x of 48, 12, 111, 89 and 12; ssa.Build now 117), and the scalarizer
 # shares what it does not rewrite with the parsed routine without ever
 # writing to it (TestScalarizeLeavesInputIntact) — which is what lets the
 # race test below share one skeleton with the source tier's tree. Placement's own storage is held the
@@ -299,7 +308,7 @@ compile-smoke:
 	$(GO) test ./internal/lin -run 'TestFormMatchesMapModel' -count=1
 	$(GO) test ./internal/asd -run 'TestHullCountMatchesHull' -count=1
 	$(GO) test ./internal/scalarize -run 'TestScalarizeLeavesInputIntact' -count=1
-	$(GO) test ./internal/core -run 'TestPlacementGolden|TestSectionTableMatchesExpansion|TestPlaceNilRecorderAllocs|TestNilTallyCostsNothing|TestGreedyVsOptimal|TestPlacementScratchPerCall|TestLazyLabelsMatchEagerFormat|TestFrontEndAllocs|TestLatestEarliestMatchExhaustive|TestAnalysisScales' -count=1
+	$(GO) test ./internal/core -run 'TestPlacementGolden|TestSectionTableMatchesExpansion|TestPlaceNilRecorderAllocs|TestNilTallyCostsNothing|TestGreedyVsOptimal|TestPlacementScratchPerCall|TestLazyLabelsMatchEagerFormat|TestFrontEndAllocs|TestAnalysisLayerAllocs|TestLatestEarliestMatchExhaustive|TestAnalysisScales' -count=1
 	$(GO) test ./internal/dep -run 'TestClassMemoMatchesFresh' -count=1
 	$(GO) test -race ./internal/core -run 'TestSharedAnalysisConcurrentPlace|TestConcurrentPlacementLabels' -count=1
 	$(GO) test . -run 'TestSkeletonMatchesMonolithic|TestSkeletonHitPin|TestCompilationSizeTracksHeap|TestPlacedSizeTracksHeap|TestTierChargesCounted' -count=1
@@ -355,7 +364,9 @@ fuzz-smoke:
 # n=16, 4 steps, P=16, memory image and lowered program rebuilt per run,
 # as spmd.RunParallel on a bare placement result does) must stay
 # within the allocation budget in ci/sim-alloc-budget.txt: 1.25x the
-# measured allocs/op (155 since a layout, an image and a frame are each
+# measured allocs/op (143 since the collective tree's int tables share one
+# slab and an image's first Freeze gives every array's list copy its room
+# from one; 155 since a layout, an image and a frame are each
 # carved from one slab per element type, whatever the number of arrays or
 # processors; 279 since every list a lowered program keeps is popped from
 # a stack into a slab, 393 before, 474 before lowering carved its

@@ -325,7 +325,11 @@ func BenchmarkCompile(b *testing.B) {
 // under `go test`: the six Fig. 10(a) routines at their default sizes on
 // 25 processors, each parsed, checked, analysed, placed under the three
 // versions, estimated on the SP2 model and bounded from below — the
-// compiler user's cold path with no cache and no execution layer.
+// compiler user's cold path with no cache and no execution layer. It
+// allocates 940 objects an op since the analysis layers (sem's
+// distributions, the CFG, the dominance frontier, SSA, the class memo,
+// a Result's tables and the bound) take their tables from one slab per
+// element type sized by counts, 1,288 before.
 func BenchmarkCompileSuite(b *testing.B) {
 	progs := bench.Programs()
 	sp2 := machine.SP2()

@@ -131,8 +131,9 @@ func BenchmarkHandleCompile(b *testing.B) {
 // use) pair instead of one per pair and diagonal coalescing carved its
 // lists from slabs, and 442 before the reply stopped carrying the
 // request's metrics document, 396 before a placement kept its redundancy
-// and position tables by entry ID instead of in two maps, and 391 when the
-// pin was last set (budget within 10 %).
+// and position tables by entry ID instead of in two maps, 391 before the
+// analysis layers carved their tables from slabs sized by counts, and 361
+// when the pin was last set (budget within 10 %).
 func TestColdKnownSourceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector moves stack allocations to the heap")
@@ -145,7 +146,7 @@ func TestColdKnownSourceAllocs(t *testing.T) {
 		mustServe(t, h, shallowBody(t, n, 16, false, ""))
 	})
 	// shallowBody itself marshals the request: 30 allocations of the count.
-	const budget = 430
+	const budget = 397
 	t.Logf("cold request, known source: %.0f allocs", allocs)
 	if allocs > budget {
 		t.Errorf("a cold request for a known source allocates %.0f times, budget %d", allocs, budget)

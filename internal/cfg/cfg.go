@@ -155,96 +155,102 @@ type Graph struct {
 func (g *Graph) Bytes() int64 { return heapsize.Of(g) + g.bytes }
 
 // builder carves everything a graph holds from backing arrays sized by
-// one count of the body: the blocks and their edge lists, statements,
-// loops, and the enclosing-loop lists statements share.
+// one count of the body, one per element type: the blocks, statements and
+// loops; the block list and every block's edge lists; the loop list, the
+// enclosing-loop lists statements share and the loops' children lists.
 type builder struct {
 	g      *Graph
 	blocks []Block
 	edges  []*Block // two successor and two predecessor slots per block
 	stmts  []Stmt
 	loops  []Loop
-	paths  []*Loop // loop paths: a loop's is its parent's plus itself
+	paths  []*Loop // loop paths (a loop's is its parent's plus itself), then children lists
 	// The loops around the statement being built, outermost first,
 	// shared by every statement directly in the innermost one.
 	path []*Loop
-	// topLoops counts the loops no loop contains.
-	topLoops int
 }
 
-// size counts what the graph of body holds: blocks beyond ENTRY and
-// EXIT, statements, loops, and the lengths of the loops' paths.
-func size(body []ast.Stmt, depth int) (blocks, stmts, loops, paths int) {
+// counts is what the graph of a body holds: blocks beyond ENTRY and EXIT,
+// statements, loops, the lengths of the loops' paths, and the loops some
+// loop contains.
+type counts struct{ blocks, stmts, loops, paths, nested int }
+
+// size adds the counts of body, at loop depth depth, to c.
+func (c *counts) size(body []ast.Stmt, depth int) {
 	for _, s := range body {
 		switch s := s.(type) {
 		case *ast.AssignStmt:
-			stmts++
+			c.stmts++
 		case *ast.IfStmt:
-			blocks += 2
+			c.blocks += 2
 			if len(s.Else) > 0 {
-				blocks++
+				c.blocks++
 			}
-			for _, arm := range [...][]ast.Stmt{s.Then, s.Else} {
-				b, st, l, p := size(arm, depth)
-				blocks, stmts, loops, paths = blocks+b, stmts+st, loops+l, paths+p
-			}
+			c.size(s.Then, depth)
+			c.size(s.Else, depth)
 		case *ast.DoStmt:
-			b, st, l, p := size(s.Body, depth+1)
-			blocks, stmts, loops, paths = blocks+4+b, stmts+st, loops+1+l, paths+depth+1+p
+			c.blocks += 4
+			c.loops++
+			c.paths += depth + 1
+			if depth > 0 {
+				c.nested++
+			}
+			c.size(s.Body, depth+1)
 		}
 	}
-	return
 }
 
 // Build constructs the augmented CFG for a (scalarized) routine body.
 func Build(body []ast.Stmt) *Graph {
-	nb, ns, nl, np := size(body, 0)
-	nb += 2
+	var c counts
+	c.size(body, 0)
+	nb := c.blocks + 2
+	blockPtrs := make([]*Block, 5*nb)
+	loopPtrs := make([]*Loop, c.loops+c.paths+c.nested)
+	// Each Take advances its slab, so it runs before the rest is read.
+	blocks := heapsize.Take(&blockPtrs, nb)[:0]
+	loops := heapsize.Take(&loopPtrs, c.loops)[:0]
 	b := &builder{
 		g: &Graph{
-			Blocks: make([]*Block, 0, nb),
-			Stmts:  make([]*Stmt, 0, ns),
-			Loops:  make([]*Loop, 0, nl),
+			Blocks: blocks,
+			Stmts:  make([]*Stmt, 0, c.stmts),
+			Loops:  loops,
 		},
 		blocks: make([]Block, nb),
-		edges:  make([]*Block, 4*nb),
-		stmts:  make([]Stmt, ns),
-		loops:  make([]Loop, nl),
-		paths:  make([]*Loop, np),
+		edges:  blockPtrs,
+		stmts:  make([]Stmt, c.stmts),
+		loops:  make([]Loop, c.loops),
+		paths:  loopPtrs,
 	}
-	b.g.bytes = heapsize.Slice(b.g.Blocks) + heapsize.Slice(b.g.Stmts) + heapsize.Slice(b.g.Loops) +
-		heapsize.Slice(b.blocks) + heapsize.Slice(b.edges) + heapsize.Slice(b.stmts) +
-		heapsize.Slice(b.loops) + heapsize.Slice(b.paths)
+	b.g.bytes = heapsize.Array[*Block](5*nb) + heapsize.Slice(b.g.Stmts) + heapsize.Array[*Loop](c.loops+c.paths+c.nested) +
+		heapsize.Slice(b.blocks) + heapsize.Slice(b.stmts) + heapsize.Slice(b.loops)
 	entry := b.newBlock(Entry)
 	b.g.EntryBlock = entry
 	last := b.build(body, entry)
 	exit := b.newBlock(Exit)
 	b.g.ExitBlock = exit
 	b.edge(last, exit)
-	b.children()
 	b.labels()
 	return b.g
 }
 
-// children fills every loop's Children, in preorder, from one array: a
-// loop's children are the loops after it whose parent it is.
-func (b *builder) children() {
-	if b.topLoops == len(b.loops) {
+// children carves loop's Children, in preorder, from the slab the paths
+// share: inner lists the loops built inside loop's body, its children
+// among them.
+func (b *builder) children(loop *Loop, inner []*Loop) {
+	n := 0
+	for _, l := range inner {
+		if l.Parent == loop {
+			n++
+		}
+	}
+	if n == 0 {
 		return
 	}
-	count := make([]int, len(b.loops)) // children per loop
-	for _, l := range b.g.Loops {
-		if l.Parent != nil {
-			count[l.Parent.ID]++
-		}
-	}
-	all := make([]*Loop, len(b.loops)-b.topLoops)
-	b.g.bytes += heapsize.Slice(all)
-	for _, l := range b.g.Loops {
-		if n := count[l.ID]; n > 0 {
-			l.Children, all = all[:0:n], all[n:]
-		}
-		if l.Parent != nil {
-			l.Parent.Children = append(l.Parent.Children, l)
+	loop.Children = heapsize.Take(&b.paths, n)[:0]
+	for _, l := range inner {
+		if l.Parent == loop {
+			loop.Children = append(loop.Children, l)
 		}
 	}
 }
@@ -345,9 +351,6 @@ func (b *builder) build(stmts []ast.Stmt, cur *Block) *Block {
 				Parent: parent,
 				Depth:  len(b.path) + 1,
 			}
-			if parent == nil {
-				b.topLoops++
-			}
 			b.g.Loops = append(b.g.Loops, loop)
 
 			pre := b.newBlock(PreHeader) // belongs to enclosing loop
@@ -364,9 +367,11 @@ func (b *builder) build(stmts []ast.Stmt, cur *Block) *Block {
 			b.edge(pre, hdr)
 			bodyB := b.newBlock(Plain)
 			b.edge(hdr, bodyB)
+			first := len(b.g.Loops)
 			bodyEnd := b.build(s.Body, bodyB)
 			b.edge(bodyEnd, hdr) // backedge
 			b.path = outer
+			b.children(loop, b.g.Loops[first:])
 
 			post := b.newBlock(PostExit) // belongs to enclosing loop
 			loop.PostExit = post

@@ -19,8 +19,10 @@ func build(t *testing.T, src string) *Graph {
 	}
 	// The count Build sizes its backing arrays by is exact, and no edge
 	// list outgrew the two slots carved for it.
-	if nb, ns, nl, _ := size(r.Body, 0); len(g.Blocks) != nb+2 || len(g.Stmts) != ns || len(g.Loops) != nl {
-		t.Fatalf("counted %d blocks, %d statements, %d loops; built %d, %d, %d", nb+2, ns, nl, len(g.Blocks), len(g.Stmts), len(g.Loops))
+	var c counts
+	c.size(r.Body, 0)
+	if len(g.Blocks) != c.blocks+2 || len(g.Stmts) != c.stmts || len(g.Loops) != c.loops {
+		t.Fatalf("counted %d blocks, %d statements, %d loops; built %d, %d, %d", c.blocks+2, c.stmts, c.loops, len(g.Blocks), len(g.Stmts), len(g.Loops))
 	}
 	for _, blk := range g.Blocks {
 		if cap(blk.Succs) != 2 || cap(blk.Preds) != 2 {

@@ -197,7 +197,7 @@ func (s *Skeleton) analyze(u *sem.Unit, rec *obs.Recorder, d *dep.Analysis) (*An
 		a.slotBase[i+1] = a.slotBase[i] + len(b.Stmts) + 1
 	}
 	end = rec.Start("earliest-latest")
-	w := &walkScratch{seen: s.SSA.NewMarks(), visit: s.SSA.NewMarks()}
+	w := s.newWalkScratch()
 	for _, e := range a.comm {
 		if err := a.computePlacementRange(e, w); err != nil {
 			end()
@@ -303,6 +303,16 @@ type walkScratch struct {
 	regs  []*ssa.RegularDef // the reaching walk's result
 	order []int             // test's order of a φ's parameters
 	chain []*cfg.Block      // computeCandidates' dominator path
+	pair  [2]int            // order's array: a block has at most two predecessors
+}
+
+// newWalkScratch sizes the walks' buffers once: the reaching walk meets
+// each regular def at most once and a dominator path each block.
+func (s *Skeleton) newWalkScratch() *walkScratch {
+	w := &walkScratch{regs: make([]*ssa.RegularDef, 0, len(s.SSA.Defs)), chain: make([]*cfg.Block, 0, len(s.G.Blocks))}
+	w.order = w.pair[:0]
+	s.SSA.NewMarks(&w.seen, &w.visit)
+	return w
 }
 
 // ---------------------------------------------------------------------

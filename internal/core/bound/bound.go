@@ -54,7 +54,9 @@
 package bound
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"gcao/internal/asd"
 	"gcao/internal/core"
@@ -100,57 +102,59 @@ func Compute(a *core.Analysis) Bound {
 	if p <= 1 {
 		return out // a single processor never communicates
 	}
-	type groupKey struct{ array, channel string }
-	type groupMin struct {
-		bytes   float64
-		level   int
-		execs   float64
-		entries int
-		found   bool
+	// Each entry is keyed by its (array, channel) group and stably
+	// sorted, so a group's members are one run met in the entries' order
+	// and Terms come out sorted by array, then channel: one slab of keys
+	// and one of Terms, whatever the groups.
+	type member struct {
+		array, channel string
+		e              *core.Entry
 	}
-	groups := map[groupKey]*groupMin{}
-	for _, e := range a.CommEntries() {
-		channel := "data"
+	comm := a.CommEntries()
+	ms := make([]member, len(comm))
+	for i, e := range comm {
+		ms[i] = member{e.Array, "data", e}
 		if e.Kind == core.KindReduce {
-			channel = "sum"
+			ms[i].channel = "sum"
 		}
-		key := groupKey{e.Array, channel}
-		g := groups[key]
-		if g == nil {
-			g = &groupMin{}
-			groups[key] = g
+	}
+	slices.SortStableFunc(ms, func(x, y member) int {
+		return cmp.Or(strings.Compare(x.array, y.array), strings.Compare(x.channel, y.channel))
+	})
+	starts := func(i int) bool { // whether ms[i] is its group's first member
+		return i == 0 || ms[i].array != ms[i-1].array || ms[i].channel != ms[i-1].channel
+	}
+	groups := 0
+	for i := range ms {
+		if starts(i) {
+			groups++
 		}
-		g.entries++
-		bytes, level, execs, ok := entryFloor(a, e)
+	}
+	if groups > 0 {
+		out.Terms = make([]Term, 0, groups)
+	}
+	found := false // whether the last term has a floor yet
+	for i, m := range ms {
+		if starts(i) {
+			out.Terms = append(out.Terms, Term{Array: m.array, Channel: m.channel})
+			found = false
+		}
+		t := &out.Terms[len(out.Terms)-1]
+		t.Entries++
+		bytes, level, execs, ok := entryFloor(a, m.e)
 		if !ok {
 			// An entry whose floor is unknowable could, for all we can
 			// prove, be served for free — the whole group's floor
 			// collapses to zero.
-			g.bytes, g.found = 0, true
+			t.Bytes, found = 0, true
 			continue
 		}
-		if !g.found || bytes < g.bytes {
-			g.bytes, g.level, g.execs, g.found = bytes, level, execs, true
+		if !found || bytes < t.Bytes {
+			t.Bytes, t.Level, t.Execs, found = bytes, level, execs, true
 		}
 	}
-	keys := make([]groupKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].array != keys[j].array {
-			return keys[i].array < keys[j].array
-		}
-		return keys[i].channel < keys[j].channel
-	})
-	for _, k := range keys {
-		g := groups[k]
-		out.Terms = append(out.Terms, Term{
-			Array: k.array, Channel: k.channel,
-			Bytes: g.bytes, Entries: g.entries,
-			Level: g.level, Execs: g.execs,
-		})
-		out.TotalBytes += g.bytes
+	for _, t := range out.Terms {
+		out.TotalBytes += t.Bytes
 	}
 	return out
 }

@@ -62,7 +62,7 @@ func RangeOf(e *Entry) Range {
 // class memo is involved; the entries are copied, never written.
 func (a *Analysis) ExhaustiveRanges() ([]Range, error) {
 	o := &oracle{a: a, dep: &dep.Analysis{Unit: a.Unit, Forms: a.Forms}}
-	w := &walkScratch{seen: a.SSA.NewMarks(), visit: a.SSA.NewMarks()}
+	w := a.newWalkScratch()
 	out := make([]Range, 0, len(a.comm))
 	for _, orig := range a.comm {
 		e := *orig

@@ -17,12 +17,16 @@ import (
 // SSA and the parameter-free subscript forms. Each builds its tables from
 // slabs sized by a counting pass, and the scalarizer shares what it does
 // not rewrite, so both allocate by the routine, not by the node. Measured
-// when the pins were set: sem 165 and the skeleton 326, from 569 and
-// 2,311 when symbols, nodes, lists and defs were allocated one by one.
-// The instance half, (*Skeleton).Analyze, is pinned beside them: 317,
-// from 519 when the dependence memo kept a direction vector per (def,
-// use) pair and diagonal coalescing allocated per diagonal. Each budget
-// is 1.25× its measurement, as TestParseAllocs'.
+// when the pins were set: sem 116 and the skeleton 219, from 165 and 326
+// before the distributions' dimensions, the CFG, the dominance frontier
+// and the SSA builder took one slab per element type, and 569 and 2,311
+// when symbols, nodes, lists and defs were allocated one by one. The
+// instance half, (*Skeleton).Analyze, is pinned beside them: 207, from 317
+// before the class memo interned its keys into one arena and sized its
+// caches by the SSA form's counts, and 519 when the dependence memo kept
+// a direction vector per (def, use) pair and diagonal coalescing
+// allocated per diagonal. Each budget is 1.25× its measurement, as
+// TestParseAllocs'.
 func TestFrontEndAllocs(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -73,7 +77,7 @@ func TestFrontEndAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("the six routines: sem.Analyze %.0f allocations, core.NewSkeleton %.0f, (*Skeleton).Analyze %.0f", semAllocs, skelAllocs, analyzeAllocs)
-	const semBudget, skelBudget, analyzeBudget = 206, 408, 396
+	const semBudget, skelBudget, analyzeBudget = 145, 274, 259
 	if analyzeAllocs > analyzeBudget {
 		t.Errorf("(*core.Skeleton).Analyze of the six routines allocates %.0f times, budget %d", analyzeAllocs, analyzeBudget)
 	}

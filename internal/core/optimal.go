@@ -125,8 +125,8 @@ func (a *Analysis) PlaceOptimal(opts Options, maxCombos int) (*Result, error) {
 	}
 
 	// Materialize the best assignment as a Result.
-	res := a.newResult(VersionCombine, len(a.CommEntries()))
-	res.Redundant = ref.Redundant
+	res := a.newResult(VersionCombine, len(a.CommEntries()), 0)
+	copy(res.Redundant, ref.Redundant)
 	byPos := map[Position][]*Entry{}
 	for i, e := range live {
 		byPos[cands[i][best[i]]] = append(byPos[cands[i][best[i]]], e)

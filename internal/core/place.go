@@ -146,26 +146,30 @@ type Result struct {
 	// for every other entry.
 	subsumedAt []Position
 	// groups and lists are the slabs addGroup carves the Groups and
-	// their Entries and Attached lists from: reserve sizes groups, and
-	// lists holds every placed entry once, as a member of one group or
-	// attached to one.
+	// their Entries and Attached lists from: groups holds the strategy's
+	// count, and lists every placed entry once, as a member of one group
+	// or attached to one.
 	groups []Group
 	lists  []*Entry
 }
 
 // newResult makes the Result of placing n communication entries of a
-// under v: its tables by entry ID, the two of positions carved from one
-// array, and its list slab sized once from n.
-func (a *Analysis) newResult(v Version, n int) *Result {
-	k := len(a.Entries)
-	pos := make([]Position, 2*k)
+// under v in k groups, once the strategy has counted them: its tables by
+// entry ID, the two of positions carved from one array, Redundant and the
+// list slab, sized once from n, from one of entries, and its groups.
+func (a *Analysis) newResult(v Version, n, k int) *Result {
+	ne := len(a.Entries)
+	pos := make([]Position, 2*ne)
+	ptrs := make([]*Entry, ne+n)
 	return &Result{
 		Analysis:   a,
 		Version:    v,
-		Redundant:  make([]*Entry, k),
-		PosOf:      pos[:k:k],
-		subsumedAt: pos[k:],
-		lists:      make([]*Entry, 0, n),
+		Groups:     make([]*Group, 0, k),
+		Redundant:  ptrs[:ne:ne],
+		PosOf:      pos[:ne:ne],
+		subsumedAt: pos[ne:],
+		groups:     make([]Group, 0, k),
+		lists:      ptrs[ne:ne],
 	}
 }
 
@@ -186,13 +190,6 @@ func (r *Result) Eliminated() int {
 		}
 	}
 	return n
-}
-
-// reserve sizes the Result's groups for the k a strategy is about to
-// add.
-func (r *Result) reserve(k int) {
-	r.Groups = make([]*Group, 0, k)
-	r.groups = make([]Group, 0, k)
 }
 
 // Counts returns the number of placed communication operations by
@@ -241,14 +238,14 @@ func (a *Analysis) Place(opts Options) (*Result, error) {
 		defer rec.Start("place:" + opts.Version.String())()
 	}
 	entries := a.CommEntries()
-	res := a.newResult(opts.Version, len(entries))
+	var res *Result
 	switch opts.Version {
 	case VersionOrig:
-		a.placeVectorized(entries, res)
+		res = a.placeVectorized(entries)
 	case VersionRedund:
-		a.placeEarliestRedundant(entries, res)
+		res = a.placeEarliestRedundant(entries)
 	case VersionCombine:
-		a.placeGlobal(entries, res, opts, rec, counts)
+		res = a.placeGlobal(entries, opts, rec, counts)
 	default:
 		return nil, fmt.Errorf("core: unknown version %v", opts.Version)
 	}
@@ -369,7 +366,7 @@ func groupBy(items []*Entry, key, off []int, out []*Entry) {
 // overlap analysis [30]). No redundancy is detected across statements
 // and no messages are combined across arrays — that is exactly what
 // the paper's "orig" compiler did.
-func (a *Analysis) placeVectorized(entries []*Entry, res *Result) {
+func (a *Analysis) placeVectorized(entries []*Entry) *Result {
 	// Buckets are numbered in order of first appearance: bucket[i] is
 	// entries[i]'s and leaders[b] the first entry of bucket b.
 	n := len(entries)
@@ -388,10 +385,11 @@ func (a *Analysis) placeVectorized(entries []*Entry, res *Result) {
 		bucket[i] = b
 	}
 	groupBy(entries, bucket, off, grouped)
-	res.reserve(len(leaders))
+	res := a.newResult(VersionOrig, n, len(leaders))
 	for b, e := range leaders {
 		res.addGroup(e.Latest, grouped[off[b]:off[b+1]], nil)
 	}
+	return res
 }
 
 // sameBucket reports whether e shares x's exchange under "orig": read
@@ -414,7 +412,7 @@ func sameBucket(x, e *Entry) bool {
 // ---------------------------------------------------------------------
 // "nored": earliest placement with pairwise redundancy elimination.
 
-func (a *Analysis) placeEarliestRedundant(entries []*Entry, res *Result) {
+func (a *Analysis) placeEarliestRedundant(entries []*Entry) *Result {
 	n := len(entries)
 	ptrs := make([]*Entry, 4*n+len(a.Entries))
 	order, live, att, by := carve(&ptrs, n), carve(&ptrs, n)[:0], carve(&ptrs, n), carve(&ptrs, len(a.Entries))
@@ -461,7 +459,6 @@ func (a *Analysis) placeEarliestRedundant(entries []*Entry, res *Result) {
 				continue
 			}
 			if prev.ASDAt(a, level).Subsumes(e.ASDAt(a, level)) {
-				res.eliminate(e, prev, prev.Earliest)
 				by[e.ID] = prev
 				break
 			}
@@ -471,18 +468,20 @@ func (a *Analysis) placeEarliestRedundant(entries []*Entry, res *Result) {
 		}
 	}
 	// Attach eliminated entries to their subsumer's group, in placement
-	// order.
+	// order; each was proven redundant at its subsumer's position.
+	res := a.newResult(VersionRedund, n, len(live))
 	for i, e := range order {
 		key[i] = -1
 		if s := by[e.ID]; s != nil {
 			key[i] = s.ID
+			res.eliminate(e, s, s.Earliest)
 		}
 	}
 	groupBy(order, key, off, att)
-	res.reserve(len(live))
 	for i, e := range live {
 		res.addGroup(e.Earliest, live[i:i+1], att[off[e.ID]:off[e.ID+1]])
 	}
+	return res
 }
 
 // ---------------------------------------------------------------------
@@ -690,7 +689,7 @@ type combineGroup struct {
 	packed
 }
 
-func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec *obs.Recorder, counts tally) {
+func (a *Analysis) placeGlobal(entries []*Entry, opts Options, rec *obs.Recorder, counts tally) *Result {
 	cs := a.newCommSets(entries)
 	n, m, np := cs.n, len(entries), len(cs.pos)
 	counts.add("candidate_positions", int64(np))
@@ -723,7 +722,9 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 	}
 
 	// The rest of the placement's scratch, carved from one slab of ints
-	// and one of entries: per-entry rows by ID (n), per-placed-entry
+	// and one of entries: per-entry rows by ID (n; among them the
+	// position index at which a redundant entry was proven subsumed, for
+	// the Result made once the groups are counted), per-placed-entry
 	// lists (m), per-position offsets (np) and candidate-list buffers (at
 	// most maxCands long; the groups formed at all positions share at
 	// most len(candAt) common positions, as each entry founds at most
@@ -735,8 +736,8 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 	for _, e := range entries {
 		maxCands = max(maxCands, len(cs.cands(e)))
 	}
-	ints := make([]int, n+2*m+(np+2)+(n+2)+3*maxCands+len(cs.candAt))
-	pinned, keys, groupOf := carve(&ints, n), carve(&ints, m), carve(&ints, m)
+	ints := make([]int, 2*n+2*m+(np+2)+(n+2)+3*maxCands+len(cs.candAt))
+	pinned, subsumedAt, keys, groupOf := carve(&ints, n), carve(&ints, n), carve(&ints, m), carve(&ints, m)
 	byPosOff, attOff := carve(&ints, np+2), carve(&ints, n+2)
 	stmtSet, ec, merged, commons := carve(&ints, maxCands), carve(&ints, maxCands), carve(&ints, maxCands), carve(&ints, len(cs.candAt))
 	ptrs := make([]*Entry, n+7*m)
@@ -797,8 +798,7 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 						counts.add("redundancy.disabled_positions", 1)
 					}
 					if cs.left[c1.ID] == 0 {
-						subsumer[c1.ID] = c2
-						res.eliminate(c1, c2, at)
+						subsumer[c1.ID], subsumedAt[c1.ID] = c2, p
 						counts.add("redundancy.eliminated", 1)
 					}
 					break
@@ -942,7 +942,12 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 			}
 		}
 	}
-	res.reserve(len(groups))
+	res := a.newResult(VersionCombine, m, len(groups))
+	for _, e := range entries {
+		if s := subsumer[e.ID]; s != nil {
+			res.eliminate(e, s, cs.pos[subsumedAt[e.ID]])
+		}
+	}
 	for gi, g := range groups {
 		ms, as := members[:0], att[:0]
 		for i := byPosOff[g.p]; i < byPosOff[g.p+1]; i++ {
@@ -962,6 +967,7 @@ func (a *Analysis) placeGlobal(entries []*Entry, res *Result, opts Options, rec 
 		res.addGroup(pos, ms, as)
 	}
 	endCombine()
+	return res
 }
 
 // Rejection reasons recorded by the combining counters: kind or

@@ -84,18 +84,20 @@ type Analysis struct {
 	Forms Forms
 	forms map[*ast.Ref][]SubscriptForm
 	vars  varForms
-	memo  *memo // nil: every query is answered from scratch
+	memo  memo // its nil pairs: every query is answered from scratch
 }
 
 // memo is what a remembering analysis keeps between queries.
 type memo struct {
 	// classes interns a reference's structural class (classKey's
-	// encoding) as a dense number; useClass and defClass cache each
-	// use's and regular def's number plus one, by use ID and DefID.
+	// encoding) as a dense number, keyed by the encoding's bytes in keys,
+	// an arena never written where a kept key lies. useClass and defClass
+	// cache each use's and regular def's number plus one, by use ID and
+	// DefID.
 	classes  map[string]int32
+	keys     []byte
 	useClass []int32
 	defClass []int32
-	key      []byte // the encoding being interned, reused
 	// pairs holds the direction vector of each class pair, as a span of
 	// dirs.
 	pairs map[classPair]dirSpan
@@ -123,15 +125,24 @@ type loopBounds struct {
 
 // varForms interns the one-term form 1·v of each identifier v a
 // subscript names. Forms are immutable, so every subscript naming v may
-// share one; the nil set interns nothing and makes each afresh.
-type varForms map[string]lin.Form
+// share one; the zero set interns nothing and makes each afresh, and a
+// set with a slab carves each form's term from it while it lasts.
+type varForms struct {
+	m     map[string]lin.Form
+	terms *[]lin.Term
+}
 
-func (m varForms) of(name string) lin.Form {
-	f, ok := m[name]
+func (vs varForms) of(name string) lin.Form {
+	f, ok := vs.m[name]
 	if !ok {
-		f = lin.Var(name)
-		if m != nil {
-			m[name] = f
+		if vs.terms == nil || len(*vs.terms) == 0 {
+			f = lin.Var(name)
+		} else {
+			f.Terms = heapsize.Take(vs.terms, 1)
+			f.Terms[0] = lin.Term{Var: name, Coef: 1}
+		}
+		if vs.m != nil {
+			vs.m[name] = f
 		}
 	}
 	return f
@@ -151,8 +162,13 @@ type SubscriptForm struct {
 // routine — and every goroutine — may read the same one.
 type Forms struct {
 	of map[*ast.Ref][]SubscriptForm
-	// bytes counts the slab the lists are carved from and the term lists
-	// of their forms.
+	// uses, defs and loops are the SSA form's use count, def count
+	// (Info.NumDefs) and the graph's loop count: what a remembering
+	// analysis sizes its caches by.
+	uses, defs, loops int
+	// bytes counts the slabs the lists and the variables' one-term forms
+	// are carved from (a variable past the loops' count makes its own), and
+	// the term lists of the other forms.
 	bytes int64
 }
 
@@ -165,7 +181,7 @@ func (f Forms) Bytes() int64 { return heapsize.Map(f.of) + f.bytes }
 // left-hand sides of the regular defs. params names the routine's
 // parameters. A first pass counts the references and subscripts, so that
 // the table and every reference's forms are carved from one allocation
-// each.
+// each, and the variables' one-term forms from one sized by the loops.
 func NewForms(params []string, info *ssa.Info) Forms {
 	refs, subs := 0, 0
 	structural := func(r *ast.Ref) bool {
@@ -188,10 +204,11 @@ func NewForms(params []string, info *ssa.Info) Forms {
 	for _, d := range info.Defs {
 		count(d.LHS)
 	}
-	f := Forms{of: make(map[*ast.Ref][]SubscriptForm, refs)}
+	f := Forms{of: make(map[*ast.Ref][]SubscriptForm, refs), uses: len(info.Uses), defs: info.NumDefs, loops: len(info.G.Loops)}
 	all := make([]SubscriptForm, subs)
 	slab := all
-	vars := varForms{}
+	terms := make([]lin.Term, len(info.G.Loops))
+	vars := varForms{m: map[string]lin.Form{}, terms: &terms}
 	add := func(r *ast.Ref) {
 		if structural(r) {
 			n := len(r.Subs)
@@ -205,11 +222,11 @@ func NewForms(params []string, info *ssa.Info) Forms {
 	for _, d := range info.Defs {
 		add(d.LHS)
 	}
-	f.bytes = heapsize.Slice(all) + heapsize.Array[lin.Term](len(vars))
+	f.bytes = heapsize.Slice(all) + heapsize.Array[lin.Term](max(len(vars.m), len(info.G.Loops)))
 	for _, sf := range all {
 		// A form is a variable's interned one, that plus a constant, or
 		// made for its subscript with terms of its own.
-		if t := sf.Form.Terms; len(t) > 0 && unsafe.SliceData(vars[t[0].Var].Terms) != unsafe.SliceData(t) {
+		if t := sf.Form.Terms; len(t) > 0 && unsafe.SliceData(vars.m[t[0].Var].Terms) != unsafe.SliceData(t) {
 			f.bytes += heapsize.Slice(t)
 		}
 	}
@@ -230,19 +247,20 @@ func readsParam(e ast.Expr, params []string) bool {
 	return false
 }
 
-// New builds a remembering dependence analysis for a routine.
+// New builds a remembering dependence analysis for a routine. Its caches
+// are sized by the counts of the Forms it is given before its first query.
 func New(u *sem.Unit) *Analysis {
-	return &Analysis{Unit: u, forms: map[*ast.Ref][]SubscriptForm{}, vars: varForms{},
-		memo: &memo{classes: map[string]int32{}, pairs: map[classPair]dirSpan{}}}
+	return &Analysis{Unit: u, forms: map[*ast.Ref][]SubscriptForm{}, vars: varForms{m: map[string]lin.Form{}},
+		memo: memo{classes: map[string]int32{}, pairs: map[classPair]dirSpan{}}}
 }
+
+// remembers reports whether the analysis keeps what it derives.
+func (a *Analysis) remembers() bool { return a.memo.pairs != nil }
 
 // Evaluations reports how many times a remembering analysis has run
 // Directions: once per class of (def, use) pair it was asked about. The
 // table-less literal reports 0.
 func (a *Analysis) Evaluations() int {
-	if a.memo == nil {
-		return 0
-	}
 	return a.memo.evals
 }
 
@@ -283,9 +301,17 @@ func (a *Analysis) RefForms(r *ast.Ref) []SubscriptForm {
 // pairDirections is Directions for a regular def and a use, answered
 // once per class pair by a remembering analysis.
 func (a *Analysis) pairDirections(d *ssa.RegularDef, u *ssa.Use) ([]DirSet, bool) {
-	m := a.memo
-	if m == nil {
+	if !a.remembers() {
 		return a.Directions(d.Stmt, d.LHS, u.Stmt, u.Ref)
+	}
+	m := &a.memo
+	if m.useClass == nil && a.Forms.uses+a.Forms.defs > 0 {
+		// The first query: both class caches from one slab, each the size
+		// of what it is indexed by, and the key arena at four bytes a
+		// reference (the Fig. 10(a) routines' classes take fewer).
+		slab := make([]int32, a.Forms.uses+a.Forms.defs)
+		m.useClass, m.defClass = slab[:a.Forms.uses:a.Forms.uses], slab[a.Forms.uses:]
+		m.keys = make([]byte, 0, 4*len(slab))
 	}
 	k := classPair{
 		def:    a.classOf(&m.defClass, d.DefID(), d.Stmt, d.LHS),
@@ -311,7 +337,8 @@ func (a *Analysis) pairDirections(d *ssa.RegularDef, u *ssa.Use) ([]DirSet, bool
 }
 
 // classOf returns the class number of reference r of statement st, cached
-// in (*cache)[id]: interned once per reference.
+// in (*cache)[id]: interned once per reference. A cache New's Forms did not
+// size grows as the IDs come.
 func (a *Analysis) classOf(cache *[]int32, id int, st *cfg.Stmt, r *ast.Ref) int32 {
 	c := *cache
 	if id >= len(c) {
@@ -319,16 +346,27 @@ func (a *Analysis) classOf(cache *[]int32, id int, st *cfg.Stmt, r *ast.Ref) int
 		*cache = c
 	}
 	if c[id] == 0 {
-		m := a.memo
-		m.key = a.classKey(m.key[:0], st, r)
-		n, ok := m.classes[string(m.key)]
-		if !ok {
-			n = int32(len(m.classes))
-			m.classes[string(m.key)] = n
-		}
-		c[id] = n + 1
+		m := &a.memo
+		at := len(m.keys)
+		m.keys = a.classKey(m.keys, st, r)
+		c[id] = m.intern(at) + 1
 	}
 	return c[id] - 1
+}
+
+// intern returns the class number of the encoding keys[at:], which it
+// keeps as a new class, its key a string over the arena's bytes, or drops
+// as one interned before.
+func (m *memo) intern(at int) int32 {
+	key := unsafe.String(&m.keys[at], len(m.keys)-at) // never empty: classKey writes a length first
+	n, ok := m.classes[key]
+	if ok {
+		m.keys = m.keys[:at]
+		return n
+	}
+	n = int32(len(m.classes))
+	m.classes[key] = n
+	return n
 }
 
 // classKey appends the encoding of a reference's structural class to
@@ -619,12 +657,12 @@ func (a *Analysis) valueLattice(f lin.Form, stmt *cfg.Stmt) (lo, hi, step int, o
 // step is below 1 or the loop runs no iteration. A remembering analysis
 // evaluates each loop once.
 func (a *Analysis) bounds(l *cfg.Loop) loopBounds {
-	m := a.memo
-	if m == nil {
+	if !a.remembers() {
 		return evalBounds(a.Unit, l)
 	}
+	m := &a.memo
 	if l.ID >= len(m.bounds) {
-		m.bounds = append(m.bounds, make([]loopBounds, max(l.ID+1, 2*len(m.bounds), 16)-len(m.bounds))...)
+		m.bounds = append(m.bounds, make([]loopBounds, max(l.ID+1, 2*len(m.bounds), a.Forms.loops)-len(m.bounds))...)
 	}
 	if !m.bounds[l.ID].known {
 		m.bounds[l.ID] = evalBounds(a.Unit, l)

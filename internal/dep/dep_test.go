@@ -83,7 +83,7 @@ enddo
 end
 `, map[string]int{"n": 8})
 	st := c.g.Stmts[0]
-	f, ok := subForm(st.Assign.LHS.Subs[0].X, c.a.Unit.Params, nil)
+	f, ok := subForm(st.Assign.LHS.Subs[0].X, c.a.Unit.Params, varForms{})
 	if !ok || f.CoefOf("i") != 1 || f.Const != 0 {
 		t.Errorf("subForm(i) = %v, %v", f, ok)
 	}
@@ -253,7 +253,8 @@ enddo
 end
 `, map[string]int{"n": 8})
 	u := c.useOf(t, "a", 0)
-	seen := c.info.NewMarks()
+	var seen ssa.Marks
+	c.info.NewMarks(&seen)
 	for pass := 0; pass < 2; pass++ { // the second walk reuses the marks
 		regs, entry := ReachingRegularDefs(u, &seen, nil)
 		if len(regs) != 3 {
@@ -355,7 +356,7 @@ end
 	if queries == 0 || infeasible == 0 || len(c.a.memo.pairs) == 0 || len(c.a.forms) == 0 {
 		t.Fatalf("%d queries, %d infeasible pairs, %d pair classes and %d references remembered: the test exercises nothing", queries, infeasible, len(c.a.memo.pairs), len(c.a.forms))
 	}
-	if fresh.memo != nil || fresh.forms != nil {
+	if fresh.remembers() || fresh.forms != nil {
 		t.Error("the table-less analysis grew tables")
 	}
 }
@@ -401,7 +402,7 @@ end
 			refs++
 			got := a.RefForms(r)
 			for k, sub := range r.Subs {
-				f, ok := subForm(sub.X, u.Params, nil)
+				f, ok := subForm(sub.X, u.Params, varForms{})
 				if sub.Kind == ast.SubRange {
 					f, ok = lin.Form{}, false
 				}

@@ -14,6 +14,8 @@ package dist
 import (
 	"fmt"
 	"strings"
+
+	"gcao/internal/heapsize"
 )
 
 // Kind is the per-dimension distribution kind.
@@ -173,14 +175,16 @@ type Dist struct {
 //
 // The distribution keeps lo and hi, and g's shape, as its own: the
 // caller must not write to them afterwards (sem hands it an array's
-// declared bounds, which nothing writes once declared). Dims is the one
-// allocation New makes.
-func New(g Grid, lo, hi []int, kinds ...Kind) (Dist, error) {
+// declared bounds, which nothing writes once declared). Dims is carved
+// from *slab, which the caller made once for all of its distributions'
+// dimensions (sem counts them) and which holds len(kinds) more at least.
+func New(g Grid, lo, hi []int, slab *[]DimDist, kinds ...Kind) (Dist, error) {
 	if len(lo) != len(kinds) || len(hi) != len(kinds) {
 		return Dist{}, fmt.Errorf("dist: bounds rank %d/%d vs %d kinds", len(lo), len(hi), len(kinds))
 	}
 	n := len(kinds)
-	d := Dist{Grid: g, Lo: lo[:n:n], Hi: hi[:n:n], Dims: make([]DimDist, n)}
+	d := Dist{Grid: g, Lo: lo[:n:n], Hi: hi[:n:n]}
+	d.Dims = heapsize.Take(slab, n)
 	gd := 0
 	for i, k := range kinds {
 		d.Dims[i].Kind = k

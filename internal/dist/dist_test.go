@@ -15,6 +15,13 @@ func mustGrid(t *testing.T, shape ...int) Grid {
 	return g
 }
 
+// slab is the dimensions' slab New carves a distribution of n dimensions
+// from.
+func slab(n int) *[]DimDist {
+	s := make([]DimDist, n)
+	return &s
+}
+
 func TestGridCoordsRoundTrip(t *testing.T) {
 	g := mustGrid(t, 3, 4, 2)
 	if g.NumProcs() != 24 {
@@ -53,7 +60,7 @@ func TestSquareGrid(t *testing.T) {
 
 func TestBlockOwnership(t *testing.T) {
 	g := mustGrid(t, 3)
-	d, err := New(g, []int{1}, []int{10}, Block)
+	d, err := New(g, []int{1}, []int{10}, slab(1), Block)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +88,7 @@ func TestBlockPartitionProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		d, err := New(g, []int{0}, []int{n - 1}, Block)
+		d, err := New(g, []int{0}, []int{n - 1}, slab(1), Block)
 		if err != nil {
 			return false
 		}
@@ -107,7 +114,7 @@ func TestBlockPartitionProperty(t *testing.T) {
 
 func TestCyclicOwnership(t *testing.T) {
 	g := mustGrid(t, 4)
-	d, err := New(g, []int{1}, []int{10}, Cyclic)
+	d, err := New(g, []int{1}, []int{10}, slab(1), Cyclic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +131,7 @@ func TestCyclicOwnership(t *testing.T) {
 
 func TestMultiDimOwner(t *testing.T) {
 	g := mustGrid(t, 2, 3)
-	d, err := New(g, []int{1, 1, 1}, []int{4, 8, 9}, Star, Block, Block)
+	d, err := New(g, []int{1, 1, 1}, []int{4, 8, 9}, slab(3), Star, Block, Block)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +148,9 @@ func TestMultiDimOwner(t *testing.T) {
 
 func TestSameLayout(t *testing.T) {
 	g := mustGrid(t, 2, 2)
-	a, _ := New(g, []int{1, 1}, []int{8, 8}, Block, Block)
-	b, _ := New(g, []int{1, 1}, []int{8, 8}, Block, Block)
-	c, _ := New(g, []int{1, 1}, []int{8, 9}, Block, Block)
+	a, _ := New(g, []int{1, 1}, []int{8, 8}, slab(2), Block, Block)
+	b, _ := New(g, []int{1, 1}, []int{8, 8}, slab(2), Block, Block)
+	c, _ := New(g, []int{1, 1}, []int{8, 9}, slab(2), Block, Block)
 	if !a.SameLayout(b) {
 		t.Error("identical layouts should compare equal")
 	}
@@ -152,7 +159,7 @@ func TestSameLayout(t *testing.T) {
 	}
 	// A 3-d array with a leading star dim and the same distributed
 	// bounds is not SameLayout (rank differs), by design.
-	d3, _ := New(g, []int{1, 1, 1}, []int{5, 8, 8}, Star, Block, Block)
+	d3, _ := New(g, []int{1, 1, 1}, []int{5, 8, 8}, slab(3), Star, Block, Block)
 	if a.SameLayout(d3) {
 		t.Error("rank mismatch should not compare equal")
 	}
@@ -160,10 +167,10 @@ func TestSameLayout(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	g := mustGrid(t, 2, 2)
-	if _, err := New(g, []int{1}, []int{4, 5}, Block); err == nil {
+	if _, err := New(g, []int{1}, []int{4, 5}, slab(1), Block); err == nil {
 		t.Error("mismatched bounds rank must fail")
 	}
-	if _, err := New(g, []int{1, 1, 1}, []int{4, 4, 4}, Block, Block, Block); err == nil {
+	if _, err := New(g, []int{1, 1, 1}, []int{4, 4, 4}, slab(3), Block, Block, Block); err == nil {
 		t.Error("three distributed dims on a 2-d grid must fail")
 	}
 	if _, err := NewGrid(); err == nil {

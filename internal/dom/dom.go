@@ -195,28 +195,43 @@ func (t *Tree) Children(id int) []int {
 	return t.kids[lo:hi:hi]
 }
 
+// Frontiers is the dominance frontier of every block of a graph: the
+// frontier of block id is blocks[start[id]:start[id+1]].
+type Frontiers struct {
+	start  []int
+	blocks []*cfg.Block
+}
+
+// Of returns the dominance frontier of the block with the given ID. The
+// list is the frontier's own: callers must not write to it.
+func (f Frontiers) Of(id int) []*cfg.Block {
+	lo, hi := f.start[id], f.start[id+1]
+	return f.blocks[lo:hi:hi]
+}
+
 // Frontier computes the dominance frontier of every block (Cytron et
-// al.), indexed by block ID; the SSA builder places φs with it. A first
-// walk sizes every list, so that the second fills them all from one
-// backing array.
-func (t *Tree) Frontier() [][]*cfg.Block {
+// al.); the SSA builder places φs with it. A first walk counts every
+// list, so that the second fills them all into one array of blocks. The
+// offsets and the walks' stamps share one array of ints.
+func (t *Tree) Frontier() Frontiers {
 	n := len(t.g.Blocks)
-	ints := make([]int, 2*n)
-	size, stamp := ints[:n], ints[n:]
-	total := 0
+	ints := make([]int, 2*n+2)
+	// start[id+2] counts id's frontier, the prefix sums make start[id+1]
+	// where id's list begins, and filling advances it to where id+1's
+	// begins, as New does the children.
+	start, stamp := ints[:n+2], ints[n+2:]
 	t.frontierEdges(stamp, 0, func(runner, b *cfg.Block) {
-		size[runner.ID]++
-		total++
+		start[runner.ID+2]++
 	})
-	df := make([][]*cfg.Block, n)
-	all := make([]*cfg.Block, total)
-	for id, k := range size {
-		df[id], all = all[:0:k], all[k:]
+	for i := 2; i < len(start); i++ {
+		start[i] += start[i-1]
 	}
+	f := Frontiers{start: start[:n+1], blocks: make([]*cfg.Block, start[n+1])}
 	t.frontierEdges(stamp, n, func(runner, b *cfg.Block) {
-		df[runner.ID] = append(df[runner.ID], b)
+		f.blocks[start[runner.ID+1]] = b
+		start[runner.ID+1]++
 	})
-	return df
+	return f
 }
 
 // frontierEdges calls add once for every block b and every block runner

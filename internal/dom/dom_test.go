@@ -179,17 +179,17 @@ end
 	thenB, elseB := entry.Succs[0], entry.Succs[1]
 	for _, b := range []*cfg.Block{thenB, elseB} {
 		found := false
-		for _, f := range df[b.ID] {
+		for _, f := range df.Of(b.ID) {
 			if f.Kind == cfg.Join {
 				found = true
 			}
 		}
 		if !found {
-			t.Errorf("join missing from frontier of %v: %v", b, df[b.ID])
+			t.Errorf("join missing from frontier of %v: %v", b, df.Of(b.ID))
 		}
 	}
 	// The join is not in its own frontier here (single-level if).
-	for _, f := range df[entry.ID] {
+	for _, f := range df.Of(entry.ID) {
 		if f == entry {
 			t.Error("entry in its own frontier")
 		}
@@ -226,12 +226,12 @@ func TestFrontierListsEachJoinOnce(t *testing.T) {
 	}
 	df := tr.Frontier()
 	for _, b := range []*cfg.Block{a, b1, b2, c} {
-		if len(df[b.ID]) != 1 || df[b.ID][0] != join {
-			t.Errorf("frontier of B%d = %v, want [B%d] once", b.ID, df[b.ID], join.ID)
+		if len(df.Of(b.ID)) != 1 || df.Of(b.ID)[0] != join {
+			t.Errorf("frontier of B%d = %v, want [B%d] once", b.ID, df.Of(b.ID), join.ID)
 		}
 	}
-	if len(df[entry.ID]) != 0 || len(df[join.ID]) != 0 {
-		t.Errorf("frontiers of entry %v and join %v, want both empty", df[entry.ID], df[join.ID])
+	if len(df.Of(entry.ID)) != 0 || len(df.Of(join.ID)) != 0 {
+		t.Errorf("frontiers of entry %v and join %v, want both empty", df.Of(entry.ID), df.Of(join.ID))
 	}
 }
 
@@ -250,8 +250,8 @@ end
 	// The body (which contains the backedge source) has the header in
 	// its frontier — that is where φEntry goes.
 	foundHeader := false
-	for _, bs := range df {
-		for _, f := range bs {
+	for _, b := range g.Blocks {
+		for _, f := range df.Of(b.ID) {
 			if f == l.Header {
 				foundHeader = true
 			}

@@ -48,8 +48,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"gcao/internal/core"
+	"gcao/internal/heapsize"
 	"gcao/internal/native/prof"
 	"gcao/internal/obs"
 	"gcao/internal/plan"
@@ -218,24 +220,35 @@ func newEngine(prog *plan.Program, procs int) (*Engine, error) {
 	}
 	eng.connectFabric()
 
+	// Every processor's state, target index and children's payloads are
+	// carved from one slab per element type, each processor's share in
+	// whole cache lines so that neighbours write none in common; the root's
+	// gather-assembly scratch — only it carves per-processor streams out of
+	// child buffers — closes the slabs.
+	rank, kids := prog.Plan.Layout.MaxRank, 0
+	for p := 1; p < procs; p++ {
+		kids += heapsize.Lines[[]float64](len(prog.Plan.Tree.Children[p]))
+	}
+	ps := make([]proc, procs)
+	ints := make([]int, procs*heapsize.Lines[int](rank)+heapsize.Lines[int](2*procs))
+	payloads := make([][]float64, kids+heapsize.Lines[[]float64](procs))
 	eng.ps = make([]*proc, procs)
-	for p := 0; p < procs; p++ {
+	for p := range ps {
 		fr, err := prog.NewFrame(p, eng.mem)
 		if err != nil {
 			return nil, err
 		}
-		pc := &proc{eng: eng, p: p, fr: fr, target: make([]int, prog.Plan.Layout.MaxRank)}
-		if p == 0 {
-			// Gather-assembly scratch: only the tree root carves
-			// per-processor streams out of child buffers.
-			pc.cnt = make([]int, procs)
-			pc.pos = make([]int, procs)
-			pc.streams = make([][]float64, procs)
-		} else {
-			pc.kids = make([][]float64, len(prog.Plan.Tree.Children[p]))
+		pc := &ps[p]
+		pc.eng, pc.p, pc.fr = eng, p, fr
+		pc.target = heapsize.Take(&ints, heapsize.Lines[int](rank))[:rank:rank]
+		if p > 0 {
+			k := len(prog.Plan.Tree.Children[p])
+			pc.kids = heapsize.Take(&payloads, heapsize.Lines[[]float64](k))[:k:k]
 		}
 		eng.ps[p] = pc
 	}
+	root := eng.ps[0]
+	root.cnt, root.pos, root.streams = heapsize.Take(&ints, procs), heapsize.Take(&ints, procs), heapsize.Take(&payloads, procs)
 	return eng, nil
 }
 
@@ -475,7 +488,15 @@ func (eng *Engine) reap() {
 // ---------------------------------------------------------------------
 // proc: one logical processor's goroutine state
 
+// proc is one processor's state padded to whole cache lines: newEngine
+// carves every processor's from one slab.
 type proc struct {
+	procState
+	_ [(64 - unsafe.Sizeof(procState{})%64) % 64]byte // whole cache lines (newEngine)
+}
+
+// procState is what a proc holds.
+type procState struct {
 	eng *Engine
 	p   int
 	// fr holds the processor's replicated program state: loop

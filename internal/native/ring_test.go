@@ -21,7 +21,7 @@ func pairEngine() (*proc, *proc) {
 	for i := range eng.links {
 		eng.links[i].ch = make(chan []float64, 1)
 	}
-	return &proc{eng: eng, p: 0}, &proc{eng: eng, p: 1}
+	return &proc{procState: procState{eng: eng, p: 0}}, &proc{procState: procState{eng: eng, p: 1}}
 }
 
 func base(buf []float64) uintptr {

@@ -91,8 +91,7 @@ func newPlan(res *core.Result, layout *runtime.Layout) *Plan {
 	pl.Tree = buildTree(layout.P)
 	t := pl.Tree
 	pl.bytes = heapsize.Of(pl) + heapsize.Slice(pl.Comm) + heapsize.Array[[]*core.Group](n) + heapsize.Slice(groups) +
-		heapsize.Of(t) + heapsize.Slice(t.Parent) + heapsize.Slice(t.Children) + heapsize.Slice(t.Order) + heapsize.Slice(t.Pos) + heapsize.Slice(t.SubSize) +
-		heapsize.Array[int](max(t.Procs-1, 0)) // the children's one slab
+		heapsize.Of(t) + heapsize.Slice(t.Children) + heapsize.Array[int](treeInts(t.Procs))
 	return pl
 }
 
@@ -120,17 +119,24 @@ type Tree struct {
 	SubSize  []int   // SubSize[p] = size of p's subtree
 }
 
-// buildTree constructs the binomial tree for procs processors.
+// treeInts is the length of the one slab of ints a tree over procs
+// processors is carved from: four tables by processor and the children
+// lists, which hold every processor but the root once.
+func treeInts(procs int) int { return 4*procs + max(procs-1, 0) }
+
+// buildTree constructs the binomial tree for procs processors, its int
+// tables carved from one slab and its children lists from another.
 func buildTree(procs int) *Tree {
+	ints := make([]int, treeInts(procs))
 	t := &Tree{
 		Procs:    procs,
-		Parent:   make([]int, procs),
+		Parent:   heapsize.Take(&ints, procs),
 		Children: make([][]int, procs),
-		Order:    make([]int, 0, procs),
-		Pos:      make([]int, procs),
-		SubSize:  make([]int, procs),
+		Order:    heapsize.Take(&ints, procs)[:0],
+		Pos:      heapsize.Take(&ints, procs),
+		SubSize:  heapsize.Take(&ints, procs),
 	}
-	kids := make([]int, 0, max(procs-1, 0)) // every processor but the root is one child
+	kids := ints[:0]
 	for p := 0; p < procs; p++ {
 		if p == 0 {
 			t.Parent[p] = -1

@@ -17,10 +17,11 @@ import (
 // receivers [dstLo, dstHi), built as its schedules build it: after a
 // Freeze each takes from its neighbour on the sign side the strip
 // StripRuns returns, by CopyValid, and has the bytes of the elements that
-// travelled added to bytes[receiver].
-func shiftRange(am *ArrayMem, sec section.Section, gridDim, sign, width, dstLo, dstHi int, sc *Scratch, bytes []int) {
+// travelled added to bytes[receiver]. The array is m's array a.
+func shiftRange(m *Memory, sec section.Section, gridDim, sign, width, dstLo, dstHi int, sc *Scratch, bytes []int) {
+	am := m.View("a")
 	ad := am.ShiftArrayDim(gridDim)
-	am.Freeze()
+	m.Freeze(m.Layout.Array("a").Slot)
 	for dst := dstLo; dst < dstHi && ad >= 0; dst++ {
 		src := am.Dist.Grid.Neighbor(dst, gridDim, sign)
 		if src < 0 {
@@ -450,7 +451,7 @@ func stripMatchesElementScan(t *testing.T, l layout, margin int, n *int) {
 					var pairs map[[2]int]int
 					for _, seedDim := range []int{1 - gridDim, gridDim} {
 						clear(bytes)
-						shiftRange(am, ref.whole, seedDim, sign, width, 0, procs, sc, bytes)
+						shiftRange(got, ref.whole, seedDim, sign, width, 0, procs, sc, bytes)
 						pairs = oracleShiftRange(want, ref.whole, seedDim, sign, width, 0, procs)
 						samePlanes(t, what+" (seeding phase)", am, ref, want.valid)
 						sameBytes(t, what+" (seeding phase)", am.Dist.Grid, seedDim, sign, bytes, pairs)
@@ -467,7 +468,7 @@ func stripMatchesElementScan(t *testing.T, l layout, margin int, n *int) {
 						clear(bytes)
 						lo := 0
 						for _, hi := range cut {
-							shiftRange(am, sec, gridDim, sign, width, lo, hi, sc, bytes)
+							shiftRange(got, sec, gridDim, sign, width, lo, hi, sc, bytes)
 							lo = hi
 						}
 						samePlanes(t, fmt.Sprintf("%s ranges %v", what, cut), am, ref, want.valid)
@@ -680,7 +681,7 @@ func TestBulkOperationsDoNotAllocate(t *testing.T) {
 	strip := section.Section{Dims: []section.Dim{{Lo: 1, Hi: 1, Step: 1}, {Lo: 2, Hi: 2, Step: 1}, {Lo: 0, Hi: 2, Step: 1}}}
 	for name, f := range map[string]func(){
 		"Reset":          got.Reset,
-		"CopyValid":      func() { shiftRange(am, sec, 1, -1, 2, 0, 4, sc, ints) },
+		"CopyValid":      func() { shiftRange(got, sec, 1, -1, 2, 0, 4, sc, ints) },
 		"BroadcastRange": func() { am.BroadcastRange(sec, 0, 4, sc) },
 		"SumSection":     func() { am.SumSection(sec, sc, ints) },
 		"InvalidateBox":  func() { am.InvalidateBox(2, lo, hi) },
@@ -829,7 +830,7 @@ func TestValidBoxesMatchPlane(t *testing.T) {
 						break
 					}
 					trace = append(trace, fmt.Sprintf("shift %v dim %d sign %+d width %d into [%d,%d)", sec, gridDim, sign, width, lo, hi))
-					shiftRange(am, sec, gridDim, sign, width, lo, hi, sc, bytes)
+					shiftRange(got, sec, gridDim, sign, width, lo, hi, sc, bytes)
 					oracleShiftRange(want, sec, gridDim, sign, width, lo, hi)
 				case op < 5:
 					trace = append(trace, fmt.Sprintf("broadcast %v into [%d,%d)", sec, lo, hi))

@@ -131,7 +131,7 @@ func TestShiftDeliversStrip(t *testing.T) {
 	// dim 0 (rows). Proc rows 1 need row 4 from proc rows 0.
 	sec := section.Whole([]int{1, 1}, []int{8, 8})
 	bytes := make([]int, 4)
-	shiftRange(m.View("a"), sec, 0, -1, 1, 0, 4, NewScratch(2), bytes)
+	shiftRange(m, sec, 0, -1, 1, 0, 4, NewScratch(2), bytes)
 	// Reader (1,0) = pid 2 owns rows 5..8, cols 1..4 and reads row 4.
 	pid := u.Grid.PID([]int{1, 0})
 	for j := 1; j <= 4; j++ {
@@ -165,9 +165,9 @@ func TestShiftForwardsGhosts(t *testing.T) {
 	sec := section.Whole([]int{1, 1}, []int{8, 8})
 	// Reading a(i-1, j-1) on proc (1,1): needs corner a[4 4] owned by
 	// (0,0). Exchange dim 1 then dim 0.
-	am, sc, bytes := m.View("a"), NewScratch(2), make([]int, 4)
-	shiftRange(am, sec, 1, -1, 1, 0, 4, sc, bytes)
-	shiftRange(am, sec, 0, -1, 1, 0, 4, sc, bytes)
+	sc, bytes := NewScratch(2), make([]int, 4)
+	shiftRange(m, sec, 1, -1, 1, 0, 4, sc, bytes)
+	shiftRange(m, sec, 0, -1, 1, 0, 4, sc, bytes)
 	pid := u.Grid.PID([]int{1, 1}) // owns rows 5..8, cols 5..8
 	v, err := m.Read(pid, "a", []int{4, 4})
 	if err != nil || v != 44 {

@@ -619,16 +619,45 @@ func (am *ArrayMem) InvalidateRange(idx []int, owner, lo, hi int) {
 	}
 }
 
-// Freeze copies every processor's list for CopyValid to read of a sender
-// until the next Freeze. What a sender's strip holds lies outside what it
-// receives, so receivers on disjoint ranges deliver concurrently after one
-// Freeze.
-func (am *ArrayMem) Freeze() {
-	n := 0 // what every list can hold: one allocation while none outgrows its share
+// Freeze copies the lists of the image's array slot (ArrayMem.freeze);
+// it is the one way to freeze them. The image's first Freeze gives the
+// copies of every distributed array's lists their room from one slab,
+// sized from the lists' capacities, so an image that never Freezes — a
+// native one — keeps none of it.
+func (m *Memory) Freeze(slot int) {
+	if am := &m.Arrays[slot]; am.sent == nil && am.lists != nil {
+		n := 0
+		for i := range m.Arrays {
+			if am := &m.Arrays[i]; am.sent == nil {
+				n += am.listCap()
+			}
+		}
+		slab := make([]int, n)
+		for i := range m.Arrays {
+			if am := &m.Arrays[i]; am.sent == nil && am.lists != nil {
+				am.sent = heapsize.Take(&slab, am.listCap())[:0]
+			}
+		}
+	}
+	m.Arrays[slot].freeze()
+}
+
+// listCap is what every list of the array can hold: Freeze's copy needs
+// no more while none outgrows its share.
+func (am *ArrayMem) listCap() int {
+	n := 0
 	for _, l := range am.lists {
 		n += cap(l.boxes)
 	}
-	am.sent = slices.Grow(am.sent[:0], n)
+	return n
+}
+
+// freeze copies every processor's list for CopyValid to read of a sender
+// until the next Freeze. What a sender's strip holds lies outside what it
+// receives, so receivers on disjoint ranges deliver concurrently after one
+// Freeze.
+func (am *ArrayMem) freeze() {
+	am.sent = slices.Grow(am.sent[:0], am.listCap())
 	for p, l := range am.lists {
 		am.sentAt[p], am.sent = len(am.sent), append(am.sent, l.boxes...)
 	}

@@ -63,8 +63,8 @@ type Unit struct {
 	// iteration.
 	ArrayNames []string
 
-	// bytes counts the slabs Analyze carves arrays, scalars, bounds and
-	// distributions from, and the distributions' own tables.
+	// bytes counts the slabs Analyze carves arrays, scalars, bounds,
+	// distributions and their dimensions from, and any sub-grid's shape.
 	bytes int64
 }
 
@@ -86,11 +86,11 @@ type Options struct {
 // supplies compile-time values for the routine's integer parameters.
 //
 // A first pass counts the routine's declarations and distributions, so
-// that its arrays, scalars, bounds and distributions are each carved from
-// one allocation and its maps are sized once: the unit allocates by the
-// routine, not by the symbol.
+// that its arrays, scalars, bounds, distributions, their dimensions and
+// the directives' kinds are each carved from one allocation and its maps
+// are sized once: the unit allocates by the routine, not by the symbol.
 func Analyze(r *ast.Routine, params map[string]int, opt Options) (*Unit, error) {
-	nArrays, nScalars, nBounds, nDists := 0, len(r.Params), 0, 0
+	nArrays, nScalars, nBounds, nDists, nKinds, nDims := 0, len(r.Params), 0, 0, 0, 0
 	for _, d := range r.Decls {
 		for _, item := range d.Items {
 			if len(item.Bounds) == 0 {
@@ -104,19 +104,23 @@ func Analyze(r *ast.Routine, params map[string]int, opt Options) (*Unit, error) 
 	for _, dir := range r.Dirs {
 		if dd, ok := dir.(*ast.DistributeDir); ok {
 			nDists += len(dd.Arrays)
+			nKinds += len(dd.Kinds)
+			nDims += len(dd.Arrays) * len(dd.Kinds)
 		}
 	}
 	arrays := make([]Array, nArrays)
 	scalars := make([]Scalar, nScalars)
 	bounds := make([]int, nBounds)
 	dists := make([]dist.Dist, nDists)
+	kindSlab := make([]dist.Kind, nKinds)
+	dims := make([]dist.DimDist, nDims)
 	u := &Unit{
 		Routine:    r,
 		Params:     make(map[string]int, len(r.Params)),
 		Arrays:     make(map[string]*Array, nArrays),
 		Scalars:    make(map[string]*Scalar, nScalars),
 		ArrayNames: make([]string, 0, nArrays),
-		bytes:      heapsize.Slice(arrays) + heapsize.Slice(scalars) + heapsize.Slice(bounds) + heapsize.Slice(dists),
+		bytes:      heapsize.Slice(arrays) + heapsize.Slice(scalars) + heapsize.Slice(bounds) + heapsize.Slice(dists) + heapsize.Slice(dims),
 	}
 	newScalar := func(sc Scalar) {
 		scalars[0] = sc
@@ -231,7 +235,7 @@ func Analyze(r *ast.Routine, params map[string]int, opt Options) (*Unit, error) 
 		if !ok {
 			continue
 		}
-		kinds := make([]dist.Kind, len(dd.Kinds))
+		kinds := heapsize.Take(&kindSlab, len(dd.Kinds))
 		for i, k := range dd.Kinds {
 			switch k {
 			case ast.DistStar:
@@ -280,13 +284,12 @@ func Analyze(r *ast.Routine, params map[string]int, opt Options) (*Unit, error) 
 			if len(dd.Kinds) != a.Rank() {
 				return nil, source.Errorf(dd.Pos, "sem: DISTRIBUTE rank %d for rank-%d array %q", len(dd.Kinds), a.Rank(), name)
 			}
-			dv, err := dist.New(grid, a.Lo, a.Hi, kinds...)
+			dv, err := dist.New(grid, a.Lo, a.Hi, &dims, kinds...)
 			if err != nil {
 				return nil, source.Errorf(dd.Pos, "sem: %q: %v", name, err)
 			}
 			dists[0] = dv
 			a.Dist = &dists[0]
-			u.bytes += heapsize.Slice(dv.Dims)
 			dists = dists[1:]
 		}
 	}

@@ -380,7 +380,7 @@ func (sh *shard) Comm(c *plan.Comm) error {
 				// A sender's boxes as the superstep found them: what a
 				// shard delivers, no other shard reads.
 				for i := range op.Entries {
-					eng.mem.Arrays[op.Entries[i].Lay.Slot].Freeze()
+					eng.mem.Freeze(op.Entries[i].Lay.Slot)
 				}
 			}
 			if g.Kind == core.KindReduce {

@@ -58,6 +58,7 @@ type RegularDef struct {
 	Input   Def
 	Version int
 	id      int
+	v       int // Var's number
 }
 
 func (d *RegularDef) VarName() string      { return d.Var }
@@ -144,8 +145,6 @@ type Info struct {
 	// ID.
 	UsesOfStmt [][]*Use
 
-	// varIndex numbers the array variables: the index into Entries.
-	varIndex map[string]int
 	// bytes counts the slabs Build carves the defs, φ arguments and def
 	// lists from.
 	bytes int64
@@ -154,15 +153,16 @@ type Info struct {
 // Bytes returns what the form holds beside its graph and dominator tree:
 // itself, its tables and the slabs its defs and uses are carved from.
 func (info *Info) Bytes() int64 {
-	return heapsize.Of(info) + info.bytes + heapsize.Map(info.varIndex) +
+	return heapsize.Of(info) + info.bytes +
 		heapsize.Slice(info.Entries) + heapsize.Slice(info.Uses) +
 		heapsize.Slice(info.PhisByBlock) + heapsize.Slice(info.UsesOfStmt)
 }
 
-// builder holds what construction needs beside the Info it fills.
+// builder holds what construction needs beside the Info it fills. Its
+// tables are carved from one slab per element type, sized by the
+// statements' references and what the numbering pass counts of them.
 type builder struct {
-	info  *Info
-	sites [][]*cfg.Block // sites[v]: the blocks defining variable v, in statement order
+	info *Info
 	// The numbering pass's findings per statement, so that renaming
 	// neither walks an expression again nor looks a name up: statement
 	// i's array reads are reads[readsAt[i]:readsAt[i+1]], in collectUses
@@ -170,20 +170,23 @@ type builder struct {
 	reads   []read
 	readsAt []int
 	lhs     []int
+	// Variable v's def sites, in statement order, are
+	// siteBlocks[siteAt[v]:siteAt[v+1]]; placePhis' worklist shares
+	// their slab and its stamps by block ID the ints'.
+	siteAt     []int
+	siteBlocks []*cfg.Block
+	work       []*cfg.Block
+	marks      []int
 	// Renaming state: the def of each variable reaching the walk's
 	// current point, the last version handed out, and the defs the walk
-	// has shadowed, restored as it leaves a dominator subtree.
+	// has shadowed, restored as it leaves a dominator subtree. cur and
+	// undo are carved with the φ arguments.
 	cur     []Def
 	version []int
-	undo    []shadowed
+	undo    []Def
 	// Every Use and RegularDef is carved from one allocation.
 	useSlab []Use
 	defSlab []RegularDef
-}
-
-type shadowed struct {
-	v int
-	d Def
 }
 
 // read is an array reference on a right-hand side and its variable's
@@ -195,73 +198,102 @@ type read struct {
 }
 
 // Build constructs SSA form for the array variables named in isArray.
-// A numbering pass over the statements counts what the form holds — its
-// variables, their def sites, the reads — and every table is then
-// carved from an allocation of that size: construction allocates by the
-// routine, not by the def.
+// A count of the statements' references sizes the numbering pass, which
+// counts what the form holds — its variables, their def sites, the reads
+// — and every table is then carved from an allocation of that size, one
+// per element type: construction allocates by the routine, not by the
+// def.
 func Build(g *cfg.Graph, t *dom.Tree, isArray func(name string) bool) *Info {
-	info := &Info{G: g, Dom: t, varIndex: map[string]int{}}
+	info := &Info{G: g, Dom: t}
 	b := &builder{info: info}
+	// vars numbers the array variables in order of first appearance: the
+	// index into Entries. It is Build's own, so it lives on the stack
+	// while a routine has few arrays.
+	vars := map[string]int{}
+	index := func(name string) int {
+		v, ok := vars[name]
+		if !ok {
+			v = len(vars)
+			vars[name] = v
+		}
+		return v
+	}
+
+	// One slab of ints: the statements' read offsets and defs, the
+	// variables' def-site offsets and versions (a variable has a reference
+	// at least) and placePhis' stamps.
+	ns, nb, refs := len(g.Stmts), len(g.Blocks), 0
+	for _, st := range g.Stmts {
+		if st.Assign != nil {
+			refs++
+			collectUses(st.Assign.RHS, false, func(*ast.Ref, bool) { refs++ })
+		}
+	}
+	ints := make([]int, (ns+1)+ns+2*(refs+1)+3*nb)
+	b.readsAt, b.lhs = heapsize.Take(&ints, ns+1), heapsize.Take(&ints, ns)
+	siteAt, version := heapsize.Take(&ints, refs+1), heapsize.Take(&ints, refs+1)
+	b.marks = ints
 
 	// Number the variables in order of first appearance and record every
 	// statement's array reads and def.
-	ns := len(g.Stmts)
-	ints := make([]int, 2*ns+1)
-	b.readsAt, b.lhs = ints[:ns+1], ints[ns+1:]
-	b.reads = make([]read, 0, 2*ns) // the Fig. 10(a) routines read two arrays a statement
+	b.reads = make([]read, 0, refs)
 	nDefs := 0
 	for i, st := range g.Stmts {
 		b.lhs[i] = -1
 		if st.Assign != nil {
 			if name := st.Assign.LHS.Name; isArray(name) {
-				b.lhs[i] = b.index(name)
+				b.lhs[i] = index(name)
 				nDefs++
 			}
 			collectUses(st.Assign.RHS, false, func(r *ast.Ref, inSum bool) {
 				if isArray(r.Name) {
-					b.reads = append(b.reads, read{r, b.index(r.Name), inSum})
+					b.reads = append(b.reads, read{r, index(r.Name), inSum})
 				}
 			})
 		}
 		b.readsAt[i+1] = len(b.reads)
 	}
-	nv := len(info.varIndex)
+	nv := len(vars)
 	nUses := len(b.reads)
+	b.siteAt, b.version = siteAt[:nv+1], version[:nv]
+	for _, v := range b.lhs {
+		if v >= 0 {
+			b.siteAt[v+1]++
+		}
+	}
+	maxSites := 0
+	for v := 1; v < len(b.siteAt); v++ {
+		maxSites = max(maxSites, b.siteAt[v])
+		b.siteAt[v] += b.siteAt[v-1]
+	}
 
 	// The ENTRY pseudo-defs, and each variable's def sites in statement
-	// order: version counts them until the sites are carved.
+	// order, version counting them as they are filled; a variable's
+	// worklist starts as its def sites and a block joins it once after
+	// that, so it fits maxSites+nb.
 	entries := make([]EntryDef, nv)
 	info.Entries = make([]*EntryDef, nv)
-	for name, v := range info.varIndex {
+	for name, v := range vars {
 		entries[v] = EntryDef{Var: name, Blk: g.EntryBlock, id: v}
 		info.Entries[v] = &entries[v]
 	}
-	b.version = make([]int, nv)
-	for _, v := range b.lhs {
+	blocks := make([]*cfg.Block, nDefs+maxSites+nb)
+	b.siteBlocks = heapsize.Take(&blocks, nDefs)
+	b.work = blocks[:0]
+	for i, v := range b.lhs {
 		if v >= 0 {
+			b.siteBlocks[b.siteAt[v]+b.version[v]] = g.Stmts[i].Block
 			b.version[v]++
 		}
 	}
-	b.sites = make([][]*cfg.Block, nv)
-	all := make([]*cfg.Block, nDefs)
-	for v, k := range b.version {
-		b.sites[v], all = all[:0:k], all[k:]
-		b.version[v] = 0
-	}
-	for i, v := range b.lhs {
-		if v >= 0 {
-			b.sites[v] = append(b.sites[v], g.Stmts[i].Block)
-		}
-	}
+	clear(b.version)
 
 	b.placePhis()
 	info.NumDefs = nv + len(info.Phis) + nDefs
 
-	b.cur = make([]Def, nv)
 	for v, e := range info.Entries {
 		b.cur[v] = e
 	}
-	b.undo = make([]shadowed, 0, len(info.Phis)+nDefs)
 	b.useSlab = make([]Use, nUses)
 	b.defSlab = make([]RegularDef, nDefs)
 	info.Uses = make([]*Use, 0, nUses)
@@ -283,47 +315,31 @@ func Build(g *cfg.Graph, t *dom.Tree, isArray func(name string) bool) *Info {
 	return info
 }
 
-// index returns a variable's number, numbering it on first sight.
-func (b *builder) index(name string) int {
-	v, ok := b.info.varIndex[name]
-	if !ok {
-		v = len(b.info.varIndex)
-		b.info.varIndex[name] = v
-	}
-	return v
-}
-
 // placePhis inserts φ-defs at the iterated dominance frontiers of every
 // variable's def sites. It walks the frontiers twice: the first walk
 // counts the φs, their arguments and the φs per block, so that the
 // second fills the φs, their arguments and the per-block lists, each
-// from one allocation, in the order the first found them. The worklist's
-// membership and the blocks that already hold the variable's φ are
-// stamps by block ID, new for every variable of every walk.
+// from one allocation, in the order the first found them; the renaming's
+// current and shadowed defs are carved with the arguments. The worklist's membership
+// and the blocks that already hold the variable's φ are stamps by block
+// ID, new for every variable of every walk.
 func (b *builder) placePhis() {
 	info := b.info
-	nb, nv := len(info.G.Blocks), len(b.sites)
+	nb, nv := len(info.G.Blocks), len(b.version)
 	df := info.Dom.Frontier()
-	maxSites := 0
-	for _, defSites := range b.sites {
-		maxSites = max(maxSites, len(defSites))
-	}
-	marks := make([]int, 3*nb)
-	onWork, hasPhi, perBlock := marks[:nb], marks[nb:2*nb], marks[2*nb:]
-	// A variable's worklist starts as its def sites; a block joins it
-	// once after that.
-	work := make([]*cfg.Block, 0, maxSites+nb)
+	onWork, hasPhi, perBlock := b.marks[:nb], b.marks[nb:2*nb], b.marks[2*nb:3*nb]
+	work := b.work
 	walk := func(base int, add func(v int, blk *cfg.Block)) {
-		for v, defSites := range b.sites {
+		for v := 0; v < nv; v++ {
 			stamp := base + v + 1
-			work = append(work[:0], defSites...)
+			work = append(work[:0], b.siteBlocks[b.siteAt[v]:b.siteAt[v+1]]...)
 			for _, blk := range work {
 				onWork[blk.ID] = stamp
 			}
 			for len(work) > 0 {
 				blk := work[len(work)-1]
 				work = work[:len(work)-1]
-				for _, fb := range df[blk.ID] {
+				for _, fb := range df.Of(blk.ID) {
 					if hasPhi[fb.ID] == stamp {
 						continue
 					}
@@ -345,9 +361,10 @@ func (b *builder) placePhis() {
 	})
 
 	phis := make([]PhiDef, nphis)
-	args := make([]Def, nargs)
+	args := make([]Def, nargs+nv+nphis+len(b.siteBlocks))
 	lists := make([]*PhiDef, 2*nphis)
 	info.bytes += heapsize.Slice(phis) + heapsize.Slice(args) + heapsize.Slice(lists)
+	b.cur, b.undo = heapsize.Take(&args, nv), heapsize.Take(&args, nphis+len(b.siteBlocks))[:0]
 	info.Phis, lists = lists[:nphis:nphis], lists[nphis:]
 	info.PhisByBlock = make([][]*PhiDef, nb)
 	for id, n := range perBlock {
@@ -376,7 +393,7 @@ func (b *builder) placePhis() {
 // define makes d the def of variable v reaching what follows, with the
 // variable's next version.
 func (b *builder) define(v int, d Def) int {
-	b.undo = append(b.undo, shadowed{v, b.cur[v]})
+	b.undo = append(b.undo, b.cur[v])
 	b.cur[v] = d
 	b.version[v]++
 	return b.version[v]
@@ -400,7 +417,7 @@ func (b *builder) rename(id int) {
 		}
 		if v := b.lhs[st.ID]; v >= 0 {
 			d := &b.defSlab[len(info.Defs)]
-			*d = RegularDef{Var: st.Assign.LHS.Name, Stmt: st, LHS: st.Assign.LHS, Input: b.cur[v],
+			*d = RegularDef{Var: st.Assign.LHS.Name, Stmt: st, LHS: st.Assign.LHS, Input: b.cur[v], v: v,
 				id: len(info.Entries) + len(info.Phis) + len(info.Defs)}
 			d.Version = b.define(v, d)
 			info.Defs = append(info.Defs, d)
@@ -418,7 +435,7 @@ func (b *builder) rename(id int) {
 	}
 	for len(b.undo) > mark {
 		last := b.undo[len(b.undo)-1]
-		b.cur[last.v] = last.d
+		b.cur[varOf(last)] = last
 		b.undo = b.undo[:len(b.undo)-1]
 	}
 }
@@ -495,9 +512,13 @@ type Marks struct {
 	epoch uint32
 }
 
-// NewMarks returns an empty set over info's defs.
-func (info *Info) NewMarks() Marks {
-	return Marks{stamp: make([]uint32, info.NumDefs), epoch: 1}
+// NewMarks makes each of sets an empty set over info's defs, all carved
+// from one allocation.
+func (info *Info) NewMarks(sets ...*Marks) {
+	slab := make([]uint32, len(sets)*info.NumDefs)
+	for _, m := range sets {
+		*m = Marks{stamp: heapsize.Take(&slab, info.NumDefs), epoch: 1}
+	}
 }
 
 // Clear empties the set.
@@ -518,6 +539,19 @@ func (m *Marks) Mark(d Def) bool {
 	return true
 }
 
+// varOf returns the number of the variable d defines.
+func varOf(d Def) int {
+	switch d := d.(type) {
+	case *EntryDef:
+		return d.id
+	case *RegularDef:
+		return d.v
+	case *PhiDef:
+		return d.v
+	}
+	return -1
+}
+
 // Validate checks SSA invariants: every def has a distinct DefID below
 // NumDefs, every φ argument is filled, every use's reaching def
 // dominates the use (for regular defs and φs), and a variable with k φ
@@ -527,47 +561,54 @@ func (info *Info) Validate() error {
 	if n := len(info.Entries) + len(info.Defs) + len(info.Phis); n != info.NumDefs {
 		return fmt.Errorf("ssa: %d defs, NumDefs %d", n, info.NumDefs)
 	}
-	ids := make([]bool, info.NumDefs)
 	// Variable v's versions 1 … k, one per φ and regular def of v, are
-	// the slots base[v] … base[v]+k−1 of one table.
-	base := make([]int, len(info.Entries)+1)
+	// the slots base[v] … base[v]+k−1 of one table, seen; ids marks the
+	// DefIDs met. All three are carved from one slab of ints.
+	ints := make([]int, len(info.Entries)+1+info.NumDefs+len(info.Defs)+len(info.Phis))
+	base, ids := heapsize.Take(&ints, len(info.Entries)+1), heapsize.Take(&ints, info.NumDefs)
+	// numbered returns the number of d's variable, false when it names no
+	// ENTRY pseudo-def of that variable.
+	numbered := func(d Def) (int, bool) {
+		v := varOf(d)
+		return v, v >= 0 && v < len(info.Entries) && info.Entries[v].Var == d.VarName()
+	}
 	for _, d := range info.Defs {
-		if v, ok := info.varIndex[d.Var]; ok {
+		if v, ok := numbered(d); ok {
 			base[v+1]++
 		}
 	}
 	for _, p := range info.Phis {
-		if v, ok := info.varIndex[p.Var]; ok {
+		if v, ok := numbered(p); ok {
 			base[v+1]++
 		}
 	}
 	for v := range info.Entries {
 		base[v+1] += base[v]
 	}
-	seen := make([]bool, base[len(info.Entries)])
+	seen := ints[:base[len(info.Entries)]]
 	note := func(d Def, ver int) error {
 		id := d.DefID()
 		if id < 0 || id >= len(ids) {
 			return fmt.Errorf("ssa: %s has DefID %d outside [0, %d)", d, id, len(ids))
 		}
-		if ids[id] {
+		if ids[id] != 0 {
 			return fmt.Errorf("ssa: %s repeats DefID %d", d, id)
 		}
-		ids[id] = true
+		ids[id] = 1
 		if ver < 0 {
 			return nil // the ENTRY pseudo-def
 		}
-		v, ok := info.varIndex[d.VarName()]
+		v, ok := numbered(d)
 		if !ok {
 			return fmt.Errorf("ssa: %s defines an unnumbered variable", d)
 		}
 		if ver < 1 || base[v]+ver > base[v+1] {
 			return fmt.Errorf("ssa: %s has version %d outside [1, %d]", d, ver, base[v+1]-base[v])
 		}
-		if seen[base[v]+ver-1] {
+		if seen[base[v]+ver-1] != 0 {
 			return fmt.Errorf("ssa: duplicate version %s_%d", d.VarName(), ver)
 		}
-		seen[base[v]+ver-1] = true
+		seen[base[v]+ver-1] = 1
 		return nil
 	}
 	for _, e := range info.Entries {
