@@ -364,7 +364,10 @@ fuzz-smoke:
 # n=16, 4 steps, P=16, memory image and lowered program rebuilt per run,
 # as spmd.RunParallel on a bare placement result does) must stay
 # within the allocation budget in ci/sim-alloc-budget.txt: 1.25x the
-# measured allocs/op (143 since the collective tree's int tables share one
+# measured allocs/op (82 since lowering sizes each stack once from the
+# CFG's, the SSA form's and the placement's counts and an engine carves
+# its shards' tables from one slab per element type; 143 since the
+# collective tree's int tables share one
 # slab and an image's first Freeze gives every array's list copy its room
 # from one; 155 since a layout, an image and a frame are each
 # carved from one slab per element type, whatever the number of arrays or
@@ -389,16 +392,21 @@ fuzz-smoke:
 # nothing. Eight callers placing and simulating one compilation at once
 # under the race detector must each find exactly their own call's
 # telemetry on the recorder they passed (TestRecorderGetsOnlyItsCall).
+# Each stage of a cold simulator run — lowering, image, schedules, engine,
+# first run — is pinned at one and two shards (TestColdSimRunAllocs), and
+# a cold native engine and run (BenchmarkColdRun/native) stays within
+# ci/cold-alloc-budget.txt, 1.25x its measured 536.
 sim-smoke:
 	@mkdir -p out
 	$(GO) test ./internal/spmd -run 'TestLedgerGolden' -count=1
 	$(GO) test ./internal/runtime -run 'TestStripMatchesElementScan|TestOwnerRunsMatchElementScan|TestValidBoxesMatchPlane|TestBulkOperationsDoNotAllocate|TestCompareState|TestCarvingAllocatesByType|TestCarvedTablesCapped' -count=1
 	$(GO) test ./internal/plan -run 'TestScheduleReplayShare|TestTranslatedScheduleMatchesRebuilt|TestEntryProofDeclinesValidNest|TestRowMatchesElementWalk|TestRowDeclinesWhole|TestRunRowDoesNotAllocate|TestLoweredTermsCapped|TestLowerAllocations|TestNewFrameAllocatesByType' -count=1
 	$(GO) test ./internal/native -run 'TestImageBytes|TestStaleReadOutsideLocalBox' -count=1
-	$(GO) test ./internal/spmd -run 'TestReusedEngineMatchesFresh' -count=1
+	$(GO) test ./internal/spmd -run 'TestReusedEngineMatchesFresh|TestColdSimRunAllocs' -count=1
 	$(GO) test . -run 'TestPublicAPI|TestInterprocedural|TestPlacedVerifyNative' -count=1
 	$(GO) test -race ./internal/spmd -run 'TestParallelMatchesSequential' -count=1
 	$(GO) test -race . -run 'TestRecorderGetsOnlyItsCall' -count=1
 	$(GO) test -race ./internal/native -run 'TestSharedProgramConcurrentEngines' -count=1
 	@GO="$(GO)" sh ci/alloc-budget.sh 'BenchmarkSimVerify/j1$$' ci/sim-alloc-budget.txt sim-smoke
+	@GO="$(GO)" sh ci/alloc-budget.sh 'BenchmarkColdRun/native$$' ci/cold-alloc-budget.txt cold-run
 	@echo "sim-smoke: ok"

@@ -18,6 +18,7 @@ import (
 	"gcao/internal/asd"
 	"gcao/internal/ast"
 	"gcao/internal/cfg"
+	"gcao/internal/dep"
 	"gcao/internal/dist"
 	"gcao/internal/heapsize"
 	"gcao/internal/lin"
@@ -538,7 +539,8 @@ func (sl *entrySlabs) entry(u *ssa.Use, kind CommKind, m asd.Mapping, dims []asd
 // classifyUse determines the communication kind, mapping and symbolic
 // section for one use, or nil when the access is local.
 func (a *Analysis) classifyUse(u *ssa.Use, arr *sem.Array, sl *entrySlabs) (*Entry, error) {
-	dims, err := a.refSection(u.Ref, arr, sl)
+	ufs := a.Dep.UseForms(u)
+	dims, err := a.refSection(u.Ref, ufs, arr, sl)
 	if err != nil {
 		return nil, err
 	}
@@ -558,7 +560,7 @@ func (a *Analysis) classifyUse(u *ssa.Use, arr *sem.Array, sl *entrySlabs) (*Ent
 	if lhsArr == nil || lhsArr.Dist == nil {
 		// Scalar or replicated target: every processor evaluates the
 		// statement, so the distributed operand must be broadcast.
-		sig := fmt.Sprintf("bcast:%s:%v", arr.Dist.String(), subsSignature(a, u.Ref))
+		sig := fmt.Sprintf("bcast:%s:%v", arr.Dist.String(), subsSignature(u.Ref, ufs))
 		a.bytes += int64(len(sig))
 		return sl.entry(u, KindBcast, asd.Mapping{Kind: asd.MapBcast, GridShape: a.Unit.Grid.Shape, Signature: sig}, dims), nil
 	}
@@ -567,7 +569,7 @@ func (a *Analysis) classifyUse(u *ssa.Use, arr *sem.Array, sl *entrySlabs) (*Ent
 	// dimension against the LHS subscript aligned to the same grid dim.
 	offsets := carve(&sl.offsets, a.Unit.Grid.Rank())
 	general := false
-	ufs, lfs := a.Dep.RefForms(u.Ref), a.Dep.RefForms(lhs)
+	lfs := a.Dep.DefForms(a.SSA.DefOfStmt[u.Stmt.ID])
 	for k := range arr.Lo {
 		g := a.gridDimOfArrayDim(arr, k)
 		if g < 0 {
@@ -618,7 +620,7 @@ func (a *Analysis) classifyUse(u *ssa.Use, arr *sem.Array, sl *entrySlabs) (*Ent
 		offsets[g] = c
 	}
 	if general {
-		sig := fmt.Sprintf("gen:%s->%s:%v", arr.Dist.String(), lhsArr.Dist.String(), subsSignature(a, u.Ref))
+		sig := fmt.Sprintf("gen:%s->%s:%v", arr.Dist.String(), lhsArr.Dist.String(), subsSignature(u.Ref, ufs))
 		a.bytes += int64(len(sig))
 		return sl.entry(u, KindGeneral, asd.Mapping{Kind: asd.MapGeneral, GridShape: a.Unit.Grid.Shape, Signature: sig}, dims), nil
 	}
@@ -663,9 +665,9 @@ func shiftMapping(gridShape []int, gridDim, offset int) asd.Mapping {
 	}
 }
 
-// refSection builds the symbolic section of a reference, in Dims carved
-// from the slab.
-func (a *Analysis) refSection(r *ast.Ref, arr *sem.Array, sl *entrySlabs) ([]asd.SymDim, error) {
+// refSection builds the symbolic section of a reference with subscript
+// forms forms, in Dims carved from the slab.
+func (a *Analysis) refSection(r *ast.Ref, forms []dep.SubscriptForm, arr *sem.Array, sl *entrySlabs) ([]asd.SymDim, error) {
 	if len(r.Subs) == 0 {
 		dims := carve(&sl.dims, arr.Rank())
 		for i := range dims {
@@ -674,7 +676,6 @@ func (a *Analysis) refSection(r *ast.Ref, arr *sem.Array, sl *entrySlabs) ([]asd
 		return dims, nil
 	}
 	dims := carve(&sl.dims, len(r.Subs))
-	forms := a.Dep.RefForms(r)
 	for i, sub := range r.Subs {
 		if sub.Kind == ast.SubExpr {
 			if !forms[i].OK {
@@ -710,10 +711,10 @@ func (a *Analysis) refSection(r *ast.Ref, arr *sem.Array, sl *entrySlabs) ([]asd
 	return dims, nil
 }
 
-// subsSignature canonicalizes subscripts for mapping signatures.
-func subsSignature(a *Analysis, r *ast.Ref) string {
+// subsSignature canonicalizes subscripts, with forms forms, for mapping
+// signatures.
+func subsSignature(r *ast.Ref, forms []dep.SubscriptForm) string {
 	var parts []string
-	forms := a.Dep.RefForms(r)
 	for i, sub := range r.Subs {
 		if sub.Kind == ast.SubRange {
 			parts = append(parts, ":")

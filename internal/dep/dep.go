@@ -12,7 +12,7 @@
 // only on the two references' subscript forms with loop variables named
 // by their binding depth, the bounds of the binding loops, and the
 // number of common loops, so the sibling nests of one time-step loop
-// share their answers and the number of Directions evaluations follows
+// share their answers and the number of direction evaluations follows
 // the routine's distinct reference shapes, not its size.
 package dep
 
@@ -84,11 +84,14 @@ type Analysis struct {
 	Forms Forms
 	forms map[*ast.Ref][]SubscriptForm
 	vars  varForms
-	memo  memo // its nil pairs: every query is answered from scratch
+	memo  memo // off: every query is answered from scratch
 }
 
-// memo is what a remembering analysis keeps between queries.
+// memo is what a remembering analysis keeps between queries. Its tables
+// are made at the first query, sized by the counts its Forms carries; the
+// analysis' forms and vars at the first reference that reads a parameter.
 type memo struct {
+	on, made bool
 	// classes interns a reference's structural class (classKey's
 	// encoding) as a dense number, keyed by the encoding's bytes in keys,
 	// an arena never written where a kept key lies. useClass and defClass
@@ -104,7 +107,7 @@ type memo struct {
 	dirs  []DirSet
 	// bounds caches each loop's valueLattice bounds by cfg.Loop.ID.
 	bounds []loopBounds
-	// evals counts Directions evaluations: one per class pair asked.
+	// evals counts evaluations of directions: one per class pair asked.
 	evals int
 }
 
@@ -161,29 +164,34 @@ type SubscriptForm struct {
 // by NewForms and never written afterwards, so every binding of one
 // routine — and every goroutine — may read the same one.
 type Forms struct {
-	of map[*ast.Ref][]SubscriptForm
+	// of holds a reference's forms by its use ID, then the left-hand
+	// side's of each regular def by its DefID less first: nil for a
+	// reference a subscript of which reads a parameter, derived reads.
+	of [][]SubscriptForm
 	// uses, defs and loops are the SSA form's use count, def count
-	// (Info.NumDefs) and the graph's loop count: what a remembering
-	// analysis sizes its caches by.
-	uses, defs, loops int
+	// (Info.NumDefs) and the graph's loop count, first the DefID of its
+	// first regular def and derived its references that read a parameter:
+	// what a remembering analysis sizes its caches by.
+	uses, defs, loops, first, derived int
 	// bytes counts the slabs the lists and the variables' one-term forms
 	// are carved from (a variable past the loops' count makes its own), and
 	// the term lists of the other forms.
 	bytes int64
 }
 
-// Bytes returns what the table holds: its entries, its slab and the term
-// lists of its forms.
-func (f Forms) Bytes() int64 { return heapsize.Map(f.of) + f.bytes }
+// Bytes returns what the table holds: itself, its slab and the term lists
+// of its forms.
+func (f Forms) Bytes() int64 { return heapsize.Slice(f.of) + f.bytes }
 
 // NewForms derives the parameter-free subscript forms of every reference
 // dependence testing and classification ask about: the SSA uses and the
 // left-hand sides of the regular defs. params names the routine's
-// parameters. A first pass counts the references and subscripts, so that
-// the table and every reference's forms are carved from one allocation
-// each, and the variables' one-term forms from one sized by the loops.
+// parameters. A first pass counts the subscripts, so that the table, by
+// use ID and DefID, and every reference's forms are carved from one
+// allocation each, and the variables' one-term forms from one sized by the
+// loops.
 func NewForms(params []string, info *ssa.Info) Forms {
-	refs, subs := 0, 0
+	subs, derived := 0, 0
 	structural := func(r *ast.Ref) bool {
 		for _, sub := range r.Subs {
 			if readsParam(sub.X, params) {
@@ -194,8 +202,9 @@ func NewForms(params []string, info *ssa.Info) Forms {
 	}
 	count := func(r *ast.Ref) {
 		if structural(r) {
-			refs++
 			subs += len(r.Subs)
+		} else {
+			derived++
 		}
 	}
 	for _, u := range info.Uses {
@@ -204,23 +213,22 @@ func NewForms(params []string, info *ssa.Info) Forms {
 	for _, d := range info.Defs {
 		count(d.LHS)
 	}
-	f := Forms{of: make(map[*ast.Ref][]SubscriptForm, refs), uses: len(info.Uses), defs: info.NumDefs, loops: len(info.G.Loops)}
+	f := Forms{of: make([][]SubscriptForm, len(info.Uses)+len(info.Defs)), uses: len(info.Uses), defs: info.NumDefs,
+		loops: len(info.G.Loops), first: info.NumDefs - len(info.Defs), derived: derived}
 	all := make([]SubscriptForm, subs)
 	slab := all
 	terms := make([]lin.Term, len(info.G.Loops))
 	vars := varForms{m: map[string]lin.Form{}, terms: &terms}
-	add := func(r *ast.Ref) {
+	add := func(i int, r *ast.Ref) {
 		if structural(r) {
-			n := len(r.Subs)
-			f.of[r] = fillForms(slab[:n:n], r, nil, vars)
-			slab = slab[n:]
+			f.of[i] = fillForms(heapsize.Take(&slab, len(r.Subs)), r, nil, vars)
 		}
 	}
 	for _, u := range info.Uses {
-		add(u.Ref)
+		add(u.ID, u.Ref)
 	}
-	for _, d := range info.Defs {
-		add(d.LHS)
+	for i, d := range info.Defs {
+		add(f.uses+i, d.LHS)
 	}
 	f.bytes = heapsize.Slice(all) + heapsize.Array[lin.Term](max(len(vars.m), len(info.G.Loops)))
 	for _, sf := range all {
@@ -249,23 +257,36 @@ func readsParam(e ast.Expr, params []string) bool {
 
 // New builds a remembering dependence analysis for a routine. Its caches
 // are sized by the counts of the Forms it is given before its first query.
-func New(u *sem.Unit) *Analysis {
-	return &Analysis{Unit: u, forms: map[*ast.Ref][]SubscriptForm{}, vars: varForms{m: map[string]lin.Form{}},
-		memo: memo{classes: map[string]int32{}, pairs: map[classPair]dirSpan{}}}
+func New(u *sem.Unit) *Analysis { return &Analysis{Unit: u, memo: memo{on: true}} }
+
+// remembers reports whether the analysis keeps what it derives, having
+// made its tables at the first call.
+func (a *Analysis) remembers() bool {
+	m, f := &a.memo, a.Forms
+	if m.on && !m.made {
+		// Both class caches from one slab, each the size of what it is
+		// indexed by, the loops' bounds by the loops and the key arena at
+		// four bytes a reference (the Fig. 10(a) routines' classes take
+		// fewer). The maps grow as the classes come: they are a fifth of
+		// the references or fewer, and a map sized for more than eight
+		// starts with more objects than one that grows to a dozen.
+		slab := make([]int32, f.uses+f.defs)
+		m.made, m.useClass, m.defClass = true, slab[:f.uses:f.uses], slab[f.uses:]
+		m.keys, m.bounds = make([]byte, 0, 4*len(f.of)), make([]loopBounds, f.loops)
+		m.classes, m.pairs = map[string]int32{}, map[classPair]dirSpan{}
+	}
+	return m.on
 }
 
-// remembers reports whether the analysis keeps what it derives.
-func (a *Analysis) remembers() bool { return a.memo.pairs != nil }
-
 // Evaluations reports how many times a remembering analysis has run
-// Directions: once per class of (def, use) pair it was asked about. The
+// directions: once per class of (def, use) pair it was asked about. The
 // table-less literal reports 0.
 func (a *Analysis) Evaluations() int {
 	return a.memo.evals
 }
 
-// refForms returns the forms of a reference's subscripts in a new list.
-func refForms(r *ast.Ref, params map[string]int, vars varForms) []SubscriptForm {
+// derive returns the forms of a reference's subscripts in a new list.
+func derive(r *ast.Ref, params map[string]int, vars varForms) []SubscriptForm {
 	return fillForms(make([]SubscriptForm, len(r.Subs)), r, params, vars)
 }
 
@@ -280,42 +301,48 @@ func fillForms(fs []SubscriptForm, r *ast.Ref, params map[string]int, vars varFo
 	return fs
 }
 
-// RefForms returns the form of every subscript of a reference: from the
-// structural table when no subscript reads a parameter, else derived under
-// this binding (and remembered, when the analysis remembers). The result is
-// shared: callers must not write to it.
-func (a *Analysis) RefForms(r *ast.Ref) []SubscriptForm {
-	if fs, ok := a.Forms.of[r]; ok {
-		return fs
+// UseForms and DefForms return the form of every subscript of a use's
+// and of a regular def's reference: from the structural table when no
+// subscript reads a parameter, else derived under this binding (and
+// remembered, when the analysis remembers). The result is shared: callers
+// must not write to it.
+func (a *Analysis) UseForms(u *ssa.Use) []SubscriptForm { return a.refForms(u.ID, u.Ref) }
+
+func (a *Analysis) DefForms(d *ssa.RegularDef) []SubscriptForm {
+	return a.refForms(a.Forms.uses+d.DefID()-a.Forms.first, d.LHS)
+}
+
+// refForms returns the forms of reference r, which is at i in the
+// structural table.
+func (a *Analysis) refForms(i int, r *ast.Ref) []SubscriptForm {
+	if i < len(a.Forms.of) && a.Forms.of[i] != nil {
+		return a.Forms.of[i]
+	}
+	if !a.remembers() {
+		return derive(r, a.Unit.Params, a.vars)
 	}
 	fs, ok := a.forms[r]
 	if !ok {
-		fs = refForms(r, a.Unit.Params, a.vars)
-		if a.forms != nil {
-			a.forms[r] = fs
+		if a.forms == nil { // the first reference that reads a parameter
+			a.forms, a.vars.m = make(map[*ast.Ref][]SubscriptForm, a.Forms.derived), map[string]lin.Form{}
 		}
+		fs = derive(r, a.Unit.Params, a.vars)
+		a.forms[r] = fs
 	}
 	return fs
 }
 
-// pairDirections is Directions for a regular def and a use, answered
+// pairDirections is directions for a regular def and a use, answered
 // once per class pair by a remembering analysis.
 func (a *Analysis) pairDirections(d *ssa.RegularDef, u *ssa.Use) ([]DirSet, bool) {
+	dfs, ufs := a.DefForms(d), a.UseForms(u)
 	if !a.remembers() {
-		return a.Directions(d.Stmt, d.LHS, u.Stmt, u.Ref)
+		return a.directions(make([]DirSet, 0, len(cfg.CommonLoops(u.Stmt, d.Stmt))), d.Stmt, dfs, u.Stmt, ufs)
 	}
 	m := &a.memo
-	if m.useClass == nil && a.Forms.uses+a.Forms.defs > 0 {
-		// The first query: both class caches from one slab, each the size
-		// of what it is indexed by, and the key arena at four bytes a
-		// reference (the Fig. 10(a) routines' classes take fewer).
-		slab := make([]int32, a.Forms.uses+a.Forms.defs)
-		m.useClass, m.defClass = slab[:a.Forms.uses:a.Forms.uses], slab[a.Forms.uses:]
-		m.keys = make([]byte, 0, 4*len(slab))
-	}
 	k := classPair{
-		def:    a.classOf(&m.defClass, d.DefID(), d.Stmt, d.LHS),
-		use:    a.classOf(&m.useClass, u.ID, u.Stmt, u.Ref),
+		def:    a.classOf(&m.defClass, d.DefID(), d.Stmt, dfs),
+		use:    a.classOf(&m.useClass, u.ID, u.Stmt, ufs),
 		common: int32(ssa.CNL(d, u)),
 	}
 	sp, ok := m.pairs[k]
@@ -323,7 +350,7 @@ func (a *Analysis) pairDirections(d *ssa.RegularDef, u *ssa.Use) ([]DirSet, bool
 		m.evals++
 		start := len(m.dirs)
 		var feasible bool
-		m.dirs, feasible = a.directions(m.dirs, d.Stmt, d.LHS, u.Stmt, u.Ref)
+		m.dirs, feasible = a.directions(m.dirs, d.Stmt, dfs, u.Stmt, ufs)
 		sp = dirSpan{off: -1}
 		if feasible {
 			sp = dirSpan{off: int32(start), n: int32(len(m.dirs) - start)}
@@ -336,10 +363,10 @@ func (a *Analysis) pairDirections(d *ssa.RegularDef, u *ssa.Use) ([]DirSet, bool
 	return m.dirs[sp.off : sp.off+sp.n : sp.off+sp.n], true
 }
 
-// classOf returns the class number of reference r of statement st, cached
-// in (*cache)[id]: interned once per reference. A cache New's Forms did not
-// size grows as the IDs come.
-func (a *Analysis) classOf(cache *[]int32, id int, st *cfg.Stmt, r *ast.Ref) int32 {
+// classOf returns the class number of a reference of statement st with
+// forms fs, cached in (*cache)[id]: interned once per reference. A cache
+// New's Forms did not size grows as the IDs come.
+func (a *Analysis) classOf(cache *[]int32, id int, st *cfg.Stmt, fs []SubscriptForm) int32 {
 	c := *cache
 	if id >= len(c) {
 		c = append(c, make([]int32, max(id+1, 2*len(c), 64)-len(c))...)
@@ -348,7 +375,7 @@ func (a *Analysis) classOf(cache *[]int32, id int, st *cfg.Stmt, r *ast.Ref) int
 	if c[id] == 0 {
 		m := &a.memo
 		at := len(m.keys)
-		m.keys = a.classKey(m.keys, st, r)
+		m.keys = a.classKey(m.keys, st, fs)
 		c[id] = m.intern(at) + 1
 	}
 	return c[id] - 1
@@ -370,7 +397,7 @@ func (m *memo) intern(at int) int32 {
 }
 
 // classKey appends the encoding of a reference's structural class to
-// buf: everything Directions reads of one side of a pair. That is, per
+// buf: everything directions reads of one side of a pair. That is, per
 // subscript, its OK flag and, when OK, its constant and each term's
 // coefficient and variable, the variable named by the depths of the
 // statement's loops that bind it, innermost first, with the innermost
@@ -380,8 +407,7 @@ func (m *memo) intern(at int) int32 {
 // which common loop a variable names, whether two variables are the same
 // common loop's, and the lattice a subscript ranges over are all read
 // off the depths and bounds.
-func (a *Analysis) classKey(buf []byte, st *cfg.Stmt, r *ast.Ref) []byte {
-	fs := a.RefForms(r)
+func (a *Analysis) classKey(buf []byte, st *cfg.Stmt, fs []SubscriptForm) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(fs)))
 	for _, f := range fs {
 		if !f.OK {
@@ -482,29 +508,19 @@ func subForm(e ast.Expr, params map[string]int, vars varForms) (lin.Form, bool) 
 	return lin.Form{}, false
 }
 
-// Directions computes the per-common-loop direction sets for a
-// dependence from the definition statement (writing dref) to the use
-// statement (reading uref), both references to the same array.
-// feasible=false means the subscripts can never name the same element,
-// so there is no dependence at all. The returned slice has one entry
-// per common loop, outermost first, and is not nil for a feasible pair.
-func (a *Analysis) Directions(dstmt *cfg.Stmt, dref *ast.Ref, ustmt *cfg.Stmt, uref *ast.Ref) (dirs []DirSet, feasible bool) {
-	dirs, feasible = a.directions(make([]DirSet, 0, len(cfg.CommonLoops(ustmt, dstmt))), dstmt, dref, ustmt, uref)
-	if !feasible {
-		return nil, false
-	}
-	return dirs, true
-}
-
-// directions is Directions appending the direction sets to dst; it
-// returns dst unchanged for an infeasible pair.
-func (a *Analysis) directions(dst []DirSet, dstmt *cfg.Stmt, dref *ast.Ref, ustmt *cfg.Stmt, uref *ast.Ref) ([]DirSet, bool) {
+// directions computes the per-common-loop direction sets for a dependence
+// from the definition statement, whose reference has forms dfs, to the use
+// statement, forms ufs, both references to the same array, and appends
+// them to dst, one per common loop, outermost first. feasible=false means
+// the subscripts can never name the same element, so there is no
+// dependence at all; dst is returned unchanged.
+func (a *Analysis) directions(dst []DirSet, dstmt *cfg.Stmt, dfs []SubscriptForm, ustmt *cfg.Stmt, ufs []SubscriptForm) ([]DirSet, bool) {
 	common := cfg.CommonLoops(ustmt, dstmt)
 	start := len(dst)
 	for range common {
 		dst = append(dst, DirAll)
 	}
-	if len(dref.Subs) == 0 || len(uref.Subs) == 0 || len(dref.Subs) != len(uref.Subs) {
+	if len(dfs) == 0 || len(ufs) == 0 || len(dfs) != len(ufs) {
 		// Whole-array or rank-mismatched references: conservative.
 		return dst, true
 	}
@@ -531,7 +547,6 @@ func (a *Analysis) directions(dst []DirSet, dstmt *cfg.Stmt, dref *ast.Ref, ustm
 	}
 	fixed = fixed[:len(common)]
 
-	dfs, ufs := a.RefForms(dref), a.RefForms(uref)
 	for k := range dfs {
 		df, uf := dfs[k].Form, ufs[k].Form
 		if !dfs[k].OK || !ufs[k].OK {

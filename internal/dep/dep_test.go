@@ -381,15 +381,21 @@ end
 `
 	first := build(t, src, map[string]int{"n": 8, "m": 4})
 	forms := NewForms(first.a.Unit.Routine.Params, first.info)
-	structural := map[string]bool{}
-	for r := range forms.of {
-		structural[ast.ExprString(r)] = true
+	structural, size := map[string]bool{}, 0
+	for _, use := range first.info.Uses {
+		if forms.of[use.ID] != nil {
+			structural[ast.ExprString(use.Ref)], size = true, size+1
+		}
+	}
+	for i, d := range first.info.Defs {
+		if forms.of[forms.uses+i] != nil {
+			structural[ast.ExprString(d.LHS)], size = true, size+1
+		}
 	}
 	want := map[string]bool{"a(i,j)": true, "b((i - 1),((2 * j) + 1))": true, "b((i * j),(j / 2))": true, "b(((-i) + 3),7)": true, "a(i,1:n)": true}
 	if !reflect.DeepEqual(structural, want) {
 		t.Errorf("structural references %v, want %v", structural, want)
 	}
-	size := len(forms.of)
 	for _, params := range []map[string]int{{"n": 8, "m": 4}, {"n": 31, "m": 2}} {
 		u, err := sem.Analyze(first.a.Unit.Routine, params, sem.Options{Procs: 4})
 		if err != nil {
@@ -398,9 +404,8 @@ end
 		a := New(u)
 		a.Forms = forms
 		refs := 0
-		check := func(r *ast.Ref) {
+		check := func(r *ast.Ref, got []SubscriptForm) {
 			refs++
-			got := a.RefForms(r)
 			for k, sub := range r.Subs {
 				f, ok := subForm(sub.X, u.Params, varForms{})
 				if sub.Kind == ast.SubRange {
@@ -412,13 +417,13 @@ end
 			}
 		}
 		for _, use := range first.info.Uses {
-			check(use.Ref)
+			check(use.Ref, a.UseForms(use))
 		}
 		for _, d := range first.info.Defs {
-			check(d.LHS)
+			check(d.LHS, a.DefForms(d))
 		}
-		if len(a.forms) != refs-size || len(forms.of) != size {
-			t.Errorf("n=%d: %d references, %d structural, %d derived under the binding", params["n"], refs, len(forms.of), len(a.forms))
+		if len(a.forms) != refs-size || len(forms.of) != refs || forms.derived != refs-size {
+			t.Errorf("n=%d: %d references, %d structural, %d derived under the binding", params["n"], refs, size, len(a.forms))
 		}
 	}
 }

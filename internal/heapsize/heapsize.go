@@ -47,8 +47,11 @@ func (s *Slab[T]) Make(n int) []T {
 		return nil
 	}
 	if len(s.free) < n {
+		first := s.free == nil
 		s.free = make([]T, max(s.size, n))
-		s.size = max(s.size/4, 4)
+		if first {
+			s.size = max(s.size/4, 4)
+		}
 		*s.count += Slice(s.free)
 	}
 	out := s.free[:n:n]
@@ -74,6 +77,11 @@ func Take[T any](slab *[]T, n int) []T {
 	*slab = (*slab)[n:]
 	return out
 }
+
+// TakeLines is Take of n values that keeps the rest of their last 64-byte
+// cache line out of *slab: in a slab of shares each rounded up by Lines,
+// every share has lines of its own.
+func TakeLines[T any](slab *[]T, n int) []T { return Take(slab, Lines[T](n))[:n:n] }
 
 // Lines returns n rounded up to the values of T that fill whole 64-byte
 // cache lines: a slab of them is a size class the allocator aligns, so

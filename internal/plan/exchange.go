@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 
+	"gcao/internal/heapsize"
 	"gcao/internal/runtime"
 	"gcao/internal/section"
 )
@@ -48,41 +49,48 @@ type Schedules struct {
 }
 
 // NewSchedules returns a native engine's schedules or, with send false,
-// a simulator engine's, receiving only.
+// a simulator engine's, receiving only. A first pass counts what they hold
+// and a second carves it.
 func (pr *Program) NewSchedules(send bool) Schedules {
-	nx, sc := len(pr.Exchanges), runtime.NewScratch(pr.Plan.Layout.MaxRank)
+	nx := len(pr.Exchanges)
 	ss := Schedules{s: make([]Schedule, pr.Plan.Layout.P*nx), nx: nx}
-	sizes := make([][5]int, len(ss.s)) // key, entries, dims, sent and received runs
 	var total [5]int
 	for i := range ss.s {
-		op, p, s, n := pr.Exchanges[i%nx], i/nx, &ss.s[i], &sizes[i]
-		if s.Dst, s.Src = op.Neighbors(p); !send {
-			s.Dst = -1
-		}
-		n[0], n[1] = len(op.Slots), len(op.Entries)
-		for j := range op.Entries {
-			es, m := &op.Entries[j], op.Group.Map
-			n[2] += 3 * len(es.Lo)
-			if s.Dst >= 0 {
-				n[3] += es.Lay.StripBound(p, es.ShiftDim, m.Sign, m.Width, es.Step[len(es.Step)-1], sc)
-			}
-			if s.Src >= 0 {
-				n[4] += es.Lay.StripBound(s.Src, es.ShiftDim, m.Sign, m.Width, es.Step[len(es.Step)-1], sc)
-			}
-		}
+		n := ss.size(pr, i, send)
 		for k := range total {
 			total[k] += n[k]
 		}
 	}
 	ints, ents, dims, runs := make([]int, total[0]), make([]SchedEntry, total[1]), make([]section.Dim, total[2]), make([]runtime.Run, total[3]+total[4])
-	for i, n := range sizes {
-		s := &ss.s[i]
-		s.key, ints = ints[:n[0]:n[0]], ints[n[0]:]
-		s.Ents, ents = ents[:0:n[1]], ents[n[1]:]
-		s.dims, dims = dims[:n[2]:n[2]], dims[n[2]:]
-		s.send, s.recv, runs = runs[:0:n[3]], runs[n[3]:n[3]:n[3]+n[4]], runs[n[3]+n[4]:]
+	for i := range ss.s {
+		s, n := &ss.s[i], ss.size(pr, i, send)
+		s.key, s.Ents, s.dims = heapsize.Take(&ints, n[0]), heapsize.Take(&ents, n[1])[:0], heapsize.Take(&dims, n[2])
+		s.send = heapsize.Take(&runs, n[3])[:0]
+		s.recv = heapsize.Take(&runs, n[4])[:0]
 	}
 	return ss
+}
+
+// size sets the neighbours of schedule i, processor i/nx's of exchange
+// i%nx, and returns what it holds: its key, entries, dims, sent and
+// received runs.
+func (ss *Schedules) size(pr *Program, i int, send bool) (n [5]int) {
+	op, p, s := pr.Exchanges[i%ss.nx], i/ss.nx, &ss.s[i]
+	if s.Dst, s.Src = op.Neighbors(p); !send {
+		s.Dst = -1
+	}
+	n[0], n[1] = len(op.Slots), len(op.Entries)
+	for j := range op.Entries {
+		es, m := &op.Entries[j], op.Group.Map
+		n[2] += 3 * len(es.Lo)
+		if s.Dst >= 0 {
+			n[3] += es.Lay.StripBound(p, es.ShiftDim, m.Sign, m.Width, es.Step[len(es.Step)-1])
+		}
+		if s.Src >= 0 {
+			n[4] += es.Lay.StripBound(s.Src, es.ShiftDim, m.Sign, m.Width, es.Step[len(es.Step)-1])
+		}
+	}
+	return n
 }
 
 // At returns processor p's schedule of the exchange op with its runs where

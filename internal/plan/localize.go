@@ -115,15 +115,10 @@ func (lw *lowerer) localize(nodes []Node) {
 
 // pureNest returns the nest rooted at root when it satisfies the three
 // purity rules, else nil. The candidate is collected in the lowerer's
-// scratch, which a nest that qualifies copies.
+// scratch (see expect), which a nest that qualifies copies.
 func (lw *lowerer) pureNest(root *Loop) *Nest {
 	nest := &lw.cand
 	nest.loops, nest.up, nest.stmts = nest.loops[:0], nest.up[:0], nest.stmts[:0]
-	if nest.loopOf == nil {
-		g := lw.pl.A.G
-		nest.loops, nest.up, nest.stmts = make([]*Loop, 0, len(g.Loops)), make([]int, 0, len(g.Loops)), make([]*Stmt, 0, len(g.Stmts))
-		nest.loopOf = make([]int, len(lw.pr.Ints))
-	}
 	for s := range nest.loopOf {
 		nest.loopOf[s] = -1
 	}
@@ -288,7 +283,13 @@ type constraint struct {
 // subscript ranges can be verified once on entry. The constraints and
 // their ranges are the lowerer's scratch.
 func (lw *lowerer) clamp(n *Nest) {
-	procs := lw.pl.Layout.P
+	procs, most := lw.pl.Layout.P, 0
+	for _, st := range n.stmts {
+		most += len(st.LHS.Subs)
+	}
+	if len(lw.owned) < (most+1)*procs { // a nest with more dimensions than any before
+		lw.cons, lw.owned = make([]constraint, 0, most), make([]Range, (most+1)*procs)
+	}
 	cons := lw.cons[:0]
 	for si, st := range n.stmts {
 		for i, dd := range st.LHS.Lay.Dist.Dims {
@@ -298,7 +299,7 @@ func (lw *lowerer) clamp(n *Nest) {
 		}
 	}
 	// One run of procs ranges per constraint, then one for a loop's hull.
-	ranges := slices.Grow(lw.owned[:0], (len(cons)+1)*procs)[:(len(cons)+1)*procs]
+	ranges := lw.owned[:(len(cons)+1)*procs]
 	for j := range cons {
 		c := &cons[j]
 		lhs := n.stmts[c.stmt].LHS
@@ -369,7 +370,7 @@ func (lw *lowerer) clamp(n *Nest) {
 			}
 		}
 	}
-	lw.cons, lw.owned = cons, ranges
+	lw.cons = cons
 }
 
 // entryKey collects the slots Enter's outcome depends on beside the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"gcao/internal/ast"
 	"gcao/internal/cfg"
@@ -24,80 +23,90 @@ import (
 func Lower(res *core.Result) *Program {
 	u := res.Analysis.Unit
 	pl := newPlan(res, runtime.NewLayout(u, u.Grid.NumProcs(), margins(res)))
-	lw := &lowerer{
-		pl:       pl,
-		pr:       &Program{Plan: pl},
-		intSlot:  map[string]int{},
-		realSlot: map[string]int{},
-		sumSlot:  map[*ast.Call]int{},
-	}
-	lw.s.expect(pl, &lw.pr.bytes)
-	for _, l := range pl.A.G.Loops {
-		if _, ok := lw.intSlot[l.Var()]; !ok {
-			lw.intSlot[l.Var()] = len(lw.pr.Ints)
-			lw.pr.Ints = append(lw.pr.Ints, l.Var())
-		}
-	}
-	lw.vars = make([][]Term, len(lw.pr.Ints))
-	for name, sc := range u.Scalars {
-		if !sc.IsParam {
-			lw.pr.Reals = append(lw.pr.Reals, name)
-		}
-	}
-	sort.Strings(lw.pr.Reals)
-	for s, name := range lw.pr.Reals {
-		lw.realSlot[name] = s
-	}
-	lw.unbound = make([]string, len(lw.pr.Reals))
-	lw.terms, lw.errs = make([]Term, 0, 2*pl.Layout.MaxRank), make([]source.Error, 0, len(pl.A.G.Stmts))
+	lw := &lowerer{pl: pl, pr: &Program{Plan: pl}}
+	lw.names()
+	lw.expect()
 	lw.pr.Body, _ = lw.seq(pl.A.G.EntryBlock)
 	lw.localize(lw.pr.Body)
 	pr := lw.pr
 	pr.errs = heapsize.Pop(&lw.errs, 0, &lw.s.errs)
-	pr.bytes += heapsize.Of(pr) + heapsize.Slice(pr.Ints) + heapsize.Slice(pr.Reals) + heapsize.Slice(pr.Exchanges) + heapsize.Slice(pr.inline)
+	pr.bytes += heapsize.Of(pr) + heapsize.Slice(pr.Exchanges) + heapsize.Slice(pr.inline)
 	return pr
 }
 
-// margins returns the overlap region of every array the placement's
-// groups leave room for (runtime.NewLayout): the widest shift that
-// delivers into it, 0 for an array nothing is delivered into; an array a
-// broadcast or general group delivers into is not named, so it keeps its
-// declared extents.
-func margins(res *core.Result) map[string]int {
-	m := make(map[string]int, len(res.Analysis.Unit.ArrayNames))
-	for _, name := range res.Analysis.Unit.ArrayNames {
-		m[name] = 0
-	}
+// margins returns, by array slot, the overlap region of every array the
+// placement's groups leave room for (runtime.NewLayout): the widest shift
+// that delivers into it, 0 for an array nothing is delivered into, -1 —
+// its declared extents — for one a broadcast or general group delivers
+// into.
+func margins(res *core.Result) []int {
+	u := res.Analysis.Unit
+	m := make([]int, len(u.ArrayNames))
 	for _, g := range res.Groups {
 		for _, e := range g.Entries {
-			if w, ok := m[e.Array]; ok && g.Kind == core.KindShift {
-				m[e.Array] = max(w, g.Map.Width)
+			slot := u.Arrays[e.Array].Slot
+			if g.Kind == core.KindShift && m[slot] >= 0 {
+				m[slot] = max(m[slot], g.Map.Width)
 			} else if g.Kind == core.KindBcast || g.Kind == core.KindGeneral {
-				delete(m, e.Array)
+				m[slot] = -1
 			}
 		}
 	}
 	return m
 }
 
+// names fills the Program's slot tables from one allocation: Ints, the
+// loop variables in the order their first loops come in, and Reals, the
+// declared non-parameter scalars in name order.
+func (lw *lowerer) names() {
+	u, loops, reals := lw.pl.A.Unit, lw.pl.A.G.Loops, 0
+	for _, sc := range u.Scalars {
+		if !sc.IsParam {
+			reals++
+		}
+	}
+	names := make([]string, 0, len(loops)+reals)
+	for _, l := range loops {
+		if !slices.Contains(names, l.Var()) {
+			names = append(names, l.Var())
+		}
+	}
+	ints := len(names)
+	for name, sc := range u.Scalars {
+		if !sc.IsParam {
+			names = append(names, name)
+		}
+	}
+	lw.pr.Ints, lw.pr.Reals = names[:ints:ints], names[ints:len(names):len(names)]
+	slices.Sort(lw.pr.Reals)
+	lw.pr.bytes += heapsize.Slice(names)
+}
+
+// intSlot and realSlot return the frame slot of a loop variable and of a
+// real scalar; false for a name that is none.
+func (lw *lowerer) intSlot(name string) (int, bool) {
+	s := slices.Index(lw.pr.Ints, name)
+	return s, s >= 0
+}
+
+func (lw *lowerer) realSlot(name string) (int, bool) { return slices.BinarySearch(lw.pr.Reals, name) }
+
 type lowerer struct {
-	pl       *Plan
-	pr       *Program
-	intSlot  map[string]int
-	realSlot map[string]int
+	pl *Plan
+	pr *Program
 	// loops is the stack of loops around the point being lowered; a
 	// variable of one of them is certainly bound there.
 	loops []*Loop
-	// sumSlot numbers the distributed SUMs of the statement or condition
-	// being lowered; reads collects its array reads, which is scratch.
-	sumSlot map[*ast.Call]int
-	reads   []*ArrayRef
+	// reads collects the array reads of the statement or condition being
+	// lowered, which is scratch.
+	reads []*ArrayRef
 	// stack is the Stmt.loops of the statements lowered since loops changed.
 	stack []*Loop
 	// s holds what the Program keeps. Lists under construction are popped
 	// into it: node lists, the SUMs of the statement or condition being
 	// lowered, need, Slots and a nest's slots, entries and proofs, a folded
-	// offset's terms and the Program's errors.
+	// offset's terms and the Program's errors. Every stack is sized once,
+	// by expect.
 	s      slabs
 	nodes  []Node
 	sums   []Sum
@@ -106,9 +115,9 @@ type lowerer struct {
 	proofs []proof
 	terms  []Term
 	errs   []source.Error
-	// vars[slot] is the one-term form of a loop variable, which every read
-	// of it shares.
-	vars [][]Term
+	// vars[slot:slot+1] is the one-term form of a loop variable, which
+	// every read of it shares.
+	vars []Term
 	// unbound[s] is the message of a strict read of real slot s while the
 	// scalar is unassigned, made at the first such read.
 	unbound []string
@@ -152,12 +161,21 @@ type slabs struct {
 	errs      heapsize.Slab[source.Error]
 }
 
-// expect sizes each slab's first chunk from counts the CFG, the SSA form
-// and the placement hold, exactly or as a bound where it can, else a
-// little below the Fig. 10(a) routines' mean density over those counts.
-func (a *slabs) expect(pl *Plan, count *int64) {
+// expect sizes each slab's first chunk and each stack from counts the
+// CFG, the SSA form and the placement hold, and from one walk over the
+// statements' and conditions' expressions: exactly or as a bound where it
+// can, else a little below the Fig. 10(a) routines' mean density over
+// those counts. A stack is one allocation, scratch no Program keeps.
+func (lw *lowerer) expect() {
+	a, pl, count := &lw.s, lw.pl, &lw.pr.bytes
 	g, info := pl.A.G, pl.A.SSA
-	stmts, loops, nodes, ifs := len(g.Stmts), len(g.Loops), len(g.Stmts)+len(g.Loops), 0
+	stmts, loops, nodes, ifs, depth := len(g.Stmts), len(g.Loops), len(g.Stmts)+len(g.Loops), 0, 0
+	var exprs, most exprSize // over every expression, and the most of one
+	add := func(e ast.Expr) {
+		n := lw.size(e)
+		exprs.reals, exprs.ops = exprs.reals+n.reals, exprs.ops+n.ops
+		most.ops, most.reads, most.sums = max(most.ops, n.ops), max(most.reads, n.reads), max(most.sums, n.sums)
+	}
 	for _, b := range g.Blocks {
 		for _, groups := range pl.Comm[b.ID] {
 			if len(groups) > 0 && b.Kind != cfg.PreHeader && b.Kind != cfg.Header { // a node, not a loop's
@@ -166,10 +184,21 @@ func (a *slabs) expect(pl *Plan, count *int64) {
 		}
 		if b.Branch != nil {
 			ifs++
+			add(b.Branch.Cond)
 		}
 	}
-	entries, dims, sums, sumDims := 0, 0, 0, 0
+	for _, st := range g.Stmts {
+		add(st.Assign.RHS)
+	}
+	for _, l := range g.Loops {
+		depth = max(depth, l.Depth)
+	}
+	entries, dims, sums, sumDims, shifts, group := 0, 0, 0, 0, 0, 0
 	for _, gr := range pl.Res.Groups {
+		if gr.Kind == core.KindShift {
+			shifts++
+		}
+		group = max(group, len(gr.Entries))
 		for _, e := range gr.Entries {
 			if rank := pl.Layout.Array(e.Array).Arr.Rank(); gr.Kind == core.KindReduce {
 				sums, sumDims = sums+1, sumDims+rank
@@ -201,10 +230,10 @@ func (a *slabs) expect(pl *Plan, count *int64) {
 	a.refs.Expect(refs, count)
 	a.refLists.Expect(reads, count)
 	a.subs.Expect(subs, count)
-	a.terms.Expect(subs+loops, count)
-	a.reals.Expect(refs*5/2, count)
-	a.row.Expect(refs*2, count)
-	a.ints.Expect(dims+2*loops, count)
+	a.terms.Expect(subs+loops+len(lw.pr.Ints), count)
+	a.reals.Expect(exprs.reals, count)
+	a.row.Expect(exprs.ops, count)
+	a.ints.Expect(dims+entries+len(pl.Res.Groups)+loops+loops*len(lw.pr.Ints)/2, count)
 	a.loopLists.Expect(2*loops+stmts, count)
 	a.stmtLists.Expect(2*stmts, count)
 	a.nests.Expect(loops/2, count)
@@ -212,6 +241,28 @@ func (a *slabs) expect(pl *Plan, count *int64) {
 	a.proofs.Expect(reads, count)
 	a.gens.Expect(0, count)
 	a.errs.Expect(0, count)
+
+	// A stack holds at most one list at a time but the node lists, which
+	// nest; a list of slots holds each once; pureNest's candidate is at
+	// most every loop and statement, and its up and loopOf share clamp's
+	// stack of slots.
+	nInts := len(lw.pr.Ints)
+	ints, ptrs := make([]int, 2*nInts+loops), make([]*Loop, depth+loops)
+	lw.ints = heapsize.Take(&ints, nInts)[:0]
+	lw.cand.loopOf = heapsize.Take(&ints, nInts)
+	lw.cand.up = ints[:0]
+	lw.loops = heapsize.Take(&ptrs, depth)[:0]
+	lw.cand.loops = ptrs[:0]
+	lw.cand.stmts = make([]*Stmt, 0, stmts)
+	lw.nodes, lw.reads, lw.sums = make([]Node, 0, nodes+ifs), make([]*ArrayRef, 0, most.reads), make([]Sum, 0, most.sums)
+	lw.ents, lw.proofs, lw.row = make([]EntrySec, 0, group), make([]proof, 0, reads), make([]rowOp, 0, most.ops)
+	lw.terms, lw.errs = make([]Term, 0, nInts), make([]source.Error, 0, stmts)
+	lw.pr.Exchanges = make([]*CommOp, 0, shifts)
+	lw.unbound = make([]string, len(lw.pr.Reals))
+	lw.vars = a.terms.Make(nInts)
+	for slot := range lw.vars {
+		lw.vars[slot] = Term{Slot: slot, Coef: 1}
+	}
 }
 
 // depth returns the position, outermost first, of the innermost loop
@@ -282,10 +333,11 @@ func (lw *lowerer) seq(b *cfg.Block) ([]Node, *cfg.Block) {
 
 func (lw *lowerer) loop(pre *cfg.Block) *Loop {
 	src := pre.Succs[0].Loop // a preheader's first edge enters its loop's header
+	slot, _ := lw.intSlot(src.Var())
 	lp := lw.s.loops.New()
 	*lp = Loop{
 		Src:  src,
-		Slot: lw.intSlot[src.Var()],
+		Slot: slot,
 		Pre:  lw.comm(lw.pl.Comm[pre.ID][0]),
 		Lo:   lw.intExpr(src.Do.Lo),
 		Hi:   lw.intExpr(src.Do.Hi),
@@ -318,14 +370,13 @@ func (lw *lowerer) stmt(st *cfg.Stmt) *Stmt {
 	if am := lw.pl.Layout.Array(as.LHS.Name); am != nil {
 		out.LHS = lw.arrayRef(as.LHS, am)
 	} else {
-		out.Scalar = lw.realSlot[as.LHS.Name]
+		out.Scalar, _ = lw.realSlot(as.LHS.Name)
 	}
 	return out
 }
 
 func (lw *lowerer) beginExpr() {
 	lw.sums, lw.reads = lw.sums[:0], lw.reads[:0]
-	clear(lw.sumSlot)
 	lw.row, lw.rowOK = lw.row[:0], false
 }
 
@@ -463,7 +514,7 @@ func (lw *lowerer) entry(g *core.Group, e *core.Entry) (EntrySec, bool) {
 func (lw *lowerer) form(f lin.Form, a *Affine, need int) bool {
 	a.Const, a.Terms = f.Const, lw.s.terms.Make(len(f.Terms))
 	for k, t := range f.Terms {
-		slot, ok := lw.intSlot[t.Var]
+		slot, ok := lw.intSlot(t.Var)
 		if !ok {
 			return false
 		}
@@ -562,13 +613,9 @@ func (lw *lowerer) errorAt(pos source.Pos, msg string) int32 {
 // enclosing loop, else — at run time — a variable some earlier loop
 // left bound, else a routine parameter.
 func (lw *lowerer) intName(e *ast.Ident) IntExpr {
-	slot, isVar := lw.intSlot[e.Name]
+	slot, isVar := lw.intSlot(e.Name)
 	if isVar && lw.depth(slot) >= 0 {
-		if lw.vars[slot] == nil {
-			lw.vars[slot] = lw.s.terms.Make(1)
-			lw.vars[slot][0] = Term{Slot: slot, Coef: 1}
-		}
-		return IntExpr{Affine: Affine{Terms: lw.vars[slot]}}
+		return IntExpr{Affine: Affine{Terms: lw.vars[slot : slot+1 : slot+1]}}
 	}
 	var rest IntExpr
 	if v, ok := lw.pl.A.Unit.Params[e.Name]; ok {
@@ -753,6 +800,48 @@ func (lw *lowerer) real(e ast.Expr) *Real {
 	return lw.failReal(pos, fmt.Sprintf("cannot evaluate %T", e))
 }
 
+// exprSize is what lowering one real expression takes: its nodes, its row
+// ops, its array reads and its SUM calls.
+type exprSize struct{ reals, ops, reads, sums int }
+
+// size returns what real makes of e, walking it the same way: exactly but
+// for a loop variable read outside its loop, which takes one node more.
+func (lw *lowerer) size(e ast.Expr) exprSize {
+	switch e := e.(type) {
+	case *ast.NumLit:
+		return exprSize{reals: 1, ops: 1}
+	case *ast.Ident:
+		if _, ok := lw.realSlot(e.Name); ok {
+			return exprSize{reals: 2, ops: 1} // a strict read and its failure
+		}
+		return exprSize{reals: 1, ops: 1}
+	case *ast.UnaryExpr:
+		x := lw.size(e.X)
+		return exprSize{x.reals + 1, x.ops + 1, x.reads, x.sums}
+	case *ast.BinExpr:
+		x, y := lw.size(e.X), lw.size(e.Y)
+		return exprSize{x.reals + y.reals + 1, x.ops + y.ops + 1, x.reads + y.reads, x.sums + y.sums}
+	case *ast.Ref:
+		if lw.pl.Layout.Array(e.Name) != nil {
+			return exprSize{reals: 1, ops: 1, reads: 1}
+		}
+		return exprSize{reals: 1, ops: 1}
+	case *ast.Call:
+		if e.Func == "sum" {
+			return exprSize{reals: 1, sums: 1}
+		}
+		n := exprSize{reals: 1, ops: 1}
+		if len(e.Args) <= 2 {
+			for _, arg := range e.Args {
+				x := lw.size(arg)
+				n = exprSize{n.reals + x.reals, n.ops + x.ops, n.reads + x.reads, n.sums + x.sums}
+			}
+		}
+		return n
+	}
+	return exprSize{reals: 1}
+}
+
 // node carves a real node from the slab.
 func (lw *lowerer) node(n Real) *Real {
 	p := lw.s.reals.New()
@@ -829,7 +918,7 @@ func b2f(b bool) float64 {
 // an error for a plain identifier (strict) and 0 for a subscriptless
 // reference.
 func (lw *lowerer) scalar(name string, pos source.Pos, strict bool) *Real {
-	slot, isVar := lw.intSlot[name]
+	slot, isVar := lw.intSlot(name)
 	if d := lw.depth(slot); isVar && d >= 0 {
 		n := lw.node(Real{kind: realVar, slot: int32(slot)})
 		if d == len(lw.loops)-1 {
@@ -842,7 +931,7 @@ func (lw *lowerer) scalar(name string, pos source.Pos, strict bool) *Real {
 	var n *Real
 	if v, ok := lw.pl.A.Unit.Params[name]; ok {
 		n = lw.node(Real{kind: realConst, c: float64(v)})
-	} else if s, ok := lw.realSlot[name]; ok && strict {
+	} else if s, ok := lw.realSlot(name); ok && strict {
 		if lw.unbound[s] == "" {
 			lw.unbound[s] = fmt.Sprintf("unbound scalar %q", name)
 		}
@@ -931,14 +1020,13 @@ func (lw *lowerer) sum(e *ast.Call) *Real {
 		return lw.failReal(e.Pos, fmt.Sprintf("sum over non-array %q", ref.Name))
 	}
 	if am.Dist != nil {
-		slot, seen := lw.sumSlot[e]
-		if !seen {
-			slot = lw.pr.numSums
+		i := slices.IndexFunc(lw.sums, func(s Sum) bool { return s.arg == ref })
+		if i < 0 {
+			i = len(lw.sums)
+			lw.sums = append(lw.sums, Sum{Lay: am, Pos: e.Pos, Sec: lw.secExpr(ref, am), Slot: lw.pr.numSums, arg: ref})
 			lw.pr.numSums++
-			lw.sumSlot[e] = slot
-			lw.sums = append(lw.sums, Sum{Lay: am, Pos: e.Pos, Sec: lw.secExpr(ref, am), Slot: slot, arg: ref})
 		}
-		return lw.node(Real{kind: realSum, slot: int32(slot)})
+		return lw.node(Real{kind: realSum, slot: int32(lw.sums[i].Slot)})
 	}
 	lw.pr.inline = append(lw.pr.inline, Sum{Lay: am, Pos: e.Pos, Sec: lw.secExpr(ref, am)})
 	return lw.node(Real{kind: realInline, slot: int32(len(lw.pr.inline) - 1)})

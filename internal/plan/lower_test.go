@@ -68,14 +68,17 @@ func TestLoweredTermsCapped(t *testing.T) {
 }
 
 // TestLowerAllocations pins what lowering allocates — a function of the
-// program, not of its expressions — at 1.25× the count measured once the
-// array layout was carved from one slab per element type and a reference's
-// offset folded on a stack, on sim-verify's hydflo/flux (103; 169 once
-// every list a Program keeps was popped from a stack into a slab sized by
-// the CFG's and the placement's counts, 283 while node lists grew by
-// append, 363 before communication positions and nest lists were carved,
-// 659 while expressions were closures, 3,383 when every expression
-// allocated) and on native-comm's shallow (111; 196; 250; 284; 498; 2,116).
+// program, not of its expressions — at 1.25× the count measured once every
+// stack of the lowerer was sized once from the CFG's, the SSA form's and
+// the placement's counts and the name maps became the slot tables, on
+// sim-verify's hydflo/flux (51; 99 while the stacks grew by doubling, 169
+// once every list a Program keeps was popped from a stack into a slab
+// sized by those counts, 283 while node lists grew by append, 363 before
+// communication positions and nest lists were carved, 659 while
+// expressions were closures, 3,383 when every expression allocated) and
+// on native-comm's shallow (61; 107; 196; 250; 284; 498; 2,116). Every
+// stack and slab being sized by a count, lowering allocates as often on a
+// routine four times as long (bench.StencilNests at k = 25 and 100).
 func TestLowerAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		bench, routine string
@@ -83,8 +86,8 @@ func TestLowerAllocations(t *testing.T) {
 		procs          int
 		budget         float64
 	}{
-		{"hydflo", "flux", map[string]int{"n": 16, "steps": 4}, 16, 129},
-		{"shallow", "main", map[string]int{"n": 16, "steps": 40}, 16, 139},
+		{"hydflo", "flux", map[string]int{"n": 16, "steps": 4}, 16, 63},
+		{"shallow", "main", map[string]int{"n": 16, "steps": 40}, 16, 76},
 	} {
 		pr, err := bench.ByName(tc.bench, tc.routine)
 		if err != nil {
@@ -97,6 +100,16 @@ func TestLowerAllocations(t *testing.T) {
 		} else {
 			t.Logf("%s/%s: %v allocations a lowering", tc.bench, tc.routine, n)
 		}
+	}
+	count := map[int]float64{}
+	for _, k := range []int{25, 100} {
+		res := placeSrc(t, bench.StencilNests(k, 1), map[string]int{"n": 64, "steps": 1}, 16)
+		count[k] = testing.AllocsPerRun(10, func() { plan.Lower(res) })
+	}
+	if count[25] != count[100] {
+		t.Errorf("lowering StencilNests allocates %v objects at k = 25 and %v at k = 100", count[25], count[100])
+	} else {
+		t.Logf("StencilNests: %v allocations a lowering at k = 25 and 100", count[25])
 	}
 }
 

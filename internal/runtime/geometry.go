@@ -201,15 +201,15 @@ func (am *ArrayLayout) StripRuns(sec section.Section, src, ad, sign, width int, 
 // section whose last dimension has step: one a row of the strip box, one
 // an element where the rows are strided — by the section, or by the
 // lattice of a CYCLIC moved last dimension.
-func (am *ArrayLayout) StripBound(src, ad, sign, width, step int, sc *Scratch) int {
-	lo, hi := sc.lo[:len(am.Strides)], sc.hi[:len(am.Strides)]
-	if !am.stripBox(src, ad, sign, width, lo, hi) {
-		return 0
-	}
-	last, n := len(lo)-1, 1
-	for k := range lo {
+func (am *ArrayLayout) StripBound(src, ad, sign, width, step int) int {
+	last, n := len(am.Strides)-1, 1
+	for k := range am.Strides {
+		lo, hi, ok := am.stripDim(src, k, ad, sign, width)
+		if !ok {
+			return 0
+		}
 		if k < last || step > 1 || (k == ad && am.Dist.Dims[k].Kind == dist.Cyclic) {
-			n *= hi[k] - lo[k] + 1
+			n *= hi - lo + 1
 		}
 	}
 	return n
@@ -218,22 +218,29 @@ func (am *ArrayLayout) StripBound(src, ad, sign, width, step int, sc *Scratch) i
 // stripBox fills lo and hi with the strip box of StripRuns' arguments,
 // false when src owns nothing.
 func (am *ArrayLayout) stripBox(src, ad, sign, width int, lo, hi []int) bool {
-	arr := am.Arr
 	for k := range lo {
-		l, h := am.OwnedBox(src, k)
-		if l > h {
+		var ok bool
+		if lo[k], hi[k], ok = am.stripDim(src, k, ad, sign, width); !ok {
 			return false
-		}
-		switch {
-		case k != ad:
-			lo[k], hi[k] = max(l-width, arr.Lo[k]), min(h+width, arr.Hi[k])
-		case sign > 0:
-			lo[k], hi[k] = l, min(l+width-1, h)
-		default:
-			lo[k], hi[k] = max(h-width+1, l), h
 		}
 	}
 	return true
+}
+
+// stripDim returns dimension k of the strip box, false when src owns
+// nothing along it.
+func (am *ArrayLayout) stripDim(src, k, ad, sign, width int) (lo, hi int, ok bool) {
+	arr := am.Arr
+	l, h := am.OwnedBox(src, k)
+	switch {
+	case l > h:
+		return 0, 0, false
+	case k != ad:
+		return max(l-width, arr.Lo[k]), min(h+width, arr.Hi[k]), true
+	case sign > 0:
+		return l, min(l+width-1, h), true
+	}
+	return max(h-width+1, l), h, true
 }
 
 // StripShift reports whether the strip (StripRuns' other arguments as

@@ -252,7 +252,7 @@ func twin(t *testing.T, l layout, margin int) (got *Memory, want *elemTwin) {
 	u := unit(t, src, map[string]int{"n": 1}, procs)
 	got, want = NewMemory(u, procs), &elemTwin{Memory: NewMemory(u, procs)}
 	if margin >= 0 {
-		got = NewLayout(u, procs, map[string]int{"a": margin}).NewMemory()
+		got = NewLayout(u, procs, marginsOf(u, map[string]int{"a": margin})).NewMemory()
 	}
 	want.valid = oracleValidity(want.View("a"))
 	v := 1.0
@@ -527,9 +527,9 @@ func TestStripShiftMatchesRebuild(t *testing.T) {
 			for src := 0; src < got.P; src++ {
 				for gridDim := 0; gridDim < 2; gridDim++ {
 					ad, sign, width := am.ShiftArrayDim(gridDim), 1-2*rng.Intn(2), 1+rng.Intn(2)
-					if runs, _ := stripOf(am, to, src, ad, sign, width, sc); len(runs) > am.StripBound(src, ad, sign, width, to[rank-1].Step, sc) {
+					if runs, _ := stripOf(am, to, src, ad, sign, width, sc); len(runs) > am.StripBound(src, ad, sign, width, to[rank-1].Step) {
 						t.Fatalf("%v: %v from processor %d along dimension %d sign %+d width %d: %d runs, StripBound %d",
-							l, to, src, ad, sign, width, len(runs), am.StripBound(src, ad, sign, width, to[rank-1].Step, sc))
+							l, to, src, ad, sign, width, len(runs), am.StripBound(src, ad, sign, width, to[rank-1].Step))
 					}
 					doff, ok := am.StripShift(from, to, src, ad, sign, width, sc)
 					if !ok {

@@ -11,7 +11,6 @@ package runtime
 
 import (
 	"fmt"
-	"maps"
 	"math"
 
 	"gcao/internal/dist"
@@ -38,13 +37,15 @@ type Ledger struct {
 	Barriers int
 }
 
-// NewLedger builds a ledger for p processors on the given machine.
+// NewLedger builds a ledger for p processors on the given machine; its
+// clocks are carved from one slab.
 func NewLedger(p int, m machine.Machine) *Ledger {
+	clocks := make([]float64, 2*p)
 	return &Ledger{
 		P:        p,
 		Machine:  m,
-		CPU:      make([]float64, p),
-		Net:      make([]float64, p),
+		CPU:      clocks[:p:p],
+		Net:      clocks[p:],
 		MsgsRecv: make([]int, p),
 	}
 }
@@ -112,23 +113,23 @@ func (l *Ledger) Broadcast(bytes int) {
 }
 
 // LedgerView is a range-scoped window onto the CPU clocks of a ledger
-// for processors [Lo, Hi). It owns an independent backing slice, so
-// several views over disjoint ranges can accumulate compute time
-// concurrently without sharing cache lines; Absorb folds a view back
-// into the master ledger. Only CPU time is range-local — network and
-// message accounting happens at barriers, under a single writer.
+// for processors [Lo, Hi). It accumulates in clocks of its own, which its
+// maker gives it, so several views over disjoint ranges whose clocks are
+// whole cache lines apart accumulate compute time concurrently without
+// sharing one; Absorb folds a view back into the master ledger. Only CPU
+// time is range-local — network and message accounting happens at
+// barriers, under a single writer.
 type LedgerView struct {
 	Lo, Hi   int
 	CPU      []float64
 	flopTime float64
 }
 
-// View captures the current CPU clocks of processors [lo, hi) in an
-// independent range-scoped accumulator.
-func (l *Ledger) View(lo, hi int) *LedgerView {
-	v := &LedgerView{Lo: lo, Hi: hi, CPU: make([]float64, hi-lo), flopTime: l.Machine.FlopTime}
-	copy(v.CPU, l.CPU[lo:hi])
-	return v
+// View returns a view of processors [lo, hi) that accumulates in cpu, its
+// hi-lo clocks, having captured their current values there.
+func (l *Ledger) View(lo, hi int, cpu []float64) LedgerView {
+	copy(cpu, l.CPU[lo:hi])
+	return LedgerView{Lo: lo, Hi: hi, CPU: cpu[: hi-lo : hi-lo], flopTime: l.Machine.FlopTime}
 }
 
 // Compute charges flop-count floating point operations to a processor
@@ -168,7 +169,7 @@ type Layout struct {
 	Arrays []ArrayLayout
 	// MaxRank is the largest array rank, at least 1: an index vector's size.
 	MaxRank                      int
-	margin                       map[string]int
+	margin                       []int
 	bytes                        int64
 	planes, floats, lists, store int // what NewMemory carves of each slab
 }
@@ -230,23 +231,24 @@ type ArrayMem struct {
 
 // NewLayout builds the layout of the unit's arrays on p processors. A
 // processor's plane of a distributed array covers its local box: its owned
-// box widened by margin[name] on every BLOCK dimension. An array the map
-// does not name — any, under a nil map — keeps its declared extents. The
+// box widened by margin[slot] on every BLOCK dimension, slot being the
+// array's sem.Array.Slot. An array whose margin is negative — any, under a
+// nil table — keeps its declared extents. The layout keeps the table. The
 // arrays' tables, table headers and sections are carved from one slab each.
-func NewLayout(u *sem.Unit, p int, margin map[string]int) *Layout {
+func NewLayout(u *sem.Unit, p int, margin []int) *Layout {
 	ranks, ints := 0, 0
 	for _, name := range u.ArrayNames {
 		ranks, ints = ranks+u.Arrays[name].Rank(), ints+tableInts(u.Arrays[name], p)
 	}
 	l := &Layout{Unit: u, P: p, MaxRank: 1, Arrays: make([]ArrayLayout, len(u.ArrayNames)), margin: margin}
 	tables, own, dims := make([]int, ints), make([][]int, ranks), make([]section.Dim, ranks)
-	l.bytes = heapsize.Of(l) + heapsize.Slice(l.Arrays) + heapsize.Slice(tables) + heapsize.Slice(own) + heapsize.Slice(dims) + heapsize.Map(margin)
+	l.bytes = heapsize.Of(l) + heapsize.Slice(l.Arrays) + heapsize.Slice(tables) + heapsize.Slice(own) + heapsize.Slice(dims) + heapsize.Slice(margin)
 	for slot, name := range u.ArrayNames {
 		arr, r, al := u.Arrays[name], u.Arrays[name].Rank(), &l.Arrays[slot]
 		*al = ArrayLayout{Name: name, Arr: arr, Dist: arr.Dist, Slot: slot, own: heapsize.Take(&own, r), copies: 1,
 			whole: section.WholeInto(arr.Lo, arr.Hi, heapsize.Take(&dims, r))}
-		w, boxed := margin[name]
-		tables, l.MaxRank = al.initGeometry(p, w, boxed, tables), max(l.MaxRank, r)
+		w := l.marginOf(slot)
+		tables, l.MaxRank = al.initGeometry(p, w, w >= 0, tables), max(l.MaxRank, r)
 		if arr.Dist != nil {
 			al.copies, l.lists, l.store = p, l.lists+p, l.store+listInts(r, p)
 		}
@@ -256,13 +258,32 @@ func NewLayout(u *sem.Unit, p int, margin map[string]int) *Layout {
 }
 
 // Bytes returns what the layout holds: itself, its arrays' layouts with
-// their ownership tables and local boxes, and its map of margins by its
-// entries' keys and values.
+// their ownership tables and local boxes, and its table of margins.
 func (l *Layout) Bytes() int64 { return l.bytes }
 
 // Fits reports whether images made under o fit l: same unit, P and margins.
 func (l *Layout) Fits(o *Layout) bool {
-	return l == o || l.Unit == o.Unit && l.P == o.P && maps.Equal(l.margin, o.margin)
+	if l == o {
+		return true
+	}
+	if l.Unit != o.Unit || l.P != o.P {
+		return false
+	}
+	for slot := range l.Arrays {
+		if l.marginOf(slot) != o.marginOf(slot) {
+			return false
+		}
+	}
+	return true
+}
+
+// marginOf returns the margin of the array in slot, -1 for its declared
+// extents.
+func (l *Layout) marginOf(slot int) int {
+	if l.margin == nil {
+		return -1
+	}
+	return l.margin[slot]
 }
 
 // Array returns the layout of a declared array, nil for any other name.

@@ -27,6 +27,20 @@ func unit(t *testing.T, src string, params map[string]int, procs int) *sem.Unit 
 	return u
 }
 
+// marginsOf returns NewLayout's table of margins by slot: the margin the
+// map gives an array's name, -1 (its declared extents) for any other.
+func marginsOf(u *sem.Unit, byName map[string]int) []int {
+	margin := make([]int, len(u.ArrayNames))
+	for slot, name := range u.ArrayNames {
+		if w, ok := byName[name]; ok {
+			margin[slot] = w
+		} else {
+			margin[slot] = -1
+		}
+	}
+	return margin
+}
+
 const memSrc = `
 routine m(n)
 real a(n, n), r(n)
@@ -254,9 +268,9 @@ func TestCompareState(t *testing.T) {
 
 func TestLedgerAccounting(t *testing.T) {
 	l := NewLedger(4, machine.SP2())
-	v := l.View(0, 4)
+	v := l.View(0, 4, make([]float64, 4))
 	v.Compute(0, 1000)
-	l.Absorb(v)
+	l.Absorb(&v)
 	l.Message(0, 1, 4096)
 	if l.DynMessages != 1 || l.MsgsRecv[1] != 1 || l.BytesMoved != 4096 {
 		t.Errorf("ledger = %+v", l)
@@ -336,7 +350,7 @@ func invalidateBoxMatchesElementwise(t *testing.T, src, what string, n, procs, m
 	u := unit(t, src, map[string]int{"n": n}, procs)
 	m := NewMemory(u, procs)
 	if margin >= 0 {
-		m = NewLayout(u, procs, map[string]int{"a": margin}).NewMemory()
+		m = NewLayout(u, procs, marginsOf(u, map[string]int{"a": margin})).NewMemory()
 	}
 	am := m.View("a")
 	rank := am.Arr.Rank()
@@ -411,9 +425,9 @@ func TestCarvingAllocatesByType(t *testing.T) {
 	for _, k := range []int{2, 12} {
 		for _, p := range []int{4, 16} {
 			u := unit(t, unitOf(k), map[string]int{"n": 16}, p)
-			margin := map[string]int{}
-			for _, name := range u.ArrayNames {
-				margin[name] = 1
+			margin := make([]int, len(u.ArrayNames))
+			for slot := range margin {
+				margin[slot] = 1
 			}
 			l := NewLayout(u, p, margin)
 			for what, f := range map[string]func(){
@@ -439,7 +453,7 @@ func TestCarvingAllocatesByType(t *testing.T) {
 // store, 2·rank + 1 boxes, which a cache line separates from the next.
 func TestCarvedTablesCapped(t *testing.T) {
 	u := unit(t, unitOf(12), map[string]int{"n": 16}, 16)
-	l := NewLayout(u, 16, map[string]int{"a1": 1, "a2": 2})
+	l := NewLayout(u, 16, marginsOf(u, map[string]int{"a1": 1, "a2": 2}))
 	m := l.NewMemory()
 	capped := func(what string, n, c int) {
 		if n != c {

@@ -26,6 +26,12 @@ func NewEngine(res *core.Result, procs, workers int) (*Engine, error) {
 	return newEngine(plan.Lower(res), procs, workers)
 }
 
+// EngineOf builds an engine around a lowered program, for tests that
+// count what building one allocates apart from lowering.
+func EngineOf(prog *plan.Program, procs, workers int) (*Engine, error) {
+	return newEngine(prog, procs, workers)
+}
+
 // UnitPrograms hands the unit tests' programs to the external test
 // package, which checks them against the reference evaluator.
 var UnitPrograms = []struct {

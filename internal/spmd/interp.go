@@ -83,7 +83,7 @@ type shard struct {
 	// nest is set while the shard runs a pure owner-computes nest, one
 	// processor of its range at a time.
 	nest bool
-	led  *runtime.LedgerView
+	led  runtime.LedgerView
 	// sumCounts[i] is, per processor, how many elements of the executing
 	// statement's i-th distributed SUM the processor owns: its share of
 	// the reduction's flops.

@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	"gcao/internal/core"
+	"gcao/internal/heapsize"
 	"gcao/internal/machine"
 	"gcao/internal/obs"
 	"gcao/internal/obs/attr"
@@ -77,7 +78,9 @@ func RunPooled(pool *sync.Pool, prog *plan.Program, m machine.Machine, rec *obs.
 // newEngine builds what an engine owns — a memory image under the
 // program's layout, the shards with their frames, the schedules and the
 // rendezvous scratch — around a program it shares with every other
-// engine of the placement.
+// engine of the placement. The shards are held by value and their tables
+// carved from one slab per element type, each shard's a cache line apart
+// from the next one's.
 func newEngine(prog *plan.Program, procs, workers int) (*Engine, error) {
 	if got := prog.Plan.Layout.P; got != procs {
 		return nil, fmt.Errorf("spmd: unit compiled for %d processors, run requested %d", got, procs)
@@ -90,29 +93,42 @@ func newEngine(prog *plan.Program, procs, workers int) (*Engine, error) {
 	}
 	workers = min(workers, procs)
 	eng := &Engine{
-		prog:       prog,
-		mem:        prog.Plan.Layout.NewMemory(),
-		sched:      prog.NewSchedules(false),
-		scalars:    map[string]float64{},
-		shards:     make([]*shard, workers),
-		syncVals:   make([]float64, workers),
-		syncHas:    make([]bool, workers),
-		shardErrs:  make([]error, workers),
-		recvBytes:  make([]int, procs),
-		bcastBytes: make([]int, workers),
+		prog:    prog,
+		mem:     prog.Plan.Layout.NewMemory(),
+		sched:   prog.NewSchedules(false),
+		scalars: map[string]float64{},
+		shards:  make([]shard, workers),
 	}
 	for i := range eng.shards {
-		lo := i * procs / workers
-		fr, err := prog.NewFrame(lo, eng.mem)
+		sh := &eng.shards[i]
+		*sh = shard{eng: eng, idx: i, lo: i * procs / workers, hi: (i + 1) * procs / workers}
+		fr, err := prog.NewFrame(sh.lo, eng.mem)
 		if err != nil {
 			return nil, err
 		}
-		sh := &shard{eng: eng, idx: i, lo: lo, hi: (i + 1) * procs / workers, fr: fr, target: make([]int, prog.Plan.Layout.MaxRank)}
-		sh.sumCounts = make([][]int, len(sh.fr.Sums))
-		for i := range sh.sumCounts {
-			sh.sumCounts[i] = make([]int, procs)
+		sh.fr = fr
+	}
+	// Per shard: its view's clocks, its target's index and, per SUM, the
+	// counts of its processors.
+	rank, sums := prog.Plan.Layout.MaxRank, len(eng.shards[0].fr.Sums)
+	nFloats, nInts := heapsize.Lines[float64](workers), heapsize.Lines[int](procs)+heapsize.Lines[int](workers)
+	for i := range eng.shards {
+		nFloats += heapsize.Lines[float64](eng.shards[i].hi - eng.shards[i].lo)
+		nInts += heapsize.Lines[int](rank + sums*procs)
+	}
+	floats, ints, counts := make([]float64, nFloats), make([]int, nInts), make([][]int, workers*sums)
+	eng.syncVals = heapsize.TakeLines(&floats, workers)
+	eng.recvBytes = heapsize.TakeLines(&ints, procs)
+	eng.bcastBytes = heapsize.TakeLines(&ints, workers)
+	eng.syncHas, eng.shardErrs = make([]bool, workers), make([]error, workers)
+	for i := range eng.shards {
+		sh := &eng.shards[i]
+		sh.led.CPU = heapsize.TakeLines(&floats, sh.hi-sh.lo)
+		own := heapsize.TakeLines(&ints, rank+sums*procs)
+		sh.target, sh.sumCounts = heapsize.Take(&own, rank), heapsize.Take(&counts, sums)
+		for k := range sh.sumCounts {
+			sh.sumCounts[k] = heapsize.Take(&own, procs)
 		}
-		eng.shards[i] = sh
 	}
 	return eng, nil
 }
@@ -120,8 +136,8 @@ func newEngine(prog *plan.Program, procs, workers int) (*Engine, error) {
 // Run executes the prepared program once under the machine model,
 // profiled when rec is non-nil. From the second run on it first resets
 // the memory image, the frames and the rendezvous scratch; every run
-// gets a new ledger and phaser. The result shares the engine's memory
-// image and scalar map: it is valid until the engine's next Run.
+// gets a new ledger and a reset phaser. The result shares the engine's
+// memory image and scalar map: it is valid until the engine's next Run.
 func (eng *Engine) Run(m machine.Machine, rec *obs.Recorder) (*RunResult, error) {
 	if eng.ran {
 		eng.mem.Reset()
@@ -129,7 +145,8 @@ func (eng *Engine) Run(m machine.Machine, rec *obs.Recorder) (*RunResult, error)
 	}
 	eng.ran = true
 	procs := eng.mem.P
-	eng.led, eng.ph = runtime.NewLedger(procs, m), newPhaser(len(eng.shards))
+	eng.led = runtime.NewLedger(procs, m)
+	eng.ph.reset(len(eng.shards))
 	eng.prof, eng.idle, eng.attrRun = nil, nil, nil
 	if rec != nil {
 		eng.prof = obs.NewCommProfile(procs)
@@ -139,24 +156,21 @@ func (eng *Engine) Run(m machine.Machine, rec *obs.Recorder) (*RunResult, error)
 			eng.steps = stepTable(eng.prog.Plan.Res.Groups)
 		}
 	}
-	for _, sh := range eng.shards {
+	for i := range eng.shards {
+		sh := &eng.shards[i]
 		if err := sh.fr.Reset(eng.mem); err != nil {
 			return nil, err
 		}
 		sh.fr.P, sh.nest = sh.lo, false
-		sh.led = eng.led.View(sh.lo, sh.hi)
+		sh.led = eng.led.View(sh.lo, sh.hi, sh.led.CPU)
 	}
 
-	var wg sync.WaitGroup
-	for _, sh := range eng.shards[1:] {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			sh.main()
-		}(sh)
+	eng.wg.Add(len(eng.shards))
+	for i := range eng.shards[1:] {
+		go eng.shards[1+i].main()
 	}
 	eng.shards[0].main()
-	wg.Wait()
+	eng.wg.Wait()
 	if err := eng.ph.error(); err != nil {
 		return nil, err
 	}
@@ -174,6 +188,7 @@ func (eng *Engine) Run(m machine.Machine, rec *obs.Recorder) (*RunResult, error)
 // rendezvous unwind and the caller gets a value, not a crash.
 func (sh *shard) main() {
 	eng := sh.eng
+	defer eng.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
 			eng.ph.fail(fmt.Errorf("spmd: processor range [%d,%d) at %s: panic: %v", sh.lo, sh.hi, sh.at, r))
@@ -207,7 +222,7 @@ type Engine struct {
 	prog    *plan.Program
 	mem     *runtime.Memory
 	sched   plan.Schedules // receive-only; a shard uses its receivers'
-	shards  []*shard
+	shards  []shard
 	scalars map[string]float64
 	ran     bool
 	home    *sync.Pool // where Release puts the engine; nil: nowhere
@@ -217,7 +232,8 @@ type Engine struct {
 	steps []attr.Step
 
 	led *runtime.Ledger
-	ph  *phaser
+	ph  phaser
+	wg  sync.WaitGroup // the shards' mains
 
 	// prof and idle are the pair matrices and idle account of this run;
 	// attrRun is its superstep stream, one Step appended by the
@@ -247,8 +263,8 @@ type Engine struct {
 // absorbLedgers folds every shard's range-scoped CPU clocks into the
 // master ledger (an idempotent snapshot copy).
 func (eng *Engine) absorbLedgers() {
-	for _, sh := range eng.shards {
-		eng.led.Absorb(sh.led)
+	for i := range eng.shards {
+		eng.led.Absorb(&eng.shards[i].led)
 	}
 }
 
@@ -275,7 +291,8 @@ func (eng *Engine) masterBarrier() {
 // agreement check in evalRange.
 func (eng *Engine) checkScalarAgreement() error {
 	f0 := eng.shards[0].fr
-	for _, sh := range eng.shards[1:] {
+	for i := range eng.shards[1:] {
+		sh := &eng.shards[1+i]
 		for s, v0 := range f0.Reals {
 			if v := sh.fr.Reals[s]; f0.Set[s] && differ(v, v0) {
 				return fmt.Errorf("spmd: replicated scalar %q diverged across shards: %g vs %g", eng.prog.Reals[s], v0, v)
@@ -486,7 +503,7 @@ const (
 // shards without deadlock.
 type phaser struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    sync.Cond
 	parties int
 	arrived int
 	gen     uint64
@@ -494,10 +511,11 @@ type phaser struct {
 	err     error
 }
 
-func newPhaser(parties int) *phaser {
-	ph := &phaser{parties: parties}
-	ph.cond = sync.NewCond(&ph.mu)
-	return ph
+// reset readies the phaser for a run of parties shards, none of them
+// arrived and no error recorded.
+func (ph *phaser) reset(parties int) {
+	ph.parties, ph.arrived, ph.gen, ph.tok, ph.err = parties, 0, 0, token{}, nil
+	ph.cond.L = &ph.mu
 }
 
 // await blocks until all parties arrive with the same token, then
