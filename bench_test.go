@@ -46,8 +46,26 @@ func BenchmarkFig5Curves(b *testing.B) {
 	}
 }
 
-// benchFig10a compiles and places one benchmark routine under all
-// three versions, reporting the static message counts as metrics.
+// fig10aCounts is the op of the Fig. 10(a) benchmarks: it compiles one
+// benchmark routine at its default size on 25 processors, places it under
+// all three versions and returns their static message counts.
+func fig10aCounts(pr *bench.Program) (counts [3]int, err error) {
+	a, err := pr.Compile(pr.DefaultN, 25)
+	if err != nil {
+		return counts, err
+	}
+	for vi, v := range []core.Version{core.VersionOrig, core.VersionRedund, core.VersionCombine} {
+		res, err := a.Place(core.Options{Version: v})
+		if err != nil {
+			return counts, err
+		}
+		counts[vi] = res.TotalMessages()
+	}
+	return counts, nil
+}
+
+// benchFig10a runs fig10aCounts on one benchmark routine, reporting the
+// static message counts as metrics.
 func benchFig10a(b *testing.B, benchName, routine string) {
 	pr, err := bench.ByName(benchName, routine)
 	if err != nil {
@@ -56,16 +74,8 @@ func benchFig10a(b *testing.B, benchName, routine string) {
 	var counts [3]int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a, err := pr.Compile(pr.DefaultN, 25)
-		if err != nil {
+		if counts, err = fig10aCounts(pr); err != nil {
 			b.Fatal(err)
-		}
-		for vi, v := range []core.Version{core.VersionOrig, core.VersionRedund, core.VersionCombine} {
-			res, err := a.Place(core.Options{Version: v})
-			if err != nil {
-				b.Fatal(err)
-			}
-			counts[vi] = res.TotalMessages()
 		}
 	}
 	b.ReportMetric(float64(counts[0]), "orig-msgs")
@@ -79,6 +89,32 @@ func BenchmarkFig10aTrimeshNormdot(b *testing.B) { benchFig10a(b, "trimesh", "no
 func BenchmarkFig10aTrimeshGauss(b *testing.B)   { benchFig10a(b, "trimesh", "gauss") }
 func BenchmarkFig10aHydfloFlux(b *testing.B)     { benchFig10a(b, "hydflo", "flux") }
 func BenchmarkFig10aHydfloHydro(b *testing.B)    { benchFig10a(b, "hydflo", "hydro") }
+
+// TestFig10aHydfloFluxAllocs pins BenchmarkFig10aHydfloFlux's op — a full
+// compile of hydflo/flux, parse through the three placements — at 1.25×
+// its 152 allocations. The revision before the per-level section tables
+// spent 399,416, so a pair test that starts re-expanding sections fails
+// here long before it shows in milliseconds.
+func TestFig10aHydfloFluxAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector moves stack allocations to the heap")
+	}
+	pr, err := bench.ByName("hydflo", "flux")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 190
+	n := testing.AllocsPerRun(10, func() {
+		if _, err := fig10aCounts(pr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > budget {
+		t.Errorf("compiling and placing hydflo/flux allocates %v objects, budget %v", n, budget)
+	} else {
+		t.Logf("compiling and placing hydflo/flux: %v allocations", n)
+	}
+}
 
 // benchChart regenerates one Fig. 10(b–f) chart per iteration and
 // reports the mid-size normalized comb total and comb/orig network
@@ -493,14 +529,14 @@ func BenchmarkParallelSimulation(b *testing.B) {
 // P=16, comb), memory image and lowered program rebuilt per run as the
 // API does — at one shard per core and on a single shard. Large
 // combined strips make the per-receiver strip delivery and the ledger
-// what this measures. ci/sim-alloc-budget.txt holds the allocs/op
-// ceiling `make sim-smoke` enforces on the single-shard run (the count
-// does not depend on the host there): bulk memory operations that start
-// allocating per call again show up as thousands of allocations long
-// before they show in milliseconds. A run allocates 82 objects on one
-// shard and 90 on two (2 vCPUs), from 143 and 156 while lowering's stacks
-// grew by doubling and the engine made a table per shard and a slice per
-// rendezvous scratch.
+// what this measures. What the op allocates is held stage by stage —
+// lowering, the engine, the first run, which is all spmd.RunParallel
+// does — by internal/spmd's TestColdSimRunAllocs at one and two shards:
+// bulk memory operations that start allocating per call again show up
+// as thousands of allocations long before they show in milliseconds. A
+// run allocates 82 objects on one shard and 90 on two (2 vCPUs), from
+// 143 and 156 while lowering's stacks grew by doubling and the engine
+// made a table per shard and a slice per rendezvous scratch.
 func BenchmarkSimVerify(b *testing.B) {
 	res := placeComb(b, "hydflo", "flux", map[string]int{"n": 16, "steps": 4}, 16)
 	m := machine.SP2()
@@ -526,7 +562,8 @@ func BenchmarkSimVerify(b *testing.B) {
 // than the simulator's: 536 objects against 82 (589 against 144 before
 // lowering sized its stacks from counts and the simulator's engine carved
 // its tables), a native fabric's channels being most of the difference.
-// ci/cold-alloc-budget.txt holds the native op's ceiling.
+// internal/native's TestColdNativeRunAllocs and internal/spmd's
+// TestColdSimRunAllocs hold each op's stages.
 func BenchmarkColdRun(b *testing.B) {
 	res := placeComb(b, "hydflo", "flux", map[string]int{"n": 16, "steps": 4}, 16)
 	b.Run("native", func(b *testing.B) {
@@ -630,12 +667,12 @@ func BenchmarkNativeExecution(b *testing.B) {
 	b.ReportMetric(float64(wire), "wirebytes")
 }
 
-// BenchmarkNativeAlloc is the allocation budget the native-smoke CI
-// target gates on: gravity at P=16 (short-friendly n=48), steady-state
+// BenchmarkNativeAlloc is the repository benchmark's native-compute op
+// under `go test`: gravity at P=16 (short-friendly n=48), steady-state
 // engine reuse. The recycled fabric and hoisted scratch are the point,
 // so allocs/op here regressing means a hot path started allocating
-// again; ci/native-alloc-budget.txt holds the ceiling `make
-// native-smoke` enforces with -benchmem.
+// again; internal/native's TestWarmRunStartsNoGoroutine holds a run of
+// this configuration to its RunResult.
 func BenchmarkNativeAlloc(b *testing.B) {
 	eng := warmGravityEngine(b, 48, 16)
 	b.ReportAllocs()
@@ -651,8 +688,8 @@ func BenchmarkNativeAlloc(b *testing.B) {
 // under `go test`: shallow n=16, 40 steps, P=16 under comb on a warm
 // engine — blocks of 4 × 4 and 3,840 messages, so the fabric, the
 // exchange geometry and the nest entries set the time, not the kernels.
-// `make native-smoke` holds its allocs/op to the same
-// ci/native-alloc-budget.txt as BenchmarkNativeAlloc.
+// internal/native's TestWarmRunStartsNoGoroutine holds a run of this
+// configuration to its RunResult, as it does BenchmarkNativeAlloc's.
 func BenchmarkNativeComm(b *testing.B) {
 	eng := warmEngine(b, "shallow", map[string]int{"n": 16, "steps": 40}, 16)
 	b.ReportAllocs()
@@ -695,8 +732,8 @@ func BenchmarkNativeScaling(b *testing.B) {
 // on the six Fig. 10(a) routines at P=25. A gcao.Placed pays for it once,
 // whatever it runs on; native.NewEngine and spmd.RunParallel on a bare
 // placement result lower for themselves (so RunParallel pays per run),
-// which is why what lowering allocates is budgeted in
-// ci/sim-alloc-budget.txt. Every value and list a Program keeps is carved
+// which is why lowering is a stage of TestColdSimRunAllocs and
+// TestColdNativeRunAllocs. Every value and list a Program keeps is carved
 // from a slab sized by the CFG's, the SSA form's and the placement's
 // counts, and every stack of the lowerer is sized once from them: 336
 // allocations and 608 KB an op, from 604 and 625 KB while the stacks grew

@@ -75,8 +75,8 @@ func TestGoldenStdout(t *testing.T) {
 	}
 }
 
-// TestFig10aHydfloFlux is the line compile-smoke greps for: hydflo/flux
-// has 52, 30 and 6 call sites under orig, nored and comb, as published.
+// TestFig10aHydfloFlux holds the row of hpfc fig10a for hydflo/flux: 52,
+// 30 and 6 call sites under orig, nored and comb, as published.
 func TestFig10aHydfloFlux(t *testing.T) {
 	row := regexp.MustCompile(`(?m)^hydflo +flux +NNC +\| +52 +30 +6 \| +52 +30 +6$`)
 	if out := stdout(t, "fig10a"); !row.MatchString(out) {

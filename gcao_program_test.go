@@ -15,7 +15,8 @@ import (
 // released — shares the program and, through it, the array layout with its
 // ownership tables: building it allocates what a fresh engine's image,
 // frames and fabric allocate, that is a package-level run's figure less
-// plan.Lower's whole share, on both backends.
+// plan.Lower's whole share, on both backends (counted without the race
+// detector only).
 func TestSecondEngineLowersNothing(t *testing.T) {
 	p := placedShallow(t, 12, 4)
 	m := gcao.SP2()
@@ -57,6 +58,9 @@ func TestSecondEngineLowersNothing(t *testing.T) {
 		placed := measure(backend.placed)
 		if mem == first.Mem || mem.Layout != first.Mem.Layout || mem.Layout != p.Program().Plan.Layout {
 			t.Errorf("%s: an engine built for a lowered placement has an array layout of its own (or no image of its own)", backend.name)
+		}
+		if raceEnabled {
+			continue // the race detector moves stack allocations to the heap
 		}
 		t.Logf("%s: fresh engine and run %.0f allocations, plan.Lower %.0f, engine and run on the placement's program %.0f", backend.name, fresh, lowering, placed)
 		if slack := 0.03 * fresh; placed > fresh-lowering+slack || placed < fresh-lowering-slack {

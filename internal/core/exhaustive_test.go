@@ -78,17 +78,86 @@ func TestLatestEarliestMatchExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: exhaustive: %v", c.name, err)
 		}
-		for i, e := range a.CommEntries() {
-			if got := core.RangeOf(e); !reflect.DeepEqual(got, want[i]) {
-				t.Errorf("%s: %s: range %+v, exhaustive %+v", c.name, e, got, want[i])
-			}
-			entries++
+		got := fastRanges(a)
+		for _, i := range rangeMismatches(got, want) {
+			t.Errorf("%s: %s: range %+v, exhaustive %+v", c.name, a.CommEntries()[i], got[i], want[i])
 		}
+		entries += len(got)
 	}
 	if len(cases) < 12+seeds || entries == 0 {
 		t.Fatalf("%d routines, %d entries: the test exercises too little", len(cases), entries)
 	}
 	t.Logf("%d routines, %d entries", len(cases), entries)
+}
+
+// fastRanges is the range of every entry CommEntries lists, as the
+// analysis computed it.
+func fastRanges(a *core.Analysis) []core.Range {
+	var out []core.Range
+	for _, e := range a.CommEntries() {
+		out = append(out, core.RangeOf(e))
+	}
+	return out
+}
+
+// rangeMismatches returns the indices of the entries whose range in got
+// differs from the exhaustive computation's in want.
+func rangeMismatches(got, want []core.Range) []int {
+	var bad []int
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			bad = append(bad, i)
+		}
+	}
+	return bad
+}
+
+// TestExhaustiveComparisonReportsMovedRange: the comparison
+// TestLatestEarliestMatchExhaustive relies on can fail. Moving one entry's
+// Latest, and then one entry's Earliest, by one candidate position in the
+// fast analysis' answer on shallow at P = 4 must make it report that entry
+// and no other.
+func TestExhaustiveComparisonReportsMovedRange(t *testing.T) {
+	pr, err := bench.ByName("shallow", "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := pr.Compile(pr.DefaultN, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := a.ExhaustiveRanges()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad := rangeMismatches(fastRanges(a), want); len(bad) != 0 {
+		t.Fatalf("entries %v differ before any position moved", bad)
+	}
+	// Candidates run earliest-first from Earliest to Latest, so the
+	// position one step inside the range is the second or the next to last.
+	for _, field := range []struct {
+		name string
+		move func(r *core.Range)
+	}{
+		{"Latest", func(r *core.Range) { r.Latest = r.Candidates[len(r.Candidates)-2] }},
+		{"Earliest", func(r *core.Range) { r.Earliest = r.Candidates[1] }},
+	} {
+		got := fastRanges(a)
+		moved := -1
+		for i := range got {
+			if len(got[i].Candidates) >= 2 {
+				field.move(&got[i])
+				moved = i
+				break
+			}
+		}
+		if moved < 0 {
+			t.Fatal("no entry has two candidate positions")
+		}
+		if bad := rangeMismatches(got, want); !reflect.DeepEqual(bad, []int{moved}) {
+			t.Errorf("%s of entry %d moved one candidate position: the comparison reports entries %v, want [%d]", field.name, moved, bad, moved)
+		}
+	}
 }
 
 // TestAnalysisScales: on StencilNests' routine the number of Directions

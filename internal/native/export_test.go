@@ -40,6 +40,10 @@ func VerifyAgainstSimulator(res *core.Result, m machine.Machine, procs int) erro
 // alter it between runs.
 func ProgramOf(eng *Engine) *plan.Program { return eng.prog }
 
+// EngineOf builds an engine on an already lowered program, for tests that
+// count what building one allocates apart from lowering.
+func EngineOf(prog *plan.Program, procs int) (*Engine, error) { return newEngine(prog, procs) }
+
 // MaxProcs is the oversubscription clamp NewEngine enforces.
 func MaxProcs() int { return maxProcs() }
 

@@ -52,19 +52,39 @@ func settledGoroutines(before int, wait time.Duration) int {
 }
 
 // TestWarmRunStartsNoGoroutine: a warm P = 16 run hands its processors to
-// the runners the last run parked, so what it allocates is its RunResult.
+// the runners the last run parked, packs into the pairs' rings and replays
+// or translates its schedules, so what it allocates is its RunResult — on
+// gravity at n = 16 and on the configurations of BenchmarkNativeAlloc
+// (gravity n = 48) and BenchmarkNativeComm (shallow n = 16, 40 steps).
+// AllocsPerRun's first run, not measured, warms the engine.
 func TestWarmRunStartsNoGoroutine(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on channel operations")
 	}
-	eng, _ := warmGravity(t, 16)
-	n := testing.AllocsPerRun(10, func() {
-		if _, err := eng.Run(); err != nil {
+	for _, tc := range []struct {
+		bench  string
+		params map[string]int
+	}{
+		{"gravity", map[string]int{"nx": 16, "ny": 16, "nz": 16, "steps": 1}},
+		{"gravity", map[string]int{"nx": 48, "ny": 48, "nz": 48, "steps": 1}},
+		{"shallow", map[string]int{"n": 16, "steps": 40}},
+	} {
+		pr, err := bench.ByName(tc.bench, "main")
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if n > 1 {
-		t.Errorf("a warm P = 16 gravity run allocates %v objects, want 1 (the RunResult)", n)
+		eng, err := native.NewEngine(placeSrc(t, pr.Source, tc.params, 16), 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(10, func() {
+			if _, err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > 1 {
+			t.Errorf("a warm P = 16 %s %v run allocates %v objects, want 1 (the RunResult)", tc.bench, tc.params, n)
+		}
 	}
 }
 

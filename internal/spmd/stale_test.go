@@ -24,8 +24,8 @@ func stripped(t *testing.T, src string, params map[string]int, procs int) *core.
 	return res
 }
 
-// placeSrc compiles a program and places it under comb.
-func placeSrc(t *testing.T, src string, params map[string]int, procs int) *core.Result {
+// analyzeSrc parses, checks and analyses a program.
+func analyzeSrc(t *testing.T, src string, params map[string]int, procs int) *core.Analysis {
 	t.Helper()
 	r, err := parser.ParseRoutine(src)
 	if err != nil {
@@ -39,7 +39,13 @@ func placeSrc(t *testing.T, src string, params map[string]int, procs int) *core.
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.Place(core.Options{Version: core.VersionCombine})
+	return a
+}
+
+// placeSrc compiles a program and places it under comb.
+func placeSrc(t *testing.T, src string, params map[string]int, procs int) *core.Result {
+	t.Helper()
+	res, err := analyzeSrc(t, src, params, procs).Place(core.Options{Version: core.VersionCombine})
 	if err != nil {
 		t.Fatal(err)
 	}
